@@ -130,6 +130,9 @@ struct Entry {
     op: OpKind,
     n: usize,
     threads: usize,
+    /// A multi-thread row on a one-CPU host: it times thread hand-off,
+    /// not scaling.
+    overhead_only: bool,
     isa: &'static str,
     seconds: f64,
     tile_mmos_per_s: f64,
@@ -168,20 +171,22 @@ fn jnum(x: f64) -> String {
     }
 }
 
-fn render_json(quick: bool, entries: &[Entry], sparse: &[SparseEntry]) -> String {
+fn render_json(quick: bool, nproc: usize, entries: &[Entry], sparse: &[SparseEntry]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"throughput\",\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
+    out.push_str(&format!("  \"nproc\": {nproc},\n"));
     out.push_str(&format!("  \"tile\": {ISA_TILE},\n"));
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"n\": {}, \"threads\": {}, \"isa\": \"{}\", \
-             \"seconds\": {}, \"tile_mmos_per_s\": {}, \"gbps\": {}, \
+            "    {{\"op\": \"{}\", \"n\": {}, \"threads\": {}, \"overhead_only\": {}, \
+             \"isa\": \"{}\", \"seconds\": {}, \"tile_mmos_per_s\": {}, \"gbps\": {}, \
              \"speedup_vs_scalar\": {}}}{}\n",
             e.op.name(),
             e.n,
             e.threads,
+            e.overhead_only,
             e.isa,
             jnum(e.seconds),
             jnum(e.tile_mmos_per_s),
@@ -482,6 +487,7 @@ fn main() {
         (&[256, 512, 1024], 3)
     };
     let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     // All nine ops at the smallest size; a representative plus-mul /
     // min-plus / plus-norm subset at the larger ones keeps full mode
     // minutes-scale on one core.
@@ -565,6 +571,7 @@ fn main() {
                     op,
                     n,
                     threads,
+                    overhead_only: threads > 1 && nproc == 1,
                     isa: be.kernel_isa().name(),
                     seconds,
                     tile_mmos_per_s: tile_mmos / seconds,
@@ -574,7 +581,11 @@ fn main() {
                 t.row(&[
                     op.name().to_owned(),
                     n.to_string(),
-                    threads.to_string(),
+                    if e.overhead_only {
+                        format!("{threads} (overhead_only)")
+                    } else {
+                        threads.to_string()
+                    },
                     e.isa.to_owned(),
                     format!("{:.4}", e.seconds),
                     format!("{:.3e}", e.tile_mmos_per_s),
@@ -591,7 +602,7 @@ fn main() {
     let sparse_entries = sparse_crossover_sweep(quick, reps);
     plan_batch_sweep(quick, thread_counts, reps);
     pass_pipeline_sweep(quick, reps);
-    let json = render_json(quick, &entries, &sparse_entries);
+    let json = render_json(quick, nproc, &entries, &sparse_entries);
     std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
     eprintln!("wrote BENCH_throughput.json ({} entries)", entries.len());
 }

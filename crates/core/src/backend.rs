@@ -12,10 +12,10 @@ use simd2_matrix::reference;
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
 use simd2_mxu::Simd2Unit;
-use simd2_semiring::simd::KernelIsa;
+use simd2_semiring::simd::{KernelIsa, CHAIN_ELEMS as TILE_ELEMS};
 use simd2_semiring::OpKind;
 
-use simd2_fault::{AbftConfig, FaultInjector, MmoUnit, TileCoord};
+use simd2_fault::{AbftConfig, FaultInjector, MmoUnit};
 use simd2_isa::{Dtype, ExecStats, Executor, Instruction, MatrixReg, SharedMemory};
 use simd2_trace::{field, span, Counter, Tracer};
 
@@ -432,12 +432,16 @@ impl Backend for ReferenceBackend {
 }
 
 /// Tiled functional SIMD²-unit backend: partitions operands into 16×16
-/// tiles and drives an [`MmoUnit`] per tile step, with fp16 operand
+/// tiles and drives an [`MmoUnit`] over them, with fp16 operand
 /// quantisation — the functional semantics of the proposed hardware.
 ///
-/// The unit is generic so the same tiling loop runs over the pristine
-/// [`Simd2Unit`] or a [`simd2_fault::FaultySimd2Unit`] whose datapath
-/// injects faults.
+/// Operands are quantised where the unit's input stage does it — once,
+/// as they are packed into tile-major scratch — and each output tile's
+/// `k` loop is one [`MmoUnit::execute_chain`] call that keeps the
+/// accumulator tile inside the unit (Figures 4(c) and 6); see
+/// DESIGN.md §8. The unit is generic so the same loop runs over the
+/// pristine [`Simd2Unit`] or a [`simd2_fault::FaultySimd2Unit`] whose
+/// datapath injects faults.
 ///
 /// With a [`Parallelism`] setting above one worker, units that offer
 /// [`MmoUnit::shard`] execute the output tile grid as row panels across
@@ -445,10 +449,10 @@ impl Backend for ReferenceBackend {
 /// are independent; per-tile reduction order is unchanged), with exact
 /// merged counters. Fault-injected units shard too: coordinate-addressed
 /// injection makes the same plan strike the same tiles under any worker
-/// count, and per-worker fault logs merge back in panel order so the
-/// merged log equals the sequential one. A worker panic never aborts the
-/// process — it surfaces as [`BackendError::WorkerPanic`] after every
-/// other worker drains.
+/// count, and per-worker fault logs merge back in the sequential visit
+/// order so the merged log equals the sequential one. A worker panic
+/// never aborts the process — it surfaces as
+/// [`BackendError::WorkerPanic`] after every other worker drains.
 #[derive(Clone, Debug)]
 pub struct TiledBackend<U: MmoUnit = Simd2Unit> {
     unit: U,
@@ -461,6 +465,10 @@ pub struct TiledBackend<U: MmoUnit = Simd2Unit> {
     /// by the caller), so every pooled slab is all-zero — exactly what
     /// the non-pooled paths allocate.
     slab_pool: Vec<Vec<f32>>,
+    /// Packed-operand scratch, one per worker that has ever run: taken
+    /// on the dispatch thread and handed to workers the way pooled
+    /// slabs are, returned after the join. Empty until the first MMO.
+    scratch_pool: Vec<PackScratch>,
 }
 
 /// Upper bound on pooled output slabs held by [`Backend::prepare_chain`]
@@ -510,6 +518,7 @@ impl<U: MmoUnit> TiledBackend<U> {
             parallelism: Parallelism::default(),
             tracer: Tracer::off(),
             slab_pool: Vec::new(),
+            scratch_pool: Vec::new(),
         }
     }
 
@@ -566,11 +575,82 @@ impl<U: MmoUnit> TiledBackend<U> {
     }
 }
 
-/// Executes one output panel of the tile grid on a worker shard of the
-/// unit, writing results into the panel's row slab of `D` and counting
-/// its own work (merged by the caller so totals stay exact).
+/// Bytes of packed `B` one worker keeps resident: the column strip is as
+/// wide as this allows (at least one tile column). A byte budget, not a
+/// knob — the right width is a property of the cache a strip must stay
+/// in while a panel's rows sweep it, not of any workload, and with the
+/// `A` row (16·k_pad floats) it bounds a worker's scratch near 1.1 MiB
+/// whatever the operand sizes.
+const B_STRIP_BYTES: usize = 1 << 20;
+
+/// Width, in tile columns, of the packed `B` strips of a grid with
+/// `k_tiles` reduction steps.
+fn strip_width(k_tiles: usize) -> usize {
+    (B_STRIP_BYTES / (k_tiles.max(1) * TILE_ELEMS * std::mem::size_of::<f32>())).max(1)
+}
+
+/// Number of `B` strips [`run_panel`] sweeps for `grid`.
+fn strip_count(grid: &TileGrid) -> usize {
+    grid.n_tiles.div_ceil(strip_width(grid.k_tiles))
+}
+
+/// One worker's packed-operand scratch: the quantised, padded,
+/// tile-major `A` row panel and `B` column strip [`run_panel`] reads its
+/// chains from. Owned by the backend and reused across MMOs; contents
+/// are rewritten before every read, so a clone starts empty.
+#[derive(Debug, Default)]
+struct PackScratch {
+    /// `k_tiles` tiles of one tile row of `A`, in `tk` order.
+    a: Vec<f32>,
+    /// For each tile column of the strip, its `k_tiles` tiles of `B` in
+    /// `tk` order.
+    b: Vec<f32>,
+}
+
+impl Clone for PackScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// Packs the chain of tiles `coords` yields from `m` — padded first, then
+/// quantised by the unit's pack hook, the order the per-tile path
+/// (`load_*_tile` → `execute`) applies them in — into `dst`, one flat
+/// row-major tile after another.
+fn pack_chain<U: MmoUnit>(
+    unit: &U,
+    m: &Matrix,
+    fill: f32,
+    coords: impl Iterator<Item = (usize, usize)>,
+    dst: &mut [f32],
+) {
+    for ((tr, tc), tile) in coords.zip(dst.chunks_exact_mut(TILE_ELEMS)) {
+        tiling::pack_tile::<ISA_TILE>(m, tr, tc, fill, tile);
+    }
+    unit.quantize_packed(dst);
+}
+
+/// Executes one output panel of the tile grid, writing results into the
+/// panel's row slab of `D` and counting its own work (merged by the
+/// caller so totals stay exact).
+///
+/// `B` is packed one column strip at a time and `A` one tile row at a
+/// time, each exactly once per use; every output tile is then one
+/// [`MmoUnit::execute_chain`] call over contiguous packed tiles, folding
+/// into an accumulator tile read from `C` and stored straight into the
+/// slab. Tiles are visited strip by strip, row-major within a strip.
+///
+/// `units` is either a single unit that executes every strip (the
+/// sequential and batched schedules) or one worker shard per strip (the
+/// panel-parallel schedule, whose dispatcher absorbs shards strip-major
+/// so merged fault logs keep the sequential visit order).
+///
+/// The counters stay the paper's *logical* tile traffic (Figure 6): one
+/// `C` load, two operand loads per `tk` step and one store per output
+/// tile — host pack traffic is not tile traffic.
 fn run_panel<U: MmoUnit>(
-    unit: &mut U,
+    units: &mut [U],
+    scratch: &mut PackScratch,
     op: OpKind,
     (a, b, c): (&Matrix, &Matrix, &Matrix),
     grid: &TileGrid,
@@ -578,20 +658,38 @@ fn run_panel<U: MmoUnit>(
     slab: &mut [f32],
 ) -> OpCount {
     let row0 = grid.panel_rows(&panel).start;
+    let pad = tiling::pad_values(op).operand;
+    let k_tiles = grid.k_tiles;
+    let chain = k_tiles * TILE_ELEMS;
+    let width = strip_width(k_tiles);
+    scratch.a.resize(chain, 0.0);
+    scratch.b.resize(width.min(grid.n_tiles) * chain, 0.0);
     let mut count = OpCount::default();
-    for ti in panel {
-        for tj in 0..grid.n_tiles {
-            let mut acc = tiling::load_c_tile::<ISA_TILE>(op, c, ti, tj);
-            count.tile_loads += 1;
-            for tk in 0..grid.k_tiles {
-                let at = tiling::load_a_tile::<ISA_TILE>(op, a, ti, tk);
-                let bt = tiling::load_b_tile::<ISA_TILE>(op, b, tk, tj);
-                acc = unit.execute_tile_at(TileCoord::new(ti, tj, tk), op, &at, &bt, &acc);
-                count.tile_loads += 2;
-                count.tile_mmos += 1;
+    for (s, tj0) in (0..grid.n_tiles).step_by(width).enumerate() {
+        let strip = tj0..(tj0 + width).min(grid.n_tiles);
+        let unit = &mut units[s.min(units.len() - 1)];
+        let b_pack = &mut scratch.b[..strip.len() * chain];
+        let b_coords = strip
+            .clone()
+            .flat_map(|tj| (0..k_tiles).map(move |tk| (tk, tj)));
+        pack_chain(unit, b, pad, b_coords, b_pack);
+        for ti in panel.clone() {
+            pack_chain(
+                unit,
+                a,
+                pad,
+                (0..k_tiles).map(|tk| (ti, tk)),
+                &mut scratch.a,
+            );
+            for tj in strip.clone() {
+                let mut acc = tiling::load_c_tile::<ISA_TILE>(op, c, ti, tj);
+                let b_chain = &b_pack[(tj - tj0) * chain..][..chain];
+                unit.execute_chain((ti, tj), op, &scratch.a, b_chain, &mut acc);
+                tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
+                count.tile_loads += 1 + 2 * k_tiles as u64;
+                count.tile_mmos += k_tiles as u64;
+                count.tile_stores += 1;
             }
-            tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
-            count.tile_stores += 1;
         }
     }
     count
@@ -612,11 +710,11 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// contiguous panel per worker ([`TileGrid::row_panels`]), each worker
 /// owns its panel's disjoint row slab of `D` and a private unit shard,
 /// and per-worker [`OpCount`]s and shard state (fault logs) are merged
-/// after the scope joins — shards in panel order, so merged fault logs
-/// are identical to the sequential schedule's. Panel assignment only
-/// partitions *independent* output tiles and each tile's k-loop runs in
-/// the exact sequential order, so the result is bit-identical to the
-/// sequential schedule.
+/// after the scope joins — shards strip by strip, in panel order within
+/// a strip, so merged fault logs are identical to the sequential
+/// schedule's. Panel assignment only partitions *independent* output
+/// tiles and each tile's k-loop runs in the exact sequential order, so
+/// the result is bit-identical to the sequential schedule.
 ///
 /// **Panic containment:** a panicking worker is caught at its join and
 /// surfaced as [`BackendError::WorkerPanic`]; every other worker is
@@ -627,7 +725,9 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn mmo_parallel<U: MmoUnit + Send>(
     parent: &mut U,
     tracer: &Tracer,
-    shards: Vec<U>,
+    scratch_pool: &mut Vec<PackScratch>,
+    // One shard per `B` strip for every panel (see `run_panel`).
+    shards: Vec<Vec<U>>,
     op: OpKind,
     (a, b, c): (&Matrix, &Matrix, &Matrix),
     grid: &TileGrid,
@@ -638,18 +738,20 @@ fn mmo_parallel<U: MmoUnit + Send>(
 ) -> Result<(Matrix, OpCount), BackendError> {
     let mut total = OpCount::default();
     let mut first_panic: Option<BackendError> = None;
+    let mut joined: Vec<std::vec::IntoIter<U>> = Vec::with_capacity(panels.len());
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(panels.len());
         let mut rest: &mut [f32] = d.as_mut_slice();
-        for (panel_idx, (panel, mut shard)) in panels.into_iter().zip(shards).enumerate() {
+        for (panel_idx, (panel, mut shards)) in panels.into_iter().zip(shards).enumerate() {
             let rows = grid.panel_rows(&panel);
             let (slab, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * grid.n);
             rest = tail;
             let worker_tracer = tracer.clone();
+            let mut scratch = scratch_pool.pop().unwrap_or_default();
             handles.push(s.spawn(move || {
-                let count = run_panel(&mut shard, op, (a, b, c), grid, panel, slab);
+                let count = run_panel(&mut shards, &mut scratch, op, (a, b, c), grid, panel, slab);
                 emit_tile_panel(&worker_tracer, panel_idx, rows.len(), count);
-                (count, shard)
+                (count, shards, scratch)
             }));
         }
         // Disjoint-slab invariant: the panels partition 0..m_tiles
@@ -662,9 +764,10 @@ fn mmo_parallel<U: MmoUnit + Send>(
         );
         for (panel_idx, handle) in handles.into_iter().enumerate() {
             match handle.join() {
-                Ok((count, shard)) => {
+                Ok((count, shards, scratch)) => {
                     total += count;
-                    parent.absorb(shard);
+                    joined.push(shards.into_iter());
+                    scratch_pool.push(scratch);
                 }
                 Err(payload) => {
                     if first_panic.is_none() {
@@ -677,6 +780,13 @@ fn mmo_parallel<U: MmoUnit + Send>(
             }
         }
     });
+    // Strip-major, panels in order within a strip: the order one unit
+    // sweeping the whole grid visits tiles in.
+    for _ in 0..strip_count(grid) {
+        for shards in &mut joined {
+            parent.absorb(shards.next().expect("one shard per strip"));
+        }
+    }
     match first_panic {
         Some(err) => Err(err),
         None => Ok((d, total)),
@@ -709,12 +819,17 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
         'done: {
             if workers > 1 && grid.m_tiles > 1 {
                 let panels = grid.row_panels(workers);
-                let shards: Option<Vec<U>> = panels.iter().map(|_| self.unit.shard()).collect();
+                let strips = strip_count(&grid);
+                let shards: Option<Vec<Vec<U>>> = panels
+                    .iter()
+                    .map(|_| (0..strips).map(|_| self.unit.shard()).collect())
+                    .collect();
                 if let Some(shards) = shards {
                     let out = pooled_output(&mut self.slab_pool, grid.m, grid.n);
                     let (dp, count) = mmo_parallel(
                         &mut self.unit,
                         &self.tracer,
+                        &mut self.scratch_pool,
                         shards,
                         op,
                         (a, b, c),
@@ -728,20 +843,23 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
                 }
             }
             // Sequential schedule: the whole grid is one panel (row slab
-            // starting at element row 0), executed in the exact Figure 6
-            // loop order `run_panel` preserves — bit-identical to the
-            // panel-parallel schedule and to the pre-unification loop.
+            // starting at element row 0) on the parent unit — the same
+            // `run_panel` every worker runs, so bit-identical to the
+            // panel-parallel schedule.
             let mut ds = pooled_output(&mut self.slab_pool, grid.m, grid.n);
             let panel = 0..grid.m_tiles;
             let rows = grid.panel_rows(&panel).len();
+            let mut scratch = self.scratch_pool.pop().unwrap_or_default();
             let count = run_panel(
-                &mut self.unit,
+                std::slice::from_mut(&mut self.unit),
+                &mut scratch,
                 op,
                 (a, b, c),
                 &grid,
                 panel,
                 ds.as_mut_slice(),
             );
+            self.scratch_pool.push(scratch);
             emit_tile_panel(&self.tracer, 0, rows, count);
             d = ds;
             delta = count;
@@ -818,13 +936,15 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
                     // `prepare_chain` hint moves the allocation off the
                     // worker's critical path.
                     let mut d = pooled_output(&mut self.slab_pool, grid.m, grid.n);
+                    let mut scratch = self.scratch_pool.pop().unwrap_or_default();
                     handles.push((
                         idx,
                         s.spawn(move || {
                             let panel = 0..grid.m_tiles;
                             let rows = grid.panel_rows(&panel).len();
                             let count = run_panel(
-                                &mut shard,
+                                std::slice::from_mut(&mut shard),
+                                &mut scratch,
                                 step.op,
                                 (step.a, step.b, step.c),
                                 grid,
@@ -832,14 +952,15 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
                                 d.as_mut_slice(),
                             );
                             emit_tile_panel(&worker_tracer, 0, rows, count);
-                            (d, count, shard)
+                            (d, count, shard, scratch)
                         }),
                     ));
                 }
                 for (idx, handle) in handles {
                     match handle.join() {
-                        Ok((d, count, shard)) => {
+                        Ok((d, count, shard, scratch)) => {
                             self.unit.absorb(shard);
+                            self.scratch_pool.push(scratch);
                             let mut delta = count;
                             delta.matrix_mmos = 1;
                             self.count += delta;

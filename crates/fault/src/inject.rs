@@ -28,9 +28,9 @@
 
 use std::collections::VecDeque;
 
-use simd2_matrix::Tile;
+use simd2_matrix::{Tile, ISA_TILE};
 use simd2_mxu::{PrecisionMode, Simd2Unit};
-use simd2_semiring::simd::KernelIsa;
+use simd2_semiring::simd::{KernelIsa, CHAIN_ELEMS};
 use simd2_semiring::OpKind;
 use simd2_trace::{field, span, Counter, Tracer};
 
@@ -69,9 +69,10 @@ impl TileCoord {
 /// mmo (by sequence number within the injector's lifetime) and which
 /// tile-grid step inside it.
 ///
-/// Ordering is lexicographic `(mmo_seq, ti, tj, tk)` — exactly the order
-/// a sequential row-major tile-grid schedule visits sites, which is the
-/// canonical order merged parallel fault logs are kept in.
+/// Ordering is lexicographic `(mmo_seq, ti, tj, tk)` — the order a
+/// row-major tile-grid schedule visits sites (and the order the tiled
+/// backend's logs come out in whenever the packed `B` operand fits one
+/// column strip; wider grids are visited strip by strip).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MmoCoord {
     /// Whole-matrix mmo sequence number (1-based; see
@@ -239,10 +240,10 @@ pub trait ShardableInjector: FaultInjector + Sized {
 
     /// Merges a shard's log and counters back into `self`.
     ///
-    /// Callers must absorb shards in panel order (ascending output tile
-    /// row); each shard logs its own panel in row-major order, so
-    /// ordered absorption reproduces exactly the log a sequential
-    /// schedule would have written.
+    /// Callers must absorb shards in the order a sequential schedule
+    /// would have visited their tiles (for row panels: ascending output
+    /// tile row); each shard logs its own tiles in visit order, so
+    /// ordered absorption reproduces exactly the sequential log.
     fn absorb(&mut self, shard: Self);
 }
 
@@ -566,6 +567,49 @@ pub trait MmoUnit: std::fmt::Debug {
         self.execute_tile(op, a, b, c)
     }
 
+    /// The pack hook: passes the elements of a packed operand panel
+    /// through the unit's input quantiser, in place. Tiled backends call
+    /// it once per packed `A` row panel and `B` column strip, so
+    /// quantisation stays the unit's decision but is paid per operand
+    /// element, not per tile use.
+    fn quantize_packed(&self, xs: &mut [f32]);
+
+    /// Folds one packed tile pair into `acc` at an explicit tile-grid
+    /// coordinate: `acc ← acc ⊕ (a ⊗ b)` on flat row-major 16×16 tiles
+    /// that have already passed through
+    /// [`quantize_packed`](MmoUnit::quantize_packed) — the
+    /// per-coordinate hook of the packed engine, where order-sensitive
+    /// state (fault injection above all) keys off *where* the tile is.
+    fn execute_packed_at(
+        &mut self,
+        coord: TileCoord,
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    );
+
+    /// Folds the whole `k` chain of output tile `(ti, tj)` into `acc`:
+    /// `a` and `b` hold the tile's packed operand tiles for
+    /// `tk = 0, 1, …` back to back. The default walks the chain one
+    /// pair at a time through
+    /// [`execute_packed_at`](MmoUnit::execute_packed_at), so every
+    /// coordinate is visited in `tk` order; pure datapaths override it
+    /// with a single kernel call that owns the loop.
+    fn execute_chain(
+        &mut self,
+        (ti, tj): (usize, usize),
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        let pairs = a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS));
+        for (tk, (at, bt)) in pairs.enumerate() {
+            self.execute_packed_at(TileCoord::new(ti, tj, tk), op, at, bt, acc);
+        }
+    }
+
     /// Marks the start of a new whole-matrix mmo (called once per
     /// backend-level `mmo`, before any tile executes and before any
     /// shards are taken).
@@ -619,8 +663,8 @@ pub trait MmoUnit: std::fmt::Debug {
     }
 
     /// Merges a worker shard's state (fault logs, telemetry) back after
-    /// the parallel join. Shards must be absorbed in panel order so the
-    /// merged log is identical to the sequential schedule's log.
+    /// the parallel join. Shards must be absorbed in the sequential
+    /// schedule's visit order so the merged log is identical to its log.
     fn absorb(&mut self, shard: Self)
     where
         Self: Sized,
@@ -638,6 +682,32 @@ impl MmoUnit for Simd2Unit {
         c: &Tile<N>,
     ) -> Tile<N> {
         self.execute(op, a, b, c)
+    }
+
+    fn quantize_packed(&self, xs: &mut [f32]) {
+        self.quantize_operands(xs);
+    }
+
+    fn execute_packed_at(
+        &mut self,
+        _coord: TileCoord,
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        Simd2Unit::execute_chain(self, op, a, b, acc);
+    }
+
+    fn execute_chain(
+        &mut self,
+        _tile: (usize, usize),
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        Simd2Unit::execute_chain(self, op, a, b, acc);
     }
 
     fn reduced_precision(&self) -> bool {
@@ -702,6 +772,19 @@ impl<I: FaultInjector> FaultySimd2Unit<I> {
         !self.vector_only || self.unit.kernel_isa() != KernelIsa::Scalar
     }
 
+    /// Passes a freshly computed output tile through the injector, in
+    /// place: coordinate-addressed when the engine supplied one, else
+    /// the next visit-order site. A disarmed unit visits no site.
+    fn inject<const N: usize>(&mut self, coord: Option<TileCoord>, op: OpKind, d: &mut Tile<N>) {
+        if !self.injection_armed() {
+            return;
+        }
+        match coord {
+            Some(coord) => self.injector.inject_mmo_at(coord, op, d.as_flat_mut(), N),
+            None => self.injector.inject_mmo(op, d.as_flat_mut(), N),
+        };
+    }
+
     /// The pristine underlying unit.
     pub fn unit(&self) -> &Simd2Unit {
         &self.unit
@@ -726,14 +809,8 @@ impl<I: ShardableInjector> MmoUnit for FaultySimd2Unit<I> {
         b: &Tile<N>,
         c: &Tile<N>,
     ) -> Tile<N> {
-        let d = self.unit.execute(op, a, b, c);
-        if !self.injection_armed() {
-            return d;
-        }
-        let mut flat: Vec<f32> = (0..N * N).map(|i| d.get(i / N, i % N)).collect();
-        if self.injector.inject_mmo(op, &mut flat, N).is_some() {
-            return Tile::from_fn(|r, c| flat[r * N + c]);
-        }
+        let mut d = self.unit.execute(op, a, b, c);
+        self.inject(None, op, &mut d);
         d
     }
 
@@ -745,19 +822,25 @@ impl<I: ShardableInjector> MmoUnit for FaultySimd2Unit<I> {
         b: &Tile<N>,
         c: &Tile<N>,
     ) -> Tile<N> {
-        let d = self.unit.execute(op, a, b, c);
-        if !self.injection_armed() {
-            return d;
-        }
-        let mut flat: Vec<f32> = (0..N * N).map(|i| d.get(i / N, i % N)).collect();
-        if self
-            .injector
-            .inject_mmo_at(coord, op, &mut flat, N)
-            .is_some()
-        {
-            return Tile::from_fn(|r, c| flat[r * N + c]);
-        }
+        let mut d = self.unit.execute(op, a, b, c);
+        self.inject(Some(coord), op, &mut d);
         d
+    }
+
+    fn quantize_packed(&self, xs: &mut [f32]) {
+        self.unit.quantize_operands(xs);
+    }
+
+    fn execute_packed_at(
+        &mut self,
+        coord: TileCoord,
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        self.unit.execute_chain(op, a, b, acc);
+        self.inject(Some(coord), op, acc);
     }
 
     fn begin_matrix_mmo(&mut self) {
@@ -827,6 +910,13 @@ impl PanicProbeUnit {
     pub fn panic_ti(&self) -> u32 {
         self.panic_ti
     }
+
+    /// Raises the probe panic when a shard reaches its tile row.
+    fn check_probe(&self, coord: TileCoord) {
+        if self.is_shard && coord.ti == self.panic_ti {
+            panic!("{PANIC_PROBE_PAYLOAD} at tile row {}", coord.ti);
+        }
+    }
 }
 
 impl MmoUnit for PanicProbeUnit {
@@ -848,10 +938,24 @@ impl MmoUnit for PanicProbeUnit {
         b: &Tile<N>,
         c: &Tile<N>,
     ) -> Tile<N> {
-        if self.is_shard && coord.ti == self.panic_ti {
-            panic!("{PANIC_PROBE_PAYLOAD} at tile row {}", coord.ti);
-        }
+        self.check_probe(coord);
         self.unit.execute(op, a, b, c)
+    }
+
+    fn quantize_packed(&self, xs: &mut [f32]) {
+        self.unit.quantize_operands(xs);
+    }
+
+    fn execute_packed_at(
+        &mut self,
+        coord: TileCoord,
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        self.check_probe(coord);
+        self.unit.execute_chain(op, a, b, acc);
     }
 
     fn reduced_precision(&self) -> bool {
@@ -969,6 +1073,49 @@ mod tests {
             }
         }
         assert!(changed);
+    }
+
+    #[test]
+    fn packed_chain_strikes_like_the_per_tile_walk() {
+        // One chain call over quantised packed tiles must visit the same
+        // coordinates, draw the same faults and leave the same bits as
+        // one `execute_tile_at` per `tk` over the raw tiles.
+        let a: Vec<Tile<16>> = (0..4)
+            .map(|t| Tile::from_fn(|r, c| 0.1 * (r + 2 * c + t) as f32))
+            .collect();
+        let b: Vec<Tile<16>> = (0..4)
+            .map(|t| Tile::from_fn(|r, c| 0.3 * ((3 * r + c + t) % 11) as f32))
+            .collect();
+        let c = Tile::<16>::splat(0.5);
+        let faulty = || {
+            let plan = FaultPlan::new(FaultPlanConfig::uniform(23, 600_000));
+            let mut unit = FaultySimd2Unit::new(Simd2Unit::new(), PlannedInjector::new(plan));
+            MmoUnit::begin_matrix_mmo(&mut unit);
+            unit
+        };
+
+        let mut per_tile = faulty();
+        let mut want = c;
+        for (tk, (at, bt)) in a.iter().zip(&b).enumerate() {
+            want =
+                per_tile.execute_tile_at(TileCoord::new(2, 5, tk), OpKind::PlusMul, at, bt, &want);
+        }
+
+        let mut packed = faulty();
+        let flat = |tiles: &[Tile<16>]| -> Vec<f32> {
+            let mut xs: Vec<f32> = tiles.iter().flat_map(|t| t.as_flat().to_vec()).collect();
+            packed.quantize_packed(&mut xs);
+            xs
+        };
+        let (qa, qb) = (flat(&a), flat(&b));
+        let mut got = c;
+        packed.execute_chain((2, 5), OpKind::PlusMul, &qa, &qb, &mut got);
+
+        assert!(per_tile.injector().injected() > 0, "the plan must strike");
+        assert_eq!(packed.injector().log(), per_tile.injector().log());
+        assert_eq!(packed.injector().mmo_sites(), 4);
+        let bits = |t: &Tile<16>| t.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -93,18 +93,37 @@ impl<const N: usize> Tile<N> {
     /// with `fill` — the tiling layer passes the `⊕` identity or the
     /// no-edge encoding so padding never perturbs results.
     pub fn load(m: &Matrix, row0: usize, col0: usize, fill: f32) -> Self {
-        Self::from_fn(|r, c| m.get(row0 + r, col0 + c).unwrap_or(fill))
+        let mut t = Self::splat(fill);
+        load_rows(m, row0, col0, fill, &mut t.data);
+        t
     }
 
     /// Writes the tile into `m` at `(row0, col0)`, clipping at the matrix
     /// boundary (the inverse of the padding applied by [`Tile::load`]).
     pub fn store(&self, m: &mut Matrix, row0: usize, col0: usize) {
-        for r in 0..N {
-            for c in 0..N {
-                if row0 + r < m.rows() && col0 + c < m.cols() {
-                    m[(row0 + r, col0 + c)] = self.data[r][c];
-                }
-            }
+        let cols = m.cols();
+        self.store_rows(0, m.as_mut_slice(), cols, row0, col0);
+    }
+
+    /// Writes tile rows `skip..` into `dst`, a row-major buffer of whole
+    /// `cols`-wide rows, starting at buffer row `row0` and column `col0`
+    /// — one slice copy per row, clipped at the buffer's last row and at
+    /// column `cols`.
+    pub(crate) fn store_rows(
+        &self,
+        skip: usize,
+        dst: &mut [f32],
+        cols: usize,
+        row0: usize,
+        col0: usize,
+    ) {
+        let width = cols.saturating_sub(col0).min(N);
+        if width == 0 {
+            return;
+        }
+        let rows = dst.chunks_exact_mut(cols).skip(row0);
+        for (src, row) in self.data.iter().skip(skip).zip(rows) {
+            row[col0..col0 + width].copy_from_slice(&src[..width]);
         }
     }
 
@@ -139,6 +158,34 @@ impl<const N: usize> Tile<N> {
         }
         worst
     }
+}
+
+/// Copies the block of `m` whose top-left corner is `(row0, col0)` into
+/// the `N`-wide rows of `dst` as clipped row-slice copies, filling
+/// whatever hangs over the matrix edge with `fill` — the inner loop of
+/// operand packing.
+pub(crate) fn load_rows<const N: usize>(
+    m: &Matrix,
+    row0: usize,
+    col0: usize,
+    fill: f32,
+    dst: &mut [[f32; N]],
+) {
+    let width = m.cols().saturating_sub(col0).min(N);
+    let rows = if width == 0 {
+        0
+    } else {
+        m.rows().saturating_sub(row0).min(dst.len())
+    };
+    let (inside, outside) = dst.split_at_mut(rows);
+    if rows > 0 {
+        let src = m.as_slice()[row0 * m.cols()..].chunks(m.cols());
+        for (row, src) in inside.iter_mut().zip(src) {
+            row[..width].copy_from_slice(&src[col0..col0 + width]);
+            row[width..].fill(fill);
+        }
+    }
+    outside.fill([fill; N]);
 }
 
 impl<const N: usize> Default for Tile<N> {

@@ -198,20 +198,30 @@ pub fn store_d_tile_in_panel<const T: usize>(
         cols > 0 && slab.len().is_multiple_of(cols),
         "slab must be whole rows"
     );
-    let rows = slab.len() / cols;
-    for r in 0..T {
-        let gr = ti * T + r;
-        if gr < row0 || gr >= row0 + rows {
-            continue;
-        }
-        let row = &mut slab[(gr - row0) * cols..(gr - row0 + 1) * cols];
-        for c in 0..T {
-            let gc = tj * T + c;
-            if gc < cols {
-                row[gc] = tile.get(r, c);
-            }
-        }
-    }
+    // Tile rows above the slab are skipped; `store_rows` clips the rest
+    // at the slab's last row and at the matrix column boundary.
+    let top = ti * T;
+    tile.store_rows(
+        row0.saturating_sub(top),
+        slab,
+        cols,
+        top.saturating_sub(row0),
+        tj * T,
+    );
+}
+
+/// Copies the tile of `m` at grid coordinate `(tr, tc)` into `dst` as a
+/// flat row-major `T × T` tile, filling whatever hangs over the matrix
+/// edge with `fill` — [`Tile::load`] into caller-owned storage, the
+/// building block of packed (tile-major) operand panels.
+///
+/// # Panics
+///
+/// Panics if `dst` is not exactly `T * T` long.
+pub fn pack_tile<const T: usize>(m: &Matrix, tr: usize, tc: usize, fill: f32, dst: &mut [f32]) {
+    assert_eq!(dst.len(), T * T, "packed tile is not {T}×{T}");
+    let (rows, _) = dst.as_chunks_mut::<T>();
+    crate::tile::load_rows(m, tr * T, tc * T, fill, rows);
 }
 
 #[cfg(test)]
@@ -345,6 +355,40 @@ mod tests {
             }
             assert_eq!(via_matrix, via_slabs, "parts={parts}");
         }
+    }
+
+    #[test]
+    fn panel_store_skips_tile_rows_above_the_slab() {
+        // A slab that starts mid-tile receives only the tile rows it
+        // covers, as the element-wise store did.
+        let tile = Tile::<4>::from_fn(|r, c| (r * 4 + c) as f32 + 1.0);
+        let mut slab = vec![0.0f32; 3 * 6]; // element rows 2..5 of a 6-wide output
+        store_d_tile_in_panel(&mut slab, 2, 6, &tile, 0, 1);
+        let want: Vec<f32> = (0..3 * 6)
+            .map(|i| {
+                let (gr, gc) = (2 + i / 6, i % 6);
+                if gr < 4 && (4..6).contains(&gc) {
+                    tile.get(gr, gc - 4)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        assert_eq!(slab, want);
+    }
+
+    #[test]
+    fn pack_tile_matches_tile_load_on_every_edge() {
+        let m = Matrix::from_fn(6, 5, |r, c| (r * 5 + c) as f32 + 1.0);
+        // Interior, right edge, bottom edge, corner, and wholly outside.
+        for (tr, tc) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (3, 3)] {
+            let mut packed = [f32::NAN; 16];
+            pack_tile::<4>(&m, tr, tc, -7.0, &mut packed);
+            let want = Tile::<4>::load(&m, tr * 4, tc * 4, -7.0);
+            assert_eq!(packed, want.as_flat(), "tile ({tr},{tc})");
+        }
+        let want = Tile::<4>::from_fn(|r, c| m.get(4 + r, 4 + c).unwrap_or(-7.0));
+        assert_eq!(Tile::<4>::load(&m, 4, 4, -7.0), want);
     }
 
     #[test]

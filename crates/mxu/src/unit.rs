@@ -15,11 +15,14 @@ use std::fmt;
 use simd2_semiring::kernel::{
     dispatch_kernel, tree_reduce_in_place, KernelVisitor, SemiringKernel,
 };
-use simd2_semiring::precision::quantize_f16;
+use simd2_semiring::precision::quantize_int8;
 use simd2_semiring::simd::{self, KernelIsa, SelectedKernel, TileKernel};
 use simd2_semiring::OpKind;
 
-use simd2_matrix::Tile;
+use simd2_matrix::{Tile, ISA_TILE};
+
+// The chain kernel is specialised for the ISA-visible tile.
+const _: () = assert!(ISA_TILE == simd::CHAIN_TILE);
 
 /// Error returned when a unit is asked to perform an operation its
 /// datapath does not implement (e.g. `min-plus` on a plain MMA unit).
@@ -154,33 +157,22 @@ impl Simd2Unit {
         self.kernel.isa()
     }
 
-    #[inline]
-    fn quantize(&self, x: f32) -> f32 {
+    /// Passes operand elements through the unit's input quantiser, in
+    /// place — the input-stage registers of Figure 4(c). The quantiser is
+    /// a pure per-element function, so applying it once to a packed
+    /// operand panel and once per tile per use yield the same bits; the
+    /// tiled engine does the former. The fp16 round trip runs on the
+    /// unit's vector kernel when one is selected (bit-identical to the
+    /// scalar quantiser — see [`simd::quantize_f16_slice`]).
+    pub fn quantize_operands(&self, xs: &mut [f32]) {
         match self.precision {
-            PrecisionMode::Fp16Input => quantize_f16(x),
-            PrecisionMode::Fp32Input => x,
-            PrecisionMode::Int8Input => simd2_semiring::precision::quantize_int8(x, 1.0),
-        }
-    }
-
-    /// Quantises every element of an operand tile once, up front — the
-    /// input-stage registers of Figure 4(c). The quantiser is a pure
-    /// per-element function, so hoisting it out of the `k` loop changes
-    /// no bits while cutting the call count from `N³` to `N²`. The fp16
-    /// round trip additionally runs on the unit's vector kernel when one
-    /// is selected (bit-identical to the scalar quantiser — see
-    /// [`simd::quantize_f16_slice`]); without it the quantiser dominates
-    /// the vectorized tile path.
-    #[inline]
-    fn quantize_tile<const N: usize>(&self, t: &Tile<N>) -> Tile<N> {
-        match self.precision {
-            PrecisionMode::Fp32Input => *t,
-            PrecisionMode::Fp16Input => {
-                let mut q = *t;
-                simd::quantize_f16_slice(self.kernel.isa(), q.as_flat_mut());
-                q
+            PrecisionMode::Fp32Input => {}
+            PrecisionMode::Fp16Input => simd::quantize_f16_slice(self.kernel.isa(), xs),
+            PrecisionMode::Int8Input => {
+                for x in xs {
+                    *x = quantize_int8(*x, 1.0);
+                }
             }
-            PrecisionMode::Int8Input => Tile::from_fn(|r, c| self.quantize(t.get(r, c))),
         }
     }
 
@@ -204,8 +196,9 @@ impl Simd2Unit {
         b: &Tile<N>,
         c: &Tile<N>,
     ) -> Tile<N> {
-        let qa = self.quantize_tile(a);
-        let qb = self.quantize_tile(b);
+        let (mut qa, mut qb) = (*a, *b);
+        self.quantize_operands(qa.as_flat_mut());
+        self.quantize_operands(qb.as_flat_mut());
         if N <= simd::MAX_TILE {
             let mut d = Tile::splat(0.0);
             self.kernel.mmo_tile(
@@ -230,6 +223,20 @@ impl Simd2Unit {
             }
         }
         dispatch_kernel(op, Exec { a: &qa, b: &qb, c })
+    }
+
+    /// Folds a whole `k` chain into `acc`: `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for
+    /// each pair of flat row-major 16×16 tiles of `a` and `b` in order,
+    /// in one kernel call that keeps the accumulator inside the unit —
+    /// bit-identical to one [`execute`](Self::execute) per pair. The
+    /// operands must already have passed through
+    /// [`quantize_operands`](Self::quantize_operands).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` are not the same whole number of tiles.
+    pub fn execute_chain(&self, op: OpKind, a: &[f32], b: &[f32], acc: &mut Tile<ISA_TILE>) {
+        self.kernel.mmo_chain(op, a, b, acc.as_flat_mut());
     }
 
     /// Executes with an implicit accumulator tile holding the `⊕` identity
@@ -279,6 +286,7 @@ mod tests {
     use super::*;
     use simd2_matrix::reference;
     use simd2_matrix::Matrix;
+    use simd2_semiring::precision::quantize_f16;
     use simd2_semiring::ALL_OPS;
 
     fn tiles() -> (Tile<4>, Tile<4>, Tile<4>) {
@@ -555,6 +563,44 @@ mod tests {
                 },
             );
             assert_tiles_bit_identical(&got, &want, &format!("{op} vs execute_kernel"));
+        }
+    }
+
+    #[test]
+    fn chain_over_quantised_panels_equals_per_tile_execute() {
+        // Quantise once + one chain call == execute per tile pair (which
+        // quantises every call), in every precision mode and on every
+        // tier — the identity the packed engine rests on.
+        let a: Vec<Tile<16>> = (0..3)
+            .map(|t| Tile::from_fn(|r, c| tricky(t + r * 16 + c)))
+            .collect();
+        let b: Vec<Tile<16>> = (0..3)
+            .map(|t| Tile::from_fn(|r, c| tricky(5 * t + 3 * r + 7 * c + 1)))
+            .collect();
+        let flat = |tiles: &[Tile<16>]| -> Vec<f32> {
+            tiles.iter().flat_map(|t| t.as_flat().to_vec()).collect()
+        };
+        for precision in [
+            PrecisionMode::Fp16Input,
+            PrecisionMode::Fp32Input,
+            PrecisionMode::Int8Input,
+        ] {
+            for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+                let unit = Simd2Unit::with_precision(precision).with_kernel_isa(isa);
+                let (mut qa, mut qb) = (flat(&a), flat(&b));
+                unit.quantize_operands(&mut qa);
+                unit.quantize_operands(&mut qb);
+                for op in ALL_OPS {
+                    let c = Tile::<16>::from_fn(|r, cc| tricky(11 * r + cc + 2));
+                    let mut want = c;
+                    for (at, bt) in a.iter().zip(&b) {
+                        want = unit.execute(op, at, bt, &want);
+                    }
+                    let mut got = c;
+                    unit.execute_chain(op, &qa, &qb, &mut got);
+                    assert_tiles_bit_identical(&got, &want, &format!("{op} {isa} {precision:?}"));
+                }
+            }
         }
     }
 

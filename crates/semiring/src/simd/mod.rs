@@ -11,6 +11,15 @@
 //! the scalar kernel's operation order — and therefore its rounding —
 //! bit for bit.
 //!
+//! Two entries share that computation. [`mmo_tile`] takes any tile side
+//! up to [`MAX_TILE`] as a runtime value. [`mmo_chain`] is specialised
+//! for the ISA-visible 16×16 tile and owns the whole `k` loop of one
+//! output tile: it reads contiguous chains of pre-quantised operand
+//! tiles and carries the accumulator from pair to pair, and because the
+//! side is a constant its x86 leaves keep a row's whole `⊕` tree (and, on
+//! AVX-512, the `B` tile) in registers. `mmo_tile` at that side is a
+//! chain of one.
+//!
 //! # Dispatch
 //!
 //! [`CpuFeatures::detect`] probes the host once (cached); [`selected_isa`]
@@ -28,8 +37,9 @@
 //! All `unsafe` in this crate lives in the `x86`/`neon` submodules, as
 //! `#[target_feature]` leaf functions with two documented preconditions:
 //! the feature is present on the host (checked by the dispatcher), and
-//! the four slices are `n × n` row-major with `n ≤ MAX_TILE` (checked by
-//! [`mmo_tile`]). Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
+//! the slices have the shapes the entry asserted — `n × n` row-major
+//! with `n ≤ MAX_TILE` for [`mmo_tile`], whole 16×16 tiles for
+//! [`mmo_chain`]. Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
 //! every interior `unsafe` block carries its own justification.
 //!
 //! # Bit identity
@@ -38,7 +48,7 @@
 //! match it exactly, *not* to be fastest-possible: plus-mul uses separate
 //! multiply and add (a fused FMA would round once instead of twice and
 //! diverge from the scalar oracle), and the min/max semirings wrap
-//! `min_ps`/`max_ps` in a NaN-aware blend reproducing Rust's
+//! `min_ps`/`max_ps` in a NaN-aware blend or mask reproducing Rust's
 //! `f32::min`/`f32::max` operand semantics. See DESIGN.md § "SIMD kernel
 //! dispatch" for the full lowering table.
 
@@ -60,6 +70,14 @@ use crate::OpKind;
 /// tile is 16×16, so 64 leaves generous headroom for tests and future
 /// shapes without growing the leaf frames past a few KiB.
 pub const MAX_TILE: usize = 64;
+
+/// Side of the tiles [`mmo_chain`] is specialised for: the ISA-visible
+/// 16×16 shape, a compile-time constant so the vector leaves keep a
+/// whole row's `⊕` tree in registers.
+pub const CHAIN_TILE: usize = 16;
+
+/// Elements of one [`CHAIN_TILE`]-sided tile.
+pub const CHAIN_ELEMS: usize = CHAIN_TILE * CHAIN_TILE;
 
 /// CPU features relevant to kernel selection, probed at runtime.
 ///
@@ -209,6 +227,18 @@ pub trait TileKernel {
     ///
     /// Panics if any slice length differs from `n * n` or `n > MAX_TILE`.
     fn mmo_tile(&self, op: OpKind, a: &[f32], b: &[f32], c: &[f32], d: &mut [f32], n: usize);
+
+    /// Folds a whole `k` chain into one accumulator tile:
+    /// `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of flat row-major
+    /// [`CHAIN_TILE`]-sided tiles of `a` and `b` in order — bit-identical
+    /// to one [`mmo_tile`](TileKernel::mmo_tile) per pair. Operands must
+    /// already be quantised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` are not the same whole number of tiles or
+    /// `acc` is not exactly one.
+    fn mmo_chain(&self, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f32]);
 }
 
 /// The runtime-selected tile kernel: freezes a [`KernelIsa`] choice at
@@ -278,6 +308,28 @@ impl TileKernel for SelectedKernel {
     fn mmo_tile(&self, op: OpKind, a: &[f32], b: &[f32], c: &[f32], d: &mut [f32], n: usize) {
         mmo_tile(self.isa, op, a, b, c, d, n)
     }
+
+    fn mmo_chain(&self, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f32]) {
+        mmo_chain(self.isa, op, a, b, acc)
+    }
+}
+
+/// Resolves a dynamic [`OpKind`] to its monomorphized kernel type once
+/// per call: `$body` is instantiated with `$K` bound to each of the nine
+/// semirings.
+macro_rules! with_kernel {
+    ($op:expr, $K:ident => $body:expr) => {
+        with_kernel!(@arms $op, $K, $body,
+            PlusMul MinPlus MaxPlus MinMul MaxMul MinMax MaxMin OrAnd PlusNorm)
+    };
+    (@arms $op:expr, $K:ident, $body:expr, $($kind:ident)+) => {
+        match $op {
+            $(OpKind::$kind => {
+                type $K = $kind;
+                $body
+            })+
+        }
+    };
 }
 
 /// Free-function form of [`TileKernel::mmo_tile`] with an explicit ISA.
@@ -285,7 +337,10 @@ impl TileKernel for SelectedKernel {
 /// Validates shapes, resolves `op` to a monomorphized kernel once, and
 /// enters the ISA's leaf — re-verifying hardware support first, so an
 /// unsupported `isa` value degrades to the scalar kernel rather than
-/// executing an illegal instruction.
+/// executing an illegal instruction. The ISA-visible shape
+/// (`n == CHAIN_TILE`) runs as a [`mmo_chain`] of one tile, so per-tile
+/// callers get the register-resident leaf too; every other `n` takes
+/// the runtime-`n` leaf.
 ///
 /// # Panics
 ///
@@ -305,17 +360,36 @@ pub fn mmo_tile(
     assert_eq!(b.len(), nn, "operand B is not {n}×{n}");
     assert_eq!(c.len(), nn, "accumulator C is not {n}×{n}");
     assert_eq!(d.len(), nn, "output D is not {n}×{n}");
-    match op {
-        OpKind::PlusMul => run::<PlusMul>(isa, a, b, c, d, n),
-        OpKind::MinPlus => run::<MinPlus>(isa, a, b, c, d, n),
-        OpKind::MaxPlus => run::<MaxPlus>(isa, a, b, c, d, n),
-        OpKind::MinMul => run::<MinMul>(isa, a, b, c, d, n),
-        OpKind::MaxMul => run::<MaxMul>(isa, a, b, c, d, n),
-        OpKind::MinMax => run::<MinMax>(isa, a, b, c, d, n),
-        OpKind::MaxMin => run::<MaxMin>(isa, a, b, c, d, n),
-        OpKind::OrAnd => run::<OrAnd>(isa, a, b, c, d, n),
-        OpKind::PlusNorm => run::<PlusNorm>(isa, a, b, c, d, n),
+    if n == CHAIN_TILE {
+        d.copy_from_slice(c);
+        with_kernel!(op, K => run_chain::<K>(isa, a, b, d));
+    } else {
+        with_kernel!(op, K => run::<K>(isa, a, b, c, d, n));
     }
+}
+
+/// Free-function form of [`TileKernel::mmo_chain`] with an explicit
+/// ISA: one call owns the whole `k` loop of an output tile, reading
+/// `a` and `b` as contiguous chains of quantised [`CHAIN_TILE`]-sided
+/// tiles and carrying `acc` from pair to pair. Same support guard as
+/// [`mmo_tile`]; an empty chain leaves `acc` untouched.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` are not the same whole number of tiles or
+/// `acc` is not exactly one.
+pub fn mmo_chain(isa: KernelIsa, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f32]) {
+    assert!(
+        a.len().is_multiple_of(CHAIN_ELEMS),
+        "operand chain A is not whole {CHAIN_TILE}×{CHAIN_TILE} tiles"
+    );
+    assert_eq!(a.len(), b.len(), "operand chains A and B differ in length");
+    assert_eq!(
+        acc.len(),
+        CHAIN_ELEMS,
+        "accumulator is not {CHAIN_TILE}×{CHAIN_TILE}"
+    );
+    with_kernel!(op, K => run_chain::<K>(isa, a, b, acc));
 }
 
 /// Quantises every element of `xs` through fp16 in place, vectorized
@@ -381,6 +455,32 @@ fn run<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], c: &[f32], d: &mut [
             neon::mmo_tile_neon::<K>(a, b, c, d, n)
         },
         _ => scalar::mmo_tile::<K>(a, b, c, d, n),
+    }
+}
+
+/// The detection-guarded entry to the chain leaves; shape preconditions
+/// were asserted by [`mmo_chain`] / [`mmo_tile`]. Tiers without a chain
+/// leaf of their own (NEON, which the CI host cannot exercise, and the
+/// scalar oracle) walk the chain through their per-tile leaf.
+fn run_chain<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], acc: &mut [f32]) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx512f is available on this CPU, and
+        // the callers asserted the chain and accumulator shapes.
+        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
+            x86::mmo_chain_avx512::<K>(a, b, acc)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx2 is available on this CPU, and
+        // the callers asserted the chain and accumulator shapes.
+        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::mmo_chain_avx2::<K>(a, b, acc) },
+        _ => {
+            let mut c = [0.0f32; CHAIN_ELEMS];
+            for (at, bt) in a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS)) {
+                c.copy_from_slice(acc);
+                run::<K>(isa, at, bt, &c, acc, CHAIN_TILE);
+            }
+        }
     }
 }
 
@@ -451,6 +551,46 @@ mod tests {
                 assert_eq!(got_bits, want_bits, "{op} on {isa}");
             }
         }
+    }
+
+    #[test]
+    fn the_chain_route_of_mmo_tile_equals_the_runtime_n_leaf() {
+        // `mmo_tile` sends n == CHAIN_TILE through the chain leaf; the
+        // runtime-`n` leaf it bypasses must agree bit for bit on every
+        // tier, including on NaN, signed zeros and infinities.
+        const POOL: [f32; 8] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+            -2.25,
+            1.0e-40,
+        ];
+        let pick = |i: usize, step: usize| POOL[(i * step + i / 7) % POOL.len()];
+        let a: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 3)).collect();
+        let b: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 5)).collect();
+        let c: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 7)).collect();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for op in ALL_OPS {
+            for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+                let mut want = vec![0.0f32; CHAIN_ELEMS];
+                with_kernel!(op, K => run::<K>(isa, &a, &b, &c, &mut want, CHAIN_TILE));
+                let mut got = vec![0.0f32; CHAIN_ELEMS];
+                mmo_tile(isa, op, &a, &b, &c, &mut got, CHAIN_TILE);
+                assert_eq!(bits(&got), bits(&want), "{op} on {isa}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn ragged_chains_are_rejected() {
+        let a = vec![0.0f32; 2 * CHAIN_ELEMS];
+        let b = vec![0.0f32; CHAIN_ELEMS];
+        let mut acc = vec![0.0f32; CHAIN_ELEMS];
+        mmo_chain(KernelIsa::Scalar, OpKind::PlusMul, &a, &b, &mut acc);
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! * The caller has verified at runtime that the CPU supports the leaf's
 //!   target feature (`super::run` only enters a leaf behind a
 //!   `cpu_features()` guard).
-//! * `a`, `b`, `c` and `d` are flat row-major `n × n` slices and
-//!   `n ≤ MAX_TILE` (asserted by `super::mmo_tile`). All pointer
-//!   arithmetic below stays inside `n * n` elements.
+//! * Tile leaves: `a`, `b`, `c` and `d` are flat row-major `n × n`
+//!   slices and `n ≤ MAX_TILE` (asserted by `super::mmo_tile`); all
+//!   pointer arithmetic stays inside `n * n` elements. Chain leaves:
+//!   `a` and `b` are the same whole number of flat 16×16 tiles and the
+//!   accumulator exactly one (asserted by `super::mmo_chain`); they
+//!   index through fixed-size chunks, so every vector access is a whole
+//!   16-element row.
 //!
 //! # Bit identity
 //!
@@ -22,7 +26,9 @@
 //! * `min`/`max` — `vminps`/`vmaxps` alone return the *second* operand
 //!   on any NaN and have their own ±0 preference, which does not match
 //!   Rust's `f32::min`/`f32::max`. [`min_ps`]/[`max_ps`] wrap them in a
-//!   NaN-aware blend that reproduces the scalar semantics exactly
+//!   NaN-aware blend (a write mask on AVX-512, where the ordered-compare
+//!   mask folds the blend into the `min`/`max` itself) that reproduces
+//!   the scalar semantics exactly
 //!   (validated lane-wise against `f32::min`/`f32::max` over NaN
 //!   payloads, sNaN, ±0, infinities and denormals).
 //! * or-and — truthiness is `x != 0.0` with NaN truthy, which is the
@@ -34,7 +40,7 @@ use core::arch::x86_64::*;
 use crate::kernel::SemiringKernel;
 use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul, PlusNorm};
 
-use super::{scalar, MAX_TILE};
+use super::{scalar, CHAIN_ELEMS, CHAIN_TILE, MAX_TILE};
 
 /// `f32` lanes in a 256-bit vector.
 const LANES256: usize = 8;
@@ -99,9 +105,11 @@ unsafe fn truthy_ps(v: __m256) -> __m256 {
 #[inline(always)]
 unsafe fn min_ps512(a: __m512, b: __m512) -> __m512 {
     // SAFETY: caller provides AVX-512F per this function's contract.
+    // `min_ps(b, a)` where `a` is ordered, `b` where it is NaN — the
+    // mask folds the blend into the min itself (two ops, not three).
     unsafe {
-        let a_nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(a, a);
-        _mm512_mask_blend_ps(a_nan, _mm512_min_ps(b, a), b)
+        let a_ord = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(a, a);
+        _mm512_mask_min_ps(b, a_ord, b, a)
     }
 }
 
@@ -114,8 +122,8 @@ unsafe fn min_ps512(a: __m512, b: __m512) -> __m512 {
 unsafe fn max_ps512(a: __m512, b: __m512) -> __m512 {
     // SAFETY: caller provides AVX-512F per this function's contract.
     unsafe {
-        let a_nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(a, a);
-        _mm512_mask_blend_ps(a_nan, _mm512_max_ps(b, a), b)
+        let a_ord = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(a, a);
+        _mm512_mask_max_ps(b, a_ord, b, a)
     }
 }
 
@@ -516,4 +524,138 @@ pub(super) unsafe fn mmo_tile_avx512<K: Kernel512>(
         }
     }
     scalar::mmo_columns::<K>(a, b, c, d, n, full);
+}
+
+// ---------------------------------------------------------------------------
+// Chain leaves: the 16×16 tile specialisation that owns the `tk` loop.
+// ---------------------------------------------------------------------------
+
+/// The balanced `⊕` tree over one output row's 16 `⊗` terms: exactly
+/// the pairing [`crate::kernel::tree_reduce_in_place`] performs on a
+/// length of 16 (neighbours pair at every level, left operand first),
+/// written as one nested expression. Rust evaluates call arguments left
+/// to right, so the tree is walked depth-first and at most five
+/// partials (plus the term being formed) are live at once — the whole
+/// reduction stays in registers instead of the `[_; MAX_TILE]` stack
+/// scratch the runtime-`n` leaves spill to.
+///
+/// `$p!(k)` yields the `k`-th `⊗` term, `$r!(x, y)` is `x ⊕ y`.
+macro_rules! tree16 {
+    ($r:ident, $p:ident) => {
+        $r!(
+            $r!(
+                $r!($r!($p!(0), $p!(1)), $r!($p!(2), $p!(3))),
+                $r!($r!($p!(4), $p!(5)), $r!($p!(6), $p!(7)))
+            ),
+            $r!(
+                $r!($r!($p!(8), $p!(9)), $r!($p!(10), $p!(11))),
+                $r!($r!($p!(12), $p!(13)), $r!($p!(14), $p!(15)))
+            )
+        )
+    };
+}
+
+/// AVX-512F chain kernel: folds `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` over every
+/// tile pair of the chain, one 16-lane vector per tile row.
+///
+/// Per tile the 16 rows of `Bₜ` are loaded into 16 `zmm` registers once
+/// and reused by all 16 output rows; each output row broadcasts its 16
+/// `A` elements against them, reduces through [`tree16`] and folds the
+/// accumulator row in last, as the `⊕`'s first operand — the scalar
+/// kernel's order, so chaining `t` tiles equals `t` scalar tile MMOs bit
+/// for bit. Register budget: 16 `B` rows + ≤ 6 partials + the broadcast
+/// of 32 `zmm`.
+///
+/// # Safety
+///
+/// * The CPU must support AVX-512F.
+/// * `a` and `b` must hold the same whole number of flat row-major
+///   16×16 tiles, and `acc` exactly one (asserted by
+///   `super::mmo_chain`).
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn mmo_chain_avx512<K: Kernel512>(a: &[f32], b: &[f32], acc: &mut [f32]) {
+    let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
+    let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
+    let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
+    for (at, bt) in a_tiles.iter().zip(b_tiles) {
+        let (a_rows, _) = at.as_chunks::<CHAIN_TILE>();
+        let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
+        let mut bv = [_mm512_setzero_ps(); CHAIN_TILE];
+        for (v, row) in bv.iter_mut().zip(b_rows) {
+            // SAFETY: `row` is exactly 16 contiguous `f32`s.
+            *v = unsafe { _mm512_loadu_ps(row.as_ptr()) };
+        }
+        for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
+            macro_rules! term {
+                ($k:literal) => {
+                    // SAFETY: this leaf enables AVX-512F.
+                    unsafe { K::combine_v(_mm512_set1_ps(ar[$k]), bv[$k]) }
+                };
+            }
+            macro_rules! fold {
+                ($x:expr, $y:expr) => {{
+                    let (x, y) = ($x, $y);
+                    // SAFETY: this leaf enables AVX-512F.
+                    unsafe { K::reduce_v(x, y) }
+                }};
+            }
+            let reduced = tree16!(fold, term);
+            // SAFETY: `dr` is exactly 16 contiguous `f32`s.
+            let cv = unsafe { _mm512_loadu_ps(dr.as_ptr()) };
+            let dv = fold!(cv, reduced);
+            // SAFETY: as the load; `dr` is exclusively borrowed.
+            unsafe { _mm512_storeu_ps(dr.as_mut_ptr(), dv) };
+        }
+    }
+}
+
+/// AVX2 chain kernel: the same chain as [`mmo_chain_avx512`] with each
+/// tile row split into two 8-lane halves. Sixteen `ymm` registers
+/// cannot hold a `B` tile, so the `B` half-rows are L1 memory operands
+/// of the `⊗`; the tree partials and the accumulator half-row still
+/// never leave registers.
+///
+/// # Safety
+///
+/// * The CPU must support AVX2.
+/// * Shapes as for [`mmo_chain_avx512`].
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn mmo_chain_avx2<K: Kernel256>(a: &[f32], b: &[f32], acc: &mut [f32]) {
+    let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
+    let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
+    let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
+    for (at, bt) in a_tiles.iter().zip(b_tiles) {
+        let (a_rows, _) = at.as_chunks::<CHAIN_TILE>();
+        let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
+        for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
+            for half in [0, LANES256] {
+                macro_rules! term {
+                    ($k:literal) => {
+                        // SAFETY: this leaf enables AVX2, and the 8-lane
+                        // load at `half ∈ {0, 8}` ends within the
+                        // 16-element row.
+                        unsafe {
+                            K::combine_v(
+                                _mm256_set1_ps(ar[$k]),
+                                _mm256_loadu_ps(b_rows[$k].as_ptr().add(half)),
+                            )
+                        }
+                    };
+                }
+                macro_rules! fold {
+                    ($x:expr, $y:expr) => {{
+                        let (x, y) = ($x, $y);
+                        // SAFETY: this leaf enables AVX2.
+                        unsafe { K::reduce_v(x, y) }
+                    }};
+                }
+                let reduced = tree16!(fold, term);
+                // SAFETY: `half + 8 <= 16`, the length of `dr`.
+                let cv = unsafe { _mm256_loadu_ps(dr.as_ptr().add(half)) };
+                let dv = fold!(cv, reduced);
+                // SAFETY: as the load; `dr` is exclusively borrowed.
+                unsafe { _mm256_storeu_ps(dr.as_mut_ptr().add(half), dv) };
+            }
+        }
+    }
 }

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use simd2_semiring::precision::quantize_f16;
-use simd2_semiring::simd::{self, KernelIsa, MAX_TILE};
+use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS, CHAIN_TILE, MAX_TILE};
 use simd2_semiring::{OpKind, ALL_OPS};
 
 fn op_strategy() -> impl Strategy<Value = OpKind> {
@@ -33,10 +33,10 @@ const SPECIALS: [f32; 10] = [
     6.104e-5, // near the f16 normal/subnormal boundary
 ];
 
-/// A tile-side slice of `n * n` arbitrary bit patterns with a sprinkle
-/// of [`SPECIALS`] at seed-derived positions.
-fn tile_values(n: usize, bits: &[u32], salt: u32) -> Vec<f32> {
-    (0..n * n)
+/// `len` arbitrary bit patterns with a sprinkle of [`SPECIALS`] at
+/// seed-derived positions.
+fn values(len: usize, bits: &[u32], salt: u32) -> Vec<f32> {
+    (0..len)
         .map(|i| {
             if (i as u32).wrapping_mul(2654435761).wrapping_add(salt) % 7 == 0 {
                 SPECIALS[(i + salt as usize) % SPECIALS.len()]
@@ -70,9 +70,9 @@ proptest! {
         salt in any::<u32>(),
     ) {
         prop_assume!(n <= MAX_TILE);
-        let a = tile_values(n, &bits, salt);
-        let b = tile_values(n, &bits, salt.wrapping_add(1));
-        let c = tile_values(n, &bits, salt.wrapping_add(2));
+        let a = values(n * n, &bits, salt);
+        let b = values(n * n, &bits, salt.wrapping_add(1));
+        let c = values(n * n, &bits, salt.wrapping_add(2));
 
         let mut want = vec![0.0f32; n * n];
         simd::mmo_tile(KernelIsa::Scalar, op, &a, &b, &c, &mut want, n);
@@ -86,6 +86,41 @@ proptest! {
                     y.to_bits(),
                     "{} n={} isa={} element {} ({:e} vs {:e})",
                     op, n, isa, i, x, y
+                );
+            }
+        }
+    }
+
+    /// `mmo_chain` over 1..=5 tile pairs == that many scalar-leaf tile
+    /// MMOs with the accumulator carried by hand, on every supported
+    /// tier (scalar included: its chain walks the per-tile leaf) — what
+    /// lets the packed engine hand a whole `k` loop to one kernel call.
+    #[test]
+    fn chain_matches_the_scalar_leaf_tile_by_tile(
+        op in op_strategy(),
+        tiles in 1usize..=5,
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let a = values(tiles * CHAIN_ELEMS, &bits, salt);
+        let b = values(tiles * CHAIN_ELEMS, &bits, salt.wrapping_add(1));
+        let c = values(CHAIN_ELEMS, &bits, salt.wrapping_add(2));
+
+        let mut want = c.clone();
+        for (at, bt) in a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS)) {
+            let acc = want.clone();
+            simd::mmo_tile(KernelIsa::Scalar, op, at, bt, &acc, &mut want, CHAIN_TILE);
+        }
+
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+            let mut got = c.clone();
+            simd::mmo_chain(isa, op, &a, &b, &mut got);
+            for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{} chain of {} isa={} element {} ({:e} vs {:e})",
+                    op, tiles, isa, i, x, y
                 );
             }
         }

@@ -13,8 +13,8 @@ out=BENCH_throughput.json
 
 # Schema check without assuming jq/python: every key the downstream
 # EXPERIMENTS.md table reads must be present.
-for key in '"bench": "throughput"' '"quick"' '"tile"' '"entries"' \
-           '"op"' '"n"' '"threads"' '"isa"' '"seconds"' \
+for key in '"bench": "throughput"' '"quick"' '"nproc"' '"tile"' '"entries"' \
+           '"op"' '"n"' '"threads"' '"overhead_only"' '"isa"' '"seconds"' \
            '"tile_mmos_per_s"' '"gbps"' '"speedup_vs_scalar"'; do
   grep -q -- "$key" "$out" || { echo "FAIL: $out lacks $key" >&2; exit 1; }
 done

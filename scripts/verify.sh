@@ -43,13 +43,21 @@ fi
 
 # Optional: SIMD kernel-dispatch smoke — runs the kernel bit-identity
 # suites (semiring dispatch/lowering tests, mxu unit tests, and the
-# SIMD==scalar proptests) twice: once on the host's detected vector
-# tier, once with SIMD2_FORCE_SCALAR=1 pinning the portable kernel, so
-# both dispatch legs stay green on every host. Enable with
+# SIMD==scalar proptests), the packed-engine-vs-per-tile-schedule suite,
+# and the benchmark package's own tests (which pin the public per-tile
+# API, the benchmark's panel loop and TiledBackend::mmo to each other,
+# and fail here if a public-API change would stop the benchmark
+# building) twice: once on the host's detected vector tier, once with
+# SIMD2_FORCE_SCALAR=1 pinning the portable kernel, so both dispatch
+# legs stay green on every host. Enable with
 #   SIMD2_SIMD_SMOKE=1 scripts/verify.sh
 if [ "${SIMD2_SIMD_SMOKE:-0}" = "1" ]; then
-  cargo test -q -p simd2-semiring -p simd2-mxu
-  SIMD2_FORCE_SCALAR=1 cargo test -q -p simd2-semiring -p simd2-mxu
+  for leg in 0 1; do
+    SIMD2_FORCE_SCALAR=$leg cargo test -q -p simd2-semiring -p simd2-mxu
+    SIMD2_FORCE_SCALAR=$leg cargo test -q -p simd2 --test proptest_packed
+    SIMD2_FORCE_SCALAR=$leg CARGO_TARGET_DIR=target/benchmark \
+      cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+  done
 fi
 
 # Optional: serving-layer smoke — a short seeded slice of the
