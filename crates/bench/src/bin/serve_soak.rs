@@ -1559,10 +1559,11 @@ fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
     );
     println!(
         "serve_soak sparse PASS: seed={seed} isa={:?} jobs={} cache-hits={cache_hits} \
-         suspended={suspended} sparse-mmos={} skipped-terms={}",
+         suspended={suspended} sparse-mmos={} swept-b-mmos={} skipped-terms={}",
         Backend::kernel_isa(svc.resilient()),
         outcomes.len(),
         counts.sparse_mmos,
+        counts.swept_b_mmos,
         counts.skipped_terms,
     );
     Ok(())

@@ -19,9 +19,11 @@
 //! own accounting.
 //!
 //! A `sparse_crossover` section sweeps input density through
-//! [`SparseTiledBackend`] with CSR-declared operands vs the same
-//! backend's dense path (bit-identity asserted at every point), locating
-//! the density below which the sharded Gustavson path wins on this host.
+//! [`SparseTiledBackend`] with CSR-declared operands against
+//! [`TiledBackend`] on the detected ISA — the strongest dense engine in
+//! the repo, so the crossover sits where it really is — with the sparse
+//! backend's own dense leg as a labelled second column (bit-identity to
+//! it asserted at every point).
 //!
 //! A final section replays a merged nine-step [`Plan`] (one independent
 //! MMO per op) sequentially vs batched across the thread sweep — the
@@ -145,10 +147,14 @@ struct SparseEntry {
     n: usize,
     density: f64,
     threads: usize,
-    dense_seconds: f64,
+    tiled_seconds: f64,
+    own_dense_leg_seconds: f64,
     sparse_seconds: f64,
-    speedup_sparse_vs_dense: f64,
+    speedup_sparse_vs_tiled: f64,
+    vs_own_dense_leg: f64,
     skipped_term_frac: f64,
+    /// The CSR-declared `B` was dense enough to be swept as dense rows.
+    swept_b: bool,
 }
 
 /// Times `f` over `reps` runs (after one warmup) and returns the best.
@@ -200,16 +206,20 @@ fn render_json(quick: bool, nproc: usize, entries: &[Entry], sparse: &[SparseEnt
     for (i, e) in sparse.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"op\": \"{}\", \"n\": {}, \"density\": {}, \"threads\": {}, \
-             \"dense_seconds\": {}, \"sparse_seconds\": {}, \
-             \"speedup_sparse_vs_dense\": {}, \"skipped_term_frac\": {}}}{}\n",
+             \"tiled_seconds\": {}, \"own_dense_leg_seconds\": {}, \"sparse_seconds\": {}, \
+             \"speedup_sparse_vs_tiled\": {}, \"vs_own_dense_leg\": {}, \
+             \"skipped_term_frac\": {}, \"swept_b\": {}}}{}\n",
             e.op.name(),
             e.n,
             jnum(e.density),
             e.threads,
-            jnum(e.dense_seconds),
+            jnum(e.tiled_seconds),
+            jnum(e.own_dense_leg_seconds),
             jnum(e.sparse_seconds),
-            jnum(e.speedup_sparse_vs_dense),
+            jnum(e.speedup_sparse_vs_tiled),
+            jnum(e.vs_own_dense_leg),
             jnum(e.skipped_term_frac),
+            e.swept_b,
             if i + 1 == sparse.len() { "" } else { "," }
         ));
     }
@@ -235,14 +245,17 @@ fn sparsify(op: OpKind, m: &Matrix, density: f64, seed: u64) -> Matrix {
     out
 }
 
-/// Dense/sparse crossover: the same MMO dispatched through
-/// [`SparseTiledBackend`] twice — once with all-dense operand
-/// declarations (the tiled kernel path) and once with `A`/`B` declared
-/// [`OperandRepr::csr`] (the sharded Gustavson path) — across an input
-/// density sweep. The sparse leg is asserted bit-identical to the dense
-/// leg at every point (the representation contract), so the speedup
-/// column doubles as an equivalence check; the crossover density is
-/// wherever the speedup column passes 1.0 on this host.
+/// Dense/sparse crossover: the same MMO on [`TiledBackend`] (detected
+/// ISA, fp16 operands — the dense engine a caller would otherwise use)
+/// and through [`SparseTiledBackend`] at the same precision, once with
+/// all-dense operand declarations (its own dense leg) and once with
+/// `A`/`B` declared [`OperandRepr::csr`], across an input density sweep.
+/// The sparse leg is asserted bit-identical to the backend's own dense
+/// leg at every point (the representation contract); the crossover
+/// density is wherever the `vs tiled` column passes 1.0 on this host.
+/// `vs own dense leg` is kept as a labelled column only: that leg runs
+/// the same row kernel as the sparse one, so the ratio measures skipped
+/// terms, not an alternative a caller has.
 fn sparse_crossover_sweep(quick: bool, reps: usize) -> Vec<SparseEntry> {
     let n = if quick { 128 } else { 256 };
     let densities: &[f64] = if quick {
@@ -255,15 +268,18 @@ fn sparse_crossover_sweep(quick: bool, reps: usize) -> Vec<SparseEntry> {
 
     let mut entries = Vec::new();
     let mut t = Table::new(
-        format!("Sparse crossover: CSR-declared vs dense dispatch ({n}x{n})"),
+        format!("Sparse crossover: CSR-declared vs the tiled dense engine ({n}x{n})"),
         &[
             "op",
             "density",
             "threads",
-            "dense s",
+            "tiled s",
+            "own dense leg s",
             "sparse s",
-            "sparse vs dense",
+            "sparse vs tiled",
+            "vs own dense leg",
             "skipped",
+            "B swept",
         ],
     );
     for op in ops {
@@ -274,17 +290,24 @@ fn sparse_crossover_sweep(quick: bool, reps: usize) -> Vec<SparseEntry> {
             let b = sparsify(op, &b0, density, 22);
             for &threads in thread_counts {
                 let par = Parallelism::Threads(threads);
-                let mut dense_be = SparseTiledBackend::new().with_parallelism(par);
-                let mut sparse_be = SparseTiledBackend::new().with_parallelism(par);
-                let dense_out = dense_be.mmo(op, &a, &b, &c).expect("dense mmo");
-                let sparse_out = sparse_be
-                    .mmo_ref(
+                let sparse_backend = || {
+                    SparseTiledBackend::new()
+                        .with_reduced_precision(true)
+                        .with_parallelism(par)
+                };
+                let mut tiled_be = TiledBackend::with_parallelism(par);
+                let (mut dense_be, mut sparse_be) = (sparse_backend(), sparse_backend());
+                let run_sparse = |be: &mut SparseTiledBackend| {
+                    be.mmo_ref(
                         op,
                         MatrixRef::new(&a, csr),
                         MatrixRef::new(&b, csr),
                         MatrixRef::dense(&c),
                     )
-                    .expect("sparse mmo");
+                    .expect("sparse mmo")
+                };
+                let dense_out = dense_be.mmo(op, &a, &b, &c).expect("dense mmo");
+                let sparse_out = run_sparse(&mut sparse_be);
                 assert!(
                     dense_out
                         .as_slice()
@@ -301,35 +324,34 @@ fn sparse_crossover_sweep(quick: bool, reps: usize) -> Vec<SparseEntry> {
                 } else {
                     0.0
                 };
-                let dense_seconds = time_best(reps, || dense_be.mmo(op, &a, &b, &c).expect("mmo"));
-                let sparse_seconds = time_best(reps, || {
-                    sparse_be
-                        .mmo_ref(
-                            op,
-                            MatrixRef::new(&a, csr),
-                            MatrixRef::new(&b, csr),
-                            MatrixRef::dense(&c),
-                        )
-                        .expect("mmo")
-                });
+                let tiled_seconds = time_best(reps, || tiled_be.mmo(op, &a, &b, &c).expect("mmo"));
+                let own_dense_leg_seconds =
+                    time_best(reps, || dense_be.mmo(op, &a, &b, &c).expect("mmo"));
+                let sparse_seconds = time_best(reps, || run_sparse(&mut sparse_be));
                 let e = SparseEntry {
                     op,
                     n,
                     density,
                     threads,
-                    dense_seconds,
+                    tiled_seconds,
+                    own_dense_leg_seconds,
                     sparse_seconds,
-                    speedup_sparse_vs_dense: dense_seconds / sparse_seconds,
+                    speedup_sparse_vs_tiled: tiled_seconds / sparse_seconds,
+                    vs_own_dense_leg: own_dense_leg_seconds / sparse_seconds,
                     skipped_term_frac,
+                    swept_b: counts.swept_b_mmos > 0,
                 };
                 t.row(&[
                     op.name().to_owned(),
                     format!("{density:.2}"),
                     threads.to_string(),
-                    format!("{dense_seconds:.4}"),
-                    format!("{sparse_seconds:.4}"),
-                    fmt_speedup(e.speedup_sparse_vs_dense),
+                    format!("{tiled_seconds:.5}"),
+                    format!("{own_dense_leg_seconds:.5}"),
+                    format!("{sparse_seconds:.5}"),
+                    fmt_speedup(e.speedup_sparse_vs_tiled),
+                    fmt_speedup(e.vs_own_dense_leg),
                     format!("{:.1}%", 100.0 * skipped_term_frac),
+                    if e.swept_b { "yes" } else { "no" }.to_owned(),
                 ]);
                 entries.push(e);
             }

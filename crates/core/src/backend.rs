@@ -695,8 +695,9 @@ fn run_panel<U: MmoUnit>(
     count
 }
 
-/// Stringifies a worker's panic payload for [`BackendError::WorkerPanic`].
-fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Stringifies a worker's panic payload for [`BackendError::WorkerPanic`]
+/// (the `String` / `&str` cases cover `panic!` and `assert!`).
+pub fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(other) => match other.downcast::<&'static str>() {

@@ -46,7 +46,8 @@ pub mod typed;
 pub mod validate;
 
 pub use backend::{
-    Backend, IsaBackend, MmoArgs, OpCount, Parallelism, ReferenceBackend, TiledBackend,
+    panic_payload_message, Backend, IsaBackend, MmoArgs, OpCount, Parallelism, ReferenceBackend,
+    TiledBackend,
 };
 pub use error::BackendError;
 pub use highlevel::Simd2Context;

@@ -20,6 +20,13 @@
 //! AVX-512, the `B` tile) in registers. `mmo_tile` at that side is a
 //! chain of one.
 //!
+//! [`sweep_row`] is the sparse engine's row kernel and keeps the same
+//! one-column-per-lane layout with a different reduction: one output row
+//! folds an explicit `(k, value)` walk over rows of a dense `B`
+//! *sequentially* — `acc ← acc ⊕ (a ⊗ b)` term by term in walk order, as
+//! `simd2_matrix::reference::mmo` does — so whichever representation
+//! supplied the walk, the row equals the dense reference bit for bit.
+//!
 //! # Dispatch
 //!
 //! [`CpuFeatures::detect`] probes the host once (cached); [`selected_isa`]
@@ -39,7 +46,9 @@
 //! the feature is present on the host (checked by the dispatcher), and
 //! the slices have the shapes the entry asserted — `n × n` row-major
 //! with `n ≤ MAX_TILE` for [`mmo_tile`], whole 16×16 tiles for
-//! [`mmo_chain`]. Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
+//! [`mmo_chain`]; the [`sweep_row`] leaves have no shape precondition
+//! (every vector access goes through a bounds-checked fixed-size chunk).
+//! Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
 //! every interior `unsafe` block carries its own justification.
 //!
 //! # Bit identity
@@ -78,6 +87,10 @@ pub const CHAIN_TILE: usize = 16;
 
 /// Elements of one [`CHAIN_TILE`]-sided tile.
 pub const CHAIN_ELEMS: usize = CHAIN_TILE * CHAIN_TILE;
+
+/// Output columns [`sweep_row`]'s vector leaves hold in registers
+/// across a whole walk (four 16-lane or eight 8-lane accumulators).
+pub const SWEEP_STRIP: usize = 64;
 
 /// CPU features relevant to kernel selection, probed at runtime.
 ///
@@ -392,6 +405,41 @@ pub fn mmo_chain(isa: KernelIsa, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f3
     with_kernel!(op, K => run_chain::<K>(isa, a, b, acc));
 }
 
+/// Folds one output row's walk over contiguous rows of a dense `B`:
+/// `acc[j] ← acc[j] ⊕ (vals[t] ⊗ b[ks[t]·ldb + j])` for `t` ascending
+/// and every `j < acc.len()`, where `ldb` is the distance between `B`
+/// rows — the row kernel of the sparse engine, whose `A` representation
+/// (dense row, CSR row, 2:4 slots) only supplies the `(k, value)` walk.
+/// A caller sweeping a column window of a wider `B` passes `b` offset to
+/// the window's first column; one reading a packed strip passes the
+/// strip's width.
+///
+/// Every column folds its terms in walk order with `⊗` and `⊕` as two
+/// roundings (never a fused multiply-add), so all tiers equal the
+/// scalar leaf bit for bit. The x86 leaves keep a [`SWEEP_STRIP`]-column
+/// accumulator strip in registers across the whole walk; NEON takes the
+/// scalar leaf (which the compiler vectorises for that baseline
+/// feature). Same support guard as [`mmo_tile`]. Operands must already
+/// be quantised.
+///
+/// # Panics
+///
+/// Panics if `ks` and `vals` differ in length or a term's row window
+/// `ks[t]·ldb .. ks[t]·ldb + acc.len()` reaches past the end of `b`.
+#[inline]
+pub fn sweep_row(
+    isa: KernelIsa,
+    op: OpKind,
+    ks: &[u32],
+    vals: &[f32],
+    b: &[f32],
+    ldb: usize,
+    acc: &mut [f32],
+) {
+    assert_eq!(ks.len(), vals.len(), "walk indices and values differ");
+    with_kernel!(op, K => run_sweep::<K>(isa, ks, vals, b, ldb, acc));
+}
+
 /// Quantises every element of `xs` through fp16 in place, vectorized
 /// when `isa` is a vector tier the host supports.
 ///
@@ -481,6 +529,31 @@ fn run_chain<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], acc: &mut [f32
                 run::<K>(isa, at, bt, &c, acc, CHAIN_TILE);
             }
         }
+    }
+}
+
+/// The detection-guarded entry to the row-sweep leaves, which bounds-
+/// check every access themselves.
+fn run_sweep<K: ArchKernel>(
+    isa: KernelIsa,
+    ks: &[u32],
+    vals: &[f32],
+    b: &[f32],
+    ldb: usize,
+    acc: &mut [f32],
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx512f is available on this CPU.
+        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
+            x86::sweep_row_avx512::<K>(ks, vals, b, ldb, acc)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx2 is available on this CPU.
+        KernelIsa::Avx2 if cpu_features().avx2 => unsafe {
+            x86::sweep_row_avx2::<K>(ks, vals, b, ldb, acc)
+        },
+        _ => scalar::sweep_columns::<K>(ks, vals, b, ldb, 0, acc),
     }
 }
 

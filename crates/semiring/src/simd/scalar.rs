@@ -54,3 +54,29 @@ pub(super) fn mmo_columns<K: SemiringKernel>(
         }
     }
 }
+
+/// Scalar row sweep — the oracle of [`super::sweep_row`]. Folds the walk
+/// `(ks[t], vals[t])` in order into output columns `j0..j0 + acc.len()`
+/// of one row: `acc[j] ← acc[j] ⊕ (vals[t] ⊗ b[ks[t]·ldb + j0 + j])`,
+/// `⊗` then `⊕` as two roundings. Vector leaves call it for the tail
+/// columns that do not fill a vector; columns are independent, so a
+/// column subset is bit-identical to the whole row.
+#[inline]
+pub(super) fn sweep_columns<K: SemiringKernel>(
+    ks: &[u32],
+    vals: &[f32],
+    b: &[f32],
+    ldb: usize,
+    j0: usize,
+    acc: &mut [f32],
+) {
+    if acc.is_empty() {
+        return;
+    }
+    for (&k, &a) in ks.iter().zip(vals) {
+        let row = &b[k as usize * ldb + j0..][..acc.len()];
+        for (x, &bv) in acc.iter_mut().zip(row) {
+            *x = K::reduce(*x, K::combine(a, bv));
+        }
+    }
+}

@@ -11,7 +11,8 @@
 //!   `a` and `b` are the same whole number of flat 16×16 tiles and the
 //!   accumulator exactly one (asserted by `super::mmo_chain`); they
 //!   index through fixed-size chunks, so every vector access is a whole
-//!   16-element row.
+//!   16-element row. Row-sweep leaves: no shape precondition — every
+//!   vector access goes through a bounds-checked fixed-size chunk.
 //!
 //! # Bit identity
 //!
@@ -40,7 +41,7 @@ use core::arch::x86_64::*;
 use crate::kernel::SemiringKernel;
 use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul, PlusNorm};
 
-use super::{scalar, CHAIN_ELEMS, CHAIN_TILE, MAX_TILE};
+use super::{scalar, CHAIN_ELEMS, CHAIN_TILE, MAX_TILE, SWEEP_STRIP};
 
 /// `f32` lanes in a 256-bit vector.
 const LANES256: usize = 8;
@@ -659,3 +660,106 @@ pub(super) unsafe fn mmo_chain_avx2<K: Kernel256>(a: &[f32], b: &[f32], acc: &mu
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Row-sweep leaves: one output row against contiguous rows of a dense `B`.
+// ---------------------------------------------------------------------------
+
+/// Defines one tier's row-sweep leaf `$leaf` and its strip helper
+/// `$strip` from the tier's vector type parameters.
+///
+/// The strip helper folds the walk into `Q` accumulator vectors —
+/// columns `j0..j0 + lanes·Q` of the row — loaded once, held in
+/// registers across the whole walk and stored once. Each term
+/// broadcasts its `A` value against `Q` contiguous vectors of `B` row
+/// `k`; `⊗` then `⊕`, the accumulator as the `⊕`'s first operand, as in
+/// the scalar leaf. The leaf covers the row with [`SWEEP_STRIP`]-column
+/// strips, leftover whole vectors one at a time, and scalar tail
+/// columns.
+macro_rules! sweep_leaf {
+    ($leaf:ident, $strip:ident, $feature:literal, $kernel:ident, $lanes:ident,
+     $zero:ident, $load:ident, $splat:ident, $store:ident) => {
+        /// Safe to call wherever the target feature is enabled: `acc`
+        /// is bounds-checked to hold `Q` whole vectors and every `B`
+        /// row slice is bounds-checked before it is loaded.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn $strip<K: $kernel, const Q: usize>(
+            ks: &[u32],
+            vals: &[f32],
+            b: &[f32],
+            ldb: usize,
+            j0: usize,
+            acc: &mut [f32],
+        ) {
+            let (lanes, _) = acc[..Q * $lanes].as_chunks_mut::<$lanes>();
+            let mut r = [$zero(); Q];
+            for (v, lane) in r.iter_mut().zip(lanes.iter()) {
+                // SAFETY: `lane` is exactly one vector of contiguous `f32`s.
+                *v = unsafe { $load(lane.as_ptr()) };
+            }
+            for (&k, &a) in ks.iter().zip(vals) {
+                let (row, _) = b[k as usize * ldb + j0..][..Q * $lanes].as_chunks::<$lanes>();
+                let av = $splat(a);
+                for (v, bv) in r.iter_mut().zip(row) {
+                    // SAFETY: `bv` is exactly one vector of contiguous
+                    // `f32`s, and this function enables the feature.
+                    *v = unsafe { K::reduce_v(*v, K::combine_v(av, $load(bv.as_ptr()))) };
+                }
+            }
+            for (v, lane) in r.iter().zip(lanes.iter_mut()) {
+                // SAFETY: as the load; `lane` is exclusively borrowed.
+                unsafe { $store(lane.as_mut_ptr(), *v) };
+            }
+        }
+
+        /// # Safety
+        ///
+        /// The CPU must support the leaf's target feature. (Shapes are
+        /// bounds-checked, not preconditions.)
+        #[target_feature(enable = $feature)]
+        pub(super) unsafe fn $leaf<K: $kernel>(
+            ks: &[u32],
+            vals: &[f32],
+            b: &[f32],
+            ldb: usize,
+            acc: &mut [f32],
+        ) {
+            const Q: usize = SWEEP_STRIP / $lanes;
+            let n = acc.len();
+            let mut j0 = 0;
+            while n - j0 >= SWEEP_STRIP {
+                $strip::<K, Q>(ks, vals, b, ldb, j0, &mut acc[j0..]);
+                j0 += SWEEP_STRIP;
+            }
+            while n - j0 >= $lanes {
+                $strip::<K, 1>(ks, vals, b, ldb, j0, &mut acc[j0..]);
+                j0 += $lanes;
+            }
+            scalar::sweep_columns::<K>(ks, vals, b, ldb, j0, &mut acc[j0..]);
+        }
+    };
+}
+
+sweep_leaf!(
+    sweep_row_avx512,
+    sweep_strip_avx512,
+    "avx512f",
+    Kernel512,
+    LANES512,
+    _mm512_setzero_ps,
+    _mm512_loadu_ps,
+    _mm512_set1_ps,
+    _mm512_storeu_ps
+);
+sweep_leaf!(
+    sweep_row_avx2,
+    sweep_strip_avx2,
+    "avx2",
+    Kernel256,
+    LANES256,
+    _mm256_setzero_ps,
+    _mm256_loadu_ps,
+    _mm256_set1_ps,
+    _mm256_storeu_ps
+);

@@ -3,8 +3,9 @@
 //! The dispatch layer promises that every vector tier produces the
 //! **same bits** as the scalar kernel for *arbitrary* `f32` inputs —
 //! including NaN payloads, signed zeros, infinities and subnormals —
-//! at every tile side, not just multiples of the vector width. These
-//! properties sample raw bit patterns (so specials appear with their
+//! at every tile side, not just multiples of the vector width, and the
+//! row-sweep leaf ([`simd::sweep_row`]) makes the same promise at every
+//! row width. These properties sample raw bit patterns (so specials appear with their
 //! natural density) plus a deterministic overlay of adversarial values,
 //! and compare each supported ISA against [`KernelIsa::Scalar`].
 
@@ -126,6 +127,45 @@ proptest! {
         }
     }
 
+    /// The row-sweep leaf of every supported tier == the scalar leaf, bit
+    /// for bit, over all nine ops, every row width 1..=130 (whole strips,
+    /// leftover vectors and scalar tail columns), walks that skip, repeat
+    /// and exhaust `B`'s rows, a `B` stride wider than the row, and a
+    /// pre-loaded accumulator — what lets the sparse engine hand any
+    /// representation's `(k, value)` walk to one kernel.
+    #[test]
+    fn row_sweep_matches_the_scalar_leaf(
+        op in op_strategy(),
+        n in 1usize..=130,
+        pad in 0usize..3,
+        walk in proptest::collection::vec(0u32..12, 9),
+        len in 0usize..=9,
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let ldb = n + pad;
+        let b = values(12 * ldb, &bits, salt);
+        let vals = values(len, &bits, salt.wrapping_add(1));
+        let acc = values(n, &bits, salt.wrapping_add(2));
+        let ks = &walk[..len];
+
+        let mut want = acc.clone();
+        simd::sweep_row(KernelIsa::Scalar, op, ks, &vals, &b, ldb, &mut want);
+
+        for isa in vector_tiers() {
+            let mut got = acc.clone();
+            simd::sweep_row(isa, op, ks, &vals, &b, ldb, &mut got);
+            for (j, (x, y)) in want.iter().zip(&got).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{} n={} ldb={} walk={:?} isa={} column {} ({:e} vs {:e})",
+                    op, n, ldb, ks, isa, j, x, y
+                );
+            }
+        }
+    }
+
     /// The vectorized fp16 quantize roundtrip == the scalar `half`-based
     /// one, bit for bit, for arbitrary bit patterns at every slice
     /// length — including odd lengths that exercise the scalar tail.
@@ -150,6 +190,34 @@ proptest! {
             simd::quantize_f16_slice(isa, &mut got);
             let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(&want, &got, "isa={} len={}", isa, len);
+        }
+    }
+}
+
+/// Exhaustive over the shape axis the property above only samples: all
+/// nine ops × every row width 1..=130 × every supported tier, on a walk
+/// that repeats and skips rows, with the adversarial values in every
+/// operand.
+#[test]
+fn row_sweep_matches_the_scalar_leaf_at_every_width() {
+    let bits: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+    let ks = [0u32, 2, 2, 5, 7, 11];
+    for op in ALL_OPS {
+        for n in 1usize..=130 {
+            let b = values(12 * n, &bits, n as u32);
+            let vals = values(ks.len(), &bits, n as u32 + 1);
+            let acc = values(n, &bits, n as u32 + 2);
+            let mut want = acc.clone();
+            simd::sweep_row(KernelIsa::Scalar, op, &ks, &vals, &b, n, &mut want);
+            for isa in vector_tiers() {
+                let mut got = acc.clone();
+                simd::sweep_row(isa, op, &ks, &vals, &b, n, &mut got);
+                let same = want
+                    .iter()
+                    .zip(&got)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{op} n={n} isa={isa}");
+            }
         }
     }
 }

@@ -4,43 +4,74 @@
 //! algorithm written against the trait — the closure solvers, the plan
 //! recorder/executor, the serving layer — runs on sparse operands
 //! unchanged. Representation declarations arrive through
-//! [`Backend::mmo_ref`]: an operand declared [`OperandRepr::Csr`] is
-//! walked through a Gustavson-style compressed kernel, one declared
-//! [`OperandRepr::Structured24`] takes the 2:4 sparse-pipe fast path
-//! ([`Compressed24`]), and dense declarations fall back to a scalar
-//! kernel that reproduces [`simd2_matrix::reference::mmo`] bit for bit.
+//! [`Backend::mmo_ref`] and pick a *walk*, not a kernel: every output
+//! row folds the `(l, a_il)` walk its `A` row supplies — every `l` of a
+//! dense row, the stored entries of a [`OperandRepr::Csr`] row, the kept
+//! slots of a [`OperandRepr::Structured24`] row ([`Compressed24`]) —
+//! through one of two row kernels, chosen by `B`:
+//!
+//! * **sweep** — `acc[j] ← acc[j] ⊕ (a_il ⊗ B[l, j])` over contiguous
+//!   rows of a dense `B` ([`simd2_semiring::simd::sweep_row`], a vector
+//!   leaf on the backend's frozen kernel ISA with the scalar leaf as its
+//!   oracle);
+//! * **scatter** — the Gustavson inner loop over the stored entries of
+//!   a CSR `B` row.
+//!
+//! A CSR-declared `B` whose stored density exceeds `SWEEP_B_DENSITY` is
+//! swept as dense rows ([`SparseOpCount::swept_b_mmos`] counts them):
+//! folding an annihilator term is as exact as skipping it — the
+//! all-dense declaration folds every one through the same sweep, and
+//! reproduces [`simd2_matrix::reference::mmo`] bit for bit.
 //!
 //! **The bit-identity contract.** A representation declaration is a
-//! schedule hint, never a semantic change: every compressed kernel skips
-//! only terms that combine through the algebra's annihilator
-//! ([`OpKind::no_edge_f32`]), and such terms leave the reduction
+//! schedule hint, never a semantic change: every `(i, j)` folds its
+//! terms in ascending `k` with `⊗` and `⊕` as separate roundings, and a
+//! walk skips only terms that combine through the algebra's annihilator
+//! ([`OpKind::no_edge_f32`]). Such terms leave the reduction
 //! bit-identical for every extension op — except max-mul, where a skipped
-//! `0.0` product can still lift a `-∞`-seeded accumulator; those rows
+//! `0.0` product can still lift a `-∞`-seeded accumulator; those columns
 //! fold a single `⊕ 0.0` correction at the end, exactly reproducing the
 //! dense fold. Outputs are therefore bit-identical between the dense
-//! datapath and every compressed kernel, at any worker count.
+//! declaration and every sparse one, at any worker count.
 //!
-//! **Sharded CSR panels.** Row panels of the output are disjoint slabs
-//! handed to a [`std::thread::scope`] worker pool via `split_at_mut`;
-//! each worker folds its rows in the reference order and returns its own
-//! [`SparseOpCount`], merged in panel order. A panicking worker is
-//! contained and surfaces as [`BackendError::WorkerPanic`] after the
-//! remaining workers drain.
+//! **Once per MMO, not per term.** At reduced precision operands are
+//! rounded through fp16 once: stored CSR / 2:4 values *after*
+//! compression (an entry that underflows to `±0.0` stays a stored
+//! term), one fp16 image of a swept `B`. Row panels of the output are
+//! disjoint slabs handed to a [`std::thread::scope`] worker pool; each
+//! worker compresses and quantises only its own `A` rows, reads the one
+//! shared `B` image, and returns its term counters, merged in panel
+//! order. A panicking worker is contained and surfaces as
+//! [`BackendError::WorkerPanic`] after the remaining workers drain.
 //!
 //! The Fig 13 pruning experiment (`A` forced through 2:4 magnitude
 //! pruning, losses measured honestly) lives on as
 //! [`SparseTiledBackend::mmo_pruned`] and [`pruning_quality`].
 
+use std::borrow::Cow;
 use std::ops::Range;
 
-use simd2::{Backend, BackendError, MatrixRef, MmoArgs, OpCount, OperandRepr, Parallelism};
-use simd2_matrix::{reference, Matrix, ShapeError};
+use simd2::{
+    panic_payload_message, Backend, BackendError, MatrixRef, MmoArgs, OpCount, OperandRepr,
+    Parallelism,
+};
+use simd2_matrix::tiling::TileGrid;
+use simd2_matrix::{reference, Matrix, ShapeError, ISA_TILE};
 use simd2_mxu::Simd2Unit;
-use simd2_semiring::precision::quantize_f16;
+use simd2_semiring::kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
+use simd2_semiring::simd::{self, KernelIsa, SWEEP_STRIP};
 use simd2_semiring::OpKind;
 
 use crate::structured::{prune_2_4, Compressed24};
 use crate::Csr;
+
+/// Stored density of a CSR-declared `B` above which its rows are swept
+/// as dense rows rather than scattered. Per `A` term a scatter costs
+/// `B`'s row population in dependent scalar folds and a sweep costs the
+/// row width in vector lanes, so the break-even is a property of `B`'s
+/// density alone; EXPERIMENTS.md ("Scatter or sweep") has the sweep that
+/// placed it.
+const SWEEP_B_DENSITY: f64 = 0.11;
 
 /// Work counters of the sparse backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,14 +83,17 @@ pub struct SparseOpCount {
     pub tile_mmos: u64,
     /// Operand values discarded by 2:4 pruning across all operations.
     pub pruned_values: u64,
-    /// Whole-matrix operations that ran through a compressed kernel
-    /// (CSR Gustavson or the 2:4 fast path) rather than the dense
-    /// datapath.
+    /// Whole-matrix operations with at least one operand declared
+    /// sparse (CSR or 2:4) rather than all-dense.
     pub sparse_mmos: u64,
-    /// Semiring `⊕(⊗)` terms actually folded by the scalar kernels.
+    /// Of [`Self::sparse_mmos`], those whose CSR-declared `B` was dense
+    /// enough to be swept as dense rows instead of scattered.
+    pub swept_b_mmos: u64,
+    /// Semiring `⊕(⊗)` terms actually folded by the row kernels (a
+    /// swept `B` row folds all of its columns).
     pub fma_terms: u64,
-    /// Annihilator terms skipped by compressed kernels relative to the
-    /// dense `m·n·k` term count.
+    /// Annihilator terms skipped by the walks relative to the dense
+    /// `m·n·k` term count.
     pub skipped_terms: u64,
 }
 
@@ -69,14 +103,15 @@ impl std::ops::AddAssign for SparseOpCount {
         self.tile_mmos += rhs.tile_mmos;
         self.pruned_values += rhs.pruned_values;
         self.sparse_mmos += rhs.sparse_mmos;
+        self.swept_b_mmos += rhs.swept_b_mmos;
         self.fma_terms += rhs.fma_terms;
         self.skipped_terms += rhs.skipped_terms;
     }
 }
 
-/// A representation-aware whole-matrix engine: dense scalar execution
-/// bit-identical to the reference oracle, Gustavson CSR kernels and a
-/// 2:4 compressed fast path behind [`Backend::mmo_ref`], and row-panel
+/// A representation-aware whole-matrix engine: dense execution
+/// bit-identical to the reference oracle, CSR and 2:4 walks behind
+/// [`Backend::mmo_ref`] through the same two row kernels, and row-panel
 /// sharding across a scoped worker pool.
 ///
 /// # Example
@@ -110,47 +145,200 @@ pub struct SparseTiledBackend {
     count: SparseOpCount,
 }
 
-/// One worker's contribution: scalar-kernel term counters, merged back
-/// into [`SparseOpCount`] in panel order.
-#[derive(Clone, Copy, Debug, Default)]
-struct TermCount {
-    fma_terms: u64,
-    skipped_terms: u64,
-}
-
-impl std::ops::AddAssign for TermCount {
-    fn add_assign(&mut self, rhs: Self) {
-        self.fma_terms += rhs.fma_terms;
-        self.skipped_terms += rhs.skipped_terms;
+/// Rounds `xs` through fp16 in place on `isa` when the backend runs at
+/// `reduced` precision.
+fn quantize(reduced: bool, isa: KernelIsa, xs: &mut [f32]) {
+    if reduced {
+        simd::quantize_f16_slice(isa, xs);
     }
 }
 
-/// Stringifies a contained worker-panic payload (the `&str` / `String`
-/// cases cover `panic!` and `assert!`).
-fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// `B` rows one sweep block holds: with [`SWEEP_STRIP`] columns of
+/// `f32` that is 32 KiB, an L1-resident block every row of the panel
+/// folds before the next one is touched.
+const SWEEP_K_BLOCK: usize = 128;
+
+/// The `B` operand as the row kernels read it, built once per MMO and
+/// shared by every worker.
+enum BImage {
+    /// Dense rows to sweep, packed strip-major — all `k` rows of the
+    /// first [`SWEEP_STRIP`] columns, then of the next — so a block of a
+    /// strip's rows is contiguous; quantised at reduced precision.
+    Strips(Vec<f32>),
+    /// Stored entries to scatter, quantised after compression.
+    Csr(Csr),
+}
+
+/// Packs `b` strip-major (see [`BImage::Strips`]).
+fn pack_strips(b: &Matrix) -> Vec<f32> {
+    let mut image = Vec::with_capacity(b.len());
+    for j0 in (0..b.cols()).step_by(SWEEP_STRIP) {
+        let strip = j0..b.cols().min(j0 + SWEEP_STRIP);
+        for l in 0..b.rows() {
+            image.extend_from_slice(&b.row(l)[strip.clone()]);
+        }
+    }
+    image
+}
+
+/// One worker's `A` rows in walk form, compressed and quantised by the
+/// worker itself. Rows are indexed from the start of its panel.
+enum AWalk<'a> {
+    /// Every `l` in order: the rows themselves (an fp16 copy of them at
+    /// reduced precision) against the shared `0..k` index run.
+    Dense(Cow<'a, [f32]>, &'a [u32]),
+    Csr(Csr),
+    Slots(Compressed24),
+}
+
+impl AWalk<'_> {
+    /// Row `local`'s `(l, a_il)` walk in ascending `l`.
+    fn row(&self, local: usize) -> (&[u32], &[f32]) {
+        match self {
+            AWalk::Dense(rows, iota) => (iota, &rows[local * iota.len()..][..iota.len()]),
+            AWalk::Csr(csr) => csr.row(local),
+            AWalk::Slots(slots) => slots.row(local),
+        }
     }
 }
 
-/// Splits `rows` output rows into `workers` contiguous, near-equal
-/// panels (the first `rows % workers` panels take one extra row).
-fn row_panels(rows: usize, workers: usize) -> Vec<Range<usize>> {
-    let workers = workers.clamp(1, rows.max(1));
-    let base = rows / workers;
-    let extra = rows % workers;
-    let mut panels = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        panels.push(start..start + len);
-        start += len;
+/// Row epilogue shared by both kernels: the max-mul `⊕ 0.0` correction
+/// on every column that `skipped` a product (a skipped `0·b` still folds
+/// a `0.0` into a max-reduce; one fold reproduces them all exactly),
+/// then `C ⊕ acc`.
+#[inline]
+fn finish_row<K: SemiringKernel>(acc: &mut [f32], c: &[f32], skipped: impl Fn(usize) -> bool) {
+    for (j, (d, &cv)) in acc.iter_mut().zip(c).enumerate() {
+        if matches!(K::KIND, OpKind::MaxMul) && skipped(j) {
+            *d = K::reduce(*d, 0.0);
+        }
+        *d = K::reduce(cv, *d);
     }
-    panels
+}
+
+/// One panel of one MMO: everything a worker needs to fold output rows
+/// `rows` into `out`, monomorphised over the op by [`dispatch_kernel`].
+struct Panel<'a> {
+    isa: KernelIsa,
+    reduced: bool,
+    a: MatrixRef<'a>,
+    iota: &'a [u32],
+    b: &'a BImage,
+    c: &'a Matrix,
+    rows: Range<usize>,
+    out: &'a mut [f32],
+}
+
+impl<'a> Panel<'a> {
+    /// Compresses and quantises this panel's `A` rows.
+    fn walk(&self) -> AWalk<'a> {
+        let (a, rows) = (self.a.matrix, self.rows.clone());
+        match self.a.repr {
+            OperandRepr::Dense => {
+                let mut rows =
+                    Cow::Borrowed(&a.as_slice()[rows.start * a.cols()..rows.end * a.cols()]);
+                if self.reduced {
+                    quantize(true, self.isa, rows.to_mut());
+                }
+                AWalk::Dense(rows, self.iota)
+            }
+            OperandRepr::Csr { zero_bits } => {
+                let mut csr = Csr::from_dense_rows(a, rows, f32::from_bits(zero_bits))
+                    .expect("validated non-NaN sentinel");
+                quantize(self.reduced, self.isa, csr.values_mut());
+                AWalk::Csr(csr)
+            }
+            OperandRepr::Structured24 { zero_bits } => {
+                let mut slots = Compressed24::compress_rows(a, rows, f32::from_bits(zero_bits))
+                    .expect("validated 2:4-compliant operand");
+                quantize(self.reduced, self.isa, slots.values_mut());
+                AWalk::Slots(slots)
+            }
+        }
+    }
+
+    /// Row kernel 1 — `A`-walk × dense-`B` sweep: every output row is
+    /// seeded with the `⊕` identity and folds its walk over contiguous
+    /// `B` rows in ascending `l` ([`simd::sweep_row`]). The schedule is
+    /// blocked for L1 — strip by strip, [`SWEEP_K_BLOCK`] rows of `B` at
+    /// a time, all of the panel's rows against each block — which only
+    /// reorders independent `(i, j)` folds: each still sees its own
+    /// terms in ascending `l`.
+    fn sweep_rows<K: SemiringKernel>(self, walk: &AWalk<'_>, image: &[f32]) -> SparseOpCount {
+        let (n, k) = (self.c.cols(), self.a.matrix.cols());
+        self.out.fill(K::IDENTITY);
+        let mut cursor = vec![0usize; self.rows.len()];
+        for j0 in (0..n).step_by(SWEEP_STRIP) {
+            let w = SWEEP_STRIP.min(n - j0);
+            let strip = &image[k * j0..][..k * w];
+            cursor.fill(0);
+            for k_end in (0..k).step_by(SWEEP_K_BLOCK).map(|k0| k0 + SWEEP_K_BLOCK) {
+                for (local, from) in cursor.iter_mut().enumerate() {
+                    let (ks, vals) = walk.row(local);
+                    let to = *from + ks[*from..].partition_point(|&l| (l as usize) < k_end);
+                    let (ks, vals) = (&ks[*from..to], &vals[*from..to]);
+                    let acc = &mut self.out[local * n + j0..][..w];
+                    simd::sweep_row(self.isa, K::KIND, ks, vals, strip, w, acc);
+                    *from = to;
+                }
+            }
+        }
+        let mut count = SparseOpCount::default();
+        for (local, i) in self.rows.enumerate() {
+            let terms = walk.row(local).0.len();
+            let acc = &mut self.out[local * n..][..n];
+            finish_row::<K>(acc, self.c.row(i), |_| terms < k);
+            count.fma_terms += (terms * n) as u64;
+            count.skipped_terms += ((k - terms) * n) as u64;
+        }
+        count
+    }
+
+    /// Row kernel 2 — `A`-walk × CSR-`B` scatter (Gustavson): each walk
+    /// term scatters the stored entries of `B` row `l` into the output
+    /// row. The walk ascends in `l`, so every `(i, j)` still folds in
+    /// ascending `k`. Max-mul keeps a per-column count of folded terms
+    /// for its end correction.
+    fn scatter_rows<K: SemiringKernel>(self, walk: &AWalk<'_>, b: &Csr) -> SparseOpCount {
+        let (n, k) = (self.c.cols(), self.a.matrix.cols());
+        let max_mul = matches!(K::KIND, OpKind::MaxMul);
+        let mut folded = vec![0usize; if max_mul { n } else { 0 }];
+        let mut count = SparseOpCount::default();
+        for (local, i) in self.rows.enumerate() {
+            let (ks, vals) = walk.row(local);
+            let acc = &mut self.out[local * n..][..n];
+            acc.fill(K::IDENTITY);
+            folded.fill(0);
+            let mut terms = 0;
+            for (&l, &av) in ks.iter().zip(vals) {
+                let (cols, bvals) = b.row(l as usize);
+                terms += cols.len();
+                for (&j, &bv) in cols.iter().zip(bvals) {
+                    let d = &mut acc[j as usize];
+                    *d = K::reduce(*d, K::combine(av, bv));
+                    if max_mul {
+                        folded[j as usize] += 1;
+                    }
+                }
+            }
+            finish_row::<K>(acc, self.c.row(i), |j| folded[j] < k);
+            count.fma_terms += terms as u64;
+            count.skipped_terms += (n * k - terms) as u64;
+        }
+        count
+    }
+}
+
+impl KernelVisitor for Panel<'_> {
+    type Output = SparseOpCount;
+
+    fn visit<K: SemiringKernel>(self) -> SparseOpCount {
+        let walk = self.walk();
+        match self.b {
+            BImage::Strips(image) => self.sweep_rows::<K>(&walk, image),
+            BImage::Csr(b) => self.scatter_rows::<K>(&walk, b),
+        }
+    }
 }
 
 impl SparseTiledBackend {
@@ -240,61 +428,51 @@ impl SparseTiledBackend {
         Ok(d)
     }
 
-    /// fp16 load quantisation when the reduced knob is on.
-    #[inline]
-    fn load(&self, x: f32) -> f32 {
-        if self.reduced {
-            quantize_f16(x)
-        } else {
-            x
-        }
-    }
-
     /// Runs `kernel` over row panels of an `m×n` output, sequentially or
-    /// across a scoped worker pool, merging per-worker term counters in
-    /// panel order. Bit-identity across worker counts holds because the
-    /// panels are disjoint and each row's fold order never changes.
+    /// across a scoped worker pool, merging per-worker term counters
+    /// (the `fma_terms` / `skipped_terms` of a count) in panel order.
+    /// Bit-identity across worker counts holds because the panels are
+    /// disjoint and each row's fold order never changes.
     fn run_panels<F>(
         &self,
         m: usize,
         n: usize,
         workers: usize,
         kernel: F,
-    ) -> Result<(Matrix, TermCount), BackendError>
+    ) -> Result<(Matrix, SparseOpCount), BackendError>
     where
-        F: Fn(Range<usize>, &mut [f32]) -> TermCount + Sync,
+        F: Fn(Range<usize>, &mut [f32]) -> SparseOpCount + Sync,
     {
         let mut d = Matrix::zeros(m, n);
-        let panels = row_panels(m, workers);
-        let mut total = TermCount::default();
+        // The dense engine's panel split: whole tile rows per worker.
+        let grid = TileGrid::new(m, n, 0, ISA_TILE);
+        let panels = grid.row_panels(workers.max(1));
         if panels.len() <= 1 {
-            let range = 0..m;
-            total += kernel(range, d.as_mut_slice());
-            return Ok((d, total));
+            let count = kernel(0..m, d.as_mut_slice());
+            return Ok((d, count));
         }
         let mut slabs: Vec<(Range<usize>, &mut [f32])> = Vec::with_capacity(panels.len());
         let mut rest = d.as_mut_slice();
-        for range in panels {
-            let (head, tail) = rest.split_at_mut((range.end - range.start) * n);
-            slabs.push((range, head));
+        for panel in &panels {
+            let rows = grid.panel_rows(panel);
+            let (head, tail) = rest.split_at_mut(rows.len() * n);
+            slabs.push((rows, head));
             rest = tail;
         }
         let kernel = &kernel;
-        let joined: Vec<Result<TermCount, String>> = std::thread::scope(|scope| {
+        let joined: Vec<Result<SparseOpCount, String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = slabs
                 .into_iter()
-                .map(|(range, slab)| scope.spawn(move || kernel(range, slab)))
+                .map(|(rows, slab)| scope.spawn(move || kernel(rows, slab)))
                 .collect();
             // Join every worker (draining the pool even past a panic)
             // before reporting, so a contained panic never leaks threads.
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|payload| panic_payload_message(payload.as_ref()))
-                })
+                .map(|h| h.join().map_err(panic_payload_message))
                 .collect()
         });
+        let mut total = SparseOpCount::default();
         for (panel, outcome) in joined.into_iter().enumerate() {
             match outcome {
                 Ok(count) => total += count,
@@ -304,189 +482,50 @@ impl SparseTiledBackend {
         Ok((d, total))
     }
 
-    /// Dense scalar rows: the reference triple loop restricted to a row
-    /// range, with optional fp16 load quantisation.
-    fn dense_rows(
-        &self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a.cols());
-        for (local, i) in rows.enumerate() {
-            let arow = a.row(i);
-            let orow = &mut out[local * n..(local + 1) * n];
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut acc = op.reduce_identity_f32();
-                for (l, &av) in arow.iter().enumerate().take(k) {
-                    acc = op.fma_f32(acc, self.load(av), self.load(b[(l, j)]));
-                }
-                *slot = op.reduce_f32(c[(i, j)], acc);
+    /// Builds the one `B` image every worker of an MMO shares: packed
+    /// dense strips when `B` is dense-declared or `swept`, its CSR form
+    /// otherwise.
+    fn b_image(&self, b: MatrixRef<'_>, swept: bool) -> BImage {
+        let (reduced, isa) = (self.reduced, self.unit.kernel_isa());
+        match b.repr.zero() {
+            Some(zero) if !swept => {
+                let mut csr = Csr::from_dense(b.matrix, zero).expect("validated non-NaN sentinel");
+                quantize(reduced, isa, csr.values_mut());
+                BImage::Csr(csr)
             }
-        }
-        TermCount {
-            fma_terms: (n * k) as u64,
-            skipped_terms: 0,
+            _ => {
+                let mut image = pack_strips(b.matrix);
+                quantize(reduced, isa, &mut image);
+                BImage::Strips(image)
+            }
         }
     }
 
-    /// CSR `A` × dense `B` rows (Gustavson outer loop over the stored
-    /// entries of each `A` row, inner dense sweep over `B`'s columns).
-    /// Per-`(i,j)` terms arrive in ascending-`k` order, so the fold is
-    /// bit-identical to [`Self::dense_rows`] modulo skipped-annihilator
-    /// terms, which are exact no-ops (max-mul corrected at row end).
-    fn csr_dense_rows(
+    /// Folds `D = C ⊕ (A ⊗ B)` over row panels with `B` read through
+    /// `image`.
+    fn fold(
         &self,
         op: OpKind,
-        a: &Csr,
-        b: &Matrix,
+        a: MatrixRef<'_>,
+        image: &BImage,
         c: &Matrix,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a.cols());
-        let mut count = TermCount::default();
-        for (local, i) in rows.enumerate() {
-            let orow = &mut out[local * n..(local + 1) * n];
-            let nnz = a.row_entries(i).count();
-            count.fma_terms += (nnz * n) as u64;
-            count.skipped_terms += ((k - nnz) * n) as u64;
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut acc = op.reduce_identity_f32();
-                for (l, av) in a.row_entries(i) {
-                    acc = op.fma_f32(acc, self.load(av), self.load(b[(l, j)]));
-                }
-                if op == OpKind::MaxMul && nnz < k {
-                    // Skipped 0·b products still fold a 0.0 into a
-                    // max-reduce; one fold reproduces them all exactly.
-                    acc = op.reduce_f32(acc, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], acc);
-            }
-        }
-        count
-    }
-
-    /// Dense `A` × CSR `B` rows: the IKJ loop, scattering each stored
-    /// `B(k, j)` into a per-row accumulator. Iterating `k` ascending in
-    /// the outer loop keeps every `(i,j)` fold in ascending-`k` order.
-    /// `col_nnz` holds per-column stored-entry counts of `B` (shared by
-    /// all workers) for the max-mul end correction.
-    #[allow(clippy::too_many_arguments)]
-    fn dense_csr_rows(
-        &self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Csr,
-        c: &Matrix,
-        col_nnz: &[usize],
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a.cols());
-        let mut count = TermCount::default();
-        let mut acc = vec![op.reduce_identity_f32(); n];
-        for (local, i) in rows.enumerate() {
-            acc.fill(op.reduce_identity_f32());
-            let arow = a.row(i);
-            for (l, &av) in arow.iter().enumerate().take(k) {
-                let av = self.load(av);
-                for (j, bv) in b.row_entries(l) {
-                    acc[j] = op.fma_f32(acc[j], av, self.load(bv));
-                    count.fma_terms += 1;
-                }
-            }
-            let orow = &mut out[local * n..(local + 1) * n];
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut v = acc[j];
-                count.skipped_terms += (k - col_nnz[j]) as u64;
-                if op == OpKind::MaxMul && col_nnz[j] < k {
-                    v = op.reduce_f32(v, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], v);
-            }
-        }
-        count
-    }
-
-    /// CSR `A` × CSR `B` rows: Gustavson's algorithm with a dense SPA
-    /// accumulator per output row plus a contribution counter per
-    /// column (for the max-mul end correction). The outer walk over
-    /// `A`'s stored `k` is ascending, so each `(i,j)` fold matches the
-    /// dense order over the surviving terms.
-    #[allow(clippy::too_many_arguments)]
-    fn csr_csr_rows(
-        &self,
-        op: OpKind,
-        a: &Csr,
-        b: &Csr,
-        c: &Matrix,
-        k_dim: usize,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let n = b.cols();
-        let mut count = TermCount::default();
-        let mut acc = vec![op.reduce_identity_f32(); n];
-        let mut contributions = vec![0usize; n];
-        for (local, i) in rows.enumerate() {
-            acc.fill(op.reduce_identity_f32());
-            contributions.fill(0);
-            for (l, av) in a.row_entries(i) {
-                let av = self.load(av);
-                for (j, bv) in b.row_entries(l) {
-                    acc[j] = op.fma_f32(acc[j], av, self.load(bv));
-                    contributions[j] += 1;
-                    count.fma_terms += 1;
-                }
-            }
-            let orow = &mut out[local * n..(local + 1) * n];
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut v = acc[j];
-                count.skipped_terms += (k_dim - contributions[j]) as u64;
-                if op == OpKind::MaxMul && contributions[j] < k_dim {
-                    v = op.reduce_f32(v, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], v);
-            }
-        }
-        count
-    }
-
-    /// 2:4-structured `A` × dense `B` rows: the compressed operand is
-    /// walked slot by slot ([`Compressed24::row_slots`], ascending `k`),
-    /// which is exactly how the sparse tensor pipe skips pruned lanes.
-    fn structured_rows(
-        &self,
-        op: OpKind,
-        a24: &Compressed24,
-        b: &Matrix,
-        c: &Matrix,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a24.cols());
-        let mut count = TermCount::default();
-        for (local, i) in rows.enumerate() {
-            let orow = &mut out[local * n..(local + 1) * n];
-            let nnz = a24.row_slots(i).count();
-            count.fma_terms += (nnz * n) as u64;
-            count.skipped_terms += ((k - nnz) * n) as u64;
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut acc = op.reduce_identity_f32();
-                for (l, av) in a24.row_slots(i) {
-                    acc = op.fma_f32(acc, self.load(av), self.load(b[(l, j)]));
-                }
-                if op == OpKind::MaxMul && nnz < k {
-                    acc = op.reduce_f32(acc, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], acc);
-            }
-        }
-        count
+        workers: usize,
+    ) -> Result<(Matrix, SparseOpCount), BackendError> {
+        let isa = self.unit.kernel_isa();
+        let iota: Vec<u32> = (0..a.matrix.cols() as u32).collect();
+        self.run_panels(a.matrix.rows(), c.cols(), workers, |rows, out| {
+            let panel = Panel {
+                isa,
+                reduced: self.reduced,
+                a,
+                iota: &iota,
+                b: image,
+                c,
+                rows,
+                out,
+            };
+            dispatch_kernel(op, panel)
+        })
     }
 
     /// Shape-checked, repr-validated execution core shared by the trait
@@ -499,61 +538,18 @@ impl SparseTiledBackend {
         c: MatrixRef<'_>,
         workers: usize,
     ) -> Result<Matrix, BackendError> {
-        let (m, n) = (a.matrix.rows(), b.matrix.cols());
-        let k = a.matrix.cols();
-        let sparse_step = !(a.repr.is_dense() && b.repr.is_dense());
-        let (d, terms) = match (a.repr, b.repr) {
-            (OperandRepr::Structured24 { .. }, _) => {
-                let zero = a.repr.zero().expect("structured repr carries a sentinel");
-                let a24 = Compressed24::compress(a.matrix, zero)
-                    .expect("validated 2:4-compliant operand");
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.structured_rows(op, &a24, b.matrix, c.matrix, rows, out)
-                })?
-            }
-            (OperandRepr::Csr { .. }, OperandRepr::Csr { .. })
-            | (OperandRepr::Csr { .. }, OperandRepr::Structured24 { .. }) => {
-                let az = a.repr.zero().expect("csr repr carries a sentinel");
-                let bz = b.repr.zero().expect("sparse repr carries a sentinel");
-                let acsr = Csr::from_dense(a.matrix, az).expect("validated non-NaN sentinel");
-                let bcsr = Csr::from_dense(b.matrix, bz).expect("validated non-NaN sentinel");
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.csr_csr_rows(op, &acsr, &bcsr, c.matrix, k, rows, out)
-                })?
-            }
-            (OperandRepr::Csr { .. }, OperandRepr::Dense) => {
-                let az = a.repr.zero().expect("csr repr carries a sentinel");
-                let acsr = Csr::from_dense(a.matrix, az).expect("validated non-NaN sentinel");
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.csr_dense_rows(op, &acsr, b.matrix, c.matrix, rows, out)
-                })?
-            }
-            (OperandRepr::Dense, OperandRepr::Csr { .. })
-            | (OperandRepr::Dense, OperandRepr::Structured24 { .. }) => {
-                let bz = b.repr.zero().expect("sparse repr carries a sentinel");
-                let bcsr = Csr::from_dense(b.matrix, bz).expect("validated non-NaN sentinel");
-                let mut col_nnz = vec![0usize; n];
-                for l in 0..k {
-                    for (j, _) in bcsr.row_entries(l) {
-                        col_nnz[j] += 1;
-                    }
-                }
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.dense_csr_rows(op, a.matrix, &bcsr, c.matrix, &col_nnz, rows, out)
-                })?
-            }
-            (OperandRepr::Dense, OperandRepr::Dense) => {
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.dense_rows(op, a.matrix, b.matrix, c.matrix, rows, out)
-                })?
-            }
+        let swept_b = b
+            .repr
+            .zero()
+            .is_some_and(|zero| simd2::repr::density(b.matrix, zero) > SWEEP_B_DENSITY);
+        let image = self.b_image(b, swept_b);
+        let (d, terms) = self.fold(op, a, &image, c.matrix, workers)?;
+        self.count += SparseOpCount {
+            matrix_mmos: 1,
+            sparse_mmos: u64::from(!(a.repr.is_dense() && b.repr.is_dense())),
+            swept_b_mmos: u64::from(swept_b),
+            ..terms
         };
-        self.count.matrix_mmos += 1;
-        self.count.fma_terms += terms.fma_terms;
-        self.count.skipped_terms += terms.skipped_terms;
-        if sparse_step {
-            self.count.sparse_mmos += 1;
-        }
         Ok(d)
     }
 }
@@ -924,16 +920,47 @@ mod tests {
         assert_eq!(be.parallelism(), Parallelism::Sequential);
     }
 
+    /// The sweep that places `SWEEP_B_DENSITY` (EXPERIMENTS.md, "Scatter
+    /// or sweep"): the same CSR × CSR operands through both row kernels,
+    /// image build included, at reduced precision on one thread.
+    ///
+    /// `cargo test --release -p simd2-sparse -- --ignored --nocapture scatter_or_sweep`
     #[test]
-    fn row_panels_cover_without_overlap() {
-        for (rows, workers) in [(10, 3), (4, 8), (1, 1), (16, 4), (7, 2)] {
-            let panels = row_panels(rows, workers);
-            assert_eq!(panels[0].start, 0);
-            assert_eq!(panels.last().unwrap().end, rows);
-            for pair in panels.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
+    #[ignore = "timing sweep, not a check: run with --release --ignored --nocapture"]
+    fn scatter_or_sweep() {
+        let n = 512;
+        let be = SparseTiledBackend::new().with_reduced_precision(true);
+        println!("op        B density  scatter ms  sweep ms  scatter/sweep");
+        for op in [OpKind::PlusMul, OpKind::MinPlus] {
+            let zero = op.no_edge_f32().unwrap();
+            let c = Matrix::filled(n, n, op.reduce_identity_f32());
+            for density in [0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50] {
+                let a = sparse_operand(n, n, zero, density, 5);
+                let b = sparse_operand(n, n, zero, density, 6);
+                let (a, b) = (
+                    MatrixRef::new(&a, OperandRepr::csr(zero)),
+                    MatrixRef::new(&b, OperandRepr::csr(zero)),
+                );
+                let time = |swept: bool| {
+                    let run = || be.fold(op, a, &be.b_image(b, swept), &c, 1).unwrap().0;
+                    let best = (0..15).map(|_| {
+                        let start = std::time::Instant::now();
+                        std::hint::black_box(run());
+                        start.elapsed().as_secs_f64()
+                    });
+                    1e3 * best.fold(f64::INFINITY, f64::min)
+                };
+                let (scatter, sweep) = (time(false), time(true));
+                assert_eq!(
+                    bits(&be.fold(op, a, &be.b_image(b, false), &c, 1).unwrap().0),
+                    bits(&be.fold(op, a, &be.b_image(b, true), &c, 1).unwrap().0)
+                );
+                println!(
+                    "{:<9} {density:<10.2} {scatter:<11.3} {sweep:<9.3} {:.2}",
+                    op.name(),
+                    scatter / sweep
+                );
             }
-            assert!(panels.len() <= workers.max(1));
         }
     }
 

@@ -1,6 +1,7 @@
 //! Compressed-sparse-row matrices and semiring spGEMM.
 
 use std::fmt;
+use std::ops::Range;
 
 use simd2_matrix::Matrix;
 use simd2_semiring::OpKind;
@@ -162,24 +163,48 @@ impl Csr {
     ///
     /// Returns [`CsrError::NanZero`] when `zero` is NaN.
     pub fn from_dense(m: &Matrix, zero: f32) -> Result<Self, CsrError> {
+        Self::from_dense_rows(m, 0..m.rows(), zero)
+    }
+
+    /// [`Csr::from_dense`] over the row range `rows` of `m` only: row
+    /// `r` of the result images row `rows.start + r` of `m`. This is how
+    /// a panel worker compresses just the operand rows it owns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CsrError::NanZero`] when `zero` is NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the last row of `m`.
+    pub fn from_dense_rows(m: &Matrix, rows: Range<usize>, zero: f32) -> Result<Self, CsrError> {
         if zero.is_nan() {
             return Err(CsrError::NanZero);
         }
-        let mut row_ptr = Vec::with_capacity(m.rows() + 1);
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0);
-        for r in 0..m.rows() {
-            for (c, &v) in m.row(r).iter().enumerate() {
-                if v != zero {
-                    col_idx.push(c as u32);
-                    values.push(v);
-                }
+        for r in rows.clone() {
+            // Branch-free compaction: every element is written at the
+            // cursor, which only advances past the ones that stay (at
+            // mid densities a per-element branch mispredicts half the
+            // time and dominates the whole conversion).
+            let row = m.row(r);
+            let mut kept = col_idx.len();
+            col_idx.resize(kept + row.len(), 0);
+            values.resize(kept + row.len(), 0.0);
+            for (c, &v) in row.iter().enumerate() {
+                col_idx[kept] = c as u32;
+                values[kept] = v;
+                kept += usize::from(v != zero);
             }
-            row_ptr.push(col_idx.len());
+            col_idx.truncate(kept);
+            values.truncate(kept);
+            row_ptr.push(kept);
         }
         Ok(Self {
-            rows: m.rows(),
+            rows: rows.len(),
             cols: m.cols(),
             row_ptr,
             col_idx,
@@ -346,13 +371,25 @@ impl Csr {
         }
     }
 
+    /// One row's stored columns (strictly increasing) and values, as
+    /// parallel slices — the form the row kernels walk.
+    pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
+        let span = self.row_ptr[r]..self.row_ptr[r + 1];
+        (&self.col_idx[span.clone()], &self.values[span])
+    }
+
     /// One row's `(column, value)` pairs.
     pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        let span = self.row_ptr[r]..self.row_ptr[r + 1];
-        self.col_idx[span.clone()]
-            .iter()
-            .zip(&self.values[span])
-            .map(|(&c, &v)| (c as usize, v))
+        let (cols, values) = self.row(r);
+        cols.iter().zip(values).map(|(&c, &v)| (c as usize, v))
+    }
+
+    /// The stored values, row by row, for rewriting in place (the
+    /// structure — which entries are stored — cannot change through
+    /// this). The sparse backend rounds them through fp16 here *after*
+    /// compression, so an entry that underflows to `±0.0` stays stored.
+    pub fn values_mut(&mut self) -> &mut [f32] {
+        &mut self.values
     }
 
     /// Expands back to dense with `zero` as the implicit value.

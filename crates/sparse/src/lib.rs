@@ -14,11 +14,12 @@
 //!   accelerator would run, cf. §6.5),
 //! * [`structured`] — 2:4 structured-sparsity pruning/validation,
 //! * [`backend`] — [`SparseTiledBackend`], a representation-aware
-//!   implementation of the core [`simd2::Backend`] trait: dense scalar
-//!   execution bit-identical to the reference oracle, Gustavson CSR
-//!   kernels and a 2:4 compressed fast path behind
-//!   [`simd2::Backend::mmo_ref`], and row-panel sharding across a
-//!   scoped worker pool,
+//!   implementation of the core [`simd2::Backend`] trait: dense, CSR
+//!   and 2:4 declarations behind [`simd2::Backend::mmo_ref`] are walks
+//!   fed to the same two row kernels (a vectorised sweep over dense `B`
+//!   rows, a Gustavson scatter over CSR `B` rows), bit-identical to the
+//!   reference oracle, with row-panel sharding across a scoped worker
+//!   pool,
 //! * [`model`] — calibrated cuSPARSE-vs-cuBLAS timing and peak-memory
 //!   models for the Fig 14 sweep,
 //! * [`gamma`] — the §6.5 GAMMA-PE extension estimate.

@@ -7,8 +7,12 @@
 //! stored in the format required by the sparse Tensor Core" — this module
 //! is that pre-processing.
 
+use std::ops::Range;
+
 use simd2_matrix::Matrix;
 use simd2_semiring::OpKind;
+
+use crate::Csr;
 
 /// Checks the 2:4 constraint along rows: at most 2 entries per aligned
 /// group of 4 differ from `zero` (the algebra's no-edge value).
@@ -84,17 +88,19 @@ pub fn compressed_bytes(rows: usize, cols: usize) -> u64 {
 }
 
 /// A matrix in the 2:4 compressed operand format: per aligned group of 4
-/// elements along each row, at most 2 values are stored together with
-/// their 2-bit in-group positions — exactly the layout the sparse tensor
-/// pipe consumes, which is how it skips the zero lanes for 2× throughput.
+/// elements along each row, at most 2 values are kept — the operand the
+/// sparse tensor pipe consumes, which is how it skips the zero lanes for
+/// 2× throughput.
+///
+/// The kept slots are held as a [`Csr`] whose rows obey the 2:4 bound,
+/// so a row is one contiguous ascending-`k` walk ([`Compressed24::row`]).
+/// The device image's 2-bit in-group index of a slot is `k % 4`;
+/// [`Compressed24::device_bytes`] reports the size of that fixed
+/// two-slots-per-group image.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Compressed24 {
-    rows: usize,
-    cols: usize,
     zero: f32,
-    /// Two slots per group; absent values hold `zero` with index 0xFF.
-    values: Vec<f32>,
-    indices: Vec<u8>,
+    slots: Csr,
 }
 
 impl Compressed24 {
@@ -103,92 +109,86 @@ impl Compressed24 {
     /// # Errors
     ///
     /// Returns the offending `(row, group)` coordinate if any group of 4
-    /// holds more than two non-`zero` values.
+    /// holds more than two non-`zero` values (a NaN `zero`, which every
+    /// element differs from, is reported at the first group).
     pub fn compress(m: &Matrix, zero: f32) -> Result<Self, (usize, usize)> {
-        let groups_per_row = m.cols().div_ceil(4);
-        let mut values = Vec::with_capacity(m.rows() * groups_per_row * 2);
-        let mut indices = Vec::with_capacity(values.capacity());
-        for r in 0..m.rows() {
-            for (gi, group) in m.row(r).chunks(4).enumerate() {
-                let mut slots = 0usize;
-                for (i, &v) in group.iter().enumerate() {
-                    if v != zero {
-                        if slots == 2 {
-                            return Err((r, gi));
-                        }
-                        values.push(v);
-                        indices.push(i as u8);
-                        slots += 1;
-                    }
-                }
-                for _ in slots..2 {
-                    values.push(zero);
-                    indices.push(0xFF);
-                }
+        Self::compress_rows(m, 0..m.rows(), zero)
+    }
+
+    /// [`Compressed24::compress`] over the row range `rows` of `m` only:
+    /// row `r` of the result images row `rows.start + r` of `m` (error
+    /// coordinates name rows of `m`). This is how a panel worker
+    /// compresses just the operand rows it owns.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Compressed24::compress`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the last row of `m`.
+    pub fn compress_rows(
+        m: &Matrix,
+        rows: Range<usize>,
+        zero: f32,
+    ) -> Result<Self, (usize, usize)> {
+        let slots = Csr::from_dense_rows(m, rows.clone(), zero).map_err(|_| (rows.start, 0))?;
+        for r in 0..slots.rows() {
+            // Sorted columns: three share a group iff the outer two do.
+            let ks = slots.row(r).0;
+            if let Some(w) = ks.windows(3).find(|w| w[0] / 4 == w[2] / 4) {
+                return Err((rows.start + r, w[0] as usize / 4));
             }
         }
-        Ok(Self {
-            rows: m.rows(),
-            cols: m.cols(),
-            zero,
-            values,
-            indices,
-        })
+        Ok(Self { zero, slots })
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.slots.rows()
     }
 
     /// Number of columns of the decompressed matrix.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.slots.cols()
     }
 
     /// Stored (kept) non-`zero` values.
     pub fn nnz(&self) -> usize {
-        self.indices.iter().filter(|&&i| i != 0xFF).count()
+        self.slots.nnz()
     }
 
     /// Expands back to the dense form.
     pub fn decompress(&self) -> Matrix {
-        let mut m = Matrix::filled(self.rows, self.cols, self.zero);
-        let groups_per_row = self.cols.div_ceil(4);
-        for r in 0..self.rows {
-            for g in 0..groups_per_row {
-                let base = (r * groups_per_row + g) * 2;
-                for s in 0..2 {
-                    let idx = self.indices[base + s];
-                    if idx != 0xFF {
-                        let c = g * 4 + idx as usize;
-                        m[(r, c)] = self.values[base + s];
-                    }
-                }
-            }
-        }
-        m
+        self.slots.to_dense(self.zero)
     }
 
-    /// Stored `(k, value)` pairs of row `r`, in ascending-`k` order —
-    /// the exact traversal the sparse tile pipe performs when it skips
-    /// the pruned lanes. Within each group the two slots were filled in
-    /// element order, so chaining the groups yields a sorted walk.
+    /// Row `r`'s kept slots as parallel `k` (strictly increasing) and
+    /// value slices — the exact traversal the sparse tile pipe performs
+    /// when it skips the pruned lanes, in the form the row kernels walk.
+    pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
+        self.slots.row(r)
+    }
+
+    /// Stored `(k, value)` pairs of row `r`, in ascending-`k` order.
     pub fn row_slots(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        let groups_per_row = self.cols.div_ceil(4);
-        (0..groups_per_row).flat_map(move |g| {
-            let base = (r * groups_per_row + g) * 2;
-            (0..2).filter_map(move |s| {
-                let idx = self.indices[base + s];
-                (idx != 0xFF).then(|| (g * 4 + idx as usize, self.values[base + s]))
-            })
-        })
+        self.slots.row_entries(r)
     }
 
-    /// Device bytes of the compressed image (fp16 values + 2-bit indices,
-    /// rounded up per group).
+    /// The kept values, row by row, for rewriting in place (which slots
+    /// are kept cannot change through this). The sparse backend rounds
+    /// them through fp16 here *after* compression, so a value that
+    /// underflows to `±0.0` stays a kept slot.
+    pub fn values_mut(&mut self) -> &mut [f32] {
+        self.slots.values_mut()
+    }
+
+    /// Device bytes of the compressed image: two slots per group of 4,
+    /// each an fp16 value plus a 2-bit index (indices rounded up to
+    /// whole bytes).
     pub fn device_bytes(&self) -> u64 {
-        (self.values.len() * 2) as u64 + (self.indices.len() as u64).div_ceil(4)
+        let slots = (self.rows() * self.cols().div_ceil(4) * 2) as u64;
+        slots * 2 + slots.div_ceil(4)
     }
 }
 

@@ -1,0 +1,307 @@
+//! Bit-identity of the sparse backend's two row kernels.
+//!
+//! Every way of running one MMO through [`SparseTiledBackend`] — `A`
+//! declared dense / CSR / 2:4, `B` declared dense / CSR (scattered below
+//! the sweep threshold, swept as dense rows above it), full or reduced
+//! precision, 1 / 2 / 4 / 8 workers — must produce the bits of
+//! [`reference::mmo`]: on the operands themselves at full precision, on
+//! their scalar-quantised (`quantize_f16`) images at reduced precision,
+//! which is by definition what the scalar leaf computes. Output widths
+//! straddle the vector and strip boundaries (1, 15, 17, 63, 64, 65, 130)
+//! and `k` straddles the sweep's `B` block.
+//!
+//! Operands carry the hostile values each op's annihilator contract
+//! admits (see [`hostile`]): stored `±0.0`, `±∞`, NaN payloads,
+//! values that underflow to zero in fp16. `SIMD2_SPARSE_SMOKE` runs this
+//! suite on the detected ISA and again under `SIMD2_FORCE_SCALAR`.
+
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use simd2::{Backend, MatrixRef, OperandRepr, Parallelism};
+use simd2_matrix::{reference, Matrix};
+use simd2_semiring::precision::quantize_f16;
+use simd2_semiring::{OpKind, ALL_OPS};
+use simd2_sparse::{SparseOpCount, SparseTiledBackend};
+
+const WIDTHS: [usize; 7] = [1, 15, 17, 63, 64, 65, 130];
+/// Inner dimensions: inside one sweep block, and across two and three.
+const DEPTHS: [usize; 5] = [1, 7, 127, 129, 260];
+/// `B` densities well below, just either side of, and well above the
+/// backend's sweep threshold.
+const B_DENSITIES: [f64; 4] = [0.03, 0.09, 0.13, 0.6];
+
+fn nan(bits: u32) -> f32 {
+    let x = f32::from_bits(bits);
+    assert!(x.is_nan());
+    x
+}
+
+/// Non-ordinary values `op`'s sparse contract must survive, i.e. those
+/// for which a term through the annihilator is an exact no-op in the
+/// dense fold too. The min/max-reduced path algebras ignore NaN and
+/// absorb their `±∞` annihilator whatever the other factor is, and
+/// or-and only asks "non-zero?", so they take everything. A `+`
+/// reduction propagates `0·∞ = NaN`, min-mul flips sign on negative
+/// factors, and max-mul's skipped product must be exactly `+0.0`, so
+/// those take only signed zeros and fp16-underflow magnitudes.
+fn hostile(op: OpKind) -> Vec<f32> {
+    let tiny = [1.0e-9, 3.0e-8, 5.0e-5];
+    match op {
+        OpKind::MinPlus | OpKind::MaxPlus | OpKind::MinMax | OpKind::MaxMin | OpKind::OrAnd => {
+            let mut v = vec![
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                nan(0x7FC0_1234),
+                nan(0xFFA0_0001),
+                65520.0, // rounds to fp16 infinity
+                -1.0e-9,
+            ];
+            v.extend(tiny);
+            v
+        }
+        OpKind::PlusMul | OpKind::PlusNorm => vec![-0.0, -1.0e-9, -3.5, tiny[0], tiny[1], tiny[2]],
+        OpKind::MinMul => vec![0.0, nan(0x7FC0_1234), tiny[0], tiny[1], tiny[2]],
+        OpKind::MaxMul => tiny.to_vec(),
+    }
+}
+
+/// A `rows × cols` operand: about `density` of the entries kept (in
+/// `0.5..9.5`, one in eight replaced by a [`hostile`] value), the rest
+/// at `zero`.
+fn operand(op: OpKind, rows: usize, cols: usize, zero: f32, density: f64, seed: u64) -> Matrix {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let pool = hostile(op);
+    Matrix::from_fn(rows, cols, |_, _| {
+        if !rng.gen_bool(density) {
+            zero
+        } else if rng.gen_bool(0.125) {
+            pool[rng.gen_range(0..pool.len())]
+        } else {
+            rng.gen_range(0.5..9.5)
+        }
+    })
+}
+
+/// Forces `m` into the 2:4 pattern: at most two seeded positions of
+/// every aligned group of four along a row keep their value.
+fn structure_2_4(m: &Matrix, zero: f32, seed: u64) -> Matrix {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut out = m.clone();
+    for r in 0..out.rows() {
+        for group in out.row_mut(r).chunks_mut(4) {
+            let keep = [rng.gen_range(0..4usize), rng.gen_range(0..4usize)];
+            for (i, v) in group.iter_mut().enumerate() {
+                if !keep.contains(&i) {
+                    *v = zero;
+                }
+            }
+        }
+    }
+    out
+}
+
+fn quantized(m: &Matrix) -> Matrix {
+    Matrix::from_fn(m.rows(), m.cols(), |r, c| quantize_f16(m[(r, c)]))
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// One MMO on a fresh backend; returns the output and the counters.
+fn run(
+    op: OpKind,
+    (a, ra): (&Matrix, OperandRepr),
+    (b, rb): (&Matrix, OperandRepr),
+    c: &Matrix,
+    reduced: bool,
+    workers: usize,
+) -> (Matrix, SparseOpCount) {
+    let mut be = SparseTiledBackend::new()
+        .with_reduced_precision(reduced)
+        .with_parallelism(Parallelism::Threads(workers));
+    let d = be
+        .mmo_ref(
+            op,
+            MatrixRef::new(a, ra),
+            MatrixRef::new(b, rb),
+            MatrixRef::dense(c),
+        )
+        .unwrap_or_else(|e| panic!("{op} {}×{}: {e}", ra.name(), rb.name()));
+    (d, be.sparse_count())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The whole declaration × precision × worker matrix against the
+    /// reference, with exact and worker-invariant term accounting.
+    #[test]
+    fn every_walk_and_kernel_matches_the_reference(
+        op_idx in 0usize..ALL_OPS.len(),
+        m in 1usize..=50,
+        k_idx in 0usize..DEPTHS.len(),
+        n_idx in 0usize..WIDTHS.len(),
+        a_density_idx in 0usize..3,
+        b_density_idx in 0usize..B_DENSITIES.len(),
+        seed in any::<u64>(),
+    ) {
+        let op = ALL_OPS[op_idx];
+        let (k, n) = (DEPTHS[k_idx], WIDTHS[n_idx]);
+        let a_density = [0.05, 0.4, 1.0][a_density_idx];
+        let b_density = B_DENSITIES[b_density_idx];
+        let zero = op.no_edge_f32();
+        let fill = zero.unwrap_or(0.0);
+        let a = operand(op, m, k, fill, a_density, seed);
+        let a24 = structure_2_4(&a, fill, seed ^ 0x24);
+        let b = operand(op, k, n, fill, b_density, seed ^ 0xB);
+        let c = operand(op, m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
+
+        // Plus-norm has no annihilator: only the all-dense declaration
+        // is legal, and it must still match the reference.
+        let mut legs = vec![(&a, OperandRepr::Dense, OperandRepr::Dense)];
+        if let Some(z) = zero {
+            let (csr, s24) = (OperandRepr::csr(z), OperandRepr::structured(z));
+            legs.extend([
+                (&a, OperandRepr::Dense, csr),
+                (&a, csr, OperandRepr::Dense),
+                (&a, csr, csr),
+                (&a24, s24, OperandRepr::Dense),
+                (&a24, s24, csr),
+            ]);
+        }
+        for reduced in [false, true] {
+            let oracle = |a: &Matrix| if reduced {
+                reference::mmo(op, &quantized(a), &quantized(&b), &c)
+            } else {
+                reference::mmo(op, a, &b, &c)
+            }.unwrap();
+            let (want, want24) = (bits(&oracle(&a)), bits(&oracle(&a24)));
+            for &(am, ra, rb) in &legs {
+                let want = if std::ptr::eq(am, &a) { &want } else { &want24 };
+                let (_, seq_count) = run(op, (am, ra), (&b, rb), &c, reduced, 1);
+                for workers in [1usize, 2, 4, 8] {
+                    let (got, count) = run(op, (am, ra), (&b, rb), &c, reduced, workers);
+                    prop_assert_eq!(
+                        &bits(&got), want,
+                        "{} {}x{} {}x{}x{} reduced={} workers={} a_d={} b_d={}",
+                        op, ra.name(), rb.name(), m, n, k, reduced, workers, a_density, b_density
+                    );
+                    // Panel-order merge: counters are exact, whatever
+                    // the worker count.
+                    prop_assert_eq!(count, seq_count, "{} workers={}", op, workers);
+                }
+                prop_assert_eq!(
+                    seq_count.fma_terms + seq_count.skipped_terms, (m * n * k) as u64,
+                    "{} {}x{}: folded + skipped terms tile m·n·k", op, ra.name(), rb.name()
+                );
+                // Quantising after compression: which terms are stored
+                // does not depend on the precision.
+                if reduced {
+                    let (_, full_count) = run(op, (am, ra), (&b, rb), &c, false, 1);
+                    prop_assert_eq!(seq_count, full_count, "{}", op);
+                }
+                // The one silent choice is counted, and made on `B`'s
+                // stored density alone.
+                let stored = simd2::repr::density(&b, fill);
+                let expect_swept = match rb {
+                    OperandRepr::Dense => Some(0),
+                    _ if stored > 0.5 => Some(1),
+                    _ if stored < 0.04 => Some(0),
+                    _ => None,
+                };
+                if let Some(swept) = expect_swept {
+                    prop_assert_eq!(seq_count.swept_b_mmos, swept, "{} b density {}", op, stored);
+                }
+                if rb.is_dense() {
+                    let walk_terms = if ra.is_dense() {
+                        (m * k) as u64
+                    } else {
+                        am.as_slice().iter().filter(|&&x| x != fill).count() as u64
+                    };
+                    prop_assert_eq!(seq_count.fma_terms, walk_terms * n as u64, "{}", op);
+                }
+            }
+        }
+    }
+}
+
+/// Max-mul rows whose stored products are all negative: the skipped
+/// `0·b = +0.0` products of the dense fold must still lift them to
+/// `0.0` — the `⊕ 0.0` end correction — and only where a product was
+/// actually skipped.
+#[test]
+fn negative_max_mul_entries_get_the_zero_correction() {
+    let op = OpKind::MaxMul;
+    for (n, k) in [(1, 8), (17, 12), (65, 130), (130, 260)] {
+        let mut rng = SmallRng::seed_from_u64(n as u64);
+        // Row 0 is full for the CSR walk (nothing skipped: it stays
+        // negative) and half full for the 2:4 walk; the rest are sparse
+        // or empty.
+        let a_csr = Matrix::from_fn(9, k, |r, l| {
+            if r == 0 || (r < 6 && (l + r) % 4 == 0) {
+                -rng.gen_range(0.5f32..9.5)
+            } else {
+                0.0
+            }
+        });
+        let a_24 = Matrix::from_fn(9, k, |r, l| {
+            if r == 0 && l % 4 > 1 {
+                0.0
+            } else {
+                a_csr[(r, l)]
+            }
+        });
+        let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(0.5f32..9.5));
+        let c = Matrix::filled(9, n, f32::NEG_INFINITY);
+        for (a, ra) in [
+            (&a_csr, OperandRepr::csr(0.0)),
+            (&a_24, OperandRepr::structured(0.0)),
+        ] {
+            let want = reference::mmo(op, a, &b, &c).unwrap();
+            assert_eq!(
+                want.row(0).iter().all(|&x| x < 0.0),
+                std::ptr::eq(a, &a_csr)
+            );
+            assert!(want.row(1).iter().all(|&x| x == 0.0));
+            for reduced in [false, true] {
+                let want = if reduced {
+                    reference::mmo(op, &quantized(a), &quantized(&b), &c).unwrap()
+                } else {
+                    want.clone()
+                };
+                for workers in [1, 2] {
+                    let (got, _) = run(op, (a, ra), (&b, OperandRepr::Dense), &c, reduced, workers);
+                    assert_eq!(bits(&got), bits(&want), "{} n={n} k={k}", ra.name());
+                }
+            }
+        }
+    }
+}
+
+/// A stored entry that underflows to zero in fp16 stays a stored, folded
+/// term at reduced precision: same counters as at full precision, and a
+/// max-mul column it feeds is *not* treated as having skipped a product.
+#[test]
+fn fp16_underflow_keeps_a_stored_term_stored() {
+    let tiny = 1.0e-9f32;
+    assert_eq!(quantize_f16(tiny), 0.0);
+    // One full row of tiny negatives: nothing is skipped, so the dense
+    // fold never sees a `+0.0` — at reduced precision every product is
+    // `-0.0`.
+    let a = Matrix::from_fn(1, 8, |_, _| -tiny);
+    let b = Matrix::filled(8, 20, 2.0);
+    let c = Matrix::filled(1, 20, f32::NEG_INFINITY);
+    for op in [OpKind::MaxMul, OpKind::PlusMul] {
+        let csr = OperandRepr::csr(0.0);
+        let want = reference::mmo(op, &quantized(&a), &quantized(&b), &c).unwrap();
+        let (got, reduced_count) = run(op, (&a, csr), (&b, csr), &c, true, 1);
+        assert_eq!(bits(&got), bits(&want), "{op}");
+        let (_, full_count) = run(op, (&a, csr), (&b, csr), &c, false, 1);
+        assert_eq!(reduced_count, full_count, "{op}");
+        assert_eq!(reduced_count.skipped_terms, 0, "{op}");
+    }
+}

@@ -82,19 +82,25 @@ if [ "${SIMD2_RESILIENCE_SMOKE:-0}" = "1" ]; then
   SIMD2_FORCE_SCALAR=1 cargo run --release -q -p simd2-bench --bin serve_soak -- --seconds 4 --seed 7
 fi
 
-# Optional: sparse-execution smoke — the sparse crate's unit suite, the
-# sparse-vs-dense replay + wave-boundary resume proptests, and the
-# deterministic sparse serve-soak episode (streaming-update apps with
-# CSR-declared deltas served over the sharded sparse backend) — run on
-# both kernel-dispatch legs (the host's detected vector tier and
-# SIMD2_FORCE_SCALAR=1). Enable with
+# Optional: sparse-execution smoke — the sparse crate's suites (unit
+# tests plus `proptest_rows`: every walk × both row kernels against the
+# reference), the sparse-vs-dense replay + wave-boundary resume
+# proptests, the benchmark package's own tests (they fail here if a
+# public-API change would stop the `sparse-mmo` workload building), and
+# the deterministic sparse serve-soak episode (streaming-update apps
+# with CSR-declared deltas served over the sharded sparse backend) —
+# run on both kernel-dispatch legs (the host's detected vector tier and
+# SIMD2_FORCE_SCALAR=1, which puts the row sweep on its scalar leaf).
+# Enable with
 #   SIMD2_SPARSE_SMOKE=1 scripts/verify.sh
 if [ "${SIMD2_SPARSE_SMOKE:-0}" = "1" ]; then
-  cargo test -q -p simd2-sparse
-  cargo test -q --test proptest_stack sparse_
-  cargo run --release -q -p simd2-bench --bin serve_soak -- --sparse --seed 7
-  SIMD2_FORCE_SCALAR=1 cargo test -q --test proptest_stack sparse_
-  SIMD2_FORCE_SCALAR=1 cargo run --release -q -p simd2-bench --bin serve_soak -- --sparse --seed 7
+  for leg in 0 1; do
+    SIMD2_FORCE_SCALAR=$leg cargo test -q -p simd2-sparse
+    SIMD2_FORCE_SCALAR=$leg cargo test -q --test proptest_stack sparse_
+    SIMD2_FORCE_SCALAR=$leg CARGO_TARGET_DIR=target/benchmark \
+      cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+    SIMD2_FORCE_SCALAR=$leg cargo run --release -q -p simd2-bench --bin serve_soak -- --sparse --seed 7
+  done
 fi
 
 # Optional: pass-pipeline smoke — the pass-equivalence proptests (every
