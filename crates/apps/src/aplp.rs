@@ -73,7 +73,7 @@ pub fn simd2<B: Backend>(
         .expect("square adjacency")
 }
 
-/// Like [`simd2`], but also records the solve's MMO sequence as a
+/// Like [`simd2()`], but also records the solve's MMO sequence as a
 /// replayable [`Plan`].
 ///
 /// # Panics

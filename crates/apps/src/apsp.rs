@@ -108,7 +108,7 @@ pub fn simd2<B: Backend>(
         .expect("square adjacency")
 }
 
-/// Like [`simd2`], but also records the solve's MMO sequence as a
+/// Like [`simd2()`], but also records the solve's MMO sequence as a
 /// [`Plan`]: the algorithm runs eagerly through `backend` (same result,
 /// counters and telemetry), and the returned plan replays, batches, or
 /// prices that exact op sequence.

@@ -6,9 +6,9 @@
 //! statistics-collection pass — now routes through [`run_app`], so the
 //! per-app dispatch (which generator, which baseline oracle, which diff
 //! metric) exists in exactly one place. Each run executes the SIMD²-ized
-//! algorithm through a recording [`PlanBuilder`], so the validated run's
-//! exact MMO sequence comes back as a replayable [`Plan`] alongside the
-//! correctness verdict.
+//! algorithm through a recording [`simd2::PlanBuilder`], so the
+//! validated run's exact MMO sequence comes back as a replayable
+//! [`Plan`] alongside the correctness verdict.
 
 use simd2::solve::ClosureAlgorithm;
 use simd2::validate::compare_outputs;

@@ -93,7 +93,7 @@ pub fn simd2<B: Backend>(backend: &mut B, points: &Matrix, k: usize) -> KnnResul
     KnnResult { indices, distances }
 }
 
-/// Like [`simd2`], but also records the single `addnorm` matrix
+/// Like [`simd2()`], but also records the single `addnorm` matrix
 /// operation as a replayable [`Plan`] (the per-row top-k selection is
 /// the host-side epilogue the timing model prices separately).
 ///

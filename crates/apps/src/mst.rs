@@ -94,7 +94,7 @@ pub fn simd2<B: Backend>(
     (mst, closure)
 }
 
-/// Like [`simd2`], but also records the closure's MMO sequence as a
+/// Like [`simd2()`], but also records the closure's MMO sequence as a
 /// replayable [`Plan`] (the host-side Kruskal extraction records
 /// nothing — it is the epilogue the timing model prices separately).
 ///

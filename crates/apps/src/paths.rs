@@ -60,7 +60,7 @@ pub fn simd2<B: Backend>(
     solve::closure(backend, op, &g.adjacency(op), algorithm, convergence).expect("square adjacency")
 }
 
-/// Like [`simd2`], but also records the solve's MMO sequence as a
+/// Like [`simd2()`], but also records the solve's MMO sequence as a
 /// replayable [`Plan`].
 ///
 /// # Panics

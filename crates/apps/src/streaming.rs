@@ -29,8 +29,9 @@
 //! bit for bit. Correctness is validated against a full
 //! [`blocked_floyd_warshall`] recompute of the final graph.
 //!
-//! Two algebras are wired into the registry ([`AppKind::StreamingApsp`]
-//! and [`AppKind::StreamingBfs`]): min-plus distance maintenance and
+//! Two algebras are wired into the registry
+//! ([`crate::AppKind::StreamingApsp`] and
+//! [`crate::AppKind::StreamingBfs`]): min-plus distance maintenance and
 //! or-and reachability maintenance — the same two ends of the algebra
 //! spectrum the static APSP/GTC apps cover.
 
@@ -266,7 +267,7 @@ pub fn simd2<B: Backend>(backend: &mut B, w: &StreamingWorkload) -> (Matrix, Str
     (x, stats)
 }
 
-/// Like [`simd2`], but records the run's exact MMO sequence — sparse
+/// Like [`simd2()`], but records the run's exact MMO sequence — sparse
 /// declarations included — as a replayable [`Plan`].
 ///
 /// # Panics
@@ -347,7 +348,8 @@ mod tests {
 
         // The recorded plan replays bit-identically on every backend
         // and dispatch shape — including the real CSR kernels.
-        let mut targets: Vec<(&str, Box<dyn FnMut(&Plan) -> Matrix>)> = vec![
+        type Replayer = Box<dyn FnMut(&Plan) -> Matrix>;
+        let mut targets: Vec<(&str, Replayer)> = vec![
             (
                 "tiled sequential",
                 Box::new(|p: &Plan| {

@@ -30,8 +30,9 @@
 //!    jobs recover from panics; calm tenants complete unrecovered. In
 //!    clean mode nothing recovers or fails.
 //! 6. **Telemetry lock-step** — per-tenant counters derived from
-//!    [`span::SERVE`] events equal the scheduler's [`TenantStats`]
-//!    exactly, field by field, and both equal the soak's own mirror.
+//!    [`span::SERVE`] events equal the scheduler's
+//!    [`simd2_serve::TenantStats`] exactly, field by field, and both
+//!    equal the soak's own mirror.
 //! 7. **Resume exactness** — with a round quantum armed, suspended jobs
 //!    resume bit-identically with exact suspension/resumption counts,
 //!    and the backend op counter proves no completed wave was ever
@@ -669,9 +670,11 @@ fn simulate_resume(
     let mut sequential = false;
     loop {
         let mut progressed = false;
-        for t in 0..ep.tenants {
+        for (t, queue) in q.iter_mut().enumerate() {
             for _ in 0..ep.weights[t].max(1) {
-                let Some(mut j) = q[t].pop_front() else { break };
+                let Some(mut j) = queue.pop_front() else {
+                    break;
+                };
                 out.rounds += 1;
                 progressed = true;
                 let sub = &subs[j.sub];
@@ -697,7 +700,7 @@ fn simulate_resume(
                         if j.suspends < max_resumes {
                             j.suspends += 1;
                             out.suspended[t] += 1;
-                            q[t].push_back(j);
+                            queue.push_back(j);
                         } else {
                             out.order.push((t, j.id, j.sub));
                             out.preds.push(Pred::Failed);
@@ -732,7 +735,7 @@ fn simulate_resume(
                 } else if room > 0 && j.suspends < max_resumes {
                     j.suspends += 1;
                     out.suspended[t] += 1;
-                    q[t].push_back(j);
+                    queue.push_back(j);
                 } else {
                     out.order.push((t, j.id, j.sub));
                     out.preds.push(Pred::Expired {
@@ -763,7 +766,7 @@ fn check_episode<B: Backend>(
     let degrade_cfg = config.degrade;
     // Which dispatch leg this host runs (SIMD2_FORCE_SCALAR lands here
     // as KernelIsa::Scalar) — vector-pin assertions branch on it.
-    let scalar_host = inner.kernel_isa() == KernelIsa::Scalar;
+    let scalar_host = inner.health().kernel_isa == KernelIsa::Scalar;
     let sink: Arc<RingSink> = RingSink::shared();
     let mut svc = PlanService::new(inner, config).with_tracer(Tracer::to(sink.clone()));
     for t in 0..ep.tenants {
@@ -803,9 +806,8 @@ fn check_episode<B: Backend>(
             Expect::Malformed
         } else if queued_total >= ep.max_queued_jobs {
             Expect::Backpressure
-        } else if ledger_if[t] + 1 > ep.max_in_flight[t] {
-            Expect::Quota
-        } else if ledger_steps[t] + steps > ep.max_queued_steps[t]
+        } else if ledger_if[t] + 1 > ep.max_in_flight[t]
+            || ledger_steps[t] + steps > ep.max_queued_steps[t]
             || ledger_bytes[t] + bytes > ep.max_queued_bytes[t]
         {
             Expect::Quota
@@ -1201,13 +1203,13 @@ fn check_episode<B: Backend>(
 
     // --- Telemetry phase: events == stats == mirror. -----------------
     if let Some(s) = sim.as_ref() {
-        for t in 0..ep.tenants {
-            mirror[t].suspended = s.suspended[t];
-            mirror[t].resumed = s.resumed[t];
+        for (t, m) in mirror.iter_mut().enumerate() {
+            m.suspended = s.suspended[t];
+            m.resumed = s.resumed[t];
         }
     }
     let events = sink.events();
-    for t in 0..ep.tenants {
+    for (t, m) in mirror.iter().enumerate() {
         let stats = svc.tenant_stats(TenantId(t as u32)).expect("registered");
         let count = |stage: &str| -> u64 {
             events
@@ -1258,7 +1260,6 @@ fn check_episode<B: Backend>(
             "tenant {t}: per-round event steps ({step_sum}) != scheduler tally ({})",
             stats.executed_steps
         );
-        let m = &mirror[t];
         let flat = MirrorStats {
             submitted: stats.submitted,
             admitted: stats.admitted,
@@ -1427,7 +1428,7 @@ fn check_episode<B: Backend>(
                 );
                 if degrade.scalar_pinned {
                     soak_check!(
-                        Backend::kernel_isa(svc.resilient()) == KernelIsa::Scalar,
+                        svc.resilient().health().kernel_isa == KernelIsa::Scalar,
                         "pinned service still reports a vector kernel tier"
                     );
                 }
@@ -1560,7 +1561,7 @@ fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
     println!(
         "serve_soak sparse PASS: seed={seed} isa={:?} jobs={} cache-hits={cache_hits} \
          suspended={suspended} sparse-mmos={} swept-b-mmos={} skipped-terms={}",
-        Backend::kernel_isa(svc.resilient()),
+        svc.resilient().health().kernel_isa,
         outcomes.len(),
         counts.sparse_mmos,
         counts.swept_b_mmos,

@@ -223,7 +223,10 @@ struct Violation {
 
 macro_rules! soak_check {
     ($cond:expr, $($fmt:tt)*) => {
-        if !$cond {
+        // Bound first: a float comparison that is false because an
+        // operand is NaN must fail the check too.
+        let holds: bool = $cond;
+        if !holds {
             return Err(Violation { what: format!($($fmt)*) });
         }
     };

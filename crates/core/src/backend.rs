@@ -82,7 +82,7 @@ impl std::ops::AddAssign for OpCount {
 /// run parallel too: their injectors address sites by tile *coordinate*,
 /// not visit order, so the same plan strikes the same tiles under any
 /// worker count and per-worker logs merge back deterministically; see
-/// [`MmoUnit::shard`](simd2_fault::MmoUnit::shard).
+/// [`MmoUnit::shard`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Single-threaded reference execution order.
@@ -96,6 +96,12 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
+    /// Drops the setting to [`Parallelism::Sequential`]; whether that
+    /// changed it.
+    pub fn demote(&mut self) -> bool {
+        std::mem::take(self) != Parallelism::Sequential
+    }
+
     /// The number of workers this setting resolves to on this host.
     pub fn worker_count(self) -> usize {
         match self {
@@ -108,7 +114,70 @@ impl Parallelism {
     }
 }
 
+/// How [`Backend::execute`] schedules its steps.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum Schedule {
+    /// The backend's configured schedule (its [`Parallelism`] setting).
+    #[default]
+    Configured,
+    /// One thread, whatever the configuration — the recovery path after
+    /// a [`BackendError::WorkerPanic`], where no worker can panic
+    /// because none is spawned.
+    Sequential,
+}
+
+impl Schedule {
+    /// The number of workers a backend configured with `parallelism`
+    /// runs this schedule on.
+    pub fn worker_count(self, parallelism: Parallelism) -> usize {
+        match self {
+            Schedule::Configured => parallelism.worker_count(),
+            Schedule::Sequential => 1,
+        }
+    }
+}
+
+/// What [`Backend::health`] reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Health {
+    /// The instruction set the backend's tile kernel executes with
+    /// (the scalar tier for backends without a selectable kernel).
+    pub kernel_isa: KernelIsa,
+    /// Fault-log entries evicted from the backend's bounded ring buffer
+    /// (the `simd2-fault` injector `dropped` counter); zero for
+    /// backends without an injector.
+    pub fault_log_dropped: u64,
+}
+
+impl Default for Health {
+    fn default() -> Self {
+        Self {
+            kernel_isa: KernelIsa::Scalar,
+            fault_log_dropped: 0,
+        }
+    }
+}
+
+/// A degradation rung a resilience layer pulls through
+/// [`Backend::degrade`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Degrade {
+    /// Pin the tile kernel to this instruction set — the rung for
+    /// repeated ABFT detections that implicate a vector tier.
+    PinKernelIsa(KernelIsa),
+    /// Permanently drop to the sequential schedule — the rung for
+    /// repeated worker panics.
+    ForceSequential,
+}
+
 /// A whole-matrix SIMD² operation engine.
+///
+/// The one thing a backend implements is [`execute`](Self::execute): a
+/// run of `D = C ⊕ (A ⊗ B)` steps under a [`Schedule`]. Dense or
+/// declared operands, one step or many, configured or sequential are
+/// arguments of that entry, so a wrapper that forwards it forwards all
+/// of them; [`mmo`](Self::mmo) and [`mmo_ref`](Self::mmo_ref) are
+/// one-step conveniences over it that no implementor overrides.
 ///
 /// Implementations must produce results equivalent to
 /// [`simd2_matrix::reference::mmo`] up to the backend's declared
@@ -121,53 +190,62 @@ pub trait Backend {
     /// Whether operands pass through fp16 (reduced precision).
     fn reduced_precision(&self) -> bool;
 
-    /// Executes `D = C ⊕ (A ⊗ B)`.
+    /// Executes *mutually independent* `D = C ⊕ (A ⊗ B)` steps,
+    /// returning one output per step in submission order.
+    ///
+    /// A step's representation declarations ([`MmoArgs::reprs`]) and the
+    /// `schedule` are hints, never semantic changes: outputs and
+    /// counters must be **bit-identical** to running the same steps one
+    /// by one, all-dense, on one thread. Every step is validated
+    /// ([`MmoArgs::checked_grid`]) before any of them runs, so a
+    /// malformed step rejects the whole call without side effects.
     ///
     /// # Errors
     ///
     /// Returns [`BackendError::Shape`] when operand shapes are
-    /// incompatible, [`BackendError::Exec`] when the underlying engine
-    /// faults, and [`BackendError::Corruption`] when an enabled ABFT
-    /// check detects a silently corrupted result.
+    /// incompatible, [`BackendError::Repr`] when a declaration is
+    /// invalid for the operation, [`BackendError::Exec`] when the
+    /// underlying engine faults, [`BackendError::Corruption`] when an
+    /// enabled ABFT check detects a silently corrupted result, and
+    /// [`BackendError::WorkerPanic`] when a worker thread panicked. On
+    /// error no outputs are returned, but counters for steps that did
+    /// complete are retained.
+    fn execute(
+        &mut self,
+        steps: &[MmoArgs<'_>],
+        schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError>;
+
+    /// Executes one all-dense `D = C ⊕ (A ⊗ B)` on the configured
+    /// schedule.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](Self::execute).
     fn mmo(
         &mut self,
         op: OpKind,
         a: &Matrix,
         b: &Matrix,
         c: &Matrix,
-    ) -> Result<Matrix, BackendError>;
-
-    /// Executes `D = C ⊕ (A ⊗ B)` on a single-threaded schedule,
-    /// regardless of any parallelism configuration — the recovery path
-    /// after a [`BackendError::WorkerPanic`]. Defaults to [`Backend::mmo`]
-    /// for backends that are already sequential.
-    fn mmo_sequential(
-        &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
     ) -> Result<Matrix, BackendError> {
-        self.mmo(op, a, b, c)
+        self.mmo_ref(
+            op,
+            MatrixRef::dense(a),
+            MatrixRef::dense(b),
+            MatrixRef::dense(c),
+        )
     }
 
-    /// Executes `D = C ⊕ (A ⊗ B)` with per-operand *representation*
+    /// Executes one `D = C ⊕ (A ⊗ B)` with per-operand *representation*
     /// declarations ([`MatrixRef`]) — the seam that lets a recorded
     /// algorithm run unchanged while a lowering decision (dense, CSR,
-    /// 2:4-structured) rides along with each operand.
-    ///
-    /// A declaration is a schedule hint, never a semantic change:
-    /// whatever the representation, the output must be **bit-identical**
-    /// to the dense datapath. The default therefore validates the
-    /// declarations ([`crate::validate::check_mmo_operands_ref`]) and
-    /// falls back to [`Backend::mmo`]; representation-aware backends
-    /// (e.g. `simd2-sparse`'s Gustavson spGEMM) override it with
-    /// compressed kernels that preserve the bit-identity contract.
+    /// 2:4-structured) rides along with each operand. Backends without
+    /// compressed kernels validate the declarations and run dense.
     ///
     /// # Errors
     ///
-    /// As [`Backend::mmo`], plus [`BackendError::Repr`] when a
-    /// declaration is invalid for the operation.
+    /// As [`execute`](Self::execute).
     fn mmo_ref(
         &mut self,
         op: OpKind,
@@ -175,68 +253,30 @@ pub trait Backend {
         b: MatrixRef<'_>,
         c: MatrixRef<'_>,
     ) -> Result<Matrix, BackendError> {
-        crate::validate::check_mmo_operands_ref(op, a, b, c)?;
-        self.mmo(op, a.matrix, b.matrix, c.matrix)
+        let step = MmoArgs {
+            op,
+            a: a.matrix,
+            b: b.matrix,
+            c: c.matrix,
+            reprs: [a.repr, b.repr, c.repr],
+        };
+        let mut outputs = self.execute(&[step], Schedule::Configured)?;
+        Ok(outputs.pop().expect("one output per step"))
     }
 
-    /// Executes a batch of *mutually independent* `D = C ⊕ (A ⊗ B)`
-    /// steps, returning one output per step in submission order.
-    ///
-    /// The default runs the steps one by one through [`Backend::mmo`];
-    /// parallel backends may override it to dispatch the whole batch
-    /// across their worker pool — results and counters must stay
-    /// bit-identical to the sequential default.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Backend::mmo`]. On error no outputs are
-    /// returned, but counters for steps that did complete are retained
-    /// (mirroring a sequential loop that fails partway).
-    fn mmo_batch(&mut self, steps: &[MmoArgs<'_>]) -> Result<Vec<Matrix>, BackendError> {
-        steps
-            .iter()
-            .map(|s| self.mmo(s.op, s.a, s.b, s.c))
-            .collect()
+    /// The backend's kernel tier and fault-log state. Wrappers forward
+    /// it; backends with neither a selectable kernel nor an injector
+    /// keep the default.
+    fn health(&self) -> Health {
+        Health::default()
     }
 
-    /// The instruction set this backend's tile kernel executes with.
-    /// Backends without a selectable kernel report the scalar tier.
-    fn kernel_isa(&self) -> KernelIsa {
-        KernelIsa::Scalar
-    }
-
-    /// Pins the backend's tile kernel to `isa` — the degradation rung a
-    /// resilience layer pulls when repeated ABFT detections implicate a
-    /// vector tier. Returns whether the backend honoured the pin;
-    /// backends without a selectable kernel refuse (the default).
-    fn pin_kernel_isa(&mut self, isa: KernelIsa) -> bool {
-        let _ = isa;
+    /// Pulls a degradation rung. Returns whether the backend honoured
+    /// it: a backend without that seam, or already on the rung's
+    /// schedule, refuses (the default). Wrappers forward it.
+    fn degrade(&mut self, rung: Degrade) -> bool {
+        let _ = rung;
         false
-    }
-
-    /// Permanently drops the backend to its sequential schedule — the
-    /// degradation rung for repeated worker panics. Returns whether the
-    /// backend honoured the demotion; already-sequential backends
-    /// refuse (the default).
-    fn force_sequential(&mut self) -> bool {
-        false
-    }
-
-    /// Fault-log entries evicted from the backend's bounded ring buffer
-    /// (the `simd2-fault` injector `dropped` counter); zero for
-    /// backends without an injector.
-    fn fault_log_dropped(&self) -> u64 {
-        0
-    }
-
-    /// Advisory hint from the plan optimizer that a fused RAW chain of
-    /// `steps` same-shape MMOs with output shape `shape` is about to
-    /// replay, letting the backend pre-allocate shared output slab
-    /// residency off the replay's critical path. Purely an allocation
-    /// hint: it must never change outputs, counters, or telemetry
-    /// spans. The default ignores it.
-    fn prepare_chain(&mut self, shape: (usize, usize), steps: usize) {
-        let _ = (shape, steps);
     }
 
     /// Work counters accumulated so far.
@@ -247,7 +287,7 @@ pub trait Backend {
 }
 
 /// Borrowed operands of one `D = C ⊕ (A ⊗ B)` step, as submitted to
-/// [`Backend::mmo_batch`].
+/// [`Backend::execute`].
 #[derive(Clone, Copy, Debug)]
 pub struct MmoArgs<'a> {
     /// Semiring operation.
@@ -296,6 +336,77 @@ impl<'a> MmoArgs<'a> {
     pub fn is_dense(&self) -> bool {
         self.reprs.iter().all(|r| r.is_dense())
     }
+
+    /// The step's 16×16 tile grid, once its shapes and representation
+    /// declarations pass
+    /// [`check_mmo_operands_ref`](crate::validate::check_mmo_operands_ref)
+    /// — the one gate every engine runs each step through before it
+    /// touches a datapath, so a malformed step is rejected with the same
+    /// [`BackendError`] on every backend, schedule and batch size.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError::Shape`] or [`BackendError::Repr`].
+    pub fn checked_grid(&self) -> Result<TileGrid, BackendError> {
+        crate::validate::check_mmo_operands_ref(self.op, self.a_ref(), self.b_ref(), self.c_ref())?;
+        Ok(TileGrid::new(
+            self.a.rows(),
+            self.b.cols(),
+            self.a.cols(),
+            ISA_TILE,
+        ))
+    }
+}
+
+/// [`MmoArgs::checked_grid`] for every step, before any of them runs.
+fn checked_grids(steps: &[MmoArgs<'_>]) -> Result<Vec<TileGrid>, BackendError> {
+    steps.iter().map(MmoArgs::checked_grid).collect()
+}
+
+/// Stringifies a worker's panic payload for [`BackendError::WorkerPanic`]
+/// (the `String` / `&str` cases cover `panic!` and `assert!`).
+fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(other) => match other.downcast::<&'static str>() {
+            Ok(s) => (*s).to_owned(),
+            Err(_) => "non-string panic payload".to_owned(),
+        },
+    }
+}
+
+/// Runs every task on its own scoped worker thread and joins them all —
+/// the one place an engine spawns threads, whatever it parallelises
+/// (row panels of one step, whole steps of a batch, sparse row panels).
+///
+/// Returns each task's result in task order (`None` for a task that
+/// panicked) and the first panic in task order as a
+/// [`BackendError::WorkerPanic`] whose `panel` is the task's index.
+/// Every worker is joined before this returns, panicked or not, so a
+/// contained panic never aborts the process, leaks a thread, or loses a
+/// surviving worker's result.
+pub fn join_workers<T: Send>(
+    tasks: Vec<impl FnOnce() -> T + Send>,
+) -> (Vec<Option<T>>, Option<BackendError>) {
+    let mut first_panic = None;
+    let results = std::thread::scope(|s| {
+        let handles: Vec<_> = tasks.into_iter().map(|task| s.spawn(task)).collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(panel, handle)| match handle.join() {
+                Ok(result) => Some(result),
+                Err(payload) => {
+                    first_panic.get_or_insert(BackendError::WorkerPanic {
+                        panel,
+                        payload: panic_payload_message(payload),
+                    });
+                    None
+                }
+            })
+            .collect()
+    });
+    (results, first_panic)
 }
 
 /// Emits the [`span::MMO`] begin event for a whole-matrix operation.
@@ -400,26 +511,26 @@ impl Backend for ReferenceBackend {
         false
     }
 
-    fn mmo(
+    fn execute(
         &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        crate::validate::check_mmo_operands(op, a, b, c)?;
-        let grid = TileGrid::new(a.rows(), b.cols(), a.cols(), ISA_TILE);
-        begin_mmo(&self.tracer, op, &grid, 1, KernelIsa::Scalar);
-        let d = reference::mmo(op, a, b, c)?;
-        let delta = OpCount {
-            matrix_mmos: 1,
-            tile_mmos: grid.tile_ops() as u64,
-            tile_loads: (2 * grid.tile_ops() + grid.output_tiles()) as u64,
-            tile_stores: grid.output_tiles() as u64,
-        };
-        self.count += delta;
-        finish_mmo(&self.tracer, op, delta, KernelIsa::Scalar);
-        Ok(d)
+        steps: &[MmoArgs<'_>],
+        _schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        let grids = checked_grids(steps)?;
+        let mut outputs = Vec::with_capacity(steps.len());
+        for (step, grid) in steps.iter().zip(&grids) {
+            begin_mmo(&self.tracer, step.op, grid, 1, KernelIsa::Scalar);
+            outputs.push(reference::mmo(step.op, step.a, step.b, step.c)?);
+            let delta = OpCount {
+                matrix_mmos: 1,
+                tile_mmos: grid.tile_ops() as u64,
+                tile_loads: (2 * grid.tile_ops() + grid.output_tiles()) as u64,
+                tile_stores: grid.output_tiles() as u64,
+            };
+            self.count += delta;
+            finish_mmo(&self.tracer, step.op, delta, KernelIsa::Scalar);
+        }
+        Ok(outputs)
     }
 
     fn op_count(&self) -> OpCount {
@@ -459,31 +570,10 @@ pub struct TiledBackend<U: MmoUnit = Simd2Unit> {
     count: OpCount,
     parallelism: Parallelism,
     tracer: Tracer,
-    /// Zero-filled output slabs pre-allocated by
-    /// [`Backend::prepare_chain`], consumed newest-fit-first by
-    /// subsequent MMOs. Never reused after hand-off (outputs are owned
-    /// by the caller), so every pooled slab is all-zero — exactly what
-    /// the non-pooled paths allocate.
-    slab_pool: Vec<Vec<f32>>,
     /// Packed-operand scratch, one per worker that has ever run: taken
-    /// on the dispatch thread and handed to workers the way pooled
-    /// slabs are, returned after the join. Empty until the first MMO.
+    /// on the dispatch thread, moved into the worker, returned after the
+    /// join. Empty until the first MMO.
     scratch_pool: Vec<PackScratch>,
-}
-
-/// Upper bound on pooled output slabs held by [`Backend::prepare_chain`]
-/// between replays, so a pathological chain hint cannot pin unbounded
-/// memory.
-const SLAB_POOL_CAP: usize = 64;
-
-/// Takes a pooled zero-filled `m × n` slab if one fits, else allocates —
-/// bit-identical either way, since pooled slabs are zero-filled and
-/// single-use.
-fn pooled_output(pool: &mut Vec<Vec<f32>>, m: usize, n: usize) -> Matrix {
-    match pool.iter().position(|slab| slab.len() == m * n) {
-        Some(i) => Matrix::from_vec(m, n, pool.swap_remove(i)),
-        None => Matrix::zeros(m, n),
-    }
 }
 
 // A single, non-generic `Default` impl so `TiledBackend::default()`
@@ -517,7 +607,6 @@ impl<U: MmoUnit> TiledBackend<U> {
             count: OpCount::default(),
             parallelism: Parallelism::default(),
             tracer: Tracer::off(),
-            slab_pool: Vec::new(),
             scratch_pool: Vec::new(),
         }
     }
@@ -695,65 +784,120 @@ fn run_panel<U: MmoUnit>(
     count
 }
 
-/// Stringifies a worker's panic payload for [`BackendError::WorkerPanic`]
-/// (the `String` / `&str` cases cover `panic!` and `assert!`).
-pub fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(other) => match other.downcast::<&'static str>() {
-            Ok(s) => (*s).to_owned(),
-            Err(_) => "non-string panic payload".to_owned(),
-        },
-    }
+/// Runs the whole of `grid` as one panel on `unit`, writing `d` and
+/// emitting the panel's [`span::TILE_PANEL`] summary — the sequential
+/// schedule of a step, and what each worker of a step-parallel batch
+/// runs on its shard.
+fn run_whole_grid<U: MmoUnit>(
+    unit: &mut U,
+    scratch: &mut PackScratch,
+    tracer: &Tracer,
+    step: &MmoArgs<'_>,
+    grid: &TileGrid,
+    d: &mut Matrix,
+) -> OpCount {
+    let panel = 0..grid.m_tiles;
+    let rows = grid.panel_rows(&panel).len();
+    let count = run_panel(
+        std::slice::from_mut(unit),
+        scratch,
+        step.op,
+        (step.a, step.b, step.c),
+        grid,
+        panel,
+        d.as_mut_slice(),
+    );
+    emit_tile_panel(tracer, 0, rows, count);
+    count
 }
 
-/// The parallel tile-grid schedule: output tile rows are split into one
-/// contiguous panel per worker ([`TileGrid::row_panels`]), each worker
-/// owns its panel's disjoint row slab of `D` and a private unit shard,
-/// and per-worker [`OpCount`]s and shard state (fault logs) are merged
-/// after the scope joins — shards strip by strip, in panel order within
-/// a strip, so merged fault logs are identical to the sequential
-/// schedule's. Panel assignment only partitions *independent* output
-/// tiles and each tile's k-loop runs in the exact sequential order, so
-/// the result is bit-identical to the sequential schedule.
-///
-/// **Panic containment:** a panicking worker is caught at its join and
-/// surfaced as [`BackendError::WorkerPanic`]; every other worker is
-/// still joined (the output buffer is only dropped once no thread can
-/// touch it) and its shard is still absorbed, so the process never
-/// aborts and telemetry from surviving workers is never lost.
-#[allow(clippy::too_many_arguments)]
-fn mmo_parallel<U: MmoUnit + Send>(
-    parent: &mut U,
-    tracer: &Tracer,
-    scratch_pool: &mut Vec<PackScratch>,
-    // One shard per `B` strip for every panel (see `run_panel`).
-    shards: Vec<Vec<U>>,
-    op: OpKind,
-    (a, b, c): (&Matrix, &Matrix, &Matrix),
-    grid: &TileGrid,
-    panels: Vec<std::ops::Range<usize>>,
-    // Caller-provided zero-filled `grid.m × grid.n` output (possibly a
-    // pooled slab from a `prepare_chain` hint).
-    mut d: Matrix,
-) -> Result<(Matrix, OpCount), BackendError> {
-    let mut total = OpCount::default();
-    let mut first_panic: Option<BackendError> = None;
-    let mut joined: Vec<std::vec::IntoIter<U>> = Vec::with_capacity(panels.len());
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(panels.len());
+impl<U: MmoUnit + Send> TiledBackend<U> {
+    /// Books one completed step: its counters (plus the whole-matrix
+    /// count) and its [`span::MMO`] end event.
+    fn finish_step(&mut self, op: OpKind, mut delta: OpCount) {
+        delta.matrix_mmos = 1;
+        self.count += delta;
+        finish_mmo(&self.tracer, op, delta, self.unit.kernel_isa());
+    }
+
+    /// Executes one step with up to `workers` threads: as row panels
+    /// when there is more than one worker, more than one tile row and
+    /// the unit shards, else as a single panel on the parent unit — the
+    /// same [`run_panel`] either way, so the two are bit-identical.
+    fn run_step(
+        &mut self,
+        step: &MmoArgs<'_>,
+        grid: &TileGrid,
+        workers: usize,
+    ) -> Result<Matrix, BackendError> {
+        self.unit.begin_matrix_mmo();
+        begin_mmo(&self.tracer, step.op, grid, workers, self.unit.kernel_isa());
+        let mut d = Matrix::zeros(grid.m, grid.n);
+        // The row panels with one shard per `B` strip for each (see
+        // `run_panel`), if panels are worth having and the unit shards.
+        let sharded = (workers > 1 && grid.m_tiles > 1)
+            .then(|| grid.row_panels(workers))
+            .and_then(|panels| {
+                let strips = strip_count(grid);
+                let shards: Option<Vec<Vec<U>>> = panels
+                    .iter()
+                    .map(|_| (0..strips).map(|_| self.unit.shard()).collect())
+                    .collect();
+                Some((panels, shards?))
+            });
+        let count = match sharded {
+            Some((panels, shards)) => self.run_row_panels(step, grid, panels, shards, &mut d)?,
+            None => {
+                let mut scratch = self.scratch_pool.pop().unwrap_or_default();
+                let count = run_whole_grid(
+                    &mut self.unit,
+                    &mut scratch,
+                    &self.tracer,
+                    step,
+                    grid,
+                    &mut d,
+                );
+                self.scratch_pool.push(scratch);
+                count
+            }
+        };
+        self.finish_step(step.op, count);
+        Ok(d)
+    }
+
+    /// The row-panel schedule of one step: output tile rows are split
+    /// into one contiguous panel per worker ([`TileGrid::row_panels`]),
+    /// each worker owns its panel's disjoint row slab of `d` and private
+    /// unit shards, and per-worker [`OpCount`]s and shard state (fault
+    /// logs) are merged after the join — shards strip by strip, in
+    /// panel order within a strip, so merged fault logs are identical
+    /// to the sequential schedule's. Panel assignment only partitions
+    /// *independent* output tiles and each tile's k-loop runs in the
+    /// exact sequential order, so the result is bit-identical to the
+    /// sequential schedule. A surviving worker's shards are absorbed
+    /// even when another panicked.
+    fn run_row_panels(
+        &mut self,
+        step: &MmoArgs<'_>,
+        grid: &TileGrid,
+        panels: Vec<std::ops::Range<usize>>,
+        shards: Vec<Vec<U>>,
+        d: &mut Matrix,
+    ) -> Result<OpCount, BackendError> {
+        let (op, operands) = (step.op, (step.a, step.b, step.c));
         let mut rest: &mut [f32] = d.as_mut_slice();
+        let mut tasks = Vec::with_capacity(panels.len());
         for (panel_idx, (panel, mut shards)) in panels.into_iter().zip(shards).enumerate() {
             let rows = grid.panel_rows(&panel);
             let (slab, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * grid.n);
             rest = tail;
-            let worker_tracer = tracer.clone();
-            let mut scratch = scratch_pool.pop().unwrap_or_default();
-            handles.push(s.spawn(move || {
-                let count = run_panel(&mut shards, &mut scratch, op, (a, b, c), grid, panel, slab);
-                emit_tile_panel(&worker_tracer, panel_idx, rows.len(), count);
+            let tracer = self.tracer.clone();
+            let mut scratch = self.scratch_pool.pop().unwrap_or_default();
+            tasks.push(move || {
+                let count = run_panel(&mut shards, &mut scratch, op, operands, grid, panel, slab);
+                emit_tile_panel(&tracer, panel_idx, rows.len(), count);
                 (count, shards, scratch)
-            }));
+            });
         }
         // Disjoint-slab invariant: the panels partition 0..m_tiles
         // contiguously and `panel_rows` clips to the true height, so the
@@ -763,34 +907,89 @@ fn mmo_parallel<U: MmoUnit + Send>(
             rest.is_empty(),
             "row panels must cover every output row exactly once"
         );
-        for (panel_idx, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok((count, shards, scratch)) => {
-                    total += count;
-                    joined.push(shards.into_iter());
-                    scratch_pool.push(scratch);
-                }
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(BackendError::WorkerPanic {
-                            panel: panel_idx,
-                            payload: panic_payload_message(payload),
-                        });
-                    }
-                }
+        let (joined, panic) = join_workers(tasks);
+        let mut total = OpCount::default();
+        let mut survivors: Vec<std::vec::IntoIter<U>> = Vec::with_capacity(joined.len());
+        for (count, shards, scratch) in joined.into_iter().flatten() {
+            total += count;
+            survivors.push(shards.into_iter());
+            self.scratch_pool.push(scratch);
+        }
+        // Strip-major, panels in order within a strip: the order one unit
+        // sweeping the whole grid visits tiles in.
+        for _ in 0..strip_count(grid) {
+            for shards in &mut survivors {
+                self.unit
+                    .absorb(shards.next().expect("one shard per strip"));
             }
         }
-    });
-    // Strip-major, panels in order within a strip: the order one unit
-    // sweeping the whole grid visits tiles in.
-    for _ in 0..strip_count(grid) {
-        for shards in &mut joined {
-            parent.absorb(shards.next().expect("one shard per strip"));
-        }
+        panic.map_or(Ok(total), Err)
     }
-    match first_panic {
-        Some(err) => Err(err),
-        None => Ok((d, total)),
+
+    /// The step-parallel schedule of a batch: each step runs its *whole*
+    /// tile grid on one worker shard, with up to `workers` steps in
+    /// flight at a time — inter-step parallelism instead of the
+    /// intra-step row panels of [`run_step`](Self::run_step). Shards are
+    /// taken in step order (each after its own
+    /// [`MmoUnit::begin_matrix_mmo`]) and absorbed in step order, so
+    /// fault draws, merged logs and counters are identical to running
+    /// the same steps one by one; per-tile reduction order never
+    /// changes, so outputs are bit-identical too. A panicking step
+    /// surfaces as [`BackendError::WorkerPanic`] (with its step index as
+    /// the `panel`) after the in-flight chunk drains; completed steps
+    /// still count.
+    fn run_steps_parallel(
+        &mut self,
+        steps: &[MmoArgs<'_>],
+        grids: &[TileGrid],
+        workers: usize,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        let mut shards = Vec::with_capacity(steps.len());
+        for _ in steps {
+            self.unit.begin_matrix_mmo();
+            shards.push(
+                self.unit
+                    .shard()
+                    .expect("shard availability was probed before the batch began"),
+            );
+        }
+        let mut shards = shards.into_iter();
+        let mut outputs = Vec::with_capacity(steps.len());
+        for base in (0..steps.len()).step_by(workers) {
+            let chunk = base..(base + workers).min(steps.len());
+            let tasks: Vec<_> = chunk
+                .clone()
+                .zip(shards.by_ref())
+                .map(|(idx, mut shard)| {
+                    let (step, grid) = (&steps[idx], &grids[idx]);
+                    begin_mmo(&self.tracer, step.op, grid, 1, self.unit.kernel_isa());
+                    let tracer = self.tracer.clone();
+                    let mut scratch = self.scratch_pool.pop().unwrap_or_default();
+                    move || {
+                        let mut d = Matrix::zeros(grid.m, grid.n);
+                        let count =
+                            run_whole_grid(&mut shard, &mut scratch, &tracer, step, grid, &mut d);
+                        (d, count, shard, scratch)
+                    }
+                })
+                .collect();
+            let (joined, panic) = join_workers(tasks);
+            for (idx, done) in chunk.zip(joined) {
+                if let Some((d, count, shard, scratch)) = done {
+                    self.unit.absorb(shard);
+                    self.scratch_pool.push(scratch);
+                    self.finish_step(steps[idx].op, count);
+                    outputs.push(d);
+                }
+            }
+            if let Some(BackendError::WorkerPanic { panel, payload }) = panic {
+                return Err(BackendError::WorkerPanic {
+                    panel: base + panel,
+                    payload,
+                });
+            }
+        }
+        Ok(outputs)
     }
 }
 
@@ -803,228 +1002,42 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
         self.unit.reduced_precision()
     }
 
-    fn mmo(
+    /// One step runs as row panels, several as whole steps in parallel
+    /// (when more than one worker is configured and the unit shards;
+    /// one by one otherwise). Representation declarations are validated
+    /// and then ignored: this engine has only the dense datapath.
+    fn execute(
         &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        crate::validate::check_mmo_operands(op, a, b, c)?;
-        let grid = TileGrid::new(a.rows(), b.cols(), a.cols(), ISA_TILE);
-        self.unit.begin_matrix_mmo();
-        let workers = self.parallelism.worker_count();
-        begin_mmo(&self.tracer, op, &grid, workers, self.unit.kernel_isa());
-        let mut delta;
-        let d;
-        'done: {
-            if workers > 1 && grid.m_tiles > 1 {
-                let panels = grid.row_panels(workers);
-                let strips = strip_count(&grid);
-                let shards: Option<Vec<Vec<U>>> = panels
-                    .iter()
-                    .map(|_| (0..strips).map(|_| self.unit.shard()).collect())
-                    .collect();
-                if let Some(shards) = shards {
-                    let out = pooled_output(&mut self.slab_pool, grid.m, grid.n);
-                    let (dp, count) = mmo_parallel(
-                        &mut self.unit,
-                        &self.tracer,
-                        &mut self.scratch_pool,
-                        shards,
-                        op,
-                        (a, b, c),
-                        &grid,
-                        panels,
-                        out,
-                    )?;
-                    d = dp;
-                    delta = count;
-                    break 'done;
-                }
-            }
-            // Sequential schedule: the whole grid is one panel (row slab
-            // starting at element row 0) on the parent unit — the same
-            // `run_panel` every worker runs, so bit-identical to the
-            // panel-parallel schedule.
-            let mut ds = pooled_output(&mut self.slab_pool, grid.m, grid.n);
-            let panel = 0..grid.m_tiles;
-            let rows = grid.panel_rows(&panel).len();
-            let mut scratch = self.scratch_pool.pop().unwrap_or_default();
-            let count = run_panel(
-                std::slice::from_mut(&mut self.unit),
-                &mut scratch,
-                op,
-                (a, b, c),
-                &grid,
-                panel,
-                ds.as_mut_slice(),
-            );
-            self.scratch_pool.push(scratch);
-            emit_tile_panel(&self.tracer, 0, rows, count);
-            d = ds;
-            delta = count;
+        steps: &[MmoArgs<'_>],
+        schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        let grids = checked_grids(steps)?;
+        let workers = schedule.worker_count(self.parallelism);
+        if steps.len() > 1 && workers > 1 && self.unit.shard().is_some() {
+            return self.run_steps_parallel(steps, &grids, workers);
         }
-        delta.matrix_mmos = 1;
-        self.count += delta;
-        finish_mmo(&self.tracer, op, delta, self.unit.kernel_isa());
-        Ok(d)
+        // Allocated before any step runs, so this small vector never
+        // sits above a step's output buffer in the heap (where it would
+        // keep the allocator from returning that buffer's pages).
+        let mut outputs = Vec::with_capacity(steps.len());
+        for (step, grid) in steps.iter().zip(&grids) {
+            outputs.push(self.run_step(step, grid, workers)?);
+        }
+        Ok(outputs)
     }
 
-    fn mmo_sequential(
-        &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        let saved = self.parallelism;
-        self.parallelism = Parallelism::Sequential;
-        let result = self.mmo(op, a, b, c);
-        self.parallelism = saved;
-        result
-    }
-
-    /// Batched schedule: each step runs its *whole* tile grid on one
-    /// worker shard, with up to `workers` steps in flight at a time —
-    /// inter-step parallelism instead of the intra-step row panels of
-    /// [`Backend::mmo`]. Shards are taken in step order (each after its
-    /// own [`MmoUnit::begin_matrix_mmo`]) and absorbed in step order, so
-    /// fault draws, merged logs and counters are identical to replaying
-    /// the same steps sequentially; per-tile reduction order never
-    /// changes, so outputs are bit-identical too. A panicking step
-    /// surfaces as [`BackendError::WorkerPanic`] (with its step index as
-    /// the `panel`) after the in-flight chunk drains; completed steps
-    /// still count.
-    fn mmo_batch(&mut self, steps: &[MmoArgs<'_>]) -> Result<Vec<Matrix>, BackendError> {
-        let workers = self.parallelism.worker_count();
-        if steps.len() <= 1 || workers <= 1 || self.unit.shard().is_none() {
-            return steps
-                .iter()
-                .map(|s| self.mmo(s.op, s.a, s.b, s.c))
-                .collect();
-        }
-        // Validate every step before any unit state advances, so a
-        // malformed step rejects the whole batch without side effects.
-        let mut grids = Vec::with_capacity(steps.len());
-        for s in steps {
-            crate::validate::check_mmo_operands(s.op, s.a, s.b, s.c)?;
-            grids.push(TileGrid::new(s.a.rows(), s.b.cols(), s.a.cols(), ISA_TILE));
-        }
-        let mut shards = Vec::with_capacity(steps.len());
-        for _ in steps {
-            self.unit.begin_matrix_mmo();
-            shards.push(
-                self.unit
-                    .shard()
-                    .expect("shard availability was probed before the batch began"),
-            );
-        }
-        let mut outputs: Vec<Option<Matrix>> = steps.iter().map(|_| None).collect();
-        let mut first_panic: Option<BackendError> = None;
-        let mut shards = shards.into_iter();
-        for chunk_base in (0..steps.len()).step_by(workers) {
-            let chunk = chunk_base..(chunk_base + workers).min(steps.len());
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(chunk.len());
-                for idx in chunk {
-                    let step = &steps[idx];
-                    let grid = &grids[idx];
-                    let mut shard = shards.next().expect("one shard per step");
-                    begin_mmo(&self.tracer, step.op, grid, 1, self.unit.kernel_isa());
-                    let worker_tracer = self.tracer.clone();
-                    // Pooled slabs are taken on the dispatch thread so a
-                    // `prepare_chain` hint moves the allocation off the
-                    // worker's critical path.
-                    let mut d = pooled_output(&mut self.slab_pool, grid.m, grid.n);
-                    let mut scratch = self.scratch_pool.pop().unwrap_or_default();
-                    handles.push((
-                        idx,
-                        s.spawn(move || {
-                            let panel = 0..grid.m_tiles;
-                            let rows = grid.panel_rows(&panel).len();
-                            let count = run_panel(
-                                std::slice::from_mut(&mut shard),
-                                &mut scratch,
-                                step.op,
-                                (step.a, step.b, step.c),
-                                grid,
-                                panel,
-                                d.as_mut_slice(),
-                            );
-                            emit_tile_panel(&worker_tracer, 0, rows, count);
-                            (d, count, shard, scratch)
-                        }),
-                    ));
-                }
-                for (idx, handle) in handles {
-                    match handle.join() {
-                        Ok((d, count, shard, scratch)) => {
-                            self.unit.absorb(shard);
-                            self.scratch_pool.push(scratch);
-                            let mut delta = count;
-                            delta.matrix_mmos = 1;
-                            self.count += delta;
-                            finish_mmo(&self.tracer, steps[idx].op, delta, self.unit.kernel_isa());
-                            outputs[idx] = Some(d);
-                        }
-                        Err(payload) => {
-                            if first_panic.is_none() {
-                                first_panic = Some(BackendError::WorkerPanic {
-                                    panel: idx,
-                                    payload: panic_payload_message(payload),
-                                });
-                            }
-                        }
-                    }
-                }
-            });
-            if first_panic.is_some() {
-                break;
-            }
-        }
-        match first_panic {
-            Some(err) => Err(err),
-            None => Ok(outputs
-                .into_iter()
-                .map(|d| d.expect("every step joined without panicking"))
-                .collect()),
+    fn health(&self) -> Health {
+        Health {
+            kernel_isa: self.unit.kernel_isa(),
+            fault_log_dropped: self.unit.fault_dropped(),
         }
     }
 
-    fn kernel_isa(&self) -> KernelIsa {
-        self.unit.kernel_isa()
-    }
-
-    fn pin_kernel_isa(&mut self, isa: KernelIsa) -> bool {
-        self.unit.repin_kernel(isa)
-    }
-
-    /// Pre-allocates zero-filled output slabs for a fused RAW chain, up
-    /// to [`SLAB_POOL_CAP`] pooled slabs total. Subsequent MMOs with a
-    /// matching output size take a pooled slab instead of allocating;
-    /// outputs, counters and telemetry are unchanged.
-    fn prepare_chain(&mut self, shape: (usize, usize), steps: usize) {
-        let (m, n) = shape;
-        if m * n == 0 {
-            return;
+    fn degrade(&mut self, rung: Degrade) -> bool {
+        match rung {
+            Degrade::PinKernelIsa(isa) => self.unit.repin_kernel(isa),
+            Degrade::ForceSequential => self.parallelism.demote(),
         }
-        let room = SLAB_POOL_CAP.saturating_sub(self.slab_pool.len());
-        for _ in 0..steps.min(room) {
-            self.slab_pool.push(vec![0.0; m * n]);
-        }
-    }
-
-    fn force_sequential(&mut self) -> bool {
-        if self.parallelism == Parallelism::Sequential {
-            return false;
-        }
-        self.parallelism = Parallelism::Sequential;
-        true
-    }
-
-    fn fault_log_dropped(&self) -> u64 {
-        self.unit.fault_dropped()
     }
 
     fn op_count(&self) -> OpCount {
@@ -1103,31 +1116,16 @@ impl IsaBackend {
     pub fn disable_verification(&mut self) {
         self.abft = None;
     }
-}
 
-impl Backend for IsaBackend {
-    fn name(&self) -> &'static str {
-        "SIMD2 ISA executor"
-    }
-
-    fn reduced_precision(&self) -> bool {
-        true
-    }
-
-    fn mmo(
-        &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        crate::validate::check_mmo_operands(op, a, b, c)?;
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let grid = TileGrid::new(m, n, k, ISA_TILE);
+    /// Lowers one validated step to an instruction stream and runs it
+    /// through the warp-level executor.
+    fn run_step(&mut self, step: &MmoArgs<'_>, grid: &TileGrid) -> Result<Matrix, BackendError> {
+        let MmoArgs { op, a, b, c, .. } = *step;
+        let (m, n) = (grid.m, grid.n);
         // The executor drives a default `Simd2Unit`, so the datapath runs
         // on the process-wide selected kernel tier.
         let isa = Simd2Unit::new().kernel_isa();
-        begin_mmo(&self.tracer, op, &grid, 1, isa);
+        begin_mmo(&self.tracer, op, grid, 1, isa);
         let pads = tiling::pad_values(op);
         let (mp, np, kp) = (
             grid.m_tiles * ISA_TILE,
@@ -1225,9 +1223,35 @@ impl Backend for IsaBackend {
         let padded_d = exec.memory().read_matrix(c_base, np, mp, np)?;
         Ok(Matrix::from_fn(m, n, |r, c| padded_d[(r, c)]))
     }
+}
 
-    fn fault_log_dropped(&self) -> u64 {
-        self.injector.as_deref().map_or(0, FaultInjector::dropped)
+impl Backend for IsaBackend {
+    fn name(&self) -> &'static str {
+        "SIMD2 ISA executor"
+    }
+
+    fn reduced_precision(&self) -> bool {
+        true
+    }
+
+    fn execute(
+        &mut self,
+        steps: &[MmoArgs<'_>],
+        _schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        let grids = checked_grids(steps)?;
+        steps
+            .iter()
+            .zip(&grids)
+            .map(|(step, grid)| self.run_step(step, grid))
+            .collect()
+    }
+
+    fn health(&self) -> Health {
+        Health {
+            fault_log_dropped: self.injector.as_deref().map_or(0, FaultInjector::dropped),
+            ..Health::default()
+        }
     }
 
     fn op_count(&self) -> OpCount {
@@ -1380,7 +1404,7 @@ mod tests {
             .collect();
         for workers in [2usize, 3, 8] {
             let mut be = TiledBackend::with_parallelism(Parallelism::Threads(workers));
-            let got = be.mmo_batch(&args).unwrap();
+            let got = be.execute(&args, Schedule::Configured).unwrap();
             assert_eq!(got.len(), want.len());
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!(
@@ -1393,10 +1417,9 @@ mod tests {
             }
             assert_eq!(be.op_count(), seq.op_count(), "{workers} workers");
         }
-        // The trait default (sequential loop) agrees as well, on every
-        // backend.
+        // A backend with one schedule loops the steps.
         let mut byref = ReferenceBackend::new();
-        let d = byref.mmo_batch(&args).unwrap();
+        let d = byref.execute(&args, Schedule::Configured).unwrap();
         assert_eq!(d.len(), want.len());
         assert_eq!(byref.op_count().matrix_mmos, args.len() as u64);
     }
@@ -1412,7 +1435,7 @@ mod tests {
         let ring = RingSink::shared();
         let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4))
             .with_tracer(Tracer::to(ring.clone()));
-        be.mmo_batch(&args).unwrap();
+        be.execute(&args, Schedule::Configured).unwrap();
         let count = be.op_count();
         assert_eq!(count.matrix_mmos, args.len() as u64);
         let events = ring.events();
@@ -1443,7 +1466,7 @@ mod tests {
                     .iter()
                     .map(|(a, b, c)| MmoArgs::new(op, a, b, c))
                     .collect();
-                be.mmo_batch(&args).unwrap()
+                be.execute(&args, Schedule::Configured).unwrap()
             } else {
                 steps
                     .iter()
@@ -1475,7 +1498,7 @@ mod tests {
             .iter()
             .map(|(a, b, c)| MmoArgs::new(op, a, b, c))
             .collect();
-        let err = be.mmo_batch(&args).unwrap_err();
+        let err = be.execute(&args, Schedule::Configured).unwrap_err();
         match &err {
             BackendError::WorkerPanic { panel, payload } => {
                 assert_eq!(*panel, 0, "first failed step index is reported");
@@ -1485,7 +1508,8 @@ mod tests {
         }
         // The backend stays usable sequentially (parent never panics).
         let (a, b, c) = &steps[0];
-        be.mmo_sequential(op, a, b, c).unwrap();
+        be.execute(&[MmoArgs::new(op, a, b, c)], Schedule::Sequential)
+            .unwrap();
     }
 
     #[test]
@@ -1498,7 +1522,7 @@ mod tests {
             MmoArgs::new(op, &good.0, &bad_b, &good.2),
         ];
         let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4));
-        assert!(be.mmo_batch(&args).is_err());
+        assert!(be.execute(&args, Schedule::Configured).is_err());
         // Nothing executed: validation happens before any step runs.
         assert_eq!(be.op_count(), OpCount::default());
     }
@@ -1584,9 +1608,11 @@ mod tests {
         }
         // The backend stays usable: the sequential schedule (parent
         // unit, not a shard) completes the same operation.
-        let d = be.mmo_sequential(op, &a, &b, &c).unwrap();
+        let d = be
+            .execute(&[MmoArgs::new(op, &a, &b, &c)], Schedule::Sequential)
+            .unwrap();
         let want = TiledBackend::new().mmo(op, &a, &b, &c).unwrap();
-        assert_eq!(d, want);
+        assert_eq!(d, [want]);
     }
 
     #[test]
@@ -1721,21 +1747,30 @@ mod tests {
         let b = gen::random_operands_for(OpKind::PlusMul, 40, 40, 4);
         let c = Matrix::zeros(40, 40);
         let before = be.mmo(OpKind::PlusMul, &a, &b, &c).unwrap();
-        assert!(Backend::pin_kernel_isa(&mut be, KernelIsa::Scalar));
-        assert_eq!(Backend::kernel_isa(&be), KernelIsa::Scalar);
+        assert!(be.degrade(Degrade::PinKernelIsa(KernelIsa::Scalar)));
+        assert_eq!(be.health().kernel_isa, KernelIsa::Scalar);
         assert_eq!(be.kernel_isa(), KernelIsa::Scalar); // inherent agrees
-        assert!(be.force_sequential(), "Threads(4) -> Sequential changes");
-        assert!(!be.force_sequential(), "already sequential: refused");
+        assert!(
+            be.degrade(Degrade::ForceSequential),
+            "Threads(4) -> Sequential changes"
+        );
+        assert!(
+            !be.degrade(Degrade::ForceSequential),
+            "already sequential: refused"
+        );
         assert_eq!(be.parallelism(), Parallelism::Sequential);
         let after = be.mmo(OpKind::PlusMul, &a, &b, &c).unwrap();
         assert_eq!(before, after);
-        assert_eq!(be.fault_log_dropped(), 0, "pristine unit never drops");
+        assert_eq!(
+            be.health().fault_log_dropped,
+            0,
+            "pristine unit never drops"
+        );
         // Backends without the seams refuse them.
         let mut oracle = ReferenceBackend::new();
-        assert_eq!(Backend::kernel_isa(&oracle), KernelIsa::Scalar);
-        assert!(!oracle.pin_kernel_isa(KernelIsa::Scalar));
-        assert!(!oracle.force_sequential());
-        assert_eq!(oracle.fault_log_dropped(), 0);
+        assert_eq!(oracle.health(), Health::default());
+        assert!(!oracle.degrade(Degrade::PinKernelIsa(KernelIsa::Scalar)));
+        assert!(!oracle.degrade(Degrade::ForceSequential));
     }
 
     #[test]

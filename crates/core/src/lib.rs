@@ -46,8 +46,8 @@ pub mod typed;
 pub mod validate;
 
 pub use backend::{
-    panic_payload_message, Backend, IsaBackend, MmoArgs, OpCount, Parallelism, ReferenceBackend,
-    TiledBackend,
+    join_workers, Backend, Degrade, Health, IsaBackend, MmoArgs, OpCount, Parallelism,
+    ReferenceBackend, Schedule, TiledBackend,
 };
 pub use error::BackendError;
 pub use highlevel::Simd2Context;

@@ -15,7 +15,7 @@
 //! A single [`Executor`] then lowers a plan onto any [`Backend`]:
 //! sequentially (bit-identical to the eager run), or wave-batched —
 //! mutually independent steps of one plan (or several [merged](Plan::merge)
-//! plans) dispatched together through [`Backend::mmo_batch`]. The same
+//! plans) dispatched together in one [`Backend::execute`] call. The same
 //! plan also compiles to per-warp ISA kernels ([`Plan::compile`]) and
 //! exports shape-level traces ([`Plan::traces`]) that drive the GPU
 //! pipeline cost model — one recording, three lowerings.
@@ -29,10 +29,10 @@ use simd2_matrix::Matrix;
 use simd2_semiring::OpKind;
 use simd2_trace::{field, span, Tracer};
 
-use crate::backend::{Backend, MmoArgs, OpCount};
+use crate::backend::{Backend, Degrade, Health, MmoArgs, OpCount, Schedule};
 use crate::error::BackendError;
 use crate::program::{compile_mmo, CompiledKernel};
-use crate::repr::{MatrixRef, OperandRepr};
+use crate::repr::OperandRepr;
 
 /// Index of a value slot in a plan's arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -210,7 +210,7 @@ impl Plan {
     /// Topological dispatch levels: wave `w` holds the (ascending) step
     /// indices whose dependencies all completed in waves `< w`. Steps
     /// within one wave are mutually independent — the unit of batched
-    /// dispatch through [`Backend::mmo_batch`].
+    /// dispatch through [`Backend::execute`].
     pub fn waves(&self) -> Vec<Vec<usize>> {
         let deps = self.dependencies();
         let mut level = vec![0usize; self.steps.len()];
@@ -356,7 +356,7 @@ impl Plan {
     /// renumbered plan-by-plan, and no cross-plan edges are introduced,
     /// so steps from different plans land in the same waves and batch
     /// together — the fan-out path for running independent recordings
-    /// through one [`Backend::mmo_batch`] dispatch. The merged plan is
+    /// through one [`Backend::execute`] dispatch. The merged plan is
     /// reduced-precision if any constituent was.
     pub fn merge<I: IntoIterator<Item = Plan>>(plans: I) -> Plan {
         let mut merged = Plan::default();
@@ -545,17 +545,10 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
         slot
     }
 
-    fn record_mmo(
-        &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-        d: &Matrix,
-        reprs: [OperandRepr; 3],
-    ) {
-        let (sa, sb) = (self.intern(a, reprs[0]), self.intern(b, reprs[1]));
-        let sc = self.intern(c, OperandRepr::Dense);
+    /// Appends the executed step `s`, whose output was `d`.
+    fn record_mmo(&mut self, s: &MmoArgs<'_>, d: &Matrix) {
+        let (sa, sb) = (self.intern(s.a, s.reprs[0]), self.intern(s.b, s.reprs[1]));
+        let sc = self.intern(s.c, OperandRepr::Dense);
         // Accumulator slots stay dense unconditionally: C seeds every
         // output element, so it has no skippable terms — and a slot
         // promoted through an earlier A/B use must be demoted the
@@ -565,7 +558,7 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
         let step = self.plan.steps.len();
         let sd = self.record_output(d, step);
         self.plan.steps.push(Step {
-            op,
+            op: s.op,
             a: sa,
             b: sb,
             c: sc,
@@ -583,52 +576,28 @@ impl<B: Backend> Backend for PlanBuilder<'_, B> {
         self.backend.reduced_precision()
     }
 
-    fn mmo(
+    fn execute(
         &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        // Execute first: a failed operation records nothing, matching
-        // the counter/telemetry convention everywhere else.
-        let d = self.backend.mmo(op, a, b, c)?;
-        self.record_mmo(op, a, b, c, &d, [OperandRepr::Dense; 3]);
-        Ok(d)
+        steps: &[MmoArgs<'_>],
+        schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        // Execute first: the inner backend validates the declarations
+        // (and may run its sparse kernels), and a failed call records
+        // nothing, matching the counter/telemetry convention everywhere
+        // else. The operand reprs ride into the slot arena.
+        let outputs = self.backend.execute(steps, schedule)?;
+        for (s, d) in steps.iter().zip(&outputs) {
+            self.record_mmo(s, d);
+        }
+        Ok(outputs)
     }
 
-    fn mmo_sequential(
-        &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        let d = self.backend.mmo_sequential(op, a, b, c)?;
-        self.record_mmo(op, a, b, c, &d, [OperandRepr::Dense; 3]);
-        Ok(d)
+    fn health(&self) -> Health {
+        self.backend.health()
     }
 
-    fn mmo_ref(
-        &mut self,
-        op: OpKind,
-        a: MatrixRef<'_>,
-        b: MatrixRef<'_>,
-        c: MatrixRef<'_>,
-    ) -> Result<Matrix, BackendError> {
-        // The inner backend validates the declarations (and may execute
-        // through its sparse kernels); only a successful step records,
-        // with the operand reprs riding into the slot arena.
-        let d = self.backend.mmo_ref(op, a, b, c)?;
-        self.record_mmo(
-            op,
-            a.matrix,
-            b.matrix,
-            c.matrix,
-            &d,
-            [a.repr, b.repr, c.repr],
-        );
-        Ok(d)
+    fn degrade(&mut self, rung: Degrade) -> bool {
+        self.backend.degrade(rung)
     }
 
     fn op_count(&self) -> OpCount {
@@ -849,7 +818,7 @@ impl Executor {
     }
 
     /// A batching executor: each dependency wave's mutually independent
-    /// steps are dispatched together through [`Backend::mmo_batch`]
+    /// steps are dispatched together in one [`Backend::execute`] call
     /// (inter-step parallelism on backends that support it). Results
     /// remain bit-identical to sequential replay.
     pub fn batched() -> Self {
@@ -859,8 +828,8 @@ impl Executor {
         }
     }
 
-    /// Whether this executor dispatches waves through
-    /// [`Backend::mmo_batch`].
+    /// Whether this executor dispatches each wave as one
+    /// [`Backend::execute`] call.
     pub fn is_batching(&self) -> bool {
         self.batching
     }
@@ -884,28 +853,11 @@ impl Executor {
         &self.tracer
     }
 
-    /// The eager path as a thin wrapper: executes one operation directly
-    /// on the backend, no plan involved. Kept so call sites read
-    /// uniformly whether they record or not.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Backend::mmo`].
-    pub fn eager<B: Backend>(
-        backend: &mut B,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        backend.mmo(op, a, b, c)
-    }
-
     /// Replays `plan` on `backend` and returns every slot's value.
     ///
     /// Sequential executors run steps in recorded order; batching
-    /// executors dispatch each dependency wave through
-    /// [`Backend::mmo_batch`]. Either way outputs are bit-identical to
+    /// executors dispatch each dependency wave as one
+    /// [`Backend::execute`] call. Either way outputs are bit-identical to
     /// the eager run that recorded the plan (given the same backend
     /// configuration).
     ///
@@ -1089,104 +1041,77 @@ impl Executor {
             .zip(&plan.slots)
             .filter(|(v, s)| v.is_some() && matches!(s.origin, SlotOrigin::Step(_)))
             .count();
-        let mut run =
-            |values: &mut Vec<Option<Matrix>>, control: &mut C| -> Result<(), ReplayError> {
-                let mut completed = completed;
-                for (w, wave) in waves.iter().enumerate() {
-                    // On resume, already-completed steps are skipped — they
-                    // are neither control-checked nor dispatched, so the
-                    // backend performs exactly the remaining work.
-                    let todo: Vec<usize> = wave
-                        .iter()
-                        .copied()
-                        .filter(|&i| values[plan.steps[i].d.0].is_none())
-                        .collect();
-                    if todo.is_empty() {
-                        // The halted run finished this wave and already
-                        // emitted its summary.
-                        continue;
-                    }
-                    if self.batching && todo.len() > 1 {
-                        let first = todo[0];
-                        checkpoint(control, plan, first, completed, todo.len())?;
-                        let args: Vec<MmoArgs<'_>> = todo
-                            .iter()
-                            .map(|&i| {
-                                let s = &plan.steps[i];
-                                MmoArgs {
-                                    op: s.op,
-                                    a: operand(values, s.a),
-                                    b: operand(values, s.b),
-                                    c: operand(values, s.c),
-                                    reprs: plan.step_reprs(i),
-                                }
-                            })
-                            .collect();
-                        let outputs = backend.mmo_batch(&args).map_err(|e| {
-                            // The tiled batch dispatch reports a panicking
-                            // step's index within the batch as `panel`;
-                            // anything else is attributed to the dispatch's
-                            // first step.
-                            let step = match &e {
-                                BackendError::WorkerPanic { panel, .. } if *panel < todo.len() => {
-                                    todo[*panel]
-                                }
-                                _ => first,
-                            };
-                            ReplayError {
-                                step,
-                                slot: plan.steps[step].d,
-                                completed_steps: completed,
-                                halt: ReplayHalt::Backend(e),
-                            }
-                        })?;
-                        drop(args);
-                        for (&i, d) in todo.iter().zip(outputs) {
-                            values[plan.steps[i].d.0] = Some(d);
-                        }
-                        completed += todo.len();
-                    } else {
-                        for &i in &todo {
-                            checkpoint(control, plan, i, completed, 1)?;
-                            let s = &plan.steps[i];
-                            let reprs = plan.step_reprs(i);
-                            // All-dense steps dispatch through `mmo`
-                            // exactly as before the representation seam;
-                            // sparse-declared steps go through `mmo_ref`
-                            // so representation-aware backends can honour
-                            // the lowering (bit-identical either way).
-                            let d = if reprs.iter().all(|r| r.is_dense()) {
-                                backend.mmo(
-                                    s.op,
-                                    operand(values, s.a),
-                                    operand(values, s.b),
-                                    operand(values, s.c),
-                                )
-                            } else {
-                                backend.mmo_ref(
-                                    s.op,
-                                    MatrixRef::new(operand(values, s.a), reprs[0]),
-                                    MatrixRef::new(operand(values, s.b), reprs[1]),
-                                    MatrixRef::new(operand(values, s.c), reprs[2]),
-                                )
-                            }
-                            .map_err(|e| ReplayError {
-                                step: i,
-                                slot: s.d,
-                                completed_steps: completed,
-                                halt: ReplayHalt::Backend(e),
-                            })?;
-                            values[s.d.0] = Some(d);
-                            completed += 1;
-                        }
-                    }
-                    self.tracer.end(
-                        span::PLAN_WAVE,
-                        &[field("wave", w), field("steps", wave.len())],
-                    );
+        let mut run = |values: &mut Vec<Option<Matrix>>,
+                       control: &mut C|
+         -> Result<(), ReplayError> {
+            let mut completed = completed;
+            for (w, wave) in waves.iter().enumerate() {
+                // On resume, already-completed steps are skipped — they
+                // are neither control-checked nor dispatched, so the
+                // backend performs exactly the remaining work.
+                let todo: Vec<usize> = wave
+                    .iter()
+                    .copied()
+                    .filter(|&i| values[plan.steps[i].d.0].is_none())
+                    .collect();
+                if todo.is_empty() {
+                    // The halted run finished this wave and already
+                    // emitted its summary.
+                    continue;
                 }
-                Ok(())
-            };
+                // One dispatch per wave when batching, one per step
+                // otherwise; the declared representations ride along
+                // either way (bit-identical on every backend).
+                let width = if self.batching { todo.len() } else { 1 };
+                for group in todo.chunks(width) {
+                    let first = group[0];
+                    checkpoint(control, plan, first, completed, group.len())?;
+                    let args: Vec<MmoArgs<'_>> = group
+                        .iter()
+                        .map(|&i| {
+                            let s = &plan.steps[i];
+                            MmoArgs {
+                                op: s.op,
+                                a: operand(values, s.a),
+                                b: operand(values, s.b),
+                                c: operand(values, s.c),
+                                reprs: plan.step_reprs(i),
+                            }
+                        })
+                        .collect();
+                    let outputs = backend.execute(&args, Schedule::Configured).map_err(|e| {
+                        // A step-parallel dispatch reports a
+                        // panicking step's index within the batch
+                        // as `panel`; anything else is attributed
+                        // to the dispatch's first step.
+                        let step = match &e {
+                            BackendError::WorkerPanic { panel, .. }
+                                if group.len() > 1 && *panel < group.len() =>
+                            {
+                                group[*panel]
+                            }
+                            _ => first,
+                        };
+                        ReplayError {
+                            step,
+                            slot: plan.steps[step].d,
+                            completed_steps: completed,
+                            halt: ReplayHalt::Backend(e),
+                        }
+                    })?;
+                    drop(args);
+                    for (&i, d) in group.iter().zip(outputs) {
+                        values[plan.steps[i].d.0] = Some(d);
+                    }
+                    completed += group.len();
+                }
+                self.tracer.end(
+                    span::PLAN_WAVE,
+                    &[field("wave", w), field("steps", wave.len())],
+                );
+            }
+            Ok(())
+        };
         if let Err(error) = run(&mut values, control) {
             let outputs: Vec<Option<Matrix>> =
                 plan.steps.iter().map(|s| values[s.d.0].take()).collect();
@@ -1377,7 +1302,7 @@ mod tests {
         let c = Matrix::filled(40, 40, op.reduce_identity_f32());
         let eager_ring = RingSink::shared();
         let mut eager_be = TiledBackend::new().with_tracer(Tracer::to(eager_ring.clone()));
-        let eager_d = Executor::eager(&mut eager_be, op, &a, &a, &c).unwrap();
+        let eager_d = eager_be.mmo(op, &a, &a, &c).unwrap();
         let rec_ring = RingSink::shared();
         let mut rec_be = TiledBackend::new().with_tracer(Tracer::to(rec_ring.clone()));
         let mut rec = PlanBuilder::over(&mut rec_be);

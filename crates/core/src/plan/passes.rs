@@ -20,15 +20,14 @@
 //!   ([`RootPolicy`]), dropping steps (and orphaned slots) nothing
 //!   live reads.
 //! * [`FusionPass`] — annotates maximal same-op, same-output-shape RAW
-//!   chains ([`FusedChain`]); [`Executor::run_optimized`] forwards them
-//!   as [`Backend::prepare_chain`] hints so the tiled backend can give
-//!   the chain shared slab residency (output buffers pre-allocated off
-//!   the replay's critical path).
+//!   chains ([`FusedChain`], read back through
+//!   [`OptimizedPlan::chains`]); an analysis only — replay does not act
+//!   on the annotations.
 //! * [`DensityLoweringPass`] — the Fig 14 density crossover as a plan
 //!   rewrite: input slots whose measured
 //!   [`density`](crate::repr::density) makes every reader step cheaper
 //!   under the sparse cost model
-//!   ([`predicted_sparse_mmo_cost`](simd2_gpu::cost::predicted_sparse_mmo_cost))
+//!   ([`predicted_sparse_mmo_cost`])
 //!   are re-declared [`Csr`](OperandRepr::Csr) (or
 //!   [`Structured24`](OperandRepr::Structured24) when 2:4-compliant).
 //!   Representation is a schedule hint, never a semantics change, so
@@ -38,7 +37,7 @@
 //! * [`WaveSchedulerPass`] — orders the mutually independent steps of
 //!   each dependency wave longest-processing-time-first by the
 //!   `simd2-gpu` analytic step cost
-//!   ([`predicted_mmo_cost`](simd2_gpu::cost::predicted_mmo_cost); the
+//!   ([`predicted_mmo_cost`]; the
 //!   sparse variant for steps with sparse-declared operands), so
 //!   batched dispatch starts its most expensive steps first instead of
 //!   in record order. Steps never move across a RAW edge: only the
@@ -67,7 +66,7 @@ use simd2_semiring::OpKind;
 use simd2_trace::Counter;
 
 use super::{Executor, Plan, PlanBuilder, PlanKey, Replay, ReplayError, SlotId, SlotOrigin};
-use crate::backend::{Backend, OpCount};
+use crate::backend::{Backend, Degrade, Health, MmoArgs, OpCount, Schedule};
 use crate::error::BackendError;
 use crate::repr::{self, OperandRepr};
 
@@ -95,7 +94,7 @@ pub struct PassStats {
     pub steps_eliminated: usize,
     /// Steps whose position in the step list changed (scheduler).
     pub steps_reordered: usize,
-    /// RAW chains annotated for slab residency (fusion).
+    /// RAW chains annotated (fusion).
     pub chains_fused: usize,
     /// Input slots re-declared sparse (density lowering).
     pub slots_relowered: usize,
@@ -204,7 +203,7 @@ impl OptimizedPlan {
         &self.report
     }
 
-    /// The RAW chains annotated for shared slab residency.
+    /// The RAW chains [`FusionPass`] annotated.
     pub fn chains(&self) -> &[FusedChain] {
         &self.chains
     }
@@ -568,9 +567,8 @@ impl PlanPass for DsePass {
 /// RAW-chain fusion (analysis): finds maximal chains of same-op steps
 /// where each step reads its predecessor's output and every output has
 /// one shape, and records them as [`FusedChain`]s. The plan itself is
-/// untouched; [`Executor::run_optimized`] turns the annotations into
-/// [`Backend::prepare_chain`] hints so the tiled backend pre-allocates
-/// the chain's output slabs off the replay's critical path.
+/// untouched and replay does not act on the annotations: they are the
+/// report of which steps a chain-fusing engine could keep resident.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FusionPass;
 
@@ -947,12 +945,9 @@ impl PassPipeline {
 }
 
 impl Executor {
-    /// Replays an [`OptimizedPlan`]: forwards its [`FusedChain`]
-    /// annotations to the backend as [`Backend::prepare_chain`] hints
-    /// (pre-allocating chain output slabs off the replay's critical
-    /// path on backends that honour them), then runs the optimized plan
-    /// exactly like [`run`](Executor::run). Read original-indexed
-    /// outputs back through [`OptimizedPlan::step_output`] /
+    /// Replays an [`OptimizedPlan`]: runs the optimized plan exactly
+    /// like [`run`](Executor::run). Read original-indexed outputs back
+    /// through [`OptimizedPlan::step_output`] /
     /// [`OptimizedPlan::final_output`].
     ///
     /// # Errors
@@ -963,9 +958,6 @@ impl Executor {
         optimized: &OptimizedPlan,
         backend: &mut B,
     ) -> Result<Replay, ReplayError> {
-        for chain in &optimized.chains {
-            backend.prepare_chain(chain.shape, chain.steps.len());
-        }
         self.run(&optimized.plan, backend)
     }
 }
@@ -1016,24 +1008,20 @@ impl<B: Backend> Backend for OptimizingRecorder<'_, B> {
         self.builder.reduced_precision()
     }
 
-    fn mmo(
+    fn execute(
         &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        self.builder.mmo(op, a, b, c)
+        steps: &[MmoArgs<'_>],
+        schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        self.builder.execute(steps, schedule)
     }
 
-    fn mmo_sequential(
-        &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        self.builder.mmo_sequential(op, a, b, c)
+    fn health(&self) -> Health {
+        self.builder.health()
+    }
+
+    fn degrade(&mut self, rung: Degrade) -> bool {
+        self.builder.degrade(rung)
     }
 
     fn op_count(&self) -> OpCount {

@@ -18,9 +18,8 @@ use simd2_mxu::PrecisionMode;
 use simd2_semiring::OpKind;
 use simd2_trace::{field, span, Counter, Tracer};
 
-use crate::backend::{Backend, MmoArgs, OpCount, ReferenceBackend};
+use crate::backend::{Backend, Degrade, Health, MmoArgs, OpCount, ReferenceBackend, Schedule};
 use crate::error::BackendError;
-use crate::repr::MatrixRef;
 
 /// Process-global count of ABFT corruption detections.
 static DETECTIONS: Counter = Counter::new("resilient.detections");
@@ -336,31 +335,15 @@ impl<B: Backend> ResilientBackend<B> {
         self.stats = RecoveryStats::default();
     }
 
-    /// One verified execution attempt on the inner backend, on its
-    /// configured schedule or (after a worker panic) a sequential one.
-    ///
-    /// Sparse operand declarations ride through to the inner backend's
-    /// [`Backend::mmo_ref`]; the sequential panic-recovery arm drops to
-    /// the dense [`Backend::mmo_sequential`] schedule, which the repr
-    /// bit-identity contract makes an exact substitute.
-    fn attempt(
-        &mut self,
-        op: OpKind,
-        a: MatrixRef<'_>,
-        b: MatrixRef<'_>,
-        c: MatrixRef<'_>,
-        sequential: bool,
-    ) -> Result<Matrix, BackendError> {
-        let all_dense = a.repr.is_dense() && b.repr.is_dense() && c.repr.is_dense();
-        let d = if sequential {
-            self.inner
-                .mmo_sequential(op, a.matrix, b.matrix, c.matrix)?
-        } else if all_dense {
-            self.inner.mmo(op, a.matrix, b.matrix, c.matrix)?
-        } else {
-            self.inner.mmo_ref(op, a, b, c)?
-        };
-        let (a, b, c) = (a.matrix, b.matrix, c.matrix);
+    /// One verified execution attempt of `step` on the inner backend
+    /// under `schedule`, its declared representations riding along.
+    fn attempt(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
+        let MmoArgs { op, a, b, c, .. } = *step;
+        let d = self
+            .inner
+            .execute(std::slice::from_ref(step), schedule)?
+            .pop()
+            .expect("one output per step");
         // Mirror the inner datapath's quantisation so clean fp16 results
         // are not flagged as corrupt.
         let mode = if self.inner.reduced_precision() {
@@ -373,23 +356,20 @@ impl<B: Backend> ResilientBackend<B> {
         Ok(d)
     }
 
-    /// The full detection → retry → fallback ladder for one operation,
-    /// shared by [`Backend::mmo`] (dense declarations) and
-    /// [`Backend::mmo_ref`] (caller-declared representations).
+    /// The full detection → retry → fallback ladder for one step,
+    /// starting on `schedule`.
     fn recover(
         &mut self,
-        op: OpKind,
-        a: MatrixRef<'_>,
-        b: MatrixRef<'_>,
-        c: MatrixRef<'_>,
+        step: &MmoArgs<'_>,
+        mut schedule: Schedule,
     ) -> Result<Matrix, BackendError> {
+        let op = step.op;
         self.stats.mmos += 1;
         self.note(op, "mmo");
         // Once a worker panic is seen, every further attempt for this
         // operation runs on the sequential schedule, where panel workers
         // (and therefore worker panics) do not exist.
-        let mut sequential = false;
-        let mut last = match self.attempt(op, a, b, c, sequential) {
+        let mut last = match self.attempt(step, schedule) {
             Ok(d) => {
                 self.stats.verified += 1;
                 self.note(op, "verified");
@@ -409,8 +389,8 @@ impl<B: Backend> ResilientBackend<B> {
                 if !self.recover_panics {
                     return Err(e);
                 }
-                sequential = true;
-                match self.attempt(op, a, b, c, sequential) {
+                schedule = Schedule::Sequential;
+                match self.attempt(step, schedule) {
                     Ok(d) => {
                         self.stats.verified += 1;
                         self.stats.panic_recoveries += 1;
@@ -450,7 +430,7 @@ impl<B: Backend> ResilientBackend<B> {
                 RETRIES.add(1);
             }
             self.note(op, "retry");
-            match self.attempt(op, a, b, c, sequential) {
+            match self.attempt(step, schedule) {
                 Ok(d) => {
                     self.stats.verified += 1;
                     self.stats.retry_successes += 1;
@@ -469,7 +449,7 @@ impl<B: Backend> ResilientBackend<B> {
                     if !self.recover_panics {
                         return Err(e);
                     }
-                    sequential = true;
+                    schedule = Schedule::Sequential;
                     last = e;
                 }
                 Err(e) => return Err(e),
@@ -481,7 +461,7 @@ impl<B: Backend> ResilientBackend<B> {
                 FALLBACKS.add(1);
             }
             self.note(op, "fallback");
-            let d = self.fallback.mmo(op, a.matrix, b.matrix, c.matrix)?;
+            let d = self.fallback.mmo(op, step.a, step.b, step.c)?;
             self.stats.verified += 1;
             self.note(op, "verified");
             return Ok(d);
@@ -499,69 +479,30 @@ impl<B: Backend> Backend for ResilientBackend<B> {
         self.inner.reduced_precision()
     }
 
-    fn mmo(
+    /// Each step goes through the full verified ladder on its own, its
+    /// declared representations riding through every inner attempt (so
+    /// a sparse plan replayed under resilience still takes its sparse
+    /// datapath); only the reference fallback runs dense —
+    /// bit-identical by the repr contract.
+    fn execute(
         &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        self.recover(
-            op,
-            MatrixRef::dense(a),
-            MatrixRef::dense(b),
-            MatrixRef::dense(c),
-        )
+        steps: &[MmoArgs<'_>],
+        schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        // Before the steps, as in `TiledBackend::execute`.
+        let mut outputs = Vec::with_capacity(steps.len());
+        for step in steps {
+            outputs.push(self.recover(step, schedule)?);
+        }
+        Ok(outputs)
     }
 
-    /// Repr-aware entry: the declarations ride through the whole
-    /// recovery ladder to the inner backend's compressed kernels, so a
-    /// sparse plan replayed under resilience still takes its sparse
-    /// datapath. Recovery arms (sequential panic re-execution, the
-    /// reference fallback) run dense — bit-identical by the repr
-    /// contract.
-    fn mmo_ref(
-        &mut self,
-        op: OpKind,
-        a: MatrixRef<'_>,
-        b: MatrixRef<'_>,
-        c: MatrixRef<'_>,
-    ) -> Result<Matrix, BackendError> {
-        crate::validate::check_mmo_operands_ref(op, a, b, c)?;
-        self.recover(op, a, b, c)
+    fn health(&self) -> Health {
+        self.inner.health()
     }
 
-    /// Sequential loop over the steps, each through the full verified
-    /// ladder with its declared representations — a batch submitted to
-    /// the resilient layer never silently drops sparse declarations.
-    fn mmo_batch(&mut self, steps: &[MmoArgs<'_>]) -> Result<Vec<Matrix>, BackendError> {
-        steps
-            .iter()
-            .map(|s| {
-                self.mmo_ref(
-                    s.op,
-                    MatrixRef::new(s.a, s.reprs[0]),
-                    MatrixRef::new(s.b, s.reprs[1]),
-                    MatrixRef::new(s.c, s.reprs[2]),
-                )
-            })
-            .collect()
-    }
-
-    fn kernel_isa(&self) -> simd2_semiring::simd::KernelIsa {
-        self.inner.kernel_isa()
-    }
-
-    fn pin_kernel_isa(&mut self, isa: simd2_semiring::simd::KernelIsa) -> bool {
-        self.inner.pin_kernel_isa(isa)
-    }
-
-    fn force_sequential(&mut self) -> bool {
-        self.inner.force_sequential()
-    }
-
-    fn fault_log_dropped(&self) -> u64 {
-        self.inner.fault_log_dropped()
+    fn degrade(&mut self, rung: Degrade) -> bool {
+        self.inner.degrade(rung)
     }
 
     fn op_count(&self) -> OpCount {

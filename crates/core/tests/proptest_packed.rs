@@ -13,7 +13,7 @@
 //! wider than the matrix, and a `k` deep enough to force several strips.
 
 use proptest::prelude::*;
-use simd2::{Backend, MmoArgs, OpCount, Parallelism, TiledBackend};
+use simd2::{Backend, MmoArgs, OpCount, Parallelism, Schedule, TiledBackend};
 use simd2_fault::{FaultInjector, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
@@ -216,8 +216,8 @@ fn assert_bits(got: &Matrix, want: &Matrix, ctx: &str) {
     }
 }
 
-/// Runs `shapes` through `mmo` (one call each) and through one
-/// `mmo_batch`, on every supported tier in `isas` and every worker count
+/// Runs `shapes` through `mmo` (one call each) and through
+/// one batched `execute`, on every supported tier in `isas` and every worker count
 /// in `workers`, checking outputs, counters and telemetry against the
 /// per-tile schedule and the grid arithmetic.
 fn check(
@@ -280,7 +280,7 @@ fn check(
                 .iter()
                 .map(|(a, b, c)| MmoArgs::new(op, a, b, c))
                 .collect();
-            let got = be.mmo_batch(&args).unwrap();
+            let got = be.execute(&args, Schedule::Configured).unwrap();
             let mut want_events = Vec::new();
             let batched = w > 1 && args.len() > 1;
             for ((got, want), grid) in got.iter().zip(&want).zip(&grids) {
@@ -321,7 +321,7 @@ proptest! {
 /// over the 3 × 3 (shape, precision) square, one cell each, which keeps
 /// an unoptimised test build to seconds. Each cell runs the host's
 /// widest tier at every worker count and every other tier at one, with
-/// a small second step so that `mmo_batch` really batches.
+/// a small second step so that `execute` really batches.
 #[test]
 fn packed_engine_matches_the_per_tile_schedule_on_deep_shapes() {
     let widest = simd2_semiring::simd::selected_isa();

@@ -124,7 +124,7 @@ proptest! {
     }
 
     /// fp32 reference lowering keeps the same record/replay contract
-    /// (sequential and batched executors over the default `mmo_batch`).
+    /// (sequential and batched executors over a one-schedule backend).
     #[test]
     fn reference_replay_is_bit_identical_to_eager_mmo(
         op in op_strategy(),

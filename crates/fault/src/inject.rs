@@ -1383,7 +1383,7 @@ mod tests {
         let plan = FaultPlan::new(FaultPlanConfig::new(5).with_sticky_ppm(1_000_000));
         let mut inj = PlannedInjector::new(plan);
         let coord = TileCoord::new(1, 2, 3);
-        let mut strike = |inj: &mut PlannedInjector| {
+        let strike = |inj: &mut PlannedInjector| {
             inj.begin_matrix_mmo();
             let mut d = vec![1.0f32; 256];
             let kind = inj.inject_mmo_at(coord, OpKind::PlusMul, &mut d, 16);

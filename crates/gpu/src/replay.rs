@@ -1,4 +1,4 @@
-//! Plan-replay adapter: drive the [`SmPipeline`](crate::SmPipeline)
+//! Plan-replay adapter: drive the [`SmPipeline`]
 //! cost model from a recorded sequence of matrix operations.
 //!
 //! The plan layer in `simd2` records every application's op sequence as

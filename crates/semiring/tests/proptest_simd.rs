@@ -39,7 +39,11 @@ const SPECIALS: [f32; 10] = [
 fn values(len: usize, bits: &[u32], salt: u32) -> Vec<f32> {
     (0..len)
         .map(|i| {
-            if (i as u32).wrapping_mul(2654435761).wrapping_add(salt) % 7 == 0 {
+            if (i as u32)
+                .wrapping_mul(2654435761)
+                .wrapping_add(salt)
+                .is_multiple_of(7)
+            {
                 SPECIALS[(i + salt as usize) % SPECIALS.len()]
             } else {
                 f32::from_bits(bits[i % bits.len()].wrapping_add(i as u32))
@@ -177,7 +181,7 @@ proptest! {
     ) {
         let src: Vec<f32> = (0..len)
             .map(|i| {
-                if (i as u32).wrapping_add(salt) % 5 == 0 {
+                if (i as u32).wrapping_add(salt).is_multiple_of(5) {
                     SPECIALS[i % SPECIALS.len()]
                 } else {
                     f32::from_bits(bits[i])

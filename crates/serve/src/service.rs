@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 
 use simd2::solve::ClosureAlgorithm;
 use simd2::{
-    Backend, HaltedReplay, PassPipeline, Plan, PlanCheckpoint, PlanExecutor, PlanKey,
+    Backend, Degrade, HaltedReplay, PassPipeline, Plan, PlanCheckpoint, PlanExecutor, PlanKey,
     RecoveryPolicy, RecoveryStats, ReplayProgress, ResilientBackend, RetryBackoff, TiledBackend,
 };
 use simd2_apps::{harness, AppKind};
@@ -53,8 +53,8 @@ pub struct ServeConfig {
     pub backoff: RetryBackoff,
     /// ABFT tolerances for result verification.
     pub abft: AbftConfig,
-    /// Whether replay dispatches dependency waves through
-    /// [`Backend::mmo_batch`] (inter-step parallelism).
+    /// Whether replay dispatches each dependency wave as one
+    /// [`Backend::execute`] call (inter-step parallelism).
     pub batched: bool,
     /// Largest problem dimension accepted for registry-app payloads
     /// (app expansion runs the generator and baseline at admission
@@ -536,7 +536,7 @@ impl<B: Backend> PlanService<B> {
         }
 
         let before = self.backend.recovery_stats();
-        let dropped_before = self.backend.fault_log_dropped();
+        let dropped_before = self.backend.health().fault_log_dropped;
         let base = job
             .checkpoint
             .as_ref()
@@ -569,7 +569,7 @@ impl<B: Backend> PlanService<B> {
         };
         let after = self.backend.recovery_stats();
         self.tenants[idx].1.stats.fault_log_dropped +=
-            self.backend.fault_log_dropped() - dropped_before;
+            self.backend.health().fault_log_dropped - dropped_before;
         self.feed_degradation(tenant, job.id, &before, &after);
 
         match result {
@@ -845,11 +845,13 @@ impl<B: Backend> PlanService<B> {
         let cfg = self.degrade_config;
         if cfg.scalar_after_detections != 0
             && !self.degrade.scalar_pinned
-            && self.backend.kernel_isa() != KernelIsa::Scalar
+            && self.backend.health().kernel_isa != KernelIsa::Scalar
         {
             self.degrade.vector_detections += after.detections - before.detections;
             if self.degrade.vector_detections >= cfg.scalar_after_detections
-                && self.backend.pin_kernel_isa(KernelIsa::Scalar)
+                && self
+                    .backend
+                    .degrade(Degrade::PinKernelIsa(KernelIsa::Scalar))
             {
                 self.degrade.scalar_pinned = true;
                 self.emit_stage("degraded_scalar", tenant, Some(job));
@@ -858,7 +860,7 @@ impl<B: Backend> PlanService<B> {
         if cfg.sequential_after_panics != 0 && !self.degrade.sequential {
             self.degrade.panic_strikes += after.worker_panics - before.worker_panics;
             if self.degrade.panic_strikes >= cfg.sequential_after_panics
-                && self.backend.force_sequential()
+                && self.backend.degrade(Degrade::ForceSequential)
             {
                 self.degrade.sequential = true;
                 self.emit_stage("degraded_sequential", tenant, Some(job));
@@ -934,7 +936,7 @@ impl<B: Backend> PlanService<B> {
     /// Fault-injector log entries dropped by ring-buffer overflow on
     /// the shared backend (`0` when no injector is installed).
     pub fn fault_log_dropped(&self) -> u64 {
-        self.backend.fault_log_dropped()
+        self.backend.health().fault_log_dropped
     }
 }
 
@@ -1642,7 +1644,7 @@ mod tests {
             assert!(svc.degrade_state().scalar_pinned);
             assert!(detections >= 1);
             assert_eq!(
-                Backend::kernel_isa(svc.resilient()),
+                svc.resilient().health().kernel_isa,
                 KernelIsa::Scalar,
                 "backend pinned to the scalar kernel"
             );

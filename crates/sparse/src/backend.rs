@@ -3,8 +3,8 @@
 //! [`SparseTiledBackend`] implements the core [`Backend`] trait, so any
 //! algorithm written against the trait — the closure solvers, the plan
 //! recorder/executor, the serving layer — runs on sparse operands
-//! unchanged. Representation declarations arrive through
-//! [`Backend::mmo_ref`] and pick a *walk*, not a kernel: every output
+//! unchanged. Representation declarations arrive with each step of
+//! [`Backend::execute`] and pick a *walk*, not a kernel: every output
 //! row folds the `(l, a_il)` walk its `A` row supplies — every `l` of a
 //! dense row, the stored entries of a [`OperandRepr::Csr`] row, the kept
 //! slots of a [`OperandRepr::Structured24`] row ([`Compressed24`]) —
@@ -38,8 +38,8 @@
 //! rounded through fp16 once: stored CSR / 2:4 values *after*
 //! compression (an entry that underflows to `±0.0` stays a stored
 //! term), one fp16 image of a swept `B`. Row panels of the output are
-//! disjoint slabs handed to a [`std::thread::scope`] worker pool; each
-//! worker compresses and quantises only its own `A` rows, reads the one
+//! disjoint slabs handed to [`simd2::join_workers`], one thread each;
+//! a worker compresses and quantises only its own `A` rows, reads the one
 //! shared `B` image, and returns its term counters, merged in panel
 //! order. A panicking worker is contained and surfaces as
 //! [`BackendError::WorkerPanic`] after the remaining workers drain.
@@ -52,8 +52,8 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use simd2::{
-    panic_payload_message, Backend, BackendError, MatrixRef, MmoArgs, OpCount, OperandRepr,
-    Parallelism,
+    join_workers, Backend, BackendError, Degrade, MatrixRef, MmoArgs, OpCount, OperandRepr,
+    Parallelism, Schedule,
 };
 use simd2_matrix::tiling::TileGrid;
 use simd2_matrix::{reference, Matrix, ShapeError, ISA_TILE};
@@ -110,9 +110,9 @@ impl std::ops::AddAssign for SparseOpCount {
 }
 
 /// A representation-aware whole-matrix engine: dense execution
-/// bit-identical to the reference oracle, CSR and 2:4 walks behind
-/// [`Backend::mmo_ref`] through the same two row kernels, and row-panel
-/// sharding across a scoped worker pool.
+/// bit-identical to the reference oracle, CSR and 2:4 walks for
+/// declared operands through the same two row kernels, and row-panel
+/// sharding across worker threads.
 ///
 /// # Example
 ///
@@ -429,7 +429,7 @@ impl SparseTiledBackend {
     }
 
     /// Runs `kernel` over row panels of an `m×n` output, sequentially or
-    /// across a scoped worker pool, merging per-worker term counters
+    /// on one worker thread per panel, merging per-worker term counters
     /// (the `fma_terms` / `skipped_terms` of a count) in panel order.
     /// Bit-identity across worker counts holds because the panels are
     /// disjoint and each row's fold order never changes.
@@ -460,24 +460,17 @@ impl SparseTiledBackend {
             rest = tail;
         }
         let kernel = &kernel;
-        let joined: Vec<Result<SparseOpCount, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slabs
-                .into_iter()
-                .map(|(rows, slab)| scope.spawn(move || kernel(rows, slab)))
-                .collect();
-            // Join every worker (draining the pool even past a panic)
-            // before reporting, so a contained panic never leaks threads.
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(panic_payload_message))
-                .collect()
-        });
+        let tasks = slabs
+            .into_iter()
+            .map(|(rows, slab)| move || kernel(rows, slab))
+            .collect();
+        let (joined, panic) = join_workers(tasks);
+        if let Some(err) = panic {
+            return Err(err);
+        }
         let mut total = SparseOpCount::default();
-        for (panel, outcome) in joined.into_iter().enumerate() {
-            match outcome {
-                Ok(count) => total += count,
-                Err(payload) => return Err(BackendError::WorkerPanic { panel, payload }),
-            }
+        for count in joined.into_iter().flatten() {
+            total += count;
         }
         Ok((d, total))
     }
@@ -528,22 +521,15 @@ impl SparseTiledBackend {
         })
     }
 
-    /// Shape-checked, repr-validated execution core shared by the trait
-    /// entry points. `workers` is already resolved.
-    fn execute(
-        &mut self,
-        op: OpKind,
-        a: MatrixRef<'_>,
-        b: MatrixRef<'_>,
-        c: MatrixRef<'_>,
-        workers: usize,
-    ) -> Result<Matrix, BackendError> {
+    /// Executes one validated step on `workers` threads.
+    fn run_step(&mut self, step: &MmoArgs<'_>, workers: usize) -> Result<Matrix, BackendError> {
+        let (op, a, b) = (step.op, step.a_ref(), step.b_ref());
         let swept_b = b
             .repr
             .zero()
             .is_some_and(|zero| simd2::repr::density(b.matrix, zero) > SWEEP_B_DENSITY);
         let image = self.b_image(b, swept_b);
-        let (d, terms) = self.fold(op, a, &image, c.matrix, workers)?;
+        let (d, terms) = self.fold(op, a, &image, step.c, workers)?;
         self.count += SparseOpCount {
             matrix_mmos: 1,
             sparse_mmos: u64::from(!(a.repr.is_dense() && b.repr.is_dense())),
@@ -563,68 +549,30 @@ impl Backend for SparseTiledBackend {
         self.reduced
     }
 
-    fn mmo(
+    /// Steps run one by one, each sharded into row panels; a step's
+    /// declared representations pick its walk and row kernel.
+    fn execute(
         &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        reference::check_mmo_shapes(a, b, c)?;
-        let workers = self.parallelism.worker_count();
-        self.execute(
-            op,
-            MatrixRef::dense(a),
-            MatrixRef::dense(b),
-            MatrixRef::dense(c),
-            workers,
-        )
-    }
-
-    fn mmo_sequential(
-        &mut self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        reference::check_mmo_shapes(a, b, c)?;
-        self.execute(
-            op,
-            MatrixRef::dense(a),
-            MatrixRef::dense(b),
-            MatrixRef::dense(c),
-            1,
-        )
-    }
-
-    fn mmo_ref(
-        &mut self,
-        op: OpKind,
-        a: MatrixRef<'_>,
-        b: MatrixRef<'_>,
-        c: MatrixRef<'_>,
-    ) -> Result<Matrix, BackendError> {
-        simd2::validate::check_mmo_operands_ref(op, a, b, c)?;
-        let workers = self.parallelism.worker_count();
-        self.execute(op, a, b, c, workers)
-    }
-
-    fn mmo_batch(&mut self, steps: &[MmoArgs<'_>]) -> Result<Vec<Matrix>, BackendError> {
-        // Unlike the trait default this routes each step's declared
-        // representations through to the compressed kernels.
-        steps
-            .iter()
-            .map(|s| self.mmo_ref(s.op, s.a_ref(), s.b_ref(), s.c_ref()))
-            .collect()
-    }
-
-    fn force_sequential(&mut self) -> bool {
-        if self.parallelism == Parallelism::Sequential {
-            return false;
+        steps: &[MmoArgs<'_>],
+        schedule: Schedule,
+    ) -> Result<Vec<Matrix>, BackendError> {
+        for step in steps {
+            step.checked_grid()?;
         }
-        self.parallelism = Parallelism::Sequential;
-        true
+        let workers = schedule.worker_count(self.parallelism);
+        // Before the steps, as in `TiledBackend::execute`.
+        let mut outputs = Vec::with_capacity(steps.len());
+        for step in steps {
+            outputs.push(self.run_step(step, workers)?);
+        }
+        Ok(outputs)
+    }
+
+    fn degrade(&mut self, rung: Degrade) -> bool {
+        match rung {
+            Degrade::PinKernelIsa(_) => false,
+            Degrade::ForceSequential => self.parallelism.demote(),
+        }
     }
 
     fn op_count(&self) -> OpCount {
@@ -855,7 +803,7 @@ mod tests {
         ];
         let steps = [MmoArgs::new(op, &a, &b, &c), sparse_args];
         let mut be = SparseTiledBackend::new();
-        let out = be.mmo_batch(&steps).unwrap();
+        let out = be.execute(&steps, Schedule::Configured).unwrap();
         assert_eq!(bits(&out[0]), bits(&out[1]));
         assert_eq!(be.sparse_count().matrix_mmos, 2);
         assert_eq!(be.sparse_count().sparse_mmos, 1);
@@ -915,8 +863,8 @@ mod tests {
     fn force_sequential_demotes_the_pool() {
         let mut be = SparseTiledBackend::new().with_parallelism(Parallelism::Threads(4));
         assert_eq!(be.parallelism(), Parallelism::Threads(4));
-        assert!(be.force_sequential());
-        assert!(!be.force_sequential());
+        assert!(be.degrade(Degrade::ForceSequential));
+        assert!(!be.degrade(Degrade::ForceSequential));
         assert_eq!(be.parallelism(), Parallelism::Sequential);
     }
 
