@@ -162,7 +162,7 @@ pub fn run_app<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simd2::backend::{ReferenceBackend, TiledBackend};
+    use simd2::backend::{IsaBackend, ReferenceBackend, TiledBackend};
     use simd2::{Parallelism, PlanExecutor};
 
     const N: usize = 48;
@@ -241,6 +241,9 @@ mod tests {
                 .run(&run.plan, &mut seq)
                 .expect("replay");
             assert_eq!(seq.op_count(), rec_be.op_count(), "{app:?}");
+            // The plan's static prediction agrees with the replayed count.
+            let predicted = run.plan.predicted_op_count().tile_mmos;
+            assert_eq!(predicted, seq.op_count().tile_mmos, "{app:?}");
             // Batched replay on a worker pool does not change a bit.
             let mut bat = TiledBackend::with_parallelism(Parallelism::Threads(4));
             let br = PlanExecutor::batched()
@@ -254,10 +257,14 @@ mod tests {
                     "{app:?} #{step}"
                 );
             }
-            // The fp32 reference backend lowers the same plan too.
+            // The fp32 reference backend and the instruction-level backend
+            // lower the same plan too.
             PlanExecutor::new()
                 .run(&run.plan, &mut ReferenceBackend::new())
                 .expect("reference replay");
+            PlanExecutor::new()
+                .run(&run.plan, &mut IsaBackend::new())
+                .expect("isa replay");
         }
     }
 }

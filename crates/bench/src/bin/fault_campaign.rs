@@ -326,7 +326,7 @@ fn campaign<F: Fn(AppKind, usize, u64) -> Outcome>(
             format!("{correct_trials}/{trials}"),
         ]);
     }
-    t.print();
+    print!("{}", t.emit());
     let pct = |num: u64, den: u64| {
         if den == 0 {
             100.0
@@ -345,19 +345,18 @@ fn campaign<F: Fn(AppKind, usize, u64) -> Outcome>(
     outcomes
 }
 
-fn arg(name: &str, default: u64) -> u64 {
-    std::env::args()
-        .skip_while(|a| a != name)
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let seed = arg("--seed", 2022);
-    let trials = arg("--trials", 4);
-    let n = arg("--size", 48) as usize;
-    let threads = arg("--threads", 4) as usize;
+    let (seed, trials, n, threads) = simd2_bench::cli::parse(
+        "fault_campaign [--seed S] [--trials T] [--size N] [--threads W]",
+        |flags| {
+            Ok((
+                flags.value("--seed", 2022)?,
+                flags.value("--trials", 4)?,
+                flags.value("--size", 48)? as usize,
+                flags.value("--threads", 4)? as usize,
+            ))
+        },
+    );
     println!(
         "fault campaign: seed={seed} trials={trials}/app size={n} threads={threads}  \
          rates(ppm): flip={BIT_FLIP_PPM} stuck={STUCK_LANE_PPM} nan={TRANSIENT_NAN_PPM} \

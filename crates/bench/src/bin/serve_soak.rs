@@ -1570,14 +1570,6 @@ fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
     Ok(())
 }
 
-fn arg(name: &str, default: u64) -> u64 {
-    std::env::args()
-        .skip_while(|a| a != name)
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Writes the per-tenant SLO aggregates as JSON lines.
 fn export_slo(seed: u64, totals: &Totals) -> std::io::Result<String> {
     let dir = std::path::Path::new("results/telemetry");
@@ -1621,10 +1613,18 @@ fn export_slo(seed: u64, totals: &Totals) -> std::io::Result<String> {
 }
 
 fn main() {
-    let seed = arg("--seed", 2022);
-    let seconds = arg("--seconds", 10);
-    let iter_cap = arg("--iters", 0);
-    if std::env::args().any(|a| a == "--sparse") {
+    let (seed, seconds, iter_cap, sparse) = simd2_bench::cli::parse(
+        "serve_soak [--seed S] [--seconds T] [--iters N] | serve_soak --sparse [--seed S]",
+        |flags| {
+            Ok((
+                flags.value("--seed", 2022)?,
+                flags.value("--seconds", 10)?,
+                flags.value("--iters", 0)?,
+                flags.switch("--sparse"),
+            ))
+        },
+    );
+    if sparse {
         if let Err(v) = run_sparse_episode(seed) {
             eprintln!("serve_soak VIOLATION in the sparse episode: {}", v.what);
             std::process::exit(1);

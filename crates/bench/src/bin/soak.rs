@@ -487,18 +487,15 @@ fn soak_faults(p: &Params, totals: &mut Totals) -> Result<(), Violation> {
     Ok(())
 }
 
-fn arg(name: &str, default: u64) -> u64 {
-    std::env::args()
-        .skip_while(|a| a != name)
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let seed = arg("--seed", 2022);
-    let seconds = arg("--seconds", 10);
-    let iter_cap = arg("--iters", 0);
+    let (seed, seconds, iter_cap) =
+        simd2_bench::cli::parse("soak [--seed S] [--seconds T] [--iters N]", |flags| {
+            Ok((
+                flags.value("--seed", 2022)?,
+                flags.value("--seconds", 10)?,
+                flags.value("--iters", 0)?,
+            ))
+        });
     println!(
         "soak: seed={seed} budget={seconds}s iter-cap={}  \
          ops=9 shapes=m,n<=80 k<=48 precision={{fp16,fp32}} workers={{2,3,4,8}} \

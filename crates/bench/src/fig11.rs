@@ -1,22 +1,52 @@
-//! Figure-11 sweep and rendering, shared by the `fig11_apps` binary and
-//! the snapshot test that pins its stdout.
+//! Figure 11: application kernel speedups over the state-of-the-art GPU
+//! baselines, in both SIMD2 configurations, across the three Table-4
+//! input scales.
 //!
 //! The figure is built from the timing model's `app_phase` telemetry
 //! events (one instant per evaluation, captured in a [`RingSink`])
 //! rather than from the returned values — the printed table is a view
 //! of the event stream. Evaluation order is deterministic, so the
 //! rendered text reproduces bit for bit; the committed golden copy
-//! lives at `results/fig11_apps.txt`.
+//! lives at `results/fig11_apps.txt`, and [`export_events`] writes the
+//! event stream itself (`results/telemetry/fig11_apps.jsonl`).
 
 use std::fmt::Write as _;
+use std::path::Path;
+use std::sync::Arc;
 
 use simd2_apps::{AppKind, AppTiming, Config};
-use simd2_gpu::geomean;
+use simd2_gpu::{geomean, Gpu};
 use simd2_matrix::gen::InputScale;
-use simd2_trace::{span, Event, RingSink};
+use simd2_trace::{span, Event, FanoutSink, JsonLinesSink, RingSink, Sink, Tracer};
 
 use crate::report::fmt_speedup;
 use crate::Table;
+
+/// The Figure-11 report on the default GPU model — the `fig11_apps`
+/// entry of [`crate::experiments::EXPERIMENTS`].
+pub fn report() -> String {
+    let ring = RingSink::shared();
+    let model = AppTiming::new(Gpu::default()).with_tracer(Tracer::to(ring.clone()));
+    render(&model, &ring)
+}
+
+/// Evaluates the figure once more with every `app_phase` event also
+/// streamed to the JSON-lines file at `path`.
+///
+/// # Errors
+///
+/// Returns the I/O error when the file cannot be created or flushed.
+pub fn export_events(path: impl AsRef<Path>) -> std::io::Result<()> {
+    let ring = RingSink::shared();
+    let jsonl = Arc::new(JsonLinesSink::create(path)?);
+    let sink = FanoutSink::new(vec![
+        ring.clone() as Arc<dyn Sink>,
+        jsonl.clone() as Arc<dyn Sink>,
+    ]);
+    let model = AppTiming::new(Gpu::default()).with_tracer(Tracer::to(Arc::new(sink)));
+    render(&model, &ring);
+    jsonl.flush()
+}
 
 /// Runs one `(app, scale)` sweep through the model and hands back the
 /// `app_phase` events it emitted, in evaluation order.
@@ -40,8 +70,7 @@ pub fn sweep(model: &AppTiming, ring: &RingSink, config: Config) -> Vec<Event> {
 }
 
 /// Renders the full Figure-11 report — both configuration tables with
-/// their GMEAN rows, plus the peak-speedup line quoted in the abstract —
-/// exactly as the `fig11_apps` binary prints it.
+/// their GMEAN rows, plus the peak-speedup line quoted in the abstract.
 ///
 /// # Panics
 ///

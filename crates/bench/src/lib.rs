@@ -1,27 +1,18 @@
 //! Experiment harness: regenerates every table and figure of the SIMD²
 //! paper.
 //!
-//! One binary per experiment (see `src/bin/`); this library holds the
-//! shared table-rendering and result-recording helpers. Criterion
-//! micro-benchmarks over the functional kernels live under `benches/`.
-//!
-//! | Binary | Regenerates |
-//! |--------|-------------|
-//! | `table4_apps`    | Table 4 (application/baseline/input inventory) |
-//! | `table5_area`    | Table 5(a)(b)(c) + §6.1 power & die overheads |
-//! | `fig09_micro`    | Figure 9 (square microbenchmarks) |
-//! | `fig10_nonsquare`| Figure 10 (non-square microbenchmarks) |
-//! | `fig11_apps`     | Figure 11 (application speedups, 3 configs) |
-//! | `fig12_ablation` | Figure 12 (algorithm/convergence ablation) |
-//! | `fig13_sparse`   | Figure 13 (sparse SIMD² units) |
-//! | `fig14_crossover`| Figure 14 (spGEMM vs dense crossover + OOM) |
-//! | `validate_apps`  | §5.1 correctness validation sweep (plan replay cross-checked) |
-//! | `throughput`     | host engine throughput: fused kernels vs scalar baseline, thread sweep (`BENCH_throughput.json`) |
-//! | `plan_smoke`     | plan-IR smoke: record + replay every Figure-11 app on every backend |
+//! [`experiments::EXPERIMENTS`] is the table of experiments and the
+//! `reproduce` binary its front end (`reproduce <name>… | all | list`);
+//! the `fault_campaign`, `soak` and `serve_soak` binaries are the seeded
+//! robustness harnesses. This library holds the experiments and the
+//! helpers the four binaries share: table rendering ([`report`]) and
+//! strict flag parsing ([`cli`]). Timing lives in `benchmark/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
+pub mod experiments;
 pub mod fig11;
 pub mod report;
 

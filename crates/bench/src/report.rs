@@ -113,14 +113,14 @@ impl Table {
         out
     }
 
-    /// Renders and prints to stdout — as JSON when the `SIMD2_JSON`
-    /// environment variable is set (machine-readable harness output),
-    /// as an aligned text table otherwise.
-    pub fn print(&self) {
+    /// The table as a harness writes it — one line of JSON when the
+    /// `SIMD2_JSON` environment variable is set (machine-readable
+    /// output), an aligned text table otherwise.
+    pub fn emit(&self) -> String {
         if std::env::var_os("SIMD2_JSON").is_some() {
-            println!("{}", self.render_json());
+            self.render_json() + "\n"
         } else {
-            print!("{}", self.render());
+            self.render()
         }
     }
 }

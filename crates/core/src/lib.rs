@@ -42,7 +42,6 @@ pub mod program;
 pub mod repr;
 pub mod resilient;
 pub mod solve;
-pub mod typed;
 pub mod validate;
 
 pub use backend::{

@@ -539,34 +539,6 @@ impl ShardableInjector for PlannedInjector {
 /// Something that executes tile mmos — the seam that lets tiled
 /// backends run over either a pristine or a fault-injected datapath.
 pub trait MmoUnit: std::fmt::Debug {
-    /// Executes `D = C ⊕ (A ⊗ B)` on `N × N` tiles.
-    fn execute_tile<const N: usize>(
-        &mut self,
-        op: OpKind,
-        a: &Tile<N>,
-        b: &Tile<N>,
-        c: &Tile<N>,
-    ) -> Tile<N>;
-
-    /// Executes one tile mmo at an explicit tile-grid coordinate.
-    ///
-    /// Tiled backends call this (after one
-    /// [`begin_matrix_mmo`](MmoUnit::begin_matrix_mmo) per whole-matrix
-    /// operation) so any order-sensitive state — fault injection above
-    /// all — can key off *where* the tile is instead of *when* it is
-    /// visited. Pure datapaths ignore the coordinate.
-    fn execute_tile_at<const N: usize>(
-        &mut self,
-        coord: TileCoord,
-        op: OpKind,
-        a: &Tile<N>,
-        b: &Tile<N>,
-        c: &Tile<N>,
-    ) -> Tile<N> {
-        let _ = coord;
-        self.execute_tile(op, a, b, c)
-    }
-
     /// The pack hook: passes the elements of a packed operand panel
     /// through the unit's input quantiser, in place. Tiled backends call
     /// it once per packed `A` row panel and `B` column strip, so
@@ -674,16 +646,6 @@ pub trait MmoUnit: std::fmt::Debug {
 }
 
 impl MmoUnit for Simd2Unit {
-    fn execute_tile<const N: usize>(
-        &mut self,
-        op: OpKind,
-        a: &Tile<N>,
-        b: &Tile<N>,
-        c: &Tile<N>,
-    ) -> Tile<N> {
-        self.execute(op, a, b, c)
-    }
-
     fn quantize_packed(&self, xs: &mut [f32]) {
         self.quantize_operands(xs);
     }
@@ -773,16 +735,13 @@ impl<I: FaultInjector> FaultySimd2Unit<I> {
     }
 
     /// Passes a freshly computed output tile through the injector, in
-    /// place: coordinate-addressed when the engine supplied one, else
-    /// the next visit-order site. A disarmed unit visits no site.
-    fn inject<const N: usize>(&mut self, coord: Option<TileCoord>, op: OpKind, d: &mut Tile<N>) {
-        if !self.injection_armed() {
-            return;
+    /// place, at the coordinate the engine supplied. A disarmed unit
+    /// visits no site.
+    fn inject(&mut self, coord: TileCoord, op: OpKind, d: &mut Tile<ISA_TILE>) {
+        if self.injection_armed() {
+            self.injector
+                .inject_mmo_at(coord, op, d.as_flat_mut(), ISA_TILE);
         }
-        match coord {
-            Some(coord) => self.injector.inject_mmo_at(coord, op, d.as_flat_mut(), N),
-            None => self.injector.inject_mmo(op, d.as_flat_mut(), N),
-        };
     }
 
     /// The pristine underlying unit.
@@ -802,31 +761,6 @@ impl<I: FaultInjector> FaultySimd2Unit<I> {
 }
 
 impl<I: ShardableInjector> MmoUnit for FaultySimd2Unit<I> {
-    fn execute_tile<const N: usize>(
-        &mut self,
-        op: OpKind,
-        a: &Tile<N>,
-        b: &Tile<N>,
-        c: &Tile<N>,
-    ) -> Tile<N> {
-        let mut d = self.unit.execute(op, a, b, c);
-        self.inject(None, op, &mut d);
-        d
-    }
-
-    fn execute_tile_at<const N: usize>(
-        &mut self,
-        coord: TileCoord,
-        op: OpKind,
-        a: &Tile<N>,
-        b: &Tile<N>,
-        c: &Tile<N>,
-    ) -> Tile<N> {
-        let mut d = self.unit.execute(op, a, b, c);
-        self.inject(Some(coord), op, &mut d);
-        d
-    }
-
     fn quantize_packed(&self, xs: &mut [f32]) {
         self.unit.quantize_operands(xs);
     }
@@ -840,7 +774,7 @@ impl<I: ShardableInjector> MmoUnit for FaultySimd2Unit<I> {
         acc: &mut Tile<ISA_TILE>,
     ) {
         self.unit.execute_chain(op, a, b, acc);
-        self.inject(Some(coord), op, acc);
+        self.inject(coord, op, acc);
     }
 
     fn begin_matrix_mmo(&mut self) {
@@ -920,28 +854,6 @@ impl PanicProbeUnit {
 }
 
 impl MmoUnit for PanicProbeUnit {
-    fn execute_tile<const N: usize>(
-        &mut self,
-        op: OpKind,
-        a: &Tile<N>,
-        b: &Tile<N>,
-        c: &Tile<N>,
-    ) -> Tile<N> {
-        self.unit.execute(op, a, b, c)
-    }
-
-    fn execute_tile_at<const N: usize>(
-        &mut self,
-        coord: TileCoord,
-        op: OpKind,
-        a: &Tile<N>,
-        b: &Tile<N>,
-        c: &Tile<N>,
-    ) -> Tile<N> {
-        self.check_probe(coord);
-        self.unit.execute(op, a, b, c)
-    }
-
     fn quantize_packed(&self, xs: &mut [f32]) {
         self.unit.quantize_operands(xs);
     }
@@ -985,6 +897,24 @@ mod tests {
 
     fn always_plan() -> FaultPlan {
         FaultPlan::new(FaultPlanConfig::uniform(11, 1_000_000))
+    }
+
+    /// Plus-mul `c ⊕ (a ⊗ b)` at `coord` through the unit's two engine
+    /// hooks: operands packed flat and quantised, then one per-coordinate
+    /// fold.
+    fn fold_at<U: MmoUnit>(
+        unit: &mut U,
+        coord: TileCoord,
+        a: &Tile<16>,
+        b: &Tile<16>,
+        c: &Tile<16>,
+    ) -> Tile<16> {
+        let (mut qa, mut qb) = (a.as_flat().to_vec(), b.as_flat().to_vec());
+        unit.quantize_packed(&mut qa);
+        unit.quantize_packed(&mut qb);
+        let mut acc = *c;
+        unit.execute_packed_at(coord, OpKind::PlusMul, &qa, &qb, &mut acc);
+        acc
     }
 
     #[test]
@@ -1059,7 +989,8 @@ mod tests {
         let c = Tile::<16>::splat(0.0);
         let clean = unit.execute(OpKind::PlusMul, &a, &b, &c);
         let mut faulty = FaultySimd2Unit::new(unit, PlannedInjector::new(always_plan()));
-        let dirty = faulty.execute_tile(OpKind::PlusMul, &a, &b, &c);
+        MmoUnit::begin_matrix_mmo(&mut faulty);
+        let dirty = fold_at(&mut faulty, TileCoord::new(0, 0, 0), &a, &b, &c);
         assert_eq!(faulty.injector().injected(), 1);
         // A full-rate plan must strike; the struck tile may still be
         // value-identical only if the flip hit an element's dead bits,
@@ -1079,7 +1010,8 @@ mod tests {
     fn packed_chain_strikes_like_the_per_tile_walk() {
         // One chain call over quantised packed tiles must visit the same
         // coordinates, draw the same faults and leave the same bits as
-        // one `execute_tile_at` per `tk` over the raw tiles.
+        // one pristine tile mmo then one coordinate-addressed injection
+        // per `tk` over the raw tiles.
         let a: Vec<Tile<16>> = (0..4)
             .map(|t| Tile::from_fn(|r, c| 0.1 * (r + 2 * c + t) as f32))
             .collect();
@@ -1087,21 +1019,22 @@ mod tests {
             .map(|t| Tile::from_fn(|r, c| 0.3 * ((3 * r + c + t) % 11) as f32))
             .collect();
         let c = Tile::<16>::splat(0.5);
-        let faulty = || {
+        let injector = || {
             let plan = FaultPlan::new(FaultPlanConfig::uniform(23, 600_000));
-            let mut unit = FaultySimd2Unit::new(Simd2Unit::new(), PlannedInjector::new(plan));
-            MmoUnit::begin_matrix_mmo(&mut unit);
-            unit
+            let mut injector = PlannedInjector::new(plan);
+            injector.begin_matrix_mmo();
+            injector
         };
 
-        let mut per_tile = faulty();
+        let mut per_tile = injector();
         let mut want = c;
         for (tk, (at, bt)) in a.iter().zip(&b).enumerate() {
-            want =
-                per_tile.execute_tile_at(TileCoord::new(2, 5, tk), OpKind::PlusMul, at, bt, &want);
+            want = Simd2Unit::new().execute(OpKind::PlusMul, at, bt, &want);
+            let coord = TileCoord::new(2, 5, tk);
+            per_tile.inject_mmo_at(coord, OpKind::PlusMul, want.as_flat_mut(), 16);
         }
 
-        let mut packed = faulty();
+        let mut packed = FaultySimd2Unit::new(Simd2Unit::new(), injector());
         let flat = |tiles: &[Tile<16>]| -> Vec<f32> {
             let mut xs: Vec<f32> = tiles.iter().flat_map(|t| t.as_flat().to_vec()).collect();
             packed.quantize_packed(&mut xs);
@@ -1111,8 +1044,8 @@ mod tests {
         let mut got = c;
         packed.execute_chain((2, 5), OpKind::PlusMul, &qa, &qb, &mut got);
 
-        assert!(per_tile.injector().injected() > 0, "the plan must strike");
-        assert_eq!(packed.injector().log(), per_tile.injector().log());
+        assert!(per_tile.injected() > 0, "the plan must strike");
+        assert_eq!(packed.injector().log(), per_tile.log());
         assert_eq!(packed.injector().mmo_sites(), 4);
         let bits = |t: &Tile<16>| t.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
@@ -1189,13 +1122,7 @@ mod tests {
                         });
                         let b =
                             Tile::<16>::from_fn(|r, c| (r * 16 + c + tj as usize) as f32 * 0.01);
-                        acc = faulty.execute_tile_at(
-                            TileCoord { ti, tj, tk },
-                            OpKind::PlusMul,
-                            &a,
-                            &b,
-                            &acc,
-                        );
+                        acc = fold_at(&mut faulty, TileCoord { ti, tj, tk }, &a, &b, &acc);
                     }
                     outputs.push(acc);
                 }
@@ -1319,14 +1246,14 @@ mod tests {
         let c = Tile::<16>::splat(0.0);
         let mut parent = PanicProbeUnit::new(Simd2Unit::new(), 1);
         // Parent (sequential) execution is clean, even at the armed row.
-        let clean = parent.execute_tile_at(TileCoord::new(1, 0, 0), OpKind::PlusMul, &a, &b, &c);
+        let clean = fold_at(&mut parent, TileCoord::new(1, 0, 0), &a, &b, &c);
         assert_eq!(clean, Simd2Unit::new().execute(OpKind::PlusMul, &a, &b, &c));
         let mut shard = parent.shard().unwrap();
         // A shard is clean off the armed row…
-        shard.execute_tile_at(TileCoord::new(0, 0, 0), OpKind::PlusMul, &a, &b, &c);
+        fold_at(&mut shard, TileCoord::new(0, 0, 0), &a, &b, &c);
         // …and panics on it.
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shard.execute_tile_at(TileCoord::new(1, 2, 0), OpKind::PlusMul, &a, &b, &c);
+            fold_at(&mut shard, TileCoord::new(1, 2, 0), &a, &b, &c);
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -1441,13 +1368,13 @@ mod tests {
         assert!(unit.vector_only());
         let armed = MmoUnit::kernel_isa(&unit) != KernelIsa::Scalar;
         MmoUnit::begin_matrix_mmo(&mut unit);
-        unit.execute_tile_at(TileCoord::new(0, 0, 0), OpKind::PlusMul, &a, &b, &c);
+        fold_at(&mut unit, TileCoord::new(0, 0, 0), &a, &b, &c);
         assert_eq!(unit.injector().injected(), u64::from(armed));
         // Re-pin to scalar: injection stops and outputs are pristine.
         assert!(MmoUnit::repin_kernel(&mut unit, KernelIsa::Scalar));
         let before = unit.injector().injected();
         MmoUnit::begin_matrix_mmo(&mut unit);
-        let d = unit.execute_tile_at(TileCoord::new(0, 0, 0), OpKind::PlusMul, &a, &b, &c);
+        let d = fold_at(&mut unit, TileCoord::new(0, 0, 0), &a, &b, &c);
         assert_eq!(unit.injector().injected(), before, "scalar pin disarms");
         assert_eq!(d, Simd2Unit::new().execute(OpKind::PlusMul, &a, &b, &c));
         // Shards inherit the gate.
@@ -1459,7 +1386,7 @@ mod tests {
                 PlannedInjector::new(always_plan())
             });
         MmoUnit::begin_matrix_mmo(&mut ungated);
-        ungated.execute_tile_at(TileCoord::new(0, 0, 0), OpKind::PlusMul, &a, &b, &c);
+        fold_at(&mut ungated, TileCoord::new(0, 0, 0), &a, &b, &c);
         assert_eq!(ungated.injector().injected(), 1);
     }
 

@@ -140,13 +140,13 @@ mod tests {
         for op in ALL_OPS {
             let dynamic = mmo(op, &a, &b, &c).unwrap();
             struct V<'m>(&'m Matrix, &'m Matrix, &'m Matrix);
-            impl simd2_semiring::F32SemiringVisitor for V<'_> {
+            impl simd2_semiring::KernelVisitor for V<'_> {
                 type Output = Matrix;
-                fn visit<S: Semiring<Elem = f32>>(self) -> Matrix {
-                    mmo_typed::<S>(self.0, self.1, self.2).unwrap()
+                fn visit<K: simd2_semiring::SemiringKernel>(self) -> Matrix {
+                    mmo_typed::<K>(self.0, self.1, self.2).unwrap()
                 }
             }
-            let typed = simd2_semiring::visit_f32_semiring(op, V(&a, &b, &c));
+            let typed = simd2_semiring::dispatch_kernel(op, V(&a, &b, &c));
             assert_eq!(dynamic, typed, "{op}");
         }
     }

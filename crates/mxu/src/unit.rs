@@ -484,9 +484,12 @@ mod tests {
     }
 
     fn assert_tiles_bit_identical<const N: usize>(got: &Tile<N>, want: &Tile<N>, ctx: &str) {
-        let gb: Vec<u32> = got.as_flat().iter().map(|x| x.to_bits()).collect();
-        let wb: Vec<u32> = want.as_flat().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(gb, wb, "{ctx}");
+        for (i, (g, w)) in got.as_flat().iter().zip(want.as_flat()).enumerate() {
+            assert!(
+                simd::same_bits(*g, *w),
+                "{ctx}: element {i}: {g:e} vs {w:e}"
+            );
+        }
     }
 
     fn kernel_identity_case<const N: usize>() {

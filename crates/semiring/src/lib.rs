@@ -64,8 +64,8 @@ pub use kernel::{dispatch_kernel, tree_reduce_in_place, KernelVisitor, SemiringK
 pub use op::{OpKind, ParseOpKindError};
 pub use simd::{CpuFeatures, KernelIsa, SelectedKernel, TileKernel};
 pub use typed::{
-    visit_f32_semiring, BoolOrAnd, F32SemiringVisitor, IntMinPlus, MaxMin, MaxMul, MaxPlus, MinMax,
-    MinMul, MinPlus, OrAnd, PlusMul, PlusNorm, Semiring,
+    BoolOrAnd, IntMinPlus, MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul,
+    PlusNorm, Semiring,
 };
 
 /// All nine operator pairs, in the order the paper lists them (Table 2).

@@ -59,7 +59,8 @@
 //! diverge from the scalar oracle), and the min/max semirings wrap
 //! `min_ps`/`max_ps` in a NaN-aware blend or mask reproducing Rust's
 //! `f32::min`/`f32::max` operand semantics. See DESIGN.md § "SIMD kernel
-//! dispatch" for the full lowering table.
+//! dispatch" for the full lowering table. The suites compare through
+//! [`same_bits`], which says what "exactly" means for two NaNs.
 
 #[cfg(target_arch = "aarch64")]
 mod neon;
@@ -461,6 +462,29 @@ pub fn quantize_f16_slice(isa: KernelIsa, xs: &mut [f32]) {
     crate::precision::quantize_f16_slice(xs);
 }
 
+/// The relation the bit-identity suites assert between a kernel's
+/// output and the scalar oracle's: the same bit pattern — except that
+/// where both are NaN, sign and payload must agree only in builds with
+/// debug assertions.
+///
+/// IEEE 754 does not say which operand's payload `NaN + NaN` keeps, and
+/// when optimising LLVM may commute the scalar oracle's `+`, so in a
+/// release build which NaN survives a plus-mul or plus-norm fold is the
+/// compiler's choice, not a property of the kernels. Unoptimised builds
+/// evaluate the oracle as written, and there payloads are compared too.
+///
+/// ```
+/// use simd2_semiring::simd::same_bits;
+///
+/// assert!(same_bits(1.5, 1.5));
+/// assert!(!same_bits(0.0, -0.0));
+/// assert!(!same_bits(f32::NAN, 1.5));
+/// assert!(same_bits(f32::NAN, f32::NAN));
+/// ```
+pub fn same_bits(got: f32, want: f32) -> bool {
+    got.to_bits() == want.to_bits() || (!cfg!(debug_assertions) && got.is_nan() && want.is_nan())
+}
+
 /// Kernels lowered on every ISA tier this build knows about. Blanket-
 /// implemented for all nine semirings; exists so [`run`] can name one
 /// bound that is right for whichever architecture is being compiled.
@@ -562,6 +586,19 @@ mod tests {
     use super::*;
     use crate::ALL_OPS;
 
+    fn assert_same_bits(got: &[f32], want: &[f32], ctx: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(same_bits(*g, *w), "{ctx}: element {i}: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn nan_payloads_are_compared_exactly_where_the_oracle_is_unoptimised() {
+        assert_eq!(same_bits(f32::NAN, -f32::NAN), !cfg!(debug_assertions));
+        assert!(!same_bits(f32::NAN, f32::INFINITY));
+        assert!(!same_bits(1.0, f32::NAN));
+    }
+
     #[test]
     fn scalar_is_always_supported_and_selected_isa_is_supported() {
         assert!(KernelIsa::Scalar.is_supported());
@@ -619,9 +656,7 @@ mod tests {
                 }
                 let mut got = vec![0.0f32; n * n];
                 mmo_tile(isa, op, &a, &b, &c, &mut got, n);
-                let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
-                let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got_bits, want_bits, "{op} on {isa}");
+                assert_same_bits(&got, &want, &format!("{op} on {isa}"));
             }
         }
     }
@@ -645,14 +680,13 @@ mod tests {
         let a: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 3)).collect();
         let b: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 5)).collect();
         let c: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 7)).collect();
-        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for op in ALL_OPS {
             for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
                 let mut want = vec![0.0f32; CHAIN_ELEMS];
                 with_kernel!(op, K => run::<K>(isa, &a, &b, &c, &mut want, CHAIN_TILE));
                 let mut got = vec![0.0f32; CHAIN_ELEMS];
                 mmo_tile(isa, op, &a, &b, &c, &mut got, CHAIN_TILE);
-                assert_eq!(bits(&got), bits(&want), "{op} on {isa}");
+                assert_same_bits(&got, &want, &format!("{op} on {isa}"));
             }
         }
     }

@@ -217,62 +217,21 @@ impl Semiring for BoolOrAnd {
     }
 }
 
-/// Applies a typed kernel for the given dynamic [`OpKind`].
-///
-/// This is the bridge from instruction decoding to monomorphised code: the
-/// closure-like `visitor` is invoked with the marker type corresponding to
-/// `kind`. All nine visitors operate over `f32`.
-///
-/// # Example
-///
-/// ```
-/// use simd2_semiring::{visit_f32_semiring, OpKind, Semiring};
-///
-/// struct DotStep(f32, f32, f32);
-/// impl simd2_semiring::F32SemiringVisitor for DotStep {
-///     type Output = f32;
-///     fn visit<S: Semiring<Elem = f32>>(self) -> f32 {
-///         S::fma(self.0, self.1, self.2)
-///     }
-/// }
-/// assert_eq!(visit_f32_semiring(OpKind::MinPlus, DotStep(7.0, 3.0, 2.0)), 5.0);
-/// ```
-pub fn visit_f32_semiring<V: F32SemiringVisitor>(kind: OpKind, visitor: V) -> V::Output {
-    match kind {
-        OpKind::PlusMul => visitor.visit::<PlusMul>(),
-        OpKind::MinPlus => visitor.visit::<MinPlus>(),
-        OpKind::MaxPlus => visitor.visit::<MaxPlus>(),
-        OpKind::MinMul => visitor.visit::<MinMul>(),
-        OpKind::MaxMul => visitor.visit::<MaxMul>(),
-        OpKind::MinMax => visitor.visit::<MinMax>(),
-        OpKind::MaxMin => visitor.visit::<MaxMin>(),
-        OpKind::OrAnd => visitor.visit::<OrAnd>(),
-        OpKind::PlusNorm => visitor.visit::<PlusNorm>(),
-    }
-}
-
-/// Visitor consumed by [`visit_f32_semiring`].
-pub trait F32SemiringVisitor {
-    /// Result type produced by the visit.
-    type Output;
-
-    /// Invoked with the marker type selected by the dynamic [`OpKind`].
-    fn visit<S: Semiring<Elem = f32>>(self) -> Self::Output;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
     use crate::ALL_OPS;
 
-    /// Visitor that computes one fma step; used to cross-check the typed
-    /// instances against the dynamic `OpKind` evaluation.
+    /// One `Semiring::fma` step on the marker type `dispatch_kernel`
+    /// selects, to cross-check the typed instances' provided method
+    /// against the dynamic `OpKind` evaluation.
     struct Fma(f32, f32, f32);
 
-    impl F32SemiringVisitor for Fma {
+    impl KernelVisitor for Fma {
         type Output = f32;
-        fn visit<S: Semiring<Elem = f32>>(self) -> f32 {
-            S::fma(self.0, self.1, self.2)
+        fn visit<K: SemiringKernel>(self) -> f32 {
+            K::fma(self.0, self.1, self.2)
         }
     }
 
@@ -287,25 +246,10 @@ mod tests {
         ];
         for op in ALL_OPS {
             for (acc, a, b) in cases {
-                let typed = visit_f32_semiring(op, Fma(acc, a, b));
+                let typed = dispatch_kernel(op, Fma(acc, a, b));
                 let dynamic = op.fma_f32(acc, a, b);
                 assert_eq!(typed, dynamic, "{op} fma({acc}, {a}, {b})");
             }
-        }
-    }
-
-    struct Kind;
-    impl F32SemiringVisitor for Kind {
-        type Output = OpKind;
-        fn visit<S: Semiring<Elem = f32>>(self) -> OpKind {
-            S::KIND
-        }
-    }
-
-    #[test]
-    fn visitor_selects_matching_kind() {
-        for op in ALL_OPS {
-            assert_eq!(visit_f32_semiring(op, Kind), op);
         }
     }
 

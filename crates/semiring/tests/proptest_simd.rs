@@ -7,7 +7,9 @@
 //! row-sweep leaf ([`simd::sweep_row`]) makes the same promise at every
 //! row width. These properties sample raw bit patterns (so specials appear with their
 //! natural density) plus a deterministic overlay of adversarial values,
-//! and compare each supported ISA against [`KernelIsa::Scalar`].
+//! and compare each supported ISA against [`KernelIsa::Scalar`] through
+//! [`simd::same_bits`] (exact bits; for two NaNs, exact payloads in
+//! unoptimised builds only).
 
 use proptest::prelude::*;
 use simd2_semiring::precision::quantize_f16;
@@ -86,9 +88,8 @@ proptest! {
             let mut got = vec![0.0f32; n * n];
             simd::mmo_tile(isa, op, &a, &b, &c, &mut got, n);
             for (i, (x, y)) in want.iter().zip(&got).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
+                prop_assert!(
+                    simd::same_bits(*y, *x),
                     "{} n={} isa={} element {} ({:e} vs {:e})",
                     op, n, isa, i, x, y
                 );
@@ -121,9 +122,8 @@ proptest! {
             let mut got = c.clone();
             simd::mmo_chain(isa, op, &a, &b, &mut got);
             for (i, (x, y)) in want.iter().zip(&got).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
+                prop_assert!(
+                    simd::same_bits(*y, *x),
                     "{} chain of {} isa={} element {} ({:e} vs {:e})",
                     op, tiles, isa, i, x, y
                 );
@@ -160,9 +160,8 @@ proptest! {
             let mut got = acc.clone();
             simd::sweep_row(isa, op, ks, &vals, &b, ldb, &mut got);
             for (j, (x, y)) in want.iter().zip(&got).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
+                prop_assert!(
+                    simd::same_bits(*y, *x),
                     "{} n={} ldb={} walk={:?} isa={} column {} ({:e} vs {:e})",
                     op, n, ldb, ks, isa, j, x, y
                 );
@@ -216,10 +215,7 @@ fn row_sweep_matches_the_scalar_leaf_at_every_width() {
             for isa in vector_tiers() {
                 let mut got = acc.clone();
                 simd::sweep_row(isa, op, &ks, &vals, &b, n, &mut got);
-                let same = want
-                    .iter()
-                    .zip(&got)
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                let same = want.iter().zip(&got).all(|(x, y)| simd::same_bits(*y, *x));
                 assert!(same, "{op} n={n} isa={isa}");
             }
         }

@@ -12,8 +12,8 @@
 //!
 //! Operands carry the hostile values each op's annihilator contract
 //! admits (see [`hostile`]): stored `±0.0`, `±∞`, NaN payloads,
-//! values that underflow to zero in fp16. `SIMD2_SPARSE_SMOKE` runs this
-//! suite on the detected ISA and again under `SIMD2_FORCE_SCALAR`.
+//! values that underflow to zero in fp16. `scripts/verify.sh --full` runs
+//! this suite on the detected ISA and again under `SIMD2_FORCE_SCALAR`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

@@ -7,7 +7,6 @@
 //! simd2 asm check  <file.s>          assemble, print encodings
 //! simd2 asm run    <file.s>          assemble and execute on the warp executor
 //! simd2 asm build  <file.s> <out>    assemble to a binary program image
-//! simd2 experiments                  list the table/figure harnesses
 //! ```
 
 use std::process::ExitCode;
@@ -24,7 +23,7 @@ fn usage() -> ExitCode {
         "usage:\n  simd2 ops\n  simd2 solve --op <op> --n <dim> [--seed S] [--algorithm \
          leyzorek|bellman-ford] [--backend reference|tiled|isa] [--no-convergence]\n  simd2 \
          micro --op <op> --n <dim>\n  simd2 asm check|run <file.s>\n  simd2 asm build <file.s> \
-         <out.bin>\n  simd2 experiments"
+         <out.bin>"
     );
     ExitCode::from(2)
 }
@@ -232,28 +231,6 @@ fn cmd_asm(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_experiments() -> ExitCode {
-    println!("table/figure harnesses (run with `cargo run -p simd2-bench --bin <name>`):");
-    for (name, what) in [
-        ("table4_apps", "Table 4: application inventory"),
-        ("table5_area", "Table 5: area/power/die model"),
-        ("fig09_micro", "Figure 9: square microbenchmarks"),
-        ("fig10_nonsquare", "Figure 10: non-square microbenchmarks"),
-        ("fig11_apps", "Figure 11: application speedups"),
-        ("fig12_ablation", "Figure 12: algorithm ablation"),
-        ("fig13_sparse", "Figure 13: sparse SIMD2 units"),
-        ("fig14_crossover", "Figure 14: spGEMM-vs-dense crossover"),
-        ("validate_apps", "§5.1 correctness validation sweep"),
-        ("ablate_sharing", "ablation: datapath sharing"),
-        ("ablate_precision", "ablation: fp32/fp16/int8 operands"),
-        ("ablate_fused_vector", "ablation: fused-vector ISA"),
-        ("ablate_tile_shape", "ablation: 4x4 vs 8x8 units"),
-    ] {
-        println!("  {name:<22} {what}");
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -261,7 +238,6 @@ fn main() -> ExitCode {
         Some("solve") => cmd_solve(&args[1..]),
         Some("micro") => cmd_micro(&args[1..]),
         Some("asm") => cmd_asm(&args[1..]),
-        Some("experiments") => cmd_experiments(),
         _ => usage(),
     }
 }
