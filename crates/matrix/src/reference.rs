@@ -5,7 +5,7 @@
 //! matrix unit, the ISA executor and the applications. Nothing here is
 //! performance-tuned on purpose.
 
-use simd2_semiring::{OpKind, Semiring};
+use simd2_semiring::OpKind;
 
 use crate::{Matrix, ShapeError};
 
@@ -54,32 +54,6 @@ pub fn mmo(op: OpKind, a: &Matrix, b: &Matrix, c: &Matrix) -> Result<Matrix, Sha
     Ok(d)
 }
 
-/// Reference `D = C ⊕ (A ⊗ B)` monomorphised over a typed [`Semiring`].
-///
-/// # Errors
-///
-/// Returns a [`ShapeError`] when the operand shapes are incompatible.
-pub fn mmo_typed<S: Semiring<Elem = f32>>(
-    a: &Matrix,
-    b: &Matrix,
-    c: &Matrix,
-) -> Result<Matrix, ShapeError> {
-    check_mmo_shapes(a, b, c)?;
-    let (m, n, k) = (a.rows(), b.cols(), a.cols());
-    let mut d = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        for j in 0..n {
-            let mut acc = S::reduce_identity();
-            for (l, &av) in arow.iter().enumerate().take(k) {
-                acc = S::fma(acc, av, b[(l, j)]);
-            }
-            d[(i, j)] = S::reduce(c[(i, j)], acc);
-        }
-    }
-    Ok(d)
-}
-
 /// Element-wise `⊕` of two equal-shape matrices.
 ///
 /// # Errors
@@ -97,7 +71,7 @@ pub fn ewise_reduce(op: OpKind, a: &Matrix, b: &Matrix) -> Result<Matrix, ShapeE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simd2_semiring::{MinPlus, PlusMul, ALL_OPS};
+    use simd2_semiring::ALL_OPS;
 
     fn small() -> (Matrix, Matrix, Matrix) {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
@@ -143,7 +117,12 @@ mod tests {
             impl simd2_semiring::KernelVisitor for V<'_> {
                 type Output = Matrix;
                 fn visit<K: simd2_semiring::SemiringKernel>(self) -> Matrix {
-                    mmo_typed::<K>(self.0, self.1, self.2).unwrap()
+                    let Self(a, b, c) = self;
+                    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+                        let dot = (0..a.cols())
+                            .fold(K::IDENTITY, |acc, l| K::fma(acc, a[(i, l)], b[(l, j)]));
+                        K::reduce(c[(i, j)], dot)
+                    })
                 }
             }
             let typed = simd2_semiring::dispatch_kernel(op, V(&a, &b, &c));
@@ -156,7 +135,7 @@ mod tests {
         let a = Matrix::from_fn(2, 5, |r, c| (r + c) as f32);
         let b = Matrix::from_fn(5, 3, |r, c| (r * c) as f32);
         let c = Matrix::zeros(2, 3);
-        let d = mmo_typed::<PlusMul>(&a, &b, &c).unwrap();
+        let d = mmo(OpKind::PlusMul, &a, &b, &c).unwrap();
         assert_eq!(d.shape(), (2, 3));
         // Spot check d[1][2]: sum_l (1+l) * (2l) = 2*(0+2+6+12+20) ... compute:
         // l=0: 1*0=0, l=1: 2*2=4, l=2: 3*4=12, l=3: 4*6=24, l=4: 5*8=40 → 80
@@ -172,7 +151,7 @@ mod tests {
         let b = Matrix::zeros(3, 2);
         let c_bad = Matrix::zeros(3, 2); // accumulator mismatch
         assert!(mmo(OpKind::PlusMul, &a, &b, &c_bad).is_err());
-        assert!(mmo_typed::<MinPlus>(&a, &b, &c_bad).is_err());
+        assert!(mmo(OpKind::MinPlus, &a, &b, &c_bad).is_err());
     }
 
     #[test]

@@ -58,8 +58,13 @@
 //! multiply and add (a fused FMA would round once instead of twice and
 //! diverge from the scalar oracle), and the min/max semirings wrap
 //! `min_ps`/`max_ps` in a NaN-aware blend or mask reproducing Rust's
-//! `f32::min`/`f32::max` operand semantics. See DESIGN.md § "SIMD kernel
-//! dispatch" for the full lowering table. The suites compare through
+//! `f32::min`/`f32::max` operand semantics. Where a cheaper lowering is
+//! the same bits the x86 chain leaves take it, chosen by the op's type
+//! and the operands in hand, never by a switch: or-and chains run on
+//! bit masks and materialise `1.0`/`0.0` once, and min-max / max-min
+//! drop the NaN handling on tile pairs that hold no NaN. See DESIGN.md
+//! § "SIMD kernel dispatch" for the full lowering table and the
+//! arguments. The suites compare through
 //! [`same_bits`], which says what "exactly" means for two NaNs.
 
 #[cfg(target_arch = "aarch64")]
@@ -95,10 +100,11 @@ pub const SWEEP_STRIP: usize = 64;
 
 /// CPU features relevant to kernel selection, probed at runtime.
 ///
-/// Only the features the kernel layer actually keys on are represented;
-/// `fma` is probed because the AVX2 tier requires the full
-/// Haswell-generation feature pair even though the plus-mul lowering
-/// deliberately does not fuse (see the module docs on bit identity).
+/// Only the features the kernel layer actually keys on are represented.
+/// The AVX2 tier requires the whole Haswell-generation set: `f16c` is
+/// what its fp16 quantiser converts with, and `fma` is probed even
+/// though the plus-mul lowering deliberately does not fuse (see the
+/// module docs on bit identity).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CpuFeatures {
     /// AVX-512 Foundation (16-lane `f32` vectors).
@@ -107,6 +113,9 @@ pub struct CpuFeatures {
     pub avx2: bool,
     /// Fused multiply-add (gates the AVX2 tier alongside `avx2`).
     pub fma: bool,
+    /// Half-precision conversion (gates the AVX2 tier alongside `avx2`;
+    /// the vector fp16 quantiser is `vcvtps2ph` + `vcvtph2ps`).
+    pub f16c: bool,
     /// AArch64 Advanced SIMD (4-lane `f32` vectors).
     pub neon: bool,
 }
@@ -120,6 +129,7 @@ impl CpuFeatures {
                 avx512f: std::arch::is_x86_feature_detected!("avx512f"),
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
                 fma: std::arch::is_x86_feature_detected!("fma"),
+                f16c: std::arch::is_x86_feature_detected!("f16c"),
                 neon: false,
             }
         }
@@ -148,7 +158,7 @@ pub fn cpu_features() -> CpuFeatures {
 pub enum KernelIsa {
     /// 16-lane AVX-512F kernels (one vector per 16-wide tile row).
     Avx512,
-    /// 8-lane AVX2 kernels (requires FMA to be present as well).
+    /// 8-lane AVX2 kernels (requires FMA and F16C to be present as well).
     Avx2,
     /// 4-lane AArch64 NEON kernels.
     Neon,
@@ -190,7 +200,7 @@ impl KernelIsa {
         let f = cpu_features();
         match self {
             KernelIsa::Avx512 => f.avx512f,
-            KernelIsa::Avx2 => f.avx2 && f.fma,
+            KernelIsa::Avx2 => f.avx2 && f.fma && f.f16c,
             KernelIsa::Neon => f.neon,
             KernelIsa::Scalar => true,
         }
@@ -445,15 +455,17 @@ pub fn sweep_row(
 /// when `isa` is a vector tier the host supports.
 ///
 /// Bit-identical to [`crate::precision::quantize_f16_slice`] on every
-/// path — the AVX2 lowering has been exhaustively verified against the
-/// scalar quantiser over all 2³² `f32` bit patterns (NaN payloads,
-/// subnormals and overflow included), and the identity proptests keep
-/// pinning it. A scalar `isa` always takes the scalar loop, so the
-/// forced-scalar leg exercises the oracle end to end.
+/// path — `scripts/verify.sh --full` compares the vector lowering (the
+/// hardware conversion pair, NaN payloads patched to the software rule)
+/// with the scalar quantiser over all 2³² `f32` bit patterns, and the
+/// identity proptests pin it in every test run. A scalar `isa` always
+/// takes the scalar loop, so the forced-scalar leg exercises the oracle
+/// end to end.
 pub fn quantize_f16_slice(isa: KernelIsa, xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if isa.lanes() > 1 && cpu_features().avx2 {
-        // SAFETY: the guard proved avx2 is available on this CPU.
+    if isa.lanes() > 1 && cpu_features().avx2 && cpu_features().f16c {
+        // SAFETY: the guard proved avx2 and f16c, the features the leaf
+        // enables, are available on this CPU.
         unsafe { x86::quantize_f16_avx2(xs) };
         return;
     }
@@ -608,6 +620,11 @@ mod tests {
 
     #[test]
     fn with_isa_downgrades_unsupported_tiers_to_scalar() {
+        let f = cpu_features();
+        assert_eq!(KernelIsa::Avx2.is_supported(), f.avx2 && f.fma && f.f16c);
+        let xs: [f32; 11] =
+            std::array::from_fn(|i| [0.1, -65520.0, 1.0e-7, f32::NAN][i % 4] * (i + 1) as f32);
+        let want = xs.map(|x| crate::precision::quantize_f16(x).to_bits());
         for isa in KernelIsa::ALL {
             let k = SelectedKernel::with_isa(isa);
             if isa.is_supported() {
@@ -615,6 +632,10 @@ mod tests {
             } else {
                 assert_eq!(k.isa(), KernelIsa::Scalar);
             }
+            // The quantiser takes the raw tier and guards its own leaf.
+            let mut got = xs;
+            quantize_f16_slice(isa, &mut got);
+            assert_eq!(got.map(f32::to_bits), want, "{isa}");
         }
     }
 
@@ -704,9 +725,10 @@ mod tests {
     fn vector_quantize_matches_scalar_on_boundary_neighbourhoods() {
         // Dense scans around every case boundary of the fp16 round trip:
         // zero/subnormal (2^-25), subnormal/normal (2^-14), rounding
-        // carry into infinity, and the NaN payload rewrite. The AVX2
-        // lowering was verified exhaustively over all 2^32 patterns
-        // offline; this keeps the contract pinned in CI.
+        // carry into infinity, and the NaN payload rewrite. All 2^32
+        // patterns are compared by `scripts/verify.sh --full` (the
+        // ignored test in `tests/proptest_simd.rs`); this keeps the
+        // contract pinned in every test run.
         let mut patterns: Vec<u32> = Vec::new();
         for base in [
             0x0000_0000u32, // ±0 and smallest subnormals

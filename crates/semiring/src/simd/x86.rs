@@ -2,9 +2,9 @@
 //!
 //! # Safety contract (every leaf)
 //!
-//! * The caller has verified at runtime that the CPU supports the leaf's
-//!   target feature (`super::run` only enters a leaf behind a
-//!   `cpu_features()` guard).
+//! * The caller has verified at runtime that the CPU supports every
+//!   target feature the leaf enables (the dispatchers in `super` only
+//!   enter a leaf behind a `cpu_features()` guard).
 //! * Tile leaves: `a`, `b`, `c` and `d` are flat row-major `n × n`
 //!   slices and `n ≤ MAX_TILE` (asserted by `super::mmo_tile`); all
 //!   pointer arithmetic stays inside `n * n` elements. Chain leaves:
@@ -31,15 +31,31 @@
 //!   mask folds the blend into the `min`/`max` itself) that reproduces
 //!   the scalar semantics exactly
 //!   (validated lane-wise against `f32::min`/`f32::max` over NaN
-//!   payloads, sNaN, ±0, infinities and denormals).
+//!   payloads, sNaN, ±0, infinities and denormals). The wrapper only
+//!   differs from the bare instruction, operands swapped, in lanes whose
+//!   first operand is NaN. min-max and max-min never compute a new
+//!   value — `⊗` and `⊕` both return one of their operands — so on a
+//!   tile pair that holds no NaN no term or partial is NaN either, and
+//!   the chain leaves run that pair's trees on the bare instruction
+//!   (`*_ord`): the same bits, ±0 ties included, in one op instead of
+//!   two (three on AVX2). The test is per tile pair, and a pair with a
+//!   NaN anywhere keeps the wrappers.
 //! * or-and — truthiness is `x != 0.0` with NaN truthy, which is the
 //!   unordered-or-unequal predicate `_CMP_NEQ_UQ`; the boolean result is
-//!   materialised as `1.0`/`0.0` by masking a splat of `1.0`.
+//!   materialised as `1.0`/`0.0` by masking a splat of `1.0`. The chain
+//!   leaves do that once per chain: operands are compared to bit masks
+//!   as they are read and the `k` loop is AND/OR on those bits
+//!   ([`or_and_chain_avx512`]). Every `⊕` of the term-by-term lowering
+//!   already canonicalises to `1.0`/`0.0`, so the stored tile is the
+//!   same; an empty chain stores nothing.
+//! * fp16 quantisation — the hardware round trip, with the software
+//!   NaN payload rule on NaN lanes; see [`quantize_f16_ps`].
 
 use core::arch::x86_64::*;
 
 use crate::kernel::SemiringKernel;
 use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul, PlusNorm};
+use crate::OpKind;
 
 use super::{scalar, CHAIN_ELEMS, CHAIN_TILE, MAX_TILE, SWEEP_STRIP};
 
@@ -141,90 +157,29 @@ unsafe fn truthy_ps512(v: __m512) -> __mmask16 {
 
 /// Lane-wise fp16 quantisation (`f32 → binary16 → f32` round trip with
 /// round-to-nearest-even), bit-identical to
-/// [`crate::precision::quantize_f16`] — **exhaustively verified against
-/// it over all 2³² `f32` bit patterns**, including NaN payload rewriting,
-/// subnormal targets and overflow-to-infinity.
+/// [`crate::precision::quantize_f16`] on all 2³² `f32` bit patterns
+/// (`quantiser_matches_the_scalar_round_trip_on_every_bit_pattern` in
+/// `tests/proptest_simd.rs`, run by `scripts/verify.sh --full`).
 ///
-/// Entirely integer arithmetic except one exact power-of-two float
-/// multiply: `h << 13` reinterpreted as `f32` carries the f16 exponent
-/// field in place, and scaling by `2¹¹²` rebiases normals exactly while
-/// renormalising subnormal f16 values (both products are powers of two
-/// times representable values, so no rounding occurs).
+/// The round trip is the hardware's (`vcvtps2ph` with RNE, then
+/// `vcvtph2ps`): rounding, subnormal targets, overflow to infinity and
+/// signed zeros are IEEE on both sides. Only NaN differs: the hardware
+/// keeps the sign, quietens and truncates the payload to its top ten
+/// bits, and the software round trip additionally sets the lowest
+/// payload bit in each direction — bits 13 and 0 of the result — which
+/// NaN lanes get OR-ed in.
 ///
 /// # Safety
 ///
-/// Requires AVX2 enabled on the calling stack.
+/// Requires AVX and F16C enabled on the calling stack.
 #[inline(always)]
 unsafe fn quantize_f16_ps(v: __m256) -> __m256 {
-    // SAFETY: caller provides AVX2 per this function's contract.
+    // SAFETY: caller provides AVX and F16C per this function's contract.
     unsafe {
-        let bits = _mm256_castps_si256(v);
-        let sign = _mm256_and_si256(bits, _mm256_set1_epi32(i32::MIN));
-        let abs = _mm256_and_si256(bits, _mm256_set1_epi32(0x7FFF_FFFF));
-
-        // Normal/overflow target (|x| >= 2^-14): RNE-fold 13 mantissa
-        // bits with the carry propagating naturally into the exponent,
-        // rebias 127→15, clamp to the infinity encoding.
-        let tie = _mm256_and_si256(_mm256_srli_epi32::<13>(abs), _mm256_set1_epi32(1));
-        let rounded = _mm256_add_epi32(_mm256_add_epi32(abs, _mm256_set1_epi32(0xFFF)), tie);
-        let h_norm = _mm256_sub_epi32(_mm256_srli_epi32::<13>(rounded), _mm256_set1_epi32(0x1C000));
-        let h_norm = _mm256_min_epi32(h_norm, _mm256_set1_epi32(0x7C00));
-
-        // Subnormal target (2^-25 <= |x| < 2^-14): variable right shift
-        // of the 24-bit significand with RNE on the shifted-out bits.
-        let exp = _mm256_srli_epi32::<23>(abs);
-        let shift = _mm256_sub_epi32(_mm256_set1_epi32(126), exp);
-        let sig = _mm256_or_si256(
-            _mm256_and_si256(abs, _mm256_set1_epi32(0x7F_FFFF)),
-            _mm256_set1_epi32(0x80_0000),
-        );
-        let shifted = _mm256_srlv_epi32(sig, shift);
-        let low_mask = _mm256_sub_epi32(
-            _mm256_sllv_epi32(_mm256_set1_epi32(1), shift),
-            _mm256_set1_epi32(1),
-        );
-        let rem = _mm256_and_si256(sig, low_mask);
-        let halfway_m1 = _mm256_sub_epi32(
-            _mm256_srli_epi32::<1>(_mm256_add_epi32(low_mask, _mm256_set1_epi32(1))),
-            _mm256_set1_epi32(1),
-        );
-        let stie = _mm256_and_si256(shifted, _mm256_set1_epi32(1));
-        let srnd = _mm256_srlv_epi32(
-            _mm256_add_epi32(_mm256_add_epi32(rem, halfway_m1), stie),
-            shift,
-        );
-        let h_sub = _mm256_add_epi32(shifted, srnd);
-
-        // Select the f16 magnitude: normal, subnormal, or zero
-        // (|x| < 2^-25 rounds to signed zero even at the halfway point).
-        let m_norm = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x387F_FFFF));
-        let m_nonzero = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x32FF_FFFF));
-        let h = _mm256_blendv_epi8(_mm256_and_si256(h_sub, m_nonzero), h_norm, m_norm);
-
-        // Decode back to f32: one exact scaling multiply, then pin the
-        // infinity encoding (2^16 from the multiply) to a real infinity.
-        let f = _mm256_mul_ps(
-            _mm256_castsi256_ps(_mm256_slli_epi32::<13>(h)),
-            _mm256_castsi256_ps(_mm256_set1_epi32(0x7780_0000)),
-        );
-        let fbits = _mm256_castps_si256(f);
-        let m_inf = _mm256_cmpeq_epi32(h, _mm256_set1_epi32(0x7C00));
-        let fbits = _mm256_blendv_epi8(fbits, _mm256_set1_epi32(0x7F80_0000), m_inf);
-        let out = _mm256_or_si256(sign, fbits);
-
-        // NaN lanes: the composed payload rewrite of the scalar round
-        // trip (quiet bit + top-10 payload bits + the sticky low bits
-        // both conversion directions set).
-        let m_nan = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7F80_0000));
-        let nan_man = _mm256_or_si256(
-            _mm256_and_si256(_mm256_srli_epi32::<13>(abs), _mm256_set1_epi32(0x3FF)),
-            _mm256_set1_epi32(0x201),
-        );
-        let nan_out = _mm256_or_si256(
-            _mm256_or_si256(sign, _mm256_set1_epi32(0x7F80_0000)),
-            _mm256_or_si256(_mm256_slli_epi32::<13>(nan_man), _mm256_set1_epi32(1)),
-        );
-        _mm256_castsi256_ps(_mm256_blendv_epi8(out, nan_out, m_nan))
+        let q = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v));
+        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+        let sticky = _mm256_castsi256_ps(_mm256_set1_epi32(0x2001));
+        _mm256_or_ps(q, _mm256_and_ps(nan, sticky))
     }
 }
 
@@ -234,15 +189,15 @@ unsafe fn quantize_f16_ps(v: __m256) -> __m256 {
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
-#[target_feature(enable = "avx2")]
+/// The CPU must support AVX2 and F16C.
+#[target_feature(enable = "avx2,f16c")]
 pub(super) unsafe fn quantize_f16_avx2(xs: &mut [f32]) {
     let full = xs.len() - xs.len() % LANES256;
     let mut i = 0;
     while i < full {
         // SAFETY: i + LANES256 <= xs.len(); `xs` is exclusively borrowed.
         let v = unsafe { _mm256_loadu_ps(xs.as_ptr().add(i)) };
-        // SAFETY: this leaf enables AVX2.
+        // SAFETY: this leaf enables AVX2 and F16C.
         let q = unsafe { quantize_f16_ps(v) };
         // SAFETY: same in-bounds argument as the load.
         unsafe { _mm256_storeu_ps(xs.as_mut_ptr().add(i), q) };
@@ -262,6 +217,12 @@ pub(super) unsafe fn quantize_f16_avx2(xs: &mut [f32]) {
 /// Both methods must match the scalar `combine`/`reduce` lane-wise, bit
 /// for bit.
 pub(super) trait Kernel256: SemiringKernel {
+    /// Whether `⊗` and `⊕` both only *select* one of their operands, so
+    /// NaN-free operands give a NaN-free result and the chain leaf may
+    /// use [`combine_ord`](Self::combine_ord) /
+    /// [`reduce_ord`](Self::reduce_ord) on tile pairs that carry no NaN.
+    const SELECTS: bool = false;
+
     /// Vector `⊗`.
     ///
     /// # Safety
@@ -275,6 +236,31 @@ pub(super) trait Kernel256: SemiringKernel {
     ///
     /// Requires AVX2 enabled on the calling stack.
     unsafe fn reduce_v(a: __m256, b: __m256) -> __m256;
+
+    /// Vector `⊗` for operands known to hold no NaN: the same bits as
+    /// [`combine_v`](Self::combine_v) there, in fewer instructions where
+    /// the lowering can drop its NaN handling.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 enabled on the calling stack.
+    #[inline(always)]
+    unsafe fn combine_ord(a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the same contract as `combine_v`.
+        unsafe { Self::combine_v(a, b) }
+    }
+
+    /// Vector `⊕` for operands known to hold no NaN (see
+    /// [`combine_ord`](Self::combine_ord)).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 enabled on the calling stack.
+    #[inline(always)]
+    unsafe fn reduce_ord(a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the same contract as `reduce_v`.
+        unsafe { Self::reduce_v(a, b) }
+    }
 }
 
 /// A semiring lowered to 512-bit (AVX-512F) vector `⊗`/`⊕`.
@@ -282,6 +268,12 @@ pub(super) trait Kernel256: SemiringKernel {
 /// Both methods must match the scalar `combine`/`reduce` lane-wise, bit
 /// for bit.
 pub(super) trait Kernel512: SemiringKernel {
+    /// Whether `⊗` and `⊕` both only *select* one of their operands, so
+    /// NaN-free operands give a NaN-free result and the chain leaf may
+    /// use [`combine_ord`](Self::combine_ord) /
+    /// [`reduce_ord`](Self::reduce_ord) on tile pairs that carry no NaN.
+    const SELECTS: bool = false;
+
     /// Vector `⊗`.
     ///
     /// # Safety
@@ -295,14 +287,42 @@ pub(super) trait Kernel512: SemiringKernel {
     ///
     /// Requires AVX-512F enabled on the calling stack.
     unsafe fn reduce_v(a: __m512, b: __m512) -> __m512;
+
+    /// Vector `⊗` for operands known to hold no NaN: the same bits as
+    /// [`combine_v`](Self::combine_v) there, in fewer instructions where
+    /// the lowering can drop its NaN handling.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F enabled on the calling stack.
+    #[inline(always)]
+    unsafe fn combine_ord(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: the same contract as `combine_v`.
+        unsafe { Self::combine_v(a, b) }
+    }
+
+    /// Vector `⊕` for operands known to hold no NaN (see
+    /// [`combine_ord`](Self::combine_ord)).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F enabled on the calling stack.
+    #[inline(always)]
+    unsafe fn reduce_ord(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: the same contract as `reduce_v`.
+        unsafe { Self::reduce_v(a, b) }
+    }
 }
 
 /// Implements both vector lowerings for one semiring from lane-wise
-/// expressions shared across widths.
+/// expressions shared across widths. The optional `ordered` tail gives
+/// the NaN-free forms of a semiring whose `⊗` and `⊕` both only select.
 macro_rules! lower {
     ($kernel:ty,
      combine($ca:ident, $cb:ident) = $c256:expr, $c512:expr,
-     reduce($ra:ident, $rb:ident) = $r256:expr, $r512:expr $(,)?) => {
+     reduce($ra:ident, $rb:ident) = $r256:expr, $r512:expr
+     $(, ordered combine = $oc256:expr, $oc512:expr,
+        reduce = $or256:expr, $or512:expr)? $(,)?) => {
         impl Kernel256 for $kernel {
             #[inline(always)]
             unsafe fn combine_v($ca: __m256, $cb: __m256) -> __m256 {
@@ -314,6 +334,19 @@ macro_rules! lower {
                 // SAFETY: AVX2 on the calling stack per the trait contract.
                 unsafe { $r256 }
             }
+            $(
+                const SELECTS: bool = true;
+                #[inline(always)]
+                unsafe fn combine_ord($ca: __m256, $cb: __m256) -> __m256 {
+                    // SAFETY: AVX2 on the calling stack per the trait contract.
+                    unsafe { $oc256 }
+                }
+                #[inline(always)]
+                unsafe fn reduce_ord($ra: __m256, $rb: __m256) -> __m256 {
+                    // SAFETY: AVX2 on the calling stack per the trait contract.
+                    unsafe { $or256 }
+                }
+            )?
         }
         impl Kernel512 for $kernel {
             #[inline(always)]
@@ -326,6 +359,19 @@ macro_rules! lower {
                 // SAFETY: AVX-512F on the calling stack per the trait contract.
                 unsafe { $r512 }
             }
+            $(
+                const SELECTS: bool = true;
+                #[inline(always)]
+                unsafe fn combine_ord($ca: __m512, $cb: __m512) -> __m512 {
+                    // SAFETY: AVX-512F on the calling stack per the trait contract.
+                    unsafe { $oc512 }
+                }
+                #[inline(always)]
+                unsafe fn reduce_ord($ra: __m512, $rb: __m512) -> __m512 {
+                    // SAFETY: AVX-512F on the calling stack per the trait contract.
+                    unsafe { $or512 }
+                }
+            )?
         }
     };
 }
@@ -366,12 +412,20 @@ lower!(
     reduce(a, b) = max_ps(a, b),
     max_ps512(a, b),
 );
+// min-max / max-min only select: where neither operand is NaN the
+// NaN-aware wrappers above reduce to the bare instruction with the same
+// (swapped) operand order — the blend takes the `min`/`max` side in
+// every lane, the AVX-512 write mask is all ones.
 lower!(
     MinMax,
     combine(a, b) = max_ps(a, b),
     max_ps512(a, b),
     reduce(a, b) = min_ps(a, b),
     min_ps512(a, b),
+    ordered combine = _mm256_max_ps(b, a),
+    _mm512_max_ps(b, a),
+    reduce = _mm256_min_ps(b, a),
+    _mm512_min_ps(b, a),
 );
 lower!(
     MaxMin,
@@ -379,6 +433,10 @@ lower!(
     min_ps512(a, b),
     reduce(a, b) = max_ps(a, b),
     max_ps512(a, b),
+    ordered combine = _mm256_min_ps(b, a),
+    _mm512_min_ps(b, a),
+    reduce = _mm256_max_ps(b, a),
+    _mm512_max_ps(b, a),
 );
 // or-and: packed-mask bitwise ops. `reduce` inputs are arbitrary f32
 // (any non-zero is truthy), so both sides re-derive truthiness masks.
@@ -567,6 +625,15 @@ macro_rules! tree16 {
 /// for bit. Register budget: 16 `B` rows + ≤ 6 partials + the broadcast
 /// of 32 `zmm`.
 ///
+/// Two lowerings depend on what is being chained. Or-and leaves for
+/// [`or_and_chain_avx512`], which never forms an `f32` term. A
+/// selecting semiring ([`Kernel512::SELECTS`]) tests each tile pair for
+/// NaN — one unordered compare per row pair — and runs the pair's trees
+/// on the `_ord` forms when there is none: every term and partial is
+/// then one of the pair's elements, so the trees see no NaN either. The
+/// accumulator comes from unquantised `C`, so the last fold of each row
+/// keeps [`Kernel512::reduce_v`].
+///
 /// # Safety
 ///
 /// * The CPU must support AVX-512F.
@@ -575,6 +642,9 @@ macro_rules! tree16 {
 ///   `super::mmo_chain`).
 #[target_feature(enable = "avx512f")]
 pub(super) unsafe fn mmo_chain_avx512<K: Kernel512>(a: &[f32], b: &[f32], acc: &mut [f32]) {
+    if matches!(K::KIND, OpKind::OrAnd) {
+        return or_and_chain_avx512(a, b, acc);
+    }
     let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
     let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
     let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
@@ -586,35 +656,145 @@ pub(super) unsafe fn mmo_chain_avx512<K: Kernel512>(a: &[f32], b: &[f32], acc: &
             // SAFETY: `row` is exactly 16 contiguous `f32`s.
             *v = unsafe { _mm512_loadu_ps(row.as_ptr()) };
         }
-        for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
-            macro_rules! term {
-                ($k:literal) => {
-                    // SAFETY: this leaf enables AVX-512F.
-                    unsafe { K::combine_v(_mm512_set1_ps(ar[$k]), bv[$k]) }
-                };
+        let ordered = K::SELECTS && {
+            let mut nan = 0;
+            for (row, v) in a_rows.iter().zip(&bv) {
+                // SAFETY: `row` is exactly 16 contiguous `f32`s.
+                let av = unsafe { _mm512_loadu_ps(row.as_ptr()) };
+                nan |= _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(av, *v);
             }
-            macro_rules! fold {
-                ($x:expr, $y:expr) => {{
-                    let (x, y) = ($x, $y);
-                    // SAFETY: this leaf enables AVX-512F.
-                    unsafe { K::reduce_v(x, y) }
-                }};
-            }
-            let reduced = tree16!(fold, term);
-            // SAFETY: `dr` is exactly 16 contiguous `f32`s.
-            let cv = unsafe { _mm512_loadu_ps(dr.as_ptr()) };
-            let dv = fold!(cv, reduced);
-            // SAFETY: as the load; `dr` is exclusively borrowed.
-            unsafe { _mm512_storeu_ps(dr.as_mut_ptr(), dv) };
+            nan == 0
+        };
+        if ordered {
+            chain_rows_avx512::<K, true>(a_rows, &bv, acc_rows);
+        } else {
+            chain_rows_avx512::<K, false>(a_rows, &bv, acc_rows);
         }
     }
 }
 
-/// AVX2 chain kernel: the same chain as [`mmo_chain_avx512`] with each
-/// tile row split into two 8-lane halves. Sixteen `ymm` registers
-/// cannot hold a `B` tile, so the `B` half-rows are L1 memory operands
-/// of the `⊗`; the tree partials and the accumulator half-row still
-/// never leave registers.
+/// One tile pair of [`mmo_chain_avx512`]: `acc ← acc ⊕ (A ⊗ B)` with the
+/// `B` tile in `bv`. `ORD` puts the trees on the `_ord` forms, which is
+/// the same bits only for a selecting semiring on a tile pair without
+/// NaN. Safe to call wherever AVX-512F is enabled.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn chain_rows_avx512<K: Kernel512, const ORD: bool>(
+    a_rows: &[[f32; CHAIN_TILE]],
+    bv: &[__m512; CHAIN_TILE],
+    acc_rows: &mut [[f32; CHAIN_TILE]],
+) {
+    for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
+        macro_rules! term {
+            ($k:literal) => {{
+                let av = _mm512_set1_ps(ar[$k]);
+                // SAFETY: this function enables AVX-512F.
+                unsafe {
+                    if ORD {
+                        K::combine_ord(av, bv[$k])
+                    } else {
+                        K::combine_v(av, bv[$k])
+                    }
+                }
+            }};
+        }
+        macro_rules! fold {
+            ($x:expr, $y:expr) => {{
+                let (x, y) = ($x, $y);
+                // SAFETY: this function enables AVX-512F.
+                unsafe {
+                    if ORD {
+                        K::reduce_ord(x, y)
+                    } else {
+                        K::reduce_v(x, y)
+                    }
+                }
+            }};
+        }
+        let reduced = tree16!(fold, term);
+        // SAFETY: `dr` is exactly 16 contiguous `f32`s.
+        let cv = unsafe { _mm512_loadu_ps(dr.as_ptr()) };
+        // SAFETY: this function enables AVX-512F.
+        let dv = unsafe { K::reduce_v(cv, reduced) };
+        // SAFETY: as the load; `dr` is exclusively borrowed.
+        unsafe { _mm512_storeu_ps(dr.as_mut_ptr(), dv) };
+    }
+}
+
+/// The truthiness (`x != 0.0`, NaN truthy) of a 16×16 tile as one
+/// 16-bit mask per *column*: bit `i` of lane `j` for element `(i, j)`.
+/// One compare and one masked broadcast-OR per row; the masks never
+/// leave the vector unit.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn truthy_columns_avx512(tile: &[f32; CHAIN_ELEMS]) -> __m512i {
+    let (rows, _) = tile.as_chunks::<CHAIN_TILE>();
+    let mut cols = _mm512_setzero_si512();
+    for (i, row) in rows.iter().enumerate() {
+        // SAFETY: `row` is exactly 16 contiguous `f32`s, and this
+        // function enables AVX-512F.
+        let truthy = unsafe { truthy_ps512(_mm512_loadu_ps(row.as_ptr())) };
+        cols = _mm512_mask_or_epi32(cols, truthy, cols, _mm512_set1_epi32(1 << i));
+    }
+    cols
+}
+
+/// The or-and chain on lane masks. Or-and reads its operands only for
+/// truthiness and, past the first tile pair, writes only `1.0`/`0.0`, so
+/// the whole chain is boolean: output `(i, j)` is truthy where the
+/// accumulator was, or where some `A[i][k]` and `B[k][j]` both are.
+/// Lanes stay output columns, as in every other leaf, but a lane holds
+/// its column's 16 rows as bits: step `k` of a tile pair ORs column `k`
+/// of `A` — the rows that read `B` row `k` — into the lanes where `B`
+/// row `k` is truthy (one compare for the write mask, one lane
+/// broadcast, one masked OR). `1.0`/`0.0` is materialised once, after
+/// the last pair — what the term-by-term lowering leaves after the
+/// first.
+///
+/// Safe to call wherever AVX-512F is enabled; shapes as for
+/// [`mmo_chain_avx512`] (every vector access is a bounds-checked whole
+/// row, so a shape error cannot reach memory).
+#[target_feature(enable = "avx512f")]
+fn or_and_chain_avx512(a: &[f32], b: &[f32], acc: &mut [f32]) {
+    let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
+    let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
+    // `acc` is exactly one tile (asserted by `super::mmo_chain`).
+    let Some(acc) = acc.first_chunk_mut::<CHAIN_ELEMS>() else {
+        return;
+    };
+    if a_tiles.is_empty() {
+        // An empty chain leaves `acc` untouched, non-canonical truthy
+        // values included.
+        return;
+    }
+    let mut out = truthy_columns_avx512(acc);
+    for (at, bt) in a_tiles.iter().zip(b_tiles) {
+        let a_cols = truthy_columns_avx512(at);
+        let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
+        for (k, row) in b_rows.iter().enumerate() {
+            // SAFETY: `row` is exactly 16 contiguous `f32`s, and this
+            // function enables AVX-512F.
+            let b_row = unsafe { truthy_ps512(_mm512_loadu_ps(row.as_ptr())) };
+            let a_col = _mm512_permutexvar_epi32(_mm512_set1_epi32(k as i32), a_cols);
+            out = _mm512_mask_or_epi32(out, b_row, out, a_col);
+        }
+    }
+    let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
+    for (i, dr) in acc_rows.iter_mut().enumerate() {
+        let on = _mm512_test_epi32_mask(out, _mm512_set1_epi32(1 << i));
+        let dv = _mm512_maskz_mov_ps(on, _mm512_set1_ps(1.0));
+        // SAFETY: `dr` is exactly 16 contiguous `f32`s, exclusively
+        // borrowed.
+        unsafe { _mm512_storeu_ps(dr.as_mut_ptr(), dv) };
+    }
+}
+
+/// AVX2 chain kernel: the same chain as [`mmo_chain_avx512`] — the
+/// or-and and NaN-free selecting lowerings included — with each tile row
+/// split into two 8-lane halves. Sixteen `ymm` registers cannot hold a
+/// `B` tile, so the `B` half-rows are L1 memory operands of the `⊗`; the
+/// tree partials and the accumulator half-row still never leave
+/// registers.
 ///
 /// # Safety
 ///
@@ -622,41 +802,146 @@ pub(super) unsafe fn mmo_chain_avx512<K: Kernel512>(a: &[f32], b: &[f32], acc: &
 /// * Shapes as for [`mmo_chain_avx512`].
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn mmo_chain_avx2<K: Kernel256>(a: &[f32], b: &[f32], acc: &mut [f32]) {
+    if matches!(K::KIND, OpKind::OrAnd) {
+        return or_and_chain_avx2(a, b, acc);
+    }
     let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
     let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
     let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
     for (at, bt) in a_tiles.iter().zip(b_tiles) {
         let (a_rows, _) = at.as_chunks::<CHAIN_TILE>();
         let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
-        for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
-            for half in [0, LANES256] {
-                macro_rules! term {
-                    ($k:literal) => {
-                        // SAFETY: this leaf enables AVX2, and the 8-lane
-                        // load at `half ∈ {0, 8}` ends within the
-                        // 16-element row.
-                        unsafe {
-                            K::combine_v(
-                                _mm256_set1_ps(ar[$k]),
-                                _mm256_loadu_ps(b_rows[$k].as_ptr().add(half)),
-                            )
-                        }
-                    };
-                }
-                macro_rules! fold {
-                    ($x:expr, $y:expr) => {{
-                        let (x, y) = ($x, $y);
-                        // SAFETY: this leaf enables AVX2.
-                        unsafe { K::reduce_v(x, y) }
-                    }};
-                }
-                let reduced = tree16!(fold, term);
-                // SAFETY: `half + 8 <= 16`, the length of `dr`.
-                let cv = unsafe { _mm256_loadu_ps(dr.as_ptr().add(half)) };
-                let dv = fold!(cv, reduced);
-                // SAFETY: as the load; `dr` is exclusively borrowed.
-                unsafe { _mm256_storeu_ps(dr.as_mut_ptr().add(half), dv) };
+        let ordered = K::SELECTS && {
+            let mut nan = _mm256_setzero_ps();
+            let (a_halves, _) = at.as_chunks::<LANES256>();
+            let (b_halves, _) = bt.as_chunks::<LANES256>();
+            for (ah, bh) in a_halves.iter().zip(b_halves) {
+                // SAFETY: `ah` and `bh` are exactly 8 contiguous `f32`s.
+                let (av, bv) =
+                    unsafe { (_mm256_loadu_ps(ah.as_ptr()), _mm256_loadu_ps(bh.as_ptr())) };
+                nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(av, bv));
             }
+            _mm256_movemask_ps(nan) == 0
+        };
+        if ordered {
+            chain_rows_avx2::<K, true>(a_rows, b_rows, acc_rows);
+        } else {
+            chain_rows_avx2::<K, false>(a_rows, b_rows, acc_rows);
+        }
+    }
+}
+
+/// One tile pair of [`mmo_chain_avx2`]; `ORD` as for
+/// [`chain_rows_avx512`]. Safe to call wherever AVX2 is enabled.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn chain_rows_avx2<K: Kernel256, const ORD: bool>(
+    a_rows: &[[f32; CHAIN_TILE]],
+    b_rows: &[[f32; CHAIN_TILE]],
+    acc_rows: &mut [[f32; CHAIN_TILE]],
+) {
+    for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
+        for half in [0, LANES256] {
+            macro_rules! term {
+                ($k:literal) => {{
+                    let av = _mm256_set1_ps(ar[$k]);
+                    // SAFETY: this function enables AVX2, and the
+                    // 8-lane load at `half ∈ {0, 8}` ends within the
+                    // 16-element row.
+                    unsafe {
+                        let bv = _mm256_loadu_ps(b_rows[$k].as_ptr().add(half));
+                        if ORD {
+                            K::combine_ord(av, bv)
+                        } else {
+                            K::combine_v(av, bv)
+                        }
+                    }
+                }};
+            }
+            macro_rules! fold {
+                ($x:expr, $y:expr) => {{
+                    let (x, y) = ($x, $y);
+                    // SAFETY: this function enables AVX2.
+                    unsafe {
+                        if ORD {
+                            K::reduce_ord(x, y)
+                        } else {
+                            K::reduce_v(x, y)
+                        }
+                    }
+                }};
+            }
+            let reduced = tree16!(fold, term);
+            // SAFETY: `half + 8 <= 16`, the length of `dr`.
+            let cv = unsafe { _mm256_loadu_ps(dr.as_ptr().add(half)) };
+            // SAFETY: this function enables AVX2.
+            let dv = unsafe { K::reduce_v(cv, reduced) };
+            // SAFETY: as the load; `dr` is exclusively borrowed.
+            unsafe { _mm256_storeu_ps(dr.as_mut_ptr().add(half), dv) };
+        }
+    }
+}
+
+/// [`truthy_columns_avx512`] as two 8-lane halves (columns 0–7 and
+/// 8–15).
+#[target_feature(enable = "avx2")]
+#[inline]
+fn truthy_columns_avx2(tile: &[f32; CHAIN_ELEMS]) -> [__m256i; 2] {
+    let (rows, _) = tile.as_chunks::<CHAIN_TILE>();
+    let mut cols = [_mm256_setzero_si256(); 2];
+    for (i, row) in rows.iter().enumerate() {
+        let bit = _mm256_castsi256_ps(_mm256_set1_epi32(1 << i));
+        let (halves, _) = row.as_chunks::<LANES256>();
+        for (c, half) in cols.iter_mut().zip(halves) {
+            // SAFETY: `half` is exactly 8 contiguous `f32`s, and this
+            // function enables AVX2.
+            let truthy = unsafe { truthy_ps(_mm256_loadu_ps(half.as_ptr())) };
+            *c = _mm256_or_si256(*c, _mm256_castps_si256(_mm256_and_ps(truthy, bit)));
+        }
+    }
+    cols
+}
+
+/// [`or_and_chain_avx512`] with each row of lanes split into two
+/// halves, the write mask of step `k` an AND with `B` row `k`'s
+/// all-ones truthy lanes. Safe to call wherever AVX2 is enabled.
+#[target_feature(enable = "avx2")]
+fn or_and_chain_avx2(a: &[f32], b: &[f32], acc: &mut [f32]) {
+    let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
+    let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
+    let Some(acc) = acc.first_chunk_mut::<CHAIN_ELEMS>() else {
+        return;
+    };
+    if a_tiles.is_empty() {
+        return;
+    }
+    let mut out = truthy_columns_avx2(acc);
+    for (at, bt) in a_tiles.iter().zip(b_tiles) {
+        let a_cols = truthy_columns_avx2(at);
+        let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
+        for (k, row) in b_rows.iter().enumerate() {
+            let lane = _mm256_set1_epi32((k % LANES256) as i32);
+            let a_col =
+                _mm256_castsi256_ps(_mm256_permutevar8x32_epi32(a_cols[k / LANES256], lane));
+            let (halves, _) = row.as_chunks::<LANES256>();
+            for (o, half) in out.iter_mut().zip(halves) {
+                // SAFETY: `half` is exactly 8 contiguous `f32`s, and
+                // this function enables AVX2.
+                let b_row = unsafe { truthy_ps(_mm256_loadu_ps(half.as_ptr())) };
+                *o = _mm256_or_si256(*o, _mm256_castps_si256(_mm256_and_ps(b_row, a_col)));
+            }
+        }
+    }
+    let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
+    for (i, dr) in acc_rows.iter_mut().enumerate() {
+        let bit = _mm256_set1_epi32(1 << i);
+        let (halves, _) = dr.as_chunks_mut::<LANES256>();
+        for (o, half) in out.iter().zip(halves) {
+            let on = _mm256_cmpeq_epi32(_mm256_and_si256(*o, bit), bit);
+            let dv = _mm256_and_ps(_mm256_castsi256_ps(on), _mm256_set1_ps(1.0));
+            // SAFETY: `half` is exactly 8 contiguous `f32`s, exclusively
+            // borrowed.
+            unsafe { _mm256_storeu_ps(half.as_mut_ptr(), dv) };
         }
     }
 }

@@ -9,7 +9,9 @@
 //! natural density) plus a deterministic overlay of adversarial values,
 //! and compare each supported ISA against [`KernelIsa::Scalar`] through
 //! [`simd::same_bits`] (exact bits; for two NaNs, exact payloads in
-//! unoptimised builds only).
+//! unoptimised builds only). That overlay puts a NaN into practically
+//! every 256-element tile, so the chain leaves' NaN-free lowering has a
+//! generator of its own ([`ordered_values`]) and chains that mix both.
 
 use proptest::prelude::*;
 use simd2_semiring::precision::quantize_f16;
@@ -52,6 +54,63 @@ fn values(len: usize, bits: &[u32], salt: u32) -> Vec<f32> {
             }
         })
         .collect()
+}
+
+/// `len` NaN-free values. With `ties`, three in four are a signed zero
+/// and the rest `±1.0`, so most `min`/`max` in a tree meet `+0.0`
+/// against `-0.0` and the sign of the output records the operand order
+/// of every one of them. Otherwise every third is a non-NaN
+/// [`SPECIALS`] entry (infinities, subnormals, f16 boundaries) and the
+/// rest arbitrary bit patterns, with one exponent bit cleared where the
+/// pattern was a NaN.
+fn ordered_values(len: usize, bits: &[u32], salt: u32, ties: bool) -> Vec<f32> {
+    const TIES: [f32; 8] = [0.0, -0.0, -0.0, 1.0, 0.0, -0.0, 0.0, -1.0];
+    (0..len)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
+            if ties {
+                TIES[(bits[i % bits.len()].wrapping_add(h) >> 13) as usize % TIES.len()]
+            } else if h.is_multiple_of(3) {
+                SPECIALS[1 + (h / 3) as usize % (SPECIALS.len() - 1)]
+            } else {
+                let x = f32::from_bits(bits[i % bits.len()].wrapping_add(i as u32));
+                if x.is_nan() {
+                    f32::from_bits(x.to_bits() & !0x4000_0000)
+                } else {
+                    x
+                }
+            }
+        })
+        .collect()
+}
+
+/// `len` mostly-falsy or-and operands: one element in eight is truthy
+/// and not the canonical `1.0` (NaN, a subnormal, `2.5`, `-1.0`), one in
+/// eight is `-0.0`, the rest `0.0` — so a tile MMO sets about a fifth
+/// of an all-false accumulator instead of all of it.
+fn sparse_truthy(len: usize, salt: u32) -> Vec<f32> {
+    const TRUTHY: [f32; 4] = [f32::NAN, 1.0e-40, 2.5, -1.0];
+    (0..len)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt) >> 7;
+            match h % 8 {
+                0 => TRUTHY[(h / 8) as usize % TRUTHY.len()],
+                1 => -0.0,
+                _ => 0.0,
+            }
+        })
+        .collect()
+}
+
+/// `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` pair by pair on the scalar per-tile leaf —
+/// the oracle of every chain property.
+fn scalar_chain(op: OpKind, a: &[f32], b: &[f32], c: &[f32]) -> Vec<f32> {
+    let mut want = c.to_vec();
+    for (at, bt) in a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS)) {
+        let acc = want.clone();
+        simd::mmo_tile(KernelIsa::Scalar, op, at, bt, &acc, &mut want, CHAIN_TILE);
+    }
+    want
 }
 
 /// The vector tiers available on this host (never empty — scalar is
@@ -112,11 +171,7 @@ proptest! {
         let b = values(tiles * CHAIN_ELEMS, &bits, salt.wrapping_add(1));
         let c = values(CHAIN_ELEMS, &bits, salt.wrapping_add(2));
 
-        let mut want = c.clone();
-        for (at, bt) in a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS)) {
-            let acc = want.clone();
-            simd::mmo_tile(KernelIsa::Scalar, op, at, bt, &acc, &mut want, CHAIN_TILE);
-        }
+        let want = scalar_chain(op, &a, &b, &c);
 
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
             let mut got = c.clone();
@@ -128,6 +183,87 @@ proptest! {
                     op, tiles, isa, i, x, y
                 );
             }
+        }
+    }
+
+    /// Chains of 3..=5 tile pairs in which each pair independently is
+    /// NaN-free or carries a NaN in `A` only, in `B` only or in both,
+    /// over a NaN-free or NaN-bearing accumulator: the selecting
+    /// semirings take their unmasked `min`/`max` lowering on exactly the
+    /// NaN-free pairs, switching route from pair to pair with the
+    /// accumulator carried across, and must equal the scalar leaf on
+    /// every tier whichever way each pair went.
+    #[test]
+    fn chains_mixing_nan_free_and_nan_bearing_pairs_match_the_scalar_leaf(
+        op in op_strategy(),
+        tiles in 3usize..=5,
+        nan_in in proptest::collection::vec(0u8..4, 5),
+        acc_nan in any::<bool>(),
+        ties in any::<bool>(),
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let nan_in = &nan_in[..tiles];
+        let mut a = ordered_values(tiles * CHAIN_ELEMS, &bits, salt, ties);
+        let mut b = ordered_values(tiles * CHAIN_ELEMS, &bits, salt.wrapping_add(1), ties);
+        let mut c = ordered_values(CHAIN_ELEMS, &bits, salt.wrapping_add(2), ties);
+        let spot = |t: usize, step: usize| {
+            t * CHAIN_ELEMS + (salt as usize).wrapping_mul(step + 2 * t) % CHAIN_ELEMS
+        };
+        for (t, &n) in nan_in.iter().enumerate() {
+            if n & 1 != 0 {
+                a[spot(t, 3)] = f32::NAN;
+            }
+            if n & 2 != 0 {
+                b[spot(t, 5)] = -f32::NAN;
+            }
+        }
+        if acc_nan {
+            c[spot(0, 7)] = f32::NAN;
+            c[spot(0, 11)] = f32::from_bits(0xFFC0_1234);
+        }
+        let want = scalar_chain(op, &a, &b, &c);
+
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+            let mut got = c.clone();
+            simd::mmo_chain(isa, op, &a, &b, &mut got);
+            for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                prop_assert!(
+                    simd::same_bits(*y, *x),
+                    "{} pairs {:?} acc_nan={} ties={} isa={} element {} ({:e} vs {:e})",
+                    op, nan_in, acc_nan, ties, isa, i, x, y
+                );
+            }
+        }
+    }
+
+    /// Or-and chains of 0..=4 pairs of mostly-falsy operands over an
+    /// accumulator of non-canonical values: truthiness is all the chain
+    /// may read (NaN and subnormals truthy, `-0.0` falsy), `1.0`/`0.0`
+    /// all a non-empty chain may write, and an empty chain must leave
+    /// the accumulator's bits alone — on every tier, so on the lane-mask
+    /// lowering of both x86 tiers.
+    #[test]
+    fn or_and_chains_read_truthiness_only_and_an_empty_chain_writes_nothing(
+        tiles in 0usize..=4,
+        salt in any::<u32>(),
+    ) {
+        const ACC: [f32; 8] = [0.0, f32::NAN, 0.0, -0.0, 2.5, 0.0, 1.0e-40, 1.0];
+        let a = sparse_truthy(tiles * CHAIN_ELEMS, salt);
+        let b = sparse_truthy(tiles * CHAIN_ELEMS, salt.wrapping_add(1));
+        let c: Vec<f32> = (0..CHAIN_ELEMS)
+            .map(|i| ACC[(i + i / CHAIN_TILE + salt as usize) % ACC.len()])
+            .collect();
+        let want = scalar_chain(OpKind::OrAnd, &a, &b, &c);
+
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+            let mut got = c.clone();
+            simd::mmo_chain(isa, OpKind::OrAnd, &a, &b, &mut got);
+            // Exact bits, NaN payloads included: an or-and chain never
+            // computes a NaN, it can only leave one in place.
+            let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "chain of {} isa={}", tiles, isa);
         }
     }
 
@@ -217,6 +353,34 @@ fn row_sweep_matches_the_scalar_leaf_at_every_width() {
                 simd::sweep_row(isa, op, &ks, &vals, &b, n, &mut got);
                 let same = want.iter().zip(&got).all(|(x, y)| simd::same_bits(*y, *x));
                 assert!(same, "{op} n={n} isa={isa}");
+            }
+        }
+    }
+}
+
+/// The vector quantiser == `precision::quantize_f16` on every one of
+/// the 2³² `f32` bit patterns, on every supported tier. Ignored in the
+/// default run for its length (≈ 20 s optimised, minutes unoptimised);
+/// `scripts/verify.sh --full` runs it with `--release`.
+#[test]
+#[ignore = "2^32 patterns: run with --release (scripts/verify.sh --full does)"]
+fn quantiser_matches_the_scalar_round_trip_on_every_bit_pattern() {
+    const BLOCK: u32 = 1 << 16;
+    let tiers = vector_tiers();
+    let mut want = vec![0u32; BLOCK as usize];
+    let mut got = vec![0.0f32; BLOCK as usize];
+    for base in (0..=u32::MAX).step_by(BLOCK as usize) {
+        // The scalar round trip is the slow side: once per block.
+        for (w, bits) in want.iter_mut().zip(base..) {
+            *w = quantize_f16(f32::from_bits(bits)).to_bits();
+        }
+        for &isa in &tiers {
+            for (x, bits) in got.iter_mut().zip(base..) {
+                *x = f32::from_bits(bits);
+            }
+            simd::quantize_f16_slice(isa, &mut got);
+            for ((g, w), bits) in got.iter().zip(&want).zip(base..) {
+                assert_eq!(g.to_bits(), *w, "{isa} on {bits:#010x}");
             }
         }
     }

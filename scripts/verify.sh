@@ -25,6 +25,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 # stay green on every host.
 SIMD2_FORCE_SCALAR=1 cargo test -q
 
+# The vector fp16 quantiser against the scalar round trip on all 2^32
+# `f32` bit patterns (the default run samples them).
+cargo test --release -q -p simd2-semiring --test proptest_simd -- --ignored every_bit_pattern
+
 # The benchmark package's own tests, on both legs: they pin the public
 # per-tile API, the benchmark's panel loop and the two engines to each
 # other, and fail here if a public-API change would stop a workload
