@@ -110,8 +110,8 @@ pub fn simd2<B: Backend>(
 
 /// Like [`simd2()`], but also records the solve's MMO sequence as a
 /// [`Plan`]: the algorithm runs eagerly through `backend` (same result,
-/// counters and telemetry), and the returned plan replays, batches, or
-/// prices that exact op sequence.
+/// counters and telemetry), and the returned plan replays or prices
+/// that exact op sequence.
 ///
 /// # Panics
 ///

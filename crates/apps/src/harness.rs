@@ -211,6 +211,38 @@ mod tests {
         }
     }
 
+    /// The premise behind one step per [`Backend::execute`] and one
+    /// dispatch per step: the paper's workloads are closure loops in
+    /// which every MMO reads the one before it.
+    #[test]
+    fn every_recorded_wave_is_one_step_wide() {
+        let algorithms = [ClosureAlgorithm::BellmanFord, ClosureAlgorithm::Leyzorek];
+        for app in AppKind::all().into_iter().chain(AppKind::streaming()) {
+            for algorithm in algorithms {
+                for convergence in [true, false] {
+                    let run = run_app(
+                        &mut TiledBackend::new(),
+                        app,
+                        32,
+                        SEED,
+                        algorithm,
+                        convergence,
+                    );
+                    let widest = run.plan.waves().iter().map(Vec::len).max();
+                    assert_eq!(
+                        widest,
+                        Some(1),
+                        "{app:?} {algorithm:?} convergence={convergence} recorded a wave of \
+                         mutually independent steps. Replay dispatches steps one by one; a \
+                         workload with waves wider than one is what an inter-step schedule \
+                         (batched dispatch, a wave scheduler) would need — bring it back \
+                         with this workload as its benchmark."
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn recording_is_observationally_identical_to_eager_execution() {
         let g = apsp::generate(32, 7);
@@ -244,16 +276,16 @@ mod tests {
             // The plan's static prediction agrees with the replayed count.
             let predicted = run.plan.predicted_op_count().tile_mmos;
             assert_eq!(predicted, seq.op_count().tile_mmos, "{app:?}");
-            // Batched replay on a worker pool does not change a bit.
-            let mut bat = TiledBackend::with_parallelism(Parallelism::Threads(4));
-            let br = PlanExecutor::batched()
-                .run(&run.plan, &mut bat)
-                .expect("batched replay");
-            assert_eq!(bat.op_count(), rec_be.op_count(), "{app:?}");
+            // Replay on a worker pool does not change a bit.
+            let mut par = TiledBackend::with_parallelism(Parallelism::Threads(4));
+            let pr = PlanExecutor::new()
+                .run(&run.plan, &mut par)
+                .expect("4-worker replay");
+            assert_eq!(par.op_count(), rec_be.op_count(), "{app:?}");
             for step in 0..run.plan.step_count() {
                 assert_eq!(
                     sr.step_output(step),
-                    br.step_output(step),
+                    pr.step_output(step),
                     "{app:?} #{step}"
                 );
             }

@@ -347,7 +347,7 @@ mod tests {
         assert_eq!(plan.step_count(), stats.steps);
 
         // The recorded plan replays bit-identically on every backend
-        // and dispatch shape — including the real CSR kernels.
+        // and worker count — including the real CSR kernels.
         type Replayer = Box<dyn FnMut(&Plan) -> Matrix>;
         let mut targets: Vec<(&str, Replayer)> = vec![
             (
@@ -361,9 +361,9 @@ mod tests {
                 }),
             ),
             (
-                "tiled batched",
+                "tiled, 4 workers",
                 Box::new(|p: &Plan| {
-                    PlanExecutor::batched()
+                    PlanExecutor::new()
                         .run(
                             p,
                             &mut TiledBackend::with_parallelism(Parallelism::Threads(4)),

@@ -1457,7 +1457,6 @@ fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
         max_queued_jobs: 64,
         cache_capacity: 1024,
         policy: RecoveryPolicy::Retry { attempts: 2 },
-        batched: true,
         optimize_plans: true,
         resume: ResumeConfig {
             quantum: 4,

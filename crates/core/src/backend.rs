@@ -16,10 +16,11 @@ use simd2_semiring::simd::{KernelIsa, CHAIN_ELEMS as TILE_ELEMS};
 use simd2_semiring::OpKind;
 
 use simd2_fault::{AbftConfig, FaultInjector, MmoUnit};
-use simd2_isa::{Dtype, ExecStats, Executor, Instruction, MatrixReg, SharedMemory};
+use simd2_isa::{ExecStats, Executor};
 use simd2_trace::{field, span, Counter, Tracer};
 
 use crate::error::BackendError;
+use crate::program::{compile_mmo, stage_operands};
 use crate::repr::{MatrixRef, OperandRepr};
 
 /// Process-global whole-matrix mmo count (traced backends only).
@@ -114,7 +115,7 @@ impl Parallelism {
     }
 }
 
-/// How [`Backend::execute`] schedules its steps.
+/// How [`Backend::execute`] schedules its step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Schedule {
     /// The backend's configured schedule (its [`Parallelism`] setting).
@@ -172,12 +173,12 @@ pub enum Degrade {
 
 /// A whole-matrix SIMD² operation engine.
 ///
-/// The one thing a backend implements is [`execute`](Self::execute): a
-/// run of `D = C ⊕ (A ⊗ B)` steps under a [`Schedule`]. Dense or
-/// declared operands, one step or many, configured or sequential are
-/// arguments of that entry, so a wrapper that forwards it forwards all
-/// of them; [`mmo`](Self::mmo) and [`mmo_ref`](Self::mmo_ref) are
-/// one-step conveniences over it that no implementor overrides.
+/// The one thing a backend implements is [`execute`](Self::execute): one
+/// `D = C ⊕ (A ⊗ B)` step under a [`Schedule`]. Dense or declared
+/// operands, configured or sequential are arguments of that entry, so a
+/// wrapper that forwards it forwards all of them; [`mmo`](Self::mmo) and
+/// [`mmo_ref`](Self::mmo_ref) are conveniences over it that no
+/// implementor overrides.
 ///
 /// Implementations must produce results equivalent to
 /// [`simd2_matrix::reference::mmo`] up to the backend's declared
@@ -190,15 +191,14 @@ pub trait Backend {
     /// Whether operands pass through fp16 (reduced precision).
     fn reduced_precision(&self) -> bool;
 
-    /// Executes *mutually independent* `D = C ⊕ (A ⊗ B)` steps,
-    /// returning one output per step in submission order.
+    /// Executes one `D = C ⊕ (A ⊗ B)` step.
     ///
-    /// A step's representation declarations ([`MmoArgs::reprs`]) and the
-    /// `schedule` are hints, never semantic changes: outputs and
-    /// counters must be **bit-identical** to running the same steps one
-    /// by one, all-dense, on one thread. Every step is validated
-    /// ([`MmoArgs::checked_grid`]) before any of them runs, so a
-    /// malformed step rejects the whole call without side effects.
+    /// The step's representation declarations ([`MmoArgs::reprs`]) and
+    /// the `schedule` are hints, never semantic changes: the output and
+    /// the counters must be **bit-identical** to running the step
+    /// all-dense on one thread. The step is validated
+    /// ([`MmoArgs::checked_grid`]) before it touches a datapath, so a
+    /// malformed step is rejected without side effects.
     ///
     /// # Errors
     ///
@@ -207,14 +207,9 @@ pub trait Backend {
     /// invalid for the operation, [`BackendError::Exec`] when the
     /// underlying engine faults, [`BackendError::Corruption`] when an
     /// enabled ABFT check detects a silently corrupted result, and
-    /// [`BackendError::WorkerPanic`] when a worker thread panicked. On
-    /// error no outputs are returned, but counters for steps that did
-    /// complete are retained.
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError>;
+    /// [`BackendError::WorkerPanic`] when a worker thread panicked. A
+    /// failed step contributes no counters.
+    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError>;
 
     /// Executes one all-dense `D = C ⊕ (A ⊗ B)` on the configured
     /// schedule.
@@ -260,8 +255,7 @@ pub trait Backend {
             c: c.matrix,
             reprs: [a.repr, b.repr, c.repr],
         };
-        let mut outputs = self.execute(&[step], Schedule::Configured)?;
-        Ok(outputs.pop().expect("one output per step"))
+        self.execute(&step, Schedule::Configured)
     }
 
     /// The backend's kernel tier and fault-log state. Wrappers forward
@@ -342,7 +336,7 @@ impl<'a> MmoArgs<'a> {
     /// [`check_mmo_operands_ref`](crate::validate::check_mmo_operands_ref)
     /// — the one gate every engine runs each step through before it
     /// touches a datapath, so a malformed step is rejected with the same
-    /// [`BackendError`] on every backend, schedule and batch size.
+    /// [`BackendError`] on every backend and schedule.
     ///
     /// # Errors
     ///
@@ -358,11 +352,6 @@ impl<'a> MmoArgs<'a> {
     }
 }
 
-/// [`MmoArgs::checked_grid`] for every step, before any of them runs.
-fn checked_grids(steps: &[MmoArgs<'_>]) -> Result<Vec<TileGrid>, BackendError> {
-    steps.iter().map(MmoArgs::checked_grid).collect()
-}
-
 /// Stringifies a worker's panic payload for [`BackendError::WorkerPanic`]
 /// (the `String` / `&str` cases cover `panic!` and `assert!`).
 fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -376,8 +365,8 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs every task on its own scoped worker thread and joins them all —
-/// the one place an engine spawns threads, whatever it parallelises
-/// (row panels of one step, whole steps of a batch, sparse row panels).
+/// the one place an engine spawns threads (the row panels of a dense or
+/// a sparse step).
 ///
 /// Returns each task's result in task order (`None` for a task that
 /// panicked) and the first panic in task order as a
@@ -511,26 +500,19 @@ impl Backend for ReferenceBackend {
         false
     }
 
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        _schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        let grids = checked_grids(steps)?;
-        let mut outputs = Vec::with_capacity(steps.len());
-        for (step, grid) in steps.iter().zip(&grids) {
-            begin_mmo(&self.tracer, step.op, grid, 1, KernelIsa::Scalar);
-            outputs.push(reference::mmo(step.op, step.a, step.b, step.c)?);
-            let delta = OpCount {
-                matrix_mmos: 1,
-                tile_mmos: grid.tile_ops() as u64,
-                tile_loads: (2 * grid.tile_ops() + grid.output_tiles()) as u64,
-                tile_stores: grid.output_tiles() as u64,
-            };
-            self.count += delta;
-            finish_mmo(&self.tracer, step.op, delta, KernelIsa::Scalar);
-        }
-        Ok(outputs)
+    fn execute(&mut self, step: &MmoArgs<'_>, _schedule: Schedule) -> Result<Matrix, BackendError> {
+        let grid = step.checked_grid()?;
+        begin_mmo(&self.tracer, step.op, &grid, 1, KernelIsa::Scalar);
+        let d = reference::mmo(step.op, step.a, step.b, step.c)?;
+        let delta = OpCount {
+            matrix_mmos: 1,
+            tile_mmos: grid.tile_ops() as u64,
+            tile_loads: (2 * grid.tile_ops() + grid.output_tiles()) as u64,
+            tile_stores: grid.output_tiles() as u64,
+        };
+        self.count += delta;
+        finish_mmo(&self.tracer, step.op, delta, KernelIsa::Scalar);
+        Ok(d)
     }
 
     fn op_count(&self) -> OpCount {
@@ -730,9 +712,9 @@ fn pack_chain<U: MmoUnit>(
 /// slab. Tiles are visited strip by strip, row-major within a strip.
 ///
 /// `units` is either a single unit that executes every strip (the
-/// sequential and batched schedules) or one worker shard per strip (the
-/// panel-parallel schedule, whose dispatcher absorbs shards strip-major
-/// so merged fault logs keep the sequential visit order).
+/// sequential schedule) or one worker shard per strip (the row-panel
+/// schedule, whose dispatcher absorbs shards strip-major so merged fault
+/// logs keep the sequential visit order).
 ///
 /// The counters stay the paper's *logical* tile traffic (Figure 6): one
 /// `C` load, two operand loads per `tk` step and one store per output
@@ -784,87 +766,7 @@ fn run_panel<U: MmoUnit>(
     count
 }
 
-/// Runs the whole of `grid` as one panel on `unit`, writing `d` and
-/// emitting the panel's [`span::TILE_PANEL`] summary — the sequential
-/// schedule of a step, and what each worker of a step-parallel batch
-/// runs on its shard.
-fn run_whole_grid<U: MmoUnit>(
-    unit: &mut U,
-    scratch: &mut PackScratch,
-    tracer: &Tracer,
-    step: &MmoArgs<'_>,
-    grid: &TileGrid,
-    d: &mut Matrix,
-) -> OpCount {
-    let panel = 0..grid.m_tiles;
-    let rows = grid.panel_rows(&panel).len();
-    let count = run_panel(
-        std::slice::from_mut(unit),
-        scratch,
-        step.op,
-        (step.a, step.b, step.c),
-        grid,
-        panel,
-        d.as_mut_slice(),
-    );
-    emit_tile_panel(tracer, 0, rows, count);
-    count
-}
-
 impl<U: MmoUnit + Send> TiledBackend<U> {
-    /// Books one completed step: its counters (plus the whole-matrix
-    /// count) and its [`span::MMO`] end event.
-    fn finish_step(&mut self, op: OpKind, mut delta: OpCount) {
-        delta.matrix_mmos = 1;
-        self.count += delta;
-        finish_mmo(&self.tracer, op, delta, self.unit.kernel_isa());
-    }
-
-    /// Executes one step with up to `workers` threads: as row panels
-    /// when there is more than one worker, more than one tile row and
-    /// the unit shards, else as a single panel on the parent unit — the
-    /// same [`run_panel`] either way, so the two are bit-identical.
-    fn run_step(
-        &mut self,
-        step: &MmoArgs<'_>,
-        grid: &TileGrid,
-        workers: usize,
-    ) -> Result<Matrix, BackendError> {
-        self.unit.begin_matrix_mmo();
-        begin_mmo(&self.tracer, step.op, grid, workers, self.unit.kernel_isa());
-        let mut d = Matrix::zeros(grid.m, grid.n);
-        // The row panels with one shard per `B` strip for each (see
-        // `run_panel`), if panels are worth having and the unit shards.
-        let sharded = (workers > 1 && grid.m_tiles > 1)
-            .then(|| grid.row_panels(workers))
-            .and_then(|panels| {
-                let strips = strip_count(grid);
-                let shards: Option<Vec<Vec<U>>> = panels
-                    .iter()
-                    .map(|_| (0..strips).map(|_| self.unit.shard()).collect())
-                    .collect();
-                Some((panels, shards?))
-            });
-        let count = match sharded {
-            Some((panels, shards)) => self.run_row_panels(step, grid, panels, shards, &mut d)?,
-            None => {
-                let mut scratch = self.scratch_pool.pop().unwrap_or_default();
-                let count = run_whole_grid(
-                    &mut self.unit,
-                    &mut scratch,
-                    &self.tracer,
-                    step,
-                    grid,
-                    &mut d,
-                );
-                self.scratch_pool.push(scratch);
-                count
-            }
-        };
-        self.finish_step(step.op, count);
-        Ok(d)
-    }
-
     /// The row-panel schedule of one step: output tile rows are split
     /// into one contiguous panel per worker ([`TileGrid::row_panels`]),
     /// each worker owns its panel's disjoint row slab of `d` and private
@@ -925,72 +827,6 @@ impl<U: MmoUnit + Send> TiledBackend<U> {
         }
         panic.map_or(Ok(total), Err)
     }
-
-    /// The step-parallel schedule of a batch: each step runs its *whole*
-    /// tile grid on one worker shard, with up to `workers` steps in
-    /// flight at a time — inter-step parallelism instead of the
-    /// intra-step row panels of [`run_step`](Self::run_step). Shards are
-    /// taken in step order (each after its own
-    /// [`MmoUnit::begin_matrix_mmo`]) and absorbed in step order, so
-    /// fault draws, merged logs and counters are identical to running
-    /// the same steps one by one; per-tile reduction order never
-    /// changes, so outputs are bit-identical too. A panicking step
-    /// surfaces as [`BackendError::WorkerPanic`] (with its step index as
-    /// the `panel`) after the in-flight chunk drains; completed steps
-    /// still count.
-    fn run_steps_parallel(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        grids: &[TileGrid],
-        workers: usize,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        let mut shards = Vec::with_capacity(steps.len());
-        for _ in steps {
-            self.unit.begin_matrix_mmo();
-            shards.push(
-                self.unit
-                    .shard()
-                    .expect("shard availability was probed before the batch began"),
-            );
-        }
-        let mut shards = shards.into_iter();
-        let mut outputs = Vec::with_capacity(steps.len());
-        for base in (0..steps.len()).step_by(workers) {
-            let chunk = base..(base + workers).min(steps.len());
-            let tasks: Vec<_> = chunk
-                .clone()
-                .zip(shards.by_ref())
-                .map(|(idx, mut shard)| {
-                    let (step, grid) = (&steps[idx], &grids[idx]);
-                    begin_mmo(&self.tracer, step.op, grid, 1, self.unit.kernel_isa());
-                    let tracer = self.tracer.clone();
-                    let mut scratch = self.scratch_pool.pop().unwrap_or_default();
-                    move || {
-                        let mut d = Matrix::zeros(grid.m, grid.n);
-                        let count =
-                            run_whole_grid(&mut shard, &mut scratch, &tracer, step, grid, &mut d);
-                        (d, count, shard, scratch)
-                    }
-                })
-                .collect();
-            let (joined, panic) = join_workers(tasks);
-            for (idx, done) in chunk.zip(joined) {
-                if let Some((d, count, shard, scratch)) = done {
-                    self.unit.absorb(shard);
-                    self.scratch_pool.push(scratch);
-                    self.finish_step(steps[idx].op, count);
-                    outputs.push(d);
-                }
-            }
-            if let Some(BackendError::WorkerPanic { panel, payload }) = panic {
-                return Err(BackendError::WorkerPanic {
-                    panel: base + panel,
-                    payload,
-                });
-            }
-        }
-        Ok(outputs)
-    }
 }
 
 impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
@@ -1002,28 +838,53 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
         self.unit.reduced_precision()
     }
 
-    /// One step runs as row panels, several as whole steps in parallel
-    /// (when more than one worker is configured and the unit shards;
-    /// one by one otherwise). Representation declarations are validated
-    /// and then ignored: this engine has only the dense datapath.
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        let grids = checked_grids(steps)?;
+    /// Runs the step as row panels when the schedule has more than one
+    /// worker, the grid more than one tile row and the unit shards, else
+    /// as a single panel on the parent unit — the same `run_panel`
+    /// either way, so the two are bit-identical. Representation
+    /// declarations are validated and then ignored: this engine has only
+    /// the dense datapath.
+    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
+        let grid = step.checked_grid()?;
         let workers = schedule.worker_count(self.parallelism);
-        if steps.len() > 1 && workers > 1 && self.unit.shard().is_some() {
-            return self.run_steps_parallel(steps, &grids, workers);
-        }
-        // Allocated before any step runs, so this small vector never
-        // sits above a step's output buffer in the heap (where it would
-        // keep the allocator from returning that buffer's pages).
-        let mut outputs = Vec::with_capacity(steps.len());
-        for (step, grid) in steps.iter().zip(&grids) {
-            outputs.push(self.run_step(step, grid, workers)?);
-        }
-        Ok(outputs)
+        self.unit.begin_matrix_mmo();
+        let isa = self.unit.kernel_isa();
+        begin_mmo(&self.tracer, step.op, &grid, workers, isa);
+        let mut d = Matrix::zeros(grid.m, grid.n);
+        // The row panels with one shard per `B` strip for each (see
+        // `run_panel`), if panels are worth having and the unit shards.
+        let sharded = (workers > 1 && grid.m_tiles > 1)
+            .then(|| grid.row_panels(workers))
+            .and_then(|panels| {
+                let strips = strip_count(&grid);
+                let shards: Option<Vec<Vec<U>>> = panels
+                    .iter()
+                    .map(|_| (0..strips).map(|_| self.unit.shard()).collect())
+                    .collect();
+                Some((panels, shards?))
+            });
+        let mut delta = match sharded {
+            Some((panels, shards)) => self.run_row_panels(step, &grid, panels, shards, &mut d)?,
+            None => {
+                let mut scratch = self.scratch_pool.pop().unwrap_or_default();
+                let count = run_panel(
+                    std::slice::from_mut(&mut self.unit),
+                    &mut scratch,
+                    step.op,
+                    (step.a, step.b, step.c),
+                    &grid,
+                    0..grid.m_tiles,
+                    d.as_mut_slice(),
+                );
+                self.scratch_pool.push(scratch);
+                emit_tile_panel(&self.tracer, 0, grid.m, count);
+                count
+            }
+        };
+        delta.matrix_mmos = 1;
+        self.count += delta;
+        finish_mmo(&self.tracer, step.op, delta, isa);
+        Ok(d)
     }
 
     fn health(&self) -> Health {
@@ -1116,94 +977,36 @@ impl IsaBackend {
     pub fn disable_verification(&mut self) {
         self.abft = None;
     }
+}
 
-    /// Lowers one validated step to an instruction stream and runs it
-    /// through the warp-level executor.
-    fn run_step(&mut self, step: &MmoArgs<'_>, grid: &TileGrid) -> Result<Matrix, BackendError> {
+impl Backend for IsaBackend {
+    fn name(&self) -> &'static str {
+        "SIMD2 ISA executor"
+    }
+
+    fn reduced_precision(&self) -> bool {
+        true
+    }
+
+    /// Lowers the step to a one-warp kernel ([`compile_mmo`]: load C,
+    /// stream the k tiles, store D, output tile by output tile), stages
+    /// the operands and runs it through the warp-level executor.
+    fn execute(&mut self, step: &MmoArgs<'_>, _schedule: Schedule) -> Result<Matrix, BackendError> {
+        let grid = step.checked_grid()?;
         let MmoArgs { op, a, b, c, .. } = *step;
-        let (m, n) = (grid.m, grid.n);
         // The executor drives a default `Simd2Unit`, so the datapath runs
         // on the process-wide selected kernel tier.
         let isa = Simd2Unit::new().kernel_isa();
-        begin_mmo(&self.tracer, op, grid, 1, isa);
-        let pads = tiling::pad_values(op);
-        let (mp, np, kp) = (
-            grid.m_tiles * ISA_TILE,
-            grid.n_tiles * ISA_TILE,
-            grid.k_tiles * ISA_TILE,
-        );
-
-        // Shared-memory layout: A | B | C/D, padded to tile multiples.
-        let a_base = 0usize;
-        let b_base = mp * kp;
-        let c_base = b_base + kp * np;
-        let total = c_base + mp * np;
-        let mut mem = SharedMemory::new(total);
-
-        let pad_write = |mem: &mut SharedMemory,
-                         base: usize,
-                         ld: usize,
-                         src: &Matrix,
-                         rows: usize,
-                         cols: usize,
-                         fill: f32| {
-            let padded = Matrix::from_fn(rows, cols, |r, c| src.get(r, c).unwrap_or(fill));
-            mem.write_matrix(base, ld, &padded)
-        };
-        pad_write(&mut mem, a_base, kp, a, mp, kp, pads.operand)?;
-        pad_write(&mut mem, b_base, np, b, kp, np, pads.operand)?;
-        pad_write(&mut mem, c_base, np, c, mp, np, pads.accumulator)?;
-
-        // One program: for each output tile, load C, stream the k tiles,
-        // store D in place of C.
-        let (ra, rb, rc) = (MatrixReg::new(0), MatrixReg::new(1), MatrixReg::new(2));
-        let mut program: Vec<Instruction> = Vec::new();
-        for (ti, tj) in grid.output_coords() {
-            let c_addr = (c_base + ti * ISA_TILE * np + tj * ISA_TILE) as u32;
-            program.push(Instruction::Load {
-                dst: rc,
-                dtype: Dtype::Fp32,
-                addr: c_addr,
-                ld: np as u32,
-            });
-            for tk in 0..grid.k_tiles {
-                let a_addr = (a_base + ti * ISA_TILE * kp + tk * ISA_TILE) as u32;
-                let b_addr = (b_base + tk * ISA_TILE * np + tj * ISA_TILE) as u32;
-                program.push(Instruction::Load {
-                    dst: ra,
-                    dtype: Dtype::Fp16,
-                    addr: a_addr,
-                    ld: kp as u32,
-                });
-                program.push(Instruction::Load {
-                    dst: rb,
-                    dtype: Dtype::Fp16,
-                    addr: b_addr,
-                    ld: np as u32,
-                });
-                program.push(Instruction::Mmo {
-                    op,
-                    d: rc,
-                    a: ra,
-                    b: rb,
-                    c: rc,
-                });
-            }
-            program.push(Instruction::Store {
-                src: rc,
-                addr: c_addr,
-                ld: np as u32,
-            });
-        }
-
-        let mut exec = Executor::new(mem);
+        begin_mmo(&self.tracer, op, &grid, 1, isa);
+        let kernel = compile_mmo(op, grid.m, grid.n, grid.k, 1);
+        let mut exec = Executor::new(stage_operands(&kernel, a, b, c)?);
         if let Some(injector) = self.injector.take() {
             exec.set_injector(injector);
         }
         if let Some(config) = self.abft {
             exec.enable_verification(config);
         }
-        let run = exec.run(&program);
+        let run = exec.run(&kernel.warp_programs[0]);
         // Recover the injector even on a detection, so its site counters
         // (and fault log) survive into the caller's retry.
         if let Some(injector) = exec.take_injector() {
@@ -1219,32 +1022,11 @@ impl IsaBackend {
         self.count += delta;
         finish_mmo(&self.tracer, op, delta, isa);
         self.exec_stats.merge(&stats);
-
-        let padded_d = exec.memory().read_matrix(c_base, np, mp, np)?;
-        Ok(Matrix::from_fn(m, n, |r, c| padded_d[(r, c)]))
-    }
-}
-
-impl Backend for IsaBackend {
-    fn name(&self) -> &'static str {
-        "SIMD2 ISA executor"
-    }
-
-    fn reduced_precision(&self) -> bool {
-        true
-    }
-
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        _schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        let grids = checked_grids(steps)?;
-        steps
-            .iter()
-            .zip(&grids)
-            .map(|(step, grid)| self.run_step(step, grid))
-            .collect()
+        let (_, np, _) = kernel.layout.padded;
+        let d = exec
+            .memory()
+            .read_matrix(kernel.layout.c_base, np, grid.m, grid.n)?;
+        Ok(d)
     }
 
     fn health(&self) -> Health {
@@ -1376,157 +1158,6 @@ mod tests {
         }
     }
 
-    /// A batch of independent steps over every op, with mixed ragged
-    /// shapes so step grids differ.
-    fn batch_operands() -> Vec<(OpKind, Matrix, Matrix, Matrix)> {
-        ALL_OPS
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| {
-                let (m, n, k) = (20 + 16 * (i % 3), 23 + 8 * (i % 2), 37);
-                let (a, b, c) = operands(op, m, n, k);
-                (op, a, b, c)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batched_steps_are_bit_identical_to_sequential_replay() {
-        let steps = batch_operands();
-        let args: Vec<MmoArgs<'_>> = steps
-            .iter()
-            .map(|(op, a, b, c)| MmoArgs::new(*op, a, b, c))
-            .collect();
-        let mut seq = TiledBackend::new();
-        let want: Vec<Matrix> = steps
-            .iter()
-            .map(|(op, a, b, c)| seq.mmo(*op, a, b, c).unwrap())
-            .collect();
-        for workers in [2usize, 3, 8] {
-            let mut be = TiledBackend::with_parallelism(Parallelism::Threads(workers));
-            let got = be.execute(&args, Schedule::Configured).unwrap();
-            assert_eq!(got.len(), want.len());
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    g.as_slice()
-                        .iter()
-                        .zip(w.as_slice())
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "step {i} with {workers} workers"
-                );
-            }
-            assert_eq!(be.op_count(), seq.op_count(), "{workers} workers");
-        }
-        // A backend with one schedule loops the steps.
-        let mut byref = ReferenceBackend::new();
-        let d = byref.execute(&args, Schedule::Configured).unwrap();
-        assert_eq!(d.len(), want.len());
-        assert_eq!(byref.op_count().matrix_mmos, args.len() as u64);
-    }
-
-    #[test]
-    fn batched_steps_count_and_trace_like_sequential() {
-        use simd2_trace::RingSink;
-        let steps = batch_operands();
-        let args: Vec<MmoArgs<'_>> = steps
-            .iter()
-            .map(|(op, a, b, c)| MmoArgs::new(*op, a, b, c))
-            .collect();
-        let ring = RingSink::shared();
-        let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4))
-            .with_tracer(Tracer::to(ring.clone()));
-        be.execute(&args, Schedule::Configured).unwrap();
-        let count = be.op_count();
-        assert_eq!(count.matrix_mmos, args.len() as u64);
-        let events = ring.events();
-        let sum = |key: &str| -> u64 {
-            events
-                .iter()
-                .filter(|e| e.span == span::MMO && e.kind == simd2_trace::EventKind::End)
-                .map(|e| e.u64(key).unwrap())
-                .sum()
-        };
-        assert_eq!(sum("tile_mmos"), count.tile_mmos);
-        assert_eq!(sum("tile_loads"), count.tile_loads);
-        assert_eq!(sum("tile_stores"), count.tile_stores);
-    }
-
-    #[test]
-    fn batched_faulty_units_reproduce_the_sequential_fault_log() {
-        use simd2_fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
-        let op = OpKind::PlusMul;
-        let steps: Vec<_> = (0..5).map(|i| operands(op, 36 + 16 * i, 40, 40)).collect();
-        let run = |parallelism, batched: bool| {
-            let plan = FaultPlan::new(FaultPlanConfig::new(7).with_bit_flip_ppm(200_000));
-            let unit = FaultySimd2Unit::new(Simd2Unit::new(), PlannedInjector::new(plan));
-            let mut be = TiledBackend::with_unit(unit);
-            be.set_parallelism(parallelism);
-            let outputs = if batched {
-                let args: Vec<MmoArgs<'_>> = steps
-                    .iter()
-                    .map(|(a, b, c)| MmoArgs::new(op, a, b, c))
-                    .collect();
-                be.execute(&args, Schedule::Configured).unwrap()
-            } else {
-                steps
-                    .iter()
-                    .map(|(a, b, c)| be.mmo(op, a, b, c).unwrap())
-                    .collect()
-            };
-            (outputs, be.unit().injector().log(), be.op_count())
-        };
-        let (d_seq, log_seq, count_seq) = run(Parallelism::Sequential, false);
-        let (d_bat, log_bat, count_bat) = run(Parallelism::Threads(3), true);
-        // Per-step `begin_matrix_mmo` in submission order + coordinate-
-        // addressed sites ⇒ identical strikes, logs, outputs, counters.
-        assert_eq!(log_seq, log_bat);
-        assert_eq!(d_seq, d_bat);
-        assert_eq!(count_seq, count_bat);
-        assert!(!log_seq.is_empty(), "campaign should have struck");
-    }
-
-    #[test]
-    fn batched_step_panic_surfaces_with_its_step_index() {
-        use simd2_fault::{PanicProbeUnit, PANIC_PROBE_PAYLOAD};
-        let op = OpKind::PlusMul;
-        let steps: Vec<_> = (0..4).map(|_| operands(op, 40, 23, 37)).collect();
-        // Every step's shard covers tile row 1 (40 rows → 3 tile rows),
-        // so every step trips; the *first* panic in step order wins.
-        let mut be = TiledBackend::with_unit(PanicProbeUnit::new(Simd2Unit::new(), 1));
-        be.set_parallelism(Parallelism::Threads(2));
-        let args: Vec<MmoArgs<'_>> = steps
-            .iter()
-            .map(|(a, b, c)| MmoArgs::new(op, a, b, c))
-            .collect();
-        let err = be.execute(&args, Schedule::Configured).unwrap_err();
-        match &err {
-            BackendError::WorkerPanic { panel, payload } => {
-                assert_eq!(*panel, 0, "first failed step index is reported");
-                assert!(payload.starts_with(PANIC_PROBE_PAYLOAD), "{payload}");
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-        // The backend stays usable sequentially (parent never panics).
-        let (a, b, c) = &steps[0];
-        be.execute(&[MmoArgs::new(op, a, b, c)], Schedule::Sequential)
-            .unwrap();
-    }
-
-    #[test]
-    fn malformed_batch_step_rejects_the_whole_batch_upfront() {
-        let op = OpKind::MinPlus;
-        let good = operands(op, 40, 40, 40);
-        let bad_b = Matrix::zeros(17, 40);
-        let args = [
-            MmoArgs::new(op, &good.0, &good.1, &good.2),
-            MmoArgs::new(op, &good.0, &bad_b, &good.2),
-        ];
-        let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4));
-        assert!(be.execute(&args, Schedule::Configured).is_err());
-        // Nothing executed: validation happens before any step runs.
-        assert_eq!(be.op_count(), OpCount::default());
-    }
-
     #[test]
     fn parallelism_knob_roundtrips_and_auto_resolves() {
         let mut be = TiledBackend::new();
@@ -1609,10 +1240,10 @@ mod tests {
         // The backend stays usable: the sequential schedule (parent
         // unit, not a shard) completes the same operation.
         let d = be
-            .execute(&[MmoArgs::new(op, &a, &b, &c)], Schedule::Sequential)
+            .execute(&MmoArgs::new(op, &a, &b, &c), Schedule::Sequential)
             .unwrap();
         let want = TiledBackend::new().mmo(op, &a, &b, &c).unwrap();
-        assert_eq!(d, [want]);
+        assert_eq!(d, want);
     }
 
     #[test]
@@ -1731,9 +1362,10 @@ mod tests {
         assert!(ReferenceBackend::new()
             .mmo(OpKind::PlusMul, &a, &b, &c)
             .is_err());
-        assert!(TiledBackend::new()
-            .mmo(OpKind::PlusMul, &a, &b, &c)
-            .is_err());
+        let mut tiled = TiledBackend::with_parallelism(Parallelism::Threads(4));
+        assert!(tiled.mmo(OpKind::PlusMul, &a, &b, &c).is_err());
+        // Validation happens before the datapath: nothing was counted.
+        assert_eq!(tiled.op_count(), OpCount::default());
         assert!(IsaBackend::new().mmo(OpKind::PlusMul, &a, &b, &c).is_err());
     }
 

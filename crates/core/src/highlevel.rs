@@ -119,8 +119,7 @@ impl Simd2Context {
     /// Like [`record`](Self::record), but `finish()` pipes the recorded
     /// plan through the [standard pass
     /// pipeline](crate::plan::passes::PassPipeline::standard) (CSE, dead-step
-    /// elimination from leaf roots, RAW-chain fusion, cost-model wave
-    /// scheduling) and yields an
+    /// elimination from leaf roots) and yields an
     /// [`OptimizedPlan`](crate::plan::passes::OptimizedPlan): the
     /// optimized plan plus the original→optimized step/slot remap and a
     /// [`PassReport`](crate::plan::passes::PassReport) of what changed.

@@ -16,9 +16,8 @@
 //!   implicit tiling/partitioning;
 //! * [`plan`] — the recorded plan IR: capture an algorithm's MMO
 //!   sequence once through a recording backend, then lower that one
-//!   artifact everywhere — sequential or wave-batched functional
-//!   replay, per-warp ISA kernels, and shape-level traces for the GPU
-//!   timing model;
+//!   artifact everywhere — step-by-step functional replay, per-warp
+//!   ISA kernels, and shape-level traces for the GPU timing model;
 //! * [`solve`] — the closure solvers of §4/§6.4: all-pairs Bellman-Ford
 //!   relaxation and Leyzorek repeated squaring, with and without
 //!   convergence checks, generic over any closure algebra;
@@ -51,9 +50,8 @@ pub use backend::{
 pub use error::BackendError;
 pub use highlevel::Simd2Context;
 pub use plan::passes::{
-    CsePass, DensityLoweringPass, DsePass, FusedChain, FusionPass, OptimizedPlan,
-    OptimizingRecorder, PassPipeline, PassReport, PassStats, PlanPass, RootPolicy,
-    WaveSchedulerPass,
+    CsePass, DensityLoweringPass, DsePass, OptimizedPlan, OptimizingRecorder, PassPipeline,
+    PassReport, PassStats, PlanPass, RootPolicy,
 };
 pub use plan::{
     Executor as PlanExecutor, HaltedReplay, Plan, PlanBuilder, PlanCheckpoint, PlanKey, Replay,

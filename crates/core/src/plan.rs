@@ -12,13 +12,12 @@
 //! delegates to a real one, so data-dependent control flow (convergence
 //! checks) records exactly the steps that actually ran.
 //!
-//! A single [`Executor`] then lowers a plan onto any [`Backend`]:
-//! sequentially (bit-identical to the eager run), or wave-batched —
-//! mutually independent steps of one plan (or several [merged](Plan::merge)
-//! plans) dispatched together in one [`Backend::execute`] call. The same
-//! plan also compiles to per-warp ISA kernels ([`Plan::compile`]) and
-//! exports shape-level traces ([`Plan::traces`]) that drive the GPU
-//! pipeline cost model — one recording, three lowerings.
+//! A single [`Executor`] then lowers a plan onto any [`Backend`], one
+//! [`Backend::execute`] call per step, bit-identical to the eager run.
+//! The same plan also compiles to per-warp ISA kernels
+//! ([`Plan::compile`]) and exports shape-level traces ([`Plan::traces`])
+//! that drive the GPU pipeline cost model — one recording, three
+//! lowerings.
 
 pub mod passes;
 
@@ -209,8 +208,8 @@ impl Plan {
 
     /// Topological dispatch levels: wave `w` holds the (ascending) step
     /// indices whose dependencies all completed in waves `< w`. Steps
-    /// within one wave are mutually independent — the unit of batched
-    /// dispatch through [`Backend::execute`].
+    /// within one wave are mutually independent; replay dispatches them
+    /// one by one, wave after wave.
     pub fn waves(&self) -> Vec<Vec<usize>> {
         let deps = self.dependencies();
         let mut level = vec![0usize; self.steps.len()];
@@ -354,10 +353,10 @@ impl Plan {
 
     /// Merges several plans into one: slots and step indices are
     /// renumbered plan-by-plan, and no cross-plan edges are introduced,
-    /// so steps from different plans land in the same waves and batch
-    /// together — the fan-out path for running independent recordings
-    /// through one [`Backend::execute`] dispatch. The merged plan is
-    /// reduced-precision if any constituent was.
+    /// so steps from different plans land in the same waves — the
+    /// fan-out path for running independent recordings through one
+    /// replay. The merged plan is reduced-precision if any constituent
+    /// was.
     pub fn merge<I: IntoIterator<Item = Plan>>(plans: I) -> Plan {
         let mut merged = Plan::default();
         for plan in plans {
@@ -576,20 +575,14 @@ impl<B: Backend> Backend for PlanBuilder<'_, B> {
         self.backend.reduced_precision()
     }
 
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
+    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
         // Execute first: the inner backend validates the declarations
         // (and may run its sparse kernels), and a failed call records
         // nothing, matching the counter/telemetry convention everywhere
         // else. The operand reprs ride into the slot arena.
-        let outputs = self.backend.execute(steps, schedule)?;
-        for (s, d) in steps.iter().zip(&outputs) {
-            self.record_mmo(s, d);
-        }
-        Ok(outputs)
+        let d = self.backend.execute(step, schedule)?;
+        self.record_mmo(step, &d);
+        Ok(d)
     }
 
     fn health(&self) -> Health {
@@ -633,12 +626,8 @@ pub enum ReplayHalt {
 
 /// A failed [`Executor::run`]: what went wrong, pinned to the step that
 /// died — a mid-replay error without the step index is useless to a
-/// caller managing many plans.
-///
-/// Attribution is exact for sequential dispatch (and for worker panics
-/// in batched dispatch, whose `panel` index identifies the step within
-/// the batch); other batched-dispatch errors are attributed to the
-/// wave's first step, the finest granularity batch dispatch reports.
+/// caller managing many plans. Every dispatch is one step, so the
+/// attribution is exact.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplayError {
     /// Index of the failing (or cancelled) step in the plan.
@@ -707,9 +696,9 @@ impl ReplayError {
 /// the halted and resumed runs is bit-identical (outputs, op counters,
 /// telemetry) to one uninterrupted replay.
 ///
-/// Completion is step-exact, not wave-rounded: a sequential halt midway
-/// through a wave keeps that wave's finished prefix, and a later
-/// (possibly batched) resume dispatches just the remainder.
+/// Completion is step-exact, not wave-rounded: a halt midway through a
+/// wave keeps that wave's finished prefix, and a later resume
+/// dispatches just the remainder.
 #[derive(Clone, Debug)]
 pub struct PlanCheckpoint {
     key: PlanKey,
@@ -769,17 +758,14 @@ pub struct HaltedReplay {
     pub checkpoint: PlanCheckpoint,
 }
 
-/// Progress snapshot handed to a [`ReplayControl`] before each dispatch
-/// (one step sequentially; one wave batched).
+/// Progress snapshot handed to a [`ReplayControl`] before each step is
+/// dispatched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplayProgress {
-    /// Index of the first step about to execute.
+    /// Index of the step about to execute.
     pub next_step: usize,
     /// Steps completed so far.
     pub completed_steps: usize,
-    /// Steps in the dispatch about to run (1 sequentially; the wave
-    /// size when batched).
-    pub pending_steps: usize,
     /// Total steps in the plan.
     pub total_steps: usize,
 }
@@ -807,31 +793,21 @@ impl<F: FnMut(ReplayProgress) -> Result<(), String>> ReplayControl for F {
 #[derive(Clone, Debug, Default)]
 pub struct Executor {
     tracer: Tracer,
-    batching: bool,
 }
 
 impl Executor {
-    /// A sequential executor: steps replay one by one, in recorded
-    /// order — bit-identical to the eager run that produced the plan.
+    /// The executor: steps replay one by one, wave after wave —
+    /// bit-identical to the eager run that produced the plan.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A batching executor: each dependency wave's mutually independent
-    /// steps are dispatched together in one [`Backend::execute`] call
-    /// (inter-step parallelism on backends that support it). Results
-    /// remain bit-identical to sequential replay.
+    /// The same executor as [`new`](Self::new). Wave-batched dispatch is
+    /// gone (every recorded workload's waves are one step wide); this
+    /// constructor survives only because `benchmark/` calls it and may
+    /// not change in the PR that removed batching.
     pub fn batched() -> Self {
-        Self {
-            batching: true,
-            ..Self::default()
-        }
-    }
-
-    /// Whether this executor dispatches each wave as one
-    /// [`Backend::execute`] call.
-    pub fn is_batching(&self) -> bool {
-        self.batching
+        Self::new()
     }
 
     /// Attaches a telemetry tracer: every [`run`](Self::run) emits a
@@ -853,13 +829,10 @@ impl Executor {
         &self.tracer
     }
 
-    /// Replays `plan` on `backend` and returns every slot's value.
-    ///
-    /// Sequential executors run steps in recorded order; batching
-    /// executors dispatch each dependency wave as one
-    /// [`Backend::execute`] call. Either way outputs are bit-identical to
-    /// the eager run that recorded the plan (given the same backend
-    /// configuration).
+    /// Replays `plan` on `backend` and returns every slot's value:
+    /// one [`Backend::execute`] call per step, wave after wave. Outputs
+    /// are bit-identical to the eager run that recorded the plan (given
+    /// the same backend configuration).
     ///
     /// # Errors
     ///
@@ -994,14 +967,7 @@ impl Executor {
                         field("steps", plan.step_count()),
                         field("slots", plan.slot_count()),
                         field("backend", backend.name()),
-                        field(
-                            "mode",
-                            if self.batching {
-                                "batched"
-                            } else {
-                                "sequential"
-                            },
-                        ),
+                        field("mode", "sequential"),
                     ],
                 );
                 0
@@ -1012,106 +978,67 @@ impl Executor {
                 .as_ref()
                 .expect("waves resolve every operand before its readers")
         }
-        // Consults the control before a dispatch of `pending` steps
-        // starting at `next`; a refusal becomes a step-attributed halt.
-        fn checkpoint<C: ReplayControl>(
-            control: &mut C,
-            plan: &Plan,
-            next: usize,
-            completed: usize,
-            pending: usize,
-        ) -> Result<(), ReplayError> {
-            control
-                .check(ReplayProgress {
-                    next_step: next,
-                    completed_steps: completed,
-                    pending_steps: pending,
-                    total_steps: plan.step_count(),
-                })
-                .map_err(|reason| ReplayError {
-                    step: next,
-                    slot: plan.steps[next].d,
-                    completed_steps: completed,
-                    halt: ReplayHalt::Cancelled { reason },
-                })
-        }
         let waves = plan.waves();
         let completed = values
             .iter()
             .zip(&plan.slots)
             .filter(|(v, s)| v.is_some() && matches!(s.origin, SlotOrigin::Step(_)))
             .count();
-        let mut run = |values: &mut Vec<Option<Matrix>>,
-                       control: &mut C|
-         -> Result<(), ReplayError> {
-            let mut completed = completed;
-            for (w, wave) in waves.iter().enumerate() {
-                // On resume, already-completed steps are skipped — they
-                // are neither control-checked nor dispatched, so the
-                // backend performs exactly the remaining work.
-                let todo: Vec<usize> = wave
-                    .iter()
-                    .copied()
-                    .filter(|&i| values[plan.steps[i].d.0].is_none())
-                    .collect();
-                if todo.is_empty() {
-                    // The halted run finished this wave and already
-                    // emitted its summary.
-                    continue;
-                }
-                // One dispatch per wave when batching, one per step
-                // otherwise; the declared representations ride along
-                // either way (bit-identical on every backend).
-                let width = if self.batching { todo.len() } else { 1 };
-                for group in todo.chunks(width) {
-                    let first = group[0];
-                    checkpoint(control, plan, first, completed, group.len())?;
-                    let args: Vec<MmoArgs<'_>> = group
-                        .iter()
-                        .map(|&i| {
-                            let s = &plan.steps[i];
-                            MmoArgs {
-                                op: s.op,
-                                a: operand(values, s.a),
-                                b: operand(values, s.b),
-                                c: operand(values, s.c),
-                                reprs: plan.step_reprs(i),
-                            }
-                        })
-                        .collect();
-                    let outputs = backend.execute(&args, Schedule::Configured).map_err(|e| {
-                        // A step-parallel dispatch reports a
-                        // panicking step's index within the batch
-                        // as `panel`; anything else is attributed
-                        // to the dispatch's first step.
-                        let step = match &e {
-                            BackendError::WorkerPanic { panel, .. }
-                                if group.len() > 1 && *panel < group.len() =>
-                            {
-                                group[*panel]
-                            }
-                            _ => first,
-                        };
-                        ReplayError {
-                            step,
-                            slot: plan.steps[step].d,
-                            completed_steps: completed,
-                            halt: ReplayHalt::Backend(e),
+        let mut run =
+            |values: &mut Vec<Option<Matrix>>, control: &mut C| -> Result<(), ReplayError> {
+                let mut completed = completed;
+                for (w, wave) in waves.iter().enumerate() {
+                    let mut dispatched = false;
+                    for &i in wave {
+                        let s = &plan.steps[i];
+                        if values[s.d.0].is_some() {
+                            // Completed before the halt this run resumes
+                            // from: neither control-checked nor dispatched,
+                            // so the backend performs exactly the remaining
+                            // work.
+                            continue;
                         }
-                    })?;
-                    drop(args);
-                    for (&i, d) in group.iter().zip(outputs) {
-                        values[plan.steps[i].d.0] = Some(d);
+                        let halted = |halt| ReplayError {
+                            step: i,
+                            slot: s.d,
+                            completed_steps: completed,
+                            halt,
+                        };
+                        control
+                            .check(ReplayProgress {
+                                next_step: i,
+                                completed_steps: completed,
+                                total_steps: plan.step_count(),
+                            })
+                            .map_err(|reason| halted(ReplayHalt::Cancelled { reason }))?;
+                        // The declared representations ride along
+                        // (bit-identical on every backend).
+                        let step = MmoArgs {
+                            op: s.op,
+                            a: operand(values, s.a),
+                            b: operand(values, s.b),
+                            c: operand(values, s.c),
+                            reprs: plan.step_reprs(i),
+                        };
+                        let d = backend
+                            .execute(&step, Schedule::Configured)
+                            .map_err(|e| halted(ReplayHalt::Backend(e)))?;
+                        values[s.d.0] = Some(d);
+                        completed += 1;
+                        dispatched = true;
                     }
-                    completed += group.len();
+                    if !dispatched {
+                        // The halted run finished this wave and already
+                        // emitted its summary.
+                        continue;
+                    }
+                    self.tracer.end(
+                        span::PLAN_WAVE,
+                        &[field("wave", w), field("steps", wave.len())],
+                    );
                 }
-                self.tracer.end(
-                    span::PLAN_WAVE,
-                    &[field("wave", w), field("steps", wave.len())],
-                );
-            }
-            Ok(())
-        };
+                Ok(())
+            };
         if let Err(error) = run(&mut values, control) {
             let outputs: Vec<Option<Matrix>> =
                 plan.steps.iter().map(|s| values[s.d.0].take()).collect();
@@ -1257,7 +1184,8 @@ mod tests {
         let waves = merged.waves();
         assert_eq!(waves.len(), 3);
         assert!(waves.iter().all(|w| w.len() == 3));
-        // Batched replay through the worker pool stays bit-identical.
+        // Replay on a worker pool stays bit-identical; `batched()` is
+        // the same executor as `new()`.
         let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4));
         let replay = Executor::batched().run(&merged, &mut be).unwrap();
         for (p, outs) in eager.iter().enumerate() {
@@ -1322,7 +1250,6 @@ mod tests {
         let (plan, _) = record_chain(OpKind::MinPlus);
         let ring = RingSink::shared();
         let exec = Executor::new().with_tracer(Tracer::to(ring.clone()));
-        assert!(!exec.is_batching());
         let mut be = TiledBackend::new();
         exec.run(&plan, &mut be).unwrap();
         let events = ring.events();
@@ -1425,21 +1352,18 @@ mod tests {
             be.set_parallelism(Parallelism::Threads(3));
             be
         };
-        // Sequential dispatch: steps 0 and 1 complete, step 2 panics.
-        let err = Executor::new().run(&plan, &mut probe()).unwrap_err();
-        assert_eq!(err.step, 2);
-        assert_eq!(err.slot, plan.steps()[2].d);
-        assert_eq!(err.completed_steps, 2);
-        assert!(matches!(
-            err.halt,
-            ReplayHalt::Backend(BackendError::WorkerPanic { .. })
-        ));
-        // Batched dispatch: the batch reports the panicking step's index
-        // within the wave, so attribution is exact there too.
-        let err = Executor::batched().run(&plan, &mut probe()).unwrap_err();
-        assert_eq!(err.step, 2);
-        assert_eq!(err.slot, plan.steps()[2].d);
-        assert_eq!(err.completed_steps, 0);
+        // One wave, three dispatches: steps 0 and 1 complete, step 2
+        // panics — under either constructor.
+        for exec in [Executor::new(), Executor::batched()] {
+            let err = exec.run(&plan, &mut probe()).unwrap_err();
+            assert_eq!(err.step, 2);
+            assert_eq!(err.slot, plan.steps()[2].d);
+            assert_eq!(err.completed_steps, 2);
+            assert!(matches!(
+                err.halt,
+                ReplayHalt::Backend(BackendError::WorkerPanic { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1447,7 +1371,7 @@ mod tests {
         let (plan, _) = record_chain(OpKind::MinPlus);
         let mut be = TiledBackend::new();
         let mut ctl = |p: ReplayProgress| {
-            if p.completed_steps + p.pending_steps <= 1 {
+            if p.completed_steps < 1 {
                 Ok(())
             } else {
                 Err("budget".to_string())
@@ -1505,7 +1429,7 @@ mod tests {
     /// Cancels once `stop_after` steps have completed.
     fn halt_after(stop_after: usize) -> impl FnMut(ReplayProgress) -> Result<(), String> {
         move |p: ReplayProgress| {
-            if p.completed_steps + p.pending_steps <= stop_after {
+            if p.completed_steps < stop_after {
                 Ok(())
             } else {
                 Err("budget".to_string())
@@ -1596,14 +1520,14 @@ mod tests {
         let plans: Vec<Plan> = ops.into_iter().map(|op| record_chain(op).0).collect();
         let eager: Vec<Vec<Matrix>> = ops.into_iter().map(|op| record_chain(op).1).collect();
         let merged = Plan::merge(plans);
-        // Sequential halt mid-wave: one of wave 0's three steps done.
+        // A halt mid-wave: one of wave 0's three steps done.
         let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4));
         let halted = Executor::new()
             .run_resumable(&merged, &mut be, &mut halt_after(1))
             .unwrap_err();
         assert_eq!(halted.checkpoint.completed_steps(), 1);
-        // The batched resume dispatches wave 0's remainder as a smaller
-        // batch, then the full later waves.
+        // The resume — through the surviving `batched()` constructor —
+        // dispatches wave 0's remainder, then the full later waves.
         let replay = Executor::batched()
             .resume_from(&merged, halted.checkpoint, &mut be, &mut approve())
             .unwrap();

@@ -19,10 +19,6 @@
 //! * [`DsePass`] — dead-step elimination from live output roots
 //!   ([`RootPolicy`]), dropping steps (and orphaned slots) nothing
 //!   live reads.
-//! * [`FusionPass`] — annotates maximal same-op, same-output-shape RAW
-//!   chains ([`FusedChain`], read back through
-//!   [`OptimizedPlan::chains`]); an analysis only — replay does not act
-//!   on the annotations.
 //! * [`DensityLoweringPass`] — the Fig 14 density crossover as a plan
 //!   rewrite: input slots whose measured
 //!   [`density`](crate::repr::density) makes every reader step cheaper
@@ -34,14 +30,6 @@
 //!   the rewrite is bit-identity-preserving by construction; slots read
 //!   as an accumulator anywhere, and steps without a no-edge
 //!   annihilator (`PlusNorm`), are never touched.
-//! * [`WaveSchedulerPass`] — orders the mutually independent steps of
-//!   each dependency wave longest-processing-time-first by the
-//!   `simd2-gpu` analytic step cost
-//!   ([`predicted_mmo_cost`]; the
-//!   sparse variant for steps with sparse-declared operands), so
-//!   batched dispatch starts its most expensive steps first instead of
-//!   in record order. Steps never move across a RAW edge: only the
-//!   order *within* a wave changes.
 //!
 //! # The bit-identity contract
 //!
@@ -76,10 +64,6 @@ static PASS_RUNS: Counter = Counter::new("core.pass.runs");
 static PASS_STEPS_MERGED: Counter = Counter::new("core.pass.steps_merged");
 /// Process-global count of steps removed by DSE.
 static PASS_STEPS_ELIMINATED: Counter = Counter::new("core.pass.steps_eliminated");
-/// Process-global count of steps repositioned by the wave scheduler.
-static PASS_STEPS_REORDERED: Counter = Counter::new("core.pass.steps_reordered");
-/// Process-global count of RAW chains annotated by fusion.
-static PASS_CHAINS_FUSED: Counter = Counter::new("core.pass.chains_fused");
 /// Process-global count of slots re-declared sparse by density lowering.
 static PASS_SLOTS_RELOWERED: Counter = Counter::new("core.pass.slots_relowered");
 
@@ -92,10 +76,6 @@ pub struct PassStats {
     pub steps_merged: usize,
     /// Steps removed as dead (DSE).
     pub steps_eliminated: usize,
-    /// Steps whose position in the step list changed (scheduler).
-    pub steps_reordered: usize,
-    /// RAW chains annotated (fusion).
-    pub chains_fused: usize,
     /// Input slots re-declared sparse (density lowering).
     pub slots_relowered: usize,
 }
@@ -112,10 +92,6 @@ pub struct PassReport {
     pub steps_merged: usize,
     /// Total steps removed by DSE passes.
     pub steps_eliminated: usize,
-    /// Total steps repositioned by scheduler passes.
-    pub steps_reordered: usize,
-    /// Total RAW chains annotated by fusion passes.
-    pub chains_fused: usize,
     /// Total input slots re-declared sparse by density-lowering passes.
     pub slots_relowered: usize,
     /// Per-pass breakdown, in execution order.
@@ -124,26 +100,12 @@ pub struct PassReport {
 
 impl PassReport {
     /// Whether any pass changed the plan's steps or lowerings (merges,
-    /// eliminations, reorders, or representation rewrites — fusion is
-    /// annotation-only and does not count). When this is `false` the
-    /// optimized plan's replay is event-stream-identical to the
+    /// eliminations, or representation rewrites). When this is `false`
+    /// the optimized plan's replay is event-stream-identical to the
     /// unoptimized replay, not just output-identical.
     pub fn changed(&self) -> bool {
-        self.steps_merged + self.steps_eliminated + self.steps_reordered + self.slots_relowered > 0
+        self.steps_merged + self.steps_eliminated + self.slots_relowered > 0
     }
-}
-
-/// A maximal read-after-write chain of same-op steps with one output
-/// shape, annotated by [`FusionPass`]. Step indices refer to the
-/// optimized plan and are in chain (dependency) order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FusedChain {
-    /// The chain's step indices in the optimized plan, RAW order.
-    pub steps: Vec<usize>,
-    /// The shared output shape of every step in the chain.
-    pub shape: (usize, usize),
-    /// The shared operation of every step in the chain.
-    pub op: OpKind,
 }
 
 /// An optimized plan plus the remap back to the recording it came from:
@@ -163,7 +125,6 @@ pub struct OptimizedPlan {
     /// `slot_map[i]` is the optimized slot holding original slot `i`'s
     /// bits (`None` for slots dropped with their dead steps).
     slot_map: Vec<Option<SlotId>>,
-    chains: Vec<FusedChain>,
     report: PassReport,
 }
 
@@ -178,7 +139,6 @@ impl OptimizedPlan {
             original_slots: slots,
             step_map: (0..steps).map(Some).collect(),
             slot_map: (0..slots).map(|i| Some(SlotId(i))).collect(),
-            chains: Vec::new(),
             report: PassReport {
                 steps_before: steps,
                 steps_after: steps,
@@ -201,11 +161,6 @@ impl OptimizedPlan {
     /// What every pass did.
     pub fn report(&self) -> &PassReport {
         &self.report
-    }
-
-    /// The RAW chains [`FusionPass`] annotated.
-    pub fn chains(&self) -> &[FusedChain] {
-        &self.chains
     }
 
     /// Steps in the original recording.
@@ -264,8 +219,7 @@ impl OptimizedPlan {
     }
 
     /// Replaces the plan and composes the pass-local maps into the
-    /// running original→optimized maps. Chains are remapped too;
-    /// a chain that loses members below length 2 is dropped.
+    /// running original→optimized maps.
     fn compose(&mut self, plan: Plan, slot_map: Vec<Option<SlotId>>, step_map: Vec<Option<usize>>) {
         for m in &mut self.slot_map {
             *m = m.and_then(|s| slot_map[s.0]);
@@ -273,10 +227,6 @@ impl OptimizedPlan {
         for m in &mut self.step_map {
             *m = m.and_then(|j| step_map[j]);
         }
-        self.chains.retain_mut(|chain| {
-            chain.steps = chain.steps.iter().filter_map(|&j| step_map[j]).collect();
-            chain.steps.len() >= 2
-        });
         self.plan = plan;
     }
 }
@@ -564,68 +514,6 @@ impl PlanPass for DsePass {
     }
 }
 
-/// RAW-chain fusion (analysis): finds maximal chains of same-op steps
-/// where each step reads its predecessor's output and every output has
-/// one shape, and records them as [`FusedChain`]s. The plan itself is
-/// untouched and replay does not act on the annotations: they are the
-/// report of which steps a chain-fusing engine could keep resident.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FusionPass;
-
-impl PlanPass for FusionPass {
-    fn name(&self) -> &'static str {
-        "fusion"
-    }
-
-    fn run(&self, optimized: &mut OptimizedPlan) -> PassStats {
-        let plan = &optimized.plan;
-        let n = plan.steps.len();
-        // First same-op same-shape reader of each step's output.
-        let mut next: Vec<Option<usize>> = vec![None; n];
-        for (i, reader) in next.iter_mut().enumerate() {
-            let d = plan.steps[i].d;
-            let op = plan.steps[i].op;
-            let shape = plan.slots[d.0].shape;
-            *reader = (i + 1..n).find(|&j| {
-                let s = &plan.steps[j];
-                s.op == op && (s.a == d || s.b == d || s.c == d) && plan.slots[s.d.0].shape == shape
-            });
-        }
-        let mut in_chain = vec![false; n];
-        let mut added = 0usize;
-        for i in 0..n {
-            if in_chain[i] {
-                continue;
-            }
-            let mut chain = vec![i];
-            let mut cur = i;
-            while let Some(j) = next[cur] {
-                if in_chain[j] {
-                    break;
-                }
-                chain.push(j);
-                cur = j;
-            }
-            if chain.len() >= 2 {
-                for &s in &chain {
-                    in_chain[s] = true;
-                }
-                optimized.chains.push(FusedChain {
-                    shape: plan.slots[plan.steps[i].d.0].shape,
-                    op: plan.steps[i].op,
-                    steps: chain,
-                });
-                added += 1;
-            }
-        }
-        PassStats {
-            pass: self.name(),
-            chains_fused: added,
-            ..PassStats::default()
-        }
-    }
-}
-
 /// Density-crossover representation lowering (the Fig 14 decision as a
 /// plan rewrite).
 ///
@@ -749,96 +637,6 @@ impl PlanPass for DensityLoweringPass {
     }
 }
 
-/// Cost-model wave scheduler: within each dependency wave, orders the
-/// mutually independent steps longest-processing-time-first by the
-/// `simd2-gpu` predicted step cost (per-element issue slots × `m·n·k`
-/// volume; the sparse cost model for steps whose operands carry sparse
-/// declarations, so a density-lowered plan schedules by its *actual*
-/// predicted work), so batched dispatch launches its most expensive
-/// steps first. Waves are concatenated in order and dependency edges
-/// never cross — each step's dependencies keep strictly smaller
-/// indices, and the optimized plan's wave *partition* is identical to
-/// the input's.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WaveSchedulerPass;
-
-impl PlanPass for WaveSchedulerPass {
-    fn name(&self) -> &'static str {
-        "wave-schedule"
-    }
-
-    fn run(&self, optimized: &mut OptimizedPlan) -> PassStats {
-        let plan = &optimized.plan;
-        let n = plan.steps.len();
-        let costs: Vec<f64> = (0..n)
-            .map(|j| {
-                let (m, cols, k) = plan.step_geometry(j);
-                let s = &plan.steps[j];
-                let reprs = plan.step_reprs(j);
-                if reprs.iter().all(|r| r.is_dense()) {
-                    return predicted_mmo_cost(s.op, m, cols, k);
-                }
-                // Sparse-declared operands cost by measured density
-                // (1.0 when no value is captured, i.e. never for the
-                // sparse slots the density pass produces).
-                let density_of = |slot: SlotId, r: OperandRepr| match (
-                    r.zero(),
-                    plan.slots[slot.0].value.as_ref(),
-                ) {
-                    (Some(z), Some(v)) => repr::density(v, z),
-                    _ => 1.0,
-                };
-                predicted_sparse_mmo_cost(
-                    s.op,
-                    m,
-                    cols,
-                    k,
-                    density_of(s.a, reprs[0]),
-                    density_of(s.b, reprs[1]),
-                )
-            })
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        for wave in plan.waves() {
-            let mut w = wave;
-            // Descending cost; record order breaks ties, keeping the
-            // permutation deterministic.
-            w.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then_with(|| a.cmp(&b)));
-            order.extend(w);
-        }
-        let mut new_of = vec![0usize; n];
-        for (new, &old) in order.iter().enumerate() {
-            new_of[old] = new;
-        }
-        let reordered = (0..n).filter(|&j| new_of[j] != j).count();
-        if reordered == 0 {
-            return PassStats {
-                pass: self.name(),
-                ..PassStats::default()
-            };
-        }
-        let mut new_slots = plan.slots.clone();
-        for slot in &mut new_slots {
-            if let SlotOrigin::Step(j) = slot.origin {
-                slot.origin = SlotOrigin::Step(new_of[j]);
-            }
-        }
-        let new_plan = Plan {
-            slots: new_slots,
-            steps: order.iter().map(|&old| plan.steps[old]).collect(),
-            reduced_precision: plan.reduced_precision,
-        };
-        let slot_map = (0..plan.slots.len()).map(|i| Some(SlotId(i))).collect();
-        let step_map = (0..n).map(|j| Some(new_of[j])).collect();
-        optimized.compose(new_plan, slot_map, step_map);
-        PassStats {
-            pass: self.name(),
-            steps_reordered: reordered,
-            ..PassStats::default()
-        }
-    }
-}
-
 /// An ordered sequence of passes with aggregate telemetry: runs each
 /// pass, folds its [`PassStats`] into one [`PassReport`], and bumps the
 /// process-global `core.pass.*` counters.
@@ -870,14 +668,12 @@ impl PassPipeline {
     }
 
     /// The standard pipeline: CSE → DSE (leaf roots, so every visible
-    /// result survives) → fusion → wave scheduling. The safe default
-    /// for general replays, including merged multi-recording plans.
+    /// result survives). The safe default for general replays,
+    /// including merged multi-recording plans.
     pub fn standard() -> Self {
         Self::new(vec![
             Box::new(CsePass),
             Box::new(DsePass::new(RootPolicy::Leaves)),
-            Box::new(FusionPass),
-            Box::new(WaveSchedulerPass),
         ])
     }
 
@@ -885,22 +681,18 @@ impl PassPipeline {
     /// is rooted at the final output alone
     /// ([`RootPolicy::FinalOutput`]) — the serving layer's contract is
     /// the final output, and this policy guarantees the optimized
-    /// plan's own [`Replay::final_output`] equals the original's (the
-    /// root is the unique deepest step, so it stays last under wave
-    /// scheduling).
+    /// plan's own [`Replay::final_output`] equals the original's (every
+    /// surviving step feeds the root, so it is the last one).
     pub fn serving() -> Self {
         Self::new(vec![
             Box::new(CsePass),
             Box::new(DsePass::new(RootPolicy::FinalOutput)),
-            Box::new(FusionPass),
-            Box::new(WaveSchedulerPass),
         ])
     }
 
-    /// The sparse pipeline: [`standard`](Self::standard) plus a
-    /// [`DensityLoweringPass`] between DSE and fusion, so the Fig 14
-    /// density crossover re-declares cold input slots sparse and the
-    /// wave scheduler then costs those steps with the sparse model.
+    /// The sparse pipeline: [`standard`](Self::standard) followed by a
+    /// [`DensityLoweringPass`], so the Fig 14 density crossover
+    /// re-declares cold input slots sparse.
     /// Kept out of `standard()`/`serving()` on purpose: promotion moves
     /// the plan's structural hash, and callers who did not opt into
     /// sparse lowering keep their pre-seam cache identities.
@@ -909,8 +701,6 @@ impl PassPipeline {
             Box::new(CsePass),
             Box::new(DsePass::new(RootPolicy::Leaves)),
             Box::new(DensityLoweringPass),
-            Box::new(FusionPass),
-            Box::new(WaveSchedulerPass),
         ])
     }
 
@@ -927,8 +717,6 @@ impl PassPipeline {
             let report = &mut optimized.report;
             report.steps_merged += stats.steps_merged;
             report.steps_eliminated += stats.steps_eliminated;
-            report.steps_reordered += stats.steps_reordered;
-            report.chains_fused += stats.chains_fused;
             report.slots_relowered += stats.slots_relowered;
             report.passes.push(stats);
         }
@@ -937,8 +725,6 @@ impl PassPipeline {
         PASS_RUNS.add(1);
         PASS_STEPS_MERGED.add(report.steps_merged as u64);
         PASS_STEPS_ELIMINATED.add(report.steps_eliminated as u64);
-        PASS_STEPS_REORDERED.add(report.steps_reordered as u64);
-        PASS_CHAINS_FUSED.add(report.chains_fused as u64);
         PASS_SLOTS_RELOWERED.add(report.slots_relowered as u64);
         optimized
     }
@@ -1008,12 +794,8 @@ impl<B: Backend> Backend for OptimizingRecorder<'_, B> {
         self.builder.reduced_precision()
     }
 
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        self.builder.execute(steps, schedule)
+    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
+        self.builder.execute(step, schedule)
     }
 
     fn health(&self) -> Health {
@@ -1193,14 +975,12 @@ mod tests {
             .filter(|r| !r.is_dense())
             .collect();
         assert_eq!(promoted, vec![OperandRepr::csr(f32::INFINITY)]);
-        // Replays — sequential and batched — stay bit-identical to the
-        // eager recording on the dense-fallback backend.
-        for executor in [Executor::new(), Executor::batched()] {
-            let mut be = TiledBackend::new();
-            let replay = executor.run_optimized(&optimized, &mut be).unwrap();
-            assert!(bit_eq(optimized.step_output(&replay, 0).unwrap(), &d0));
-            assert!(bit_eq(optimized.final_output(&replay).unwrap(), &d1));
-        }
+        // The replay stays bit-identical to the eager recording on the
+        // dense-fallback backend.
+        let mut be = TiledBackend::new();
+        let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
+        assert!(bit_eq(optimized.step_output(&replay, 0).unwrap(), &d0));
+        assert!(bit_eq(optimized.final_output(&replay).unwrap(), &d1));
     }
 
     #[test]

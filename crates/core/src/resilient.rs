@@ -339,11 +339,7 @@ impl<B: Backend> ResilientBackend<B> {
     /// under `schedule`, its declared representations riding along.
     fn attempt(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
         let MmoArgs { op, a, b, c, .. } = *step;
-        let d = self
-            .inner
-            .execute(std::slice::from_ref(step), schedule)?
-            .pop()
-            .expect("one output per step");
+        let d = self.inner.execute(step, schedule)?;
         // Mirror the inner datapath's quantisation so clean fp16 results
         // are not flagged as corrupt.
         let mode = if self.inner.reduced_precision() {
@@ -479,22 +475,13 @@ impl<B: Backend> Backend for ResilientBackend<B> {
         self.inner.reduced_precision()
     }
 
-    /// Each step goes through the full verified ladder on its own, its
-    /// declared representations riding through every inner attempt (so
-    /// a sparse plan replayed under resilience still takes its sparse
-    /// datapath); only the reference fallback runs dense —
-    /// bit-identical by the repr contract.
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        // Before the steps, as in `TiledBackend::execute`.
-        let mut outputs = Vec::with_capacity(steps.len());
-        for step in steps {
-            outputs.push(self.recover(step, schedule)?);
-        }
-        Ok(outputs)
+    /// The step goes through the full verified ladder, its declared
+    /// representations riding through every inner attempt (so a sparse
+    /// plan replayed under resilience still takes its sparse datapath);
+    /// only the reference fallback runs dense — bit-identical by the
+    /// repr contract.
+    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
+        self.recover(step, schedule)
     }
 
     fn health(&self) -> Health {

@@ -8,14 +8,14 @@
 //! either recorder stacked over the resilient layer, the order
 //! `PlanService` replays through — and must observe every step's op, all
 //! three representation declarations, the [`Schedule`], both [`Degrade`]
-//! rungs and the `health()` reads. A one-step `mmo` / `mmo_ref` must
-//! reach the spy as exactly one `execute` call, which is what "no wrapper
-//! overrides the helpers" means in behaviour.
+//! rungs and the `health()` reads. Every `mmo` / `mmo_ref` / `execute`
+//! must reach the spy as exactly one `execute` call, which is what "no
+//! wrapper overrides the helpers" means in behaviour.
 //!
-//! Two regressions ride along: single-site validation makes the
-//! sequential and the batched executor reject the same invalid
-//! declaration with the same error, and the recorders keep what they
-//! are handed — declarations in the plan, controls on the backend.
+//! Two regressions ride along: a replay rejects an invalid declaration
+//! at exactly its step, keeping the steps before it, whichever
+//! constructor built the executor; and the recorders keep what they are
+//! handed — declarations in the plan, controls on the backend.
 
 use std::cell::Cell;
 
@@ -36,8 +36,8 @@ type Seen = (OpKind, [OperandRepr; 3], Schedule);
 #[derive(Default)]
 struct Spy {
     oracle: ReferenceBackend,
-    /// One entry per `execute` call: the steps it carried.
-    calls: Vec<Vec<Seen>>,
+    /// One entry per `execute` call.
+    calls: Vec<Seen>,
     rungs: Vec<Degrade>,
     health_reads: Cell<usize>,
 }
@@ -57,14 +57,9 @@ impl Backend for Spy {
         false
     }
 
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        self.calls
-            .push(steps.iter().map(|s| (s.op, s.reprs, schedule)).collect());
-        self.oracle.execute(steps, schedule)
+    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
+        self.calls.push((step.op, step.reprs, schedule));
+        self.oracle.execute(step, schedule)
     }
 
     fn health(&self) -> Health {
@@ -123,7 +118,7 @@ fn declared(op: OpKind) -> [OperandRepr; 3] {
 }
 
 /// Sends one of everything through `wrapper`; returns what a spy under
-/// it must have seen, step by step.
+/// it must have seen, call by call.
 fn drive<W: Backend>(wrapper: &mut W) -> Vec<Seen> {
     let dense = [OperandRepr::Dense; 3];
     let (op1, op2) = (OpKind::MinPlus, OpKind::PlusMul);
@@ -140,16 +135,18 @@ fn drive<W: Backend>(wrapper: &mut W) -> Vec<Seen> {
             MatrixRef::new(&c2, reprs[2]),
         )
         .expect("declared mmo_ref");
-    let batch = [
+    let steps = [
         MmoArgs {
             reprs: declared(op1),
             ..MmoArgs::new(op1, &a1, &b1, &c1)
         },
         MmoArgs::new(op2, &a2, &b2, &c2),
     ];
-    let outputs = wrapper
-        .execute(&batch, Schedule::Sequential)
-        .expect("sequential batch");
+    let outputs = steps.map(|step| {
+        wrapper
+            .execute(&step, Schedule::Sequential)
+            .expect("sequential execute")
+    });
     // Declarations and schedules are hints: same bits either way.
     assert_eq!(outputs, [d, d_ref]);
 
@@ -166,14 +163,11 @@ fn drive<W: Backend>(wrapper: &mut W) -> Vec<Seen> {
 }
 
 fn check(spy: &Spy, expected: &[Seen], what: &str) {
-    let seen: Vec<Seen> = spy.calls.iter().flatten().copied().collect();
-    assert_eq!(seen, expected, "{what}: steps, declarations, schedules");
-    // The one-step helpers arrive as one call of one step each; only
-    // the two-step batch may be split (the resilient layer recovers
-    // step by step).
-    assert_eq!(spy.calls[0].len(), 1, "{what}: mmo is one execute call");
-    assert_eq!(spy.calls[1].len(), 1, "{what}: mmo_ref is one execute call");
-    assert!(spy.calls.len() <= 4, "{what}: no step dispatched twice");
+    // One call per step: no wrapper dispatches a step twice.
+    assert_eq!(
+        spy.calls, expected,
+        "{what}: steps, declarations, schedules"
+    );
     assert_eq!(
         spy.rungs,
         [
@@ -196,8 +190,8 @@ fn every_wrapper_forwards_steps_declarations_schedule_and_controls() {
     let expected = drive(&mut rec);
     let plan = rec.finish();
     check(&spy, &expected, "PlanBuilder");
-    // The recorder kept what it forwarded: every step, batch included,
-    // with its declarations.
+    // The recorder kept what it forwarded: every step, with its
+    // declarations.
     assert_eq!(plan.step_count(), expected.len());
     assert!(plan.has_sparse_slots());
 
@@ -280,15 +274,8 @@ impl Backend for Lenient {
         false
     }
 
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        _schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        steps
-            .iter()
-            .map(|s| Ok(simd2_matrix::reference::mmo(s.op, s.a, s.b, s.c)?))
-            .collect()
+    fn execute(&mut self, s: &MmoArgs<'_>, _schedule: Schedule) -> Result<Matrix, BackendError> {
+        Ok(simd2_matrix::reference::mmo(s.op, s.a, s.b, s.c)?)
     }
 
     fn op_count(&self) -> OpCount {
@@ -310,8 +297,8 @@ fn both_executors_reject_an_invalid_declaration_with_the_same_error() {
         (OpKind::PlusNorm, OperandRepr::csr(0.0), "no-edge"),
     ];
     for (op, repr, why) in cases {
-        // Two independent steps, so the batched executor dispatches
-        // them as one step-parallel wave.
+        // Two independent steps in one wave: the valid one completes,
+        // the declared one is rejected.
         let mut lenient = Lenient::default();
         let mut rec = PlanBuilder::over(&mut lenient);
         rec.mmo(op, &other, &other, &c).expect("valid step");
@@ -325,24 +312,22 @@ fn both_executors_reject_an_invalid_declaration_with_the_same_error() {
         let plan = rec.finish();
         assert_eq!(plan.waves().len(), 1);
 
-        let halts: Vec<ReplayHalt> = [PlanExecutor::new(), PlanExecutor::batched()]
-            .iter()
-            .map(|exec| {
-                let mut be = TiledBackend::with_parallelism(Parallelism::Threads(2));
-                exec.run(&plan, &mut be)
-                    .expect_err("an invalid declaration must not replay")
-                    .halt
-            })
-            .collect();
-        match &halts[0] {
-            ReplayHalt::Backend(BackendError::Repr {
-                operand, reason, ..
-            }) => {
-                assert_eq!(*operand, "A");
-                assert!(reason.contains(why), "{op}: {reason}");
+        // `batched()` is the same executor as `new()`.
+        for exec in [PlanExecutor::new(), PlanExecutor::batched()] {
+            let mut be = TiledBackend::with_parallelism(Parallelism::Threads(2));
+            let err = exec
+                .run(&plan, &mut be)
+                .expect_err("an invalid declaration must not replay");
+            assert_eq!((err.step, err.completed_steps), (1, 1), "{op}");
+            match &err.halt {
+                ReplayHalt::Backend(BackendError::Repr {
+                    operand, reason, ..
+                }) => {
+                    assert_eq!(*operand, "A");
+                    assert!(reason.contains(why), "{op}: {reason}");
+                }
+                other => panic!("{op}: expected a Repr rejection, got {other:?}"),
             }
-            other => panic!("{op}: expected a Repr rejection, got {other:?}"),
         }
-        assert_eq!(halts[0], halts[1], "{op}: sequential vs batched");
     }
 }

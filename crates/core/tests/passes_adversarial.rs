@@ -11,15 +11,9 @@
 //!   the default leaf policy retain intermediates, and a checkpoint
 //!   taken against the unoptimized plan is *rejected* (never silently
 //!   misapplied) by a resume against the optimized plan.
-//! * The wave scheduler must never move a step across a RAW edge: it
-//!   may only permute steps *within* a wave, so every dependency keeps
-//!   a strictly smaller step index and the wave partition is unchanged.
 
 use simd2::backend::TiledBackend;
-use simd2::{
-    Backend, DsePass, PassPipeline, PlanBuilder, PlanExecutor, ReplayHalt, RootPolicy,
-    WaveSchedulerPass,
-};
+use simd2::{Backend, DsePass, PassPipeline, PlanBuilder, PlanExecutor, ReplayHalt, RootPolicy};
 use simd2_matrix::Matrix;
 use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::OpKind;
@@ -166,44 +160,4 @@ fn stale_checkpoints_are_rejected_by_optimized_plans() {
         "got {:?}",
         err.error.halt
     );
-}
-
-/// Wave 0 holds a cheap and an expensive independent step; wave 1 holds
-/// a step with a RAW edge on the cheap one. The scheduler must hoist
-/// the expensive step to the front of wave 0 but can never pull the
-/// dependent step ahead of its producer, however the costs tempt it.
-#[test]
-fn wave_scheduler_reorders_within_but_never_across_waves() {
-    let a = Matrix::filled(20, 20, 1.0);
-    let b = Matrix::filled(20, 20, 2.0);
-    let c = Matrix::filled(20, 20, 0.0);
-    let cheap = OpKind::PlusMul; // lowest predicted per-element cost
-    let dear = OpKind::MinMax; // highest (shared-port hazard)
-    let mut be = TiledBackend::new();
-    let mut rec = PlanBuilder::over(&mut be);
-    let d0 = rec.mmo(cheap, &a, &b, &c).unwrap(); // wave 0, cheap
-    rec.mmo(dear, &a, &b, &c).unwrap(); // wave 0, expensive
-    rec.mmo(cheap, &a, &b, &d0).unwrap(); // wave 1, RAW on step 0
-    let plan = rec.finish();
-    let waves_before: Vec<usize> = plan.waves().iter().map(Vec::len).collect();
-
-    let optimized = PassPipeline::new(vec![Box::new(WaveSchedulerPass)]).run(plan);
-    assert_eq!(optimized.report().steps_reordered, 2);
-    // LPT within wave 0: the expensive step now leads.
-    assert_eq!(optimized.step_target(0), Some(1));
-    assert_eq!(optimized.step_target(1), Some(0));
-    // The dependent step never crosses the wave boundary.
-    assert_eq!(optimized.step_target(2), Some(2));
-
-    let opt = optimized.plan();
-    // No RAW edge points forward: every dependency of every step has a
-    // strictly smaller index.
-    for (step, deps) in opt.dependencies().iter().enumerate() {
-        for &dep in deps {
-            assert!(dep < step, "step {step} depends on later step {dep}");
-        }
-    }
-    // The wave *partition* is untouched — only order within waves.
-    let waves_after: Vec<usize> = opt.waves().iter().map(Vec::len).collect();
-    assert_eq!(waves_after, waves_before);
 }

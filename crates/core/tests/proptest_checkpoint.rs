@@ -8,8 +8,7 @@
 //! work counters exact (completed waves are never re-executed), and the
 //! concatenated halted + resumed telemetry streams equal to the clean
 //! run's stream event for event — for every operation, every
-//! (non-square) shape, the sequential executor, and the batched
-//! executor over workers {1, 2, 4, 8}.
+//! (non-square) shape, on one thread and over workers {1, 2, 4, 8}.
 
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
@@ -93,14 +92,13 @@ fn check_boundary<B: Backend>(
     plan: &Plan,
     expected: &[Matrix],
     halt_at: usize,
-    exec: &PlanExecutor,
     mut make_backend: impl FnMut() -> B,
     what: &str,
 ) {
     let len = plan.step_count();
 
     let clean_ring = RingSink::shared();
-    let clean_exec = exec.clone().with_tracer(Tracer::to(clean_ring.clone()));
+    let clean_exec = PlanExecutor::new().with_tracer(Tracer::to(clean_ring.clone()));
     let mut clean_be = make_backend();
     let clean = clean_exec
         .run_resumable(plan, &mut clean_be, &mut |_: ReplayProgress| Ok(()))
@@ -111,7 +109,7 @@ fn check_boundary<B: Backend>(
     // the same executor/backend/ring so counters and telemetry span the
     // whole halted-plus-resumed lifetime.
     let ring = RingSink::shared();
-    let exec = exec.clone().with_tracer(Tracer::to(ring.clone()));
+    let exec = PlanExecutor::new().with_tracer(Tracer::to(ring.clone()));
     let mut be = make_backend();
     let mut halt = |p: ReplayProgress| {
         if p.completed_steps >= halt_at {
@@ -183,9 +181,8 @@ proptest! {
 
     /// Checkpoint/resume at **every** wave boundary of a multi-wave
     /// chain is bit-identical to uninterrupted replay — outputs, op
-    /// counters, and telemetry — for the sequential executor and the
-    /// batched executor over workers {1, 2, 4, 8}, across all nine ops
-    /// and non-square shapes.
+    /// counters, and telemetry — on one thread and over workers
+    /// {1, 2, 4, 8}, across all nine ops and non-square shapes.
     #[test]
     fn resume_from_every_wave_boundary_is_bit_identical_to_clean_replay(
         op in op_strategy(),
@@ -207,7 +204,6 @@ proptest! {
                 &plan,
                 &expected,
                 halt_at,
-                &PlanExecutor::new(),
                 TiledBackend::new,
                 &format!("sequential, halt_at={halt_at}"),
             );
@@ -216,9 +212,8 @@ proptest! {
                     &plan,
                     &expected,
                     halt_at,
-                    &PlanExecutor::batched(),
                     || TiledBackend::with_parallelism(Parallelism::Threads(workers)),
-                    &format!("batched workers={workers}, halt_at={halt_at}"),
+                    &format!("workers={workers}, halt_at={halt_at}"),
                 );
             }
         }

@@ -8,12 +8,12 @@
 //! not touch) → `tiling::store_d_tile` — and the contract is **bit
 //! identity**, the exact `TileGrid` work counters, and the same
 //! telemetry, for every op × operand precision × kernel tier × worker
-//! count × entry point, over shapes chosen to hit every edge of the pack
-//! stage: ragged tiles on every side, `k` under one tile, a `B` strip
-//! wider than the matrix, and a `k` deep enough to force several strips.
+//! count, over shapes chosen to hit every edge of the pack stage: ragged
+//! tiles on every side, `k` under one tile, a `B` strip wider than the
+//! matrix, and a `k` deep enough to force several strips.
 
 use proptest::prelude::*;
-use simd2::{Backend, MmoArgs, OpCount, Parallelism, Schedule, TiledBackend};
+use simd2::{Backend, OpCount, Parallelism, TiledBackend};
 use simd2_fault::{FaultInjector, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
@@ -216,10 +216,10 @@ fn assert_bits(got: &Matrix, want: &Matrix, ctx: &str) {
     }
 }
 
-/// Runs `shapes` through `mmo` (one call each) and through
-/// one batched `execute`, on every supported tier in `isas` and every worker count
-/// in `workers`, checking outputs, counters and telemetry against the
-/// per-tile schedule and the grid arithmetic.
+/// Runs `shapes` through `mmo` (one call each) on every supported tier
+/// in `isas` and every worker count in `workers`, checking outputs,
+/// counters and telemetry against the per-tile schedule and the grid
+/// arithmetic.
 fn check(
     op: OpKind,
     precision: PrecisionMode,
@@ -249,17 +249,12 @@ fn check(
     for &isa in isas.iter().filter(|isa| isa.is_supported()) {
         for &w in workers {
             let ctx = format!("{op} {precision:?} {isa} workers={w}");
-            let backend = || {
-                let ring = RingSink::shared();
-                let unit = Simd2Unit::with_precision(precision).with_kernel_isa(isa);
-                let mut be = TiledBackend::with_unit(unit).with_tracer(Tracer::to(ring.clone()));
-                be.set_parallelism(Parallelism::Threads(w));
-                (be, ring)
-            };
-
             // One `mmo` per shape on one backend, so scratch is reused
             // across shapes of different depth and width.
-            let (mut be, ring) = backend();
+            let ring = RingSink::shared();
+            let unit = Simd2Unit::with_precision(precision).with_kernel_isa(isa);
+            let mut be = TiledBackend::with_unit(unit).with_tracer(Tracer::to(ring.clone()));
+            be.set_parallelism(Parallelism::Threads(w));
             let mut want_events = Vec::new();
             for (((a, b, c), want), grid) in inputs.iter().zip(&want).zip(&grids) {
                 let got = be.mmo(op, a, b, c).unwrap();
@@ -272,30 +267,6 @@ fn check(
                 sorted_lines(&ring.events()),
                 sorted_lines(&want_events),
                 "{ctx} mmo telemetry"
-            );
-
-            // The same steps as one batch: whole grids, one per worker.
-            let (mut be, ring) = backend();
-            let args: Vec<MmoArgs<'_>> = inputs
-                .iter()
-                .map(|(a, b, c)| MmoArgs::new(op, a, b, c))
-                .collect();
-            let got = be.execute(&args, Schedule::Configured).unwrap();
-            let mut want_events = Vec::new();
-            let batched = w > 1 && args.len() > 1;
-            for ((got, want), grid) in got.iter().zip(&want).zip(&grids) {
-                assert_bits(got, want, &format!("{ctx} batch {:?}", got.shape()));
-                // A batched step is its own single-worker mmo; a
-                // one-step or one-worker batch is a plain `mmo` loop.
-                let w = if batched { 1 } else { w };
-                want_events.extend(mmo_events(op, grid, w, isa, &grid.row_panels(w)));
-            }
-            assert_eq!(be.op_count(), want_count, "{ctx} batch counters");
-            assert_eq!(ring.dropped(), 0);
-            assert_eq!(
-                sorted_lines(&ring.events()),
-                sorted_lines(&want_events),
-                "{ctx} batch telemetry"
             );
         }
     }
@@ -321,7 +292,7 @@ proptest! {
 /// over the 3 × 3 (shape, precision) square, one cell each, which keeps
 /// an unoptimised test build to seconds. Each cell runs the host's
 /// widest tier at every worker count and every other tier at one, with
-/// a small second step so that `execute` really batches.
+/// a small second step so that the scratch is reused across shapes.
 #[test]
 fn packed_engine_matches_the_per_tile_schedule_on_deep_shapes() {
     let widest = simd2_semiring::simd::selected_isa();

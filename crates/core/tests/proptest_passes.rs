@@ -3,8 +3,8 @@
 //! against the unoptimized plan.
 //!
 //! The contract under test, for all nine ops × non-square shapes ×
-//! fp16 (tiled) and fp32 (reference) recordings × the sequential
-//! executor and the batched executor over workers {1, 2, 4, 8}:
+//! fp16 (tiled) and fp32 (reference) recordings × one thread and
+//! workers {1, 2, 4, 8}:
 //!
 //! * every original step the optimizer's step map still reaches
 //!   replays to its exact recorded bits, read back through the
@@ -24,9 +24,8 @@ use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use simd2::backend::ReferenceBackend;
 use simd2::{
-    Backend, CsePass, DsePass, FusionPass, OptimizedPlan, Parallelism, PassPipeline, Plan,
-    PlanBuilder, PlanExecutor, PlanPass, ReplayProgress, RootPolicy, TiledBackend,
-    WaveSchedulerPass,
+    Backend, CsePass, DsePass, OptimizedPlan, Parallelism, PassPipeline, Plan, PlanBuilder,
+    PlanExecutor, PlanPass, ReplayProgress, RootPolicy, TiledBackend,
 };
 use simd2_matrix::Matrix;
 use simd2_semiring::{OpKind, ALL_OPS};
@@ -80,10 +79,9 @@ fn assert_bits_equal(want: &Matrix, got: &Matrix, what: &str) {
 
 /// Records a workload that gives every pass something to chew on:
 /// two interleaved accumulation chains under different ops (each wave
-/// holds two independent steps of different predicted cost, so the
-/// scheduler can reorder), with the first chain's root recorded twice
-/// (a duplicate subexpression for CSE) and same-shape RAW chains for
-/// fusion. Returns the eager per-step outputs in record order.
+/// holds two independent steps), with the first chain's root recorded
+/// twice (a duplicate subexpression for CSE). Returns the eager per-step
+/// outputs in record order.
 fn record_workload<B: Backend>(
     backend: &mut B,
     (op1, op2): (OpKind, OpKind),
@@ -119,13 +117,12 @@ fn record_workload<B: Backend>(
 fn check_replay<B: Backend>(
     optimized: &OptimizedPlan,
     expected: &[Matrix],
-    exec: &PlanExecutor,
     mut make_backend: impl FnMut() -> B,
     check_full_count: bool,
     what: &str,
 ) {
     let mut be = make_backend();
-    let replay = exec
+    let replay = PlanExecutor::new()
         .run_optimized(optimized, &mut be)
         .unwrap_or_else(|e| panic!("{what}: optimized replay: {e}"));
     for (step, want) in expected.iter().enumerate() {
@@ -151,7 +148,7 @@ fn check_replay<B: Backend>(
     }
 }
 
-/// The five pipelines under test: each pass alone, then the standard
+/// The three pipelines under test: each pass alone, then the standard
 /// composition.
 fn pipelines() -> Vec<(&'static str, PassPipeline)> {
     fn single(pass: Box<dyn PlanPass>) -> PassPipeline {
@@ -160,8 +157,6 @@ fn pipelines() -> Vec<(&'static str, PassPipeline)> {
     vec![
         ("cse", single(Box::new(CsePass))),
         ("dse", single(Box::new(DsePass::new(RootPolicy::Leaves)))),
-        ("fusion", single(Box::new(FusionPass))),
-        ("sched", single(Box::new(WaveSchedulerPass))),
         ("standard", PassPipeline::standard()),
     ]
 }
@@ -174,13 +169,12 @@ fn check_optimized_boundary(
     optimized: &OptimizedPlan,
     expected: &[Matrix],
     halt_at: usize,
-    exec: &PlanExecutor,
     mut make_backend: impl FnMut() -> TiledBackend,
     what: &str,
 ) {
     let plan = optimized.plan();
     let clean_ring = RingSink::shared();
-    let clean_exec = exec.clone().with_tracer(Tracer::to(clean_ring.clone()));
+    let clean_exec = PlanExecutor::new().with_tracer(Tracer::to(clean_ring.clone()));
     let mut clean_be = make_backend();
     let clean = clean_exec
         .run_resumable(plan, &mut clean_be, &mut |_: ReplayProgress| Ok(()))
@@ -192,7 +186,7 @@ fn check_optimized_boundary(
     }
 
     let ring = RingSink::shared();
-    let exec = exec.clone().with_tracer(Tracer::to(ring.clone()));
+    let exec = PlanExecutor::new().with_tracer(Tracer::to(ring.clone()));
     let mut be = make_backend();
     let mut halt = |p: ReplayProgress| {
         if p.completed_steps >= halt_at {
@@ -233,9 +227,9 @@ proptest! {
 
     /// Every pass alone and the standard pipeline preserve replay
     /// bit-identity — outputs through the remap, exact op counters —
-    /// on the fp16 tiled backend (sequential + batched over workers
-    /// {1, 2, 4, 8}) and the fp32 reference backend, across all nine
-    /// ops and non-square shapes.
+    /// on the fp16 tiled backend (one thread and workers {1, 2, 4, 8})
+    /// and the fp32 reference backend, across all nine ops and
+    /// non-square shapes.
     #[test]
     fn every_pass_preserves_replay_bit_identity(
         op_idx in 0..ALL_OPS.len(),
@@ -263,7 +257,6 @@ proptest! {
             check_replay(
                 &optimized,
                 &expected,
-                &PlanExecutor::new(),
                 TiledBackend::new,
                 true,
                 &format!("fp16 {name} sequential"),
@@ -272,10 +265,9 @@ proptest! {
                 check_replay(
                     &optimized,
                     &expected,
-                    &PlanExecutor::batched(),
                     || TiledBackend::with_parallelism(Parallelism::Threads(workers)),
                     true,
-                    &format!("fp16 {name} batched workers={workers}"),
+                    &format!("fp16 {name} workers={workers}"),
                 );
             }
 
@@ -306,25 +298,16 @@ proptest! {
             check_replay(
                 &optimized,
                 &expected32,
-                &PlanExecutor::new(),
                 ReferenceBackend::new,
                 false,
-                &format!("fp32 {name} sequential"),
-            );
-            check_replay(
-                &optimized,
-                &expected32,
-                &PlanExecutor::batched(),
-                ReferenceBackend::new,
-                false,
-                &format!("fp32 {name} batched"),
+                &format!("fp32 {name}"),
             );
         }
     }
 
     /// Checkpoint/resume *through an optimized plan* at every wave
     /// boundary is bit-identical to the uninterrupted optimized replay
-    /// — outputs, op counters, telemetry — sequential and batched over
+    /// — outputs, op counters, telemetry — on one thread and over
     /// workers {1, 2, 4, 8}.
     #[test]
     fn optimized_plans_checkpoint_and_resume_at_every_wave_boundary(
@@ -351,7 +334,6 @@ proptest! {
                 &optimized,
                 &expected,
                 completed,
-                &PlanExecutor::new(),
                 TiledBackend::new,
                 &format!("sequential, halt_at={completed}"),
             );
@@ -360,9 +342,8 @@ proptest! {
                     &optimized,
                     &expected,
                     completed,
-                    &PlanExecutor::batched(),
                     || TiledBackend::with_parallelism(Parallelism::Threads(workers)),
-                    &format!("batched workers={workers}, halt_at={completed}"),
+                    &format!("workers={workers}, halt_at={completed}"),
                 );
             }
         }

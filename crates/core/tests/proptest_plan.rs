@@ -3,7 +3,7 @@
 //!
 //! The contract under test: recording through [`PlanBuilder`] is
 //! observationally identical to eager execution, and replaying the
-//! recorded [`Plan`] — sequentially or batched over any worker count —
+//! recorded [`Plan`] — on one thread or any worker count —
 //! reproduces the eager result **bit for bit** with exact [`OpCount`]
 //! work counters, for every operation, every (non-square) shape, and
 //! both the fp16 tiled and fp32 reference lowerings.
@@ -84,8 +84,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// fp16 tiled lowering: record == eager, sequential replay == eager,
-    /// batched replay over workers {1, 2, 4, 8} == eager — bit for bit,
-    /// counters exact — over all nine ops × non-square shapes.
+    /// replay over workers {1, 2, 4, 8} == eager — bit for bit, counters
+    /// exact — over all nine ops × non-square shapes.
     #[test]
     fn tiled_replay_is_bit_identical_to_eager_mmo(
         op in op_strategy(),
@@ -113,18 +113,17 @@ proptest! {
 
         for workers in [1usize, 2, 4, 8] {
             let mut be = TiledBackend::with_parallelism(Parallelism::Threads(workers));
-            let bat = PlanExecutor::batched().run(&plan, &mut be).unwrap();
+            let par = PlanExecutor::new().run(&plan, &mut be).unwrap();
             assert_bits_equal(
                 &eager,
-                bat.final_output().unwrap(),
-                &format!("batched replay, workers={workers}"),
+                par.final_output().unwrap(),
+                &format!("replay, workers={workers}"),
             );
-            prop_assert_eq!(be.op_count(), eager_count, "batched counters, workers={}", workers);
+            prop_assert_eq!(be.op_count(), eager_count, "counters, workers={}", workers);
         }
     }
 
-    /// fp32 reference lowering keeps the same record/replay contract
-    /// (sequential and batched executors over a one-schedule backend).
+    /// fp32 reference lowering keeps the same record/replay contract.
     #[test]
     fn reference_replay_is_bit_identical_to_eager_mmo(
         op in op_strategy(),
@@ -147,16 +146,11 @@ proptest! {
         let seq = PlanExecutor::new().run(&plan, &mut seq_be).unwrap();
         assert_bits_equal(&eager, seq.final_output().unwrap(), "sequential replay");
         prop_assert_eq!(seq_be.op_count(), eager_count, "sequential counters");
-
-        let mut bat_be = ReferenceBackend::new();
-        let bat = PlanExecutor::batched().run(&plan, &mut bat_be).unwrap();
-        assert_bits_equal(&eager, bat.final_output().unwrap(), "batched replay");
-        prop_assert_eq!(bat_be.op_count(), eager_count, "batched counters");
     }
 
     /// A two-step chain (the second step accumulates onto the first's
-    /// output) records an exact RAW dependency — two waves — and both
-    /// executors replay each step bit-identically.
+    /// output) records an exact RAW dependency — two waves — and each
+    /// step replays bit-identically on one thread and on four.
     #[test]
     fn chained_steps_replay_with_exact_dependencies(
         op in op_strategy(),
@@ -182,10 +176,10 @@ proptest! {
         assert_bits_equal(&d2, seq.step_output(1), "step 1");
         assert_bits_equal(&d2, seq.final_output().unwrap(), "final");
 
-        let mut bat_be = TiledBackend::with_parallelism(Parallelism::Threads(4));
-        let bat = PlanExecutor::batched().run(&plan, &mut bat_be).unwrap();
-        assert_bits_equal(&d1, bat.step_output(0), "batched step 0");
-        assert_bits_equal(&d2, bat.step_output(1), "batched step 1");
-        prop_assert_eq!(seq_be.op_count(), bat_be.op_count(), "chain counters");
+        let mut par_be = TiledBackend::with_parallelism(Parallelism::Threads(4));
+        let par = PlanExecutor::new().run(&plan, &mut par_be).unwrap();
+        assert_bits_equal(&d1, par.step_output(0), "4-worker step 0");
+        assert_bits_equal(&d2, par.step_output(1), "4-worker step 1");
+        prop_assert_eq!(seq_be.op_count(), par_be.op_count(), "chain counters");
     }
 }

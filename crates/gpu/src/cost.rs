@@ -139,10 +139,10 @@ pub fn effective_dim(m: usize, n: usize, k: usize) -> f64 {
 /// Predicted relative cost of one whole `m×n×k` MMO step: the analytic
 /// per-element issue-slot price of `op` ([`cuda_op_cost`]) times the
 /// `m·n·k` multiply-reduce volume. A *relative* price signal for
-/// schedulers ordering independent steps (e.g. the plan optimizer's
-/// longest-processing-time-first wave scheduler), not a wall-clock
-/// estimate — it deliberately ignores utilisation and launch overheads,
-/// which are schedule-invariant within a wave.
+/// comparing lowerings of one step (the plan optimizer's density
+/// lowering sets it against [`predicted_sparse_mmo_cost`]), not a
+/// wall-clock estimate — it deliberately ignores utilisation and launch
+/// overheads, which are the same for every lowering of a step.
 pub fn predicted_mmo_cost(op: OpKind, m: usize, n: usize, k: usize) -> f64 {
     cuda_op_cost(op).total_slots() * (m as f64) * (n as f64) * (k as f64)
 }
@@ -167,8 +167,7 @@ pub const SPARSE_ROW_OVERHEAD_SLOTS: f64 = 0.35;
 /// `m·n·k · dₐ·d_b` in expectation, each term paying the dense slot
 /// price plus [`SPARSE_TRAVERSAL_SLOTS`] — while every output element
 /// still pays [`SPARSE_ROW_OVERHEAD_SLOTS`]. Same relative-price units
-/// as [`predicted_mmo_cost`], so schedulers can mix dense and sparse
-/// steps in one wave.
+/// as [`predicted_mmo_cost`], so the two compare directly.
 pub fn predicted_sparse_mmo_cost(
     op: OpKind,
     m: usize,

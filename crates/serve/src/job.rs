@@ -49,12 +49,11 @@ pub enum Deadline {
 }
 
 impl Deadline {
-    /// Whether a dispatch of `pending` steps after `completed` steps
-    /// fits the budget.
-    pub(crate) fn allows(self, completed: u64, pending: u64) -> bool {
+    /// Whether one more step after `completed` steps fits the budget.
+    pub(crate) fn allows(self, completed: u64) -> bool {
         match self {
             Deadline::None => true,
-            Deadline::Steps(budget) => completed.saturating_add(pending) <= budget,
+            Deadline::Steps(budget) => completed < budget,
         }
     }
 
@@ -308,10 +307,10 @@ mod tests {
 
     #[test]
     fn deadline_arithmetic_is_exact_at_the_boundary() {
-        assert!(Deadline::None.allows(u64::MAX, 1));
-        assert!(Deadline::Steps(3).allows(2, 1));
-        assert!(!Deadline::Steps(3).allows(3, 1));
-        assert!(!Deadline::Steps(0).allows(0, 1));
+        assert!(Deadline::None.allows(u64::MAX));
+        assert!(Deadline::Steps(3).allows(2));
+        assert!(!Deadline::Steps(3).allows(3));
+        assert!(!Deadline::Steps(0).allows(0));
         assert_eq!(Deadline::Steps(3).budget(), Some(3));
         assert_eq!(Deadline::None.budget(), None);
     }

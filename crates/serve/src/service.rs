@@ -53,9 +53,6 @@ pub struct ServeConfig {
     pub backoff: RetryBackoff,
     /// ABFT tolerances for result verification.
     pub abft: AbftConfig,
-    /// Whether replay dispatches each dependency wave as one
-    /// [`Backend::execute`] call (inter-step parallelism).
-    pub batched: bool,
     /// Largest problem dimension accepted for registry-app payloads
     /// (app expansion runs the generator and baseline at admission
     /// time, so it must be bounded).
@@ -72,11 +69,10 @@ pub struct ServeConfig {
     pub degrade: DegradeConfig,
     /// Run every admitted plan through the serving pass pipeline
     /// ([`PassPipeline::serving`]: CSE, final-output-rooted dead-step
-    /// elimination, chain fusion, cost-model wave scheduling) before
-    /// quota accounting and queueing (disabled by default). Quotas,
-    /// deadlines, and the plan cache then all see the *optimized*
-    /// plan — in particular the cache keys on the post-optimization
-    /// structural hash, so differently-recorded but
+    /// elimination) before quota accounting and queueing (disabled by
+    /// default). Quotas, deadlines, and the plan cache then all see the
+    /// *optimized* plan — in particular the cache keys on the
+    /// post-optimization structural hash, so differently-recorded but
     /// post-optimization-identical plans share one entry. Final
     /// outputs are bit-identical to replaying the unoptimized plan.
     pub optimize_plans: bool,
@@ -90,7 +86,6 @@ impl Default for ServeConfig {
             policy: RecoveryPolicy::RetryThenFallback { attempts: 3 },
             backoff: RetryBackoff::new(1, 8, 64),
             abft: AbftConfig::default(),
-            batched: false,
             max_app_dimension: 256,
             breaker: BreakerConfig::default(),
             resume: ResumeConfig::default(),
@@ -273,7 +268,6 @@ pub struct PlanService<B: Backend> {
     queued_total: usize,
     max_queued_jobs: usize,
     max_app_dimension: usize,
-    batched: bool,
     breaker_config: BreakerConfig,
     resume_config: ResumeConfig,
     degrade_config: DegradeConfig,
@@ -305,7 +299,6 @@ impl<B: Backend> PlanService<B> {
             queued_total: 0,
             max_queued_jobs: config.max_queued_jobs,
             max_app_dimension: config.max_app_dimension,
-            batched: config.batched,
             breaker_config: config.breaker,
             resume_config: config.resume,
             degrade_config: config.degrade,
@@ -545,24 +538,18 @@ impl<B: Backend> PlanService<B> {
         let quantum = self.resume_config.quantum;
         let mut control = |p: ReplayProgress| {
             let done = p.completed_steps as u64;
-            let pending = p.pending_steps as u64;
-            if !deadline.allows(done, pending) {
+            if !deadline.allows(done) {
                 return Err(format!(
                     "deadline: step budget {}",
                     deadline.budget().unwrap_or(0)
                 ));
             }
-            if quantum != 0 && done - base + pending > quantum {
+            if quantum != 0 && done - base >= quantum {
                 return Err(format!("quantum: round budget {quantum}"));
             }
             Ok(())
         };
-        let executor = if self.batched {
-            PlanExecutor::batched()
-        } else {
-            PlanExecutor::new()
-        }
-        .with_tracer(self.tracer.clone());
+        let executor = PlanExecutor::new().with_tracer(self.tracer.clone());
         let result = match job.checkpoint.take() {
             Some(cp) => executor.resume_from(&job.plan, cp, &mut self.backend, &mut control),
             None => executor.run_resumable(&job.plan, &mut self.backend, &mut control),
@@ -648,11 +635,11 @@ impl<B: Backend> PlanService<B> {
         let resume_armed = self.resume_config.armed();
         let resumes_left = resumes < self.resume_config.max_resumes;
         if error.is_cancelled() {
-            // Deadline or round-quantum halt at a step boundary. The
-            // `round_executed > 0` guard keeps a quantum smaller than
-            // the next dispatch from suspending forever.
+            // Deadline or round-quantum halt at a step boundary (a
+            // quantum always admits one step, so a suspended round made
+            // progress).
             let budget_open = budget.is_none_or(|b| b > done);
-            if resume_armed && budget_open && round_executed > 0 && resumes_left {
+            if resume_armed && budget_open && resumes_left {
                 self.suspend(idx, job, checkpoint, round_executed);
                 return;
             }
@@ -1681,7 +1668,6 @@ mod tests {
         // identical to a clean sequential dense replay.
         let sink = RingSink::shared();
         let config = ServeConfig {
-            batched: true,
             optimize_plans: true,
             resume: ResumeConfig {
                 quantum: 4,

@@ -27,12 +27,33 @@
 //! schedule hint, never a semantic change: every `(i, j)` folds its
 //! terms in ascending `k` with `⊗` and `⊕` as separate roundings, and a
 //! walk skips only terms that combine through the algebra's annihilator
-//! ([`OpKind::no_edge_f32`]). Such terms leave the reduction
-//! bit-identical for every extension op — except max-mul, where a skipped
-//! `0.0` product can still lift a `-∞`-seeded accumulator; those columns
-//! fold a single `⊕ 0.0` correction at the end, exactly reproducing the
-//! dense fold. Outputs are therefore bit-identical between the dense
-//! declaration and every sparse one, at any worker count.
+//! ([`OpKind::no_edge_f32`]). Skipping `annihilator ⊗ x` leaves the
+//! reduction bit-identical whatever `x` is for the five ops whose `⊗`
+//! selects or adds (`±∞ + x`, `min`/`max` with `±∞`, `0 ∧ x`) and whose
+//! min/max/or `⊕` ignores the NaN an `∞ − ∞` makes. For the three whose
+//! `⊗` multiplies it does so only on the op's value domain, so the
+//! backend checks the domain (`Scan`, one branch-free pass over each
+//! operand the rule reads: `B` when `A` is declared sparse — the pass
+//! that counts its stored entries anyway — and `A` when `B` will be
+//! scattered, a swept `B` skipping nothing) and runs a declared operand
+//! through the dense walk when skipping its annihilator entries would
+//! not be exact:
+//!
+//! * plus-mul — the *other* operand must be finite at the backend's
+//!   precision (`0 × ±∞` and `0 × NaN` are NaN, which `+` propagates);
+//! * min-mul — the other operand must carry no sign bit (`+∞ × x` is
+//!   `−∞` for negative `x`; for `x ≥ +0` it is `+∞` or a NaN, both of
+//!   which `min` drops);
+//! * max-mul — a skipped `0 × x` must be exactly `+0.0`, so the other
+//!   operand must be finite without a sign bit; those products can still
+//!   lift a `−∞`-seeded accumulator, so columns that skipped one fold a
+//!   single `⊕ 0.0` at the end, and for that one fold to stand for all
+//!   of them no product may be `−0.0` (a `±0` tie under `max` goes to
+//!   whichever comes first): the declared operand must carry no sign bit
+//!   either.
+//!
+//! Outputs are therefore bit-identical between the dense declaration and
+//! every sparse one, for every operand value and at any worker count.
 //!
 //! **Once per MMO, not per term.** At reduced precision operands are
 //! rounded through fp16 once: stored CSR / 2:4 values *after*
@@ -53,12 +74,13 @@ use std::ops::Range;
 
 use simd2::{
     join_workers, Backend, BackendError, Degrade, MatrixRef, MmoArgs, OpCount, OperandRepr,
-    Parallelism, Schedule,
+    Parallelism, Schedule, TiledBackend,
 };
 use simd2_matrix::tiling::TileGrid;
 use simd2_matrix::{reference, Matrix, ShapeError, ISA_TILE};
 use simd2_mxu::Simd2Unit;
 use simd2_semiring::kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
+use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::simd::{self, KernelIsa, SWEEP_STRIP};
 use simd2_semiring::OpKind;
 
@@ -150,6 +172,58 @@ pub struct SparseTiledBackend {
 fn quantize(reduced: bool, isa: KernelIsa, xs: &mut [f32]) {
     if reduced {
         simd::quantize_f16_slice(isa, xs);
+    }
+}
+
+/// What [`SparseTiledBackend::execute`] reads off an operand in one
+/// branch-free pass: the two facts the value-domain rule (module docs)
+/// needs, and the stored-entry count that picks scatter or sweep for a
+/// sparse `B`. The default — no element seen — is in every op's domain,
+/// which is what an operand no decision reads is treated as.
+#[derive(Clone, Copy, Default)]
+struct Scan {
+    /// OR of every element's bits: bit 31 is set iff some element
+    /// carries a sign bit.
+    any: u32,
+    /// Largest magnitude bits: a NaN outranks `∞` outranks any finite
+    /// value.
+    max_abs: u32,
+    /// Elements that differ from the annihilator (by value).
+    stored: usize,
+}
+
+impl Scan {
+    fn of(m: &Matrix, zero: f32) -> Self {
+        let mut scan = Self::default();
+        for r in 0..m.rows() {
+            // Row by row, so the count runs in `u32` lanes beside the
+            // other two folds (a row's columns fit `u32`, as in `Csr`).
+            let fold = |(any, max_abs, stored): (u32, u32, u32), &x: &f32| {
+                let magnitude = x.to_bits() & 0x7fff_ffff;
+                (
+                    any | x.to_bits(),
+                    max_abs.max(magnitude),
+                    stored + u32::from(x != zero),
+                )
+            };
+            let (any, max_abs, stored) = m.row(r).iter().fold((0, 0, 0), fold);
+            scan.any |= any;
+            scan.max_abs = scan.max_abs.max(max_abs);
+            scan.stored += stored as usize;
+        }
+        scan
+    }
+
+    fn sign_clear(self) -> bool {
+        self.any >> 31 == 0
+    }
+
+    /// Whether every element is finite once rounded through fp16 at
+    /// `reduced` precision (rounding is monotonic in magnitude, so the
+    /// largest one decides).
+    fn finite(self, reduced: bool) -> bool {
+        let worst = f32::from_bits(self.max_abs);
+        (if reduced { quantize_f16(worst) } else { worst }).is_finite()
     }
 }
 
@@ -402,28 +476,11 @@ impl SparseTiledBackend {
 
         // Tiled execution on the decompressed operand; the sparse pipe
         // computes the same values in half the cycles.
-        let a_sparse = compressed.decompress();
-        let grid = simd2_matrix::tiling::TileGrid::new(
-            a.rows(),
-            b.cols(),
-            a.cols(),
-            simd2_matrix::ISA_TILE,
-        );
-        let mut d = Matrix::zeros(a.rows(), b.cols());
-        for (ti, tj) in grid.output_coords() {
-            let mut acc =
-                simd2_matrix::tiling::load_c_tile::<{ simd2_matrix::ISA_TILE }>(op, c, ti, tj);
-            for tk in 0..grid.k_tiles {
-                let at = simd2_matrix::tiling::load_a_tile::<{ simd2_matrix::ISA_TILE }>(
-                    op, &a_sparse, ti, tk,
-                );
-                let bt =
-                    simd2_matrix::tiling::load_b_tile::<{ simd2_matrix::ISA_TILE }>(op, b, tk, tj);
-                acc = self.unit.execute(op, &at, &bt, &acc);
-                self.count.tile_mmos += 1;
-            }
-            simd2_matrix::tiling::store_d_tile(&mut d, &acc, ti, tj);
-        }
+        let mut tiled = TiledBackend::with_unit(self.unit);
+        let d = tiled
+            .mmo(op, &compressed.decompress(), b, c)
+            .expect("shapes were checked above");
+        self.count.tile_mmos += tiled.op_count().tile_mmos;
         self.count.matrix_mmos += 1;
         Ok(d)
     }
@@ -520,24 +577,6 @@ impl SparseTiledBackend {
             dispatch_kernel(op, panel)
         })
     }
-
-    /// Executes one validated step on `workers` threads.
-    fn run_step(&mut self, step: &MmoArgs<'_>, workers: usize) -> Result<Matrix, BackendError> {
-        let (op, a, b) = (step.op, step.a_ref(), step.b_ref());
-        let swept_b = b
-            .repr
-            .zero()
-            .is_some_and(|zero| simd2::repr::density(b.matrix, zero) > SWEEP_B_DENSITY);
-        let image = self.b_image(b, swept_b);
-        let (d, terms) = self.fold(op, a, &image, step.c, workers)?;
-        self.count += SparseOpCount {
-            matrix_mmos: 1,
-            sparse_mmos: u64::from(!(a.repr.is_dense() && b.repr.is_dense())),
-            swept_b_mmos: u64::from(swept_b),
-            ..terms
-        };
-        Ok(d)
-    }
 }
 
 impl Backend for SparseTiledBackend {
@@ -549,23 +588,55 @@ impl Backend for SparseTiledBackend {
         self.reduced
     }
 
-    /// Steps run one by one, each sharded into row panels; a step's
-    /// declared representations pick its walk and row kernel.
-    fn execute(
-        &mut self,
-        steps: &[MmoArgs<'_>],
-        schedule: Schedule,
-    ) -> Result<Vec<Matrix>, BackendError> {
-        for step in steps {
-            step.checked_grid()?;
-        }
+    /// The step is sharded into row panels; its declared representations
+    /// pick its walk and row kernel.
+    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
+        step.checked_grid()?;
         let workers = schedule.worker_count(self.parallelism);
-        // Before the steps, as in `TiledBackend::execute`.
-        let mut outputs = Vec::with_capacity(steps.len());
-        for step in steps {
-            outputs.push(self.run_step(step, workers)?);
+        let (op, mut a, mut b) = (step.op, step.a_ref(), step.b_ref());
+        let (a_sparse, b_sparse) = (!a.repr.is_dense(), !b.repr.is_dense());
+        let multiplies = matches!(op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
+        // A validated sparse declaration means the op has an annihilator.
+        let zero = op.no_edge_f32().unwrap_or(0.0);
+        let scan = |read: bool, m: &Matrix| {
+            if read {
+                Scan::of(m, zero)
+            } else {
+                Scan::default()
+            }
+        };
+        // One pass over `B` serves two readers: its stored density picks
+        // scatter or sweep, its values bound what `A`'s walk may skip.
+        let sb = scan(b_sparse || (multiplies && a_sparse), b.matrix);
+        let swept_b = b_sparse && sb.stored as f64 / b.matrix.len() as f64 > SWEEP_B_DENSITY;
+        let scatter_b = b_sparse && !swept_b;
+        // The value-domain rule (module docs): an operand whose
+        // annihilator entries cannot be skipped exactly walks dense. A
+        // swept `B` skips nothing, so `A` is read only against a
+        // scattered one (and for max-mul's tie).
+        if multiplies && (a_sparse || scatter_b) {
+            let sa = scan(scatter_b || op == OpKind::MaxMul, a.matrix);
+            let exact = |declared: Scan, other: Scan| match op {
+                OpKind::PlusMul => other.finite(self.reduced),
+                OpKind::MinMul => other.sign_clear(),
+                _ => other.sign_clear() && other.finite(self.reduced) && declared.sign_clear(),
+            };
+            if !exact(sa, sb) {
+                a = MatrixRef::dense(a.matrix);
+            }
+            if scatter_b && !exact(sb, sa) {
+                b = MatrixRef::dense(b.matrix);
+            }
         }
-        Ok(outputs)
+        let image = self.b_image(b, swept_b);
+        let (d, terms) = self.fold(op, a, &image, step.c, workers)?;
+        self.count += SparseOpCount {
+            matrix_mmos: 1,
+            sparse_mmos: u64::from(a_sparse || b_sparse),
+            swept_b_mmos: u64::from(swept_b),
+            ..terms
+        };
+        Ok(d)
     }
 
     fn degrade(&mut self, rung: Degrade) -> bool {
@@ -786,27 +857,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(bits(&got), bits(&want));
-    }
-
-    #[test]
-    fn batched_steps_route_representations_through() {
-        let op = OpKind::MinPlus;
-        let zero = op.no_edge_f32().unwrap();
-        let a = sparse_operand(8, 8, zero, 0.25, 91);
-        let b = sparse_operand(8, 8, zero, 0.25, 92);
-        let c = Matrix::filled(8, 8, zero);
-        let mut sparse_args = MmoArgs::new(op, &a, &b, &c);
-        sparse_args.reprs = [
-            OperandRepr::csr(zero),
-            OperandRepr::csr(zero),
-            OperandRepr::Dense,
-        ];
-        let steps = [MmoArgs::new(op, &a, &b, &c), sparse_args];
-        let mut be = SparseTiledBackend::new();
-        let out = be.execute(&steps, Schedule::Configured).unwrap();
-        assert_eq!(bits(&out[0]), bits(&out[1]));
-        assert_eq!(be.sparse_count().matrix_mmos, 2);
-        assert_eq!(be.sparse_count().sparse_mmos, 1);
     }
 
     #[test]

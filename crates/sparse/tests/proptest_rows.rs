@@ -12,15 +12,20 @@
 //!
 //! Operands carry the hostile values each op's annihilator contract
 //! admits (see [`hostile`]): stored `±0.0`, `±∞`, NaN payloads,
-//! values that underflow to zero in fp16. `scripts/verify.sh --full` runs
-//! this suite on the detected ISA and again under `SIMD2_FORCE_SCALAR`.
+//! values that underflow to zero in fp16. The values it does *not*
+//! admit — the ones that make the backend walk a declared operand dense
+//! — are the second property's (see [`specials`]): there a declaration
+//! must not move a bit whatever the operands hold. `scripts/verify.sh
+//! --full` runs this suite on the detected ISA and again under
+//! `SIMD2_FORCE_SCALAR`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simd2::{Backend, MatrixRef, OperandRepr, Parallelism};
+use simd2::{Backend, MatrixRef, OperandRepr, Parallelism, ReferenceBackend};
 use simd2_matrix::{reference, Matrix};
 use simd2_semiring::precision::quantize_f16;
+use simd2_semiring::simd::same_bits;
 use simd2_semiring::{OpKind, ALL_OPS};
 use simd2_sparse::{SparseOpCount, SparseTiledBackend};
 
@@ -69,15 +74,14 @@ fn hostile(op: OpKind) -> Vec<f32> {
 }
 
 /// A `rows × cols` operand: about `density` of the entries kept (in
-/// `0.5..9.5`, one in eight replaced by a [`hostile`] value), the rest
-/// at `zero`.
-fn operand(op: OpKind, rows: usize, cols: usize, zero: f32, density: f64, seed: u64) -> Matrix {
+/// `0.5..9.5`, one in eight replaced by a value from `pool` — see
+/// [`hostile`] and [`specials`]), the rest at `zero`.
+fn operand(pool: &[f32], rows: usize, cols: usize, zero: f32, density: f64, seed: u64) -> Matrix {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let pool = hostile(op);
     Matrix::from_fn(rows, cols, |_, _| {
         if !rng.gen_bool(density) {
             zero
-        } else if rng.gen_bool(0.125) {
+        } else if !pool.is_empty() && rng.gen_bool(0.125) {
             pool[rng.gen_range(0..pool.len())]
         } else {
             rng.gen_range(0.5..9.5)
@@ -155,10 +159,11 @@ proptest! {
         let b_density = B_DENSITIES[b_density_idx];
         let zero = op.no_edge_f32();
         let fill = zero.unwrap_or(0.0);
-        let a = operand(op, m, k, fill, a_density, seed);
+        let pool = hostile(op);
+        let a = operand(&pool, m, k, fill, a_density, seed);
         let a24 = structure_2_4(&a, fill, seed ^ 0x24);
-        let b = operand(op, k, n, fill, b_density, seed ^ 0xB);
-        let c = operand(op, m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
+        let b = operand(&pool, k, n, fill, b_density, seed ^ 0xB);
+        let c = operand(&pool, m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
 
         // Plus-norm has no annihilator: only the all-dense declaration
         // is legal, and it must still match the reference.
@@ -229,10 +234,10 @@ proptest! {
     }
 }
 
-/// Max-mul rows whose stored products are all negative: the skipped
-/// `0·b = +0.0` products of the dense fold must still lift them to
-/// `0.0` — the `⊕ 0.0` end correction — and only where a product was
-/// actually skipped.
+/// Max-mul rows whose stored products are all negative: the `0·b = +0.0`
+/// products of the dense fold must still lift them to `0.0`, and only
+/// where `A` holds a zero. Negative entries are outside max-mul's value
+/// domain, so the backend gets there by walking the declared `A` dense.
 #[test]
 fn negative_max_mul_entries_get_the_zero_correction() {
     let op = OpKind::MaxMul;
@@ -284,7 +289,9 @@ fn negative_max_mul_entries_get_the_zero_correction() {
 
 /// A stored entry that underflows to zero in fp16 stays a stored, folded
 /// term at reduced precision: same counters as at full precision, and a
-/// max-mul column it feeds is *not* treated as having skipped a product.
+/// max-mul column it feeds is *not* treated as having skipped a product
+/// (the negative entries make max-mul walk dense; plus-mul takes its CSR
+/// kernels).
 #[test]
 fn fp16_underflow_keeps_a_stored_term_stored() {
     let tiny = 1.0e-9f32;
@@ -304,4 +311,146 @@ fn fp16_underflow_keeps_a_stored_term_stored() {
         assert_eq!(reduced_count, full_count, "{op}");
         assert_eq!(reduced_count.skipped_terms, 0, "{op}");
     }
+}
+
+/// What [`declarations_never_change_bits`] sprinkles over otherwise
+/// in-domain operands (positive and finite), pool by pool:
+/// nothing; signed values and `±0.0`; `±∞` and a value that is finite in
+/// `f32` but rounds to `∞` in fp16; NaNs of both signs. All but the first
+/// put a plus-mul, min-mul or max-mul operand outside the domain on which
+/// skipping its partner's annihilator entries is exact.
+fn specials(pool: usize) -> &'static [f32] {
+    const NANS: [f32; 2] = [f32::from_bits(0x7FC0_1234), f32::from_bits(0xFFA0_0001)];
+    match pool {
+        0 => &[],
+        1 => &[-0.0, 0.0, -1.5, -0.25],
+        2 => &[f32::INFINITY, f32::NEG_INFINITY, 65520.0],
+        _ => &NANS,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A declaration is a hint on *every* operand value, not only on the
+    /// op's value domain: each sparse declaration returns the bits of the
+    /// all-dense one, and at full precision those of `ReferenceBackend`.
+    #[test]
+    fn declarations_never_change_bits(
+        op_idx in 0usize..ALL_OPS.len() - 1,
+        pool in 0usize..4,
+        m in 1usize..=20,
+        k_idx in 0usize..4,
+        n_idx in 0usize..4,
+        sparse_b in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // Plus-norm has no annihilator, hence nothing to declare.
+        let annihilating = ALL_OPS.into_iter().filter(|op| op.no_edge_f32().is_some());
+        let op = annihilating.clone().nth(op_idx).unwrap();
+        prop_assert_eq!(annihilating.count(), ALL_OPS.len() - 1);
+        let zero = op.no_edge_f32().unwrap();
+        let (k, n) = ([1, 3, 9, 40][k_idx], [1, 5, 17, 70][n_idx]);
+        // Below the sweep threshold `B` is scattered, above it swept.
+        let b_density = if sparse_b { 0.06 } else { 0.5 };
+        let a = operand(specials(pool), m, k, zero, 0.4, seed);
+        let a24 = structure_2_4(&a, zero, seed ^ 0x24);
+        let b = operand(specials(pool), k, n, zero, b_density, seed ^ 0xB);
+        let c = operand(&[], m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
+        let (csr, s24) = (OperandRepr::csr(zero), OperandRepr::structured(zero));
+        let legs = [
+            (&a, csr, OperandRepr::Dense),
+            (&a, OperandRepr::Dense, csr),
+            (&a, csr, csr),
+            (&a24, s24, OperandRepr::Dense),
+        ];
+        for reduced in [false, true] {
+            for (am, ra, rb) in legs {
+                let dense = OperandRepr::Dense;
+                let (want, _) = run(op, (am, dense), (&b, dense), &c, reduced, 1);
+                for workers in [1usize, 3] {
+                    let (got, _) = run(op, (am, ra), (&b, rb), &c, reduced, workers);
+                    prop_assert_eq!(
+                        bits(&got), bits(&want),
+                        "{} pool {} {}x{} {}x{}x{} reduced={} workers={}",
+                        op, pool, ra.name(), rb.name(), m, n, k, reduced, workers
+                    );
+                }
+                if !reduced {
+                    let oracle = ReferenceBackend::new().mmo(op, am, &b, &c).unwrap();
+                    let agree = want.as_slice().iter().zip(oracle.as_slice());
+                    prop_assert!(
+                        agree.clone().all(|(&x, &y)| same_bits(x, y)),
+                        "{} pool {} {}x{}x{}: dense declaration vs reference", op, pool, m, n, k
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// One 1×1×1 MMO with `A` CSR-declared over `op`'s annihilator: the
+/// declared result, which must equal the dense declaration's and the
+/// reference's.
+fn declared_1x1(op: OpKind, a: f32, b: f32, c: f32) -> f32 {
+    let (a, b, c) = (
+        Matrix::filled(1, 1, a),
+        Matrix::filled(1, 1, b),
+        Matrix::filled(1, 1, c),
+    );
+    let csr = OperandRepr::csr(op.no_edge_f32().unwrap());
+    let dense = OperandRepr::Dense;
+    let (got, _) = run(op, (&a, csr), (&b, dense), &c, false, 1);
+    let (want, _) = run(op, (&a, dense), (&b, dense), &c, false, 1);
+    let oracle = ReferenceBackend::new().mmo(op, &a, &b, &c).unwrap();
+    assert!(
+        same_bits(got[(0, 0)], want[(0, 0)]) && same_bits(got[(0, 0)], oracle[(0, 0)]),
+        "{op}: declared {:e}, dense {:e}, reference {:e}",
+        got[(0, 0)],
+        want[(0, 0)],
+        oracle[(0, 0)]
+    );
+    got[(0, 0)]
+}
+
+#[test]
+fn min_mul_folds_its_annihilator_against_a_negative_factor() {
+    // `+∞ × −1 = −∞` wins the min: the term is not skippable.
+    let d = declared_1x1(OpKind::MinMul, f32::INFINITY, -1.0, 0.5);
+    assert_eq!(d, f32::NEG_INFINITY);
+}
+
+#[test]
+fn plus_mul_folds_its_annihilator_against_an_infinite_factor() {
+    // `0 × ∞` is NaN and `+` propagates it.
+    assert!(declared_1x1(OpKind::PlusMul, 0.0, f32::INFINITY, 1.0).is_nan());
+}
+
+#[test]
+fn max_mul_folds_its_annihilator_against_a_negative_factor() {
+    // `0 × −1 = −0.0`, not the `+0.0` of the end correction.
+    let d = declared_1x1(OpKind::MaxMul, 0.0, -1.0, -2.0);
+    assert_eq!(d.to_bits(), (-0.0f32).to_bits());
+}
+
+#[test]
+fn max_mul_folds_its_annihilator_against_an_infinite_factor() {
+    // `0 × ∞` is NaN, which max drops: nothing lifts `C` to `0.0`.
+    assert_eq!(declared_1x1(OpKind::MaxMul, 0.0, f32::INFINITY, -2.0), -2.0);
+}
+
+/// A negative stored max-mul entry against a zero makes a `−0.0` product,
+/// which ties with the `+0.0` of a skipped one: the dense fold keeps
+/// whichever came first, so one `⊕ 0.0` at the end cannot stand for it.
+#[test]
+fn max_mul_keeps_the_order_of_a_signed_zero_tie() {
+    let op = OpKind::MaxMul;
+    let a = Matrix::from_rows(&[&[0.0, -1.5]]);
+    let b = Matrix::from_rows(&[&[1.5], &[0.0]]);
+    let c = Matrix::filled(1, 1, -1.5);
+    let (dense, csr) = (OperandRepr::Dense, OperandRepr::csr(0.0));
+    let (want, _) = run(op, (&a, dense), (&b, dense), &c, false, 1);
+    let (got, _) = run(op, (&a, csr), (&b, dense), &c, false, 1);
+    assert_eq!(bits(&got), bits(&want));
+    assert_eq!(bits(&want), bits(&reference::mmo(op, &a, &b, &c).unwrap()));
 }

@@ -71,8 +71,8 @@ pub mod span {
     /// One recorded-plan execution through the plan executor
     /// (`begin`/`end` span; the end event carries step/slot totals).
     pub const PLAN: &str = "plan";
-    /// One dispatch wave of independent plan steps (`end`-only span
-    /// summary; sequential replays emit one wave per step).
+    /// One dependency wave of a plan replay: mutually independent
+    /// steps, dispatched one by one (`end`-only span summary).
     pub const PLAN_WAVE: &str = "plan_wave";
     /// A serving-layer job lifecycle event (`instant`, keyed by a
     /// `stage` field: `admitted`, `rejected_backpressure`,

@@ -11,9 +11,8 @@
 //!   pipeline on converges to the identical result;
 //! * recording twice must optimize identically (the pipeline is a pure
 //!   function of the plan);
-//! * the per-app steps-before/after, merged, eliminated, reordered and
-//!   fused-chain counts are pinned in
-//!   `tests/snapshots/passes.snap`. When a pass changes
+//! * the per-app steps-before/after, merged and eliminated counts are
+//!   pinned in `tests/snapshots/passes.snap`. When a pass changes
 //!   *intentionally*, regenerate with:
 //!
 //! ```text
@@ -107,14 +106,12 @@ fn check_app(app: AppKind) -> String {
 
     let r = optimized.report();
     format!(
-        "{:<6} before={:<3} after={:<3} merged={:<3} eliminated={:<2} reordered={:<2} chains={}\n",
+        "{:<6} before={:<3} after={:<3} merged={:<3} eliminated={}\n",
         format!("{app:?}"),
         r.steps_before,
         r.steps_after,
         r.steps_merged,
         r.steps_eliminated,
-        r.steps_reordered,
-        r.chains_fused,
     )
 }
 

@@ -195,8 +195,7 @@ proptest! {
     /// A plan recorded with sparse operand declarations replays bit-
     /// identically to the same steps recorded dense, across every op,
     /// density regime {0.01, 0.1, 0.5, 2:4-structured}, both input
-    /// precisions, sequential + batched executors, and worker counts
-    /// {1, 2, 4, 8}. Plus-norm has no no-edge annihilator, so its
+    /// precisions, and worker counts {1, 2, 4, 8}. Plus-norm has no no-edge annihilator, so its
     /// declarations stay dense — the replay must agree all the same.
     #[test]
     fn sparse_replay_is_bit_identical_to_dense_replay(
@@ -239,25 +238,22 @@ proptest! {
             .run(&dense_plan, &mut SparseTiledBackend::new().with_reduced_precision(reduced))
             .unwrap();
         for workers in [1usize, 2, 4, 8] {
-            for batched in [false, true] {
-                let exec = if batched { PlanExecutor::batched() } else { PlanExecutor::new() };
-                let mut be = SparseTiledBackend::new()
-                    .with_reduced_precision(reduced)
-                    .with_parallelism(Parallelism::Threads(workers));
-                let got = exec.run(&sparse_plan, &mut be).unwrap();
-                for step in 0..sparse_plan.step_count() {
-                    prop_assert_eq!(
-                        bits(got.step_output(step)), bits(want.step_output(step)),
-                        "{} density_idx={} reduced={} workers={} batched={} step={}",
-                        op, density_idx, reduced, workers, batched, step
-                    );
-                }
-                if sentinel.is_some() {
-                    prop_assert!(
-                        be.sparse_count().sparse_mmos > 0,
-                        "{}: declared operands must take the compressed kernels", op
-                    );
-                }
+            let mut be = SparseTiledBackend::new()
+                .with_reduced_precision(reduced)
+                .with_parallelism(Parallelism::Threads(workers));
+            let got = PlanExecutor::new().run(&sparse_plan, &mut be).unwrap();
+            for step in 0..sparse_plan.step_count() {
+                prop_assert_eq!(
+                    bits(got.step_output(step)), bits(want.step_output(step)),
+                    "{} density_idx={} reduced={} workers={} step={}",
+                    op, density_idx, reduced, workers, step
+                );
+            }
+            if sentinel.is_some() {
+                prop_assert!(
+                    be.sparse_count().sparse_mmos > 0,
+                    "{}: declared operands must take the compressed kernels", op
+                );
             }
         }
         // The fp32 leg also agrees with the dense scalar reference,
@@ -309,7 +305,7 @@ proptest! {
         let waves = plan.waves().len();
         prop_assert_eq!(waves, plan.step_count());
         for halt_after in 1..waves {
-            let exec = PlanExecutor::batched();
+            let exec = PlanExecutor::new();
             let mut first = SparseTiledBackend::new().with_parallelism(Parallelism::Threads(2));
             let halted = exec
                 .run_resumable(&plan, &mut first, &mut |p: simd2_repro::core::ReplayProgress| {
