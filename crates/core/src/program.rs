@@ -159,8 +159,8 @@ pub fn stage_operands(
         let padded = Matrix::from_fn(rows, cols, |r, cc| src.get(r, cc).unwrap_or(fill));
         mem.write_matrix(base, ld, &padded)
     };
-    write(&mut mem, kernel.layout.a_base, kp, a, mp, kp, pads.operand)?;
-    write(&mut mem, kernel.layout.b_base, np, b, kp, np, pads.operand)?;
+    write(&mut mem, kernel.layout.a_base, kp, a, mp, kp, pads.a)?;
+    write(&mut mem, kernel.layout.b_base, np, b, kp, np, pads.b)?;
     write(
         &mut mem,
         kernel.layout.c_base,

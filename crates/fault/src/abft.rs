@@ -154,9 +154,10 @@ impl std::error::Error for AbftViolation {}
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AbftConfig {
     /// Relative checksum tolerance, scaled by the f64 magnitude of all
-    /// summed terms. fp32 tree reduction drifts by roughly
-    /// `depth · ε · magnitude ≈ 1e-6 · magnitude`; the default leaves
-    /// two orders of margin.
+    /// summed terms. An fp32 fold of `k` terms drifts by about
+    /// `√k · ε · magnitude` (≈ 2e-6 · magnitude at `k = 1024`) and by
+    /// at most `k · ε · magnitude` (≈ 6e-5 there); the default sits
+    /// above both.
     pub rel_tol: f64,
     /// Absolute checksum tolerance floor for near-zero sums.
     pub abs_tol: f64,

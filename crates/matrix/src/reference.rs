@@ -31,9 +31,10 @@ pub fn check_mmo_shapes(a: &Matrix, b: &Matrix, c: &Matrix) -> Result<(), ShapeE
 
 /// Reference `D = C ⊕ (A ⊗ B)` with dynamic operator dispatch.
 ///
-/// The reduction over `k` is seeded with the `⊕` identity and folded in
-/// ascending `k` order; `C` is reduced in last, matching the semantics of a
-/// SIMD² instruction whose accumulator register was pre-loaded with `C`.
+/// The one reduction of the repo (`simd2_semiring::simd`), written out:
+/// every element is seeded with `C ⊕ id` and folds its terms in ascending
+/// `k` order, `⊗` and `⊕` as two roundings — the semantics of a SIMD²
+/// instruction whose accumulator register was pre-loaded with `C`.
 ///
 /// # Errors
 ///
@@ -44,11 +45,11 @@ pub fn mmo(op: OpKind, a: &Matrix, b: &Matrix, c: &Matrix) -> Result<Matrix, Sha
     let mut d = Matrix::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
-            let mut acc = op.reduce_identity_f32();
+            let mut acc = op.reduce_f32(c[(i, j)], op.reduce_identity_f32());
             for l in 0..k {
                 acc = op.fma_f32(acc, a[(i, l)], b[(l, j)]);
             }
-            d[(i, j)] = op.reduce_f32(c[(i, j)], acc);
+            d[(i, j)] = acc;
         }
     }
     Ok(d)
@@ -119,9 +120,9 @@ mod tests {
                 fn visit<K: simd2_semiring::SemiringKernel>(self) -> Matrix {
                     let Self(a, b, c) = self;
                     Matrix::from_fn(a.rows(), b.cols(), |i, j| {
-                        let dot = (0..a.cols())
-                            .fold(K::IDENTITY, |acc, l| K::fma(acc, a[(i, l)], b[(l, j)]));
-                        K::reduce(c[(i, j)], dot)
+                        (0..a.cols()).fold(K::seed(c[(i, j)]), |acc, l| {
+                            K::fma(acc, a[(i, l)], b[(l, j)])
+                        })
                     })
                 }
             }
@@ -175,6 +176,13 @@ mod tests {
         let b = Matrix::zeros(0, 2);
         let c = Matrix::filled(2, 2, 3.0);
         let d = mmo(OpKind::MinPlus, &a, &b, &c).unwrap();
-        assert_eq!(d, c, "k = 0 reduces only C");
+        assert_eq!(d, c, "k = 0 leaves the seed C ⊕ id");
+        // The seed is not the identity function: it canonicalises.
+        let c = Matrix::filled(2, 2, -0.0);
+        let d = mmo(OpKind::PlusMul, &a, &b, &c).unwrap();
+        assert!(d.as_slice().iter().all(|x| x.to_bits() == 0));
+        let c = Matrix::filled(2, 2, f32::NAN);
+        let d = mmo(OpKind::MinPlus, &a, &b, &c).unwrap();
+        assert_eq!(d, Matrix::filled(2, 2, f32::INFINITY));
     }
 }

@@ -25,27 +25,42 @@ pub fn tiles_for(x: usize, tile: usize) -> usize {
 }
 
 /// Padding values that make out-of-range tile elements inert for a given
-/// operation.
+/// operation: a padded `k` step contributes `a ⊗ b`, which must be the
+/// `⊕` identity (or, for the `+` ops, `+0.0`, which a seeded accumulator
+/// absorbs exactly).
 ///
-/// * `A`/`B` operand padding uses the *no-edge* (⊗-annihilating) encoding,
-///   so padded lanes never win a reduction.
+/// * `A`/`B` operand padding uses the *no-edge* (⊗-annihilating) encoding
+///   on both sides — except for max-mul, whose no-edge value is `0.0` and
+///   `0 × 0 = +0.0` is *not* the identity of `max`: it would lift an
+///   all-negative reduction to zero. Max-mul pads `A` with `1.0` and `B`
+///   with `−∞`, whose product is.
 /// * `C`/`D` accumulator padding uses the `⊕` identity.
 ///
 /// Plus-norm has no annihilator; its padding strategy is instead to pad
 /// *both* operands with equal values so `(a−b)² = 0` contributes nothing to
-/// the `+` reduction, which `operand` encodes as `0.0`.
+/// the `+` reduction, which `a` and `b` encode as `0.0`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PadValues {
-    /// Fill value for `A` and `B` operand tiles.
-    pub operand: f32,
+    /// Fill value for `A` operand tiles.
+    pub a: f32,
+    /// Fill value for `B` operand tiles.
+    pub b: f32,
     /// Fill value for `C`/`D` accumulator tiles.
     pub accumulator: f32,
 }
 
 /// Returns the padding scheme for `op` (see [`PadValues`]).
 pub fn pad_values(op: OpKind) -> PadValues {
+    let (a, b) = match op {
+        OpKind::MaxMul => (1.0, f32::NEG_INFINITY),
+        _ => {
+            let no_edge = op.no_edge_f32().unwrap_or(0.0);
+            (no_edge, no_edge)
+        }
+    };
     PadValues {
-        operand: op.no_edge_f32().unwrap_or(0.0),
+        a,
+        b,
         accumulator: op.reduce_identity_f32(),
     }
 }
@@ -155,12 +170,12 @@ impl TileGrid {
 
 /// Loads the `A` operand tile at grid coordinate `(ti, tk)`.
 pub fn load_a_tile<const T: usize>(op: OpKind, a: &Matrix, ti: usize, tk: usize) -> Tile<T> {
-    Tile::load(a, ti * T, tk * T, pad_values(op).operand)
+    Tile::load(a, ti * T, tk * T, pad_values(op).a)
 }
 
 /// Loads the `B` operand tile at grid coordinate `(tk, tj)`.
 pub fn load_b_tile<const T: usize>(op: OpKind, b: &Matrix, tk: usize, tj: usize) -> Tile<T> {
-    Tile::load(b, tk * T, tj * T, pad_values(op).operand)
+    Tile::load(b, tk * T, tj * T, pad_values(op).b)
 }
 
 /// Loads the `C` accumulator tile at grid coordinate `(ti, tj)`.
@@ -262,17 +277,12 @@ mod tests {
     fn pad_values_are_inert_per_algebra() {
         for op in ALL_OPS {
             let pv = pad_values(op);
-            // A padded operand lane must never beat a real accumulator value.
-            let acc = match op {
-                simd2_semiring::OpKind::MinMul | simd2_semiring::OpKind::MaxMul => 0.5,
-                simd2_semiring::OpKind::OrAnd => 1.0,
-                _ => 3.0,
-            };
-            if op.no_edge_f32().is_some() {
-                assert_eq!(op.fma_f32(acc, pv.operand, pv.operand), acc, "{op}");
-            } else {
-                // plus-norm: equal padding values combine to 0, reduce (+) keeps acc.
-                assert_eq!(op.fma_f32(acc, pv.operand, pv.operand), acc, "{op}");
+            // A padded `k` step must leave every accumulator value as it
+            // is — negative ones included, which max-mul's `0 × 0` lifted.
+            for acc in [-5.0, 0.0, 0.5, 3.0, op.reduce_identity_f32()] {
+                let acc = op.reduce_f32(acc, op.reduce_identity_f32());
+                let got = op.fma_f32(acc, pv.a, pv.b);
+                assert_eq!(got.to_bits(), acc.to_bits(), "{op} on {acc}");
             }
             // The accumulator padding is the ⊕ identity.
             assert_eq!(pv.accumulator, op.reduce_identity_f32(), "{op}");

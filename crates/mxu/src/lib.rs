@@ -24,4 +24,4 @@ pub mod timing;
 pub mod unit;
 
 pub use area::{AreaModel, DieModel, PowerModel};
-pub use unit::{tree_reduce, MmaUnit, PrecisionMode, Simd2Unit, UnsupportedOpError};
+pub use unit::{MmaUnit, PrecisionMode, Simd2Unit, UnsupportedOpError};

@@ -5,16 +5,17 @@
 //! results through the configurable `⊕` tree, and reduces the accumulator
 //! tile in. Inputs are fp16, accumulation is fp32 (§3.2).
 //!
-//! The reduction over `k` is performed as a balanced binary *tree*, exactly
-//! as drawn in Figure 3/5 — for min/max/or this is indistinguishable from a
-//! sequential fold, for `+` it differs from a fold by rounding only, and
-//! the tests pin down that tree order.
+//! The `⊕` tree of Figures 3/5 is the datapath's *structure* — what
+//! [`crate::area`] and [`crate::timing`] price — not a rounding order the
+//! paper specifies. The functional model's rounding order is the one
+//! fold every engine in the repo shares (`simd2_semiring::simd`): each
+//! element starts from `C ⊕ id` and folds its `⊗` terms in ascending
+//! `k`. For min/max/or that is indistinguishable from a tree; for `+` it
+//! is the order under which a chain of tile instructions, a whole-row
+//! sweep and a walk that skips annihilator terms are the same function.
 
 use std::fmt;
 
-use simd2_semiring::kernel::{
-    dispatch_kernel, tree_reduce_in_place, KernelVisitor, SemiringKernel,
-};
 use simd2_semiring::precision::quantize_int8;
 use simd2_semiring::simd::{self, KernelIsa, SelectedKernel, TileKernel};
 use simd2_semiring::OpKind;
@@ -54,49 +55,6 @@ pub enum PrecisionMode {
     /// format cannot converge to the same result as baseline fp32"
     /// (§3.2). Values saturate at ±127.
     Int8Input,
-}
-
-/// Reduces `values` pairwise as a balanced binary tree, in place, using
-/// the scratch space of `values` itself (dynamic-op wrapper over the
-/// monomorphized [`tree_reduce_in_place`], the canonical `⊕`-tree shared
-/// with the vectorized kernels in `simd2_semiring::simd`). Returns `op`'s
-/// `⊕` identity for an empty slice. This is the exact reduction order of
-/// the unit's `⊕` tree, exposed for oracles that need to reproduce its
-/// rounding.
-pub fn tree_reduce(op: OpKind, values: &mut [f32]) -> f32 {
-    struct Reduce<'a>(&'a mut [f32]);
-    impl KernelVisitor for Reduce<'_> {
-        type Output = f32;
-        fn visit<K: SemiringKernel>(self) -> f32 {
-            tree_reduce_in_place::<K>(self.0)
-        }
-    }
-    dispatch_kernel(op, Reduce(values))
-}
-
-/// The fused, monomorphized *scalar* tile kernel: for each output
-/// element, combine the `k` operand pairs into a `[f32; N]` stack
-/// buffer, tree-reduce it in place, and fold the accumulator element in
-/// last. Operands must already be quantised.
-///
-/// The production path runs the vectorized [`TileKernel`] instead; this
-/// loop remains as the fallback for tiles wider than
-/// [`simd::MAX_TILE`] and as the oracle the kernel-identity tests pin
-/// the vector lowerings against.
-#[inline]
-fn execute_kernel<K: SemiringKernel, const N: usize>(
-    a: &Tile<N>,
-    b: &Tile<N>,
-    c: &Tile<N>,
-) -> Tile<N> {
-    Tile::from_fn(|i, j| {
-        let mut partials = [K::IDENTITY; N];
-        for (k, p) in partials.iter_mut().enumerate() {
-            *p = K::combine(a.get(i, k), b.get(k, j));
-        }
-        let reduced = tree_reduce_in_place::<K>(&mut partials);
-        K::reduce(c.get(i, j), reduced)
-    })
 }
 
 /// The SIMD² matrix unit: executes all nine operations on `N × N` tiles.
@@ -178,17 +136,16 @@ impl Simd2Unit {
 
     /// Executes `D = C ⊕ (A ⊗ B)` on tiles.
     ///
-    /// `A`/`B` elements pass through the input quantiser; the `⊕`
-    /// reduction over `k` runs as a balanced tree in fp32, is folded with
-    /// the `C` element last, and the result is returned as a fresh tile.
+    /// `A`/`B` elements pass through the input quantiser; every output
+    /// element then starts from `C ⊕ id` and folds its `N` terms in
+    /// ascending `k` in fp32, and the result is returned as a fresh tile.
     ///
-    /// The operation is resolved to a monomorphized [`SemiringKernel`]
-    /// exactly once per call, and the tile runs on the [`TileKernel`]
-    /// selected at construction (AVX-512 / AVX2 / NEON / scalar) — the
-    /// inner `N³` loop contains no dynamic dispatch, no feature tests
-    /// and no heap allocation. Every vector tier is bit-identical to the
-    /// scalar kernel, which stays available as the oracle (and as the
-    /// fallback for `N` beyond the kernels' stack budget).
+    /// The tile runs on the [`TileKernel`] selected at construction
+    /// (AVX-512 / AVX2 / scalar), which resolves the operation to a
+    /// monomorphized kernel exactly once per call — the inner `N³` loop
+    /// contains no dynamic dispatch, no feature tests and no heap
+    /// allocation. Every vector tier is bit-identical to the scalar
+    /// kernel, which is also what any `N` other than the ISA tile's runs.
     pub fn execute<const N: usize>(
         &self,
         op: OpKind,
@@ -199,36 +156,23 @@ impl Simd2Unit {
         let (mut qa, mut qb) = (*a, *b);
         self.quantize_operands(qa.as_flat_mut());
         self.quantize_operands(qb.as_flat_mut());
-        if N <= simd::MAX_TILE {
-            let mut d = Tile::splat(0.0);
-            self.kernel.mmo_tile(
-                op,
-                qa.as_flat(),
-                qb.as_flat(),
-                c.as_flat(),
-                d.as_flat_mut(),
-                N,
-            );
-            return d;
-        }
-        struct Exec<'t, const N: usize> {
-            a: &'t Tile<N>,
-            b: &'t Tile<N>,
-            c: &'t Tile<N>,
-        }
-        impl<const N: usize> KernelVisitor for Exec<'_, N> {
-            type Output = Tile<N>;
-            fn visit<K: SemiringKernel>(self) -> Tile<N> {
-                execute_kernel::<K, N>(self.a, self.b, self.c)
-            }
-        }
-        dispatch_kernel(op, Exec { a: &qa, b: &qb, c })
+        let mut d = Tile::splat(0.0);
+        self.kernel.mmo_tile(
+            op,
+            qa.as_flat(),
+            qb.as_flat(),
+            c.as_flat(),
+            d.as_flat_mut(),
+            N,
+        );
+        d
     }
 
-    /// Folds a whole `k` chain into `acc`: `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for
-    /// each pair of flat row-major 16×16 tiles of `a` and `b` in order,
-    /// in one kernel call that keeps the accumulator inside the unit —
-    /// bit-identical to one [`execute`](Self::execute) per pair. The
+    /// Folds a whole `k` chain into `acc`: `acc ← acc ⊕ id`, then
+    /// `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of flat row-major 16×16
+    /// tiles of `a` and `b` in order, in one kernel call that keeps the
+    /// accumulator inside the unit — bit-identical to one
+    /// [`execute`](Self::execute) per pair. The
     /// operands must already have passed through
     /// [`quantize_operands`](Self::quantize_operands).
     ///
@@ -306,17 +250,7 @@ mod tests {
             let d = unit.execute(op, &a, &b, &c);
             let dm = reference::mmo(op, &a.to_matrix(), &b.to_matrix(), &c.to_matrix()).unwrap();
             let want = Tile::<4>::try_from_matrix(&dm).unwrap();
-            // Tree vs fold reduction may differ by f32 rounding for the two
-            // additive reductions; all others must be exact.
-            let tol = match op {
-                OpKind::PlusMul | OpKind::PlusNorm => 1e-5,
-                _ => 0.0,
-            };
-            assert!(
-                d.max_abs_diff(&want) <= tol,
-                "{op}: diff {}",
-                d.max_abs_diff(&want)
-            );
+            assert_tiles_bit_identical(&d, &want, &format!("{op}"));
         }
     }
 
@@ -366,6 +300,8 @@ mod tests {
         assert!(d3.iter().all(|(_, _, v)| v == f32::INFINITY));
     }
 
+    // Named for the old order; what it pins is that `C` takes part —
+    // since PR 19 as the seed of the fold, not as its last operand.
     #[test]
     fn accumulator_is_reduced_last() {
         let unit = Simd2Unit::new();
@@ -411,37 +347,6 @@ mod tests {
             mma.execute(OpKind::PlusMul, &a, &b, &c).unwrap(),
             unit.execute(OpKind::PlusMul, &a, &b, &c)
         );
-    }
-
-    #[test]
-    fn in_place_tree_matches_level_materialising_tree() {
-        // The balanced-tree rounding semantics the docs promise: the
-        // in-place halving must produce bit-identical results to a tree
-        // that materialises every level, for every length (odd lengths
-        // exercise the straggler carry) and for a rounding-sensitive op.
-        for len in 1..=40usize {
-            let vals: Vec<f32> = (0..len).map(|i| 0.1 + (i as f32) * 0.3).collect();
-            let mut levels = vals.clone();
-            let mut reference = levels.clone();
-            while reference.len() > 1 {
-                reference = reference
-                    .chunks(2)
-                    .map(|p| if p.len() == 2 { p[0] + p[1] } else { p[0] })
-                    .collect();
-            }
-            let got = tree_reduce(OpKind::PlusMul, &mut levels);
-            assert_eq!(got.to_bits(), reference[0].to_bits(), "len {len}");
-        }
-    }
-
-    #[test]
-    fn tree_reduce_degenerate_cases() {
-        let mut empty: Vec<f32> = vec![];
-        assert_eq!(tree_reduce(OpKind::MinPlus, &mut empty), f32::INFINITY);
-        let mut one = vec![3.0];
-        assert_eq!(tree_reduce(OpKind::MinPlus, &mut one), 3.0);
-        let mut odd = vec![5.0, 1.0, 4.0];
-        assert_eq!(tree_reduce(OpKind::MinPlus, &mut odd), 1.0);
     }
 
     #[test]
@@ -525,48 +430,14 @@ mod tests {
 
     #[test]
     fn every_supported_isa_is_bit_identical_to_scalar() {
-        // Sides straddling every vector width: pure-tail shapes (N < 4),
-        // NEON-exact (4), AVX2 block + tail (11), one AVX-512 vector per
-        // row (16), and multi-block with tail on every tier (21).
+        // Only the ISA tile (16) has vector leaves; every other side
+        // must come out the same from whichever tier is asked.
         kernel_identity_case::<1>();
         kernel_identity_case::<3>();
         kernel_identity_case::<4>();
         kernel_identity_case::<11>();
         kernel_identity_case::<16>();
         kernel_identity_case::<21>();
-    }
-
-    #[test]
-    fn vector_kernel_matches_the_const_generic_scalar_loop() {
-        // The simd scalar leaf and the original `[f32; N]` loop are both
-        // oracles; pin them to each other through the public seam.
-        let a = Tile::<16>::from_fn(|r, c| tricky(r + 2 * c));
-        let b = Tile::<16>::from_fn(|r, c| tricky(5 * r + c + 4));
-        for op in ALL_OPS {
-            let c = Tile::<16>::splat(op.reduce_identity_f32());
-            struct Exec<'t, const N: usize> {
-                a: &'t Tile<N>,
-                b: &'t Tile<N>,
-                c: &'t Tile<N>,
-            }
-            impl<const N: usize> KernelVisitor for Exec<'_, N> {
-                type Output = Tile<N>;
-                fn visit<K: SemiringKernel>(self) -> Tile<N> {
-                    execute_kernel::<K, N>(self.a, self.b, self.c)
-                }
-            }
-            let unit = Simd2Unit::with_precision(PrecisionMode::Fp32Input);
-            let got = unit.execute(op, &a, &b, &c);
-            let want = dispatch_kernel(
-                op,
-                Exec {
-                    a: &a,
-                    b: &b,
-                    c: &c,
-                },
-            );
-            assert_tiles_bit_identical(&got, &want, &format!("{op} vs execute_kernel"));
-        }
     }
 
     #[test]

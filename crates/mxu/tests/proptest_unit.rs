@@ -33,9 +33,9 @@ fn tile_strategy(op: OpKind) -> impl Strategy<Value = Tile<4>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The unit matches the reference triple loop on every op for
-    /// arbitrary in-domain tiles (exact for selection algebras, within
-    /// tree-rounding for additive ones).
+    /// The unit matches the reference triple loop exactly on every op for
+    /// arbitrary in-domain tiles (fp16-exact, so both see the same
+    /// operand bits).
     #[test]
     fn unit_matches_reference(op in op_strategy(), seed in any::<u32>()) {
         let mut runner = proptest::test_runner::TestRunner::deterministic();
@@ -46,11 +46,7 @@ proptest! {
         let got = Simd2Unit::new().execute(op, &a, &b, &c);
         let want = reference::mmo(op, &a.to_matrix(), &b.to_matrix(), &c.to_matrix()).unwrap();
         let want = Tile::<4>::try_from_matrix(&want).unwrap();
-        let tol = match op {
-            OpKind::PlusMul | OpKind::PlusNorm => 1e-3,
-            _ => 0.0,
-        };
-        prop_assert!(got.max_abs_diff(&want) <= tol, "{}", op);
+        prop_assert_eq!(got, want, "{}", op);
     }
 
     /// Idempotent algebras: feeding the result back as the accumulator

@@ -42,6 +42,18 @@ pub trait SemiringKernel: Semiring<Elem = f32> {
     /// Identity of `⊕` as a compile-time constant
     /// (`reduce(IDENTITY, x) == x`).
     const IDENTITY: f32;
+
+    /// Where every reduction starts: `c ⊕ id`, one `⊕` of the accumulator
+    /// element with the identity. It returns `c` itself for every value a
+    /// fold can produce and canonicalises what a fold cannot — `-0.0`
+    /// becomes `+0.0` under `+`, any truthy value `1.0` under `∨`, NaN
+    /// the identity under min/max — so it is idempotent, and after it a
+    /// min/max/or accumulator is never NaN and a `+` accumulator never
+    /// `-0.0` (see [`crate::simd`]).
+    #[inline]
+    fn seed(c: f32) -> f32 {
+        Self::reduce(c, Self::IDENTITY)
+    }
 }
 
 macro_rules! kernel_impl {
@@ -63,35 +75,6 @@ kernel_impl!(
     OrAnd = 0.0,
     PlusNorm = 0.0,
 );
-
-/// Reduces `values` pairwise as a balanced binary tree, monomorphized
-/// over the kernel and performed by in-place halving — each level writes
-/// its results into the front of the same buffer, so the whole reduction
-/// runs in the caller's (stack) storage with zero heap traffic. The
-/// pairing `(v[2i], v[2i+1])`, with an odd straggler carried down
-/// unchanged, is exactly the level order of the paper's Figure 3/5 `⊕`
-/// tree; every execution path in the repo (scalar oracle, vector
-/// kernels, `simd2-mxu`) must reproduce this order bit-for-bit.
-///
-/// Returns `K::IDENTITY` for an empty slice.
-#[inline]
-pub fn tree_reduce_in_place<K: SemiringKernel>(values: &mut [f32]) -> f32 {
-    let mut len = values.len();
-    if len == 0 {
-        return K::IDENTITY;
-    }
-    while len > 1 {
-        let pairs = len / 2;
-        for i in 0..pairs {
-            values[i] = K::reduce(values[2 * i], values[2 * i + 1]);
-        }
-        if len % 2 == 1 {
-            values[pairs] = values[len - 1];
-        }
-        len = len.div_ceil(2);
-    }
-    values[0]
-}
 
 /// Visitor consumed by [`dispatch_kernel`].
 pub trait KernelVisitor {
@@ -174,6 +157,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    struct Seed(f32);
+    impl KernelVisitor for Seed {
+        type Output = f32;
+        fn visit<K: SemiringKernel>(self) -> f32 {
+            K::seed(self.0)
+        }
+    }
+
+    #[test]
+    fn seed_canonicalises_and_is_idempotent() {
+        let nan = f32::NAN;
+        for op in ALL_OPS {
+            for c in [-0.0, 0.0, 1.0, -2.5, 1.0e-40, f32::INFINITY, nan] {
+                let once = dispatch_kernel(op, Seed(c));
+                let twice = dispatch_kernel(op, Seed(once));
+                assert_eq!(once.to_bits(), twice.to_bits(), "{op} on {c}");
+                // Never `-0.0` under `+`, never NaN under min/max/or.
+                if matches!(op, OpKind::PlusMul | OpKind::PlusNorm) {
+                    assert_ne!(once.to_bits(), (-0.0f32).to_bits(), "{op} on {c}");
+                } else {
+                    assert!(!once.is_nan(), "{op} on {c}");
+                }
+            }
+        }
+        assert_eq!(dispatch_kernel(OpKind::OrAnd, Seed(2.5)), 1.0);
+        assert_eq!(
+            dispatch_kernel(OpKind::MaxPlus, Seed(nan)),
+            f32::NEG_INFINITY
+        );
     }
 
     struct Kind;

@@ -25,9 +25,9 @@
 //!   monomorphized code,
 //! * [`precision`] — fp16-in / fp32-out numerics matching the SIMD² data
 //!   path,
-//! * [`simd`] — vectorized tile kernels (AVX-512 / AVX2 / NEON) with
-//!   runtime CPU-feature dispatch and a portable scalar oracle, behind
-//!   the safe [`TileKernel`] seam, and
+//! * [`simd`] — vectorized tile kernels (AVX-512 / AVX2) with runtime
+//!   CPU-feature dispatch and a portable scalar oracle, behind the safe
+//!   [`TileKernel`] seam, and
 //! * [`properties`] — reusable algebraic property checks backing the
 //!   property-based test-suite.
 //!
@@ -60,7 +60,7 @@ pub mod properties;
 pub mod simd;
 mod typed;
 
-pub use kernel::{dispatch_kernel, tree_reduce_in_place, KernelVisitor, SemiringKernel};
+pub use kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
 pub use op::{OpKind, ParseOpKindError};
 pub use simd::{CpuFeatures, KernelIsa, SelectedKernel, TileKernel};
 pub use typed::{

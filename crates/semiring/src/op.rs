@@ -5,6 +5,8 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::typed::{select_max, select_min};
+
 /// One of the nine SIMD² operator pairs `(⊕, ⊗)` (paper Table 1 / Table 2).
 ///
 /// Each variant names the pair in `⊕-⊗` order, matching the paper
@@ -48,8 +50,8 @@ impl OpKind {
         match self {
             OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul => a * b,
             OpKind::MinPlus | OpKind::MaxPlus => a + b,
-            OpKind::MinMax => a.max(b),
-            OpKind::MaxMin => a.min(b),
+            OpKind::MinMax => select_max(a, b),
+            OpKind::MaxMin => select_min(a, b),
             OpKind::OrAnd => {
                 if a != 0.0 && b != 0.0 {
                     1.0
@@ -69,8 +71,8 @@ impl OpKind {
     pub fn reduce_f32(self, a: f32, b: f32) -> f32 {
         match self {
             OpKind::PlusMul | OpKind::PlusNorm => a + b,
-            OpKind::MinPlus | OpKind::MinMul | OpKind::MinMax => a.min(b),
-            OpKind::MaxPlus | OpKind::MaxMul | OpKind::MaxMin => a.max(b),
+            OpKind::MinPlus | OpKind::MinMul | OpKind::MinMax => select_min(a, b),
+            OpKind::MaxPlus | OpKind::MaxMul | OpKind::MaxMin => select_max(a, b),
             OpKind::OrAnd => {
                 if a != 0.0 || b != 0.0 {
                     1.0

@@ -1,31 +1,31 @@
 //! Vectorized semiring tile kernels with runtime CPU-feature dispatch.
 //!
-//! The inner loop of every tile MMO is `d[i][j] = c[i][j] ⊕ ⊕ₖ (a[i][k] ⊗
-//! b[k][j])` with the `⊕`-reduction over `k` performed as a balanced
-//! binary tree ([`crate::kernel::tree_reduce_in_place`]). That computation
-//! is embarrassingly parallel across output *columns* `j`, so the vector
-//! kernels here keep one vector lane per output column: each `k` step
-//! broadcasts `a[i][k]`, loads a contiguous row slice of `B`, applies the
-//! vector `⊗`, and the partial vectors are tree-halved in exactly the
-//! scalar pairing order. Lanes never interact, so every lane reproduces
-//! the scalar kernel's operation order — and therefore its rounding —
-//! bit for bit.
+//! Every kernel here computes one reduction: each output element starts
+//! from `acc₀ = c[i][j] ⊕ id` and folds `acc ← acc ⊕ (a[i][k] ⊗ b[k][j])`
+//! for `k` ascending, `⊗` and `⊕` as two roundings. The seed is one `⊕`
+//! with the op's identity: it turns a `-0.0` accumulator into `+0.0` for
+//! the `+` ops, a non-canonical truthy one into `1.0` for or-and and a
+//! NaN into the identity for the min/max ops, and it is idempotent, so
+//! a chain of tile MMOs — each seeding the accumulator the last one
+//! left — is one long fold and the tile side stops mattering. That
+//! computation is embarrassingly parallel across output *columns* `j`,
+//! so the vector kernels keep one vector lane per output column: each
+//! `k` step broadcasts `a[i][k]`, loads a contiguous row slice of `B`
+//! and applies the vector `⊗` then `⊕`. Lanes never interact, so every
+//! lane reproduces the scalar kernel's operation order — and therefore
+//! its rounding — bit for bit.
 //!
-//! Two entries share that computation. [`mmo_tile`] takes any tile side
-//! up to [`MAX_TILE`] as a runtime value. [`mmo_chain`] is specialised
-//! for the ISA-visible 16×16 tile and owns the whole `k` loop of one
-//! output tile: it reads contiguous chains of pre-quantised operand
-//! tiles and carries the accumulator from pair to pair, and because the
-//! side is a constant its x86 leaves keep a row's whole `⊕` tree (and, on
-//! AVX-512, the `B` tile) in registers. `mmo_tile` at that side is a
-//! chain of one.
-//!
-//! [`sweep_row`] is the sparse engine's row kernel and keeps the same
-//! one-column-per-lane layout with a different reduction: one output row
-//! folds an explicit `(k, value)` walk over rows of a dense `B`
-//! *sequentially* — `acc ← acc ⊕ (a ⊗ b)` term by term in walk order, as
-//! `simd2_matrix::reference::mmo` does — so whichever representation
-//! supplied the walk, the row equals the dense reference bit for bit.
+//! Three entries share it. [`mmo_chain`] is specialised for the
+//! ISA-visible 16×16 tile and owns the whole `k` loop of one output
+//! tile: it reads contiguous chains of pre-quantised operand tiles and,
+//! because a fold is one dependent `⊕` per term, its x86 leaves
+//! interleave the output rows of a register-resident accumulator block
+//! per `k` step. [`mmo_tile`] at that side is a chain of one; any other
+//! side — which only tests reach — takes the scalar leaf. [`sweep_row`]
+//! is the sparse engine's row kernel: one output row folds an explicit
+//! `(k, value)` walk over rows of a dense `B`, so whichever
+//! representation supplied the walk, a row seeded with `c ⊕ id` equals
+//! the dense fold bit for bit wherever the skipped terms are neutral.
 //!
 //! # Dispatch
 //!
@@ -41,11 +41,10 @@
 //!
 //! # Safety contract
 //!
-//! All `unsafe` in this crate lives in the `x86`/`neon` submodules, as
+//! All `unsafe` in this crate lives in the `x86` submodule, as
 //! `#[target_feature]` leaf functions with two documented preconditions:
 //! the feature is present on the host (checked by the dispatcher), and
-//! the slices have the shapes the entry asserted — `n × n` row-major
-//! with `n ≤ MAX_TILE` for [`mmo_tile`], whole 16×16 tiles for
+//! the slices have the shapes the entry asserted — whole 16×16 tiles for
 //! [`mmo_chain`]; the [`sweep_row`] leaves have no shape precondition
 //! (every vector access goes through a bounds-checked fixed-size chunk).
 //! Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
@@ -57,19 +56,20 @@
 //! match it exactly, *not* to be fastest-possible: plus-mul uses separate
 //! multiply and add (a fused FMA would round once instead of twice and
 //! diverge from the scalar oracle), and the min/max semirings wrap
-//! `min_ps`/`max_ps` in a NaN-aware blend or mask reproducing Rust's
-//! `f32::min`/`f32::max` operand semantics. Where a cheaper lowering is
-//! the same bits the x86 chain leaves take it, chosen by the op's type
-//! and the operands in hand, never by a switch: or-and chains run on
-//! bit masks and materialise `1.0`/`0.0` once, and min-max / max-min
-//! drop the NaN handling on tile pairs that hold no NaN. See DESIGN.md
+//! `min_ps`/`max_ps` in a NaN-aware blend or mask reproducing the scalar
+//! `⊗`/`⊕`, whose every case — NaN, `±0` tie — is pinned (`select_min` /
+//! `select_max` in `typed.rs`). Where a cheaper lowering is the same
+//! bits the x86 chain leaves take it, chosen by the op's type and the
+//! operands in hand, never by a switch: or-and chains run on bit masks
+//! and materialise `1.0`/`0.0` once, every min/max `⊕` folds on the bare
+//! instruction (its first operand is the seeded accumulator, which is
+//! never NaN), and the `⊗` of min-max / max-min drops its NaN handling
+//! on tile pairs that hold no NaN. See DESIGN.md
 //! § "SIMD kernel dispatch" for the full lowering table and the
 //! arguments. The suites compare through
 //! [`same_bits`], which says what "exactly" means for two NaNs.
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
-pub(crate) mod scalar;
+mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -80,15 +80,9 @@ use crate::kernel::SemiringKernel;
 use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul, PlusNorm};
 use crate::OpKind;
 
-/// Largest tile side the kernels handle: bounds the stack scratch of
-/// partial vectors ([`mmo_tile`] rejects larger `n`). The ISA-visible
-/// tile is 16×16, so 64 leaves generous headroom for tests and future
-/// shapes without growing the leaf frames past a few KiB.
-pub const MAX_TILE: usize = 64;
-
 /// Side of the tiles [`mmo_chain`] is specialised for: the ISA-visible
 /// 16×16 shape, a compile-time constant so the vector leaves keep a
-/// whole row's `⊕` tree in registers.
+/// block of accumulator rows in registers.
 pub const CHAIN_TILE: usize = 16;
 
 /// Elements of one [`CHAIN_TILE`]-sided tile.
@@ -116,8 +110,6 @@ pub struct CpuFeatures {
     /// Half-precision conversion (gates the AVX2 tier alongside `avx2`;
     /// the vector fp16 quantiser is `vcvtps2ph` + `vcvtph2ps`).
     pub f16c: bool,
-    /// AArch64 Advanced SIMD (4-lane `f32` vectors).
-    pub neon: bool,
 }
 
 impl CpuFeatures {
@@ -130,17 +122,9 @@ impl CpuFeatures {
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
                 fma: std::arch::is_x86_feature_detected!("fma"),
                 f16c: std::arch::is_x86_feature_detected!("f16c"),
-                neon: false,
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            Self {
-                neon: std::arch::is_aarch64_feature_detected!("neon"),
-                ..Self::default()
-            }
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             Self::default()
         }
@@ -160,27 +144,21 @@ pub enum KernelIsa {
     Avx512,
     /// 8-lane AVX2 kernels (requires FMA and F16C to be present as well).
     Avx2,
-    /// 4-lane AArch64 NEON kernels.
-    Neon,
-    /// The portable scalar kernel — the bit-identity oracle.
+    /// The portable scalar kernel — the bit-identity oracle, and what
+    /// every non-x86 host runs (its column-wise fold is a loop the
+    /// compiler vectorises for the target's baseline vector unit).
     Scalar,
 }
 
 impl KernelIsa {
     /// Every ISA tier, widest first (the selection preference order).
-    pub const ALL: [KernelIsa; 4] = [
-        KernelIsa::Avx512,
-        KernelIsa::Avx2,
-        KernelIsa::Neon,
-        KernelIsa::Scalar,
-    ];
+    pub const ALL: [KernelIsa; 3] = [KernelIsa::Avx512, KernelIsa::Avx2, KernelIsa::Scalar];
 
     /// Stable lower-case name used in telemetry and bench output.
     pub fn name(self) -> &'static str {
         match self {
             KernelIsa::Avx512 => "avx512",
             KernelIsa::Avx2 => "avx2",
-            KernelIsa::Neon => "neon",
             KernelIsa::Scalar => "scalar",
         }
     }
@@ -190,7 +168,6 @@ impl KernelIsa {
         match self {
             KernelIsa::Avx512 => 16,
             KernelIsa::Avx2 => 8,
-            KernelIsa::Neon => 4,
             KernelIsa::Scalar => 1,
         }
     }
@@ -201,7 +178,6 @@ impl KernelIsa {
         match self {
             KernelIsa::Avx512 => f.avx512f,
             KernelIsa::Avx2 => f.avx2 && f.fma && f.f16c,
-            KernelIsa::Neon => f.neon,
             KernelIsa::Scalar => true,
         }
     }
@@ -236,7 +212,8 @@ pub fn selected_isa() -> KernelIsa {
 }
 
 /// A tile-granularity MMO kernel: computes `D = C ⊕ (A ⊗ B)` over flat
-/// row-major `n × n` slices with the datapath's exact reduction order.
+/// row-major `n × n` slices in the one reduction order of the module
+/// docs.
 ///
 /// This is the seam the execution layers call instead of open-coding the
 /// scalar loop; [`SelectedKernel`] is the production implementation.
@@ -249,13 +226,14 @@ pub trait TileKernel {
     ///
     /// # Panics
     ///
-    /// Panics if any slice length differs from `n * n` or `n > MAX_TILE`.
+    /// Panics if any slice length differs from `n * n`.
     fn mmo_tile(&self, op: OpKind, a: &[f32], b: &[f32], c: &[f32], d: &mut [f32], n: usize);
 
-    /// Folds a whole `k` chain into one accumulator tile:
-    /// `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of flat row-major
-    /// [`CHAIN_TILE`]-sided tiles of `a` and `b` in order — bit-identical
-    /// to one [`mmo_tile`](TileKernel::mmo_tile) per pair. Operands must
+    /// Folds a whole `k` chain into one accumulator tile: seeds
+    /// `acc ← acc ⊕ id`, then `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of
+    /// flat row-major [`CHAIN_TILE`]-sided tiles of `a` and `b` in order
+    /// — bit-identical to one [`mmo_tile`](TileKernel::mmo_tile) per
+    /// pair, and to one fold over all of the chain's `k`. Operands must
     /// already be quantised.
     ///
     /// # Panics
@@ -362,13 +340,12 @@ macro_rules! with_kernel {
 /// enters the ISA's leaf — re-verifying hardware support first, so an
 /// unsupported `isa` value degrades to the scalar kernel rather than
 /// executing an illegal instruction. The ISA-visible shape
-/// (`n == CHAIN_TILE`) runs as a [`mmo_chain`] of one tile, so per-tile
-/// callers get the register-resident leaf too; every other `n` takes
-/// the runtime-`n` leaf.
+/// (`n == CHAIN_TILE`) runs as a [`mmo_chain`] of one tile; every other
+/// `n` takes the scalar leaf on every tier.
 ///
 /// # Panics
 ///
-/// Panics if any slice length differs from `n * n` or `n > MAX_TILE`.
+/// Panics if any slice length differs from `n * n`.
 pub fn mmo_tile(
     isa: KernelIsa,
     op: OpKind,
@@ -378,25 +355,24 @@ pub fn mmo_tile(
     d: &mut [f32],
     n: usize,
 ) {
-    assert!(n <= MAX_TILE, "tile side {n} exceeds MAX_TILE ({MAX_TILE})");
     let nn = n * n;
     assert_eq!(a.len(), nn, "operand A is not {n}×{n}");
     assert_eq!(b.len(), nn, "operand B is not {n}×{n}");
     assert_eq!(c.len(), nn, "accumulator C is not {n}×{n}");
     assert_eq!(d.len(), nn, "output D is not {n}×{n}");
+    d.copy_from_slice(c);
     if n == CHAIN_TILE {
-        d.copy_from_slice(c);
         with_kernel!(op, K => run_chain::<K>(isa, a, b, d));
     } else {
-        with_kernel!(op, K => run::<K>(isa, a, b, c, d, n));
+        with_kernel!(op, K => scalar::mmo_chain::<K>(a, b, d, n));
     }
 }
 
 /// Free-function form of [`TileKernel::mmo_chain`] with an explicit
 /// ISA: one call owns the whole `k` loop of an output tile, reading
 /// `a` and `b` as contiguous chains of quantised [`CHAIN_TILE`]-sided
-/// tiles and carrying `acc` from pair to pair. Same support guard as
-/// [`mmo_tile`]; an empty chain leaves `acc` untouched.
+/// tiles and folding them into the seeded `acc`. Same support guard as
+/// [`mmo_tile`]; an empty chain leaves `acc ⊕ id`.
 ///
 /// # Panics
 ///
@@ -428,10 +404,8 @@ pub fn mmo_chain(isa: KernelIsa, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f3
 /// Every column folds its terms in walk order with `⊗` and `⊕` as two
 /// roundings (never a fused multiply-add), so all tiers equal the
 /// scalar leaf bit for bit. The x86 leaves keep a [`SWEEP_STRIP`]-column
-/// accumulator strip in registers across the whole walk; NEON takes the
-/// scalar leaf (which the compiler vectorises for that baseline
-/// feature). Same support guard as [`mmo_tile`]. Operands must already
-/// be quantised.
+/// accumulator strip in registers across the whole walk. Same support
+/// guard as [`mmo_tile`]. Operands must already be quantised.
 ///
 /// # Panics
 ///
@@ -498,54 +472,23 @@ pub fn same_bits(got: f32, want: f32) -> bool {
 }
 
 /// Kernels lowered on every ISA tier this build knows about. Blanket-
-/// implemented for all nine semirings; exists so [`run`] can name one
-/// bound that is right for whichever architecture is being compiled.
+/// implemented for all nine semirings; exists so [`run_chain`] can name
+/// one bound that is right for whichever architecture is being compiled.
 #[cfg(target_arch = "x86_64")]
 trait ArchKernel: SemiringKernel + x86::Kernel256 + x86::Kernel512 {}
 #[cfg(target_arch = "x86_64")]
 impl<K: SemiringKernel + x86::Kernel256 + x86::Kernel512> ArchKernel for K {}
 
-#[cfg(target_arch = "aarch64")]
-trait ArchKernel: SemiringKernel + neon::KernelNeon {}
-#[cfg(target_arch = "aarch64")]
-impl<K: SemiringKernel + neon::KernelNeon> ArchKernel for K {}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 trait ArchKernel: SemiringKernel {}
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 impl<K: SemiringKernel> ArchKernel for K {}
 
-/// The detection-guarded entry to the `#[target_feature]` leaves: an arm
-/// is taken only when the runtime probe confirms the host executes that
-/// tier, which is exactly the precondition the leaf's safety contract
-/// requires. Shape preconditions were asserted by [`mmo_tile`].
-#[allow(clippy::needless_pass_by_ref_mut)] // `d` is written by every arm
-fn run<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], c: &[f32], d: &mut [f32], n: usize) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx512f is available on this CPU, and
-        // `mmo_tile` asserted the `n × n` slice shapes with n ≤ MAX_TILE.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
-            x86::mmo_tile_avx512::<K>(a, b, c, d, n)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 is available on this CPU, and
-        // `mmo_tile` asserted the `n × n` slice shapes with n ≤ MAX_TILE.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::mmo_tile_avx2::<K>(a, b, c, d, n) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: the guard proved neon is available on this CPU, and
-        // `mmo_tile` asserted the `n × n` slice shapes with n ≤ MAX_TILE.
-        KernelIsa::Neon if cpu_features().neon => unsafe {
-            neon::mmo_tile_neon::<K>(a, b, c, d, n)
-        },
-        _ => scalar::mmo_tile::<K>(a, b, c, d, n),
-    }
-}
-
-/// The detection-guarded entry to the chain leaves; shape preconditions
-/// were asserted by [`mmo_chain`] / [`mmo_tile`]. Tiers without a chain
-/// leaf of their own (NEON, which the CI host cannot exercise, and the
-/// scalar oracle) walk the chain through their per-tile leaf.
+/// The detection-guarded entry to the `#[target_feature]` chain leaves:
+/// an arm is taken only when the runtime probe confirms the host
+/// executes that tier, which is exactly the precondition the leaf's
+/// safety contract requires. Shape preconditions were asserted by
+/// [`mmo_chain`] / [`mmo_tile`].
 fn run_chain<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], acc: &mut [f32]) {
     match isa {
         #[cfg(target_arch = "x86_64")]
@@ -558,13 +501,7 @@ fn run_chain<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], acc: &mut [f32
         // SAFETY: the guard proved avx2 is available on this CPU, and
         // the callers asserted the chain and accumulator shapes.
         KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::mmo_chain_avx2::<K>(a, b, acc) },
-        _ => {
-            let mut c = [0.0f32; CHAIN_ELEMS];
-            for (at, bt) in a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS)) {
-                c.copy_from_slice(acc);
-                run::<K>(isa, at, bt, &c, acc, CHAIN_TILE);
-            }
-        }
+        _ => scalar::mmo_chain::<K>(a, b, acc, CHAIN_TILE),
     }
 }
 
@@ -589,7 +526,7 @@ fn run_sweep<K: ArchKernel>(
         KernelIsa::Avx2 if cpu_features().avx2 => unsafe {
             x86::sweep_row_avx2::<K>(ks, vals, b, ldb, acc)
         },
-        _ => scalar::sweep_columns::<K>(ks, vals, b, ldb, 0, acc),
+        _ => scalar::sweep_columns::<K>(scalar::walk(ks, vals), b, ldb, 0, acc),
     }
 }
 
@@ -643,11 +580,9 @@ mod tests {
     fn names_and_lanes_are_stable() {
         assert_eq!(KernelIsa::Avx512.name(), "avx512");
         assert_eq!(KernelIsa::Avx2.name(), "avx2");
-        assert_eq!(KernelIsa::Neon.name(), "neon");
         assert_eq!(KernelIsa::Scalar.name(), "scalar");
         assert_eq!(KernelIsa::Avx512.lanes(), 16);
         assert_eq!(KernelIsa::Avx2.lanes(), 8);
-        assert_eq!(KernelIsa::Neon.lanes(), 4);
         assert_eq!(KernelIsa::Scalar.lanes(), 1);
         assert_eq!(KernelIsa::Avx2.to_string(), "avx2");
     }
@@ -677,36 +612,6 @@ mod tests {
                 }
                 let mut got = vec![0.0f32; n * n];
                 mmo_tile(isa, op, &a, &b, &c, &mut got, n);
-                assert_same_bits(&got, &want, &format!("{op} on {isa}"));
-            }
-        }
-    }
-
-    #[test]
-    fn the_chain_route_of_mmo_tile_equals_the_runtime_n_leaf() {
-        // `mmo_tile` sends n == CHAIN_TILE through the chain leaf; the
-        // runtime-`n` leaf it bypasses must agree bit for bit on every
-        // tier, including on NaN, signed zeros and infinities.
-        const POOL: [f32; 8] = [
-            f32::NAN,
-            0.0,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            1.5,
-            -2.25,
-            1.0e-40,
-        ];
-        let pick = |i: usize, step: usize| POOL[(i * step + i / 7) % POOL.len()];
-        let a: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 3)).collect();
-        let b: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 5)).collect();
-        let c: Vec<f32> = (0..CHAIN_ELEMS).map(|i| pick(i, 7)).collect();
-        for op in ALL_OPS {
-            for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
-                let mut want = vec![0.0f32; CHAIN_ELEMS];
-                with_kernel!(op, K => run::<K>(isa, &a, &b, &c, &mut want, CHAIN_TILE));
-                let mut got = vec![0.0f32; CHAIN_ELEMS];
-                mmo_tile(isa, op, &a, &b, &c, &mut got, CHAIN_TILE);
                 assert_same_bits(&got, &want, &format!("{op} on {isa}"));
             }
         }
@@ -770,23 +675,6 @@ mod tests {
                 assert_eq!(g.to_bits(), *w);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_TILE")]
-    fn oversized_tiles_are_rejected() {
-        let n = MAX_TILE + 1;
-        let buf = vec![0.0f32; n * n];
-        let mut d = vec![0.0f32; n * n];
-        mmo_tile(
-            KernelIsa::Scalar,
-            OpKind::PlusMul,
-            &buf,
-            &buf,
-            &buf,
-            &mut d,
-            n,
-        );
     }
 
     #[test]

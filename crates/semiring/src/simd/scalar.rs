@@ -1,70 +1,49 @@
-//! Portable scalar tile kernel — the bit-identity oracle.
+//! Portable scalar kernel — the bit-identity oracle.
 //!
-//! This is the flat-slice form of the original `[f32; N]` tile loop: per
-//! output element, combine the `k` operand pairs into a stack buffer,
-//! tree-reduce it in place, and fold the accumulator element in last.
-//! Every vector leaf must reproduce this function's results bit for bit;
-//! the vector leaves also call [`mmo_columns`] directly for the tail
-//! columns that do not fill a whole vector.
+//! One function, [`sweep_columns`], is the reduction every path in the
+//! repo computes: a row of accumulators folds `(k, a)` terms in order,
+//! `acc[j] ← acc[j] ⊕ (a ⊗ b[k][j])`, `⊗` then `⊕` as two roundings. The
+//! tile leaf ([`mmo_chain`]) seeds its accumulators
+//! ([`SemiringKernel::seed`]) and hands each output row's `k = 0, 1, …`
+//! terms to it; the row sweep hands it a representation's walk. Every
+//! vector leaf must reproduce it bit for bit, and calls it directly for
+//! the tail columns that do not fill a whole vector. The inner loop runs
+//! along a contiguous `B` row with no dependence between columns, so the
+//! compiler vectorises it for whatever the target's baseline vector unit
+//! is.
 
-use crate::kernel::{tree_reduce_in_place, SemiringKernel};
+use crate::kernel::SemiringKernel;
 
-use super::MAX_TILE;
-
-/// Scalar `d = c ⊕ (a ⊗ b)` over flat row-major `n × n` tiles.
+/// Scalar chain over tiles of side `n`: seeds `acc ← acc ⊕ id`, then
+/// folds `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of flat row-major `n × n`
+/// tiles of `a` and `b` in order, every element in ascending `k`.
 ///
-/// Shape preconditions (`n ≤ MAX_TILE`, slices of length `n * n`) are
-/// asserted by [`super::mmo_tile`] before any leaf is entered.
+/// Shape preconditions (`acc` one tile, `a` and `b` the same whole
+/// number of them) are asserted by [`super::mmo_tile`] /
+/// [`super::mmo_chain`] before any leaf is entered.
 #[inline]
-pub(crate) fn mmo_tile<K: SemiringKernel>(
-    a: &[f32],
-    b: &[f32],
-    c: &[f32],
-    d: &mut [f32],
-    n: usize,
-) {
-    mmo_columns::<K>(a, b, c, d, n, 0);
-}
-
-/// Computes output columns `j0..n` of the tile with the scalar kernel —
-/// the whole tile for `j0 == 0`, or just the tail lanes a vector leaf
-/// left over. Column subsets of independent lanes are trivially
-/// bit-identical to computing the full tile.
-#[inline]
-pub(super) fn mmo_columns<K: SemiringKernel>(
-    a: &[f32],
-    b: &[f32],
-    c: &[f32],
-    d: &mut [f32],
-    n: usize,
-    j0: usize,
-) {
-    if j0 >= n {
+pub(super) fn mmo_chain<K: SemiringKernel>(a: &[f32], b: &[f32], acc: &mut [f32], n: usize) {
+    // `n == 0`: nothing to seed or fold, and `chunks_exact(0)` panics.
+    if acc.is_empty() {
         return;
     }
-    let mut partials = [K::IDENTITY; MAX_TILE];
-    for i in 0..n {
-        let row = i * n;
-        for j in j0..n {
-            for (k, p) in partials[..n].iter_mut().enumerate() {
-                *p = K::combine(a[row + k], b[k * n + j]);
-            }
-            let reduced = tree_reduce_in_place::<K>(&mut partials[..n]);
-            d[row + j] = K::reduce(c[row + j], reduced);
+    for x in acc.iter_mut() {
+        *x = K::seed(*x);
+    }
+    for (at, bt) in a.chunks_exact(n * n).zip(b.chunks_exact(n * n)) {
+        for (ar, dr) in at.chunks_exact(n).zip(acc.chunks_exact_mut(n)) {
+            sweep_columns::<K>(ar.iter().copied().enumerate(), bt, n, 0, dr);
         }
     }
 }
 
-/// Scalar row sweep — the oracle of [`super::sweep_row`]. Folds the walk
-/// `(ks[t], vals[t])` in order into output columns `j0..j0 + acc.len()`
-/// of one row: `acc[j] ← acc[j] ⊕ (vals[t] ⊗ b[ks[t]·ldb + j0 + j])`,
-/// `⊗` then `⊕` as two roundings. Vector leaves call it for the tail
-/// columns that do not fill a vector; columns are independent, so a
-/// column subset is bit-identical to the whole row.
+/// Folds `terms` — `(k, a)` pairs, in order — into output columns
+/// `j0..j0 + acc.len()` of one row:
+/// `acc[j] ← acc[j] ⊕ (a ⊗ b[k·ldb + j0 + j])`. Columns are independent,
+/// so a column subset is bit-identical to the whole row.
 #[inline]
 pub(super) fn sweep_columns<K: SemiringKernel>(
-    ks: &[u32],
-    vals: &[f32],
+    terms: impl Iterator<Item = (usize, f32)>,
     b: &[f32],
     ldb: usize,
     j0: usize,
@@ -73,10 +52,16 @@ pub(super) fn sweep_columns<K: SemiringKernel>(
     if acc.is_empty() {
         return;
     }
-    for (&k, &a) in ks.iter().zip(vals) {
-        let row = &b[k as usize * ldb + j0..][..acc.len()];
+    for (k, a) in terms {
+        let row = &b[k * ldb + j0..][..acc.len()];
         for (x, &bv) in acc.iter_mut().zip(row) {
             *x = K::reduce(*x, K::combine(a, bv));
         }
     }
+}
+
+/// The `(k, a)` terms of a row-sweep walk, for [`sweep_columns`].
+#[inline]
+pub(super) fn walk<'a>(ks: &'a [u32], vals: &'a [f32]) -> impl Iterator<Item = (usize, f32)> + 'a {
+    ks.iter().map(|&k| k as usize).zip(vals.iter().copied())
 }

@@ -5,19 +5,18 @@
 //! * The caller has verified at runtime that the CPU supports every
 //!   target feature the leaf enables (the dispatchers in `super` only
 //!   enter a leaf behind a `cpu_features()` guard).
-//! * Tile leaves: `a`, `b`, `c` and `d` are flat row-major `n × n`
-//!   slices and `n ≤ MAX_TILE` (asserted by `super::mmo_tile`); all
-//!   pointer arithmetic stays inside `n * n` elements. Chain leaves:
-//!   `a` and `b` are the same whole number of flat 16×16 tiles and the
-//!   accumulator exactly one (asserted by `super::mmo_chain`); they
-//!   index through fixed-size chunks, so every vector access is a whole
-//!   16-element row. Row-sweep leaves: no shape precondition — every
-//!   vector access goes through a bounds-checked fixed-size chunk.
+//! * Chain leaves: `a` and `b` are the same whole number of flat 16×16
+//!   tiles and the accumulator exactly one (asserted by
+//!   `super::mmo_chain`); they index through fixed-size chunks, so every
+//!   vector access is a whole vector of a 16-element row. Row-sweep
+//!   leaves: no shape precondition — every vector access goes through a
+//!   bounds-checked fixed-size chunk.
 //!
 //! # Bit identity
 //!
-//! Each lane holds one output column and replays the scalar kernel's
-//! exact operation order, so bit identity reduces to each vector `⊗`/`⊕`
+//! Each lane holds one output column and folds that column's terms in
+//! the scalar kernel's order — ascending `k`, the accumulator as the
+//! `⊕`'s first operand — so bit identity reduces to each vector `⊗`/`⊕`
 //! matching its scalar counterpart lane-wise:
 //!
 //! * `+`, `×`, `(a-b)²` — IEEE operations, identical by definition.
@@ -25,29 +24,31 @@
 //!   rounds after the multiply and again after the add, and a fused
 //!   kernel would not.
 //! * `min`/`max` — `vminps`/`vmaxps` alone return the *second* operand
-//!   on any NaN and have their own ±0 preference, which does not match
-//!   Rust's `f32::min`/`f32::max`. [`min_ps`]/[`max_ps`] wrap them in a
-//!   NaN-aware blend (a write mask on AVX-512, where the ordered-compare
-//!   mask folds the blend into the `min`/`max` itself) that reproduces
-//!   the scalar semantics exactly
-//!   (validated lane-wise against `f32::min`/`f32::max` over NaN
-//!   payloads, sNaN, ±0, infinities and denormals). The wrapper only
-//!   differs from the bare instruction, operands swapped, in lanes whose
-//!   first operand is NaN. min-max and max-min never compute a new
-//!   value — `⊗` and `⊕` both return one of their operands — so on a
-//!   tile pair that holds no NaN no term or partial is NaN either, and
-//!   the chain leaves run that pair's trees on the bare instruction
-//!   (`*_ord`): the same bits, ±0 ties included, in one op instead of
-//!   two (three on AVX2). The test is per tile pair, and a pair with a
-//!   NaN anywhere keeps the wrappers.
+//!   on any NaN and on a tie, which does not match the scalar
+//!   `select_min`/`select_max` (`crate::typed`: the other operand when
+//!   one is NaN, the first on a tie). [`min_ps`]/[`max_ps`] wrap them in
+//!   a NaN-aware blend (a write mask on AVX-512, where the
+//!   ordered-compare mask folds the blend into the `min`/`max` itself)
+//!   that reproduces the scalar semantics exactly (validated lane-wise
+//!   over NaN payloads, sNaN, ±0, infinities and denormals). The wrapper
+//!   only differs from the bare instruction, operands swapped, in lanes
+//!   whose first operand is NaN. A chain's accumulator is the first
+//!   operand of every `⊕` and, from its seed `acc ⊕ id` on, never NaN,
+//!   so the chain leaves fold all six min/max semirings on the bare
+//!   instruction (`fold_v`): the same bits, ±0 ties and NaN terms
+//!   included, in one op instead of two (three on AVX2). The `⊗` of
+//!   min-max and max-min is a `min`/`max` of two operand elements,
+//!   either of which can be NaN, so its bare form (`combine_ord`) needs
+//!   a tile pair that holds no NaN: the test is per tile pair, and a
+//!   pair with a NaN anywhere keeps the wrapper.
 //! * or-and — truthiness is `x != 0.0` with NaN truthy, which is the
 //!   unordered-or-unequal predicate `_CMP_NEQ_UQ`; the boolean result is
 //!   materialised as `1.0`/`0.0` by masking a splat of `1.0`. The chain
 //!   leaves do that once per chain: operands are compared to bit masks
 //!   as they are read and the `k` loop is AND/OR on those bits
-//!   ([`or_and_chain_avx512`]). Every `⊕` of the term-by-term lowering
-//!   already canonicalises to `1.0`/`0.0`, so the stored tile is the
-//!   same; an empty chain stores nothing.
+//!   ([`or_and_chain_avx512`]). Every `⊕` of the term-by-term lowering,
+//!   the seed `acc ⊕ 0.0` first of all, canonicalises to `1.0`/`0.0`, so
+//!   the stored tile is the same.
 //! * fp16 quantisation — the hardware round trip, with the software
 //!   NaN payload rule on NaN lanes; see [`quantize_f16_ps`].
 
@@ -57,7 +58,7 @@ use crate::kernel::SemiringKernel;
 use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul, PlusNorm};
 use crate::OpKind;
 
-use super::{scalar, CHAIN_ELEMS, CHAIN_TILE, MAX_TILE, SWEEP_STRIP};
+use super::{scalar, CHAIN_ELEMS, CHAIN_TILE, SWEEP_STRIP};
 
 /// `f32` lanes in a 256-bit vector.
 const LANES256: usize = 8;
@@ -73,9 +74,8 @@ const LANES512: usize = 16;
 // leaves that call them.
 // ---------------------------------------------------------------------------
 
-/// Lane-wise `a.min(b)` with Rust `f32::min` semantics (NaN in one
-/// operand yields the other; both-NaN and ±0 preferences match the
-/// scalar lowering).
+/// Lane-wise `select_min(a, b)` (NaN in one operand yields the other;
+/// both-NaN and ±0 preferences match the scalar lowering).
 ///
 /// # Safety
 ///
@@ -89,7 +89,7 @@ unsafe fn min_ps(a: __m256, b: __m256) -> __m256 {
     }
 }
 
-/// Lane-wise `a.max(b)` with Rust `f32::max` semantics.
+/// Lane-wise `select_max(a, b)`.
 ///
 /// # Safety
 ///
@@ -114,7 +114,7 @@ unsafe fn truthy_ps(v: __m256) -> __m256 {
     unsafe { _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps()) }
 }
 
-/// Lane-wise `a.min(b)` with Rust `f32::min` semantics, 512-bit form.
+/// Lane-wise `select_min(a, b)`, 512-bit form.
 ///
 /// # Safety
 ///
@@ -130,7 +130,7 @@ unsafe fn min_ps512(a: __m512, b: __m512) -> __m512 {
     }
 }
 
-/// Lane-wise `a.max(b)` with Rust `f32::max` semantics, 512-bit form.
+/// Lane-wise `select_max(a, b)`, 512-bit form.
 ///
 /// # Safety
 ///
@@ -212,164 +212,122 @@ pub(super) unsafe fn quantize_f16_avx2(xs: &mut [f32]) {
 // Per-semiring vector lowerings.
 // ---------------------------------------------------------------------------
 
-/// A semiring lowered to 256-bit (AVX2) vector `⊗`/`⊕`.
-///
-/// Both methods must match the scalar `combine`/`reduce` lane-wise, bit
-/// for bit.
-pub(super) trait Kernel256: SemiringKernel {
-    /// Whether `⊗` and `⊕` both only *select* one of their operands, so
-    /// NaN-free operands give a NaN-free result and the chain leaf may
-    /// use [`combine_ord`](Self::combine_ord) /
-    /// [`reduce_ord`](Self::reduce_ord) on tile pairs that carry no NaN.
-    const SELECTS: bool = false;
+/// Defines one width's lowering trait: a semiring as vector `⊗`/`⊕` on
+/// `$vec`. Every method requires `$feature` enabled on the calling stack.
+macro_rules! kernel_trait {
+    ($(#[$doc:meta])* $name:ident, $vec:ty, $feature:literal) => {
+        $(#[$doc])*
+        ///
+        /// `combine_v` and `reduce_v` must match the scalar
+        /// `combine`/`reduce` lane-wise, bit for bit, on every operand;
+        /// the other two are the same bits on the operands they are
+        /// documented for, in fewer instructions where the lowering can
+        /// drop its NaN handling.
+        pub(super) trait $name: SemiringKernel {
+            /// Whether `⊗` only *selects* one of its operands, so that
+            /// a tile pair without NaN makes no NaN term and the chain
+            /// leaf may use [`combine_ord`](Self::combine_ord) on it.
+            const SELECTS: bool = false;
 
-    /// Vector `⊗`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 enabled on the calling stack.
-    unsafe fn combine_v(a: __m256, b: __m256) -> __m256;
+            /// Vector `⊗`.
+            ///
+            /// # Safety
+            ///
+            #[doc = concat!("Requires ", $feature, " enabled on the calling stack.")]
+            unsafe fn combine_v(a: $vec, b: $vec) -> $vec;
 
-    /// Vector `⊕`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 enabled on the calling stack.
-    unsafe fn reduce_v(a: __m256, b: __m256) -> __m256;
+            /// Vector `⊕`.
+            ///
+            /// # Safety
+            ///
+            #[doc = concat!("Requires ", $feature, " enabled on the calling stack.")]
+            unsafe fn reduce_v(a: $vec, b: $vec) -> $vec;
 
-    /// Vector `⊗` for operands known to hold no NaN: the same bits as
-    /// [`combine_v`](Self::combine_v) there, in fewer instructions where
-    /// the lowering can drop its NaN handling.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 enabled on the calling stack.
-    #[inline(always)]
-    unsafe fn combine_ord(a: __m256, b: __m256) -> __m256 {
-        // SAFETY: the same contract as `combine_v`.
-        unsafe { Self::combine_v(a, b) }
-    }
+            /// Vector `⊗` for operands known to hold no NaN.
+            ///
+            /// # Safety
+            ///
+            #[doc = concat!("Requires ", $feature, " enabled on the calling stack.")]
+            #[inline(always)]
+            unsafe fn combine_ord(a: $vec, b: $vec) -> $vec {
+                // SAFETY: the same contract as `combine_v`.
+                unsafe { Self::combine_v(a, b) }
+            }
 
-    /// Vector `⊕` for operands known to hold no NaN (see
-    /// [`combine_ord`](Self::combine_ord)).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 enabled on the calling stack.
-    #[inline(always)]
-    unsafe fn reduce_ord(a: __m256, b: __m256) -> __m256 {
-        // SAFETY: the same contract as `reduce_v`.
-        unsafe { Self::reduce_v(a, b) }
-    }
+            /// Vector `⊕` for a first operand known not to be NaN — what
+            /// a chain's accumulator is from its seed `acc ⊕ id` on for
+            /// a min/max `⊕` (the term may be anything).
+            ///
+            /// # Safety
+            ///
+            #[doc = concat!("Requires ", $feature, " enabled on the calling stack.")]
+            #[inline(always)]
+            unsafe fn fold_v(acc: $vec, term: $vec) -> $vec {
+                // SAFETY: the same contract as `reduce_v`.
+                unsafe { Self::reduce_v(acc, term) }
+            }
+        }
+    };
 }
 
-/// A semiring lowered to 512-bit (AVX-512F) vector `⊗`/`⊕`.
-///
-/// Both methods must match the scalar `combine`/`reduce` lane-wise, bit
-/// for bit.
-pub(super) trait Kernel512: SemiringKernel {
-    /// Whether `⊗` and `⊕` both only *select* one of their operands, so
-    /// NaN-free operands give a NaN-free result and the chain leaf may
-    /// use [`combine_ord`](Self::combine_ord) /
-    /// [`reduce_ord`](Self::reduce_ord) on tile pairs that carry no NaN.
-    const SELECTS: bool = false;
-
-    /// Vector `⊗`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F enabled on the calling stack.
-    unsafe fn combine_v(a: __m512, b: __m512) -> __m512;
-
-    /// Vector `⊕`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F enabled on the calling stack.
-    unsafe fn reduce_v(a: __m512, b: __m512) -> __m512;
-
-    /// Vector `⊗` for operands known to hold no NaN: the same bits as
-    /// [`combine_v`](Self::combine_v) there, in fewer instructions where
-    /// the lowering can drop its NaN handling.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F enabled on the calling stack.
-    #[inline(always)]
-    unsafe fn combine_ord(a: __m512, b: __m512) -> __m512 {
-        // SAFETY: the same contract as `combine_v`.
-        unsafe { Self::combine_v(a, b) }
-    }
-
-    /// Vector `⊕` for operands known to hold no NaN (see
-    /// [`combine_ord`](Self::combine_ord)).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F enabled on the calling stack.
-    #[inline(always)]
-    unsafe fn reduce_ord(a: __m512, b: __m512) -> __m512 {
-        // SAFETY: the same contract as `reduce_v`.
-        unsafe { Self::reduce_v(a, b) }
-    }
-}
+kernel_trait!(
+    /// A semiring lowered to 256-bit (AVX2) vector `⊗`/`⊕`.
+    Kernel256,
+    __m256,
+    "AVX2"
+);
+kernel_trait!(
+    /// A semiring lowered to 512-bit (AVX-512F) vector `⊗`/`⊕`.
+    Kernel512,
+    __m512,
+    "AVX-512F"
+);
 
 /// Implements both vector lowerings for one semiring from lane-wise
-/// expressions shared across widths. The optional `ordered` tail gives
-/// the NaN-free forms of a semiring whose `⊗` and `⊕` both only select.
+/// expressions shared across widths. The optional `fold` tail gives the
+/// `⊕` of a min/max semiring for a first operand that is not NaN; the
+/// optional `ordered combine` tail the NaN-free `⊗` of a semiring whose
+/// `⊗` only selects.
 macro_rules! lower {
     ($kernel:ty,
      combine($ca:ident, $cb:ident) = $c256:expr, $c512:expr,
      reduce($ra:ident, $rb:ident) = $r256:expr, $r512:expr
-     $(, ordered combine = $oc256:expr, $oc512:expr,
-        reduce = $or256:expr, $or512:expr)? $(,)?) => {
-        impl Kernel256 for $kernel {
+     $(, fold = $f256:expr, $f512:expr)?
+     $(, ordered combine = $oc256:expr, $oc512:expr)? $(,)?) => {
+        lower!(@width $kernel, Kernel256, __m256,
+               combine($ca, $cb) = $c256, reduce($ra, $rb) = $r256
+               $(, fold = $f256)? $(, ordered combine = $oc256)?);
+        lower!(@width $kernel, Kernel512, __m512,
+               combine($ca, $cb) = $c512, reduce($ra, $rb) = $r512
+               $(, fold = $f512)? $(, ordered combine = $oc512)?);
+    };
+    (@width $kernel:ty, $trait:ident, $vec:ty,
+     combine($ca:ident, $cb:ident) = $c:expr, reduce($ra:ident, $rb:ident) = $r:expr
+     $(, fold = $f:expr)? $(, ordered combine = $oc:expr)?) => {
+        impl $trait for $kernel {
             #[inline(always)]
-            unsafe fn combine_v($ca: __m256, $cb: __m256) -> __m256 {
-                // SAFETY: AVX2 on the calling stack per the trait contract.
-                unsafe { $c256 }
+            unsafe fn combine_v($ca: $vec, $cb: $vec) -> $vec {
+                // SAFETY: the feature is on the calling stack per the trait contract.
+                unsafe { $c }
             }
             #[inline(always)]
-            unsafe fn reduce_v($ra: __m256, $rb: __m256) -> __m256 {
-                // SAFETY: AVX2 on the calling stack per the trait contract.
-                unsafe { $r256 }
+            unsafe fn reduce_v($ra: $vec, $rb: $vec) -> $vec {
+                // SAFETY: the feature is on the calling stack per the trait contract.
+                unsafe { $r }
             }
             $(
-                const SELECTS: bool = true;
                 #[inline(always)]
-                unsafe fn combine_ord($ca: __m256, $cb: __m256) -> __m256 {
-                    // SAFETY: AVX2 on the calling stack per the trait contract.
-                    unsafe { $oc256 }
-                }
-                #[inline(always)]
-                unsafe fn reduce_ord($ra: __m256, $rb: __m256) -> __m256 {
-                    // SAFETY: AVX2 on the calling stack per the trait contract.
-                    unsafe { $or256 }
+                unsafe fn fold_v($ra: $vec, $rb: $vec) -> $vec {
+                    // SAFETY: the feature is on the calling stack per the trait contract.
+                    unsafe { $f }
                 }
             )?
-        }
-        impl Kernel512 for $kernel {
-            #[inline(always)]
-            unsafe fn combine_v($ca: __m512, $cb: __m512) -> __m512 {
-                // SAFETY: AVX-512F on the calling stack per the trait contract.
-                unsafe { $c512 }
-            }
-            #[inline(always)]
-            unsafe fn reduce_v($ra: __m512, $rb: __m512) -> __m512 {
-                // SAFETY: AVX-512F on the calling stack per the trait contract.
-                unsafe { $r512 }
-            }
             $(
                 const SELECTS: bool = true;
                 #[inline(always)]
-                unsafe fn combine_ord($ca: __m512, $cb: __m512) -> __m512 {
-                    // SAFETY: AVX-512F on the calling stack per the trait contract.
-                    unsafe { $oc512 }
-                }
-                #[inline(always)]
-                unsafe fn reduce_ord($ra: __m512, $rb: __m512) -> __m512 {
-                    // SAFETY: AVX-512F on the calling stack per the trait contract.
-                    unsafe { $or512 }
+                unsafe fn combine_ord($ca: $vec, $cb: $vec) -> $vec {
+                    // SAFETY: the feature is on the calling stack per the trait contract.
+                    unsafe { $oc }
                 }
             )?
         }
@@ -384,12 +342,20 @@ lower!(
     reduce(a, b) = _mm256_add_ps(a, b),
     _mm512_add_ps(a, b),
 );
+// The NaN-aware `min`/`max` wrappers only differ from the bare
+// instruction, operands swapped, in lanes whose first operand is NaN:
+// elsewhere the blend takes the `min`/`max` side, the AVX-512 write mask
+// is all ones. `fold` is therefore the bare instruction for all six
+// min/max semirings, and so is the `ordered combine` of the two whose
+// `⊗` is a `min`/`max` too.
 lower!(
     MinPlus,
     combine(a, b) = _mm256_add_ps(a, b),
     _mm512_add_ps(a, b),
     reduce(a, b) = min_ps(a, b),
     min_ps512(a, b),
+    fold = _mm256_min_ps(b, a),
+    _mm512_min_ps(b, a),
 );
 lower!(
     MaxPlus,
@@ -397,6 +363,8 @@ lower!(
     _mm512_add_ps(a, b),
     reduce(a, b) = max_ps(a, b),
     max_ps512(a, b),
+    fold = _mm256_max_ps(b, a),
+    _mm512_max_ps(b, a),
 );
 lower!(
     MinMul,
@@ -404,6 +372,8 @@ lower!(
     _mm512_mul_ps(a, b),
     reduce(a, b) = min_ps(a, b),
     min_ps512(a, b),
+    fold = _mm256_min_ps(b, a),
+    _mm512_min_ps(b, a),
 );
 lower!(
     MaxMul,
@@ -411,21 +381,19 @@ lower!(
     _mm512_mul_ps(a, b),
     reduce(a, b) = max_ps(a, b),
     max_ps512(a, b),
+    fold = _mm256_max_ps(b, a),
+    _mm512_max_ps(b, a),
 );
-// min-max / max-min only select: where neither operand is NaN the
-// NaN-aware wrappers above reduce to the bare instruction with the same
-// (swapped) operand order — the blend takes the `min`/`max` side in
-// every lane, the AVX-512 write mask is all ones.
 lower!(
     MinMax,
     combine(a, b) = max_ps(a, b),
     max_ps512(a, b),
     reduce(a, b) = min_ps(a, b),
     min_ps512(a, b),
+    fold = _mm256_min_ps(b, a),
+    _mm512_min_ps(b, a),
     ordered combine = _mm256_max_ps(b, a),
     _mm512_max_ps(b, a),
-    reduce = _mm256_min_ps(b, a),
-    _mm512_min_ps(b, a),
 );
 lower!(
     MaxMin,
@@ -433,10 +401,10 @@ lower!(
     min_ps512(a, b),
     reduce(a, b) = max_ps(a, b),
     max_ps512(a, b),
+    fold = _mm256_max_ps(b, a),
+    _mm512_max_ps(b, a),
     ordered combine = _mm256_min_ps(b, a),
     _mm512_min_ps(b, a),
-    reduce = _mm256_max_ps(b, a),
-    _mm512_max_ps(b, a),
 );
 // or-and: packed-mask bitwise ops. `reduce` inputs are arbitrary f32
 // (any non-zero is truthy), so both sides re-derive truthiness masks.
@@ -469,257 +437,178 @@ lower!(
 );
 
 // ---------------------------------------------------------------------------
-// Tile leaves.
+// Chain leaves: the 16×16 tile kernel that owns the `tk` loop.
 // ---------------------------------------------------------------------------
 
-/// AVX2 tile kernel: 8 output columns per vector, scalar tail columns.
-///
-/// # Safety
-///
-/// * The CPU must support AVX2.
-/// * `a`, `b`, `c`, `d` must be flat row-major `n × n` slices with
-///   `n ≤ MAX_TILE`.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn mmo_tile_avx2<K: Kernel256>(
-    a: &[f32],
-    b: &[f32],
-    c: &[f32],
-    d: &mut [f32],
-    n: usize,
-) {
-    let full = n - n % LANES256;
-    let mut partials = [_mm256_setzero_ps(); MAX_TILE];
-    for i in 0..n {
-        let row = i * n;
-        let mut j = 0;
-        while j < full {
-            for k in 0..n {
-                let av = _mm256_set1_ps(a[row + k]);
-                // SAFETY: k < n and j + LANES256 <= n, so the 8-lane load
-                // at k*n + j ends within the n*n slice.
-                let bv = unsafe { _mm256_loadu_ps(b.as_ptr().add(k * n + j)) };
-                // SAFETY: this leaf enables AVX2.
-                partials[k] = unsafe { K::combine_v(av, bv) };
-            }
-            // In-place tree halving: the exact pairing order of
-            // `tree_reduce_in_place`, one whole level per pass.
-            let mut len = n;
-            while len > 1 {
-                let pairs = len / 2;
-                for p in 0..pairs {
-                    // SAFETY: this leaf enables AVX2.
-                    partials[p] = unsafe { K::reduce_v(partials[2 * p], partials[2 * p + 1]) };
-                }
-                if len % 2 == 1 {
-                    partials[pairs] = partials[len - 1];
-                }
-                len = len.div_ceil(2);
-            }
-            // SAFETY: row + j + LANES256 <= n*n (i < n, j + LANES256 <= n).
-            let cv = unsafe { _mm256_loadu_ps(c.as_ptr().add(row + j)) };
-            // SAFETY: this leaf enables AVX2. Accumulator is the first
-            // `⊕` operand, as in the scalar kernel.
-            let dv = unsafe { K::reduce_v(cv, partials[0]) };
-            // SAFETY: same in-bounds argument as the `c` load; `d` is
-            // exclusively borrowed.
-            unsafe { _mm256_storeu_ps(d.as_mut_ptr().add(row + j), dv) };
-            j += LANES256;
-        }
-    }
-    scalar::mmo_columns::<K>(a, b, c, d, n, full);
-}
-
-/// AVX-512F tile kernel: 16 output columns per vector — exactly one
-/// vector per row of the 16×16 ISA tile — with scalar tail columns.
-///
-/// # Safety
-///
-/// * The CPU must support AVX-512F.
-/// * `a`, `b`, `c`, `d` must be flat row-major `n × n` slices with
-///   `n ≤ MAX_TILE`.
+/// Whether a tile pair holds a NaN anywhere: one unordered compare per
+/// row pair (`A` row `i` against `B` row `i` — either NaN sets the lane).
 #[target_feature(enable = "avx512f")]
-pub(super) unsafe fn mmo_tile_avx512<K: Kernel512>(
-    a: &[f32],
-    b: &[f32],
-    c: &[f32],
-    d: &mut [f32],
-    n: usize,
-) {
-    let full = n - n % LANES512;
-    let mut partials = [_mm512_setzero_ps(); MAX_TILE];
-    for i in 0..n {
-        let row = i * n;
-        let mut j = 0;
-        while j < full {
-            for k in 0..n {
-                let av = _mm512_set1_ps(a[row + k]);
-                // SAFETY: k < n and j + LANES512 <= n, so the 16-lane load
-                // at k*n + j ends within the n*n slice.
-                let bv = unsafe { _mm512_loadu_ps(b.as_ptr().add(k * n + j)) };
-                // SAFETY: this leaf enables AVX-512F.
-                partials[k] = unsafe { K::combine_v(av, bv) };
-            }
-            let mut len = n;
-            while len > 1 {
-                let pairs = len / 2;
-                for p in 0..pairs {
-                    // SAFETY: this leaf enables AVX-512F.
-                    partials[p] = unsafe { K::reduce_v(partials[2 * p], partials[2 * p + 1]) };
-                }
-                if len % 2 == 1 {
-                    partials[pairs] = partials[len - 1];
-                }
-                len = len.div_ceil(2);
-            }
-            // SAFETY: row + j + LANES512 <= n*n (i < n, j + LANES512 <= n).
-            let cv = unsafe { _mm512_loadu_ps(c.as_ptr().add(row + j)) };
-            // SAFETY: this leaf enables AVX-512F. Accumulator first, as
-            // in the scalar kernel.
-            let dv = unsafe { K::reduce_v(cv, partials[0]) };
-            // SAFETY: same in-bounds argument as the `c` load; `d` is
-            // exclusively borrowed.
-            unsafe { _mm512_storeu_ps(d.as_mut_ptr().add(row + j), dv) };
-            j += LANES512;
-        }
+#[inline]
+fn pair_has_nan_avx512(at: &[f32; CHAIN_ELEMS], bt: &[f32; CHAIN_ELEMS]) -> bool {
+    let (a_rows, _) = at.as_chunks::<LANES512>();
+    let (b_rows, _) = bt.as_chunks::<LANES512>();
+    let mut nan = 0;
+    for (ar, br) in a_rows.iter().zip(b_rows) {
+        // SAFETY: `ar` and `br` are exactly 16 contiguous `f32`s.
+        let (av, bv) = unsafe { (_mm512_loadu_ps(ar.as_ptr()), _mm512_loadu_ps(br.as_ptr())) };
+        nan |= _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(av, bv);
     }
-    scalar::mmo_columns::<K>(a, b, c, d, n, full);
+    nan != 0
 }
 
-// ---------------------------------------------------------------------------
-// Chain leaves: the 16×16 tile specialisation that owns the `tk` loop.
-// ---------------------------------------------------------------------------
+/// [`pair_has_nan_avx512`] on 8-lane half rows.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn pair_has_nan_avx2(at: &[f32; CHAIN_ELEMS], bt: &[f32; CHAIN_ELEMS]) -> bool {
+    let (a_halves, _) = at.as_chunks::<LANES256>();
+    let (b_halves, _) = bt.as_chunks::<LANES256>();
+    let mut nan = _mm256_setzero_ps();
+    for (ah, bh) in a_halves.iter().zip(b_halves) {
+        // SAFETY: `ah` and `bh` are exactly 8 contiguous `f32`s.
+        let (av, bv) = unsafe { (_mm256_loadu_ps(ah.as_ptr()), _mm256_loadu_ps(bh.as_ptr())) };
+        nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(av, bv));
+    }
+    _mm256_movemask_ps(nan) != 0
+}
 
-/// The balanced `⊕` tree over one output row's 16 `⊗` terms: exactly
-/// the pairing [`crate::kernel::tree_reduce_in_place`] performs on a
-/// length of 16 (neighbours pair at every level, left operand first),
-/// written as one nested expression. Rust evaluates call arguments left
-/// to right, so the tree is walked depth-first and at most five
-/// partials (plus the term being formed) are live at once — the whole
-/// reduction stays in registers instead of the `[_; MAX_TILE]` stack
-/// scratch the runtime-`n` leaves spill to.
+/// Defines one tier's chain leaf `$leaf` and its block helper `$fold`
+/// from the tier's vector type parameters.
 ///
-/// `$p!(k)` yields the `k`-th `⊗` term, `$r!(x, y)` is `x ⊕ y`.
-macro_rules! tree16 {
-    ($r:ident, $p:ident) => {
-        $r!(
-            $r!(
-                $r!($r!($p!(0), $p!(1)), $r!($p!(2), $p!(3))),
-                $r!($r!($p!(4), $p!(5)), $r!($p!(6), $p!(7)))
-            ),
-            $r!(
-                $r!($r!($p!(8), $p!(9)), $r!($p!(10), $p!(11))),
-                $r!($r!($p!(12), $p!(13)), $r!($p!(14), $p!(15)))
-            )
-        )
+/// The leaf seeds the accumulator tile with `acc ⊕ id` — after which a
+/// min/max/or accumulator is never NaN and a `+` accumulator never
+/// `-0.0` — and then folds every tile pair of the chain into it in
+/// ascending `k`: `acc[i][j] ← acc[i][j] ⊕ (A[i][k] ⊗ B[k][j])`, `⊗` and
+/// `⊕` as two roundings, the accumulator as the `⊕`'s first operand —
+/// the scalar leaf's order, so a chain of `t` pairs is one `16·t`-term
+/// fold and equals the scalar leaf bit for bit.
+///
+/// A fold is one dependent `⊕` per term, so the helper interleaves
+/// `$rows` output rows: it holds a `$rows`-row by one-vector block of
+/// accumulators in registers across a tile pair's 16 `k` steps, each
+/// step loading one vector of `B` row `k` and broadcasting the block's
+/// `A` elements against it. The AVX-512 block is the whole tile (16 of
+/// 32 `zmm`), the AVX2 block a quarter of it (8 of 16 `ymm`).
+///
+/// Every `⊕` of the fold is `fold_v`: its first operand is the seeded
+/// accumulator. Two lowerings depend on what is being chained. Or-and
+/// leaves for the tier's lane-mask chain, which never forms an `f32`
+/// term. A semiring whose `⊗` selects (`SELECTS`) tests each tile pair
+/// for NaN and forms the pair's terms with `combine_ord` when there is
+/// none.
+macro_rules! chain_leaf {
+    ($leaf:ident, $fold:ident, $feature:literal, $kernel:ident, $lanes:ident, $rows:literal,
+     $load:ident, $splat:ident, $store:ident, $has_nan:ident, $or_and:ident) => {
+        /// One tile pair into one accumulator block: rows `a_rows` of
+        /// the `A` tile against vector `h` of every `B` row. `ORD`
+        /// forms the terms with `combine_ord`, which is the same bits
+        /// only on a tile pair without NaN. Safe to call wherever the
+        /// target feature is enabled.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn $fold<K: $kernel, const ORD: bool>(
+            a_rows: &[[f32; CHAIN_TILE]; $rows],
+            b_rows: &[[f32; CHAIN_TILE]],
+            h: usize,
+            acc_rows: &mut [[f32; CHAIN_TILE]; $rows],
+        ) {
+            let mut r = [$splat(0.0); $rows];
+            for (v, row) in r.iter_mut().zip(acc_rows.iter()) {
+                // SAFETY: a chunk is exactly one vector of contiguous `f32`s.
+                *v = unsafe { $load(row.as_chunks::<$lanes>().0[h].as_ptr()) };
+            }
+            for (k, b_row) in b_rows.iter().enumerate() {
+                // SAFETY: as above.
+                let bv = unsafe { $load(b_row.as_chunks::<$lanes>().0[h].as_ptr()) };
+                for (v, a_row) in r.iter_mut().zip(a_rows) {
+                    let av = $splat(a_row[k]);
+                    // SAFETY: this function enables the feature.
+                    *v = unsafe {
+                        let term = if ORD {
+                            K::combine_ord(av, bv)
+                        } else {
+                            K::combine_v(av, bv)
+                        };
+                        K::fold_v(*v, term)
+                    };
+                }
+            }
+            for (v, row) in r.iter().zip(acc_rows.iter_mut()) {
+                // SAFETY: as the load; `row` is exclusively borrowed.
+                unsafe { $store(row.as_chunks_mut::<$lanes>().0[h].as_mut_ptr(), *v) };
+            }
+        }
+
+        /// # Safety
+        ///
+        /// * The CPU must support the leaf's target feature.
+        /// * `a` and `b` must hold the same whole number of flat
+        ///   row-major 16×16 tiles, and `acc` exactly one (asserted by
+        ///   `super::mmo_chain`).
+        #[target_feature(enable = $feature)]
+        pub(super) unsafe fn $leaf<K: $kernel>(a: &[f32], b: &[f32], acc: &mut [f32]) {
+            if matches!(K::KIND, OpKind::OrAnd) {
+                return $or_and(a, b, acc);
+            }
+            let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
+            let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
+            // `acc` is exactly one tile (asserted by `super::mmo_chain`).
+            let Some(acc) = acc.first_chunk_mut::<CHAIN_ELEMS>() else {
+                return;
+            };
+            let id = $splat(K::IDENTITY);
+            for lane in acc.as_chunks_mut::<$lanes>().0 {
+                // SAFETY: `lane` is exactly one vector of contiguous
+                // `f32`s, exclusively borrowed, and this leaf enables
+                // the feature.
+                unsafe { $store(lane.as_mut_ptr(), K::reduce_v($load(lane.as_ptr()), id)) };
+            }
+            let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
+            let (acc_blocks, _) = acc_rows.as_chunks_mut::<$rows>();
+            for (at, bt) in a_tiles.iter().zip(b_tiles) {
+                let (a_rows, _) = at.as_chunks::<CHAIN_TILE>();
+                let (a_blocks, _) = a_rows.as_chunks::<$rows>();
+                let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
+                let ordered = K::SELECTS && !$has_nan(at, bt);
+                for (a_block, acc_block) in a_blocks.iter().zip(acc_blocks.iter_mut()) {
+                    for h in 0..CHAIN_TILE / $lanes {
+                        if ordered {
+                            $fold::<K, true>(a_block, b_rows, h, acc_block);
+                        } else {
+                            $fold::<K, false>(a_block, b_rows, h, acc_block);
+                        }
+                    }
+                }
+            }
+        }
     };
 }
 
-/// AVX-512F chain kernel: folds `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` over every
-/// tile pair of the chain, one 16-lane vector per tile row.
-///
-/// Per tile the 16 rows of `Bₜ` are loaded into 16 `zmm` registers once
-/// and reused by all 16 output rows; each output row broadcasts its 16
-/// `A` elements against them, reduces through [`tree16`] and folds the
-/// accumulator row in last, as the `⊕`'s first operand — the scalar
-/// kernel's order, so chaining `t` tiles equals `t` scalar tile MMOs bit
-/// for bit. Register budget: 16 `B` rows + ≤ 6 partials + the broadcast
-/// of 32 `zmm`.
-///
-/// Two lowerings depend on what is being chained. Or-and leaves for
-/// [`or_and_chain_avx512`], which never forms an `f32` term. A
-/// selecting semiring ([`Kernel512::SELECTS`]) tests each tile pair for
-/// NaN — one unordered compare per row pair — and runs the pair's trees
-/// on the `_ord` forms when there is none: every term and partial is
-/// then one of the pair's elements, so the trees see no NaN either. The
-/// accumulator comes from unquantised `C`, so the last fold of each row
-/// keeps [`Kernel512::reduce_v`].
-///
-/// # Safety
-///
-/// * The CPU must support AVX-512F.
-/// * `a` and `b` must hold the same whole number of flat row-major
-///   16×16 tiles, and `acc` exactly one (asserted by
-///   `super::mmo_chain`).
-#[target_feature(enable = "avx512f")]
-pub(super) unsafe fn mmo_chain_avx512<K: Kernel512>(a: &[f32], b: &[f32], acc: &mut [f32]) {
-    if matches!(K::KIND, OpKind::OrAnd) {
-        return or_and_chain_avx512(a, b, acc);
-    }
-    let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
-    let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
-    let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
-    for (at, bt) in a_tiles.iter().zip(b_tiles) {
-        let (a_rows, _) = at.as_chunks::<CHAIN_TILE>();
-        let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
-        let mut bv = [_mm512_setzero_ps(); CHAIN_TILE];
-        for (v, row) in bv.iter_mut().zip(b_rows) {
-            // SAFETY: `row` is exactly 16 contiguous `f32`s.
-            *v = unsafe { _mm512_loadu_ps(row.as_ptr()) };
-        }
-        let ordered = K::SELECTS && {
-            let mut nan = 0;
-            for (row, v) in a_rows.iter().zip(&bv) {
-                // SAFETY: `row` is exactly 16 contiguous `f32`s.
-                let av = unsafe { _mm512_loadu_ps(row.as_ptr()) };
-                nan |= _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(av, *v);
-            }
-            nan == 0
-        };
-        if ordered {
-            chain_rows_avx512::<K, true>(a_rows, &bv, acc_rows);
-        } else {
-            chain_rows_avx512::<K, false>(a_rows, &bv, acc_rows);
-        }
-    }
-}
-
-/// One tile pair of [`mmo_chain_avx512`]: `acc ← acc ⊕ (A ⊗ B)` with the
-/// `B` tile in `bv`. `ORD` puts the trees on the `_ord` forms, which is
-/// the same bits only for a selecting semiring on a tile pair without
-/// NaN. Safe to call wherever AVX-512F is enabled.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn chain_rows_avx512<K: Kernel512, const ORD: bool>(
-    a_rows: &[[f32; CHAIN_TILE]],
-    bv: &[__m512; CHAIN_TILE],
-    acc_rows: &mut [[f32; CHAIN_TILE]],
-) {
-    for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
-        macro_rules! term {
-            ($k:literal) => {{
-                let av = _mm512_set1_ps(ar[$k]);
-                // SAFETY: this function enables AVX-512F.
-                unsafe {
-                    if ORD {
-                        K::combine_ord(av, bv[$k])
-                    } else {
-                        K::combine_v(av, bv[$k])
-                    }
-                }
-            }};
-        }
-        macro_rules! fold {
-            ($x:expr, $y:expr) => {{
-                let (x, y) = ($x, $y);
-                // SAFETY: this function enables AVX-512F.
-                unsafe {
-                    if ORD {
-                        K::reduce_ord(x, y)
-                    } else {
-                        K::reduce_v(x, y)
-                    }
-                }
-            }};
-        }
-        let reduced = tree16!(fold, term);
-        // SAFETY: `dr` is exactly 16 contiguous `f32`s.
-        let cv = unsafe { _mm512_loadu_ps(dr.as_ptr()) };
-        // SAFETY: this function enables AVX-512F.
-        let dv = unsafe { K::reduce_v(cv, reduced) };
-        // SAFETY: as the load; `dr` is exclusively borrowed.
-        unsafe { _mm512_storeu_ps(dr.as_mut_ptr(), dv) };
-    }
-}
+chain_leaf!(
+    mmo_chain_avx512,
+    fold_block_avx512,
+    "avx512f",
+    Kernel512,
+    LANES512,
+    16,
+    _mm512_loadu_ps,
+    _mm512_set1_ps,
+    _mm512_storeu_ps,
+    pair_has_nan_avx512,
+    or_and_chain_avx512
+);
+chain_leaf!(
+    mmo_chain_avx2,
+    fold_block_avx2,
+    "avx2",
+    Kernel256,
+    LANES256,
+    8,
+    _mm256_loadu_ps,
+    _mm256_set1_ps,
+    _mm256_storeu_ps,
+    pair_has_nan_avx2,
+    or_and_chain_avx2
+);
 
 /// The truthiness (`x != 0.0`, NaN truthy) of a 16×16 tile as one
 /// 16-bit mask per *column*: bit `i` of lane `j` for element `(i, j)`.
@@ -740,16 +629,16 @@ fn truthy_columns_avx512(tile: &[f32; CHAIN_ELEMS]) -> __m512i {
 }
 
 /// The or-and chain on lane masks. Or-and reads its operands only for
-/// truthiness and, past the first tile pair, writes only `1.0`/`0.0`, so
-/// the whole chain is boolean: output `(i, j)` is truthy where the
+/// truthiness and writes only `1.0`/`0.0`, so the whole chain is
+/// boolean: output `(i, j)` is truthy where the
 /// accumulator was, or where some `A[i][k]` and `B[k][j]` both are.
 /// Lanes stay output columns, as in every other leaf, but a lane holds
 /// its column's 16 rows as bits: step `k` of a tile pair ORs column `k`
 /// of `A` — the rows that read `B` row `k` — into the lanes where `B`
 /// row `k` is truthy (one compare for the write mask, one lane
 /// broadcast, one masked OR). `1.0`/`0.0` is materialised once, after
-/// the last pair — what the term-by-term lowering leaves after the
-/// first.
+/// the last pair — what the term-by-term lowering leaves from the seed
+/// `acc ⊕ 0.0` on, so an empty chain canonicalises `acc` too.
 ///
 /// Safe to call wherever AVX-512F is enabled; shapes as for
 /// [`mmo_chain_avx512`] (every vector access is a bounds-checked whole
@@ -762,11 +651,6 @@ fn or_and_chain_avx512(a: &[f32], b: &[f32], acc: &mut [f32]) {
     let Some(acc) = acc.first_chunk_mut::<CHAIN_ELEMS>() else {
         return;
     };
-    if a_tiles.is_empty() {
-        // An empty chain leaves `acc` untouched, non-canonical truthy
-        // values included.
-        return;
-    }
     let mut out = truthy_columns_avx512(acc);
     for (at, bt) in a_tiles.iter().zip(b_tiles) {
         let a_cols = truthy_columns_avx512(at);
@@ -786,99 +670,6 @@ fn or_and_chain_avx512(a: &[f32], b: &[f32], acc: &mut [f32]) {
         // SAFETY: `dr` is exactly 16 contiguous `f32`s, exclusively
         // borrowed.
         unsafe { _mm512_storeu_ps(dr.as_mut_ptr(), dv) };
-    }
-}
-
-/// AVX2 chain kernel: the same chain as [`mmo_chain_avx512`] — the
-/// or-and and NaN-free selecting lowerings included — with each tile row
-/// split into two 8-lane halves. Sixteen `ymm` registers cannot hold a
-/// `B` tile, so the `B` half-rows are L1 memory operands of the `⊗`; the
-/// tree partials and the accumulator half-row still never leave
-/// registers.
-///
-/// # Safety
-///
-/// * The CPU must support AVX2.
-/// * Shapes as for [`mmo_chain_avx512`].
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn mmo_chain_avx2<K: Kernel256>(a: &[f32], b: &[f32], acc: &mut [f32]) {
-    if matches!(K::KIND, OpKind::OrAnd) {
-        return or_and_chain_avx2(a, b, acc);
-    }
-    let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
-    let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
-    let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
-    for (at, bt) in a_tiles.iter().zip(b_tiles) {
-        let (a_rows, _) = at.as_chunks::<CHAIN_TILE>();
-        let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
-        let ordered = K::SELECTS && {
-            let mut nan = _mm256_setzero_ps();
-            let (a_halves, _) = at.as_chunks::<LANES256>();
-            let (b_halves, _) = bt.as_chunks::<LANES256>();
-            for (ah, bh) in a_halves.iter().zip(b_halves) {
-                // SAFETY: `ah` and `bh` are exactly 8 contiguous `f32`s.
-                let (av, bv) =
-                    unsafe { (_mm256_loadu_ps(ah.as_ptr()), _mm256_loadu_ps(bh.as_ptr())) };
-                nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(av, bv));
-            }
-            _mm256_movemask_ps(nan) == 0
-        };
-        if ordered {
-            chain_rows_avx2::<K, true>(a_rows, b_rows, acc_rows);
-        } else {
-            chain_rows_avx2::<K, false>(a_rows, b_rows, acc_rows);
-        }
-    }
-}
-
-/// One tile pair of [`mmo_chain_avx2`]; `ORD` as for
-/// [`chain_rows_avx512`]. Safe to call wherever AVX2 is enabled.
-#[target_feature(enable = "avx2")]
-#[inline]
-fn chain_rows_avx2<K: Kernel256, const ORD: bool>(
-    a_rows: &[[f32; CHAIN_TILE]],
-    b_rows: &[[f32; CHAIN_TILE]],
-    acc_rows: &mut [[f32; CHAIN_TILE]],
-) {
-    for (ar, dr) in a_rows.iter().zip(acc_rows.iter_mut()) {
-        for half in [0, LANES256] {
-            macro_rules! term {
-                ($k:literal) => {{
-                    let av = _mm256_set1_ps(ar[$k]);
-                    // SAFETY: this function enables AVX2, and the
-                    // 8-lane load at `half ∈ {0, 8}` ends within the
-                    // 16-element row.
-                    unsafe {
-                        let bv = _mm256_loadu_ps(b_rows[$k].as_ptr().add(half));
-                        if ORD {
-                            K::combine_ord(av, bv)
-                        } else {
-                            K::combine_v(av, bv)
-                        }
-                    }
-                }};
-            }
-            macro_rules! fold {
-                ($x:expr, $y:expr) => {{
-                    let (x, y) = ($x, $y);
-                    // SAFETY: this function enables AVX2.
-                    unsafe {
-                        if ORD {
-                            K::reduce_ord(x, y)
-                        } else {
-                            K::reduce_v(x, y)
-                        }
-                    }
-                }};
-            }
-            let reduced = tree16!(fold, term);
-            // SAFETY: `half + 8 <= 16`, the length of `dr`.
-            let cv = unsafe { _mm256_loadu_ps(dr.as_ptr().add(half)) };
-            // SAFETY: this function enables AVX2.
-            let dv = unsafe { K::reduce_v(cv, reduced) };
-            // SAFETY: as the load; `dr` is exclusively borrowed.
-            unsafe { _mm256_storeu_ps(dr.as_mut_ptr().add(half), dv) };
-        }
     }
 }
 
@@ -912,9 +703,6 @@ fn or_and_chain_avx2(a: &[f32], b: &[f32], acc: &mut [f32]) {
     let Some(acc) = acc.first_chunk_mut::<CHAIN_ELEMS>() else {
         return;
     };
-    if a_tiles.is_empty() {
-        return;
-    }
     let mut out = truthy_columns_avx2(acc);
     for (at, bt) in a_tiles.iter().zip(b_tiles) {
         let a_cols = truthy_columns_avx2(at);
@@ -1021,7 +809,7 @@ macro_rules! sweep_leaf {
                 $strip::<K, 1>(ks, vals, b, ldb, j0, &mut acc[j0..]);
                 j0 += $lanes;
             }
-            scalar::sweep_columns::<K>(ks, vals, b, ldb, j0, &mut acc[j0..]);
+            scalar::sweep_columns::<K>(scalar::walk(ks, vals), b, ldb, j0, &mut acc[j0..]);
         }
     };
 }

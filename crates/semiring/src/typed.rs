@@ -48,6 +48,33 @@ pub trait Semiring: Copy + core::fmt::Debug + 'static {
     }
 }
 
+/// `min` with every case pinned: the smaller operand; `a` on a tie, `±0`
+/// included; the other operand when one is NaN, `b` when both are.
+///
+/// `f32::min` leaves the `±0` tie to the optimiser, so two inlined copies
+/// of one fold could disagree in a release build. This is what its
+/// unoptimised lowering returns, and what the vector kernels' `min`
+/// wrappers are built to return, spelled as a comparison the optimiser
+/// has no latitude in.
+#[inline]
+pub(crate) fn select_min(a: f32, b: f32) -> f32 {
+    if b < a || a.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
+/// `max` with every case pinned; see [`select_min`].
+#[inline]
+pub(crate) fn select_max(a: f32, b: f32) -> f32 {
+    if b > a || a.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
 macro_rules! f32_semiring {
     ($(#[$doc:meta])* $name:ident, $kind:expr,
      combine($ca:ident, $cb:ident) = $combine:expr,
@@ -93,7 +120,7 @@ f32_semiring!(
     MinPlus,
     OpKind::MinPlus,
     combine(a, b) = a + b,
-    reduce(a, b) = a.min(b),
+    reduce(a, b) = select_min(a, b),
     identity = f32::INFINITY
 );
 
@@ -102,7 +129,7 @@ f32_semiring!(
     MaxPlus,
     OpKind::MaxPlus,
     combine(a, b) = a + b,
-    reduce(a, b) = a.max(b),
+    reduce(a, b) = select_max(a, b),
     identity = f32::NEG_INFINITY
 );
 
@@ -111,7 +138,7 @@ f32_semiring!(
     MinMul,
     OpKind::MinMul,
     combine(a, b) = a * b,
-    reduce(a, b) = a.min(b),
+    reduce(a, b) = select_min(a, b),
     identity = f32::INFINITY
 );
 
@@ -120,7 +147,7 @@ f32_semiring!(
     MaxMul,
     OpKind::MaxMul,
     combine(a, b) = a * b,
-    reduce(a, b) = a.max(b),
+    reduce(a, b) = select_max(a, b),
     identity = f32::NEG_INFINITY
 );
 
@@ -128,8 +155,8 @@ f32_semiring!(
     /// `(min, max)` over `f32` — minimax / minimum spanning tree.
     MinMax,
     OpKind::MinMax,
-    combine(a, b) = a.max(b),
-    reduce(a, b) = a.min(b),
+    combine(a, b) = select_max(a, b),
+    reduce(a, b) = select_min(a, b),
     identity = f32::INFINITY
 );
 
@@ -137,8 +164,8 @@ f32_semiring!(
     /// `(max, min)` over `f32` — maximum capacity (widest) paths.
     MaxMin,
     OpKind::MaxMin,
-    combine(a, b) = a.min(b),
-    reduce(a, b) = a.max(b),
+    combine(a, b) = select_min(a, b),
+    reduce(a, b) = select_max(a, b),
     identity = f32::NEG_INFINITY
 );
 

@@ -1,13 +1,14 @@
 //! Property-based bit-identity checks for the vectorized tile kernels.
 //!
-//! The dispatch layer promises that every vector tier produces the
-//! **same bits** as the scalar kernel for *arbitrary* `f32` inputs —
-//! including NaN payloads, signed zeros, infinities and subnormals —
-//! at every tile side, not just multiples of the vector width, and the
-//! row-sweep leaf ([`simd::sweep_row`]) makes the same promise at every
-//! row width. These properties sample raw bit patterns (so specials appear with their
-//! natural density) plus a deterministic overlay of adversarial values,
-//! and compare each supported ISA against [`KernelIsa::Scalar`] through
+//! The dispatch layer promises that every tier computes the **same
+//! bits** as the one reduction written out ([`fold_chain`]: seed
+//! `c ⊕ id`, then every term in ascending `k`) for *arbitrary* `f32`
+//! inputs — including NaN payloads, signed zeros, infinities and
+//! subnormals — at every tile side and chain length, and the row-sweep
+//! leaf ([`simd::sweep_row`]) makes the same promise against the scalar
+//! leaf at every row width. These properties sample raw bit patterns (so
+//! specials appear with their natural density) plus a deterministic
+//! overlay of adversarial values, and compare through
 //! [`simd::same_bits`] (exact bits; for two NaNs, exact payloads in
 //! unoptimised builds only). That overlay puts a NaN into practically
 //! every 256-element tile, so the chain leaves' NaN-free lowering has a
@@ -15,7 +16,7 @@
 
 use proptest::prelude::*;
 use simd2_semiring::precision::quantize_f16;
-use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS, CHAIN_TILE, MAX_TILE};
+use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS, CHAIN_TILE};
 use simd2_semiring::{OpKind, ALL_OPS};
 
 fn op_strategy() -> impl Strategy<Value = OpKind> {
@@ -57,7 +58,7 @@ fn values(len: usize, bits: &[u32], salt: u32) -> Vec<f32> {
 }
 
 /// `len` NaN-free values. With `ties`, three in four are a signed zero
-/// and the rest `±1.0`, so most `min`/`max` in a tree meet `+0.0`
+/// and the rest `±1.0`, so most `min`/`max` in a fold meet `+0.0`
 /// against `-0.0` and the sign of the output records the operand order
 /// of every one of them. Otherwise every third is a non-NaN
 /// [`SPECIALS`] entry (infinities, subnormals, f16 boundaries) and the
@@ -102,15 +103,24 @@ fn sparse_truthy(len: usize, salt: u32) -> Vec<f32> {
         .collect()
 }
 
-/// `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` pair by pair on the scalar per-tile leaf —
-/// the oracle of every chain property.
-fn scalar_chain(op: OpKind, a: &[f32], b: &[f32], c: &[f32]) -> Vec<f32> {
-    let mut want = c.to_vec();
-    for (at, bt) in a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS)) {
-        let acc = want.clone();
-        simd::mmo_tile(KernelIsa::Scalar, op, at, bt, &acc, &mut want, CHAIN_TILE);
+/// The reduction itself, as the oracle of every tile and chain
+/// property: each element of the `n × n` accumulator starts from
+/// `c ⊕ id` and folds the terms of every tile pair of the chain in
+/// ascending `k`, one dynamic `⊗` then `⊕` at a time.
+fn fold_chain(op: OpKind, a: &[f32], b: &[f32], c: &[f32], n: usize) -> Vec<f32> {
+    let mut acc: Vec<f32> = c
+        .iter()
+        .map(|&x| op.reduce_f32(x, op.reduce_identity_f32()))
+        .collect();
+    for (at, bt) in a.chunks_exact(n * n).zip(b.chunks_exact(n * n)) {
+        for (ij, x) in acc.iter_mut().enumerate() {
+            let (i, j) = (ij / n, ij % n);
+            for k in 0..n {
+                *x = op.fma_f32(*x, at[i * n + k], bt[k * n + j]);
+            }
+        }
     }
-    want
+    acc
 }
 
 /// The vector tiers available on this host (never empty — scalar is
@@ -125,9 +135,10 @@ fn vector_tiers() -> Vec<KernelIsa> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every supported vector tier == scalar, bit for bit, over all nine
-    /// ops × arbitrary bit-pattern operands × every tile side 1..=40
-    /// (covering tails where `n` is not a multiple of 8 or 16 lanes).
+    /// Every supported tier == the fold written out, bit for bit, over
+    /// all nine ops × arbitrary bit-pattern operands × every tile side
+    /// 1..=40. Only side 16 has vector leaves; every other side must
+    /// come out the same from whichever tier is asked.
     #[test]
     fn vector_tiers_match_scalar_bit_for_bit(
         op in op_strategy(),
@@ -135,15 +146,13 @@ proptest! {
         bits in proptest::collection::vec(any::<u32>(), 64),
         salt in any::<u32>(),
     ) {
-        prop_assume!(n <= MAX_TILE);
         let a = values(n * n, &bits, salt);
         let b = values(n * n, &bits, salt.wrapping_add(1));
         let c = values(n * n, &bits, salt.wrapping_add(2));
 
-        let mut want = vec![0.0f32; n * n];
-        simd::mmo_tile(KernelIsa::Scalar, op, &a, &b, &c, &mut want, n);
+        let want = fold_chain(op, &a, &b, &c, n);
 
-        for isa in vector_tiers() {
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
             let mut got = vec![0.0f32; n * n];
             simd::mmo_tile(isa, op, &a, &b, &c, &mut got, n);
             for (i, (x, y)) in want.iter().zip(&got).enumerate() {
@@ -156,14 +165,15 @@ proptest! {
         }
     }
 
-    /// `mmo_chain` over 1..=5 tile pairs == that many scalar-leaf tile
-    /// MMOs with the accumulator carried by hand, on every supported
-    /// tier (scalar included: its chain walks the per-tile leaf) — what
-    /// lets the packed engine hand a whole `k` loop to one kernel call.
+    /// `mmo_chain` over 0..=5 tile pairs == one fold over all `16·t`
+    /// terms == that many per-tile MMOs with the accumulator carried by
+    /// hand (the seed is idempotent), on every supported tier — what
+    /// lets the packed engine hand a whole `k` loop to one kernel call
+    /// and makes the tile side invisible in the result.
     #[test]
     fn chain_matches_the_scalar_leaf_tile_by_tile(
         op in op_strategy(),
-        tiles in 1usize..=5,
+        tiles in 0usize..=5,
         bits in proptest::collection::vec(any::<u32>(), 64),
         salt in any::<u32>(),
     ) {
@@ -171,16 +181,26 @@ proptest! {
         let b = values(tiles * CHAIN_ELEMS, &bits, salt.wrapping_add(1));
         let c = values(CHAIN_ELEMS, &bits, salt.wrapping_add(2));
 
-        let want = scalar_chain(op, &a, &b, &c);
+        let want = fold_chain(op, &a, &b, &c, CHAIN_TILE);
 
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
             let mut got = c.clone();
             simd::mmo_chain(isa, op, &a, &b, &mut got);
+            let mut by_tile = c.clone();
+            for (at, bt) in a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS)) {
+                let acc = by_tile.clone();
+                simd::mmo_tile(isa, op, at, bt, &acc, &mut by_tile, CHAIN_TILE);
+            }
             for (i, (x, y)) in want.iter().zip(&got).enumerate() {
                 prop_assert!(
                     simd::same_bits(*y, *x),
                     "{} chain of {} isa={} element {} ({:e} vs {:e})",
                     op, tiles, isa, i, x, y
+                );
+                prop_assert!(
+                    tiles == 0 || simd::same_bits(by_tile[i], *x),
+                    "{} {} tile MMOs isa={} element {} ({:e} vs {:e})",
+                    op, tiles, isa, i, x, by_tile[i]
                 );
             }
         }
@@ -188,11 +208,11 @@ proptest! {
 
     /// Chains of 3..=5 tile pairs in which each pair independently is
     /// NaN-free or carries a NaN in `A` only, in `B` only or in both,
-    /// over a NaN-free or NaN-bearing accumulator: the selecting
-    /// semirings take their unmasked `min`/`max` lowering on exactly the
-    /// NaN-free pairs, switching route from pair to pair with the
-    /// accumulator carried across, and must equal the scalar leaf on
-    /// every tier whichever way each pair went.
+    /// over a NaN-free or NaN-bearing accumulator (which the seed makes
+    /// NaN-free for them): the selecting semirings take their unmasked
+    /// `min`/`max` lowering on exactly the NaN-free pairs, switching
+    /// route from pair to pair with the accumulator carried across, and
+    /// must equal the fold on every tier whichever way each pair went.
     #[test]
     fn chains_mixing_nan_free_and_nan_bearing_pairs_match_the_scalar_leaf(
         op in op_strategy(),
@@ -222,7 +242,7 @@ proptest! {
             c[spot(0, 7)] = f32::NAN;
             c[spot(0, 11)] = f32::from_bits(0xFFC0_1234);
         }
-        let want = scalar_chain(op, &a, &b, &c);
+        let want = fold_chain(op, &a, &b, &c, CHAIN_TILE);
 
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
             let mut got = c.clone();
@@ -239,12 +259,12 @@ proptest! {
 
     /// Or-and chains of 0..=4 pairs of mostly-falsy operands over an
     /// accumulator of non-canonical values: truthiness is all the chain
-    /// may read (NaN and subnormals truthy, `-0.0` falsy), `1.0`/`0.0`
-    /// all a non-empty chain may write, and an empty chain must leave
-    /// the accumulator's bits alone — on every tier, so on the lane-mask
-    /// lowering of both x86 tiers.
+    /// may read (NaN and subnormals truthy, `-0.0` falsy) and `1.0`/`0.0`
+    /// all it may write, the empty chain included (its result is the
+    /// seed `acc ⊕ 0.0`) — on every tier, so on the lane-mask lowering
+    /// of both x86 tiers.
     #[test]
-    fn or_and_chains_read_truthiness_only_and_an_empty_chain_writes_nothing(
+    fn or_and_chains_read_truthiness_only_and_write_canonical_booleans(
         tiles in 0usize..=4,
         salt in any::<u32>(),
     ) {
@@ -254,13 +274,12 @@ proptest! {
         let c: Vec<f32> = (0..CHAIN_ELEMS)
             .map(|i| ACC[(i + i / CHAIN_TILE + salt as usize) % ACC.len()])
             .collect();
-        let want = scalar_chain(OpKind::OrAnd, &a, &b, &c);
+        let want = fold_chain(OpKind::OrAnd, &a, &b, &c, CHAIN_TILE);
+        prop_assert!(want.iter().all(|&x| x.to_bits() == 0 || x == 1.0));
 
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
             let mut got = c.clone();
             simd::mmo_chain(isa, OpKind::OrAnd, &a, &b, &mut got);
-            // Exact bits, NaN payloads included: an or-and chain never
-            // computes a NaN, it can only leave one in place.
             let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
             let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(&got, &want, "chain of {} isa={}", tiles, isa);

@@ -15,9 +15,9 @@
 //! values that underflow to zero in fp16. The values it does *not*
 //! admit — the ones that make the backend walk a declared operand dense
 //! — are the second property's (see [`specials`]): there a declaration
-//! must not move a bit whatever the operands hold. `scripts/verify.sh
-//! --full` runs this suite on the detected ISA and again under
-//! `SIMD2_FORCE_SCALAR`.
+//! must not move a bit whatever the operands — and the accumulator the
+//! fold is seeded with — hold. `scripts/verify.sh --full` runs this
+//! suite on the detected ISA and again under `SIMD2_FORCE_SCALAR`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -28,6 +28,9 @@ use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::simd::same_bits;
 use simd2_semiring::{OpKind, ALL_OPS};
 use simd2_sparse::{SparseOpCount, SparseTiledBackend};
+
+mod pools;
+use pools::{operand, specials};
 
 const WIDTHS: [usize; 7] = [1, 15, 17, 63, 64, 65, 130];
 /// Inner dimensions: inside one sweep block, and across two and three.
@@ -71,22 +74,6 @@ fn hostile(op: OpKind) -> Vec<f32> {
         OpKind::MinMul => vec![0.0, nan(0x7FC0_1234), tiny[0], tiny[1], tiny[2]],
         OpKind::MaxMul => tiny.to_vec(),
     }
-}
-
-/// A `rows × cols` operand: about `density` of the entries kept (in
-/// `0.5..9.5`, one in eight replaced by a value from `pool` — see
-/// [`hostile`] and [`specials`]), the rest at `zero`.
-fn operand(pool: &[f32], rows: usize, cols: usize, zero: f32, density: f64, seed: u64) -> Matrix {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| {
-        if !rng.gen_bool(density) {
-            zero
-        } else if !pool.is_empty() && rng.gen_bool(0.125) {
-            pool[rng.gen_range(0..pool.len())]
-        } else {
-            rng.gen_range(0.5..9.5)
-        }
-    })
 }
 
 /// Forces `m` into the 2:4 pattern: at most two seeded positions of
@@ -313,22 +300,6 @@ fn fp16_underflow_keeps_a_stored_term_stored() {
     }
 }
 
-/// What [`declarations_never_change_bits`] sprinkles over otherwise
-/// in-domain operands (positive and finite), pool by pool:
-/// nothing; signed values and `±0.0`; `±∞` and a value that is finite in
-/// `f32` but rounds to `∞` in fp16; NaNs of both signs. All but the first
-/// put a plus-mul, min-mul or max-mul operand outside the domain on which
-/// skipping its partner's annihilator entries is exact.
-fn specials(pool: usize) -> &'static [f32] {
-    const NANS: [f32; 2] = [f32::from_bits(0x7FC0_1234), f32::from_bits(0xFFA0_0001)];
-    match pool {
-        0 => &[],
-        1 => &[-0.0, 0.0, -1.5, -0.25],
-        2 => &[f32::INFINITY, f32::NEG_INFINITY, 65520.0],
-        _ => &NANS,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -356,7 +327,7 @@ proptest! {
         let a = operand(specials(pool), m, k, zero, 0.4, seed);
         let a24 = structure_2_4(&a, zero, seed ^ 0x24);
         let b = operand(specials(pool), k, n, zero, b_density, seed ^ 0xB);
-        let c = operand(&[], m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
+        let c = operand(specials(pool), m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
         let (csr, s24) = (OperandRepr::csr(zero), OperandRepr::structured(zero));
         let legs = [
             (&a, csr, OperandRepr::Dense),

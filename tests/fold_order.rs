@@ -1,0 +1,138 @@
+//! One numeric contract: every backend computes the same reduction.
+//!
+//! Each output element starts from `C ⊕ id` and folds its `⊗` terms in
+//! ascending `k` (`simd2_semiring::simd`), so a chain of per-tile
+//! instructions (`IsaBackend`), a packed chain kernel (`TiledBackend`),
+//! a whole-row sweep or a walk that skips annihilator terms
+//! (`SparseTiledBackend`) and the naive triple loop (`ReferenceBackend`)
+//! are one function of the operand bits — for all nine ops, the two
+//! whose `⊕` rounds included. This is the one suite that sees every
+//! backend; operands come from `simd2-sparse`'s pool generators, `C`
+//! too. `scripts/verify.sh --full` runs it on both dispatch legs, and
+//! once more optimised (the `±0` hazards of `f32::max` only ever showed
+//! in release builds).
+
+use simd2_repro::core::backend::{Backend, IsaBackend, ReferenceBackend, TiledBackend};
+use simd2_repro::core::{MatrixRef, OperandRepr};
+use simd2_repro::matrix::Matrix;
+use simd2_repro::mxu::{PrecisionMode, Simd2Unit};
+use simd2_repro::semiring::simd::same_bits;
+use simd2_repro::semiring::{OpKind, ALL_OPS};
+use simd2_repro::sparse::SparseTiledBackend;
+
+#[path = "../crates/sparse/tests/pools/mod.rs"]
+mod pools;
+use pools::{operand, specials};
+
+/// `(m, n, k)`: inside one tile, ragged on every side, whole tiles, and
+/// wider than a sweep strip with `k` across two sweep blocks.
+const SHAPES: [(usize, usize, usize); 4] = [(5, 7, 3), (33, 31, 29), (64, 64, 64), (48, 80, 130)];
+
+/// Largest output the ISA executor is asked for (it is the slowest path).
+const ISA_MAX_ELEMS: usize = 33 * 31;
+
+/// Negates every ordinary (finite, non-zero) element a seeded third of
+/// the time, leaving annihilators and the pool's specials in place.
+fn signed(mut m: Matrix, seed: u64) -> Matrix {
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61;
+        if h < 3 && v.is_finite() && *v != 0.0 {
+            *v = -*v;
+        }
+    }
+    m
+}
+
+fn assert_same(got: &Matrix, want: &Matrix, ctx: &str) {
+    assert_eq!(got.shape(), want.shape(), "{ctx}");
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(same_bits(*g, *w), "{ctx}: element {i}: {g:e} vs {w:e}");
+    }
+}
+
+/// Nine ops × four shapes × four value pools × positive / signed, at both
+/// operand precisions: the engines agree bit for bit wherever they see
+/// the same operand bits.
+#[test]
+fn every_backend_computes_one_reduction() {
+    for (oi, op) in ALL_OPS.into_iter().enumerate() {
+        let zero = op.no_edge_f32();
+        let fill = zero.unwrap_or(0.0);
+        for (si, (m, n, k)) in SHAPES.into_iter().enumerate() {
+            for pool in 0..4 {
+                for sign in [false, true] {
+                    let seed = ((oi * 4 + si) * 4 + pool) as u64 * 2 + u64::from(sign);
+                    let gen = |rows, cols, zero, density, salt: u64| {
+                        let x = operand(specials(pool), rows, cols, zero, density, seed ^ salt);
+                        if sign {
+                            signed(x, seed ^ salt)
+                        } else {
+                            x
+                        }
+                    };
+                    let a = gen(m, k, fill, 0.4, 0xA);
+                    let b = gen(k, n, fill, 0.4, 0xB);
+                    let c = gen(m, n, op.reduce_identity_f32(), 0.7, 0xC);
+                    let ctx = format!("{op} {m}x{n}x{k} pool {pool} signed={sign}");
+
+                    // Both walks of the sparse engine against `want`.
+                    let check_sparse = |reduced: bool, want: &Matrix| {
+                        let reprs = [Some(OperandRepr::Dense), zero.map(OperandRepr::csr)];
+                        for a_repr in reprs.into_iter().flatten() {
+                            let got = SparseTiledBackend::new()
+                                .with_reduced_precision(reduced)
+                                .mmo_ref(
+                                    op,
+                                    MatrixRef::new(&a, a_repr),
+                                    MatrixRef::dense(&b),
+                                    MatrixRef::dense(&c),
+                                )
+                                .unwrap();
+                            let walk = a_repr.name();
+                            let ctx = format!("{ctx}: sparse reduced={reduced}, {walk} walk");
+                            assert_same(&got, want, &ctx);
+                        }
+                    };
+
+                    // fp16 operands: the dense engine is the reference.
+                    let tiled = TiledBackend::new().mmo(op, &a, &b, &c).unwrap();
+                    check_sparse(true, &tiled);
+                    if m * n <= ISA_MAX_ELEMS {
+                        let isa = IsaBackend::new().mmo(op, &a, &b, &c).unwrap();
+                        assert_same(&isa, &tiled, &format!("{ctx}: ISA executor"));
+                    }
+
+                    // fp32 operands: the naive triple loop is.
+                    let reference = ReferenceBackend::new().mmo(op, &a, &b, &c).unwrap();
+                    check_sparse(false, &reference);
+                    let fp32 = Simd2Unit::with_precision(PrecisionMode::Fp32Input);
+                    let tiled32 = TiledBackend::with_unit(fp32).mmo(op, &a, &b, &c).unwrap();
+                    assert_same(
+                        &tiled32,
+                        &reference,
+                        &format!("{ctx}: tiled, fp32 operands"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Operand padding must be inert. Max-mul's no-edge value is `0.0`, and
+/// a padded `0 × 0 = +0.0` would win the max over an all-negative
+/// reduction: with `k = 16` nothing is padded, with `k = 1` fifteen `k`
+/// steps are.
+#[test]
+fn max_mul_on_a_ragged_k_keeps_an_all_negative_reduction() {
+    let op = OpKind::MaxMul;
+    for k in [1, 3, 16, 17] {
+        let a = Matrix::filled(1, k, -1.0);
+        let b = Matrix::filled(k, 1, 2.0);
+        let c = Matrix::filled(1, 1, -5.0);
+        let run = |be: &mut dyn Backend| be.mmo(op, &a, &b, &c).unwrap()[(0, 0)];
+        assert_eq!(run(&mut ReferenceBackend::new()), -2.0, "reference, k={k}");
+        assert_eq!(run(&mut SparseTiledBackend::new()), -2.0, "sparse, k={k}");
+        assert_eq!(run(&mut TiledBackend::new()), -2.0, "tiled, k={k}");
+        assert_eq!(run(&mut IsaBackend::new()), -2.0, "ISA executor, k={k}");
+    }
+}
