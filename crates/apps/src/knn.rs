@@ -35,12 +35,34 @@ pub struct KnnResult {
     pub distances: Vec<Vec<f32>>,
 }
 
+/// The `k` candidates of `row` nearest in (distance, index) order, by
+/// bounded selection: `best` holds the nearest seen so far in order, and
+/// a candidate that does not beat its last entry — nearly every one —
+/// costs a single comparison.
+///
+/// # Panics
+///
+/// Panics when a comparison meets a NaN distance.
 fn top_k_of_row(row: &[f32], k: usize, skip: Option<usize>) -> (Vec<usize>, Vec<f32>) {
-    let mut order: Vec<usize> = (0..row.len()).filter(|&i| Some(i) != skip).collect();
-    order.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap().then(a.cmp(&b)));
-    order.truncate(k);
-    let dists = order.iter().map(|&i| row[i]).collect();
-    (order, dists)
+    let mut best: Vec<usize> = Vec::with_capacity(k.min(row.len()) + 1);
+    for i in (0..row.len()).filter(|&i| Some(i) != skip) {
+        // Candidates arrive in ascending index, so a tie goes to the entry
+        // already held: `i` belongs after every entry not farther than it.
+        let nearer = |&j: &usize| {
+            row[i]
+                .partial_cmp(&row[j])
+                .expect("KNN distances are never NaN")
+                .is_lt()
+        };
+        if best.len() == k && !best.last().is_some_and(nearer) {
+            continue;
+        }
+        let at = best.partition_point(|j| !nearer(j));
+        best.insert(at, i);
+        best.truncate(k);
+    }
+    let dists = best.iter().map(|&i| row[i]).collect();
+    (best, dists)
 }
 
 /// Baseline: brute-force scan — for each query point, compute the squared
@@ -160,6 +182,52 @@ mod tests {
             assert!(r.distances[q].windows(2).all(|w| w[0] <= w[1]), "sorted");
             assert_eq!(r.indices[q].len(), 5);
         }
+    }
+
+    /// What the selection must return: the whole candidate list sorted by
+    /// (distance, index), cut to `k`.
+    fn top_k_by_sorting(row: &[f32], k: usize, skip: Option<usize>) -> (Vec<usize>, Vec<f32>) {
+        let mut order: Vec<usize> = (0..row.len()).filter(|&i| Some(i) != skip).collect();
+        order.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap().then(a.cmp(&b)));
+        order.truncate(k);
+        let dists = order.iter().map(|&i| row[i]).collect();
+        (order, dists)
+    }
+
+    #[test]
+    fn selection_equals_the_full_sort_on_ties_and_short_rows() {
+        // Few distinct distances: ties everywhere, broken by index.
+        let tied: Vec<f32> = (0..40).map(|i| ((i * 7) % 5) as f32).collect();
+        let spread: Vec<f32> = (0..40).map(|i| ((i * 29) % 41) as f32 * 0.5).collect();
+        let zeros = [0.0, -0.0, 0.0, -0.0, f32::INFINITY, 0.0];
+        for row in [&tied[..], &spread[..], &zeros[..], &tied[..3], &[][..]] {
+            let n = row.len();
+            // `k` below, at and past the `n − 1` candidates a row has.
+            for k in [
+                0,
+                1,
+                2,
+                8,
+                n.saturating_sub(2),
+                n.saturating_sub(1),
+                n,
+                n + 3,
+            ] {
+                for skip in [None, Some(0), Some(n / 2), Some(n.saturating_sub(1))] {
+                    assert_eq!(
+                        top_k_of_row(row, k, skip),
+                        top_k_by_sorting(row, k, skip),
+                        "n={n} k={k} skip={skip:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "never NaN")]
+    fn selection_panics_on_a_nan_distance() {
+        top_k_of_row(&[1.0, f32::NAN, 0.5], 2, None);
     }
 
     #[test]

@@ -179,44 +179,6 @@ fn abft() -> AbftConfig {
     }
 }
 
-/// The magnitude-scaled tolerance the additive checksum actually grants
-/// — mirrors [`simd2_fault::abft::verify_matrix`]'s magnitude term over
-/// precision-quantized operands with the default [`AbftConfig`] knobs.
-fn checksum_tolerance(p: &Params, a: &Matrix, b: &Matrix, c: &Matrix) -> f64 {
-    let op = p.op;
-    let q = |v: f32| -> f64 {
-        if p.precision == PrecisionMode::Fp16Input {
-            f64::from(quantize_f16(v))
-        } else {
-            f64::from(v)
-        }
-    };
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut magnitude: f64 = c.as_slice().iter().map(|&v| f64::from(v).abs()).sum();
-    for kk in 0..k {
-        let (mut abs_a, mut sq_a, mut col_a) = (0.0f64, 0.0f64, 0.0f64);
-        let (mut abs_b, mut sq_b, mut row_b) = (0.0f64, 0.0f64, 0.0f64);
-        for i in 0..m {
-            let x = q(a.row(i)[kk]);
-            abs_a += x.abs();
-            sq_a += x * x;
-            col_a += x;
-        }
-        for j in 0..n {
-            let y = q(b.row(kk)[j]);
-            abs_b += y.abs();
-            sq_b += y * y;
-            row_b += y;
-        }
-        magnitude += match op {
-            OpKind::PlusNorm => n as f64 * sq_a + 2.0 * (col_a * row_b).abs() + m as f64 * sq_b,
-            _ => abs_a * abs_b,
-        };
-    }
-    let cfg = abft();
-    cfg.rel_tol * magnitude + cfg.abs_tol
-}
-
 struct Violation {
     what: String,
 }
@@ -463,7 +425,9 @@ fn soak_faults(p: &Params, totals: &mut Totals) -> Result<(), Violation> {
                     let sum =
                         |mm: &Matrix| -> f64 { mm.as_slice().iter().map(|&v| f64::from(v)).sum() };
                     let drift = (sum(&d) - sum(&clean)).abs();
-                    let tol = 2.0 * checksum_tolerance(p, &a, &b, &c);
+                    let granted =
+                        simd2_fault::abft::checksum(p.op, &a, &b, &c, &d, p.precision, &abft());
+                    let tol = 2.0 * granted.tolerance;
                     soak_check!(
                         drift <= tol,
                         "undetected strike exceeded the checksum guarantee: \

@@ -83,6 +83,11 @@ impl CompiledKernel {
 /// Lowers an `m×n×k` matrix operation to `warps` round-robin-partitioned
 /// instruction streams.
 ///
+/// With `k = 0` there is no operand tile to stream, but the result is
+/// still `C ⊕ id`, and the ISA seeds an accumulator nowhere but inside
+/// an `mmo`: each output tile then issues one over operand registers
+/// filled with the op's inert padding ([`tiling::pad_values`]).
+///
 /// # Panics
 ///
 /// Panics if `warps == 0`.
@@ -92,6 +97,14 @@ pub fn compile_mmo(op: OpKind, m: usize, n: usize, k: usize, warps: usize) -> Co
     let (_, np, kp) = layout.padded;
     let grid = TileGrid::new(m, n, k, ISA_TILE);
     let (ra, rb, rc) = (MatrixReg::new(0), MatrixReg::new(1), MatrixReg::new(2));
+    let mmo = Instruction::Mmo {
+        op,
+        d: rc,
+        a: ra,
+        b: rb,
+        c: rc,
+    };
+    let pad = tiling::pad_values(op);
     let mut warp_programs = vec![Vec::new(); warps];
     for (idx, (ti, tj)) in grid.output_coords().enumerate() {
         let prog = &mut warp_programs[idx % warps];
@@ -117,13 +130,20 @@ pub fn compile_mmo(op: OpKind, m: usize, n: usize, k: usize, warps: usize) -> Co
                 addr: b_addr,
                 ld: np as u32,
             });
-            prog.push(Instruction::Mmo {
-                op,
-                d: rc,
-                a: ra,
-                b: rb,
-                c: rc,
-            });
+            prog.push(mmo);
+        }
+        if grid.k_tiles == 0 {
+            prog.extend([
+                Instruction::Fill {
+                    dst: ra,
+                    value: pad.a,
+                },
+                Instruction::Fill {
+                    dst: rb,
+                    value: pad.b,
+                },
+                mmo,
+            ]);
         }
         prog.push(Instruction::Store {
             src: rc,
@@ -247,6 +267,20 @@ mod tests {
             assert_eq!(stores, 4);
         }
         assert_eq!(kernel.total_instructions(), 16 * (1 + 3 * 4 + 1));
+    }
+
+    #[test]
+    fn an_empty_k_still_seeds_every_output_tile() {
+        // 2×3 output tiles, no operand tile: load C, fill the operand
+        // registers with padding, one mmo, store.
+        let kernel = compile_mmo(OpKind::OrAnd, 20, 35, 0, 2);
+        assert_eq!(kernel.total_mmos(), 6);
+        assert_eq!(kernel.total_instructions(), 6 * 5);
+        let (a, b) = (Matrix::zeros(20, 0), Matrix::zeros(0, 35));
+        let c = Matrix::from_fn(20, 35, |i, j| ((i + j) % 3) as f32 * 2.0);
+        let got = execute_compiled(&kernel, &a, &b, &c).unwrap();
+        let want = Matrix::from_fn(20, 35, |i, j| f32::from(c[(i, j)] != 0.0));
+        assert_eq!(got, want);
     }
 
     #[test]

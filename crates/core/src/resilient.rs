@@ -554,6 +554,31 @@ mod tests {
     }
 
     #[test]
+    fn clean_steps_verify_whatever_the_accumulator_holds() {
+        // The witness recomputes what the engines compute, seed included:
+        // an element starts from `c ⊕ id`, so a truthy or-and `c` comes
+        // out `1.0` and a NaN min-plus `c` comes out `∞` — at `k = 0`
+        // that is the whole result.
+        let nan = f32::from_bits(0x7FC0_1234);
+        for (op, c, want) in [
+            (OpKind::OrAnd, 2.0, 1.0),
+            (OpKind::MinPlus, nan, f32::INFINITY),
+        ] {
+            for k in [0, 5] {
+                let a = Matrix::filled(3, k, nan);
+                let b = Matrix::filled(k, 4, 1.0);
+                let c = Matrix::filled(3, 4, c);
+                let mut be = ResilientBackend::new(TiledBackend::new(), RecoveryPolicy::FailFast);
+                let d = be
+                    .mmo(op, &a, &b, &c)
+                    .unwrap_or_else(|e| panic!("{op} k={k}: {e}"));
+                assert_eq!(d, Matrix::filled(3, 4, want), "{op} k={k}");
+                assert_eq!(be.recovery_stats().detections, 0, "{op} k={k}");
+            }
+        }
+    }
+
+    #[test]
     fn fail_fast_surfaces_detection() {
         let (a, b, c) = operands(OpKind::PlusMul, 16);
         let mut be = ResilientBackend::new(faulty_tiled(5, 1_000_000), RecoveryPolicy::FailFast);

@@ -14,15 +14,28 @@
 //!   matrix granularity a cheap full dominance scan (`d ≤ c` for the
 //!   min family, `d ≥ c` for the max family, `d ∈ {0,1}` for `or-and`)
 //!   plus a deterministic sample of exact witnesses catches corruption.
+//!   A witness is the engines' own reduction: it starts from `c ⊕ id`
+//!   ([`SemiringKernel::seed`]) and folds its `⊗` terms in ascending `k`.
 //!
 //! A NaN tripwire runs first for every algebra: a NaN in `D` when
 //! `A`/`B`/`C` are NaN-free is always corruption.
+//!
+//! Every check is a streaming pass whose inner loop runs over a
+//! contiguous row: flags are branch-free folds (an element loop only
+//! *locates* a violation a flag has found), operand rows are copied a
+//! block at a time through the unit's own slice quantiser
+//! ([`Simd2Unit::quantize_operands`], bit-identical to the scalar
+//! quantiser on every tier), `A`'s column sums are `k` accumulators
+//! updated row by row, and a witness reads a quantised row of `A` and a
+//! quantised column of `B`. Each `f64` sum still adds the same values in
+//! the same order as the element-at-a-time definition (written out in
+//! `tests/proptest_abft.rs`), so every verdict keeps its bits.
 
 use std::fmt;
 
 use simd2_matrix::{Matrix, Tile};
 use simd2_mxu::{PrecisionMode, Simd2Unit};
-use simd2_semiring::precision::{quantize_f16, quantize_int8};
+use simd2_semiring::kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
 use simd2_semiring::OpKind;
 
 /// A detected ABFT invariant violation.
@@ -187,15 +200,6 @@ impl AbftConfig {
     }
 }
 
-/// Replicates the datapath's input quantiser.
-fn quantize(mode: PrecisionMode, x: f32) -> f32 {
-    match mode {
-        PrecisionMode::Fp16Input => quantize_f16(x),
-        PrecisionMode::Fp32Input => x,
-        PrecisionMode::Int8Input => quantize_int8(x, 1.0),
-    }
-}
-
 /// NaN-aware equality: exact selection algebras must reproduce values
 /// (`-0.0 == 0.0` is accepted — reduction order may legally differ).
 fn same_value(a: f32, b: f32) -> bool {
@@ -206,8 +210,261 @@ fn min_family(op: OpKind) -> bool {
     matches!(op, OpKind::MinPlus | OpKind::MinMul | OpKind::MinMax)
 }
 
-fn max_family(op: OpKind) -> bool {
-    matches!(op, OpKind::MaxPlus | OpKind::MaxMul | OpKind::MaxMin)
+/// Flat row-major views of one checked mmo `d = c ⊕ (a ⊗ b)`: `a` is
+/// `m × k`, `b` is `k × n`, `c` and `d` are `m × n`. Every pass over
+/// them runs front to back.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    c: &'a [f32],
+    d: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+impl<'a> Operands<'a> {
+    fn of_matrices(a: &'a Matrix, b: &'a Matrix, c: &'a Matrix, d: &'a Matrix) -> Self {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        debug_assert_eq!(b.rows(), k);
+        debug_assert_eq!((d.rows(), d.cols()), (m, n));
+        debug_assert_eq!((c.rows(), c.cols()), (m, n));
+        Self {
+            a: a.as_slice(),
+            b: b.as_slice(),
+            c: c.as_slice(),
+            d: d.as_slice(),
+            m,
+            k,
+            n,
+        }
+    }
+}
+
+/// Whether any element is NaN, as a branch-free fold: it vectorises,
+/// a short-circuiting scan does not.
+fn has_nan(xs: &[f32]) -> bool {
+    xs.iter().fold(false, |nan, x| nan | x.is_nan())
+}
+
+/// The NaN tripwire: a NaN in `D` when `A`, `B` and `C` hold none. The
+/// inputs are scanned only once `D` has flagged.
+fn nan_tripwire(op: OpKind, v: &Operands<'_>) -> Result<(), AbftViolation> {
+    if !has_nan(v.d) || has_nan(v.a) || has_nan(v.b) || has_nan(v.c) {
+        return Ok(());
+    }
+    let idx = v.d.iter().position(|x| x.is_nan()).unwrap_or_default();
+    Err(AbftViolation::NonFinite {
+        op,
+        row: idx / v.n,
+        col: idx % v.n,
+        value: v.d[idx],
+    })
+}
+
+/// The three numbers of the additive checksum invariant for one mmo.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Checksum {
+    /// `Σ D` as predicted from `A`, `B` and `C`.
+    pub expected: f64,
+    /// `Σ D` as observed.
+    pub got: f64,
+    /// How far the two may differ: [`AbftConfig::rel_tol`] times the
+    /// summed magnitude of every term of the prediction, plus
+    /// [`AbftConfig::abs_tol`].
+    pub tolerance: f64,
+}
+
+/// The additive checksum of a matrix-granularity `plus-mul` or
+/// `plus-norm` mmo — the numbers [`verify_matrix`] compares, for callers
+/// that reason about what the check grants (an undetected deviation of
+/// `Σ D` is bounded by `tolerance`).
+///
+/// # Panics
+///
+/// Panics if `op` is not an additive reduction.
+pub fn checksum(
+    op: OpKind,
+    a: &Matrix,
+    b: &Matrix,
+    c: &Matrix,
+    d: &Matrix,
+    mode: PrecisionMode,
+    cfg: &AbftConfig,
+) -> Checksum {
+    let v = Operands::of_matrices(a, b, c, d);
+    checksum_of(op, &v, &Simd2Unit::with_precision(mode), cfg)
+}
+
+/// Operand elements per call of the input quantiser: enough whole rows
+/// to amortise the call, few enough to stay in L1.
+const BLOCK_ELEMS: usize = 4096;
+
+/// Streams the `width`-wide rows of `xs` through `unit`'s input
+/// quantiser a block of whole rows at a time, handing each quantised
+/// block to `each`.
+fn quantised_blocks(xs: &[f32], width: usize, unit: &Simd2Unit, mut each: impl FnMut(&[f32])) {
+    if xs.is_empty() {
+        return;
+    }
+    let block = (BLOCK_ELEMS / width).max(1) * width;
+    let mut scratch = Vec::with_capacity(block.min(xs.len()));
+    for rows in xs.chunks(block) {
+        scratch.clear();
+        scratch.extend_from_slice(rows);
+        unit.quantize_operands(&mut scratch);
+        each(&scratch);
+    }
+}
+
+/// `B` rows whose sums advance together: one row's sum is one chain of
+/// dependent additions, the chains of several rows overlap.
+const ROW_LANES: usize = 4;
+
+/// Appends `Σⱼ yⱼ` and `Σⱼ f(yⱼ)` of every `n`-wide row of `rows`, each
+/// summed in `f64` from `0.0` in ascending `j`.
+fn row_sums(
+    rows: &[f32],
+    n: usize,
+    f: impl Fn(f64) -> f64,
+    sums: &mut Vec<f64>,
+    auxs: &mut Vec<f64>,
+) {
+    let mut groups = rows.chunks_exact(ROW_LANES * n);
+    for group in &mut groups {
+        let (r0, rest) = group.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let (mut sum, mut aux) = ([0.0f64; ROW_LANES], [0.0f64; ROW_LANES]);
+        for (((&y0, &y1), &y2), &y3) in r0.iter().zip(r1).zip(r2).zip(r3) {
+            for (l, y) in [y0, y1, y2, y3].into_iter().enumerate() {
+                let y = f64::from(y);
+                sum[l] += y;
+                aux[l] += f(y);
+            }
+        }
+        sums.extend(sum);
+        auxs.extend(aux);
+    }
+    for row in groups.remainder().chunks_exact(n) {
+        let (mut sum, mut aux) = (0.0f64, 0.0f64);
+        for &y in row {
+            let y = f64::from(y);
+            sum += y;
+            aux += f(y);
+        }
+        sums.push(sum);
+        auxs.push(aux);
+    }
+}
+
+/// Per-`k` sums over the quantised operands, each accumulated in `f64`
+/// from `0.0`: `Σᵢ aᵢₖ` and `Σᵢ f(aᵢₖ)` in ascending `i`, `Σⱼ bₖⱼ` and
+/// `Σⱼ f(bₖⱼ)` in ascending `j`.
+struct OperandSums {
+    col_a: Vec<f64>,
+    aux_a: Vec<f64>,
+    row_b: Vec<f64>,
+    aux_b: Vec<f64>,
+}
+
+fn operand_sums(v: &Operands<'_>, unit: &Simd2Unit, f: impl Fn(f64) -> f64) -> OperandSums {
+    let (k, n) = (v.k, v.n);
+    // `A`: `k` column accumulators, updated row by row.
+    let (mut col_a, mut aux_a) = (vec![0.0f64; k], vec![0.0f64; k]);
+    quantised_blocks(v.a, k, unit, |rows| {
+        for row in rows.chunks_exact(k) {
+            for ((sum, aux), &x) in col_a.iter_mut().zip(&mut aux_a).zip(row) {
+                let x = f64::from(x);
+                *sum += x;
+                *aux += f(x);
+            }
+        }
+    });
+    // `B`: one pair of sums per row — of nothing when `B` has no columns.
+    let (mut row_b, mut aux_b) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    quantised_blocks(v.b, n, unit, |rows| {
+        row_sums(rows, n, &f, &mut row_b, &mut aux_b)
+    });
+    row_b.resize(k, 0.0);
+    aux_b.resize(k, 0.0);
+    OperandSums {
+        col_a,
+        aux_a,
+        row_b,
+        aux_b,
+    }
+}
+
+/// The additive checksum over flat operands, `A` and `B` as `unit`'s
+/// input quantiser delivers them: `Σ D = Σ C + Σₖ colsum(A)ₖ ·
+/// rowsum(B)ₖ` for plus-mul, the expansion of `(a − b)²` in the module
+/// docs for plus-norm, every sum in `f64`.
+fn checksum_of(op: OpKind, v: &Operands<'_>, unit: &Simd2Unit, cfg: &AbftConfig) -> Checksum {
+    // `C` and `D` in one pass: three chains of dependent additions that
+    // overlap. `got` starts where `Iterator::sum` starts.
+    let (mut expected, mut magnitude, mut got) = (0.0f64, 0.0f64, -0.0f64);
+    for (&c, &d) in v.c.iter().zip(v.d) {
+        let c = f64::from(c);
+        expected += c;
+        magnitude += c.abs();
+        got += f64::from(d);
+    }
+    match op {
+        OpKind::PlusMul => {
+            let s = operand_sums(v, unit, f64::abs);
+            for kk in 0..v.k {
+                expected += s.col_a[kk] * s.row_b[kk];
+                magnitude += s.aux_a[kk] * s.aux_b[kk];
+            }
+        }
+        OpKind::PlusNorm => {
+            let s = operand_sums(v, unit, |x| x * x);
+            let (m, n) = (v.m as f64, v.n as f64);
+            for kk in 0..v.k {
+                let (col_a, sq_a) = (s.col_a[kk], s.aux_a[kk]);
+                let (row_b, sq_b) = (s.row_b[kk], s.aux_b[kk]);
+                expected += n * sq_a - 2.0 * col_a * row_b + m * sq_b;
+                magnitude += n * sq_a + 2.0 * (col_a * row_b).abs() + m * sq_b;
+            }
+        }
+        _ => unreachable!("additive path only handles plus-mul / plus-norm"),
+    }
+    Checksum {
+        expected,
+        got,
+        tolerance: cfg.tolerance(magnitude),
+    }
+}
+
+fn verify_checksum(
+    op: OpKind,
+    v: &Operands<'_>,
+    unit: &Simd2Unit,
+    cfg: &AbftConfig,
+) -> Result<(), AbftViolation> {
+    let Checksum {
+        expected,
+        got,
+        tolerance,
+    } = checksum_of(op, v, unit, cfg);
+    let mismatch = if got.is_finite() && expected.is_finite() {
+        (got - expected).abs() > tolerance
+    } else {
+        // Overflow in either direction: fall back to agreement of
+        // non-finiteness (quantisation can saturate legitimately).
+        got.is_finite() != expected.is_finite()
+    };
+    if mismatch {
+        return Err(AbftViolation::ChecksumMismatch {
+            op,
+            expected,
+            got,
+            tolerance,
+        });
+    }
+    Ok(())
 }
 
 /// Verifies one tile-granularity mmo `d = c ⊕ (a ⊗ b)` executed by
@@ -222,121 +479,45 @@ pub fn verify_tile<const N: usize>(
     d: &Tile<N>,
     cfg: &AbftConfig,
 ) -> Result<(), AbftViolation> {
-    // NaN tripwire.
-    let inputs_nan = a.iter().any(|(_, _, v)| v.is_nan())
-        || b.iter().any(|(_, _, v)| v.is_nan())
-        || c.iter().any(|(_, _, v)| v.is_nan());
-    if !inputs_nan {
-        for (row, col, value) in d.iter() {
-            if value.is_nan() {
-                return Err(AbftViolation::NonFinite {
-                    op,
-                    row,
-                    col,
-                    value,
-                });
-            }
-        }
+    let v = Operands {
+        a: a.as_flat(),
+        b: b.as_flat(),
+        c: c.as_flat(),
+        d: d.as_flat(),
+        m: N,
+        k: N,
+        n: N,
+    };
+    nan_tripwire(op, &v)?;
+    if !op.reduce_is_idempotent() {
+        return verify_checksum(op, &v, unit, cfg);
     }
-
-    if op.reduce_is_idempotent() {
-        // Selection algebras are exact: a witness recomputation through
-        // the same datapath must agree bit-for-bit.
-        let witness = unit.execute(op, a, b, c);
-        for (row, col, expected) in witness.iter() {
-            let got = d.get(row, col);
-            if !same_value(expected, got) {
-                return Err(AbftViolation::WitnessMismatch {
-                    op,
-                    row,
-                    col,
-                    expected,
-                    got,
-                });
-            }
-        }
-        return Ok(());
-    }
-
-    // Additive checksum in f64 over quantised operands.
-    let mode = unit.precision();
-    let qa = |i: usize, k: usize| f64::from(quantize(mode, a.get(i, k)));
-    let qb = |k: usize, j: usize| f64::from(quantize(mode, b.get(k, j)));
-    let mut expected = 0.0f64;
-    let mut magnitude = 0.0f64;
-    for (_, _, v) in c.iter() {
-        expected += f64::from(v);
-        magnitude += f64::from(v).abs();
-    }
-    match op {
-        OpKind::PlusMul => {
-            for k in 0..N {
-                let (mut col_a, mut row_b) = (0.0f64, 0.0f64);
-                let (mut abs_a, mut abs_b) = (0.0f64, 0.0f64);
-                for i in 0..N {
-                    let x = qa(i, k);
-                    col_a += x;
-                    abs_a += x.abs();
-                }
-                for j in 0..N {
-                    let y = qb(k, j);
-                    row_b += y;
-                    abs_b += y.abs();
-                }
-                expected += col_a * row_b;
-                magnitude += abs_a * abs_b;
-            }
-        }
-        OpKind::PlusNorm => {
-            let (m, n) = (N as f64, N as f64);
-            for k in 0..N {
-                let (mut col_a, mut sq_a) = (0.0f64, 0.0f64);
-                let (mut row_b, mut sq_b) = (0.0f64, 0.0f64);
-                for i in 0..N {
-                    let x = qa(i, k);
-                    col_a += x;
-                    sq_a += x * x;
-                }
-                for j in 0..N {
-                    let y = qb(k, j);
-                    row_b += y;
-                    sq_b += y * y;
-                }
-                expected += n * sq_a - 2.0 * col_a * row_b + m * sq_b;
-                magnitude += n * sq_a + 2.0 * (col_a * row_b).abs() + m * sq_b;
-            }
-        }
-        _ => unreachable!("additive path only handles plus-mul / plus-norm"),
-    }
-    let got: f64 = d.iter().map(|(_, _, v)| f64::from(v)).sum();
-    if !got.is_finite() || !expected.is_finite() {
-        // Overflow in either direction: fall back to agreement of
-        // non-finiteness (quantisation can saturate legitimately).
-        if got.is_finite() != expected.is_finite() {
-            return Err(AbftViolation::ChecksumMismatch {
+    // Selection algebras are exact: a witness recomputation through
+    // the same datapath must agree bit-for-bit.
+    let witness = unit.execute(op, a, b, c);
+    for (row, col, expected) in witness.iter() {
+        let got = d.get(row, col);
+        if !same_value(expected, got) {
+            return Err(AbftViolation::WitnessMismatch {
                 op,
+                row,
+                col,
                 expected,
                 got,
-                tolerance: cfg.tolerance(magnitude),
             });
         }
-        return Ok(());
-    }
-    let tolerance = cfg.tolerance(magnitude);
-    if (got - expected).abs() > tolerance {
-        return Err(AbftViolation::ChecksumMismatch {
-            op,
-            expected,
-            got,
-            tolerance,
-        });
     }
     Ok(())
 }
 
 /// Verifies a matrix-granularity mmo `d = c ⊕ (a ⊗ b)` produced by any
-/// backend. `reduced` and `mode` describe the backend's datapath so the
-/// verifier can mirror its input quantisation.
+/// backend. `mode` describes the backend's datapath so the verifier can
+/// mirror its input quantisation.
+///
+/// The work is `O(mk + kn + mn)` over contiguous rows plus `k` per
+/// witness sample: branch-free flag scans (an element loop runs only to
+/// locate a violation that a flag has already found), the checksum sums
+/// or the dominance scan, then the witnesses — see the module docs.
 pub fn verify_matrix(
     op: OpKind,
     a: &Matrix,
@@ -346,167 +527,173 @@ pub fn verify_matrix(
     mode: PrecisionMode,
     cfg: &AbftConfig,
 ) -> Result<(), AbftViolation> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    debug_assert_eq!(b.rows(), k);
-    debug_assert_eq!((d.rows(), d.cols()), (m, n));
-    debug_assert_eq!((c.rows(), c.cols()), (m, n));
-
-    // NaN tripwire.
-    let inputs_nan = a.as_slice().iter().any(|v| v.is_nan())
-        || b.as_slice().iter().any(|v| v.is_nan())
-        || c.as_slice().iter().any(|v| v.is_nan());
-    if !inputs_nan {
-        for (idx, &value) in d.as_slice().iter().enumerate() {
-            if value.is_nan() {
-                return Err(AbftViolation::NonFinite {
-                    op,
-                    row: idx / n,
-                    col: idx % n,
-                    value,
-                });
-            }
-        }
-    }
-
-    let qa = |i: usize, kk: usize| f64::from(quantize(mode, a.row(i)[kk]));
-    let qb = |kk: usize, j: usize| f64::from(quantize(mode, b.row(kk)[j]));
-
+    let v = Operands::of_matrices(a, b, c, d);
+    let unit = Simd2Unit::with_precision(mode);
+    nan_tripwire(op, &v)?;
     if !op.reduce_is_idempotent() {
-        // Additive checksum.
-        let mut expected = 0.0f64;
-        let mut magnitude = 0.0f64;
-        for &v in c.as_slice() {
-            expected += f64::from(v);
-            magnitude += f64::from(v).abs();
+        return verify_checksum(op, &v, &unit, cfg);
+    }
+    dominance(op, &v)?;
+    dispatch_kernel(
+        op,
+        Witness {
+            v,
+            unit: &unit,
+            samples: cfg.witness_samples,
+        },
+    )
+}
+
+/// Index of the first `(c, d)` pair `bad` holds for: a branch-free flag
+/// fold over the whole output, and a search only once it has flagged.
+fn first_bad(v: &Operands<'_>, bad: impl Fn(f32, f32) -> bool) -> Option<usize> {
+    let pairs = || v.c.iter().zip(v.d);
+    if !pairs().fold(false, |any, (&c, &d)| any | bad(c, d)) {
+        return None;
+    }
+    pairs().position(|(&c, &d)| bad(c, d))
+}
+
+/// The full dominance scan of the idempotent family: `d ≤ c` under a
+/// `min`, `d ≥ c` under a `max`, and under or-and `d ∈ {0, 1}` with a
+/// truthy `c` forcing `d = 1`.
+fn dominance(op: OpKind, v: &Operands<'_>) -> Result<(), AbftViolation> {
+    let found = if op == OpKind::OrAnd {
+        first_bad(v, |c, d| d != 1.0 && (d != 0.0 || c != 0.0))
+    } else if min_family(op) {
+        first_bad(v, |c, d| d > c)
+    } else {
+        first_bad(v, |c, d| d < c)
+    };
+    let Some(idx) = found else {
+        return Ok(());
+    };
+    let (row, col) = (idx / v.n, idx % v.n);
+    let (c, d) = (v.c[idx], v.d[idx]);
+    Err(if op == OpKind::OrAnd && d != 0.0 && d != 1.0 {
+        AbftViolation::RangeViolation {
+            op,
+            row,
+            col,
+            value: d,
         }
-        for kk in 0..k {
-            let (mut col_a, mut abs_a, mut sq_a) = (0.0f64, 0.0f64, 0.0f64);
-            let (mut row_b, mut abs_b, mut sq_b) = (0.0f64, 0.0f64, 0.0f64);
-            for i in 0..m {
-                let x = qa(i, kk);
-                col_a += x;
-                abs_a += x.abs();
-                sq_a += x * x;
-            }
-            for j in 0..n {
-                let y = qb(kk, j);
-                row_b += y;
-                abs_b += y.abs();
-                sq_b += y * y;
-            }
-            match op {
-                OpKind::PlusMul => {
-                    expected += col_a * row_b;
-                    magnitude += abs_a * abs_b;
-                }
-                OpKind::PlusNorm => {
-                    expected += n as f64 * sq_a - 2.0 * col_a * row_b + m as f64 * sq_b;
-                    magnitude += n as f64 * sq_a + 2.0 * (col_a * row_b).abs() + m as f64 * sq_b;
-                }
-                _ => unreachable!("additive path only handles plus-mul / plus-norm"),
-            }
-        }
-        let got: f64 = d.as_slice().iter().map(|&v| f64::from(v)).sum();
-        if !got.is_finite() || !expected.is_finite() {
-            if got.is_finite() != expected.is_finite() {
-                return Err(AbftViolation::ChecksumMismatch {
-                    op,
-                    expected,
-                    got,
-                    tolerance: cfg.tolerance(magnitude),
-                });
-            }
+    } else {
+        AbftViolation::DominanceViolation { op, row, col, c, d }
+    })
+}
+
+/// Witnesses folded side by side: one fold is one chain of dependent
+/// `⊕`s, the chains of several samples overlap.
+const WITNESS_LANES: usize = 8;
+
+/// The deterministic sample of exact witnesses of the idempotent
+/// family, monomorphised per op through [`dispatch_kernel`].
+struct Witness<'a> {
+    v: Operands<'a>,
+    unit: &'a Simd2Unit,
+    samples: usize,
+}
+
+impl KernelVisitor for Witness<'_> {
+    type Output = Result<(), AbftViolation>;
+
+    fn visit<K: SemiringKernel>(self) -> Self::Output {
+        let Operands {
+            a,
+            b,
+            c,
+            d,
+            m,
+            k,
+            n,
+        } = self.v;
+        let total = m * n;
+        let samples = self.samples.min(total);
+        if samples == 0 {
             return Ok(());
         }
-        let tolerance = cfg.tolerance(magnitude);
-        if (got - expected).abs() > tolerance {
-            return Err(AbftViolation::ChecksumMismatch {
-                op,
-                expected,
-                got,
-                tolerance,
-            });
-        }
-        return Ok(());
-    }
-
-    // Idempotent family: full dominance scan …
-    for i in 0..m {
-        for j in 0..n {
-            let cv = c.row(i)[j];
-            let dv = d.row(i)[j];
-            if op == OpKind::OrAnd {
-                if dv != 0.0 && dv != 1.0 {
-                    return Err(AbftViolation::RangeViolation {
-                        op,
-                        row: i,
-                        col: j,
-                        value: dv,
+        // Low-discrepancy walk over the output; pure function of (s, dims).
+        let site = |s: usize| {
+            if samples == total {
+                s
+            } else {
+                (s.wrapping_mul(2_654_435_761).wrapping_add(s / n + s)) % total
+            }
+        };
+        // The quantised rows of `A` and columns of `B` the folds read,
+        // `k` long each: every one of them, quantised whole and once,
+        // when the samples would between them quantise more than that;
+        // otherwise one pair per lane, refilled for each batch.
+        let whole = samples >= m + n;
+        let (mut qa, mut qb) = if whole {
+            let (mut qa, mut bt) = (a.to_vec(), vec![0.0f32; b.len()]);
+            for (kk, row) in b.chunks_exact(n).enumerate() {
+                for (j, &y) in row.iter().enumerate() {
+                    bt[j * k + kk] = y;
+                }
+            }
+            self.unit.quantize_operands(&mut qa);
+            self.unit.quantize_operands(&mut bt);
+            (qa, bt)
+        } else {
+            (
+                vec![0.0f32; WITNESS_LANES * k],
+                vec![0.0f32; WITNESS_LANES * k],
+            )
+        };
+        for s0 in (0..samples).step_by(WITNESS_LANES) {
+            // A short last batch repeats its last sample in the spare lanes.
+            let sites: [usize; WITNESS_LANES] =
+                std::array::from_fn(|l| site((s0 + l).min(samples - 1)));
+            let rows = if whole {
+                sites.map(|idx| (idx / n, idx % n))
+            } else {
+                for (l, idx) in sites.into_iter().enumerate() {
+                    let (i, j) = (idx / n, idx % n);
+                    qa[l * k..][..k].copy_from_slice(&a[i * k..][..k]);
+                    for (q, row) in qb[l * k..][..k].iter_mut().zip(b.chunks_exact(n)) {
+                        *q = row[j];
+                    }
+                }
+                self.unit.quantize_operands(&mut qa);
+                self.unit.quantize_operands(&mut qb);
+                std::array::from_fn(|l| (l, l))
+            };
+            let expected = fold_lanes::<K>(
+                sites.map(|idx| K::seed(c[idx])),
+                rows.map(|(ra, rb)| (&qa[ra * k..][..k], &qb[rb * k..][..k])),
+            );
+            for (&idx, expected) in sites.iter().zip(expected).take(samples - s0) {
+                let got = d[idx];
+                if !same_value(expected, got) {
+                    return Err(AbftViolation::WitnessMismatch {
+                        op: K::KIND,
+                        row: idx / n,
+                        col: idx % n,
+                        expected,
+                        got,
                     });
                 }
-                if cv != 0.0 && dv != 1.0 {
-                    return Err(AbftViolation::DominanceViolation {
-                        op,
-                        row: i,
-                        col: j,
-                        c: cv,
-                        d: dv,
-                    });
-                }
-            } else if min_family(op) {
-                if dv > cv {
-                    return Err(AbftViolation::DominanceViolation {
-                        op,
-                        row: i,
-                        col: j,
-                        c: cv,
-                        d: dv,
-                    });
-                }
-            } else if max_family(op) && dv < cv {
-                return Err(AbftViolation::DominanceViolation {
-                    op,
-                    row: i,
-                    col: j,
-                    c: cv,
-                    d: dv,
-                });
             }
         }
+        Ok(())
     }
+}
 
-    // … plus a deterministic sample of exact witnesses.
-    let total = m * n;
-    if total == 0 {
-        return Ok(());
-    }
-    let samples = cfg.witness_samples.min(total);
-    for s in 0..samples {
-        // Low-discrepancy walk over the output; pure function of (s, dims).
-        let idx = if samples == total {
-            s
-        } else {
-            (s.wrapping_mul(2_654_435_761).wrapping_add(s / n + s)) % total
-        };
-        let (i, j) = (idx / n, idx % n);
-        let mut acc = c.row(i)[j];
-        for kk in 0..k {
-            let x = quantize(mode, a.row(i)[kk]);
-            let y = quantize(mode, b.row(kk)[j]);
-            acc = op.reduce_f32(acc, op.combine_f32(x, y));
-        }
-        let got = d.row(i)[j];
-        if !same_value(acc, got) {
-            return Err(AbftViolation::WitnessMismatch {
-                op,
-                row: i,
-                col: j,
-                expected: acc,
-                got,
-            });
+/// Folds each lane's `⊗` terms into its seeded accumulator in ascending
+/// `k` — the one reduction every engine computes.
+fn fold_lanes<K: SemiringKernel>(
+    mut acc: [f32; WITNESS_LANES],
+    rows: [(&[f32], &[f32]); WITNESS_LANES],
+) -> [f32; WITNESS_LANES] {
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = rows.map(|(a_row, b_col)| a_row.iter().zip(b_col));
+    let lanes = l0.zip(l1).zip(l2.zip(l3)).zip(l4.zip(l5).zip(l6.zip(l7)));
+    for (((t0, t1), (t2, t3)), ((t4, t5), (t6, t7))) in lanes {
+        for (acc, (&x, &y)) in acc.iter_mut().zip([t0, t1, t2, t3, t4, t5, t6, t7]) {
+            *acc = K::reduce(*acc, K::combine(x, y));
         }
     }
-    Ok(())
+    acc
 }
 
 #[cfg(test)]
@@ -637,12 +824,14 @@ mod tests {
         c: &Matrix,
         mode: PrecisionMode,
     ) -> Matrix {
+        let unit = Simd2Unit::with_precision(mode);
+        let (mut qa, mut qb) = (a.clone(), b.clone());
+        unit.quantize_operands(qa.as_mut_slice());
+        unit.quantize_operands(qb.as_mut_slice());
         Matrix::from_fn(c.rows(), c.cols(), |i, j| {
-            let mut acc = c.row(i)[j];
+            let mut acc = op.reduce_f32(c.row(i)[j], op.reduce_identity_f32());
             for kk in 0..a.cols() {
-                let x = quantize(mode, a.row(i)[kk]);
-                let y = quantize(mode, b.row(kk)[j]);
-                acc = op.reduce_f32(acc, op.combine_f32(x, y));
+                acc = op.reduce_f32(acc, op.combine_f32(qa.row(i)[kk], qb.row(kk)[j]));
             }
             acc
         })
@@ -698,6 +887,39 @@ mod tests {
             verify_matrix(OpKind::MinPlus, &a, &b, &c, &d, mode, &cfg),
             Err(AbftViolation::DominanceViolation { .. })
         ));
+    }
+
+    #[test]
+    fn witnesses_start_from_the_seeded_accumulator() {
+        // Every engine starts an element from `c ⊕ id`, which is not `c`
+        // when `c` is something a fold cannot produce: a truthy or-and
+        // accumulator other than `1.0`, a NaN under min/max. With `k = 0`
+        // the seed is the whole result.
+        let cfg = AbftConfig::default();
+        let mode = PrecisionMode::Fp16Input;
+        let nan = f32::from_bits(0x7FC0_1234);
+        for (op, c, d) in [
+            (OpKind::OrAnd, 2.0, 1.0),
+            (OpKind::MinPlus, nan, f32::INFINITY),
+            (OpKind::MaxMin, nan, f32::NEG_INFINITY),
+        ] {
+            let (a, b) = (Matrix::zeros(3, 0), Matrix::zeros(0, 2));
+            let (c, d) = (Matrix::filled(3, 2, c), Matrix::filled(3, 2, d));
+            assert_eq!(
+                verify_matrix(op, &a, &b, &c, &d, mode, &cfg),
+                Ok(()),
+                "{op}"
+            );
+        }
+        // At any `k`: a NaN accumulator all of whose terms are NaN.
+        let (a, b) = (Matrix::filled(2, 4, nan), Matrix::filled(4, 2, 1.0));
+        let c = Matrix::filled(2, 2, nan);
+        let d = reference_mmo(OpKind::MinPlus, &a, &b, &c, mode);
+        assert_eq!(d, Matrix::filled(2, 2, f32::INFINITY));
+        assert_eq!(
+            verify_matrix(OpKind::MinPlus, &a, &b, &c, &d, mode, &cfg),
+            Ok(())
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 
 use simd2_matrix::{Tile, ISA_TILE};
 use simd2_mxu::{PrecisionMode, Simd2Unit};
-use simd2_semiring::simd::{KernelIsa, CHAIN_ELEMS};
+use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS};
 use simd2_semiring::OpKind;
 use simd2_trace::{field, span, Counter, Tracer};
 
@@ -567,7 +567,9 @@ pub trait MmoUnit: std::fmt::Debug {
     /// pair at a time through
     /// [`execute_packed_at`](MmoUnit::execute_packed_at), so every
     /// coordinate is visited in `tk` order; pure datapaths override it
-    /// with a single kernel call that owns the loop.
+    /// with a single kernel call that owns the loop. An empty chain
+    /// (`k = 0`) visits no coordinate and leaves `acc ⊕ id`, the seed
+    /// every non-empty chain starts from.
     fn execute_chain(
         &mut self,
         (ti, tj): (usize, usize),
@@ -576,6 +578,9 @@ pub trait MmoUnit: std::fmt::Debug {
         b: &[f32],
         acc: &mut Tile<ISA_TILE>,
     ) {
+        if a.is_empty() {
+            simd::mmo_chain(KernelIsa::Scalar, op, a, b, acc.as_flat_mut());
+        }
         let pairs = a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS));
         for (tk, (at, bt)) in pairs.enumerate() {
             self.execute_packed_at(TileCoord::new(ti, tj, tk), op, at, bt, acc);
@@ -1049,6 +1054,22 @@ mod tests {
         assert_eq!(packed.injector().mmo_sites(), 4);
         let bits = |t: &Tile<16>| t.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn an_empty_chain_leaves_the_seed_and_visits_no_site() {
+        let injector = PlannedInjector::new(always_plan());
+        let mut unit = FaultySimd2Unit::new(Simd2Unit::new(), injector);
+        for (op, c, seeded) in [
+            (OpKind::OrAnd, 2.0, 1.0),
+            (OpKind::MinPlus, f32::NAN, f32::INFINITY),
+            (OpKind::PlusMul, 3.5, 3.5),
+        ] {
+            let mut acc = Tile::<16>::splat(c);
+            unit.execute_chain((1, 2), op, &[], &[], &mut acc);
+            assert_eq!(acc, Tile::splat(seeded), "{op}");
+        }
+        assert_eq!(unit.injector().mmo_sites(), 0);
     }
 
     #[test]

@@ -30,9 +30,13 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # The cross-backend fold-order differential once more optimised, on both
 # legs: `f32::max` does not order `±0`, and the places where that showed
 # (a `max` against a constant the optimiser may commute) only ever
-# disagreed in release builds.
+# disagreed in release builds. With it the ABFT verifier against its
+# element-at-a-time definition: its sums are only the definition's bit
+# for bit while the optimiser keeps their order, and on the vector leg
+# its operand copies come from the vector quantiser.
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-fault --test proptest_abft
 done
 
 # The vector fp16 quantiser against the scalar round trip on all 2^32
@@ -64,3 +68,15 @@ for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --seconds 4 --seed 7
   SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --sparse --seed 7
 done
+
+# The fault campaign is a pure function of its arguments: every strike,
+# detection, retry and fallback of the seeded sweep is in its report and
+# in the event stream it writes. The two legs must print the same report,
+# and the stream must be the committed one — the scalar leg's, which is
+# why that leg runs last (the vector leg's differs in the `isa` field
+# of its `mmo` spans and in nothing else).
+for leg in 0 1; do
+  SIMD2_FORCE_SCALAR=$leg "${run[@]}" fault_campaign > "target/fault_campaign.leg$leg.txt"
+done
+cmp target/fault_campaign.leg0.txt target/fault_campaign.leg1.txt
+git diff --exit-code results/telemetry/fault_campaign.jsonl

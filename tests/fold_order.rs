@@ -13,7 +13,8 @@
 //! in release builds).
 
 use simd2_repro::core::backend::{Backend, IsaBackend, ReferenceBackend, TiledBackend};
-use simd2_repro::core::{MatrixRef, OperandRepr};
+use simd2_repro::core::{MatrixRef, OperandRepr, RecoveryPolicy, ResilientBackend};
+use simd2_repro::fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_repro::matrix::Matrix;
 use simd2_repro::mxu::{PrecisionMode, Simd2Unit};
 use simd2_repro::semiring::simd::same_bits;
@@ -24,9 +25,16 @@ use simd2_repro::sparse::SparseTiledBackend;
 mod pools;
 use pools::{operand, specials};
 
-/// `(m, n, k)`: inside one tile, ragged on every side, whole tiles, and
-/// wider than a sweep strip with `k` across two sweep blocks.
-const SHAPES: [(usize, usize, usize); 4] = [(5, 7, 3), (33, 31, 29), (64, 64, 64), (48, 80, 130)];
+/// `(m, n, k)`: inside one tile, ragged on every side, whole tiles,
+/// wider than a sweep strip with `k` across two sweep blocks, and nothing
+/// to fold at all.
+const SHAPES: [(usize, usize, usize); 5] = [
+    (5, 7, 3),
+    (33, 31, 29),
+    (64, 64, 64),
+    (48, 80, 130),
+    (19, 21, 0),
+];
 
 /// Largest output the ISA executor is asked for (it is the slowest path).
 const ISA_MAX_ELEMS: usize = 33 * 31;
@@ -50,7 +58,7 @@ fn assert_same(got: &Matrix, want: &Matrix, ctx: &str) {
     }
 }
 
-/// Nine ops × four shapes × four value pools × positive / signed, at both
+/// Nine ops × five shapes × four value pools × positive / signed, at both
 /// operand precisions: the engines agree bit for bit wherever they see
 /// the same operand bits.
 #[test]
@@ -61,7 +69,7 @@ fn every_backend_computes_one_reduction() {
         for (si, (m, n, k)) in SHAPES.into_iter().enumerate() {
             for pool in 0..4 {
                 for sign in [false, true] {
-                    let seed = ((oi * 4 + si) * 4 + pool) as u64 * 2 + u64::from(sign);
+                    let seed = ((oi * SHAPES.len() + si) * 4 + pool) as u64 * 2 + u64::from(sign);
                     let gen = |rows, cols, zero, density, salt: u64| {
                         let x = operand(specials(pool), rows, cols, zero, density, seed ^ salt);
                         if sign {
@@ -134,5 +142,44 @@ fn max_mul_on_a_ragged_k_keeps_an_all_negative_reduction() {
         assert_eq!(run(&mut SparseTiledBackend::new()), -2.0, "sparse, k={k}");
         assert_eq!(run(&mut TiledBackend::new()), -2.0, "tiled, k={k}");
         assert_eq!(run(&mut IsaBackend::new()), -2.0, "ISA executor, k={k}");
+    }
+}
+
+/// With `k = 0` there is nothing to fold and the result is the seed,
+/// `C ⊕ id`, on every path — a chain kernel handed an empty chain, a
+/// fault-injected unit walking no tile pair, a compiled program with no
+/// operand tile to load — and, whatever `C` holds, behind the ABFT
+/// verifier too: its witnesses start from the same seed.
+#[test]
+fn an_empty_reduction_is_the_seeded_accumulator() {
+    fn check<B: Backend>(make: impl Fn() -> B, op: OpKind, c: &Matrix, ctx: &str) {
+        let (a, b) = (Matrix::zeros(c.rows(), 0), Matrix::zeros(0, c.cols()));
+        let id = op.reduce_identity_f32();
+        let want = Matrix::from_fn(c.rows(), c.cols(), |i, j| op.reduce_f32(c[(i, j)], id));
+        let name = make().name();
+        let bare = make().mmo(op, &a, &b, c).unwrap();
+        assert_same(&bare, &want, &format!("{ctx}: {name}"));
+        let verified = ResilientBackend::new(make(), RecoveryPolicy::FailFast)
+            .mmo(op, &a, &b, c)
+            .unwrap_or_else(|e| panic!("{ctx}: {name}, verified: {e}"));
+        assert_same(&verified, &want, &format!("{ctx}: {name}, verified"));
+    }
+    for op in ALL_OPS {
+        for pool in 0..4 {
+            let id = op.reduce_identity_f32();
+            let c = operand(specials(pool), 19, 21, id, 0.7, pool as u64 ^ 0xC0);
+            let ctx = format!("{op} pool {pool}");
+            check(ReferenceBackend::new, op, &c, &ctx);
+            check(TiledBackend::new, op, &c, &ctx);
+            check(IsaBackend::new, op, &c, &ctx);
+            check(SparseTiledBackend::new, op, &c, &ctx);
+            // No fault ever drawn: the unit's provided chain walk, on
+            // the engine's schedule.
+            let unstruck = || {
+                let injector = PlannedInjector::new(FaultPlan::new(FaultPlanConfig::new(1)));
+                TiledBackend::with_unit(FaultySimd2Unit::new(Simd2Unit::new(), injector))
+            };
+            check(unstruck, op, &c, &ctx);
+        }
     }
 }
