@@ -287,7 +287,6 @@ mod tests {
     use super::*;
     use simd2::backend::{ReferenceBackend, TiledBackend};
     use simd2::{Parallelism, PassPipeline, PlanExecutor};
-    use simd2_sparse::SparseTiledBackend;
 
     fn assert_bits(tag: &str, got: &Matrix, want: &Matrix) {
         assert_eq!(got.shape(), want.shape(), "{tag}");
@@ -346,8 +345,9 @@ mod tests {
         assert!(plan.has_sparse_slots(), "delta slots are CSR-declared");
         assert_eq!(plan.step_count(), stats.steps);
 
-        // The recorded plan replays bit-identically on every backend
-        // and worker count — including the real CSR kernels.
+        // The recorded plan replays bit-identically at every worker
+        // count — its CSR-declared steps on the row walks, the rest on
+        // the tile chain.
         type Replayer = Box<dyn FnMut(&Plan) -> Matrix>;
         let mut targets: Vec<(&str, Replayer)> = vec![
             (
@@ -373,16 +373,6 @@ mod tests {
                         .expect("non-empty")
                 }),
             ),
-            (
-                "sparse kernels",
-                Box::new(|p: &Plan| {
-                    PlanExecutor::new()
-                        .run(p, &mut SparseTiledBackend::new())
-                        .expect("replay")
-                        .into_final_output()
-                        .expect("non-empty")
-                }),
-            ),
         ];
         for (tag, run) in &mut targets {
             assert_bits(tag, &run(&plan), &got);
@@ -399,10 +389,10 @@ mod tests {
     #[test]
     fn sparse_backend_actually_takes_its_csr_kernels() {
         let w = generate(OpKind::MinPlus, 40, 2, 3);
-        let mut be = SparseTiledBackend::new();
+        let mut be = TiledBackend::new();
         let (got, _) = simd2(&mut be, &w);
         assert_bits("eager sparse", &got, &baseline(&w));
-        let counts = be.sparse_count();
+        let counts = be.row_count();
         assert!(
             counts.sparse_mmos > 0,
             "X ⊗ E must route through a compressed kernel: {counts:?}"

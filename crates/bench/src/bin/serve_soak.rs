@@ -72,7 +72,7 @@ use simd2_fault::{
     PANIC_PROBE_PAYLOAD,
 };
 use simd2_matrix::{gen, Matrix, ISA_TILE};
-use simd2_mxu::Simd2Unit;
+use simd2_mxu::{PrecisionMode, Simd2Unit};
 use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::simd::KernelIsa;
 use simd2_semiring::{OpKind, ALL_OPS};
@@ -228,6 +228,19 @@ fn clean_replay(plan: &Plan) -> Matrix {
     PlanExecutor::new()
         .run(plan, &mut TiledBackend::new())
         .expect("clean replay")
+        .into_final_output()
+        .expect("non-empty plan")
+}
+
+/// [`clean_replay`] with every step on the tile chain, declared sparse
+/// or not: a unit that is not coordinate-free (here an injector that
+/// never strikes) is never row-walked.
+fn dense_replay(plan: &Plan) -> Matrix {
+    let injector = PlannedInjector::new(FaultPlan::new(FaultPlanConfig::new(0)));
+    let unit = FaultySimd2Unit::new(Simd2Unit::new(), injector);
+    PlanExecutor::new()
+        .run(plan, &mut TiledBackend::with_unit(unit))
+        .expect("dense replay")
         .into_final_output()
         .expect("non-empty plan")
 }
@@ -1442,17 +1455,17 @@ fn check_episode<B: Backend>(
 
 /// Deterministic sparse-serving episode (`--sparse`): the two
 /// streaming-update registry apps, expanded at admission into plans
-/// with CSR-declared delta slots, served over a `SparseTiledBackend`
-/// worker pool with the serving pass pipeline and a round quantum
-/// armed. Runs on whichever kernel dispatch leg the host provides —
-/// re-run under `SIMD2_FORCE_SCALAR=1` to cover the scalar leg.
+/// with CSR-declared delta slots, served over a `TiledBackend` worker
+/// pool (fp32-input unit) with the serving pass pipeline and a round
+/// quantum armed. Runs on whichever kernel dispatch leg the host
+/// provides — re-run under `SIMD2_FORCE_SCALAR=1` to cover the scalar
+/// leg.
 ///
 /// Asserts: every job (including a cross-tenant duplicate per app)
-/// lands `Completed` bit-identical to a clean sequential dense replay,
-/// suspensions balance resumptions, and the compressed kernels
-/// genuinely executed (`sparse_mmos` / `skipped_terms` nonzero).
+/// lands `Completed` bit-identical to a clean sequential dense replay
+/// ([`dense_replay`]), suspensions balance resumptions, and the row
+/// walks genuinely executed (`sparse_mmos` / `skipped_terms` nonzero).
 fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
-    use simd2_sparse::SparseTiledBackend;
     let config = ServeConfig {
         max_queued_jobs: 64,
         cache_capacity: 1024,
@@ -1464,7 +1477,8 @@ fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
         },
         ..ServeConfig::default()
     };
-    let inner = SparseTiledBackend::new().with_parallelism(Parallelism::Threads(4));
+    let mut inner = TiledBackend::with_unit(Simd2Unit::with_precision(PrecisionMode::Fp32Input));
+    inner.set_parallelism(Parallelism::Threads(4));
     let mut svc = PlanService::new(inner, config);
     svc.register_tenant(TenantId(0), TenantQuota::default().with_weight(2));
     svc.register_tenant(TenantId(1), TenantQuota::default().with_weight(1));
@@ -1499,7 +1513,7 @@ fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
                     })
                 }
             };
-            wants.insert(id.0, (app, clean_replay(&run.plan)));
+            wants.insert(id.0, (app, dense_replay(&run.plan)));
         }
     }
     svc.run_until_idle();
@@ -1552,10 +1566,10 @@ fn run_sparse_episode(seed: u64) -> Result<(), Violation> {
         "sparse episode: quantum must suspend and resume in balance \
          (suspended {suspended}, resumed {resumed})"
     );
-    let counts = svc.resilient().inner().sparse_count();
+    let counts = svc.resilient().inner().row_count();
     soak_check!(
         counts.sparse_mmos > 0 && counts.skipped_terms > 0,
-        "sparse episode: compressed kernels never executed: {counts:?}"
+        "sparse episode: the row walks never executed: {counts:?}"
     );
     println!(
         "serve_soak sparse PASS: seed={seed} isa={:?} jobs={} cache-hits={cache_hits} \

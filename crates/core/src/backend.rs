@@ -8,20 +8,27 @@
 //! operations it performs, which is the statistic the performance model
 //! charges cycles for.
 
+use std::ops::Range;
+
 use simd2_matrix::reference;
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
-use simd2_mxu::Simd2Unit;
+use simd2_mxu::{MmoUnit, Simd2Unit};
 use simd2_semiring::simd::{KernelIsa, CHAIN_ELEMS as TILE_ELEMS};
 use simd2_semiring::OpKind;
 
-use simd2_fault::{AbftConfig, FaultInjector, MmoUnit};
+use simd2_fault::{AbftConfig, FaultInjector};
 use simd2_isa::{ExecStats, Executor};
 use simd2_trace::{field, span, Counter, Tracer};
 
 use crate::error::BackendError;
 use crate::program::{compile_mmo, stage_operands};
 use crate::repr::{MatrixRef, OperandRepr};
+
+mod rows;
+
+pub use rows::RowCount;
+use rows::RowWalk;
 
 /// Process-global whole-matrix mmo count (traced backends only).
 static MATRIX_MMOS: Counter = Counter::new("core.matrix_mmos");
@@ -38,6 +45,16 @@ static ISA_MMOS_AVX512: Counter = Counter::new("core.isa_mmos.avx512");
 static ISA_MMOS_AVX2: Counter = Counter::new("core.isa_mmos.avx2");
 /// See [`ISA_MMOS_AVX512`].
 static ISA_MMOS_SCALAR: Counter = Counter::new("core.isa_mmos.scalar");
+/// Whole-matrix mmos that ran as an `A`-walk × dense-`B` sweep (traced
+/// backends only).
+static ROW_MMOS_SWEEP: Counter = Counter::new("core.row_mmos.sweep");
+/// Whole-matrix mmos that ran as an `A`-walk × CSR-`B` scatter (traced
+/// backends only).
+static ROW_MMOS_SCATTER: Counter = Counter::new("core.row_mmos.scatter");
+/// Whole-matrix mmos declared sparse and walked dense: the unit injects
+/// or probes at tile coordinates, or nothing was left to skip (traced
+/// backends only).
+static REPR_FALLBACK_MMOS: Counter = Counter::new("core.repr_fallback_mmos");
 
 /// The `core.isa_mmos.*` counter tracking `isa`.
 fn isa_mmos_counter(isa: KernelIsa) -> &'static Counter {
@@ -60,6 +77,23 @@ pub struct OpCount {
     pub tile_loads: u64,
     /// Tile stores.
     pub tile_stores: u64,
+}
+
+impl OpCount {
+    /// The *logical* tile traffic of `tile_rows` tile rows of `grid`
+    /// (paper Figure 6): per output tile one `C` load, two operand loads
+    /// and one tile mmo per `k` step, and one store — whichever walk
+    /// computes the tiles, and whatever a host packs or skips to do it.
+    fn of_tile_rows(grid: &TileGrid, tile_rows: usize) -> Self {
+        let tiles = (tile_rows * grid.n_tiles) as u64;
+        let k_tiles = grid.k_tiles as u64;
+        Self {
+            matrix_mmos: 0,
+            tile_mmos: tiles * k_tiles,
+            tile_loads: tiles * (1 + 2 * k_tiles),
+            tile_stores: tiles,
+        }
+    }
 }
 
 impl std::ops::AddAssign for OpCount {
@@ -323,11 +357,6 @@ impl<'a> MmoArgs<'a> {
         MatrixRef::new(self.c, self.reprs[2])
     }
 
-    /// Whether every operand is declared dense.
-    pub fn is_dense(&self) -> bool {
-        self.reprs.iter().all(|r| r.is_dense())
-    }
-
     /// The step's 16×16 tile grid, once its shapes and representation
     /// declarations pass
     /// [`check_mmo_operands_ref`](crate::validate::check_mmo_operands_ref)
@@ -362,8 +391,7 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs every task on its own scoped worker thread and joins them all —
-/// the one place an engine spawns threads (the row panels of a dense or
-/// a sparse step).
+/// the one place the engine spawns threads ([`run_panels`]).
 ///
 /// Returns each task's result in task order (`None` for a task that
 /// panicked) and the first panic in task order as a
@@ -371,7 +399,7 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Every worker is joined before this returns, panicked or not, so a
 /// contained panic never aborts the process, leaks a thread, or loses a
 /// surviving worker's result.
-pub fn join_workers<T: Send>(
+fn join_workers<T: Send>(
     tasks: Vec<impl FnOnce() -> T + Send>,
 ) -> (Vec<Option<T>>, Option<BackendError>) {
     let mut first_panic = None;
@@ -503,9 +531,7 @@ impl Backend for ReferenceBackend {
         let d = reference::mmo(step.op, step.a, step.b, step.c)?;
         let delta = OpCount {
             matrix_mmos: 1,
-            tile_mmos: grid.tile_ops() as u64,
-            tile_loads: (2 * grid.tile_ops() + grid.output_tiles()) as u64,
-            tile_stores: grid.output_tiles() as u64,
+            ..OpCount::of_tile_rows(&grid, grid.m_tiles)
         };
         self.count += delta;
         finish_mmo(&self.tracer, step.op, delta, KernelIsa::Scalar);
@@ -521,12 +547,20 @@ impl Backend for ReferenceBackend {
     }
 }
 
-/// Tiled functional SIMD²-unit backend: partitions operands into 16×16
-/// tiles and drives an [`MmoUnit`] over them, with fp16 operand
-/// quantisation — the functional semantics of the proposed hardware.
+/// Tiled functional SIMD²-unit backend — the one engine behind
+/// `D = C ⊕ (A ⊗ B)`: partitions operands into 16×16 tiles and drives an
+/// [`MmoUnit`] over them, with fp16 operand quantisation — the
+/// functional semantics of the proposed hardware — and lowers a step
+/// with declared-sparse operands to a row walk that skips their
+/// annihilator terms (`rows`: the 2:4 sparse pipe and spGEMM of §6.5).
+/// Which lowering a step takes is the engine's business, read off the
+/// declarations, the operands and the unit type (see
+/// [`Backend::execute`] below); outputs and [`OpCount`]s never depend on
+/// it.
 ///
 /// Operands are quantised where the unit's input stage does it — once,
-/// as they are packed into tile-major scratch — and each output tile's
+/// as they are packed into tile-major scratch (or into a row walk's
+/// compressed image) — and each output tile's
 /// `k` loop is one [`MmoUnit::execute_chain`] call that keeps the
 /// accumulator tile inside the unit (Figures 4(c) and 6); see
 /// DESIGN.md §8. The unit is generic so the same loop runs over the
@@ -547,11 +581,11 @@ impl Backend for ReferenceBackend {
 pub struct TiledBackend<U: MmoUnit = Simd2Unit> {
     unit: U,
     count: OpCount,
+    row_count: RowCount,
     parallelism: Parallelism,
     tracer: Tracer,
-    /// Packed-operand scratch, one per worker that has ever run: taken
-    /// on the dispatch thread, moved into the worker, returned after the
-    /// join. Empty until the first MMO.
+    /// Packed-operand scratch, one per tile-chain worker that has ever
+    /// run, lent to the workers of each MMO. Empty until the first.
     scratch_pool: Vec<PackScratch>,
 }
 
@@ -584,6 +618,7 @@ impl<U: MmoUnit> TiledBackend<U> {
         Self {
             unit,
             count: OpCount::default(),
+            row_count: RowCount::default(),
             parallelism: Parallelism::default(),
             tracer: Tracer::off(),
             scratch_pool: Vec::new(),
@@ -629,6 +664,13 @@ impl<U: MmoUnit> TiledBackend<U> {
         self.unit
     }
 
+    /// What the row walks have done so far — which steps a declaration
+    /// lowered, and the terms they folded and skipped. Reset with
+    /// [`Backend::reset_count`].
+    pub fn row_count(&self) -> RowCount {
+        self.row_count
+    }
+
     /// The configured parallelism setting.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
@@ -655,11 +697,6 @@ const B_STRIP_BYTES: usize = 1 << 20;
 /// `k_tiles` reduction steps.
 fn strip_width(k_tiles: usize) -> usize {
     (B_STRIP_BYTES / (k_tiles.max(1) * TILE_ELEMS * std::mem::size_of::<f32>())).max(1)
-}
-
-/// Number of `B` strips [`run_panel`] sweeps for `grid`.
-fn strip_count(grid: &TileGrid) -> usize {
-    grid.n_tiles.div_ceil(strip_width(grid.k_tiles))
 }
 
 /// One worker's packed-operand scratch: the quantised, padded,
@@ -698,9 +735,8 @@ fn pack_chain<U: MmoUnit>(
     unit.quantize_packed(dst);
 }
 
-/// Executes one output panel of the tile grid, writing results into the
-/// panel's row slab of `D` and counting its own work (merged by the
-/// caller so totals stay exact).
+/// Executes one output panel of the tile grid on the tile chain,
+/// writing results into the panel's row slab of `D`.
 ///
 /// `B` is packed one column strip at a time and `A` one tile row at a
 /// time, each exactly once per use; every output tile is then one
@@ -712,19 +748,15 @@ fn pack_chain<U: MmoUnit>(
 /// sequential schedule) or one worker shard per strip (the row-panel
 /// schedule, whose dispatcher absorbs shards strip-major so merged fault
 /// logs keep the sequential visit order).
-///
-/// The counters stay the paper's *logical* tile traffic (Figure 6): one
-/// `C` load, two operand loads per `tk` step and one store per output
-/// tile — host pack traffic is not tile traffic.
 fn run_panel<U: MmoUnit>(
     units: &mut [U],
     scratch: &mut PackScratch,
     op: OpKind,
     (a, b, c): (&Matrix, &Matrix, &Matrix),
     grid: &TileGrid,
-    panel: std::ops::Range<usize>,
+    panel: Range<usize>,
     slab: &mut [f32],
-) -> OpCount {
+) {
     let row0 = grid.panel_rows(&panel).start;
     let pad = tiling::pad_values(op);
     let k_tiles = grid.k_tiles;
@@ -732,7 +764,6 @@ fn run_panel<U: MmoUnit>(
     let width = strip_width(k_tiles);
     scratch.a.resize(chain, 0.0);
     scratch.b.resize(width.min(grid.n_tiles) * chain, 0.0);
-    let mut count = OpCount::default();
     for (s, tj0) in (0..grid.n_tiles).step_by(width).enumerate() {
         let strip = tj0..(tj0 + width).min(grid.n_tiles);
         let unit = &mut units[s.min(units.len() - 1)];
@@ -754,79 +785,145 @@ fn run_panel<U: MmoUnit>(
                 let b_chain = &b_pack[(tj - tj0) * chain..][..chain];
                 unit.execute_chain((ti, tj), op, &scratch.a, b_chain, &mut acc);
                 tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
-                count.tile_loads += 1 + 2 * k_tiles as u64;
-                count.tile_mmos += k_tiles as u64;
-                count.tile_stores += 1;
             }
         }
     }
-    count
 }
 
-impl<U: MmoUnit + Send> TiledBackend<U> {
-    /// The row-panel schedule of one step: output tile rows are split
-    /// into one contiguous panel per worker ([`TileGrid::row_panels`]),
-    /// each worker owns its panel's disjoint row slab of `d` and private
-    /// unit shards, and per-worker [`OpCount`]s and shard state (fault
-    /// logs) are merged after the join — shards strip by strip, in
-    /// panel order within a strip, so merged fault logs are identical
-    /// to the sequential schedule's. Panel assignment only partitions
-    /// *independent* output tiles and each tile's k-loop runs in the
-    /// exact sequential order, so the result is bit-identical to the
-    /// sequential schedule. A surviving worker's shards are absorbed
-    /// even when another panicked.
-    fn run_row_panels(
+/// The one panel scheduler, whichever walk a step takes: each entry of
+/// `work` is a contiguous panel of output tile rows
+/// ([`TileGrid::row_panels`]) and the state its worker owns; `kernel`
+/// computes a panel into its disjoint row slab of `d`. One panel runs
+/// on the calling thread, several on one scoped worker each
+/// ([`join_workers`]: a panic surfaces as
+/// [`BackendError::WorkerPanic`] with the panel's index after every
+/// other worker has drained). A completed panel emits its
+/// [`span::TILE_PANEL`] summary with its logical [`OpCount`].
+///
+/// Returns each panel's result in panel order (`None` for a panicked
+/// one) — the order the caller merges counters and shard state in, so
+/// totals and fault logs do not depend on the worker count. Panels only
+/// partition *independent* output rows and a walk folds each output
+/// element in its one order, so neither do the bits of `d`.
+fn run_panels<S: Send, T: Send>(
+    tracer: &Tracer,
+    grid: &TileGrid,
+    d: &mut Matrix,
+    work: impl Iterator<Item = (Range<usize>, S)>,
+    kernel: impl Fn(S, Range<usize>, &mut [f32]) -> T + Sync,
+) -> (Vec<Option<T>>, Option<BackendError>) {
+    let kernel = &kernel;
+    let mut rest: &mut [f32] = d.as_mut_slice();
+    let mut tasks = Vec::new();
+    for (panel_idx, (panel, state)) in work.enumerate() {
+        let rows = grid.panel_rows(&panel).len();
+        let (slab, tail) = std::mem::take(&mut rest).split_at_mut(rows * grid.n);
+        rest = tail;
+        let tracer = tracer.clone();
+        tasks.push(move || {
+            let count = OpCount::of_tile_rows(grid, panel.len());
+            let result = kernel(state, panel, slab);
+            emit_tile_panel(&tracer, panel_idx, rows, count);
+            result
+        });
+    }
+    // Disjoint-slab invariant: the panels partition 0..m_tiles
+    // contiguously and `panel_rows` clips to the true height, so the
+    // per-panel slabs must consume the whole of `D` — nothing is
+    // left zero-initialised by a panel-split bug.
+    assert!(
+        rest.is_empty(),
+        "row panels must cover every output row exactly once"
+    );
+    if tasks.len() > 1 {
+        join_workers(tasks)
+    } else {
+        (tasks.into_iter().map(|task| Some(task())).collect(), None)
+    }
+}
+
+impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
+    /// The tile chain: several panels run on private unit shards, one
+    /// per `B` strip each (see [`run_panel`]), whose state (fault logs)
+    /// is absorbed after the join — strip by strip, in panel order
+    /// within a strip, the order one unit sweeping the whole grid visits
+    /// tiles in, so merged fault logs equal the sequential schedule's; a
+    /// surviving worker's shards are absorbed even when another
+    /// panicked. One panel, or a unit that does not shard, runs on the
+    /// parent unit.
+    fn run_chain(
         &mut self,
         step: &MmoArgs<'_>,
         grid: &TileGrid,
-        panels: Vec<std::ops::Range<usize>>,
-        shards: Vec<Vec<U>>,
+        workers: usize,
         d: &mut Matrix,
-    ) -> Result<OpCount, BackendError> {
+    ) -> Result<(), BackendError> {
+        let strips = grid.n_tiles.div_ceil(strip_width(grid.k_tiles));
+        let mut panels = grid.row_panels(workers);
+        let shard_panel = |_| (0..strips).map(|_| self.unit.shard()).collect();
+        let mut shards: Vec<Vec<U>> = (panels.len() > 1)
+            .then(|| panels.iter().map(shard_panel).collect())
+            .flatten()
+            .unwrap_or_default();
+        let units: Vec<&mut [U]> = if shards.is_empty() {
+            panels = grid.row_panels(1);
+            vec![std::slice::from_mut(&mut self.unit)]
+        } else {
+            shards.iter_mut().map(Vec::as_mut_slice).collect()
+        };
+        let pool = self.scratch_pool.len().max(panels.len());
+        self.scratch_pool.resize_with(pool, PackScratch::default);
+        let states = units.into_iter().zip(&mut self.scratch_pool);
+        let work = panels.into_iter().zip(states);
         let (op, operands) = (step.op, (step.a, step.b, step.c));
-        let mut rest: &mut [f32] = d.as_mut_slice();
-        let mut tasks = Vec::with_capacity(panels.len());
-        for (panel_idx, (panel, mut shards)) in panels.into_iter().zip(shards).enumerate() {
-            let rows = grid.panel_rows(&panel);
-            let (slab, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * grid.n);
-            rest = tail;
-            let tracer = self.tracer.clone();
-            let mut scratch = self.scratch_pool.pop().unwrap_or_default();
-            tasks.push(move || {
-                let count = run_panel(&mut shards, &mut scratch, op, operands, grid, panel, slab);
-                emit_tile_panel(&tracer, panel_idx, rows.len(), count);
-                (count, shards, scratch)
-            });
-        }
-        // Disjoint-slab invariant: the panels partition 0..m_tiles
-        // contiguously and `panel_rows` clips to the true height, so the
-        // per-panel slabs must consume the whole of `D` — nothing is
-        // left zero-initialised by a panel-split bug.
-        assert!(
-            rest.is_empty(),
-            "row panels must cover every output row exactly once"
+        let (done, panic) = run_panels(
+            &self.tracer,
+            grid,
+            d,
+            work,
+            |(units, scratch), panel, slab| {
+                run_panel(units, scratch, op, operands, grid, panel, slab);
+            },
         );
-        let (joined, panic) = join_workers(tasks);
-        let mut total = OpCount::default();
-        let mut survivors: Vec<std::vec::IntoIter<U>> = Vec::with_capacity(joined.len());
-        for (count, shards, scratch) in joined.into_iter().flatten() {
-            total += count;
-            survivors.push(shards.into_iter());
-            self.scratch_pool.push(scratch);
-        }
-        // Strip-major, panels in order within a strip: the order one unit
-        // sweeping the whole grid visits tiles in.
-        for _ in 0..strip_count(grid) {
+        let mut survivors: Vec<std::vec::IntoIter<U>> = shards
+            .into_iter()
+            .zip(&done)
+            .filter_map(|(shards, done)| done.map(|()| shards.into_iter()))
+            .collect();
+        for _ in 0..strips {
             for shards in &mut survivors {
                 self.unit
                     .absorb(shards.next().expect("one shard per strip"));
             }
         }
-        panic.map_or(Ok(total), Err)
+        panic.map_or(Ok(()), Err)
+    }
+
+    /// A row walk: every panel folds its own output rows against the
+    /// walk's shared `B` image; a completed step adds its term counters,
+    /// merged in panel order.
+    fn run_rows(
+        &mut self,
+        walk: &RowWalk<'_>,
+        grid: &TileGrid,
+        workers: usize,
+        d: &mut Matrix,
+    ) -> Result<(), BackendError> {
+        let unit = &self.unit;
+        let work = grid
+            .row_panels(workers)
+            .into_iter()
+            .map(|panel| (panel, ()));
+        let (terms, panic) = run_panels(&self.tracer, grid, d, work, |(), panel, slab| {
+            walk.fold(unit, grid.panel_rows(&panel), slab)
+        });
+        panic.map_or(Ok(()), Err)?;
+        walk.tally(&mut self.row_count, terms.into_iter().flatten());
+        Ok(())
     }
 }
 
-impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
+impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
     fn name(&self) -> &'static str {
         "SIMD2 units (tiled, fp16 operands)"
     }
@@ -835,12 +932,24 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
         self.unit.reduced_precision()
     }
 
-    /// Runs the step as row panels when the schedule has more than one
-    /// worker, the grid more than one tile row and the unit shards, else
-    /// as a single panel on the parent unit — the same `run_panel`
-    /// either way, so the two are bit-identical. Representation
-    /// declarations are validated and then ignored: this engine has only
-    /// the dense datapath.
+    /// Picks the step's walk from what the engine can observe, then
+    /// runs it over as many row panels as the schedule has workers (at
+    /// most one per tile row):
+    ///
+    /// * every operand declared dense, or a unit that is not
+    ///   [coordinate-free](MmoUnit::COORDINATE_FREE) (it injects or
+    ///   probes at [`simd2_mxu::TileCoord`] sites, which only the tile
+    ///   grid has) — the **tile chain**;
+    /// * `A` or `B` declared sparse on a coordinate-free unit — a **row
+    ///   walk** (`A`-walk × sweep or scatter, by `B`'s stored density),
+    ///   unless the operands leave it nothing it may skip, in which
+    ///   case the chain again.
+    ///
+    /// Every walk folds each output element from `C ⊕ id` in ascending
+    /// `k`, so the output is the same bits; the step adds the grid's
+    /// logical [`OpCount`] and emits the same spans whichever ran, and a
+    /// row walk adds its term counters to
+    /// [`row_count`](TiledBackend::row_count).
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
         let grid = step.checked_grid()?;
         let workers = schedule.worker_count(self.parallelism);
@@ -848,37 +957,26 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
         let isa = self.unit.kernel_isa();
         begin_mmo(&self.tracer, step.op, &grid, workers, isa);
         let mut d = Matrix::zeros(grid.m, grid.n);
-        // The row panels with one shard per `B` strip for each (see
-        // `run_panel`), if panels are worth having and the unit shards.
-        let sharded = (workers > 1 && grid.m_tiles > 1)
-            .then(|| grid.row_panels(workers))
-            .and_then(|panels| {
-                let strips = strip_count(&grid);
-                let shards: Option<Vec<Vec<U>>> = panels
-                    .iter()
-                    .map(|_| (0..strips).map(|_| self.unit.shard()).collect())
-                    .collect();
-                Some((panels, shards?))
-            });
-        let mut delta = match sharded {
-            Some((panels, shards)) => self.run_row_panels(step, &grid, panels, shards, &mut d)?,
-            None => {
-                let mut scratch = self.scratch_pool.pop().unwrap_or_default();
-                let count = run_panel(
-                    std::slice::from_mut(&mut self.unit),
-                    &mut scratch,
-                    step.op,
-                    (step.a, step.b, step.c),
-                    &grid,
-                    0..grid.m_tiles,
-                    d.as_mut_slice(),
-                );
-                self.scratch_pool.push(scratch);
-                emit_tile_panel(&self.tracer, 0, grid.m, count);
-                count
+        let declared = !(step.reprs[0].is_dense() && step.reprs[1].is_dense());
+        let walk = (declared && U::COORDINATE_FREE)
+            .then(|| RowWalk::choose(&self.unit, step))
+            .flatten();
+        match &walk {
+            Some(walk) => self.run_rows(walk, &grid, workers, &mut d)?,
+            None => self.run_chain(step, &grid, workers, &mut d)?,
+        }
+        if self.tracer.enabled() {
+            match &walk {
+                Some(walk) if walk.scatters() => ROW_MMOS_SCATTER.add(1),
+                Some(_) => ROW_MMOS_SWEEP.add(1),
+                None if declared => REPR_FALLBACK_MMOS.add(1),
+                None => {}
             }
+        }
+        let delta = OpCount {
+            matrix_mmos: 1,
+            ..OpCount::of_tile_rows(&grid, grid.m_tiles)
         };
-        delta.matrix_mmos = 1;
         self.count += delta;
         finish_mmo(&self.tracer, step.op, delta, isa);
         Ok(d)
@@ -904,6 +1002,7 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
 
     fn reset_count(&mut self) {
         self.count = OpCount::default();
+        self.row_count = RowCount::default();
     }
 }
 
@@ -1046,6 +1145,7 @@ impl Backend for IsaBackend {
 mod tests {
     use super::*;
     use simd2_matrix::gen;
+    use simd2_mxu::PrecisionMode;
     use simd2_semiring::precision::quantize_f16;
     use simd2_semiring::ALL_OPS;
 
@@ -1138,12 +1238,26 @@ mod tests {
     fn parallel_counters_stay_exact() {
         let op = OpKind::MinPlus;
         let (a, b, c) = operands(op, 80, 48, 33);
+        // One tile-chain step and one row-walked one.
+        let run = |be: &mut TiledBackend| {
+            be.mmo(op, &a, &b, &c).unwrap();
+            let csr = OperandRepr::csr(f32::INFINITY);
+            be.mmo_ref(
+                op,
+                MatrixRef::new(&a, csr),
+                MatrixRef::dense(&b),
+                MatrixRef::dense(&c),
+            )
+            .unwrap();
+        };
         let mut seq = TiledBackend::new();
-        seq.mmo(op, &a, &b, &c).unwrap();
+        run(&mut seq);
+        assert_eq!(seq.row_count().sparse_mmos, 1);
         for workers in [2usize, 3, 8] {
             let mut par = TiledBackend::with_parallelism(Parallelism::Threads(workers));
-            par.mmo(op, &a, &b, &c).unwrap();
+            run(&mut par);
             assert_eq!(par.op_count(), seq.op_count(), "{workers} workers");
+            assert_eq!(par.row_count(), seq.row_count(), "{workers} workers");
         }
     }
 
@@ -1259,7 +1373,16 @@ mod tests {
             let mut be =
                 TiledBackend::with_parallelism(parallelism).with_tracer(Tracer::to(ring.clone()));
             be.mmo(op, &a, &b, &c).unwrap();
-            be.mmo(op, &a, &b, &c).unwrap();
+            // The second step is declared and row-walked: same spans,
+            // same logical counts.
+            be.mmo_ref(
+                op,
+                MatrixRef::new(&a, OperandRepr::csr(0.0)),
+                MatrixRef::dense(&b),
+                MatrixRef::dense(&c),
+            )
+            .unwrap();
+            assert_eq!(be.row_count().sparse_mmos, 1);
             let events = ring.events();
             let sum = |span_name: &str, key: &str| -> u64 {
                 events
@@ -1318,6 +1441,314 @@ mod tests {
                 .any(|e| e.span == span::MMO && e.kind == simd2_trace::EventKind::End),
             "a panicked mmo must not report completed work"
         );
+    }
+
+    /// A seeded operand in `op`'s value domain with roughly
+    /// `density` of its entries kept and the rest at `zero`.
+    fn sparse_operand(rows: usize, cols: usize, zero: f32, density: f64, seed: u64) -> Matrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |_, _| {
+            if rng.gen_bool(density) {
+                rng.gen_range(0.5..9.5)
+            } else {
+                zero
+            }
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The engine over an fp32-input unit: no rounding between a test's
+    /// operands and its oracle.
+    fn fp32_backend() -> TiledBackend {
+        TiledBackend::with_unit(Simd2Unit::with_precision(PrecisionMode::Fp32Input))
+    }
+
+    fn declared(
+        be: &mut impl Backend,
+        op: OpKind,
+        (a, ra): (&Matrix, OperandRepr),
+        (b, rb): (&Matrix, OperandRepr),
+        c: &Matrix,
+    ) -> Result<Matrix, BackendError> {
+        be.mmo_ref(
+            op,
+            MatrixRef::new(a, ra),
+            MatrixRef::new(b, rb),
+            MatrixRef::dense(c),
+        )
+    }
+
+    #[test]
+    fn every_sparse_kernel_is_bit_identical_to_the_dense_datapath() {
+        // All ops with a no-edge annihilator (plus-norm has no sparse
+        // lowering) × every walk × every operand precision × 1/2/4/8
+        // workers: the tile chain's bits, and — a declaration being a
+        // hint — the stripped step's `OpCount`.
+        use simd2_matrix::structured::prune_2_4;
+        let engine = |precision, workers| {
+            let mut be = TiledBackend::with_unit(Simd2Unit::with_precision(precision));
+            be.set_parallelism(Parallelism::Threads(workers));
+            be
+        };
+        for precision in [
+            PrecisionMode::Fp32Input,
+            PrecisionMode::Fp16Input,
+            PrecisionMode::Int8Input,
+        ] {
+            for (s, &op) in ALL_OPS.iter().enumerate() {
+                let Some(zero) = op.no_edge_f32() else {
+                    continue;
+                };
+                let a = sparse_operand(37, 29, zero, 0.3, 400 + s as u64);
+                let a24 = prune_2_4(&a, op);
+                // Sparse enough to be scattered; dense enough to be swept.
+                let scattered = sparse_operand(29, 35, zero, 0.03, 500 + s as u64);
+                let swept = sparse_operand(29, 35, zero, 0.6, 550 + s as u64);
+                let c = sparse_operand(37, 35, zero, 0.8, 600 + s as u64);
+                let (csr, dense) = (OperandRepr::csr(zero), OperandRepr::Dense);
+                let s24 = OperandRepr::structured(zero);
+                for (am, ra, bm, rb) in [
+                    (&a, csr, &swept, dense),
+                    (&a, csr, &swept, csr),
+                    (&a, csr, &scattered, csr),
+                    (&a, dense, &scattered, csr),
+                    (&a24, s24, &swept, dense),
+                    (&a24, s24, &scattered, csr),
+                ] {
+                    let mut chain = engine(precision, 1);
+                    let want = chain.mmo(op, am, bm, &c).unwrap();
+                    assert_eq!(chain.row_count(), RowCount::default(), "the tile chain");
+                    for workers in [1usize, 2, 4, 8] {
+                        let mut be = engine(precision, workers);
+                        let got = declared(&mut be, op, (am, ra), (bm, rb), &c).unwrap();
+                        let ctx = format!(
+                            "{op} {precision:?} {}×{} {workers} workers",
+                            ra.name(),
+                            rb.name()
+                        );
+                        assert_eq!(bits(&got), bits(&want), "{ctx}");
+                        assert_eq!(be.op_count(), chain.op_count(), "{ctx}");
+                        assert_eq!(be.row_count().sparse_mmos, 1, "{ctx}");
+                        assert!(be.row_count().skipped_terms > 0, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structured_fast_path_is_bit_identical_to_dense() {
+        use simd2_matrix::structured::prune_2_4;
+        for op in [
+            OpKind::PlusMul,
+            OpKind::MinPlus,
+            OpKind::MaxMul,
+            OpKind::OrAnd,
+        ] {
+            let zero = op.no_edge_f32().unwrap();
+            let a = prune_2_4(&sparse_operand(12, 20, zero, 0.9, 7), op);
+            let b = sparse_operand(20, 9, zero, 0.9, 8);
+            let c = sparse_operand(12, 9, zero, 0.9, 9);
+            let mut be = fp32_backend();
+            let want = be.mmo(op, &a, &b, &c).unwrap();
+            let s24 = OperandRepr::structured(zero);
+            let got = declared(&mut be, op, (&a, s24), (&b, OperandRepr::Dense), &c).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{op}");
+            assert_eq!(be.row_count().sparse_mmos, 1, "{op}");
+        }
+    }
+
+    #[test]
+    fn sharded_panels_are_bit_identical_at_every_worker_count() {
+        let op = OpKind::MinPlus;
+        let zero = op.no_edge_f32().unwrap();
+        let a = sparse_operand(33, 29, zero, 0.2, 42);
+        let b = sparse_operand(29, 31, zero, 0.2, 43);
+        let c = Matrix::filled(33, 31, zero);
+        let csr = OperandRepr::csr(zero);
+        let mut seq = fp32_backend();
+        let want = declared(&mut seq, op, (&a, csr), (&b, csr), &c).unwrap();
+        for workers in [1, 2, 4, 8] {
+            let mut be = fp32_backend();
+            be.set_parallelism(Parallelism::Threads(workers));
+            let got = declared(&mut be, op, (&a, csr), (&b, csr), &c).unwrap();
+            assert_eq!(bits(&got), bits(&want), "workers={workers}");
+            // Panel-order merge keeps counters exact, not approximate.
+            assert_eq!(be.row_count(), seq.row_count(), "workers={workers}");
+            assert_eq!(be.op_count(), seq.op_count(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn reduced_precision_keeps_sparse_and_dense_paths_aligned() {
+        let op = OpKind::PlusMul;
+        let a = sparse_operand(10, 14, 0.0, 0.4, 77);
+        let b = sparse_operand(14, 6, 0.0, 0.4, 78);
+        let c = sparse_operand(10, 6, 0.0, 1.0, 79);
+        let mut be = TiledBackend::new();
+        assert!(be.reduced_precision());
+        let want = be.mmo(op, &a, &b, &c).unwrap();
+        let csr = OperandRepr::csr(0.0);
+        let got = declared(&mut be, op, (&a, csr), (&b, OperandRepr::Dense), &c).unwrap();
+        assert_eq!(bits(&got), bits(&want));
+        assert_ne!(
+            bits(&want),
+            bits(&fp32_backend().mmo(op, &a, &b, &c).unwrap())
+        );
+    }
+
+    #[test]
+    fn term_accounting_is_exact_for_csr_a() {
+        let op = OpKind::PlusMul;
+        let a = sparse_operand(6, 10, 0.0, 0.3, 13);
+        let b = sparse_operand(10, 4, 0.0, 1.0, 14);
+        let c = Matrix::zeros(6, 4);
+        let mut be = fp32_backend();
+        let csr = OperandRepr::csr(0.0);
+        declared(&mut be, op, (&a, csr), (&b, OperandRepr::Dense), &c).unwrap();
+        let count = be.row_count();
+        // Folded + skipped terms together tile the dense m·n·k space.
+        assert_eq!(count.fma_terms + count.skipped_terms, 6 * 4 * 10);
+        let nnz = a.as_slice().iter().filter(|&&x| x != 0.0).count() as u64;
+        assert_eq!(count.fma_terms, nnz * 4);
+        be.reset_count();
+        assert_eq!(be.row_count(), RowCount::default());
+    }
+
+    #[test]
+    fn invalid_declarations_are_rejected() {
+        let a = Matrix::zeros(4, 4);
+        let c = Matrix::zeros(4, 4);
+        let mut be = TiledBackend::new();
+        // Wrong sentinel for the op's annihilator.
+        let (csr, dense) = (OperandRepr::csr(0.0), OperandRepr::Dense);
+        let err = declared(&mut be, OpKind::MinPlus, (&a, csr), (&a, dense), &c).unwrap_err();
+        assert!(matches!(err, BackendError::Repr { .. }), "{err}");
+        // Non-compliant 2:4 declaration.
+        let dense_row = Matrix::filled(4, 4, 1.0);
+        let s24 = OperandRepr::structured(0.0);
+        let err =
+            declared(&mut be, OpKind::PlusMul, (&dense_row, s24), (&a, dense), &c).unwrap_err();
+        assert!(err.to_string().contains("2:4"), "{err}");
+        assert_eq!(be.op_count(), OpCount::default());
+        assert_eq!(be.row_count(), RowCount::default());
+    }
+
+    #[test]
+    fn a_step_with_nothing_to_skip_takes_the_tile_chain() {
+        let op = OpKind::PlusMul;
+        let csr = OperandRepr::csr(0.0);
+        let a = sparse_operand(20, 24, 0.0, 0.3, 1);
+        let dense_b = sparse_operand(24, 18, 0.0, 0.9, 2);
+        let c = Matrix::zeros(20, 18);
+        let mut be = fp32_backend();
+        // A dense walk over a `B` too dense to scatter skips nothing.
+        let want = be.mmo(op, &a, &dense_b, &c).unwrap();
+        let got = declared(&mut be, op, (&a, OperandRepr::Dense), (&dense_b, csr), &c).unwrap();
+        assert_eq!(bits(&got), bits(&want));
+        // The value-domain rule densifies `A` (an infinite `B` entry
+        // makes `0 × b` a NaN), leaving nothing declared.
+        let mut hostile_b = dense_b.clone();
+        hostile_b[(3, 5)] = f32::INFINITY;
+        let want = be.mmo(op, &a, &hostile_b, &c).unwrap();
+        let got = declared(&mut be, op, (&a, csr), (&hostile_b, OperandRepr::Dense), &c).unwrap();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(be.row_count(), RowCount::default());
+        assert_eq!(be.op_count().matrix_mmos, 4);
+    }
+
+    #[test]
+    fn injecting_and_probing_units_walk_a_declared_step_tile_by_tile() {
+        use simd2_fault::{
+            FaultPlan, FaultPlanConfig, FaultySimd2Unit, PanicProbeUnit, PlannedInjector,
+        };
+        use simd2_trace::RingSink;
+        let op = OpKind::MinPlus;
+        let (a, b, c) = operands(op, 70, 40, 40); // 5 tile rows
+        let csr = OperandRepr::csr(f32::INFINITY);
+        // Same `D`, fault log and `OpCount` with and without the
+        // declaration, at every worker count: the sites are `TileCoord`s.
+        let faulty = |workers, ra: OperandRepr| {
+            let plan = FaultPlan::new(FaultPlanConfig::new(7).with_bit_flip_ppm(200_000));
+            let unit = FaultySimd2Unit::new(Simd2Unit::new(), PlannedInjector::new(plan));
+            let mut be = TiledBackend::with_unit(unit).with_tracer(Tracer::to(RingSink::shared()));
+            be.set_parallelism(Parallelism::Threads(workers));
+            let d = declared(&mut be, op, (&a, ra), (&b, OperandRepr::Dense), &c).unwrap();
+            assert_eq!(be.row_count(), RowCount::default());
+            (d, be.unit().injector().log(), be.op_count())
+        };
+        let stripped = faulty(1, OperandRepr::Dense);
+        assert!(!stripped.1.is_empty(), "campaign should have struck");
+        let fallbacks = REPR_FALLBACK_MMOS.get();
+        for workers in [1usize, 2, 4] {
+            assert_eq!(faulty(workers, csr), stripped, "{workers} workers");
+        }
+        // Declared sparse, walked dense: counted (other tests may add).
+        assert!(REPR_FALLBACK_MMOS.get() >= fallbacks + 3);
+
+        // The probe panics in the same panel of the same grid.
+        let probe = |ra: OperandRepr| {
+            let mut be = TiledBackend::with_unit(PanicProbeUnit::new(Simd2Unit::new(), 2));
+            be.set_parallelism(Parallelism::Threads(4));
+            let err = declared(&mut be, op, (&a, ra), (&b, OperandRepr::Dense), &c).unwrap_err();
+            assert_eq!(be.op_count(), OpCount::default());
+            match err {
+                BackendError::WorkerPanic { panel, .. } => panel,
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            }
+        };
+        assert_eq!(probe(csr), 1);
+        assert_eq!(probe(csr), probe(OperandRepr::Dense));
+    }
+
+    #[test]
+    fn row_walks_honour_the_schedule_and_both_degrade_rungs() {
+        let op = OpKind::MinPlus;
+        let zero = f32::INFINITY;
+        let a = sparse_operand(70, 40, zero, 0.2, 5);
+        let b = sparse_operand(40, 90, zero, 0.9, 6);
+        let c = Matrix::filled(70, 90, zero);
+        let csr = OperandRepr::csr(zero);
+        let step = MmoArgs {
+            reprs: [csr, OperandRepr::Dense, OperandRepr::Dense],
+            ..MmoArgs::new(op, &a, &b, &c)
+        };
+        let ring = simd2_trace::RingSink::shared();
+        let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4))
+            .with_tracer(Tracer::to(ring.clone()));
+        let panels = |ring: &simd2_trace::RingSink| {
+            let n = ring
+                .events()
+                .iter()
+                .filter(|e| e.span == span::TILE_PANEL)
+                .count();
+            ring.clear();
+            n
+        };
+        let want = be.execute(&step, Schedule::Configured).unwrap();
+        assert_eq!(panels(&ring), 4);
+        let sequential = be.execute(&step, Schedule::Sequential).unwrap();
+        assert_eq!(panels(&ring), 1);
+        assert!(be.degrade(Degrade::PinKernelIsa(KernelIsa::Scalar)));
+        let pinned = be.execute(&step, Schedule::Configured).unwrap();
+        let begin = ring
+            .events()
+            .into_iter()
+            .find(|e| e.span == span::MMO)
+            .unwrap();
+        assert_eq!(begin.str_value("isa"), Some(KernelIsa::Scalar.name()));
+        assert!(be.degrade(Degrade::ForceSequential));
+        ring.clear();
+        let demoted = be.execute(&step, Schedule::Configured).unwrap();
+        assert_eq!(panels(&ring), 1);
+        for got in [sequential, pinned, demoted] {
+            assert_eq!(bits(&got), bits(&want));
+        }
+        assert_eq!(be.row_count().sparse_mmos, 4);
     }
 
     #[test]

@@ -1,0 +1,534 @@
+//! The row walks of [`TiledBackend`](super::TiledBackend): how a step
+//! with a declared-sparse operand is folded without its annihilator
+//! terms.
+//!
+//! A representation declaration picks a *walk*, not a kernel: every
+//! output row folds the `(l, a_il)` walk its `A` row supplies — every
+//! `l` of a dense row, the stored entries of a [`OperandRepr::Csr`](crate::OperandRepr::Csr) row,
+//! the kept slots of a
+//! [`OperandRepr::Structured24`](crate::OperandRepr::Structured24) row (its stored
+//! entries too: the 2:4 bound was checked when the step was validated)
+//! — through one of two row kernels, chosen by `B`:
+//!
+//! * **sweep** — `acc[j] ← acc[j] ⊕ (a_il ⊗ B[l, j])` over contiguous
+//!   rows of a dense `B` ([`simd2_semiring::simd::sweep_row`], a vector
+//!   leaf on the unit's kernel ISA with the scalar leaf as its oracle);
+//! * **scatter** — the Gustavson inner loop over the stored entries of
+//!   a CSR `B` row.
+//!
+//! A CSR-declared `B` whose stored density exceeds [`SWEEP_B_DENSITY`]
+//! is swept as dense rows ([`RowCount::swept_b_mmos`] counts them):
+//! folding an annihilator term is as exact as skipping it. A step that
+//! is left with nothing to skip — `A` walks dense and `B` is swept —
+//! has no use for a row walk and takes the tile chain
+//! ([`RowWalk::choose`] returns `None`).
+//!
+//! **The bit-identity contract.** A representation declaration is a
+//! schedule hint, never a semantic change: every `(i, j)` starts from the
+//! seed `C ⊕ id` and folds its terms in ascending `k` with `⊗` and `⊕` as
+//! separate roundings — the one reduction of `simd2_semiring::simd`,
+//! the chain kernel's too — and a walk skips only terms that combine
+//! through the algebra's annihilator ([`OpKind::no_edge_f32`]). What
+//! makes a skip exact is the seed: after it a min/max/or accumulator is
+//! never NaN and a `+` accumulator never `-0.0`, so folding the `⊕`
+//! identity, a NaN into min/max, or `±0.0` into `+` returns the
+//! accumulator's own bits. Skipping `annihilator ⊗ x` therefore leaves
+//! the reduction bit-identical whatever `x` is for the five ops whose
+//! `⊗` selects or adds (`±∞ + x`, `min`/`max` with `±∞`, `0 ∧ x`: the
+//! identity, or the NaN an `∞ − ∞` makes). For the three whose `⊗`
+//! multiplies it does so only on the op's value domain, so the choice
+//! checks the domain (`Scan`, one branch-free pass over each operand
+//! the rule reads: `B` when `A` is declared sparse — the pass that
+//! counts its stored entries anyway — and `A` when `B` will be
+//! scattered, a swept `B` skipping nothing) and walks a declared operand
+//! dense when skipping its annihilator entries would not be exact:
+//!
+//! * plus-mul — the *other* operand must be finite at the unit's
+//!   precision (`0 × ±∞` and `0 × NaN` are NaN, which `+` propagates;
+//!   `0 × x` for finite `x` is `±0.0`, which the seeded accumulator
+//!   absorbs);
+//! * min-mul — the other operand must carry no sign bit (`+∞ × x` is
+//!   `−∞` for negative `x`; for `x ≥ +0` it is `+∞` or a NaN, both of
+//!   which `min` drops);
+//! * max-mul — a skipped `0 × x` must be exactly `+0.0`, so the other
+//!   operand must be finite without a sign bit; those products can still
+//!   lift a negative accumulator, so columns that skipped one fold a
+//!   single `⊕ 0.0` at the end, and for that one fold to stand for all
+//!   of them no product may be `−0.0` (a `±0` tie under `max` goes to
+//!   whichever comes first — the seed, if `C` is `−0.0`, with or without
+//!   the skipped terms): the declared operand must carry no sign bit
+//!   either.
+//!
+//! Outputs are therefore bit-identical between the tile chain and every
+//! row walk, for every operand value and at any worker count.
+//!
+//! **Once per MMO, not per term.** Operands pass through the unit's pack
+//! hook ([`MmoUnit::quantize_packed`]) once: stored CSR / 2:4 values
+//! *after* compression (an entry that underflows to `±0.0` stays a
+//! stored term), one image of a swept `B`. A worker compresses and
+//! quantises only its own `A` rows, reads the one shared `B` image, and
+//! returns its term counters.
+
+use std::borrow::Cow;
+use std::ops::Range;
+
+use simd2_matrix::{Csr, Matrix};
+use simd2_mxu::MmoUnit;
+use simd2_semiring::kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
+use simd2_semiring::simd::{self, SWEEP_STRIP};
+use simd2_semiring::OpKind;
+
+use super::MmoArgs;
+
+/// Stored density of a CSR-declared `B` above which its rows are swept
+/// as dense rows rather than scattered. Per `A` term a scatter costs
+/// `B`'s row population in dependent scalar folds and a sweep costs the
+/// row width in vector lanes, so the break-even is a property of `B`'s
+/// density alone; EXPERIMENTS.md ("Scatter or sweep") has the sweep that
+/// placed it.
+const SWEEP_B_DENSITY: f64 = 0.11;
+
+/// `B` rows one sweep block holds: with [`SWEEP_STRIP`] columns of
+/// `f32` that is 32 KiB, an L1-resident block every row of the panel
+/// folds before the next one is touched.
+const SWEEP_K_BLOCK: usize = 128;
+
+/// What the row walks of a [`TiledBackend`](super::TiledBackend) have
+/// done, beside its [`OpCount`](super::OpCount) (which stays the logical
+/// tile arithmetic of the grid whichever walk ran).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowCount {
+    /// Whole-matrix operations that ran as a row walk: at least one of
+    /// `A` / `B` declared sparse (CSR or 2:4) and skippable.
+    pub sparse_mmos: u64,
+    /// Of [`Self::sparse_mmos`], those whose CSR-declared `B` was dense
+    /// enough to be swept as dense rows instead of scattered.
+    pub swept_b_mmos: u64,
+    /// Semiring `⊕(⊗)` terms the row kernels folded (a swept `B` row
+    /// folds all of its columns).
+    pub fma_terms: u64,
+    /// Annihilator terms the walks skipped relative to the dense
+    /// `m·n·k` term count.
+    pub skipped_terms: u64,
+}
+
+/// What [`RowWalk::choose`] reads off an operand in one branch-free
+/// pass: the two facts the value-domain rule (module docs) needs, and
+/// the stored-entry count that picks scatter or sweep for a sparse `B`.
+/// The default — no element seen — is in every op's domain, which is
+/// what an operand no decision reads is treated as.
+#[derive(Clone, Copy, Default)]
+struct Scan {
+    /// OR of every element's bits: bit 31 is set iff some element
+    /// carries a sign bit.
+    any: u32,
+    /// Largest magnitude bits: a NaN outranks `∞` outranks any finite
+    /// value.
+    max_abs: u32,
+    /// Elements that differ from the annihilator (by value).
+    stored: usize,
+}
+
+impl Scan {
+    fn of(m: &Matrix, zero: f32) -> Self {
+        let mut scan = Self::default();
+        for r in 0..m.rows() {
+            // Row by row, so the count runs in `u32` lanes beside the
+            // other two folds (a row's columns fit `u32`, as in `Csr`).
+            let fold = |(any, max_abs, stored): (u32, u32, u32), &x: &f32| {
+                let magnitude = x.to_bits() & 0x7fff_ffff;
+                (
+                    any | x.to_bits(),
+                    max_abs.max(magnitude),
+                    stored + u32::from(x != zero),
+                )
+            };
+            let (any, max_abs, stored) = m.row(r).iter().fold((0, 0, 0), fold);
+            scan.any |= any;
+            scan.max_abs = scan.max_abs.max(max_abs);
+            scan.stored += stored as usize;
+        }
+        scan
+    }
+
+    fn sign_clear(self) -> bool {
+        self.any >> 31 == 0
+    }
+
+    /// Whether every element is finite once through `unit`'s pack hook
+    /// (every quantiser is monotonic in magnitude, so the largest one
+    /// decides).
+    fn finite(self, unit: &impl MmoUnit) -> bool {
+        let mut worst = [f32::from_bits(self.max_abs)];
+        unit.quantize_packed(&mut worst);
+        worst[0].is_finite()
+    }
+}
+
+/// The `B` operand as the row kernels read it, built once per MMO and
+/// shared by every worker.
+enum BImage {
+    /// Dense rows to sweep, packed strip-major — all `k` rows of the
+    /// first [`SWEEP_STRIP`] columns, then of the next — so a block of a
+    /// strip's rows is contiguous; quantised.
+    Strips(Vec<f32>),
+    /// Stored entries to scatter, quantised after compression.
+    Csr(Csr),
+}
+
+/// Packs `b` strip-major (see [`BImage::Strips`]).
+fn pack_strips(b: &Matrix) -> Vec<f32> {
+    let mut image = Vec::with_capacity(b.len());
+    for j0 in (0..b.cols()).step_by(SWEEP_STRIP) {
+        let strip = j0..b.cols().min(j0 + SWEEP_STRIP);
+        for l in 0..b.rows() {
+            image.extend_from_slice(&b.row(l)[strip.clone()]);
+        }
+    }
+    image
+}
+
+/// Builds the one `B` image every worker of an MMO shares: its CSR form
+/// over `scatter`'s annihilator, packed dense strips to sweep otherwise.
+fn b_image(unit: &impl MmoUnit, b: &Matrix, scatter: Option<f32>) -> BImage {
+    match scatter {
+        Some(zero) => {
+            let mut csr = Csr::from_dense(b, zero).expect("validated non-NaN sentinel");
+            unit.quantize_packed(csr.values_mut());
+            BImage::Csr(csr)
+        }
+        None => {
+            let mut image = pack_strips(b);
+            unit.quantize_packed(&mut image);
+            BImage::Strips(image)
+        }
+    }
+}
+
+/// One worker's `A` rows in walk form, compressed and quantised by the
+/// worker itself. Rows are indexed from the start of its panel.
+enum AWalk<'a> {
+    /// Every `l` in order: the rows themselves (a quantised copy of them
+    /// at reduced precision) against the shared `0..k` index run.
+    Dense(Cow<'a, [f32]>, &'a [u32]),
+    Csr(Csr),
+}
+
+impl AWalk<'_> {
+    /// Row `local`'s `(l, a_il)` walk in ascending `l`.
+    fn row(&self, local: usize) -> (&[u32], &[f32]) {
+        match self {
+            AWalk::Dense(rows, iota) => (iota, &rows[local * iota.len()..][..iota.len()]),
+            AWalk::Csr(csr) => csr.row(local),
+        }
+    }
+}
+
+/// Seeds one output row: `acc[j] = C[j] ⊕ id`, where every fold starts.
+#[inline]
+fn seed_row<K: SemiringKernel>(acc: &mut [f32], c: &[f32]) {
+    for (d, &cv) in acc.iter_mut().zip(c) {
+        *d = K::seed(cv);
+    }
+}
+
+/// Row epilogue shared by both kernels: the max-mul `⊕ 0.0` correction
+/// on every column that `skipped` a product (a skipped `0·b` still folds
+/// a `0.0` into a max-reduce; one fold reproduces them all exactly).
+#[inline]
+fn finish_row<K: SemiringKernel>(acc: &mut [f32], skipped: impl Fn(usize) -> bool) {
+    if matches!(K::KIND, OpKind::MaxMul) {
+        for (j, d) in acc.iter_mut().enumerate() {
+            if skipped(j) {
+                *d = K::reduce(*d, 0.0);
+            }
+        }
+    }
+}
+
+/// One panel of one MMO: everything a worker needs to fold output rows
+/// `rows` into `out`, monomorphised over the op by [`dispatch_kernel`].
+struct Panel<'a, U> {
+    walk: &'a RowWalk<'a>,
+    unit: &'a U,
+    rows: Range<usize>,
+    out: &'a mut [f32],
+}
+
+impl<'a, U: MmoUnit> Panel<'a, U> {
+    /// Compresses and quantises this panel's `A` rows. A validated 2:4
+    /// operand's kept slots are exactly its stored entries, at most two
+    /// per aligned group of four, so one compression serves both sparse
+    /// declarations.
+    fn walk(&self) -> AWalk<'a> {
+        let (a, rows) = (self.walk.a, self.rows.clone());
+        match self.walk.a_zero {
+            None => {
+                let mut rows =
+                    Cow::Borrowed(&a.as_slice()[rows.start * a.cols()..rows.end * a.cols()]);
+                if self.unit.reduced_precision() {
+                    self.unit.quantize_packed(rows.to_mut());
+                }
+                AWalk::Dense(rows, &self.walk.iota)
+            }
+            Some(zero) => {
+                let mut csr =
+                    Csr::from_dense_rows(a, rows, zero).expect("validated non-NaN sentinel");
+                self.unit.quantize_packed(csr.values_mut());
+                AWalk::Csr(csr)
+            }
+        }
+    }
+
+    /// Row kernel 1 — `A`-walk × dense-`B` sweep: every output row is
+    /// seeded with `C ⊕ id` and folds its walk over contiguous
+    /// `B` rows in ascending `l` ([`simd::sweep_row`]). The schedule is
+    /// blocked for L1 — strip by strip, [`SWEEP_K_BLOCK`] rows of `B` at
+    /// a time, all of the panel's rows against each block — which only
+    /// reorders independent `(i, j)` folds: each still sees its own
+    /// terms in ascending `l`.
+    fn sweep_rows<K: SemiringKernel>(self, walk: &AWalk<'_>, image: &[f32]) -> RowCount {
+        let (c, n, k) = (self.walk.c, self.walk.c.cols(), self.walk.a.cols());
+        let isa = self.unit.kernel_isa();
+        // One sequential pass over `C`: seeding strip by strip (or row by
+        // row) just ahead of the sweep reads it at a row stride instead,
+        // and measured 3–7 % slower on a half-dense 512³ walk.
+        for (local, i) in self.rows.clone().enumerate() {
+            seed_row::<K>(&mut self.out[local * n..][..n], c.row(i));
+        }
+        let mut cursor = vec![0usize; self.rows.len()];
+        for j0 in (0..n).step_by(SWEEP_STRIP) {
+            let w = SWEEP_STRIP.min(n - j0);
+            let strip = &image[k * j0..][..k * w];
+            cursor.fill(0);
+            for k_end in (0..k).step_by(SWEEP_K_BLOCK).map(|k0| k0 + SWEEP_K_BLOCK) {
+                for (local, from) in cursor.iter_mut().enumerate() {
+                    let (ks, vals) = walk.row(local);
+                    let to = *from + ks[*from..].partition_point(|&l| (l as usize) < k_end);
+                    let (ks, vals) = (&ks[*from..to], &vals[*from..to]);
+                    let acc = &mut self.out[local * n + j0..][..w];
+                    simd::sweep_row(isa, K::KIND, ks, vals, strip, w, acc);
+                    *from = to;
+                }
+            }
+        }
+        let mut count = RowCount::default();
+        for local in 0..self.rows.len() {
+            let terms = walk.row(local).0.len();
+            finish_row::<K>(&mut self.out[local * n..][..n], |_| terms < k);
+            count.fma_terms += (terms * n) as u64;
+            count.skipped_terms += ((k - terms) * n) as u64;
+        }
+        count
+    }
+
+    /// Row kernel 2 — `A`-walk × CSR-`B` scatter (Gustavson): each walk
+    /// term scatters the stored entries of `B` row `l` into the output
+    /// row. The walk ascends in `l`, so every `(i, j)` still folds in
+    /// ascending `k`. Max-mul keeps a per-column count of folded terms
+    /// for its end correction.
+    fn scatter_rows<K: SemiringKernel>(self, walk: &AWalk<'_>, b: &Csr) -> RowCount {
+        let (c, n, k) = (self.walk.c, self.walk.c.cols(), self.walk.a.cols());
+        let max_mul = matches!(K::KIND, OpKind::MaxMul);
+        let mut folded = vec![0usize; if max_mul { n } else { 0 }];
+        let mut count = RowCount::default();
+        for (local, i) in self.rows.enumerate() {
+            let (ks, vals) = walk.row(local);
+            let acc = &mut self.out[local * n..][..n];
+            seed_row::<K>(acc, c.row(i));
+            folded.fill(0);
+            let mut terms = 0;
+            for (&l, &av) in ks.iter().zip(vals) {
+                let (cols, bvals) = b.row(l as usize);
+                terms += cols.len();
+                for (&j, &bv) in cols.iter().zip(bvals) {
+                    let d = &mut acc[j as usize];
+                    *d = K::reduce(*d, K::combine(av, bv));
+                    if max_mul {
+                        folded[j as usize] += 1;
+                    }
+                }
+            }
+            finish_row::<K>(acc, |j| folded[j] < k);
+            count.fma_terms += terms as u64;
+            count.skipped_terms += (n * k - terms) as u64;
+        }
+        count
+    }
+}
+
+impl<U: MmoUnit> KernelVisitor for Panel<'_, U> {
+    type Output = RowCount;
+
+    fn visit<K: SemiringKernel>(self) -> RowCount {
+        let walk = self.walk();
+        match &self.walk.b {
+            BImage::Strips(image) => self.sweep_rows::<K>(&walk, image),
+            BImage::Csr(b) => self.scatter_rows::<K>(&walk, b),
+        }
+    }
+}
+
+/// The row walk chosen for one step: the operands as the row kernels
+/// read them, and what the choice counts as.
+pub(super) struct RowWalk<'a> {
+    op: OpKind,
+    a: &'a Matrix,
+    /// The annihilator `A`'s walk skips; `None` walks every `l`.
+    a_zero: Option<f32>,
+    iota: Vec<u32>,
+    b: BImage,
+    c: &'a Matrix,
+    swept_b: bool,
+}
+
+impl<'a> RowWalk<'a> {
+    /// Picks the walk of a validated step from what can be observed —
+    /// the declarations, `B`'s stored density, the value-domain scan
+    /// (module docs) — and builds its `B` image through `unit`'s pack
+    /// hook. `None` when nothing would be skipped: the tile chain folds
+    /// every term faster than a dense sweep does.
+    pub(super) fn choose(unit: &impl MmoUnit, step: &MmoArgs<'a>) -> Option<Self> {
+        let MmoArgs { op, a, b, c, reprs } = *step;
+        let (mut walk_a, b_sparse) = (!reprs[0].is_dense(), !reprs[1].is_dense());
+        let multiplies = matches!(op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
+        // A validated sparse declaration means the op has an annihilator.
+        let zero = op.no_edge_f32()?;
+        let scan = |read: bool, m| {
+            if read {
+                Scan::of(m, zero)
+            } else {
+                Scan::default()
+            }
+        };
+        // One pass over `B` serves two readers: its stored density picks
+        // scatter or sweep, its values bound what `A`'s walk may skip.
+        let sb = scan(b_sparse || (multiplies && walk_a), b);
+        let swept_b = b_sparse && sb.stored as f64 / b.len() as f64 > SWEEP_B_DENSITY;
+        let mut scatter_b = b_sparse && !swept_b;
+        // The value-domain rule (module docs): an operand whose
+        // annihilator entries cannot be skipped exactly walks dense. A
+        // swept `B` skips nothing, so `A` is read only against a
+        // scattered one (and for max-mul's tie).
+        if multiplies && (walk_a || scatter_b) {
+            let sa = scan(scatter_b || op == OpKind::MaxMul, a);
+            let exact = |declared: Scan, other: Scan| match op {
+                OpKind::PlusMul => other.finite(unit),
+                OpKind::MinMul => other.sign_clear(),
+                _ => other.sign_clear() && other.finite(unit) && declared.sign_clear(),
+            };
+            (walk_a, scatter_b) = (walk_a && exact(sa, sb), scatter_b && exact(sb, sa));
+        }
+        (walk_a || scatter_b).then(|| Self {
+            op,
+            a,
+            a_zero: walk_a.then_some(zero),
+            iota: (0..a.cols() as u32).collect(),
+            b: b_image(unit, b, scatter_b.then_some(zero)),
+            c,
+            swept_b,
+        })
+    }
+
+    /// Whether `B` is scattered (else swept).
+    pub(super) fn scatters(&self) -> bool {
+        matches!(self.b, BImage::Csr(_))
+    }
+
+    /// Folds output rows `rows` of `D = C ⊕ (A ⊗ B)` into `out`; returns
+    /// the panel's term counters.
+    pub(super) fn fold<U: MmoUnit>(
+        &self,
+        unit: &U,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) -> RowCount {
+        let walk = self;
+        dispatch_kernel(
+            self.op,
+            Panel {
+                walk,
+                unit,
+                rows,
+                out,
+            },
+        )
+    }
+
+    /// Adds the completed step to the engine's `total`: itself, and the
+    /// term counters of its `panels`, in panel order.
+    pub(super) fn tally(&self, total: &mut RowCount, panels: impl Iterator<Item = RowCount>) {
+        total.sparse_mmos += 1;
+        total.swept_b_mmos += u64::from(self.swept_b);
+        for terms in panels {
+            total.fma_terms += terms.fma_terms;
+            total.skipped_terms += terms.skipped_terms;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use simd2_mxu::Simd2Unit;
+
+    /// The sweep that places [`SWEEP_B_DENSITY`] (EXPERIMENTS.md, "Scatter
+    /// or sweep"): the same CSR × CSR operands through both row kernels,
+    /// image build included, at fp16 operand precision on one thread.
+    ///
+    /// `cargo test --release -p simd2 --lib -- --ignored --nocapture scatter_or_sweep`
+    #[test]
+    #[ignore = "timing sweep, not a check: run with --release --ignored --nocapture"]
+    fn scatter_or_sweep() {
+        let n = 512;
+        let unit = Simd2Unit::new();
+        println!("op        B density  scatter ms  sweep ms  scatter/sweep");
+        for op in [OpKind::PlusMul, OpKind::MinPlus] {
+            let zero = op.no_edge_f32().unwrap();
+            let c = Matrix::filled(n, n, op.reduce_identity_f32());
+            for density in [0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50] {
+                let operand = |seed| {
+                    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+                    Matrix::from_fn(n, n, |_, _| {
+                        if rng.gen_bool(density) {
+                            rng.gen_range(0.5..9.5)
+                        } else {
+                            zero
+                        }
+                    })
+                };
+                let (a, b) = (operand(5), operand(6));
+                let run = |scatter: bool| {
+                    let walk = RowWalk {
+                        op,
+                        a: &a,
+                        a_zero: Some(zero),
+                        iota: Vec::new(),
+                        b: b_image(&unit, &b, scatter.then_some(zero)),
+                        c: &c,
+                        swept_b: !scatter,
+                    };
+                    let mut d = Matrix::zeros(n, n);
+                    walk.fold(&unit, 0..n, d.as_mut_slice());
+                    d
+                };
+                let time = |scatter: bool| {
+                    let best = (0..15).map(|_| {
+                        let start = std::time::Instant::now();
+                        std::hint::black_box(run(scatter));
+                        start.elapsed().as_secs_f64()
+                    });
+                    1e3 * best.fold(f64::INFINITY, f64::min)
+                };
+                let (scatter, sweep) = (time(true), time(false));
+                assert_eq!(run(true), run(false));
+                println!(
+                    "{:<9} {density:<10.2} {scatter:<11.3} {sweep:<9.3} {:.2}",
+                    op.name(),
+                    scatter / sweep
+                );
+            }
+        }
+    }
+}

@@ -44,8 +44,8 @@ pub mod solve;
 pub mod validate;
 
 pub use backend::{
-    join_workers, Backend, Degrade, Health, IsaBackend, MmoArgs, OpCount, Parallelism,
-    ReferenceBackend, Schedule, TiledBackend,
+    Backend, Degrade, Health, IsaBackend, MmoArgs, OpCount, Parallelism, ReferenceBackend,
+    RowCount, Schedule, TiledBackend,
 };
 pub use error::BackendError;
 pub use highlevel::Simd2Context;

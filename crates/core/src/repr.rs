@@ -28,6 +28,10 @@
 use simd2_matrix::Matrix;
 use simd2_semiring::OpKind;
 
+/// The 2:4 constraint a [`OperandRepr::Structured24`] declaration is
+/// validated against — the one definition, beside the format it guards.
+pub use simd2_matrix::structured::is_2_4_compliant;
+
 /// How one MMO operand is represented at execution time.
 ///
 /// `Dense` is the default everywhere; the sparse variants carry the
@@ -41,13 +45,16 @@ pub enum OperandRepr {
     /// Plain row-major dense storage.
     #[default]
     Dense,
-    /// Compressed sparse rows over the given zero sentinel.
+    /// Compressed sparse rows ([`simd2_matrix::Csr`]) over the given
+    /// zero sentinel.
     Csr {
         /// Bit pattern of the "zero" (no-edge) sentinel.
         zero_bits: u32,
     },
     /// 2:4 structured sparsity (at most two stored values per aligned
-    /// group of four along each row) over the given zero sentinel.
+    /// group of four along each row —
+    /// [`simd2_matrix::structured::Compressed24`]) over the given zero
+    /// sentinel.
     Structured24 {
         /// Bit pattern of the "zero" (no-edge) sentinel.
         zero_bits: u32,
@@ -155,19 +162,6 @@ pub fn density(m: &Matrix, zero: f32) -> f64 {
     }
     let nnz = m.as_slice().iter().filter(|&&v| v != zero).count();
     nnz as f64 / total as f64
-}
-
-/// Whether every aligned group of four elements along each row of `m`
-/// holds at most two values different from `zero` — the 2:4 structured
-/// sparsity constraint (ragged tail groups are checked over the
-/// elements they actually have).
-pub fn is_2_4_compliant(m: &Matrix, zero: f32) -> bool {
-    (0..m.rows()).all(|r| {
-        (0..m.cols()).step_by(4).all(|g| {
-            let end = (g + 4).min(m.cols());
-            (g..end).filter(|&c| m[(r, c)] != zero).count() <= 2
-        })
-    })
 }
 
 /// FNV-1a fingerprint of a matrix's CSR raw parts over `zero`: shape,

@@ -1,33 +1,38 @@
-//! Bit-identity of the sparse backend's two row kernels.
+//! Bit-identity of the engine's walks: the tile chain and the two row
+//! kernels.
 //!
-//! Every way of running one MMO through [`SparseTiledBackend`] — `A`
+//! Every way of running one MMO through [`TiledBackend`] — `A`
 //! declared dense / CSR / 2:4, `B` declared dense / CSR (scattered below
-//! the sweep threshold, swept as dense rows above it), full or reduced
-//! precision, 1 / 2 / 4 / 8 workers — must produce the bits of
+//! the sweep threshold, swept as dense rows above it), fp32 / fp16 /
+//! int8 operands, 1 / 2 / 4 / 8 workers — must produce the bits of
 //! [`reference::mmo`]: on the operands themselves at full precision, on
-//! their scalar-quantised (`quantize_f16`) images at reduced precision,
-//! which is by definition what the scalar leaf computes. Output widths
-//! straddle the vector and strip boundaries (1, 15, 17, 63, 64, 65, 130)
-//! and `k` straddles the sweep's `B` block.
+//! their scalar-quantised (`quantize_f16`, `quantize_int8`) images at
+//! reduced precision, which is by definition what the scalar leaf
+//! computes. Output widths straddle the vector and strip boundaries (1,
+//! 15, 17, 63, 64, 65, 130) and `k` straddles the sweep's `B` block.
 //!
 //! Operands carry the hostile values each op's annihilator contract
 //! admits (see [`hostile`]): stored `±0.0`, `±∞`, NaN payloads,
 //! values that underflow to zero in fp16. The values it does *not*
-//! admit — the ones that make the backend walk a declared operand dense
-//! — are the second property's (see [`specials`]): there a declaration
-//! must not move a bit whatever the operands — and the accumulator the
-//! fold is seeded with — hold. `scripts/verify.sh --full` runs this
-//! suite on the detected ISA and again under `SIMD2_FORCE_SCALAR`.
+//! admit — the ones that make the engine walk a declared operand dense,
+//! or hand the whole step back to the tile chain — are the second
+//! property's (see [`specials`]): there a declaration must not move a bit
+//! whatever the operands — and the accumulator the fold is seeded with —
+//! hold. `scripts/verify.sh --full` runs this suite on the detected ISA
+//! and again under `SIMD2_FORCE_SCALAR`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simd2::{Backend, MatrixRef, OperandRepr, Parallelism, ReferenceBackend};
+use simd2::{
+    Backend, MatrixRef, OperandRepr, Parallelism, ReferenceBackend, RowCount, TiledBackend,
+};
 use simd2_matrix::{reference, Matrix};
-use simd2_semiring::precision::quantize_f16;
+use simd2_mxu::PrecisionMode::{self, Fp16Input, Fp32Input, Int8Input};
+use simd2_mxu::Simd2Unit;
+use simd2_semiring::precision::{quantize_f16, quantize_int8};
 use simd2_semiring::simd::same_bits;
 use simd2_semiring::{OpKind, ALL_OPS};
-use simd2_sparse::{SparseOpCount, SparseTiledBackend};
 
 mod pools;
 use pools::{operand, specials};
@@ -94,8 +99,13 @@ fn structure_2_4(m: &Matrix, zero: f32, seed: u64) -> Matrix {
     out
 }
 
-fn quantized(m: &Matrix) -> Matrix {
-    Matrix::from_fn(m.rows(), m.cols(), |r, c| quantize_f16(m[(r, c)]))
+/// `m` as the scalar quantiser of `precision` rounds it.
+fn quantized(m: &Matrix, precision: PrecisionMode) -> Matrix {
+    Matrix::from_fn(m.rows(), m.cols(), |r, c| match precision {
+        Fp32Input => m[(r, c)],
+        Fp16Input => quantize_f16(m[(r, c)]),
+        Int8Input => quantize_int8(m[(r, c)], 1.0),
+    })
 }
 
 fn bits(m: &Matrix) -> Vec<u32> {
@@ -108,12 +118,11 @@ fn run(
     (a, ra): (&Matrix, OperandRepr),
     (b, rb): (&Matrix, OperandRepr),
     c: &Matrix,
-    reduced: bool,
+    precision: PrecisionMode,
     workers: usize,
-) -> (Matrix, SparseOpCount) {
-    let mut be = SparseTiledBackend::new()
-        .with_reduced_precision(reduced)
-        .with_parallelism(Parallelism::Threads(workers));
+) -> (Matrix, RowCount) {
+    let mut be = TiledBackend::with_unit(Simd2Unit::with_precision(precision));
+    be.set_parallelism(Parallelism::Threads(workers));
     let d = be
         .mmo_ref(
             op,
@@ -122,7 +131,7 @@ fn run(
             MatrixRef::dense(c),
         )
         .unwrap_or_else(|e| panic!("{op} {}×{}: {e}", ra.name(), rb.name()));
-    (d, be.sparse_count())
+    (d, be.row_count())
 }
 
 proptest! {
@@ -165,55 +174,65 @@ proptest! {
                 (&a24, s24, csr),
             ]);
         }
-        for reduced in [false, true] {
-            let oracle = |a: &Matrix| if reduced {
-                reference::mmo(op, &quantized(a), &quantized(&b), &c)
-            } else {
-                reference::mmo(op, a, &b, &c)
-            }.unwrap();
+        for precision in [Fp32Input, Fp16Input, Int8Input] {
+            let oracle = |a: &Matrix| {
+                let (a, b) = (quantized(a, precision), quantized(&b, precision));
+                reference::mmo(op, &a, &b, &c).unwrap()
+            };
             let (want, want24) = (bits(&oracle(&a)), bits(&oracle(&a24)));
             for &(am, ra, rb) in &legs {
                 let want = if std::ptr::eq(am, &a) { &want } else { &want24 };
-                let (_, seq_count) = run(op, (am, ra), (&b, rb), &c, reduced, 1);
+                let (_, seq_count) = run(op, (am, ra), (&b, rb), &c, precision, 1);
                 for workers in [1usize, 2, 4, 8] {
-                    let (got, count) = run(op, (am, ra), (&b, rb), &c, reduced, workers);
+                    let (got, count) = run(op, (am, ra), (&b, rb), &c, precision, workers);
                     prop_assert_eq!(
                         &bits(&got), want,
-                        "{} {}x{} {}x{}x{} reduced={} workers={} a_d={} b_d={}",
-                        op, ra.name(), rb.name(), m, n, k, reduced, workers, a_density, b_density
+                        "{} {}x{} {}x{}x{} {:?} workers={} a_d={} b_d={}",
+                        op, ra.name(), rb.name(), m, n, k, precision, workers, a_density, b_density
                     );
                     // Panel-order merge: counters are exact, whatever
                     // the worker count.
                     prop_assert_eq!(count, seq_count, "{} workers={}", op, workers);
                 }
-                prop_assert_eq!(
-                    seq_count.fma_terms + seq_count.skipped_terms, (m * n * k) as u64,
-                    "{} {}x{}: folded + skipped terms tile m·n·k", op, ra.name(), rb.name()
-                );
+                // A step is row-walked when a declaration leaves it
+                // something to skip (these pools stay inside every op's
+                // value domain), and then folded + skipped terms tile
+                // m·n·k; the tile chain counts no terms.
+                let walked = seq_count.sparse_mmos == 1;
+                if walked {
+                    prop_assert_eq!(
+                        seq_count.fma_terms + seq_count.skipped_terms, (m * n * k) as u64,
+                        "{} {}x{}: folded + skipped terms tile m·n·k", op, ra.name(), rb.name()
+                    );
+                } else {
+                    prop_assert_eq!(seq_count, RowCount::default(), "{} tile chain", op);
+                }
                 // Quantising after compression: which terms are stored
                 // does not depend on the precision.
-                if reduced {
-                    let (_, full_count) = run(op, (am, ra), (&b, rb), &c, false, 1);
+                if precision != Fp32Input {
+                    let (_, full_count) = run(op, (am, ra), (&b, rb), &c, Fp32Input, 1);
                     prop_assert_eq!(seq_count, full_count, "{}", op);
                 }
                 // The one silent choice is counted, and made on `B`'s
-                // stored density alone.
+                // stored density alone: a swept `B` skips nothing, so
+                // under a dense `A` the step is the chain's.
                 let stored = simd2::repr::density(&b, fill);
                 let expect_swept = match rb {
-                    OperandRepr::Dense => Some(0),
-                    _ if stored > 0.5 => Some(1),
-                    _ if stored < 0.04 => Some(0),
+                    OperandRepr::Dense => Some(false),
+                    _ if stored > 0.5 => Some(true),
+                    _ if stored < 0.04 => Some(false),
                     _ => None,
                 };
                 if let Some(swept) = expect_swept {
-                    prop_assert_eq!(seq_count.swept_b_mmos, swept, "{} b density {}", op, stored);
+                    let a_walks = !ra.is_dense();
+                    prop_assert_eq!(walked, a_walks || !(swept || rb.is_dense()), "{}", op);
+                    prop_assert_eq!(
+                        seq_count.swept_b_mmos, u64::from(swept && a_walks),
+                        "{} b density {}", op, stored
+                    );
                 }
-                if rb.is_dense() {
-                    let walk_terms = if ra.is_dense() {
-                        (m * k) as u64
-                    } else {
-                        am.as_slice().iter().filter(|&&x| x != fill).count() as u64
-                    };
+                if rb.is_dense() && !ra.is_dense() {
+                    let walk_terms = am.as_slice().iter().filter(|&&x| x != fill).count() as u64;
                     prop_assert_eq!(seq_count.fma_terms, walk_terms * n as u64, "{}", op);
                 }
             }
@@ -224,7 +243,7 @@ proptest! {
 /// Max-mul rows whose stored products are all negative: the `0·b = +0.0`
 /// products of the dense fold must still lift them to `0.0`, and only
 /// where `A` holds a zero. Negative entries are outside max-mul's value
-/// domain, so the backend gets there by walking the declared `A` dense.
+/// domain, so the engine gets there on the tile chain.
 #[test]
 fn negative_max_mul_entries_get_the_zero_correction() {
     let op = OpKind::MaxMul;
@@ -259,14 +278,12 @@ fn negative_max_mul_entries_get_the_zero_correction() {
                 std::ptr::eq(a, &a_csr)
             );
             assert!(want.row(1).iter().all(|&x| x == 0.0));
-            for reduced in [false, true] {
-                let want = if reduced {
-                    reference::mmo(op, &quantized(a), &quantized(&b), &c).unwrap()
-                } else {
-                    want.clone()
-                };
+            for precision in [Fp32Input, Fp16Input] {
+                let (qa, qb) = (quantized(a, precision), quantized(&b, precision));
+                let want = reference::mmo(op, &qa, &qb, &c).unwrap();
                 for workers in [1, 2] {
-                    let (got, _) = run(op, (a, ra), (&b, OperandRepr::Dense), &c, reduced, workers);
+                    let dense = (&b, OperandRepr::Dense);
+                    let (got, _) = run(op, (a, ra), dense, &c, precision, workers);
                     assert_eq!(bits(&got), bits(&want), "{} n={n} k={k}", ra.name());
                 }
             }
@@ -277,8 +294,8 @@ fn negative_max_mul_entries_get_the_zero_correction() {
 /// A stored entry that underflows to zero in fp16 stays a stored, folded
 /// term at reduced precision: same counters as at full precision, and a
 /// max-mul column it feeds is *not* treated as having skipped a product
-/// (the negative entries make max-mul walk dense; plus-mul takes its CSR
-/// kernels).
+/// (the negative entries hand max-mul to the tile chain; plus-mul takes
+/// its CSR walk).
 #[test]
 fn fp16_underflow_keeps_a_stored_term_stored() {
     let tiny = 1.0e-9f32;
@@ -291,10 +308,11 @@ fn fp16_underflow_keeps_a_stored_term_stored() {
     let c = Matrix::filled(1, 20, f32::NEG_INFINITY);
     for op in [OpKind::MaxMul, OpKind::PlusMul] {
         let csr = OperandRepr::csr(0.0);
-        let want = reference::mmo(op, &quantized(&a), &quantized(&b), &c).unwrap();
-        let (got, reduced_count) = run(op, (&a, csr), (&b, csr), &c, true, 1);
+        let (qa, qb) = (quantized(&a, Fp16Input), quantized(&b, Fp16Input));
+        let want = reference::mmo(op, &qa, &qb, &c).unwrap();
+        let (got, reduced_count) = run(op, (&a, csr), (&b, csr), &c, Fp16Input, 1);
         assert_eq!(bits(&got), bits(&want), "{op}");
-        let (_, full_count) = run(op, (&a, csr), (&b, csr), &c, false, 1);
+        let (_, full_count) = run(op, (&a, csr), (&b, csr), &c, Fp32Input, 1);
         assert_eq!(reduced_count, full_count, "{op}");
         assert_eq!(reduced_count.skipped_terms, 0, "{op}");
     }
@@ -305,7 +323,8 @@ proptest! {
 
     /// A declaration is a hint on *every* operand value, not only on the
     /// op's value domain: each sparse declaration returns the bits of the
-    /// all-dense one, and at full precision those of `ReferenceBackend`.
+    /// all-dense one (the tile chain), and at full precision those of
+    /// `ReferenceBackend`.
     #[test]
     fn declarations_never_change_bits(
         op_idx in 0usize..ALL_OPS.len() - 1,
@@ -335,19 +354,24 @@ proptest! {
             (&a, csr, csr),
             (&a24, s24, OperandRepr::Dense),
         ];
-        for reduced in [false, true] {
+        for precision in [Fp32Input, Fp16Input, Int8Input] {
             for (am, ra, rb) in legs {
                 let dense = OperandRepr::Dense;
-                let (want, _) = run(op, (am, dense), (&b, dense), &c, reduced, 1);
+                let (want, _) = run(op, (am, dense), (&b, dense), &c, precision, 1);
                 for workers in [1usize, 3] {
-                    let (got, _) = run(op, (am, ra), (&b, rb), &c, reduced, workers);
-                    prop_assert_eq!(
-                        bits(&got), bits(&want),
-                        "{} pool {} {}x{} {}x{}x{} reduced={} workers={}",
-                        op, pool, ra.name(), rb.name(), m, n, k, reduced, workers
+                    let (got, _) = run(op, (am, ra), (&b, rb), &c, precision, workers);
+                    // Two kernels since the dense declaration became the
+                    // tile chain: exact bits, and in optimised builds
+                    // NaN-ness for two NaNs (`same_bits`; the pools put
+                    // NaNs of both signs into one `+` reduction).
+                    let mut pairs = got.as_slice().iter().zip(want.as_slice());
+                    prop_assert!(
+                        pairs.all(|(&x, &y)| same_bits(x, y)),
+                        "{} pool {} {}x{} {}x{}x{} {:?} workers={}",
+                        op, pool, ra.name(), rb.name(), m, n, k, precision, workers
                     );
                 }
-                if !reduced {
+                if precision == Fp32Input {
                     let oracle = ReferenceBackend::new().mmo(op, am, &b, &c).unwrap();
                     let agree = want.as_slice().iter().zip(oracle.as_slice());
                     prop_assert!(
@@ -371,8 +395,8 @@ fn declared_1x1(op: OpKind, a: f32, b: f32, c: f32) -> f32 {
     );
     let csr = OperandRepr::csr(op.no_edge_f32().unwrap());
     let dense = OperandRepr::Dense;
-    let (got, _) = run(op, (&a, csr), (&b, dense), &c, false, 1);
-    let (want, _) = run(op, (&a, dense), (&b, dense), &c, false, 1);
+    let (got, _) = run(op, (&a, csr), (&b, dense), &c, Fp32Input, 1);
+    let (want, _) = run(op, (&a, dense), (&b, dense), &c, Fp32Input, 1);
     let oracle = ReferenceBackend::new().mmo(op, &a, &b, &c).unwrap();
     assert!(
         same_bits(got[(0, 0)], want[(0, 0)]) && same_bits(got[(0, 0)], oracle[(0, 0)]),
@@ -420,8 +444,8 @@ fn max_mul_keeps_the_order_of_a_signed_zero_tie() {
     let b = Matrix::from_rows(&[&[1.5], &[0.0]]);
     let c = Matrix::filled(1, 1, -1.5);
     let (dense, csr) = (OperandRepr::Dense, OperandRepr::csr(0.0));
-    let (want, _) = run(op, (&a, dense), (&b, dense), &c, false, 1);
-    let (got, _) = run(op, (&a, csr), (&b, dense), &c, false, 1);
+    let (want, _) = run(op, (&a, dense), (&b, dense), &c, Fp32Input, 1);
+    let (got, _) = run(op, (&a, csr), (&b, dense), &c, Fp32Input, 1);
     assert_eq!(bits(&got), bits(&want));
     assert_eq!(bits(&want), bits(&reference::mmo(op, &a, &b, &c).unwrap()));
 }

@@ -19,18 +19,21 @@
 //! the transient-fault model that makes retry a meaningful recovery
 //! policy.
 //!
-//! [`MmoUnit`] abstracts "something that executes a tile mmo", letting
-//! backends be generic over the pristine [`Simd2Unit`] or the
-//! [`FaultySimd2Unit`] wrapper that corrupts its outputs. Its
+//! [`MmoUnit`] (defined beside the unit, in `simd2-mxu`) abstracts
+//! "something that executes a tile mmo", letting backends be generic
+//! over the pristine [`Simd2Unit`] or the [`FaultySimd2Unit`] wrapper
+//! here that corrupts its outputs. Its
 //! [`shard`](MmoUnit::shard)/[`absorb`](MmoUnit::absorb) seam is how a
 //! parallel engine replicates a unit across workers and deterministically
-//! merges per-worker fault logs after the join.
+//! merges per-worker fault logs after the join. Neither wrapper is
+//! [coordinate-free](MmoUnit::COORDINATE_FREE): an engine walks them
+//! tile by tile, so their sites stay [`TileCoord`]s.
 
 use std::collections::VecDeque;
 
 use simd2_matrix::{Tile, ISA_TILE};
-use simd2_mxu::{PrecisionMode, Simd2Unit};
-use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS};
+use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit, TileCoord};
+use simd2_semiring::simd::KernelIsa;
 use simd2_semiring::OpKind;
 use simd2_trace::{field, span, Counter, Tracer};
 
@@ -40,30 +43,6 @@ use crate::plan::{mix, FaultKind, FaultPlan, MXU_GRID};
 static INJECTED_FAULTS: Counter = Counter::new("fault.injected");
 /// Process-global count of fault-log ring-buffer evictions.
 static LOG_DROPPED: Counter = Counter::new("fault.log_dropped");
-
-/// Grid coordinates of one tile-level mmo within a whole-matrix
-/// operation: output tile `(ti, tj)`, reduction step `tk`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TileCoord {
-    /// Output tile row.
-    pub ti: u32,
-    /// Output tile column.
-    pub tj: u32,
-    /// Reduction (k) tile index.
-    pub tk: u32,
-}
-
-impl TileCoord {
-    /// Builds the coordinate (indices are tile-grid indices, not
-    /// element indices).
-    pub fn new(ti: usize, tj: usize, tk: usize) -> Self {
-        Self {
-            ti: ti as u32,
-            tj: tj as u32,
-            tk: tk as u32,
-        }
-    }
-}
 
 /// The full coordinate address of an mmo fault site: which whole-matrix
 /// mmo (by sequence number within the injector's lifetime) and which
@@ -533,169 +512,6 @@ impl ShardableInjector for PlannedInjector {
         for entry in shard.log {
             self.push_log(entry);
         }
-    }
-}
-
-/// Something that executes tile mmos — the seam that lets tiled
-/// backends run over either a pristine or a fault-injected datapath.
-pub trait MmoUnit: std::fmt::Debug {
-    /// The pack hook: passes the elements of a packed operand panel
-    /// through the unit's input quantiser, in place. Tiled backends call
-    /// it once per packed `A` row panel and `B` column strip, so
-    /// quantisation stays the unit's decision but is paid per operand
-    /// element, not per tile use.
-    fn quantize_packed(&self, xs: &mut [f32]);
-
-    /// Folds one packed tile pair into `acc` at an explicit tile-grid
-    /// coordinate: `acc ← acc ⊕ (a ⊗ b)` on flat row-major 16×16 tiles
-    /// that have already passed through
-    /// [`quantize_packed`](MmoUnit::quantize_packed) — the
-    /// per-coordinate hook of the packed engine, where order-sensitive
-    /// state (fault injection above all) keys off *where* the tile is.
-    fn execute_packed_at(
-        &mut self,
-        coord: TileCoord,
-        op: OpKind,
-        a: &[f32],
-        b: &[f32],
-        acc: &mut Tile<ISA_TILE>,
-    );
-
-    /// Folds the whole `k` chain of output tile `(ti, tj)` into `acc`:
-    /// `a` and `b` hold the tile's packed operand tiles for
-    /// `tk = 0, 1, …` back to back. The default walks the chain one
-    /// pair at a time through
-    /// [`execute_packed_at`](MmoUnit::execute_packed_at), so every
-    /// coordinate is visited in `tk` order; pure datapaths override it
-    /// with a single kernel call that owns the loop. An empty chain
-    /// (`k = 0`) visits no coordinate and leaves `acc ⊕ id`, the seed
-    /// every non-empty chain starts from.
-    fn execute_chain(
-        &mut self,
-        (ti, tj): (usize, usize),
-        op: OpKind,
-        a: &[f32],
-        b: &[f32],
-        acc: &mut Tile<ISA_TILE>,
-    ) {
-        if a.is_empty() {
-            simd::mmo_chain(KernelIsa::Scalar, op, a, b, acc.as_flat_mut());
-        }
-        let pairs = a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS));
-        for (tk, (at, bt)) in pairs.enumerate() {
-            self.execute_packed_at(TileCoord::new(ti, tj, tk), op, at, bt, acc);
-        }
-    }
-
-    /// Marks the start of a new whole-matrix mmo (called once per
-    /// backend-level `mmo`, before any tile executes and before any
-    /// shards are taken).
-    fn begin_matrix_mmo(&mut self) {}
-
-    /// Whether the datapath quantises inputs below fp32.
-    fn reduced_precision(&self) -> bool;
-
-    /// The instruction set the unit's tile kernel executes with, for
-    /// telemetry. Fault injection addresses output *coordinates* after
-    /// the datapath has produced its (kernel-independent) bits, so a
-    /// campaign must be identical across ISAs; units without a vector
-    /// kernel report [`KernelIsa::Scalar`].
-    fn kernel_isa(&self) -> KernelIsa {
-        KernelIsa::Scalar
-    }
-
-    /// Re-pins the unit's tile kernel to `isa` — the degradation seam a
-    /// resilience layer uses to retreat from a suspect vector tier to
-    /// the scalar kernel. Returns whether the unit honoured the pin;
-    /// units without a selectable kernel refuse (the default).
-    fn repin_kernel(&mut self, isa: KernelIsa) -> bool {
-        let _ = isa;
-        false
-    }
-
-    /// Fault-log entries evicted from the unit's bounded ring buffer
-    /// (the injector `dropped` counter); zero for pristine units.
-    fn fault_dropped(&self) -> u64 {
-        0
-    }
-
-    /// The input precision mode of the underlying datapath.
-    fn precision(&self) -> PrecisionMode;
-
-    /// A per-worker shard of this unit for panel-parallel execution, or
-    /// `None` when the unit cannot be replicated across workers.
-    ///
-    /// The pristine [`Simd2Unit`] is pure (same inputs ⇒ same output
-    /// tile, no internal state), so a shard is a plain copy. A
-    /// [`FaultySimd2Unit`] shards its coordinate-addressed injector:
-    /// every shard draws the same fault for the same tile, so panel
-    /// assignment cannot change a campaign. Units whose state is
-    /// genuinely visit-order-dependent return `None` and force the
-    /// sequential schedule.
-    fn shard(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
-
-    /// Merges a worker shard's state (fault logs, telemetry) back after
-    /// the parallel join. Shards must be absorbed in the sequential
-    /// schedule's visit order so the merged log is identical to its log.
-    fn absorb(&mut self, shard: Self)
-    where
-        Self: Sized,
-    {
-        let _ = shard;
-    }
-}
-
-impl MmoUnit for Simd2Unit {
-    fn quantize_packed(&self, xs: &mut [f32]) {
-        self.quantize_operands(xs);
-    }
-
-    fn execute_packed_at(
-        &mut self,
-        _coord: TileCoord,
-        op: OpKind,
-        a: &[f32],
-        b: &[f32],
-        acc: &mut Tile<ISA_TILE>,
-    ) {
-        Simd2Unit::execute_chain(self, op, a, b, acc);
-    }
-
-    fn execute_chain(
-        &mut self,
-        _tile: (usize, usize),
-        op: OpKind,
-        a: &[f32],
-        b: &[f32],
-        acc: &mut Tile<ISA_TILE>,
-    ) {
-        Simd2Unit::execute_chain(self, op, a, b, acc);
-    }
-
-    fn reduced_precision(&self) -> bool {
-        self.precision() != PrecisionMode::Fp32Input
-    }
-
-    fn precision(&self) -> PrecisionMode {
-        Simd2Unit::precision(self)
-    }
-
-    fn kernel_isa(&self) -> KernelIsa {
-        Simd2Unit::kernel_isa(self)
-    }
-
-    fn repin_kernel(&mut self, isa: KernelIsa) -> bool {
-        *self = self.with_kernel_isa(isa);
-        true
-    }
-
-    fn shard(&self) -> Option<Self> {
-        Some(*self)
     }
 }
 

@@ -34,7 +34,7 @@ pub mod plan;
 
 pub use abft::{AbftConfig, AbftViolation};
 pub use inject::{
-    FaultInjector, FaultLogEntry, FaultySimd2Unit, MmoCoord, MmoUnit, PanicProbeUnit,
-    PlannedInjector, ShardableInjector, TileCoord, PANIC_PROBE_PAYLOAD,
+    FaultInjector, FaultLogEntry, FaultySimd2Unit, MmoCoord, PanicProbeUnit, PlannedInjector,
+    ShardableInjector, PANIC_PROBE_PAYLOAD,
 };
 pub use plan::{FaultClass, FaultKind, FaultPlan, FaultPlanConfig, StallPlan};

@@ -26,7 +26,7 @@ use simd2_mxu::{PrecisionMode, Simd2Unit};
 use simd2_semiring::precision::{quantize_f16, quantize_int8};
 use simd2_semiring::{OpKind, ALL_OPS};
 
-#[path = "../../sparse/tests/pools/mod.rs"]
+#[path = "../../core/tests/pools/mod.rs"]
 mod pools;
 use pools::{operand, specials};
 

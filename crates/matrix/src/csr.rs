@@ -3,8 +3,9 @@
 use std::fmt;
 use std::ops::Range;
 
-use simd2_matrix::Matrix;
 use simd2_semiring::OpKind;
+
+use crate::Matrix;
 
 /// A structurally invalid CSR image.
 ///
@@ -134,14 +135,13 @@ impl std::error::Error for CsrError {}
 /// # Example
 ///
 /// ```
-/// use simd2_matrix::Matrix;
-/// use simd2_sparse::Csr;
+/// use simd2_matrix::{Csr, Matrix};
 ///
 /// let d = Matrix::from_rows(&[&[0.0, 2.0], &[0.0, 0.0]]);
 /// let s = Csr::from_dense(&d, 0.0)?;
 /// assert_eq!(s.nnz(), 1);
 /// assert_eq!(s.to_dense(0.0), d);
-/// # Ok::<(), simd2_sparse::CsrError>(())
+/// # Ok::<(), simd2_matrix::CsrError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Csr {
@@ -545,7 +545,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simd2_matrix::{gen, reference};
+    use crate::{gen, reference};
 
     #[test]
     fn dense_roundtrip() {

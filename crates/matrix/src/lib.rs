@@ -11,6 +11,9 @@
 //! * [`tiling`] — padding and tile-grid iteration,
 //! * [`mod@reference`] — straightforward `D = C ⊕ (A ⊗ B)` loops used as the
 //!   golden model for every other backend,
+//! * [`csr`] and [`structured`] — the two compressed operand formats an
+//!   MMO operand may be declared in (compressed sparse rows with a
+//!   semiring spGEMM; 2:4 structured sparsity with its pruning),
 //! * [`graph`] — graph ↔ adjacency-matrix lifting for the path algebras,
 //! * [`gen`] — seeded random workloads (graphs, point clouds, matrices)
 //!   standing in for the paper's datasets.
@@ -18,13 +21,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod csr;
 mod dense;
 pub mod gen;
 pub mod graph;
 pub mod reference;
+pub mod structured;
 mod tile;
 pub mod tiling;
 
+pub use csr::{Csr, CsrError};
 pub use dense::{Matrix, ShapeError};
 pub use graph::Graph;
 pub use tile::Tile;

@@ -9,10 +9,9 @@
 
 use std::ops::Range;
 
-use simd2_matrix::Matrix;
 use simd2_semiring::OpKind;
 
-use crate::Csr;
+use crate::{Csr, Matrix};
 
 /// Checks the 2:4 constraint along rows: at most 2 entries per aligned
 /// group of 4 differ from `zero` (the algebra's no-edge value).
@@ -195,7 +194,7 @@ impl Compressed24 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simd2_matrix::gen;
+    use crate::gen;
 
     #[test]
     fn pruned_matrices_are_compliant() {
@@ -295,7 +294,7 @@ mod tests {
     fn compressed_operand_computes_identically_to_pruned_dense() {
         // The sparse pipe's contract: compute on the compressed operand
         // equals compute on the pruned dense operand.
-        use simd2_matrix::reference;
+        use crate::reference;
         let op = OpKind::MinPlus;
         let zero = op.no_edge_f32().unwrap();
         let a = prune_2_4(&gen::random_matrix(16, 16, 1.0, 9.0, 3), op);

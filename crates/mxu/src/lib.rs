@@ -9,7 +9,9 @@
 //! * [`mod@unit`] — a bit-accurate *functional* model: executes any of the nine
 //!   operations on operand tiles with the fp16-in / fp32-accumulate data
 //!   path, including a baseline [`unit::MmaUnit`] that (like a real Tensor
-//!   Core) only supports plus-mul,
+//!   Core) only supports plus-mul, and the [`MmoUnit`] seam whole-matrix
+//!   engines are generic over (the pristine unit here, fault-injecting
+//!   wrappers in `simd2-fault`),
 //! * [`area`] — the synthesis-calibrated area/power model regenerating
 //!   Table 5 (combined unit, standalone accelerators, precision and shape
 //!   scaling, die-level overhead),
@@ -24,4 +26,4 @@ pub mod timing;
 pub mod unit;
 
 pub use area::{AreaModel, DieModel, PowerModel};
-pub use unit::{MmaUnit, PrecisionMode, Simd2Unit, UnsupportedOpError};
+pub use unit::{MmaUnit, MmoUnit, PrecisionMode, Simd2Unit, TileCoord, UnsupportedOpError};

@@ -17,7 +17,7 @@
 use std::fmt;
 
 use simd2_semiring::precision::quantize_int8;
-use simd2_semiring::simd::{self, KernelIsa, SelectedKernel, TileKernel};
+use simd2_semiring::simd::{self, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS};
 use simd2_semiring::OpKind;
 
 use simd2_matrix::{Tile, ISA_TILE};
@@ -188,6 +188,204 @@ impl Simd2Unit {
     pub fn execute_no_acc<const N: usize>(&self, op: OpKind, a: &Tile<N>, b: &Tile<N>) -> Tile<N> {
         let c = Tile::splat(op.reduce_identity_f32());
         self.execute(op, a, b, &c)
+    }
+}
+
+/// Grid coordinates of one tile-level mmo within a whole-matrix
+/// operation: output tile `(ti, tj)`, reduction step `tk`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TileCoord {
+    /// Output tile row.
+    pub ti: u32,
+    /// Output tile column.
+    pub tj: u32,
+    /// Reduction (k) tile index.
+    pub tk: u32,
+}
+
+impl TileCoord {
+    /// Builds the coordinate (indices are tile-grid indices, not
+    /// element indices).
+    pub fn new(ti: usize, tj: usize, tk: usize) -> Self {
+        Self {
+            ti: ti as u32,
+            tj: tj as u32,
+            tk: tk as u32,
+        }
+    }
+}
+
+/// Something that executes tile mmos — the seam that lets tiled
+/// backends run over either a pristine or a fault-injected datapath.
+pub trait MmoUnit: std::fmt::Debug {
+    /// Whether the unit's output depends on operand bits alone — never
+    /// on the tile coordinate it is handed or on the order tiles are
+    /// visited in. A fact about the unit type, not a setting: an engine
+    /// may run a coordinate-free unit's step through any schedule that
+    /// folds the same terms (a row walk that skips annihilators, say),
+    /// while a unit that injects faults or probes at coordinates keeps
+    /// the default and is always walked tile by tile.
+    const COORDINATE_FREE: bool = false;
+
+    /// The pack hook: passes the elements of a packed operand panel
+    /// through the unit's input quantiser, in place. Tiled backends call
+    /// it once per packed `A` row panel and `B` column strip, so
+    /// quantisation stays the unit's decision but is paid per operand
+    /// element, not per tile use.
+    fn quantize_packed(&self, xs: &mut [f32]);
+
+    /// Folds one packed tile pair into `acc` at an explicit tile-grid
+    /// coordinate: `acc ← acc ⊕ (a ⊗ b)` on flat row-major 16×16 tiles
+    /// that have already passed through
+    /// [`quantize_packed`](MmoUnit::quantize_packed) — the
+    /// per-coordinate hook of the packed engine, where order-sensitive
+    /// state (fault injection above all) keys off *where* the tile is.
+    fn execute_packed_at(
+        &mut self,
+        coord: TileCoord,
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    );
+
+    /// Folds the whole `k` chain of output tile `(ti, tj)` into `acc`:
+    /// `a` and `b` hold the tile's packed operand tiles for
+    /// `tk = 0, 1, …` back to back. The default walks the chain one
+    /// pair at a time through
+    /// [`execute_packed_at`](MmoUnit::execute_packed_at), so every
+    /// coordinate is visited in `tk` order; pure datapaths override it
+    /// with a single kernel call that owns the loop. An empty chain
+    /// (`k = 0`) visits no coordinate and leaves `acc ⊕ id`, the seed
+    /// every non-empty chain starts from.
+    fn execute_chain(
+        &mut self,
+        (ti, tj): (usize, usize),
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        if a.is_empty() {
+            simd::mmo_chain(KernelIsa::Scalar, op, a, b, acc.as_flat_mut());
+        }
+        let pairs = a.chunks_exact(CHAIN_ELEMS).zip(b.chunks_exact(CHAIN_ELEMS));
+        for (tk, (at, bt)) in pairs.enumerate() {
+            self.execute_packed_at(TileCoord::new(ti, tj, tk), op, at, bt, acc);
+        }
+    }
+
+    /// Marks the start of a new whole-matrix mmo (called once per
+    /// backend-level `mmo`, before any tile executes and before any
+    /// shards are taken).
+    fn begin_matrix_mmo(&mut self) {}
+
+    /// Whether the datapath quantises inputs below fp32.
+    fn reduced_precision(&self) -> bool;
+
+    /// The instruction set the unit's tile kernel executes with, for
+    /// telemetry. Fault injection addresses output *coordinates* after
+    /// the datapath has produced its (kernel-independent) bits, so a
+    /// campaign must be identical across ISAs; units without a vector
+    /// kernel report [`KernelIsa::Scalar`].
+    fn kernel_isa(&self) -> KernelIsa {
+        KernelIsa::Scalar
+    }
+
+    /// Re-pins the unit's tile kernel to `isa` — the degradation seam a
+    /// resilience layer uses to retreat from a suspect vector tier to
+    /// the scalar kernel. Returns whether the unit honoured the pin;
+    /// units without a selectable kernel refuse (the default).
+    fn repin_kernel(&mut self, isa: KernelIsa) -> bool {
+        let _ = isa;
+        false
+    }
+
+    /// Fault-log entries evicted from the unit's bounded ring buffer
+    /// (the injector `dropped` counter); zero for pristine units.
+    fn fault_dropped(&self) -> u64 {
+        0
+    }
+
+    /// The input precision mode of the underlying datapath.
+    fn precision(&self) -> PrecisionMode;
+
+    /// A per-worker shard of this unit for panel-parallel execution, or
+    /// `None` when the unit cannot be replicated across workers.
+    ///
+    /// The pristine [`Simd2Unit`] is pure (same inputs ⇒ same output
+    /// tile, no internal state), so a shard is a plain copy. A
+    /// fault-injecting unit shards its coordinate-addressed injector:
+    /// every shard draws the same fault for the same tile, so panel
+    /// assignment cannot change a campaign. Units whose state is
+    /// genuinely visit-order-dependent return `None` and force the
+    /// sequential schedule.
+    fn shard(&self) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        None
+    }
+
+    /// Merges a worker shard's state (fault logs, telemetry) back after
+    /// the parallel join. Shards must be absorbed in the sequential
+    /// schedule's visit order so the merged log is identical to its log.
+    fn absorb(&mut self, shard: Self)
+    where
+        Self: Sized,
+    {
+        let _ = shard;
+    }
+}
+
+impl MmoUnit for Simd2Unit {
+    const COORDINATE_FREE: bool = true;
+
+    fn quantize_packed(&self, xs: &mut [f32]) {
+        self.quantize_operands(xs);
+    }
+
+    fn execute_packed_at(
+        &mut self,
+        _coord: TileCoord,
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        Simd2Unit::execute_chain(self, op, a, b, acc);
+    }
+
+    fn execute_chain(
+        &mut self,
+        _tile: (usize, usize),
+        op: OpKind,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut Tile<ISA_TILE>,
+    ) {
+        Simd2Unit::execute_chain(self, op, a, b, acc);
+    }
+
+    fn reduced_precision(&self) -> bool {
+        self.precision() != PrecisionMode::Fp32Input
+    }
+
+    fn precision(&self) -> PrecisionMode {
+        Simd2Unit::precision(self)
+    }
+
+    fn kernel_isa(&self) -> KernelIsa {
+        Simd2Unit::kernel_isa(self)
+    }
+
+    fn repin_kernel(&mut self, isa: KernelIsa) -> bool {
+        *self = self.with_kernel_isa(isa);
+        true
+    }
+
+    fn shard(&self) -> Option<Self> {
+        Some(*self)
     }
 }
 

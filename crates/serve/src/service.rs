@@ -1589,8 +1589,8 @@ mod tests {
 
     #[test]
     fn repeated_detections_pin_the_kernel_to_scalar_on_vector_hosts() {
-        use simd2_fault::MmoUnit;
         use simd2_fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
+        use simd2_mxu::MmoUnit;
         use simd2_semiring::simd::KernelIsa;
         // Vector-tier-only injection: every attempt is corrupted while
         // a vector kernel runs, and the injector disarms the moment the
@@ -1658,14 +1658,14 @@ mod tests {
     #[test]
     fn streaming_app_jobs_serve_sparse_plans_end_to_end() {
         use simd2::solve::ClosureAlgorithm;
-        use simd2_sparse::SparseTiledBackend;
         // The full sparse-serving path in one pass: a streaming-update
         // registry app expands at admission into a plan with
         // CSR-declared delta slots, survives the serving pass pipeline,
         // suspends/resumes at wave boundaries under a round quantum,
-        // replays its sparse steps through SparseTiledBackend's CSR
-        // kernels on a sharded worker pool — and still lands bits
-        // identical to a clean sequential dense replay.
+        // replays its sparse steps through the engine's row walks on a
+        // sharded worker pool — the plain `TiledBackend` every service
+        // runs on — and still lands bits identical to a clean
+        // sequential replay with every declaration stripped.
         let sink = RingSink::shared();
         let config = ServeConfig {
             optimize_plans: true,
@@ -1675,11 +1675,23 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let inner = SparseTiledBackend::new().with_parallelism(Parallelism::Threads(4));
+        let inner = TiledBackend::with_parallelism(Parallelism::Threads(4));
         let mut svc = PlanService::new(inner, config).with_tracer(Tracer::to(sink.clone()));
         let t = TenantId(0);
         svc.register_tenant(t, TenantQuota::default());
 
+        // The oracle never row-walks: a unit that is not coordinate-free
+        // (here an injector that never strikes) takes the tile chain on
+        // every step, declared or not.
+        let dense_output = |plan: &Plan| {
+            use simd2_fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
+            let injector = PlannedInjector::new(FaultPlan::new(FaultPlanConfig::new(0)));
+            let mut chain =
+                TiledBackend::with_unit(FaultySimd2Unit::new(Simd2Unit::new(), injector));
+            let run = PlanExecutor::new().run(plan, &mut chain).unwrap();
+            assert_eq!(chain.row_count().sparse_mmos, 0);
+            run.into_final_output().unwrap()
+        };
         let mut wants = HashMap::new();
         for app in AppKind::streaming() {
             // The admission expansion is deterministic per (app, n,
@@ -1695,7 +1707,7 @@ mod tests {
             assert!(run.passed(), "{app:?}: diff {}", run.diff);
             assert!(run.plan.has_sparse_slots(), "{app:?}");
             let id = svc.submit(t, JobSpec::app(app, 32, 7)).unwrap();
-            wants.insert(id, clean_output(&run.plan));
+            wants.insert(id, dense_output(&run.plan));
         }
         svc.run_until_idle();
 
@@ -1713,8 +1725,8 @@ mod tests {
             assert!(!cache_hit);
             assert_bit_identical(output, want);
         }
-        // The sparse kernels genuinely executed on the shared backend.
-        let counts = svc.resilient().inner().sparse_count();
+        // The row walks genuinely executed on the shared backend.
+        let counts = svc.resilient().inner().row_count();
         assert!(counts.sparse_mmos > 0, "{counts:?}");
         assert!(counts.skipped_terms > 0, "{counts:?}");
         // Per-tenant telemetry: the quantum forced suspensions, every

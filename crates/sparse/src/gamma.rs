@@ -7,15 +7,13 @@
 //! costs proportionally less than extending a dense one.
 //!
 //! The functional behaviour of such an accelerator is exactly
-//! [`crate::Csr::spgemm`] under a chosen algebra; this module adds the
+//! [`Csr::spgemm`] under a chosen algebra; this module adds the
 //! area estimate and a convenience wrapper for running closure iterations
 //! on sparse adjacency matrices (e.g. APSP on sparse graphs).
 
-use simd2_matrix::Matrix;
+use simd2_matrix::{Csr, Matrix};
 use simd2_mxu::AreaModel;
 use simd2_semiring::{OpKind, EXTENDED_OPS};
-
-use crate::Csr;
 
 /// Fraction of a GAMMA PE's area occupied by its FP64 MAC unit.
 pub const GAMMA_MAC_AREA_FRACTION: f64 = 0.10;

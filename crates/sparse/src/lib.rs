@@ -9,29 +9,25 @@
 //! out-of-memory failures below ~90% sparsity at 16384² because
 //! compressed formats backfire on relatively dense data.
 //!
-//! * [`csr`] — compressed sparse rows with Gustavson spGEMM generalised
-//!   over any SIMD² algebra (the substrate a GAMMA-style SIMD² sparse
-//!   accelerator would run, cf. §6.5),
-//! * [`structured`] — 2:4 structured-sparsity pruning/validation,
-//! * [`backend`] — [`SparseTiledBackend`], a representation-aware
-//!   implementation of the core [`simd2::Backend`] trait: dense, CSR
-//!   and 2:4 declarations behind [`simd2::Backend::mmo_ref`] are walks
-//!   fed to the same two row kernels (a vectorised sweep over dense `B`
-//!   rows, a Gustavson scatter over CSR `B` rows), bit-identical to the
-//!   reference oracle, with row-panel sharding across a scoped worker
-//!   pool,
+//! The two operand formats themselves live beside the dense matrix
+//! ([`simd2_matrix::Csr`], with its Gustavson spGEMM generalised over
+//! any SIMD² algebra, and [`simd2_matrix::structured`], 2:4 pruning and
+//! validation), and executing a declared-sparse operand is the core
+//! engine's business ([`simd2::TiledBackend`]). This crate keeps the
+//! paper's models:
+//!
 //! * [`model`] — calibrated cuSPARSE-vs-cuBLAS timing and peak-memory
 //!   models for the Fig 14 sweep,
-//! * [`gamma`] — the §6.5 GAMMA-PE extension estimate.
+//! * [`gamma`] — the §6.5 GAMMA-PE extension estimate,
+//! * [`backend`] — the Fig 13 pruned-operand quality experiment, on
+//!   [`SparseTiledBackend`], a preset newtype over the engine kept for
+//!   the repo benchmark's `sparse-mmo` workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod csr;
 pub mod gamma;
 pub mod model;
-pub mod structured;
 
-pub use backend::{SparseOpCount, SparseTiledBackend};
-pub use csr::{Csr, CsrError};
+pub use backend::SparseTiledBackend;

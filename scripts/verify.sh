@@ -19,6 +19,11 @@ cargo test -q
 # root: what only the crate uses is `pub(crate)`.
 cargo clippy --all-targets -- -D warnings -D unreachable_pub
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+# `benchmark/` is a workspace of its own that no engine PR may edit: a
+# moved or renamed type that strands it must fail here, not in the
+# benchmark pipeline.
+CARGO_TARGET_DIR=target/benchmark \
+  cargo check --offline --manifest-path benchmark/Cargo.toml
 
 [ "$full" -eq 1 ] || exit 0
 
@@ -27,15 +32,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 # stay green on every host.
 SIMD2_FORCE_SCALAR=1 cargo test -q
 
-# The cross-backend fold-order differential once more optimised, on both
-# legs: `f32::max` does not order `±0`, and the places where that showed
-# (a `max` against a constant the optimiser may commute) only ever
-# disagreed in release builds. With it the ABFT verifier against its
-# element-at-a-time definition: its sums are only the definition's bit
-# for bit while the optimiser keeps their order, and on the vector leg
-# its operand copies come from the vector quantiser.
+# The cross-backend fold-order differential and the engine's own walk
+# differential (tile chain ≡ every row walk ≡ the reference) once more
+# optimised, on both legs: `f32::max` does not order `±0`, and the places
+# where that showed (a `max` against a constant the optimiser may
+# commute) only ever disagreed in release builds. With them the ABFT
+# verifier against its element-at-a-time definition: its sums are only
+# the definition's bit for bit while the optimiser keeps their order,
+# and on the vector leg its operand copies come from the vector
+# quantiser.
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-fault --test proptest_abft
 done
 
@@ -60,14 +68,21 @@ done
 # reach suspend/resume, the circuit breakers, quarantine and the
 # degradation ladder, so it runs on both legs, as does the deterministic
 # sparse-serving episode (the scalar leg puts the row sweep on its
-# scalar leaf).
+# scalar leaf). That episode's report line — jobs, suspensions, row-walked
+# steps, skipped terms — is a pure function of the seed: the scalar
+# leg's is the committed one, and the vector leg's may differ from it in
+# the `isa=` field only.
 run=(cargo run --release -q -p simd2-bench --bin)
 "${run[@]}" soak -- --seconds 5 --seed 2022
 "${run[@]}" serve_soak -- --seconds 5 --seed 2022
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --seconds 4 --seed 7
-  SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --sparse --seed 7
+  SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --sparse --seed 7 \
+    | tee "target/serve_soak_sparse.leg$leg.txt"
+  sed 's/ isa=[A-Za-z0-9]* / isa=Scalar /' "target/serve_soak_sparse.leg$leg.txt" \
+    | cmp - results/serve_soak_sparse.txt
 done
+cmp target/serve_soak_sparse.leg1.txt results/serve_soak_sparse.txt
 
 # The fault campaign is a pure function of its arguments: every strike,
 # detection, retry and fallback of the seeded sweep is in its report and

@@ -23,7 +23,7 @@ fn core_types_are_send_and_sync() {
     assert_send_sync::<isa::Executor>();
     assert_send_sync::<simd2_repro::mxu::Simd2Unit>();
     assert_send_sync::<simd2_repro::gpu::Gpu>();
-    assert_send_sync::<simd2_repro::sparse::Csr>();
+    assert_send_sync::<simd2_repro::matrix::Csr>();
     assert_send_sync::<simd2_repro::core::TiledBackend>();
     assert_send_sync::<simd2_repro::apps::AppKind>();
 }

@@ -4,9 +4,9 @@ use simd2_repro::apps::{gtc, knn, mst};
 use simd2_repro::core::backend::{Backend, ReferenceBackend, TiledBackend};
 use simd2_repro::core::solve::{closure, ClosureAlgorithm};
 use simd2_repro::isa;
+use simd2_repro::matrix::Csr;
 use simd2_repro::matrix::{Graph, Matrix};
 use simd2_repro::semiring::OpKind;
-use simd2_repro::sparse::Csr;
 
 #[test]
 fn single_vertex_graph_closures() {

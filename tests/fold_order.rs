@@ -2,15 +2,16 @@
 //!
 //! Each output element starts from `C ⊕ id` and folds its `⊗` terms in
 //! ascending `k` (`simd2_semiring::simd`), so a chain of per-tile
-//! instructions (`IsaBackend`), a packed chain kernel (`TiledBackend`),
-//! a whole-row sweep or a walk that skips annihilator terms
-//! (`SparseTiledBackend`) and the naive triple loop (`ReferenceBackend`)
-//! are one function of the operand bits — for all nine ops, the two
-//! whose `⊕` rounds included. This is the one suite that sees every
-//! backend; operands come from `simd2-sparse`'s pool generators, `C`
-//! too. `scripts/verify.sh --full` runs it on both dispatch legs, and
-//! once more optimised (the `±0` hazards of `f32::max` only ever showed
-//! in release builds).
+//! instructions (`IsaBackend`), the packed chain kernel of
+//! `TiledBackend`, its row walks that skip annihilator terms (a CSR or
+//! 2:4 declaration on the same backend) and the naive triple loop
+//! (`ReferenceBackend`) are one function of the operand bits — for all
+//! nine ops, the two whose `⊕` rounds included, at fp16, fp32 and int8
+//! operand precision. This is the one suite that sees every backend;
+//! operands come from the pool generators of `crates/core/tests/pools`,
+//! `C` too. `scripts/verify.sh --full` runs it on both dispatch legs,
+//! and once more optimised (the `±0` hazards of `f32::max` only ever
+//! showed in release builds).
 
 use simd2_repro::core::backend::{Backend, IsaBackend, ReferenceBackend, TiledBackend};
 use simd2_repro::core::{MatrixRef, OperandRepr, RecoveryPolicy, ResilientBackend};
@@ -19,9 +20,8 @@ use simd2_repro::matrix::Matrix;
 use simd2_repro::mxu::{PrecisionMode, Simd2Unit};
 use simd2_repro::semiring::simd::same_bits;
 use simd2_repro::semiring::{OpKind, ALL_OPS};
-use simd2_repro::sparse::SparseTiledBackend;
 
-#[path = "../crates/sparse/tests/pools/mod.rs"]
+#[path = "../crates/core/tests/pools/mod.rs"]
 mod pools;
 use pools::{operand, specials};
 
@@ -51,6 +51,23 @@ fn signed(mut m: Matrix, seed: u64) -> Matrix {
     m
 }
 
+/// `m` with the last two entries of every aligned group of four along a
+/// row at `zero`: 2:4-compliant whatever `m` held.
+fn structured_24(mut m: Matrix, zero: f32) -> Matrix {
+    for r in 0..m.rows() {
+        for group in m.row_mut(r).chunks_mut(4) {
+            for v in group.iter_mut().skip(2) {
+                *v = zero;
+            }
+        }
+    }
+    m
+}
+
+fn engine(precision: PrecisionMode) -> TiledBackend {
+    TiledBackend::with_unit(Simd2Unit::with_precision(precision))
+}
+
 fn assert_same(got: &Matrix, want: &Matrix, ctx: &str) {
     assert_eq!(got.shape(), want.shape(), "{ctx}");
     for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -58,9 +75,9 @@ fn assert_same(got: &Matrix, want: &Matrix, ctx: &str) {
     }
 }
 
-/// Nine ops × five shapes × four value pools × positive / signed, at both
-/// operand precisions: the engines agree bit for bit wherever they see
-/// the same operand bits.
+/// Nine ops × five shapes × four value pools × positive / signed, at all
+/// three operand precisions: the engines — and every walk of the one
+/// engine — agree bit for bit wherever they see the same operand bits.
 #[test]
 fn every_backend_computes_one_reduction() {
     for (oi, op) in ALL_OPS.into_iter().enumerate() {
@@ -79,47 +96,65 @@ fn every_backend_computes_one_reduction() {
                         }
                     };
                     let a = gen(m, k, fill, 0.4, 0xA);
+                    let a24 = structured_24(a.clone(), fill);
                     let b = gen(k, n, fill, 0.4, 0xB);
+                    let sparse_b = gen(k, n, fill, 0.05, 0xD);
                     let c = gen(m, n, op.reduce_identity_f32(), 0.7, 0xC);
                     let ctx = format!("{op} {m}x{n}x{k} pool {pool} signed={sign}");
 
-                    // Both walks of the sparse engine against `want`.
-                    let check_sparse = |reduced: bool, want: &Matrix| {
-                        let reprs = [Some(OperandRepr::Dense), zero.map(OperandRepr::csr)];
-                        for a_repr in reprs.into_iter().flatten() {
-                            let got = SparseTiledBackend::new()
-                                .with_reduced_precision(reduced)
-                                .mmo_ref(
-                                    op,
-                                    MatrixRef::new(&a, a_repr),
-                                    MatrixRef::dense(&b),
-                                    MatrixRef::dense(&c),
-                                )
-                                .unwrap();
-                            let walk = a_repr.name();
-                            let ctx = format!("{ctx}: sparse reduced={reduced}, {walk} walk");
-                            assert_same(&got, want, &ctx);
+                    for precision in [
+                        PrecisionMode::Fp16Input,
+                        PrecisionMode::Fp32Input,
+                        PrecisionMode::Int8Input,
+                    ] {
+                        // The tile chain (every operand dense) is what
+                        // each declared walk of the engine must equal.
+                        let chain = engine(precision).mmo(op, &a, &b, &c).unwrap();
+                        if let Some(z) = zero {
+                            let (csr, s24) = (OperandRepr::csr(z), OperandRepr::structured(z));
+                            let dense = OperandRepr::Dense;
+                            for (am, ra, bm, rb) in [
+                                (&a, csr, &b, dense),
+                                (&a, csr, &b, csr),
+                                (&a, csr, &sparse_b, csr),
+                                (&a, dense, &sparse_b, csr),
+                                (&a24, s24, &b, dense),
+                            ] {
+                                let want = if std::ptr::eq(am, &a) && std::ptr::eq(bm, &b) {
+                                    chain.clone()
+                                } else {
+                                    engine(precision).mmo(op, am, bm, &c).unwrap()
+                                };
+                                let got = engine(precision)
+                                    .mmo_ref(
+                                        op,
+                                        MatrixRef::new(am, ra),
+                                        MatrixRef::new(bm, rb),
+                                        MatrixRef::dense(&c),
+                                    )
+                                    .unwrap();
+                                let walk = format!("{}x{} walk", ra.name(), rb.name());
+                                assert_same(&got, &want, &format!("{ctx}: {precision:?}, {walk}"));
+                            }
                         }
-                    };
-
-                    // fp16 operands: the dense engine is the reference.
-                    let tiled = TiledBackend::new().mmo(op, &a, &b, &c).unwrap();
-                    check_sparse(true, &tiled);
-                    if m * n <= ISA_MAX_ELEMS {
-                        let isa = IsaBackend::new().mmo(op, &a, &b, &c).unwrap();
-                        assert_same(&isa, &tiled, &format!("{ctx}: ISA executor"));
+                        match precision {
+                            // fp16 operands: the ISA executor's datapath.
+                            PrecisionMode::Fp16Input if m * n <= ISA_MAX_ELEMS => {
+                                let isa = IsaBackend::new().mmo(op, &a, &b, &c).unwrap();
+                                assert_same(&isa, &chain, &format!("{ctx}: ISA executor"));
+                            }
+                            // fp32 operands: the naive triple loop's.
+                            PrecisionMode::Fp32Input => {
+                                let oracle = ReferenceBackend::new().mmo(op, &a, &b, &c).unwrap();
+                                assert_same(
+                                    &chain,
+                                    &oracle,
+                                    &format!("{ctx}: tiled, fp32 operands"),
+                                );
+                            }
+                            _ => {}
+                        }
                     }
-
-                    // fp32 operands: the naive triple loop is.
-                    let reference = ReferenceBackend::new().mmo(op, &a, &b, &c).unwrap();
-                    check_sparse(false, &reference);
-                    let fp32 = Simd2Unit::with_precision(PrecisionMode::Fp32Input);
-                    let tiled32 = TiledBackend::with_unit(fp32).mmo(op, &a, &b, &c).unwrap();
-                    assert_same(
-                        &tiled32,
-                        &reference,
-                        &format!("{ctx}: tiled, fp32 operands"),
-                    );
                 }
             }
         }
@@ -139,8 +174,21 @@ fn max_mul_on_a_ragged_k_keeps_an_all_negative_reduction() {
         let c = Matrix::filled(1, 1, -5.0);
         let run = |be: &mut dyn Backend| be.mmo(op, &a, &b, &c).unwrap()[(0, 0)];
         assert_eq!(run(&mut ReferenceBackend::new()), -2.0, "reference, k={k}");
-        assert_eq!(run(&mut SparseTiledBackend::new()), -2.0, "sparse, k={k}");
+        assert_eq!(
+            run(&mut engine(PrecisionMode::Fp32Input)),
+            -2.0,
+            "fp32, k={k}"
+        );
         assert_eq!(run(&mut TiledBackend::new()), -2.0, "tiled, k={k}");
+        let declared = TiledBackend::new()
+            .mmo_ref(
+                op,
+                MatrixRef::new(&a, OperandRepr::csr(0.0)),
+                MatrixRef::dense(&b),
+                MatrixRef::dense(&c),
+            )
+            .unwrap();
+        assert_eq!(declared[(0, 0)], -2.0, "tiled, CSR-declared A, k={k}");
         assert_eq!(run(&mut IsaBackend::new()), -2.0, "ISA executor, k={k}");
     }
 }
@@ -172,7 +220,7 @@ fn an_empty_reduction_is_the_seeded_accumulator() {
             check(ReferenceBackend::new, op, &c, &ctx);
             check(TiledBackend::new, op, &c, &ctx);
             check(IsaBackend::new, op, &c, &ctx);
-            check(SparseTiledBackend::new, op, &c, &ctx);
+            check(|| engine(PrecisionMode::Fp32Input), op, &c, &ctx);
             // No fault ever drawn: the unit's provided chain walk, on
             // the engine's schedule.
             let unstruck = || {

@@ -4,11 +4,11 @@ use proptest::prelude::*;
 use simd2_repro::core::backend::{Backend, Parallelism, ReferenceBackend, TiledBackend};
 use simd2_repro::core::solve::{closure, floyd_warshall_closure, ClosureAlgorithm};
 use simd2_repro::core::{MatrixRef, OperandRepr, Plan, PlanBuilder, PlanExecutor};
-use simd2_repro::matrix::{gen, Graph, Matrix};
+use simd2_repro::matrix::structured::prune_2_4;
+use simd2_repro::matrix::{gen, Csr, Graph, Matrix};
+use simd2_repro::mxu::{PrecisionMode, Simd2Unit};
 use simd2_repro::semiring::precision::quantize_f16;
 use simd2_repro::semiring::{OpKind, ALL_OPS};
-use simd2_repro::sparse::structured::prune_2_4;
-use simd2_repro::sparse::{Csr, SparseTiledBackend};
 use simd2_repro::trace::{span, EventKind, RingSink, Tracer};
 
 /// An fp16-exact operand in `op`'s input domain with roughly `density`
@@ -31,6 +31,16 @@ fn sparse_operand(op: OpKind, rows: usize, cols: usize, density: f64, seed: u64)
         }
     }
     m
+}
+
+/// The engine at fp16 (`reduced`) or fp32 operand precision.
+fn engine(reduced: bool) -> TiledBackend {
+    let precision = if reduced {
+        PrecisionMode::Fp16Input
+    } else {
+        PrecisionMode::Fp32Input
+    };
+    TiledBackend::with_unit(Simd2Unit::with_precision(precision))
 }
 
 fn bits(m: &Matrix) -> Vec<u32> {
@@ -221,7 +231,7 @@ proptest! {
         // without. Declarations are schedule hints, so the two plans
         // must replay to identical bits.
         let record = |declare: bool| -> Plan {
-            let mut be = SparseTiledBackend::new().with_reduced_precision(reduced);
+            let mut be = engine(reduced);
             let mut rec = PlanBuilder::over(&mut be);
             let (r0, r1) = if declare { (ra, rb) } else { (OperandRepr::Dense, OperandRepr::Dense) };
             let d0 = rec
@@ -235,12 +245,11 @@ proptest! {
         let dense_plan = record(false);
         prop_assert_eq!(sparse_plan.has_sparse_slots(), sentinel.is_some());
         let want = PlanExecutor::new()
-            .run(&dense_plan, &mut SparseTiledBackend::new().with_reduced_precision(reduced))
+            .run(&dense_plan, &mut engine(reduced))
             .unwrap();
         for workers in [1usize, 2, 4, 8] {
-            let mut be = SparseTiledBackend::new()
-                .with_reduced_precision(reduced)
-                .with_parallelism(Parallelism::Threads(workers));
+            let mut be = engine(reduced);
+            be.set_parallelism(Parallelism::Threads(workers));
             let got = PlanExecutor::new().run(&sparse_plan, &mut be).unwrap();
             for step in 0..sparse_plan.step_count() {
                 prop_assert_eq!(
@@ -251,8 +260,8 @@ proptest! {
             }
             if sentinel.is_some() {
                 prop_assert!(
-                    be.sparse_count().sparse_mmos > 0,
-                    "{}: declared operands must take the compressed kernels", op
+                    be.row_count().sparse_mmos > 0,
+                    "{}: declared operands must take the row walks", op
                 );
             }
         }
@@ -285,7 +294,7 @@ proptest! {
         let c = Matrix::filled(n, n, op.reduce_identity_f32());
         let ra = op.no_edge_f32().map_or(OperandRepr::Dense, OperandRepr::csr);
         let plan = {
-            let mut be = SparseTiledBackend::new();
+            let mut be = engine(false);
             let mut rec = PlanBuilder::over(&mut be);
             let mut acc = rec
                 .mmo_ref(op, MatrixRef::new(&a, ra), MatrixRef::dense(&b), MatrixRef::dense(&c))
@@ -298,7 +307,7 @@ proptest! {
             rec.finish()
         };
         let want = PlanExecutor::new()
-            .run(&plan, &mut SparseTiledBackend::new())
+            .run(&plan, &mut engine(false))
             .unwrap();
         // A dependent chain: every wave is one step, so halting after
         // each completed-step count covers every wave boundary.
@@ -306,7 +315,8 @@ proptest! {
         prop_assert_eq!(waves, plan.step_count());
         for halt_after in 1..waves {
             let exec = PlanExecutor::new();
-            let mut first = SparseTiledBackend::new().with_parallelism(Parallelism::Threads(2));
+            let mut first = engine(false);
+            first.set_parallelism(Parallelism::Threads(2));
             let halted = exec
                 .run_resumable(&plan, &mut first, &mut |p: simd2_repro::core::ReplayProgress| {
                     if p.completed_steps >= halt_after { Err("wave halt".to_owned()) } else { Ok(()) }
@@ -314,7 +324,8 @@ proptest! {
                 .expect_err("control must halt the replay");
             prop_assert!(halted.error.is_cancelled());
             prop_assert_eq!(halted.checkpoint.completed_steps(), halt_after);
-            let mut second = SparseTiledBackend::new().with_parallelism(Parallelism::Threads(2));
+            let mut second = engine(false);
+            second.set_parallelism(Parallelism::Threads(2));
             let done = exec
                 .resume_from(&plan, halted.checkpoint, &mut second, &mut |_| Ok(()))
                 .expect("resume runs to completion");
