@@ -8,7 +8,9 @@
 //! representation seam exists for: the update loop declares `E` under
 //! [`OperandRepr::csr`] through [`Backend::mmo_ref`], so an eager run
 //! can take a backend's CSR kernels and a recording run captures a
-//! [`Plan`] whose slots carry the sparse declarations.
+//! [`Plan`] whose slots carry the sparse declarations. A declaration
+//! says what is legal; whether walking the operand sparse pays is the
+//! engine's decision, step by step.
 //!
 //! # The update rule
 //!
@@ -21,8 +23,8 @@
 //! ```
 //!
 //! `T` is non-trivial only in the columns some new edge enters, so it
-//! is redeclared CSR whenever it stays sparse. Round `t` covers every
-//! path using up to `t` new edges (`X` keeps identity diagonals, so
+//! is declared CSR too. Round `t` covers every path using up to `t` new
+//! edges (`X` keeps identity diagonals, so
 //! shorter compositions are covered too); values move monotonically
 //! under the reduction, hence the fixpoint is the closure of the
 //! updated graph and the loop stops the first round `X'` equals `X`
@@ -48,10 +50,6 @@ pub const DEFAULT_BATCHES: usize = 3;
 /// the new-edge count a path may use, so real workloads converge in
 /// `O(log |E_new|)` rounds — the cap only guards against bugs).
 pub const MAX_ROUNDS: usize = 64;
-
-/// `T` is redeclared CSR when its density stays at or below this bound;
-/// denser intermediates keep the dense datapath.
-pub const DELTA_CSR_MAX_DENSITY: f64 = 0.25;
 
 /// A streaming workload: a base graph plus a sequence of edge-insertion
 /// batches, all in adjacency form under one path algebra.
@@ -190,8 +188,8 @@ fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
 
 /// SIMD²-ized streaming closure: closes the base graph by repeated
 /// squaring, then folds in each insertion batch with the two-MMO delta
-/// relaxation of the [module docs](self), declaring the delta (and any
-/// sparse-enough intermediate) under [`OperandRepr::csr`].
+/// relaxation of the [module docs](self), declaring the delta and the
+/// intermediate under [`OperandRepr::csr`].
 ///
 /// # Panics
 ///
@@ -230,7 +228,7 @@ pub fn simd2<B: Backend>(backend: &mut B, w: &StreamingWorkload) -> (Matrix, Str
         let mut settled = false;
         for _ in 0..MAX_ROUNDS {
             // T = FILL ⊕ (X ⊗ E): finite only in columns a new edge
-            // enters, so it usually stays CSR-worthy itself.
+            // enters.
             let t = backend
                 .mmo_ref(
                     op,
@@ -239,16 +237,11 @@ pub fn simd2<B: Backend>(backend: &mut B, w: &StreamingWorkload) -> (Matrix, Str
                     MatrixRef::dense(&fill),
                 )
                 .expect("square operands");
-            let t_repr = if simd2::repr::density(&t, zero) <= DELTA_CSR_MAX_DENSITY {
-                delta_repr
-            } else {
-                OperandRepr::Dense
-            };
             // X' = X ⊕ (T ⊗ X).
             let next = backend
                 .mmo_ref(
                     op,
-                    MatrixRef::new(&t, t_repr),
+                    MatrixRef::new(&t, delta_repr),
                     MatrixRef::dense(&x),
                     MatrixRef::dense(&x),
                 )
@@ -285,8 +278,9 @@ pub fn record<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simd2::backend::{ReferenceBackend, TiledBackend};
-    use simd2::{Parallelism, PassPipeline, PlanExecutor};
+    use simd2::backend::{MmoArgs, OpCount, ReferenceBackend, Schedule, TiledBackend};
+    use simd2::{BackendError, Parallelism, PassPipeline, PlanExecutor};
+    use simd2_mxu::{PrecisionMode, Simd2Unit};
 
     fn assert_bits(tag: &str, got: &Matrix, want: &Matrix) {
         assert_eq!(got.shape(), want.shape(), "{tag}");
@@ -386,6 +380,66 @@ mod tests {
         }
     }
 
+    /// A backend that runs every step with its declarations stripped.
+    struct Stripped(TiledBackend);
+
+    impl Backend for Stripped {
+        fn name(&self) -> &'static str {
+            "stripped"
+        }
+
+        fn precision(&self) -> PrecisionMode {
+            self.0.precision()
+        }
+
+        fn execute(
+            &mut self,
+            step: &MmoArgs<'_>,
+            schedule: Schedule,
+        ) -> Result<Matrix, BackendError> {
+            let stripped = MmoArgs::new(step.op, step.a, step.b, step.c);
+            self.0.execute(&stripped, schedule)
+        }
+
+        fn op_count(&self) -> OpCount {
+            self.0.op_count()
+        }
+
+        fn reset_count(&mut self) {
+            self.0.reset_count();
+        }
+    }
+
+    #[test]
+    fn declaring_the_deltas_never_moves_a_bit_and_walks_only_where_it_pays() {
+        let fp32 = || TiledBackend::with_unit(Simd2Unit::with_precision(PrecisionMode::Fp32Input));
+        for op in [OpKind::MinPlus, OpKind::OrAnd] {
+            for n in [64, 128] {
+                let w = generate(op, n, DEFAULT_BATCHES, 7);
+                let tag = format!("{op} n={n}");
+                let mut declared = TiledBackend::new();
+                let (got, stats) = simd2(&mut declared, &w);
+                assert!(stats.converged, "{tag}");
+                let mut stripped = Stripped(TiledBackend::new());
+                let (want, _) = simd2(&mut stripped, &w);
+                assert_bits(&tag, &got, &want);
+                assert_eq!(declared.op_count(), stripped.op_count(), "{tag}");
+                let (full, _) = simd2(&mut fp32(), &w);
+                let (oracle, _) = simd2(&mut ReferenceBackend::new(), &w);
+                assert_bits(&format!("{tag} fp32"), &full, &oracle);
+                // The engine, not the app, decides: min-plus walks its
+                // deltas; or-and's bit-mask chain is faster than any walk
+                // of them, so every step stays on it.
+                let walked = declared.row_count().sparse_mmos;
+                if op == OpKind::MinPlus {
+                    assert!(walked > 0, "{tag}");
+                } else {
+                    assert_eq!(walked, 0, "{tag}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn sparse_backend_actually_takes_its_csr_kernels() {
         let w = generate(OpKind::MinPlus, 40, 2, 3);
@@ -395,7 +449,7 @@ mod tests {
         let counts = be.row_count();
         assert!(
             counts.sparse_mmos > 0,
-            "X ⊗ E must route through a compressed kernel: {counts:?}"
+            "T ⊗ X must route through a compressed kernel: {counts:?}"
         );
         assert!(
             counts.skipped_terms > 0,

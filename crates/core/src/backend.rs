@@ -13,7 +13,7 @@ use std::ops::Range;
 use simd2_matrix::reference;
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
-use simd2_mxu::{MmoUnit, Simd2Unit};
+use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit};
 use simd2_semiring::simd::{KernelIsa, CHAIN_ELEMS as TILE_ELEMS};
 use simd2_semiring::OpKind;
 
@@ -29,6 +29,7 @@ mod rows;
 
 pub use rows::RowCount;
 use rows::RowWalk;
+pub(crate) use rows::{row_kernel, RowKernel};
 
 /// Process-global whole-matrix mmo count (traced backends only).
 static MATRIX_MMOS: Counter = Counter::new("core.matrix_mmos");
@@ -51,9 +52,10 @@ static ROW_MMOS_SWEEP: Counter = Counter::new("core.row_mmos.sweep");
 /// Whole-matrix mmos that ran as an `A`-walk × CSR-`B` scatter (traced
 /// backends only).
 static ROW_MMOS_SCATTER: Counter = Counter::new("core.row_mmos.scatter");
-/// Whole-matrix mmos declared sparse and walked dense: the unit injects
-/// or probes at tile coordinates, or nothing was left to skip (traced
-/// backends only).
+/// Whole-matrix mmos declared sparse that took the tile chain: the unit
+/// injects or probes at tile coordinates, nothing was left to skip
+/// exactly, or what was left is above the walk-or-chain bound and the
+/// chain folds the step faster (traced backends only).
 static REPR_FALLBACK_MMOS: Counter = Counter::new("core.repr_fallback_mmos");
 
 /// The `core.isa_mmos.*` counter tracking `isa`.
@@ -219,8 +221,13 @@ pub trait Backend {
     /// Short human-readable backend name.
     fn name(&self) -> &'static str;
 
-    /// Whether operands pass through fp16 (reduced precision).
-    fn reduced_precision(&self) -> bool;
+    /// The precision operands are rounded to on their way in.
+    fn precision(&self) -> PrecisionMode;
+
+    /// Whether operands are rounded below fp32.
+    fn reduced_precision(&self) -> bool {
+        self.precision() != PrecisionMode::Fp32Input
+    }
 
     /// Executes one `D = C ⊕ (A ⊗ B)` step.
     ///
@@ -521,8 +528,8 @@ impl Backend for ReferenceBackend {
         "reference (CUDA cores, fp32)"
     }
 
-    fn reduced_precision(&self) -> bool {
-        false
+    fn precision(&self) -> PrecisionMode {
+        PrecisionMode::Fp32Input
     }
 
     fn execute(&mut self, step: &MmoArgs<'_>, _schedule: Schedule) -> Result<Matrix, BackendError> {
@@ -928,8 +935,8 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
         "SIMD2 units (tiled, fp16 operands)"
     }
 
-    fn reduced_precision(&self) -> bool {
-        self.unit.reduced_precision()
+    fn precision(&self) -> PrecisionMode {
+        self.unit.precision()
     }
 
     /// Picks the step's walk from what the engine can observe, then
@@ -942,8 +949,9 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
     ///   grid has) — the **tile chain**;
     /// * `A` or `B` declared sparse on a coordinate-free unit — a **row
     ///   walk** (`A`-walk × sweep or scatter, by `B`'s stored density),
-    ///   unless the operands leave it nothing it may skip, in which
-    ///   case the chain again.
+    ///   unless the operands leave it nothing it may skip, or too little
+    ///   for a row kernel to beat the chain (`rows::row_kernel`, the
+    ///   walk-or-chain rule), in which case the chain again.
     ///
     /// Every walk folds each output element from `C ⊕ id` in ascending
     /// `k`, so the output is the same bits; the step adds the grid's
@@ -1080,8 +1088,8 @@ impl Backend for IsaBackend {
         "SIMD2 ISA executor"
     }
 
-    fn reduced_precision(&self) -> bool {
-        true
+    fn precision(&self) -> PrecisionMode {
+        PrecisionMode::Fp16Input
     }
 
     /// Lowers the step to a one-warp kernel ([`compile_mmo`]: load C,
@@ -1238,13 +1246,14 @@ mod tests {
     fn parallel_counters_stay_exact() {
         let op = OpKind::MinPlus;
         let (a, b, c) = operands(op, 80, 48, 33);
+        let sparse_a = sparse_operand(80, 33, f32::INFINITY, 0.2, 44);
         // One tile-chain step and one row-walked one.
         let run = |be: &mut TiledBackend| {
             be.mmo(op, &a, &b, &c).unwrap();
             let csr = OperandRepr::csr(f32::INFINITY);
             be.mmo_ref(
                 op,
-                MatrixRef::new(&a, csr),
+                MatrixRef::new(&sparse_a, csr),
                 MatrixRef::dense(&b),
                 MatrixRef::dense(&c),
             )
@@ -1368,6 +1377,7 @@ mod tests {
         use simd2_trace::RingSink;
         let op = OpKind::MaxMul;
         let (a, b, c) = operands(op, 70, 23, 37); // ragged, 5 tile rows
+        let sparse_a = sparse_operand(70, 37, 0.0, 0.2, 45);
         for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
             let ring = RingSink::shared();
             let mut be =
@@ -1377,7 +1387,7 @@ mod tests {
             // same logical counts.
             be.mmo_ref(
                 op,
-                MatrixRef::new(&a, OperandRepr::csr(0.0)),
+                MatrixRef::new(&sparse_a, OperandRepr::csr(0.0)),
                 MatrixRef::dense(&b),
                 MatrixRef::dense(&c),
             )
@@ -1487,7 +1497,8 @@ mod tests {
         // All ops with a no-edge annihilator (plus-norm has no sparse
         // lowering) × every walk × every operand precision × 1/2/4/8
         // workers: the tile chain's bits, and — a declaration being a
-        // hint — the stripped step's `OpCount`.
+        // hint — the stripped step's `OpCount`, whether the engine
+        // walked the step or found the chain faster.
         use simd2_matrix::structured::prune_2_4;
         let engine = |precision, workers| {
             let mut be = TiledBackend::with_unit(Simd2Unit::with_precision(precision));
@@ -1503,22 +1514,35 @@ mod tests {
                 let Some(zero) = op.no_edge_f32() else {
                     continue;
                 };
-                let a = sparse_operand(37, 29, zero, 0.3, 400 + s as u64);
-                let a24 = prune_2_4(&a, op);
+                // Below every op's walk-or-chain bound; below all but
+                // or-and's.
+                let a = sparse_operand(37, 29, zero, 0.015, 400 + s as u64);
+                let a_mid = sparse_operand(37, 29, zero, 0.2, 450 + s as u64);
+                let a24 = prune_2_4(&a_mid, op);
                 // Sparse enough to be scattered; dense enough to be swept.
-                let scattered = sparse_operand(29, 35, zero, 0.03, 500 + s as u64);
+                let scattered = sparse_operand(29, 35, zero, 0.01, 500 + s as u64);
                 let swept = sparse_operand(29, 35, zero, 0.6, 550 + s as u64);
                 let c = sparse_operand(37, 35, zero, 0.8, 600 + s as u64);
                 let (csr, dense) = (OperandRepr::csr(zero), OperandRepr::Dense);
                 let s24 = OperandRepr::structured(zero);
-                for (am, ra, bm, rb) in [
-                    (&a, csr, &swept, dense),
-                    (&a, csr, &swept, csr),
-                    (&a, csr, &scattered, csr),
-                    (&a, dense, &scattered, csr),
-                    (&a24, s24, &swept, dense),
-                    (&a24, s24, &scattered, csr),
+                // The last columns: whether the float chains' ops walk
+                // the leg, and whether or-and does (its bit-mask chain
+                // wins sooner; an output this narrow never pays for a
+                // scatter's row lookups under a dense walk).
+                for (am, ra, bm, rb, walks, or_and_walks) in [
+                    (&a, csr, &swept, dense, true, true),
+                    (&a, csr, &swept, csr, true, true),
+                    (&a, csr, &scattered, csr, true, true),
+                    (&a_mid, csr, &swept, dense, true, false),
+                    (&a_mid, dense, &scattered, csr, false, false),
+                    (&a24, s24, &swept, dense, true, false),
+                    (&a24, s24, &scattered, csr, true, false),
                 ] {
+                    let walks = if op == OpKind::OrAnd {
+                        or_and_walks
+                    } else {
+                        walks
+                    };
                     let mut chain = engine(precision, 1);
                     let want = chain.mmo(op, am, bm, &c).unwrap();
                     assert_eq!(chain.row_count(), RowCount::default(), "the tile chain");
@@ -1532,8 +1556,8 @@ mod tests {
                         );
                         assert_eq!(bits(&got), bits(&want), "{ctx}");
                         assert_eq!(be.op_count(), chain.op_count(), "{ctx}");
-                        assert_eq!(be.row_count().sparse_mmos, 1, "{ctx}");
-                        assert!(be.row_count().skipped_terms > 0, "{ctx}");
+                        assert_eq!(be.row_count().sparse_mmos, u64::from(walks), "{ctx}");
+                        assert_eq!(be.row_count().skipped_terms > 0, walks, "{ctx}");
                     }
                 }
             }
@@ -1550,15 +1574,23 @@ mod tests {
             OpKind::OrAnd,
         ] {
             let zero = op.no_edge_f32().unwrap();
-            let a = prune_2_4(&sparse_operand(12, 20, zero, 0.9, 7), op);
             let b = sparse_operand(20, 9, zero, 0.9, 8);
             let c = sparse_operand(12, 9, zero, 0.9, 9);
-            let mut be = fp32_backend();
-            let want = be.mmo(op, &a, &b, &c).unwrap();
-            let s24 = OperandRepr::structured(zero);
-            let got = declared(&mut be, op, (&a, s24), (&b, OperandRepr::Dense), &c).unwrap();
-            assert_eq!(bits(&got), bits(&want), "{op}");
-            assert_eq!(be.row_count().sparse_mmos, 1, "{op}");
+            // A fifth full, a 2:4 operand walks (or-and's chain still
+            // wins); at the pattern's own half, the chain folds it.
+            for (density, walks) in [(0.2, op != OpKind::OrAnd), (0.9, false)] {
+                let a = prune_2_4(&sparse_operand(12, 20, zero, density, 7), op);
+                let mut be = fp32_backend();
+                let want = be.mmo(op, &a, &b, &c).unwrap();
+                let s24 = OperandRepr::structured(zero);
+                let got = declared(&mut be, op, (&a, s24), (&b, OperandRepr::Dense), &c).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{op} {density}");
+                assert_eq!(
+                    be.row_count().sparse_mmos,
+                    u64::from(walks),
+                    "{op} {density}"
+                );
+            }
         }
     }
 
@@ -1586,7 +1618,7 @@ mod tests {
     #[test]
     fn reduced_precision_keeps_sparse_and_dense_paths_aligned() {
         let op = OpKind::PlusMul;
-        let a = sparse_operand(10, 14, 0.0, 0.4, 77);
+        let a = sparse_operand(10, 14, 0.0, 0.2, 77);
         let b = sparse_operand(14, 6, 0.0, 0.4, 78);
         let c = sparse_operand(10, 6, 0.0, 1.0, 79);
         let mut be = TiledBackend::new();
@@ -1595,6 +1627,7 @@ mod tests {
         let csr = OperandRepr::csr(0.0);
         let got = declared(&mut be, op, (&a, csr), (&b, OperandRepr::Dense), &c).unwrap();
         assert_eq!(bits(&got), bits(&want));
+        assert_eq!(be.row_count().sparse_mmos, 1);
         assert_ne!(
             bits(&want),
             bits(&fp32_backend().mmo(op, &a, &b, &c).unwrap())
@@ -1604,7 +1637,7 @@ mod tests {
     #[test]
     fn term_accounting_is_exact_for_csr_a() {
         let op = OpKind::PlusMul;
-        let a = sparse_operand(6, 10, 0.0, 0.3, 13);
+        let a = sparse_operand(6, 10, 0.0, 0.2, 13);
         let b = sparse_operand(10, 4, 0.0, 1.0, 14);
         let c = Matrix::zeros(6, 4);
         let mut be = fp32_backend();
@@ -1659,6 +1692,60 @@ mod tests {
         assert_eq!(bits(&got), bits(&want));
         assert_eq!(be.row_count(), RowCount::default());
         assert_eq!(be.op_count().matrix_mmos, 4);
+    }
+
+    #[test]
+    fn a_declared_step_is_walked_only_below_its_walk_or_chain_bound() {
+        use simd2_trace::RingSink;
+        let dense = OperandRepr::Dense;
+        // (op, size, which operand is declared, a stored fraction the
+        // engine walks, one it hands to the chain): or-and's bit-mask
+        // chain outruns a walk of anything but a near-empty `A` and a
+        // scatter under a dense walk; the float chains lose to a walk of
+        // a fifth-full `A` and, on an output wide enough to pay for the
+        // row lookups, to a scatter of a hundredth-full `B`.
+        for (op, n, declare_a, walked, chained) in [
+            (OpKind::OrAnd, 64, true, Some(0.01), 0.5),
+            (OpKind::OrAnd, 64, true, Some(0.01), 0.06),
+            (OpKind::OrAnd, 64, false, None, 0.01),
+            (OpKind::MinPlus, 64, true, Some(0.2), 0.5),
+            (OpKind::PlusMul, 64, true, Some(0.2), 0.4),
+            (OpKind::MinPlus, 256, false, Some(0.01), 0.05),
+            (OpKind::MinPlus, 64, false, None, 0.01),
+        ] {
+            let zero = op.no_edge_f32().unwrap();
+            let csr = OperandRepr::csr(zero);
+            let c = Matrix::filled(n, n, op.reduce_identity_f32());
+            for (density, walks) in walked
+                .map(|d| (d, true))
+                .into_iter()
+                .chain([(chained, false)])
+            {
+                let sparse = sparse_operand(n, n, zero, density, 21);
+                let full = sparse_operand(n, n, zero, 1.0, 22);
+                let (a, ra, b, rb) = if declare_a {
+                    (&sparse, csr, &full, dense)
+                } else {
+                    (&full, dense, &sparse, csr)
+                };
+                let mut be = TiledBackend::new().with_tracer(Tracer::to(RingSink::shared()));
+                let want = be.mmo(op, a, b, &c).unwrap();
+                let stripped = be.op_count();
+                be.reset_count();
+                let fallbacks = REPR_FALLBACK_MMOS.get();
+                let got = declared(&mut be, op, (a, ra), (b, rb), &c).unwrap();
+                let ctx = format!("{op} {}×{} at {density}", ra.name(), rb.name());
+                assert_eq!(bits(&got), bits(&want), "{ctx}");
+                assert_eq!(be.op_count(), stripped, "{ctx}");
+                assert_eq!(be.row_count().sparse_mmos, u64::from(walks), "{ctx}");
+                // Declared and legal, but the chain is faster: counted
+                // (other tests may add).
+                assert!(
+                    REPR_FALLBACK_MMOS.get() >= fallbacks + u64::from(!walks),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

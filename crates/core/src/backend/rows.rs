@@ -18,10 +18,17 @@
 //!
 //! A CSR-declared `B` whose stored density exceeds [`SWEEP_B_DENSITY`]
 //! is swept as dense rows ([`RowCount::swept_b_mmos`] counts them):
-//! folding an annihilator term is as exact as skipping it. A step that
-//! is left with nothing to skip — `A` walks dense and `B` is swept —
-//! has no use for a row walk and takes the tile chain
-//! ([`RowWalk::choose`] returns `None`).
+//! folding an annihilator term is as exact as skipping it.
+//!
+//! **A declaration says what is legal; [`row_kernel`] says what pays.**
+//! A row kernel folds fewer terms than the tile chain, each more slowly,
+//! so a walk is worth taking only while the declared operands store
+//! little enough — how little is measured per chain kernel
+//! ([`WALK_A_DENSITY`], [`SCATTER_TERMS`]). A step left with nothing to
+//! skip (`A` walks dense and `B` is swept), or with too little, takes
+//! the tile chain: [`RowWalk::choose`] returns `None`, at the cost of
+//! the scan that counted the stored entries. Callers declare what they
+//! know and never weigh a density themselves.
 //!
 //! **The bit-identity contract.** A representation declaration is a
 //! schedule hint, never a semantic change: every `(i, j)` starts from the
@@ -38,10 +45,11 @@
 //! identity, or the NaN an `∞ − ∞` makes). For the three whose `⊗`
 //! multiplies it does so only on the op's value domain, so the choice
 //! checks the domain (`Scan`, one branch-free pass over each operand
-//! the rule reads: `B` when `A` is declared sparse — the pass that
-//! counts its stored entries anyway — and `A` when `B` will be
-//! scattered, a swept `B` skipping nothing) and walks a declared operand
-//! dense when skipping its annihilator entries would not be exact:
+//! the rule reads — the pass that counts a declared operand's stored
+//! entries anyway: `B` when `A` is declared sparse, and `A` when `B` is
+//! sparse enough to scatter, a swept `B` skipping nothing) and walks a
+//! declared operand dense when skipping its annihilator entries would
+//! not be exact:
 //!
 //! * plus-mul — the *other* operand must be finite at the unit's
 //!   precision (`0 × ±∞` and `0 × NaN` are NaN, which `+` propagates;
@@ -88,6 +96,30 @@ use super::MmoArgs;
 /// placed it.
 const SWEEP_B_DENSITY: f64 = 0.11;
 
+/// Stored fraction of a walked `A` up to which an `A`-walk × sweep beats
+/// the tile chain: the sweep folds `A`'s stored fraction of the terms at
+/// the sweep leaf's rate, the chain all of them at the chain kernel's,
+/// so the break-even is the ratio of the two rates — a property of the
+/// op's kernels, which is why or-and, whose chain folds bit masks four
+/// times as fast as the other chains fold floats, has its own.
+/// EXPERIMENTS.md ("Walk or chain") has the sweep that placed both
+/// (`walk_or_chain` below).
+const WALK_A_DENSITY: f64 = 0.3;
+/// [`WALK_A_DENSITY`] for or-and.
+const WALK_A_DENSITY_OR_AND: f64 = 0.03;
+
+/// Fraction of the `m·n·k` terms up to which a scatter beats the tile
+/// chain where `A`'s walk alone would not pay: a scattered term is a
+/// dependent scalar fold, a chained one a vector lane, so the break-even
+/// is again a ratio of two rates. Placed by the same sweep.
+const SCATTER_TERMS: f64 = 0.04;
+/// [`SCATTER_TERMS`] for or-and.
+const SCATTER_TERMS_OR_AND: f64 = 0.014;
+/// What looking up one `B` row costs a scatter, in scattered terms:
+/// every walked `(i, l)` pays it however few entries row `l` stores, so
+/// a narrow output (the chain's cost per pair is its width) never pays.
+const SCATTER_ROW_TERMS: f64 = 6.0;
+
 /// `B` rows one sweep block holds: with [`SWEEP_STRIP`] columns of
 /// `f32` that is 32 KiB, an L1-resident block every row of the panel
 /// folds before the next one is touched.
@@ -99,7 +131,8 @@ const SWEEP_K_BLOCK: usize = 128;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RowCount {
     /// Whole-matrix operations that ran as a row walk: at least one of
-    /// `A` / `B` declared sparse (CSR or 2:4) and skippable.
+    /// `A` / `B` declared sparse (CSR or 2:4), skippable, and sparse
+    /// enough for the walk to beat the tile chain.
     pub sparse_mmos: u64,
     /// Of [`Self::sparse_mmos`], those whose CSR-declared `B` was dense
     /// enough to be swept as dense rows instead of scattered.
@@ -151,6 +184,11 @@ impl Scan {
         scan
     }
 
+    /// The stored fraction of `m`, the operand this scan read.
+    fn stored_fraction(self, m: &Matrix) -> f64 {
+        self.stored as f64 / m.len().max(1) as f64
+    }
+
     fn sign_clear(self) -> bool {
         self.any >> 31 == 0
     }
@@ -162,6 +200,42 @@ impl Scan {
         let mut worst = [f32::from_bits(self.max_abs)];
         unit.quantize_packed(&mut worst);
         worst[0].is_finite()
+    }
+}
+
+/// The two row kernels (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RowKernel {
+    /// `A`-walk × dense-`B` sweep.
+    Sweep,
+    /// `A`-walk × CSR-`B` scatter.
+    Scatter,
+}
+
+/// The walk-or-chain rule: the row kernel that folds one `op` step of
+/// output width `n` faster than the tile chain does, given the fraction
+/// of each operand a walk would fold — its stored fraction where a
+/// declaration lets the walk skip the rest, `1.0` where it does not.
+/// `None` is the chain.
+///
+/// The one place that decision is made: [`RowWalk::choose`] asks it for
+/// the step in hand and the plan's lowering pass for a slot it might
+/// declare, so a declaration the pass adds is one the engine walks. It
+/// reads the op and the operands only — never the unit's kernel tier —
+/// so every dispatch leg lowers a step the same way.
+pub(crate) fn row_kernel(op: OpKind, a_stored: f64, b_stored: f64, n: usize) -> Option<RowKernel> {
+    let (walk_a, scatter_terms) = match op {
+        OpKind::OrAnd => (WALK_A_DENSITY_OR_AND, SCATTER_TERMS_OR_AND),
+        _ => (WALK_A_DENSITY, SCATTER_TERMS),
+    };
+    let sweep_pays = a_stored <= walk_a;
+    // Per walked `(i, l)`: one row lookup and `B`'s share of `n` terms.
+    let scatter_pays = a_stored * (b_stored + SCATTER_ROW_TERMS / n as f64) <= scatter_terms;
+    // Under a walk that pays, `B`'s density alone picks the kernel.
+    if b_stored <= SWEEP_B_DENSITY && (sweep_pays || scatter_pays) {
+        Some(RowKernel::Scatter)
+    } else {
+        sweep_pays.then_some(RowKernel::Sweep)
     }
 }
 
@@ -384,10 +458,11 @@ pub(super) struct RowWalk<'a> {
 
 impl<'a> RowWalk<'a> {
     /// Picks the walk of a validated step from what can be observed —
-    /// the declarations, `B`'s stored density, the value-domain scan
-    /// (module docs) — and builds its `B` image through `unit`'s pack
-    /// hook. `None` when nothing would be skipped: the tile chain folds
-    /// every term faster than a dense sweep does.
+    /// the declarations, each declared operand's stored fraction, the
+    /// value-domain scan (module docs) — and builds its `B` image
+    /// through `unit`'s pack hook. `None` when the tile chain is the
+    /// faster fold ([`row_kernel`]): nothing would be skipped, or too
+    /// little to pay for a row kernel.
     pub(super) fn choose(unit: &impl MmoUnit, step: &MmoArgs<'a>) -> Option<Self> {
         let MmoArgs { op, a, b, c, reprs } = *step;
         let (mut walk_a, b_sparse) = (!reprs[0].is_dense(), !reprs[1].is_dense());
@@ -401,17 +476,17 @@ impl<'a> RowWalk<'a> {
                 Scan::default()
             }
         };
-        // One pass over `B` serves two readers: its stored density picks
-        // scatter or sweep, its values bound what `A`'s walk may skip.
-        let sb = scan(b_sparse || (multiplies && walk_a), b);
-        let swept_b = b_sparse && sb.stored as f64 / b.len() as f64 > SWEEP_B_DENSITY;
+        // One pass over an operand serves two readers: its stored
+        // fraction prices its own walk, its values bound what the other
+        // operand's walk may skip. A swept `B` skips nothing, so `A` is
+        // read for `B`'s sake only against one sparse enough to scatter.
+        let sb = scan(b_sparse || multiplies, b);
+        let swept_b = b_sparse && sb.stored_fraction(b) > SWEEP_B_DENSITY;
         let mut scatter_b = b_sparse && !swept_b;
+        let sa = scan(walk_a || (multiplies && scatter_b), a);
         // The value-domain rule (module docs): an operand whose
-        // annihilator entries cannot be skipped exactly walks dense. A
-        // swept `B` skips nothing, so `A` is read only against a
-        // scattered one (and for max-mul's tie).
-        if multiplies && (walk_a || scatter_b) {
-            let sa = scan(scatter_b || op == OpKind::MaxMul, a);
+        // annihilator entries cannot be skipped exactly walks dense.
+        if multiplies {
             let exact = |declared: Scan, other: Scan| match op {
                 OpKind::PlusMul => other.finite(unit),
                 OpKind::MinMul => other.sign_clear(),
@@ -419,12 +494,21 @@ impl<'a> RowWalk<'a> {
             };
             (walk_a, scatter_b) = (walk_a && exact(sa, sb), scatter_b && exact(sb, sa));
         }
-        (walk_a || scatter_b).then(|| Self {
+        // What is left to skip, as the fractions a walk would fold.
+        let stored = |walks: bool, scan: Scan, m| if walks { scan.stored_fraction(m) } else { 1.0 };
+        let kernel = row_kernel(
+            op,
+            stored(walk_a, sa, a),
+            stored(scatter_b, sb, b),
+            b.cols(),
+        )?;
+        let scatter = (kernel == RowKernel::Scatter).then_some(zero);
+        Some(Self {
             op,
             a,
             a_zero: walk_a.then_some(zero),
             iota: (0..a.cols() as u32).collect(),
-            b: b_image(unit, b, scatter_b.then_some(zero)),
+            b: b_image(unit, b, scatter),
             c,
             swept_b,
         })
@@ -467,11 +551,169 @@ impl<'a> RowWalk<'a> {
     }
 }
 
+// The operand generators of the crate's integration suites (`specials`
+// is the declaration differentials' alone).
+#[cfg(test)]
+#[path = "../../tests/pools/hostile.rs"]
+mod hostile;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../tests/pools/mod.rs"]
+mod pools;
+
 #[cfg(test)]
 mod tests {
+    use super::super::{Backend, TiledBackend};
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use simd2_mxu::Simd2Unit;
+    use crate::repr::{MatrixRef, OperandRepr};
+    use proptest::prelude::*;
+    use simd2_matrix::reference;
+    use simd2_mxu::{PrecisionMode, Simd2Unit};
+    use simd2_semiring::ALL_OPS;
+
+    use super::hostile::{bits, hostile, quantized, structure_2_4};
+    use super::pools::operand;
+
+    /// A seeded `n × n` operand with about `density` of its entries
+    /// stored (in `0.5..9.5`) and the rest at `zero`.
+    fn square(n: usize, zero: f32, density: f64, seed: u64) -> Matrix {
+        operand(&[], n, n, zero, density, seed)
+    }
+
+    /// The walk of `step` that skips `a_zero` entries of `A` (`None`
+    /// walks every `l`) and scatters `B`'s entries other than `scatter`
+    /// (`None` sweeps it), whatever [`row_kernel`] would say.
+    fn walk_of<'a>(
+        unit: &Simd2Unit,
+        step: &MmoArgs<'a>,
+        a_zero: Option<f32>,
+        scatter: Option<f32>,
+    ) -> RowWalk<'a> {
+        RowWalk {
+            op: step.op,
+            a: step.a,
+            a_zero,
+            iota: (0..step.a.cols() as u32).collect(),
+            b: b_image(unit, step.b, scatter),
+            c: step.c,
+            swept_b: false,
+        }
+    }
+
+    /// One step through the walk the arguments name, whatever
+    /// [`row_kernel`] would say, on one thread: the scans
+    /// [`RowWalk::choose`] takes of such a step, the image build and the
+    /// fold.
+    fn forced(
+        unit: &Simd2Unit,
+        step: &MmoArgs<'_>,
+        a_zero: Option<f32>,
+        scatter: Option<f32>,
+    ) -> Matrix {
+        let multiplies = matches!(step.op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
+        let zero = step.op.no_edge_f32().unwrap();
+        let scans = [
+            (step.b, scatter.is_some() || multiplies),
+            (
+                step.a,
+                a_zero.is_some() || (multiplies && scatter.is_some()),
+            ),
+        ];
+        for (m, _) in scans.iter().filter(|(_, read)| *read) {
+            std::hint::black_box(Scan::of(m, zero));
+        }
+        let walk = walk_of(unit, step, a_zero, scatter);
+        let mut d = Matrix::zeros(step.a.rows(), step.b.cols());
+        walk.fold(unit, 0..step.a.rows(), d.as_mut_slice());
+        d
+    }
+
+    /// Best-of-`reps` wall time of each of `runs`, in milliseconds. The
+    /// candidates take turns within a repetition, so a noisy neighbour
+    /// slows them alike.
+    fn best_ms<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut() -> Matrix; N]) -> [f64; N] {
+        let mut best = [f64::INFINITY; N];
+        for _ in 0..reps {
+            for (best, run) in best.iter_mut().zip(&mut runs) {
+                let start = std::time::Instant::now();
+                std::hint::black_box(run());
+                *best = best.min(1e3 * start.elapsed().as_secs_f64());
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every row kernel under every walk, forced — whether or not
+        /// [`row_kernel`] would pick it at these densities — against
+        /// [`reference::mmo`] on the operands as the scalar quantiser
+        /// rounds them: eight annihilator ops × `A` dense / CSR / 2:4 ×
+        /// `B` swept / scattered × fp32 / fp16 / int8, over the hostile
+        /// values each op's contract admits, output widths either side of
+        /// the vector and strip boundaries, `k` inside and across sweep
+        /// blocks, two panels split at an arbitrary row, with exact term
+        /// accounting.
+        #[test]
+        fn every_row_kernel_matches_the_reference(
+            op_idx in 0usize..ALL_OPS.len() - 1,
+            m in 1usize..=50,
+            k_idx in 0usize..5,
+            n_idx in 0usize..7,
+            a_density_idx in 0usize..3,
+            b_density_idx in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let (k, n) = ([1, 7, 127, 129, 260][k_idx], [1, 15, 17, 63, 64, 65, 130][n_idx]);
+            let a_density = [0.05, 0.4, 1.0][a_density_idx];
+            let b_density = [0.03, 0.13, 0.6][b_density_idx];
+            // Plus-norm has no annihilator, hence no row walk.
+            let op = ALL_OPS.into_iter().filter(|op| op.no_edge_f32().is_some()).nth(op_idx).unwrap();
+            let zero = op.no_edge_f32().unwrap();
+            let pool = hostile(op);
+            let a = operand(&pool, m, k, zero, a_density, seed);
+            let a24 = structure_2_4(&a, zero, seed ^ 0x24);
+            let b = operand(&pool, k, n, zero, b_density, seed ^ 0xB);
+            let c = operand(&pool, m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
+            let stored = |m: &Matrix| Scan::of(m, zero).stored as u64;
+            let split = seed as usize % (m + 1);
+            for precision in [PrecisionMode::Fp32Input, PrecisionMode::Fp16Input, PrecisionMode::Int8Input] {
+                let unit = Simd2Unit::with_precision(precision);
+                let qb = quantized(&b, precision);
+                let walks = [(&a, None), (&a, Some(zero)), (&a24, Some(zero))];
+                for (am, a_zero) in walks {
+                    let want = bits(&reference::mmo(op, &quantized(am, precision), &qb, &c).unwrap());
+                    // A dense walk over a swept `B` is the chain's step.
+                    for scatter in [Some(zero), None].into_iter().filter(|s| s.or(a_zero).is_some()) {
+                        let step = MmoArgs::new(op, am, &b, &c);
+                        let walk = walk_of(&unit, &step, a_zero, scatter);
+                        prop_assert_eq!(walk.scatters(), scatter.is_some());
+                        let mut d = Matrix::zeros(m, n);
+                        let (top, bottom) = d.as_mut_slice().split_at_mut(split * n);
+                        let mut count = RowCount::default();
+                        let panels = [walk.fold(&unit, 0..split, top), walk.fold(&unit, split..m, bottom)];
+                        walk.tally(&mut count, panels.into_iter());
+                        let ctx = format!(
+                            "{op} {m}x{n}x{k} {precision:?} a_zero={a_zero:?} scatter={scatter:?} split={split}"
+                        );
+                        prop_assert_eq!(&bits(&d), &want, "{}", ctx);
+                        prop_assert_eq!(count.fma_terms + count.skipped_terms, (m * n * k) as u64, "{}", ctx);
+                        // Quantising after compression: an entry that
+                        // underflows stays a stored, folded term.
+                        let a_terms = if a_zero.is_some() { stored(am) } else { (m * k) as u64 };
+                        match scatter {
+                            None => prop_assert_eq!(count.fma_terms, a_terms * n as u64, "{}", ctx),
+                            Some(_) if a_zero.is_none() => {
+                                prop_assert_eq!(count.fma_terms, m as u64 * stored(&b), "{}", ctx)
+                            }
+                            Some(_) => prop_assert!(count.fma_terms <= a_terms * n as u64, "{}", ctx),
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// The sweep that places [`SWEEP_B_DENSITY`] (EXPERIMENTS.md, "Scatter
     /// or sweep"): the same CSR × CSR operands through both row kernels,
@@ -488,46 +730,91 @@ mod tests {
             let zero = op.no_edge_f32().unwrap();
             let c = Matrix::filled(n, n, op.reduce_identity_f32());
             for density in [0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50] {
-                let operand = |seed| {
-                    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-                    Matrix::from_fn(n, n, |_, _| {
-                        if rng.gen_bool(density) {
-                            rng.gen_range(0.5..9.5)
-                        } else {
-                            zero
-                        }
-                    })
-                };
-                let (a, b) = (operand(5), operand(6));
-                let run = |scatter: bool| {
-                    let walk = RowWalk {
-                        op,
-                        a: &a,
-                        a_zero: Some(zero),
-                        iota: Vec::new(),
-                        b: b_image(&unit, &b, scatter.then_some(zero)),
-                        c: &c,
-                        swept_b: !scatter,
-                    };
-                    let mut d = Matrix::zeros(n, n);
-                    walk.fold(&unit, 0..n, d.as_mut_slice());
-                    d
-                };
-                let time = |scatter: bool| {
-                    let best = (0..15).map(|_| {
-                        let start = std::time::Instant::now();
-                        std::hint::black_box(run(scatter));
-                        start.elapsed().as_secs_f64()
-                    });
-                    1e3 * best.fold(f64::INFINITY, f64::min)
-                };
-                let (scatter, sweep) = (time(true), time(false));
+                let (a, b) = (square(n, zero, density, 5), square(n, zero, density, 6));
+                let step = MmoArgs::new(op, &a, &b, &c);
+                let run = |scatter: bool| forced(&unit, &step, Some(zero), scatter.then_some(zero));
+                let [scatter, sweep] = best_ms(15, [&mut || run(true), &mut || run(false)]);
                 assert_eq!(run(true), run(false));
                 println!(
                     "{:<9} {density:<10.2} {scatter:<11.3} {sweep:<9.3} {:.2}",
                     op.name(),
                     scatter / sweep
                 );
+            }
+        }
+    }
+
+    /// The sweep that places the walk-or-chain bounds
+    /// ([`WALK_A_DENSITY`], [`SCATTER_TERMS`] and their or-and values;
+    /// EXPERIMENTS.md, "Walk or chain"): a declared operand at each
+    /// density through the walk its declaration names — scans and image
+    /// build included — against the same step with the declaration
+    /// stripped (the tile chain) and as the engine runs it declared, at
+    /// fp16 operand precision on one thread. `walk/chain` is what always
+    /// walking costs; `pick/best` what the engine's choice does.
+    ///
+    /// `cargo test --release -p simd2 --lib -- --ignored --nocapture walk_or_chain`
+    #[test]
+    #[ignore = "timing sweep, not a check: run with --release --ignored --nocapture"]
+    fn walk_or_chain() {
+        let unit = Simd2Unit::new();
+        println!("walk          op        n    density  walk ms   chain ms  walk/chain  pick   pick ms   pick/best");
+        for a_walk in [true, false] {
+            for op in [
+                OpKind::OrAnd,
+                OpKind::MinPlus,
+                OpKind::MaxMin,
+                OpKind::PlusMul,
+            ] {
+                let zero = op.no_edge_f32().unwrap();
+                let csr = OperandRepr::csr(zero);
+                for n in [128, 256, 512] {
+                    let c = Matrix::filled(n, n, op.reduce_identity_f32());
+                    for density in [0.01, 0.03, 0.06, 0.12, 0.25, 0.5] {
+                        // The declared operand at `density`, the other full.
+                        let (da, db) = if a_walk {
+                            (density, 1.0)
+                        } else {
+                            (1.0, density)
+                        };
+                        let (a, b) = (square(n, zero, da, 5), square(n, zero, db, 6));
+                        let (ra, rb) = if a_walk {
+                            (csr, OperandRepr::Dense)
+                        } else {
+                            (OperandRepr::Dense, csr)
+                        };
+                        let step = MmoArgs::new(op, &a, &b, &c);
+                        let (a_zero, scatter) = (a_walk.then_some(zero), (!a_walk).then_some(zero));
+                        let mut walk = || forced(&unit, &step, a_zero, scatter);
+                        let mut be = TiledBackend::with_unit(unit);
+                        let declared = |be: &mut TiledBackend| {
+                            let (a, b) = (MatrixRef::new(&a, ra), MatrixRef::new(&b, rb));
+                            be.mmo_ref(op, a, b, MatrixRef::dense(&c)).unwrap()
+                        };
+                        let want = be.mmo(op, &a, &b, &c).unwrap();
+                        assert_eq!(walk(), want);
+                        assert_eq!(declared(&mut be), want);
+                        let walked = be.row_count().sparse_mmos == 1;
+                        let reps = (1 << 23) / (n * n) + 8;
+                        let mut chain_be = TiledBackend::with_unit(unit);
+                        let [walk_ms, chain_ms, pick_ms] = best_ms(
+                            reps,
+                            [
+                                &mut walk,
+                                &mut || chain_be.mmo(op, &a, &b, &c).unwrap(),
+                                &mut || declared(&mut be),
+                            ],
+                        );
+                        println!(
+                            "{:<13} {:<9} {n:<4} {density:<8.2} {walk_ms:<9.3} {chain_ms:<9.3} {:<11.2} {:<6} {pick_ms:<9.3} {:.2}",
+                            if a_walk { "A-walk×sweep" } else { "dense×scatter" },
+                            op.name(),
+                            walk_ms / chain_ms,
+                            if walked { "walk" } else { "chain" },
+                            pick_ms / walk_ms.min(chain_ms)
+                        );
+                    }
+                }
             }
         }
     }

@@ -25,6 +25,7 @@ use std::collections::HashMap;
 
 use simd2_gpu::MmoTrace;
 use simd2_matrix::Matrix;
+use simd2_mxu::PrecisionMode;
 use simd2_semiring::OpKind;
 use simd2_trace::{field, span, Tracer};
 
@@ -100,7 +101,18 @@ pub struct Step {
 pub struct Plan {
     slots: Vec<Slot>,
     steps: Vec<Step>,
-    reduced_precision: bool,
+    precision: PrecisionMode,
+}
+
+/// `mode` as [`Plan::structural_hash`] mixes it in, coarser modes
+/// higher: `0` / `1` for fp32 / fp16, the values the `bool` this field
+/// replaced hashed to.
+fn precision_rank(mode: PrecisionMode) -> u64 {
+    match mode {
+        PrecisionMode::Fp32Input => 0,
+        PrecisionMode::Fp16Input => 1,
+        PrecisionMode::Int8Input => 2,
+    }
 }
 
 impl Plan {
@@ -124,9 +136,14 @@ impl Plan {
         &self.steps
     }
 
-    /// Whether the recording backend ran operands through fp16.
+    /// The precision the recording backend rounded operands to.
+    pub fn precision(&self) -> PrecisionMode {
+        self.precision
+    }
+
+    /// Whether the recording backend rounded operands below fp32.
     pub fn reduced_precision(&self) -> bool {
-        self.reduced_precision
+        self.precision != PrecisionMode::Fp32Input
     }
 
     /// A slot's recorded `(rows, cols)` shape.
@@ -283,7 +300,7 @@ impl Plan {
     /// matrices are distinct allocations.
     pub fn structural_hash(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        h = fnv_mix(h, u64::from(self.reduced_precision));
+        h = fnv_mix(h, precision_rank(self.precision));
         h = fnv_mix(h, self.slots.len() as u64);
         for slot in &self.slots {
             h = fnv_mix(h, slot.shape.0 as u64);
@@ -355,14 +372,19 @@ impl Plan {
     /// renumbered plan-by-plan, and no cross-plan edges are introduced,
     /// so steps from different plans land in the same waves — the
     /// fan-out path for running independent recordings through one
-    /// replay. The merged plan is reduced-precision if any constituent
-    /// was.
+    /// replay. The merged plan records the coarsest precision of its
+    /// constituents.
     pub fn merge<I: IntoIterator<Item = Plan>>(plans: I) -> Plan {
-        let mut merged = Plan::default();
+        let mut merged = Plan {
+            precision: PrecisionMode::Fp32Input,
+            ..Plan::default()
+        };
         for plan in plans {
             let slot_base = merged.slots.len();
             let step_base = merged.steps.len();
-            merged.reduced_precision |= plan.reduced_precision;
+            if precision_rank(plan.precision) > precision_rank(merged.precision) {
+                merged.precision = plan.precision;
+            }
             for mut slot in plan.slots {
                 if let SlotOrigin::Step(i) = slot.origin {
                     slot.origin = SlotOrigin::Step(i + step_base);
@@ -449,11 +471,11 @@ pub struct PlanBuilder<'b, B: Backend> {
 impl<'b, B: Backend> PlanBuilder<'b, B> {
     /// Starts recording over `backend`.
     pub fn over(backend: &'b mut B) -> Self {
-        let reduced_precision = backend.reduced_precision();
+        let precision = backend.precision();
         Self {
             backend,
             plan: Plan {
-                reduced_precision,
+                precision,
                 ..Plan::default()
             },
             values: Vec::new(),
@@ -571,8 +593,8 @@ impl<B: Backend> Backend for PlanBuilder<'_, B> {
         self.backend.name()
     }
 
-    fn reduced_precision(&self) -> bool {
-        self.backend.reduced_precision()
+    fn precision(&self) -> PrecisionMode {
+        self.backend.precision()
     }
 
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {

@@ -21,9 +21,8 @@
 //!   live reads.
 //! * [`DensityLoweringPass`] — the Fig 14 density crossover as a plan
 //!   rewrite: input slots whose measured
-//!   [`density`](crate::repr::density) makes every reader step cheaper
-//!   under the sparse cost model
-//!   ([`predicted_sparse_mmo_cost`])
+//!   [`density`](crate::repr::density) is one the engine's own
+//!   walk-or-chain rule would row-walk in every reader step
 //!   are re-declared [`Csr`](OperandRepr::Csr) (or
 //!   [`Structured24`](OperandRepr::Structured24) when 2:4-compliant).
 //!   Representation is a schedule hint, never a semantics change, so
@@ -48,13 +47,13 @@
 
 use std::collections::HashMap;
 
-use simd2_gpu::cost::{predicted_mmo_cost, predicted_sparse_mmo_cost};
 use simd2_matrix::Matrix;
+use simd2_mxu::PrecisionMode;
 use simd2_semiring::OpKind;
 use simd2_trace::Counter;
 
 use super::{Executor, Plan, PlanBuilder, PlanKey, Replay, ReplayError, SlotId, SlotOrigin};
-use crate::backend::{Backend, Degrade, Health, MmoArgs, OpCount, Schedule};
+use crate::backend::{row_kernel, Backend, Degrade, Health, MmoArgs, OpCount, RowKernel, Schedule};
 use crate::error::BackendError;
 use crate::repr::{self, OperandRepr};
 
@@ -365,7 +364,7 @@ impl PlanPass for CsePass {
         let new_plan = Plan {
             slots: new_slots,
             steps: new_steps,
-            reduced_precision: plan.reduced_precision,
+            precision: plan.precision,
         };
         optimized.compose(new_plan, slot_map, step_map);
         PassStats {
@@ -503,7 +502,7 @@ impl PlanPass for DsePass {
         let new_plan = Plan {
             slots: new_slots,
             steps: new_steps,
-            reduced_precision: plan.reduced_precision,
+            precision: plan.precision,
         };
         optimized.compose(new_plan, slot_map, step_map);
         PassStats {
@@ -521,11 +520,13 @@ impl PlanPass for DsePass {
 /// captured value's [`density`](crate::repr::density) against each
 /// reader step's no-edge sentinel and promotes the slot to
 /// [`OperandRepr::Csr`] — or [`OperandRepr::Structured24`] when the
-/// value satisfies the 2:4 constraint — exactly when the sparse cost
-/// model predicts every reader step gets cheaper
-/// ([`predicted_sparse_mmo_cost`] vs [`predicted_mmo_cost`] on the
-/// step's recorded geometry; the per-step instantiation of
-/// [`sparse_crossover_density`](simd2_gpu::cost::sparse_crossover_density)).
+/// value satisfies the 2:4 constraint — exactly when the engine would
+/// use the declaration in every reader step: the pass asks
+/// [`TiledBackend`](crate::TiledBackend)'s own walk-or-chain rule (the
+/// one predicate its `execute` lowers a declared step with), so it
+/// declares what the engine row-walks and nothing else. The engine's
+/// value-domain rule reads operand values the pass does not; a step it
+/// densifies takes the chain, at the cost of the engine's scan.
 ///
 /// The rewrite can never change an answer or invalidate a replay:
 ///
@@ -593,28 +594,29 @@ impl PlanPass for DensityLoweringPass {
                 continue;
             };
             let d = repr::density(value, zero);
-            // Below the crossover for *every* reader: the sparse model
-            // (this slot at its measured density, the other operand at
-            // its already-declared density) must beat the dense model
-            // on each reader step's recorded geometry.
-            let cheaper_everywhere = readers[i].iter().all(|&j| {
+            // Walked by *every* reader: this slot at its measured
+            // density, the other operand at what its declaration already
+            // stores. Any row kernel skips a declared `A`'s entries; only
+            // the scatter skips a declared `B`'s.
+            let walked_everywhere = readers[i].iter().all(|&j| {
                 let s = &plan.steps[j];
-                let (m, n, k) = plan.step_geometry(j);
-                let other = |slot: SlotId| match (
+                let stored = |slot: SlotId| match (
                     plan.slots[slot.0].repr.zero(),
                     &plan.slots[slot.0].value,
                 ) {
+                    _ if slot.0 == i => d,
                     (Some(z), Some(v)) => repr::density(v, z),
                     _ => 1.0,
                 };
-                let (da, db) = if s.a.0 == i {
-                    (d, if s.b.0 == i { d } else { other(s.b) })
+                let (_, n, _) = plan.step_geometry(j);
+                let kernel = row_kernel(s.op, stored(s.a), stored(s.b), n);
+                if s.a.0 == i {
+                    kernel.is_some()
                 } else {
-                    (other(s.a), d)
-                };
-                predicted_sparse_mmo_cost(s.op, m, n, k, da, db) < predicted_mmo_cost(s.op, m, n, k)
+                    kernel == Some(RowKernel::Scatter)
+                }
             });
-            if !cheaper_everywhere {
+            if !walked_everywhere {
                 continue;
             }
             new_reprs[i] = Some(if repr::is_2_4_compliant(value, zero) {
@@ -691,8 +693,8 @@ impl PassPipeline {
     }
 
     /// The sparse pipeline: [`standard`](Self::standard) followed by a
-    /// [`DensityLoweringPass`], so the Fig 14 density crossover
-    /// re-declares cold input slots sparse.
+    /// [`DensityLoweringPass`], which re-declares sparse the input
+    /// slots the engine would row-walk.
     /// Kept out of `standard()`/`serving()` on purpose: promotion moves
     /// the plan's structural hash, and callers who did not opt into
     /// sparse lowering keep their pre-seam cache identities.
@@ -790,8 +792,8 @@ impl<B: Backend> Backend for OptimizingRecorder<'_, B> {
         self.builder.name()
     }
 
-    fn reduced_precision(&self) -> bool {
-        self.builder.reduced_precision()
+    fn precision(&self) -> PrecisionMode {
+        self.builder.precision()
     }
 
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
@@ -1012,6 +1014,66 @@ mod tests {
         let mut be = TiledBackend::new();
         let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
         assert!(bit_eq(optimized.final_output(&replay).unwrap(), &d0));
+    }
+
+    #[test]
+    fn density_lowering_declares_exactly_what_the_engine_row_walks() {
+        use rand::{Rng, SeedableRng};
+        use simd2_matrix::structured::prune_2_4;
+        use simd2_semiring::ALL_OPS;
+        // One-step plans, one operand at each density (`A` as it comes
+        // and pruned to 2:4; `B` over an output wide enough for a
+        // scatter to pay) against a full one, in every op's value
+        // domain: the pass shares the engine's predicate, so it declares
+        // a slot iff the engine row-walks the replayed step.
+        let (k, wide) = (48, 256);
+        let operand = |cols: usize, zero: f32, density: f64, seed| {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            Matrix::from_fn(k, cols, |_, _| {
+                if rng.gen_bool(density) {
+                    rng.gen_range(0.5..9.5)
+                } else {
+                    zero
+                }
+            })
+        };
+        let (mut walked, mut chained) = (0, 0);
+        for op in ALL_OPS {
+            let Some(zero) = op.no_edge_f32() else {
+                continue;
+            };
+            let full = operand(k, zero, 1.0, 1);
+            for (di, density) in [0.005, 0.01, 0.03, 0.06, 0.12, 0.25, 0.5, 0.9]
+                .into_iter()
+                .enumerate()
+            {
+                let sparse = operand(k, zero, density, 2 + di as u64);
+                let pruned = prune_2_4(&sparse, op);
+                let sparse_b = operand(wide, zero, density, 20 + di as u64);
+                for (a, b) in [(&sparse, &full), (&pruned, &full), (&full, &sparse_b)] {
+                    let c = Matrix::filled(k, b.cols(), op.reduce_identity_f32());
+                    let mut be = TiledBackend::new();
+                    let mut rec = PlanBuilder::over(&mut be);
+                    let eager = rec.mmo(op, a, b, &c).unwrap();
+                    let optimized = PassPipeline::sparse().run(rec.finish());
+                    let relowered = optimized.report().slots_relowered;
+                    let mut be = TiledBackend::new();
+                    let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
+                    let ctx = format!("{op} at {density}, n = {}", b.cols());
+                    assert!(
+                        bit_eq(optimized.final_output(&replay).unwrap(), &eager),
+                        "{ctx}"
+                    );
+                    assert_eq!(be.row_count().sparse_mmos, relowered as u64, "{ctx}");
+                    walked += relowered;
+                    chained += 1 - relowered;
+                }
+            }
+        }
+        assert!(
+            walked > 40 && chained > 40,
+            "{walked} walked, {chained} chained"
+        );
     }
 
     #[test]

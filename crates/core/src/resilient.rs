@@ -340,13 +340,9 @@ impl<B: Backend> ResilientBackend<B> {
     fn attempt(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
         let MmoArgs { op, a, b, c, .. } = *step;
         let d = self.inner.execute(step, schedule)?;
-        // Mirror the inner datapath's quantisation so clean fp16 results
-        // are not flagged as corrupt.
-        let mode = if self.inner.reduced_precision() {
-            PrecisionMode::Fp16Input
-        } else {
-            PrecisionMode::Fp32Input
-        };
+        // Mirror the inner datapath's quantisation so clean reduced-
+        // precision results are not flagged as corrupt.
+        let mode = self.inner.precision();
         abft::verify_matrix(op, a, b, c, &d, mode, &self.abft)
             .map_err(|violation| BackendError::Corruption { op, violation })?;
         Ok(d)
@@ -471,8 +467,8 @@ impl<B: Backend> Backend for ResilientBackend<B> {
         "resilient (ABFT-verified)"
     }
 
-    fn reduced_precision(&self) -> bool {
-        self.inner.reduced_precision()
+    fn precision(&self) -> PrecisionMode {
+        self.inner.precision()
     }
 
     /// The step goes through the full verified ladder, its declared
@@ -545,6 +541,20 @@ mod tests {
             let d = be.mmo(op, &a, &b, &c).unwrap();
             let want = TiledBackend::new().mmo(op, &a, &b, &c).unwrap();
             assert_eq!(d, want, "{op}");
+            // An int8 unit is verified against int8-rounded operands: its
+            // own answer comes back, first attempt.
+            let int8 =
+                || TiledBackend::with_unit(Simd2Unit::with_precision(PrecisionMode::Int8Input));
+            let policy = RecoveryPolicy::RetryThenFallback { attempts: 2 };
+            let mut be = ResilientBackend::new(int8(), policy);
+            let d = be.mmo(op, &a, &b, &c).unwrap();
+            assert_eq!(d, int8().mmo(op, &a, &b, &c).unwrap(), "{op} int8");
+            let stats = be.recovery_stats();
+            assert_eq!(
+                (stats.detections, stats.retries, stats.fallbacks),
+                (0, 0, 0),
+                "{op} int8"
+            );
         }
         let (a, b, c) = operands(OpKind::MinPlus, 20);
         let mut be = ResilientBackend::new(ReferenceBackend::new(), RecoveryPolicy::FailFast);

@@ -25,6 +25,7 @@ use simd2::{
     ReplayHalt, ResilientBackend, Schedule, Simd2Context, TiledBackend,
 };
 use simd2_matrix::Matrix;
+use simd2_mxu::PrecisionMode;
 use simd2_semiring::simd::KernelIsa;
 use simd2_semiring::OpKind;
 
@@ -53,8 +54,8 @@ impl Backend for Spy {
         "spy"
     }
 
-    fn reduced_precision(&self) -> bool {
-        false
+    fn precision(&self) -> PrecisionMode {
+        PrecisionMode::Fp32Input
     }
 
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
@@ -270,8 +271,8 @@ impl Backend for Lenient {
         "lenient"
     }
 
-    fn reduced_precision(&self) -> bool {
-        false
+    fn precision(&self) -> PrecisionMode {
+        PrecisionMode::Fp32Input
     }
 
     fn execute(&mut self, s: &MmoArgs<'_>, _schedule: Schedule) -> Result<Matrix, BackendError> {

@@ -9,7 +9,7 @@ use simd2_matrix::Matrix;
 
 /// A `rows × cols` operand: about `density` of the entries kept (in
 /// `0.5..9.5`, one in eight replaced by a value from `pool` — see
-/// [`specials`] and `proptest_rows.rs`' `hostile`), the rest at `zero`.
+/// [`specials`] and `hostile.rs` beside this file), the rest at `zero`.
 pub(crate) fn operand(
     pool: &[f32],
     rows: usize,

@@ -602,10 +602,6 @@ impl<I: ShardableInjector> MmoUnit for FaultySimd2Unit<I> {
         self.injector.begin_matrix_mmo();
     }
 
-    fn reduced_precision(&self) -> bool {
-        MmoUnit::reduced_precision(&self.unit)
-    }
-
     fn precision(&self) -> PrecisionMode {
         self.unit.precision()
     }
@@ -689,10 +685,6 @@ impl MmoUnit for PanicProbeUnit {
     ) {
         self.check_probe(coord);
         self.unit.execute_chain(op, a, b, acc);
-    }
-
-    fn reduced_precision(&self) -> bool {
-        MmoUnit::reduced_precision(&self.unit)
     }
 
     fn precision(&self) -> PrecisionMode {

@@ -136,77 +136,6 @@ pub fn effective_dim(m: usize, n: usize, k: usize) -> f64 {
     ((m as f64) * (n as f64) * (k as f64)).cbrt()
 }
 
-/// Predicted relative cost of one whole `m×n×k` MMO step: the analytic
-/// per-element issue-slot price of `op` ([`cuda_op_cost`]) times the
-/// `m·n·k` multiply-reduce volume. A *relative* price signal for
-/// comparing lowerings of one step (the plan optimizer's density
-/// lowering sets it against [`predicted_sparse_mmo_cost`]), not a
-/// wall-clock estimate — it deliberately ignores utilisation and launch
-/// overheads, which are the same for every lowering of a step.
-pub fn predicted_mmo_cost(op: OpKind, m: usize, n: usize, k: usize) -> f64 {
-    cuda_op_cost(op).total_slots() * (m as f64) * (n as f64) * (k as f64)
-}
-
-/// Per-element traversal overhead of a compressed (CSR / Gustavson)
-/// kernel relative to a dense sweep: index decode, gather addressing,
-/// and the irregular-access penalty a sparse datapath pays on every
-/// *stored* term. Calibrated against the Fig 14 observation that sparse
-/// only overtakes dense in the ≳90% sparsity regime.
-pub const SPARSE_TRAVERSAL_SLOTS: f64 = 2.4;
-
-/// Fixed per-row slot cost of a Gustavson pass (row-pointer walk,
-/// accumulator reset) charged once per `m·n` output element pair.
-pub const SPARSE_ROW_OVERHEAD_SLOTS: f64 = 0.35;
-
-/// Predicted relative cost of one whole `m×n×k` MMO step executed by a
-/// compressed Gustavson kernel when the `A`/`B` operands carry stored
-/// densities `density_a` / `density_b` (fractions in `[0, 1]` of
-/// entries that differ from the algebra's no-edge value).
-///
-/// The multiply-reduce volume shrinks to the *surviving* term count —
-/// `m·n·k · dₐ·d_b` in expectation, each term paying the dense slot
-/// price plus [`SPARSE_TRAVERSAL_SLOTS`] — while every output element
-/// still pays [`SPARSE_ROW_OVERHEAD_SLOTS`]. Same relative-price units
-/// as [`predicted_mmo_cost`], so the two compare directly.
-pub fn predicted_sparse_mmo_cost(
-    op: OpKind,
-    m: usize,
-    n: usize,
-    k: usize,
-    density_a: f64,
-    density_b: f64,
-) -> f64 {
-    let volume = (m as f64) * (n as f64) * (k as f64);
-    let surviving = volume * density_a.clamp(0.0, 1.0) * density_b.clamp(0.0, 1.0);
-    let per_term = cuda_op_cost(op).total_slots() + SPARSE_TRAVERSAL_SLOTS;
-    surviving * per_term + (m as f64) * (n as f64) * SPARSE_ROW_OVERHEAD_SLOTS
-}
-
-/// The operand density below which the compressed Gustavson kernel is
-/// predicted cheaper than the dense datapath for a square `n³` step of
-/// `op` (both operands at the returned density). Found by bisection on
-/// the monotone cost gap; returns a density in `[0, 1]`.
-pub fn sparse_crossover_density(op: OpKind, n: usize) -> f64 {
-    let dense = predicted_mmo_cost(op, n, n, n);
-    let cheaper = |d: f64| predicted_sparse_mmo_cost(op, n, n, n, d, d) < dense;
-    if !cheaper(0.0) {
-        return 0.0;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    if cheaper(hi) {
-        return 1.0;
-    }
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if cheaper(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,48 +193,6 @@ mod tests {
         // (2× lane ratio × 2.55 slots ≈ 5.1).
         let best = cuda_op_cost_fused(OpKind::MinMax).total_slots() * 2.0;
         assert!((4.5..=6.0).contains(&best), "{best}");
-    }
-
-    #[test]
-    fn sparse_cost_scales_with_density() {
-        let dense = predicted_mmo_cost(OpKind::MinPlus, 64, 64, 64);
-        let d10 = predicted_sparse_mmo_cost(OpKind::MinPlus, 64, 64, 64, 0.1, 0.1);
-        let d50 = predicted_sparse_mmo_cost(OpKind::MinPlus, 64, 64, 64, 0.5, 0.5);
-        assert!(d10 < d50, "{d10} vs {d50}");
-        assert!(d10 < dense, "very sparse beats dense: {d10} vs {dense}");
-        // Fully dense operands through the compressed kernel pay the
-        // traversal tax: strictly worse than the dense datapath.
-        let d100 = predicted_sparse_mmo_cost(OpKind::MinPlus, 64, 64, 64, 1.0, 1.0);
-        assert!(d100 > dense, "{d100} vs {dense}");
-    }
-
-    #[test]
-    fn crossover_density_separates_the_regimes() {
-        for op in ALL_OPS {
-            let x = sparse_crossover_density(op, 256);
-            assert!((0.0..=1.0).contains(&x), "{op}: {x}");
-            if x > 0.0 && x < 1.0 {
-                let below = predicted_sparse_mmo_cost(op, 256, 256, 256, x * 0.9, x * 0.9);
-                let above = predicted_sparse_mmo_cost(
-                    op,
-                    256,
-                    256,
-                    256,
-                    (x * 1.1).min(1.0),
-                    (x * 1.1).min(1.0),
-                );
-                let dense = predicted_mmo_cost(op, 256, 256, 256);
-                assert!(below < dense, "{op}");
-                assert!(above > dense, "{op}");
-            }
-        }
-        // The hazard-pair ops tolerate denser operands before sparse
-        // loses (their dense slot price is higher), mirroring how the
-        // Fig 14 crossover shifts with the algebra.
-        assert!(
-            sparse_crossover_density(OpKind::MinMax, 256)
-                > sparse_crossover_density(OpKind::PlusMul, 256)
-        );
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod replay;
 pub mod sim;
 
 pub use config::GpuConfig;
-pub use cost::predicted_mmo_cost;
 pub use kernel::{geomean, Gpu, KernelProfile, Seconds};
 pub use replay::{simulate_trace, MmoTrace};
 pub use sim::{GridSim, PipelineStats, SmPipeline};

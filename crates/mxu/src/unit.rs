@@ -281,7 +281,9 @@ pub trait MmoUnit: std::fmt::Debug {
     fn begin_matrix_mmo(&mut self) {}
 
     /// Whether the datapath quantises inputs below fp32.
-    fn reduced_precision(&self) -> bool;
+    fn reduced_precision(&self) -> bool {
+        self.precision() != PrecisionMode::Fp32Input
+    }
 
     /// The instruction set the unit's tile kernel executes with, for
     /// telemetry. Fault injection addresses output *coordinates* after
@@ -365,10 +367,6 @@ impl MmoUnit for Simd2Unit {
         acc: &mut Tile<ISA_TILE>,
     ) {
         Simd2Unit::execute_chain(self, op, a, b, acc);
-    }
-
-    fn reduced_precision(&self) -> bool {
-        self.precision() != PrecisionMode::Fp32Input
     }
 
     fn precision(&self) -> PrecisionMode {

@@ -144,8 +144,8 @@ impl Backend for SparseTiledBackend {
         self.engine.name()
     }
 
-    fn reduced_precision(&self) -> bool {
-        self.engine.reduced_precision()
+    fn precision(&self) -> PrecisionMode {
+        self.engine.precision()
     }
 
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {

@@ -33,8 +33,10 @@ CARGO_TARGET_DIR=target/benchmark \
 SIMD2_FORCE_SCALAR=1 cargo test -q
 
 # The cross-backend fold-order differential and the engine's own walk
-# differential (tile chain ≡ every row walk ≡ the reference) once more
-# optimised, on both legs: `f32::max` does not order `±0`, and the places
+# differentials (every row kernel forced, in `backend::rows`; every
+# declaration against the reference and the stripped step, in
+# `proptest_rows`) once more optimised, on both legs: `f32::max` does
+# not order `±0`, and the places
 # where that showed (a `max` against a constant the optimiser may
 # commute) only ever disagreed in release builds. With them the ABFT
 # verifier against its element-at-a-time definition: its sums are only
@@ -43,8 +45,17 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # quantiser.
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::rows
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-fault --test proptest_abft
+done
+
+# Where this host's walk-or-chain and scatter-or-sweep bounds would fall
+# (`backend::rows`' private constants were placed by these sweeps on the
+# host EXPERIMENTS.md names): informational, not compared.
+for sweep in walk_or_chain scatter_or_sweep; do
+  cargo test --release -q -p simd2 --lib -- --ignored --nocapture "$sweep" \
+    > "target/$sweep.txt"
 done
 
 # The vector fp16 quantiser against the scalar round trip on all 2^32

@@ -95,10 +95,14 @@ fn every_backend_computes_one_reduction() {
                             x
                         }
                     };
-                    let a = gen(m, k, fill, 0.4, 0xA);
+                    // Densities the engine row-walks a declared operand
+                    // at: `a` and `sparse_b` for every op but or-and,
+                    // `sparse_a` for or-and too.
+                    let a = gen(m, k, fill, 0.2, 0xA);
+                    let sparse_a = gen(m, k, fill, 0.02, 0xE);
                     let a24 = structured_24(a.clone(), fill);
                     let b = gen(k, n, fill, 0.4, 0xB);
-                    let sparse_b = gen(k, n, fill, 0.05, 0xD);
+                    let sparse_b = gen(k, n, fill, 0.015, 0xD);
                     let c = gen(m, n, op.reduce_identity_f32(), 0.7, 0xC);
                     let ctx = format!("{op} {m}x{n}x{k} pool {pool} signed={sign}");
 
@@ -119,6 +123,8 @@ fn every_backend_computes_one_reduction() {
                                 (&a, csr, &sparse_b, csr),
                                 (&a, dense, &sparse_b, csr),
                                 (&a24, s24, &b, dense),
+                                (&sparse_a, csr, &b, dense),
+                                (&sparse_a, csr, &sparse_b, csr),
                             ] {
                                 let want = if std::ptr::eq(am, &a) && std::ptr::eq(bm, &b) {
                                     chain.clone()

@@ -258,10 +258,13 @@ proptest! {
                     op, density_idx, reduced, workers, step
                 );
             }
-            if sentinel.is_some() {
+            // Whether a declared step is row-walked is the engine's
+            // call: below every float chain's walk-or-chain bound it
+            // walks (or-and's bit-mask chain wins from 3 % up).
+            if sentinel.is_some() && op != OpKind::OrAnd && density <= 0.1 {
                 prop_assert!(
                     be.row_count().sparse_mmos > 0,
-                    "{}: declared operands must take the row walks", op
+                    "{}: a sparse declared operand must take a row walk", op
                 );
             }
         }
