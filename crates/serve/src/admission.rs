@@ -3,8 +3,10 @@
 //! Admission answers one question — *may this job enter the queue?* —
 //! and answers it explicitly. A submission is checked in a fixed order:
 //! structural validity first (a malformed plan must never occupy queue
-//! space), then the service-wide backpressure gate, then the tenant's
-//! own quotas. The granted/refused decision is returned to the caller
+//! space), then the service-wide backpressure gate, then — with app
+//! payloads expanded and the serving passes run, so a refused
+//! submission pays for neither — the tenant's own quotas. The
+//! granted/refused decision is returned to the caller
 //! as `Ok(JobId)` or a [`Rejected`] variant; nothing is ever silently
 //! dropped or unboundedly buffered.
 
@@ -69,8 +71,8 @@ impl TenantQuota {
     }
 }
 
-/// A tenant's live admission usage, maintained by the service: what the
-/// quota checks compare against.
+/// A tenant's live admission usage — the sums over its queued jobs,
+/// read off the queue — which the quota checks compare against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenantLedger {
     /// Jobs admitted but not yet terminal.

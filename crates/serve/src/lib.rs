@@ -34,10 +34,13 @@
 //! 3. **Isolation**: one tenant's panics, poisoned inputs, quota
 //!    pressure, or quarantined plans never corrupt, delay past
 //!    deadline bounds, starve, or abort another tenant's jobs.
-//! 4. **Accountable telemetry**: per-tenant [`TenantStats`] counters
-//!    are mirrored one-for-one by [`span::SERVE`](simd2_trace::span)
-//!    events, and breaker/degradation transitions replay
-//!    deterministically from the seed.
+//! 4. **Accountable telemetry**: each per-tenant [`TenantStats`]
+//!    counter moves at one site, the one that emits its
+//!    [`span::SERVE`](simd2_trace::span) event, so counters and events
+//!    agree by construction; the [`TenantLedger`] is read off the
+//!    queues, not kept beside them; and counters, ledgers, breakers and
+//!    the degradation ladder all equal the `serve_soak` reference
+//!    model's, state for state, from the seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,14 +3,17 @@
 //!
 //! # Lifecycle
 //!
-//! [`PlanService::submit`] validates the payload (expanding registry
-//! apps to their recorded plans), applies the service-wide backpressure
-//! gate and the tenant's [`TenantQuota`], and either enqueues the job
-//! or returns an explicit [`Rejected`]. [`PlanService::run_until_idle`]
-//! drains the per-tenant FIFO queues in weighted round-robin order;
-//! each job replays through the shared [`ResilientBackend`] under its
-//! [`Deadline`] (a step-boundary [`ReplayControl`](simd2::ReplayControl)
-//! budget check) and lands exactly one [`JobOutcome`].
+//! [`PlanService::submit`] checks the payload's structure, applies the
+//! service-wide backpressure gate, expands registry apps to their
+//! recorded plans, and checks the tenant's [`TenantQuota`]: it either
+//! enqueues the job or returns an explicit [`Rejected`].
+//! [`PlanService::run_until_idle`] drains the per-tenant FIFO queues in
+//! weighted round-robin order. Each popped job is gated (quarantine,
+//! plan breaker, tenant breaker), served from the cache or replayed
+//! through the shared [`ResilientBackend`] under its [`Deadline`] (a
+//! step-boundary [`ReplayControl`](simd2::ReplayControl) budget check),
+//! and then lands — a terminal [`JobOutcome`], or a suspension that
+//! re-queues it with its checkpoint — through one function.
 //!
 //! # Isolation
 //!
@@ -29,8 +32,9 @@ use simd2::{
     Backend, Degrade, HaltedReplay, PassPipeline, Plan, PlanCheckpoint, PlanExecutor, PlanKey,
     RecoveryPolicy, RecoveryStats, ReplayProgress, ResilientBackend, RetryBackoff, TiledBackend,
 };
-use simd2_apps::{harness, AppKind};
+use simd2_apps::harness;
 use simd2_fault::abft::AbftConfig;
+use simd2_matrix::Matrix;
 use simd2_semiring::simd::KernelIsa;
 use simd2_trace::{field, span, Tracer};
 
@@ -150,9 +154,9 @@ pub struct DegradeState {
     pub panic_strikes: u64,
 }
 
-/// Per-tenant outcome counters, maintained by the scheduler and
-/// mirrored one-for-one by [`span::SERVE`] telemetry events (the
-/// `serve_soak` binary asserts exact equality).
+/// Per-tenant outcome counters. Every counter but `fault_log_dropped`
+/// moves only where its [`span::SERVE`] event is emitted, so the event
+/// stream and these counters agree by construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Submissions received (admitted + rejected).
@@ -206,6 +210,29 @@ impl TenantStats {
     pub fn terminal(&self) -> u64 {
         self.completed + self.expired + self.failed + self.quarantined
     }
+
+    /// The counter a lifecycle stage moves (`None` for the
+    /// degradation-ladder stages, which are service state).
+    fn counter(&mut self, stage: &str) -> Option<&mut u64> {
+        Some(match stage {
+            "submitted" => &mut self.submitted,
+            "admitted" => &mut self.admitted,
+            "rejected_backpressure" => &mut self.rejected_backpressure,
+            "rejected_quota" => &mut self.rejected_quota,
+            "rejected_malformed" => &mut self.rejected_malformed,
+            "completed" => &mut self.completed,
+            "expired" => &mut self.expired,
+            "failed" => &mut self.failed,
+            "quarantined" => &mut self.quarantined,
+            "recovered" => &mut self.recovered,
+            "cache_hit" => &mut self.cache_hits,
+            "suspended" => &mut self.suspended,
+            "resumed" => &mut self.resumed,
+            "breaker_trip" => &mut self.breaker_trips,
+            "breaker_short_circuit" => &mut self.breaker_short_circuits,
+            _ => return None,
+        })
+    }
 }
 
 /// One admitted job waiting for a scheduling round — fresh, or
@@ -217,7 +244,10 @@ struct QueuedJob {
     deadline: Deadline,
     steps: u64,
     bytes: u64,
-    /// Completed-wave state from a previous round (`None` until the
+    /// Steps completed in earlier rounds: the checkpoint's
+    /// `completed_steps`, kept beside it because a resume consumes it.
+    done: u64,
+    /// Completed-step state from a previous round (`None` until the
     /// job's first suspension).
     checkpoint: Option<PlanCheckpoint>,
 }
@@ -226,22 +256,37 @@ struct QueuedJob {
 #[derive(Clone, Debug)]
 struct TenantState {
     quota: TenantQuota,
-    ledger: TenantLedger,
     queue: VecDeque<QueuedJob>,
     stats: TenantStats,
     breaker: Breaker,
 }
 
 impl TenantState {
-    fn new(quota: TenantQuota) -> Self {
-        Self {
-            quota,
-            ledger: TenantLedger::default(),
-            queue: VecDeque::new(),
-            stats: TenantStats::default(),
-            breaker: Breaker::new(),
+    /// The admission ledger, read off the queue. Exact whenever no
+    /// round is running — the only time admission reads it — because a
+    /// job is in flight exactly while it is queued.
+    fn ledger(&self) -> TenantLedger {
+        TenantLedger {
+            in_flight: self.queue.len(),
+            queued_steps: self.queue.iter().map(|j| j.steps).sum(),
+            queued_bytes: self.queue.iter().map(|j| j.bytes).sum(),
         }
     }
+}
+
+/// How one scheduling round of a job ended, before [`PlanService::land`]
+/// turns it into a terminal status or a suspension.
+enum Round {
+    /// Refused: the plan is quarantined after this many trips.
+    Quarantined(u32),
+    /// Refused by an open breaker.
+    ShortCircuit(String),
+    /// Served from the plan cache.
+    CacheHit(Matrix),
+    /// Replayed to the final step.
+    Completed { output: Matrix, recovered: bool },
+    /// Replay halted: budget, quantum, or a backend failure.
+    Halted(Box<HaltedReplay>),
 }
 
 /// A multi-tenant plan service over one shared backend.
@@ -258,14 +303,12 @@ pub struct PlanService<B: Backend> {
     /// order.
     tenants: Vec<(TenantId, TenantState)>,
     cache: PlanCache,
-    app_plans: HashMap<(AppKind, usize, u64), Plan>,
     /// Per-plan circuit breakers (populated only when breakers are
     /// armed; one entry per distinct executed plan).
     plan_breakers: HashMap<PlanKey, Breaker>,
     outcomes: Vec<JobOutcome>,
     tracer: Tracer,
     next_job: u64,
-    queued_total: usize,
     max_queued_jobs: usize,
     max_app_dimension: usize,
     breaker_config: BreakerConfig,
@@ -291,12 +334,10 @@ impl<B: Backend> PlanService<B> {
             recorder: TiledBackend::new(),
             tenants: Vec::new(),
             cache: PlanCache::new(config.cache_capacity),
-            app_plans: HashMap::new(),
             plan_breakers: HashMap::new(),
             outcomes: Vec::new(),
             tracer: Tracer::off(),
             next_job: 0,
-            queued_total: 0,
             max_queued_jobs: config.max_queued_jobs,
             max_app_dimension: config.max_app_dimension,
             breaker_config: config.breaker,
@@ -326,7 +367,15 @@ impl<B: Backend> PlanService<B> {
     pub fn register_tenant(&mut self, tenant: TenantId, quota: TenantQuota) {
         match self.tenant_index(tenant) {
             Some(idx) => self.tenants[idx].1.quota = quota,
-            None => self.tenants.push((tenant, TenantState::new(quota))),
+            None => self.tenants.push((
+                tenant,
+                TenantState {
+                    quota,
+                    queue: VecDeque::new(),
+                    stats: TenantStats::default(),
+                    breaker: Breaker::new(),
+                },
+            )),
         }
     }
 
@@ -339,21 +388,24 @@ impl<B: Backend> PlanService<B> {
         self.tenants.iter().position(|(t, _)| *t == tenant)
     }
 
-    fn emit_stage(&self, stage: &'static str, tenant: TenantId, job: Option<JobId>) {
-        match job {
-            Some(id) => self.tracer.instant(
-                span::SERVE,
-                &[
-                    field("stage", stage),
-                    field("tenant", tenant.0),
-                    field("job", id.0),
-                ],
-            ),
-            None => self.tracer.instant(
-                span::SERVE,
-                &[field("stage", stage), field("tenant", tenant.0)],
-            ),
+    /// Moves the tenant counter of one lifecycle `stage` (and
+    /// `executed_steps` by `steps`, for the stages that carry a
+    /// round's steps) and emits the stage's [`span::SERVE`] event —
+    /// the one place either happens.
+    fn record(&mut self, idx: usize, stage: &'static str, job: Option<JobId>, steps: Option<u64>) {
+        let (tenant, state) = &mut self.tenants[idx];
+        if let Some(n) = state.stats.counter(stage) {
+            *n += 1;
         }
+        state.stats.executed_steps += steps.unwrap_or(0);
+        let fields = [
+            field("stage", stage),
+            field("tenant", tenant.0),
+            field("job", job.map_or(0, |j| j.0)),
+            field("executed_steps", steps.unwrap_or(0)),
+        ];
+        let len = 2 + usize::from(job.is_some()) + usize::from(steps.is_some());
+        self.tracer.instant(span::SERVE, &fields[..len]);
     }
 
     /// Submits a job for `tenant`.
@@ -371,33 +423,43 @@ impl<B: Backend> PlanService<B> {
                 reason: format!("{tenant} is not registered"),
             });
         };
-        self.tenants[idx].1.stats.submitted += 1;
-        self.emit_stage("submitted", tenant, None);
+        self.record(idx, "submitted", None, None);
         let result = self.admit(idx, spec);
         match &result {
-            Ok(id) => {
-                self.tenants[idx].1.stats.admitted += 1;
-                self.emit_stage("admitted", tenant, Some(*id));
-            }
-            Err(rejection) => {
-                let stats = &mut self.tenants[idx].1.stats;
-                match rejection {
-                    Rejected::Backpressure { .. } => stats.rejected_backpressure += 1,
-                    Rejected::QuotaExceeded { .. } => stats.rejected_quota += 1,
-                    Rejected::Malformed { .. } => stats.rejected_malformed += 1,
-                }
-                self.emit_stage(rejection.stage(), tenant, None);
-            }
+            Ok(id) => self.record(idx, "admitted", Some(*id), None),
+            Err(rejection) => self.record(idx, rejection.stage(), None, None),
         }
         result
     }
 
+    /// Structure, then backpressure, then expansion, then quota: a
+    /// refused submission never pays for an app run or a pass pipeline.
     fn admit(&mut self, idx: usize, spec: JobSpec) -> Result<JobId, Rejected> {
+        match &spec.payload {
+            JobPayload::Plan(plan) => validate_plan(plan)?,
+            JobPayload::App { n, .. } if *n < 16 || *n > self.max_app_dimension => {
+                return Err(Rejected::Malformed {
+                    reason: format!("app dimension {n} outside 16..={}", self.max_app_dimension),
+                })
+            }
+            JobPayload::App { .. } => {}
+        }
+        let queued = self.queued_jobs();
+        if queued >= self.max_queued_jobs {
+            return Err(Rejected::Backpressure {
+                queued,
+                capacity: self.max_queued_jobs,
+            });
+        }
         let plan = match spec.payload {
             JobPayload::Plan(plan) => plan,
-            JobPayload::App { app, n, seed } => self.app_plan(app, n, seed)?,
+            // Expansion happens at admission so quotas and deadlines see
+            // the plan's real step count.
+            JobPayload::App { app, n, seed } => {
+                let leyzorek = ClosureAlgorithm::Leyzorek;
+                harness::run_app(&mut self.recorder, app, n, seed, leyzorek, true).plan
+            }
         };
-        validate_plan(&plan)?;
         // Optimization happens before quota accounting and queueing, so
         // steps/bytes ledgers, deadline budgets, and — crucially — the
         // plan cache key all describe the plan that actually replays.
@@ -408,59 +470,22 @@ impl<B: Backend> PlanService<B> {
         } else {
             plan
         };
-        if self.queued_total >= self.max_queued_jobs {
-            return Err(Rejected::Backpressure {
-                queued: self.queued_total,
-                capacity: self.max_queued_jobs,
-            });
-        }
         let steps = plan.step_count() as u64;
         let bytes = plan_input_bytes(&plan);
-        {
-            let state = &self.tenants[idx].1;
-            state.ledger.admit(&state.quota, steps, bytes)?;
-        }
+        let state = &mut self.tenants[idx].1;
+        state.ledger().admit(&state.quota, steps, bytes)?;
         let id = JobId(self.next_job);
         self.next_job += 1;
-        let state = &mut self.tenants[idx].1;
-        state.ledger.in_flight += 1;
-        state.ledger.queued_steps += steps;
-        state.ledger.queued_bytes += bytes;
         state.queue.push_back(QueuedJob {
             id,
             plan,
             deadline: spec.deadline,
             steps,
             bytes,
+            done: 0,
             checkpoint: None,
         });
-        self.queued_total += 1;
         Ok(id)
-    }
-
-    /// Expands a registry-app payload to its recorded plan on the
-    /// internal sequential recorder, memoized per `(app, n, seed)`.
-    /// Expansion happens at admission so quotas and deadlines see the
-    /// plan's real step count.
-    fn app_plan(&mut self, app: AppKind, n: usize, seed: u64) -> Result<Plan, Rejected> {
-        if n < 16 || n > self.max_app_dimension {
-            return Err(Rejected::Malformed {
-                reason: format!("app dimension {n} outside 16..={}", self.max_app_dimension),
-            });
-        }
-        if let Some(plan) = self.app_plans.get(&(app, n, seed)) {
-            return Ok(plan.clone());
-        }
-        let run = harness::run_app(
-            &mut self.recorder,
-            app,
-            n,
-            seed,
-            ClosureAlgorithm::Leyzorek,
-            true,
-        );
-        self.app_plans.insert((app, n, seed), run.plan.clone());
-        Ok(run.plan)
     }
 
     /// Drains every tenant queue: each cycle visits tenants in
@@ -478,10 +503,22 @@ impl<B: Backend> PlanService<B> {
             for idx in 0..self.tenants.len() {
                 let weight = self.tenants[idx].1.quota.weight.max(1);
                 for _ in 0..weight {
-                    let Some(job) = self.tenants[idx].1.queue.pop_front() else {
+                    let Some(mut job) = self.tenants[idx].1.queue.pop_front() else {
                         break;
                     };
-                    self.execute(idx, job);
+                    let key = job.plan.cache_key();
+                    let round = match self.gate(idx, key) {
+                        Some(refused) => refused,
+                        None if job.checkpoint.is_some() => {
+                            self.record(idx, "resumed", Some(job.id), None);
+                            self.replay(idx, &mut job)
+                        }
+                        None => match self.cache.get(&key) {
+                            Some(output) => Round::CacheHit(output),
+                            None => self.replay(idx, &mut job),
+                        },
+                    };
+                    self.land(idx, job, key, round);
                     executed += 1;
                     progressed = true;
                 }
@@ -492,49 +529,37 @@ impl<B: Backend> PlanService<B> {
         }
     }
 
-    /// Executes one scheduling round of `job`: either to a terminal
-    /// status, or to a wave-boundary suspension that re-enqueues the
-    /// job with its checkpoint.
-    fn execute(&mut self, idx: usize, mut job: QueuedJob) {
-        let tenant = self.tenants[idx].0;
-        {
-            let ledger = &mut self.tenants[idx].1.ledger;
-            ledger.queued_steps -= job.steps;
-            ledger.queued_bytes -= job.bytes;
+    /// The pre-execution breaker gate: quarantine first, then the plan
+    /// breaker, then the tenant breaker. Returns the refusal, or `None`
+    /// to let the job run.
+    fn gate(&mut self, idx: usize, key: PlanKey) -> Option<Round> {
+        let cfg = self.breaker_config;
+        if !cfg.armed() {
+            return None;
         }
-        self.queued_total -= 1;
-        let total_steps = job.plan.step_count() as u64;
-        let key = job.plan.cache_key();
-
-        if self.breaker_config.armed() {
-            if let Some(status) = self.breaker_gate(idx, job.id, key) {
-                self.finish(idx, &job, key, 0, status, false);
-                return;
-            }
+        let plan = self.plan_breakers.entry(key).or_default();
+        if plan.quarantined(&cfg) {
+            return Some(Round::Quarantined(plan.trips()));
         }
-
-        let resumed_round = job.checkpoint.is_some();
-        if resumed_round {
-            self.tenants[idx].1.stats.resumed += 1;
-            self.emit_stage("resumed", tenant, Some(job.id));
-        } else if let Some(output) = self.cache.get(&key) {
-            let status = JobStatus::Completed {
-                output,
-                cache_hit: true,
-                recovered: false,
-                executed_steps: 0,
-            };
-            self.finish(idx, &job, key, 0, status, false);
-            return;
+        if !plan.admit(&cfg) {
+            let error = format!("circuit breaker open for plan {key:?}");
+            return Some(Round::ShortCircuit(error));
         }
+        let (tenant, state) = &mut self.tenants[idx];
+        if !state.breaker.admit(&cfg) {
+            let error = format!("circuit breaker open for {tenant}");
+            return Some(Round::ShortCircuit(error));
+        }
+        None
+    }
 
+    /// Replays `job` from its checkpoint (or from the start) under its
+    /// deadline and the round quantum, then feeds the round's recovery
+    /// counters to the degradation ladder.
+    fn replay(&mut self, idx: usize, job: &mut QueuedJob) -> Round {
         let before = self.backend.recovery_stats();
         let dropped_before = self.backend.health().fault_log_dropped;
-        let base = job
-            .checkpoint
-            .as_ref()
-            .map_or(0, |c| c.completed_steps() as u64);
-        let deadline = job.deadline;
+        let (base, deadline) = (job.done, job.deadline);
         let quantum = self.resume_config.quantum;
         let mut control = |p: ReplayProgress| {
             let done = p.completed_steps as u64;
@@ -557,264 +582,141 @@ impl<B: Backend> PlanService<B> {
         let after = self.backend.recovery_stats();
         self.tenants[idx].1.stats.fault_log_dropped +=
             self.backend.health().fault_log_dropped - dropped_before;
-        self.feed_degradation(tenant, job.id, &before, &after);
-
+        self.feed_degradation(idx, job.id, &before, &after);
         match result {
-            Ok(replay) => {
-                let recovered = after.retry_successes != before.retry_successes
-                    || after.panic_recoveries != before.panic_recoveries
-                    || after.fallbacks != before.fallbacks;
-                let output = replay
+            Ok(replay) => Round::Completed {
+                output: replay
                     .into_final_output()
-                    .expect("admitted plans are non-empty");
+                    .expect("admitted plans are non-empty"),
+                recovered: after.retry_successes != before.retry_successes
+                    || after.panic_recoveries != before.panic_recoveries
+                    || after.fallbacks != before.fallbacks,
+            },
+            Err(halted) => Round::Halted(halted),
+        }
+    }
+
+    /// Lands one round: a wave-boundary suspension (checkpoint kept,
+    /// job re-queued) when the resume policy allows, otherwise a
+    /// terminal status, recorded into the breakers if the round ran.
+    /// Executed steps and the resume count are read off the job and its
+    /// checkpoint; each event carries this *round's* steps, so event
+    /// sums equal [`TenantStats::executed_steps`] across suspensions.
+    fn land(&mut self, idx: usize, mut job: QueuedJob, key: PlanKey, round: Round) {
+        let id = Some(job.id);
+        let before = job.done;
+        let ran = matches!(round, Round::Completed { .. } | Round::Halted(_));
+        let status = match round {
+            Round::Quarantined(trips) => JobStatus::Quarantined { key, trips },
+            Round::ShortCircuit(error) => {
+                self.record(idx, "breaker_short_circuit", id, None);
+                JobStatus::Failed {
+                    step: before as usize,
+                    executed_steps: before,
+                    error,
+                }
+            }
+            Round::CacheHit(output) => JobStatus::Completed {
+                output,
+                cache_hit: true,
+                recovered: false,
+                executed_steps: before,
+            },
+            Round::Completed { output, recovered } => {
                 self.cache.insert(key, output.clone());
-                let status = JobStatus::Completed {
+                job.done = job.steps;
+                JobStatus::Completed {
                     output,
                     cache_hit: false,
                     recovered,
-                    executed_steps: total_steps,
-                };
-                self.finish(idx, &job, key, total_steps - base, status, true);
+                    executed_steps: job.done,
+                }
             }
-            Err(halted) => self.finish_halted(idx, job, key, base, *halted),
-        }
-    }
-
-    /// The pre-execution breaker gate: quarantine first, then the plan
-    /// breaker, then the tenant breaker. Returns the terminal status
-    /// that short-circuits the job, or `None` to let it execute.
-    fn breaker_gate(&mut self, idx: usize, job_id: JobId, key: PlanKey) -> Option<JobStatus> {
-        let cfg = self.breaker_config;
-        let tenant = self.tenants[idx].0;
-        if let Some(b) = self.plan_breakers.get(&key) {
-            if b.quarantined(&cfg) {
-                return Some(JobStatus::Quarantined {
-                    key,
-                    trips: b.trips(),
-                });
-            }
-        }
-        if !self.plan_breakers.entry(key).or_default().admit(&cfg) {
-            self.tenants[idx].1.stats.breaker_short_circuits += 1;
-            self.emit_stage("breaker_short_circuit", tenant, Some(job_id));
-            return Some(JobStatus::Failed {
-                step: 0,
-                executed_steps: 0,
-                error: format!("circuit breaker open for plan {key:?}"),
-            });
-        }
-        if !self.tenants[idx].1.breaker.admit(&cfg) {
-            self.tenants[idx].1.stats.breaker_short_circuits += 1;
-            self.emit_stage("breaker_short_circuit", tenant, Some(job_id));
-            return Some(JobStatus::Failed {
-                step: 0,
-                executed_steps: 0,
-                error: format!("circuit breaker open for {tenant}"),
-            });
-        }
-        None
-    }
-
-    /// Lands a halted round: a wave-boundary suspension (checkpoint
-    /// kept, job re-enqueued) when the resume policy allows, otherwise
-    /// a terminal expiry or failure carrying exact resume accounting.
-    fn finish_halted(
-        &mut self,
-        idx: usize,
-        job: QueuedJob,
-        key: PlanKey,
-        base: u64,
-        halted: HaltedReplay,
-    ) {
-        let HaltedReplay { error, checkpoint } = halted;
-        let done = checkpoint.completed_steps() as u64;
-        let round_executed = done - base;
-        let resumes = checkpoint.resumes();
-        let total_steps = checkpoint.total_steps() as u64;
-        let budget = job.deadline.budget();
-        let resume_armed = self.resume_config.armed();
-        let resumes_left = resumes < self.resume_config.max_resumes;
-        if error.is_cancelled() {
-            // Deadline or round-quantum halt at a step boundary (a
-            // quantum always admits one step, so a suspended round made
-            // progress).
-            let budget_open = budget.is_none_or(|b| b > done);
-            if resume_armed && budget_open && resumes_left {
-                self.suspend(idx, job, checkpoint, round_executed);
-                return;
-            }
-            let status = JobStatus::Expired {
-                executed_steps: done,
-                budget: budget.unwrap_or(0),
-                total_steps,
-                resumed_from: resumes,
-                checkpoint: resume_armed.then_some(key),
-                resumable: resume_armed && budget_open,
-            };
-            self.finish(idx, &job, key, round_executed, status, true);
-        } else {
-            // A backend failure. Worker panics (surfaced because resume
-            // arms `recover_panics = false`) suspend and retry in a
-            // later round — the degradation ladder makes those retries
-            // converge; everything else is terminal.
-            let panicked = error
-                .backend_error()
-                .is_some_and(simd2::BackendError::is_worker_panic);
-            if resume_armed && panicked && resumes_left {
-                self.suspend(idx, job, checkpoint, round_executed);
-                return;
-            }
-            let status = JobStatus::Failed {
-                step: error.step,
-                executed_steps: done,
-                error: error
+            Round::Halted(halted) => {
+                let HaltedReplay { error, checkpoint } = *halted;
+                job.done = checkpoint.completed_steps() as u64;
+                let resumes = checkpoint.resumes();
+                let armed = self.resume_config.armed();
+                let budget = job.deadline.budget();
+                let budget_open = budget.is_none_or(|b| b > job.done);
+                let panicked = error
                     .backend_error()
-                    .map(ToString::to_string)
-                    .unwrap_or_default(),
-            };
-            self.finish(idx, &job, key, round_executed, status, true);
-        }
-    }
-
-    /// Re-enqueues a halted job at the back of its tenant's queue with
-    /// its checkpoint riding along: completed waves are never
-    /// re-executed.
-    fn suspend(
-        &mut self,
-        idx: usize,
-        mut job: QueuedJob,
-        checkpoint: PlanCheckpoint,
-        round_executed: u64,
-    ) {
-        let tenant = self.tenants[idx].0;
-        job.checkpoint = Some(checkpoint);
-        {
-            let state = &mut self.tenants[idx].1;
-            state.stats.suspended += 1;
-            state.stats.executed_steps += round_executed;
-            state.ledger.queued_steps += job.steps;
-            state.ledger.queued_bytes += job.bytes;
-        }
-        self.queued_total += 1;
-        self.tracer.instant(
-            span::SERVE,
-            &[
-                field("stage", "suspended"),
-                field("tenant", tenant.0),
-                field("job", job.id.0),
-                field("executed_steps", round_executed),
-            ],
-        );
-        self.tenants[idx].1.queue.push_back(job);
-    }
-
-    /// Lands a terminal status: stats, breaker recording (for statuses
-    /// that actually `executed`), telemetry, ledger release, and the
-    /// outcome record. The telemetry event carries this *round's*
-    /// dispatched steps, so event sums stay equal to
-    /// [`TenantStats::executed_steps`] across suspensions.
-    fn finish(
-        &mut self,
-        idx: usize,
-        job: &QueuedJob,
-        key: PlanKey,
-        round_executed: u64,
-        status: JobStatus,
-        executed: bool,
-    ) {
-        let tenant = self.tenants[idx].0;
-        {
-            let state = &mut self.tenants[idx].1;
-            state.ledger.in_flight -= 1;
-            state.stats.executed_steps += round_executed;
-            match &status {
-                JobStatus::Completed {
-                    cache_hit,
-                    recovered,
-                    ..
-                } => {
-                    state.stats.completed += 1;
-                    if *cache_hit {
-                        state.stats.cache_hits += 1;
+                    .is_some_and(simd2::BackendError::is_worker_panic);
+                // A deadline or quantum halt with budget left suspends
+                // (a quantum always admits one step, so the round made
+                // progress); so does a worker panic (surfaced because
+                // resume arms `recover_panics = false`), whose retries
+                // the degradation ladder makes converge.
+                let retry = if error.is_cancelled() {
+                    budget_open
+                } else {
+                    panicked
+                };
+                if armed && retry && resumes < self.resume_config.max_resumes {
+                    job.checkpoint = Some(checkpoint);
+                    self.record(idx, "suspended", id, Some(job.done - before));
+                    self.tenants[idx].1.queue.push_back(job);
+                    return;
+                }
+                if error.is_cancelled() {
+                    JobStatus::Expired {
+                        executed_steps: job.done,
+                        budget: budget.unwrap_or(0),
+                        total_steps: job.steps,
+                        resumed_from: resumes,
+                        checkpoint: armed.then_some(key),
+                        resumable: armed && budget_open,
                     }
-                    if *recovered {
-                        state.stats.recovered += 1;
+                } else {
+                    JobStatus::Failed {
+                        step: error.step,
+                        executed_steps: job.done,
+                        error: error
+                            .backend_error()
+                            .map(ToString::to_string)
+                            .unwrap_or_default(),
                     }
                 }
-                JobStatus::Expired { .. } => state.stats.expired += 1,
-                JobStatus::Failed { .. } => state.stats.failed += 1,
-                JobStatus::Quarantined { .. } => state.stats.quarantined += 1,
+            }
+        };
+        // Only executed rounds feed the breakers; expiry counts as
+        // neither success nor failure.
+        let cfg = self.breaker_config;
+        if ran && cfg.armed() && !matches!(status, JobStatus::Expired { .. }) {
+            let failed = matches!(status, JobStatus::Failed { .. });
+            let mut trips = 0;
+            let plan = self.plan_breakers.entry(key).or_default();
+            for breaker in [&mut self.tenants[idx].1.breaker, plan] {
+                if !failed {
+                    breaker.record_success();
+                } else if breaker.record_failure(&cfg) {
+                    trips += 1;
+                }
+            }
+            for _ in 0..trips {
+                self.record(idx, "breaker_trip", id, None);
             }
         }
-        if executed {
-            self.record_breakers(idx, job.id, key, &status);
-        }
-        self.tracer.instant(
-            span::SERVE,
-            &[
-                field("stage", status.label()),
-                field("tenant", tenant.0),
-                field("job", job.id.0),
-                field("executed_steps", round_executed),
-            ],
-        );
+        self.record(idx, status.label(), id, Some(job.done - before));
         if let JobStatus::Completed {
             cache_hit,
             recovered,
             ..
-        } = &status
+        } = status
         {
-            if *cache_hit {
-                self.emit_stage("cache_hit", tenant, Some(job.id));
+            if cache_hit {
+                self.record(idx, "cache_hit", id, None);
             }
-            if *recovered {
-                self.emit_stage("recovered", tenant, Some(job.id));
+            if recovered {
+                self.record(idx, "recovered", id, None);
             }
         }
+        let tenant = self.tenants[idx].0;
         self.outcomes.push(JobOutcome {
             tenant,
             job: job.id,
             status,
         });
-    }
-
-    /// Feeds an executed job's terminal outcome to its tenant and plan
-    /// breakers. Short-circuited and cache-hit jobs never reach here —
-    /// they executed nothing. Expiry and suspension count as neither
-    /// success nor failure.
-    fn record_breakers(&mut self, idx: usize, job_id: JobId, key: PlanKey, status: &JobStatus) {
-        if !self.breaker_config.armed() {
-            return;
-        }
-        let cfg = self.breaker_config;
-        let tenant = self.tenants[idx].0;
-        match status {
-            JobStatus::Completed { .. } => {
-                self.tenants[idx].1.breaker.record_success();
-                if let Some(b) = self.plan_breakers.get_mut(&key) {
-                    b.record_success();
-                }
-            }
-            JobStatus::Failed { .. } => {
-                let mut trips = 0u64;
-                if self.tenants[idx].1.breaker.record_failure(&cfg) {
-                    trips += 1;
-                }
-                if self
-                    .plan_breakers
-                    .entry(key)
-                    .or_default()
-                    .record_failure(&cfg)
-                {
-                    trips += 1;
-                }
-                for _ in 0..trips {
-                    self.tenants[idx].1.stats.breaker_trips += 1;
-                    self.emit_stage("breaker_trip", tenant, Some(job_id));
-                }
-            }
-            JobStatus::Expired { .. } | JobStatus::Quarantined { .. } => {}
-        }
     }
 
     /// Advances the degradation ladder from one round's recovery-stat
@@ -824,7 +726,7 @@ impl<B: Backend> PlanService<B> {
     /// once and emits a [`span::SERVE`] event.
     fn feed_degradation(
         &mut self,
-        tenant: TenantId,
+        idx: usize,
         job: JobId,
         before: &RecoveryStats,
         after: &RecoveryStats,
@@ -841,7 +743,7 @@ impl<B: Backend> PlanService<B> {
                     .degrade(Degrade::PinKernelIsa(KernelIsa::Scalar))
             {
                 self.degrade.scalar_pinned = true;
-                self.emit_stage("degraded_scalar", tenant, Some(job));
+                self.record(idx, "degraded_scalar", Some(job), None);
             }
         }
         if cfg.sequential_after_panics != 0 && !self.degrade.sequential {
@@ -850,7 +752,7 @@ impl<B: Backend> PlanService<B> {
                 && self.backend.degrade(Degrade::ForceSequential)
             {
                 self.degrade.sequential = true;
-                self.emit_stage("degraded_sequential", tenant, Some(job));
+                self.record(idx, "degraded_sequential", Some(job), None);
             }
         }
     }
@@ -867,12 +769,13 @@ impl<B: Backend> PlanService<B> {
 
     /// A tenant's live admission ledger (`None` if unregistered).
     pub fn tenant_ledger(&self, tenant: TenantId) -> Option<TenantLedger> {
-        self.tenant_index(tenant).map(|i| self.tenants[i].1.ledger)
+        self.tenant_index(tenant)
+            .map(|i| self.tenants[i].1.ledger())
     }
 
     /// Jobs currently queued across all tenants.
     pub fn queued_jobs(&self) -> usize {
-        self.queued_total
+        self.tenants.iter().map(|(_, s)| s.queue.len()).sum()
     }
 
     /// Plan-cache counters.
@@ -931,11 +834,65 @@ impl<B: Backend> PlanService<B> {
 mod tests {
     use super::*;
     use simd2::{Parallelism, PlanBuilder};
+    use simd2_apps::AppKind;
     use simd2_fault::PanicProbeUnit;
-    use simd2_matrix::Matrix;
     use simd2_mxu::Simd2Unit;
     use simd2_semiring::OpKind;
     use simd2_trace::RingSink;
+
+    /// Every stage the service counts per tenant; the ladder's two
+    /// `degraded_*` stages are the only other `span::SERVE` events.
+    const STAGES: [&str; 15] = [
+        "submitted",
+        "admitted",
+        "rejected_backpressure",
+        "rejected_quota",
+        "rejected_malformed",
+        "completed",
+        "expired",
+        "failed",
+        "quarantined",
+        "recovered",
+        "cache_hit",
+        "suspended",
+        "resumed",
+        "breaker_trip",
+        "breaker_short_circuit",
+    ];
+
+    /// Each tenant's counters equal its `span::SERVE` events: one event
+    /// per count of each stage, and the rounds' `executed_steps` summing
+    /// to the tally.
+    fn assert_events_mirror_stats<B: Backend>(sink: &RingSink, svc: &PlanService<B>) {
+        let events = sink.events();
+        for tenant in svc.tenants() {
+            let mut stats = svc.tenant_stats(tenant).unwrap();
+            let mine: Vec<_> = events
+                .iter()
+                .filter(|e| e.span == span::SERVE && e.u64("tenant") == Some(u64::from(tenant.0)))
+                .collect();
+            for e in &mine {
+                let stage = e.str_value("stage").unwrap();
+                assert!(
+                    STAGES.contains(&stage) || stage.starts_with("degraded_"),
+                    "{stage}"
+                );
+            }
+            for stage in STAGES {
+                let count = mine
+                    .iter()
+                    .filter(|e| e.is_stage(span::SERVE, stage))
+                    .count();
+                assert_eq!(
+                    count as u64,
+                    *stats.counter(stage).unwrap(),
+                    "{tenant} {stage}"
+                );
+            }
+            let steps: u64 = mine.iter().filter_map(|e| e.u64("executed_steps")).sum();
+            assert_eq!(steps, stats.executed_steps, "{tenant}");
+        }
+    }
 
     /// Records a `len`-step min-plus chain over `side`-square inputs
     /// filled with `fill` (distinct fills → distinct cache keys).
@@ -1729,32 +1686,13 @@ mod tests {
         let counts = svc.resilient().inner().row_count();
         assert!(counts.sparse_mmos > 0, "{counts:?}");
         assert!(counts.skipped_terms > 0, "{counts:?}");
-        // Per-tenant telemetry: the quantum forced suspensions, every
-        // counter mirrors its SERVE event stream exactly.
+        // The quantum forced suspensions; every counter mirrors its
+        // SERVE event stream exactly.
         let stats = svc.tenant_stats(t).unwrap();
         assert_eq!(stats.completed, 2);
         assert!(stats.suspended > 0 && stats.suspended == stats.resumed);
         assert!(stats.executed_steps > 0);
-        let count = |stage: &str| -> u64 {
-            sink.events()
-                .iter()
-                .filter(|e| e.is_stage(span::SERVE, stage))
-                .filter(|e| e.u64("tenant") == Some(t.0 as u64))
-                .count() as u64
-        };
-        assert_eq!(count("completed"), stats.completed);
-        assert_eq!(count("suspended"), stats.suspended);
-        assert_eq!(count("resumed"), stats.resumed);
-        let executed: u64 = sink
-            .events()
-            .iter()
-            .filter(|e| {
-                (e.is_stage(span::SERVE, "completed") || e.is_stage(span::SERVE, "suspended"))
-                    && e.u64("tenant") == Some(t.0 as u64)
-            })
-            .filter_map(|e| e.u64("executed_steps"))
-            .sum();
-        assert_eq!(executed, stats.executed_steps);
+        assert_events_mirror_stats(&sink, &svc);
     }
 
     #[test]
@@ -1781,38 +1719,69 @@ mod tests {
         let empty = PlanBuilder::over(&mut TiledBackend::new()).finish();
         svc.submit(t1, JobSpec::plan(empty)).unwrap_err();
         svc.run_until_idle();
+        assert_events_mirror_stats(&sink, &svc);
+    }
 
-        for tenant in [t0, t1] {
-            let stats = svc.tenant_stats(tenant).unwrap();
-            let count = |stage: &str| -> u64 {
-                sink.events()
-                    .iter()
-                    .filter(|e| e.is_stage(span::SERVE, stage))
-                    .filter(|e| e.u64("tenant") == Some(tenant.0 as u64))
-                    .count() as u64
-            };
-            assert_eq!(count("submitted"), stats.submitted);
-            assert_eq!(count("admitted"), stats.admitted);
-            assert_eq!(count("rejected_backpressure"), stats.rejected_backpressure);
-            assert_eq!(count("rejected_quota"), stats.rejected_quota);
-            assert_eq!(count("rejected_malformed"), stats.rejected_malformed);
-            assert_eq!(count("completed"), stats.completed);
-            assert_eq!(count("expired"), stats.expired);
-            assert_eq!(count("failed"), stats.failed);
-            assert_eq!(count("cache_hit"), stats.cache_hits);
-            assert_eq!(count("recovered"), stats.recovered);
-            let executed: u64 = sink
-                .events()
+    #[test]
+    fn a_breaker_refusing_a_resumed_job_reports_its_checkpointed_steps() {
+        // The tall job panics and suspends; the small job runs one step
+        // and suspends; the tall job panics again with its one resume
+        // spent, fails, and trips the tenant breaker — which then
+        // refuses the small job holding one completed step.
+        let sink = RingSink::shared();
+        let mut inner = TiledBackend::with_unit(PanicProbeUnit::new(Simd2Unit::new(), 1));
+        inner.set_parallelism(Parallelism::Threads(3));
+        let config = ServeConfig {
+            resume: ResumeConfig {
+                quantum: 1,
+                max_resumes: 1,
+            },
+            breaker: crate::BreakerConfig {
+                trip_after: 1,
+                cooldown: 5,
+                ..crate::BreakerConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let mut svc = PlanService::new(inner, config).with_tracer(Tracer::to(sink.clone()));
+        let t = TenantId(0);
+        svc.register_tenant(t, TenantQuota::default());
+        svc.submit(t, JobSpec::plan(chain_plan(1, 48, 16.0)))
+            .unwrap();
+        let small = svc
+            .submit(t, JobSpec::plan(chain_plan(3, 16, 17.0)))
+            .unwrap();
+        svc.run_until_idle();
+        let outcomes = svc.take_outcomes();
+        let refused = outcomes.iter().find(|o| o.job == small).unwrap();
+        assert!(
+            matches!(
+                &refused.status,
+                JobStatus::Failed { step: 1, executed_steps: 1, error }
+                    if error.contains("circuit breaker open for tenant#0")
+            ),
+            "{:?}",
+            refused.status
+        );
+        // A terminal outcome's executed steps are the steps its job
+        // dispatched across all its rounds.
+        let events = sink.events();
+        for outcome in &outcomes {
+            let dispatched: u64 = events
                 .iter()
-                .filter(|e| {
-                    (e.is_stage(span::SERVE, "completed")
-                        || e.is_stage(span::SERVE, "expired")
-                        || e.is_stage(span::SERVE, "failed"))
-                        && e.u64("tenant") == Some(tenant.0 as u64)
-                })
+                .filter(|e| e.span == span::SERVE && e.u64("job") == Some(outcome.job.0))
                 .filter_map(|e| e.u64("executed_steps"))
                 .sum();
-            assert_eq!(executed, stats.executed_steps);
+            match &outcome.status {
+                JobStatus::Completed { executed_steps, .. }
+                | JobStatus::Expired { executed_steps, .. }
+                | JobStatus::Failed { executed_steps, .. } => {
+                    assert_eq!(*executed_steps, dispatched, "{:?}", outcome.status);
+                }
+                JobStatus::Quarantined { .. } => {}
+            }
         }
+        assert_eq!(svc.tenant_stats(t).unwrap().executed_steps, 1);
+        assert_events_mirror_stats(&sink, &svc);
     }
 }

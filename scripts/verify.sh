@@ -74,20 +74,26 @@ done
 # Seeded slices of the randomized soaks. `soak`: parallel/sequential bit
 # identity, exact op accounting, telemetry lock-step, and
 # detection-or-benign under fault injection and worker panics.
-# `serve_soak`: admission mirroring, WRR order, deadline accounting,
-# cache-hit bit identity, panic/fault isolation; seed 7's chaos modes
-# reach suspend/resume, the circuit breakers, quarantine and the
-# degradation ladder, so it runs on both legs, as does the deterministic
-# sparse-serving episode (the scalar leg puts the row sweep on its
-# scalar leaf). That episode's report line — jobs, suspensions, row-walked
-# steps, skipped terms — is a pure function of the seed: the scalar
-# leg's is the committed one, and the vector leg's may differ from it in
-# the `isa=` field only.
+# `serve_soak`: every episode draws its fault class, resume, breaker and
+# ladder policies, and one reference model must predict every admission
+# answer, outcome, counter, ledger, breaker and ladder state; a run that
+# never reaches some lifecycle stage (expiry, failure, cache hit,
+# recovery, suspend/resume, breaker trip and short-circuit, quarantine,
+# both ladder rungs — the scalar pin on vector hosts only) fails. Its
+# episode count is fixed (`--iters`, with `--seconds` only as a runaway
+# cap), so what a slice covers does not depend on host speed; two seeds
+# on both legs. The deterministic sparse-serving episode runs on both
+# legs too (the scalar leg puts the row sweep on its scalar leaf). That
+# episode's report line — jobs, suspensions, row-walked steps, skipped
+# terms — is a pure function of the seed: the scalar leg's is the
+# committed one, and the vector leg's may differ from it in the `isa=`
+# field only.
 run=(cargo run --release -q -p simd2-bench --bin)
 "${run[@]}" soak -- --seconds 5 --seed 2022
-"${run[@]}" serve_soak -- --seconds 5 --seed 2022
 for leg in 0 1; do
-  SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --seconds 4 --seed 7
+  for seed in 7 2022; do
+    SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --iters 2000 --seconds 600 --seed $seed
+  done
   SIMD2_FORCE_SCALAR=$leg "${run[@]}" serve_soak -- --sparse --seed 7 \
     | tee "target/serve_soak_sparse.leg$leg.txt"
   sed 's/ isa=[A-Za-z0-9]* / isa=Scalar /' "target/serve_soak_sparse.leg$leg.txt" \
