@@ -25,8 +25,14 @@ use crate::error::BackendError;
 use crate::program::{compile_mmo, stage_operands};
 use crate::repr::{MatrixRef, OperandRepr};
 
+// The crate's one `unsafe` block — the lifetime erasure that hands a
+// panel's borrowing task to a persistent worker — lives here; see its
+// module docs for the argument.
+#[allow(unsafe_code)]
+mod pool;
 mod rows;
 
+use pool::Pool;
 pub use rows::RowCount;
 use rows::RowWalk;
 pub(crate) use rows::{row_kernel, RowKernel};
@@ -397,39 +403,6 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs every task on its own scoped worker thread and joins them all —
-/// the one place the engine spawns threads ([`run_panels`]).
-///
-/// Returns each task's result in task order (`None` for a task that
-/// panicked) and the first panic in task order as a
-/// [`BackendError::WorkerPanic`] whose `panel` is the task's index.
-/// Every worker is joined before this returns, panicked or not, so a
-/// contained panic never aborts the process, leaks a thread, or loses a
-/// surviving worker's result.
-fn join_workers<T: Send>(
-    tasks: Vec<impl FnOnce() -> T + Send>,
-) -> (Vec<Option<T>>, Option<BackendError>) {
-    let mut first_panic = None;
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = tasks.into_iter().map(|task| s.spawn(task)).collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(panel, handle)| match handle.join() {
-                Ok(result) => Some(result),
-                Err(payload) => {
-                    first_panic.get_or_insert(BackendError::WorkerPanic {
-                        panel,
-                        payload: panic_payload_message(payload),
-                    });
-                    None
-                }
-            })
-            .collect()
-    });
-    (results, first_panic)
-}
-
 /// Emits the [`span::MMO`] begin event for a whole-matrix operation.
 /// `isa` is the instruction set the backend's tile kernel executes with
 /// (every worker of one mmo runs the same kernel tier).
@@ -574,26 +547,47 @@ impl Backend for ReferenceBackend {
 /// pristine [`Simd2Unit`] or a [`simd2_fault::FaultySimd2Unit`] whose
 /// datapath injects faults.
 ///
-/// With a [`Parallelism`] setting above one worker, units that offer
-/// [`MmoUnit::shard`] execute the output tile grid as row panels across
-/// a scoped worker pool — bit-identical to sequential execution (tiles
-/// are independent; per-tile reduction order is unchanged), with exact
-/// merged counters. Fault-injected units shard too: coordinate-addressed
-/// injection makes the same plan strike the same tiles under any worker
-/// count, and per-worker fault logs merge back in the sequential visit
-/// order so the merged log equals the sequential one. A worker panic
-/// never aborts the process — it surfaces as
-/// [`BackendError::WorkerPanic`] after every other worker drains.
-#[derive(Clone, Debug)]
+/// With a [`Parallelism`] setting of `T` workers above one, units that
+/// offer [`MmoUnit::shard`] execute the output tile grid as row panels:
+/// one on the calling thread, the others on the backend's pool of
+/// `T − 1` persistent threads, started by the first such MMO — a clone
+/// starts without one, and [`Degrade::ForceSequential`] or dropping the
+/// backend joins it. That is bit-identical to sequential execution
+/// (tiles are independent; per-tile reduction order is unchanged), with
+/// exact merged counters. Fault-injected units shard too:
+/// coordinate-addressed injection makes the same plan strike the same
+/// tiles under any worker count, and per-worker fault logs merge back in
+/// the sequential visit order so the merged log equals the sequential
+/// one. A panel panic never aborts the process — it surfaces as
+/// [`BackendError::WorkerPanic`] after every other panel drains, and the
+/// pool serves the next MMO.
+#[derive(Debug)]
 pub struct TiledBackend<U: MmoUnit = Simd2Unit> {
     unit: U,
     count: OpCount,
     row_count: RowCount,
     parallelism: Parallelism,
     tracer: Tracer,
-    /// Packed-operand scratch, one per tile-chain worker that has ever
-    /// run, lent to the workers of each MMO. Empty until the first.
-    scratch_pool: Vec<PackScratch>,
+    /// The workers beside the caller; `None` until a multi-worker MMO
+    /// needs them.
+    pool: Option<Pool>,
+    scratch: PackScratch,
+}
+
+/// A clone shares no threads or scratch with its original: it starts
+/// with no pool, and its first multi-worker MMO starts its own.
+impl<U: MmoUnit + Clone> Clone for TiledBackend<U> {
+    fn clone(&self) -> Self {
+        Self {
+            unit: self.unit.clone(),
+            count: self.count,
+            row_count: self.row_count,
+            parallelism: self.parallelism,
+            tracer: self.tracer.clone(),
+            pool: None,
+            scratch: PackScratch::default(),
+        }
+    }
 }
 
 // A single, non-generic `Default` impl so `TiledBackend::default()`
@@ -628,7 +622,8 @@ impl<U: MmoUnit> TiledBackend<U> {
             row_count: RowCount::default(),
             parallelism: Parallelism::default(),
             tracer: Tracer::off(),
-            scratch_pool: Vec::new(),
+            pool: None,
+            scratch: PackScratch::default(),
         }
     }
 
@@ -686,17 +681,35 @@ impl<U: MmoUnit> TiledBackend<U> {
     /// Sets the parallelism of subsequent [`Backend::mmo`] calls.
     ///
     /// Results are bit-identical across settings; units without a
-    /// [`shard`](MmoUnit::shard) seam execute sequentially regardless.
+    /// [`shard`](MmoUnit::shard) seam execute sequentially regardless. A
+    /// new setting joins the pool of the old one.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
+        if parallelism != self.parallelism {
+            self.pool = None;
+        }
         self.parallelism = parallelism;
+    }
+
+    /// Starts the pool a `workers`-wide schedule runs on — at its first
+    /// use, or again when the worker count changed — and wakes it, so
+    /// that the workers' wake overlaps the caller's set-up of the step.
+    fn wake_pool(&mut self, workers: usize) {
+        if workers == 1 {
+            return;
+        }
+        let pool = match &mut self.pool {
+            Some(pool) if pool.threads() == workers - 1 => pool,
+            slot => slot.insert(Pool::new(workers - 1)),
+        };
+        pool.wake();
     }
 }
 
-/// Bytes of packed `B` one worker keeps resident: the column strip is as
+/// Bytes of packed `B` one panel reads at a time: the column strip is as
 /// wide as this allows (at least one tile column). A byte budget, not a
 /// knob — the right width is a property of the cache a strip must stay
 /// in while a panel's rows sweep it, not of any workload, and with the
-/// `A` row (16·k_pad floats) it bounds a worker's scratch near 1.1 MiB
+/// `A` row (16·k_pad floats) it bounds a panel's scratch near 1.1 MiB
 /// whatever the operand sizes.
 const B_STRIP_BYTES: usize = 1 << 20;
 
@@ -706,23 +719,32 @@ fn strip_width(k_tiles: usize) -> usize {
     (B_STRIP_BYTES / (k_tiles.max(1) * TILE_ELEMS * std::mem::size_of::<f32>())).max(1)
 }
 
-/// One worker's packed-operand scratch: the quantised, padded,
-/// tile-major `A` row panel and `B` column strip [`run_panel`] reads its
-/// chains from. Owned by the backend and reused across MMOs; contents
-/// are rewritten before every read, so a clone starts empty.
+/// The tile chain's packed-operand scratch: the quantised, padded,
+/// tile-major `A` rows and `B` strips [`run_panel`] reads its chains
+/// from. Owned by the backend and reused across MMOs; contents are
+/// rewritten before every read. Sized by the caller ([`fit`]) before
+/// any panel runs, so a pool worker never allocates and no per-thread
+/// malloc arena grows with it.
 #[derive(Debug, Default)]
 struct PackScratch {
-    /// `k_tiles` tiles of one tile row of `A`, in `tk` order.
-    a: Vec<f32>,
-    /// For each tile column of the strip, its `k_tiles` tiles of `B` in
-    /// `tk` order.
-    b: Vec<f32>,
+    /// Per panel: `k_tiles` tiles of one tile row of `A`, in `tk` order.
+    a: Vec<Vec<f32>>,
+    /// `B` strips: for each tile column of a strip, its `k_tiles` tiles
+    /// in `tk` order. A single-strip grid packs its one strip here once
+    /// for every panel; a wider grid gives each panel a buffer of its own
+    /// to pack its strips into in turn.
+    b: Vec<Vec<f32>>,
 }
 
-impl Clone for PackScratch {
-    fn clone(&self) -> Self {
-        Self::default()
+/// The first `count` buffers of `bufs`, each resized to `len` floats.
+fn fit(bufs: &mut Vec<Vec<f32>>, count: usize, len: usize) -> &mut [Vec<f32>] {
+    if bufs.len() < count {
+        bufs.resize_with(count, Vec::new);
     }
+    for buf in &mut bufs[..count] {
+        buf.resize(len, 0.0);
+    }
+    &mut bufs[..count]
 }
 
 /// Packs the chain of tiles `coords` yields from `m` — padded with `fill`
@@ -742,55 +764,83 @@ fn pack_chain<U: MmoUnit>(
     unit.quantize_packed(dst);
 }
 
+/// Packs the `B` strip of tile columns `strip` into `dst`.
+fn pack_b_strip<U: MmoUnit>(
+    unit: &U,
+    step: &MmoArgs<'_>,
+    k_tiles: usize,
+    strip: Range<usize>,
+    dst: &mut [f32],
+) {
+    let coords = strip.flat_map(|tj| (0..k_tiles).map(move |tk| (tk, tj)));
+    pack_chain(unit, step.b, tiling::pad_values(step.op).b, coords, dst);
+}
+
+/// Where a tile-chain panel reads its packed `B` strips.
+enum BStrip<'s> {
+    /// The grid's one strip, packed by the caller and read by every
+    /// panel.
+    Shared(&'s [f32]),
+    /// This panel's buffer, each strip packed into it in turn.
+    Own(&'s mut [f32]),
+}
+
+/// What one tile-chain panel works with: one unit shard per `B` strip
+/// (or the parent unit, on one panel), its `A` row buffer and its `B`
+/// strips.
+struct ChainPanel<'s, U> {
+    units: &'s mut [U],
+    a_row: &'s mut [f32],
+    b: BStrip<'s>,
+}
+
 /// Executes one output panel of the tile grid on the tile chain,
 /// writing results into the panel's row slab of `D`.
 ///
-/// `B` is packed one column strip at a time and `A` one tile row at a
-/// time, each exactly once per use; every output tile is then one
-/// [`MmoUnit::execute_chain`] call over contiguous packed tiles, folding
-/// into an accumulator tile read from `C` and stored straight into the
-/// slab. Tiles are visited strip by strip, row-major within a strip.
+/// `B` is packed one column strip at a time (or was, once, by the
+/// caller) and `A` one tile row at a time, each exactly once per use;
+/// every output tile is then one [`MmoUnit::execute_chain`] call over
+/// contiguous packed tiles, folding into an accumulator tile read from
+/// `C` and stored straight into the slab. Tiles are visited strip by
+/// strip, row-major within a strip.
 ///
-/// `units` is either a single unit that executes every strip (the
-/// sequential schedule) or one worker shard per strip (the row-panel
-/// schedule, whose dispatcher absorbs shards strip-major so merged fault
-/// logs keep the sequential visit order).
+/// The panel's units are either a single unit that executes every strip
+/// (the sequential schedule) or one worker shard per strip (the
+/// row-panel schedule, whose dispatcher absorbs shards strip-major so
+/// merged fault logs keep the sequential visit order).
 fn run_panel<U: MmoUnit>(
-    units: &mut [U],
-    scratch: &mut PackScratch,
-    op: OpKind,
-    (a, b, c): (&Matrix, &Matrix, &Matrix),
+    ChainPanel {
+        units,
+        a_row,
+        mut b,
+    }: ChainPanel<'_, U>,
+    step: &MmoArgs<'_>,
     grid: &TileGrid,
     panel: Range<usize>,
     slab: &mut [f32],
 ) {
     let row0 = grid.panel_rows(&panel).start;
-    let pad = tiling::pad_values(op);
+    let (op, pad) = (step.op, tiling::pad_values(step.op));
     let k_tiles = grid.k_tiles;
     let chain = k_tiles * TILE_ELEMS;
     let width = strip_width(k_tiles);
-    scratch.a.resize(chain, 0.0);
-    scratch.b.resize(width.min(grid.n_tiles) * chain, 0.0);
     for (s, tj0) in (0..grid.n_tiles).step_by(width).enumerate() {
         let strip = tj0..(tj0 + width).min(grid.n_tiles);
         let unit = &mut units[s.min(units.len() - 1)];
-        let b_pack = &mut scratch.b[..strip.len() * chain];
-        let b_coords = strip
-            .clone()
-            .flat_map(|tj| (0..k_tiles).map(move |tk| (tk, tj)));
-        pack_chain(unit, b, pad.b, b_coords, b_pack);
+        let b_pack: &[f32] = match &mut b {
+            BStrip::Shared(packed) => packed,
+            BStrip::Own(buf) => {
+                let buf = &mut buf[..strip.len() * chain];
+                pack_b_strip(unit, step, k_tiles, strip.clone(), buf);
+                buf
+            }
+        };
         for ti in panel.clone() {
-            pack_chain(
-                unit,
-                a,
-                pad.a,
-                (0..k_tiles).map(|tk| (ti, tk)),
-                &mut scratch.a,
-            );
+            pack_chain(unit, step.a, pad.a, (0..k_tiles).map(|tk| (ti, tk)), a_row);
             for tj in strip.clone() {
-                let mut acc = tiling::load_c_tile::<ISA_TILE>(op, c, ti, tj);
+                let mut acc = tiling::load_c_tile::<ISA_TILE>(op, step.c, ti, tj);
                 let b_chain = &b_pack[(tj - tj0) * chain..][..chain];
-                unit.execute_chain((ti, tj), op, &scratch.a, b_chain, &mut acc);
+                unit.execute_chain((ti, tj), op, a_row, b_chain, &mut acc);
                 tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
             }
         }
@@ -801,11 +851,12 @@ fn run_panel<U: MmoUnit>(
 /// `work` is a contiguous panel of output tile rows
 /// ([`TileGrid::row_panels`]) and the state its worker owns; `kernel`
 /// computes a panel into its disjoint row slab of `d`. One panel runs
-/// on the calling thread, several on one scoped worker each
-/// ([`join_workers`]: a panic surfaces as
-/// [`BackendError::WorkerPanic`] with the panel's index after every
-/// other worker has drained). A completed panel emits its
-/// [`span::TILE_PANEL`] summary with its logical [`OpCount`].
+/// on the calling thread; several run through the backend's `pool`
+/// ([`Pool::run`]: panel 0 on the calling thread, the others on the
+/// workers), and a panic surfaces as [`BackendError::WorkerPanic`] with
+/// the first panicked panel's index once every other panel has drained.
+/// A completed panel emits its [`span::TILE_PANEL`] summary with its
+/// logical [`OpCount`].
 ///
 /// Returns each panel's result in panel order (`None` for a panicked
 /// one) — the order the caller merges counters and shard state in, so
@@ -813,6 +864,7 @@ fn run_panel<U: MmoUnit>(
 /// partition *independent* output rows and a walk folds each output
 /// element in its one order, so neither do the bits of `d`.
 fn run_panels<S: Send, T: Send>(
+    pool: Option<&Pool>,
     tracer: &Tracer,
     grid: &TileGrid,
     d: &mut Matrix,
@@ -842,22 +894,39 @@ fn run_panels<S: Send, T: Send>(
         rest.is_empty(),
         "row panels must cover every output row exactly once"
     );
-    if tasks.len() > 1 {
-        join_workers(tasks)
-    } else {
-        (tasks.into_iter().map(|task| Some(task())).collect(), None)
+    if tasks.len() <= 1 {
+        return (tasks.into_iter().map(|task| Some(task())).collect(), None);
     }
+    let pool = pool.expect("several panels come from several workers, who have a pool");
+    let mut first_panic = None;
+    let results = pool
+        .run(tasks)
+        .into_iter()
+        .enumerate()
+        .map(|(panel, outcome)| match outcome {
+            Ok(result) => Some(result),
+            Err(payload) => {
+                first_panic.get_or_insert(BackendError::WorkerPanic {
+                    panel,
+                    payload: panic_payload_message(payload),
+                });
+                None
+            }
+        })
+        .collect();
+    (results, first_panic)
 }
 
 impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
     /// The tile chain: several panels run on private unit shards, one
     /// per `B` strip each (see [`run_panel`]), whose state (fault logs)
-    /// is absorbed after the join — strip by strip, in panel order
+    /// is absorbed once every panel is done — strip by strip, in panel order
     /// within a strip, the order one unit sweeping the whole grid visits
     /// tiles in, so merged fault logs equal the sequential schedule's; a
     /// surviving worker's shards are absorbed even when another
     /// panicked. One panel, or a unit that does not shard, runs on the
-    /// parent unit.
+    /// parent unit. A single-strip grid's `B` strip is packed here, on
+    /// the calling thread, while the pool's workers wake.
     fn run_chain(
         &mut self,
         step: &MmoArgs<'_>,
@@ -865,32 +934,49 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         workers: usize,
         d: &mut Matrix,
     ) -> Result<(), BackendError> {
-        let strips = grid.n_tiles.div_ceil(strip_width(grid.k_tiles));
+        let width = strip_width(grid.k_tiles);
+        let strips = grid.n_tiles.div_ceil(width);
+        let chain = grid.k_tiles * TILE_ELEMS;
+        let strip_len = width.min(grid.n_tiles) * chain;
         let mut panels = grid.row_panels(workers);
         let shard_panel = |_| (0..strips).map(|_| self.unit.shard()).collect();
         let mut shards: Vec<Vec<U>> = (panels.len() > 1)
             .then(|| panels.iter().map(shard_panel).collect())
             .flatten()
             .unwrap_or_default();
-        let units: Vec<&mut [U]> = if shards.is_empty() {
+        if shards.is_empty() {
             panels = grid.row_panels(1);
+        }
+        let a_rows = fit(&mut self.scratch.a, panels.len(), chain);
+        let b_strips: Vec<BStrip<'_>> = if strips == 1 {
+            let packed = &mut fit(&mut self.scratch.b, 1, strip_len)[0];
+            pack_b_strip(&self.unit, step, grid.k_tiles, 0..grid.n_tiles, packed);
+            let packed: &[f32] = packed;
+            panels.iter().map(|_| BStrip::Shared(packed)).collect()
+        } else {
+            fit(&mut self.scratch.b, panels.len(), strip_len)
+                .iter_mut()
+                .map(|buf| BStrip::Own(buf))
+                .collect()
+        };
+        let units: Vec<&mut [U]> = if shards.is_empty() {
             vec![std::slice::from_mut(&mut self.unit)]
         } else {
             shards.iter_mut().map(Vec::as_mut_slice).collect()
         };
-        let pool = self.scratch_pool.len().max(panels.len());
-        self.scratch_pool.resize_with(pool, PackScratch::default);
-        let states = units.into_iter().zip(&mut self.scratch_pool);
+        let states = units
+            .into_iter()
+            .zip(a_rows)
+            .zip(b_strips)
+            .map(|((units, a_row), b)| ChainPanel { units, a_row, b });
         let work = panels.into_iter().zip(states);
-        let (op, operands) = (step.op, (step.a, step.b, step.c));
         let (done, panic) = run_panels(
+            self.pool.as_ref(),
             &self.tracer,
             grid,
             d,
             work,
-            |(units, scratch), panel, slab| {
-                run_panel(units, scratch, op, operands, grid, panel, slab);
-            },
+            |state, panel, slab| run_panel(state, step, grid, panel, slab),
         );
         let mut survivors: Vec<std::vec::IntoIter<U>> = shards
             .into_iter()
@@ -921,9 +1007,14 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
             .row_panels(workers)
             .into_iter()
             .map(|panel| (panel, ()));
-        let (terms, panic) = run_panels(&self.tracer, grid, d, work, |(), panel, slab| {
-            walk.fold(unit, grid.panel_rows(&panel), slab)
-        });
+        let (terms, panic) = run_panels(
+            self.pool.as_ref(),
+            &self.tracer,
+            grid,
+            d,
+            work,
+            |(), panel, slab| walk.fold(unit, grid.panel_rows(&panel), slab),
+        );
         panic.map_or(Ok(()), Err)?;
         walk.tally(&mut self.row_count, terms.into_iter().flatten());
         Ok(())
@@ -961,6 +1052,7 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
         let grid = step.checked_grid()?;
         let workers = schedule.worker_count(self.parallelism);
+        self.wake_pool(workers);
         self.unit.begin_matrix_mmo();
         let isa = self.unit.kernel_isa();
         begin_mmo(&self.tracer, step.op, &grid, workers, isa);
@@ -1000,7 +1092,10 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
     fn degrade(&mut self, rung: Degrade) -> bool {
         match rung {
             Degrade::PinKernelIsa(isa) => self.unit.repin_kernel(isa),
-            Degrade::ForceSequential => self.parallelism.demote(),
+            Degrade::ForceSequential => {
+                self.pool = None;
+                self.parallelism.demote()
+            }
         }
     }
 
@@ -1356,6 +1451,34 @@ mod tests {
             .unwrap();
         let want = TiledBackend::new().mmo(op, &a, &b, &c).unwrap();
         assert_eq!(d, want);
+        // So does its pool: the next configured step — two tile rows,
+        // short of the probe's — runs its panels on the same workers.
+        let (a, b, c) = operands(op, 32, 23, 37);
+        let d = be.mmo(op, &a, &b, &c).unwrap();
+        let want = TiledBackend::new().mmo(op, &a, &b, &c).unwrap();
+        assert_eq!(bits(&d), bits(&want));
+    }
+
+    #[test]
+    fn clones_driven_concurrently_each_match_the_sequential_answer() {
+        let op = OpKind::MinPlus;
+        let (a, b, c) = operands(op, 70, 23, 37); // 5 tile rows
+        let want = bits(&TiledBackend::new().mmo(op, &a, &b, &c).unwrap());
+        let mut original = TiledBackend::with_parallelism(Parallelism::Threads(4));
+        assert_eq!(bits(&original.mmo(op, &a, &b, &c).unwrap()), want);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for mut be in [original.clone(), original.clone()] {
+                let (start, want, operands) = (&start, &want, (&a, &b, &c));
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        let d = be.mmo(op, operands.0, operands.1, operands.2).unwrap();
+                        assert_eq!(&bits(&d), want);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

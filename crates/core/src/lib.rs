@@ -27,7 +27,7 @@
 //!   reduced precision, and collect the operation statistics the
 //!   performance model consumes.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algebra;

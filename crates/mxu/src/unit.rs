@@ -496,10 +496,8 @@ mod tests {
         assert!(d3.iter().all(|(_, _, v)| v == f32::INFINITY));
     }
 
-    // Named for the old order; what it pins is that `C` takes part —
-    // since PR 19 as the seed of the fold, not as its last operand.
     #[test]
-    fn accumulator_is_reduced_last() {
+    fn accumulator_seeds_the_fold() {
         let unit = Simd2Unit::new();
         let a = Tile::<4>::splat(1.0);
         let b = Tile::<4>::splat(1.0);

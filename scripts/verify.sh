@@ -42,11 +42,15 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # verifier against its element-at-a-time definition: its sums are only
 # the definition's bit for bit while the optimiser keeps their order,
 # and on the vector leg its operand copies come from the vector
-# quantiser.
+# quantiser. And the suites that drive the engine's worker pool (the
+# whole `backend::` unit suite, the parallel and checkpoint
+# differentials, the pool's thread lifecycle): a hand-off race shows
+# at optimised speed, where a debug build's slower panels may hide it.
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
-  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::rows
-  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows \
+    --test proptest_parallel --test proptest_checkpoint --test pool_lifecycle
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-fault --test proptest_abft
 done
 
