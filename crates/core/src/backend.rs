@@ -12,9 +12,9 @@ use std::ops::Range;
 
 use simd2_matrix::reference;
 use simd2_matrix::tiling::{self, TileGrid};
-use simd2_matrix::{Matrix, ISA_TILE};
+use simd2_matrix::{Matrix, Tile, ISA_TILE};
 use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit};
-use simd2_semiring::simd::{KernelIsa, CHAIN_ELEMS as TILE_ELEMS};
+use simd2_semiring::simd::{self, KernelIsa, Scan, CHAIN_ELEMS as TILE_ELEMS};
 use simd2_semiring::OpKind;
 
 use simd2_fault::{AbftConfig, FaultInjector};
@@ -34,8 +34,8 @@ mod rows;
 
 use pool::Pool;
 pub use rows::RowCount;
-use rows::RowWalk;
 pub(crate) use rows::{row_kernel, RowKernel};
+use rows::{skip_rule, RowWalk, Skip};
 
 /// Process-global whole-matrix mmo count (traced backends only).
 static MATRIX_MMOS: Counter = Counter::new("core.matrix_mmos");
@@ -63,6 +63,11 @@ static ROW_MMOS_SCATTER: Counter = Counter::new("core.row_mmos.scatter");
 /// exactly, or what was left is above the walk-or-chain bound and the
 /// chain folds the step faster (traced backends only).
 static REPR_FALLBACK_MMOS: Counter = Counter::new("core.repr_fallback_mmos");
+/// Tile pairs `(ti, tk, tj)` the tile chain left out because every term
+/// of theirs folds through the annihilator (traced backends only; see
+/// [`skips_pair`]). [`OpCount`] still counts them: it is the grid's
+/// logical traffic.
+static CHAIN_SKIPPED_PAIRS: Counter = Counter::new("core.chain.skipped_pairs");
 
 /// The `core.isa_mmos.*` counter tracking `isa`.
 fn isa_mmos_counter(isa: KernelIsa) -> &'static Counter {
@@ -721,8 +726,9 @@ fn strip_width(k_tiles: usize) -> usize {
 
 /// The tile chain's packed-operand scratch: the quantised, padded,
 /// tile-major `A` rows and `B` strips [`run_panel`] reads its chains
-/// from. Owned by the backend and reused across MMOs; contents are
-/// rewritten before every read. Sized by the caller ([`fit`]) before
+/// from, and the [`Scan`] of each of their tiles that decides which tile
+/// pairs it skips. Owned by the backend and reused across MMOs; contents
+/// are rewritten before every read. Sized by the caller ([`fit`]) before
 /// any panel runs, so a pool worker never allocates and no per-thread
 /// malloc arena grows with it.
 #[derive(Debug, Default)]
@@ -734,17 +740,39 @@ struct PackScratch {
     /// for every panel; a wider grid gives each panel a buffer of its own
     /// to pack its strips into in turn.
     b: Vec<Vec<f32>>,
+    /// Beside each buffer of [`Self::a`], one scan per tile — none when
+    /// the step skips nothing.
+    a_facts: Vec<Vec<Scan>>,
+    /// Beside each buffer of [`Self::b`], one scan per tile — none when
+    /// the step skips nothing.
+    b_facts: Vec<Vec<Scan>>,
 }
 
-/// The first `count` buffers of `bufs`, each resized to `len` floats.
-fn fit(bufs: &mut Vec<Vec<f32>>, count: usize, len: usize) -> &mut [Vec<f32>] {
+/// The first `count` buffers of `bufs`, each resized to `len` elements.
+fn fit<T: Copy + Default>(bufs: &mut Vec<Vec<T>>, count: usize, len: usize) -> &mut [Vec<T>] {
     if bufs.len() < count {
         bufs.resize_with(count, Vec::new);
     }
     for buf in &mut bufs[..count] {
-        buf.resize(len, 0.0);
+        buf.resize(len, T::default());
     }
     &mut bufs[..count]
+}
+
+/// A packed chain or strip and the scans of its tiles — none when the
+/// step skips nothing.
+struct Packed<'s> {
+    tiles: &'s mut [f32],
+    facts: &'s mut [Scan],
+}
+
+impl Packed<'_> {
+    fn reborrow(&mut self) -> Packed<'_> {
+        Packed {
+            tiles: self.tiles,
+            facts: self.facts,
+        }
+    }
 }
 
 /// Packs the chain of tiles `coords` yields from `m` — padded with `fill`
@@ -764,25 +792,181 @@ fn pack_chain<U: MmoUnit>(
     unit.quantize_packed(dst);
 }
 
-/// Packs the `B` strip of tile columns `strip` into `dst`.
+/// Packs the `B` strip of tile columns `strip` into `dst` and, when the
+/// step skips, scans it (every tile's values, if the rule may read
+/// them).
 fn pack_b_strip<U: MmoUnit>(
     unit: &U,
     step: &MmoArgs<'_>,
     k_tiles: usize,
     strip: Range<usize>,
-    dst: &mut [f32],
+    skips: Option<ChainSkips>,
+    dst: Packed<'_>,
 ) {
     let coords = strip.flat_map(|tj| (0..k_tiles).map(move |tk| (tk, tj)));
-    pack_chain(unit, step.b, tiling::pad_values(step.op).b, coords, dst);
+    pack_chain(
+        unit,
+        step.b,
+        tiling::pad_values(step.op).b,
+        coords,
+        dst.tiles,
+    );
+    if let Some(skips) = skips {
+        skips.scan(unit.kernel_isa(), skips.b_values, dst);
+    }
 }
 
-/// Where a tile-chain panel reads its packed `B` strips.
+/// What the tile chain knows of a packed tile it found to hold something
+/// other than the annihilator and did not scan: to the rule, a tile
+/// outside every op's value domain, so a pair through it is skipped only
+/// for what its partner holds alone.
+const UNREAD: Scan = Scan {
+    any: u32::MAX,
+    max_abs: 0x7fff_ffff,
+    stored: 1,
+};
+
+/// How the tile chain of a step reads its packed tiles for pairs to
+/// skip.
+#[derive(Clone, Copy)]
+struct ChainSkips {
+    /// The annihilator.
+    zero: f32,
+    /// Whether the rule reads what a tile beside an empty one holds
+    /// (plus-mul, min-mul), not only that the other is empty.
+    values: bool,
+    /// Whether it may read the values of `B` tiles: `values`, and some
+    /// tile of `A` may be empty.
+    b_values: bool,
+}
+
+impl ChainSkips {
+    /// How a `unit` step of `op` skips — `None` when it skips no pair,
+    /// and packs without scanning: the unit is not
+    /// [coordinate-free](MmoUnit::COORDINATE_FREE) (it injects or probes
+    /// at every [`simd2_mxu::TileCoord`]), or `op` has no pair the rule
+    /// lets go even on operands wholly inside its domain (the default
+    /// scan): plus-norm has no annihilator, and max-mul's skipped terms
+    /// need a trailing `⊕ +0.0` that is exact only over whole operands,
+    /// which a tile pair does not see.
+    ///
+    /// `A`'s tiles are packed after `B`'s strip, so whether one of them
+    /// may be empty is read off the matrix: a tile can pack to nothing
+    /// but the annihilator only if its first row holds nothing else (the
+    /// pack hook maps the annihilator to itself). A tile the quantiser
+    /// rounds onto the annihilator is missed, and a pair through it is
+    /// then kept beside a `B` tile whose values were not read — folded,
+    /// not skipped, so still exact.
+    fn of<U: MmoUnit>(step: &MmoArgs<'_>) -> Option<Self> {
+        let (empty, inside) = (Scan::default(), Scan::default());
+        let skips = U::COORDINATE_FREE && skip_rule(step.op, empty, inside) == Skip::Exact;
+        let zero = step.op.no_edge_f32().filter(|_| skips)?;
+        let values = skip_rule(step.op, empty, UNREAD) != Skip::Exact;
+        let a = step.a;
+        let a_tile_may_be_empty = || {
+            (0..a.rows()).step_by(ISA_TILE).any(|r| {
+                a.row(r)
+                    .chunks(ISA_TILE)
+                    .any(|first_row| all_zero(first_row, zero))
+            })
+        };
+        let b_values = values && a_tile_may_be_empty();
+        Some(Self {
+            zero,
+            values,
+            b_values,
+        })
+    }
+
+    /// Fills `dst.facts` for `dst.tiles` with each tile's [`Scan`] on
+    /// `isa`'s leaf — of every tile when the rule will `read_values` of
+    /// these tiles; otherwise only of a tile whose first row is all
+    /// annihilator, one that can be empty, the rest being [`UNREAD`], so
+    /// a dense operand costs one vector compare per tile.
+    fn scan(self, isa: KernelIsa, read_values: bool, dst: Packed<'_>) {
+        for (tile, fact) in dst.tiles.chunks_exact(TILE_ELEMS).zip(dst.facts) {
+            *fact = if read_values || all_zero(&tile[..ISA_TILE], self.zero) {
+                simd::scan(isa, self.zero, tile)
+            } else {
+                UNREAD
+            };
+        }
+    }
+}
+
+/// Whether every element of `row` is `zero`: folded without an early
+/// exit, since on or-and's random booleans the first element is the
+/// annihilator half the time and a branch per element mispredicts.
+fn all_zero(row: &[f32], zero: f32) -> bool {
+    row.iter().fold(true, |all, &x| all & (x == zero))
+}
+
+/// Whether the tile chain skips the pair of packed tiles whose scans are
+/// `a` and `b`: one of them holds nothing but the annihilator and the
+/// rule lets its terms go exactly, with nothing to fold after them.
+fn skips_pair(op: OpKind, a: Scan, b: Scan) -> bool {
+    let exact =
+        |empty: Scan, other| empty.stored == 0 && skip_rule(op, empty, other) == Skip::Exact;
+    exact(a, b) || exact(b, a)
+}
+
+/// Whether some tile of the scanned chain or strip holds nothing but
+/// the annihilator.
+fn holds_empty(facts: &[Scan]) -> bool {
+    facts.iter().any(|scan| scan.stored == 0)
+}
+
+/// Folds output tile `tile`'s chain of packed tile pairs `a`, `b` into
+/// `acc`, leaving out the pairs [`skips_pair`] names by their tiles'
+/// `facts` — all of them kept when there are none: each run of kept
+/// pairs is one [`MmoUnit::execute_chain`] call, and a tile with no kept
+/// pair gets the empty chain. Every call seeds `acc ⊕ id`, which is
+/// idempotent, so the runs fold exactly what one call over the kept
+/// pairs would. Returns the number of pairs skipped.
+fn fold_runs<U: MmoUnit>(
+    unit: &mut U,
+    tile: (usize, usize),
+    op: OpKind,
+    (a, b): (&[f32], &[f32]),
+    facts: Option<(&[Scan], &[Scan])>,
+    acc: &mut Tile<ISA_TILE>,
+) -> u64 {
+    let Some((a_facts, b_facts)) = facts else {
+        unit.execute_chain(tile, op, a, b, acc);
+        return 0;
+    };
+    let mut fold = |tks: Range<usize>| {
+        let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
+        unit.execute_chain(tile, op, &a[run.clone()], &b[run], acc);
+    };
+    let k_tiles = a_facts.len();
+    let (mut open, mut kept) = (None, 0);
+    for tk in 0..=k_tiles {
+        let keep = tk < k_tiles && !skips_pair(op, a_facts[tk], b_facts[tk]);
+        match (open, keep) {
+            (None, true) => open = Some(tk),
+            (Some(start), false) => {
+                fold(start..tk);
+                kept += tk - start;
+                open = None;
+            }
+            _ => {}
+        }
+    }
+    if kept == 0 {
+        fold(0..0);
+    }
+    (k_tiles - kept) as u64
+}
+
+/// Where a tile-chain panel reads its packed `B` strips, and their
+/// tiles' scans.
 enum BStrip<'s> {
     /// The grid's one strip, packed by the caller and read by every
     /// panel.
-    Shared(&'s [f32]),
-    /// This panel's buffer, each strip packed into it in turn.
-    Own(&'s mut [f32]),
+    Shared(&'s [f32], &'s [Scan]),
+    /// This panel's buffers, each strip packed into them in turn.
+    Own(Packed<'s>),
 }
 
 /// What one tile-chain panel works with: one unit shard per `B` strip
@@ -790,19 +974,22 @@ enum BStrip<'s> {
 /// strips.
 struct ChainPanel<'s, U> {
     units: &'s mut [U],
-    a_row: &'s mut [f32],
+    a_row: Packed<'s>,
     b: BStrip<'s>,
 }
 
 /// Executes one output panel of the tile grid on the tile chain,
-/// writing results into the panel's row slab of `D`.
+/// writing results into the panel's row slab of `D`; returns the number
+/// of tile pairs it skipped.
 ///
 /// `B` is packed one column strip at a time (or was, once, by the
 /// caller) and `A` one tile row at a time, each exactly once per use;
-/// every output tile is then one [`MmoUnit::execute_chain`] call over
-/// contiguous packed tiles, folding into an accumulator tile read from
+/// every output tile is then folded over contiguous packed tiles
+/// ([`fold_runs`]: one [`MmoUnit::execute_chain`] call per run of tile
+/// pairs the step does not skip), into an accumulator tile read from
 /// `C` and stored straight into the slab. Tiles are visited strip by
-/// strip, row-major within a strip.
+/// strip, row-major within a strip. A step that may skip pairs
+/// ([`ChainSkips`]) scans each chain and strip right after packing it.
 ///
 /// The panel's units are either a single unit that executes every strip
 /// (the sequential schedule) or one worker shard per strip (the
@@ -811,40 +998,59 @@ struct ChainPanel<'s, U> {
 fn run_panel<U: MmoUnit>(
     ChainPanel {
         units,
-        a_row,
+        mut a_row,
         mut b,
     }: ChainPanel<'_, U>,
     step: &MmoArgs<'_>,
     grid: &TileGrid,
+    skips: Option<ChainSkips>,
     panel: Range<usize>,
     slab: &mut [f32],
-) {
+) -> u64 {
     let row0 = grid.panel_rows(&panel).start;
     let (op, pad) = (step.op, tiling::pad_values(step.op));
     let k_tiles = grid.k_tiles;
     let chain = k_tiles * TILE_ELEMS;
     let width = strip_width(k_tiles);
+    let mut skipped = 0;
     for (s, tj0) in (0..grid.n_tiles).step_by(width).enumerate() {
         let strip = tj0..(tj0 + width).min(grid.n_tiles);
         let unit = &mut units[s.min(units.len() - 1)];
-        let b_pack: &[f32] = match &mut b {
-            BStrip::Shared(packed) => packed,
-            BStrip::Own(buf) => {
-                let buf = &mut buf[..strip.len() * chain];
-                pack_b_strip(unit, step, k_tiles, strip.clone(), buf);
-                buf
+        let (b_pack, b_facts): (&[f32], &[Scan]) = match &mut b {
+            BStrip::Shared(packed, facts) => (packed, facts),
+            BStrip::Own(Packed { tiles, facts }) => {
+                let tiles = &mut tiles[..strip.len() * chain];
+                let facts = &mut facts[..skips.map_or(0, |_| strip.len() * k_tiles)];
+                let dst = Packed { tiles, facts };
+                pack_b_strip(unit, step, k_tiles, strip.clone(), skips, dst);
+                (tiles, facts)
             }
         };
+        // An `A` row's values matter only beside an empty `B` tile; with
+        // no empty tile in the strip nor in the row, nothing is skipped.
+        let b_sparse = holds_empty(b_facts);
         for ti in panel.clone() {
-            pack_chain(unit, step.a, pad.a, (0..k_tiles).map(|tk| (ti, tk)), a_row);
+            let a_coords = (0..k_tiles).map(|tk| (ti, tk));
+            pack_chain(unit, step.a, pad.a, a_coords, a_row.tiles);
+            if let Some(skips) = skips {
+                let read_values = skips.values && b_sparse;
+                skips.scan(unit.kernel_isa(), read_values, a_row.reborrow());
+            }
+            let sparse = b_sparse || holds_empty(a_row.facts);
             for tj in strip.clone() {
                 let mut acc = tiling::load_c_tile::<ISA_TILE>(op, step.c, ti, tj);
                 let b_chain = &b_pack[(tj - tj0) * chain..][..chain];
-                unit.execute_chain((ti, tj), op, a_row, b_chain, &mut acc);
+                let facts = sparse.then(|| {
+                    let b_chain_facts = &b_facts[(tj - tj0) * k_tiles..][..k_tiles];
+                    (&*a_row.facts, b_chain_facts)
+                });
+                let chains = (&*a_row.tiles, b_chain);
+                skipped += fold_runs(unit, (ti, tj), op, chains, facts, &mut acc);
                 tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
             }
         }
     }
+    skipped
 }
 
 /// The one panel scheduler, whichever walk a step takes: each entry of
@@ -933,11 +1139,14 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         grid: &TileGrid,
         workers: usize,
         d: &mut Matrix,
-    ) -> Result<(), BackendError> {
+    ) -> Result<u64, BackendError> {
         let width = strip_width(grid.k_tiles);
         let strips = grid.n_tiles.div_ceil(width);
         let chain = grid.k_tiles * TILE_ELEMS;
-        let strip_len = width.min(grid.n_tiles) * chain;
+        let strip_tiles = width.min(grid.n_tiles) * grid.k_tiles;
+        let skips = ChainSkips::of::<U>(step);
+        // One scan per packed tile, or none.
+        let facts = |tiles: usize| skips.map_or(0, |_| tiles);
         let mut panels = grid.row_panels(workers);
         let shard_panel = |_| (0..strips).map(|_| self.unit.shard()).collect();
         let mut shards: Vec<Vec<U>> = (panels.len() > 1)
@@ -947,17 +1156,32 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         if shards.is_empty() {
             panels = grid.row_panels(1);
         }
-        let a_rows = fit(&mut self.scratch.a, panels.len(), chain);
+        let PackScratch {
+            a,
+            b,
+            a_facts,
+            b_facts,
+        } = &mut self.scratch;
+        let a_rows = fit(a, panels.len(), chain)
+            .iter_mut()
+            .zip(fit(a_facts, panels.len(), facts(grid.k_tiles)))
+            .map(|(tiles, facts)| Packed { tiles, facts });
+        let b_bufs = if strips == 1 { 1 } else { panels.len() };
+        let b_bufs = fit(b, b_bufs, strip_tiles * TILE_ELEMS)
+            .iter_mut()
+            .zip(fit(b_facts, b_bufs, facts(strip_tiles)))
+            .map(|(tiles, facts)| Packed { tiles, facts });
         let b_strips: Vec<BStrip<'_>> = if strips == 1 {
-            let packed = &mut fit(&mut self.scratch.b, 1, strip_len)[0];
-            pack_b_strip(&self.unit, step, grid.k_tiles, 0..grid.n_tiles, packed);
-            let packed: &[f32] = packed;
-            panels.iter().map(|_| BStrip::Shared(packed)).collect()
-        } else {
-            fit(&mut self.scratch.b, panels.len(), strip_len)
-                .iter_mut()
-                .map(|buf| BStrip::Own(buf))
+            let mut packed = b_bufs.into_iter().next().expect("one shared strip");
+            let dst = packed.reborrow();
+            pack_b_strip(&self.unit, step, grid.k_tiles, 0..grid.n_tiles, skips, dst);
+            let (tiles, facts) = (&*packed.tiles, &*packed.facts);
+            panels
+                .iter()
+                .map(|_| BStrip::Shared(tiles, facts))
                 .collect()
+        } else {
+            b_bufs.map(BStrip::Own).collect()
         };
         let units: Vec<&mut [U]> = if shards.is_empty() {
             vec![std::slice::from_mut(&mut self.unit)]
@@ -976,12 +1200,12 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
             grid,
             d,
             work,
-            |state, panel, slab| run_panel(state, step, grid, panel, slab),
+            |state, panel, slab| run_panel(state, step, grid, skips, panel, slab),
         );
         let mut survivors: Vec<std::vec::IntoIter<U>> = shards
             .into_iter()
             .zip(&done)
-            .filter_map(|(shards, done)| done.map(|()| shards.into_iter()))
+            .filter_map(|(shards, done)| done.map(|_| shards.into_iter()))
             .collect();
         for _ in 0..strips {
             for shards in &mut survivors {
@@ -989,7 +1213,8 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
                     .absorb(shards.next().expect("one shard per strip"));
             }
         }
-        panic.map_or(Ok(()), Err)
+        panic.map_or(Ok(()), Err)?;
+        Ok(done.into_iter().flatten().sum())
     }
 
     /// A row walk: every panel folds its own output rows against the
@@ -1061,10 +1286,10 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
         let walk = (declared && U::COORDINATE_FREE)
             .then(|| RowWalk::choose(&self.unit, step))
             .flatten();
-        match &walk {
-            Some(walk) => self.run_rows(walk, &grid, workers, &mut d)?,
+        let skipped_pairs = match &walk {
+            Some(walk) => self.run_rows(walk, &grid, workers, &mut d).map(|()| 0)?,
             None => self.run_chain(step, &grid, workers, &mut d)?,
-        }
+        };
         if self.tracer.enabled() {
             match &walk {
                 Some(walk) if walk.scatters() => ROW_MMOS_SCATTER.add(1),
@@ -1072,6 +1297,7 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
                 None if declared => REPR_FALLBACK_MMOS.add(1),
                 None => {}
             }
+            CHAIN_SKIPPED_PAIRS.add(skipped_pairs);
         }
         let delta = OpCount {
             matrix_mmos: 1,
@@ -1959,6 +2185,108 @@ mod tests {
             assert_eq!(bits(&got), bits(&want));
         }
         assert_eq!(be.row_count().sparse_mmos, 4);
+    }
+
+    /// A unit that records the tile coordinates it is handed — not
+    /// coordinate-free, as a fault-injecting or probing unit is not.
+    #[derive(Clone, Debug, Default)]
+    struct CountingUnit {
+        inner: Simd2Unit,
+        visits: Vec<simd2_mxu::TileCoord>,
+    }
+
+    impl MmoUnit for CountingUnit {
+        fn quantize_packed(&self, xs: &mut [f32]) {
+            self.inner.quantize_operands(xs);
+        }
+
+        fn execute_packed_at(
+            &mut self,
+            coord: simd2_mxu::TileCoord,
+            op: OpKind,
+            a: &[f32],
+            b: &[f32],
+            acc: &mut Tile<ISA_TILE>,
+        ) {
+            self.visits.push(coord);
+            self.inner.execute_chain(op, a, b, acc);
+        }
+
+        fn precision(&self) -> PrecisionMode {
+            self.inner.precision()
+        }
+
+        fn shard(&self) -> Option<Self> {
+            Some(Self {
+                inner: self.inner,
+                visits: Vec::new(),
+            })
+        }
+
+        fn absorb(&mut self, shard: Self) {
+            self.visits.extend(shard.visits);
+        }
+    }
+
+    /// On block upper-triangular operands — every tile below the tile
+    /// diagonal all `+∞`, as a DAG's min-plus closure iterates are — a
+    /// unit that is not coordinate-free is handed every one of the grid's
+    /// tile coordinates exactly once, while the engine over a
+    /// coordinate-free unit leaves out every pair through such a tile,
+    /// for the same bits at one and two workers: on a grid whose packed
+    /// `B` is one shared strip, and on one each panel packs in strips.
+    #[test]
+    fn units_that_are_not_coordinate_free_visit_every_tile_pair() {
+        let (op, zero) = (OpKind::MinPlus, f32::INFINITY);
+        let dag = |rows: usize, cols: usize, seed| {
+            let dense = gen::random_operands_for(op, rows, cols, seed);
+            Matrix::from_fn(rows, cols, |r, c| {
+                if r / ISA_TILE > c / ISA_TILE {
+                    zero
+                } else {
+                    dense[(r, c)]
+                }
+            })
+        };
+        for (m, n, k, strips) in [(70, 60, 50, 1), (40, 260, 1040, 2)] {
+            let (a, b, c) = (dag(m, k, 5), dag(k, n, 6), dag(m, n, 7));
+            let grid = TileGrid::new(m, n, k, ISA_TILE);
+            assert_eq!(grid.n_tiles.div_ceil(strip_width(grid.k_tiles)), strips);
+            let triples = |outer: usize, mid: usize, inner: usize| {
+                (0..outer).flat_map(move |x| {
+                    (0..mid).flat_map(move |y| (0..inner).map(move |z| (x, y, z)))
+                })
+            };
+            let skippable = triples(grid.m_tiles, grid.k_tiles, grid.n_tiles)
+                .filter(|&(ti, tk, tj)| ti > tk || tk > tj)
+                .count() as u64;
+            assert!(skippable > 0);
+            let mut every: Vec<_> = triples(grid.m_tiles, grid.n_tiles, grid.k_tiles)
+                .map(|(ti, tj, tk)| simd2_mxu::TileCoord::new(ti, tj, tk))
+                .collect();
+            every.sort();
+            let mut want = None;
+            for workers in [1, 2] {
+                let ctx = format!("{m}x{n}x{k}, {workers} workers");
+                let mut be = TiledBackend::with_unit(CountingUnit::default());
+                be.set_parallelism(Parallelism::Threads(workers));
+                let visited = bits(&be.mmo(op, &a, &b, &c).unwrap());
+                let want = want.get_or_insert(visited.clone());
+                assert_eq!(&visited, want, "{ctx}");
+                let mut visits = be.unit().visits.clone();
+                assert_eq!(visits.len(), grid.tile_ops(), "{ctx}");
+                visits.sort();
+                assert_eq!(visits, every, "{ctx}");
+
+                let skipped = CHAIN_SKIPPED_PAIRS.get();
+                let mut be = TiledBackend::with_parallelism(Parallelism::Threads(workers))
+                    .with_tracer(Tracer::to(simd2_trace::RingSink::shared()));
+                let got = bits(&be.mmo(op, &a, &b, &c).unwrap());
+                assert_eq!(&got, want, "{ctx}");
+                // Other tests may add.
+                assert!(CHAIN_SKIPPED_PAIRS.get() >= skipped + skippable, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -44,12 +44,14 @@
 //! `⊗` selects or adds (`±∞ + x`, `min`/`max` with `±∞`, `0 ∧ x`: the
 //! identity, or the NaN an `∞ − ∞` makes). For the three whose `⊗`
 //! multiplies it does so only on the op's value domain, so the choice
-//! checks the domain (`Scan`, one branch-free pass over each operand
-//! the rule reads — the pass that counts a declared operand's stored
-//! entries anyway: `B` when `A` is declared sparse, and `A` when `B` is
-//! sparse enough to scatter, a swept `B` skipping nothing) and walks a
-//! declared operand dense when skipping its annihilator entries would
-//! not be exact:
+//! checks the domain ([`simd::scan`], one pass on the unit's vector tier
+//! over each operand the rule reads — the pass that counts a declared
+//! operand's stored entries anyway: `B` when `A` is declared sparse,
+//! and `A` when `B` is sparse enough to scatter, a swept `B` skipping
+//! nothing) and walks a declared operand dense when skipping its
+//! annihilator entries would not be exact — [`skip_rule`], the one table
+//! the tile chain reads too, when it leaves out a tile pair one of whose
+//! tiles holds nothing but the annihilator:
 //!
 //! * plus-mul — the *other* operand must be finite at the unit's
 //!   precision (`0 × ±∞` and `0 × NaN` are NaN, which `+` propagates;
@@ -68,7 +70,9 @@
 //!   either.
 //!
 //! Outputs are therefore bit-identical between the tile chain and every
-//! row walk, for every operand value and at any worker count.
+//! row walk, for every operand value and at any worker count. (The tile
+//! chain skips no max-mul pair: its one trailing `⊕ 0.0` is exact only
+//! over whole operands.)
 //!
 //! **Once per MMO, not per term.** Operands pass through the unit's pack
 //! hook ([`MmoUnit::quantize_packed`]) once: stored CSR / 2:4 values
@@ -83,7 +87,7 @@ use std::ops::Range;
 use simd2_matrix::{Csr, Matrix};
 use simd2_mxu::MmoUnit;
 use simd2_semiring::kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
-use simd2_semiring::simd::{self, SWEEP_STRIP};
+use simd2_semiring::simd::{self, Scan, SWEEP_STRIP};
 use simd2_semiring::OpKind;
 
 use super::MmoArgs;
@@ -145,62 +149,61 @@ pub struct RowCount {
     pub skipped_terms: u64,
 }
 
-/// What [`RowWalk::choose`] reads off an operand in one branch-free
-/// pass: the two facts the value-domain rule (module docs) needs, and
-/// the stored-entry count that picks scatter or sweep for a sparse `B`.
-/// The default — no element seen — is in every op's domain, which is
-/// what an operand no decision reads is treated as.
-#[derive(Clone, Copy, Default)]
-struct Scan {
-    /// OR of every element's bits: bit 31 is set iff some element
-    /// carries a sign bit.
-    any: u32,
-    /// Largest magnitude bits: a NaN outranks `∞` outranks any finite
-    /// value.
-    max_abs: u32,
-    /// Elements that differ from the annihilator (by value).
-    stored: usize,
+/// How the terms an operand's annihilator entries form may be skipped —
+/// what [`skip_rule`] says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Skip {
+    /// Not exactly: every such term is folded.
+    Never,
+    /// Every such term folds to the accumulator's own bits.
+    Exact,
+    /// Every such term is exactly `+0.0` (max-mul): skipping them is
+    /// exact with one trailing `⊕ +0.0` on each output that skipped one,
+    /// as long as no product of the whole fold is `−0.0` — which the
+    /// skipped operand being sign-clear guarantees when it is the whole
+    /// operand one of the product's factors comes from.
+    TrailingZero,
 }
 
-impl Scan {
-    fn of(m: &Matrix, zero: f32) -> Self {
-        let mut scan = Self::default();
-        for r in 0..m.rows() {
-            // Row by row, so the count runs in `u32` lanes beside the
-            // other two folds (a row's columns fit `u32`, as in `Csr`).
-            let fold = |(any, max_abs, stored): (u32, u32, u32), &x: &f32| {
-                let magnitude = x.to_bits() & 0x7fff_ffff;
-                (
-                    any | x.to_bits(),
-                    max_abs.max(magnitude),
-                    stored + u32::from(x != zero),
-                )
-            };
-            let (any, max_abs, stored) = m.row(r).iter().fold((0, 0, 0), fold);
-            scan.any |= any;
-            scan.max_abs = scan.max_abs.max(max_abs);
-            scan.stored += stored as usize;
+/// The value-domain rule (module docs), the one table both skips read —
+/// a row walk's over a declared operand's annihilator entries, and the
+/// tile chain's over a tile pair one of whose tiles is all annihilator:
+/// how `op`'s terms through the annihilator entries of the elements
+/// `skipped` scanned may be skipped, given what `other` scanned — the
+/// elements each of those entries meets, as the unit's pack hook leaves
+/// them (see [`at_precision`]).
+pub(super) fn skip_rule(op: OpKind, skipped: Scan, other: Scan) -> Skip {
+    match op {
+        OpKind::MinPlus | OpKind::MaxPlus | OpKind::MinMax | OpKind::MaxMin | OpKind::OrAnd => {
+            Skip::Exact
         }
-        scan
+        OpKind::PlusMul if other.finite() => Skip::Exact,
+        OpKind::MinMul if other.sign_clear() => Skip::Exact,
+        OpKind::MaxMul if other.sign_clear() && other.finite() && skipped.sign_clear() => {
+            Skip::TrailingZero
+        }
+        // Out of the domain, or plus-norm (no annihilator).
+        _ => Skip::Never,
     }
+}
 
-    /// The stored fraction of `m`, the operand this scan read.
-    fn stored_fraction(self, m: &Matrix) -> f64 {
-        self.stored as f64 / m.len().max(1) as f64
+/// `scan` of an operand as it reads once through `unit`'s pack hook, as
+/// far as [`skip_rule`] looks: every quantiser is monotonic in magnitude
+/// and keeps the sign bit, so quantising the largest element gives the
+/// largest quantised one. (`stored` stays the count before the hook: an
+/// entry that underflows to the annihilator stays a stored term.)
+fn at_precision(scan: Scan, unit: &impl MmoUnit) -> Scan {
+    let mut worst = [scan.largest()];
+    unit.quantize_packed(&mut worst);
+    Scan {
+        max_abs: worst[0].to_bits() & 0x7fff_ffff,
+        ..scan
     }
+}
 
-    fn sign_clear(self) -> bool {
-        self.any >> 31 == 0
-    }
-
-    /// Whether every element is finite once through `unit`'s pack hook
-    /// (every quantiser is monotonic in magnitude, so the largest one
-    /// decides).
-    fn finite(self, unit: &impl MmoUnit) -> bool {
-        let mut worst = [f32::from_bits(self.max_abs)];
-        unit.quantize_packed(&mut worst);
-        worst[0].is_finite()
-    }
+/// The stored fraction of `m`, which `scan` read.
+fn stored_fraction(scan: Scan, m: &Matrix) -> f64 {
+    scan.stored as f64 / m.len().max(1) as f64
 }
 
 /// The two row kernels (module docs).
@@ -469,33 +472,30 @@ impl<'a> RowWalk<'a> {
         let multiplies = matches!(op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
         // A validated sparse declaration means the op has an annihilator.
         let zero = op.no_edge_f32()?;
-        let scan = |read: bool, m| {
+        // What no decision reads is the default scan, which is in every
+        // op's domain.
+        let scan = |read: bool, m: &Matrix| {
             if read {
-                Scan::of(m, zero)
+                at_precision(simd::scan(unit.kernel_isa(), zero, m.as_slice()), unit)
             } else {
                 Scan::default()
             }
         };
         // One pass over an operand serves two readers: its stored
         // fraction prices its own walk, its values bound what the other
-        // operand's walk may skip. A swept `B` skips nothing, so `A` is
-        // read for `B`'s sake only against one sparse enough to scatter.
+        // operand's walk may skip (for the ops whose rule reads them).
+        // A swept `B` skips nothing, so `A` is read for `B`'s sake only
+        // against one sparse enough to scatter.
         let sb = scan(b_sparse || multiplies, b);
-        let swept_b = b_sparse && sb.stored_fraction(b) > SWEEP_B_DENSITY;
+        let swept_b = b_sparse && stored_fraction(sb, b) > SWEEP_B_DENSITY;
         let mut scatter_b = b_sparse && !swept_b;
         let sa = scan(walk_a || (multiplies && scatter_b), a);
-        // The value-domain rule (module docs): an operand whose
-        // annihilator entries cannot be skipped exactly walks dense.
-        if multiplies {
-            let exact = |declared: Scan, other: Scan| match op {
-                OpKind::PlusMul => other.finite(unit),
-                OpKind::MinMul => other.sign_clear(),
-                _ => other.sign_clear() && other.finite(unit) && declared.sign_clear(),
-            };
-            (walk_a, scatter_b) = (walk_a && exact(sa, sb), scatter_b && exact(sb, sa));
-        }
+        // The value-domain rule: an operand whose annihilator entries
+        // cannot be skipped exactly walks dense.
+        let skips = |skipped, other| skip_rule(op, skipped, other) != Skip::Never;
+        (walk_a, scatter_b) = (walk_a && skips(sa, sb), scatter_b && skips(sb, sa));
         // What is left to skip, as the fractions a walk would fold.
-        let stored = |walks: bool, scan: Scan, m| if walks { scan.stored_fraction(m) } else { 1.0 };
+        let stored = |walks: bool, scan, m| if walks { stored_fraction(scan, m) } else { 1.0 };
         let kernel = row_kernel(
             op,
             stored(walk_a, sa, a),
@@ -620,7 +620,7 @@ mod tests {
             ),
         ];
         for (m, _) in scans.iter().filter(|(_, read)| *read) {
-            std::hint::black_box(Scan::of(m, zero));
+            std::hint::black_box(simd::scan(unit.kernel_isa(), zero, m.as_slice()));
         }
         let walk = walk_of(unit, step, a_zero, scatter);
         let mut d = Matrix::zeros(step.a.rows(), step.b.cols());
@@ -676,7 +676,7 @@ mod tests {
             let a24 = structure_2_4(&a, zero, seed ^ 0x24);
             let b = operand(&pool, k, n, zero, b_density, seed ^ 0xB);
             let c = operand(&pool, m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
-            let stored = |m: &Matrix| Scan::of(m, zero).stored as u64;
+            let stored = |m: &Matrix| simd::scan(simd::KernelIsa::Scalar, zero, m.as_slice()).stored as u64;
             let split = seed as usize % (m + 1);
             for precision in [PrecisionMode::Fp32Input, PrecisionMode::Fp16Input, PrecisionMode::Int8Input] {
                 let unit = Simd2Unit::with_precision(precision);

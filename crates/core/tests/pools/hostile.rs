@@ -1,7 +1,7 @@
 //! What the two row-walk differentials share beside the generators of
 //! `pools/mod.rs`: the API-level one (`proptest_rows.rs`) and the
 //! kernel-level one in `src/backend/rows.rs`, which includes this file
-//! by path.
+//! by path — as does `tests/fold_order.rs`, for [`quantized`].
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

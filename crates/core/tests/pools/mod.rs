@@ -1,7 +1,8 @@
 //! Operand generators shared by the bit-identity suites: this crate's
 //! `proptest_rows.rs` and the umbrella's `tests/fold_order.rs` (which
 //! includes this file by path — it is the one suite that sees every
-//! backend).
+//! backend), with the block-sparse operands whose all-annihilator tiles
+//! the tile chain skips.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -44,4 +45,44 @@ pub(crate) fn specials(pool: usize) -> &'static [f32] {
         2 => &[f32::INFINITY, f32::NEG_INFINITY, 65520.0],
         _ => &NANS,
     }
+}
+
+// `Blocks` and `block_sparse` are `tests/fold_order.rs`' alone; the other
+// suites that include this file leave them unused.
+
+/// Which whole tiles of the engine's 16×16 grid [`block_sparse`] blanks.
+#[allow(dead_code)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Blocks {
+    /// Each tile, with probability one half.
+    Random,
+    /// Every tile below the tile diagonal (tile row > tile column): the
+    /// pattern of a DAG's adjacency with vertices in topological order,
+    /// and of every closure iterate of it.
+    UpperTriangular,
+}
+
+/// `m` with whole tiles of the engine's 16×16 grid — ragged at the
+/// bottom and right edges — set to `zero` as `blocks` says; the other
+/// tiles keep what they hold, specials and signs included.
+#[allow(dead_code)]
+pub(crate) fn block_sparse(mut m: Matrix, zero: f32, blocks: Blocks, seed: u64) -> Matrix {
+    const TILE: usize = 16;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for ti in 0..m.rows().div_ceil(TILE) {
+        for tj in 0..m.cols().div_ceil(TILE) {
+            let blank = match blocks {
+                Blocks::Random => rng.gen_bool(0.5),
+                Blocks::UpperTriangular => ti > tj,
+            };
+            if !blank {
+                continue;
+            }
+            let cols = tj * TILE..m.cols().min((tj + 1) * TILE);
+            for r in ti * TILE..m.rows().min((ti + 1) * TILE) {
+                m.row_mut(r)[cols.clone()].fill(zero);
+            }
+        }
+    }
+    m
 }

@@ -257,7 +257,11 @@ pub trait MmoUnit: std::fmt::Debug {
     /// coordinate is visited in `tk` order; pure datapaths override it
     /// with a single kernel call that owns the loop. An empty chain
     /// (`k = 0`) visits no coordinate and leaves `acc ⊕ id`, the seed
-    /// every non-empty chain starts from.
+    /// every non-empty chain starts from. A
+    /// [coordinate-free](MmoUnit::COORDINATE_FREE) unit may receive an
+    /// output tile's chain in runs — one call per run of the tile pairs
+    /// an engine does not skip — which folds the same bits, because
+    /// every call's seed `acc ⊕ id` is idempotent.
     fn execute_chain(
         &mut self,
         (ti, tj): (usize, usize),

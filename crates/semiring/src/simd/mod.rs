@@ -26,6 +26,10 @@
 //! `(k, value)` walk over rows of a dense `B`, so whichever
 //! representation supplied the walk, a row seeded with `c ⊕ id` equals
 //! the dense fold bit for bit wherever the skipped terms are neutral.
+//! Beside them, [`scan`] reads the [`Scan`] facts off operand elements
+//! — how many differ from an annihilator, whether any carries a sign
+//! bit, the largest magnitude — from which an engine decides whether
+//! skipping an annihilator's terms is exact.
 //!
 //! # Dispatch
 //!
@@ -45,8 +49,9 @@
 //! `#[target_feature]` leaf functions with two documented preconditions:
 //! the feature is present on the host (checked by the dispatcher), and
 //! the slices have the shapes the entry asserted — whole 16×16 tiles for
-//! [`mmo_chain`]; the [`sweep_row`] leaves have no shape precondition
-//! (every vector access goes through a bounds-checked fixed-size chunk).
+//! [`mmo_chain`]; the [`sweep_row`] and [`scan`] leaves have no shape
+//! precondition (every vector access goes through a bounds-checked
+//! fixed-size chunk).
 //! Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
 //! every interior `unsafe` block carries its own justification.
 //!
@@ -423,6 +428,76 @@ pub fn sweep_row(
 ) {
     assert_eq!(ks.len(), vals.len(), "walk indices and values differ");
     with_kernel!(op, K => run_sweep::<K>(isa, ks, vals, b, ldb, acc));
+}
+
+/// What one pass over operand elements reads off them: the facts an
+/// engine needs to tell whether skipping the terms an annihilator
+/// decides is exact, and how many elements are not that annihilator.
+/// The default — no element seen — is the scan of an empty slice.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Scan {
+    /// OR of every element's bits: bit 31 is set iff some element
+    /// carries a sign bit.
+    pub any: u32,
+    /// Largest magnitude bits: a NaN outranks `∞` outranks any finite
+    /// value.
+    pub max_abs: u32,
+    /// Elements that differ from the scan's `zero` by value (so a NaN
+    /// is always stored, and `-0.0` is not when `zero` is `0.0`).
+    pub stored: usize,
+}
+
+impl Scan {
+    /// The scan of two runs of elements together.
+    pub fn merge(self, other: Scan) -> Scan {
+        Scan {
+            any: self.any | other.any,
+            max_abs: self.max_abs.max(other.max_abs),
+            stored: self.stored + other.stored,
+        }
+    }
+
+    /// Whether no element carries a sign bit.
+    pub fn sign_clear(self) -> bool {
+        self.any >> 31 == 0
+    }
+
+    /// Whether every element is finite.
+    pub fn finite(self) -> bool {
+        self.largest().is_finite()
+    }
+
+    /// The element of largest magnitude, sign cleared.
+    pub fn largest(self) -> f32 {
+        f32::from_bits(self.max_abs)
+    }
+}
+
+/// Elements one leaf call scans at most, so its per-lane `u32` counts
+/// (and their sum) cannot wrap.
+const SCAN_BLOCK: usize = 1 << 24;
+
+/// Scans `xs` against the annihilator `zero` ([`Scan`]) on `isa`'s
+/// vector leaf, the scalar leaf being its oracle: every tier returns the
+/// same facts. Same support guard as [`mmo_tile`].
+pub fn scan(isa: KernelIsa, zero: f32, xs: &[f32]) -> Scan {
+    xs.chunks(SCAN_BLOCK)
+        .map(|block| run_scan(isa, zero, block))
+        .fold(Scan::default(), Scan::merge)
+}
+
+/// The detection-guarded entry to the scan leaves, which bounds-check
+/// every access themselves.
+fn run_scan(isa: KernelIsa, zero: f32, xs: &[f32]) -> Scan {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx512f is available on this CPU.
+        KernelIsa::Avx512 if cpu_features().avx512f => unsafe { x86::scan_avx512(zero, xs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx2 is available on this CPU.
+        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::scan_avx2(zero, xs) },
+        _ => scalar::scan(zero, xs),
+    }
 }
 
 /// Quantises every element of `xs` through fp16 in place, vectorized

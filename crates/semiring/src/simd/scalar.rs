@@ -10,9 +10,11 @@
 //! the tail columns that do not fill a whole vector. The inner loop runs
 //! along a contiguous `B` row with no dependence between columns, so the
 //! compiler vectorises it for whatever the target's baseline vector unit
-//! is.
+//! is. [`scan`] is the oracle of the scan leaves.
 
 use crate::kernel::SemiringKernel;
+
+use super::Scan;
 
 /// Scalar chain over tiles of side `n`: seeds `acc ← acc ⊕ id`, then
 /// folds `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of flat row-major `n × n`
@@ -64,4 +66,26 @@ pub(super) fn sweep_columns<K: SemiringKernel>(
 #[inline]
 pub(super) fn walk<'a>(ks: &'a [u32], vals: &'a [f32]) -> impl Iterator<Item = (usize, f32)> + 'a {
     ks.iter().map(|&k| k as usize).zip(vals.iter().copied())
+}
+
+/// Scans `xs` against the annihilator `zero`: the oracle every vector
+/// scan leaf must equal. The count runs in `u32` beside the other two
+/// folds so the loop vectorises; the dispatcher hands a leaf at most
+/// `SCAN_BLOCK` elements, which that count cannot wrap on.
+#[inline]
+pub(super) fn scan(zero: f32, xs: &[f32]) -> Scan {
+    let (any, max_abs, stored) =
+        xs.iter()
+            .fold((0u32, 0u32, 0u32), |(any, max_abs, stored), &x| {
+                (
+                    any | x.to_bits(),
+                    max_abs.max(x.to_bits() & 0x7fff_ffff),
+                    stored + u32::from(x != zero),
+                )
+            });
+    Scan {
+        any,
+        max_abs,
+        stored: stored as usize,
+    }
 }

@@ -8,9 +8,9 @@
 //! * Chain leaves: `a` and `b` are the same whole number of flat 16×16
 //!   tiles and the accumulator exactly one (asserted by
 //!   `super::mmo_chain`); they index through fixed-size chunks, so every
-//!   vector access is a whole vector of a 16-element row. Row-sweep
-//!   leaves: no shape precondition — every vector access goes through a
-//!   bounds-checked fixed-size chunk.
+//!   vector access is a whole vector of a 16-element row. Row-sweep and
+//!   scan leaves: no shape precondition — every vector access goes
+//!   through a bounds-checked fixed-size chunk.
 //!
 //! # Bit identity
 //!
@@ -58,7 +58,7 @@ use crate::kernel::SemiringKernel;
 use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul, PlusNorm};
 use crate::OpKind;
 
-use super::{scalar, CHAIN_ELEMS, CHAIN_TILE, SWEEP_STRIP};
+use super::{scalar, Scan, CHAIN_ELEMS, CHAIN_TILE, SWEEP_STRIP};
 
 /// `f32` lanes in a 256-bit vector.
 const LANES256: usize = 8;
@@ -836,3 +836,85 @@ sweep_leaf!(
     _mm256_set1_ps,
     _mm256_storeu_ps
 );
+
+// ---------------------------------------------------------------------------
+// Scan leaves: what a skip decision reads off packed operands.
+// ---------------------------------------------------------------------------
+
+/// [`scalar::scan`] sixteen lanes at a time, the scalar leaf on the
+/// tail. `x != zero` is the unordered-or-unequal predicate
+/// (`_CMP_NEQ_UQ`: a NaN is stored, `-0.0` equals `0.0`), and each lane
+/// counts its stored elements in `u32`, which the dispatcher's block
+/// bound keeps from wrapping.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. (Shapes are bounds-checked, not
+/// preconditions.)
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn scan_avx512(zero: f32, xs: &[f32]) -> Scan {
+    let (chunks, tail) = xs.as_chunks::<LANES512>();
+    let (z, magnitude, one) = (
+        _mm512_set1_ps(zero),
+        _mm512_set1_epi32(0x7fff_ffff),
+        _mm512_set1_epi32(1),
+    );
+    let (mut any, mut max_abs, mut stored) = (
+        _mm512_setzero_si512(),
+        _mm512_setzero_si512(),
+        _mm512_setzero_si512(),
+    );
+    for chunk in chunks {
+        // SAFETY: `chunk` is exactly 16 contiguous `f32`s.
+        let v = unsafe { _mm512_loadu_ps(chunk.as_ptr()) };
+        let bits = _mm512_castps_si512(v);
+        any = _mm512_or_si512(any, bits);
+        max_abs = _mm512_max_epu32(max_abs, _mm512_and_si512(bits, magnitude));
+        let kept = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, z);
+        stored = _mm512_mask_add_epi32(stored, kept, stored, one);
+    }
+    let head = Scan {
+        any: _mm512_reduce_or_epi32(any) as u32,
+        max_abs: _mm512_reduce_max_epu32(max_abs),
+        stored: _mm512_reduce_add_epi32(stored) as u32 as usize,
+    };
+    head.merge(scalar::scan(zero, tail))
+}
+
+/// [`scan_avx512`] on eight lanes: the compare's all-ones lanes are
+/// subtracted from the count.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn scan_avx2(zero: f32, xs: &[f32]) -> Scan {
+    let (chunks, tail) = xs.as_chunks::<LANES256>();
+    let (z, magnitude) = (_mm256_set1_ps(zero), _mm256_set1_epi32(0x7fff_ffff));
+    let (mut any, mut max_abs, mut stored) = (
+        _mm256_setzero_si256(),
+        _mm256_setzero_si256(),
+        _mm256_setzero_si256(),
+    );
+    for chunk in chunks {
+        // SAFETY: `chunk` is exactly 8 contiguous `f32`s.
+        let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
+        let bits = _mm256_castps_si256(v);
+        any = _mm256_or_si256(any, bits);
+        max_abs = _mm256_max_epu32(max_abs, _mm256_and_si256(bits, magnitude));
+        let kept = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, z));
+        stored = _mm256_sub_epi32(stored, kept);
+    }
+    let lanes = |v: __m256i| {
+        let mut out = [0u32; LANES256];
+        // SAFETY: `out` is exactly one 256-bit vector of writable bytes.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
+        out
+    };
+    let head = Scan {
+        any: lanes(any).into_iter().fold(0, |x, y| x | y),
+        max_abs: lanes(max_abs).into_iter().fold(0, u32::max),
+        stored: lanes(stored).into_iter().map(|n| n as usize).sum(),
+    };
+    head.merge(scalar::scan(zero, tail))
+}

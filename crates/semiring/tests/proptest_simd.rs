@@ -206,6 +206,93 @@ proptest! {
         }
     }
 
+    /// A chain folded in runs — cut at any subset of its `tk`, each run
+    /// one `mmo_chain` call carrying the accumulator, with an empty call
+    /// in front — equals the one-call fold bit for bit, for all nine ops
+    /// on every supported tier: every call seeds `acc ⊕ id`, which is
+    /// idempotent, so a run boundary folds nothing. This is what lets an
+    /// engine drop the tile pairs between two runs.
+    #[test]
+    fn chains_folded_in_runs_equal_the_one_call_fold(
+        op in op_strategy(),
+        tiles in 0usize..=5,
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let a = values(tiles * CHAIN_ELEMS, &bits, salt);
+        let b = values(tiles * CHAIN_ELEMS, &bits, salt.wrapping_add(1));
+        let c = values(CHAIN_ELEMS, &bits, salt.wrapping_add(2));
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+            let mut want = c.clone();
+            simd::mmo_chain(isa, op, &a, &b, &mut want);
+            // Bit `t - 1` of `cuts` set: a run ends before tile `t`.
+            for cuts in 0u32..1 << tiles.saturating_sub(1) {
+                let mut got = c.clone();
+                simd::mmo_chain(isa, op, &[], &[], &mut got);
+                let mut start = 0;
+                for end in 1..=tiles {
+                    if end == tiles || cuts >> (end - 1) & 1 == 1 {
+                        let run = start * CHAIN_ELEMS..end * CHAIN_ELEMS;
+                        simd::mmo_chain(isa, op, &a[run.clone()], &b[run], &mut got);
+                        start = end;
+                    }
+                }
+                for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                    prop_assert!(
+                        simd::same_bits(*y, *x),
+                        "{} chain of {} cut {:b} isa={} element {} ({:e} vs {:e})",
+                        op, tiles, cuts, isa, i, x, y
+                    );
+                }
+            }
+        }
+    }
+
+    /// The scan leaf of every supported tier == the scalar leaf == the
+    /// facts written out, over slices of every length up to two tiles
+    /// and a half (whole vectors and scalar tails), annihilators that
+    /// fill most, some or none of the slice — `±0.0` against a `0.0`
+    /// annihilator, the two infinities, the pool's NaNs and signed
+    /// values around them — and tile by tile, the way the tile chain
+    /// reads its packed operands.
+    #[test]
+    fn scan_leaves_match_the_scalar_leaf(
+        len in 0usize..=640,
+        zero_idx in 0usize..4,
+        fill in 0u32..=4,
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let zero = [0.0, f32::INFINITY, f32::NEG_INFINITY, 1.5][zero_idx];
+        let noise = values(len, &bits, salt);
+        // `fill` in four: how many elements are the annihilator (four:
+        // all of them).
+        let xs: Vec<f32> = noise
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt) >> 28;
+                match (h % 4 < fill, h % 7) {
+                    (true, 0) if zero == 0.0 => -0.0,
+                    (true, _) => zero,
+                    (false, _) => x,
+                }
+            })
+            .collect();
+        let want = simd::Scan {
+            any: xs.iter().fold(0, |m, x| m | x.to_bits()),
+            max_abs: xs.iter().map(|x| x.to_bits() & 0x7fff_ffff).max().unwrap_or(0),
+            stored: xs.iter().filter(|&&x| x != zero).count(),
+        };
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+            prop_assert_eq!(simd::scan(isa, zero, &xs), want, "isa={} len={}", isa, len);
+            for (t, tile) in xs.chunks_exact(CHAIN_ELEMS).enumerate() {
+                let fact = simd::scan(isa, zero, tile);
+                prop_assert_eq!(fact, simd::scan(KernelIsa::Scalar, zero, tile), "isa={} tile {}", isa, t);
+            }
+        }
+    }
+
     /// Chains of 3..=5 tile pairs in which each pair independently is
     /// NaN-free or carries a NaN in `A` only, in `B` only or in both,
     /// over a NaN-free or NaN-bearing accumulator (which the seed makes

@@ -46,8 +46,15 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # whole `backend::` unit suite, the parallel and checkpoint
 # differentials, the pool's thread lifecycle): a hand-off race shows
 # at optimised speed, where a debug build's slower panels may hide it.
+# And the tile chain's skips: the scan leaf against its scalar oracle
+# and chains folded in runs against the one-call fold on every tier
+# (`proptest_simd`), the block-sparse differential in `fold_order`, and
+# the skipped-pair count of the two DAG apps (`chain_skips`) — on the
+# forced-scalar leg the engine's facts come from the scalar leaf.
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-semiring --test proptest_simd
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-apps --test chain_skips
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows \
     --test proptest_parallel --test proptest_checkpoint --test pool_lifecycle

@@ -7,23 +7,31 @@
 //! 2:4 declaration on the same backend) and the naive triple loop
 //! (`ReferenceBackend`) are one function of the operand bits — for all
 //! nine ops, the two whose `⊕` rounds included, at fp16, fp32 and int8
-//! operand precision. This is the one suite that sees every backend;
-//! operands come from the pool generators of `crates/core/tests/pools`,
-//! `C` too. `scripts/verify.sh --full` runs it on both dispatch legs,
+//! operand precision — and so is the tile chain that leaves out the tile
+//! pairs an all-annihilator tile decides, on block-sparse operands. This
+//! is the one suite that sees every backend; operands come from the pool
+//! generators of `crates/core/tests/pools`, `C` too. `scripts/verify.sh --full` runs it on both dispatch legs,
 //! and once more optimised (the `±0` hazards of `f32::max` only ever
 //! showed in release builds).
 
+use std::sync::Arc;
+
 use simd2_repro::core::backend::{Backend, IsaBackend, ReferenceBackend, TiledBackend};
-use simd2_repro::core::{MatrixRef, OperandRepr, RecoveryPolicy, ResilientBackend};
+use simd2_repro::core::{MatrixRef, OperandRepr, Parallelism, RecoveryPolicy, ResilientBackend};
 use simd2_repro::fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_repro::matrix::Matrix;
 use simd2_repro::mxu::{PrecisionMode, Simd2Unit};
 use simd2_repro::semiring::simd::same_bits;
 use simd2_repro::semiring::{OpKind, ALL_OPS};
+use simd2_repro::trace::{NullSink, Tracer};
 
 #[path = "../crates/core/tests/pools/mod.rs"]
 mod pools;
-use pools::{operand, specials};
+use pools::{block_sparse, operand, specials, Blocks};
+#[allow(dead_code)]
+#[path = "../crates/core/tests/pools/hostile.rs"]
+mod hostile;
+use hostile::quantized;
 
 /// `(m, n, k)`: inside one tile, ragged on every side, whole tiles,
 /// wider than a sweep strip with `k` across two sweep blocks, and nothing
@@ -236,4 +244,80 @@ fn an_empty_reduction_is_the_seeded_accumulator() {
             check(unstruck, op, &c, &ctx);
         }
     }
+}
+
+/// The process-global count of tile pairs the chain has skipped.
+fn skipped_pairs() -> u64 {
+    simd2_repro::trace::snapshot()
+        .counters
+        .iter()
+        .find(|c| c.name == "core.chain.skipped_pairs")
+        .map_or(0, |c| c.value)
+}
+
+/// Whole 16×16 tiles of `A` and `B` blanked to the annihilator — at
+/// random, or below the tile diagonal as a DAG's closure iterates are —
+/// on ragged and whole-tile grids, the other tiles keeping each pool's
+/// specials and signs: all nine ops × fp16 / fp32 / int8 × one and
+/// three workers. The tile chain leaves out every pair whose terms all
+/// fold through the annihilator (it does, see the counter) and must
+/// still equal the naive triple loop on the operands as the unit's
+/// quantiser rounds them and, at fp16 on the smallest grid, the ISA
+/// executor, bit for bit. The pools put the rule's domain edges beside
+/// empty tiles: min-mul's negative and NaN factors beside all-`+∞`
+/// tiles, plus-mul's `±∞` and NaNs beside all-zero ones, max-mul's
+/// negative accumulators beside zero tiles.
+#[test]
+fn block_sparse_operands_skip_pairs_and_move_no_bit() {
+    const SHAPES: [(usize, usize, usize); 3] = [(70, 45, 53), (64, 64, 64), (40, 37, 50)];
+    let before = skipped_pairs();
+    let tracer = Tracer::to(Arc::new(NullSink));
+    for (oi, op) in ALL_OPS.into_iter().enumerate() {
+        let fill = op.no_edge_f32().unwrap_or(0.0);
+        for (si, (m, n, k)) in SHAPES.into_iter().enumerate() {
+            for (bi, blocks) in [Blocks::Random, Blocks::UpperTriangular]
+                .into_iter()
+                .enumerate()
+            {
+                for pool in 0..4 {
+                    for sign in [false, true] {
+                        let seed = (((oi * SHAPES.len() + si) * 2 + bi) * 4 + pool) as u64 * 2
+                            + u64::from(sign);
+                        let gen = |rows, cols, zero, density, salt: u64| {
+                            let x = operand(specials(pool), rows, cols, zero, density, seed ^ salt);
+                            if sign {
+                                signed(x, seed ^ salt)
+                            } else {
+                                x
+                            }
+                        };
+                        let a = block_sparse(gen(m, k, fill, 0.6, 0xA), fill, blocks, seed ^ 0x1A);
+                        let b = block_sparse(gen(k, n, fill, 0.6, 0xB), fill, blocks, seed ^ 0x1B);
+                        let c = gen(m, n, op.reduce_identity_f32(), 0.7, 0xC);
+                        let ctx = format!("{op} {m}x{n}x{k} {blocks:?} pool {pool} signed={sign}");
+                        for precision in [
+                            PrecisionMode::Fp16Input,
+                            PrecisionMode::Fp32Input,
+                            PrecisionMode::Int8Input,
+                        ] {
+                            let (qa, qb) = (quantized(&a, precision), quantized(&b, precision));
+                            let want = ReferenceBackend::new().mmo(op, &qa, &qb, &c).unwrap();
+                            for workers in [1, 3] {
+                                let mut be = engine(precision).with_tracer(tracer.clone());
+                                be.set_parallelism(Parallelism::Threads(workers));
+                                let got = be.mmo(op, &a, &b, &c).unwrap();
+                                let ctx = format!("{ctx}: {precision:?}, {workers} workers");
+                                assert_same(&got, &want, &ctx);
+                            }
+                            if precision == PrecisionMode::Fp16Input && si == 2 {
+                                let isa = IsaBackend::new().mmo(op, &a, &b, &c).unwrap();
+                                assert_same(&isa, &want, &format!("{ctx}: ISA executor"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(skipped_pairs() > before, "the tile chain skipped no pair");
 }
