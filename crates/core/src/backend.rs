@@ -1868,8 +1868,10 @@ mod tests {
                 let a = sparse_operand(37, 29, zero, 0.015, 400 + s as u64);
                 let a_mid = sparse_operand(37, 29, zero, 0.2, 450 + s as u64);
                 let a24 = prune_2_4(&a_mid, op);
-                // Sparse enough to be scattered; dense enough to be swept.
+                // Sparse enough to be scattered (the second with an
+                // entry in every row); dense enough to be swept.
                 let scattered = sparse_operand(29, 35, zero, 0.01, 500 + s as u64);
+                let every_row = Matrix::from_fn(29, 35, |r, l| if l == r { 2.5 } else { zero });
                 let swept = sparse_operand(29, 35, zero, 0.6, 550 + s as u64);
                 let c = sparse_operand(37, 35, zero, 0.8, 600 + s as u64);
                 let (csr, dense) = (OperandRepr::csr(zero), OperandRepr::Dense);
@@ -1877,15 +1879,15 @@ mod tests {
                 // The last columns: whether the float chains' ops walk
                 // the leg, and whether or-and does (its bit-mask chain
                 // wins sooner; an output this narrow never pays for a
-                // scatter's row lookups under a dense walk).
+                // dense walk's lookups of every `B` row).
                 for (am, ra, bm, rb, walks, or_and_walks) in [
                     (&a, csr, &swept, dense, true, true),
                     (&a, csr, &swept, csr, true, true),
                     (&a, csr, &scattered, csr, true, true),
                     (&a_mid, csr, &swept, dense, true, false),
-                    (&a_mid, dense, &scattered, csr, false, false),
+                    (&a_mid, dense, &every_row, csr, false, false),
                     (&a24, s24, &swept, dense, true, false),
-                    (&a24, s24, &scattered, csr, true, false),
+                    (&a24, s24, &scattered, csr, true, true),
                 ] {
                     let walks = if op == OpKind::OrAnd {
                         or_and_walks
@@ -2055,10 +2057,10 @@ mod tests {
         // row lookups, to a scatter of a hundredth-full `B`.
         for (op, n, declare_a, walked, chained) in [
             (OpKind::OrAnd, 64, true, Some(0.01), 0.5),
-            (OpKind::OrAnd, 64, true, Some(0.01), 0.06),
+            (OpKind::OrAnd, 64, true, Some(0.01), 0.12),
             (OpKind::OrAnd, 64, false, None, 0.01),
             (OpKind::MinPlus, 64, true, Some(0.2), 0.5),
-            (OpKind::PlusMul, 64, true, Some(0.2), 0.4),
+            (OpKind::PlusMul, 64, true, Some(0.2), 0.5),
             (OpKind::MinPlus, 256, false, Some(0.01), 0.05),
             (OpKind::MinPlus, 64, false, None, 0.01),
         ] {

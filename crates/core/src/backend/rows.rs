@@ -14,7 +14,8 @@
 //!   rows of a dense `B` ([`simd2_semiring::simd::sweep_row`], a vector
 //!   leaf on the unit's kernel ISA with the scalar leaf as its oracle);
 //! * **scatter** — the Gustavson inner loop over the stored entries of
-//!   a CSR `B` row.
+//!   a CSR `B` row; a dense `A` row's walk visits only the `B` rows that
+//!   store something, from the row list built with the image.
 //!
 //! A CSR-declared `B` whose stored density exceeds [`SWEEP_B_DENSITY`]
 //! is swept as dense rows ([`RowCount::swept_b_mmos`] counts them):
@@ -74,12 +75,17 @@
 //! chain skips no max-mul pair: its one trailing `⊕ 0.0` is exact only
 //! over whole operands.)
 //!
-//! **Once per MMO, not per term.** Operands pass through the unit's pack
-//! hook ([`MmoUnit::quantize_packed`]) once: stored CSR / 2:4 values
-//! *after* compression (an entry that underflows to `±0.0` stays a
-//! stored term), one image of a swept `B`. A worker compresses and
-//! quantises only its own `A` rows, reads the one shared `B` image, and
-//! returns its term counters.
+//! **Once per MMO, not per term.** Each operand a decision reads is
+//! scanned once, row by row ([`simd::scan`]): the facts the domain rule
+//! reads, and each row's stored count, which prices the walk and sizes
+//! every CSR image exactly — one [`simd::compact`] per row, the vector
+//! compaction leaf of the unit's kernel tier (the scalar leaf on the
+//! forced-scalar leg). Operands pass through the unit's pack hook
+//! ([`MmoUnit::quantize_packed`]) once: stored CSR / 2:4 values *after*
+//! compression (an entry that underflows to `±0.0` stays a stored
+//! term), one image of a swept `B`. A worker compresses and quantises
+//! only its own `A` rows, reads the one shared `B` image, and returns
+//! its term counters.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -98,31 +104,33 @@ use super::MmoArgs;
 /// row width in vector lanes, so the break-even is a property of `B`'s
 /// density alone; EXPERIMENTS.md ("Scatter or sweep") has the sweep that
 /// placed it.
-const SWEEP_B_DENSITY: f64 = 0.11;
+const SWEEP_B_DENSITY: f64 = 0.07;
 
 /// Stored fraction of a walked `A` up to which an `A`-walk × sweep beats
 /// the tile chain: the sweep folds `A`'s stored fraction of the terms at
 /// the sweep leaf's rate, the chain all of them at the chain kernel's,
 /// so the break-even is the ratio of the two rates — a property of the
-/// op's kernels, which is why or-and, whose chain folds bit masks four
-/// times as fast as the other chains fold floats, has its own.
+/// op's kernels, which is why or-and, whose chain folds bit masks two
+/// to three times as fast as the other chains fold floats, has its own.
 /// EXPERIMENTS.md ("Walk or chain") has the sweep that placed both
 /// (`walk_or_chain` below).
-const WALK_A_DENSITY: f64 = 0.3;
+const WALK_A_DENSITY: f64 = 0.4;
 /// [`WALK_A_DENSITY`] for or-and.
-const WALK_A_DENSITY_OR_AND: f64 = 0.03;
+const WALK_A_DENSITY_OR_AND: f64 = 0.07;
 
 /// Fraction of the `m·n·k` terms up to which a scatter beats the tile
 /// chain where `A`'s walk alone would not pay: a scattered term is a
 /// dependent scalar fold, a chained one a vector lane, so the break-even
 /// is again a ratio of two rates. Placed by the same sweep.
-const SCATTER_TERMS: f64 = 0.04;
+const SCATTER_TERMS: f64 = 0.03;
 /// [`SCATTER_TERMS`] for or-and.
-const SCATTER_TERMS_OR_AND: f64 = 0.014;
+const SCATTER_TERMS_OR_AND: f64 = 0.011;
 /// What looking up one `B` row costs a scatter, in scattered terms:
-/// every walked `(i, l)` pays it however few entries row `l` stores, so
-/// a narrow output (the chain's cost per pair is its width) never pays.
-const SCATTER_ROW_TERMS: f64 = 6.0;
+/// every walked `(i, l)` whose row `l` stores something pays it however
+/// few entries that is, so a narrow output (the chain's cost per pair is
+/// its width) never pays. (A dense `A` row's walk visits only those
+/// rows; a CSR one meets an empty row at the price of one bounds read.)
+const SCATTER_ROW_TERMS: f64 = 3.0;
 
 /// `B` rows one sweep block holds: with [`SWEEP_STRIP`] columns of
 /// `f32` that is 32 KiB, an L1-resident block every row of the panel
@@ -201,9 +209,68 @@ fn at_precision(scan: Scan, unit: &impl MmoUnit) -> Scan {
     }
 }
 
-/// The stored fraction of `m`, which `scan` read.
-fn stored_fraction(scan: Scan, m: &Matrix) -> f64 {
-    scan.stored as f64 / m.len().max(1) as f64
+/// One pass over an operand, row by row on the unit's vector tier: the
+/// facts [`skip_rule`] reads, and how many elements each row stores —
+/// which prices a walk, sizes the CSR image of any run of rows exactly
+/// and says which rows store nothing. The default is the pass no
+/// decision reads: the scan of nothing, which is in every op's domain.
+#[derive(Default)]
+struct Scanned {
+    /// The whole operand's facts, as its pack hook leaves them
+    /// ([`at_precision`]).
+    scan: Scan,
+    /// Elements that differ from the annihilator in rows `..r`, for
+    /// every `r` through the row count (empty when nothing was read).
+    ends: Vec<usize>,
+}
+
+impl Scanned {
+    /// The pass over `m`, if a decision reads it.
+    fn of(unit: &impl MmoUnit, zero: f32, m: Option<&Matrix>) -> Self {
+        let Some(m) = m else {
+            return Self::default();
+        };
+        let isa = unit.kernel_isa();
+        let mut scan = Scan::default();
+        let ends = std::iter::once(0)
+            .chain((0..m.rows()).map(|r| {
+                scan = scan.merge(simd::scan(isa, zero, m.row(r)));
+                scan.stored
+            }))
+            .collect();
+        Self {
+            scan: at_precision(scan, unit),
+            ends,
+        }
+    }
+
+    /// The row pointer of a CSR image of `rows` (see
+    /// [`Csr::from_dense_rows`]).
+    fn row_ptr(&self, rows: Range<usize>) -> Vec<usize> {
+        let base = self.ends[rows.start];
+        self.ends[rows.start..=rows.end]
+            .iter()
+            .map(|end| end - base)
+            .collect()
+    }
+
+    /// The rows that store something, in ascending order.
+    fn occupied(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..)
+            .zip(self.ends.windows(2))
+            .filter(|(_, w)| w[1] > w[0])
+            .map(|(l, _)| l)
+    }
+
+    /// The stored fraction of `m`, which this pass read.
+    fn stored_fraction(&self, m: &Matrix) -> f64 {
+        self.scan.stored as f64 / m.len().max(1) as f64
+    }
+
+    /// The fraction of `m`'s rows that store something.
+    fn occupied_fraction(&self, m: &Matrix) -> f64 {
+        self.occupied().count() as f64 / m.rows().max(1) as f64
+    }
 }
 
 /// The two row kernels (module docs).
@@ -218,22 +285,32 @@ pub(crate) enum RowKernel {
 /// The walk-or-chain rule: the row kernel that folds one `op` step of
 /// output width `n` faster than the tile chain does, given the fraction
 /// of each operand a walk would fold — its stored fraction where a
-/// declaration lets the walk skip the rest, `1.0` where it does not.
-/// `None` is the chain.
+/// declaration lets the walk skip the rest, `1.0` where it does not —
+/// and the fraction of `B`'s rows a scatter would look up, those that
+/// store something (`1.0` where `B` is not skipped). `None` is the
+/// chain.
 ///
 /// The one place that decision is made: [`RowWalk::choose`] asks it for
 /// the step in hand and the plan's lowering pass for a slot it might
 /// declare, so a declaration the pass adds is one the engine walks. It
 /// reads the op and the operands only — never the unit's kernel tier —
 /// so every dispatch leg lowers a step the same way.
-pub(crate) fn row_kernel(op: OpKind, a_stored: f64, b_stored: f64, n: usize) -> Option<RowKernel> {
+pub(crate) fn row_kernel(
+    op: OpKind,
+    a_stored: f64,
+    b_stored: f64,
+    b_occupied: f64,
+    n: usize,
+) -> Option<RowKernel> {
     let (walk_a, scatter_terms) = match op {
         OpKind::OrAnd => (WALK_A_DENSITY_OR_AND, SCATTER_TERMS_OR_AND),
         _ => (WALK_A_DENSITY, SCATTER_TERMS),
     };
     let sweep_pays = a_stored <= walk_a;
-    // Per walked `(i, l)`: one row lookup and `B`'s share of `n` terms.
-    let scatter_pays = a_stored * (b_stored + SCATTER_ROW_TERMS / n as f64) <= scatter_terms;
+    // Per walked `(i, l)`: `B`'s share of `n` terms, and one row lookup
+    // where row `l` stores something.
+    let lookups = b_occupied * SCATTER_ROW_TERMS / n as f64;
+    let scatter_pays = a_stored * (b_stored + lookups) <= scatter_terms;
     // Under a walk that pays, `B`'s density alone picks the kernel.
     if b_stored <= SWEEP_B_DENSITY && (sweep_pays || scatter_pays) {
         Some(RowKernel::Scatter)
@@ -249,8 +326,10 @@ enum BImage {
     /// first [`SWEEP_STRIP`] columns, then of the next — so a block of a
     /// strip's rows is contiguous; quantised.
     Strips(Vec<f32>),
-    /// Stored entries to scatter, quantised after compression.
-    Csr(Csr),
+    /// Stored entries to scatter, quantised after compression, and the
+    /// rows that store any in ascending order — all a dense `A` row's
+    /// walk visits.
+    Csr(Csr, Vec<u32>),
 }
 
 /// Packs `b` strip-major (see [`BImage::Strips`]).
@@ -266,13 +345,16 @@ fn pack_strips(b: &Matrix) -> Vec<f32> {
 }
 
 /// Builds the one `B` image every worker of an MMO shares: its CSR form
-/// over `scatter`'s annihilator, packed dense strips to sweep otherwise.
-fn b_image(unit: &impl MmoUnit, b: &Matrix, scatter: Option<f32>) -> BImage {
+/// over `scatter`'s annihilator — sized by `sb`, the pass that read `B`
+/// — packed dense strips to sweep otherwise.
+fn b_image(unit: &impl MmoUnit, b: &Matrix, scatter: Option<f32>, sb: &Scanned) -> BImage {
     match scatter {
         Some(zero) => {
-            let mut csr = Csr::from_dense(b, zero).expect("validated non-NaN sentinel");
+            let row_ptr = sb.row_ptr(0..b.rows());
+            let mut csr = Csr::from_dense_rows(b, 0..b.rows(), zero, unit.kernel_isa(), row_ptr)
+                .expect("validated non-NaN sentinel");
             unit.quantize_packed(csr.values_mut());
-            BImage::Csr(csr)
+            BImage::Csr(csr, sb.occupied().collect())
         }
         None => {
             let mut image = pack_strips(b);
@@ -339,7 +421,7 @@ impl<'a, U: MmoUnit> Panel<'a, U> {
     /// declarations.
     fn walk(&self) -> AWalk<'a> {
         let (a, rows) = (self.walk.a, self.rows.clone());
-        match self.walk.a_zero {
+        match &self.walk.a_zero {
             None => {
                 let mut rows =
                     Cow::Borrowed(&a.as_slice()[rows.start * a.cols()..rows.end * a.cols()]);
@@ -348,9 +430,10 @@ impl<'a, U: MmoUnit> Panel<'a, U> {
                 }
                 AWalk::Dense(rows, &self.walk.iota)
             }
-            Some(zero) => {
-                let mut csr =
-                    Csr::from_dense_rows(a, rows, zero).expect("validated non-NaN sentinel");
+            Some((zero, sa)) => {
+                let (isa, row_ptr) = (self.unit.kernel_isa(), sa.row_ptr(rows.clone()));
+                let mut csr = Csr::from_dense_rows(a, rows, *zero, isa, row_ptr)
+                    .expect("validated non-NaN sentinel");
                 self.unit.quantize_packed(csr.values_mut());
                 AWalk::Csr(csr)
             }
@@ -401,21 +484,26 @@ impl<'a, U: MmoUnit> Panel<'a, U> {
 
     /// Row kernel 2 — `A`-walk × CSR-`B` scatter (Gustavson): each walk
     /// term scatters the stored entries of `B` row `l` into the output
-    /// row. The walk ascends in `l`, so every `(i, j)` still folds in
-    /// ascending `k`. Max-mul keeps a per-column count of folded terms
-    /// for its end correction.
-    fn scatter_rows<K: SemiringKernel>(self, walk: &AWalk<'_>, b: &Csr) -> RowCount {
+    /// row — of a dense `A` row, only the terms whose `B` row is in
+    /// `occupied`, the others scattering nothing. The walk ascends in
+    /// `l`, so every `(i, j)` still folds in ascending `k`. Max-mul keeps
+    /// a per-column count of folded terms for its end correction.
+    fn scatter_rows<K: SemiringKernel>(
+        self,
+        walk: &AWalk<'_>,
+        b: &Csr,
+        occupied: &[u32],
+    ) -> RowCount {
         let (c, n, k) = (self.walk.c, self.walk.c.cols(), self.walk.a.cols());
         let max_mul = matches!(K::KIND, OpKind::MaxMul);
         let mut folded = vec![0usize; if max_mul { n } else { 0 }];
         let mut count = RowCount::default();
         for (local, i) in self.rows.enumerate() {
-            let (ks, vals) = walk.row(local);
             let acc = &mut self.out[local * n..][..n];
             seed_row::<K>(acc, c.row(i));
             folded.fill(0);
             let mut terms = 0;
-            for (&l, &av) in ks.iter().zip(vals) {
+            let mut scatter = |l: u32, av: f32| {
                 let (cols, bvals) = b.row(l as usize);
                 terms += cols.len();
                 for (&j, &bv) in cols.iter().zip(bvals) {
@@ -425,6 +513,11 @@ impl<'a, U: MmoUnit> Panel<'a, U> {
                         folded[j as usize] += 1;
                     }
                 }
+            };
+            let (ks, vals) = walk.row(local);
+            match walk {
+                AWalk::Dense(..) => occupied.iter().for_each(|&l| scatter(l, vals[l as usize])),
+                AWalk::Csr(_) => ks.iter().zip(vals).for_each(|(&l, &av)| scatter(l, av)),
             }
             finish_row::<K>(acc, |j| folded[j] < k);
             count.fma_terms += terms as u64;
@@ -441,7 +534,7 @@ impl<U: MmoUnit> KernelVisitor for Panel<'_, U> {
         let walk = self.walk();
         match &self.walk.b {
             BImage::Strips(image) => self.sweep_rows::<K>(&walk, image),
-            BImage::Csr(b) => self.scatter_rows::<K>(&walk, b),
+            BImage::Csr(b, occupied) => self.scatter_rows::<K>(&walk, b, occupied),
         }
     }
 }
@@ -451,8 +544,9 @@ impl<U: MmoUnit> KernelVisitor for Panel<'_, U> {
 pub(super) struct RowWalk<'a> {
     op: OpKind,
     a: &'a Matrix,
-    /// The annihilator `A`'s walk skips; `None` walks every `l`.
-    a_zero: Option<f32>,
+    /// The annihilator `A`'s walk skips, and the pass that read `A`
+    /// (which sizes each panel's image); `None` walks every `l`.
+    a_zero: Option<(f32, Scanned)>,
     iota: Vec<u32>,
     b: BImage,
     c: &'a Matrix,
@@ -472,43 +566,43 @@ impl<'a> RowWalk<'a> {
         let multiplies = matches!(op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
         // A validated sparse declaration means the op has an annihilator.
         let zero = op.no_edge_f32()?;
-        // What no decision reads is the default scan, which is in every
-        // op's domain.
-        let scan = |read: bool, m: &Matrix| {
-            if read {
-                at_precision(simd::scan(unit.kernel_isa(), zero, m.as_slice()), unit)
-            } else {
-                Scan::default()
-            }
-        };
         // One pass over an operand serves two readers: its stored
         // fraction prices its own walk, its values bound what the other
         // operand's walk may skip (for the ops whose rule reads them).
         // A swept `B` skips nothing, so `A` is read for `B`'s sake only
         // against one sparse enough to scatter.
-        let sb = scan(b_sparse || multiplies, b);
-        let swept_b = b_sparse && stored_fraction(sb, b) > SWEEP_B_DENSITY;
+        let sb = Scanned::of(unit, zero, (b_sparse || multiplies).then_some(b));
+        let swept_b = b_sparse && sb.stored_fraction(b) > SWEEP_B_DENSITY;
         let mut scatter_b = b_sparse && !swept_b;
-        let sa = scan(walk_a || (multiplies && scatter_b), a);
+        let sa = Scanned::of(
+            unit,
+            zero,
+            (walk_a || (multiplies && scatter_b)).then_some(a),
+        );
         // The value-domain rule: an operand whose annihilator entries
         // cannot be skipped exactly walks dense.
         let skips = |skipped, other| skip_rule(op, skipped, other) != Skip::Never;
-        (walk_a, scatter_b) = (walk_a && skips(sa, sb), scatter_b && skips(sb, sa));
-        // What is left to skip, as the fractions a walk would fold.
-        let stored = |walks: bool, scan, m| if walks { stored_fraction(scan, m) } else { 1.0 };
+        (walk_a, scatter_b) = (
+            walk_a && skips(sa.scan, sb.scan),
+            scatter_b && skips(sb.scan, sa.scan),
+        );
+        // What is left to skip, as the fractions a walk would fold — and
+        // of `B`'s rows, those a scatter looks up.
+        let or_full = |walks: bool, fraction: f64| if walks { fraction } else { 1.0 };
         let kernel = row_kernel(
             op,
-            stored(walk_a, sa, a),
-            stored(scatter_b, sb, b),
+            or_full(walk_a, sa.stored_fraction(a)),
+            or_full(scatter_b, sb.stored_fraction(b)),
+            or_full(scatter_b, sb.occupied_fraction(b)),
             b.cols(),
         )?;
         let scatter = (kernel == RowKernel::Scatter).then_some(zero);
         Some(Self {
             op,
             a,
-            a_zero: walk_a.then_some(zero),
             iota: (0..a.cols() as u32).collect(),
-            b: b_image(unit, b, scatter),
+            b: b_image(unit, b, scatter, &sb),
+            a_zero: walk_a.then_some((zero, sa)),
             c,
             swept_b,
         })
@@ -516,7 +610,7 @@ impl<'a> RowWalk<'a> {
 
     /// Whether `B` is scattered (else swept).
     pub(super) fn scatters(&self) -> bool {
-        matches!(self.b, BImage::Csr(_))
+        matches!(self.b, BImage::Csr(..))
     }
 
     /// Folds output rows `rows` of `D = C ⊕ (A ⊗ B)` into `out`; returns
@@ -582,46 +676,43 @@ mod tests {
 
     /// The walk of `step` that skips `a_zero` entries of `A` (`None`
     /// walks every `l`) and scatters `B`'s entries other than `scatter`
-    /// (`None` sweeps it), whatever [`row_kernel`] would say.
+    /// (`None` sweeps it), whatever [`row_kernel`] would say, built from
+    /// the scans [`RowWalk::choose`] takes of such a step.
     fn walk_of<'a>(
         unit: &Simd2Unit,
         step: &MmoArgs<'a>,
         a_zero: Option<f32>,
         scatter: Option<f32>,
     ) -> RowWalk<'a> {
+        let multiplies = matches!(step.op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
+        let zero = step.op.no_edge_f32().unwrap();
+        let read_a = a_zero.is_some() || (multiplies && scatter.is_some());
+        let sb = Scanned::of(
+            unit,
+            zero,
+            (scatter.is_some() || multiplies).then_some(step.b),
+        );
+        let sa = Scanned::of(unit, zero, read_a.then_some(step.a));
         RowWalk {
             op: step.op,
             a: step.a,
-            a_zero,
             iota: (0..step.a.cols() as u32).collect(),
-            b: b_image(unit, step.b, scatter),
+            b: b_image(unit, step.b, scatter, &sb),
+            a_zero: a_zero.map(|zero| (zero, sa)),
             c: step.c,
             swept_b: false,
         }
     }
 
     /// One step through the walk the arguments name, whatever
-    /// [`row_kernel`] would say, on one thread: the scans
-    /// [`RowWalk::choose`] takes of such a step, the image build and the
-    /// fold.
+    /// [`row_kernel`] would say, on one thread: the scans, the image
+    /// build and the fold.
     fn forced(
         unit: &Simd2Unit,
         step: &MmoArgs<'_>,
         a_zero: Option<f32>,
         scatter: Option<f32>,
     ) -> Matrix {
-        let multiplies = matches!(step.op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
-        let zero = step.op.no_edge_f32().unwrap();
-        let scans = [
-            (step.b, scatter.is_some() || multiplies),
-            (
-                step.a,
-                a_zero.is_some() || (multiplies && scatter.is_some()),
-            ),
-        ];
-        for (m, _) in scans.iter().filter(|(_, read)| *read) {
-            std::hint::black_box(simd::scan(unit.kernel_isa(), zero, m.as_slice()));
-        }
         let walk = walk_of(unit, step, a_zero, scatter);
         let mut d = Matrix::zeros(step.a.rows(), step.b.cols());
         walk.fold(unit, 0..step.a.rows(), d.as_mut_slice());
@@ -729,7 +820,7 @@ mod tests {
         for op in [OpKind::PlusMul, OpKind::MinPlus] {
             let zero = op.no_edge_f32().unwrap();
             let c = Matrix::filled(n, n, op.reduce_identity_f32());
-            for density in [0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50] {
+            for density in [0.02, 0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.30, 0.50] {
                 let (a, b) = (square(n, zero, density, 5), square(n, zero, density, 6));
                 let step = MmoArgs::new(op, &a, &b, &c);
                 let run = |scatter: bool| forced(&unit, &step, Some(zero), scatter.then_some(zero));

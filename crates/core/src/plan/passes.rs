@@ -593,11 +593,13 @@ impl PlanPass for DensityLoweringPass {
             let Some(zero) = sentinel.filter(|_| agreed) else {
                 continue;
             };
-            let d = repr::density(value, zero);
+            let stores = |v: &Matrix, z| (repr::density(v, z), repr::occupied_rows(v, z));
+            let d = stores(value, zero);
             // Walked by *every* reader: this slot at its measured
             // density, the other operand at what its declaration already
-            // stores. Any row kernel skips a declared `A`'s entries; only
-            // the scatter skips a declared `B`'s.
+            // stores (each with the fraction of its rows that store
+            // anything). Any row kernel skips a declared `A`'s entries;
+            // only the scatter skips a declared `B`'s.
             let walked_everywhere = readers[i].iter().all(|&j| {
                 let s = &plan.steps[j];
                 let stored = |slot: SlotId| match (
@@ -605,11 +607,12 @@ impl PlanPass for DensityLoweringPass {
                     &plan.slots[slot.0].value,
                 ) {
                     _ if slot.0 == i => d,
-                    (Some(z), Some(v)) => repr::density(v, z),
-                    _ => 1.0,
+                    (Some(z), Some(v)) => stores(v, z),
+                    _ => (1.0, 1.0),
                 };
                 let (_, n, _) = plan.step_geometry(j);
-                let kernel = row_kernel(s.op, stored(s.a), stored(s.b), n);
+                let ((fa, _), (fb, rows_b)) = (stored(s.a), stored(s.b));
+                let kernel = row_kernel(s.op, fa, fb, rows_b, n);
                 if s.a.0 == i {
                     kernel.is_some()
                 } else {

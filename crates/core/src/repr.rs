@@ -164,6 +164,16 @@ pub fn density(m: &Matrix, zero: f32) -> f64 {
     nnz as f64 / total as f64
 }
 
+/// Fraction of rows holding an element that differs from `zero` (by
+/// value), in `[0, 1]` — the rows a scatter over `m` looks up. A matrix
+/// without rows reports 0.
+pub fn occupied_rows(m: &Matrix, zero: f32) -> f64 {
+    let occupied = (0..m.rows())
+        .filter(|&r| m.row(r).iter().any(|&v| v != zero))
+        .count();
+    occupied as f64 / m.rows().max(1) as f64
+}
+
 /// FNV-1a fingerprint of a matrix's CSR raw parts over `zero`: shape,
 /// the sentinel's bits, and per row the (column, bits) pairs of every
 /// element whose *bit pattern* differs from the sentinel's.

@@ -51,10 +51,10 @@ const WIDTHS: [usize; 7] = [1, 15, 17, 63, 64, 65, 130];
 const DEPTHS: [usize; 5] = [1, 7, 127, 129, 260];
 /// `A` densities under every walk bound, between or-and's and the other
 /// ops', above both, and full.
-const A_DENSITIES: [f64; 4] = [0.01, 0.1, 0.45, 1.0];
+const A_DENSITIES: [f64; 4] = [0.01, 0.15, 0.6, 1.0];
 /// `B` densities sparse enough to scatter under a dense walk, well
 /// below, just either side of, and well above the sweep threshold.
-const B_DENSITIES: [f64; 5] = [0.005, 0.03, 0.09, 0.13, 0.6];
+const B_DENSITIES: [f64; 5] = [0.005, 0.03, 0.05, 0.09, 0.6];
 
 /// One MMO on a fresh backend; returns the output and the backend, for
 /// its counters.
@@ -172,17 +172,19 @@ proptest! {
                 // (these pools stay inside every op's value domain):
                 // a sweep pays under a sparse enough `A`; a `B` sparse
                 // enough to scatter is scattered under such an `A`, or
-                // when few enough terms — row lookups counted in — are
-                // left. Fractions inside a bound's band pin nothing.
-                let stored = |m: &Matrix, r: OperandRepr| {
-                    if r.is_dense() { 1.0 } else { simd2::repr::density(m, fill) }
+                // when few enough terms — lookups of the `B` rows that
+                // store something counted in — are left. Fractions
+                // inside a bound's band pin nothing.
+                let stored = |m: &Matrix, r: OperandRepr, f: fn(&Matrix, f32) -> f64| {
+                    if r.is_dense() { 1.0 } else { f(m, fill) }
                 };
-                let (fa, fb) = (stored(am, ra), stored(&b, rb));
+                let (fa, fb) = (stored(am, ra, simd2::repr::density), stored(&b, rb, simd2::repr::density));
+                let rows_b = stored(&b, rb, simd2::repr::occupied_rows);
                 let or_and = op == OpKind::OrAnd;
-                let sweep_pays = if or_and { clear_of(fa, 0.02, 0.04) } else { clear_of(fa, 0.25, 0.35) };
-                let scatterable = clear_of(fb, 0.09, 0.13);
-                let terms = fa * (fb + 6.0 / n as f64);
-                let few_terms = if or_and { clear_of(terms, 0.01, 0.018) } else { clear_of(terms, 0.03, 0.05) };
+                let sweep_pays = if or_and { clear_of(fa, 0.06, 0.08) } else { clear_of(fa, 0.35, 0.45) };
+                let scatterable = clear_of(fb, 0.06, 0.08);
+                let terms = fa * (fb + rows_b * 3.0 / n as f64);
+                let few_terms = if or_and { clear_of(terms, 0.008, 0.014) } else { clear_of(terms, 0.022, 0.038) };
                 if let (Some(sweep_pays), Some(scatterable), Some(few_terms)) = (sweep_pays, scatterable, few_terms) {
                     let ctx = format!("{op} {}x{} stored {fa} x {fb}", ra.name(), rb.name());
                     prop_assert_eq!(walked, sweep_pays || (scatterable && few_terms), "{}", ctx);

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::ops::Range;
 
+use simd2_semiring::simd::{self, KernelIsa};
 use simd2_semiring::OpKind;
 
 use crate::Matrix;
@@ -157,18 +158,43 @@ impl Csr {
     /// implicit value. `±∞` sentinels are legal (path algebras encode
     /// no-edge as `±∞`); a NaN sentinel is rejected because `v != NaN`
     /// holds for every element, which would silently build a fully
-    /// dense "sparse" image.
+    /// dense "sparse" image. [`Csr::row_ptr_of`] counts the stored
+    /// entries and [`Csr::from_dense_rows`] compacts them, both on the
+    /// host's [`simd::selected_isa`].
     ///
     /// # Errors
     ///
     /// Returns [`CsrError::NanZero`] when `zero` is NaN.
     pub fn from_dense(m: &Matrix, zero: f32) -> Result<Self, CsrError> {
-        Self::from_dense_rows(m, 0..m.rows(), zero)
+        let isa = simd::selected_isa();
+        let row_ptr = Self::row_ptr_of(m, 0..m.rows(), zero, isa);
+        Self::from_dense_rows(m, 0..m.rows(), zero, isa, row_ptr)
     }
 
-    /// [`Csr::from_dense`] over the row range `rows` of `m` only: row
-    /// `r` of the result images row `rows.start + r` of `m`. This is how
-    /// a panel worker compresses just the operand rows it owns.
+    /// The row pointer of the image of `m`'s rows `rows` over `zero`:
+    /// `0`, then the running count of their elements that differ from
+    /// `zero`, row by row — one [`simd::scan`] per row on `isa`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the last row of `m`.
+    pub fn row_ptr_of(m: &Matrix, rows: Range<usize>, zero: f32, isa: KernelIsa) -> Vec<usize> {
+        let mut stored = 0;
+        std::iter::once(0)
+            .chain(rows.map(|r| {
+                stored += simd::scan(isa, zero, m.row(r)).stored;
+                stored
+            }))
+            .collect()
+    }
+
+    /// [`Csr::from_dense`] over the row range `rows` of `m` only, given
+    /// the image's row pointer — what [`Csr::row_ptr_of`] counts, or any
+    /// row-by-row [`simd::scan`] of those rows adds up — which sizes the
+    /// image and every row's span exactly. Row `r` of the result images
+    /// row `rows.start + r` of `m`, compacted by [`simd::compact`] on
+    /// `isa` (every tier builds the same image). This is how a panel
+    /// worker compresses just the operand rows it owns.
     ///
     /// # Errors
     ///
@@ -176,32 +202,38 @@ impl Csr {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` reaches past the last row of `m`.
-    pub fn from_dense_rows(m: &Matrix, rows: Range<usize>, zero: f32) -> Result<Self, CsrError> {
+    /// Panics if `rows` reaches past the last row of `m`, or `row_ptr`
+    /// is not that row pointer.
+    pub fn from_dense_rows(
+        m: &Matrix,
+        rows: Range<usize>,
+        zero: f32,
+        isa: KernelIsa,
+        row_ptr: Vec<usize>,
+    ) -> Result<Self, CsrError> {
         if zero.is_nan() {
             return Err(CsrError::NanZero);
         }
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for r in rows.clone() {
-            // Branch-free compaction: every element is written at the
-            // cursor, which only advances past the ones that stay (at
-            // mid densities a per-element branch mispredicts half the
-            // time and dominates the whole conversion).
-            let row = m.row(r);
-            let mut kept = col_idx.len();
-            col_idx.resize(kept + row.len(), 0);
-            values.resize(kept + row.len(), 0.0);
-            for (c, &v) in row.iter().enumerate() {
-                col_idx[kept] = c as u32;
-                values[kept] = v;
-                kept += usize::from(v != zero);
-            }
-            col_idx.truncate(kept);
-            values.truncate(kept);
-            row_ptr.push(kept);
+        assert_eq!(
+            row_ptr.len(),
+            rows.len() + 1,
+            "one row pointer per row, and one"
+        );
+        assert_eq!(row_ptr[0], 0, "the row pointer starts at 0");
+        let stored = row_ptr[rows.len()];
+        let (mut col_idx, mut values) = (vec![0; stored], vec![0.0; stored]);
+        for (r, span) in rows.clone().zip(row_ptr.windows(2)) {
+            let (cols, vals) = (
+                &mut col_idx[span[0]..span[1]],
+                &mut values[span[0]..span[1]],
+            );
+            let kept = simd::compact(isa, zero, m.row(r), cols, vals);
+            assert_eq!(
+                kept,
+                cols.len(),
+                "row {r} stores {kept} entries, not {}",
+                cols.len()
+            );
         }
         Ok(Self {
             rows: rows.len(),

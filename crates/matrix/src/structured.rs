@@ -9,6 +9,7 @@
 
 use std::ops::Range;
 
+use simd2_semiring::simd;
 use simd2_semiring::OpKind;
 
 use crate::{Csr, Matrix};
@@ -131,7 +132,10 @@ impl Compressed24 {
         rows: Range<usize>,
         zero: f32,
     ) -> Result<Self, (usize, usize)> {
-        let slots = Csr::from_dense_rows(m, rows.clone(), zero).map_err(|_| (rows.start, 0))?;
+        let isa = simd::selected_isa();
+        let row_ptr = Csr::row_ptr_of(m, rows.clone(), zero, isa);
+        let slots = Csr::from_dense_rows(m, rows.clone(), zero, isa, row_ptr)
+            .map_err(|_| (rows.start, 0))?;
         for r in 0..slots.rows() {
             // Sorted columns: three share a group iff the outer two do.
             let ks = slots.row(r).0;

@@ -10,7 +10,8 @@
 //! the tail columns that do not fill a whole vector. The inner loop runs
 //! along a contiguous `B` row with no dependence between columns, so the
 //! compiler vectorises it for whatever the target's baseline vector unit
-//! is. [`scan`] is the oracle of the scan leaves.
+//! is. [`scan`] is the oracle of the scan leaves, [`compact`] that of the
+//! compaction leaves.
 
 use crate::kernel::SemiringKernel;
 
@@ -88,4 +89,38 @@ pub(super) fn scan(zero: f32, xs: &[f32]) -> Scan {
         max_abs,
         stored: stored as usize,
     }
+}
+
+/// Compacts `xs` against the annihilator `zero`: the oracle every vector
+/// compaction leaf must equal. Each element that differs from `zero` by
+/// value ([`scan`]'s rule) goes to the front of `vals` and its index in
+/// `xs`, plus `first`, to the front of `cols`; returns how many. The
+/// loop is branch-free — every element is written at the cursor, which
+/// advances past the ones that stay (at mid densities a per-element
+/// branch mispredicts half the time) — so it writes the slot just past
+/// the count too whenever one is left.
+///
+/// # Panics
+///
+/// Panics if more elements are stored than `cols` or `vals` has room for.
+#[inline]
+pub(super) fn compact(
+    zero: f32,
+    xs: &[f32],
+    first: usize,
+    cols: &mut [u32],
+    vals: &mut [f32],
+) -> usize {
+    let mut kept = 0;
+    for (i, &x) in xs.iter().enumerate() {
+        let keep = x != zero;
+        if let (Some(col), Some(val)) = (cols.get_mut(kept), vals.get_mut(kept)) {
+            *col = (first + i) as u32;
+            *val = x;
+        } else {
+            assert!(!keep, "more stored elements than room for them");
+        }
+        kept += usize::from(keep);
+    }
+    kept
 }

@@ -8,9 +8,9 @@
 //! * Chain leaves: `a` and `b` are the same whole number of flat 16×16
 //!   tiles and the accumulator exactly one (asserted by
 //!   `super::mmo_chain`); they index through fixed-size chunks, so every
-//!   vector access is a whole vector of a 16-element row. Row-sweep and
-//!   scan leaves: no shape precondition — every vector access goes
-//!   through a bounds-checked fixed-size chunk.
+//!   vector access is a whole vector of a 16-element row. Row-sweep,
+//!   scan and compaction leaves: no shape precondition — every vector
+//!   access goes through a bounds-checked fixed-size chunk.
 //!
 //! # Bit identity
 //!
@@ -917,4 +917,143 @@ pub(super) unsafe fn scan_avx2(zero: f32, xs: &[f32]) -> Scan {
         stored: lanes(stored).into_iter().map(|n| n as usize).sum(),
     };
     head.merge(scalar::scan(zero, tail))
+}
+
+// ---------------------------------------------------------------------------
+// Compaction leaves: the stored elements of a row and their indices.
+// ---------------------------------------------------------------------------
+
+/// Set bits of each 8-bit keep mask: a table load, where the baseline
+/// target (no `popcnt`) would count them in a dozen instructions.
+static KEPT8: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        table[mask] = (mask as u32).count_ones() as u8;
+        mask += 1;
+    }
+    table
+};
+
+/// [`scalar::compact`] sixteen lanes at a time, the scalar leaf on the
+/// tail: the `_CMP_NEQ_UQ` mask of `x != zero` (a NaN is kept, `±0.0`
+/// against `0.0` dropped) drives `vcompressps` on the values and
+/// `vpcompressd` on a running index vector, and each packed run is
+/// written with a store masked to its length, into a span the slice
+/// bounds checked first. `SPARSE`
+/// skips a vector that keeps nothing: a branch that pays while most
+/// vectors keep nothing, and mispredicts once many keep something.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. (Shapes are bounds-checked, not
+/// preconditions; `xs` is at most `u32::MAX` elements, asserted by the
+/// dispatcher.)
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn compact_avx512<const SPARSE: bool>(
+    zero: f32,
+    xs: &[f32],
+    cols: &mut [u32],
+    vals: &mut [f32],
+) -> usize {
+    let (chunks, tail) = xs.as_chunks::<LANES512>();
+    let z = _mm512_set1_ps(zero);
+    let step = _mm512_set1_epi32(LANES512 as i32);
+    let mut index = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let mut kept = 0;
+    for chunk in chunks {
+        // SAFETY: `chunk` is exactly 16 contiguous `f32`s.
+        let v = unsafe { _mm512_loadu_ps(chunk.as_ptr()) };
+        let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, z);
+        if !SPARSE || keep != 0 {
+            let n = usize::from(KEPT8[usize::from(keep as u8)] + KEPT8[usize::from(keep >> 8)]);
+            let (packed, at) = (
+                _mm512_maskz_compress_ps(keep, v),
+                _mm512_maskz_compress_epi32(keep, index),
+            );
+            let (span_v, span_c) = (&mut vals[kept..kept + n], &mut cols[kept..kept + n]);
+            let lanes = ((1u32 << n) - 1) as u16;
+            // SAFETY (both stores): the mask enables the first `n` lanes
+            // only, and the spans are `n` writable elements.
+            unsafe { _mm512_mask_storeu_ps(span_v.as_mut_ptr(), lanes, packed) };
+            unsafe { _mm512_mask_storeu_epi32(span_c.as_mut_ptr().cast(), lanes, at) };
+            kept += n;
+        }
+        index = _mm512_add_epi32(index, step);
+    }
+    let first = xs.len() - tail.len();
+    kept + scalar::compact(zero, tail, first, &mut cols[kept..], &mut vals[kept..])
+}
+
+/// For each 8-bit keep mask, the lanes it keeps in order, one per
+/// nibble: the permutation that packs them to the front of a 256-bit
+/// vector (AVX2 has no compress instruction).
+static COMPRESS8: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut lane, mut slot) = (0, 0);
+        while lane < LANES256 {
+            if mask >> lane & 1 == 1 {
+                table[mask] |= (lane as u32) << (4 * slot);
+                slot += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// [`compact_avx512`] on eight lanes: the compare's sign-bit mask picks
+/// a lane permutation from [`COMPRESS8`], which packs the values and a
+/// running index vector alike, and the stores are masked by a lane
+/// vector compared against the count.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. (Shapes are bounds-checked, not
+/// preconditions; `xs` is at most `u32::MAX` elements, asserted by the
+/// dispatcher.)
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn compact_avx2<const SPARSE: bool>(
+    zero: f32,
+    xs: &[f32],
+    cols: &mut [u32],
+    vals: &mut [f32],
+) -> usize {
+    let (chunks, tail) = xs.as_chunks::<LANES256>();
+    let z = _mm256_set1_ps(zero);
+    let (nibble, shifts) = (
+        _mm256_set1_epi32(0xf),
+        _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28),
+    );
+    let step = _mm256_set1_epi32(LANES256 as i32);
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mut index = lane;
+    let mut kept = 0;
+    for chunk in chunks {
+        // SAFETY: `chunk` is exactly 8 contiguous `f32`s.
+        let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
+        let keep = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, z)) as usize;
+        if !SPARSE || keep != 0 {
+            let n = usize::from(KEPT8[keep]);
+            let lanes = _mm256_set1_epi32(COMPRESS8[keep] as i32);
+            let order = _mm256_and_si256(_mm256_srlv_epi32(lanes, shifts), nibble);
+            let (packed, at) = (
+                _mm256_permutevar8x32_ps(v, order),
+                _mm256_permutevar8x32_epi32(index, order),
+            );
+            let (span_v, span_c) = (&mut vals[kept..kept + n], &mut cols[kept..kept + n]);
+            let first_n = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane);
+            // SAFETY (both stores): the mask enables the first `n` lanes
+            // only, and the spans are `n` writable elements.
+            unsafe { _mm256_maskstore_ps(span_v.as_mut_ptr(), first_n, packed) };
+            unsafe { _mm256_maskstore_epi32(span_c.as_mut_ptr().cast(), first_n, at) };
+            kept += n;
+        }
+        index = _mm256_add_epi32(index, step);
+    }
+    let first = xs.len() - tail.len();
+    kept + scalar::compact(zero, tail, first, &mut cols[kept..], &mut vals[kept..])
 }

@@ -6,8 +6,10 @@
 //! inputs — including NaN payloads, signed zeros, infinities and
 //! subnormals — at every tile side and chain length, and the row-sweep
 //! leaf ([`simd::sweep_row`]) makes the same promise against the scalar
-//! leaf at every row width. These properties sample raw bit patterns (so
-//! specials appear with their natural density) plus a deterministic
+//! leaf at every row width, as do the scan and compaction leaves
+//! ([`simd::scan`], [`simd::compact`]) and the CSR images built on them.
+//! These properties sample raw bit patterns (so specials appear with
+//! their natural density) plus a deterministic
 //! overlay of adversarial values, and compare through
 //! [`simd::same_bits`] (exact bits; for two NaNs, exact payloads in
 //! unoptimised builds only). That overlay puts a NaN into practically
@@ -15,6 +17,7 @@
 //! generator of its own ([`ordered_values`]) and chains that mix both.
 
 use proptest::prelude::*;
+use simd2_matrix::{Csr, Matrix};
 use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS, CHAIN_TILE};
 use simd2_semiring::{OpKind, ALL_OPS};
@@ -293,6 +296,116 @@ proptest! {
         }
     }
 
+    /// The compaction leaf of every supported tier == the scalar leaf
+    /// == the stored elements written out: for each annihilator the CSR
+    /// images use (`0.0`, `±∞`), on rows of every length 0..=48 (whole
+    /// vectors of either width and every tail) and on long rows storing
+    /// about one element in a hundred, read at every offset into a
+    /// vector, over NaNs of arbitrary payload, `±0.0`, `±∞`, subnormals
+    /// and the annihilator itself at every fill — into room sized to the
+    /// count (as a CSR image gives it, which has the vector leaves skip
+    /// what keeps nothing on sparse rows) and room for every element.
+    /// Values are compared as bits: a compaction moves elements and
+    /// never rounds them.
+    #[test]
+    fn compaction_leaves_match_the_scalar_leaf(
+        fill in 0u32..=4,
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        const SPAN: usize = 48;
+        const LONG: usize = 700;
+        const OFFSETS: usize = 16;
+        let noise = values(LONG + OFFSETS, &bits, salt);
+        let hash = |i: usize| (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
+        for zero in [0.0, f32::INFINITY, f32::NEG_INFINITY] {
+            let row: Vec<f32> = noise
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    let h = hash(i) >> 28;
+                    match (h % 4 < fill, h % 5) {
+                        (true, 0) => -zero,
+                        (true, 1) => f32::from_bits(0x7fc0_0000 | h),
+                        (true, _) => zero,
+                        (false, _) => x,
+                    }
+                })
+                .collect();
+            let sparse: Vec<f32> = noise
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match hash(i) % 97 {
+                    0 => x,
+                    1..=9 => -zero,
+                    _ => zero,
+                })
+                .collect();
+            for offset in 0..OFFSETS {
+                let short = (0..=SPAN).map(|len| &row[offset..offset + len]);
+                let long = [LONG / 2, LONG].map(|len| &sparse[offset..offset + len]);
+                for xs in short.chain(long) {
+                    let want: Vec<(u32, u32)> = xs
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &x)| x != zero)
+                        .map(|(i, x)| (i as u32, x.to_bits()))
+                        .collect();
+                    let ctx = format!("zero={zero} len={} offset={offset}", xs.len());
+                    for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+                        for room in [want.len(), xs.len()] {
+                            let (mut cols, mut vals) = (vec![0u32; room], vec![0.0f32; room]);
+                            let kept = simd::compact(isa, zero, xs, &mut cols, &mut vals);
+                            prop_assert_eq!(kept, want.len(), "isa={} room={} {}", isa, room, ctx);
+                            let got: Vec<(u32, u32)> =
+                                cols[..kept].iter().zip(&vals[..kept]).map(|(&c, v)| (c, v.to_bits())).collect();
+                            prop_assert_eq!(&got, &want, "isa={} room={} {}", isa, room, ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A CSR image built through each tier's compaction leaf ==
+    /// the one built through the scalar leaf, bit for bit — row
+    /// pointers, column indices and value bits — over any run of rows of
+    /// a matrix whose width straddles both vector widths.
+    #[test]
+    fn csr_images_are_the_same_on_every_tier(
+        rows in 1usize..=9,
+        cols in 1usize..=70,
+        zero_idx in 0usize..3,
+        fill in 0u32..=4,
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let zero = [0.0, f32::INFINITY, f32::NEG_INFINITY][zero_idx];
+        let noise = values(rows * cols, &bits, salt);
+        let m = Matrix::from_fn(rows, cols, |r, c| {
+            let i = r * cols + c;
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt) >> 28;
+            if h % 4 < fill { zero } else { noise[i] }
+        });
+        let first = salt as usize % rows;
+        let run = first..rows;
+        let mut row_ptr = vec![0];
+        for r in run.clone() {
+            let stored = m.row(r).iter().filter(|&&x| x != zero).count();
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + stored);
+        }
+        let raw = |isa| {
+            let (row_ptr, col_idx, values) = Csr::from_dense_rows(&m, run.clone(), zero, isa, row_ptr.clone())
+                .unwrap()
+                .into_raw();
+            (row_ptr, col_idx, values.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        let want = raw(KernelIsa::Scalar);
+        for isa in vector_tiers() {
+            prop_assert_eq!(&raw(isa), &want, "isa={} {}x{} rows {:?}", isa, rows, cols, run);
+        }
+    }
+
     /// Chains of 3..=5 tile pairs in which each pair independently is
     /// NaN-free or carries a NaN in `A` only, in `B` only or in both,
     /// over a NaN-free or NaN-bearing accumulator (which the seed makes
@@ -489,5 +602,19 @@ fn quantiser_matches_the_scalar_round_trip_on_every_bit_pattern() {
                 assert_eq!(g.to_bits(), *w, "{isa} on {bits:#010x}");
             }
         }
+    }
+}
+
+/// A compaction into a buffer shorter than the row's stored count
+/// panics on every tier rather than writing past it.
+#[test]
+fn compaction_into_too_small_a_buffer_panics_on_every_tier() {
+    let xs: Vec<f32> = (1..=40).map(|i| i as f32).collect();
+    for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+        let caught = std::panic::catch_unwind(|| {
+            let (mut cols, mut vals) = (vec![0u32; 39], vec![0.0f32; 39]);
+            simd::compact(isa, 0.0, &xs, &mut cols, &mut vals)
+        });
+        assert!(caught.is_err(), "isa={isa}");
     }
 }

@@ -50,11 +50,15 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # and chains folded in runs against the one-call fold on every tier
 # (`proptest_simd`), the block-sparse differential in `fold_order`, and
 # the skipped-pair count of the two DAG apps (`chain_skips`) — on the
-# forced-scalar leg the engine's facts come from the scalar leaf.
+# forced-scalar leg the engine's facts come from the scalar leaf. And the
+# row walks' CSR images: the compaction leaf against its scalar oracle
+# (`proptest_simd`) and the streaming apps' walked steps, pinned term for
+# term and bit for bit (`streaming_walks`).
+# On the forced-scalar leg every CSR image is built through the scalar compaction leaf.
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-semiring --test proptest_simd
-  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-apps --test chain_skips
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-apps --test chain_skips --test streaming_walks
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows \
     --test proptest_parallel --test proptest_checkpoint --test pool_lifecycle
