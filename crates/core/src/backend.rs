@@ -14,7 +14,10 @@ use simd2_matrix::reference;
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, Tile, ISA_TILE};
 use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit};
-use simd2_semiring::simd::{self, KernelIsa, Scan, CHAIN_ELEMS as TILE_ELEMS};
+use simd2_semiring::simd::{
+    self, HalfFit, HalfLanes, KernelIsa, Scan, CHAIN_ELEMS as TILE_ELEMS, HALF_A_WORDS,
+    HALF_B_WORDS,
+};
 use simd2_semiring::OpKind;
 
 use simd2_fault::{AbftConfig, FaultInjector};
@@ -68,6 +71,18 @@ static REPR_FALLBACK_MMOS: Counter = Counter::new("core.repr_fallback_mmos");
 /// [`skips_pair`]). [`OpCount`] still counts them: it is the grid's
 /// logical traffic.
 static CHAIN_SKIPPED_PAIRS: Counter = Counter::new("core.chain.skipped_pairs");
+/// Min-max and max-min tile pairs the tile chain folded on fp16 lanes
+/// (traced backends only; see [`SelectLanes`]).
+static CHAIN_FP16_PAIRS: Counter = Counter::new("core.chain.fp16_pairs");
+/// Min-max and max-min tile pairs of a coordinate-free unit the tile
+/// chain kept on `f32` lanes because a tile of the pair holds a NaN
+/// (traced backends only).
+static CHAIN_F32_NAN: Counter = Counter::new("core.chain.f32_select_pairs.nan");
+/// … because a tile holds a value off the fp16 lattice and no NaN.
+static CHAIN_F32_OFF_LATTICE: Counter = Counter::new("core.chain.f32_select_pairs.off_lattice");
+/// … because the unit's kernel tier has no fp16 lanes (an AVX-512 host
+/// without AVX512-FP16, or a pin to AVX2 or scalar).
+static CHAIN_F32_NO_FP16: Counter = Counter::new("core.chain.f32_select_pairs.no_fp16");
 
 /// The `core.isa_mmos.*` counter tracking `isa`.
 fn isa_mmos_counter(isa: KernelIsa) -> &'static Counter {
@@ -726,51 +741,144 @@ fn strip_width(k_tiles: usize) -> usize {
 
 /// The tile chain's packed-operand scratch: the quantised, padded,
 /// tile-major `A` rows and `B` strips [`run_panel`] reads its chains
-/// from, and the [`Scan`] of each of their tiles that decides which tile
-/// pairs it skips. Owned by the backend and reused across MMOs; contents
-/// are rewritten before every read. Sized by the caller ([`fit`]) before
-/// any panel runs, so a pool worker never allocates and no per-thread
-/// malloc arena grows with it.
+/// from, with what the step reads off their tiles ([`PackBuf`]). Owned
+/// by the backend and reused across MMOs; contents are rewritten before
+/// every read. Sized by the caller ([`fit`]) before any panel runs, so a
+/// pool worker never allocates and no per-thread malloc arena grows with
+/// it.
 #[derive(Debug, Default)]
 struct PackScratch {
     /// Per panel: `k_tiles` tiles of one tile row of `A`, in `tk` order.
-    a: Vec<Vec<f32>>,
+    a: Vec<PackBuf>,
     /// `B` strips: for each tile column of a strip, its `k_tiles` tiles
     /// in `tk` order. A single-strip grid packs its one strip here once
     /// for every panel; a wider grid gives each panel a buffer of its own
     /// to pack its strips into in turn.
-    b: Vec<Vec<f32>>,
-    /// Beside each buffer of [`Self::a`], one scan per tile — none when
-    /// the step skips nothing.
-    a_facts: Vec<Vec<Scan>>,
-    /// Beside each buffer of [`Self::b`], one scan per tile — none when
-    /// the step skips nothing.
-    b_facts: Vec<Vec<Scan>>,
+    b: Vec<PackBuf>,
 }
 
-/// The first `count` buffers of `bufs`, each resized to `len` elements.
-fn fit<T: Copy + Default>(bufs: &mut Vec<Vec<T>>, count: usize, len: usize) -> &mut [Vec<T>] {
+/// One buffer of packed tiles and, beside them, what the step reads off
+/// each tile.
+#[derive(Debug, Default)]
+struct PackBuf {
+    tiles: Vec<f32>,
+    /// One scan per tile — none when the step skips nothing.
+    facts: Vec<Scan>,
+    /// One fp16 image per tile — none unless the step folds on half
+    /// lanes.
+    half: Vec<u32>,
+    /// One fit per image.
+    fits: Vec<HalfFit>,
+}
+
+/// The first `count` buffers of `bufs`, each sized for `tiles` packed
+/// tiles, a scan per tile when `facts`, and an image of `half_words`
+/// words and a fit per tile when that is not zero. The images only ever
+/// grow: they are rewritten before every read, and a backend that runs
+/// other ops between selecting ones would otherwise zero them again for
+/// each selecting step.
+fn fit(
+    bufs: &mut Vec<PackBuf>,
+    count: usize,
+    tiles: usize,
+    facts: bool,
+    half_words: usize,
+) -> impl Iterator<Item = Packed<'_>> {
     if bufs.len() < count {
-        bufs.resize_with(count, Vec::new);
+        bufs.resize_with(count, PackBuf::default);
     }
+    let imaged = if half_words == 0 { 0 } else { tiles };
     for buf in &mut bufs[..count] {
-        buf.resize(len, T::default());
+        buf.tiles.resize(tiles * TILE_ELEMS, 0.0);
+        buf.facts
+            .resize(if facts { tiles } else { 0 }, Scan::default());
+        if buf.fits.len() < imaged {
+            buf.half.resize(imaged * half_words, 0);
+            buf.fits.resize(imaged, HalfFit::default());
+        }
     }
-    &mut bufs[..count]
+    bufs[..count].iter_mut().map(move |buf| Packed {
+        tiles: &mut buf.tiles,
+        facts: &mut buf.facts,
+        half: &mut buf.half[..imaged * half_words],
+        fits: &mut buf.fits[..imaged],
+    })
 }
 
-/// A packed chain or strip and the scans of its tiles — none when the
-/// step skips nothing.
+/// A packed chain or strip and what the step reads off its tiles: their
+/// scans (none when the step skips nothing) and their fp16 images and
+/// fits (none unless it folds on half lanes).
 struct Packed<'s> {
     tiles: &'s mut [f32],
     facts: &'s mut [Scan],
+    half: &'s mut [u32],
+    fits: &'s mut [HalfFit],
 }
 
-impl Packed<'_> {
+impl<'s> Packed<'s> {
     fn reborrow(&mut self) -> Packed<'_> {
         Packed {
             tiles: self.tiles,
             facts: self.facts,
+            half: self.half,
+            fits: self.fits,
+        }
+    }
+
+    /// The first `count` tiles and what was read off them.
+    fn prefix(self, count: usize) -> Packed<'s> {
+        let tiles = self.tiles.len() / TILE_ELEMS;
+        let first = |len: usize| count * (len / tiles.max(1));
+        let (facts, half, fits) = (
+            first(self.facts.len()),
+            first(self.half.len()),
+            first(self.fits.len()),
+        );
+        Packed {
+            tiles: &mut self.tiles[..count * TILE_ELEMS],
+            facts: &mut self.facts[..facts],
+            half: &mut self.half[..half],
+            fits: &mut self.fits[..fits],
+        }
+    }
+
+    fn into_view(self) -> View<'s> {
+        View {
+            tiles: self.tiles,
+            facts: self.facts,
+            half: self.half,
+            fits: self.fits,
+        }
+    }
+}
+
+/// A packed chain or strip as the chains that fold it read it.
+#[derive(Clone, Copy)]
+struct View<'s> {
+    tiles: &'s [f32],
+    facts: &'s [Scan],
+    half: &'s [u32],
+    fits: &'s [HalfFit],
+}
+
+impl View<'_> {
+    /// The `k_tiles` tiles of its chain `index` and what was read off
+    /// them, each tile's image `words` long.
+    fn chain(self, index: usize, k_tiles: usize, words: usize) -> Self {
+        let tiles = index * k_tiles..(index + 1) * k_tiles;
+        // What was read off every tile, or off none.
+        let part = |len: usize, per: usize| {
+            if len == 0 {
+                0..0
+            } else {
+                tiles.start * per..tiles.end * per
+            }
+        };
+        View {
+            tiles: &self.tiles[part(self.tiles.len(), TILE_ELEMS)],
+            facts: &self.facts[part(self.facts.len(), 1)],
+            half: &self.half[part(self.half.len(), words)],
+            fits: &self.fits[part(self.fits.len(), 1)],
         }
     }
 }
@@ -792,16 +900,16 @@ fn pack_chain<U: MmoUnit>(
     unit.quantize_packed(dst);
 }
 
-/// Packs the `B` strip of tile columns `strip` into `dst` and, when the
-/// step skips, scans it (every tile's values, if the rule may read
-/// them).
+/// Packs the `B` strip of tile columns `strip` into `dst`, images it
+/// when the step folds on half lanes and, when it skips, scans it (every
+/// tile's values, if the rule may read them).
 fn pack_b_strip<U: MmoUnit>(
     unit: &U,
     step: &MmoArgs<'_>,
     k_tiles: usize,
     strip: Range<usize>,
-    skips: Option<ChainSkips>,
-    dst: Packed<'_>,
+    plan: ChainPlan,
+    mut dst: Packed<'_>,
 ) {
     let coords = strip.flat_map(|tj| (0..k_tiles).map(move |tk| (tk, tj)));
     pack_chain(
@@ -811,8 +919,11 @@ fn pack_b_strip<U: MmoUnit>(
         coords,
         dst.tiles,
     );
-    if let Some(skips) = skips {
-        skips.scan(unit.kernel_isa(), skips.b_values, dst);
+    if let SelectLanes::Half(lanes) = plan.lanes {
+        lanes.image_b(dst.tiles, dst.half, dst.fits);
+    }
+    if let Some(skips) = plan.skips {
+        skips.scan(unit.kernel_isa(), skips.b_values, dst.reborrow());
     }
 }
 
@@ -916,55 +1027,198 @@ fn holds_empty(facts: &[Scan]) -> bool {
     facts.iter().any(|scan| scan.stored == 0)
 }
 
+/// Which lanes the tile chain of a step folds on, and which of its pairs
+/// the fallback counters count.
+#[derive(Clone, Copy)]
+enum SelectLanes {
+    /// Not a selecting op on a coordinate-free unit: `f32` lanes,
+    /// uncounted.
+    Off,
+    /// Min-max or max-min on a coordinate-free unit whose tier has no
+    /// fp16 lanes ([`MmoUnit::half_lanes`] is `None`): every pair on
+    /// `f32` lanes.
+    NoFp16,
+    /// The unit's fp16 lanes, on every pair both of whose tiles' images
+    /// are exact; the others on `f32` lanes.
+    Half(HalfLanes),
+}
+
+impl SelectLanes {
+    /// The lanes of a `unit` step of `op`. Only a coordinate-free unit
+    /// is asked for fp16 lanes: one that injects or probes at tile
+    /// coordinates is handed every pair as tiles.
+    fn of<U: MmoUnit>(unit: &U, op: OpKind) -> Self {
+        if !(U::COORDINATE_FREE && op.selects()) {
+            return Self::Off;
+        }
+        unit.half_lanes(op).map_or(Self::NoFp16, Self::Half)
+    }
+
+    /// Words of image per packed tile whose images take `words`: none
+    /// unless the step folds on half lanes.
+    fn words(self, words: usize) -> usize {
+        match self {
+            Self::Half(_) => words,
+            _ => 0,
+        }
+    }
+}
+
+/// What the tile chain of a step reads off its packed tiles: the pairs it
+/// may skip, and the lanes it folds on.
+#[derive(Clone, Copy)]
+struct ChainPlan {
+    skips: Option<ChainSkips>,
+    lanes: SelectLanes,
+}
+
+/// What the tile chain did with a step's tile pairs, beyond the grid's
+/// logical [`OpCount`]: the counts behind the `core.chain.*` counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ChainTally {
+    /// Pairs left out ([`skips_pair`]).
+    skipped: u64,
+    /// Min-max / max-min pairs folded on fp16 lanes.
+    half: u64,
+    /// Min-max / max-min pairs kept on `f32` lanes because a tile of the
+    /// pair holds a NaN.
+    nan: u64,
+    /// … because a tile holds a value off the fp16 lattice (and no NaN).
+    off_lattice: u64,
+    /// … because the unit's tier has no fp16 lanes.
+    no_fp16: u64,
+}
+
+impl ChainTally {
+    /// Counts the run `tks` of pairs the chain folded, on half lanes
+    /// when `half`; a pair it kept on `f32` lanes beside half lanes is
+    /// counted by its `fit`.
+    fn run(
+        &mut self,
+        lanes: SelectLanes,
+        half: bool,
+        tks: Range<usize>,
+        fit: impl Fn(usize) -> HalfFit,
+    ) {
+        let pairs = tks.len() as u64;
+        match lanes {
+            SelectLanes::Off => {}
+            SelectLanes::NoFp16 => self.no_fp16 += pairs,
+            SelectLanes::Half(_) if half => self.half += pairs,
+            SelectLanes::Half(_) => {
+                for tk in tks {
+                    match fit(tk) {
+                        HalfFit::Nan => self.nan += 1,
+                        _ => self.off_lattice += 1,
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds the tally to the process-global counters.
+    fn record(self) {
+        CHAIN_SKIPPED_PAIRS.add(self.skipped);
+        CHAIN_FP16_PAIRS.add(self.half);
+        CHAIN_F32_NAN.add(self.nan);
+        CHAIN_F32_OFF_LATTICE.add(self.off_lattice);
+        CHAIN_F32_NO_FP16.add(self.no_fp16);
+    }
+}
+
+impl std::ops::AddAssign for ChainTally {
+    fn add_assign(&mut self, rhs: Self) {
+        self.skipped += rhs.skipped;
+        self.half += rhs.half;
+        self.nan += rhs.nan;
+        self.off_lattice += rhs.off_lattice;
+        self.no_fp16 += rhs.no_fp16;
+    }
+}
+
+impl std::iter::Sum for ChainTally {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut sum, tally| {
+            sum += tally;
+            sum
+        })
+    }
+}
+
 /// Folds output tile `tile`'s chain of packed tile pairs `a`, `b` into
-/// `acc`, leaving out the pairs [`skips_pair`] names by their tiles'
-/// `facts` — all of them kept when there are none: each run of kept
-/// pairs is one [`MmoUnit::execute_chain`] call, and a tile with no kept
-/// pair gets the empty chain. Every call seeds `acc ⊕ id`, which is
-/// idempotent, so the runs fold exactly what one call over the kept
-/// pairs would. Returns the number of pairs skipped.
+/// `acc` and returns what became of each pair. When the chain is
+/// `sparse` it leaves out the pairs [`skips_pair`] names by their tiles'
+/// facts. Each run of kept pairs that go the same way is one call: on
+/// the step's half `lanes` over the pairs' fp16 images where the images
+/// of both tiles are exact ([`HalfLanes::mmo_chain`]), through
+/// [`MmoUnit::execute_chain`] otherwise; a tile with no kept pair gets
+/// the empty chain. Every call seeds `acc ⊕ id`, which is idempotent,
+/// and a half-lane call folds its run into that once, which is exact
+/// (DESIGN.md §8 "Selection chains on fp16 lanes"), so the runs fold
+/// exactly what one call over the kept pairs would.
 fn fold_runs<U: MmoUnit>(
     unit: &mut U,
     tile: (usize, usize),
     op: OpKind,
-    (a, b): (&[f32], &[f32]),
-    facts: Option<(&[Scan], &[Scan])>,
+    (a, b): (View<'_>, View<'_>),
+    sparse: bool,
+    lanes: SelectLanes,
     acc: &mut Tile<ISA_TILE>,
-) -> u64 {
-    let Some((a_facts, b_facts)) = facts else {
-        unit.execute_chain(tile, op, a, b, acc);
-        return 0;
+) -> ChainTally {
+    let k_tiles = a.tiles.len() / TILE_ELEMS;
+    let mut tally = ChainTally::default();
+    let fit = |tk: usize| a.fits[tk].max(b.fits[tk]);
+    if !sparse && !matches!(lanes, SelectLanes::Half(_)) {
+        unit.execute_chain(tile, op, a.tiles, b.tiles, acc);
+        tally.run(lanes, false, 0..k_tiles, fit);
+        return tally;
+    }
+    // How pair `tk` folds: `None` left out, `Some(true)` on half lanes.
+    let route = |tk: usize| {
+        let skip = sparse && skips_pair(op, a.facts[tk], b.facts[tk]);
+        let half = matches!(lanes, SelectLanes::Half(_)) && fit(tk) == HalfFit::Exact;
+        (!skip).then_some(half)
     };
-    let mut fold = |tks: Range<usize>| {
-        let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
-        unit.execute_chain(tile, op, &a[run.clone()], &b[run], acc);
+    let mut fold = |tks: Range<usize>, half: bool| {
+        match lanes {
+            SelectLanes::Half(lanes) if half => {
+                let (a_words, b_words) = (tks.start * HALF_A_WORDS, tks.start * HALF_B_WORDS);
+                let (a_len, b_len) = (tks.len() * HALF_A_WORDS, tks.len() * HALF_B_WORDS);
+                let (a_run, b_run) = (&a.half[a_words..][..a_len], &b.half[b_words..][..b_len]);
+                lanes.mmo_chain(a_run, b_run, acc.as_flat_mut());
+            }
+            _ => {
+                let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
+                unit.execute_chain(tile, op, &a.tiles[run.clone()], &b.tiles[run], acc);
+            }
+        }
+        tally.run(lanes, half, tks, fit);
     };
-    let k_tiles = a_facts.len();
     let (mut open, mut kept) = (None, 0);
     for tk in 0..=k_tiles {
-        let keep = tk < k_tiles && !skips_pair(op, a_facts[tk], b_facts[tk]);
-        match (open, keep) {
-            (None, true) => open = Some(tk),
-            (Some(start), false) => {
-                fold(start..tk);
-                kept += tk - start;
-                open = None;
+        let next = if tk < k_tiles { route(tk) } else { None };
+        if let Some((start, half)) = open {
+            if next == Some(half) {
+                continue;
             }
-            _ => {}
+            fold(start..tk, half);
+            kept += tk - start;
         }
+        open = next.map(|half| (tk, half));
     }
     if kept == 0 {
-        fold(0..0);
+        fold(0..0, false);
     }
-    (k_tiles - kept) as u64
+    tally.skipped = (k_tiles - kept) as u64;
+    tally
 }
 
-/// Where a tile-chain panel reads its packed `B` strips, and their
-/// tiles' scans.
+/// Where a tile-chain panel reads its packed `B` strips, and what was
+/// read off their tiles.
 enum BStrip<'s> {
     /// The grid's one strip, packed by the caller and read by every
     /// panel.
-    Shared(&'s [f32], &'s [Scan]),
+    Shared(View<'s>),
     /// This panel's buffers, each strip packed into them in turn.
     Own(Packed<'s>),
 }
@@ -979,17 +1233,18 @@ struct ChainPanel<'s, U> {
 }
 
 /// Executes one output panel of the tile grid on the tile chain,
-/// writing results into the panel's row slab of `D`; returns the number
-/// of tile pairs it skipped.
+/// writing results into the panel's row slab of `D`; returns what became
+/// of its tile pairs.
 ///
 /// `B` is packed one column strip at a time (or was, once, by the
 /// caller) and `A` one tile row at a time, each exactly once per use;
 /// every output tile is then folded over contiguous packed tiles
-/// ([`fold_runs`]: one [`MmoUnit::execute_chain`] call per run of tile
-/// pairs the step does not skip), into an accumulator tile read from
-/// `C` and stored straight into the slab. Tiles are visited strip by
-/// strip, row-major within a strip. A step that may skip pairs
-/// ([`ChainSkips`]) scans each chain and strip right after packing it.
+/// ([`fold_runs`]: one call per run of tile pairs the step does not skip
+/// and folds on the same lanes), into an accumulator tile read from `C`
+/// and stored straight into the slab. Tiles are visited strip by strip,
+/// row-major within a strip. Right after packing a chain or strip, a
+/// step that folds on half lanes images it and a step that may skip
+/// pairs ([`ChainSkips`]) scans it.
 ///
 /// The panel's units are either a single unit that executes every strip
 /// (the sequential schedule) or one worker shard per strip (the
@@ -1003,54 +1258,51 @@ fn run_panel<U: MmoUnit>(
     }: ChainPanel<'_, U>,
     step: &MmoArgs<'_>,
     grid: &TileGrid,
-    skips: Option<ChainSkips>,
+    plan: ChainPlan,
     panel: Range<usize>,
     slab: &mut [f32],
-) -> u64 {
+) -> ChainTally {
     let row0 = grid.panel_rows(&panel).start;
     let (op, pad) = (step.op, tiling::pad_values(step.op));
     let k_tiles = grid.k_tiles;
-    let chain = k_tiles * TILE_ELEMS;
     let width = strip_width(k_tiles);
-    let mut skipped = 0;
+    let mut tally = ChainTally::default();
     for (s, tj0) in (0..grid.n_tiles).step_by(width).enumerate() {
         let strip = tj0..(tj0 + width).min(grid.n_tiles);
         let unit = &mut units[s.min(units.len() - 1)];
-        let (b_pack, b_facts): (&[f32], &[Scan]) = match &mut b {
-            BStrip::Shared(packed, facts) => (packed, facts),
-            BStrip::Own(Packed { tiles, facts }) => {
-                let tiles = &mut tiles[..strip.len() * chain];
-                let facts = &mut facts[..skips.map_or(0, |_| strip.len() * k_tiles)];
-                let dst = Packed { tiles, facts };
-                pack_b_strip(unit, step, k_tiles, strip.clone(), skips, dst);
-                (tiles, facts)
+        let b_strip = match &mut b {
+            BStrip::Shared(view) => *view,
+            BStrip::Own(packed) => {
+                let mut dst = packed.reborrow().prefix(strip.len() * k_tiles);
+                pack_b_strip(unit, step, k_tiles, strip.clone(), plan, dst.reborrow());
+                dst.into_view()
             }
         };
         // An `A` row's values matter only beside an empty `B` tile; with
         // no empty tile in the strip nor in the row, nothing is skipped.
-        let b_sparse = holds_empty(b_facts);
+        let b_sparse = holds_empty(b_strip.facts);
         for ti in panel.clone() {
             let a_coords = (0..k_tiles).map(|tk| (ti, tk));
             pack_chain(unit, step.a, pad.a, a_coords, a_row.tiles);
-            if let Some(skips) = skips {
+            if let SelectLanes::Half(lanes) = plan.lanes {
+                lanes.image_a(a_row.tiles, a_row.half, a_row.fits);
+            }
+            if let Some(skips) = plan.skips {
                 let read_values = skips.values && b_sparse;
                 skips.scan(unit.kernel_isa(), read_values, a_row.reborrow());
             }
             let sparse = b_sparse || holds_empty(a_row.facts);
+            let a_chain = a_row.reborrow().into_view();
             for tj in strip.clone() {
                 let mut acc = tiling::load_c_tile::<ISA_TILE>(op, step.c, ti, tj);
-                let b_chain = &b_pack[(tj - tj0) * chain..][..chain];
-                let facts = sparse.then(|| {
-                    let b_chain_facts = &b_facts[(tj - tj0) * k_tiles..][..k_tiles];
-                    (&*a_row.facts, b_chain_facts)
-                });
-                let chains = (&*a_row.tiles, b_chain);
-                skipped += fold_runs(unit, (ti, tj), op, chains, facts, &mut acc);
+                let chains = (a_chain, b_strip.chain(tj - tj0, k_tiles, HALF_B_WORDS));
+                let lanes = plan.lanes;
+                tally += fold_runs(unit, (ti, tj), op, chains, sparse, lanes, &mut acc);
                 tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
             }
         }
     }
-    skipped
+    tally
 }
 
 /// The one panel scheduler, whichever walk a step takes: each entry of
@@ -1139,14 +1391,15 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         grid: &TileGrid,
         workers: usize,
         d: &mut Matrix,
-    ) -> Result<u64, BackendError> {
+    ) -> Result<ChainTally, BackendError> {
         let width = strip_width(grid.k_tiles);
         let strips = grid.n_tiles.div_ceil(width);
-        let chain = grid.k_tiles * TILE_ELEMS;
         let strip_tiles = width.min(grid.n_tiles) * grid.k_tiles;
-        let skips = ChainSkips::of::<U>(step);
-        // One scan per packed tile, or none.
-        let facts = |tiles: usize| skips.map_or(0, |_| tiles);
+        let plan = ChainPlan {
+            skips: ChainSkips::of::<U>(step),
+            lanes: SelectLanes::of(&self.unit, step.op),
+        };
+        let (facts, lanes) = (plan.skips.is_some(), plan.lanes);
         let mut panels = grid.row_panels(workers);
         let shard_panel = |_| (0..strips).map(|_| self.unit.shard()).collect();
         let mut shards: Vec<Vec<U>> = (panels.len() > 1)
@@ -1156,30 +1409,17 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         if shards.is_empty() {
             panels = grid.row_panels(1);
         }
-        let PackScratch {
-            a,
-            b,
-            a_facts,
-            b_facts,
-        } = &mut self.scratch;
-        let a_rows = fit(a, panels.len(), chain)
-            .iter_mut()
-            .zip(fit(a_facts, panels.len(), facts(grid.k_tiles)))
-            .map(|(tiles, facts)| Packed { tiles, facts });
+        let PackScratch { a, b } = &mut self.scratch;
+        let a_words = lanes.words(HALF_A_WORDS);
+        let a_rows = fit(a, panels.len(), grid.k_tiles, facts, a_words);
         let b_bufs = if strips == 1 { 1 } else { panels.len() };
-        let b_bufs = fit(b, b_bufs, strip_tiles * TILE_ELEMS)
-            .iter_mut()
-            .zip(fit(b_facts, b_bufs, facts(strip_tiles)))
-            .map(|(tiles, facts)| Packed { tiles, facts });
+        let mut b_bufs = fit(b, b_bufs, strip_tiles, facts, lanes.words(HALF_B_WORDS));
         let b_strips: Vec<BStrip<'_>> = if strips == 1 {
-            let mut packed = b_bufs.into_iter().next().expect("one shared strip");
+            let mut packed = b_bufs.next().expect("one shared strip");
             let dst = packed.reborrow();
-            pack_b_strip(&self.unit, step, grid.k_tiles, 0..grid.n_tiles, skips, dst);
-            let (tiles, facts) = (&*packed.tiles, &*packed.facts);
-            panels
-                .iter()
-                .map(|_| BStrip::Shared(tiles, facts))
-                .collect()
+            pack_b_strip(&self.unit, step, grid.k_tiles, 0..grid.n_tiles, plan, dst);
+            let view = packed.into_view();
+            panels.iter().map(|_| BStrip::Shared(view)).collect()
         } else {
             b_bufs.map(BStrip::Own).collect()
         };
@@ -1200,7 +1440,7 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
             grid,
             d,
             work,
-            |state, panel, slab| run_panel(state, step, grid, skips, panel, slab),
+            |state, panel, slab| run_panel(state, step, grid, plan, panel, slab),
         );
         let mut survivors: Vec<std::vec::IntoIter<U>> = shards
             .into_iter()
@@ -1286,8 +1526,10 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
         let walk = (declared && U::COORDINATE_FREE)
             .then(|| RowWalk::choose(&self.unit, step))
             .flatten();
-        let skipped_pairs = match &walk {
-            Some(walk) => self.run_rows(walk, &grid, workers, &mut d).map(|()| 0)?,
+        let tally = match &walk {
+            Some(walk) => self
+                .run_rows(walk, &grid, workers, &mut d)
+                .map(|()| ChainTally::default())?,
             None => self.run_chain(step, &grid, workers, &mut d)?,
         };
         if self.tracer.enabled() {
@@ -1297,7 +1539,7 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
                 None if declared => REPR_FALLBACK_MMOS.add(1),
                 None => {}
             }
-            CHAIN_SKIPPED_PAIRS.add(skipped_pairs);
+            tally.record();
         }
         let delta = OpCount {
             matrix_mmos: 1,

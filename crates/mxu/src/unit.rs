@@ -17,7 +17,7 @@
 use std::fmt;
 
 use simd2_semiring::precision::quantize_int8;
-use simd2_semiring::simd::{self, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS};
+use simd2_semiring::simd::{self, HalfLanes, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS};
 use simd2_semiring::OpKind;
 
 use simd2_matrix::{Tile, ISA_TILE};
@@ -279,6 +279,20 @@ pub trait MmoUnit: std::fmt::Debug {
         }
     }
 
+    /// The fp16 lanes this unit's datapath folds `op`'s tile chains on,
+    /// if it has them — `None` by default. The chain hook for pairs an
+    /// engine has fp16 images of: a
+    /// [coordinate-free](MmoUnit::COORDINATE_FREE) unit that names lanes
+    /// has each run of tile pairs whose images are
+    /// [exact](simd2_semiring::simd::HalfFit::Exact) folded by
+    /// [`HalfLanes::mmo_chain`] over those images, which folds the bits
+    /// [`execute_chain`](MmoUnit::execute_chain) folds over the tiles;
+    /// every other run still goes through `execute_chain`.
+    fn half_lanes(&self, op: OpKind) -> Option<HalfLanes> {
+        let _ = op;
+        None
+    }
+
     /// Marks the start of a new whole-matrix mmo (called once per
     /// backend-level `mmo`, before any tile executes and before any
     /// shards are taken).
@@ -371,6 +385,12 @@ impl MmoUnit for Simd2Unit {
         acc: &mut Tile<ISA_TILE>,
     ) {
         Simd2Unit::execute_chain(self, op, a, b, acc);
+    }
+
+    /// Min-max and max-min on the AVX-512 tier of an AVX512-FP16 host
+    /// ([`HalfLanes::new`]); a pin to another tier has none.
+    fn half_lanes(&self, op: OpKind) -> Option<HalfLanes> {
+        HalfLanes::new(self.kernel_isa(), op)
     }
 
     fn precision(&self) -> PrecisionMode {

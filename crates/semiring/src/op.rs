@@ -154,6 +154,15 @@ impl OpKind {
         self.reduce_is_idempotent() && self.no_edge_f32().is_some()
     }
 
+    /// Whether `⊗` and `⊕` both only *select* one of their operands
+    /// (min-max, max-min), so every term and every result of a fold is an
+    /// operand element or the seed: what lets these two fold on any
+    /// lattice that holds their operands exactly.
+    #[inline]
+    pub fn selects(self) -> bool {
+        matches!(self, OpKind::MinMax | OpKind::MaxMin)
+    }
+
     /// Lower-case short name, e.g. `"min-plus"` (figure axis labels).
     pub fn name(self) -> &'static str {
         match self {

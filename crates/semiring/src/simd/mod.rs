@@ -20,7 +20,9 @@
 //! tile: it reads contiguous chains of pre-quantised operand tiles and,
 //! because a fold is one dependent `⊕` per term, its x86 leaves
 //! interleave the output rows of a register-resident accumulator block
-//! per `k` step. [`mmo_tile`] at that side is a chain of one; any other
+//! per `k` step; min-max and max-min chains also fold on fp16 lanes
+//! ([`HalfLanes`]) where an engine hands them fp16 images of operands
+//! that fit. [`mmo_tile`] at that side is a chain of one; any other
 //! side — which only tests reach — takes the scalar leaf. [`sweep_row`]
 //! is the sparse engine's row kernel: one output row folds an explicit
 //! `(k, value)` walk over rows of a dense `B`, so whichever
@@ -52,8 +54,10 @@
 //! the feature is present on the host (checked by the dispatcher), and
 //! the slices have the shapes the entry asserted — whole 16×16 tiles for
 //! [`mmo_chain`]; the [`sweep_row`], [`scan`] and [`compact`] leaves
-//! have no shape precondition (every vector access goes through a
-//! bounds-checked fixed-size chunk).
+//! and the [`HalfLanes`] leaves have no shape precondition (every vector
+//! access goes through a bounds-checked fixed-size chunk). A
+//! [`HalfLanes`] value is made only after the feature probe, so holding
+//! one is the guard its leaves are entered behind.
 //! Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
 //! every interior `unsafe` block carries its own justification.
 //!
@@ -71,7 +75,9 @@
 //! and materialise `1.0`/`0.0` once, every min/max `⊕` folds on the bare
 //! instruction (its first operand is the seeded accumulator, which is
 //! never NaN), and the `⊗` of min-max / max-min drops its NaN handling
-//! on tile pairs that hold no NaN. See DESIGN.md
+//! on tile pairs that hold no NaN — and, handed fp16 images of pairs
+//! that hold no NaN and nothing off the fp16 lattice, runs on twice the
+//! lanes ([`HalfLanes`]). See DESIGN.md
 //! § "SIMD kernel dispatch" for the full lowering table and the
 //! arguments. The suites compare through
 //! [`same_bits`], which says what "exactly" means for two NaNs.
@@ -117,6 +123,11 @@ pub struct CpuFeatures {
     /// Half-precision conversion (gates the AVX2 tier alongside `avx2`;
     /// the vector fp16 quantiser is `vcvtps2ph` + `vcvtph2ps`).
     pub f16c: bool,
+    /// AVX512-FP16 arithmetic on 32 half lanes per `zmm` (with the
+    /// AVX-512BW and AVX-512VL it is specified on top of): what
+    /// [`HalfLanes`] folds min-max and max-min chains with inside the
+    /// AVX-512 tier. Not a tier of its own.
+    pub avx512fp16: bool,
 }
 
 impl CpuFeatures {
@@ -129,6 +140,9 @@ impl CpuFeatures {
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
                 fma: std::arch::is_x86_feature_detected!("fma"),
                 f16c: std::arch::is_x86_feature_detected!("f16c"),
+                avx512fp16: std::arch::is_x86_feature_detected!("avx512fp16")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx512vl"),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -553,6 +567,157 @@ pub fn compact(isa: KernelIsa, zero: f32, xs: &[f32], cols: &mut [u32], vals: &m
 /// skip halves a leaf's time, at 2 % it breaks even, at 5 % it doubles
 /// it — measured on 512-element rows, AVX-512).
 const SPARSE_SPAN: usize = 64;
+
+/// `u32` words of one tile's [`HalfLanes`] image as a chain's `A`
+/// operand: per row pair `i`, `i + 8` and column `k`, the two rows' fp16
+/// values in one word (row `i` in the low half), `k` fastest.
+pub const HALF_A_WORDS: usize = CHAIN_ELEMS / 2;
+
+/// `u32` words of one tile's [`HalfLanes`] image as a chain's `B`
+/// operand: every fp16 value twice in one word, row-major.
+pub const HALF_B_WORDS: usize = CHAIN_ELEMS;
+
+/// What a tile's fp16 image says of the tile: whether the half lanes may
+/// fold it. Ordered by precedence, so the fit of a tile pair is the
+/// larger of its two tiles'.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum HalfFit {
+    /// No element is NaN and every one survives the fp16 round trip
+    /// exactly: the image holds the tile.
+    #[default]
+    Exact,
+    /// No element is NaN, but some element is off the fp16 lattice.
+    OffLattice,
+    /// Some element is NaN.
+    Nan,
+}
+
+/// The fp16 lanes a min-max or max-min tile chain folds on: 32 lanes per
+/// vector through the same bare `min`/`max` instructions the `f32` chain
+/// leaf folds NaN-free pairs with. Made only by [`HalfLanes::new`], after
+/// the feature probe, so holding one proves the host runs its leaves.
+///
+/// Every term of these two ops is an operand element. On tiles whose
+/// images are [`HalfFit::Exact`] the fold from the identity in fp16 is
+/// therefore the fold in `f32`, `vminph`/`vmaxph` keeping the second
+/// operand on a tie exactly as `vminps`/`vmaxps` do, and folding its
+/// result into the `f32`-seeded accumulator once is exact, because
+/// "the first element to reach the extreme" is associative under
+/// concatenation. `C` never enters fp16. See DESIGN.md §8 "Selection
+/// chains on fp16 lanes".
+///
+/// ```
+/// use simd2_semiring::simd::{self, HalfFit, HalfLanes, KernelIsa, CHAIN_ELEMS};
+/// use simd2_semiring::OpKind;
+///
+/// let (a, b) = (vec![2.5f32; CHAIN_ELEMS], vec![-0.0f32; CHAIN_ELEMS]);
+/// let mut want = vec![f32::NAN; CHAIN_ELEMS];
+/// simd::mmo_chain(KernelIsa::Scalar, OpKind::MinMax, &a, &b, &mut want);
+/// if let Some(half) = HalfLanes::new(simd::selected_isa(), OpKind::MinMax) {
+///     let (mut a_img, mut b_img) = (vec![0; simd::HALF_A_WORDS], vec![0; simd::HALF_B_WORDS]);
+///     let mut fits = [HalfFit::Nan; 2];
+///     half.image_a(&a, &mut a_img, &mut fits[..1]);
+///     half.image_b(&b, &mut b_img, &mut fits[1..]);
+///     assert_eq!(fits, [HalfFit::Exact; 2]);
+///     let mut got = vec![f32::NAN; CHAIN_ELEMS];
+///     half.mmo_chain(&a_img, &b_img, &mut got);
+///     assert_eq!(got, want);
+/// }
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct HalfLanes {
+    op: OpKind,
+}
+
+impl HalfLanes {
+    /// The half lanes of `op` on `isa`: `Some` for min-max and max-min
+    /// on the AVX-512 tier of a host with [`CpuFeatures::avx512fp16`],
+    /// `None` on every other tier, pin or op.
+    pub fn new(isa: KernelIsa, op: OpKind) -> Option<Self> {
+        let f = cpu_features();
+        let lanes = isa == KernelIsa::Avx512 && f.avx512f && f.avx512fp16;
+        (op.selects() && lanes).then_some(Self { op })
+    }
+
+    /// Writes the fp16 image of the whole tiles of `tiles` as chain `A`
+    /// operands ([`HALF_A_WORDS`] per tile) and each tile's [`HalfFit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tiles` is whole tiles and `image` and `fits` hold
+    /// exactly one image and one fit per tile.
+    pub fn image_a(self, tiles: &[f32], image: &mut [u32], fits: &mut [HalfFit]) {
+        assert_image(tiles, image, fits, HALF_A_WORDS);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `new` proved avx512f is available on this CPU.
+        unsafe {
+            x86::half_image_a(tiles, image, fits)
+        }
+    }
+
+    /// [`image_a`](Self::image_a) for chain `B` operands
+    /// ([`HALF_B_WORDS`] per tile).
+    ///
+    /// # Panics
+    ///
+    /// As [`image_a`](Self::image_a).
+    pub fn image_b(self, tiles: &[f32], image: &mut [u32], fits: &mut [HalfFit]) {
+        assert_image(tiles, image, fits, HALF_B_WORDS);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `new` proved avx512f is available on this CPU.
+        unsafe {
+            x86::half_image_b(tiles, image, fits)
+        }
+    }
+
+    /// [`mmo_chain`] of the tile pairs whose images `a` and `b` hold —
+    /// which must all be [`HalfFit::Exact`], or the result is unspecified
+    /// (though memory-safe): seeds `acc ⊕ id` in `f32`, folds the chain
+    /// on fp16 lanes from the identity and folds that into `acc` once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` are not images of the same whole number of
+    /// tiles or `acc` is not exactly one tile.
+    pub fn mmo_chain(self, a: &[u32], b: &[u32], acc: &mut [f32]) {
+        assert!(
+            a.len().is_multiple_of(HALF_A_WORDS),
+            "A image is not whole tiles"
+        );
+        assert_eq!(
+            a.len() / HALF_A_WORDS * HALF_B_WORDS,
+            b.len(),
+            "A and B images differ in tiles"
+        );
+        assert_eq!(
+            acc.len(),
+            CHAIN_ELEMS,
+            "accumulator is not {CHAIN_TILE}×{CHAIN_TILE}"
+        );
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY (both arms): `new` proved avx512f, avx512bw, avx512vl and
+        // avx512fp16 are available on this CPU.
+        unsafe {
+            if self.op == OpKind::MinMax {
+                x86::half_chain_avx512::<MinMax>(a, b, acc)
+            } else {
+                x86::half_chain_avx512::<MaxMin>(a, b, acc)
+            }
+        }
+    }
+}
+
+/// The shape contract of [`HalfLanes::image_a`] and
+/// [`HalfLanes::image_b`].
+fn assert_image(tiles: &[f32], image: &[u32], fits: &[HalfFit], words: usize) {
+    assert!(
+        tiles.len().is_multiple_of(CHAIN_ELEMS),
+        "tiles are not whole {CHAIN_TILE}×{CHAIN_TILE} tiles"
+    );
+    let count = tiles.len() / CHAIN_ELEMS;
+    assert_eq!(image.len(), count * words, "image is not one per tile");
+    assert_eq!(fits.len(), count, "fits are not one per tile");
+}
 
 /// Quantises every element of `xs` through fp16 in place, vectorized
 /// when `isa` is a vector tier the host supports.

@@ -1,4 +1,5 @@
-//! AVX2 / AVX-512F `#[target_feature]` leaf kernels for x86-64.
+//! AVX2 / AVX-512F (and AVX512-FP16) `#[target_feature]` leaf kernels
+//! for x86-64.
 //!
 //! # Safety contract (every leaf)
 //!
@@ -9,8 +10,8 @@
 //!   tiles and the accumulator exactly one (asserted by
 //!   `super::mmo_chain`); they index through fixed-size chunks, so every
 //!   vector access is a whole vector of a 16-element row. Row-sweep,
-//!   scan and compaction leaves: no shape precondition — every vector
-//!   access goes through a bounds-checked fixed-size chunk.
+//!   scan, compaction and half-lane leaves: no shape precondition —
+//!   every vector access goes through a bounds-checked fixed-size chunk.
 //!
 //! # Bit identity
 //!
@@ -41,6 +42,18 @@
 //!   either of which can be NaN, so its bare form (`combine_ord`) needs
 //!   a tile pair that holds no NaN: the test is per tile pair, and a
 //!   pair with a NaN anywhere keeps the wrapper.
+//! * min-max / max-min on fp16 lanes ([`half_chain_avx512`]) — the same
+//!   bare instructions on 32 half lanes: `vminph`/`vmaxph` return the
+//!   second operand on a tie and on a NaN, exactly as
+//!   `vminps`/`vmaxps` do. They run only on tile pairs whose images are
+//!   exact (no NaN, every element on the fp16 lattice, checked as the
+//!   image is built), and every term of these two ops is an operand
+//!   element, so each term and the fold from the identity are the `f32`
+//!   fold's values in fp16. The chain's result converts back exactly and
+//!   folds once into the `f32`-seeded accumulator with `fold_v`: "the
+//!   first element to reach the extreme" is associative under
+//!   concatenation, so a seed that reaches it wins, and otherwise the
+//!   first term that does — `±0` included, with no canonicalisation.
 //! * or-and — truthiness is `x != 0.0` with NaN truthy, which is the
 //!   unordered-or-unequal predicate `_CMP_NEQ_UQ`; the boolean result is
 //!   materialised as `1.0`/`0.0` by masking a splat of `1.0`. The chain
@@ -58,7 +71,9 @@ use crate::kernel::SemiringKernel;
 use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul, PlusNorm};
 use crate::OpKind;
 
-use super::{scalar, Scan, CHAIN_ELEMS, CHAIN_TILE, SWEEP_STRIP};
+use super::{
+    scalar, HalfFit, Scan, CHAIN_ELEMS, CHAIN_TILE, HALF_A_WORDS, HALF_B_WORDS, SWEEP_STRIP,
+};
 
 /// `f32` lanes in a 256-bit vector.
 const LANES256: usize = 8;
@@ -730,6 +745,174 @@ fn or_and_chain_avx2(a: &[f32], b: &[f32], acc: &mut [f32]) {
             // SAFETY: `half` is exactly 8 contiguous `f32`s, exclusively
             // borrowed.
             unsafe { _mm256_storeu_ps(half.as_mut_ptr(), dv) };
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Half-lane leaves: min-max and max-min chains on 32 fp16 lanes.
+// ---------------------------------------------------------------------------
+
+/// Row pairs `i`, `i + 8` of a tile: one accumulator of the half-lane
+/// chain each.
+const ROW_PAIRS: usize = CHAIN_TILE / 2;
+
+/// What the fp16 images of a tile's rows said so far: the lanes where
+/// the round trip was not exact (NaN included), and where it met a NaN.
+#[derive(Clone, Copy, Default)]
+struct HalfCheck {
+    inexact: __mmask16,
+    nan: __mmask16,
+}
+
+impl HalfCheck {
+    /// The fp16 image of a 16-element row, recording what it says: one
+    /// `vcvtps2ph`, one `vcvtph2ps` and two compares. An ordered equal
+    /// compare is bit equality here, since the round trip keeps the sign
+    /// of a zero.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn row(&mut self, row: &[f32; CHAIN_TILE]) -> __m256i {
+        // SAFETY: `row` is exactly 16 contiguous `f32`s.
+        let v = unsafe { _mm512_loadu_ps(row.as_ptr()) };
+        let h = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
+        self.inexact |= !_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(_mm512_cvtph_ps(h), v);
+        self.nan |= _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+        h
+    }
+
+    /// The tile's fit once every row is imaged.
+    fn fit(self) -> HalfFit {
+        if self.nan != 0 {
+            HalfFit::Nan
+        } else if self.inexact != 0 {
+            HalfFit::OffLattice
+        } else {
+            HalfFit::Exact
+        }
+    }
+}
+
+/// The chain-`A` images of whole tiles: rows `i` and `i + 8` zero-extended
+/// to 32-bit lanes, the second shifted into the high halves, so word `k`
+/// of row pair `i` is what the chain leaf broadcasts against `B` row `k`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. (Shapes are bounds-checked, not
+/// preconditions.)
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn half_image_a(tiles: &[f32], image: &mut [u32], fits: &mut [HalfFit]) {
+    let (tiles, _) = tiles.as_chunks::<CHAIN_ELEMS>();
+    let (words, _) = image.as_chunks_mut::<HALF_A_WORDS>();
+    for ((tile, words), fit) in tiles.iter().zip(words).zip(fits) {
+        let (rows, _) = tile.as_chunks::<CHAIN_TILE>();
+        let (pairs, _) = words.as_chunks_mut::<CHAIN_TILE>();
+        let mut check = HalfCheck::default();
+        for (i, pair) in pairs.iter_mut().enumerate() {
+            let low = _mm512_cvtepu16_epi32(check.row(&rows[i]));
+            let high = _mm512_cvtepu16_epi32(check.row(&rows[i + ROW_PAIRS]));
+            let w = _mm512_or_si512(low, _mm512_slli_epi32::<16>(high));
+            // SAFETY: `pair` is exactly 16 writable `u32`s.
+            unsafe { _mm512_storeu_si512(pair.as_mut_ptr().cast(), w) };
+        }
+        *fit = check.fit();
+    }
+}
+
+/// The chain-`B` images of whole tiles: every fp16 value in both halves
+/// of a 32-bit lane, so one load of row `k` meets both rows of a row
+/// pair.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. (Shapes are bounds-checked, not
+/// preconditions.)
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn half_image_b(tiles: &[f32], image: &mut [u32], fits: &mut [HalfFit]) {
+    let (tiles, _) = tiles.as_chunks::<CHAIN_ELEMS>();
+    let (words, _) = image.as_chunks_mut::<HALF_B_WORDS>();
+    for ((tile, words), fit) in tiles.iter().zip(words).zip(fits) {
+        let (rows, _) = tile.as_chunks::<CHAIN_TILE>();
+        let (out, _) = words.as_chunks_mut::<CHAIN_TILE>();
+        let mut check = HalfCheck::default();
+        for (row, out) in rows.iter().zip(out) {
+            let w = _mm512_cvtepu16_epi32(check.row(row));
+            let w = _mm512_or_si512(w, _mm512_slli_epi32::<16>(w));
+            // SAFETY: `out` is exactly 16 writable `u32`s.
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), w) };
+        }
+        *fit = check.fit();
+    }
+}
+
+/// The half-lane chain of min-max (`K = MinMax`) or max-min (`K =
+/// MaxMin`) over the images of whole tile pairs.
+///
+/// Eight accumulators hold the tile's row pairs, rows `i` and `i + 8`
+/// interleaved: per `k`, one load of `B` row `k` (each value doubled)
+/// meets eight broadcast words of `A` column `k`, and each lane forms
+/// its term with the bare `⊗` instruction, the `A` element second
+/// (`combine_ord`'s operand order), and folds it with the bare `⊕`, the
+/// accumulator second (`fold_v`'s) — 16 ops for 512 lanes. The chain
+/// starts from the identity in fp16; then each row converts back to
+/// `f32` and folds once into `acc ⊕ id`, the seed the `f32` leaf takes.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512BW, AVX-512VL and AVX512-FP16.
+/// (Shapes are bounds-checked, not preconditions.)
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512fp16")]
+pub(super) unsafe fn half_chain_avx512<K: Kernel512>(a: &[u32], b: &[u32], acc: &mut [f32]) {
+    let min_max = matches!(K::KIND, OpKind::MinMax);
+    let combine = |a: __m512i, b: __m512i| {
+        let (a, b) = (_mm512_castsi512_ph(a), _mm512_castsi512_ph(b));
+        _mm512_castph_si512(if min_max {
+            _mm512_max_ph(b, a)
+        } else {
+            _mm512_min_ph(b, a)
+        })
+    };
+    let fold = |acc: __m512i, term: __m512i| {
+        let (acc, term) = (_mm512_castsi512_ph(acc), _mm512_castsi512_ph(term));
+        _mm512_castph_si512(if min_max {
+            _mm512_min_ph(term, acc)
+        } else {
+            _mm512_max_ph(term, acc)
+        })
+    };
+    let (a_tiles, _) = a.as_chunks::<HALF_A_WORDS>();
+    let (b_tiles, _) = b.as_chunks::<HALF_B_WORDS>();
+    let Some(acc) = acc.first_chunk_mut::<CHAIN_ELEMS>() else {
+        return;
+    };
+    // ±∞ in binary16.
+    let id = _mm512_set1_epi16(if min_max { 0x7c00 } else { 0xfc00_u16 as i16 });
+    let mut r = [id; ROW_PAIRS];
+    for (at, bt) in a_tiles.iter().zip(b_tiles) {
+        let (b_rows, _) = bt.as_chunks::<CHAIN_TILE>();
+        for (k, b_row) in b_rows.iter().enumerate() {
+            // SAFETY: `b_row` is exactly 16 contiguous `u32`s.
+            let bv = unsafe { _mm512_loadu_si512(b_row.as_ptr().cast()) };
+            for (i, v) in r.iter_mut().enumerate() {
+                let av = _mm512_set1_epi32(at[i * CHAIN_TILE + k] as i32);
+                *v = fold(*v, combine(av, bv));
+            }
+        }
+    }
+    let (acc_rows, _) = acc.as_chunks_mut::<CHAIN_TILE>();
+    let seed = _mm512_set1_ps(K::IDENTITY);
+    for (i, v) in r.into_iter().enumerate() {
+        let halves = [v, _mm512_srli_epi32::<16>(v)];
+        for (row, half) in [i, i + ROW_PAIRS].into_iter().zip(halves) {
+            let row = &mut acc_rows[row];
+            let term = _mm512_cvtph_ps(_mm512_cvtepi32_epi16(half));
+            // SAFETY: `row` is exactly 16 contiguous `f32`s, exclusively
+            // borrowed, and this leaf enables AVX-512F.
+            unsafe {
+                let c = K::reduce_v(_mm512_loadu_ps(row.as_ptr()), seed);
+                _mm512_storeu_ps(row.as_mut_ptr(), K::fold_v(c, term));
+            }
         }
     }
 }

@@ -19,7 +19,9 @@
 use proptest::prelude::*;
 use simd2_matrix::{Csr, Matrix};
 use simd2_semiring::precision::quantize_f16;
-use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS, CHAIN_TILE};
+use simd2_semiring::simd::{
+    self, HalfFit, HalfLanes, KernelIsa, CHAIN_ELEMS, CHAIN_TILE, HALF_A_WORDS, HALF_B_WORDS,
+};
 use simd2_semiring::{OpKind, ALL_OPS};
 
 fn op_strategy() -> impl Strategy<Value = OpKind> {
@@ -41,6 +43,26 @@ const SPECIALS: [f32; 10] = [
     65520.0,  // rounds to f16 infinity
     6.104e-5, // near the f16 normal/subnormal boundary
 ];
+
+/// Values on the fp16 lattice at its edges: signed zeros, the smallest
+/// and largest subnormals, the smallest normal, the largest finite
+/// value and the infinities.
+const HALF_SPECIALS: [f32; 10] = [
+    0.0,
+    -0.0,
+    1.0 / 16_777_216.0, // 2^-24, the smallest fp16 subnormal
+    -1.0 / 16_777_216.0,
+    1023.0 / 16_777_216.0, // the largest fp16 subnormal
+    1.0 / 16_384.0,        // 2^-14, the smallest fp16 normal
+    65504.0,
+    -65504.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+];
+
+/// Accumulator values of every kind a chain's seed meets: NaN, signed
+/// zeros, a value off the fp16 lattice, the infinities.
+const SEEDS: [f32; 6] = [f32::NAN, -0.0, 0.0, 0.1, f32::INFINITY, f32::NEG_INFINITY];
 
 /// `len` arbitrary bit patterns with a sprinkle of [`SPECIALS`] at
 /// seed-derived positions.
@@ -521,6 +543,121 @@ proptest! {
                     op, n, ldb, ks, isa, j, x, y
                 );
             }
+        }
+    }
+
+    /// Min-max and max-min chains of 0..=5 pairs on the fp16 lanes, over
+    /// the NaN-free generators moved onto the fp16 lattice (the `±0`-ties
+    /// arm; infinities, fp16 subnormals and boundaries), with pairs that
+    /// carry a NaN in `A`, `B` or both or an `f32` value off the lattice,
+    /// over accumulators holding NaN, `±0`, `±∞` and values off the
+    /// lattice. The image builders must name each tile's fit as the test
+    /// reads it off the values; a chain folded pair by pair the way the
+    /// engine folds it — fp16 lanes on exactly the pairs both of whose
+    /// tiles fit, the `f32` leaf on the rest, the accumulator carried —
+    /// and, when every pair fits, the one half-lane call over the whole
+    /// chain, must equal the fold written out bit for bit. A host
+    /// without AVX512-FP16 must get no half lanes.
+    #[test]
+    fn half_lane_chains_match_the_scalar_fold(
+        min_max in any::<bool>(),
+        tiles in 0usize..=5,
+        ties in any::<bool>(),
+        dirt in proptest::collection::vec(0u8..16, 5),
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let op = if min_max { OpKind::MinMax } else { OpKind::MaxMin };
+        let Some(half) = HalfLanes::new(KernelIsa::Avx512, op) else {
+            let f = simd::cpu_features();
+            prop_assert!(!(f.avx512f && f.avx512fp16));
+            return;
+        };
+        let lattice = |len, salt| -> Vec<f32> {
+            let xs = ordered_values(len, &bits, salt, ties);
+            xs.iter()
+                .enumerate()
+                .map(|(i, &x)| match (i as u32).wrapping_mul(40503).wrapping_add(salt) % 11 {
+                    0 => HALF_SPECIALS[i % HALF_SPECIALS.len()],
+                    _ => quantize_f16(x),
+                })
+                .collect()
+        };
+        let mut a = lattice(tiles * CHAIN_ELEMS, salt);
+        let mut b = lattice(tiles * CHAIN_ELEMS, salt.wrapping_add(1));
+        let c: Vec<f32> = lattice(CHAIN_ELEMS, salt.wrapping_add(2))
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| if i % 3 == 0 { SEEDS[i / 3 % SEEDS.len()] } else { x })
+            .collect();
+        // Below 8, bits 0 and 1: a NaN in `A` / `B`; bit 2: a value off
+        // the lattice, in `A` or `B` by the parity of the pair. From 8 on
+        // the pair is clean, so that whole chains often are.
+        let spot = |t: usize, step: usize| {
+            t * CHAIN_ELEMS + (salt as usize).wrapping_mul(step + 2 * t) % CHAIN_ELEMS
+        };
+        for (t, d) in dirt[..tiles].iter().map(|&d| if d < 8 { d } else { 0 }).enumerate() {
+            if d & 1 != 0 {
+                a[spot(t, 3)] = f32::NAN;
+            }
+            if d & 2 != 0 {
+                b[spot(t, 5)] = -f32::NAN;
+            }
+            if d & 4 != 0 {
+                let side = if t % 2 == 0 { &mut a } else { &mut b };
+                side[spot(t, 7)] = 1.0 + f32::EPSILON;
+            }
+        }
+        let fit_of = |tile: &[f32]| {
+            if tile.iter().any(|x| x.is_nan()) {
+                HalfFit::Nan
+            } else if tile.iter().any(|&x| quantize_f16(x).to_bits() != x.to_bits()) {
+                HalfFit::OffLattice
+            } else {
+                HalfFit::Exact
+            }
+        };
+        let want = fold_chain(op, &a, &b, &c, CHAIN_TILE);
+
+        let (mut a_img, mut b_img) = (vec![0; tiles * HALF_A_WORDS], vec![0; tiles * HALF_B_WORDS]);
+        let (mut a_fits, mut b_fits) = (vec![HalfFit::Nan; tiles], vec![HalfFit::Nan; tiles]);
+        half.image_a(&a, &mut a_img, &mut a_fits);
+        half.image_b(&b, &mut b_img, &mut b_fits);
+        for t in 0..tiles {
+            let tile = t * CHAIN_ELEMS..(t + 1) * CHAIN_ELEMS;
+            prop_assert_eq!(a_fits[t], fit_of(&a[tile.clone()]), "A tile {}", t);
+            prop_assert_eq!(b_fits[t], fit_of(&b[tile]), "B tile {}", t);
+        }
+        let clean: Vec<bool> = (0..tiles)
+            .map(|t| a_fits[t].max(b_fits[t]) == HalfFit::Exact)
+            .collect();
+        let mut by_pair = c.clone();
+        simd::mmo_chain(KernelIsa::Avx512, op, &[], &[], &mut by_pair);
+        for (t, &clean) in clean.iter().enumerate() {
+            if clean {
+                let (ai, bi) = (t * HALF_A_WORDS, t * HALF_B_WORDS);
+                half.mmo_chain(&a_img[ai..ai + HALF_A_WORDS], &b_img[bi..bi + HALF_B_WORDS], &mut by_pair);
+            } else {
+                let tile = t * CHAIN_ELEMS..(t + 1) * CHAIN_ELEMS;
+                simd::mmo_chain(KernelIsa::Avx512, op, &a[tile.clone()], &b[tile], &mut by_pair);
+            }
+        }
+        let mut whole = c.clone();
+        let all_clean = clean.iter().all(|&x| x);
+        if all_clean {
+            half.mmo_chain(&a_img, &b_img, &mut whole);
+        }
+        for (i, x) in want.iter().enumerate() {
+            prop_assert!(
+                by_pair[i].to_bits() == x.to_bits(),
+                "{} pairs {:?} clean {:?} ties={} element {} ({:e} vs {:e})",
+                op, &dirt[..tiles], clean, ties, i, x, by_pair[i]
+            );
+            prop_assert!(
+                !all_clean || whole[i].to_bits() == x.to_bits(),
+                "{} whole chain of {} ties={} element {} ({:e} vs {:e})",
+                op, tiles, ties, i, x, whole[i]
+            );
         }
     }
 

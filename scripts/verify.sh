@@ -55,10 +55,18 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # (`proptest_simd`) and the streaming apps' walked steps, pinned term for
 # term and bit for bit (`streaming_walks`).
 # On the forced-scalar leg every CSR image is built through the scalar compaction leaf.
+# And min-max / max-min on the chain's fp16 lanes: the leaf against the
+# fold written out (`proptest_simd`), the engine against the reference
+# and the scalar-pinned unit with every fallback counter pinned
+# (`half_lanes`) — the forced-scalar leg folds every pair on `f32` lanes.
+# Which lanes the vector leg had is printed once, first: a green log from
+# a host without AVX512-FP16 does not cover the fp16 leaf.
+cargo test --release -q -p simd2 --test half_lanes -- --nocapture host_features
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-semiring --test proptest_simd
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-apps --test chain_skips --test streaming_walks
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test half_lanes
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows \
     --test proptest_parallel --test proptest_checkpoint --test pool_lifecycle
