@@ -23,11 +23,11 @@ pub enum AppKind {
     /// K-nearest neighbours.
     Knn,
     /// Streaming all-pairs shortest path: min-plus closure maintenance
-    /// under edge-insertion batches with CSR-declared deltas (not part
+    /// under edge-insertion batches with sparse deltas (not part
     /// of the Table 4 figure set — see [`AppKind::streaming`]).
     StreamingApsp,
     /// Streaming reachability (BFS-style or-and closure maintenance)
-    /// under edge-insertion batches with CSR-declared deltas.
+    /// under edge-insertion batches with sparse deltas.
     StreamingBfs,
 }
 

@@ -1,43 +1,60 @@
-//! Which steps of the streaming apps the engine row-walks, and what a
-//! walk folds.
+//! Which steps of the streaming and closure apps the engine row-walks,
+//! and what a walk folds.
 //!
-//! `streaming::simd2` declares `E` (a batch's `n / 8` new edges) and
-//! `T = FILL ⊕ (X ⊗ E)` under CSR. At `n = 256` the walk-or-chain rule
-//! (`rows::row_kernel`) walks:
+//! No app declares anything: the engine measures every step's operands
+//! (`rows::RowWalk::choose`) and walks where the walk-or-chain rule
+//! (`rows::row_kernel`) says a row kernel beats the tile chain. Every
+//! step, walked or not, must equal the same step on the forced tile
+//! chain (a unit that is not coordinate-free, `pools/chain.rs`) and on
+//! [`ReferenceBackend`] over the operands as the fp16 quantiser rounds
+//! them, bit for bit, at one worker and at two (where it is checked
+//! against the one-worker run's bits). The engine's `RowCount` is per
+//! backend, so the probe reads its deltas one step at a time.
 //!
-//! * `X ⊗ E` — a dense `X` row scattering `E`'s stored entries — for
-//!   both algebras: a dense walk looks up only the `E` rows that store
-//!   something, so the step folds exactly `256 × stored(E)` terms;
+//! `streaming::simd2` issues three step shapes at `n = 256`; the engine
+//! walks
+//!
+//! * `X ⊗ E` — a dense `X` row scattering the batch's `n / 8` new edges
+//!   — for both algebras: a dense walk looks up only the `E` rows that
+//!   store something, so the step folds exactly `256 × stored(E)` terms;
 //! * `T ⊗ X` — `T`'s stored entries swept over `X` — for min-plus only:
 //!   `T` stores ≈ a tenth of its entries, inside the float chains' walk
 //!   bound and outside or-and's, whose chain folds bit masks;
-//! * never the undeclared squarings that close the base graph.
+//! * the squarings that close the base graph while they store few
+//!   enough entries: the first two for min-plus, the first for or-and.
 //!
-//! Every step, walked or not, must equal the same step undeclared on
-//! the tile chain and on [`ReferenceBackend`] bit for bit, at one worker
-//! and at two (where it is checked against the one-worker run's bits).
-//! The engine's `RowCount` is per backend, so the probe reads its deltas
-//! one step at a time.
+//! The seven closure apps at `n = 256`, seed 2022, under Leyzorek: the
+//! first step — the adjacency squared, a few percent full — walks on
+//! every app; the second walks on all but APLP, whose DAG leaves the
+//! chain four pairs in five to skip, and MST, whose iterate is already
+//! nearly full; the closing steps, nearly full, take the chain.
 
-use simd2::backend::{MmoArgs, OpCount, ReferenceBackend, Schedule, TiledBackend};
+use simd2::backend::{MmoArgs, OpCount, Schedule, TiledBackend};
+use simd2::solve::{self, ClosureAlgorithm};
 use simd2::{Backend, BackendError, Parallelism};
-use simd2_apps::streaming;
-use simd2_matrix::Matrix;
-use simd2_mxu::PrecisionMode;
+use simd2_apps::{aplp, apsp, gtc, harness, mst, paths, streaming};
+use simd2_matrix::{reference, Matrix};
+use simd2_mxu::{PrecisionMode, Simd2Unit};
+use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::OpKind;
 
-/// The three step shapes `streaming::simd2` issues.
+#[path = "../../core/tests/pools/chain.rs"]
+mod chain;
+use chain::ChainOnly;
+
+/// The three step shapes `streaming::simd2` issues, told apart by which
+/// operands are the same matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Shape {
-    /// `X ⊗ X`, nothing declared: closing the base graph.
+    /// `X ⊗ X ⊕ X`: closing the base graph (every closure step too).
     Square,
-    /// `X ⊗ E`, `E` declared.
+    /// `FILL ⊕ (X ⊗ E)`.
     XE,
-    /// `T ⊗ X`, `T` declared.
+    /// `X ⊕ (T ⊗ X)`.
     TX,
 }
 
-/// What one step did on the declared side.
+/// What one step did on the engine.
 struct Seen {
     shape: Shape,
     walked: bool,
@@ -45,15 +62,13 @@ struct Seen {
     stored_b: u64,
 }
 
-/// Runs every step declared on one engine and checks its bits: against
-/// the step stripped of its declarations on a second engine and on the
-/// reference when `want` is empty (and then records them there), else
-/// against the `want` a first run recorded — the same steps, whatever
-/// the worker count. Logs what the declared step did.
+/// Runs every step on the engine and checks its bits: against the
+/// forced chain and the reference when `want` is empty (and then
+/// records them), else against the `want` a first run recorded — the
+/// same steps, whatever the worker count. Logs what the engine did.
 struct Probe {
-    declared: TiledBackend,
-    stripped: TiledBackend,
-    reference: ReferenceBackend,
+    engine: TiledBackend,
+    chain: TiledBackend<ChainOnly>,
     want: Vec<Vec<u32>>,
     checking: bool,
     seen: Vec<Seen>,
@@ -61,15 +76,11 @@ struct Probe {
 
 impl Probe {
     fn new(workers: usize, want: Vec<Vec<u32>>) -> Self {
-        let engine = || {
-            let mut be = TiledBackend::new();
-            be.set_parallelism(Parallelism::Threads(workers));
-            be
-        };
+        let mut engine = TiledBackend::new();
+        engine.set_parallelism(Parallelism::Threads(workers));
         Self {
-            declared: engine(),
-            stripped: engine(),
-            reference: ReferenceBackend::new(),
+            engine,
+            chain: TiledBackend::with_unit(ChainOnly(Simd2Unit::new())),
             checking: !want.is_empty(),
             want,
             seen: Vec::new(),
@@ -81,24 +92,29 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
+fn quantized(m: &Matrix) -> Matrix {
+    Matrix::from_fn(m.rows(), m.cols(), |r, c| quantize_f16(m[(r, c)]))
+}
+
 impl Backend for Probe {
     fn name(&self) -> &'static str {
-        "streaming walk probe"
+        "walk probe"
     }
 
     fn precision(&self) -> PrecisionMode {
-        self.declared.precision()
+        self.engine.precision()
     }
 
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
-        let before = self.declared.row_count();
-        let got = self.declared.execute(step, schedule)?;
-        let after = self.declared.row_count();
-        let shape = match (step.reprs[0].is_dense(), step.reprs[1].is_dense()) {
-            (true, true) => Shape::Square,
-            (true, false) => Shape::XE,
-            (false, true) => Shape::TX,
-            (false, false) => unreachable!("the app declares one operand a step"),
+        let before = self.engine.row_count();
+        let got = self.engine.execute(step, schedule)?;
+        let after = self.engine.row_count();
+        let shape = if std::ptr::eq(step.a, step.b) {
+            Shape::Square
+        } else if std::ptr::eq(step.b, step.c) {
+            Shape::TX
+        } else {
+            Shape::XE
         };
         let step_no = self.seen.len();
         if self.checking {
@@ -108,23 +124,19 @@ impl Backend for Probe {
                 "step {step_no} ({shape:?}) vs the first run"
             );
         } else {
-            // An undeclared step is the chain's own: the final closure
-            // checks those against the reference.
-            if shape != Shape::Square {
-                let bare = MmoArgs::new(step.op, step.a, step.b, step.c);
-                let chain = self.stripped.execute(&bare, schedule)?;
-                assert_eq!(
-                    bits(&got),
-                    bits(&chain),
-                    "step {step_no} ({shape:?}) vs the chain"
-                );
-                let reference = self.reference.execute(&bare, schedule)?;
-                assert_eq!(
-                    bits(&got),
-                    bits(&reference),
-                    "step {step_no} ({shape:?}) vs the reference"
-                );
-            }
+            let chain = self.chain.execute(step, schedule)?;
+            assert_eq!(
+                bits(&got),
+                bits(&chain),
+                "step {step_no} ({shape:?}) vs the chain"
+            );
+            let (qa, qb) = (quantized(step.a), quantized(step.b));
+            let want = reference::mmo(step.op, &qa, &qb, step.c)?;
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "step {step_no} ({shape:?}) vs the reference"
+            );
             self.want.push(bits(&got));
         }
         let zero = step.op.no_edge_f32().expect("path algebra");
@@ -138,11 +150,11 @@ impl Backend for Probe {
     }
 
     fn op_count(&self) -> OpCount {
-        self.declared.op_count()
+        self.engine.op_count()
     }
 
     fn reset_count(&mut self) {
-        self.declared.reset_count();
+        self.engine.reset_count();
     }
 }
 
@@ -166,7 +178,9 @@ fn streaming_steps_walk_as_the_rule_says_and_fold_the_bits_of_the_chain() {
             for (i, s) in probe.seen.iter().enumerate() {
                 let ctx = format!("{ctx}, step {i} ({:?})", s.shape);
                 let walks = match s.shape {
-                    Shape::Square => false,
+                    // The squarings walk while they close few enough
+                    // pairs: or-and's chain outruns the second.
+                    Shape::Square => i < if op == OpKind::MinPlus { 2 } else { 1 },
                     Shape::XE => true,
                     Shape::TX => op == OpKind::MinPlus,
                 };
@@ -175,6 +189,63 @@ fn streaming_steps_walk_as_the_rule_says_and_fold_the_bits_of_the_chain() {
                     assert_eq!(s.folded, N as u64 * s.stored_b, "{ctx}");
                 }
             }
+            want = probe.want;
+        }
+    }
+}
+
+#[test]
+fn closure_steps_walk_while_their_iterates_are_sparse() {
+    let (n, seed) = (256, 2022);
+    let apps = [
+        (
+            "APSP",
+            OpKind::MinPlus,
+            apsp::generate(n, seed).adjacency(OpKind::MinPlus),
+        ),
+        (
+            "APLP",
+            OpKind::MaxPlus,
+            aplp::generate(n, seed).adjacency(OpKind::MaxPlus),
+        ),
+        (
+            "MCP",
+            OpKind::MaxMin,
+            paths::generate_mcp(n, seed).adjacency(OpKind::MaxMin),
+        ),
+        (
+            "MAXRP",
+            OpKind::MaxMul,
+            paths::generate_maxrp(n, seed).adjacency(OpKind::MaxMul),
+        ),
+        (
+            "MINRP",
+            OpKind::MinMul,
+            paths::generate_minrp(n, seed).adjacency(OpKind::MinMul),
+        ),
+        (
+            "MST",
+            OpKind::MinMax,
+            mst::generate(n, harness::MST_EXTRA_DENSITY, seed).adjacency(OpKind::MinMax),
+        ),
+        ("GTC", OpKind::OrAnd, gtc::generate(n, seed).reachability()),
+    ];
+    for (app, op, adjacency) in apps {
+        let mut want = Vec::new();
+        for workers in [1, 2] {
+            let mut probe = Probe::new(workers, std::mem::take(&mut want));
+            let result =
+                solve::closure(&mut probe, op, &adjacency, ClosureAlgorithm::Leyzorek, true)
+                    .unwrap();
+            let ctx = format!("{app} at {workers} workers");
+            assert_eq!(probe.seen.len(), result.stats.matrix_mmos, "{ctx}");
+            assert!(probe.seen.len() >= 3, "{ctx}");
+            let walked: Vec<bool> = probe.seen.iter().map(|s| s.walked).collect();
+            let second = !matches!(app, "APLP" | "MST");
+            let pattern: Vec<bool> = (0..walked.len())
+                .map(|i| i == 0 || (i == 1 && second))
+                .collect();
+            assert_eq!(walked, pattern, "{ctx}: which steps walk");
             want = probe.want;
         }
     }

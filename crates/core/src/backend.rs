@@ -11,13 +11,10 @@
 use std::ops::Range;
 
 use simd2_matrix::reference;
-use simd2_matrix::tiling::{self, TileGrid};
-use simd2_matrix::{Matrix, Tile, ISA_TILE};
+use simd2_matrix::tiling::TileGrid;
+use simd2_matrix::{Matrix, ISA_TILE};
 use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit};
-use simd2_semiring::simd::{
-    self, HalfFit, HalfLanes, KernelIsa, Scan, CHAIN_ELEMS as TILE_ELEMS, HALF_A_WORDS,
-    HALF_B_WORDS,
-};
+use simd2_semiring::simd::{KernelIsa, HALF_A_WORDS, HALF_B_WORDS};
 use simd2_semiring::OpKind;
 
 use simd2_fault::{AbftConfig, FaultInjector};
@@ -26,19 +23,23 @@ use simd2_trace::{field, span, Counter, Tracer};
 
 use crate::error::BackendError;
 use crate::program::{compile_mmo, stage_operands};
-use crate::repr::{MatrixRef, OperandRepr};
+use crate::repr::MatrixRef;
 
 // The crate's one `unsafe` block — the lifetime erasure that hands a
 // panel's borrowing task to a persistent worker — lives here; see its
 // module docs for the argument.
+mod chain;
 #[allow(unsafe_code)]
 mod pool;
 mod rows;
 
+use chain::{
+    fit, pack_b_strip, run_panel, strip_width, BStrip, ChainPanel, ChainPlan, ChainSkips,
+    ChainTally, PackScratch, SelectLanes,
+};
 use pool::Pool;
 pub use rows::RowCount;
-pub(crate) use rows::{row_kernel, RowKernel};
-use rows::{skip_rule, RowWalk, Skip};
+use rows::RowWalk;
 
 /// Process-global whole-matrix mmo count (traced backends only).
 static MATRIX_MMOS: Counter = Counter::new("core.matrix_mmos");
@@ -61,29 +62,6 @@ static ROW_MMOS_SWEEP: Counter = Counter::new("core.row_mmos.sweep");
 /// Whole-matrix mmos that ran as an `A`-walk × CSR-`B` scatter (traced
 /// backends only).
 static ROW_MMOS_SCATTER: Counter = Counter::new("core.row_mmos.scatter");
-/// Whole-matrix mmos declared sparse that took the tile chain: the unit
-/// injects or probes at tile coordinates, nothing was left to skip
-/// exactly, or what was left is above the walk-or-chain bound and the
-/// chain folds the step faster (traced backends only).
-static REPR_FALLBACK_MMOS: Counter = Counter::new("core.repr_fallback_mmos");
-/// Tile pairs `(ti, tk, tj)` the tile chain left out because every term
-/// of theirs folds through the annihilator (traced backends only; see
-/// [`skips_pair`]). [`OpCount`] still counts them: it is the grid's
-/// logical traffic.
-static CHAIN_SKIPPED_PAIRS: Counter = Counter::new("core.chain.skipped_pairs");
-/// Min-max and max-min tile pairs the tile chain folded on fp16 lanes
-/// (traced backends only; see [`SelectLanes`]).
-static CHAIN_FP16_PAIRS: Counter = Counter::new("core.chain.fp16_pairs");
-/// Min-max and max-min tile pairs of a coordinate-free unit the tile
-/// chain kept on `f32` lanes because a tile of the pair holds a NaN
-/// (traced backends only).
-static CHAIN_F32_NAN: Counter = Counter::new("core.chain.f32_select_pairs.nan");
-/// … because a tile holds a value off the fp16 lattice and no NaN.
-static CHAIN_F32_OFF_LATTICE: Counter = Counter::new("core.chain.f32_select_pairs.off_lattice");
-/// … because the unit's kernel tier has no fp16 lanes (an AVX-512 host
-/// without AVX512-FP16, or a pin to AVX2 or scalar).
-static CHAIN_F32_NO_FP16: Counter = Counter::new("core.chain.f32_select_pairs.no_fp16");
-
 /// The `core.isa_mmos.*` counter tracking `isa`.
 fn isa_mmos_counter(isa: KernelIsa) -> &'static Counter {
     match isa {
@@ -233,11 +211,10 @@ pub enum Degrade {
 /// A whole-matrix SIMD² operation engine.
 ///
 /// The one thing a backend implements is [`execute`](Self::execute): one
-/// `D = C ⊕ (A ⊗ B)` step under a [`Schedule`]. Dense or declared
-/// operands, configured or sequential are arguments of that entry, so a
-/// wrapper that forwards it forwards all of them; [`mmo`](Self::mmo) and
-/// [`mmo_ref`](Self::mmo_ref) are conveniences over it that no
-/// implementor overrides.
+/// `D = C ⊕ (A ⊗ B)` step under a [`Schedule`]. Configured or sequential
+/// is an argument of that entry, so a wrapper that forwards it forwards
+/// both; [`mmo`](Self::mmo) and [`mmo_ref`](Self::mmo_ref) are
+/// conveniences over it that no implementor overrides.
 ///
 /// Implementations must produce results equivalent to
 /// [`simd2_matrix::reference::mmo`] up to the backend's declared
@@ -257,26 +234,23 @@ pub trait Backend {
 
     /// Executes one `D = C ⊕ (A ⊗ B)` step.
     ///
-    /// The step's representation declarations ([`MmoArgs::reprs`]) and
-    /// the `schedule` are hints, never semantic changes: the output and
-    /// the counters must be **bit-identical** to running the step
-    /// all-dense on one thread. The step is validated
-    /// ([`MmoArgs::checked_grid`]) before it touches a datapath, so a
-    /// malformed step is rejected without side effects.
+    /// The `schedule` is a hint, never a semantic change: the output and
+    /// the counters must be **bit-identical** to running the step on one
+    /// thread. The step is validated ([`MmoArgs::checked_grid`]) before
+    /// it touches a datapath, so a malformed step is rejected without
+    /// side effects.
     ///
     /// # Errors
     ///
     /// Returns [`BackendError::Shape`] when operand shapes are
-    /// incompatible, [`BackendError::Repr`] when a declaration is
-    /// invalid for the operation, [`BackendError::Exec`] when the
+    /// incompatible, [`BackendError::Exec`] when the
     /// underlying engine faults, [`BackendError::Corruption`] when an
     /// enabled ABFT check detects a silently corrupted result, and
     /// [`BackendError::WorkerPanic`] when a worker thread panicked. A
     /// failed step contributes no counters.
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError>;
 
-    /// Executes one all-dense `D = C ⊕ (A ⊗ B)` on the configured
-    /// schedule.
+    /// Executes one `D = C ⊕ (A ⊗ B)` on the configured schedule.
     ///
     /// # Errors
     ///
@@ -288,19 +262,12 @@ pub trait Backend {
         b: &Matrix,
         c: &Matrix,
     ) -> Result<Matrix, BackendError> {
-        self.mmo_ref(
-            op,
-            MatrixRef::dense(a),
-            MatrixRef::dense(b),
-            MatrixRef::dense(c),
-        )
+        self.execute(&MmoArgs::new(op, a, b, c), Schedule::Configured)
     }
 
-    /// Executes one `D = C ⊕ (A ⊗ B)` with per-operand *representation*
-    /// declarations ([`MatrixRef`]) — the seam that lets a recorded
-    /// algorithm run unchanged while a lowering decision (dense, CSR,
-    /// 2:4-structured) rides along with each operand. Backends without
-    /// compressed kernels validate the declarations and run dense.
+    /// [`mmo`](Self::mmo) on borrowed operands. What a [`MatrixRef`]
+    /// declares about its operand is ignored: the engine measures the
+    /// operands itself.
     ///
     /// # Errors
     ///
@@ -312,14 +279,7 @@ pub trait Backend {
         b: MatrixRef<'_>,
         c: MatrixRef<'_>,
     ) -> Result<Matrix, BackendError> {
-        let step = MmoArgs {
-            op,
-            a: a.matrix,
-            b: b.matrix,
-            c: c.matrix,
-            reprs: [a.repr, b.repr, c.repr],
-        };
-        self.execute(&step, Schedule::Configured)
+        self.mmo(op, a.matrix, b.matrix, c.matrix)
     }
 
     /// The backend's kernel tier and fault-log state. Wrappers forward
@@ -356,52 +316,25 @@ pub struct MmoArgs<'a> {
     pub b: &'a Matrix,
     /// Accumulator (`m×n`).
     pub c: &'a Matrix,
-    /// Declared representation of `[a, b, c]` — dense unless the plan
-    /// (or caller) lowered an operand to a sparse form. Backends
-    /// without sparse kernels may ignore this: representation never
-    /// changes the answer.
-    pub reprs: [OperandRepr; 3],
 }
 
 impl<'a> MmoArgs<'a> {
-    /// Dense-operand step args (the common case).
+    /// The step's args.
     pub fn new(op: OpKind, a: &'a Matrix, b: &'a Matrix, c: &'a Matrix) -> Self {
-        Self {
-            op,
-            a,
-            b,
-            c,
-            reprs: [OperandRepr::Dense; 3],
-        }
+        Self { op, a, b, c }
     }
 
-    /// The left operand as a [`MatrixRef`] with its declared repr.
-    pub fn a_ref(&self) -> MatrixRef<'a> {
-        MatrixRef::new(self.a, self.reprs[0])
-    }
-
-    /// The right operand as a [`MatrixRef`] with its declared repr.
-    pub fn b_ref(&self) -> MatrixRef<'a> {
-        MatrixRef::new(self.b, self.reprs[1])
-    }
-
-    /// The accumulator as a [`MatrixRef`] with its declared repr.
-    pub fn c_ref(&self) -> MatrixRef<'a> {
-        MatrixRef::new(self.c, self.reprs[2])
-    }
-
-    /// The step's 16×16 tile grid, once its shapes and representation
-    /// declarations pass
-    /// [`check_mmo_operands_ref`](crate::validate::check_mmo_operands_ref)
-    /// — the one gate every engine runs each step through before it
-    /// touches a datapath, so a malformed step is rejected with the same
+    /// The step's 16×16 tile grid, once its shapes pass
+    /// [`check_mmo_operands`](crate::validate::check_mmo_operands) — the
+    /// one gate every engine runs each step through before it touches a
+    /// datapath, so a malformed step is rejected with the same
     /// [`BackendError`] on every backend and schedule.
     ///
     /// # Errors
     ///
-    /// [`BackendError::Shape`] or [`BackendError::Repr`].
+    /// [`BackendError::Shape`].
     pub fn checked_grid(&self) -> Result<TileGrid, BackendError> {
-        crate::validate::check_mmo_operands_ref(self.op, self.a_ref(), self.b_ref(), self.c_ref())?;
+        crate::validate::check_mmo_operands(self.op, self.a, self.b, self.c)?;
         Ok(TileGrid::new(
             self.a.rows(),
             self.b.cols(),
@@ -551,12 +484,11 @@ impl Backend for ReferenceBackend {
 /// `D = C ⊕ (A ⊗ B)`: partitions operands into 16×16 tiles and drives an
 /// [`MmoUnit`] over them, with fp16 operand quantisation — the
 /// functional semantics of the proposed hardware — and lowers a step
-/// with declared-sparse operands to a row walk that skips their
-/// annihilator terms (`rows`: the 2:4 sparse pipe and spGEMM of §6.5).
-/// Which lowering a step takes is the engine's business, read off the
-/// declarations, the operands and the unit type (see
-/// [`Backend::execute`] below); outputs and [`OpCount`]s never depend on
-/// it.
+/// whose operands store few enough entries to a row walk that skips
+/// their annihilator terms (`rows`: the 2:4 sparse pipe and spGEMM of
+/// §6.5). Which lowering a step takes is the engine's business, measured
+/// off the operands and read off the unit type (see [`Backend::execute`]
+/// below); outputs and [`OpCount`]s never depend on it.
 ///
 /// Operands are quantised where the unit's input stage does it — once,
 /// as they are packed into tile-major scratch (or into a row walk's
@@ -686,8 +618,8 @@ impl<U: MmoUnit> TiledBackend<U> {
         self.unit
     }
 
-    /// What the row walks have done so far — which steps a declaration
-    /// lowered, and the terms they folded and skipped. Reset with
+    /// What the row walks have done so far — how many steps walked, and
+    /// the terms they folded and skipped. Reset with
     /// [`Backend::reset_count`].
     pub fn row_count(&self) -> RowCount {
         self.row_count
@@ -723,586 +655,6 @@ impl<U: MmoUnit> TiledBackend<U> {
         };
         pool.wake();
     }
-}
-
-/// Bytes of packed `B` one panel reads at a time: the column strip is as
-/// wide as this allows (at least one tile column). A byte budget, not a
-/// knob — the right width is a property of the cache a strip must stay
-/// in while a panel's rows sweep it, not of any workload, and with the
-/// `A` row (16·k_pad floats) it bounds a panel's scratch near 1.1 MiB
-/// whatever the operand sizes.
-const B_STRIP_BYTES: usize = 1 << 20;
-
-/// Width, in tile columns, of the packed `B` strips of a grid with
-/// `k_tiles` reduction steps.
-fn strip_width(k_tiles: usize) -> usize {
-    (B_STRIP_BYTES / (k_tiles.max(1) * TILE_ELEMS * std::mem::size_of::<f32>())).max(1)
-}
-
-/// The tile chain's packed-operand scratch: the quantised, padded,
-/// tile-major `A` rows and `B` strips [`run_panel`] reads its chains
-/// from, with what the step reads off their tiles ([`PackBuf`]). Owned
-/// by the backend and reused across MMOs; contents are rewritten before
-/// every read. Sized by the caller ([`fit`]) before any panel runs, so a
-/// pool worker never allocates and no per-thread malloc arena grows with
-/// it.
-#[derive(Debug, Default)]
-struct PackScratch {
-    /// Per panel: `k_tiles` tiles of one tile row of `A`, in `tk` order.
-    a: Vec<PackBuf>,
-    /// `B` strips: for each tile column of a strip, its `k_tiles` tiles
-    /// in `tk` order. A single-strip grid packs its one strip here once
-    /// for every panel; a wider grid gives each panel a buffer of its own
-    /// to pack its strips into in turn.
-    b: Vec<PackBuf>,
-}
-
-/// One buffer of packed tiles and, beside them, what the step reads off
-/// each tile.
-#[derive(Debug, Default)]
-struct PackBuf {
-    tiles: Vec<f32>,
-    /// One scan per tile — none when the step skips nothing.
-    facts: Vec<Scan>,
-    /// One fp16 image per tile — none unless the step folds on half
-    /// lanes.
-    half: Vec<u32>,
-    /// One fit per image.
-    fits: Vec<HalfFit>,
-}
-
-/// The first `count` buffers of `bufs`, each sized for `tiles` packed
-/// tiles, a scan per tile when `facts`, and an image of `half_words`
-/// words and a fit per tile when that is not zero. The images only ever
-/// grow: they are rewritten before every read, and a backend that runs
-/// other ops between selecting ones would otherwise zero them again for
-/// each selecting step.
-fn fit(
-    bufs: &mut Vec<PackBuf>,
-    count: usize,
-    tiles: usize,
-    facts: bool,
-    half_words: usize,
-) -> impl Iterator<Item = Packed<'_>> {
-    if bufs.len() < count {
-        bufs.resize_with(count, PackBuf::default);
-    }
-    let imaged = if half_words == 0 { 0 } else { tiles };
-    for buf in &mut bufs[..count] {
-        buf.tiles.resize(tiles * TILE_ELEMS, 0.0);
-        buf.facts
-            .resize(if facts { tiles } else { 0 }, Scan::default());
-        if buf.fits.len() < imaged {
-            buf.half.resize(imaged * half_words, 0);
-            buf.fits.resize(imaged, HalfFit::default());
-        }
-    }
-    bufs[..count].iter_mut().map(move |buf| Packed {
-        tiles: &mut buf.tiles,
-        facts: &mut buf.facts,
-        half: &mut buf.half[..imaged * half_words],
-        fits: &mut buf.fits[..imaged],
-    })
-}
-
-/// A packed chain or strip and what the step reads off its tiles: their
-/// scans (none when the step skips nothing) and their fp16 images and
-/// fits (none unless it folds on half lanes).
-struct Packed<'s> {
-    tiles: &'s mut [f32],
-    facts: &'s mut [Scan],
-    half: &'s mut [u32],
-    fits: &'s mut [HalfFit],
-}
-
-impl<'s> Packed<'s> {
-    fn reborrow(&mut self) -> Packed<'_> {
-        Packed {
-            tiles: self.tiles,
-            facts: self.facts,
-            half: self.half,
-            fits: self.fits,
-        }
-    }
-
-    /// The first `count` tiles and what was read off them.
-    fn prefix(self, count: usize) -> Packed<'s> {
-        let tiles = self.tiles.len() / TILE_ELEMS;
-        let first = |len: usize| count * (len / tiles.max(1));
-        let (facts, half, fits) = (
-            first(self.facts.len()),
-            first(self.half.len()),
-            first(self.fits.len()),
-        );
-        Packed {
-            tiles: &mut self.tiles[..count * TILE_ELEMS],
-            facts: &mut self.facts[..facts],
-            half: &mut self.half[..half],
-            fits: &mut self.fits[..fits],
-        }
-    }
-
-    fn into_view(self) -> View<'s> {
-        View {
-            tiles: self.tiles,
-            facts: self.facts,
-            half: self.half,
-            fits: self.fits,
-        }
-    }
-}
-
-/// A packed chain or strip as the chains that fold it read it.
-#[derive(Clone, Copy)]
-struct View<'s> {
-    tiles: &'s [f32],
-    facts: &'s [Scan],
-    half: &'s [u32],
-    fits: &'s [HalfFit],
-}
-
-impl View<'_> {
-    /// The `k_tiles` tiles of its chain `index` and what was read off
-    /// them, each tile's image `words` long.
-    fn chain(self, index: usize, k_tiles: usize, words: usize) -> Self {
-        let tiles = index * k_tiles..(index + 1) * k_tiles;
-        // What was read off every tile, or off none.
-        let part = |len: usize, per: usize| {
-            if len == 0 {
-                0..0
-            } else {
-                tiles.start * per..tiles.end * per
-            }
-        };
-        View {
-            tiles: &self.tiles[part(self.tiles.len(), TILE_ELEMS)],
-            facts: &self.facts[part(self.facts.len(), 1)],
-            half: &self.half[part(self.half.len(), words)],
-            fits: &self.fits[part(self.fits.len(), 1)],
-        }
-    }
-}
-
-/// Packs the chain of tiles `coords` yields from `m` — padded with `fill`
-/// first, then quantised by the unit's pack hook, the order the per-tile
-/// path (`load_*_tile` → `execute`) applies them in — into `dst`, one
-/// flat row-major tile after another.
-fn pack_chain<U: MmoUnit>(
-    unit: &U,
-    m: &Matrix,
-    fill: f32,
-    coords: impl Iterator<Item = (usize, usize)>,
-    dst: &mut [f32],
-) {
-    for ((tr, tc), tile) in coords.zip(dst.chunks_exact_mut(TILE_ELEMS)) {
-        tiling::pack_tile::<ISA_TILE>(m, tr, tc, fill, tile);
-    }
-    unit.quantize_packed(dst);
-}
-
-/// Packs the `B` strip of tile columns `strip` into `dst`, images it
-/// when the step folds on half lanes and, when it skips, scans it (every
-/// tile's values, if the rule may read them).
-fn pack_b_strip<U: MmoUnit>(
-    unit: &U,
-    step: &MmoArgs<'_>,
-    k_tiles: usize,
-    strip: Range<usize>,
-    plan: ChainPlan,
-    mut dst: Packed<'_>,
-) {
-    let coords = strip.flat_map(|tj| (0..k_tiles).map(move |tk| (tk, tj)));
-    pack_chain(
-        unit,
-        step.b,
-        tiling::pad_values(step.op).b,
-        coords,
-        dst.tiles,
-    );
-    if let SelectLanes::Half(lanes) = plan.lanes {
-        lanes.image_b(dst.tiles, dst.half, dst.fits);
-    }
-    if let Some(skips) = plan.skips {
-        skips.scan(unit.kernel_isa(), skips.b_values, dst.reborrow());
-    }
-}
-
-/// What the tile chain knows of a packed tile it found to hold something
-/// other than the annihilator and did not scan: to the rule, a tile
-/// outside every op's value domain, so a pair through it is skipped only
-/// for what its partner holds alone.
-const UNREAD: Scan = Scan {
-    any: u32::MAX,
-    max_abs: 0x7fff_ffff,
-    stored: 1,
-};
-
-/// How the tile chain of a step reads its packed tiles for pairs to
-/// skip.
-#[derive(Clone, Copy)]
-struct ChainSkips {
-    /// The annihilator.
-    zero: f32,
-    /// Whether the rule reads what a tile beside an empty one holds
-    /// (plus-mul, min-mul), not only that the other is empty.
-    values: bool,
-    /// Whether it may read the values of `B` tiles: `values`, and some
-    /// tile of `A` may be empty.
-    b_values: bool,
-}
-
-impl ChainSkips {
-    /// How a `unit` step of `op` skips — `None` when it skips no pair,
-    /// and packs without scanning: the unit is not
-    /// [coordinate-free](MmoUnit::COORDINATE_FREE) (it injects or probes
-    /// at every [`simd2_mxu::TileCoord`]), or `op` has no pair the rule
-    /// lets go even on operands wholly inside its domain (the default
-    /// scan): plus-norm has no annihilator, and max-mul's skipped terms
-    /// need a trailing `⊕ +0.0` that is exact only over whole operands,
-    /// which a tile pair does not see.
-    ///
-    /// `A`'s tiles are packed after `B`'s strip, so whether one of them
-    /// may be empty is read off the matrix: a tile can pack to nothing
-    /// but the annihilator only if its first row holds nothing else (the
-    /// pack hook maps the annihilator to itself). A tile the quantiser
-    /// rounds onto the annihilator is missed, and a pair through it is
-    /// then kept beside a `B` tile whose values were not read — folded,
-    /// not skipped, so still exact.
-    fn of<U: MmoUnit>(step: &MmoArgs<'_>) -> Option<Self> {
-        let (empty, inside) = (Scan::default(), Scan::default());
-        let skips = U::COORDINATE_FREE && skip_rule(step.op, empty, inside) == Skip::Exact;
-        let zero = step.op.no_edge_f32().filter(|_| skips)?;
-        let values = skip_rule(step.op, empty, UNREAD) != Skip::Exact;
-        let a = step.a;
-        let a_tile_may_be_empty = || {
-            (0..a.rows()).step_by(ISA_TILE).any(|r| {
-                a.row(r)
-                    .chunks(ISA_TILE)
-                    .any(|first_row| all_zero(first_row, zero))
-            })
-        };
-        let b_values = values && a_tile_may_be_empty();
-        Some(Self {
-            zero,
-            values,
-            b_values,
-        })
-    }
-
-    /// Fills `dst.facts` for `dst.tiles` with each tile's [`Scan`] on
-    /// `isa`'s leaf — of every tile when the rule will `read_values` of
-    /// these tiles; otherwise only of a tile whose first row is all
-    /// annihilator, one that can be empty, the rest being [`UNREAD`], so
-    /// a dense operand costs one vector compare per tile.
-    fn scan(self, isa: KernelIsa, read_values: bool, dst: Packed<'_>) {
-        for (tile, fact) in dst.tiles.chunks_exact(TILE_ELEMS).zip(dst.facts) {
-            *fact = if read_values || all_zero(&tile[..ISA_TILE], self.zero) {
-                simd::scan(isa, self.zero, tile)
-            } else {
-                UNREAD
-            };
-        }
-    }
-}
-
-/// Whether every element of `row` is `zero`: folded without an early
-/// exit, since on or-and's random booleans the first element is the
-/// annihilator half the time and a branch per element mispredicts.
-fn all_zero(row: &[f32], zero: f32) -> bool {
-    row.iter().fold(true, |all, &x| all & (x == zero))
-}
-
-/// Whether the tile chain skips the pair of packed tiles whose scans are
-/// `a` and `b`: one of them holds nothing but the annihilator and the
-/// rule lets its terms go exactly, with nothing to fold after them.
-fn skips_pair(op: OpKind, a: Scan, b: Scan) -> bool {
-    let exact =
-        |empty: Scan, other| empty.stored == 0 && skip_rule(op, empty, other) == Skip::Exact;
-    exact(a, b) || exact(b, a)
-}
-
-/// Whether some tile of the scanned chain or strip holds nothing but
-/// the annihilator.
-fn holds_empty(facts: &[Scan]) -> bool {
-    facts.iter().any(|scan| scan.stored == 0)
-}
-
-/// Which lanes the tile chain of a step folds on, and which of its pairs
-/// the fallback counters count.
-#[derive(Clone, Copy)]
-enum SelectLanes {
-    /// Not a selecting op on a coordinate-free unit: `f32` lanes,
-    /// uncounted.
-    Off,
-    /// Min-max or max-min on a coordinate-free unit whose tier has no
-    /// fp16 lanes ([`MmoUnit::half_lanes`] is `None`): every pair on
-    /// `f32` lanes.
-    NoFp16,
-    /// The unit's fp16 lanes, on every pair both of whose tiles' images
-    /// are exact; the others on `f32` lanes.
-    Half(HalfLanes),
-}
-
-impl SelectLanes {
-    /// The lanes of a `unit` step of `op`. Only a coordinate-free unit
-    /// is asked for fp16 lanes: one that injects or probes at tile
-    /// coordinates is handed every pair as tiles.
-    fn of<U: MmoUnit>(unit: &U, op: OpKind) -> Self {
-        if !(U::COORDINATE_FREE && op.selects()) {
-            return Self::Off;
-        }
-        unit.half_lanes(op).map_or(Self::NoFp16, Self::Half)
-    }
-
-    /// Words of image per packed tile whose images take `words`: none
-    /// unless the step folds on half lanes.
-    fn words(self, words: usize) -> usize {
-        match self {
-            Self::Half(_) => words,
-            _ => 0,
-        }
-    }
-}
-
-/// What the tile chain of a step reads off its packed tiles: the pairs it
-/// may skip, and the lanes it folds on.
-#[derive(Clone, Copy)]
-struct ChainPlan {
-    skips: Option<ChainSkips>,
-    lanes: SelectLanes,
-}
-
-/// What the tile chain did with a step's tile pairs, beyond the grid's
-/// logical [`OpCount`]: the counts behind the `core.chain.*` counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct ChainTally {
-    /// Pairs left out ([`skips_pair`]).
-    skipped: u64,
-    /// Min-max / max-min pairs folded on fp16 lanes.
-    half: u64,
-    /// Min-max / max-min pairs kept on `f32` lanes because a tile of the
-    /// pair holds a NaN.
-    nan: u64,
-    /// … because a tile holds a value off the fp16 lattice (and no NaN).
-    off_lattice: u64,
-    /// … because the unit's tier has no fp16 lanes.
-    no_fp16: u64,
-}
-
-impl ChainTally {
-    /// Counts the run `tks` of pairs the chain folded, on half lanes
-    /// when `half`; a pair it kept on `f32` lanes beside half lanes is
-    /// counted by its `fit`.
-    fn run(
-        &mut self,
-        lanes: SelectLanes,
-        half: bool,
-        tks: Range<usize>,
-        fit: impl Fn(usize) -> HalfFit,
-    ) {
-        let pairs = tks.len() as u64;
-        match lanes {
-            SelectLanes::Off => {}
-            SelectLanes::NoFp16 => self.no_fp16 += pairs,
-            SelectLanes::Half(_) if half => self.half += pairs,
-            SelectLanes::Half(_) => {
-                for tk in tks {
-                    match fit(tk) {
-                        HalfFit::Nan => self.nan += 1,
-                        _ => self.off_lattice += 1,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Adds the tally to the process-global counters.
-    fn record(self) {
-        CHAIN_SKIPPED_PAIRS.add(self.skipped);
-        CHAIN_FP16_PAIRS.add(self.half);
-        CHAIN_F32_NAN.add(self.nan);
-        CHAIN_F32_OFF_LATTICE.add(self.off_lattice);
-        CHAIN_F32_NO_FP16.add(self.no_fp16);
-    }
-}
-
-impl std::ops::AddAssign for ChainTally {
-    fn add_assign(&mut self, rhs: Self) {
-        self.skipped += rhs.skipped;
-        self.half += rhs.half;
-        self.nan += rhs.nan;
-        self.off_lattice += rhs.off_lattice;
-        self.no_fp16 += rhs.no_fp16;
-    }
-}
-
-impl std::iter::Sum for ChainTally {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(Self::default(), |mut sum, tally| {
-            sum += tally;
-            sum
-        })
-    }
-}
-
-/// Folds output tile `tile`'s chain of packed tile pairs `a`, `b` into
-/// `acc` and returns what became of each pair. When the chain is
-/// `sparse` it leaves out the pairs [`skips_pair`] names by their tiles'
-/// facts. Each run of kept pairs that go the same way is one call: on
-/// the step's half `lanes` over the pairs' fp16 images where the images
-/// of both tiles are exact ([`HalfLanes::mmo_chain`]), through
-/// [`MmoUnit::execute_chain`] otherwise; a tile with no kept pair gets
-/// the empty chain. Every call seeds `acc ⊕ id`, which is idempotent,
-/// and a half-lane call folds its run into that once, which is exact
-/// (DESIGN.md §8 "Selection chains on fp16 lanes"), so the runs fold
-/// exactly what one call over the kept pairs would.
-fn fold_runs<U: MmoUnit>(
-    unit: &mut U,
-    tile: (usize, usize),
-    op: OpKind,
-    (a, b): (View<'_>, View<'_>),
-    sparse: bool,
-    lanes: SelectLanes,
-    acc: &mut Tile<ISA_TILE>,
-) -> ChainTally {
-    let k_tiles = a.tiles.len() / TILE_ELEMS;
-    let mut tally = ChainTally::default();
-    let fit = |tk: usize| a.fits[tk].max(b.fits[tk]);
-    if !sparse && !matches!(lanes, SelectLanes::Half(_)) {
-        unit.execute_chain(tile, op, a.tiles, b.tiles, acc);
-        tally.run(lanes, false, 0..k_tiles, fit);
-        return tally;
-    }
-    // How pair `tk` folds: `None` left out, `Some(true)` on half lanes.
-    let route = |tk: usize| {
-        let skip = sparse && skips_pair(op, a.facts[tk], b.facts[tk]);
-        let half = matches!(lanes, SelectLanes::Half(_)) && fit(tk) == HalfFit::Exact;
-        (!skip).then_some(half)
-    };
-    let mut fold = |tks: Range<usize>, half: bool| {
-        match lanes {
-            SelectLanes::Half(lanes) if half => {
-                let (a_words, b_words) = (tks.start * HALF_A_WORDS, tks.start * HALF_B_WORDS);
-                let (a_len, b_len) = (tks.len() * HALF_A_WORDS, tks.len() * HALF_B_WORDS);
-                let (a_run, b_run) = (&a.half[a_words..][..a_len], &b.half[b_words..][..b_len]);
-                lanes.mmo_chain(a_run, b_run, acc.as_flat_mut());
-            }
-            _ => {
-                let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
-                unit.execute_chain(tile, op, &a.tiles[run.clone()], &b.tiles[run], acc);
-            }
-        }
-        tally.run(lanes, half, tks, fit);
-    };
-    let (mut open, mut kept) = (None, 0);
-    for tk in 0..=k_tiles {
-        let next = if tk < k_tiles { route(tk) } else { None };
-        if let Some((start, half)) = open {
-            if next == Some(half) {
-                continue;
-            }
-            fold(start..tk, half);
-            kept += tk - start;
-        }
-        open = next.map(|half| (tk, half));
-    }
-    if kept == 0 {
-        fold(0..0, false);
-    }
-    tally.skipped = (k_tiles - kept) as u64;
-    tally
-}
-
-/// Where a tile-chain panel reads its packed `B` strips, and what was
-/// read off their tiles.
-enum BStrip<'s> {
-    /// The grid's one strip, packed by the caller and read by every
-    /// panel.
-    Shared(View<'s>),
-    /// This panel's buffers, each strip packed into them in turn.
-    Own(Packed<'s>),
-}
-
-/// What one tile-chain panel works with: one unit shard per `B` strip
-/// (or the parent unit, on one panel), its `A` row buffer and its `B`
-/// strips.
-struct ChainPanel<'s, U> {
-    units: &'s mut [U],
-    a_row: Packed<'s>,
-    b: BStrip<'s>,
-}
-
-/// Executes one output panel of the tile grid on the tile chain,
-/// writing results into the panel's row slab of `D`; returns what became
-/// of its tile pairs.
-///
-/// `B` is packed one column strip at a time (or was, once, by the
-/// caller) and `A` one tile row at a time, each exactly once per use;
-/// every output tile is then folded over contiguous packed tiles
-/// ([`fold_runs`]: one call per run of tile pairs the step does not skip
-/// and folds on the same lanes), into an accumulator tile read from `C`
-/// and stored straight into the slab. Tiles are visited strip by strip,
-/// row-major within a strip. Right after packing a chain or strip, a
-/// step that folds on half lanes images it and a step that may skip
-/// pairs ([`ChainSkips`]) scans it.
-///
-/// The panel's units are either a single unit that executes every strip
-/// (the sequential schedule) or one worker shard per strip (the
-/// row-panel schedule, whose dispatcher absorbs shards strip-major so
-/// merged fault logs keep the sequential visit order).
-fn run_panel<U: MmoUnit>(
-    ChainPanel {
-        units,
-        mut a_row,
-        mut b,
-    }: ChainPanel<'_, U>,
-    step: &MmoArgs<'_>,
-    grid: &TileGrid,
-    plan: ChainPlan,
-    panel: Range<usize>,
-    slab: &mut [f32],
-) -> ChainTally {
-    let row0 = grid.panel_rows(&panel).start;
-    let (op, pad) = (step.op, tiling::pad_values(step.op));
-    let k_tiles = grid.k_tiles;
-    let width = strip_width(k_tiles);
-    let mut tally = ChainTally::default();
-    for (s, tj0) in (0..grid.n_tiles).step_by(width).enumerate() {
-        let strip = tj0..(tj0 + width).min(grid.n_tiles);
-        let unit = &mut units[s.min(units.len() - 1)];
-        let b_strip = match &mut b {
-            BStrip::Shared(view) => *view,
-            BStrip::Own(packed) => {
-                let mut dst = packed.reborrow().prefix(strip.len() * k_tiles);
-                pack_b_strip(unit, step, k_tiles, strip.clone(), plan, dst.reborrow());
-                dst.into_view()
-            }
-        };
-        // An `A` row's values matter only beside an empty `B` tile; with
-        // no empty tile in the strip nor in the row, nothing is skipped.
-        let b_sparse = holds_empty(b_strip.facts);
-        for ti in panel.clone() {
-            let a_coords = (0..k_tiles).map(|tk| (ti, tk));
-            pack_chain(unit, step.a, pad.a, a_coords, a_row.tiles);
-            if let SelectLanes::Half(lanes) = plan.lanes {
-                lanes.image_a(a_row.tiles, a_row.half, a_row.fits);
-            }
-            if let Some(skips) = plan.skips {
-                let read_values = skips.values && b_sparse;
-                skips.scan(unit.kernel_isa(), read_values, a_row.reborrow());
-            }
-            let sparse = b_sparse || holds_empty(a_row.facts);
-            let a_chain = a_row.reborrow().into_view();
-            for tj in strip.clone() {
-                let mut acc = tiling::load_c_tile::<ISA_TILE>(op, step.c, ti, tj);
-                let chains = (a_chain, b_strip.chain(tj - tj0, k_tiles, HALF_B_WORDS));
-                let lanes = plan.lanes;
-                tally += fold_runs(unit, (ti, tj), op, chains, sparse, lanes, &mut acc);
-                tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
-            }
-        }
-    }
-    tally
 }
 
 /// The one panel scheduler, whichever walk a step takes: each entry of
@@ -1495,19 +847,19 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
         self.unit.precision()
     }
 
-    /// Picks the step's walk from what the engine can observe, then
-    /// runs it over as many row panels as the schedule has workers (at
-    /// most one per tile row):
+    /// Picks the step's walk from what the engine measures of the
+    /// operands, then runs it over as many row panels as the schedule
+    /// has workers (at most one per tile row):
     ///
-    /// * every operand declared dense, or a unit that is not
-    ///   [coordinate-free](MmoUnit::COORDINATE_FREE) (it injects or
-    ///   probes at [`simd2_mxu::TileCoord`] sites, which only the tile
-    ///   grid has) — the **tile chain**;
-    /// * `A` or `B` declared sparse on a coordinate-free unit — a **row
-    ///   walk** (`A`-walk × sweep or scatter, by `B`'s stored density),
-    ///   unless the operands leave it nothing it may skip, or too little
-    ///   for a row kernel to beat the chain (`rows::row_kernel`, the
-    ///   walk-or-chain rule), in which case the chain again.
+    /// * a unit that is not [coordinate-free](MmoUnit::COORDINATE_FREE)
+    ///   (it injects or probes at [`simd2_mxu::TileCoord`] sites, which
+    ///   only the tile grid has) — the **tile chain**, unmeasured;
+    /// * a coordinate-free unit — a **row walk** (`A`-walk × sweep or
+    ///   scatter, by `B`'s stored density) when the operands store few
+    ///   enough entries the walk may skip for a row kernel to beat the
+    ///   chain (`rows::row_kernel`, the walk-or-chain rule, priced
+    ///   against the tile pairs the chain would leave out), the tile
+    ///   chain otherwise. A sample of a few rows settles a dense step.
     ///
     /// Every walk folds each output element from `C ⊕ id` in ascending
     /// `k`, so the output is the same bits; the step adds the grid's
@@ -1522,8 +874,7 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
         let isa = self.unit.kernel_isa();
         begin_mmo(&self.tracer, step.op, &grid, workers, isa);
         let mut d = Matrix::zeros(grid.m, grid.n);
-        let declared = !(step.reprs[0].is_dense() && step.reprs[1].is_dense());
-        let walk = (declared && U::COORDINATE_FREE)
+        let walk = U::COORDINATE_FREE
             .then(|| RowWalk::choose(&self.unit, step))
             .flatten();
         let tally = match &walk {
@@ -1536,7 +887,6 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
             match &walk {
                 Some(walk) if walk.scatters() => ROW_MMOS_SCATTER.add(1),
                 Some(_) => ROW_MMOS_SWEEP.add(1),
-                None if declared => REPR_FALLBACK_MMOS.add(1),
                 None => {}
             }
             tally.record();
@@ -1714,8 +1064,10 @@ impl Backend for IsaBackend {
 
 #[cfg(test)]
 mod tests {
+    use super::chain::CHAIN_SKIPPED_PAIRS;
     use super::*;
     use simd2_matrix::gen;
+    use simd2_matrix::Tile;
     use simd2_mxu::PrecisionMode;
     use simd2_semiring::precision::quantize_f16;
     use simd2_semiring::ALL_OPS;
@@ -1813,14 +1165,7 @@ mod tests {
         // One tile-chain step and one row-walked one.
         let run = |be: &mut TiledBackend| {
             be.mmo(op, &a, &b, &c).unwrap();
-            let csr = OperandRepr::csr(f32::INFINITY);
-            be.mmo_ref(
-                op,
-                MatrixRef::new(&sparse_a, csr),
-                MatrixRef::dense(&b),
-                MatrixRef::dense(&c),
-            )
-            .unwrap();
+            be.mmo(op, &sparse_a, &b, &c).unwrap();
         };
         let mut seq = TiledBackend::new();
         run(&mut seq);
@@ -1974,15 +1319,9 @@ mod tests {
             let mut be =
                 TiledBackend::with_parallelism(parallelism).with_tracer(Tracer::to(ring.clone()));
             be.mmo(op, &a, &b, &c).unwrap();
-            // The second step is declared and row-walked: same spans,
-            // same logical counts.
-            be.mmo_ref(
-                op,
-                MatrixRef::new(&sparse_a, OperandRepr::csr(0.0)),
-                MatrixRef::dense(&b),
-                MatrixRef::dense(&c),
-            )
-            .unwrap();
+            // The second step is row-walked: same spans, same logical
+            // counts.
+            be.mmo(op, &sparse_a, &b, &c).unwrap();
             assert_eq!(be.row_count().sparse_mmos, 1);
             let events = ring.events();
             let sum = |span_name: &str, key: &str| -> u64 {
@@ -2068,28 +1407,21 @@ mod tests {
         TiledBackend::with_unit(Simd2Unit::with_precision(PrecisionMode::Fp32Input))
     }
 
-    fn declared(
-        be: &mut impl Backend,
-        op: OpKind,
-        (a, ra): (&Matrix, OperandRepr),
-        (b, rb): (&Matrix, OperandRepr),
-        c: &Matrix,
-    ) -> Result<Matrix, BackendError> {
-        be.mmo_ref(
-            op,
-            MatrixRef::new(a, ra),
-            MatrixRef::new(b, rb),
-            MatrixRef::dense(c),
-        )
+    /// The tile chain, forced: the engine over a unit at `precision`
+    /// that is not coordinate-free, so it never row-walks a step.
+    fn chain_at(precision: PrecisionMode) -> TiledBackend<CountingUnit> {
+        TiledBackend::with_unit(CountingUnit {
+            inner: Simd2Unit::with_precision(precision),
+            visits: Vec::new(),
+        })
     }
 
     #[test]
     fn every_sparse_kernel_is_bit_identical_to_the_dense_datapath() {
         // All ops with a no-edge annihilator (plus-norm has no sparse
         // lowering) × every walk × every operand precision × 1/2/4/8
-        // workers: the tile chain's bits, and — a declaration being a
-        // hint — the stripped step's `OpCount`, whether the engine
-        // walked the step or found the chain faster.
+        // workers: the forced tile chain's bits and `OpCount`, whether
+        // the engine walked the step or found the chain faster.
         use simd2_matrix::structured::prune_2_4;
         let engine = |precision, workers| {
             let mut be = TiledBackend::with_unit(Simd2Unit::with_precision(precision));
@@ -2110,43 +1442,45 @@ mod tests {
                 let a = sparse_operand(37, 29, zero, 0.015, 400 + s as u64);
                 let a_mid = sparse_operand(37, 29, zero, 0.2, 450 + s as u64);
                 let a24 = prune_2_4(&a_mid, op);
+                let a_third = sparse_operand(37, 29, zero, 0.3, 470 + s as u64);
                 // Sparse enough to be scattered (the second with an
                 // entry in every row); dense enough to be swept.
                 let scattered = sparse_operand(29, 35, zero, 0.01, 500 + s as u64);
                 let every_row = Matrix::from_fn(29, 35, |r, l| if l == r { 2.5 } else { zero });
                 let swept = sparse_operand(29, 35, zero, 0.6, 550 + s as u64);
                 let c = sparse_operand(37, 35, zero, 0.8, 600 + s as u64);
-                let (csr, dense) = (OperandRepr::csr(zero), OperandRepr::Dense);
-                let s24 = OperandRepr::structured(zero);
                 // The last columns: whether the float chains' ops walk
                 // the leg, and whether or-and does (its bit-mask chain
-                // wins sooner; an output this narrow never pays for a
-                // dense walk's lookups of every `B` row).
-                for (am, ra, bm, rb, walks, or_and_walks) in [
-                    (&a, csr, &swept, dense, true, true),
-                    (&a, csr, &swept, csr, true, true),
-                    (&a, csr, &scattered, csr, true, true),
-                    (&a_mid, csr, &swept, dense, true, false),
-                    (&a_mid, dense, &every_row, csr, false, false),
-                    (&a24, s24, &swept, dense, true, false),
-                    (&a24, s24, &scattered, csr, true, true),
+                // wins sooner). Beside the diagonal `B` the chain leaves
+                // out two pairs in three, and beats the walks of a
+                // third-full `A` — but
+                // max-mul's, whose pairs it never skips; beside the
+                // scattered one it leaves out enough for or-and's.
+                for (name, am, bm, walks, or_and_walks) in [
+                    ("sparse × swept", &a, &swept, true, true),
+                    ("sparse × scattered", &a, &scattered, true, true),
+                    ("fifth × swept", &a_mid, &swept, true, false),
+                    (
+                        "third × diagonal",
+                        &a_third,
+                        &every_row,
+                        op == OpKind::MaxMul,
+                        false,
+                    ),
+                    ("2:4 × swept", &a24, &swept, true, false),
+                    ("2:4 × scattered", &a24, &scattered, true, false),
                 ] {
                     let walks = if op == OpKind::OrAnd {
                         or_and_walks
                     } else {
                         walks
                     };
-                    let mut chain = engine(precision, 1);
+                    let mut chain = chain_at(precision);
                     let want = chain.mmo(op, am, bm, &c).unwrap();
-                    assert_eq!(chain.row_count(), RowCount::default(), "the tile chain");
                     for workers in [1usize, 2, 4, 8] {
                         let mut be = engine(precision, workers);
-                        let got = declared(&mut be, op, (am, ra), (bm, rb), &c).unwrap();
-                        let ctx = format!(
-                            "{op} {precision:?} {}×{} {workers} workers",
-                            ra.name(),
-                            rb.name()
-                        );
+                        let got = be.mmo(op, am, bm, &c).unwrap();
+                        let ctx = format!("{op} {precision:?} {name} {workers} workers");
                         assert_eq!(bits(&got), bits(&want), "{ctx}");
                         assert_eq!(be.op_count(), chain.op_count(), "{ctx}");
                         assert_eq!(be.row_count().sparse_mmos, u64::from(walks), "{ctx}");
@@ -2173,10 +1507,11 @@ mod tests {
             // wins); at the pattern's own half, the chain folds it.
             for (density, walks) in [(0.2, op != OpKind::OrAnd), (0.9, false)] {
                 let a = prune_2_4(&sparse_operand(12, 20, zero, density, 7), op);
+                let want = chain_at(PrecisionMode::Fp32Input)
+                    .mmo(op, &a, &b, &c)
+                    .unwrap();
                 let mut be = fp32_backend();
-                let want = be.mmo(op, &a, &b, &c).unwrap();
-                let s24 = OperandRepr::structured(zero);
-                let got = declared(&mut be, op, (&a, s24), (&b, OperandRepr::Dense), &c).unwrap();
+                let got = be.mmo(op, &a, &b, &c).unwrap();
                 assert_eq!(bits(&got), bits(&want), "{op} {density}");
                 assert_eq!(
                     be.row_count().sparse_mmos,
@@ -2194,13 +1529,13 @@ mod tests {
         let a = sparse_operand(33, 29, zero, 0.2, 42);
         let b = sparse_operand(29, 31, zero, 0.2, 43);
         let c = Matrix::filled(33, 31, zero);
-        let csr = OperandRepr::csr(zero);
         let mut seq = fp32_backend();
-        let want = declared(&mut seq, op, (&a, csr), (&b, csr), &c).unwrap();
+        let want = seq.mmo(op, &a, &b, &c).unwrap();
+        assert_eq!(seq.row_count().sparse_mmos, 1);
         for workers in [1, 2, 4, 8] {
             let mut be = fp32_backend();
             be.set_parallelism(Parallelism::Threads(workers));
-            let got = declared(&mut be, op, (&a, csr), (&b, csr), &c).unwrap();
+            let got = be.mmo(op, &a, &b, &c).unwrap();
             assert_eq!(bits(&got), bits(&want), "workers={workers}");
             // Panel-order merge keeps counters exact, not approximate.
             assert_eq!(be.row_count(), seq.row_count(), "workers={workers}");
@@ -2216,9 +1551,10 @@ mod tests {
         let c = sparse_operand(10, 6, 0.0, 1.0, 79);
         let mut be = TiledBackend::new();
         assert!(be.reduced_precision());
-        let want = be.mmo(op, &a, &b, &c).unwrap();
-        let csr = OperandRepr::csr(0.0);
-        let got = declared(&mut be, op, (&a, csr), (&b, OperandRepr::Dense), &c).unwrap();
+        let want = chain_at(PrecisionMode::Fp16Input)
+            .mmo(op, &a, &b, &c)
+            .unwrap();
+        let got = be.mmo(op, &a, &b, &c).unwrap();
         assert_eq!(bits(&got), bits(&want));
         assert_eq!(be.row_count().sparse_mmos, 1);
         assert_ne!(
@@ -2234,8 +1570,7 @@ mod tests {
         let b = sparse_operand(10, 4, 0.0, 1.0, 14);
         let c = Matrix::zeros(6, 4);
         let mut be = fp32_backend();
-        let csr = OperandRepr::csr(0.0);
-        declared(&mut be, op, (&a, csr), (&b, OperandRepr::Dense), &c).unwrap();
+        be.mmo(op, &a, &b, &c).unwrap();
         let count = be.row_count();
         // Folded + skipped terms together tile the dense m·n·k space.
         assert_eq!(count.fma_terms + count.skipped_terms, 6 * 4 * 10);
@@ -2246,58 +1581,42 @@ mod tests {
     }
 
     #[test]
-    fn invalid_declarations_are_rejected() {
-        let a = Matrix::zeros(4, 4);
-        let c = Matrix::zeros(4, 4);
-        let mut be = TiledBackend::new();
-        // Wrong sentinel for the op's annihilator.
-        let (csr, dense) = (OperandRepr::csr(0.0), OperandRepr::Dense);
-        let err = declared(&mut be, OpKind::MinPlus, (&a, csr), (&a, dense), &c).unwrap_err();
-        assert!(matches!(err, BackendError::Repr { .. }), "{err}");
-        // Non-compliant 2:4 declaration.
-        let dense_row = Matrix::filled(4, 4, 1.0);
-        let s24 = OperandRepr::structured(0.0);
-        let err =
-            declared(&mut be, OpKind::PlusMul, (&dense_row, s24), (&a, dense), &c).unwrap_err();
-        assert!(err.to_string().contains("2:4"), "{err}");
-        assert_eq!(be.op_count(), OpCount::default());
-        assert_eq!(be.row_count(), RowCount::default());
-    }
-
-    #[test]
     fn a_step_with_nothing_to_skip_takes_the_tile_chain() {
         let op = OpKind::PlusMul;
-        let csr = OperandRepr::csr(0.0);
         let a = sparse_operand(20, 24, 0.0, 0.3, 1);
+        let dense_a = sparse_operand(20, 24, 0.0, 0.9, 3);
         let dense_b = sparse_operand(24, 18, 0.0, 0.9, 2);
         let c = Matrix::zeros(20, 18);
+        let mut chain = chain_at(PrecisionMode::Fp32Input);
         let mut be = fp32_backend();
-        // A dense walk over a `B` too dense to scatter skips nothing.
-        let want = be.mmo(op, &a, &dense_b, &c).unwrap();
-        let got = declared(&mut be, op, (&a, OperandRepr::Dense), (&dense_b, csr), &c).unwrap();
+        // Two operands too dense to skip.
+        let want = chain.mmo(op, &dense_a, &dense_b, &c).unwrap();
+        let got = be.mmo(op, &dense_a, &dense_b, &c).unwrap();
         assert_eq!(bits(&got), bits(&want));
-        // The value-domain rule densifies `A` (an infinite `B` entry
-        // makes `0 × b` a NaN), leaving nothing declared.
+        // The value-domain rule walks `A` whole (an infinite `B` entry
+        // makes `0 × b` a NaN), leaving nothing to skip.
         let mut hostile_b = dense_b.clone();
         hostile_b[(3, 5)] = f32::INFINITY;
-        let want = be.mmo(op, &a, &hostile_b, &c).unwrap();
-        let got = declared(&mut be, op, (&a, csr), (&hostile_b, OperandRepr::Dense), &c).unwrap();
+        let want = chain.mmo(op, &a, &hostile_b, &c).unwrap();
+        let got = be.mmo(op, &a, &hostile_b, &c).unwrap();
         assert_eq!(bits(&got), bits(&want));
         assert_eq!(be.row_count(), RowCount::default());
-        assert_eq!(be.op_count().matrix_mmos, 4);
+        assert_eq!(be.op_count(), chain.op_count());
+        // With every `B` entry finite, the same `A` walks.
+        be.mmo(op, &a, &dense_b, &c).unwrap();
+        assert_eq!(be.row_count().sparse_mmos, 1);
     }
 
     #[test]
     fn a_declared_step_is_walked_only_below_its_walk_or_chain_bound() {
         use simd2_trace::RingSink;
-        let dense = OperandRepr::Dense;
-        // (op, size, which operand is declared, a stored fraction the
+        // (op, size, which operand is sparse, a stored fraction the
         // engine walks, one it hands to the chain): or-and's bit-mask
         // chain outruns a walk of anything but a near-empty `A` and a
         // scatter under a dense walk; the float chains lose to a walk of
         // a fifth-full `A` and, on an output wide enough to pay for the
         // row lookups, to a scatter of a hundredth-full `B`.
-        for (op, n, declare_a, walked, chained) in [
+        for (op, n, sparse_a, walked, chained) in [
             (OpKind::OrAnd, 64, true, Some(0.01), 0.5),
             (OpKind::OrAnd, 64, true, Some(0.01), 0.12),
             (OpKind::OrAnd, 64, false, None, 0.01),
@@ -2307,7 +1626,6 @@ mod tests {
             (OpKind::MinPlus, 64, false, None, 0.01),
         ] {
             let zero = op.no_edge_f32().unwrap();
-            let csr = OperandRepr::csr(zero);
             let c = Matrix::filled(n, n, op.reduce_identity_f32());
             for (density, walks) in walked
                 .map(|d| (d, true))
@@ -2316,27 +1634,20 @@ mod tests {
             {
                 let sparse = sparse_operand(n, n, zero, density, 21);
                 let full = sparse_operand(n, n, zero, 1.0, 22);
-                let (a, ra, b, rb) = if declare_a {
-                    (&sparse, csr, &full, dense)
+                let (a, b) = if sparse_a {
+                    (&sparse, &full)
                 } else {
-                    (&full, dense, &sparse, csr)
+                    (&full, &sparse)
                 };
+                let mut chain = chain_at(PrecisionMode::Fp16Input);
+                let want = chain.mmo(op, a, b, &c).unwrap();
                 let mut be = TiledBackend::new().with_tracer(Tracer::to(RingSink::shared()));
-                let want = be.mmo(op, a, b, &c).unwrap();
-                let stripped = be.op_count();
-                be.reset_count();
-                let fallbacks = REPR_FALLBACK_MMOS.get();
-                let got = declared(&mut be, op, (a, ra), (b, rb), &c).unwrap();
-                let ctx = format!("{op} {}×{} at {density}", ra.name(), rb.name());
+                let got = be.mmo(op, a, b, &c).unwrap();
+                let side = if sparse_a { "A" } else { "B" };
+                let ctx = format!("{op} {side} at {density}");
                 assert_eq!(bits(&got), bits(&want), "{ctx}");
-                assert_eq!(be.op_count(), stripped, "{ctx}");
+                assert_eq!(be.op_count(), chain.op_count(), "{ctx}");
                 assert_eq!(be.row_count().sparse_mmos, u64::from(walks), "{ctx}");
-                // Declared and legal, but the chain is faster: counted
-                // (other tests may add).
-                assert!(
-                    REPR_FALLBACK_MMOS.get() >= fallbacks + u64::from(!walks),
-                    "{ctx}"
-                );
             }
         }
     }
@@ -2348,41 +1659,44 @@ mod tests {
         };
         use simd2_trace::RingSink;
         let op = OpKind::MinPlus;
-        let (a, b, c) = operands(op, 70, 40, 40); // 5 tile rows
-        let csr = OperandRepr::csr(f32::INFINITY);
-        // Same `D`, fault log and `OpCount` with and without the
-        // declaration, at every worker count: the sites are `TileCoord`s.
-        let faulty = |workers, ra: OperandRepr| {
+        let (dense_a, b, c) = operands(op, 70, 40, 40); // 5 tile rows
+                                                        // Sparse enough for a coordinate-free unit to walk.
+        let a = sparse_operand(70, 40, f32::INFINITY, 0.05, 46);
+        let mut walked = TiledBackend::new();
+        walked.mmo(op, &a, &b, &c).unwrap();
+        assert_eq!(walked.row_count().sparse_mmos, 1);
+        // Same `D`, fault log and `OpCount` at every worker count, and
+        // no row walk: the sites are `TileCoord`s.
+        let faulty = |workers| {
             let plan = FaultPlan::new(FaultPlanConfig::new(7).with_bit_flip_ppm(200_000));
             let unit = FaultySimd2Unit::new(Simd2Unit::new(), PlannedInjector::new(plan));
             let mut be = TiledBackend::with_unit(unit).with_tracer(Tracer::to(RingSink::shared()));
             be.set_parallelism(Parallelism::Threads(workers));
-            let d = declared(&mut be, op, (&a, ra), (&b, OperandRepr::Dense), &c).unwrap();
+            let d = be.mmo(op, &a, &b, &c).unwrap();
             assert_eq!(be.row_count(), RowCount::default());
             (d, be.unit().injector().log(), be.op_count())
         };
-        let stripped = faulty(1, OperandRepr::Dense);
-        assert!(!stripped.1.is_empty(), "campaign should have struck");
-        let fallbacks = REPR_FALLBACK_MMOS.get();
-        for workers in [1usize, 2, 4] {
-            assert_eq!(faulty(workers, csr), stripped, "{workers} workers");
+        let sequential = faulty(1);
+        assert!(!sequential.1.is_empty(), "campaign should have struck");
+        assert_eq!(sequential.2, walked.op_count());
+        for workers in [2usize, 4] {
+            assert_eq!(faulty(workers), sequential, "{workers} workers");
         }
-        // Declared sparse, walked dense: counted (other tests may add).
-        assert!(REPR_FALLBACK_MMOS.get() >= fallbacks + 3);
 
-        // The probe panics in the same panel of the same grid.
-        let probe = |ra: OperandRepr| {
+        // The probe panics in the same panel of the same grid, whatever
+        // the operands store.
+        let probe = |a: &Matrix| {
             let mut be = TiledBackend::with_unit(PanicProbeUnit::new(Simd2Unit::new(), 2));
             be.set_parallelism(Parallelism::Threads(4));
-            let err = declared(&mut be, op, (&a, ra), (&b, OperandRepr::Dense), &c).unwrap_err();
+            let err = be.mmo(op, a, &b, &c).unwrap_err();
             assert_eq!(be.op_count(), OpCount::default());
             match err {
                 BackendError::WorkerPanic { panel, .. } => panel,
                 other => panic!("expected WorkerPanic, got {other:?}"),
             }
         };
-        assert_eq!(probe(csr), 1);
-        assert_eq!(probe(csr), probe(OperandRepr::Dense));
+        assert_eq!(probe(&a), 1);
+        assert_eq!(probe(&a), probe(&dense_a));
     }
 
     #[test]
@@ -2392,11 +1706,7 @@ mod tests {
         let a = sparse_operand(70, 40, zero, 0.2, 5);
         let b = sparse_operand(40, 90, zero, 0.9, 6);
         let c = Matrix::filled(70, 90, zero);
-        let csr = OperandRepr::csr(zero);
-        let step = MmoArgs {
-            reprs: [csr, OperandRepr::Dense, OperandRepr::Dense],
-            ..MmoArgs::new(op, &a, &b, &c)
-        };
+        let step = MmoArgs::new(op, &a, &b, &c);
         let ring = simd2_trace::RingSink::shared();
         let mut be = TiledBackend::with_parallelism(Parallelism::Threads(4))
             .with_tracer(Tracer::to(ring.clone()));

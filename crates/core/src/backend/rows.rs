@@ -1,38 +1,41 @@
 //! The row walks of [`TiledBackend`](super::TiledBackend): how a step
-//! with a declared-sparse operand is folded without its annihilator
+//! whose operands store few entries is folded without its annihilator
 //! terms.
 //!
-//! A representation declaration picks a *walk*, not a kernel: every
-//! output row folds the `(l, a_il)` walk its `A` row supplies — every
-//! `l` of a dense row, the stored entries of a [`OperandRepr::Csr`](crate::OperandRepr::Csr) row,
-//! the kept slots of a
-//! [`OperandRepr::Structured24`](crate::OperandRepr::Structured24) row (its stored
-//! entries too: the 2:4 bound was checked when the step was validated)
-//! — through one of two row kernels, chosen by `B`:
+//! **The engine measures; nobody declares.** Every step of a
+//! coordinate-free unit goes through [`RowWalk::choose`], which reads
+//! the operands themselves — no caller, plan or pass says what they
+//! store. A walk is picked, not a kernel: every output row folds the
+//! `(l, a_il)` walk its `A` row supplies — every `l`, or only the stored
+//! entries (a CSR image of the row; a 2:4 operand's are at most two per
+//! group of four, and no different to walk) — through one of two row
+//! kernels, chosen by `B`:
 //!
 //! * **sweep** — `acc[j] ← acc[j] ⊕ (a_il ⊗ B[l, j])` over contiguous
 //!   rows of a dense `B` ([`simd2_semiring::simd::sweep_row`], a vector
 //!   leaf on the unit's kernel ISA with the scalar leaf as its oracle);
 //! * **scatter** — the Gustavson inner loop over the stored entries of
-//!   a CSR `B` row; a dense `A` row's walk visits only the `B` rows that
-//!   store something, from the row list built with the image.
+//!   a CSR image of `B`; a dense `A` row's walk visits only the `B` rows
+//!   that store something, from the row list built with the image.
 //!
-//! A CSR-declared `B` whose stored density exceeds [`SWEEP_B_DENSITY`]
-//! is swept as dense rows ([`RowCount::swept_b_mmos`] counts them):
+//! A `B` whose stored density exceeds [`SWEEP_B_DENSITY`] is swept as
+//! dense rows ([`RowCount::swept_b_mmos`] counts every swept walk):
 //! folding an annihilator term is as exact as skipping it.
 //!
-//! **A declaration says what is legal; [`row_kernel`] says what pays.**
-//! A row kernel folds fewer terms than the tile chain, each more slowly,
-//! so a walk is worth taking only while the declared operands store
-//! little enough — how little is measured per chain kernel
-//! ([`WALK_A_DENSITY`], [`SCATTER_TERMS`]). A step left with nothing to
-//! skip (`A` walks dense and `B` is swept), or with too little, takes
-//! the tile chain: [`RowWalk::choose`] returns `None`, at the cost of
-//! the scan that counted the stored entries. Callers declare what they
-//! know and never weigh a density themselves.
+//! **[`row_kernel`] says what pays.** A row kernel folds fewer terms than
+//! the tile chain, each more slowly, so a walk is worth taking only while
+//! the operands store little enough — how little is measured per chain
+//! kernel ([`WALK_A_DENSITY`], [`SCATTER_TERMS`]) — and the tile chain
+//! itself leaves out the tile pairs an all-annihilator tile decides, so
+//! the walk races a chain that folds only the pairs it keeps
+//! ([`kept_pairs`], [`CHAIN_FIXED`]). The measurement stops as soon as
+//! the chain is certain: a sample of each operand's tile-row heads
+//! ([`dense_by_sample`]) settles a dense step in two rows; only operands
+//! a walk might skip are read whole ([`Scanned`]), and their empty tiles
+//! only where the stored counts leave the verdict open.
 //!
-//! **The bit-identity contract.** A representation declaration is a
-//! schedule hint, never a semantic change: every `(i, j)` starts from the
+//! **The bit-identity contract.** Which walk runs is a schedule, never a
+//! semantic change: every `(i, j)` starts from the
 //! seed `C ⊕ id` and folds its terms in ascending `k` with `⊗` and `⊕` as
 //! separate roundings — the one reduction of `simd2_semiring::simd`,
 //! the chain kernel's too — and a walk skips only terms that combine
@@ -46,13 +49,11 @@
 //! identity, or the NaN an `∞ − ∞` makes). For the three whose `⊗`
 //! multiplies it does so only on the op's value domain, so the choice
 //! checks the domain ([`simd::scan`], one pass on the unit's vector tier
-//! over each operand the rule reads — the pass that counts a declared
-//! operand's stored entries anyway: `B` when `A` is declared sparse,
-//! and `A` when `B` is sparse enough to scatter, a swept `B` skipping
-//! nothing) and walks a declared operand dense when skipping its
-//! annihilator entries would not be exact — [`skip_rule`], the one table
-//! the tile chain reads too, when it leaves out a tile pair one of whose
-//! tiles holds nothing but the annihilator:
+//! over each operand the rule reads — both, for those three ops — the
+//! pass that counts the stored entries anyway) and walks an operand
+//! whole when skipping its annihilator entries would not be exact —
+//! [`skip_rule`], the one table the tile chain reads too, when it leaves
+//! out a tile pair one of whose tiles holds nothing but the annihilator:
 //!
 //! * plus-mul — the *other* operand must be finite at the unit's
 //!   precision (`0 × ±∞` and `0 × NaN` are NaN, which `+` propagates;
@@ -67,7 +68,7 @@
 //!   single `⊕ 0.0` at the end, and for that one fold to stand for all
 //!   of them no product may be `−0.0` (a `±0` tie under `max` goes to
 //!   whichever comes first — the seed, if `C` is `−0.0`, with or without
-//!   the skipped terms): the declared operand must carry no sign bit
+//!   the skipped terms): the skipped operand must carry no sign bit
 //!   either.
 //!
 //! Outputs are therefore bit-identical between the tile chain and every
@@ -75,13 +76,13 @@
 //! chain skips no max-mul pair: its one trailing `⊕ 0.0` is exact only
 //! over whole operands.)
 //!
-//! **Once per MMO, not per term.** Each operand a decision reads is
+//! **Once per MMO, not per term.** Each operand a decision reads whole is
 //! scanned once, row by row ([`simd::scan`]): the facts the domain rule
 //! reads, and each row's stored count, which prices the walk and sizes
 //! every CSR image exactly — one [`simd::compact`] per row, the vector
 //! compaction leaf of the unit's kernel tier (the scalar leaf on the
 //! forced-scalar leg). Operands pass through the unit's pack hook
-//! ([`MmoUnit::quantize_packed`]) once: stored CSR / 2:4 values *after*
+//! ([`MmoUnit::quantize_packed`]) once: stored values *after*
 //! compression (an entry that underflows to `±0.0` stays a stored
 //! term), one image of a swept `B`. A worker compresses and quantises
 //! only its own `A` rows, reads the one shared `B` image, and returns
@@ -90,16 +91,16 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use simd2_matrix::{Csr, Matrix};
+use simd2_matrix::{Csr, Matrix, ISA_TILE};
 use simd2_mxu::MmoUnit;
 use simd2_semiring::kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
-use simd2_semiring::simd::{self, Scan, SWEEP_STRIP};
+use simd2_semiring::simd::{self, KernelIsa, Scan, SWEEP_STRIP};
 use simd2_semiring::OpKind;
 
 use super::MmoArgs;
 
-/// Stored density of a CSR-declared `B` above which its rows are swept
-/// as dense rows rather than scattered. Per `A` term a scatter costs
+/// Stored density of a `B` above which its rows are swept as dense rows
+/// rather than scattered. Per `A` term a scatter costs
 /// `B`'s row population in dependent scalar folds and a sweep costs the
 /// row width in vector lanes, so the break-even is a property of `B`'s
 /// density alone; EXPERIMENTS.md ("Scatter or sweep") has the sweep that
@@ -107,19 +108,27 @@ use super::MmoArgs;
 const SWEEP_B_DENSITY: f64 = 0.07;
 
 /// Stored fraction of a walked `A` up to which an `A`-walk × sweep beats
-/// the tile chain: the sweep folds `A`'s stored fraction of the terms at
-/// the sweep leaf's rate, the chain all of them at the chain kernel's,
-/// so the break-even is the ratio of the two rates — a property of the
-/// op's kernels, which is why or-and, whose chain folds bit masks two
-/// to three times as fast as the other chains fold floats, has its own.
-/// EXPERIMENTS.md ("Walk or chain") has the sweep that placed both
-/// (`walk_or_chain` below).
+/// a tile chain that folds every pair: the sweep folds `A`'s stored
+/// fraction of the terms at the sweep leaf's rate, the chain all of them
+/// at the chain kernel's, so the break-even is the ratio of the two
+/// rates — a property of the op's kernels, which is why or-and, whose
+/// chain folds bit masks two to three times as fast as the other chains
+/// fold floats, has its own. EXPERIMENTS.md ("Walk or chain") has the
+/// sweep that placed both (`walk_or_chain` below).
 const WALK_A_DENSITY: f64 = 0.4;
 /// [`WALK_A_DENSITY`] for or-and.
-const WALK_A_DENSITY_OR_AND: f64 = 0.07;
+const WALK_A_DENSITY_OR_AND: f64 = 0.08;
 
-/// Fraction of the `m·n·k` terms up to which a scatter beats the tile
-/// chain where `A`'s walk alone would not pay: a scattered term is a
+/// What of a tile chain's time does not shrink with the pairs it leaves
+/// out — packing and scanning every tile, loading `C`, storing `D` — as
+/// a share of the pair folds of a chain that leaves out none: a chain
+/// that folds `kept` of its pairs costs `(CHAIN_FIXED + kept) /
+/// (CHAIN_FIXED + 1)` of a full one. Placed by the same sweep's
+/// block-sparse and closure-app points.
+const CHAIN_FIXED: f64 = 0.33;
+
+/// Fraction of the `m·n·k` terms up to which a scatter beats a tile
+/// chain that folds every pair where `A`'s walk alone would not pay: a scattered term is a
 /// dependent scalar fold, a chained one a vector lane, so the break-even
 /// is again a ratio of two rates. Placed by the same sweep.
 const SCATTER_TERMS: f64 = 0.03;
@@ -132,6 +141,15 @@ const SCATTER_TERMS_OR_AND: f64 = 0.011;
 /// rows; a CSR one meets an empty row at the price of one bounds read.)
 const SCATTER_ROW_TERMS: f64 = 3.0;
 
+/// How many times the most lenient walk's bound the rows of an
+/// operand's sample ([`dense_by_sample`]) must store before the step
+/// leaves it to the tile chain unread: a sample is one row in up to
+/// sixteen, so its fraction strays from the operand's, and the margin
+/// keeps that stray from losing a walk.
+const SAMPLE_MARGIN: f64 = 2.0;
+/// Rows a sample holds at least, where the operand has them.
+const SAMPLE_ROWS: usize = 4;
+
 /// `B` rows one sweep block holds: with [`SWEEP_STRIP`] columns of
 /// `f32` that is 32 KiB, an L1-resident block every row of the panel
 /// folds before the next one is touched.
@@ -142,12 +160,11 @@ const SWEEP_K_BLOCK: usize = 128;
 /// tile arithmetic of the grid whichever walk ran).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RowCount {
-    /// Whole-matrix operations that ran as a row walk: at least one of
-    /// `A` / `B` declared sparse (CSR or 2:4), skippable, and sparse
-    /// enough for the walk to beat the tile chain.
+    /// Whole-matrix operations that ran as a row walk: some operand
+    /// skippable and sparse enough for the walk to beat the tile chain.
     pub sparse_mmos: u64,
-    /// Of [`Self::sparse_mmos`], those whose CSR-declared `B` was dense
-    /// enough to be swept as dense rows instead of scattered.
+    /// Of [`Self::sparse_mmos`], those that swept `B` as dense rows
+    /// rather than scattering its stored entries.
     pub swept_b_mmos: u64,
     /// Semiring `⊕(⊗)` terms the row kernels folded (a swept `B` row
     /// folds all of its columns).
@@ -174,9 +191,9 @@ pub(super) enum Skip {
 }
 
 /// The value-domain rule (module docs), the one table both skips read —
-/// a row walk's over a declared operand's annihilator entries, and the
-/// tile chain's over a tile pair one of whose tiles is all annihilator:
-/// how `op`'s terms through the annihilator entries of the elements
+/// a row walk's over an operand's annihilator entries, and the tile
+/// chain's over a tile pair one of whose tiles is all annihilator: how
+/// `op`'s terms through the annihilator entries of the elements
 /// `skipped` scanned may be skipped, given what `other` scanned — the
 /// elements each of those entries meets, as the unit's pack hook leaves
 /// them (see [`at_precision`]).
@@ -209,35 +226,45 @@ fn at_precision(scan: Scan, unit: &impl MmoUnit) -> Scan {
     }
 }
 
+/// Whether `m` is too dense for any walk to skip it, by a sample: every
+/// `stride`-th row — the first row of each tile row, or of every
+/// [`SAMPLE_ROWS`]-th row of an operand too short for that to read as
+/// many — in order, until the rows read store more than `limit` of
+/// their elements (dense) or the sample runs out (not). A dense operand
+/// is told by its first row.
+fn dense_by_sample(isa: KernelIsa, zero: f32, m: &Matrix, limit: f64) -> bool {
+    let stride = (m.rows() / SAMPLE_ROWS).clamp(1, ISA_TILE);
+    let mut stored = 0;
+    (0..m.rows()).step_by(stride).enumerate().any(|(read, r)| {
+        stored += simd::scan(isa, zero, m.row(r)).stored;
+        stored as f64 > limit * ((read + 1) * m.cols()) as f64
+    })
+}
+
 /// One pass over an operand, row by row on the unit's vector tier: the
 /// facts [`skip_rule`] reads, and how many elements each row stores —
 /// which prices a walk, sizes the CSR image of any run of rows exactly
-/// and says which rows store nothing. The default is the pass no
-/// decision reads: the scan of nothing, which is in every op's domain.
-#[derive(Default)]
+/// and says which rows store nothing.
 struct Scanned {
     /// The whole operand's facts, as its pack hook leaves them
     /// ([`at_precision`]).
     scan: Scan,
     /// Elements that differ from the annihilator in rows `..r`, for
-    /// every `r` through the row count (empty when nothing was read).
+    /// every `r` through the row count.
     ends: Vec<usize>,
 }
 
 impl Scanned {
-    /// The pass over `m`, if a decision reads it.
-    fn of(unit: &impl MmoUnit, zero: f32, m: Option<&Matrix>) -> Self {
-        let Some(m) = m else {
-            return Self::default();
-        };
+    /// The pass over `m`.
+    fn of(unit: &impl MmoUnit, zero: f32, m: &Matrix) -> Self {
         let isa = unit.kernel_isa();
         let mut scan = Scan::default();
-        let ends = std::iter::once(0)
-            .chain((0..m.rows()).map(|r| {
-                scan = scan.merge(simd::scan(isa, zero, m.row(r)));
-                scan.stored
-            }))
-            .collect();
+        let mut ends = Vec::with_capacity(m.rows() + 1);
+        ends.push(0);
+        for r in 0..m.rows() {
+            scan = scan.merge(simd::scan(isa, zero, m.row(r)));
+            ends.push(scan.stored);
+        }
         Self {
             scan: at_precision(scan, unit),
             ends,
@@ -273,44 +300,105 @@ impl Scanned {
     }
 }
 
+/// Per tile of the engine's grid over `m`, row-major: whether it holds
+/// something other than `zero` — by bits, so a `-0.0` against a `+0.0`
+/// annihilator counts as something: an estimate's rounding, toward a
+/// chain that skips less. Each tile is read only until a row of it
+/// holds something, so a dense operand costs its tile rows' first rows.
+fn occupied_tiles(m: &Matrix, zero: f32) -> Vec<bool> {
+    let (rows, cols, zero) = (m.rows(), m.cols(), zero.to_bits());
+    let tile_cols = cols.div_ceil(ISA_TILE);
+    let mut tiles = Vec::with_capacity(rows.div_ceil(ISA_TILE) * tile_cols);
+    for r0 in (0..rows).step_by(ISA_TILE) {
+        for c0 in (0..cols).step_by(ISA_TILE) {
+            let w = ISA_TILE.min(cols - c0);
+            // An OR of differences, not an early exit per element.
+            let holds = |r: usize| {
+                m.row(r)[c0..c0 + w]
+                    .iter()
+                    .fold(0, |any, x| any | (x.to_bits() ^ zero))
+                    != 0
+            };
+            tiles.push((r0..rows.min(r0 + ISA_TILE)).any(holds));
+        }
+    }
+    tiles
+}
+
+/// The fraction of the `(ti, tk, tj)` tile pairs of `A ⊗ B` the tile
+/// chain of a coordinate-free unit folds: it leaves out a pair one of
+/// whose tiles stores nothing where [`skip_rule`] lets that tile's terms
+/// go exactly — read here against the facts of the whole other operand,
+/// which stand in for the partner tile's.
+fn kept_pairs(op: OpKind, zero: f32, (a, fa): (&Matrix, Scan), (b, fb): (&Matrix, Scan)) -> f64 {
+    let (mt, kt, nt) = (
+        a.rows().div_ceil(ISA_TILE),
+        a.cols().div_ceil(ISA_TILE),
+        b.cols().div_ceil(ISA_TILE),
+    );
+    let empty = Scan::default();
+    let (a_skips, b_skips) = (
+        skip_rule(op, empty, fb) == Skip::Exact,
+        skip_rule(op, empty, fa) == Skip::Exact,
+    );
+    let (ta, tb) = (occupied_tiles(a, zero), occupied_tiles(b, zero));
+    let skipped: usize = (0..kt)
+        .map(|tk| {
+            let ea = (0..mt).filter(|ti| a_skips && !ta[ti * kt + tk]).count();
+            let eb = (0..nt).filter(|tj| b_skips && !tb[tk * nt + tj]).count();
+            ea * nt + eb * mt - ea * eb
+        })
+        .sum();
+    1.0 - skipped as f64 / (mt * kt * nt).max(1) as f64
+}
+
 /// The two row kernels (module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RowKernel {
+enum RowKernel {
     /// `A`-walk × dense-`B` sweep.
     Sweep,
     /// `A`-walk × CSR-`B` scatter.
     Scatter,
 }
 
+/// The stored fraction of `A` up to which a sweep of its stored entries
+/// beats a tile chain that folds every pair, and the fraction of the
+/// `m·n·k` terms up to which a scatter does: [`WALK_A_DENSITY`] and
+/// [`SCATTER_TERMS`], or or-and's.
+fn walk_bounds(op: OpKind) -> (f64, f64) {
+    match op {
+        OpKind::OrAnd => (WALK_A_DENSITY_OR_AND, SCATTER_TERMS_OR_AND),
+        _ => (WALK_A_DENSITY, SCATTER_TERMS),
+    }
+}
+
 /// The walk-or-chain rule: the row kernel that folds one `op` step of
 /// output width `n` faster than the tile chain does, given the fraction
-/// of each operand a walk would fold — its stored fraction where a
-/// declaration lets the walk skip the rest, `1.0` where it does not —
-/// and the fraction of `B`'s rows a scatter would look up, those that
-/// store something (`1.0` where `B` is not skipped). `None` is the
-/// chain.
+/// of each operand a walk would fold — its stored fraction where the
+/// walk skips the rest, `1.0` where it does not — the fraction of `B`'s
+/// rows a scatter would look up, those that store something (`1.0`
+/// where `B` is not skipped), and the fraction of its tile pairs the
+/// chain would fold, `kept` ([`kept_pairs`]). `None` is the chain.
 ///
-/// The one place that decision is made: [`RowWalk::choose`] asks it for
-/// the step in hand and the plan's lowering pass for a slot it might
-/// declare, so a declaration the pass adds is one the engine walks. It
-/// reads the op and the operands only — never the unit's kernel tier —
-/// so every dispatch leg lowers a step the same way.
-pub(crate) fn row_kernel(
+/// The one place that decision is made. It reads the op and the
+/// operands only — never the unit's kernel tier — so every dispatch leg
+/// lowers a step the same way.
+fn row_kernel(
     op: OpKind,
     a_stored: f64,
     b_stored: f64,
     b_occupied: f64,
+    kept: f64,
     n: usize,
 ) -> Option<RowKernel> {
-    let (walk_a, scatter_terms) = match op {
-        OpKind::OrAnd => (WALK_A_DENSITY_OR_AND, SCATTER_TERMS_OR_AND),
-        _ => (WALK_A_DENSITY, SCATTER_TERMS),
-    };
-    let sweep_pays = a_stored <= walk_a;
+    let (walk_a, scatter_terms) = walk_bounds(op);
+    // Both walks race a chain that folds `kept` of the pairs.
+    let chain = (CHAIN_FIXED + kept) / (CHAIN_FIXED + 1.0);
+    let sweep_pays = a_stored <= walk_a * chain;
     // Per walked `(i, l)`: `B`'s share of `n` terms, and one row lookup
     // where row `l` stores something.
     let lookups = b_occupied * SCATTER_ROW_TERMS / n as f64;
-    let scatter_pays = a_stored * (b_stored + lookups) <= scatter_terms;
+    let scatter_pays = a_stored * (b_stored + lookups) <= scatter_terms * chain;
     // Under a walk that pays, `B`'s density alone picks the kernel.
     if b_stored <= SWEEP_B_DENSITY && (sweep_pays || scatter_pays) {
         Some(RowKernel::Scatter)
@@ -345,11 +433,11 @@ fn pack_strips(b: &Matrix) -> Vec<f32> {
 }
 
 /// Builds the one `B` image every worker of an MMO shares: its CSR form
-/// over `scatter`'s annihilator — sized by `sb`, the pass that read `B`
-/// — packed dense strips to sweep otherwise.
-fn b_image(unit: &impl MmoUnit, b: &Matrix, scatter: Option<f32>, sb: &Scanned) -> BImage {
+/// over `scatter`'s annihilator — sized by the pass that read `B` —
+/// packed dense strips to sweep otherwise.
+fn b_image(unit: &impl MmoUnit, b: &Matrix, scatter: Option<(f32, &Scanned)>) -> BImage {
     match scatter {
-        Some(zero) => {
+        Some((zero, sb)) => {
             let row_ptr = sb.row_ptr(0..b.rows());
             let mut csr = Csr::from_dense_rows(b, 0..b.rows(), zero, unit.kernel_isa(), row_ptr)
                 .expect("validated non-NaN sentinel");
@@ -415,10 +503,8 @@ struct Panel<'a, U> {
 }
 
 impl<'a, U: MmoUnit> Panel<'a, U> {
-    /// Compresses and quantises this panel's `A` rows. A validated 2:4
-    /// operand's kept slots are exactly its stored entries, at most two
-    /// per aligned group of four, so one compression serves both sparse
-    /// declarations.
+    /// Compresses and quantises this panel's `A` rows: the walk of a
+    /// sparse or 2:4 operand is its stored entries either way.
     fn walk(&self) -> AWalk<'a> {
         let (a, rows) = (self.walk.a, self.rows.clone());
         match &self.walk.a_zero {
@@ -550,61 +636,79 @@ pub(super) struct RowWalk<'a> {
     iota: Vec<u32>,
     b: BImage,
     c: &'a Matrix,
-    swept_b: bool,
 }
 
 impl<'a> RowWalk<'a> {
-    /// Picks the walk of a validated step from what can be observed —
-    /// the declarations, each declared operand's stored fraction, the
-    /// value-domain scan (module docs) — and builds its `B` image
-    /// through `unit`'s pack hook. `None` when the tile chain is the
-    /// faster fold ([`row_kernel`]): nothing would be skipped, or too
-    /// little to pay for a row kernel.
+    /// Picks the walk of a validated step from what it measures of the
+    /// operands, and builds its `B` image through `unit`'s pack hook;
+    /// `None` when the tile chain is the faster fold ([`row_kernel`]):
+    /// nothing would be skipped, or too little to pay for a row kernel.
+    ///
+    /// The measurement stops as soon as the chain is certain: a sample
+    /// of each operand's tile-row heads ([`dense_by_sample`]) stops once
+    /// it stores [`SAMPLE_MARGIN`] times what the most lenient walk
+    /// allows, and two operands too dense to be skipped go to the chain
+    /// on that alone, so a dense step pays two rows. Otherwise each
+    /// operand a walk may skip is read once ([`Scanned`]), for the facts
+    /// the value-domain rule reads and the stored counts that price a
+    /// walk and size its images — and, only where those leave the
+    /// verdict open, for the empty tiles that price the chain
+    /// ([`kept_pairs`]).
     pub(super) fn choose(unit: &impl MmoUnit, step: &MmoArgs<'a>) -> Option<Self> {
-        let MmoArgs { op, a, b, c, reprs } = *step;
-        let (mut walk_a, b_sparse) = (!reprs[0].is_dense(), !reprs[1].is_dense());
-        let multiplies = matches!(op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
-        // A validated sparse declaration means the op has an annihilator.
+        let MmoArgs { op, a, b, c } = *step;
         let zero = op.no_edge_f32()?;
-        // One pass over an operand serves two readers: its stored
-        // fraction prices its own walk, its values bound what the other
-        // operand's walk may skip (for the ops whose rule reads them).
-        // A swept `B` skips nothing, so `A` is read for `B`'s sake only
-        // against one sparse enough to scatter.
-        let sb = Scanned::of(unit, zero, (b_sparse || multiplies).then_some(b));
-        let swept_b = b_sparse && sb.stored_fraction(b) > SWEEP_B_DENSITY;
-        let mut scatter_b = b_sparse && !swept_b;
-        let sa = Scanned::of(
-            unit,
-            zero,
-            (walk_a || (multiplies && scatter_b)).then_some(a),
-        );
-        // The value-domain rule: an operand whose annihilator entries
-        // cannot be skipped exactly walks dense.
+        let isa = unit.kernel_isa();
+        let (walk_a_bound, _) = walk_bounds(op);
+        let b_dense = dense_by_sample(isa, zero, b, SWEEP_B_DENSITY * SAMPLE_MARGIN);
+        let a_dense = dense_by_sample(isa, zero, a, walk_a_bound * SAMPLE_MARGIN);
+        if a_dense && b_dense {
+            return None;
+        }
+        // Each operand a walk may skip is read whole, and so is the
+        // other where the rule reads values (module docs); an operand
+        // left unread is walked whole.
+        let multiplies = matches!(op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
+        let read = |m, dense: bool| (!dense || multiplies).then(|| Scanned::of(unit, zero, m));
+        let (sa, sb) = (read(a, a_dense), read(b, b_dense));
+        let facts = |s: &Option<Scanned>| s.as_ref().map_or(Scan::default(), |s| s.scan);
+        let (fa, fb) = (facts(&sa), facts(&sb));
         let skips = |skipped, other| skip_rule(op, skipped, other) != Skip::Never;
-        (walk_a, scatter_b) = (
-            walk_a && skips(sa.scan, sb.scan),
-            scatter_b && skips(sb.scan, sa.scan),
-        );
+        let stored = |s: &Option<Scanned>, m: &Matrix| s.as_ref().map(|s| s.stored_fraction(m));
+        // The value-domain rule: an operand whose annihilator entries
+        // cannot be skipped exactly is walked whole. `B` is scattered
+        // only where it stores few enough entries; `A` walks its stored
+        // entries where they are fewer than the `B` rows a walk of every
+        // `l` visits — all of them under a sweep, those that store
+        // something under a scatter.
+        let scatter_b = stored(&sb, b).filter(|&f| f <= SWEEP_B_DENSITY && skips(fb, fa));
+        let b_rows_visited = match (&sb, scatter_b) {
+            (Some(sb), Some(_)) => sb.occupied_fraction(b),
+            _ => 1.0,
+        };
+        let walk_a = stored(&sa, a).filter(|&f| f < b_rows_visited && skips(fa, fb));
         // What is left to skip, as the fractions a walk would fold — and
-        // of `B`'s rows, those a scatter looks up.
-        let or_full = |walks: bool, fraction: f64| if walks { fraction } else { 1.0 };
-        let kernel = row_kernel(
-            op,
-            or_full(walk_a, sa.stored_fraction(a)),
-            or_full(scatter_b, sb.stored_fraction(b)),
-            or_full(scatter_b, sb.occupied_fraction(b)),
-            b.cols(),
-        )?;
+        // of `B`'s rows, those a scatter looks up — raced against a
+        // chain that leaves out no pair and one that leaves out all:
+        // between the two, against the pairs its empty tiles let go.
+        let kernel = |kept| {
+            let (a_stored, b_stored) = (walk_a.unwrap_or(1.0), scatter_b.unwrap_or(1.0));
+            row_kernel(op, a_stored, b_stored, b_rows_visited, kept, b.cols())
+        };
+        let kernel = match kernel(0.0) {
+            Some(kernel) => kernel,
+            None => {
+                kernel(1.0)?;
+                kernel(kept_pairs(op, zero, (a, fa), (b, fb)))?
+            }
+        };
         let scatter = (kernel == RowKernel::Scatter).then_some(zero);
         Some(Self {
             op,
             a,
             iota: (0..a.cols() as u32).collect(),
-            b: b_image(unit, b, scatter, &sb),
-            a_zero: walk_a.then_some((zero, sa)),
+            b: b_image(unit, b, scatter.zip(sb.as_ref())),
+            a_zero: walk_a.and(sa).map(|sa| (zero, sa)),
             c,
-            swept_b,
         })
     }
 
@@ -637,7 +741,7 @@ impl<'a> RowWalk<'a> {
     /// term counters of its `panels`, in panel order.
     pub(super) fn tally(&self, total: &mut RowCount, panels: impl Iterator<Item = RowCount>) {
         total.sparse_mmos += 1;
-        total.swept_b_mmos += u64::from(self.swept_b);
+        total.swept_b_mmos += u64::from(!self.scatters());
         for terms in panels {
             total.fma_terms += terms.fma_terms;
             total.skipped_terms += terms.skipped_terms;
@@ -646,7 +750,7 @@ impl<'a> RowWalk<'a> {
 }
 
 // The operand generators of the crate's integration suites (`specials`
-// is the declaration differentials' alone).
+// is the walk differentials' alone).
 #[cfg(test)]
 #[path = "../../tests/pools/hostile.rs"]
 mod hostile;
@@ -659,14 +763,13 @@ mod pools;
 mod tests {
     use super::super::{Backend, TiledBackend};
     use super::*;
-    use crate::repr::{MatrixRef, OperandRepr};
     use proptest::prelude::*;
     use simd2_matrix::reference;
     use simd2_mxu::{PrecisionMode, Simd2Unit};
     use simd2_semiring::ALL_OPS;
 
     use super::hostile::{bits, hostile, quantized, structure_2_4};
-    use super::pools::operand;
+    use super::pools::{block_sparse, operand, Blocks};
 
     /// A seeded `n × n` operand with about `density` of its entries
     /// stored (in `0.5..9.5`) and the rest at `zero`.
@@ -684,24 +787,51 @@ mod tests {
         a_zero: Option<f32>,
         scatter: Option<f32>,
     ) -> RowWalk<'a> {
-        let multiplies = matches!(step.op, OpKind::PlusMul | OpKind::MinMul | OpKind::MaxMul);
         let zero = step.op.no_edge_f32().unwrap();
-        let read_a = a_zero.is_some() || (multiplies && scatter.is_some());
-        let sb = Scanned::of(
-            unit,
-            zero,
-            (scatter.is_some() || multiplies).then_some(step.b),
-        );
-        let sa = Scanned::of(unit, zero, read_a.then_some(step.a));
+        let sb = Scanned::of(unit, zero, step.b);
         RowWalk {
             op: step.op,
             a: step.a,
             iota: (0..step.a.cols() as u32).collect(),
-            b: b_image(unit, step.b, scatter, &sb),
-            a_zero: a_zero.map(|zero| (zero, sa)),
+            b: b_image(unit, step.b, scatter.map(|zero| (zero, &sb))),
+            a_zero: a_zero.map(|zero| (zero, Scanned::of(unit, zero, step.a))),
             c: step.c,
-            swept_b: false,
         }
+    }
+
+    /// The walk the engine takes of `step` where one pays: `A`'s stored
+    /// entries where its annihilator entries may be skipped, `B`
+    /// scattered where it may be and stores few enough entries to.
+    fn best_walk<'a>(unit: &Simd2Unit, step: &MmoArgs<'a>) -> RowWalk<'a> {
+        let (a, b) = (step.a, step.b);
+        let zero = step.op.no_edge_f32().unwrap();
+        let (sa, sb) = (Scanned::of(unit, zero, a), Scanned::of(unit, zero, b));
+        let skips = |skipped, other| skip_rule(step.op, skipped, other) != Skip::Never;
+        let scatter = skips(sb.scan, sa.scan) && sb.stored_fraction(b) <= SWEEP_B_DENSITY;
+        let visited = if scatter {
+            sb.occupied_fraction(b)
+        } else {
+            1.0
+        };
+        let walk_a = skips(sa.scan, sb.scan) && sa.stored_fraction(a) < visited;
+        RowWalk {
+            op: step.op,
+            a,
+            iota: (0..a.cols() as u32).collect(),
+            b: b_image(unit, b, scatter.then_some((zero, &sb))),
+            a_zero: walk_a.then_some((zero, sa)),
+            c: step.c,
+        }
+    }
+
+    /// One step through the tile chain on one thread, whatever the
+    /// engine would pick: the pack stage, pair skips and fp16 lanes
+    /// included.
+    fn chained(be: &mut TiledBackend, step: &MmoArgs<'_>) -> Matrix {
+        let grid = step.checked_grid().unwrap();
+        let mut d = Matrix::zeros(grid.m, grid.n);
+        be.run_chain(step, &grid, 1, &mut d).unwrap();
+        d
     }
 
     /// One step through the walk the arguments name, whatever
@@ -835,21 +965,111 @@ mod tests {
         }
     }
 
+    /// One timed point of [`walk_or_chain`]: `step` through the walk the
+    /// engine would take were a walk to pay ([`best_walk`], scans and
+    /// image build included), through the tile chain ([`chained`]) and
+    /// as the engine picks, at fp16 operand precision on one thread;
+    /// prints a row and returns `pick/best`.
+    fn time_point(label: &str, step: &MmoArgs<'_>, density: f64) -> f64 {
+        let unit = Simd2Unit::new();
+        let (m, n) = (step.a.rows(), step.b.cols());
+        let mut walk = || {
+            let mut d = Matrix::zeros(m, n);
+            best_walk(&unit, step).fold(&unit, 0..m, d.as_mut_slice());
+            d
+        };
+        let mut chain_be = TiledBackend::with_unit(unit);
+        let mut be = TiledBackend::with_unit(unit);
+        let want = chained(&mut chain_be, step);
+        assert_eq!(bits(&walk()), bits(&want), "{label}");
+        assert_eq!(
+            bits(
+                &be.execute(step, super::super::Schedule::Configured)
+                    .unwrap()
+            ),
+            bits(&want),
+            "{label}"
+        );
+        let walked = be.row_count().sparse_mmos == 1;
+        let reps = (1 << 23) / (m * n).max(1) + 8;
+        let [walk_ms, chain_ms, pick_ms] = best_ms(
+            reps,
+            [&mut walk, &mut || chained(&mut chain_be, step), &mut || {
+                be.execute(step, super::super::Schedule::Configured)
+                    .unwrap()
+            }],
+        );
+        let pick_over_best = pick_ms / walk_ms.min(chain_ms);
+        println!(
+            "{label:<16} {:<9} {n:<4} {density:<8.3} {walk_ms:<9.3} {chain_ms:<9.3} {:<11.2} {:<6} {pick_ms:<9.3} {pick_over_best:.2}",
+            step.op.name(),
+            walk_ms / chain_ms,
+            if walked { "walk" } else { "chain" },
+        );
+        pick_over_best
+    }
+
+    /// What the walk-or-chain decision costs a dense step: the engine's
+    /// [`RowWalk::choose`] (the sample that settles it) against the
+    /// whole MMO, on the dense operands of the repo benchmark's
+    /// `dense-mmo` workload, at fp16 operand precision on one thread.
+    ///
+    /// `cargo test --release -p simd2 --lib -- --ignored --nocapture decision_cost`
+    #[test]
+    #[ignore = "timing probe, not a check: run with --release --ignored --nocapture"]
+    fn decision_cost() {
+        use simd2_matrix::gen;
+        let unit = Simd2Unit::new();
+        println!("op        n    decide µs  mmo µs     decide/mmo");
+        for op in [OpKind::PlusMul, OpKind::MinPlus, OpKind::OrAnd] {
+            for n in [64, 256] {
+                let a = gen::random_operands_for(op, n, n, 1);
+                let b = gen::random_operands_for(op, n, n, 2);
+                let c = gen::random_operands_for(op, n, n, 3);
+                let step = MmoArgs::new(op, &a, &b, &c);
+                let mut be = TiledBackend::with_unit(unit);
+                let reps = (1 << 24) / (n * n * n) + 64;
+                let (mut decide, mut mmo) = (f64::INFINITY, f64::INFINITY);
+                for _ in 0..reps {
+                    // A hundred decisions a timing: one is shorter than
+                    // the clock's own read.
+                    let start = std::time::Instant::now();
+                    for _ in 0..100 {
+                        let step = std::hint::black_box(&step);
+                        assert!(std::hint::black_box(RowWalk::choose(&unit, step)).is_none());
+                    }
+                    decide = decide.min(1e4 * start.elapsed().as_secs_f64());
+                    let start = std::time::Instant::now();
+                    std::hint::black_box(be.mmo(op, &a, &b, &c).unwrap());
+                    mmo = mmo.min(1e6 * start.elapsed().as_secs_f64());
+                }
+                println!(
+                    "{:<9} {n:<4} {decide:<10.3} {mmo:<10.1} {:.2} %",
+                    op.name(),
+                    100.0 * decide / mmo
+                );
+            }
+        }
+    }
+
     /// The sweep that places the walk-or-chain bounds
     /// ([`WALK_A_DENSITY`], [`SCATTER_TERMS`] and their or-and values;
-    /// EXPERIMENTS.md, "Walk or chain"): a declared operand at each
-    /// density through the walk its declaration names — scans and image
-    /// build included — against the same step with the declaration
-    /// stripped (the tile chain) and as the engine runs it declared, at
-    /// fp16 operand precision on one thread. `walk/chain` is what always
-    /// walking costs; `pick/best` what the engine's choice does.
+    /// EXPERIMENTS.md, "Walk or chain"): `walk/chain` is what always
+    /// walking costs, `pick/best` what the engine's choice does
+    /// ([`time_point`]). Three pools: one operand at each stored
+    /// fraction beside a full one (the walk `A`-walk × sweep, or a dense
+    /// walk × scatter); both operands block-sparse, whole tiles blanked
+    /// at random or below the tile diagonal (`Blocks`, the tile pairs the
+    /// chain skips); and the first two Leyzorek steps of the seven
+    /// closure apps at `n = 256`, seed 2022.
     ///
     /// `cargo test --release -p simd2 --lib -- --ignored --nocapture walk_or_chain`
     #[test]
     #[ignore = "timing sweep, not a check: run with --release --ignored --nocapture"]
     fn walk_or_chain() {
-        let unit = Simd2Unit::new();
-        println!("walk          op        n    density  walk ms   chain ms  walk/chain  pick   pick ms   pick/best");
+        use simd2_apps::{aplp, apsp, gtc, harness, mst, paths};
+        println!("point            op        n    density  walk ms   chain ms  walk/chain  pick   pick ms   pick/best");
+        let mut worst = 0.0f64;
         for a_walk in [true, false] {
             for op in [
                 OpKind::OrAnd,
@@ -858,55 +1078,89 @@ mod tests {
                 OpKind::PlusMul,
             ] {
                 let zero = op.no_edge_f32().unwrap();
-                let csr = OperandRepr::csr(zero);
                 for n in [128, 256, 512] {
                     let c = Matrix::filled(n, n, op.reduce_identity_f32());
                     for density in [0.01, 0.03, 0.06, 0.12, 0.25, 0.5] {
-                        // The declared operand at `density`, the other full.
+                        // The sparse operand at `density`, the other full.
                         let (da, db) = if a_walk {
                             (density, 1.0)
                         } else {
                             (1.0, density)
                         };
                         let (a, b) = (square(n, zero, da, 5), square(n, zero, db, 6));
-                        let (ra, rb) = if a_walk {
-                            (csr, OperandRepr::Dense)
+                        let label = if a_walk {
+                            "A-walk×sweep"
                         } else {
-                            (OperandRepr::Dense, csr)
+                            "dense×scatter"
                         };
-                        let step = MmoArgs::new(op, &a, &b, &c);
-                        let (a_zero, scatter) = (a_walk.then_some(zero), (!a_walk).then_some(zero));
-                        let mut walk = || forced(&unit, &step, a_zero, scatter);
-                        let mut be = TiledBackend::with_unit(unit);
-                        let declared = |be: &mut TiledBackend| {
-                            let (a, b) = (MatrixRef::new(&a, ra), MatrixRef::new(&b, rb));
-                            be.mmo_ref(op, a, b, MatrixRef::dense(&c)).unwrap()
-                        };
-                        let want = be.mmo(op, &a, &b, &c).unwrap();
-                        assert_eq!(walk(), want);
-                        assert_eq!(declared(&mut be), want);
-                        let walked = be.row_count().sparse_mmos == 1;
-                        let reps = (1 << 23) / (n * n) + 8;
-                        let mut chain_be = TiledBackend::with_unit(unit);
-                        let [walk_ms, chain_ms, pick_ms] = best_ms(
-                            reps,
-                            [
-                                &mut walk,
-                                &mut || chain_be.mmo(op, &a, &b, &c).unwrap(),
-                                &mut || declared(&mut be),
-                            ],
-                        );
-                        println!(
-                            "{:<13} {:<9} {n:<4} {density:<8.2} {walk_ms:<9.3} {chain_ms:<9.3} {:<11.2} {:<6} {pick_ms:<9.3} {:.2}",
-                            if a_walk { "A-walk×sweep" } else { "dense×scatter" },
-                            op.name(),
-                            walk_ms / chain_ms,
-                            if walked { "walk" } else { "chain" },
-                            pick_ms / walk_ms.min(chain_ms)
-                        );
+                        worst =
+                            worst.max(time_point(label, &MmoArgs::new(op, &a, &b, &c), density));
                     }
                 }
             }
         }
+        for blocks in [Blocks::Random, Blocks::UpperTriangular] {
+            for op in [
+                OpKind::OrAnd,
+                OpKind::MinPlus,
+                OpKind::MaxPlus,
+                OpKind::PlusMul,
+            ] {
+                let zero = op.no_edge_f32().unwrap();
+                let n = 256;
+                let c = Matrix::filled(n, n, op.reduce_identity_f32());
+                for density in [0.02, 0.06, 0.15, 0.3, 0.6, 1.0] {
+                    let a = block_sparse(square(n, zero, density, 7), zero, blocks, 8);
+                    let b = block_sparse(square(n, zero, density, 9), zero, blocks, 10);
+                    let label = format!("blocks {blocks:?}");
+                    worst = worst.max(time_point(&label, &MmoArgs::new(op, &a, &b, &c), density));
+                }
+            }
+        }
+        let (n, seed) = (256, 2022);
+        let apps = [
+            (
+                "APSP",
+                OpKind::MinPlus,
+                apsp::generate(n, seed).adjacency(OpKind::MinPlus),
+            ),
+            (
+                "APLP",
+                OpKind::MaxPlus,
+                aplp::generate(n, seed).adjacency(OpKind::MaxPlus),
+            ),
+            (
+                "MCP",
+                OpKind::MaxMin,
+                paths::generate_mcp(n, seed).adjacency(OpKind::MaxMin),
+            ),
+            (
+                "MAXRP",
+                OpKind::MaxMul,
+                paths::generate_maxrp(n, seed).adjacency(OpKind::MaxMul),
+            ),
+            (
+                "MINRP",
+                OpKind::MinMul,
+                paths::generate_minrp(n, seed).adjacency(OpKind::MinMul),
+            ),
+            (
+                "MST",
+                OpKind::MinMax,
+                mst::generate(n, harness::MST_EXTRA_DENSITY, seed).adjacency(OpKind::MinMax),
+            ),
+            ("GTC", OpKind::OrAnd, gtc::generate(n, seed).reachability()),
+        ];
+        for (app, op, x0) in apps {
+            let zero = op.no_edge_f32().unwrap();
+            let x1 = TiledBackend::new().mmo(op, &x0, &x0, &x0).unwrap();
+            for (k, x) in [(1, &x0), (2, &x1)] {
+                let density = simd::scan(KernelIsa::Scalar, zero, x.as_slice()).stored as f64
+                    / x.len() as f64;
+                let label = format!("{app} step {k}");
+                worst = worst.max(time_point(&label, &MmoArgs::new(op, x, x, x), density));
+            }
+        }
+        println!("worst pick/best: {worst:.2}");
     }
 }

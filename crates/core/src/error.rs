@@ -1,14 +1,13 @@
 //! The unified backend error type.
 //!
-//! Backends can fail five ways: the operands do not fit together
-//! ([`ShapeError`]), an operand's declared sparse representation is
-//! invalid for the operation ([`BackendError::Repr`]), the ISA-level
-//! engine faulted ([`ExecError`]), an ABFT check caught a silently
-//! corrupted result ([`AbftViolation`]), or a parallel worker panicked
-//! and was contained ([`BackendError::WorkerPanic`]). [`BackendError`]
-//! folds all five into one type so the solver and application layers
-//! propagate every failure without panicking — a worker panic surfaces
-//! as an `Err`, never as a process abort.
+//! Backends can fail four ways: the operands do not fit together
+//! ([`ShapeError`]), the ISA-level engine faulted ([`ExecError`]), an
+//! ABFT check caught a silently corrupted result ([`AbftViolation`]), or
+//! a parallel worker panicked and was contained
+//! ([`BackendError::WorkerPanic`]). [`BackendError`] folds all four into
+//! one type so the solver and application layers propagate every
+//! failure without panicking — a worker panic surfaces as an `Err`,
+//! never as a process abort.
 
 use std::fmt;
 
@@ -22,19 +21,6 @@ use simd2_semiring::OpKind;
 pub enum BackendError {
     /// Operand shapes are incompatible.
     Shape(ShapeError),
-    /// An operand's declared sparse representation
-    /// ([`OperandRepr`](crate::OperandRepr)) is invalid for the
-    /// operation — wrong zero sentinel, an operation without a no-edge
-    /// annihilator, a non-compliant 2:4 operand, or a sparse
-    /// accumulator.
-    Repr {
-        /// The operation whose operand declaration was rejected.
-        op: OpKind,
-        /// The operand (`"A"`, `"B"` or `"C"`) at fault.
-        operand: &'static str,
-        /// Why the declaration was rejected.
-        reason: String,
-    },
     /// The ISA-level executor faulted (bad address, bad program, …).
     Exec(ExecError),
     /// An ABFT check detected a silently corrupted result.
@@ -59,16 +45,6 @@ impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendError::Shape(e) => write!(f, "shape error: {e}"),
-            BackendError::Repr {
-                op,
-                operand,
-                reason,
-            } => {
-                write!(
-                    f,
-                    "representation error in {op} operand {operand}: {reason}"
-                )
-            }
             BackendError::Exec(e) => write!(f, "execution fault: {e}"),
             BackendError::Corruption { op, violation } => {
                 write!(f, "silent corruption in {op}: {violation}")
@@ -86,7 +62,7 @@ impl std::error::Error for BackendError {
             BackendError::Shape(e) => Some(e),
             BackendError::Exec(e) => Some(e),
             BackendError::Corruption { violation, .. } => Some(violation),
-            BackendError::Repr { .. } | BackendError::WorkerPanic { .. } => None,
+            BackendError::WorkerPanic { .. } => None,
         }
     }
 }
@@ -157,14 +133,6 @@ mod tests {
         .into();
         assert!(c.is_corruption());
         assert!(c.to_string().contains("silent corruption"));
-
-        let r = BackendError::Repr {
-            op: OpKind::PlusNorm,
-            operand: "A",
-            reason: "no sparse lowering".into(),
-        };
-        assert!(r.to_string().contains("representation error in plus-norm"));
-        assert!(!r.is_corruption() && !r.is_worker_panic());
 
         let w = BackendError::WorkerPanic {
             panel: 2,

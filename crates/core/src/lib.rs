@@ -50,8 +50,8 @@ pub use backend::{
 pub use error::BackendError;
 pub use highlevel::Simd2Context;
 pub use plan::passes::{
-    CsePass, DensityLoweringPass, DsePass, OptimizedPlan, OptimizingRecorder, PassPipeline,
-    PassReport, PassStats, PlanPass, RootPolicy,
+    CsePass, DsePass, OptimizedPlan, OptimizingRecorder, PassPipeline, PassReport, PassStats,
+    PlanPass, RootPolicy,
 };
 pub use plan::{
     Executor as PlanExecutor, HaltedReplay, Plan, PlanBuilder, PlanCheckpoint, PlanKey, Replay,

@@ -32,7 +32,6 @@ use simd2_trace::{field, span, Tracer};
 use crate::backend::{Backend, Degrade, Health, MmoArgs, OpCount, Schedule};
 use crate::error::BackendError;
 use crate::program::{compile_mmo, CompiledKernel};
-use crate::repr::OperandRepr;
 
 /// Index of a value slot in a plan's arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,11 +69,6 @@ struct Slot {
     /// redundant. Twins are value-derived, so they are deliberately
     /// excluded from [`Plan::structural_hash`].
     twin: Option<SlotId>,
-    /// The slot's execution representation (dense unless a sparse MMO
-    /// recorded through [`Backend::mmo_ref`] or a lowering pass declared
-    /// otherwise). Part of [`Plan::structural_hash`]: the lowering is a
-    /// plan property, so differently-lowered plans cache separately.
-    repr: OperandRepr,
 }
 
 /// One recorded `D = C ⊕ (A ⊗ B)` step over the slot arena. Slots are
@@ -159,26 +153,6 @@ impl Plan {
     /// The captured value of an input slot (`None` for step outputs).
     pub fn input_value(&self, slot: SlotId) -> Option<&Matrix> {
         self.slots[slot.0].value.as_ref()
-    }
-
-    /// A slot's declared execution representation.
-    pub fn slot_repr(&self, slot: SlotId) -> OperandRepr {
-        self.slots[slot.0].repr
-    }
-
-    /// The declared representations of a step's `[a, b, c]` operands.
-    pub fn step_reprs(&self, step: usize) -> [OperandRepr; 3] {
-        let s = &self.steps[step];
-        [
-            self.slots[s.a.0].repr,
-            self.slots[s.b.0].repr,
-            self.slots[s.c.0].repr,
-        ]
-    }
-
-    /// Whether any slot carries a sparse representation.
-    pub fn has_sparse_slots(&self) -> bool {
-        self.slots.iter().any(|s| !s.repr.is_dense())
     }
 
     /// The earliest slot whose recorded content was bit-identical to
@@ -312,12 +286,6 @@ impl Plan {
                     SlotOrigin::Step(i) => 1 + i as u64,
                 },
             );
-            // Representation is a lowering decision and thus part of the
-            // structure. Dense slots mix nothing, so all-dense plans
-            // keep their pre-seam hashes.
-            if !slot.repr.is_dense() {
-                h = fnv_mix(h, slot.repr.hash_tag());
-            }
         }
         h = fnv_mix(h, self.steps.len() as u64);
         for step in &self.steps {
@@ -335,25 +303,12 @@ impl Plan {
     /// slot order). Flipping any single bit of any input changes the
     /// fingerprint, so a cache keyed on [`Plan::cache_key`] can never
     /// serve a stale result for perturbed inputs.
-    ///
-    /// Sparse-declared inputs fingerprint through their CSR raw parts
-    /// ([`crate::repr::fingerprint_sparse`]) instead of the dense
-    /// walk — the same bits a sparse kernel actually reads. The parts
-    /// are filtered on *bit* equality with the sentinel, so they remain
-    /// a bijection with the element bits and the single-bit-flip
-    /// guarantee holds for sparse slots too.
     pub fn input_fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(value) = &slot.value {
                 h = fnv_mix(h, i as u64);
-                match slot.repr.zero() {
-                    None => h = fnv_mix(h, content_hash(value)),
-                    Some(zero) => {
-                        h = fnv_mix(h, slot.repr.hash_tag());
-                        h = fnv_mix(h, crate::repr::fingerprint_sparse(value, zero));
-                    }
-                }
+                h = fnv_mix(h, content_hash(value));
             }
         }
         h
@@ -494,14 +449,8 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
     }
 
     /// Interns `m`: returns the most recent slot with bit-identical
-    /// content, or captures it as a fresh input slot carrying `repr`.
-    ///
-    /// When an existing dense slot is re-declared sparse, the slot is
-    /// *promoted* to the sparse representation (demotion never happens
-    /// here — [`record_mmo`](Self::record_mmo) separately forces
-    /// accumulator slots dense, which wins, because dense execution is
-    /// universally valid while a sparse accumulator is not).
-    fn intern(&mut self, m: &Matrix, repr: OperandRepr) -> SlotId {
+    /// content, or captures it as a fresh input slot.
+    fn intern(&mut self, m: &Matrix) -> SlotId {
         let h = content_hash(m);
         if let Some(candidates) = self.index.get(&h) {
             for &slot in candidates.iter().rev() {
@@ -513,9 +462,6 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
                         .zip(m.as_slice())
                         .all(|(x, y)| x.to_bits() == y.to_bits())
                 {
-                    if self.plan.slots[slot.0].repr.is_dense() && !repr.is_dense() {
-                        self.plan.slots[slot.0].repr = repr;
-                    }
                     return slot;
                 }
             }
@@ -526,7 +472,6 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
             origin: SlotOrigin::Input,
             value: Some(m.clone()),
             twin: None,
-            repr,
         });
         self.values.push(m.clone());
         self.index.entry(h).or_default().push(slot);
@@ -559,7 +504,6 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
             origin: SlotOrigin::Step(step),
             value: None,
             twin,
-            repr: OperandRepr::Dense,
         });
         self.values.push(d.clone());
         self.index.entry(h).or_default().push(slot);
@@ -568,14 +512,7 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
 
     /// Appends the executed step `s`, whose output was `d`.
     fn record_mmo(&mut self, s: &MmoArgs<'_>, d: &Matrix) {
-        let (sa, sb) = (self.intern(s.a, s.reprs[0]), self.intern(s.b, s.reprs[1]));
-        let sc = self.intern(s.c, OperandRepr::Dense);
-        // Accumulator slots stay dense unconditionally: C seeds every
-        // output element, so it has no skippable terms — and a slot
-        // promoted through an earlier A/B use must be demoted the
-        // moment it is also read as C (dense replay is bit-identical,
-        // so the demotion costs speed, never correctness).
-        self.plan.slots[sc.0].repr = OperandRepr::Dense;
+        let (sa, sb, sc) = (self.intern(s.a), self.intern(s.b), self.intern(s.c));
         let step = self.plan.steps.len();
         let sd = self.record_output(d, step);
         self.plan.steps.push(Step {
@@ -598,10 +535,9 @@ impl<B: Backend> Backend for PlanBuilder<'_, B> {
     }
 
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
-        // Execute first: the inner backend validates the declarations
-        // (and may run its sparse kernels), and a failed call records
-        // nothing, matching the counter/telemetry convention everywhere
-        // else. The operand reprs ride into the slot arena.
+        // Execute first: the inner backend validates the step, and a
+        // failed call records nothing, matching the counter/telemetry
+        // convention everywhere else.
         let d = self.backend.execute(step, schedule)?;
         self.record_mmo(step, &d);
         Ok(d)
@@ -1033,15 +969,12 @@ impl Executor {
                                 total_steps: plan.step_count(),
                             })
                             .map_err(|reason| halted(ReplayHalt::Cancelled { reason }))?;
-                        // The declared representations ride along
-                        // (bit-identical on every backend).
-                        let step = MmoArgs {
-                            op: s.op,
-                            a: operand(values, s.a),
-                            b: operand(values, s.b),
-                            c: operand(values, s.c),
-                            reprs: plan.step_reprs(i),
-                        };
+                        let step = MmoArgs::new(
+                            s.op,
+                            operand(values, s.a),
+                            operand(values, s.b),
+                            operand(values, s.c),
+                        );
                         let d = backend
                             .execute(&step, Schedule::Configured)
                             .map_err(|e| halted(ReplayHalt::Backend(e)))?;

@@ -19,16 +19,9 @@
 //! * [`DsePass`] — dead-step elimination from live output roots
 //!   ([`RootPolicy`]), dropping steps (and orphaned slots) nothing
 //!   live reads.
-//! * [`DensityLoweringPass`] — the Fig 14 density crossover as a plan
-//!   rewrite: input slots whose measured
-//!   [`density`](crate::repr::density) is one the engine's own
-//!   walk-or-chain rule would row-walk in every reader step
-//!   are re-declared [`Csr`](OperandRepr::Csr) (or
-//!   [`Structured24`](OperandRepr::Structured24) when 2:4-compliant).
-//!   Representation is a schedule hint, never a semantics change, so
-//!   the rewrite is bit-identity-preserving by construction; slots read
-//!   as an accumulator anywhere, and steps without a no-edge
-//!   annihilator (`PlusNorm`), are never touched.
+//!
+//! No pass lowers an operand's representation: the engine measures each
+//! step's operands and walks the sparse ones itself (DESIGN.md §12).
 //!
 //! # The bit-identity contract
 //!
@@ -53,9 +46,8 @@ use simd2_semiring::OpKind;
 use simd2_trace::Counter;
 
 use super::{Executor, Plan, PlanBuilder, PlanKey, Replay, ReplayError, SlotId, SlotOrigin};
-use crate::backend::{row_kernel, Backend, Degrade, Health, MmoArgs, OpCount, RowKernel, Schedule};
+use crate::backend::{Backend, Degrade, Health, MmoArgs, OpCount, Schedule};
 use crate::error::BackendError;
-use crate::repr::{self, OperandRepr};
 
 /// Process-global count of pipeline runs.
 static PASS_RUNS: Counter = Counter::new("core.pass.runs");
@@ -63,8 +55,6 @@ static PASS_RUNS: Counter = Counter::new("core.pass.runs");
 static PASS_STEPS_MERGED: Counter = Counter::new("core.pass.steps_merged");
 /// Process-global count of steps removed by DSE.
 static PASS_STEPS_ELIMINATED: Counter = Counter::new("core.pass.steps_eliminated");
-/// Process-global count of slots re-declared sparse by density lowering.
-static PASS_SLOTS_RELOWERED: Counter = Counter::new("core.pass.slots_relowered");
 
 /// What one pass did to the plan it was handed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,8 +65,6 @@ pub struct PassStats {
     pub steps_merged: usize,
     /// Steps removed as dead (DSE).
     pub steps_eliminated: usize,
-    /// Input slots re-declared sparse (density lowering).
-    pub slots_relowered: usize,
 }
 
 /// Aggregate telemetry of one [`PassPipeline::run`]: per-pass stats
@@ -91,19 +79,20 @@ pub struct PassReport {
     pub steps_merged: usize,
     /// Total steps removed by DSE passes.
     pub steps_eliminated: usize,
-    /// Total input slots re-declared sparse by density-lowering passes.
+    /// Always 0: no pass declares an input's representation (the engine
+    /// measures the operands itself). Kept for callers that read it.
     pub slots_relowered: usize,
     /// Per-pass breakdown, in execution order.
     pub passes: Vec<PassStats>,
 }
 
 impl PassReport {
-    /// Whether any pass changed the plan's steps or lowerings (merges,
-    /// eliminations, or representation rewrites). When this is `false`
-    /// the optimized plan's replay is event-stream-identical to the
-    /// unoptimized replay, not just output-identical.
+    /// Whether any pass changed the plan's steps (merges or
+    /// eliminations). When this is `false` the optimized plan's replay
+    /// is event-stream-identical to the unoptimized replay, not just
+    /// output-identical.
     pub fn changed(&self) -> bool {
-        self.steps_merged + self.steps_eliminated + self.slots_relowered > 0
+        self.steps_merged + self.steps_eliminated > 0
     }
 }
 
@@ -513,135 +502,6 @@ impl PlanPass for DsePass {
     }
 }
 
-/// Density-crossover representation lowering (the Fig 14 decision as a
-/// plan rewrite).
-///
-/// For every *input* slot still declared dense, the pass measures the
-/// captured value's [`density`](crate::repr::density) against each
-/// reader step's no-edge sentinel and promotes the slot to
-/// [`OperandRepr::Csr`] — or [`OperandRepr::Structured24`] when the
-/// value satisfies the 2:4 constraint — exactly when the engine would
-/// use the declaration in every reader step: the pass asks
-/// [`TiledBackend`](crate::TiledBackend)'s own walk-or-chain rule (the
-/// one predicate its `execute` lowers a declared step with), so it
-/// declares what the engine row-walks and nothing else. The engine's
-/// value-domain rule reads operand values the pass does not; a step it
-/// densifies takes the chain, at the cost of the engine's scan.
-///
-/// The rewrite can never change an answer or invalidate a replay:
-///
-/// * a representation is a schedule hint — every backend's sparse
-///   kernels are bit-identical to its dense datapath, and backends
-///   without sparse kernels validate the declaration and fall back
-///   dense;
-/// * a slot is only promoted when **all** its reader steps share one
-///   no-edge annihilator equal to the new sentinel (so
-///   [`check_mmo_operands_ref`](crate::validate::check_mmo_operands_ref)
-///   accepts every dispatch), which also excludes `PlusNorm` readers
-///   (no annihilator exists);
-/// * slots read as the accumulator `C` anywhere stay dense — `C` seeds
-///   every output element and has no skippable terms;
-/// * step-output slots stay dense — their values exist only at replay
-///   time, so no density measurement exists at lowering time.
-///
-/// Promotion changes [`Plan::structural_hash`] (lowering is a plan
-/// property), so differently-lowered plans cache separately by design.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DensityLoweringPass;
-
-impl PlanPass for DensityLoweringPass {
-    fn name(&self) -> &'static str {
-        "density-lower"
-    }
-
-    fn run(&self, optimized: &mut OptimizedPlan) -> PassStats {
-        let plan = &optimized.plan;
-        let n_slots = plan.slots.len();
-        // Which steps read each slot as A/B, and whether any step reads
-        // it as the accumulator.
-        let mut used_as_c = vec![false; n_slots];
-        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n_slots];
-        for (j, step) in plan.steps.iter().enumerate() {
-            used_as_c[step.c.0] = true;
-            readers[step.a.0].push(j);
-            readers[step.b.0].push(j);
-        }
-        let mut relowered = 0usize;
-        let mut new_reprs: Vec<Option<OperandRepr>> = vec![None; n_slots];
-        for (i, slot) in plan.slots.iter().enumerate() {
-            if !slot.repr.is_dense() || used_as_c[i] || readers[i].is_empty() {
-                continue;
-            }
-            let Some(value) = &slot.value else {
-                continue; // step output: no value to measure at lowering time
-            };
-            // Every reader op must share one no-edge annihilator — the
-            // sentinel the promoted declaration validates against.
-            let mut sentinel: Option<f32> = None;
-            let agreed = readers[i].iter().all(|&j| {
-                let Some(z) = plan.steps[j].op.no_edge_f32() else {
-                    return false;
-                };
-                match sentinel {
-                    None => {
-                        sentinel = Some(z);
-                        true
-                    }
-                    Some(prev) => prev.to_bits() == z.to_bits(),
-                }
-            });
-            let Some(zero) = sentinel.filter(|_| agreed) else {
-                continue;
-            };
-            let stores = |v: &Matrix, z| (repr::density(v, z), repr::occupied_rows(v, z));
-            let d = stores(value, zero);
-            // Walked by *every* reader: this slot at its measured
-            // density, the other operand at what its declaration already
-            // stores (each with the fraction of its rows that store
-            // anything). Any row kernel skips a declared `A`'s entries;
-            // only the scatter skips a declared `B`'s.
-            let walked_everywhere = readers[i].iter().all(|&j| {
-                let s = &plan.steps[j];
-                let stored = |slot: SlotId| match (
-                    plan.slots[slot.0].repr.zero(),
-                    &plan.slots[slot.0].value,
-                ) {
-                    _ if slot.0 == i => d,
-                    (Some(z), Some(v)) => stores(v, z),
-                    _ => (1.0, 1.0),
-                };
-                let (_, n, _) = plan.step_geometry(j);
-                let ((fa, _), (fb, rows_b)) = (stored(s.a), stored(s.b));
-                let kernel = row_kernel(s.op, fa, fb, rows_b, n);
-                if s.a.0 == i {
-                    kernel.is_some()
-                } else {
-                    kernel == Some(RowKernel::Scatter)
-                }
-            });
-            if !walked_everywhere {
-                continue;
-            }
-            new_reprs[i] = Some(if repr::is_2_4_compliant(value, zero) {
-                OperandRepr::structured(zero)
-            } else {
-                OperandRepr::csr(zero)
-            });
-            relowered += 1;
-        }
-        for (i, repr) in new_reprs.into_iter().enumerate() {
-            if let Some(r) = repr {
-                optimized.plan.slots[i].repr = r;
-            }
-        }
-        PassStats {
-            pass: self.name(),
-            slots_relowered: relowered,
-            ..PassStats::default()
-        }
-    }
-}
-
 /// An ordered sequence of passes with aggregate telemetry: runs each
 /// pass, folds its [`PassStats`] into one [`PassReport`], and bumps the
 /// process-global `core.pass.*` counters.
@@ -695,18 +555,11 @@ impl PassPipeline {
         ])
     }
 
-    /// The sparse pipeline: [`standard`](Self::standard) followed by a
-    /// [`DensityLoweringPass`], which re-declares sparse the input
-    /// slots the engine would row-walk.
-    /// Kept out of `standard()`/`serving()` on purpose: promotion moves
-    /// the plan's structural hash, and callers who did not opt into
-    /// sparse lowering keep their pre-seam cache identities.
+    /// The [`standard`](Self::standard) pipeline, under the name callers
+    /// that once opted into representation lowering still use: the
+    /// engine walks sparse operands without a pass declaring them.
     pub fn sparse() -> Self {
-        Self::new(vec![
-            Box::new(CsePass),
-            Box::new(DsePass::new(RootPolicy::Leaves)),
-            Box::new(DensityLoweringPass),
-        ])
+        Self::standard()
     }
 
     /// The configured passes' names, in order.
@@ -722,7 +575,6 @@ impl PassPipeline {
             let report = &mut optimized.report;
             report.steps_merged += stats.steps_merged;
             report.steps_eliminated += stats.steps_eliminated;
-            report.slots_relowered += stats.slots_relowered;
             report.passes.push(stats);
         }
         optimized.report.steps_after = optimized.plan.step_count();
@@ -730,7 +582,6 @@ impl PassPipeline {
         PASS_RUNS.add(1);
         PASS_STEPS_MERGED.add(report.steps_merged as u64);
         PASS_STEPS_ELIMINATED.add(report.steps_eliminated as u64);
-        PASS_SLOTS_RELOWERED.add(report.slots_relowered as u64);
         optimized
     }
 }
@@ -938,219 +789,10 @@ mod tests {
         assert!(bit_eq(optimized.step_output(&replay, 1).unwrap(), &db));
     }
 
-    /// A 48×48 MinPlus adjacency with ~10% finite edges — far below
-    /// any op's predicted density crossover, and deliberately *not*
-    /// 2:4-compliant (every seventh row opens with three finite
-    /// entries) so promotion lands on CSR.
-    fn sparse_minplus_input() -> Matrix {
-        Matrix::from_fn(48, 48, |r, c| {
-            if (r * 31 + c * 17) % 10 == 0 || (r % 7 == 0 && c < 3) {
-                1.0 + ((r + c) % 7) as f32
-            } else {
-                f32::INFINITY
-            }
-        })
-    }
-
-    #[test]
-    fn density_lowering_promotes_cold_inputs_and_preserves_bits() {
-        let op = OpKind::MinPlus;
-        let a = sparse_minplus_input();
-        let b = gen::random_operands_for(op, 48, 48, 11);
-        let c = Matrix::filled(48, 48, op.reduce_identity_f32());
-        let mut be = TiledBackend::new();
-        let mut rec = PlanBuilder::over(&mut be);
-        let d0 = rec.mmo(op, &a, &b, &c).unwrap();
-        let d1 = rec.mmo(op, &d0, &b, &c).unwrap();
-        let plan = rec.finish();
-        let standard = PassPipeline::standard().run(plan.clone());
-        let optimized = PassPipeline::sparse().run(plan);
-        assert_eq!(optimized.report().slots_relowered, 1, "only A is cold");
-        assert!(optimized.report().changed());
-        assert!(optimized.plan().has_sparse_slots());
-        // Lowering is part of the plan's structure: the sparse pipeline
-        // produces a distinct cache identity.
-        assert_ne!(optimized.cache_key(), standard.cache_key());
-        // The promoted slot is A's, as a CSR over the op's no-edge.
-        let promoted: Vec<OperandRepr> = optimized
-            .plan()
-            .input_slots()
-            .into_iter()
-            .map(|s| optimized.plan().slot_repr(s))
-            .filter(|r| !r.is_dense())
-            .collect();
-        assert_eq!(promoted, vec![OperandRepr::csr(f32::INFINITY)]);
-        // The replay stays bit-identical to the eager recording on the
-        // dense-fallback backend.
-        let mut be = TiledBackend::new();
-        let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
-        assert!(bit_eq(optimized.step_output(&replay, 0).unwrap(), &d0));
-        assert!(bit_eq(optimized.final_output(&replay).unwrap(), &d1));
-    }
-
-    #[test]
-    fn density_lowering_prefers_structured_for_2_4_compliant_inputs() {
-        let op = OpKind::PlusMul;
-        // One nonzero per 8 columns: density 1/8, 2:4-compliant.
-        let a = Matrix::from_fn(48, 48, |r, c| {
-            if c % 8 == 0 {
-                1.0 + (r % 5) as f32
-            } else {
-                0.0
-            }
-        });
-        let b = gen::random_operands_for(op, 48, 48, 3);
-        let c = Matrix::filled(48, 48, op.reduce_identity_f32());
-        let mut be = TiledBackend::new();
-        let mut rec = PlanBuilder::over(&mut be);
-        let d0 = rec.mmo(op, &a, &b, &c).unwrap();
-        let optimized = PassPipeline::sparse().run(rec.finish());
-        assert_eq!(optimized.report().slots_relowered, 1);
-        let reprs: Vec<OperandRepr> = optimized
-            .plan()
-            .input_slots()
-            .into_iter()
-            .map(|s| optimized.plan().slot_repr(s))
-            .filter(|r| !r.is_dense())
-            .collect();
-        assert_eq!(reprs, vec![OperandRepr::structured(0.0)]);
-        let mut be = TiledBackend::new();
-        let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
-        assert!(bit_eq(optimized.final_output(&replay).unwrap(), &d0));
-    }
-
-    #[test]
-    fn density_lowering_declares_exactly_what_the_engine_row_walks() {
-        use rand::{Rng, SeedableRng};
-        use simd2_matrix::structured::prune_2_4;
-        use simd2_semiring::ALL_OPS;
-        // One-step plans, one operand at each density (`A` as it comes
-        // and pruned to 2:4; `B` over an output wide enough for a
-        // scatter to pay) against a full one, in every op's value
-        // domain: the pass shares the engine's predicate, so it declares
-        // a slot iff the engine row-walks the replayed step.
-        let (k, wide) = (48, 256);
-        let operand = |cols: usize, zero: f32, density: f64, seed| {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            Matrix::from_fn(k, cols, |_, _| {
-                if rng.gen_bool(density) {
-                    rng.gen_range(0.5..9.5)
-                } else {
-                    zero
-                }
-            })
-        };
-        let (mut walked, mut chained) = (0, 0);
-        for op in ALL_OPS {
-            let Some(zero) = op.no_edge_f32() else {
-                continue;
-            };
-            let full = operand(k, zero, 1.0, 1);
-            for (di, density) in [0.005, 0.01, 0.03, 0.06, 0.12, 0.25, 0.5, 0.9]
-                .into_iter()
-                .enumerate()
-            {
-                let sparse = operand(k, zero, density, 2 + di as u64);
-                let pruned = prune_2_4(&sparse, op);
-                let sparse_b = operand(wide, zero, density, 20 + di as u64);
-                for (a, b) in [(&sparse, &full), (&pruned, &full), (&full, &sparse_b)] {
-                    let c = Matrix::filled(k, b.cols(), op.reduce_identity_f32());
-                    let mut be = TiledBackend::new();
-                    let mut rec = PlanBuilder::over(&mut be);
-                    let eager = rec.mmo(op, a, b, &c).unwrap();
-                    let optimized = PassPipeline::sparse().run(rec.finish());
-                    let relowered = optimized.report().slots_relowered;
-                    let mut be = TiledBackend::new();
-                    let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
-                    let ctx = format!("{op} at {density}, n = {}", b.cols());
-                    assert!(
-                        bit_eq(optimized.final_output(&replay).unwrap(), &eager),
-                        "{ctx}"
-                    );
-                    assert_eq!(be.row_count().sparse_mmos, relowered as u64, "{ctx}");
-                    walked += relowered;
-                    chained += 1 - relowered;
-                }
-            }
-        }
-        assert!(
-            walked > 40 && chained > 40,
-            "{walked} walked, {chained} chained"
-        );
-    }
-
-    #[test]
-    fn density_lowering_never_touches_accumulator_reads_or_plusnorm() {
-        let op = OpKind::MinPlus;
-        let a = sparse_minplus_input();
-        let b = gen::random_operands_for(op, 48, 48, 5);
-        let x = gen::random_operands_for(op, 48, 48, 6);
-        let mut be = TiledBackend::new();
-        let mut rec = PlanBuilder::over(&mut be);
-        // `a` is read as A in step 0 and as the accumulator in step 1:
-        // it must stay dense even though its density is promotable.
-        rec.mmo(
-            op,
-            &a,
-            &b,
-            &Matrix::filled(48, 48, op.reduce_identity_f32()),
-        )
-        .unwrap();
-        rec.mmo(op, &x, &b, &a).unwrap();
-        let optimized = PassPipeline::sparse().run(rec.finish());
-        assert_eq!(optimized.report().slots_relowered, 0);
-        assert!(!optimized.plan().has_sparse_slots());
-        // PlusNorm has no annihilator: nothing promotes regardless of
-        // how many exact zeros the input holds.
-        let op = OpKind::PlusNorm;
-        let zeroed = Matrix::from_fn(48, 48, |r, c| if (r + c) % 9 == 0 { 2.0 } else { 0.0 });
-        let mut be = TiledBackend::new();
-        let mut rec = PlanBuilder::over(&mut be);
-        rec.mmo(
-            op,
-            &zeroed,
-            &gen::random_operands_for(op, 48, 48, 7),
-            &Matrix::filled(48, 48, op.reduce_identity_f32()),
-        )
-        .unwrap();
-        let optimized = PassPipeline::sparse().run(rec.finish());
-        assert_eq!(optimized.report().slots_relowered, 0);
-        assert!(!optimized.plan().has_sparse_slots());
-    }
-
-    #[test]
-    fn mixed_annihilator_readers_stay_dense() {
-        // `a` is sparse under +inf, but its two readers disagree on the
-        // no-edge sentinel (MinPlus: +inf, MaxPlus: -inf) — a single
-        // declaration cannot validate for both, so it stays dense.
-        let a = sparse_minplus_input();
-        let b = gen::random_operands_for(OpKind::MinPlus, 48, 48, 8);
-        let mut be = TiledBackend::new();
-        let mut rec = PlanBuilder::over(&mut be);
-        rec.mmo(
-            OpKind::MinPlus,
-            &a,
-            &b,
-            &Matrix::filled(48, 48, OpKind::MinPlus.reduce_identity_f32()),
-        )
-        .unwrap();
-        rec.mmo(
-            OpKind::MaxPlus,
-            &a,
-            &b,
-            &Matrix::filled(48, 48, OpKind::MaxPlus.reduce_identity_f32()),
-        )
-        .unwrap();
-        let optimized = PassPipeline::sparse().run(rec.finish());
-        assert_eq!(optimized.report().slots_relowered, 0);
-        assert!(!optimized.plan().has_sparse_slots());
-    }
-
     #[test]
     fn sparse_pipeline_is_identity_on_dense_plans() {
-        // Fully dense inputs sit above every crossover: the sparse
-        // pipeline must keep the standard pipeline's cache identity, so
-        // callers opting in pay nothing on dense workloads.
+        // The sparse pipeline is the standard one: same report, same
+        // cache identity.
         let (plan, _) = record_with_duplicate(OpKind::MinPlus);
         let standard = PassPipeline::standard().run(plan.clone());
         let sparse = PassPipeline::sparse().run(plan);

@@ -336,7 +336,7 @@ impl<B: Backend> ResilientBackend<B> {
     }
 
     /// One verified execution attempt of `step` on the inner backend
-    /// under `schedule`, its declared representations riding along.
+    /// under `schedule`.
     fn attempt(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
         let MmoArgs { op, a, b, c, .. } = *step;
         let d = self.inner.execute(step, schedule)?;
@@ -471,11 +471,11 @@ impl<B: Backend> Backend for ResilientBackend<B> {
         self.inner.precision()
     }
 
-    /// The step goes through the full verified ladder, its declared
-    /// representations riding through every inner attempt (so a sparse
-    /// plan replayed under resilience still takes its sparse datapath);
+    /// The step goes through the full verified ladder, every inner
+    /// attempt on the wrapped backend (so a sparse step replayed under
+    /// resilience still takes the row walk the engine measures for it);
     /// only the reference fallback runs dense — bit-identical by the
-    /// repr contract.
+    /// one-reduction contract.
     fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
         self.recover(step, schedule)
     }

@@ -14,7 +14,6 @@ use simd2_semiring::OpKind;
 
 use crate::backend::OpCount;
 use crate::error::BackendError;
-use crate::repr::{self, MatrixRef, OperandRepr};
 
 /// Validates the operands of one `D = C ⊕ (A ⊗ B)` operation — the single
 /// shape/op gate every backend ([`ReferenceBackend`](crate::ReferenceBackend),
@@ -35,90 +34,6 @@ pub fn check_mmo_operands(
     let _ = op; // every op shares the mmo geometry; kept for future
                 // op-specific domain checks (and a uniform signature).
     reference::check_mmo_shapes(a, b, c)?;
-    Ok(())
-}
-
-/// Validates the operands *and representation declarations* of one
-/// `D = C ⊕ (A ⊗ B)` operation — the gate behind
-/// [`Backend::mmo_ref`](crate::Backend::mmo_ref), run by every backend
-/// (representation-aware or not) so invalid declarations are rejected
-/// with the same [`BackendError::Repr`] everywhere.
-///
-/// A sparse declaration is only a *schedule* hint — it must never change
-/// the answer — so it validates only when skipping stored-zero terms is
-/// a bit-exact no-op:
-///
-/// * the operation must have a no-edge annihilator
-///   ([`OpKind::no_edge_f32`]; `PlusNorm` has none and admits no sparse
-///   lowering),
-/// * the declared zero sentinel must equal that annihilator (and in
-///   particular cannot be NaN),
-/// * a [`OperandRepr::Structured24`] operand must actually satisfy the
-///   2:4 constraint ([`repr::is_2_4_compliant`]),
-/// * the accumulator `C` must stay dense — it seeds every output
-///   element, so it has no skippable terms.
-///
-/// # Errors
-///
-/// [`BackendError::Shape`] as [`check_mmo_operands`], and
-/// [`BackendError::Repr`] for an invalid declaration.
-pub fn check_mmo_operands_ref(
-    op: OpKind,
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    c: MatrixRef<'_>,
-) -> Result<(), BackendError> {
-    check_mmo_operands(op, a.matrix, b.matrix, c.matrix)?;
-    if !c.repr.is_dense() {
-        return Err(BackendError::Repr {
-            op,
-            operand: "C",
-            reason: format!(
-                "accumulator must stay dense, got {} declaration",
-                c.repr.name()
-            ),
-        });
-    }
-    for (name, operand) in [("A", a), ("B", b)] {
-        check_operand_repr(op, name, operand)?;
-    }
-    Ok(())
-}
-
-/// Validates one non-accumulator operand's representation declaration.
-fn check_operand_repr(
-    op: OpKind,
-    name: &'static str,
-    operand: MatrixRef<'_>,
-) -> Result<(), BackendError> {
-    let Some(zero) = operand.repr.zero() else {
-        return Ok(()); // dense: nothing to check
-    };
-    let err = |reason: String| {
-        Err(BackendError::Repr {
-            op,
-            operand: name,
-            reason,
-        })
-    };
-    let Some(no_edge) = op.no_edge_f32() else {
-        return err(format!(
-            "{op} has no no-edge annihilator, so no sparse lowering exists"
-        ));
-    };
-    if zero.is_nan() {
-        return err("zero sentinel must not be NaN".to_string());
-    }
-    if zero != no_edge {
-        return err(format!(
-            "zero sentinel {zero} does not equal the {op} no-edge value {no_edge}"
-        ));
-    }
-    if matches!(operand.repr, OperandRepr::Structured24 { .. })
-        && !repr::is_2_4_compliant(operand.matrix, zero)
-    {
-        return err("operand does not satisfy the 2:4 structured constraint".to_string());
-    }
     Ok(())
 }
 
@@ -264,104 +179,6 @@ mod tests {
         for op in simd2_semiring::ALL_OPS {
             assert!(check_mmo_operands(op, &a, &b, &c).is_ok(), "{op}");
         }
-    }
-
-    #[test]
-    fn repr_declarations_are_gated_on_the_ops_annihilator() {
-        let a = Matrix::zeros(4, 6);
-        let b = Matrix::zeros(6, 5);
-        let c = Matrix::zeros(4, 5);
-        // A dense triple passes for every op through the ref gate too.
-        for op in simd2_semiring::ALL_OPS {
-            assert!(check_mmo_operands_ref(
-                op,
-                MatrixRef::dense(&a),
-                MatrixRef::dense(&b),
-                MatrixRef::dense(&c)
-            )
-            .is_ok());
-        }
-        // The matching no-edge sentinel validates…
-        let csr = OperandRepr::csr_for(OpKind::MinPlus).unwrap();
-        assert!(check_mmo_operands_ref(
-            OpKind::MinPlus,
-            MatrixRef::new(&a, csr),
-            MatrixRef::dense(&b),
-            MatrixRef::dense(&c)
-        )
-        .is_ok());
-        // …a mismatched one is rejected…
-        let wrong = OperandRepr::csr(0.0);
-        let e = check_mmo_operands_ref(
-            OpKind::MinPlus,
-            MatrixRef::new(&a, wrong),
-            MatrixRef::dense(&b),
-            MatrixRef::dense(&c),
-        )
-        .unwrap_err();
-        assert!(matches!(e, BackendError::Repr { operand: "A", .. }), "{e}");
-        // …NaN sentinels are rejected…
-        let nan = OperandRepr::csr(f32::NAN);
-        assert!(check_mmo_operands_ref(
-            OpKind::MinPlus,
-            MatrixRef::dense(&a),
-            MatrixRef::new(&b, nan),
-            MatrixRef::dense(&c)
-        )
-        .is_err());
-        // …PlusNorm admits no sparse lowering at all…
-        assert!(check_mmo_operands_ref(
-            OpKind::PlusNorm,
-            MatrixRef::new(&a, OperandRepr::csr(0.0)),
-            MatrixRef::dense(&b),
-            MatrixRef::dense(&c)
-        )
-        .is_err());
-        // …and the accumulator must stay dense.
-        let e = check_mmo_operands_ref(
-            OpKind::MinPlus,
-            MatrixRef::dense(&a),
-            MatrixRef::dense(&b),
-            MatrixRef::new(&c, csr),
-        )
-        .unwrap_err();
-        assert!(matches!(e, BackendError::Repr { operand: "C", .. }));
-    }
-
-    #[test]
-    fn structured_declarations_require_2_4_compliance() {
-        // Three non-zeros in the first aligned group of four: violates 2:4.
-        let bad = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 0.0], &[0.0; 4]]);
-        let good = Matrix::from_rows(&[&[1.0, 2.0, 0.0, 0.0], &[0.0; 4]]);
-        let b = Matrix::zeros(4, 3);
-        let c = Matrix::zeros(2, 3);
-        let st = OperandRepr::structured_for(OpKind::PlusMul).unwrap();
-        assert!(check_mmo_operands_ref(
-            OpKind::PlusMul,
-            MatrixRef::new(&good, st),
-            MatrixRef::dense(&b),
-            MatrixRef::dense(&c)
-        )
-        .is_ok());
-        let e = check_mmo_operands_ref(
-            OpKind::PlusMul,
-            MatrixRef::new(&bad, st),
-            MatrixRef::dense(&b),
-            MatrixRef::dense(&c),
-        )
-        .unwrap_err();
-        assert!(e.to_string().contains("2:4"), "{e}");
-        // Shape errors still win over repr errors (same gate order as
-        // the dense path).
-        let misshapen = Matrix::zeros(5, 3);
-        let e = check_mmo_operands_ref(
-            OpKind::PlusMul,
-            MatrixRef::new(&bad, st),
-            MatrixRef::dense(&misshapen),
-            MatrixRef::dense(&c),
-        )
-        .unwrap_err();
-        assert!(matches!(e, BackendError::Shape(_)));
     }
 
     #[test]

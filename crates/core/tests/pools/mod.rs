@@ -31,7 +31,7 @@ pub(crate) fn operand(
     })
 }
 
-/// What the declaration and fold-order differentials sprinkle over
+/// What the walk and fold-order differentials sprinkle over
 /// otherwise in-domain operands (positive and finite), pool by pool:
 /// nothing; signed values and `±0.0`; `±∞` and a value that is finite in
 /// `f32` but rounds to `∞` in fp16; NaNs of both signs. All but the first
@@ -47,7 +47,8 @@ pub(crate) fn specials(pool: usize) -> &'static [f32] {
     }
 }
 
-// `Blocks` and `block_sparse` are `tests/fold_order.rs`' alone; the other
+// `Blocks` and `block_sparse` are `tests/fold_order.rs`' and the engine's
+// walk-or-chain sweep's (`src/backend/rows.rs`); the other
 // suites that include this file leave them unused.
 
 /// Which whole tiles of the engine's 16×16 grid [`block_sparse`] blanks.

@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use simd2::{
-    Backend, Parallelism, Plan, PlanBuilder, PlanExecutor, ReferenceBackend, TiledBackend,
+    Backend, MatrixRef, OperandRepr, Parallelism, Plan, PlanBuilder, PlanExecutor,
+    ReferenceBackend, TiledBackend,
 };
 use simd2_matrix::Matrix;
 use simd2_semiring::{OpKind, ALL_OPS};
@@ -85,7 +86,8 @@ proptest! {
 
     /// fp16 tiled lowering: record == eager, sequential replay == eager,
     /// replay over workers {1, 2, 4, 8} == eager — bit for bit, counters
-    /// exact — over all nine ops × non-square shapes.
+    /// exact — over all nine ops × non-square shapes; and a recording
+    /// that declares its operands keys like one that does not.
     #[test]
     fn tiled_replay_is_bit_identical_to_eager_mmo(
         op in op_strategy(),
@@ -105,6 +107,19 @@ proptest! {
         assert_bits_equal(&eager, &recorded, "recording");
         prop_assert_eq!(rec_be.op_count(), eager_count, "recording counters");
         prop_assert_eq!(plan.step_count(), 1);
+        // A declaration is not part of a plan: the step recorded with
+        // `A` and `B` declared CSR keys exactly as the undeclared one.
+        if let Some(csr) = OperandRepr::csr_for(op) {
+            let mut declared_be = TiledBackend::new();
+            let mut rec = PlanBuilder::over(&mut declared_be);
+            let declared = rec
+                .mmo_ref(op, MatrixRef::new(&a, csr), MatrixRef::new(&b, csr), MatrixRef::dense(&c))
+                .unwrap();
+            assert_bits_equal(&eager, &declared, "declared recording");
+            let declared_plan = rec.finish();
+            prop_assert_eq!(declared_plan.structural_hash(), plan.structural_hash());
+            prop_assert_eq!(declared_plan.cache_key(), plan.cache_key());
+        }
 
         let mut seq_be = TiledBackend::new();
         let seq = PlanExecutor::new().run(&plan, &mut seq_be).unwrap();

@@ -1,16 +1,18 @@
-//! Declarations are hints: the engine's walks against the reference.
+//! The engine's walks against the reference.
 //!
-//! Every way of declaring one MMO to [`TiledBackend`] — `A` dense / CSR
-//! / 2:4, `B` dense / CSR, fp32 / fp16 / int8 operands, 1 / 2 / 4 / 8
-//! workers — must produce the bits of [`reference::mmo`]: on the
-//! operands themselves at full precision, on their scalar-quantised
-//! (`quantize_f16`, `quantize_int8`) images at reduced precision, which
-//! is by definition what the scalar leaf computes — and the `OpCount` of
-//! the same step with every declaration stripped, whichever walk the
-//! engine picked. Which it picked is pinned through [`RowCount`] on both
-//! sides of each walk-or-chain bound. Output widths straddle the vector
-//! and strip boundaries (1, 15, 17, 63, 64, 65, 130) and `k` straddles
-//! the sweep's `B` block.
+//! Every MMO [`TiledBackend`] runs — whichever walk it measures the
+//! operands for: the tile chain, or a row walk over a sparse, 2:4 or
+//! dense `A` and a swept or scattered `B` — at fp32 / fp16 / int8
+//! operands and 1 / 2 / 4 / 8 workers, must produce the bits of
+//! [`reference::mmo`]: on the operands themselves at full precision, on
+//! their scalar-quantised (`quantize_f16`, `quantize_int8`) images at
+//! reduced precision, which is by definition what the scalar leaf
+//! computes — and the `OpCount` of the same step on the forced tile
+//! chain (`pools/chain.rs`), whichever walk the engine picked. Which it
+//! picked is pinned through [`RowCount`] where the operands are clear
+//! of every walk-or-chain bound. Output widths straddle the vector and
+//! strip boundaries (1, 15, 17, 63, 64, 65, 130) and `k` straddles the
+//! sweep's `B` block.
 //!
 //! The engine declines a walk that would not pay, so this suite cannot
 //! force a row kernel at an arbitrary density: the kernel-level
@@ -20,9 +22,9 @@
 //! Operands carry the hostile values each op's annihilator contract
 //! admits (see `pools/hostile.rs`): stored `±0.0`, `±∞`, NaN payloads,
 //! values that underflow to zero in fp16. The values it does *not*
-//! admit — the ones that make the engine walk a declared operand dense,
-//! or hand the whole step back to the tile chain — are the second
-//! property's (see [`specials`]): there a declaration must not move a bit
+//! admit — the ones that make the engine walk an operand whole, or hand
+//! the whole step back to the tile chain — are the second property's
+//! (see [`specials`]): there the engine's pick must not move a bit
 //! whatever the operands — and the accumulator the fold is seeded with —
 //! hold. `scripts/verify.sh --full` runs this suite on the detected ISA
 //! and again under `SIMD2_FORCE_SCALAR`.
@@ -30,9 +32,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simd2::{
-    Backend, MatrixRef, OperandRepr, Parallelism, ReferenceBackend, RowCount, TiledBackend,
-};
+use simd2::{Backend, Parallelism, ReferenceBackend, RowCount, TiledBackend};
 use simd2_matrix::{reference, Matrix};
 use simd2_mxu::PrecisionMode::{self, Fp16Input, Fp32Input, Int8Input};
 use simd2_mxu::Simd2Unit;
@@ -40,9 +40,12 @@ use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::simd::same_bits;
 use simd2_semiring::{OpKind, ALL_OPS};
 
+#[path = "pools/chain.rs"]
+mod chain;
 #[path = "pools/hostile.rs"]
 mod hostile;
 mod pools;
+use chain::ChainOnly;
 use hostile::{bits, hostile, quantized, structure_2_4};
 use pools::{operand, specials};
 
@@ -60,37 +63,37 @@ const B_DENSITIES: [f64; 5] = [0.005, 0.03, 0.05, 0.09, 0.6];
 /// its counters.
 fn run(
     op: OpKind,
-    (a, ra): (&Matrix, OperandRepr),
-    (b, rb): (&Matrix, OperandRepr),
+    a: &Matrix,
+    b: &Matrix,
     c: &Matrix,
     precision: PrecisionMode,
     workers: usize,
 ) -> (Matrix, TiledBackend) {
     let mut be = TiledBackend::with_unit(Simd2Unit::with_precision(precision));
     be.set_parallelism(Parallelism::Threads(workers));
-    let d = be
-        .mmo_ref(
-            op,
-            MatrixRef::new(a, ra),
-            MatrixRef::new(b, rb),
-            MatrixRef::dense(c),
-        )
-        .unwrap_or_else(|e| panic!("{op} {}×{}: {e}", ra.name(), rb.name()));
+    let d = be.mmo(op, a, b, c).unwrap_or_else(|e| panic!("{op}: {e}"));
     (d, be)
 }
 
-/// `Some(x < lo)` where `x` is clear of the band `lo..=hi` a bound sits
-/// in, `None` inside it.
-fn clear_of(x: f64, lo: f64, hi: f64) -> Option<bool> {
-    (x < lo || x > hi).then_some(x < lo)
+/// The same MMO on the forced tile chain, on one thread.
+fn chain(
+    op: OpKind,
+    a: &Matrix,
+    b: &Matrix,
+    c: &Matrix,
+    precision: PrecisionMode,
+) -> (Matrix, TiledBackend<ChainOnly>) {
+    let mut be = TiledBackend::with_unit(ChainOnly(Simd2Unit::with_precision(precision)));
+    let d = be.mmo(op, a, b, c).unwrap_or_else(|e| panic!("{op}: {e}"));
+    (d, be)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The whole declaration × precision × worker matrix against the
-    /// reference and the stripped step, with the engine's pick pinned
-    /// and exact, worker-invariant term accounting.
+    /// The whole operand × precision × worker matrix against the
+    /// reference and the forced chain, with the engine's pick pinned
+    /// where it is clear and exact, worker-invariant term accounting.
     #[test]
     fn every_walk_and_kernel_matches_the_reference(
         op_idx in 0usize..ALL_OPS.len(),
@@ -105,50 +108,34 @@ proptest! {
         let (k, n) = (DEPTHS[k_idx], WIDTHS[n_idx]);
         let a_density = A_DENSITIES[a_density_idx];
         let b_density = B_DENSITIES[b_density_idx];
-        let zero = op.no_edge_f32();
-        let fill = zero.unwrap_or(0.0);
+        let fill = op.no_edge_f32().unwrap_or(0.0);
         let pool = hostile(op);
         let a = operand(&pool, m, k, fill, a_density, seed);
         let a24 = structure_2_4(&a, fill, seed ^ 0x24);
         let b = operand(&pool, k, n, fill, b_density, seed ^ 0xB);
         let c = operand(&pool, m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
 
-        // Plus-norm has no annihilator: only the all-dense declaration
-        // is legal, and it must still match the reference.
-        let dense = OperandRepr::Dense;
-        let mut legs = vec![(&a, dense, dense)];
-        if let Some(z) = zero {
-            let (csr, s24) = (OperandRepr::csr(z), OperandRepr::structured(z));
-            legs.extend([
-                (&a, dense, csr),
-                (&a, csr, dense),
-                (&a, csr, csr),
-                (&a24, s24, dense),
-                (&a24, s24, csr),
-            ]);
-        }
         for precision in [Fp32Input, Fp16Input, Int8Input] {
             let oracle = |a: &Matrix| {
                 let (a, b) = (quantized(a, precision), quantized(&b, precision));
                 reference::mmo(op, &a, &b, &c).unwrap()
             };
-            let (want, want24) = (bits(&oracle(&a)), bits(&oracle(&a24)));
-            for &(am, ra, rb) in &legs {
-                let want = if std::ptr::eq(am, &a) { &want } else { &want24 };
-                let (_, stripped) = run(op, (am, dense), (&b, dense), &c, precision, 1);
-                let (_, seq) = run(op, (am, ra), (&b, rb), &c, precision, 1);
+            for am in [&a, &a24] {
+                let want = bits(&oracle(am));
+                let (_, chained) = chain(op, am, &b, &c, precision);
+                let (_, seq) = run(op, am, &b, &c, precision, 1);
                 let seq_count = seq.row_count();
                 for workers in [1usize, 2, 4, 8] {
-                    let (got, be) = run(op, (am, ra), (&b, rb), &c, precision, workers);
+                    let (got, be) = run(op, am, &b, &c, precision, workers);
                     prop_assert_eq!(
-                        &bits(&got), want,
-                        "{} {}x{} {}x{}x{} {:?} workers={} a_d={} b_d={}",
-                        op, ra.name(), rb.name(), m, n, k, precision, workers, a_density, b_density
+                        &bits(&got), &want,
+                        "{} {}x{}x{} {:?} workers={} a_d={} b_d={}",
+                        op, m, n, k, precision, workers, a_density, b_density
                     );
-                    // A declaration is a hint: the stripped step's
+                    // The walk is the engine's business: the chain's
                     // `OpCount`. Panel-order merge: term counters are
                     // exact, whatever the worker count.
-                    prop_assert_eq!(be.op_count(), stripped.op_count(), "{} workers={}", op, workers);
+                    prop_assert_eq!(be.op_count(), chained.op_count(), "{} workers={}", op, workers);
                     prop_assert_eq!(be.row_count(), seq_count, "{} workers={}", op, workers);
                 }
                 // A row-walked step's folded + skipped terms tile m·n·k;
@@ -157,7 +144,7 @@ proptest! {
                 if walked {
                     prop_assert_eq!(
                         seq_count.fma_terms + seq_count.skipped_terms, (m * n * k) as u64,
-                        "{} {}x{}: folded + skipped terms tile m·n·k", op, ra.name(), rb.name()
+                        "{}: folded + skipped terms tile m·n·k", op
                     );
                 } else {
                     prop_assert_eq!(seq_count, RowCount::default(), "{} tile chain", op);
@@ -165,35 +152,28 @@ proptest! {
                 // Quantising after compression: which terms are stored —
                 // hence the pick — does not depend on the precision.
                 if precision != Fp32Input {
-                    let (_, full) = run(op, (am, ra), (&b, rb), &c, Fp32Input, 1);
+                    let (_, full) = run(op, am, &b, &c, Fp32Input, 1);
                     prop_assert_eq!(seq_count, full.row_count(), "{}", op);
                 }
-                // The pick, from the fraction each declaration stores
-                // (these pools stay inside every op's value domain):
-                // a sweep pays under a sparse enough `A`; a `B` sparse
-                // enough to scatter is scattered under such an `A`, or
-                // when few enough terms — lookups of the `B` rows that
-                // store something counted in — are left. Fractions
-                // inside a bound's band pin nothing.
-                let stored = |m: &Matrix, r: OperandRepr, f: fn(&Matrix, f32) -> f64| {
-                    if r.is_dense() { 1.0 } else { f(m, fill) }
-                };
-                let (fa, fb) = (stored(am, ra, simd2::repr::density), stored(&b, rb, simd2::repr::density));
-                let rows_b = stored(&b, rb, simd2::repr::occupied_rows);
-                let or_and = op == OpKind::OrAnd;
-                let sweep_pays = if or_and { clear_of(fa, 0.06, 0.08) } else { clear_of(fa, 0.35, 0.45) };
-                let scatterable = clear_of(fb, 0.06, 0.08);
-                let terms = fa * (fb + rows_b * 3.0 / n as f64);
-                let few_terms = if or_and { clear_of(terms, 0.008, 0.014) } else { clear_of(terms, 0.022, 0.038) };
-                if let (Some(sweep_pays), Some(scatterable), Some(few_terms)) = (sweep_pays, scatterable, few_terms) {
-                    let ctx = format!("{op} {}x{} stored {fa} x {fb}", ra.name(), rb.name());
-                    prop_assert_eq!(walked, sweep_pays || (scatterable && few_terms), "{}", ctx);
-                    let swept = walked && !rb.is_dense() && !scatterable;
-                    prop_assert_eq!(seq_count.swept_b_mmos, u64::from(swept), "{}", ctx);
+                // The pick where the operands are clear of every bound
+                // (these pools stay inside every op's value domain): two
+                // operands too dense for any walk to skip go to the
+                // chain; a hundredth-full `A` over whole tile rows and a
+                // deep `k` leaves the chain few pairs to leave out, and
+                // walks.
+                let stored = |m: &Matrix| simd2::repr::density(m, fill);
+                let ctx = format!("{op} stored {} x {}", stored(am), stored(&b));
+                if stored(am) > 0.5 && stored(&b) > 0.08 {
+                    prop_assert!(!walked, "{}", ctx);
                 }
-                if walked && rb.is_dense() {
+                let clearly_sparse = stored(am) <= 0.02 && stored(&b) >= 0.5 && m.is_multiple_of(16) && k >= 127;
+                if op != OpKind::PlusNorm && clearly_sparse {
+                    prop_assert!(walked, "{}", ctx);
+                }
+                if walked && seq_count.swept_b_mmos == 1 {
                     let walk_terms = am.as_slice().iter().filter(|&&x| x != fill).count() as u64;
-                    prop_assert_eq!(seq_count.fma_terms, walk_terms * n as u64, "{}", op);
+                    let a_terms = if seq_count.skipped_terms > 0 { walk_terms } else { (m * k) as u64 };
+                    prop_assert_eq!(seq_count.fma_terms, a_terms * n as u64, "{}", op);
                 }
             }
         }
@@ -228,10 +208,7 @@ fn negative_max_mul_entries_get_the_zero_correction() {
         });
         let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(0.5f32..9.5));
         let c = Matrix::filled(9, n, f32::NEG_INFINITY);
-        for (a, ra) in [
-            (&a_csr, OperandRepr::csr(0.0)),
-            (&a_24, OperandRepr::structured(0.0)),
-        ] {
+        for a in [&a_csr, &a_24] {
             let want = reference::mmo(op, a, &b, &c).unwrap();
             assert_eq!(
                 want.row(0).iter().all(|&x| x < 0.0),
@@ -242,9 +219,13 @@ fn negative_max_mul_entries_get_the_zero_correction() {
                 let (qa, qb) = (quantized(a, precision), quantized(&b, precision));
                 let want = reference::mmo(op, &qa, &qb, &c).unwrap();
                 for workers in [1, 2] {
-                    let dense = (&b, OperandRepr::Dense);
-                    let (got, _) = run(op, (a, ra), dense, &c, precision, workers);
-                    assert_eq!(bits(&got), bits(&want), "{} n={n} k={k}", ra.name());
+                    let (got, _) = run(op, a, &b, &c, precision, workers);
+                    let pattern = if std::ptr::eq(a, &a_csr) {
+                        "sparse"
+                    } else {
+                        "2:4"
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{pattern} n={n} k={k}");
                 }
             }
         }
@@ -262,20 +243,20 @@ fn fp16_underflow_keeps_a_stored_term_stored() {
     assert_eq!(quantize_f16(tiny), 0.0);
     // One full row of tiny negatives — nothing of it is skipped, so its
     // dense fold never sees a `+0.0`: at reduced precision every product
-    // is `-0.0` — over three empty ones that keep `A` sparse enough to
-    // walk.
-    let a = Matrix::from_fn(4, 8, |r, _| if r == 0 { -tiny } else { 0.0 });
+    // is `-0.0` — under three empty ones that keep `A` sparse enough to
+    // walk (a first row that full would have told the sample `A` is
+    // dense).
+    let a = Matrix::from_fn(4, 8, |r, _| if r == 3 { -tiny } else { 0.0 });
     let b = Matrix::filled(8, 20, 2.0);
     let c = Matrix::filled(4, 20, f32::NEG_INFINITY);
     for op in [OpKind::MaxMul, OpKind::PlusMul] {
-        let csr = OperandRepr::csr(0.0);
         let (qa, qb) = (quantized(&a, Fp16Input), quantized(&b, Fp16Input));
         let want = reference::mmo(op, &qa, &qb, &c).unwrap();
-        let (got, reduced) = run(op, (&a, csr), (&b, csr), &c, Fp16Input, 1);
+        let (got, reduced) = run(op, &a, &b, &c, Fp16Input, 1);
         assert_eq!(bits(&got), bits(&want), "{op}");
-        let (_, full) = run(op, (&a, csr), (&b, csr), &c, Fp32Input, 1);
+        let (_, full) = run(op, &a, &b, &c, Fp32Input, 1);
         assert_eq!(reduced.row_count(), full.row_count(), "{op}");
-        // Row 0's eight entries are folded against all twenty columns.
+        // Row 3's eight entries are folded against all twenty columns.
         let walked = u64::from(op == OpKind::PlusMul);
         assert_eq!(reduced.row_count().sparse_mmos, walked, "{op}");
         assert_eq!(reduced.row_count().fma_terms, walked * 8 * 20, "{op}");
@@ -285,10 +266,10 @@ fn fp16_underflow_keeps_a_stored_term_stored() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// A declaration is a hint on *every* operand value, not only on the
-    /// op's value domain: each sparse declaration returns the bits of the
-    /// all-dense one (the tile chain), and at full precision those of
-    /// `ReferenceBackend`.
+    /// The engine's pick is a schedule, never a semantic change, on
+    /// *every* operand value, not only on the op's value domain: each
+    /// step returns the bits of the forced tile chain, and at full
+    /// precision those of `ReferenceBackend`.
     #[test]
     fn declarations_never_change_bits(
         op_idx in 0usize..ALL_OPS.len() - 1,
@@ -300,7 +281,7 @@ proptest! {
         sparse_b in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // Plus-norm has no annihilator, hence nothing to declare.
+        // Plus-norm has no annihilator, hence nothing to skip.
         let annihilating = ALL_OPS.into_iter().filter(|op| op.no_edge_f32().is_some());
         let op = annihilating.clone().nth(op_idx).unwrap();
         prop_assert_eq!(annihilating.count(), ALL_OPS.len() - 1);
@@ -314,28 +295,19 @@ proptest! {
         let a24 = structure_2_4(&a, zero, seed ^ 0x24);
         let b = operand(specials(pool), k, n, zero, b_density, seed ^ 0xB);
         let c = operand(specials(pool), m, n, op.reduce_identity_f32(), 0.7, seed ^ 0xC);
-        let (csr, s24) = (OperandRepr::csr(zero), OperandRepr::structured(zero));
-        let legs = [
-            (&a, csr, OperandRepr::Dense),
-            (&a, OperandRepr::Dense, csr),
-            (&a, csr, csr),
-            (&a24, s24, OperandRepr::Dense),
-        ];
         for precision in [Fp32Input, Fp16Input, Int8Input] {
-            for (am, ra, rb) in legs {
-                let dense = OperandRepr::Dense;
-                let (want, _) = run(op, (am, dense), (&b, dense), &c, precision, 1);
+            for am in [&a, &a24] {
+                let (want, _) = chain(op, am, &b, &c, precision);
                 for workers in [1usize, 3] {
-                    let (got, _) = run(op, (am, ra), (&b, rb), &c, precision, workers);
-                    // Two kernels since the dense declaration became the
-                    // tile chain: exact bits, and in optimised builds
+                    let (got, _) = run(op, am, &b, &c, precision, workers);
+                    // Two kernels: exact bits, and in optimised builds
                     // NaN-ness for two NaNs (`same_bits`; the pools put
                     // NaNs of both signs into one `+` reduction).
                     let mut pairs = got.as_slice().iter().zip(want.as_slice());
                     prop_assert!(
                         pairs.all(|(&x, &y)| same_bits(x, y)),
-                        "{} pool {} {}x{} {}x{}x{} {:?} workers={}",
-                        op, pool, ra.name(), rb.name(), m, n, k, precision, workers
+                        "{} pool {} {}x{}x{} {:?} workers={}",
+                        op, pool, m, n, k, precision, workers
                     );
                 }
                 if precision == Fp32Input {
@@ -343,7 +315,7 @@ proptest! {
                     let agree = want.as_slice().iter().zip(oracle.as_slice());
                     prop_assert!(
                         agree.clone().all(|(&x, &y)| same_bits(x, y)),
-                        "{} pool {} {}x{}x{}: dense declaration vs reference", op, pool, m, n, k
+                        "{} pool {} {}x{}x{}: chain vs reference", op, pool, m, n, k
                     );
                 }
             }
@@ -351,23 +323,21 @@ proptest! {
     }
 }
 
-/// One 1×1×1 MMO with `A` CSR-declared over `op`'s annihilator: the
-/// declared result, which must equal the dense declaration's and the
+/// One 1×1×1 MMO whose `A` is `op`'s annihilator, as the engine picks
+/// its walk: the result, which must equal the forced chain's and the
 /// reference's.
-fn declared_1x1(op: OpKind, a: f32, b: f32, c: f32) -> f32 {
+fn annihilator_1x1(op: OpKind, a: f32, b: f32, c: f32) -> f32 {
     let (a, b, c) = (
         Matrix::filled(1, 1, a),
         Matrix::filled(1, 1, b),
         Matrix::filled(1, 1, c),
     );
-    let csr = OperandRepr::csr(op.no_edge_f32().unwrap());
-    let dense = OperandRepr::Dense;
-    let (got, _) = run(op, (&a, csr), (&b, dense), &c, Fp32Input, 1);
-    let (want, _) = run(op, (&a, dense), (&b, dense), &c, Fp32Input, 1);
+    let (got, _) = run(op, &a, &b, &c, Fp32Input, 1);
+    let (want, _) = chain(op, &a, &b, &c, Fp32Input);
     let oracle = ReferenceBackend::new().mmo(op, &a, &b, &c).unwrap();
     assert!(
         same_bits(got[(0, 0)], want[(0, 0)]) && same_bits(got[(0, 0)], oracle[(0, 0)]),
-        "{op}: declared {:e}, dense {:e}, reference {:e}",
+        "{op}: engine {:e}, chain {:e}, reference {:e}",
         got[(0, 0)],
         want[(0, 0)],
         oracle[(0, 0)]
@@ -378,27 +348,30 @@ fn declared_1x1(op: OpKind, a: f32, b: f32, c: f32) -> f32 {
 #[test]
 fn min_mul_folds_its_annihilator_against_a_negative_factor() {
     // `+∞ × −1 = −∞` wins the min: the term is not skippable.
-    let d = declared_1x1(OpKind::MinMul, f32::INFINITY, -1.0, 0.5);
+    let d = annihilator_1x1(OpKind::MinMul, f32::INFINITY, -1.0, 0.5);
     assert_eq!(d, f32::NEG_INFINITY);
 }
 
 #[test]
 fn plus_mul_folds_its_annihilator_against_an_infinite_factor() {
     // `0 × ∞` is NaN and `+` propagates it.
-    assert!(declared_1x1(OpKind::PlusMul, 0.0, f32::INFINITY, 1.0).is_nan());
+    assert!(annihilator_1x1(OpKind::PlusMul, 0.0, f32::INFINITY, 1.0).is_nan());
 }
 
 #[test]
 fn max_mul_folds_its_annihilator_against_a_negative_factor() {
     // `0 × −1 = −0.0`, not the `+0.0` of the end correction.
-    let d = declared_1x1(OpKind::MaxMul, 0.0, -1.0, -2.0);
+    let d = annihilator_1x1(OpKind::MaxMul, 0.0, -1.0, -2.0);
     assert_eq!(d.to_bits(), (-0.0f32).to_bits());
 }
 
 #[test]
 fn max_mul_folds_its_annihilator_against_an_infinite_factor() {
     // `0 × ∞` is NaN, which max drops: nothing lifts `C` to `0.0`.
-    assert_eq!(declared_1x1(OpKind::MaxMul, 0.0, f32::INFINITY, -2.0), -2.0);
+    assert_eq!(
+        annihilator_1x1(OpKind::MaxMul, 0.0, f32::INFINITY, -2.0),
+        -2.0
+    );
 }
 
 /// A negative stored max-mul entry against a zero makes a `−0.0` product,
@@ -410,9 +383,8 @@ fn max_mul_keeps_the_order_of_a_signed_zero_tie() {
     let a = Matrix::from_rows(&[&[0.0, -1.5]]);
     let b = Matrix::from_rows(&[&[1.5], &[0.0]]);
     let c = Matrix::filled(1, 1, -1.5);
-    let (dense, csr) = (OperandRepr::Dense, OperandRepr::csr(0.0));
-    let (want, _) = run(op, (&a, dense), (&b, dense), &c, Fp32Input, 1);
-    let (got, _) = run(op, (&a, csr), (&b, dense), &c, Fp32Input, 1);
+    let (want, _) = chain(op, &a, &b, &c, Fp32Input);
+    let (got, _) = run(op, &a, &b, &c, Fp32Input, 1);
     assert_eq!(bits(&got), bits(&want));
     assert_eq!(bits(&want), bits(&reference::mmo(op, &a, &b, &c).unwrap()));
 }

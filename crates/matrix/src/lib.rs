@@ -11,9 +11,9 @@
 //! * [`tiling`] — padding and tile-grid iteration,
 //! * [`mod@reference`] — straightforward `D = C ⊕ (A ⊗ B)` loops used as the
 //!   golden model for every other backend,
-//! * [`csr`] and [`structured`] — the two compressed operand formats an
-//!   MMO operand may be declared in (compressed sparse rows with a
-//!   semiring spGEMM; 2:4 structured sparsity with its pruning),
+//! * [`csr`] and [`structured`] — the two compressed operand formats
+//!   (compressed sparse rows with a semiring spGEMM, the image a row
+//!   walk reads; 2:4 structured sparsity with its pruning),
 //! * [`graph`] — graph ↔ adjacency-matrix lifting for the path algebras,
 //! * [`gen`] — seeded random workloads (graphs, point clouds, matrices)
 //!   standing in for the paper's datasets.

@@ -1616,13 +1616,13 @@ mod tests {
     fn streaming_app_jobs_serve_sparse_plans_end_to_end() {
         use simd2::solve::ClosureAlgorithm;
         // The full sparse-serving path in one pass: a streaming-update
-        // registry app expands at admission into a plan with
-        // CSR-declared delta slots, survives the serving pass pipeline,
+        // registry app expands at admission into a plan with sparse
+        // delta steps, survives the serving pass pipeline,
         // suspends/resumes at wave boundaries under a round quantum,
         // replays its sparse steps through the engine's row walks on a
         // sharded worker pool — the plain `TiledBackend` every service
         // runs on — and still lands bits identical to a clean
-        // sequential replay with every declaration stripped.
+        // sequential replay on the tile chain.
         let sink = RingSink::shared();
         let config = ServeConfig {
             optimize_plans: true,
@@ -1639,7 +1639,7 @@ mod tests {
 
         // The oracle never row-walks: a unit that is not coordinate-free
         // (here an injector that never strikes) takes the tile chain on
-        // every step, declared or not.
+        // every step.
         let dense_output = |plan: &Plan| {
             use simd2_fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
             let injector = PlannedInjector::new(FaultPlan::new(FaultPlanConfig::new(0)));
@@ -1650,22 +1650,18 @@ mod tests {
             run.into_final_output().unwrap()
         };
         let mut wants = HashMap::new();
+        let mut walked = 0;
         for app in AppKind::streaming() {
             // The admission expansion is deterministic per (app, n,
             // seed): recompute it here for the clean-replay oracle.
-            let run = harness::run_app(
-                &mut TiledBackend::new(),
-                app,
-                32,
-                7,
-                ClosureAlgorithm::Leyzorek,
-                true,
-            );
+            let mut local = TiledBackend::new();
+            let run = harness::run_app(&mut local, app, 32, 7, ClosureAlgorithm::Leyzorek, true);
             assert!(run.passed(), "{app:?}: diff {}", run.diff);
-            assert!(run.plan.has_sparse_slots(), "{app:?}");
+            walked += local.row_count().sparse_mmos;
             let id = svc.submit(t, JobSpec::app(app, 32, 7)).unwrap();
             wants.insert(id, dense_output(&run.plan));
         }
+        assert!(walked > 0, "the sparse delta steps must row-walk");
         svc.run_until_idle();
 
         let outcomes = svc.take_outcomes();

@@ -1,8 +1,8 @@
 //! The Fig 13 pruning experiment, and a preset over the one engine.
 //!
-//! Representation-aware execution lives in the core engine:
-//! [`simd2::TiledBackend`] lowers a step with declared-sparse operands
-//! to a row walk itself (`simd2::backend`, DESIGN.md §8 and §12). What
+//! Sparse execution lives in the core engine: [`simd2::TiledBackend`]
+//! measures each step's operands and lowers a sparse step to a row walk
+//! itself (`simd2::backend`, DESIGN.md §8 and §12). What
 //! is left here is
 //!
 //! * [`SparseTiledBackend`] — a newtype over `TiledBackend` that only

@@ -12,8 +12,8 @@
 //! The two operand formats themselves live beside the dense matrix
 //! ([`simd2_matrix::Csr`], with its Gustavson spGEMM generalised over
 //! any SIMD² algebra, and [`simd2_matrix::structured`], 2:4 pruning and
-//! validation), and executing a declared-sparse operand is the core
-//! engine's business ([`simd2::TiledBackend`]). This crate keeps the
+//! validation), and executing a sparse operand is the core engine's
+//! business ([`simd2::TiledBackend`] measures and walks it). This crate keeps the
 //! paper's models:
 //!
 //! * [`model`] — calibrated cuSPARSE-vs-cuBLAS timing and peak-memory

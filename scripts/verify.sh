@@ -34,8 +34,9 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 
 # The cross-backend fold-order differential and the engine's own walk
 # differentials (every row kernel forced, in `backend::rows`; every
-# declaration against the reference and the stripped step, in
-# `proptest_rows`) once more optimised, on both legs: `f32::max` does
+# walk the engine measures operands for against the reference and the
+# forced tile chain, in `proptest_rows`) once more optimised, on both
+# legs: `f32::max` does
 # not order `±0`, and the places
 # where that showed (a `max` against a constant the optimiser may
 # commute) only ever disagreed in release builds. With them the ABFT
@@ -52,8 +53,10 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # the skipped-pair count of the two DAG apps (`chain_skips`) — on the
 # forced-scalar leg the engine's facts come from the scalar leaf. And the
 # row walks' CSR images: the compaction leaf against its scalar oracle
-# (`proptest_simd`) and the streaming apps' walked steps, pinned term for
-# term and bit for bit (`streaming_walks`).
+# (`proptest_simd`) and the steps the engine walks undeclared — the
+# streaming apps' pinned term for term, the seven closure apps' step by
+# step — bit for bit against the forced chain and the reference
+# (`streaming_walks`).
 # On the forced-scalar leg every CSR image is built through the scalar compaction leaf.
 # And min-max / max-min on the chain's fp16 lanes: the leaf against the
 # fold written out (`proptest_simd`), the engine against the reference

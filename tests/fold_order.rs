@@ -3,8 +3,9 @@
 //! Each output element starts from `C ⊕ id` and folds its `⊗` terms in
 //! ascending `k` (`simd2_semiring::simd`), so a chain of per-tile
 //! instructions (`IsaBackend`), the packed chain kernel of
-//! `TiledBackend`, its row walks that skip annihilator terms (a CSR or
-//! 2:4 declaration on the same backend) and the naive triple loop
+//! `TiledBackend` (forced through a unit that is not coordinate-free,
+//! `pools/chain.rs`), the row walks it measures sparse, 2:4 or scattered
+//! operands for, and the naive triple loop
 //! (`ReferenceBackend`) are one function of the operand bits — for all
 //! nine ops, the two whose `⊕` rounds included, at fp16, fp32 and int8
 //! operand precision — and so is the tile chain that leaves out the tile
@@ -17,7 +18,7 @@
 use std::sync::Arc;
 
 use simd2_repro::core::backend::{Backend, IsaBackend, ReferenceBackend, TiledBackend};
-use simd2_repro::core::{MatrixRef, OperandRepr, Parallelism, RecoveryPolicy, ResilientBackend};
+use simd2_repro::core::{Parallelism, RecoveryPolicy, ResilientBackend};
 use simd2_repro::fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_repro::matrix::Matrix;
 use simd2_repro::mxu::{PrecisionMode, Simd2Unit};
@@ -25,8 +26,11 @@ use simd2_repro::semiring::simd::same_bits;
 use simd2_repro::semiring::{OpKind, ALL_OPS};
 use simd2_repro::trace::{NullSink, Tracer};
 
+#[path = "../crates/core/tests/pools/chain.rs"]
+mod chain;
 #[path = "../crates/core/tests/pools/mod.rs"]
 mod pools;
+use chain::ChainOnly;
 use pools::{block_sparse, operand, specials, Blocks};
 #[allow(dead_code)]
 #[path = "../crates/core/tests/pools/hostile.rs"]
@@ -76,6 +80,11 @@ fn engine(precision: PrecisionMode) -> TiledBackend {
     TiledBackend::with_unit(Simd2Unit::with_precision(precision))
 }
 
+/// The tile chain, forced.
+fn chain_at(precision: PrecisionMode) -> TiledBackend<ChainOnly> {
+    TiledBackend::with_unit(ChainOnly(Simd2Unit::with_precision(precision)))
+}
+
 fn assert_same(got: &Matrix, want: &Matrix, ctx: &str) {
     assert_eq!(got.shape(), want.shape(), "{ctx}");
     for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -103,9 +112,9 @@ fn every_backend_computes_one_reduction() {
                             x
                         }
                     };
-                    // Densities the engine row-walks a declared operand
-                    // at: `a` and `sparse_b` for every op but or-and,
-                    // `sparse_a` for or-and too.
+                    // Densities the engine row-walks an operand at: `a`
+                    // and `sparse_b` for every op but or-and, `sparse_a`
+                    // for or-and too.
                     let a = gen(m, k, fill, 0.2, 0xA);
                     let sparse_a = gen(m, k, fill, 0.02, 0xE);
                     let a24 = structured_24(a.clone(), fill);
@@ -119,37 +128,23 @@ fn every_backend_computes_one_reduction() {
                         PrecisionMode::Fp32Input,
                         PrecisionMode::Int8Input,
                     ] {
-                        // The tile chain (every operand dense) is what
-                        // each declared walk of the engine must equal.
-                        let chain = engine(precision).mmo(op, &a, &b, &c).unwrap();
-                        if let Some(z) = zero {
-                            let (csr, s24) = (OperandRepr::csr(z), OperandRepr::structured(z));
-                            let dense = OperandRepr::Dense;
-                            for (am, ra, bm, rb) in [
-                                (&a, csr, &b, dense),
-                                (&a, csr, &b, csr),
-                                (&a, csr, &sparse_b, csr),
-                                (&a, dense, &sparse_b, csr),
-                                (&a24, s24, &b, dense),
-                                (&sparse_a, csr, &b, dense),
-                                (&sparse_a, csr, &sparse_b, csr),
-                            ] {
-                                let want = if std::ptr::eq(am, &a) && std::ptr::eq(bm, &b) {
-                                    chain.clone()
-                                } else {
-                                    engine(precision).mmo(op, am, bm, &c).unwrap()
-                                };
-                                let got = engine(precision)
-                                    .mmo_ref(
-                                        op,
-                                        MatrixRef::new(am, ra),
-                                        MatrixRef::new(bm, rb),
-                                        MatrixRef::dense(&c),
-                                    )
-                                    .unwrap();
-                                let walk = format!("{}x{} walk", ra.name(), rb.name());
-                                assert_same(&got, &want, &format!("{ctx}: {precision:?}, {walk}"));
-                            }
+                        // The forced tile chain is what the engine must
+                        // equal, whichever walk it picks.
+                        let chain = chain_at(precision).mmo(op, &a, &b, &c).unwrap();
+                        for (name, am, bm) in [
+                            ("fifth × two-fifths", &a, &b),
+                            ("fifth × sparse", &a, &sparse_b),
+                            ("2:4 × two-fifths", &a24, &b),
+                            ("sparse × two-fifths", &sparse_a, &b),
+                            ("sparse × sparse", &sparse_a, &sparse_b),
+                        ] {
+                            let want = if std::ptr::eq(am, &a) && std::ptr::eq(bm, &b) {
+                                chain.clone()
+                            } else {
+                                chain_at(precision).mmo(op, am, bm, &c).unwrap()
+                            };
+                            let got = engine(precision).mmo(op, am, bm, &c).unwrap();
+                            assert_same(&got, &want, &format!("{ctx}: {precision:?}, {name}"));
                         }
                         match precision {
                             // fp16 operands: the ISA executor's datapath.
@@ -194,15 +189,10 @@ fn max_mul_on_a_ragged_k_keeps_an_all_negative_reduction() {
             "fp32, k={k}"
         );
         assert_eq!(run(&mut TiledBackend::new()), -2.0, "tiled, k={k}");
-        let declared = TiledBackend::new()
-            .mmo_ref(
-                op,
-                MatrixRef::new(&a, OperandRepr::csr(0.0)),
-                MatrixRef::dense(&b),
-                MatrixRef::dense(&c),
-            )
+        let chain = chain_at(PrecisionMode::Fp16Input)
+            .mmo(op, &a, &b, &c)
             .unwrap();
-        assert_eq!(declared[(0, 0)], -2.0, "tiled, CSR-declared A, k={k}");
+        assert_eq!(chain[(0, 0)], -2.0, "tiled, forced chain, k={k}");
         assert_eq!(run(&mut IsaBackend::new()), -2.0, "ISA executor, k={k}");
     }
 }

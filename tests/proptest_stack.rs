@@ -1,9 +1,12 @@
 //! Property-based integration tests across the stack.
 
 use proptest::prelude::*;
+#[path = "../crates/core/tests/pools/chain.rs"]
+mod chain;
+use chain::ChainOnly;
 use simd2_repro::core::backend::{Backend, Parallelism, ReferenceBackend, TiledBackend};
 use simd2_repro::core::solve::{closure, floyd_warshall_closure, ClosureAlgorithm};
-use simd2_repro::core::{MatrixRef, OperandRepr, Plan, PlanBuilder, PlanExecutor};
+use simd2_repro::core::{PlanBuilder, PlanExecutor};
 use simd2_repro::matrix::structured::prune_2_4;
 use simd2_repro::matrix::{gen, Csr, Graph, Matrix};
 use simd2_repro::mxu::{PrecisionMode, Simd2Unit};
@@ -34,13 +37,16 @@ fn sparse_operand(op: OpKind, rows: usize, cols: usize, density: f64, seed: u64)
 }
 
 /// The engine at fp16 (`reduced`) or fp32 operand precision.
-fn engine(reduced: bool) -> TiledBackend {
-    let precision = if reduced {
+fn unit(reduced: bool) -> Simd2Unit {
+    Simd2Unit::with_precision(if reduced {
         PrecisionMode::Fp16Input
     } else {
         PrecisionMode::Fp32Input
-    };
-    TiledBackend::with_unit(Simd2Unit::with_precision(precision))
+    })
+}
+
+fn engine(reduced: bool) -> TiledBackend {
+    TiledBackend::with_unit(unit(reduced))
 }
 
 fn bits(m: &Matrix) -> Vec<u32> {
@@ -202,11 +208,12 @@ proptest! {
         }
     }
 
-    /// A plan recorded with sparse operand declarations replays bit-
-    /// identically to the same steps recorded dense, across every op,
-    /// density regime {0.01, 0.1, 0.5, 2:4-structured}, both input
-    /// precisions, and worker counts {1, 2, 4, 8}. Plus-norm has no no-edge annihilator, so its
-    /// declarations stay dense — the replay must agree all the same.
+    /// A plan whose operands the engine row-walks replays bit-
+    /// identically to the same plan on the forced tile chain, across
+    /// every op, density regime {0.01, 0.1, 0.5, 2:4-structured}, both
+    /// input precisions, and worker counts {1, 2, 4, 8}. Plus-norm has no
+    /// no-edge annihilator, so it never walks — the replay must agree all
+    /// the same.
     #[test]
     fn sparse_replay_is_bit_identical_to_dense_replay(
         op_idx in 0usize..9, density_idx in 0usize..4, reduced in any::<bool>(),
@@ -222,59 +229,43 @@ proptest! {
         }
         let b = sparse_operand(op, n, n, density.max(0.3), seed ^ 0x5eed);
         let c = Matrix::filled(n, n, op.reduce_identity_f32());
-        let (ra, rb) = match sentinel {
-            None => (OperandRepr::Dense, OperandRepr::Dense),
-            Some(z) if structured => (OperandRepr::structured(z), OperandRepr::csr(z)),
-            Some(z) => (OperandRepr::csr(z), OperandRepr::csr(z)),
-        };
-        // The same two-step chain recorded twice: with declarations and
-        // without. Declarations are schedule hints, so the two plans
-        // must replay to identical bits.
-        let record = |declare: bool| -> Plan {
+        let plan = {
             let mut be = engine(reduced);
             let mut rec = PlanBuilder::over(&mut be);
-            let (r0, r1) = if declare { (ra, rb) } else { (OperandRepr::Dense, OperandRepr::Dense) };
-            let d0 = rec
-                .mmo_ref(op, MatrixRef::new(&a, r0), MatrixRef::new(&b, r1), MatrixRef::dense(&c))
-                .unwrap();
-            rec.mmo_ref(op, MatrixRef::dense(&d0), MatrixRef::new(&b, r1), MatrixRef::dense(&c))
-                .unwrap();
+            let d0 = rec.mmo(op, &a, &b, &c).unwrap();
+            rec.mmo(op, &d0, &b, &c).unwrap();
             rec.finish()
         };
-        let sparse_plan = record(true);
-        let dense_plan = record(false);
-        prop_assert_eq!(sparse_plan.has_sparse_slots(), sentinel.is_some());
         let want = PlanExecutor::new()
-            .run(&dense_plan, &mut engine(reduced))
+            .run(&plan, &mut TiledBackend::with_unit(ChainOnly(unit(reduced))))
             .unwrap();
         for workers in [1usize, 2, 4, 8] {
             let mut be = engine(reduced);
             be.set_parallelism(Parallelism::Threads(workers));
-            let got = PlanExecutor::new().run(&sparse_plan, &mut be).unwrap();
-            for step in 0..sparse_plan.step_count() {
+            let got = PlanExecutor::new().run(&plan, &mut be).unwrap();
+            for step in 0..plan.step_count() {
                 prop_assert_eq!(
                     bits(got.step_output(step)), bits(want.step_output(step)),
                     "{} density_idx={} reduced={} workers={} step={}",
                     op, density_idx, reduced, workers, step
                 );
             }
-            // Whether a declared step is row-walked is the engine's
-            // call: below every float chain's walk-or-chain bound it
-            // walks (or-and's bit-mask chain wins from 3 % up).
+            // Whether a step is row-walked is the engine's call: below
+            // every float chain's walk-or-chain bound it walks (or-and's
+            // bit-mask chain wins from 8 % up).
             if sentinel.is_some() && op != OpKind::OrAnd && density <= 0.1 {
                 prop_assert!(
                     be.row_count().sparse_mmos > 0,
-                    "{}: a sparse declared operand must take a row walk", op
+                    "{}: a sparse operand must take a row walk", op
                 );
             }
         }
-        // The fp32 leg also agrees with the dense scalar reference,
-        // which ignores declarations entirely (trait-default lowering).
+        // The fp32 leg also agrees with the dense scalar reference.
         if !reduced {
             let refr = PlanExecutor::new()
-                .run(&sparse_plan, &mut ReferenceBackend::new())
+                .run(&plan, &mut ReferenceBackend::new())
                 .unwrap();
-            for step in 0..sparse_plan.step_count() {
+            for step in 0..plan.step_count() {
                 prop_assert_eq!(
                     bits(refr.step_output(step)), bits(want.step_output(step)),
                     "{} reference step={}", op, step
@@ -295,17 +286,12 @@ proptest! {
         let a = sparse_operand(op, n, n, 0.15, seed);
         let b = sparse_operand(op, n, n, 0.3, seed ^ 0x5eed);
         let c = Matrix::filled(n, n, op.reduce_identity_f32());
-        let ra = op.no_edge_f32().map_or(OperandRepr::Dense, OperandRepr::csr);
         let plan = {
             let mut be = engine(false);
             let mut rec = PlanBuilder::over(&mut be);
-            let mut acc = rec
-                .mmo_ref(op, MatrixRef::new(&a, ra), MatrixRef::dense(&b), MatrixRef::dense(&c))
-                .unwrap();
+            let mut acc = rec.mmo(op, &a, &b, &c).unwrap();
             for _ in 1..len {
-                acc = rec
-                    .mmo_ref(op, MatrixRef::new(&a, ra), MatrixRef::dense(&b), MatrixRef::dense(&acc))
-                    .unwrap();
+                acc = rec.mmo(op, &a, &b, &acc).unwrap();
             }
             rec.finish()
         };
