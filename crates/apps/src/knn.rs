@@ -35,32 +35,51 @@ pub struct KnnResult {
     pub distances: Vec<Vec<f32>>,
 }
 
-/// The `k` candidates of `row` nearest in (distance, index) order, by
-/// bounded selection: `best` holds the nearest seen so far in order, and
-/// a candidate that does not beat its last entry — nearly every one —
-/// costs a single comparison.
+/// Candidates [`top_k_of_row`] takes one minimum of.
+const CHUNK: usize = 16;
+
+/// The `k` candidates of `row` nearest in (distance, index) order, by a
+/// threshold pass. One branch-free pass takes the minimum of every
+/// [`CHUNK`]-wide run. At least `k + 1` runs hold an element no farther
+/// than the `(k + 1)`-th smallest of those minima, so at least `k`
+/// candidates other than `skip` are that near, and the `k` nearest are
+/// among them. A second pass collects every candidate at or below that
+/// bound — a handful on a typical row — and only those are sorted.
 ///
 /// # Panics
 ///
-/// Panics when a comparison meets a NaN distance.
+/// Panics when a candidate distance is NaN.
 fn top_k_of_row(row: &[f32], k: usize, skip: Option<usize>) -> (Vec<usize>, Vec<f32>) {
-    let mut best: Vec<usize> = Vec::with_capacity(k.min(row.len()) + 1);
-    for i in (0..row.len()).filter(|&i| Some(i) != skip) {
-        // Candidates arrive in ascending index, so a tie goes to the entry
-        // already held: `i` belongs after every entry not farther than it.
-        let nearer = |&j: &usize| {
-            row[i]
-                .partial_cmp(&row[j])
-                .expect("KNN distances are never NaN")
-                .is_lt()
-        };
-        if best.len() == k && !best.last().is_some_and(nearer) {
-            continue;
-        }
-        let at = best.partition_point(|j| !nearer(j));
-        best.insert(at, i);
-        best.truncate(k);
+    if k == 0 {
+        return (Vec::new(), Vec::new());
     }
+    let mut nan = false;
+    let mut minima: Vec<f32> = row
+        .chunks(CHUNK)
+        .map(|chunk| {
+            nan |= chunk.iter().fold(false, |any, x| any | x.is_nan());
+            chunk
+                .iter()
+                .fold(f32::INFINITY, |min, &x| if x < min { x } else { min })
+        })
+        .collect();
+    let is_candidate = |i: usize| Some(i) != skip;
+    assert!(
+        !nan || !(0..row.len()).any(|i| is_candidate(i) && row[i].is_nan()),
+        "KNN distances are never NaN"
+    );
+    let bound = if minima.len() > k {
+        *minima.select_nth_unstable_by(k, f32::total_cmp).1
+    } else {
+        f32::INFINITY
+    };
+    let mut best: Vec<usize> = (0..row.len())
+        .filter(|&i| row[i] <= bound && is_candidate(i))
+        .collect();
+    // `±0` compare equal, as in the full sort: a tie goes by index.
+    let nearer = |&a: &usize, &b: &usize| row[a].partial_cmp(&row[b]).map(|o| o.then(a.cmp(&b)));
+    best.sort_unstable_by(|a, b| nearer(a, b).expect("collected distances are not NaN"));
+    best.truncate(k);
     let dists = best.iter().map(|&i| row[i]).collect();
     (best, dists)
 }
@@ -218,6 +237,45 @@ mod tests {
                         top_k_of_row(row, k, skip),
                         top_k_by_sorting(row, k, skip),
                         "n={n} k={k} skip={skip:?}"
+                    );
+                }
+            }
+        }
+        // 1024 candidates: ties within and across chunk boundaries (each
+        // chunk's minimum sits at its last index and again at the next
+        // chunk's first), `±0` and `∞` among them.
+        let wide: Vec<f32> = (0..1024)
+            .map(|i| match i % CHUNK {
+                0 | 15 => ((i / CHUNK + i % CHUNK / 15) % 12) as f32,
+                7 if i % 3 == 0 => -0.0,
+                9 => f32::INFINITY,
+                _ => 20.0 + ((i * 29) % 41) as f32,
+            })
+            .collect();
+        let spread: Vec<f32> = (0..1000)
+            .map(|i| ((i * 7919) % 1009) as f32 * 0.25)
+            .collect();
+        for row in [&wide[..], &spread[..]] {
+            for k in [1, 2, 8, 15, 16, 17, 63, 64, 65] {
+                // The chunk that sets the bound, and its nearest candidate.
+                let minima: Vec<f32> = row
+                    .chunks(CHUNK)
+                    .map(|c| c.iter().copied().fold(f32::INFINITY, f32::min))
+                    .collect();
+                let mut sorted = minima.clone();
+                sorted.sort_by(f32::total_cmp);
+                let at = sorted.get(k).map(|bound| {
+                    let chunk = minima.iter().position(|m| m == bound).unwrap();
+                    let first = chunk * CHUNK;
+                    let end = (first + CHUNK).min(row.len());
+                    (first..end).find(|&i| row[i] == *bound).unwrap()
+                });
+                for skip in [None, Some(0), at, at.map(|i| i + 1), Some(row.len() - 1)] {
+                    assert_eq!(
+                        top_k_of_row(row, k, skip),
+                        top_k_by_sorting(row, k, skip),
+                        "n={} k={k} skip={skip:?}",
+                        row.len()
                     );
                 }
             }

@@ -175,14 +175,6 @@ pub struct StreamingStats {
     pub converged: bool,
 }
 
-fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
-    a.shape() == b.shape()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 /// SIMD²-ized streaming closure: closes the base graph by repeated
 /// squaring, then folds in each insertion batch with the two-MMO delta
 /// relaxation of the [module docs](self).
@@ -207,7 +199,7 @@ pub fn simd2<B: Backend>(backend: &mut B, w: &StreamingWorkload) -> (Matrix, Str
         let next = backend.mmo(op, &x, &x, &x).expect("square operands");
         stats.closure_steps += 1;
         stats.steps += 1;
-        let done = bits_equal(&next, &x);
+        let done = next.bits_eq(&x);
         x = next;
         if done {
             settled = true;
@@ -229,7 +221,7 @@ pub fn simd2<B: Backend>(backend: &mut B, w: &StreamingWorkload) -> (Matrix, Str
             let next = backend.mmo(op, &t, &x, &x).expect("square operands");
             stats.rounds += 1;
             stats.steps += 2;
-            let done = bits_equal(&next, &x);
+            let done = next.bits_eq(&x);
             x = next;
             if done {
                 settled = true;

@@ -35,7 +35,7 @@ mod rows;
 
 use chain::{
     fit, pack_b_strip, run_panel, strip_width, BStrip, ChainPanel, ChainPlan, ChainSkips,
-    ChainTally, PackScratch, SelectLanes,
+    ChainTally, Lanes, PackScratch,
 };
 use pool::Pool;
 pub use rows::RowCount;
@@ -749,7 +749,7 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         let strip_tiles = width.min(grid.n_tiles) * grid.k_tiles;
         let plan = ChainPlan {
             skips: ChainSkips::of::<U>(step),
-            lanes: SelectLanes::of(&self.unit, step.op),
+            lanes: Lanes::of(&self.unit, step.op),
         };
         let (facts, lanes) = (plan.skips.is_some(), plan.lanes);
         let mut panels = grid.row_panels(workers);
@@ -762,10 +762,9 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
             panels = grid.row_panels(1);
         }
         let PackScratch { a, b } = &mut self.scratch;
-        let a_words = lanes.words(HALF_A_WORDS);
-        let a_rows = fit(a, panels.len(), grid.k_tiles, facts, a_words);
+        let a_rows = fit(a, panels.len(), grid.k_tiles, facts, (lanes, HALF_A_WORDS));
         let b_bufs = if strips == 1 { 1 } else { panels.len() };
-        let mut b_bufs = fit(b, b_bufs, strip_tiles, facts, lanes.words(HALF_B_WORDS));
+        let mut b_bufs = fit(b, b_bufs, strip_tiles, facts, (lanes, HALF_B_WORDS));
         let b_strips: Vec<BStrip<'_>> = if strips == 1 {
             let mut packed = b_bufs.next().expect("one shared strip");
             let dst = packed.reborrow();
@@ -1146,13 +1145,7 @@ mod tests {
                 let mut be = TiledBackend::with_parallelism(Parallelism::Threads(workers));
                 let par = be.mmo(op, &a, &b, &c).unwrap();
                 // Bit-for-bit, not approx: same tiles, same reduction order.
-                assert!(
-                    seq.as_slice()
-                        .iter()
-                        .zip(par.as_slice())
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{op} with {workers} workers"
-                );
+                assert!(seq.bits_eq(&par), "{op} with {workers} workers");
             }
         }
     }

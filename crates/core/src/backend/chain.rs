@@ -9,7 +9,7 @@ use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, Tile, ISA_TILE};
 use simd2_mxu::MmoUnit;
 use simd2_semiring::simd::{
-    self, HalfFit, HalfLanes, KernelIsa, Scan, CHAIN_ELEMS as TILE_ELEMS, HALF_A_WORDS,
+    self, FmaLanes, HalfFit, HalfLanes, KernelIsa, Scan, CHAIN_ELEMS as TILE_ELEMS, HALF_A_WORDS,
     HALF_B_WORDS,
 };
 use simd2_semiring::OpKind;
@@ -24,7 +24,7 @@ use super::MmoArgs;
 /// logical traffic.
 pub(super) static CHAIN_SKIPPED_PAIRS: Counter = Counter::new("core.chain.skipped_pairs");
 /// Min-max and max-min tile pairs the tile chain folded on fp16 lanes
-/// (traced backends only; see [`SelectLanes`]).
+/// (traced backends only; see [`Lanes`]).
 static CHAIN_FP16_PAIRS: Counter = Counter::new("core.chain.fp16_pairs");
 /// Min-max and max-min tile pairs of a coordinate-free unit the tile
 /// chain kept on `f32` lanes because a tile of the pair holds a NaN
@@ -35,6 +35,18 @@ static CHAIN_F32_OFF_LATTICE: Counter = Counter::new("core.chain.f32_select_pair
 /// … because the unit's kernel tier has no fp16 lanes (an AVX-512 host
 /// without AVX512-FP16, or a pin to AVX2 or scalar).
 static CHAIN_F32_NO_FP16: Counter = Counter::new("core.chain.f32_select_pairs.no_fp16");
+/// Plus-mul tile pairs the tile chain folded on FMA lanes (traced
+/// backends only; see [`Lanes`]).
+static CHAIN_FMA_PAIRS: Counter = Counter::new("core.chain.fma_pairs");
+/// Plus-mul tile pairs of a coordinate-free unit the tile chain folded
+/// with a separate multiply and add because a tile of the pair holds a
+/// NaN, or `±∞` while both are on the fp16 lattice (traced backends
+/// only).
+static CHAIN_MUL_ADD_NON_FINITE: Counter = Counter::new("core.chain.mul_add_pairs.non_finite");
+/// … because a tile holds a value off the fp16 lattice and no NaN.
+static CHAIN_MUL_ADD_OFF_LATTICE: Counter = Counter::new("core.chain.mul_add_pairs.off_lattice");
+/// … because the unit's kernel tier has no FMA lanes (a pin to scalar).
+static CHAIN_MUL_ADD_NO_FMA: Counter = Counter::new("core.chain.mul_add_pairs.no_fma");
 
 /// Bytes of packed `B` one panel reads at a time: the column strip is as
 /// wide as this allows (at least one tile column). A byte budget, not a
@@ -78,47 +90,52 @@ pub(super) struct PackBuf {
     /// One fp16 image per tile — none unless the step folds on half
     /// lanes.
     half: Vec<u32>,
-    /// One fit per image.
+    /// One fit per tile — none unless the step folds on half or FMA
+    /// lanes.
     fits: Vec<HalfFit>,
 }
 
 /// The first `count` buffers of `bufs`, each sized for `tiles` packed
-/// tiles, a scan per tile when `facts`, and an image of `half_words`
-/// words and a fit per tile when that is not zero. The images only ever
-/// grow: they are rewritten before every read, and a backend that runs
-/// other ops between selecting ones would otherwise zero them again for
-/// each selecting step.
+/// tiles, a scan per tile when `facts`, a fit per tile when the step's
+/// `lanes` read fits, and an image of `lanes.words(words)` words per
+/// tile. Fits and images only ever grow: they are rewritten before every
+/// read, and a backend that runs other ops between ones that read them
+/// would otherwise zero them again for each such step.
 pub(super) fn fit(
     bufs: &mut Vec<PackBuf>,
     count: usize,
     tiles: usize,
     facts: bool,
-    half_words: usize,
+    (lanes, words): (Lanes, usize),
 ) -> impl Iterator<Item = Packed<'_>> {
     if bufs.len() < count {
         bufs.resize_with(count, PackBuf::default);
     }
-    let imaged = if half_words == 0 { 0 } else { tiles };
+    let fitted = if lanes.reads_fits() { tiles } else { 0 };
+    let words = tiles * lanes.words(words);
     for buf in &mut bufs[..count] {
         buf.tiles.resize(tiles * TILE_ELEMS, 0.0);
         buf.facts
             .resize(if facts { tiles } else { 0 }, Scan::default());
-        if buf.fits.len() < imaged {
-            buf.half.resize(imaged * half_words, 0);
-            buf.fits.resize(imaged, HalfFit::default());
+        if buf.fits.len() < fitted {
+            buf.fits.resize(fitted, HalfFit::default());
+        }
+        if buf.half.len() < words {
+            buf.half.resize(words, 0);
         }
     }
     bufs[..count].iter_mut().map(move |buf| Packed {
         tiles: &mut buf.tiles,
         facts: &mut buf.facts,
-        half: &mut buf.half[..imaged * half_words],
-        fits: &mut buf.fits[..imaged],
+        half: &mut buf.half[..words],
+        fits: &mut buf.fits[..fitted],
     })
 }
 
 /// A packed chain or strip and what the step reads off its tiles: their
-/// scans (none when the step skips nothing) and their fp16 images and
-/// fits (none unless it folds on half lanes).
+/// scans (none when the step skips nothing), their fits (none unless it
+/// folds on half or FMA lanes) and their fp16 images (none unless it
+/// folds on half lanes).
 pub(super) struct Packed<'s> {
     tiles: &'s mut [f32],
     facts: &'s mut [Scan],
@@ -211,9 +228,9 @@ pub(super) fn pack_chain<U: MmoUnit>(
     unit.quantize_packed(dst);
 }
 
-/// Packs the `B` strip of tile columns `strip` into `dst`, images it
-/// when the step folds on half lanes and, when it skips, scans it (every
-/// tile's values, if the rule may read them).
+/// Packs the `B` strip of tile columns `strip` into `dst`, reads its
+/// fits when the step's lanes read them ([`Lanes::read`]) and, when it
+/// skips, scans it (every tile's values, if the rule may read them).
 pub(super) fn pack_b_strip<U: MmoUnit>(
     unit: &U,
     step: &MmoArgs<'_>,
@@ -230,9 +247,7 @@ pub(super) fn pack_b_strip<U: MmoUnit>(
         coords,
         dst.tiles,
     );
-    if let SelectLanes::Half(lanes) = plan.lanes {
-        lanes.image_b(dst.tiles, dst.half, dst.fits);
-    }
+    plan.lanes.read(Side::B, dst.reborrow());
     if let Some(skips) = plan.skips {
         skips.scan(unit.kernel_isa(), skips.b_values, dst.reborrow());
     }
@@ -339,30 +354,51 @@ pub(super) fn holds_empty(facts: &[Scan]) -> bool {
 }
 
 /// Which lanes the tile chain of a step folds on, and which of its pairs
-/// the fallback counters count.
+/// the lane counters count.
 #[derive(Clone, Copy)]
-pub(super) enum SelectLanes {
-    /// Not a selecting op on a coordinate-free unit: `f32` lanes,
-    /// uncounted.
+pub(super) enum Lanes {
+    /// Neither a selecting op nor plus-mul on a coordinate-free unit:
+    /// the unit's chain, uncounted.
     Off,
     /// Min-max or max-min on a coordinate-free unit whose tier has no
     /// fp16 lanes ([`MmoUnit::half_lanes`] is `None`): every pair on
     /// `f32` lanes.
     NoFp16,
     /// The unit's fp16 lanes, on every pair both of whose tiles' images
-    /// are exact; the others on `f32` lanes.
+    /// hold them (fit at most [`HalfFit::Infinite`]); the others on
+    /// `f32` lanes.
     Half(HalfLanes),
+    /// Plus-mul on a coordinate-free unit whose tier has no FMA lanes
+    /// ([`MmoUnit::fma_lanes`] is `None`): every pair as a multiply and
+    /// an add.
+    NoFma,
+    /// The unit's FMA lanes, on every pair both of whose tiles are
+    /// finite and on the fp16 lattice ([`HalfFit::Exact`]); the others
+    /// as a multiply and an add.
+    Fma(FmaLanes),
 }
 
-impl SelectLanes {
+/// Which operand of a tile pair a packed chain or strip is.
+#[derive(Clone, Copy)]
+pub(super) enum Side {
+    A,
+    B,
+}
+
+impl Lanes {
     /// The lanes of a `unit` step of `op`. Only a coordinate-free unit
-    /// is asked for fp16 lanes: one that injects or probes at tile
-    /// coordinates is handed every pair as tiles.
+    /// is asked for fp16 or FMA lanes: one that injects or probes at
+    /// tile coordinates is handed every pair as tiles.
     pub(super) fn of<U: MmoUnit>(unit: &U, op: OpKind) -> Self {
-        if !(U::COORDINATE_FREE && op.selects()) {
-            return Self::Off;
+        if !U::COORDINATE_FREE {
+            Self::Off
+        } else if op.selects() {
+            unit.half_lanes(op).map_or(Self::NoFp16, Self::Half)
+        } else if op == OpKind::PlusMul {
+            unit.fma_lanes(op).map_or(Self::NoFma, Self::Fma)
+        } else {
+            Self::Off
         }
-        unit.half_lanes(op).map_or(Self::NoFp16, Self::Half)
     }
 
     /// Words of image per packed tile whose images take `words`: none
@@ -373,6 +409,33 @@ impl SelectLanes {
             _ => 0,
         }
     }
+
+    /// Whether the step reads a fit off every packed tile.
+    pub(super) fn reads_fits(self) -> bool {
+        matches!(self, Self::Half(_) | Self::Fma(_))
+    }
+
+    /// Whether a pair whose fit is `fit` folds on the step's fp16 or FMA
+    /// lanes.
+    fn takes(self, fit: HalfFit) -> bool {
+        match self {
+            Self::Half(_) => fit <= HalfFit::Infinite,
+            Self::Fma(_) => fit == HalfFit::Exact,
+            _ => false,
+        }
+    }
+
+    /// Reads what the step's lanes need off the freshly packed tiles of
+    /// `dst`, the `side` operand of their pairs: the fp16 images and
+    /// fits for half lanes, the fits alone for FMA lanes.
+    pub(super) fn read(self, side: Side, dst: Packed<'_>) {
+        match (self, side) {
+            (Self::Half(lanes), Side::A) => lanes.image_a(dst.tiles, dst.half, dst.fits),
+            (Self::Half(lanes), Side::B) => lanes.image_b(dst.tiles, dst.half, dst.fits),
+            (Self::Fma(lanes), _) => lanes.fits(dst.tiles, dst.fits),
+            _ => {}
+        }
+    }
 }
 
 /// What the tile chain of a step reads off its packed tiles: the pairs it
@@ -380,7 +443,7 @@ impl SelectLanes {
 #[derive(Clone, Copy)]
 pub(super) struct ChainPlan {
     pub(super) skips: Option<ChainSkips>,
-    pub(super) lanes: SelectLanes,
+    pub(super) lanes: Lanes,
 }
 
 /// What the tile chain did with a step's tile pairs, beyond the grid's
@@ -398,29 +461,48 @@ pub(super) struct ChainTally {
     off_lattice: u64,
     /// … because the unit's tier has no fp16 lanes.
     no_fp16: u64,
+    /// Plus-mul pairs folded on FMA lanes.
+    fma: u64,
+    /// Plus-mul pairs folded as a multiply and an add because a tile of
+    /// the pair holds a NaN, or `±∞` while both are on the lattice.
+    mul_add_non_finite: u64,
+    /// … because a tile holds a value off the fp16 lattice (and no NaN).
+    mul_add_off_lattice: u64,
+    /// … because the unit's tier has no FMA lanes.
+    no_fma: u64,
 }
 
 impl ChainTally {
-    /// Counts the run `tks` of pairs the chain folded, on half lanes
-    /// when `half`; a pair it kept on `f32` lanes beside half lanes is
-    /// counted by its `fit`.
+    /// Counts the run `tks` of pairs the chain folded, on the step's
+    /// fp16 or FMA lanes when `fast`; a pair it kept off those lanes
+    /// beside them is counted by its `fit`.
     pub(super) fn run(
         &mut self,
-        lanes: SelectLanes,
-        half: bool,
+        lanes: Lanes,
+        fast: bool,
         tks: Range<usize>,
         fit: impl Fn(usize) -> HalfFit,
     ) {
         let pairs = tks.len() as u64;
         match lanes {
-            SelectLanes::Off => {}
-            SelectLanes::NoFp16 => self.no_fp16 += pairs,
-            SelectLanes::Half(_) if half => self.half += pairs,
-            SelectLanes::Half(_) => {
+            Lanes::Off => {}
+            Lanes::NoFp16 => self.no_fp16 += pairs,
+            Lanes::NoFma => self.no_fma += pairs,
+            Lanes::Half(_) if fast => self.half += pairs,
+            Lanes::Fma(_) if fast => self.fma += pairs,
+            Lanes::Half(_) => {
                 for tk in tks {
                     match fit(tk) {
                         HalfFit::Nan => self.nan += 1,
                         _ => self.off_lattice += 1,
+                    }
+                }
+            }
+            Lanes::Fma(_) => {
+                for tk in tks {
+                    match fit(tk) {
+                        HalfFit::OffLattice => self.mul_add_off_lattice += 1,
+                        _ => self.mul_add_non_finite += 1,
                     }
                 }
             }
@@ -434,6 +516,10 @@ impl ChainTally {
         CHAIN_F32_NAN.add(self.nan);
         CHAIN_F32_OFF_LATTICE.add(self.off_lattice);
         CHAIN_F32_NO_FP16.add(self.no_fp16);
+        CHAIN_FMA_PAIRS.add(self.fma);
+        CHAIN_MUL_ADD_NON_FINITE.add(self.mul_add_non_finite);
+        CHAIN_MUL_ADD_OFF_LATTICE.add(self.mul_add_off_lattice);
+        CHAIN_MUL_ADD_NO_FMA.add(self.no_fma);
     }
 }
 
@@ -444,6 +530,10 @@ impl std::ops::AddAssign for ChainTally {
         self.nan += rhs.nan;
         self.off_lattice += rhs.off_lattice;
         self.no_fp16 += rhs.no_fp16;
+        self.fma += rhs.fma;
+        self.mul_add_non_finite += rhs.mul_add_non_finite;
+        self.mul_add_off_lattice += rhs.mul_add_off_lattice;
+        self.no_fma += rhs.no_fma;
     }
 }
 
@@ -460,62 +550,66 @@ impl std::iter::Sum for ChainTally {
 /// `acc` and returns what became of each pair. When the chain is
 /// `sparse` it leaves out the pairs [`skips_pair`] names by their tiles'
 /// facts. Each run of kept pairs that go the same way is one call: on
-/// the step's half `lanes` over the pairs' fp16 images where the images
-/// of both tiles are exact ([`HalfLanes::mmo_chain`]), through
+/// the step's fp16 or FMA `lanes` where the fits of both tiles let them
+/// ([`HalfLanes::mmo_chain`] over the pairs' fp16 images,
+/// [`FmaLanes::mmo_chain`] over the tiles), through
 /// [`MmoUnit::execute_chain`] otherwise; a tile with no kept pair gets
 /// the empty chain. Every call seeds `acc ⊕ id`, which is idempotent,
-/// and a half-lane call folds its run into that once, which is exact
-/// (DESIGN.md §8 "Selection chains on fp16 lanes"), so the runs fold
-/// exactly what one call over the kept pairs would.
+/// a half-lane call folds its run into that once, which is exact
+/// (DESIGN.md §8 "Selection chains on fp16 lanes"), and an FMA-lane call
+/// rounds each term as a multiply and an add would (§8 "Plus-mul chains
+/// on FMA lanes"), so the runs fold exactly what one call over the kept
+/// pairs would.
 pub(super) fn fold_runs<U: MmoUnit>(
     unit: &mut U,
     tile: (usize, usize),
     op: OpKind,
     (a, b): (View<'_>, View<'_>),
     sparse: bool,
-    lanes: SelectLanes,
+    lanes: Lanes,
     acc: &mut Tile<ISA_TILE>,
 ) -> ChainTally {
     let k_tiles = a.tiles.len() / TILE_ELEMS;
     let mut tally = ChainTally::default();
     let fit = |tk: usize| a.fits[tk].max(b.fits[tk]);
-    if !sparse && !matches!(lanes, SelectLanes::Half(_)) {
+    if !sparse && !lanes.reads_fits() {
         unit.execute_chain(tile, op, a.tiles, b.tiles, acc);
         tally.run(lanes, false, 0..k_tiles, fit);
         return tally;
     }
-    // How pair `tk` folds: `None` left out, `Some(true)` on half lanes.
+    // How pair `tk` folds: `None` left out, `Some(true)` on the lanes.
     let route = |tk: usize| {
         let skip = sparse && skips_pair(op, a.facts[tk], b.facts[tk]);
-        let half = matches!(lanes, SelectLanes::Half(_)) && fit(tk) == HalfFit::Exact;
-        (!skip).then_some(half)
+        let fast = lanes.reads_fits() && lanes.takes(fit(tk));
+        (!skip).then_some(fast)
     };
-    let mut fold = |tks: Range<usize>, half: bool| {
+    let mut fold = |tks: Range<usize>, fast: bool| {
+        let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
         match lanes {
-            SelectLanes::Half(lanes) if half => {
+            Lanes::Half(lanes) if fast => {
                 let (a_words, b_words) = (tks.start * HALF_A_WORDS, tks.start * HALF_B_WORDS);
                 let (a_len, b_len) = (tks.len() * HALF_A_WORDS, tks.len() * HALF_B_WORDS);
                 let (a_run, b_run) = (&a.half[a_words..][..a_len], &b.half[b_words..][..b_len]);
                 lanes.mmo_chain(a_run, b_run, acc.as_flat_mut());
             }
-            _ => {
-                let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
-                unit.execute_chain(tile, op, &a.tiles[run.clone()], &b.tiles[run], acc);
+            Lanes::Fma(lanes) if fast => {
+                lanes.mmo_chain(&a.tiles[run.clone()], &b.tiles[run], acc.as_flat_mut());
             }
+            _ => unit.execute_chain(tile, op, &a.tiles[run.clone()], &b.tiles[run], acc),
         }
-        tally.run(lanes, half, tks, fit);
+        tally.run(lanes, fast, tks, fit);
     };
     let (mut open, mut kept) = (None, 0);
     for tk in 0..=k_tiles {
         let next = if tk < k_tiles { route(tk) } else { None };
-        if let Some((start, half)) = open {
-            if next == Some(half) {
+        if let Some((start, fast)) = open {
+            if next == Some(fast) {
                 continue;
             }
-            fold(start..tk, half);
+            fold(start..tk, fast);
             kept += tk - start;
         }
-        open = next.map(|half| (tk, half));
+        open = next.map(|fast| (tk, fast));
     }
     if kept == 0 {
         fold(0..0, false);
@@ -554,8 +648,8 @@ pub(super) struct ChainPanel<'s, U> {
 /// and folds on the same lanes), into an accumulator tile read from `C`
 /// and stored straight into the slab. Tiles are visited strip by strip,
 /// row-major within a strip. Right after packing a chain or strip, a
-/// step that folds on half lanes images it and a step that may skip
-/// pairs ([`ChainSkips`]) scans it.
+/// step that folds on fp16 or FMA lanes reads its fits ([`Lanes::read`])
+/// and a step that may skip pairs ([`ChainSkips`]) scans it.
 ///
 /// The panel's units are either a single unit that executes every strip
 /// (the sequential schedule) or one worker shard per strip (the
@@ -595,9 +689,7 @@ pub(super) fn run_panel<U: MmoUnit>(
         for ti in panel.clone() {
             let a_coords = (0..k_tiles).map(|tk| (ti, tk));
             pack_chain(unit, step.a, pad.a, a_coords, a_row.tiles);
-            if let SelectLanes::Half(lanes) = plan.lanes {
-                lanes.image_a(a_row.tiles, a_row.half, a_row.fits);
-            }
+            plan.lanes.read(Side::A, a_row.reborrow());
             if let Some(skips) = plan.skips {
                 let read_values = skips.values && b_sparse;
                 skips.scan(unit.kernel_isa(), read_values, a_row.reborrow());

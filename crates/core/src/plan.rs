@@ -454,14 +454,7 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
         let h = content_hash(m);
         if let Some(candidates) = self.index.get(&h) {
             for &slot in candidates.iter().rev() {
-                let held = &self.values[slot.0];
-                if held.shape() == m.shape()
-                    && held
-                        .as_slice()
-                        .iter()
-                        .zip(m.as_slice())
-                        .all(|(x, y)| x.to_bits() == y.to_bits())
-                {
+                if self.values[slot.0].bits_eq(m) {
                     return slot;
                 }
             }
@@ -483,15 +476,11 @@ impl<'b, B: Backend> PlanBuilder<'b, B> {
     /// (Interning wants the most recent match; twins want the first, so
     /// every bit-equal slot chains to one canonical root.)
     fn earliest_twin(&self, h: u64, m: &Matrix) -> Option<SlotId> {
-        self.index.get(&h)?.iter().copied().find(|&slot| {
-            let held = &self.values[slot.0];
-            held.shape() == m.shape()
-                && held
-                    .as_slice()
-                    .iter()
-                    .zip(m.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-        })
+        self.index
+            .get(&h)?
+            .iter()
+            .copied()
+            .find(|&slot| self.values[slot.0].bits_eq(m))
     }
 
     /// Registers a step's freshly computed output as a new slot.
@@ -1064,14 +1053,6 @@ mod tests {
     use simd2_matrix::gen;
     use simd2_semiring::ALL_OPS;
 
-    fn bit_eq(x: &Matrix, y: &Matrix) -> bool {
-        x.shape() == y.shape()
-            && x.as_slice()
-                .iter()
-                .zip(y.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
     /// Records a 3-step chain: d0 = C ⊕ (A ⊗ B); d1 = C ⊕ (d0 ⊗ B);
     /// d2 = C ⊕ (d0 ⊗ d1-ish)… kept square so chaining is legal.
     fn record_chain(op: OpKind) -> (Plan, Vec<Matrix>) {
@@ -1109,9 +1090,9 @@ mod tests {
             let mut be = TiledBackend::new();
             let replay = Executor::new().run(&plan, &mut be).unwrap();
             for (i, want) in eager.iter().enumerate() {
-                assert!(bit_eq(replay.step_output(i), want), "{op} step {i}");
+                assert!(replay.step_output(i).bits_eq(want), "{op} step {i}");
             }
-            assert!(bit_eq(replay.final_output().unwrap(), &eager[2]), "{op}");
+            assert!(replay.final_output().unwrap().bits_eq(&eager[2]), "{op}");
         }
     }
 
@@ -1146,7 +1127,7 @@ mod tests {
         for (p, outs) in eager.iter().enumerate() {
             for (i, want) in outs.iter().enumerate() {
                 assert!(
-                    bit_eq(replay.step_output(3 * p + i), want),
+                    replay.step_output(3 * p + i).bits_eq(want),
                     "plan {p} step {i}"
                 );
             }
@@ -1191,7 +1172,7 @@ mod tests {
         let mut rec = PlanBuilder::over(&mut rec_be);
         let rec_d = rec.mmo(op, &a, &a, &c).unwrap();
         assert_eq!(rec.op_count(), eager_be.op_count());
-        assert!(bit_eq(&eager_d, &rec_d));
+        assert!(eager_d.bits_eq(&rec_d));
         assert_eq!(
             eager_ring.len(),
             rec_ring.len(),
@@ -1276,9 +1257,9 @@ mod tests {
         assert_eq!(plan.dependencies(), vec![vec![], vec![0]]);
         let mut replay_be = TiledBackend::new();
         let replay = Executor::new().run(&plan, &mut replay_be).unwrap();
-        assert!(bit_eq(replay.step_output(0), &d1));
-        assert!(bit_eq(replay.step_output(1), &d2));
-        assert!(bit_eq(&replay.into_final_output().unwrap(), &d2));
+        assert!(replay.step_output(0).bits_eq(&d1));
+        assert!(replay.step_output(1).bits_eq(&d2));
+        assert!(replay.into_final_output().unwrap().bits_eq(&d2));
     }
 
     #[test]
@@ -1423,7 +1404,7 @@ mod tests {
             // …and every step output (including the checkpointed one)
             // matches the eager originals bit for bit.
             for (i, want) in eager.iter().enumerate() {
-                assert!(bit_eq(replay.step_output(i), want), "{op} step {i}");
+                assert!(replay.step_output(i).bits_eq(want), "{op} step {i}");
             }
         }
     }
@@ -1490,7 +1471,7 @@ mod tests {
         for (p, outs) in eager.iter().enumerate() {
             for (i, want) in outs.iter().enumerate() {
                 assert!(
-                    bit_eq(replay.step_output(3 * p + i), want),
+                    replay.step_output(3 * p + i).bits_eq(want),
                     "plan {p} step {i}"
                 );
             }
@@ -1530,8 +1511,8 @@ mod tests {
             .resume_from(&plan, halted.checkpoint, &mut clean_be, &mut approve())
             .unwrap();
         assert_eq!(clean_be.op_count().matrix_mmos, 1);
-        assert!(bit_eq(replay.step_output(0), &d0));
-        assert!(bit_eq(replay.step_output(1), &d1));
+        assert!(replay.step_output(0).bits_eq(&d0));
+        assert!(replay.step_output(1).bits_eq(&d1));
     }
 
     #[test]
@@ -1551,7 +1532,7 @@ mod tests {
             .resume_from(&plan, again.checkpoint, &mut be, &mut approve())
             .unwrap();
         assert_eq!(be.op_count(), plan.predicted_op_count());
-        assert!(bit_eq(replay.final_output().unwrap(), &eager[2]));
+        assert!(replay.final_output().unwrap().bits_eq(&eager[2]));
     }
 
     #[test]

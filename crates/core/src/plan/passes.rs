@@ -677,14 +677,6 @@ mod tests {
     use crate::backend::TiledBackend;
     use simd2_matrix::gen;
 
-    fn bit_eq(x: &Matrix, y: &Matrix) -> bool {
-        x.shape() == y.shape()
-            && x.as_slice()
-                .iter()
-                .zip(y.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
     /// A recording that evaluates the same subexpression twice: the
     /// duplicate merges, and the downstream reader follows it.
     fn record_with_duplicate(op: OpKind) -> (Plan, Vec<Matrix>) {
@@ -710,11 +702,11 @@ mod tests {
         let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
         for (i, want) in eager.iter().enumerate() {
             assert!(
-                bit_eq(optimized.step_output(&replay, i).unwrap(), want),
+                optimized.step_output(&replay, i).unwrap().bits_eq(want),
                 "step {i}"
             );
         }
-        assert!(bit_eq(optimized.final_output(&replay).unwrap(), &eager[2]));
+        assert!(optimized.final_output(&replay).unwrap().bits_eq(&eager[2]));
         assert_eq!(be.op_count(), optimized.plan().predicted_op_count());
     }
 
@@ -760,10 +752,10 @@ mod tests {
         let replay = Executor::new()
             .run_optimized(&optimized, &mut replay_be)
             .unwrap();
-        assert!(bit_eq(
-            optimized.final_output(&replay).unwrap(),
-            &full.closure
-        ));
+        assert!(optimized
+            .final_output(&replay)
+            .unwrap()
+            .bits_eq(&full.closure));
     }
 
     #[test]
@@ -785,8 +777,8 @@ mod tests {
         assert_eq!(optimized.report().steps_eliminated, 0);
         let mut be = TiledBackend::new();
         let replay = Executor::new().run_optimized(&optimized, &mut be).unwrap();
-        assert!(bit_eq(optimized.step_output(&replay, 0).unwrap(), &da));
-        assert!(bit_eq(optimized.step_output(&replay, 1).unwrap(), &db));
+        assert!(optimized.step_output(&replay, 0).unwrap().bits_eq(&da));
+        assert!(optimized.step_output(&replay, 1).unwrap().bits_eq(&db));
     }
 
     #[test]

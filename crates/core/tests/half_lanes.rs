@@ -174,7 +174,7 @@ fn model(unit: &Simd2Unit, op: OpKind, a: &Matrix, b: &Matrix) -> Tally {
                 let slot = match a_fit.max(b_fit) {
                     _ if a_empty || b_empty => 0,
                     _ if !lanes => 4,
-                    HalfFit::Exact => 1,
+                    HalfFit::Exact | HalfFit::Infinite => 1,
                     HalfFit::Nan => 2,
                     HalfFit::OffLattice => 3,
                 };

@@ -55,7 +55,7 @@ impl std::error::Error for ShapeError {}
 /// assert_eq!(m.rows(), 2);
 /// assert_eq!(m.cols(), 3);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -263,6 +263,15 @@ impl Matrix {
         Ok(self.max_abs_diff(other)? <= tol)
     }
 
+    /// Whether `other` has the same shape and every element the same bit
+    /// pattern: `-0.0` differs from `0.0`, and a NaN equals a NaN with
+    /// the same payload. What a fixpoint or a replay is checked with
+    /// where `==`'s float semantics would hide a difference.
+    pub fn bits_eq(&self, other: &Matrix) -> bool {
+        self.shape() == other.shape()
+            && all_pairs(&self.data, &other.data, |x, y| x.to_bits() == y.to_bits())
+    }
+
     /// Fraction of elements that are *not* equal to `zero_value` — the
     /// density used by the sparsity experiments (Figs 13–14).
     pub fn density(&self, zero_value: f32) -> f64 {
@@ -271,6 +280,29 @@ impl Matrix {
         }
         let nnz = self.data.iter().filter(|&&x| x != zero_value).count();
         nnz as f64 / self.data.len() as f64
+    }
+}
+
+/// Elements [`all_pairs`] compares before it may stop.
+const EQ_CHUNK: usize = 64;
+
+/// Whether `same` holds for every pair of elements of `x` and `y` (of
+/// equal length). Each chunk of [`EQ_CHUNK`] pairs is folded without an
+/// early exit, so the compiler vectorises it; only the check between
+/// chunks branches.
+fn all_pairs(x: &[f32], y: &[f32], same: impl Fn(f32, f32) -> bool) -> bool {
+    let (xs, x_tail) = x.as_chunks::<EQ_CHUNK>();
+    let (ys, y_tail) = y.as_chunks::<EQ_CHUNK>();
+    let chunk = |a: &[f32], b: &[f32]| a.iter().zip(b).fold(true, |all, (&p, &q)| all & same(p, q));
+    xs.iter().zip(ys).all(|(a, b)| chunk(a, b)) && chunk(x_tail, y_tail)
+}
+
+/// Element-wise `==` over equal shapes, as a derived impl would be (so
+/// `±0` are equal and a NaN equals nothing), but vectorised a chunk at a
+/// time instead of branching on every element.
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && all_pairs(&self.data, &other.data, |x, y| x == y)
     }
 }
 
@@ -427,5 +459,42 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
         assert_eq!(m.density(0.0), 0.0);
+    }
+
+    #[test]
+    fn equality_is_elementwise_float_and_bits_eq_is_bitwise() {
+        // Sizes around the comparison chunk, with the one difference in
+        // a whole chunk, at a chunk's last element and in the tail.
+        for (rows, cols) in [(1, 1), (8, 8), (3, 43), (256, 256)] {
+            let m = Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32 - 7.5);
+            let len = rows * cols;
+            assert!(m == m.clone() && m.bits_eq(&m.clone()));
+            for at in [
+                0,
+                len / 2,
+                (len / EQ_CHUNK * EQ_CHUNK).saturating_sub(1),
+                len - 1,
+            ] {
+                let mut other = m.clone();
+                other.as_mut_slice()[at] += 1.0;
+                assert!(m != other && !m.bits_eq(&other), "{rows}x{cols} at {at}");
+                // `±0` are equal, but not the same bits.
+                let (mut pos, mut neg) = (m.clone(), m.clone());
+                pos.as_mut_slice()[at] = 0.0;
+                neg.as_mut_slice()[at] = -0.0;
+                assert!(pos == neg && !pos.bits_eq(&neg), "{rows}x{cols} at {at}");
+                // A NaN equals nothing, but has its own bits.
+                let mut nan = m.clone();
+                nan.as_mut_slice()[at] = f32::NAN;
+                assert!(nan != nan.clone() && nan.bits_eq(&nan.clone()));
+                let mut payload = nan.clone();
+                payload.as_mut_slice()[at] = f32::from_bits(f32::NAN.to_bits() | 1);
+                assert!(!nan.bits_eq(&payload), "{rows}x{cols} at {at}");
+            }
+        }
+        // The same elements in another shape are not equal.
+        let (wide, tall) = (Matrix::zeros(2, 3), Matrix::zeros(3, 2));
+        assert!(wide != tall && !wide.bits_eq(&tall));
+        assert!(Matrix::zeros(0, 3) != Matrix::zeros(0, 5));
     }
 }

@@ -17,7 +17,9 @@
 use std::fmt;
 
 use simd2_semiring::precision::quantize_int8;
-use simd2_semiring::simd::{self, HalfLanes, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS};
+use simd2_semiring::simd::{
+    self, FmaLanes, HalfLanes, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS,
+};
 use simd2_semiring::OpKind;
 
 use simd2_matrix::{Tile, ISA_TILE};
@@ -293,6 +295,20 @@ pub trait MmoUnit: std::fmt::Debug {
         None
     }
 
+    /// The FMA lanes this unit's datapath folds `op`'s tile chains on,
+    /// if it has them — `None` by default. The chain hook for pairs an
+    /// engine has read the fp16 fit of: a
+    /// [coordinate-free](MmoUnit::COORDINATE_FREE) unit that names lanes
+    /// has each run of tile pairs whose fits are
+    /// [exact](simd2_semiring::simd::HalfFit::Exact) folded by
+    /// [`FmaLanes::mmo_chain`], which folds the bits
+    /// [`execute_chain`](MmoUnit::execute_chain) folds; every other run
+    /// still goes through `execute_chain`.
+    fn fma_lanes(&self, op: OpKind) -> Option<FmaLanes> {
+        let _ = op;
+        None
+    }
+
     /// Marks the start of a new whole-matrix mmo (called once per
     /// backend-level `mmo`, before any tile executes and before any
     /// shards are taken).
@@ -391,6 +407,12 @@ impl MmoUnit for Simd2Unit {
     /// ([`HalfLanes::new`]); a pin to another tier has none.
     fn half_lanes(&self, op: OpKind) -> Option<HalfLanes> {
         HalfLanes::new(self.kernel_isa(), op)
+    }
+
+    /// Plus-mul on the AVX-512 and AVX2 tiers ([`FmaLanes::new`]); a pin
+    /// to the scalar tier has none.
+    fn fma_lanes(&self, op: OpKind) -> Option<FmaLanes> {
+        FmaLanes::new(self.kernel_isa(), op)
     }
 
     fn precision(&self) -> PrecisionMode {

@@ -22,7 +22,9 @@
 //! interleave the output rows of a register-resident accumulator block
 //! per `k` step; min-max and max-min chains also fold on fp16 lanes
 //! ([`HalfLanes`]) where an engine hands them fp16 images of operands
-//! that fit. [`mmo_tile`] at that side is a chain of one; any other
+//! that fit, and plus-mul chains fold each term with one fused
+//! multiply-add ([`FmaLanes`]) on tile pairs that are finite and on the
+//! fp16 lattice. [`mmo_tile`] at that side is a chain of one; any other
 //! side — which only tests reach — takes the scalar leaf. [`sweep_row`]
 //! is the sparse engine's row kernel: one output row folds an explicit
 //! `(k, value)` walk over rows of a dense `B`, so whichever
@@ -53,10 +55,11 @@
 //! `#[target_feature]` leaf functions with two documented preconditions:
 //! the feature is present on the host (checked by the dispatcher), and
 //! the slices have the shapes the entry asserted — whole 16×16 tiles for
-//! [`mmo_chain`]; the [`sweep_row`], [`scan`] and [`compact`] leaves
-//! and the [`HalfLanes`] leaves have no shape precondition (every vector
-//! access goes through a bounds-checked fixed-size chunk). A
-//! [`HalfLanes`] value is made only after the feature probe, so holding
+//! [`mmo_chain`] and [`FmaLanes::mmo_chain`]; the [`sweep_row`],
+//! [`scan`] and [`compact`] leaves, the [`HalfLanes`] leaves and
+//! [`FmaLanes::fits`] have no shape precondition (every vector access
+//! goes through a bounds-checked fixed-size chunk). A [`HalfLanes`] or
+//! [`FmaLanes`] value is made only after the feature probe, so holding
 //! one is the guard its leaves are entered behind.
 //! Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
 //! every interior `unsafe` block carries its own justification.
@@ -64,9 +67,10 @@
 //! # Bit identity
 //!
 //! The scalar kernel is the oracle. The vector lowerings are chosen to
-//! match it exactly, *not* to be fastest-possible: plus-mul uses separate
-//! multiply and add (a fused FMA would round once instead of twice and
-//! diverge from the scalar oracle), and the min/max semirings wrap
+//! match it exactly, *not* to be fastest-possible: plus-mul's
+//! term-by-term lowering uses separate multiply and add (a fused FMA
+//! rounds once instead of twice, which diverges from the scalar oracle
+//! wherever the product is not exact in `f32`), and the min/max semirings wrap
 //! `min_ps`/`max_ps` in a NaN-aware blend or mask reproducing the scalar
 //! `⊗`/`⊕`, whose every case — NaN, `±0` tie — is pinned (`select_min` /
 //! `select_max` in `typed.rs`). Where a cheaper lowering is the same
@@ -77,7 +81,9 @@
 //! never NaN), and the `⊗` of min-max / max-min drops its NaN handling
 //! on tile pairs that hold no NaN — and, handed fp16 images of pairs
 //! that hold no NaN and nothing off the fp16 lattice, runs on twice the
-//! lanes ([`HalfLanes`]). See DESIGN.md
+//! lanes ([`HalfLanes`]); a plus-mul chain fuses each term on tile pairs
+//! that are finite and on the fp16 lattice, where every product is exact
+//! in `f32` and one rounding is the oracle's two ([`FmaLanes`]). See DESIGN.md
 //! § "SIMD kernel dispatch" for the full lowering table and the
 //! arguments. The suites compare through
 //! [`same_bits`], which says what "exactly" means for two NaNs.
@@ -109,8 +115,8 @@ pub const SWEEP_STRIP: usize = 64;
 ///
 /// Only the features the kernel layer actually keys on are represented.
 /// The AVX2 tier requires the whole Haswell-generation set: `f16c` is
-/// what its fp16 quantiser converts with, and `fma` is probed even
-/// though the plus-mul lowering deliberately does not fuse (see the
+/// what its fp16 quantiser converts with, and `fma` what its plus-mul
+/// chain leaf fuses with on the tile pairs [`FmaLanes`] admit (see the
 /// module docs on bit identity).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CpuFeatures {
@@ -118,7 +124,8 @@ pub struct CpuFeatures {
     pub avx512f: bool,
     /// AVX2 (8-lane `f32` vectors).
     pub avx2: bool,
-    /// Fused multiply-add (gates the AVX2 tier alongside `avx2`).
+    /// Fused multiply-add (gates the AVX2 tier alongside `avx2`; the
+    /// AVX2 [`FmaLanes`] fuse plus-mul terms with it).
     pub fma: bool,
     /// Half-precision conversion (gates the AVX2 tier alongside `avx2`;
     /// the vector fp16 quantiser is `vcvtps2ph` + `vcvtph2ps`).
@@ -400,6 +407,12 @@ pub fn mmo_tile(
 /// Panics if `a` and `b` are not the same whole number of tiles or
 /// `acc` is not exactly one.
 pub fn mmo_chain(isa: KernelIsa, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f32]) {
+    assert_chain(a, b, acc);
+    with_kernel!(op, K => run_chain::<K>(isa, a, b, acc));
+}
+
+/// The shape contract of [`mmo_chain`] and [`FmaLanes::mmo_chain`].
+fn assert_chain(a: &[f32], b: &[f32], acc: &[f32]) {
     assert!(
         a.len().is_multiple_of(CHAIN_ELEMS),
         "operand chain A is not whole {CHAIN_TILE}×{CHAIN_TILE} tiles"
@@ -410,7 +423,6 @@ pub fn mmo_chain(isa: KernelIsa, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f3
         CHAIN_ELEMS,
         "accumulator is not {CHAIN_TILE}×{CHAIN_TILE}"
     );
-    with_kernel!(op, K => run_chain::<K>(isa, a, b, acc));
 }
 
 /// Folds one output row's walk over contiguous rows of a dense `B`:
@@ -423,10 +435,12 @@ pub fn mmo_chain(isa: KernelIsa, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f3
 /// strip's width.
 ///
 /// Every column folds its terms in walk order with `⊗` and `⊕` as two
-/// roundings (never a fused multiply-add), so all tiers equal the
-/// scalar leaf bit for bit. The x86 leaves keep a [`SWEEP_STRIP`]-column
-/// accumulator strip in registers across the whole walk. Same support
-/// guard as [`mmo_tile`]. Operands must already be quantised.
+/// roundings — never a fused multiply-add: a walk's values are not read
+/// for the fp16 lattice the way [`FmaLanes`] read packed tiles — so all
+/// tiers equal the scalar leaf bit for bit. The x86 leaves keep a
+/// [`SWEEP_STRIP`]-column accumulator strip in registers across the
+/// whole walk. Same support guard as [`mmo_tile`]. Operands must already
+/// be quantised.
 ///
 /// # Panics
 ///
@@ -577,19 +591,43 @@ pub const HALF_A_WORDS: usize = CHAIN_ELEMS / 2;
 /// operand: every fp16 value twice in one word, row-major.
 pub const HALF_B_WORDS: usize = CHAIN_ELEMS;
 
-/// What a tile's fp16 image says of the tile: whether the half lanes may
-/// fold it. Ordered by precedence, so the fit of a tile pair is the
-/// larger of its two tiles'.
+/// What a tile's fp16 round trip says of the tile: whether the half
+/// lanes may fold it, and whether the FMA lanes may. Ordered by
+/// precedence, so the fit of a tile pair is the larger of its two
+/// tiles': [`HalfLanes`] fold a pair whose fit is at most
+/// [`Infinite`](HalfFit::Infinite), [`FmaLanes`] one whose fit is
+/// [`Exact`](HalfFit::Exact).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HalfFit {
-    /// No element is NaN and every one survives the fp16 round trip
-    /// exactly: the image holds the tile.
+    /// Every element is finite and survives the fp16 round trip exactly:
+    /// the image holds the tile, and the product of any two such
+    /// elements is exact in `f32`.
     #[default]
     Exact,
+    /// Every element survives the fp16 round trip exactly, but some
+    /// element is `±∞`: the image still holds the tile.
+    Infinite,
     /// No element is NaN, but some element is off the fp16 lattice.
     OffLattice,
     /// Some element is NaN.
     Nan,
+}
+
+impl HalfFit {
+    /// The fit of a tile some of whose elements are NaN (`nan`), off the
+    /// fp16 lattice (`inexact`, NaN included or not) and `±∞`
+    /// (`infinite`).
+    fn of(nan: bool, inexact: bool, infinite: bool) -> Self {
+        if nan {
+            HalfFit::Nan
+        } else if inexact {
+            HalfFit::OffLattice
+        } else if infinite {
+            HalfFit::Infinite
+        } else {
+            HalfFit::Exact
+        }
+    }
 }
 
 /// The fp16 lanes a min-max or max-min tile chain folds on: 32 lanes per
@@ -671,7 +709,8 @@ impl HalfLanes {
     }
 
     /// [`mmo_chain`] of the tile pairs whose images `a` and `b` hold —
-    /// which must all be [`HalfFit::Exact`], or the result is unspecified
+    /// whose fits must all be [`HalfFit::Exact`] or
+    /// [`HalfFit::Infinite`], or the result is unspecified
     /// (though memory-safe): seeds `acc ⊕ id` in `f32`, folds the chain
     /// on fp16 lanes from the identity and folds that into `acc` once.
     ///
@@ -707,8 +746,8 @@ impl HalfLanes {
     }
 }
 
-/// The shape contract of [`HalfLanes::image_a`] and
-/// [`HalfLanes::image_b`].
+/// The shape contract of [`HalfLanes::image_a`], [`HalfLanes::image_b`]
+/// and (with no image) [`FmaLanes::fits`].
 fn assert_image(tiles: &[f32], image: &[u32], fits: &[HalfFit], words: usize) {
     assert!(
         tiles.len().is_multiple_of(CHAIN_ELEMS),
@@ -717,6 +756,98 @@ fn assert_image(tiles: &[f32], image: &[u32], fits: &[HalfFit], words: usize) {
     let count = tiles.len() / CHAIN_ELEMS;
     assert_eq!(image.len(), count * words, "image is not one per tile");
     assert_eq!(fits.len(), count, "fits are not one per tile");
+}
+
+/// The FMA lanes a plus-mul tile chain folds on: each term
+/// `acc ← acc + a·b` in one fused multiply-add instead of a multiply and
+/// an add. Made only by [`FmaLanes::new`], after the feature probe, so
+/// holding one proves the host runs its leaves.
+///
+/// The two fp16 values of a pair whose tiles are [`HalfFit::Exact`] have
+/// at most 11 significant bits each and magnitudes in `2⁻²⁴ ..= 65504`,
+/// so their product has at most 22 significant bits and a magnitude in
+/// `2⁻⁴⁸ ..= 65504²`, well inside `f32`'s normal range: `a·b` is exact in
+/// `f32`. The fused `round(a·b + acc)` is then `round(fl(a·b) + acc)`,
+/// the scalar fold's two roundings, for every accumulator — `±0`, `±∞`
+/// and a NaN seeded from `C` (the only NaN operand either way) included.
+/// A NaN or `±∞` in a tile, or a value off the lattice, keeps the pair on
+/// the separate multiply and add. See DESIGN.md §8 "Plus-mul chains on
+/// FMA lanes".
+///
+/// ```
+/// use simd2_semiring::simd::{self, FmaLanes, HalfFit, KernelIsa, CHAIN_ELEMS};
+/// use simd2_semiring::OpKind;
+///
+/// let (a, b) = (vec![1.5f32; CHAIN_ELEMS], vec![-65504.0f32; CHAIN_ELEMS]);
+/// let mut want = vec![0.1f32; CHAIN_ELEMS];
+/// let mut got = want.clone();
+/// simd::mmo_chain(KernelIsa::Scalar, OpKind::PlusMul, &a, &b, &mut want);
+/// if let Some(fma) = FmaLanes::new(simd::selected_isa(), OpKind::PlusMul) {
+///     let mut fits = [HalfFit::Nan; 2];
+///     fma.fits(&a, &mut fits[..1]);
+///     fma.fits(&b, &mut fits[1..]);
+///     assert_eq!(fits, [HalfFit::Exact; 2]);
+///     fma.mmo_chain(&a, &b, &mut got);
+///     assert_eq!(got, want);
+/// }
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct FmaLanes {
+    isa: KernelIsa,
+}
+
+impl FmaLanes {
+    /// The FMA lanes of `op` on `isa`: `Some` for plus-mul on the
+    /// AVX-512 and AVX2 tiers the host supports (the AVX2 tier requires
+    /// FMA), `None` on the scalar tier and for every other op.
+    pub fn new(isa: KernelIsa, op: OpKind) -> Option<Self> {
+        let lanes = isa != KernelIsa::Scalar && isa.is_supported();
+        (op == OpKind::PlusMul && lanes).then_some(Self { isa })
+    }
+
+    /// Writes the [`HalfFit`] of each whole tile of `tiles` to `fits`:
+    /// the fp16 round trip of every element, without keeping the image.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tiles` is whole tiles and `fits` holds exactly one
+    /// fit per tile.
+    pub fn fits(self, tiles: &[f32], fits: &mut [HalfFit]) {
+        assert_image(tiles, &[], fits, 0);
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `new` proved avx512f is available on this CPU.
+            KernelIsa::Avx512 => unsafe { x86::fits_avx512(tiles, fits) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `new` proved avx2 and f16c (the AVX2 tier's
+            // features) are available on this CPU.
+            KernelIsa::Avx2 => unsafe { x86::fits_avx2(tiles, fits) },
+            _ => fits.fill(HalfFit::Nan),
+        }
+    }
+
+    /// [`mmo_chain`] of plus-mul over tile pairs whose fits must all be
+    /// [`HalfFit::Exact`], or the result is unspecified (though
+    /// memory-safe): seeds `acc ⊕ id`, then folds every term with one
+    /// fused multiply-add.
+    ///
+    /// # Panics
+    ///
+    /// As [`mmo_chain`].
+    pub fn mmo_chain(self, a: &[f32], b: &[f32], acc: &mut [f32]) {
+        assert_chain(a, b, acc);
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `new` proved avx512f is available on this CPU, and
+            // the shapes were asserted.
+            KernelIsa::Avx512 => unsafe { x86::mmo_chain_avx512::<PlusMul, true>(a, b, acc) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `new` proved avx2 and fma are available on this
+            // CPU, and the shapes were asserted.
+            KernelIsa::Avx2 => unsafe { x86::mmo_chain_avx2::<PlusMul, true>(a, b, acc) },
+            _ => scalar::mmo_chain::<PlusMul>(a, b, acc, CHAIN_TILE),
+        }
+    }
 }
 
 /// Quantises every element of `xs` through fp16 in place, vectorized
@@ -789,12 +920,14 @@ fn run_chain<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], acc: &mut [f32
         // SAFETY: the guard proved avx512f is available on this CPU, and
         // the callers asserted the chain and accumulator shapes.
         KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
-            x86::mmo_chain_avx512::<K>(a, b, acc)
+            x86::mmo_chain_avx512::<K, false>(a, b, acc)
         },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 is available on this CPU, and
-        // the callers asserted the chain and accumulator shapes.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::mmo_chain_avx2::<K>(a, b, acc) },
+        // SAFETY: the guard proved avx2 and fma are available on this
+        // CPU, and the callers asserted the chain and accumulator shapes.
+        KernelIsa::Avx2 if cpu_features().avx2 && cpu_features().fma => unsafe {
+            x86::mmo_chain_avx2::<K, false>(a, b, acc)
+        },
         _ => scalar::mmo_chain::<K>(a, b, acc, CHAIN_TILE),
     }
 }

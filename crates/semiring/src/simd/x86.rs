@@ -8,10 +8,11 @@
 //!   enter a leaf behind a `cpu_features()` guard).
 //! * Chain leaves: `a` and `b` are the same whole number of flat 16×16
 //!   tiles and the accumulator exactly one (asserted by
-//!   `super::mmo_chain`); they index through fixed-size chunks, so every
-//!   vector access is a whole vector of a 16-element row. Row-sweep,
-//!   scan, compaction and half-lane leaves: no shape precondition —
-//!   every vector access goes through a bounds-checked fixed-size chunk.
+//!   `super::mmo_chain` and `super::FmaLanes::mmo_chain`); they index
+//!   through fixed-size chunks, so every vector access is a whole vector
+//!   of a 16-element row. Row-sweep, scan, compaction, fit and half-lane
+//!   leaves: no shape precondition — every vector access goes through a
+//!   bounds-checked fixed-size chunk.
 //!
 //! # Bit identity
 //!
@@ -21,9 +22,13 @@
 //! matching its scalar counterpart lane-wise:
 //!
 //! * `+`, `×`, `(a-b)²` — IEEE operations, identical by definition.
-//!   Plus-mul deliberately does **not** fuse into FMA: the scalar oracle
-//!   rounds after the multiply and again after the add, and a fused
-//!   kernel would not.
+//!   The scalar oracle rounds plus-mul's product and again its sum, so
+//!   the term-by-term lowering does not fuse them. The chain leaves'
+//!   `FUSED` fold (entered through `super::FmaLanes` only) does, on tile
+//!   pairs whose every element is finite and on the fp16 lattice: the
+//!   product of two such values has at most 22 significant bits and a
+//!   magnitude inside `f32`'s normal range, so it is exact, and one
+//!   rounding of `a·b + acc` is the oracle's second one.
 //! * `min`/`max` — `vminps`/`vmaxps` alone return the *second* operand
 //!   on any NaN and on a tie, which does not match the scalar
 //!   `select_min`/`select_max` (`crate::typed`: the other operand when
@@ -349,7 +354,8 @@ macro_rules! lower {
     };
 }
 
-// plus-mul: separate mul and add — NOT fused (see module docs).
+// plus-mul: separate mul and add, term by term; only the chain leaves'
+// `FUSED` fold fuses them, on the pairs `FmaLanes` admit (module docs).
 lower!(
     PlusMul,
     combine(a, b) = _mm256_mul_ps(a, b),
@@ -505,22 +511,25 @@ fn pair_has_nan_avx2(at: &[f32; CHAIN_ELEMS], bt: &[f32; CHAIN_ELEMS]) -> bool {
 /// 32 `zmm`), the AVX2 block a quarter of it (8 of 16 `ymm`).
 ///
 /// Every `⊕` of the fold is `fold_v`: its first operand is the seeded
-/// accumulator. Two lowerings depend on what is being chained. Or-and
+/// accumulator. Three lowerings depend on what is being chained. Or-and
 /// leaves for the tier's lane-mask chain, which never forms an `f32`
 /// term. A semiring whose `⊗` selects (`SELECTS`) tests each tile pair
 /// for NaN and forms the pair's terms with `combine_ord` when there is
-/// none.
+/// none. `FUSED` (plus-mul only, through `super::FmaLanes`) folds each
+/// term with one `$fma`, which is the same bits only on tile pairs whose
+/// elements are finite and on the fp16 lattice.
 macro_rules! chain_leaf {
     ($leaf:ident, $fold:ident, $feature:literal, $kernel:ident, $lanes:ident, $rows:literal,
-     $load:ident, $splat:ident, $store:ident, $has_nan:ident, $or_and:ident) => {
+     $load:ident, $splat:ident, $store:ident, $fma:ident, $has_nan:ident, $or_and:ident) => {
         /// One tile pair into one accumulator block: rows `a_rows` of
         /// the `A` tile against vector `h` of every `B` row. `ORD`
         /// forms the terms with `combine_ord`, which is the same bits
-        /// only on a tile pair without NaN. Safe to call wherever the
-        /// target feature is enabled.
+        /// only on a tile pair without NaN; `FUSED` folds each term with
+        /// one fused multiply-add. Safe to call wherever the target
+        /// feature is enabled.
         #[target_feature(enable = $feature)]
         #[inline]
-        fn $fold<K: $kernel, const ORD: bool>(
+        fn $fold<K: $kernel, const ORD: bool, const FUSED: bool>(
             a_rows: &[[f32; CHAIN_TILE]; $rows],
             b_rows: &[[f32; CHAIN_TILE]],
             h: usize,
@@ -538,12 +547,16 @@ macro_rules! chain_leaf {
                     let av = $splat(a_row[k]);
                     // SAFETY: this function enables the feature.
                     *v = unsafe {
-                        let term = if ORD {
-                            K::combine_ord(av, bv)
+                        if FUSED {
+                            $fma(av, bv, *v)
                         } else {
-                            K::combine_v(av, bv)
-                        };
-                        K::fold_v(*v, term)
+                            let term = if ORD {
+                                K::combine_ord(av, bv)
+                            } else {
+                                K::combine_v(av, bv)
+                            };
+                            K::fold_v(*v, term)
+                        }
                     };
                 }
             }
@@ -555,18 +568,22 @@ macro_rules! chain_leaf {
 
         /// # Safety
         ///
-        /// * The CPU must support the leaf's target feature.
+        /// * The CPU must support the leaf's target features.
         /// * `a` and `b` must hold the same whole number of flat
         ///   row-major 16×16 tiles, and `acc` exactly one (asserted by
-        ///   `super::mmo_chain`).
+        ///   `super::mmo_chain` and `super::FmaLanes::mmo_chain`).
         #[target_feature(enable = $feature)]
-        pub(super) unsafe fn $leaf<K: $kernel>(a: &[f32], b: &[f32], acc: &mut [f32]) {
+        pub(super) unsafe fn $leaf<K: $kernel, const FUSED: bool>(
+            a: &[f32],
+            b: &[f32],
+            acc: &mut [f32],
+        ) {
             if matches!(K::KIND, OpKind::OrAnd) {
                 return $or_and(a, b, acc);
             }
             let (a_tiles, _) = a.as_chunks::<CHAIN_ELEMS>();
             let (b_tiles, _) = b.as_chunks::<CHAIN_ELEMS>();
-            // `acc` is exactly one tile (asserted by `super::mmo_chain`).
+            // `acc` is exactly one tile (asserted by the callers).
             let Some(acc) = acc.first_chunk_mut::<CHAIN_ELEMS>() else {
                 return;
             };
@@ -587,9 +604,9 @@ macro_rules! chain_leaf {
                 for (a_block, acc_block) in a_blocks.iter().zip(acc_blocks.iter_mut()) {
                     for h in 0..CHAIN_TILE / $lanes {
                         if ordered {
-                            $fold::<K, true>(a_block, b_rows, h, acc_block);
+                            $fold::<K, true, FUSED>(a_block, b_rows, h, acc_block);
                         } else {
-                            $fold::<K, false>(a_block, b_rows, h, acc_block);
+                            $fold::<K, false, FUSED>(a_block, b_rows, h, acc_block);
                         }
                     }
                 }
@@ -608,19 +625,21 @@ chain_leaf!(
     _mm512_loadu_ps,
     _mm512_set1_ps,
     _mm512_storeu_ps,
+    _mm512_fmadd_ps,
     pair_has_nan_avx512,
     or_and_chain_avx512
 );
 chain_leaf!(
     mmo_chain_avx2,
     fold_block_avx2,
-    "avx2",
+    "avx2,fma",
     Kernel256,
     LANES256,
     8,
     _mm256_loadu_ps,
     _mm256_set1_ps,
     _mm256_storeu_ps,
+    _mm256_fmadd_ps,
     pair_has_nan_avx2,
     or_and_chain_avx2
 );
@@ -758,16 +777,18 @@ fn or_and_chain_avx2(a: &[f32], b: &[f32], acc: &mut [f32]) {
 const ROW_PAIRS: usize = CHAIN_TILE / 2;
 
 /// What the fp16 images of a tile's rows said so far: the lanes where
-/// the round trip was not exact (NaN included), and where it met a NaN.
+/// the round trip was not exact (NaN included), where it met a NaN, and
+/// where it met `±∞`.
 #[derive(Clone, Copy, Default)]
 struct HalfCheck {
     inexact: __mmask16,
     nan: __mmask16,
+    infinite: __mmask16,
 }
 
 impl HalfCheck {
     /// The fp16 image of a 16-element row, recording what it says: one
-    /// `vcvtps2ph`, one `vcvtph2ps` and two compares. An ordered equal
+    /// `vcvtps2ph`, one `vcvtph2ps` and three compares. An ordered equal
     /// compare is bit equality here, since the round trip keeps the sign
     /// of a zero.
     #[target_feature(enable = "avx512f")]
@@ -778,18 +799,60 @@ impl HalfCheck {
         let h = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
         self.inexact |= !_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(_mm512_cvtph_ps(h), v);
         self.nan |= _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+        let inf = _mm512_set1_ps(f32::INFINITY);
+        self.infinite |= _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(_mm512_abs_ps(v), inf);
         h
     }
 
     /// The tile's fit once every row is imaged.
     fn fit(self) -> HalfFit {
-        if self.nan != 0 {
-            HalfFit::Nan
-        } else if self.inexact != 0 {
-            HalfFit::OffLattice
-        } else {
-            HalfFit::Exact
+        HalfFit::of(self.nan != 0, self.inexact != 0, self.infinite != 0)
+    }
+}
+
+/// The fits of whole tiles for the FMA lanes: [`HalfCheck`] over every
+/// row, the images dropped.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. (Shapes are bounds-checked, not
+/// preconditions.)
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn fits_avx512(tiles: &[f32], fits: &mut [HalfFit]) {
+    let (tiles, _) = tiles.as_chunks::<CHAIN_ELEMS>();
+    for (tile, fit) in tiles.iter().zip(fits) {
+        let mut check = HalfCheck::default();
+        for row in tile.as_chunks::<CHAIN_TILE>().0 {
+            check.row(row);
         }
+        *fit = check.fit();
+    }
+}
+
+/// [`fits_avx512`] on 8-lane half rows, converting with F16C.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and F16C. (Shapes are bounds-checked, not
+/// preconditions.)
+#[target_feature(enable = "avx2,f16c")]
+pub(super) unsafe fn fits_avx2(tiles: &[f32], fits: &mut [HalfFit]) {
+    let (tiles, _) = tiles.as_chunks::<CHAIN_ELEMS>();
+    let inf = _mm256_set1_ps(f32::INFINITY);
+    let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+    for (tile, fit) in tiles.iter().zip(fits) {
+        let [mut inexact, mut nan, mut infinite] = [_mm256_setzero_ps(); 3];
+        for half in tile.as_chunks::<LANES256>().0 {
+            // SAFETY: `half` is exactly 8 contiguous `f32`s.
+            let v = unsafe { _mm256_loadu_ps(half.as_ptr()) };
+            let q = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v));
+            inexact = _mm256_or_ps(inexact, _mm256_cmp_ps::<_CMP_NEQ_UQ>(q, v));
+            nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+            let abs = _mm256_and_ps(v, magnitude);
+            infinite = _mm256_or_ps(infinite, _mm256_cmp_ps::<_CMP_EQ_OQ>(abs, inf));
+        }
+        let any = |m: __m256| _mm256_movemask_ps(m) != 0;
+        *fit = HalfFit::of(any(nan), any(inexact), any(infinite));
     }
 }
 

@@ -20,7 +20,8 @@ use proptest::prelude::*;
 use simd2_matrix::{Csr, Matrix};
 use simd2_semiring::precision::quantize_f16;
 use simd2_semiring::simd::{
-    self, HalfFit, HalfLanes, KernelIsa, CHAIN_ELEMS, CHAIN_TILE, HALF_A_WORDS, HALF_B_WORDS,
+    self, FmaLanes, HalfFit, HalfLanes, KernelIsa, CHAIN_ELEMS, CHAIN_TILE, HALF_A_WORDS,
+    HALF_B_WORDS,
 };
 use simd2_semiring::{OpKind, ALL_OPS};
 
@@ -146,6 +147,23 @@ fn fold_chain(op: OpKind, a: &[f32], b: &[f32], c: &[f32], n: usize) -> Vec<f32>
         }
     }
     acc
+}
+
+/// The fp16 fit of a tile, read off its values: what the image and fit
+/// leaves must name.
+fn fit_of(tile: &[f32]) -> HalfFit {
+    if tile.iter().any(|x| x.is_nan()) {
+        HalfFit::Nan
+    } else if tile
+        .iter()
+        .any(|&x| quantize_f16(x).to_bits() != x.to_bits())
+    {
+        HalfFit::OffLattice
+    } else if tile.iter().any(|x| x.is_infinite()) {
+        HalfFit::Infinite
+    } else {
+        HalfFit::Exact
+    }
 }
 
 /// The vector tiers available on this host (never empty — scalar is
@@ -552,9 +570,10 @@ proptest! {
     /// carry a NaN in `A`, `B` or both or an `f32` value off the lattice,
     /// over accumulators holding NaN, `±0`, `±∞` and values off the
     /// lattice. The image builders must name each tile's fit as the test
-    /// reads it off the values; a chain folded pair by pair the way the
-    /// engine folds it — fp16 lanes on exactly the pairs both of whose
-    /// tiles fit, the `f32` leaf on the rest, the accumulator carried —
+    /// reads it off the values (`±∞` is on the lattice: a tile holding
+    /// one fits as [`HalfFit::Infinite`]); a chain folded pair by pair the
+    /// way the engine folds it — fp16 lanes on exactly the pairs both of
+    /// whose tiles fit, the `f32` leaf on the rest, the accumulator carried —
     /// and, when every pair fits, the one half-lane call over the whole
     /// chain, must equal the fold written out bit for bit. A host
     /// without AVX512-FP16 must get no half lanes.
@@ -608,15 +627,6 @@ proptest! {
                 side[spot(t, 7)] = 1.0 + f32::EPSILON;
             }
         }
-        let fit_of = |tile: &[f32]| {
-            if tile.iter().any(|x| x.is_nan()) {
-                HalfFit::Nan
-            } else if tile.iter().any(|&x| quantize_f16(x).to_bits() != x.to_bits()) {
-                HalfFit::OffLattice
-            } else {
-                HalfFit::Exact
-            }
-        };
         let want = fold_chain(op, &a, &b, &c, CHAIN_TILE);
 
         let (mut a_img, mut b_img) = (vec![0; tiles * HALF_A_WORDS], vec![0; tiles * HALF_B_WORDS]);
@@ -629,7 +639,7 @@ proptest! {
             prop_assert_eq!(b_fits[t], fit_of(&b[tile]), "B tile {}", t);
         }
         let clean: Vec<bool> = (0..tiles)
-            .map(|t| a_fits[t].max(b_fits[t]) == HalfFit::Exact)
+            .map(|t| a_fits[t].max(b_fits[t]) <= HalfFit::Infinite)
             .collect();
         let mut by_pair = c.clone();
         simd::mmo_chain(KernelIsa::Avx512, op, &[], &[], &mut by_pair);
@@ -658,6 +668,145 @@ proptest! {
                 "{} whole chain of {} ties={} element {} ({:e} vs {:e})",
                 op, tiles, ties, i, x, whole[i]
             );
+        }
+    }
+
+    /// Plus-mul chains of 0..=5 pairs on the FMA lanes of every vector
+    /// tier, over values on the fp16 lattice — fp16 subnormals and
+    /// `±65504`, so products from `2⁻⁴⁸` to `65504²` — with pairs that
+    /// carry a NaN in `A`, a `±∞` in `A` or `B`, values off the lattice,
+    /// or values whose products overflow the accumulator that later pairs
+    /// fold into, over accumulators holding NaN, `±0`, `±∞`, `±f32::MAX`
+    /// and values off the lattice. The fit leaf must name each tile's fit
+    /// as the test reads it off the values; a chain folded pair by pair
+    /// the way the engine folds it — fused on exactly the pairs both of
+    /// whose tiles are exact, the unfused leaf on the rest, the
+    /// accumulator carried — and, when every pair is exact, the one fused
+    /// call over the whole chain, must equal the fold written out. The
+    /// scalar tier and every other op get no FMA lanes.
+    #[test]
+    fn fma_lanes_match_the_scalar_fold(
+        tiles in 0usize..=5,
+        dirt in proptest::collection::vec(0u8..32, 5),
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        const FINITE: [f32; 8] = [
+            0.0,
+            -0.0,
+            1.0 / 16_777_216.0, // 2^-24, the smallest fp16 subnormal
+            -1023.0 / 16_777_216.0, // the largest fp16 subnormal
+            1.0 / 16_384.0, // 2^-14, the smallest fp16 normal
+            65504.0,
+            -65504.0,
+            -1.0,
+        ];
+        const SEEDS: [f32; 8] = [
+            f32::NAN,
+            -0.0,
+            0.0,
+            0.1,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        for isa in KernelIsa::ALL {
+            for op in ALL_OPS {
+                let lanes = op == OpKind::PlusMul && isa != KernelIsa::Scalar && isa.is_supported();
+                prop_assert_eq!(FmaLanes::new(isa, op).is_some(), lanes, "{} on {}", op, isa);
+            }
+        }
+        let op = OpKind::PlusMul;
+        let lattice = |len, salt| -> Vec<f32> {
+            ordered_values(len, &bits, salt, false)
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match (i as u32).wrapping_mul(40503).wrapping_add(salt) % 7 {
+                    0 => FINITE[i % FINITE.len()],
+                    _ => {
+                        let q = quantize_f16(x);
+                        if q.is_finite() { q } else { 65504.0f32.copysign(q) }
+                    }
+                })
+                .collect()
+        };
+        let mut a = lattice(tiles * CHAIN_ELEMS, salt);
+        let mut b = lattice(tiles * CHAIN_ELEMS, salt.wrapping_add(1));
+        let c: Vec<f32> = lattice(CHAIN_ELEMS, salt.wrapping_add(2))
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| if i % 3 == 0 { SEEDS[i / 3 % SEEDS.len()] } else { x })
+            .collect();
+        // Below 16, bit 0: a NaN in `A`; bit 1: `±∞` in `A` or `B` by the
+        // parity of the pair; bit 2: every fifth value of `A` or `B` off
+        // the lattice; bit 3: both tiles `1e19`, whose products overflow
+        // the accumulator within four terms. From 16 on the pair is
+        // clean, so that whole chains often are.
+        let spot = |t: usize, step: usize| {
+            t * CHAIN_ELEMS + (salt as usize).wrapping_mul(step + 2 * t) % CHAIN_ELEMS
+        };
+        for (t, d) in dirt[..tiles].iter().map(|&d| if d < 16 { d } else { 0 }).enumerate() {
+            let tile = t * CHAIN_ELEMS..(t + 1) * CHAIN_ELEMS;
+            if d & 1 != 0 {
+                a[spot(t, 3)] = f32::NAN;
+            }
+            if d & 2 != 0 {
+                let side = if t % 2 == 0 { &mut a } else { &mut b };
+                side[spot(t, 5)] = if salt.is_multiple_of(2) { f32::INFINITY } else { f32::NEG_INFINITY };
+            }
+            if d & 4 != 0 {
+                let side = if t % 2 == 0 { &mut b } else { &mut a };
+                for x in side[tile.clone()].iter_mut().step_by(5) {
+                    *x = *x * 1.1 + 0.3;
+                }
+            }
+            if d & 8 != 0 {
+                a[tile.clone()].fill(1.0e19);
+                b[tile].fill(1.0e19);
+            }
+        }
+        let want = fold_chain(op, &a, &b, &c, CHAIN_TILE);
+        for isa in vector_tiers() {
+            let fma = FmaLanes::new(isa, op).expect("a vector tier has FMA lanes");
+            let (mut a_fits, mut b_fits) = (vec![HalfFit::Nan; tiles], vec![HalfFit::Nan; tiles]);
+            fma.fits(&a, &mut a_fits);
+            fma.fits(&b, &mut b_fits);
+            for t in 0..tiles {
+                let tile = t * CHAIN_ELEMS..(t + 1) * CHAIN_ELEMS;
+                prop_assert_eq!(a_fits[t], fit_of(&a[tile.clone()]), "{} A tile {}", isa, t);
+                prop_assert_eq!(b_fits[t], fit_of(&b[tile]), "{} B tile {}", isa, t);
+            }
+            let clean: Vec<bool> = (0..tiles)
+                .map(|t| a_fits[t].max(b_fits[t]) == HalfFit::Exact)
+                .collect();
+            let mut by_pair = c.clone();
+            simd::mmo_chain(isa, op, &[], &[], &mut by_pair);
+            for (t, &clean) in clean.iter().enumerate() {
+                let tile = t * CHAIN_ELEMS..(t + 1) * CHAIN_ELEMS;
+                if clean {
+                    fma.mmo_chain(&a[tile.clone()], &b[tile], &mut by_pair);
+                } else {
+                    simd::mmo_chain(isa, op, &a[tile.clone()], &b[tile], &mut by_pair);
+                }
+            }
+            let mut whole = c.clone();
+            let all_clean = clean.iter().all(|&x| x);
+            if all_clean {
+                fma.mmo_chain(&a, &b, &mut whole);
+            }
+            for (i, x) in want.iter().enumerate() {
+                prop_assert!(
+                    simd::same_bits(by_pair[i], *x),
+                    "{} pairs {:?} clean {:?} element {} ({:e} vs {:e})",
+                    isa, &dirt[..tiles], clean, i, x, by_pair[i]
+                );
+                prop_assert!(
+                    !all_clean || simd::same_bits(whole[i], *x),
+                    "{} whole chain of {} element {} ({:e} vs {:e})",
+                    isa, tiles, i, x, whole[i]
+                );
+            }
         }
     }
 

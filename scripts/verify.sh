@@ -64,12 +64,18 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # (`half_lanes`) — the forced-scalar leg folds every pair on `f32` lanes.
 # Which lanes the vector leg had is printed once, first: a green log from
 # a host without AVX512-FP16 does not cover the fp16 leaf.
+# And plus-mul on the chain's FMA lanes: the fused leaf against the fold
+# written out (`proptest_simd`), the engine against the reference and the
+# scalar-pinned unit with every lane counter pinned (`fma_lanes`, which
+# prints how many pairs took each route) — on the forced-scalar leg no
+# pair may fuse, and the test fails if one does.
 cargo test --release -q -p simd2 --test half_lanes -- --nocapture host_features
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-semiring --test proptest_simd
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-apps --test chain_skips --test streaming_walks
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test half_lanes
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test fma_lanes -- --nocapture
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows \
     --test proptest_parallel --test proptest_checkpoint --test pool_lifecycle
