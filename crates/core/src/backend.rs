@@ -34,8 +34,8 @@ mod pool;
 mod rows;
 
 use chain::{
-    fit, pack_b_strip, run_panel, strip_width, BStrip, ChainPanel, ChainPlan, ChainSkips,
-    ChainTally, Lanes, PackScratch,
+    fit, pack_b_strip, run_panel, strip_width, BStrip, ChainPanel, ChainPlan, ChainTally,
+    PackScratch,
 };
 use pool::Pool;
 pub use rows::RowCount;
@@ -747,10 +747,7 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         let width = strip_width(grid.k_tiles);
         let strips = grid.n_tiles.div_ceil(width);
         let strip_tiles = width.min(grid.n_tiles) * grid.k_tiles;
-        let plan = ChainPlan {
-            skips: ChainSkips::of::<U>(step),
-            lanes: Lanes::of(&self.unit, step.op),
-        };
+        let plan = ChainPlan::of(&self.unit, step);
         let (facts, lanes) = (plan.skips.is_some(), plan.lanes);
         let mut panels = grid.row_panels(workers);
         let shard_panel = |_| (0..strips).map(|_| self.unit.shard()).collect();

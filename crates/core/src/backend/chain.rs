@@ -23,30 +23,18 @@ use super::MmoArgs;
 /// [`skips_pair`]). [`OpCount`](super::OpCount) still counts them: it is the grid's
 /// logical traffic.
 pub(super) static CHAIN_SKIPPED_PAIRS: Counter = Counter::new("core.chain.skipped_pairs");
-/// Min-max and max-min tile pairs the tile chain folded on fp16 lanes
-/// (traced backends only; see [`Lanes`]).
-static CHAIN_FP16_PAIRS: Counter = Counter::new("core.chain.fp16_pairs");
-/// Min-max and max-min tile pairs of a coordinate-free unit the tile
-/// chain kept on `f32` lanes because a tile of the pair holds a NaN
-/// (traced backends only).
-static CHAIN_F32_NAN: Counter = Counter::new("core.chain.f32_select_pairs.nan");
-/// … because a tile holds a value off the fp16 lattice and no NaN.
-static CHAIN_F32_OFF_LATTICE: Counter = Counter::new("core.chain.f32_select_pairs.off_lattice");
-/// … because the unit's kernel tier has no fp16 lanes (an AVX-512 host
-/// without AVX512-FP16, or a pin to AVX2 or scalar).
-static CHAIN_F32_NO_FP16: Counter = Counter::new("core.chain.f32_select_pairs.no_fp16");
-/// Plus-mul tile pairs the tile chain folded on FMA lanes (traced
-/// backends only; see [`Lanes`]).
-static CHAIN_FMA_PAIRS: Counter = Counter::new("core.chain.fma_pairs");
-/// Plus-mul tile pairs of a coordinate-free unit the tile chain folded
-/// with a separate multiply and add because a tile of the pair holds a
-/// NaN, or `±∞` while both are on the fp16 lattice (traced backends
-/// only).
-static CHAIN_MUL_ADD_NON_FINITE: Counter = Counter::new("core.chain.mul_add_pairs.non_finite");
-/// … because a tile holds a value off the fp16 lattice and no NaN.
-static CHAIN_MUL_ADD_OFF_LATTICE: Counter = Counter::new("core.chain.mul_add_pairs.off_lattice");
-/// … because the unit's kernel tier has no FMA lanes (a pin to scalar).
-static CHAIN_MUL_ADD_NO_FMA: Counter = Counter::new("core.chain.mul_add_pairs.no_fma");
+/// The tile pairs of each counted [`Route`], by route (traced backends
+/// only; see [`route`]).
+static ROUTE_PAIRS: [Counter; Route::Unit as usize] = [
+    Counter::new("core.chain.fp16_pairs"),
+    Counter::new("core.chain.f32_select_pairs.nan"),
+    Counter::new("core.chain.f32_select_pairs.off_lattice"),
+    Counter::new("core.chain.f32_select_pairs.no_fp16"),
+    Counter::new("core.chain.fma_pairs"),
+    Counter::new("core.chain.mul_add_pairs.non_finite"),
+    Counter::new("core.chain.mul_add_pairs.off_lattice"),
+    Counter::new("core.chain.mul_add_pairs.no_fma"),
+];
 
 /// Bytes of packed `B` one panel reads at a time: the column strip is as
 /// wide as this allows (at least one tile column). A byte budget, not a
@@ -278,14 +266,12 @@ pub(super) struct ChainSkips {
 }
 
 impl ChainSkips {
-    /// How a `unit` step of `op` skips — `None` when it skips no pair,
-    /// and packs without scanning: the unit is not
-    /// [coordinate-free](MmoUnit::COORDINATE_FREE) (it injects or probes
-    /// at every [`simd2_mxu::TileCoord`]), or `op` has no pair the rule
-    /// lets go even on operands wholly inside its domain (the default
-    /// scan): plus-norm has no annihilator, and max-mul's skipped terms
-    /// need a trailing `⊕ +0.0` that is exact only over whole operands,
-    /// which a tile pair does not see.
+    /// How a step of `op` on a coordinate-free unit skips — `None` when
+    /// it skips no pair, and packs without scanning: `op` has no pair the
+    /// rule lets go even on operands wholly inside its domain (the
+    /// default scan): plus-norm has no annihilator, and max-mul's skipped
+    /// terms need a trailing `⊕ +0.0` that is exact only over whole
+    /// operands, which a tile pair does not see.
     ///
     /// `A`'s tiles are packed after `B`'s strip, so whether one of them
     /// may be empty is read off the matrix: a tile can pack to nothing
@@ -294,9 +280,9 @@ impl ChainSkips {
     /// rounds onto the annihilator is missed, and a pair through it is
     /// then kept beside a `B` tile whose values were not read — folded,
     /// not skipped, so still exact.
-    pub(super) fn of<U: MmoUnit>(step: &MmoArgs<'_>) -> Option<Self> {
+    fn of(step: &MmoArgs<'_>) -> Option<Self> {
         let (empty, inside) = (Scan::default(), Scan::default());
-        let skips = U::COORDINATE_FREE && skip_rule(step.op, empty, inside) == Skip::Exact;
+        let skips = skip_rule(step.op, empty, inside) == Skip::Exact;
         let zero = step.op.no_edge_f32().filter(|_| skips)?;
         let values = skip_rule(step.op, empty, UNREAD) != Skip::Exact;
         let a = step.a;
@@ -353,28 +339,79 @@ pub(super) fn holds_empty(facts: &[Scan]) -> bool {
     facts.iter().any(|scan| scan.stored == 0)
 }
 
-/// Which lanes the tile chain of a step folds on, and which of its pairs
-/// the lane counters count.
+/// Where the tile chain of a coordinate-free unit folds a tile pair it
+/// keeps, and which counter of [`ROUTE_PAIRS`] counts it ([`route`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    /// Min-max or max-min on fp16 lanes.
+    Fp16,
+    /// … on `f32` lanes, because a tile of the pair holds a NaN.
+    F32Nan,
+    /// … because a tile holds a value off the fp16 lattice and no NaN.
+    F32OffLattice,
+    /// … because the unit's tier has no fp16 lanes (an AVX-512 host
+    /// without AVX512-FP16, or a pin to AVX2 or scalar).
+    F32NoFp16,
+    /// Plus-mul on FMA lanes, one fused multiply-add per term.
+    Fma,
+    /// … as a multiply and an add, because a tile of the pair holds a
+    /// NaN, or `±∞` while both are on the fp16 lattice.
+    MulAddNonFinite,
+    /// … because a tile holds a value off the fp16 lattice and no NaN.
+    MulAddOffLattice,
+    /// … because the unit's tier has no FMA lanes (a pin to scalar).
+    MulAddNoFma,
+    /// An op without fast lanes, or a unit that is not coordinate-free:
+    /// the unit's chain, uncounted.
+    Unit,
+}
+
+impl Route {
+    /// Whether the pair folds on the step's fp16 or FMA lanes.
+    fn fast(self) -> bool {
+        matches!(self, Self::Fp16 | Self::Fma)
+    }
+}
+
+/// The tile chain's lane table: where a coordinate-free unit folds a kept
+/// pair of `op` whose worse tile fit is `fit`, when its tier has `op`'s
+/// fp16 or FMA lanes (`lanes`: [`HalfLanes::new`] / [`FmaLanes::new`] on
+/// its [`kernel_isa`](MmoUnit::kernel_isa)) or not. Without lanes the
+/// table reads no fit. fp16 lanes hold a pair both of whose images hold
+/// its tiles, `±∞` included; FMA lanes need both finite and on the
+/// lattice, where a product of two fp16 values is exact in `f32`.
+fn route(op: OpKind, lanes: bool, fit: HalfFit) -> Route {
+    use HalfFit::{Exact, Infinite, Nan, OffLattice};
+    use OpKind::{MaxMin, MinMax, PlusMul};
+    match (op, lanes, fit) {
+        (MinMax | MaxMin, true, Exact | Infinite) => Route::Fp16,
+        (MinMax | MaxMin, true, Nan) => Route::F32Nan,
+        (MinMax | MaxMin, true, OffLattice) => Route::F32OffLattice,
+        (MinMax | MaxMin, false, _) => Route::F32NoFp16,
+        (PlusMul, true, Exact) => Route::Fma,
+        (PlusMul, true, Infinite | Nan) => Route::MulAddNonFinite,
+        (PlusMul, true, OffLattice) => Route::MulAddOffLattice,
+        (PlusMul, false, _) => Route::MulAddNoFma,
+        _ => Route::Unit,
+    }
+}
+
+/// Every [`HalfFit`], each at its own index.
+const FITS: [HalfFit; 4] = [
+    HalfFit::Exact,
+    HalfFit::Infinite,
+    HalfFit::OffLattice,
+    HalfFit::Nan,
+];
+
+/// Which lanes the tile chain of a step folds its fast pairs on.
 #[derive(Clone, Copy)]
 pub(super) enum Lanes {
-    /// Neither a selecting op nor plus-mul on a coordinate-free unit:
-    /// the unit's chain, uncounted.
-    Off,
-    /// Min-max or max-min on a coordinate-free unit whose tier has no
-    /// fp16 lanes ([`MmoUnit::half_lanes`] is `None`): every pair on
-    /// `f32` lanes.
-    NoFp16,
-    /// The unit's fp16 lanes, on every pair both of whose tiles' images
-    /// hold them (fit at most [`HalfFit::Infinite`]); the others on
-    /// `f32` lanes.
+    /// None: every pair through the unit's chain.
+    F32,
+    /// fp16 lanes, over the pairs' fp16 images.
     Half(HalfLanes),
-    /// Plus-mul on a coordinate-free unit whose tier has no FMA lanes
-    /// ([`MmoUnit::fma_lanes`] is `None`): every pair as a multiply and
-    /// an add.
-    NoFma,
-    /// The unit's FMA lanes, on every pair both of whose tiles are
-    /// finite and on the fp16 lattice ([`HalfFit::Exact`]); the others
-    /// as a multiply and an add.
+    /// FMA lanes, over the pairs' tiles.
     Fma(FmaLanes),
 }
 
@@ -386,21 +423,6 @@ pub(super) enum Side {
 }
 
 impl Lanes {
-    /// The lanes of a `unit` step of `op`. Only a coordinate-free unit
-    /// is asked for fp16 or FMA lanes: one that injects or probes at
-    /// tile coordinates is handed every pair as tiles.
-    pub(super) fn of<U: MmoUnit>(unit: &U, op: OpKind) -> Self {
-        if !U::COORDINATE_FREE {
-            Self::Off
-        } else if op.selects() {
-            unit.half_lanes(op).map_or(Self::NoFp16, Self::Half)
-        } else if op == OpKind::PlusMul {
-            unit.fma_lanes(op).map_or(Self::NoFma, Self::Fma)
-        } else {
-            Self::Off
-        }
-    }
-
     /// Words of image per packed tile whose images take `words`: none
     /// unless the step folds on half lanes.
     pub(super) fn words(self, words: usize) -> usize {
@@ -410,19 +432,10 @@ impl Lanes {
         }
     }
 
-    /// Whether the step reads a fit off every packed tile.
-    pub(super) fn reads_fits(self) -> bool {
-        matches!(self, Self::Half(_) | Self::Fma(_))
-    }
-
-    /// Whether a pair whose fit is `fit` folds on the step's fp16 or FMA
+    /// Whether the step reads a fit off every packed tile: it has fast
     /// lanes.
-    fn takes(self, fit: HalfFit) -> bool {
-        match self {
-            Self::Half(_) => fit <= HalfFit::Infinite,
-            Self::Fma(_) => fit == HalfFit::Exact,
-            _ => false,
-        }
+    pub(super) fn reads_fits(self) -> bool {
+        !matches!(self, Self::F32)
     }
 
     /// Reads what the step's lanes need off the freshly packed tiles of
@@ -433,7 +446,7 @@ impl Lanes {
             (Self::Half(lanes), Side::A) => lanes.image_a(dst.tiles, dst.half, dst.fits),
             (Self::Half(lanes), Side::B) => lanes.image_b(dst.tiles, dst.half, dst.fits),
             (Self::Fma(lanes), _) => lanes.fits(dst.tiles, dst.fits),
-            _ => {}
+            (Self::F32, _) => {}
         }
     }
 }
@@ -444,6 +457,38 @@ impl Lanes {
 pub(super) struct ChainPlan {
     pub(super) skips: Option<ChainSkips>,
     pub(super) lanes: Lanes,
+    /// The step's row of [`route`]: where a kept pair folds, by the worse
+    /// fit of its tiles.
+    routes: [Route; FITS.len()],
+}
+
+impl ChainPlan {
+    /// The plan of a `unit` step. Only a
+    /// [coordinate-free](MmoUnit::COORDINATE_FREE) unit skips pairs
+    /// ([`ChainSkips::of`]) or folds on its tier's fast lanes: one that
+    /// injects or probes at every [`simd2_mxu::TileCoord`] is handed
+    /// every pair as tiles, uncounted.
+    pub(super) fn of<U: MmoUnit>(unit: &U, step: &MmoArgs<'_>) -> Self {
+        let (isa, op, routed) = (unit.kernel_isa(), step.op, U::COORDINATE_FREE);
+        let lanes = match (routed, HalfLanes::new(isa, op), FmaLanes::new(isa, op)) {
+            (true, Some(half), _) => Lanes::Half(half),
+            (true, None, Some(fma)) => Lanes::Fma(fma),
+            _ => Lanes::F32,
+        };
+        let skips = routed.then(|| ChainSkips::of(step)).flatten();
+        let routes = FITS.map(|fit| {
+            if routed {
+                route(op, lanes.reads_fits(), fit)
+            } else {
+                Route::Unit
+            }
+        });
+        Self {
+            skips,
+            lanes,
+            routes,
+        }
+    }
 }
 
 /// What the tile chain did with a step's tile pairs, beyond the grid's
@@ -452,88 +497,26 @@ pub(super) struct ChainPlan {
 pub(super) struct ChainTally {
     /// Pairs left out ([`skips_pair`]).
     skipped: u64,
-    /// Min-max / max-min pairs folded on fp16 lanes.
-    half: u64,
-    /// Min-max / max-min pairs kept on `f32` lanes because a tile of the
-    /// pair holds a NaN.
-    nan: u64,
-    /// … because a tile holds a value off the fp16 lattice (and no NaN).
-    off_lattice: u64,
-    /// … because the unit's tier has no fp16 lanes.
-    no_fp16: u64,
-    /// Plus-mul pairs folded on FMA lanes.
-    fma: u64,
-    /// Plus-mul pairs folded as a multiply and an add because a tile of
-    /// the pair holds a NaN, or `±∞` while both are on the lattice.
-    mul_add_non_finite: u64,
-    /// … because a tile holds a value off the fp16 lattice (and no NaN).
-    mul_add_off_lattice: u64,
-    /// … because the unit's tier has no FMA lanes.
-    no_fma: u64,
+    /// Pairs kept, by [`Route`]; [`Route::Unit`]'s, last, is not recorded.
+    routes: [u64; Route::Unit as usize + 1],
 }
 
 impl ChainTally {
-    /// Counts the run `tks` of pairs the chain folded, on the step's
-    /// fp16 or FMA lanes when `fast`; a pair it kept off those lanes
-    /// beside them is counted by its `fit`.
-    pub(super) fn run(
-        &mut self,
-        lanes: Lanes,
-        fast: bool,
-        tks: Range<usize>,
-        fit: impl Fn(usize) -> HalfFit,
-    ) {
-        let pairs = tks.len() as u64;
-        match lanes {
-            Lanes::Off => {}
-            Lanes::NoFp16 => self.no_fp16 += pairs,
-            Lanes::NoFma => self.no_fma += pairs,
-            Lanes::Half(_) if fast => self.half += pairs,
-            Lanes::Fma(_) if fast => self.fma += pairs,
-            Lanes::Half(_) => {
-                for tk in tks {
-                    match fit(tk) {
-                        HalfFit::Nan => self.nan += 1,
-                        _ => self.off_lattice += 1,
-                    }
-                }
-            }
-            Lanes::Fma(_) => {
-                for tk in tks {
-                    match fit(tk) {
-                        HalfFit::OffLattice => self.mul_add_off_lattice += 1,
-                        _ => self.mul_add_non_finite += 1,
-                    }
-                }
-            }
-        }
-    }
-
     /// Adds the tally to the process-global counters.
     pub(super) fn record(self) {
         CHAIN_SKIPPED_PAIRS.add(self.skipped);
-        CHAIN_FP16_PAIRS.add(self.half);
-        CHAIN_F32_NAN.add(self.nan);
-        CHAIN_F32_OFF_LATTICE.add(self.off_lattice);
-        CHAIN_F32_NO_FP16.add(self.no_fp16);
-        CHAIN_FMA_PAIRS.add(self.fma);
-        CHAIN_MUL_ADD_NON_FINITE.add(self.mul_add_non_finite);
-        CHAIN_MUL_ADD_OFF_LATTICE.add(self.mul_add_off_lattice);
-        CHAIN_MUL_ADD_NO_FMA.add(self.no_fma);
+        for (counter, pairs) in ROUTE_PAIRS.iter().zip(self.routes) {
+            counter.add(pairs);
+        }
     }
 }
 
 impl std::ops::AddAssign for ChainTally {
     fn add_assign(&mut self, rhs: Self) {
         self.skipped += rhs.skipped;
-        self.half += rhs.half;
-        self.nan += rhs.nan;
-        self.off_lattice += rhs.off_lattice;
-        self.no_fp16 += rhs.no_fp16;
-        self.fma += rhs.fma;
-        self.mul_add_non_finite += rhs.mul_add_non_finite;
-        self.mul_add_off_lattice += rhs.mul_add_off_lattice;
-        self.no_fma += rhs.no_fma;
+        for (sum, pairs) in self.routes.iter_mut().zip(rhs.routes) {
+            *sum += pairs;
+        }
     }
 }
 
@@ -549,8 +532,9 @@ impl std::iter::Sum for ChainTally {
 /// Folds output tile `tile`'s chain of packed tile pairs `a`, `b` into
 /// `acc` and returns what became of each pair. When the chain is
 /// `sparse` it leaves out the pairs [`skips_pair`] names by their tiles'
-/// facts. Each run of kept pairs that go the same way is one call: on
-/// the step's fp16 or FMA `lanes` where the fits of both tiles let them
+/// facts; the step's `plan` routes the others ([`route`]). Each run of
+/// kept pairs that go the same way is one call: on the step's fp16 or
+/// FMA lanes where the route is [fast](Route::fast)
 /// ([`HalfLanes::mmo_chain`] over the pairs' fp16 images,
 /// [`FmaLanes::mmo_chain`] over the tiles), through
 /// [`MmoUnit::execute_chain`] otherwise; a tile with no kept pair gets
@@ -566,22 +550,29 @@ pub(super) fn fold_runs<U: MmoUnit>(
     op: OpKind,
     (a, b): (View<'_>, View<'_>),
     sparse: bool,
-    lanes: Lanes,
+    plan: ChainPlan,
     acc: &mut Tile<ISA_TILE>,
 ) -> ChainTally {
     let k_tiles = a.tiles.len() / TILE_ELEMS;
     let mut tally = ChainTally::default();
-    let fit = |tk: usize| a.fits[tk].max(b.fits[tk]);
+    let lanes = plan.lanes;
     if !sparse && !lanes.reads_fits() {
         unit.execute_chain(tile, op, a.tiles, b.tiles, acc);
-        tally.run(lanes, false, 0..k_tiles, fit);
+        // Without fast lanes no fit is read, and the route takes none.
+        tally.routes[plan.routes[HalfFit::Exact as usize] as usize] += k_tiles as u64;
         return tally;
     }
-    // How pair `tk` folds: `None` left out, `Some(true)` on the lanes.
+    let fit = |tk: usize| {
+        if lanes.reads_fits() {
+            a.fits[tk].max(b.fits[tk])
+        } else {
+            HalfFit::Exact
+        }
+    };
+    // Where pair `tk` folds: `None` left out.
     let route = |tk: usize| {
         let skip = sparse && skips_pair(op, a.facts[tk], b.facts[tk]);
-        let fast = lanes.reads_fits() && lanes.takes(fit(tk));
-        (!skip).then_some(fast)
+        (!skip).then(|| plan.routes[fit(tk) as usize])
     };
     let mut fold = |tks: Range<usize>, fast: bool| {
         let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
@@ -597,11 +588,14 @@ pub(super) fn fold_runs<U: MmoUnit>(
             }
             _ => unit.execute_chain(tile, op, &a.tiles[run.clone()], &b.tiles[run], acc),
         }
-        tally.run(lanes, fast, tks, fit);
     };
     let (mut open, mut kept) = (None, 0);
     for tk in 0..=k_tiles {
         let next = if tk < k_tiles { route(tk) } else { None };
+        if let Some(route) = next {
+            tally.routes[route as usize] += 1;
+        }
+        let next = next.map(Route::fast);
         if let Some((start, fast)) = open {
             if next == Some(fast) {
                 continue;
@@ -699,11 +693,72 @@ pub(super) fn run_panel<U: MmoUnit>(
             for tj in strip.clone() {
                 let mut acc = tiling::load_c_tile::<ISA_TILE>(op, step.c, ti, tj);
                 let chains = (a_chain, b_strip.chain(tj - tj0, k_tiles, HALF_B_WORDS));
-                let lanes = plan.lanes;
-                tally += fold_runs(unit, (ti, tj), op, chains, sparse, lanes, &mut acc);
+                tally += fold_runs(unit, (ti, tj), op, chains, sparse, plan, &mut acc);
                 tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
             }
         }
     }
     tally
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simd2_semiring::ALL_OPS;
+
+    /// The lane table, case by case: what folds on fast lanes, what each
+    /// kept pair is counted as, and that nothing else is. Pure, so it
+    /// covers the fp16 routes on hosts without AVX512-FP16 too.
+    #[test]
+    fn the_lane_table_routes_every_pair_once() {
+        let mut reached = Vec::new();
+        for (i, fit) in FITS.into_iter().enumerate() {
+            assert_eq!(fit as usize, i, "{fit:?}");
+        }
+        for op in ALL_OPS {
+            for lanes in [false, true] {
+                for fit in FITS {
+                    let got = route(op, lanes, fit);
+                    let ctx = format!("{op} lanes={lanes} {fit:?}");
+                    let fast = match op {
+                        OpKind::MinMax | OpKind::MaxMin => lanes && fit <= HalfFit::Infinite,
+                        OpKind::PlusMul => lanes && fit == HalfFit::Exact,
+                        _ => false,
+                    };
+                    assert_eq!(got.fast(), fast, "{ctx}");
+                    if !lanes {
+                        assert_eq!(got, route(op, lanes, HalfFit::Nan), "{ctx}: read a fit");
+                    }
+                    let family = match op {
+                        OpKind::MinMax | OpKind::MaxMin => ["core.chain.fp16_", "core.chain.f32_"],
+                        OpKind::PlusMul => ["core.chain.fma_", "core.chain.mul_add_"],
+                        _ => {
+                            assert_eq!(got, Route::Unit, "{ctx}: counted");
+                            continue;
+                        }
+                    };
+                    let name = ROUTE_PAIRS[got as usize].name();
+                    assert!(family.iter().any(|f| name.starts_with(f)), "{ctx}: {name}");
+                    let cause = match (lanes, fit) {
+                        (false, _) if op.selects() => ".no_fp16",
+                        (false, _) => ".no_fma",
+                        _ if fast => "_pairs",
+                        (_, HalfFit::OffLattice) => ".off_lattice",
+                        (_, HalfFit::Nan) if op.selects() => ".nan",
+                        _ => ".non_finite",
+                    };
+                    assert!(name.ends_with(cause), "{ctx}: {name}");
+                    reached.push(got);
+                }
+            }
+        }
+        for (i, counter) in ROUTE_PAIRS.iter().enumerate() {
+            let name = counter.name();
+            assert!(name.starts_with("core.chain."), "{name}");
+            assert!(reached.iter().any(|&r| r as usize == i), "{name} unreached");
+            let others = ROUTE_PAIRS.iter().map(|c| c.name());
+            let names = others.chain([CHAIN_SKIPPED_PAIRS.name()]);
+            assert_eq!(names.filter(|&n| n == name).count(), 1, "{name}");
+        }
+    }
 }

@@ -27,17 +27,18 @@
 //! so this binary holds one test that reads their deltas one step at a
 //! time.
 
-use std::sync::Arc;
-
 use simd2::{Backend, Degrade, Parallelism, RecoveryPolicy, ReferenceBackend, ResilientBackend};
-use simd2::{MmoArgs, Schedule, TiledBackend};
+use simd2::{MmoArgs, TiledBackend};
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
-use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit};
+use simd2_mxu::{PrecisionMode, Simd2Unit};
 use simd2_semiring::precision::quantize_f16;
-use simd2_semiring::simd::{self, HalfFit, KernelIsa};
+use simd2_semiring::simd::{self, FmaLanes, HalfFit, KernelIsa};
 use simd2_semiring::OpKind;
-use simd2_trace::{NullSink, Tracer};
+
+#[path = "pools/lanes.rs"]
+mod lanes;
+use lanes::{assert_same, bits, hash, step, traced};
 
 /// The counters a plus-mul tile-chain step moves, in the order [`Tally`]
 /// holds them.
@@ -56,16 +57,6 @@ type Tally = [u64; 5];
 
 const OP: OpKind = OpKind::PlusMul;
 
-fn counters() -> Tally {
-    let snap = simd2_trace::snapshot();
-    COUNTERS.map(|name| {
-        snap.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    })
-}
-
 /// What an operand tile holds besides ordinary values.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mark {
@@ -82,13 +73,6 @@ enum Mark {
     /// `A` tiles hold a row, `B` tiles a column, so a pair of two such
     /// tiles overflows one accumulator element within four terms.
     Big,
-}
-
-fn hash(x: usize, y: usize, salt: u64) -> u64 {
-    let mut h = (x as u64) << 32 ^ y as u64 ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 29;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^ h >> 32
 }
 
 /// Where an operand's tiles hold what: `wide` tiles take fp16 subnormals
@@ -254,7 +238,7 @@ fn model(unit: &Simd2Unit, a: &Matrix, b: &Matrix) -> Tally {
             .any(|x| x.iter().all(|&x| x == 0.0))
     });
     let width = (1 << 20) / (grid.k_tiles * ISA_TILE * ISA_TILE * 4);
-    let lanes = unit.fma_lanes(OP).is_some();
+    let lanes = FmaLanes::new(unit.kernel_isa(), OP).is_some();
     let mut tally = [0; 5];
     for strip in b_cols.chunks(width.max(1)) {
         let b_sparse = strip.iter().flatten().any(|f| f.empty);
@@ -278,37 +262,6 @@ fn model(unit: &Simd2Unit, a: &Matrix, b: &Matrix) -> Tally {
         }
     }
     tally
-}
-
-fn bits(m: &Matrix) -> Vec<u32> {
-    m.as_slice().iter().map(|x| x.to_bits()).collect()
-}
-
-/// Asserts two outputs are the same bits ([`simd::same_bits`]: where
-/// both are NaN, payloads only in unoptimised builds), naming the first
-/// element that is not.
-fn assert_same(got: &[u32], want: &[u32], ctx: &str) {
-    let same = |i: usize| simd::same_bits(f32::from_bits(got[i]), f32::from_bits(want[i]));
-    if let Some(i) = (0..want.len()).find(|&i| !same(i)) {
-        let (g, w) = (f32::from_bits(got[i]), f32::from_bits(want[i]));
-        panic!("{ctx}: element {i} is {g:e}, not {w:e}");
-    }
-    assert_eq!(got.len(), want.len(), "{ctx}");
-}
-
-fn traced(unit: Simd2Unit) -> TiledBackend {
-    TiledBackend::with_unit(unit).with_tracer(Tracer::to(Arc::new(NullSink)))
-}
-
-/// Runs one traced step on `be` and returns its bits and the counter
-/// deltas it made.
-fn step(be: &mut impl Backend, a: &Matrix, b: &Matrix, c: &Matrix) -> (Vec<u32>, Tally) {
-    let before = counters();
-    let d = be
-        .execute(&MmoArgs::new(OP, a, b, c), Schedule::Configured)
-        .unwrap();
-    let after = counters();
-    (bits(&d), std::array::from_fn(|i| after[i] - before[i]))
 }
 
 #[test]
@@ -351,14 +304,24 @@ fn plus_mul_chains_on_fma_lanes_equal_the_reference_and_count_every_fallback() {
             unit.quantize_operands(qa.as_mut_slice());
             unit.quantize_operands(qb.as_mut_slice());
             let want = bits(&ReferenceBackend::new().mmo(OP, &qa, &qb, &c).unwrap());
-            assert_same(&scalar(unit), &want, &format!("{ctx}: scalar-pinned unit"));
+            assert_same(
+                &scalar(unit),
+                &want,
+                &format!("{ctx}: scalar-pinned unit"),
+                simd::same_bits,
+            );
             let tally = model(&unit, &a, &b);
             for workers in [1, 2] {
                 let mut be = traced(unit);
                 be.set_parallelism(Parallelism::Threads(workers));
-                let (got, moved) = step(&mut be, &a, &b, &c);
+                let (got, moved) = step(&mut be, &COUNTERS, &MmoArgs::new(OP, &a, &b, &c));
                 assert_eq!(be.row_count().sparse_mmos, 0, "{ctx}: the step walked");
-                assert_same(&got, &want, &format!("{ctx} at {workers} workers"));
+                assert_same(
+                    &got,
+                    &want,
+                    &format!("{ctx} at {workers} workers"),
+                    simd::same_bits,
+                );
                 assert_eq!(moved, tally, "{ctx} at {workers} workers: counters");
             }
             add(tally);
@@ -374,12 +337,12 @@ fn plus_mul_chains_on_fma_lanes_equal_the_reference_and_count_every_fallback() {
             assert!(be.degrade(Degrade::PinKernelIsa(pin)));
             let pinned = unit.with_kernel_isa(pin);
             assert_eq!(
-                pinned.fma_lanes(OP).is_some(),
+                FmaLanes::new(pinned.kernel_isa(), OP).is_some(),
                 pinned.kernel_isa() != KernelIsa::Scalar
             );
-            let (got, moved) = step(&mut be, &a, &b, &c);
+            let (got, moved) = step(&mut be, &COUNTERS, &MmoArgs::new(OP, &a, &b, &c));
             let ctx = format!("{m}x{n}x{k} pinned to {pin}");
-            assert_same(&got, &scalar(unit), &ctx);
+            assert_same(&got, &scalar(unit), &ctx, simd::same_bits);
             let tally = model(&pinned, &a, &b);
             assert_eq!(moved, tally, "{ctx}: counters");
             add(tally);

@@ -20,17 +20,18 @@
 //! so this binary holds one test that reads their deltas one step at a
 //! time (and one that only prints the host's features).
 
-use std::sync::Arc;
-
 use simd2::{Backend, Degrade, Parallelism, RecoveryPolicy, ReferenceBackend, ResilientBackend};
-use simd2::{MmoArgs, Schedule, TiledBackend};
+use simd2::{MmoArgs, TiledBackend};
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
-use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit};
+use simd2_mxu::{PrecisionMode, Simd2Unit};
 use simd2_semiring::precision::quantize_f16;
-use simd2_semiring::simd::{self, HalfFit, KernelIsa};
+use simd2_semiring::simd::{self, HalfFit, HalfLanes, KernelIsa};
 use simd2_semiring::OpKind;
-use simd2_trace::{NullSink, Tracer};
+
+#[path = "pools/lanes.rs"]
+mod lanes;
+use lanes::{assert_same, bits, hash, step, traced};
 
 /// The counters a tile-chain step moves, in the order [`Tally`] holds
 /// them.
@@ -46,14 +47,10 @@ const COUNTERS: [&str; 5] = [
 /// NaN, for a value off the lattice and for a tier without fp16 lanes.
 type Tally = [u64; 5];
 
-fn counters() -> Tally {
-    let snap = simd2_trace::snapshot();
-    COUNTERS.map(|name| {
-        snap.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    })
+/// The equality [`assert_same`] holds these outputs to: the same bits,
+/// NaN payloads included — a selection returns one of its operands.
+fn identical(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits()
 }
 
 /// What an operand tile holds besides ordinary values.
@@ -66,13 +63,6 @@ enum Mark {
     Nan,
     /// Every finite value off the fp16 lattice (and off the int8 one).
     Off,
-}
-
-fn hash(x: usize, y: usize, salt: u64) -> u64 {
-    let mut h = (x as u64) << 32 ^ y as u64 ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 29;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^ h >> 32
 }
 
 /// The mark of tile `(tr, tc)` of an operand: a quarter of the tiles
@@ -166,7 +156,7 @@ fn model(unit: &Simd2Unit, op: OpKind, a: &Matrix, b: &Matrix) -> Tally {
     };
     let a_rows = chains(a, grid.m_tiles, pad.a, |ti, tk| (ti, tk));
     let b_cols = chains(b, grid.n_tiles, pad.b, |tj, tk| (tk, tj));
-    let lanes = unit.half_lanes(op).is_some();
+    let lanes = HalfLanes::new(unit.kernel_isa(), op).is_some();
     let mut tally = [0; 5];
     for a_row in &a_rows {
         for b_col in &b_cols {
@@ -183,41 +173,6 @@ fn model(unit: &Simd2Unit, op: OpKind, a: &Matrix, b: &Matrix) -> Tally {
         }
     }
     tally
-}
-
-fn bits(m: &Matrix) -> Vec<u32> {
-    m.as_slice().iter().map(|x| x.to_bits()).collect()
-}
-
-/// Asserts two outputs are the same bits, naming the first element that
-/// is not.
-fn assert_same(got: &[u32], want: &[u32], ctx: &str) {
-    if let Some(i) = (0..want.len()).find(|&i| got[i] != want[i]) {
-        let (g, w) = (f32::from_bits(got[i]), f32::from_bits(want[i]));
-        panic!("{ctx}: element {i} is {g:e}, not {w:e}");
-    }
-    assert_eq!(got.len(), want.len(), "{ctx}");
-}
-
-fn traced(unit: Simd2Unit) -> TiledBackend {
-    TiledBackend::with_unit(unit).with_tracer(Tracer::to(Arc::new(NullSink)))
-}
-
-/// Runs one traced step on `be` and returns its bits and the counter
-/// deltas it made.
-fn step(
-    be: &mut impl Backend,
-    op: OpKind,
-    a: &Matrix,
-    b: &Matrix,
-    c: &Matrix,
-) -> (Vec<u32>, Tally) {
-    let before = counters();
-    let d = be
-        .execute(&MmoArgs::new(op, a, b, c), Schedule::Configured)
-        .unwrap();
-    let after = counters();
-    (bits(&d), std::array::from_fn(|i| after[i] - before[i]))
 }
 
 #[test]
@@ -251,13 +206,23 @@ fn selection_chains_on_fp16_lanes_equal_the_reference_and_count_every_fallback()
                 let scalar = TiledBackend::with_unit(unit.with_kernel_isa(KernelIsa::Scalar))
                     .mmo(op, &a, &b, &c)
                     .unwrap();
-                assert_same(&bits(&scalar), &want, &format!("{ctx}: scalar-pinned unit"));
+                assert_same(
+                    &bits(&scalar),
+                    &want,
+                    &format!("{ctx}: scalar-pinned unit"),
+                    identical,
+                );
                 let tally = model(&unit, op, &a, &b);
                 for workers in [1, 2] {
                     let mut be = traced(unit);
                     be.set_parallelism(Parallelism::Threads(workers));
-                    let (got, moved) = step(&mut be, op, &a, &b, &c);
-                    assert_same(&got, &want, &format!("{ctx} at {workers} workers"));
+                    let (got, moved) = step(&mut be, &COUNTERS, &MmoArgs::new(op, &a, &b, &c));
+                    assert_same(
+                        &got,
+                        &want,
+                        &format!("{ctx} at {workers} workers"),
+                        identical,
+                    );
                     assert_eq!(moved, tally, "{ctx} at {workers} workers: counters");
                 }
                 for (sum, n) in covered.iter_mut().zip(tally) {
@@ -272,8 +237,8 @@ fn selection_chains_on_fp16_lanes_equal_the_reference_and_count_every_fallback()
             let mut be = ResilientBackend::new(inner, RecoveryPolicy::FailFast);
             be.degrade(Degrade::PinKernelIsa(KernelIsa::Avx2));
             let pinned = unit.with_kernel_isa(KernelIsa::Avx2);
-            assert!(pinned.half_lanes(op).is_none());
-            let (got, moved) = step(&mut be, op, &a, &b, &c);
+            assert!(HalfLanes::new(pinned.kernel_isa(), op).is_none());
+            let (got, moved) = step(&mut be, &COUNTERS, &MmoArgs::new(op, &a, &b, &c));
             let scalar = TiledBackend::with_unit(unit.with_kernel_isa(KernelIsa::Scalar))
                 .mmo(op, &a, &b, &c)
                 .unwrap();
@@ -281,6 +246,7 @@ fn selection_chains_on_fp16_lanes_equal_the_reference_and_count_every_fallback()
                 &got,
                 &bits(&scalar),
                 &format!("{op} {m}x{n}x{k} pinned to AVX2"),
+                identical,
             );
             let tally = model(&pinned, op, &a, &b);
             assert_eq!(moved, tally, "{op} {m}x{n}x{k} pinned to AVX2: counters");

@@ -17,9 +17,7 @@
 use std::fmt;
 
 use simd2_semiring::precision::quantize_int8;
-use simd2_semiring::simd::{
-    self, FmaLanes, HalfLanes, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS,
-};
+use simd2_semiring::simd::{self, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS};
 use simd2_semiring::OpKind;
 
 use simd2_matrix::{Tile, ISA_TILE};
@@ -224,9 +222,13 @@ pub trait MmoUnit: std::fmt::Debug {
     /// on the tile coordinate it is handed or on the order tiles are
     /// visited in. A fact about the unit type, not a setting: an engine
     /// may run a coordinate-free unit's step through any schedule that
-    /// folds the same terms (a row walk that skips annihilators, say),
-    /// while a unit that injects faults or probes at coordinates keeps
-    /// the default and is always walked tile by tile.
+    /// folds the same terms (a row walk that skips annihilators, say, or
+    /// the fp16 and FMA lanes its [`kernel_isa`](MmoUnit::kernel_isa)
+    /// has, `simd2_semiring::simd::{HalfLanes, FmaLanes}`, on the tile
+    /// pairs whose values they fold exactly), while a unit that injects
+    /// faults or probes at coordinates keeps the default and is always
+    /// walked tile by tile, every pair through
+    /// [`execute_chain`](MmoUnit::execute_chain).
     const COORDINATE_FREE: bool = false;
 
     /// The pack hook: passes the elements of a packed operand panel
@@ -262,8 +264,8 @@ pub trait MmoUnit: std::fmt::Debug {
     /// every non-empty chain starts from. A
     /// [coordinate-free](MmoUnit::COORDINATE_FREE) unit may receive an
     /// output tile's chain in runs — one call per run of the tile pairs
-    /// an engine does not skip — which folds the same bits, because
-    /// every call's seed `acc ⊕ id` is idempotent.
+    /// an engine neither skips nor folds on fast lanes — which folds the
+    /// same bits, because every call's seed `acc ⊕ id` is idempotent.
     fn execute_chain(
         &mut self,
         (ti, tj): (usize, usize),
@@ -281,34 +283,6 @@ pub trait MmoUnit: std::fmt::Debug {
         }
     }
 
-    /// The fp16 lanes this unit's datapath folds `op`'s tile chains on,
-    /// if it has them — `None` by default. The chain hook for pairs an
-    /// engine has fp16 images of: a
-    /// [coordinate-free](MmoUnit::COORDINATE_FREE) unit that names lanes
-    /// has each run of tile pairs whose images are
-    /// [exact](simd2_semiring::simd::HalfFit::Exact) folded by
-    /// [`HalfLanes::mmo_chain`] over those images, which folds the bits
-    /// [`execute_chain`](MmoUnit::execute_chain) folds over the tiles;
-    /// every other run still goes through `execute_chain`.
-    fn half_lanes(&self, op: OpKind) -> Option<HalfLanes> {
-        let _ = op;
-        None
-    }
-
-    /// The FMA lanes this unit's datapath folds `op`'s tile chains on,
-    /// if it has them — `None` by default. The chain hook for pairs an
-    /// engine has read the fp16 fit of: a
-    /// [coordinate-free](MmoUnit::COORDINATE_FREE) unit that names lanes
-    /// has each run of tile pairs whose fits are
-    /// [exact](simd2_semiring::simd::HalfFit::Exact) folded by
-    /// [`FmaLanes::mmo_chain`], which folds the bits
-    /// [`execute_chain`](MmoUnit::execute_chain) folds; every other run
-    /// still goes through `execute_chain`.
-    fn fma_lanes(&self, op: OpKind) -> Option<FmaLanes> {
-        let _ = op;
-        None
-    }
-
     /// Marks the start of a new whole-matrix mmo (called once per
     /// backend-level `mmo`, before any tile executes and before any
     /// shards are taken).
@@ -319,8 +293,10 @@ pub trait MmoUnit: std::fmt::Debug {
         self.precision() != PrecisionMode::Fp32Input
     }
 
-    /// The instruction set the unit's tile kernel executes with, for
-    /// telemetry. Fault injection addresses output *coordinates* after
+    /// The instruction set the unit's tile kernel executes with: for
+    /// telemetry, and, on a [coordinate-free](MmoUnit::COORDINATE_FREE)
+    /// unit, the tier whose fast lanes an engine may fold pairs on.
+    /// Fault injection addresses output *coordinates* after
     /// the datapath has produced its (kernel-independent) bits, so a
     /// campaign must be identical across ISAs; units without a vector
     /// kernel report [`KernelIsa::Scalar`].
@@ -401,18 +377,6 @@ impl MmoUnit for Simd2Unit {
         acc: &mut Tile<ISA_TILE>,
     ) {
         Simd2Unit::execute_chain(self, op, a, b, acc);
-    }
-
-    /// Min-max and max-min on the AVX-512 tier of an AVX512-FP16 host
-    /// ([`HalfLanes::new`]); a pin to another tier has none.
-    fn half_lanes(&self, op: OpKind) -> Option<HalfLanes> {
-        HalfLanes::new(self.kernel_isa(), op)
-    }
-
-    /// Plus-mul on the AVX-512 and AVX2 tiers ([`FmaLanes::new`]); a pin
-    /// to the scalar tier has none.
-    fn fma_lanes(&self, op: OpKind) -> Option<FmaLanes> {
-        FmaLanes::new(self.kernel_isa(), op)
     }
 
     fn precision(&self) -> PrecisionMode {

@@ -69,6 +69,12 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # scalar-pinned unit with every lane counter pinned (`fma_lanes`, which
 # prints how many pairs took each route) — on the forced-scalar leg no
 # pair may fuse, and the test fails if one does.
+# Which pairs take which lanes, and which counter counts them, is one
+# table (`route` in `backend/chain.rs`); its test,
+# `backend::chain::tests::the_lane_table_routes_every_pair_once`, runs in
+# the `--lib backend::` line below, on every op, fit and tier with or
+# without lanes. A log from a host without AVX512-FP16 covers fp16
+# routing through that table test only, not through the leaf.
 cargo test --release -q -p simd2 --test half_lanes -- --nocapture host_features
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
