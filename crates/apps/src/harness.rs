@@ -201,8 +201,8 @@ mod tests {
             assert_eq!(run.plan.step_count(), run.iterations, "{app:?}");
             walked += be.row_count().sparse_mmos;
         }
-        // Which steps walk is the engine's call (at this size or-and's
-        // bit-mask chain outruns every one of its walks); some must.
+        // Which steps walk is the engine's call (or-and's take the bit
+        // walk, never a row walk); some must.
         assert!(walked > 0, "the sparse delta steps must row-walk");
     }
 

@@ -35,16 +35,23 @@ pub struct KnnResult {
     pub distances: Vec<Vec<f32>>,
 }
 
-/// Candidates [`top_k_of_row`] takes one minimum of.
-const CHUNK: usize = 16;
+/// Groups [`top_k_of_row`] takes one minimum of: candidate `i` is in
+/// group `i % GROUPS`, so one pass folds a whole run of `GROUPS`
+/// candidates into the minima lane by lane, with no dependence between
+/// lanes, and the bound pass tests a run with one OR of compares.
+const GROUPS: usize = 64;
 
 /// The `k` candidates of `row` nearest in (distance, index) order, by a
 /// threshold pass. One branch-free pass takes the minimum of every
-/// [`CHUNK`]-wide run. At least `k + 1` runs hold an element no farther
-/// than the `(k + 1)`-th smallest of those minima, so at least `k`
-/// candidates other than `skip` are that near, and the `k` nearest are
-/// among them. A second pass collects every candidate at or below that
-/// bound — a handful on a typical row — and only those are sorted.
+/// group of candidates ([`GROUPS`], interleaved). Where more than `k`
+/// groups hold a candidate, at least `k + 1` of them hold an element no
+/// farther than the `(k + 1)`-th smallest of those minima, so at least
+/// `k` candidates other than `skip` are that near, and the `k` nearest
+/// are among them — whatever the partition into groups. A second pass
+/// collects every candidate at or below that bound — a handful on a
+/// typical row: a run of `GROUPS` is turned into a compare mask, whose
+/// set bits are pushed, only when one OR of compares over it says it
+/// holds one, or a NaN — and only those are sorted.
 ///
 /// # Panics
 ///
@@ -53,29 +60,45 @@ fn top_k_of_row(row: &[f32], k: usize, skip: Option<usize>) -> (Vec<usize>, Vec<
     if k == 0 {
         return (Vec::new(), Vec::new());
     }
-    let mut nan = false;
-    let mut minima: Vec<f32> = row
-        .chunks(CHUNK)
-        .map(|chunk| {
-            nan |= chunk.iter().fold(false, |any, x| any | x.is_nan());
-            chunk
-                .iter()
-                .fold(f32::INFINITY, |min, &x| if x < min { x } else { min })
-        })
-        .collect();
-    let is_candidate = |i: usize| Some(i) != skip;
-    assert!(
-        !nan || !(0..row.len()).any(|i| is_candidate(i) && row[i].is_nan()),
-        "KNN distances are never NaN"
-    );
-    let bound = if minima.len() > k {
-        *minima.select_nth_unstable_by(k, f32::total_cmp).1
+    let (runs, tail) = row.as_chunks::<GROUPS>();
+    let mut minima = [f32::INFINITY; GROUPS];
+    let mut fold = |run: &[f32]| {
+        for (min, &x) in minima.iter_mut().zip(run) {
+            // A NaN is never below: the collecting pass finds it.
+            *min = if x < *min { x } else { *min };
+        }
+    };
+    runs.iter().for_each(|run| fold(run));
+    fold(tail);
+    let groups = &mut minima[..row.len().min(GROUPS)];
+    let bound = if groups.len() > k {
+        *groups.select_nth_unstable_by(k, f32::total_cmp).1
     } else {
         f32::INFINITY
     };
-    let mut best: Vec<usize> = (0..row.len())
-        .filter(|&i| row[i] <= bound && is_candidate(i))
-        .collect();
+    let mut best = Vec::new();
+    let mut collect = |first: usize, run: &[f32]| {
+        // At or below the bound, or NaN.
+        let near = |x: f32| (x <= bound) | x.is_nan();
+        if !run.iter().fold(false, |any, &x| any | near(x)) {
+            return;
+        }
+        let mut mask = (0..)
+            .zip(run)
+            .fold(0u64, |mask, (j, &x)| mask | u64::from(near(x)) << j);
+        while mask != 0 {
+            let i = first + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if Some(i) != skip {
+                assert!(!row[i].is_nan(), "KNN distances are never NaN");
+                best.push(i);
+            }
+        }
+    };
+    for (r, run) in runs.iter().enumerate() {
+        collect(r * GROUPS, run);
+    }
+    collect(runs.len() * GROUPS, tail);
     // `±0` compare equal, as in the full sort: a tie goes by index.
     let nearer = |&a: &usize, &b: &usize| row[a].partial_cmp(&row[b]).map(|o| o.then(a.cmp(&b)));
     best.sort_unstable_by(|a, b| nearer(a, b).expect("collected distances are not NaN"));
@@ -241,34 +264,38 @@ mod tests {
                 }
             }
         }
-        // 1024 candidates: ties within and across chunk boundaries (each
-        // chunk's minimum sits at its last index and again at the next
-        // chunk's first), `±0` and `∞` among them.
+        // 1024 candidates: ties within and across runs of 16 (each
+        // run's minimum sits at its last index and again at the next
+        // run's first, so groups share minima), `±0` and `∞` among them.
         let wide: Vec<f32> = (0..1024)
-            .map(|i| match i % CHUNK {
-                0 | 15 => ((i / CHUNK + i % CHUNK / 15) % 12) as f32,
+            .map(|i| match i % 16 {
+                0 | 15 => ((i / 16 + i % 16 / 15) % 12) as f32,
                 7 if i % 3 == 0 => -0.0,
                 9 => f32::INFINITY,
                 _ => 20.0 + ((i * 29) % 41) as f32,
             })
             .collect();
-        let spread: Vec<f32> = (0..1000)
-            .map(|i| ((i * 7919) % 1009) as f32 * 0.25)
-            .collect();
-        for row in [&wide[..], &spread[..]] {
+        let spread = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| ((i * 7919) % 1009 / 3) as f32 * 0.25)
+                .collect()
+        };
+        let (spread_1000, spread_129) = (spread(1000), spread(129));
+        for row in [&wide[..], &spread_1000[..], &spread_129[..]] {
             for k in [1, 2, 8, 15, 16, 17, 63, 64, 65] {
-                // The chunk that sets the bound, and its nearest candidate.
-                let minima: Vec<f32> = row
-                    .chunks(CHUNK)
-                    .map(|c| c.iter().copied().fold(f32::INFINITY, f32::min))
-                    .collect();
-                let mut sorted = minima.clone();
+                // The group that sets the bound, and its nearest candidate.
+                let mut minima = [f32::INFINITY; GROUPS];
+                for (i, &x) in row.iter().enumerate() {
+                    minima[i % GROUPS] = minima[i % GROUPS].min(x);
+                }
+                let mut sorted = minima.to_vec();
                 sorted.sort_by(f32::total_cmp);
                 let at = sorted.get(k).map(|bound| {
-                    let chunk = minima.iter().position(|m| m == bound).unwrap();
-                    let first = chunk * CHUNK;
-                    let end = (first + CHUNK).min(row.len());
-                    (first..end).find(|&i| row[i] == *bound).unwrap()
+                    let group = minima.iter().position(|m| m == bound).unwrap();
+                    (group..row.len())
+                        .step_by(GROUPS)
+                        .find(|&i| row[i] == *bound)
+                        .unwrap()
                 });
                 for skip in [None, Some(0), at, at.map(|i| i + 1), Some(row.len() - 1)] {
                     assert_eq!(
@@ -276,6 +303,21 @@ mod tests {
                         top_k_by_sorting(row, k, skip),
                         "n={} k={k} skip={skip:?}",
                         row.len()
+                    );
+                }
+            }
+        }
+        // Lengths that are no whole number of runs, and rows holding no
+        // more than `k` groups (every candidate is collected) or just
+        // one more.
+        for n in [9, 63, 64, 65, 70, 127, 130] {
+            let row = spread(n);
+            for k in [8, 9, 62, 63, 64, 65, 69, 70] {
+                for skip in [None, Some(0), Some(n / 2), Some(n - 1)] {
+                    assert_eq!(
+                        top_k_of_row(&row, k, skip),
+                        top_k_by_sorting(&row, k, skip),
+                        "n={n} k={k} skip={skip:?}"
                     );
                 }
             }

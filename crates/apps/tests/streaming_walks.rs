@@ -3,7 +3,8 @@
 //!
 //! No app declares anything: the engine measures every step's operands
 //! (`rows::RowWalk::choose`) and walks where the walk-or-chain rule
-//! (`rows::row_kernel`) says a row kernel beats the tile chain. Every
+//! (`rows::row_kernel`) says a row kernel beats the tile chain — every
+//! step but or-and's, which all take the bit walk, whatever they store. Every
 //! step, walked or not, must equal the same step on the forced tile
 //! chain (a unit that is not coordinate-free, `pools/chain.rs`) and on
 //! [`ReferenceBackend`] over the operands as the fp16 quantiser rounds
@@ -11,23 +12,23 @@
 //! against the one-worker run's bits). The engine's `RowCount` is per
 //! backend, so the probe reads its deltas one step at a time.
 //!
-//! `streaming::simd2` issues three step shapes at `n = 256`; the engine
-//! walks
+//! `streaming::simd2` issues three step shapes at `n = 256`; for
+//! min-plus the engine walks
 //!
-//! * `X ⊗ E` — a dense `X` row scattering the batch's `n / 8` new edges
-//!   — for both algebras: a dense walk looks up only the `E` rows that
-//!   store something, so the step folds exactly `256 × stored(E)` terms;
-//! * `T ⊗ X` — `T`'s stored entries swept over `X` — for min-plus only:
-//!   `T` stores ≈ a tenth of its entries, inside the float chains' walk
-//!   bound and outside or-and's, whose chain folds bit masks;
-//! * the squarings that close the base graph while they store few
-//!   enough entries: the first two for min-plus, the first for or-and.
+//! * `X ⊗ E` — a dense `X` row scattering the batch's `n / 8` new edges:
+//!   a dense walk looks up only the `E` rows that store something, so
+//!   the step folds exactly `256 × stored(E)` terms;
+//! * `T ⊗ X` — `T`'s stored entries swept over `X`: `T` stores ≈ a
+//!   tenth of its entries, inside the walk bound;
+//! * the first two squarings that close the base graph, while they
+//!   store few enough entries.
 //!
 //! The seven closure apps at `n = 256`, seed 2022, under Leyzorek: the
 //! first step — the adjacency squared, a few percent full — walks on
-//! every app; the second walks on all but APLP, whose DAG leaves the
-//! chain four pairs in five to skip, and MST, whose iterate is already
-//! nearly full; the closing steps, nearly full, take the chain.
+//! the six float apps; the second walks on all but APLP, whose DAG
+//! leaves the chain four pairs in five to skip, and MST, whose iterate
+//! is already nearly full; the closing steps, nearly full, take the
+//! chain. GTC's steps, like streaming BFS's, are all bit walks.
 
 use simd2::backend::{MmoArgs, OpCount, Schedule, TiledBackend};
 use simd2::solve::{self, ClosureAlgorithm};
@@ -58,6 +59,7 @@ enum Shape {
 struct Seen {
     shape: Shape,
     walked: bool,
+    on_bits: bool,
     folded: u64,
     stored_b: u64,
 }
@@ -143,6 +145,7 @@ impl Backend for Probe {
         self.seen.push(Seen {
             shape,
             walked: after.sparse_mmos > before.sparse_mmos,
+            on_bits: after.bit_mmos > before.bit_mmos,
             folded: after.fma_terms - before.fma_terms,
             stored_b: step.b.as_slice().iter().filter(|&&x| x != zero).count() as u64,
         });
@@ -177,13 +180,9 @@ fn streaming_steps_walk_as_the_rule_says_and_fold_the_bits_of_the_chain() {
             assert_eq!(count(Shape::TX), stats.rounds, "{ctx}");
             for (i, s) in probe.seen.iter().enumerate() {
                 let ctx = format!("{ctx}, step {i} ({:?})", s.shape);
-                let walks = match s.shape {
-                    // The squarings walk while they close few enough
-                    // pairs: or-and's chain outruns the second.
-                    Shape::Square => i < if op == OpKind::MinPlus { 2 } else { 1 },
-                    Shape::XE => true,
-                    Shape::TX => op == OpKind::MinPlus,
-                };
+                assert_eq!(s.on_bits, op == OpKind::OrAnd, "{ctx}");
+                // The squarings walk while they close few enough pairs.
+                let walks = op == OpKind::MinPlus && (s.shape != Shape::Square || i < 2);
                 assert_eq!(s.walked, walks, "{ctx}");
                 if s.walked && s.shape == Shape::XE {
                     assert_eq!(s.folded, N as u64 * s.stored_b, "{ctx}");
@@ -241,9 +240,17 @@ fn closure_steps_walk_while_their_iterates_are_sparse() {
             assert_eq!(probe.seen.len(), result.stats.matrix_mmos, "{ctx}");
             assert!(probe.seen.len() >= 3, "{ctx}");
             let walked: Vec<bool> = probe.seen.iter().map(|s| s.walked).collect();
+            let on_bits = probe
+                .seen
+                .iter()
+                .all(|s| s.on_bits == (op == OpKind::OrAnd));
+            assert!(
+                on_bits,
+                "{ctx}: or-and steps, and only they, take the bit walk"
+            );
             let second = !matches!(app, "APLP" | "MST");
             let pattern: Vec<bool> = (0..walked.len())
-                .map(|i| i == 0 || (i == 1 && second))
+                .map(|i| op != OpKind::OrAnd && (i == 0 || (i == 1 && second)))
                 .collect();
             assert_eq!(walked, pattern, "{ctx}: which steps walk");
             want = probe.want;

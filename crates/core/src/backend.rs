@@ -62,6 +62,9 @@ static ROW_MMOS_SWEEP: Counter = Counter::new("core.row_mmos.sweep");
 /// Whole-matrix mmos that ran as an `A`-walk × CSR-`B` scatter (traced
 /// backends only).
 static ROW_MMOS_SCATTER: Counter = Counter::new("core.row_mmos.scatter");
+/// Whole-matrix or-and mmos that ran as the bit walk (traced backends
+/// only).
+static ROW_MMOS_BITS: Counter = Counter::new("core.row_mmos.bits");
 /// The `core.isa_mmos.*` counter tracking `isa`.
 fn isa_mmos_counter(isa: KernelIsa) -> &'static Counter {
     match isa {
@@ -881,6 +884,7 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
         };
         if self.tracer.enabled() {
             match &walk {
+                Some(walk) if walk.on_bits() => ROW_MMOS_BITS.add(1),
                 Some(walk) if walk.scatters() => ROW_MMOS_SCATTER.add(1),
                 Some(_) => ROW_MMOS_SWEEP.add(1),
                 None => {}
@@ -1397,6 +1401,14 @@ mod tests {
         TiledBackend::with_unit(Simd2Unit::with_precision(PrecisionMode::Fp32Input))
     }
 
+    /// The row counters of one or-and step: one bit walk.
+    fn bit_walk() -> RowCount {
+        RowCount {
+            bit_mmos: 1,
+            ..RowCount::default()
+        }
+    }
+
     /// The tile chain, forced: the engine over a unit at `precision`
     /// that is not coordinate-free, so it never row-walks a step.
     fn chain_at(precision: PrecisionMode) -> TiledBackend<CountingUnit> {
@@ -1427,8 +1439,8 @@ mod tests {
                 let Some(zero) = op.no_edge_f32() else {
                     continue;
                 };
-                // Below every op's walk-or-chain bound; below all but
-                // or-and's.
+                // Well below the walk-or-chain bound, and a fifth full,
+                // below it (or-and takes the bit walk at both).
                 let a = sparse_operand(37, 29, zero, 0.015, 400 + s as u64);
                 let a_mid = sparse_operand(37, 29, zero, 0.2, 450 + s as u64);
                 let a24 = prune_2_4(&a_mid, op);
@@ -1439,32 +1451,24 @@ mod tests {
                 let every_row = Matrix::from_fn(29, 35, |r, l| if l == r { 2.5 } else { zero });
                 let swept = sparse_operand(29, 35, zero, 0.6, 550 + s as u64);
                 let c = sparse_operand(37, 35, zero, 0.8, 600 + s as u64);
-                // The last columns: whether the float chains' ops walk
-                // the leg, and whether or-and does (its bit-mask chain
-                // wins sooner). Beside the diagonal `B` the chain leaves
-                // out two pairs in three, and beats the walks of a
-                // third-full `A` — but
-                // max-mul's, whose pairs it never skips; beside the
-                // scattered one it leaves out enough for or-and's.
-                for (name, am, bm, walks, or_and_walks) in [
-                    ("sparse × swept", &a, &swept, true, true),
-                    ("sparse × scattered", &a, &scattered, true, true),
-                    ("fifth × swept", &a_mid, &swept, true, false),
+                // The last column: whether the float chains' ops walk
+                // the leg. Beside the diagonal `B` the chain leaves out
+                // two pairs in three, and beats the walks of a third-full
+                // `A` — but max-mul's, whose pairs it never skips.
+                // Or-and takes the bit walk on every leg.
+                for (name, am, bm, walks) in [
+                    ("sparse × swept", &a, &swept, true),
+                    ("sparse × scattered", &a, &scattered, true),
+                    ("fifth × swept", &a_mid, &swept, true),
                     (
                         "third × diagonal",
                         &a_third,
                         &every_row,
                         op == OpKind::MaxMul,
-                        false,
                     ),
-                    ("2:4 × swept", &a24, &swept, true, false),
-                    ("2:4 × scattered", &a24, &scattered, true, false),
+                    ("2:4 × swept", &a24, &swept, true),
+                    ("2:4 × scattered", &a24, &scattered, true),
                 ] {
-                    let walks = if op == OpKind::OrAnd {
-                        or_and_walks
-                    } else {
-                        walks
-                    };
                     let mut chain = chain_at(precision);
                     let want = chain.mmo(op, am, bm, &c).unwrap();
                     for workers in [1usize, 2, 4, 8] {
@@ -1473,6 +1477,10 @@ mod tests {
                         let ctx = format!("{op} {precision:?} {name} {workers} workers");
                         assert_eq!(bits(&got), bits(&want), "{ctx}");
                         assert_eq!(be.op_count(), chain.op_count(), "{ctx}");
+                        if op == OpKind::OrAnd {
+                            assert_eq!(be.row_count(), bit_walk(), "{ctx}");
+                            continue;
+                        }
                         assert_eq!(be.row_count().sparse_mmos, u64::from(walks), "{ctx}");
                         assert_eq!(be.row_count().skipped_terms > 0, walks, "{ctx}");
                     }
@@ -1493,9 +1501,9 @@ mod tests {
             let zero = op.no_edge_f32().unwrap();
             let b = sparse_operand(20, 9, zero, 0.9, 8);
             let c = sparse_operand(12, 9, zero, 0.9, 9);
-            // A fifth full, a 2:4 operand walks (or-and's chain still
-            // wins); at the pattern's own half, the chain folds it.
-            for (density, walks) in [(0.2, op != OpKind::OrAnd), (0.9, false)] {
+            // A fifth full, a 2:4 operand walks; at the pattern's own
+            // half, the chain folds it. Or-and takes the bit walk at both.
+            for (density, walks) in [(0.2, true), (0.9, false)] {
                 let a = prune_2_4(&sparse_operand(12, 20, zero, density, 7), op);
                 let want = chain_at(PrecisionMode::Fp32Input)
                     .mmo(op, &a, &b, &c)
@@ -1503,6 +1511,10 @@ mod tests {
                 let mut be = fp32_backend();
                 let got = be.mmo(op, &a, &b, &c).unwrap();
                 assert_eq!(bits(&got), bits(&want), "{op} {density}");
+                if op == OpKind::OrAnd {
+                    assert_eq!(be.row_count(), bit_walk(), "{op} {density}");
+                    continue;
+                }
                 assert_eq!(
                     be.row_count().sparse_mmos,
                     u64::from(walks),
@@ -1601,15 +1613,12 @@ mod tests {
     fn a_declared_step_is_walked_only_below_its_walk_or_chain_bound() {
         use simd2_trace::RingSink;
         // (op, size, which operand is sparse, a stored fraction the
-        // engine walks, one it hands to the chain): or-and's bit-mask
-        // chain outruns a walk of anything but a near-empty `A` and a
-        // scatter under a dense walk; the float chains lose to a walk of
-        // a fifth-full `A` and, on an output wide enough to pay for the
-        // row lookups, to a scatter of a hundredth-full `B`.
+        // engine walks, one it hands to the chain): the float chains
+        // lose to a walk of a fifth-full `A` and, on an output wide
+        // enough to pay for the row lookups, to a scatter of a
+        // hundredth-full `B`. Or-and has no bound: it takes the bit walk
+        // at every stored fraction (below).
         for (op, n, sparse_a, walked, chained) in [
-            (OpKind::OrAnd, 64, true, Some(0.01), 0.5),
-            (OpKind::OrAnd, 64, true, Some(0.01), 0.12),
-            (OpKind::OrAnd, 64, false, None, 0.01),
             (OpKind::MinPlus, 64, true, Some(0.2), 0.5),
             (OpKind::PlusMul, 64, true, Some(0.2), 0.5),
             (OpKind::MinPlus, 256, false, Some(0.01), 0.05),
@@ -1639,6 +1648,27 @@ mod tests {
                 assert_eq!(be.op_count(), chain.op_count(), "{ctx}");
                 assert_eq!(be.row_count().sparse_mmos, u64::from(walks), "{ctx}");
             }
+        }
+        // Or-and at the stored fractions its walk-or-chain bounds once
+        // walked or chained at, either operand sparse: the bit walk.
+        let op = OpKind::OrAnd;
+        let c = Matrix::zeros(64, 64);
+        for (density, sparse_a) in [(0.01, true), (0.12, true), (0.5, true), (0.01, false)] {
+            let sparse = sparse_operand(64, 64, 0.0, density, 21);
+            let full = sparse_operand(64, 64, 0.0, 1.0, 22);
+            let (a, b) = if sparse_a {
+                (&sparse, &full)
+            } else {
+                (&full, &sparse)
+            };
+            let mut chain = chain_at(PrecisionMode::Fp16Input);
+            let want = chain.mmo(op, a, b, &c).unwrap();
+            let mut be = TiledBackend::new();
+            let got = be.mmo(op, a, b, &c).unwrap();
+            let ctx = format!("{op} at {density}, sparse A: {sparse_a}");
+            assert_eq!(bits(&got), bits(&want), "{ctx}");
+            assert_eq!(be.op_count(), chain.op_count(), "{ctx}");
+            assert_eq!(be.row_count(), bit_walk(), "{ctx}");
         }
     }
 

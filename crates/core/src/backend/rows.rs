@@ -22,6 +22,19 @@
 //! dense rows ([`RowCount::swept_b_mmos`] counts every swept walk):
 //! folding an annihilator term is as exact as skipping it.
 //!
+//! **Or-and walks bits.** An or-and step reads its operands only for
+//! truthiness and writes only `1.0` / `+0.0`, so every one takes the
+//! bit walk ([`BitRows`]) before any sample or scan, whatever its
+//! operands store: `B`'s rows pass through the pack hook and become bit
+//! rows, 64 elements a word; each output row starts from the truthiness
+//! of its raw `C` row, ORs in the `B` bit row of every truthy element of
+//! its hook-quantised `A` row whose `B` row holds something, and is
+//! written once. OR is exact, commutative and idempotent, so the fold
+//! order the reduction fixes cannot show: the bits are the chain's, by
+//! the argument its lane masks already rest on (`simd2_semiring::simd`,
+//! "Bit identity"). [`RowCount::bit_mmos`] counts these steps; they
+//! count no terms, and the walk-or-chain rule below never sees or-and.
+//!
 //! **[`row_kernel`] says what pays.** A row kernel folds fewer terms than
 //! the tile chain, each more slowly, so a walk is worth taking only while
 //! the operands store little enough — how little is measured per chain
@@ -111,13 +124,10 @@ const SWEEP_B_DENSITY: f64 = 0.07;
 /// a tile chain that folds every pair: the sweep folds `A`'s stored
 /// fraction of the terms at the sweep leaf's rate, the chain all of them
 /// at the chain kernel's, so the break-even is the ratio of the two
-/// rates — a property of the op's kernels, which is why or-and, whose
-/// chain folds bit masks two to three times as fast as the other chains
-/// fold floats, has its own. EXPERIMENTS.md ("Walk or chain") has the
-/// sweep that placed both (`walk_or_chain` below).
+/// rates. EXPERIMENTS.md ("Walk or chain") has the sweep that placed it
+/// (`walk_or_chain` below). Or-and never races the chain: it takes the
+/// bit walk ([`BitRows`]).
 const WALK_A_DENSITY: f64 = 0.4;
-/// [`WALK_A_DENSITY`] for or-and.
-const WALK_A_DENSITY_OR_AND: f64 = 0.08;
 
 /// What of a tile chain's time does not shrink with the pairs it leaves
 /// out — packing and scanning every tile, loading `C`, storing `D` — as
@@ -132,8 +142,6 @@ const CHAIN_FIXED: f64 = 0.33;
 /// dependent scalar fold, a chained one a vector lane, so the break-even
 /// is again a ratio of two rates. Placed by the same sweep.
 const SCATTER_TERMS: f64 = 0.03;
-/// [`SCATTER_TERMS`] for or-and.
-const SCATTER_TERMS_OR_AND: f64 = 0.011;
 /// What looking up one `B` row costs a scatter, in scattered terms:
 /// every walked `(i, l)` whose row `l` stores something pays it however
 /// few entries that is, so a narrow output (the chain's cost per pair is
@@ -163,6 +171,10 @@ pub struct RowCount {
     /// Whole-matrix operations that ran as a row walk: some operand
     /// skippable and sparse enough for the walk to beat the tile chain.
     pub sparse_mmos: u64,
+    /// Whole-matrix or-and operations that ran as the bit walk — every
+    /// or-and step of a coordinate-free unit. Not among
+    /// [`Self::sparse_mmos`], and adding nothing to the term counters.
+    pub bit_mmos: u64,
     /// Of [`Self::sparse_mmos`], those that swept `B` as dense rows
     /// rather than scattering its stored entries.
     pub swept_b_mmos: u64,
@@ -361,18 +373,7 @@ enum RowKernel {
     Scatter,
 }
 
-/// The stored fraction of `A` up to which a sweep of its stored entries
-/// beats a tile chain that folds every pair, and the fraction of the
-/// `m·n·k` terms up to which a scatter does: [`WALK_A_DENSITY`] and
-/// [`SCATTER_TERMS`], or or-and's.
-fn walk_bounds(op: OpKind) -> (f64, f64) {
-    match op {
-        OpKind::OrAnd => (WALK_A_DENSITY_OR_AND, SCATTER_TERMS_OR_AND),
-        _ => (WALK_A_DENSITY, SCATTER_TERMS),
-    }
-}
-
-/// The walk-or-chain rule: the row kernel that folds one `op` step of
+/// The walk-or-chain rule: the row kernel that folds one step of
 /// output width `n` faster than the tile chain does, given the fraction
 /// of each operand a walk would fold — its stored fraction where the
 /// walk skips the rest, `1.0` where it does not — the fraction of `B`'s
@@ -380,25 +381,23 @@ fn walk_bounds(op: OpKind) -> (f64, f64) {
 /// where `B` is not skipped), and the fraction of its tile pairs the
 /// chain would fold, `kept` ([`kept_pairs`]). `None` is the chain.
 ///
-/// The one place that decision is made. It reads the op and the
-/// operands only — never the unit's kernel tier — so every dispatch leg
-/// lowers a step the same way.
+/// The one place that decision is made for every op but or-and (which
+/// always takes the bit walk). It reads the operands only — never the
+/// unit's kernel tier — so every dispatch leg lowers a step the same way.
 fn row_kernel(
-    op: OpKind,
     a_stored: f64,
     b_stored: f64,
     b_occupied: f64,
     kept: f64,
     n: usize,
 ) -> Option<RowKernel> {
-    let (walk_a, scatter_terms) = walk_bounds(op);
     // Both walks race a chain that folds `kept` of the pairs.
     let chain = (CHAIN_FIXED + kept) / (CHAIN_FIXED + 1.0);
-    let sweep_pays = a_stored <= walk_a * chain;
+    let sweep_pays = a_stored <= WALK_A_DENSITY * chain;
     // Per walked `(i, l)`: `B`'s share of `n` terms, and one row lookup
     // where row `l` stores something.
     let lookups = b_occupied * SCATTER_ROW_TERMS / n as f64;
-    let scatter_pays = a_stored * (b_stored + lookups) <= scatter_terms * chain;
+    let scatter_pays = a_stored * (b_stored + lookups) <= SCATTER_TERMS * chain;
     // Under a walk that pays, `B`'s density alone picks the kernel.
     if b_stored <= SWEEP_B_DENSITY && (sweep_pays || scatter_pays) {
         Some(RowKernel::Scatter)
@@ -418,6 +417,141 @@ enum BImage {
     /// rows that store any in ascending order — all a dense `A` row's
     /// walk visits.
     Csr(Csr, Vec<u32>),
+    /// Or-and's truthiness bits, after the pack hook.
+    Bits(BitRows),
+}
+
+/// `B` as or-and's bit walk reads it: every row through the unit's pack
+/// hook, then as bits — `x != 0.0`, NaN truthy, the rule the chain
+/// leaves compare with ([`simd::truthy_bits`]) — and every group of
+/// [`simd::TABLE_GROUP`] rows as the [`simd::TABLE_ENTRIES`] ORs of its
+/// subsets, so that a walk ORs in one table row per nibble of an `A`
+/// row where it would OR in up to four bit rows ([`simd::or_rows`]).
+struct BitRows {
+    /// The bit table of `B`'s rows, [`simd::bit_words`]`(n)` words a
+    /// row, padded with empty groups to whole words of a pick.
+    table: Vec<u64>,
+    /// A bit row over `B`'s rows: bit `l` is set where row `l` holds a
+    /// truthy element. A walk reads only the nibbles these leave set.
+    occupied: Vec<u64>,
+}
+
+impl BitRows {
+    /// The bit table of `b` as `unit`'s pack hook leaves it.
+    fn of(unit: &impl MmoUnit, b: &Matrix) -> Self {
+        use simd::{TABLE_ENTRIES, TABLE_GROUP};
+        let (k, words) = (b.rows(), simd::bit_words(b.cols()));
+        let pick_words = simd::bit_words(k);
+        let mut table = vec![0; simd::table_words(pick_words, words)];
+        let mut occupied = vec![0; pick_words];
+        // Row `l` is the entry of its group that holds it alone.
+        for_each_bit_row(unit, b, 0..k, |l, bits| {
+            let entry = l / TABLE_GROUP * TABLE_ENTRIES + (1 << (l % TABLE_GROUP));
+            table[entry * words..][..words].copy_from_slice(bits);
+            if bits.iter().any(|&w| w != 0) {
+                occupied[l / simd::BIT_WORD] |= 1 << (l % simd::BIT_WORD);
+            }
+        });
+        // Every other entry is the OR of two entries before it: its
+        // lowest row and the rest — in groups where some row holds
+        // something (an empty group's entries stay empty).
+        let groups = table.chunks_exact_mut((TABLE_ENTRIES * words).max(1));
+        let nibbles = occupied.iter().flat_map(|&w| {
+            (0..simd::BIT_WORD)
+                .step_by(TABLE_GROUP)
+                .map(move |b| w >> b & 0xf)
+        });
+        for (group, _) in groups.zip(nibbles).filter(|&(_, nibble)| nibble != 0) {
+            for s in (3..TABLE_ENTRIES).filter(|s| !s.is_power_of_two()) {
+                let (before, entry) = group.split_at_mut(s * words);
+                let (low, rest) = (s & s.wrapping_neg(), s & (s - 1));
+                let (low, rest) = (&before[low * words..], &before[rest * words..]);
+                for ((e, l), r) in entry[..words].iter_mut().zip(low).zip(rest) {
+                    *e = l | r;
+                }
+            }
+        }
+        Self { table, occupied }
+    }
+}
+
+/// Rows the bit walk passes through the pack hook in one call.
+const HOOK_ROWS: usize = 8;
+
+/// Stored fraction of an operand's sample ([`dense_by_sample`]) below
+/// which the bit walk passes only its truthy elements through the pack
+/// hook, gathered row by row, rather than whole rows: the gather costs
+/// a few dozen times as much per element as the hook of a whole row.
+const GATHER_BELOW: f64 = 1.0 / 32.0;
+
+/// Calls `f(r, bits)` for every row `r` in `rows` of `m`, in order, with
+/// the row's truthiness bits ([`simd::truthy_bits`]) as `unit`'s pack
+/// hook leaves the row. At full precision that is the row itself. Else
+/// the hook quantises whole rows, [`HOOK_ROWS`] a call — or, where a
+/// sample of `m` stores under [`GATHER_BELOW`], only the elements that
+/// are truthy before it: an element the hook reads as `±0.0` stays falsy
+/// (as the CSR images have it too, which drop the annihilator before
+/// the hook), so the hook can only clear bits.
+fn for_each_bit_row(
+    unit: &impl MmoUnit,
+    m: &Matrix,
+    rows: Range<usize>,
+    mut f: impl FnMut(usize, &[u64]),
+) {
+    let (cols, isa) = (m.cols(), unit.kernel_isa());
+    let mut bits = vec![0; simd::bit_words(cols)];
+    let mut scratch = Vec::new();
+    let reduced = unit.reduced_precision();
+    if reduced && !dense_by_sample(isa, 0.0, m, GATHER_BELOW) {
+        for r in rows {
+            let row = m.row(r);
+            if simd::truthy_bits(isa, row, &mut bits) {
+                scratch.clear();
+                for_each_set_bit(&bits, |j| scratch.push(row[j]));
+                unit.quantize_packed(&mut scratch);
+                // The same bits in the same order: clear those hooked to
+                // `±0.0`.
+                let mut hooked = scratch.iter();
+                for word in &mut bits {
+                    let mut rest = *word;
+                    while rest != 0 {
+                        let bit = rest & rest.wrapping_neg();
+                        rest &= rest - 1;
+                        if hooked.next().is_some_and(|&x| x == 0.0) {
+                            *word &= !bit;
+                        }
+                    }
+                }
+            }
+            f(r, &bits);
+        }
+        return;
+    }
+    for start in rows.clone().step_by(HOOK_ROWS) {
+        let block = start..rows.end.min(start + HOOK_ROWS);
+        let mut values = &m.as_slice()[block.start * cols..block.end * cols];
+        if reduced {
+            scratch.clear();
+            scratch.extend_from_slice(values);
+            unit.quantize_packed(&mut scratch);
+            values = &scratch;
+        }
+        for r in block {
+            simd::truthy_bits(isa, &values[(r - start) * cols..][..cols], &mut bits);
+            f(r, &bits);
+        }
+    }
+}
+
+/// Calls `f(j)` for every set bit `j` of the bit row `bits`, ascending.
+fn for_each_set_bit(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * simd::BIT_WORD + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
 }
 
 /// Packs `b` strip-major (see [`BImage::Strips`]).
@@ -611,16 +745,46 @@ impl<'a, U: MmoUnit> Panel<'a, U> {
         }
         count
     }
+
+    /// Or-and's bit walk (module docs): each output row starts from the
+    /// truthiness of its raw `C` row, ORs in the `B` bit row of every
+    /// truthy element of its `A` row — through the pack hook — whose `B`
+    /// row holds something ([`simd::or_rows`]), and is written once as
+    /// `1.0` / `+0.0`. It counts no terms.
+    fn bit_rows(self, b: &BitRows) -> RowCount {
+        let (a, c, isa) = (self.walk.a, self.walk.c, self.unit.kernel_isa());
+        let n = c.cols();
+        let (mut pick, mut acc) = (
+            vec![0; simd::bit_words(a.cols())],
+            vec![0; simd::bit_words(n)],
+        );
+        let first = self.rows.start;
+        for_each_bit_row(self.unit, a, self.rows, |i, a_bits| {
+            for ((p, &x), &o) in pick.iter_mut().zip(a_bits).zip(&b.occupied) {
+                *p = x & o;
+            }
+            simd::truthy_bits(isa, c.row(i), &mut acc);
+            simd::or_rows(isa, &pick, &b.table, &mut acc);
+            simd::bits_to_f32(isa, &acc, &mut self.out[(i - first) * n..][..n]);
+        });
+        RowCount::default()
+    }
 }
 
 impl<U: MmoUnit> KernelVisitor for Panel<'_, U> {
     type Output = RowCount;
 
     fn visit<K: SemiringKernel>(self) -> RowCount {
-        let walk = self.walk();
         match &self.walk.b {
-            BImage::Strips(image) => self.sweep_rows::<K>(&walk, image),
-            BImage::Csr(b, occupied) => self.scatter_rows::<K>(&walk, b, occupied),
+            BImage::Strips(image) => {
+                let walk = self.walk();
+                self.sweep_rows::<K>(&walk, image)
+            }
+            BImage::Csr(b, occupied) => {
+                let walk = self.walk();
+                self.scatter_rows::<K>(&walk, b, occupied)
+            }
+            BImage::Bits(b) => self.bit_rows(b),
         }
     }
 }
@@ -654,13 +818,26 @@ impl<'a> RowWalk<'a> {
     /// walk and size its images — and, only where those leave the
     /// verdict open, for the empty tiles that price the chain
     /// ([`kept_pairs`]).
+    ///
+    /// An or-and step takes the bit walk ([`BitRows`]) before any of
+    /// that: it reads operands only for truthiness, so 64 of `B`'s
+    /// elements fold per word, however many it stores.
     pub(super) fn choose(unit: &impl MmoUnit, step: &MmoArgs<'a>) -> Option<Self> {
         let MmoArgs { op, a, b, c } = *step;
+        if op == OpKind::OrAnd {
+            return Some(Self {
+                op,
+                a,
+                a_zero: None,
+                iota: Vec::new(),
+                b: BImage::Bits(BitRows::of(unit, b)),
+                c,
+            });
+        }
         let zero = op.no_edge_f32()?;
         let isa = unit.kernel_isa();
-        let (walk_a_bound, _) = walk_bounds(op);
         let b_dense = dense_by_sample(isa, zero, b, SWEEP_B_DENSITY * SAMPLE_MARGIN);
-        let a_dense = dense_by_sample(isa, zero, a, walk_a_bound * SAMPLE_MARGIN);
+        let a_dense = dense_by_sample(isa, zero, a, WALK_A_DENSITY * SAMPLE_MARGIN);
         if a_dense && b_dense {
             return None;
         }
@@ -692,7 +869,7 @@ impl<'a> RowWalk<'a> {
         // between the two, against the pairs its empty tiles let go.
         let kernel = |kept| {
             let (a_stored, b_stored) = (walk_a.unwrap_or(1.0), scatter_b.unwrap_or(1.0));
-            row_kernel(op, a_stored, b_stored, b_rows_visited, kept, b.cols())
+            row_kernel(a_stored, b_stored, b_rows_visited, kept, b.cols())
         };
         let kernel = match kernel(0.0) {
             Some(kernel) => kernel,
@@ -712,9 +889,14 @@ impl<'a> RowWalk<'a> {
         })
     }
 
-    /// Whether `B` is scattered (else swept).
+    /// Whether `B` is scattered.
     pub(super) fn scatters(&self) -> bool {
         matches!(self.b, BImage::Csr(..))
+    }
+
+    /// Whether this is or-and's bit walk.
+    pub(super) fn on_bits(&self) -> bool {
+        matches!(self.b, BImage::Bits(_))
     }
 
     /// Folds output rows `rows` of `D = C ⊕ (A ⊗ B)` into `out`; returns
@@ -740,6 +922,10 @@ impl<'a> RowWalk<'a> {
     /// Adds the completed step to the engine's `total`: itself, and the
     /// term counters of its `panels`, in panel order.
     pub(super) fn tally(&self, total: &mut RowCount, panels: impl Iterator<Item = RowCount>) {
+        if self.on_bits() {
+            total.bit_mmos += 1;
+            return;
+        }
         total.sparse_mmos += 1;
         total.swept_b_mmos += u64::from(!self.scatters());
         for terms in panels {
@@ -996,7 +1182,11 @@ mod tests {
             bits(&want),
             "{label}"
         );
-        let walked = be.row_count().sparse_mmos == 1;
+        let pick = match be.row_count() {
+            count if count.bit_mmos == 1 => "bits",
+            count if count.sparse_mmos == 1 => "walk",
+            _ => "chain",
+        };
         let reps = (1 << 23) / (m * n).max(1) + 8;
         let rounds: [[f64; 4]; ROUNDS] = std::array::from_fn(|_| {
             let [walk_ms, chain_ms, pick_ms] = best_ms(
@@ -1020,7 +1210,7 @@ mod tests {
             "{label:<16} {:<9} {n:<4} {density:<8.3} {walk_ms:<9.3} {chain_ms:<9.3} {:<11.2} {:<6} {pick_ms:<9.3} {pick_over_best:<9.2} {lo:.2}–{hi:.2}",
             step.op.name(),
             walk_ms / chain_ms,
-            if walked { "walk" } else { "chain" },
+            pick,
         );
         pick_over_best
     }
@@ -1029,6 +1219,7 @@ mod tests {
     /// [`RowWalk::choose`] (the sample that settles it) against the
     /// whole MMO, on the dense operands of the repo benchmark's
     /// `dense-mmo` workload, at fp16 operand precision on one thread.
+    /// (Or-and decides nothing: it takes the bit walk unsampled.)
     ///
     /// `cargo test --release -p simd2 --lib -- --ignored --nocapture decision_cost`
     #[test]
@@ -1037,7 +1228,7 @@ mod tests {
         use simd2_matrix::gen;
         let unit = Simd2Unit::new();
         println!("op        n    decide µs  mmo µs     decide/mmo");
-        for op in [OpKind::PlusMul, OpKind::MinPlus, OpKind::OrAnd] {
+        for op in [OpKind::PlusMul, OpKind::MinPlus] {
             for n in [64, 256] {
                 let a = gen::random_operands_for(op, n, n, 1);
                 let b = gen::random_operands_for(op, n, n, 2);
@@ -1069,10 +1260,11 @@ mod tests {
     }
 
     /// The sweep that places the walk-or-chain bounds
-    /// ([`WALK_A_DENSITY`], [`SCATTER_TERMS`] and their or-and values;
-    /// EXPERIMENTS.md, "Walk or chain"): `walk/chain` is what always
-    /// walking costs, `pick/best` what the engine's choice does
-    /// ([`time_point`]). Three pools: one operand at each stored
+    /// ([`WALK_A_DENSITY`], [`SCATTER_TERMS`]; EXPERIMENTS.md, "Walk or
+    /// chain"): `walk/chain` is what always walking costs, `pick/best`
+    /// what the engine's choice does ([`time_point`]). Or-and's points
+    /// race its bit walk, the engine's pick (`bits`), against the row
+    /// walk and the tile chain it replaced. Three pools: one operand at each stored
     /// fraction beside a full one (the walk `A`-walk × sweep, or a dense
     /// walk × scatter); both operands block-sparse, whole tiles blanked
     /// at random or below the tile diagonal (`Blocks`, the tile pairs the

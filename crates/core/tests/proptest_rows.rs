@@ -52,8 +52,8 @@ use pools::{operand, specials};
 const WIDTHS: [usize; 7] = [1, 15, 17, 63, 64, 65, 130];
 /// Inner dimensions: inside one sweep block, and across two and three.
 const DEPTHS: [usize; 5] = [1, 7, 127, 129, 260];
-/// `A` densities under every walk bound, between or-and's and the other
-/// ops', above both, and full.
+/// `A` densities well under the walk bound, under it, above it, and
+/// full.
 const A_DENSITIES: [f64; 4] = [0.01, 0.15, 0.6, 1.0];
 /// `B` densities sparse enough to scatter under a dense walk, well
 /// below, just either side of, and well above the sweep threshold.
@@ -139,9 +139,13 @@ proptest! {
                     prop_assert_eq!(be.row_count(), seq_count, "{} workers={}", op, workers);
                 }
                 // A row-walked step's folded + skipped terms tile m·n·k;
-                // the tile chain counts no terms.
+                // the tile chain counts no terms, and neither does
+                // or-and's bit walk, which every or-and step takes.
                 let walked = seq_count.sparse_mmos == 1;
-                if walked {
+                if op == OpKind::OrAnd {
+                    let bit_walk = RowCount { bit_mmos: 1, ..RowCount::default() };
+                    prop_assert_eq!(seq_count, bit_walk, "{} bit walk", op);
+                } else if walked {
                     prop_assert_eq!(
                         seq_count.fma_terms + seq_count.skipped_terms, (m * n * k) as u64,
                         "{}: folded + skipped terms tile m·n·k", op
@@ -160,14 +164,14 @@ proptest! {
                 // operands too dense for any walk to skip go to the
                 // chain; a hundredth-full `A` over whole tile rows and a
                 // deep `k` leaves the chain few pairs to leave out, and
-                // walks.
+                // walks — but for or-and, whose bit walk is no row walk.
                 let stored = |m: &Matrix| simd2::repr::density(m, fill);
                 let ctx = format!("{op} stored {} x {}", stored(am), stored(&b));
                 if stored(am) > 0.5 && stored(&b) > 0.08 {
                     prop_assert!(!walked, "{}", ctx);
                 }
                 let clearly_sparse = stored(am) <= 0.02 && stored(&b) >= 0.5 && m.is_multiple_of(16) && k >= 127;
-                if op != OpKind::PlusNorm && clearly_sparse {
+                if !matches!(op, OpKind::PlusNorm | OpKind::OrAnd) && clearly_sparse {
                     prop_assert!(walked, "{}", ctx);
                 }
                 if walked && seq_count.swept_b_mmos == 1 {
@@ -289,7 +293,8 @@ proptest! {
         let (k, n) = ([1, 3, 9, 40][k_idx], [1, 5, 17, 70][n_idx]);
         // Below the sweep threshold `B` is scattered, above it swept.
         let b_density = if sparse_b { 0.06 } else { 0.5 };
-        // Under or-and's walk bound, or under the other ops' only.
+        // Well under the walk bound, or under it (or-and takes the bit
+        // walk at both).
         let a_density = if sparse_a { 0.02 } else { 0.2 };
         let a = operand(specials(pool), m, k, zero, a_density, seed);
         let a24 = structure_2_4(&a, zero, seed ^ 0x24);

@@ -91,8 +91,14 @@ impl<const N: usize> Tile<N> {
     /// Extracts the tile whose top-left corner is `(row0, col0)` in `m`.
     /// Elements outside `m` (when the tile hangs over the edge) are filled
     /// with `fill` — the tiling layer passes the `⊕` identity or the
-    /// no-edge encoding so padding never perturbs results.
+    /// no-edge encoding so padding never perturbs results. An interior
+    /// tile is built from its rows alone, with no fill written first.
     pub fn load(m: &Matrix, row0: usize, col0: usize, fill: f32) -> Self {
+        if row0 + N <= m.rows() && col0 + N <= m.cols() {
+            let src = &m.as_slice()[row0 * m.cols() + col0..];
+            let data = std::array::from_fn(|r| *full_row(&src[r * m.cols()..]));
+            return Self { data };
+        }
         let mut t = Self::splat(fill);
         load_rows(m, row0, col0, fill, &mut t.data);
         t
@@ -107,8 +113,8 @@ impl<const N: usize> Tile<N> {
 
     /// Writes tile rows `skip..` into `dst`, a row-major buffer of whole
     /// `cols`-wide rows, starting at buffer row `row0` and column `col0`
-    /// — one slice copy per row, clipped at the buffer's last row and at
-    /// column `cols`.
+    /// — one copy per row, of fixed width unless clipped at column
+    /// `cols`, and clipped at the buffer's last row.
     pub(crate) fn store_rows(
         &self,
         skip: usize,
@@ -122,8 +128,15 @@ impl<const N: usize> Tile<N> {
             return;
         }
         let rows = dst.chunks_exact_mut(cols).skip(row0);
-        for (src, row) in self.data.iter().skip(skip).zip(rows) {
-            row[col0..col0 + width].copy_from_slice(&src[..width]);
+        let pairs = self.data.iter().skip(skip).zip(rows);
+        if width == N {
+            for (src, row) in pairs {
+                *full_row_mut(&mut row[col0..]) = *src;
+            }
+        } else {
+            for (src, row) in pairs {
+                row[col0..col0 + width].copy_from_slice(&src[..width]);
+            }
         }
     }
 
@@ -160,9 +173,22 @@ impl<const N: usize> Tile<N> {
     }
 }
 
+/// The first `N` elements of `row`, as an array: a copy through it is
+/// one fixed-size move, where a slice copy of a length known only at run
+/// time is a `memcpy` call per row.
+fn full_row<const N: usize>(row: &[f32]) -> &[f32; N] {
+    row.first_chunk().expect("a full-width tile row")
+}
+
+/// [`full_row`], mutably.
+fn full_row_mut<const N: usize>(row: &mut [f32]) -> &mut [f32; N] {
+    row.first_chunk_mut().expect("a full-width tile row")
+}
+
 /// Copies the block of `m` whose top-left corner is `(row0, col0)` into
-/// the `N`-wide rows of `dst` as clipped row-slice copies, filling
-/// whatever hangs over the matrix edge with `fill` — the inner loop of
+/// the `N`-wide rows of `dst` — fixed-size row copies where the block
+/// is `N` wide, clipped row-slice copies at the right edge — filling
+/// whatever hangs over the matrix edge with `fill`: the inner loop of
 /// operand packing.
 pub(crate) fn load_rows<const N: usize>(
     m: &Matrix,
@@ -180,9 +206,15 @@ pub(crate) fn load_rows<const N: usize>(
     let (inside, outside) = dst.split_at_mut(rows);
     if rows > 0 {
         let src = m.as_slice()[row0 * m.cols()..].chunks(m.cols());
-        for (row, src) in inside.iter_mut().zip(src) {
-            row[..width].copy_from_slice(&src[col0..col0 + width]);
-            row[width..].fill(fill);
+        if width == N {
+            for (row, src) in inside.iter_mut().zip(src) {
+                *row = *full_row(&src[col0..]);
+            }
+        } else {
+            for (row, src) in inside.iter_mut().zip(src) {
+                row[..width].copy_from_slice(&src[col0..col0 + width]);
+                row[width..].fill(fill);
+            }
         }
     }
     outside.fill([fill; N]);

@@ -399,6 +399,38 @@ mod tests {
         }
         let want = Tile::<4>::from_fn(|r, c| m.get(4 + r, 4 + c).unwrap_or(-7.0));
         assert_eq!(Tile::<4>::load(&m, 4, 4, -7.0), want);
+        // ISA tiles over widths and heights short of, at and past one
+        // and two tiles: interior tiles copy whole rows, edge tiles clip
+        // and pad — and a stored tile writes back what was loaded,
+        // clipped the same way.
+        for side in [1, 15, 16, 17, 31, 32, 33] {
+            for (rows, cols) in [(side, 33), (33, side), (side, side)] {
+                let m = Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32 + 0.5);
+                for (tr, tc) in (0..3).flat_map(|tr| (0..3).map(move |tc| (tr, tc))) {
+                    let (row0, col0) = (tr * 16, tc * 16);
+                    let ctx = format!("{rows}x{cols} tile ({tr},{tc})");
+                    let want =
+                        Tile::<16>::from_fn(|r, c| m.get(row0 + r, col0 + c).unwrap_or(-7.0));
+                    let loaded = Tile::<16>::load(&m, row0, col0, -7.0);
+                    assert_eq!(loaded, want, "{ctx}");
+                    let mut packed = [f32::NAN; 256];
+                    pack_tile::<16>(&m, tr, tc, -7.0, &mut packed);
+                    assert_eq!(packed, want.as_flat(), "{ctx}");
+                    let mut stored = Matrix::filled(rows, cols, -1.0);
+                    loaded.store(&mut stored, row0, col0);
+                    let back = Matrix::from_fn(rows, cols, |r, c| {
+                        let inside =
+                            (row0..row0 + 16).contains(&r) && (col0..col0 + 16).contains(&c);
+                        if inside {
+                            m[(r, c)]
+                        } else {
+                            -1.0
+                        }
+                    });
+                    assert_eq!(stored, back, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

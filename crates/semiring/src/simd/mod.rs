@@ -35,7 +35,11 @@
 //! bit, the largest magnitude — from which an engine decides whether
 //! skipping an annihilator's terms is exact, and [`compact`] writes out
 //! the elements that differ and their indices: the rows of a CSR image,
-//! sized from the count the scan took.
+//! sized from the count the scan took. Or-and's bit walk has three
+//! leaves of its own: [`truthy_bits`] turns a row into a bit row,
+//! [`or_rows`] ORs the rows of a bit table an `A` row's nibbles select
+//! into an accumulator, and [`bits_to_f32`] writes a bit row out as
+//! `1.0` / `0.0`.
 //!
 //! # Dispatch
 //!
@@ -55,8 +59,10 @@
 //! `#[target_feature]` leaf functions with two documented preconditions:
 //! the feature is present on the host (checked by the dispatcher), and
 //! the slices have the shapes the entry asserted — whole 16×16 tiles for
-//! [`mmo_chain`] and [`FmaLanes::mmo_chain`]; the [`sweep_row`],
-//! [`scan`] and [`compact`] leaves, the [`HalfLanes`] leaves and
+//! [`mmo_chain`] and [`FmaLanes::mmo_chain`], a bit table that holds
+//! every row a pick can select for [`or_rows`]; the [`sweep_row`],
+//! [`scan`], [`compact`], [`truthy_bits`] and [`bits_to_f32`] leaves,
+//! the [`HalfLanes`] leaves and
 //! [`FmaLanes::fits`] have no shape precondition (every vector access
 //! goes through a bounds-checked fixed-size chunk). A [`HalfLanes`] or
 //! [`FmaLanes`] value is made only after the feature probe, so holding
@@ -582,6 +588,110 @@ pub fn compact(isa: KernelIsa, zero: f32, xs: &[f32], cols: &mut [u32], vals: &m
 /// it — measured on 512-element rows, AVX-512).
 const SPARSE_SPAN: usize = 64;
 
+/// Elements one word of a bit row holds: element `j` of a row is bit
+/// `j % 64` of word `j / 64`.
+pub const BIT_WORD: usize = 64;
+
+/// Words of the bit row of `len` elements.
+pub fn bit_words(len: usize) -> usize {
+    len.div_ceil(BIT_WORD)
+}
+
+/// Writes the or-and truthiness of `xs` — `x != 0.0`, NaN truthy (the
+/// chain leaves' `_CMP_NEQ_UQ`) — into the bit row `bits`, clearing
+/// every bit past `xs`, on `isa`'s vector leaf, the scalar leaf being
+/// its oracle; returns whether any bit is set. Same support guard as
+/// [`mmo_tile`].
+///
+/// # Panics
+///
+/// Panics if `bits` has fewer than [`bit_words`]`(xs.len())` words.
+pub fn truthy_bits(isa: KernelIsa, xs: &[f32], bits: &mut [u64]) -> bool {
+    assert!(bits.len() >= bit_words(xs.len()), "bit row too short");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx512f is available on this CPU.
+        KernelIsa::Avx512 if cpu_features().avx512f => unsafe { x86::truthy_bits_avx512(xs, bits) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx2 is available on this CPU.
+        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::truthy_bits_avx2(xs, bits) },
+        _ => scalar::truthy_bits(xs, bits),
+    }
+}
+
+/// Rows of a bit table's group: one nibble of a pick selects among
+/// their ORs.
+pub const TABLE_GROUP: usize = 4;
+
+/// Entries of a bit table's group: the OR of each subset of its
+/// [`TABLE_GROUP`] rows, entry `s` the rows `i` of the bits `i` set in
+/// `s` (entry `0` is empty).
+pub const TABLE_ENTRIES: usize = 1 << TABLE_GROUP;
+
+/// Words of the bit table [`or_rows`] reads for a pick of `pick_words`
+/// words and bit rows of `words` words: [`TABLE_ENTRIES`] rows for each
+/// nibble of the pick.
+pub fn table_words(pick_words: usize, words: usize) -> usize {
+    pick_words * BIT_WORD / TABLE_GROUP * TABLE_ENTRIES * words
+}
+
+/// ORs into the bit row `acc` row `16g + s` of the bit table `table`
+/// (rows of `acc.len()` words, back to back) for every nibble `s ≠ 0` of
+/// `pick`, `g` its place (bits `4g..4g + 4`). Where entry `s` of group
+/// `g` is the OR of the rows `4g + i` of a bit matrix for the bits `i`
+/// set in `s`, that is the OR of every row of the matrix a set bit of
+/// `pick` names. On `isa`'s vector leaf (the accumulator stays in
+/// registers across the whole walk of `pick`), the scalar leaf being its
+/// oracle; OR is exact and commutative, so every tier returns the same
+/// bits. Same support guard as [`mmo_tile`].
+///
+/// # Panics
+///
+/// Panics if `table` has fewer than [`table_words`]`(pick.len(),
+/// acc.len())` words.
+pub fn or_rows(isa: KernelIsa, pick: &[u64], table: &[u64], acc: &mut [u64]) {
+    assert!(
+        table.len() >= table_words(pick.len(), acc.len()),
+        "bit table too short for the pick"
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx512f is available on this CPU, and
+        // the assertion above the table's length.
+        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
+            x86::or_rows_avx512(pick, table, acc)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx2 is available on this CPU, and
+        // the assertion above the table's length.
+        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::or_rows_avx2(pick, table, acc) },
+        _ => scalar::or_rows(pick, table, acc.len(), 0, acc),
+    }
+}
+
+/// Writes the bit row `bits` out as or-and's canonical values — `1.0`
+/// where a bit is set, `+0.0` where not — one per element of `out`, on
+/// `isa`'s vector leaf, the scalar leaf being its oracle. Same support
+/// guard as [`mmo_tile`].
+///
+/// # Panics
+///
+/// Panics if `bits` has fewer than [`bit_words`]`(out.len())` words.
+pub fn bits_to_f32(isa: KernelIsa, bits: &[u64], out: &mut [f32]) {
+    assert!(bits.len() >= bit_words(out.len()), "bit row too short");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx512f is available on this CPU.
+        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
+            x86::bits_to_f32_avx512(bits, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proved avx2 is available on this CPU.
+        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::bits_to_f32_avx2(bits, out) },
+        _ => scalar::bits_to_f32(bits, out),
+    }
+}
+
 /// `u32` words of one tile's [`HalfLanes`] image as a chain's `A`
 /// operand: per row pair `i`, `i + 8` and column `k`, the two rows' fp16
 /// values in one word (row `i` in the low half), `k` fastest.
@@ -861,6 +971,13 @@ impl FmaLanes {
 /// takes the scalar loop, so the forced-scalar leg exercises the oracle
 /// end to end.
 pub fn quantize_f16_slice(isa: KernelIsa, xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx512 && cpu_features().avx512f {
+        // SAFETY: the guard proved avx512f, the feature the leaf
+        // enables, is available on this CPU.
+        unsafe { x86::quantize_f16_avx512(xs) };
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if isa.lanes() > 1 && cpu_features().avx2 && cpu_features().f16c {
         // SAFETY: the guard proved avx2 and f16c, the features the leaf

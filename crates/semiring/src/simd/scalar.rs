@@ -11,11 +11,12 @@
 //! along a contiguous `B` row with no dependence between columns, so the
 //! compiler vectorises it for whatever the target's baseline vector unit
 //! is. [`scan`] is the oracle of the scan leaves, [`compact`] that of the
-//! compaction leaves.
+//! compaction leaves, and [`truthy_bits`], [`or_rows`] and
+//! [`bits_to_f32`] those of the bit-row leaves or-and folds on.
 
 use crate::kernel::SemiringKernel;
 
-use super::Scan;
+use super::{Scan, BIT_WORD, TABLE_ENTRIES, TABLE_GROUP};
 
 /// Scalar chain over tiles of side `n`: seeds `acc ← acc ⊕ id`, then
 /// folds `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of flat row-major `n × n`
@@ -88,6 +89,63 @@ pub(super) fn scan(zero: f32, xs: &[f32]) -> Scan {
         any,
         max_abs,
         stored: stored as usize,
+    }
+}
+
+/// Writes the truthiness of `xs` (`x != 0.0`, NaN truthy) into the bit
+/// row `bits`, every bit past `xs` cleared: the oracle every vector
+/// truthiness leaf must equal. Returns whether any bit is set.
+#[inline]
+pub(super) fn truthy_bits(xs: &[f32], bits: &mut [u64]) -> bool {
+    let (head, rest) = bits.split_at_mut(xs.len().div_ceil(BIT_WORD));
+    let mut any = 0;
+    for (word, chunk) in head.iter_mut().zip(xs.chunks(BIT_WORD)) {
+        *word = chunk
+            .iter()
+            .enumerate()
+            .fold(0, |w, (j, &x)| w | u64::from(x != 0.0) << j);
+        any |= *word;
+    }
+    rest.fill(0);
+    any != 0
+}
+
+/// ORs into `acc` — words `j0..j0 + acc.len()` of a `words`-word bit row
+/// — the same words of row `16g + s` of the bit table `table` for every
+/// nibble `s ≠ 0` of `pick`, `g` the nibble's place: the oracle every
+/// vector OR leaf must equal, and their tail.
+///
+/// # Panics
+///
+/// Panics if a selected row reaches past the end of `table`.
+#[inline]
+pub(super) fn or_rows(pick: &[u64], table: &[u64], words: usize, j0: usize, acc: &mut [u64]) {
+    if acc.is_empty() {
+        return;
+    }
+    let width = acc.len();
+    for (w, &word) in pick.iter().enumerate() {
+        let first = w * BIT_WORD / TABLE_GROUP * TABLE_ENTRIES;
+        for b in (0..BIT_WORD).step_by(TABLE_GROUP) {
+            let s = (word >> b) as usize % TABLE_ENTRIES;
+            if s != 0 {
+                let row = first + b / TABLE_GROUP * TABLE_ENTRIES + s;
+                for (a, &r) in acc.iter_mut().zip(&table[row * words + j0..][..width]) {
+                    *a |= r;
+                }
+            }
+        }
+    }
+}
+
+/// Writes `1.0` for each set bit of `bits` and `+0.0` for each clear
+/// one into `out`: the oracle every vector expansion leaf must equal.
+#[inline]
+pub(super) fn bits_to_f32(bits: &[u64], out: &mut [f32]) {
+    for (chunk, &word) in out.chunks_mut(BIT_WORD).zip(bits) {
+        for (j, x) in chunk.iter_mut().enumerate() {
+            *x = if word >> j & 1 == 1 { 1.0 } else { 0.0 };
+        }
     }
 }
 

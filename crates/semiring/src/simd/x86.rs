@@ -66,7 +66,13 @@
 //!   as they are read and the `k` loop is AND/OR on those bits
 //!   ([`or_and_chain_avx512`]). Every `⊕` of the term-by-term lowering,
 //!   the seed `acc ⊕ 0.0` first of all, canonicalises to `1.0`/`0.0`, so
-//!   the stored tile is the same.
+//!   the stored tile is the same. The engine's bit walk takes that one
+//!   step further, on whole rows: [`truthy_bits_avx512`] compares rows
+//!   to bit rows (64 elements a word), [`or_rows_avx512`] ORs the table
+//!   rows an `A` row's nonzero nibbles select into an accumulator held
+//!   in registers, and [`bits_to_f32_avx512`] writes `1.0`/`0.0` once per
+//!   row — OR being exact and order-free, every tier and grouping gives
+//!   the same bits.
 //! * fp16 quantisation — the hardware round trip, with the software
 //!   NaN payload rule on NaN lanes; see [`quantize_f16_ps`].
 
@@ -77,7 +83,8 @@ use crate::typed::{MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, Plus
 use crate::OpKind;
 
 use super::{
-    scalar, HalfFit, Scan, CHAIN_ELEMS, CHAIN_TILE, HALF_A_WORDS, HALF_B_WORDS, SWEEP_STRIP,
+    scalar, HalfFit, Scan, BIT_WORD, CHAIN_ELEMS, CHAIN_TILE, HALF_A_WORDS, HALF_B_WORDS,
+    SWEEP_STRIP, TABLE_ENTRIES, TABLE_GROUP,
 };
 
 /// `f32` lanes in a 256-bit vector.
@@ -226,6 +233,33 @@ pub(super) unsafe fn quantize_f16_avx2(xs: &mut [f32]) {
     for x in &mut xs[full..] {
         *x = crate::precision::quantize_f16(*x);
     }
+}
+
+/// [`quantize_f16_avx2`] sixteen lanes at a time: the same hardware round
+/// trip on `zmm` (`vcvtps2ph` / `vcvtph2ps` are AVX-512F), the NaN lanes'
+/// two payload bits OR-ed in under a compare mask; the AVX2 leaf takes
+/// the tail.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (which implies AVX2 and F16C).
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn quantize_f16_avx512(xs: &mut [f32]) {
+    let (chunks, tail) = xs.as_chunks_mut::<LANES512>();
+    let sticky = _mm512_set1_epi32(0x2001);
+    for chunk in chunks {
+        // SAFETY: `chunk` is exactly 16 contiguous `f32`s, exclusively
+        // borrowed.
+        let v = unsafe { _mm512_loadu_ps(chunk.as_ptr()) };
+        let half = _mm512_cvtps_ph::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(v);
+        let q = _mm512_castps_si512(_mm512_cvtph_ps(half));
+        let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+        let q = _mm512_castsi512_ps(_mm512_mask_or_epi32(q, nan, q, sticky));
+        // SAFETY: as for the load.
+        unsafe { _mm512_storeu_ps(chunk.as_mut_ptr(), q) };
+    }
+    // SAFETY: AVX-512F implies the AVX2 and F16C the tail leaf enables.
+    unsafe { quantize_f16_avx2(tail) };
 }
 
 // ---------------------------------------------------------------------------
@@ -1302,4 +1336,280 @@ pub(super) unsafe fn compact_avx2<const SPARSE: bool>(
     }
     let first = xs.len() - tail.len();
     kept + scalar::compact(zero, tail, first, &mut cols[kept..], &mut vals[kept..])
+}
+
+// ---------------------------------------------------------------------------
+// Bit-row leaves: or-and folds on rows of truthiness bits.
+// ---------------------------------------------------------------------------
+
+/// `u64` words of a bit row in a 512-bit vector.
+const WORDS512: usize = 8;
+/// `u64` words of a bit row in a 256-bit vector.
+const WORDS256: usize = 4;
+/// `u64` words of a bit row in a 128-bit vector.
+const WORDS128: usize = 2;
+/// Vectors of accumulator one pass of [`or_rows_avx512`] /
+/// [`or_rows_avx2`] keeps in registers: wider rows walk `pick` once per
+/// block of this many.
+const OR_BLOCK: usize = 4;
+
+/// [`scalar::truthy_bits`] sixty-four elements a word: four
+/// `_CMP_NEQ_UQ` masks against `0.0` (a NaN is truthy, `-0.0` is not)
+/// make one word; the scalar leaf writes the tail and clears the rest.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. (Shapes are bounds-checked, not
+/// preconditions.)
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn truthy_bits_avx512(xs: &[f32], bits: &mut [u64]) -> bool {
+    let (chunks, tail) = xs.as_chunks::<BIT_WORD>();
+    let (head, rest) = bits.split_at_mut(chunks.len());
+    let zero = _mm512_setzero_ps();
+    let mut any = 0;
+    for (word, chunk) in head.iter_mut().zip(chunks) {
+        let (quarters, _) = chunk.as_chunks::<LANES512>();
+        *word = 0;
+        for (q, quarter) in quarters.iter().enumerate() {
+            // SAFETY: `quarter` is exactly 16 contiguous `f32`s.
+            let v = unsafe { _mm512_loadu_ps(quarter.as_ptr()) };
+            *word |= u64::from(_mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, zero)) << (LANES512 * q);
+        }
+        any |= *word;
+    }
+    scalar::truthy_bits(tail, rest) | (any != 0)
+}
+
+/// [`truthy_bits_avx512`] on eight lanes: the compare's sign bits
+/// (`movmskps`) make a byte of the word.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn truthy_bits_avx2(xs: &[f32], bits: &mut [u64]) -> bool {
+    let (chunks, tail) = xs.as_chunks::<BIT_WORD>();
+    let (head, rest) = bits.split_at_mut(chunks.len());
+    let zero = _mm256_setzero_ps();
+    let mut any = 0;
+    for (word, chunk) in head.iter_mut().zip(chunks) {
+        let (eighths, _) = chunk.as_chunks::<LANES256>();
+        *word = 0;
+        for (e, eighth) in eighths.iter().enumerate() {
+            // SAFETY: `eighth` is exactly 8 contiguous `f32`s.
+            let v = unsafe { _mm256_loadu_ps(eighth.as_ptr()) };
+            let truthy = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero)) as u8;
+            *word |= u64::from(truthy) << (LANES256 * e);
+        }
+        any |= *word;
+    }
+    scalar::truthy_bits(tail, rest) | (any != 0)
+}
+
+/// Bit `4g` set where nibble `g` of `word` is not zero.
+#[inline(always)]
+fn nonzero_nibbles(word: u64) -> u64 {
+    let x = word | word >> 1;
+    (x | x >> 2) & 0x1111_1111_1111_1111
+}
+
+/// The OR leaves' block: words `j0..j0 + Z·W` of `acc`'s row, held in
+/// `Z` vectors across the whole walk of `pick` — per nonzero nibble,
+/// one load and one OR per vector of the table row it selects (rows
+/// `words` words long), found with a `tzcnt` over the nonzero nibbles.
+macro_rules! or_block {
+    ($name:ident, $feature:literal, $words:ident, $vec:ty, $load:ident, $or:ident, $store:ident) => {
+        /// # Safety
+        ///
+        /// The CPU must support the leaf's feature; `table` holds
+        /// [`super::table_words`]`(pick.len(), words)` words, and
+        /// `j0 + W·Z ≤ words`.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        unsafe fn $name<const Z: usize>(
+            pick: &[u64],
+            table: &[u64],
+            words: usize,
+            j0: usize,
+            acc: &mut [[u64; $words]; Z],
+        ) {
+            // SAFETY (loads and stores of `acc`): every pointer is to
+            // exactly one vector's `u64`s, of a borrowed fixed-size array.
+            let mut v: [$vec; Z] = acc.map(|a| unsafe { $load(a.as_ptr().cast()) });
+            for (w, &word) in pick.iter().enumerate() {
+                let mut nz = nonzero_nibbles(word);
+                let first = w * BIT_WORD / TABLE_GROUP * TABLE_ENTRIES;
+                while nz != 0 {
+                    let t = nz.trailing_zeros() as usize;
+                    nz &= nz - 1;
+                    let row = first
+                        + t / TABLE_GROUP * TABLE_ENTRIES
+                        + (word >> t) as usize % TABLE_ENTRIES;
+                    // SAFETY: `row` is below `pick.len()` groups of
+                    // entries, and the caller guarantees the table holds
+                    // all of them, `words` words each, of which this
+                    // block reads `j0..j0 + W·Z`.
+                    let at = unsafe { table.as_ptr().add(row * words + j0) };
+                    for (z, v) in v.iter_mut().enumerate() {
+                        *v = $or(*v, unsafe { $load(at.add(z * $words).cast()) });
+                    }
+                }
+            }
+            for (v, a) in v.iter().zip(acc.iter_mut()) {
+                unsafe { $store(a.as_mut_ptr().cast(), *v) };
+            }
+        }
+    };
+}
+
+or_block!(
+    or_block_avx512,
+    "avx512f",
+    WORDS512,
+    __m512i,
+    _mm512_loadu_si512,
+    _mm512_or_si512,
+    _mm512_storeu_si512
+);
+or_block!(
+    or_block_avx2,
+    "avx2",
+    WORDS256,
+    __m256i,
+    _mm256_loadu_si256,
+    _mm256_or_si256,
+    _mm256_storeu_si256
+);
+or_block!(
+    or_block_sse2,
+    "avx2",
+    WORDS128,
+    __m128i,
+    _mm_loadu_si128,
+    _mm_or_si128,
+    _mm_storeu_si128
+);
+
+/// [`scalar::or_rows`] on 512-bit accumulators, [`OR_BLOCK`] at a time
+/// in registers across the walk of `pick`; words that fill no 512-bit
+/// vector go to [`or_rows_avx2`]'s blocks and the scalar leaf.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `table` must hold
+/// [`super::table_words`]`(pick.len(), acc.len())` words (asserted by
+/// the dispatcher).
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn or_rows_avx512(pick: &[u64], table: &[u64], acc: &mut [u64]) {
+    let words = acc.len();
+    let (vectors, tail) = acc.as_chunks_mut::<WORDS512>();
+    let done = WORDS512 * vectors.len();
+    let (blocks, rest) = vectors.as_chunks_mut::<OR_BLOCK>();
+    let mut at = 0;
+    // SAFETY (every block): the caller's table bound, and each block's
+    // words lie inside the row.
+    for block in blocks {
+        unsafe { or_block_avx512(pick, table, words, at, block) };
+        at += WORDS512 * OR_BLOCK;
+    }
+    for a in rest {
+        unsafe { or_block_avx512::<1>(pick, table, words, at, std::array::from_mut(a)) };
+        at += WORDS512;
+    }
+    unsafe { or_words_avx2(pick, table, words, done, tail) };
+}
+
+/// [`or_rows_avx512`] on 256-bit accumulators.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `table` must hold
+/// [`super::table_words`]`(pick.len(), acc.len())` words (asserted by
+/// the dispatcher).
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn or_rows_avx2(pick: &[u64], table: &[u64], acc: &mut [u64]) {
+    // SAFETY: the caller's contract is this one's.
+    unsafe { or_words_avx2(pick, table, acc.len(), 0, acc) };
+}
+
+/// Words `j0..j0 + acc.len()` of a `words`-word accumulator row, in
+/// blocks of [`OR_BLOCK`] 256-bit vectors and then one vector at a
+/// time, a 128-bit vector on two words left over (a 128-column row is
+/// nothing else), the scalar leaf on a last odd word.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `table` holds
+/// [`super::table_words`]`(pick.len(), words)` words, and
+/// `j0 + acc.len() ≤ words`.
+#[target_feature(enable = "avx2")]
+unsafe fn or_words_avx2(pick: &[u64], table: &[u64], words: usize, j0: usize, acc: &mut [u64]) {
+    let (vectors, tail) = acc.as_chunks_mut::<WORDS256>();
+    let done = j0 + WORDS256 * vectors.len();
+    let (blocks, rest) = vectors.as_chunks_mut::<OR_BLOCK>();
+    let mut at = j0;
+    // SAFETY (every block): the caller's table bound, and each block's
+    // words lie inside the row.
+    for block in blocks {
+        unsafe { or_block_avx2(pick, table, words, at, block) };
+        at += WORDS256 * OR_BLOCK;
+    }
+    for a in rest {
+        unsafe { or_block_avx2::<1>(pick, table, words, at, std::array::from_mut(a)) };
+        at += WORDS256;
+    }
+    let (pair, odd) = tail.as_chunks_mut::<WORDS128>();
+    if let Some(pair) = pair.first_mut() {
+        // SAFETY: as for the blocks.
+        unsafe { or_block_sse2::<1>(pick, table, words, at, std::array::from_mut(pair)) };
+    }
+    scalar::or_rows(pick, table, words, done + WORDS128 * pair.len(), odd);
+}
+
+/// [`scalar::bits_to_f32`] sixteen lanes at a time: each 16-bit slice of
+/// a word is the write mask of a zero-masked move of `1.0`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. (Shapes are bounds-checked, not
+/// preconditions.)
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn bits_to_f32_avx512(bits: &[u64], out: &mut [f32]) {
+    let (chunks, tail) = out.as_chunks_mut::<BIT_WORD>();
+    let one = _mm512_set1_ps(1.0);
+    for (chunk, &word) in chunks.iter_mut().zip(bits) {
+        let (quarters, _) = chunk.as_chunks_mut::<LANES512>();
+        for (q, quarter) in quarters.iter_mut().enumerate() {
+            let v = _mm512_maskz_mov_ps((word >> (LANES512 * q)) as u16, one);
+            // SAFETY: `quarter` is exactly 16 contiguous `f32`s,
+            // exclusively borrowed.
+            unsafe { _mm512_storeu_ps(quarter.as_mut_ptr(), v) };
+        }
+    }
+    scalar::bits_to_f32(&bits[chunks.len()..], tail);
+}
+
+/// [`bits_to_f32_avx512`] on eight lanes: a byte of the word, broadcast
+/// and tested against one bit per lane, masks `1.0`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn bits_to_f32_avx2(bits: &[u64], out: &mut [f32]) {
+    let (chunks, tail) = out.as_chunks_mut::<BIT_WORD>();
+    let one = _mm256_set1_ps(1.0);
+    let lane_bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    for (chunk, &word) in chunks.iter_mut().zip(bits) {
+        let (eighths, _) = chunk.as_chunks_mut::<LANES256>();
+        for (e, eighth) in eighths.iter_mut().enumerate() {
+            let byte = _mm256_set1_epi32((word >> (LANES256 * e)) as i32 & 0xff);
+            let on = _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane_bits), lane_bits);
+            let v = _mm256_and_ps(_mm256_castsi256_ps(on), one);
+            // SAFETY: `eighth` is exactly 8 contiguous `f32`s,
+            // exclusively borrowed.
+            unsafe { _mm256_storeu_ps(eighth.as_mut_ptr(), v) };
+        }
+    }
+    scalar::bits_to_f32(&bits[chunks.len()..], tail);
 }

@@ -7,7 +7,9 @@
 //! subnormals — at every tile side and chain length, and the row-sweep
 //! leaf ([`simd::sweep_row`]) makes the same promise against the scalar
 //! leaf at every row width, as do the scan and compaction leaves
-//! ([`simd::scan`], [`simd::compact`]) and the CSR images built on them.
+//! ([`simd::scan`], [`simd::compact`]) and the CSR images built on them,
+//! and or-and's three bit-row leaves ([`simd::truthy_bits`],
+//! [`simd::or_rows`], [`simd::bits_to_f32`]).
 //! These properties sample raw bit patterns (so specials appear with
 //! their natural density) plus a deterministic
 //! overlay of adversarial values, and compare through
@@ -523,6 +525,89 @@ proptest! {
             let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
             let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(&got, &want, "chain of {} isa={}", tiles, isa);
+        }
+    }
+
+    /// The three bit-row leaves or-and's bit walk folds with, on every
+    /// supported tier, == the rule written out (and so the scalar leaf):
+    /// [`simd::truthy_bits`] over rows of every length 0..=300 (whole
+    /// words, whole vectors and scalar tails) of arbitrary bit patterns,
+    /// NaNs, `±0.0` and subnormals at every fill of falsy elements, into
+    /// a row longer than it needs whose spare words it must clear;
+    /// [`simd::or_rows`] through the bit table of up to 70 rows of that
+    /// width (words filling several blocks of 512-bit vectors, a leftover
+    /// 512- or 256-bit vector, a scalar tail), picking any subset of them
+    /// into an accumulator that already holds bits — the OR of the picked
+    /// rows themselves; and [`simd::bits_to_f32`] writing the result
+    /// out as `1.0` / `+0.0`, compared as bits.
+    #[test]
+    fn bit_row_leaves_match_the_rule_written_out(
+        len in 0usize..=300,
+        rows in 0usize..=70,
+        fill in 0u32..=4,
+        pick_fill in 0u32..=4,
+        bits in proptest::collection::vec(any::<u32>(), 64),
+        salt in any::<u32>(),
+    ) {
+        let hash = |i: usize, salt: u32| {
+            let h = (i as u64 ^ u64::from(salt) << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^ h >> 29
+        };
+        // `fill` in four of the elements are `±0.0`.
+        let xs: Vec<f32> = values(len, &bits, salt)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| match hash(i, salt) % 8 {
+                h if h < u64::from(2 * fill) => [0.0, -0.0][(h % 2) as usize],
+                _ => x,
+            })
+            .collect();
+        let words = simd::bit_words(len);
+        let mut want_bits = vec![0u64; words + 2];
+        for (j, &x) in xs.iter().enumerate() {
+            want_bits[j / 64] |= u64::from(x != 0.0) << (j % 64);
+        }
+        let any = want_bits.iter().any(|&w| w != 0);
+        let image: Vec<u64> = (0..rows * words).map(|i| hash(i, salt ^ 0xB)).collect();
+        let pick: Vec<u64> = (0..simd::bit_words(rows))
+            .map(|w| {
+                (0..64)
+                    .filter(|&b| w * 64 + b < rows && hash(w * 64 + b, salt ^ 0x9) % 4 < u64::from(pick_fill))
+                    .fold(0, |word, b| word | 1 << b)
+            })
+            .collect();
+        // The table of `image`'s rows, written out: entry `s` of group
+        // `g` is the OR of rows `4g + i` for the bits `i` of `s`.
+        let mut table = vec![0u64; simd::table_words(pick.len(), words)];
+        for (e, entry) in table.chunks_exact_mut(words.max(1)).enumerate().filter(|_| words > 0) {
+            let (g, s) = (e / simd::TABLE_ENTRIES, e % simd::TABLE_ENTRIES);
+            for l in (0..simd::TABLE_GROUP).filter(|i| s >> i & 1 == 1).map(|i| g * simd::TABLE_GROUP + i) {
+                for (x, r) in entry.iter_mut().zip(image.get(l * words..(l + 1) * words).unwrap_or(&[])) {
+                    *x |= r;
+                }
+            }
+        }
+        let mut want_acc = want_bits[..words].to_vec();
+        for l in (0..rows).filter(|&l| pick[l / 64] >> (l % 64) & 1 == 1) {
+            for (a, r) in want_acc.iter_mut().zip(&image[l * words..]) {
+                *a |= r;
+            }
+        }
+        let want_out: Vec<u32> = (0..len)
+            .map(|j| if want_acc[j / 64] >> (j % 64) & 1 == 1 { 1.0f32 } else { 0.0 }.to_bits())
+            .collect();
+
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+            let mut got = vec![u64::MAX; words + 2];
+            prop_assert_eq!(simd::truthy_bits(isa, &xs, &mut got), any, "isa={} len={}", isa, len);
+            prop_assert_eq!(&got, &want_bits, "isa={} len={}", isa, len);
+            let mut acc = got[..words].to_vec();
+            simd::or_rows(isa, &pick, &table, &mut acc);
+            prop_assert_eq!(&acc, &want_acc, "isa={} len={} rows={}", isa, len, rows);
+            let mut out = vec![f32::NAN; len];
+            simd::bits_to_f32(isa, &acc, &mut out);
+            let out: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(&out, &want_out, "isa={} len={}", isa, len);
         }
     }
 

@@ -75,6 +75,11 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # the `--lib backend::` line below, on every op, fit and tier with or
 # without lanes. A log from a host without AVX512-FP16 covers fp16
 # routing through that table test only, not through the leaf.
+# And or-and on bit rows: the three bit-row leaves against the rule
+# written out (`proptest_simd`), every or-and step's bit walk against the
+# reference and the forced tile chain at fp16 / fp32 / int8 and one and
+# two workers (`or_and_bits`, which prints the tier whose bit leaves ran:
+# `Scalar` on the forced-scalar leg).
 cargo test --release -q -p simd2 --test half_lanes -- --nocapture host_features
 for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-repro --test fold_order
@@ -82,6 +87,7 @@ for leg in 0 1; do
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2-apps --test chain_skips --test streaming_walks
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test half_lanes
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test fma_lanes -- --nocapture
+  SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test or_and_bits -- --nocapture
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --lib backend::
   SIMD2_FORCE_SCALAR=$leg cargo test --release -q -p simd2 --test proptest_rows \
     --test proptest_parallel --test proptest_checkpoint --test pool_lifecycle

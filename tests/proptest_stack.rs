@@ -252,7 +252,7 @@ proptest! {
             }
             // Whether a step is row-walked is the engine's call: below
             // every float chain's walk-or-chain bound it walks (or-and's
-            // bit-mask chain wins from 8 % up).
+            // steps take the bit walk).
             if sentinel.is_some() && op != OpKind::OrAnd && density <= 0.1 {
                 prop_assert!(
                     be.row_count().sparse_mmos > 0,
