@@ -34,8 +34,7 @@ mod pool;
 mod rows;
 
 use chain::{
-    fit, pack_b_strip, run_panel, strip_width, BStrip, ChainPanel, ChainPlan, ChainTally,
-    PackScratch,
+    fit, pack, run_panel, strip_width, BStrip, ChainPanel, ChainPlan, ChainTally, PackScratch, Side,
 };
 use pool::Pool;
 pub use rows::RowCount;
@@ -751,7 +750,7 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
         let strips = grid.n_tiles.div_ceil(width);
         let strip_tiles = width.min(grid.n_tiles) * grid.k_tiles;
         let plan = ChainPlan::of(&self.unit, step);
-        let (facts, lanes) = (plan.skips.is_some(), plan.lanes);
+        let (k_tiles, lanes) = (grid.k_tiles, plan.lanes);
         let mut panels = grid.row_panels(workers);
         let shard_panel = |_| (0..strips).map(|_| self.unit.shard()).collect();
         let mut shards: Vec<Vec<U>> = (panels.len() > 1)
@@ -762,13 +761,13 @@ impl<U: MmoUnit + Send + Sync> TiledBackend<U> {
             panels = grid.row_panels(1);
         }
         let PackScratch { a, b } = &mut self.scratch;
-        let a_rows = fit(a, panels.len(), grid.k_tiles, facts, (lanes, HALF_A_WORDS));
+        let a_rows = fit(a, panels.len(), k_tiles, lanes.words(HALF_A_WORDS));
         let b_bufs = if strips == 1 { 1 } else { panels.len() };
-        let mut b_bufs = fit(b, b_bufs, strip_tiles, facts, (lanes, HALF_B_WORDS));
+        let mut b_bufs = fit(b, b_bufs, strip_tiles, lanes.words(HALF_B_WORDS));
         let b_strips: Vec<BStrip<'_>> = if strips == 1 {
             let mut packed = b_bufs.next().expect("one shared strip");
-            let dst = packed.reborrow();
-            pack_b_strip(&self.unit, step, grid.k_tiles, 0..grid.n_tiles, plan, dst);
+            let (strip, dst) = (0..grid.n_tiles, packed.reborrow());
+            pack(&self.unit, step, plan, Side::B, strip, k_tiles, dst);
             let view = packed.into_view();
             panels.iter().map(|_| BStrip::Shared(view)).collect()
         } else {

@@ -1,16 +1,15 @@
 //! The tile chain of [`TiledBackend`](super::TiledBackend): operands
-//! packed into tile-major scratch, what the step reads off each packed
-//! tile, and the per-panel loop that folds every output tile's chain of
-//! tile pairs.
+//! packed into tile-major scratch in one pass that also reads what the
+//! step needs off each tile, and the per-panel loop that folds every
+//! output tile's chain of tile pairs.
 
 use std::ops::Range;
 
 use simd2_matrix::tiling::{self, TileGrid};
-use simd2_matrix::{Matrix, Tile, ISA_TILE};
+use simd2_matrix::{Tile, ISA_TILE};
 use simd2_mxu::MmoUnit;
 use simd2_semiring::simd::{
-    self, FmaLanes, HalfFit, HalfLanes, KernelIsa, Scan, CHAIN_ELEMS as TILE_ELEMS, HALF_A_WORDS,
-    HALF_B_WORDS,
+    self, FmaLanes, HalfFit, HalfLanes, Scan, CHAIN_ELEMS as TILE_ELEMS, HALF_A_WORDS, HALF_B_WORDS,
 };
 use simd2_semiring::OpKind;
 use simd2_trace::Counter;
@@ -52,11 +51,11 @@ pub(super) fn strip_width(k_tiles: usize) -> usize {
 
 /// The tile chain's packed-operand scratch: the quantised, padded,
 /// tile-major `A` rows and `B` strips [`run_panel`] reads its chains
-/// from, with what the step reads off their tiles ([`PackBuf`]). Owned
-/// by the backend and reused across MMOs; contents are rewritten before
-/// every read. Sized by the caller ([`fit`]) before any panel runs, so a
-/// pool worker never allocates and no per-thread malloc arena grows with
-/// it.
+/// from, each tile beside its record ([`PackBuf`]). Owned by the backend
+/// and reused across MMOs; every tile, record and image is written by
+/// [`pack`] before it is read. Sized by the caller ([`fit`]) before any
+/// panel runs, so a pool worker never allocates and no per-thread malloc
+/// arena grows with it.
 #[derive(Debug, Default)]
 pub(super) struct PackScratch {
     /// Per panel: `k_tiles` tiles of one tile row of `A`, in `tk` order.
@@ -68,67 +67,74 @@ pub(super) struct PackScratch {
     pub(super) b: Vec<PackBuf>,
 }
 
-/// One buffer of packed tiles and, beside them, what the step reads off
-/// each tile.
+/// One buffer of packed tiles, one record per tile ([`TileFacts`]) and,
+/// on half lanes, one fp16 image per tile.
 #[derive(Debug, Default)]
 pub(super) struct PackBuf {
     tiles: Vec<f32>,
-    /// One scan per tile — none when the step skips nothing.
-    facts: Vec<Scan>,
-    /// One fp16 image per tile — none unless the step folds on half
-    /// lanes.
+    facts: Vec<TileFacts>,
     half: Vec<u32>,
-    /// One fit per tile — none unless the step folds on half or FMA
-    /// lanes.
-    fits: Vec<HalfFit>,
+}
+
+/// What [`pack`] reads off one packed tile while it is still in L1.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct TileFacts {
+    /// Its scan against the annihilator, or [`UNREAD`] where the step
+    /// does not read it — never empty then, so a step that skips nothing
+    /// finds no tile to skip for.
+    scan: Scan,
+    /// Its fp16 fit, where the step folds on fast lanes; otherwise
+    /// [`HalfFit::Exact`], which the lane table reads as any other fit
+    /// when there are no lanes ([`route`]).
+    fit: HalfFit,
+}
+
+/// A record not yet written: read as a tile that is not empty.
+impl Default for TileFacts {
+    fn default() -> Self {
+        Self {
+            scan: UNREAD,
+            fit: HalfFit::Exact,
+        }
+    }
 }
 
 /// The first `count` buffers of `bufs`, each sized for `tiles` packed
-/// tiles, a scan per tile when `facts`, a fit per tile when the step's
-/// `lanes` read fits, and an image of `lanes.words(words)` words per
-/// tile. Fits and images only ever grow: they are rewritten before every
-/// read, and a backend that runs other ops between ones that read them
-/// would otherwise zero them again for each such step.
+/// tiles, their records and an image of `words` words per tile. Buffers
+/// only ever grow: everything in them is rewritten before it is read,
+/// and a backend that runs other steps between ones that fold on half
+/// lanes would otherwise zero the images again for each such step.
 pub(super) fn fit(
     bufs: &mut Vec<PackBuf>,
     count: usize,
     tiles: usize,
-    facts: bool,
-    (lanes, words): (Lanes, usize),
+    words: usize,
 ) -> impl Iterator<Item = Packed<'_>> {
+    fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+        if buf.len() < len {
+            buf.resize(len, T::default());
+        }
+        &mut buf[..len]
+    }
     if bufs.len() < count {
         bufs.resize_with(count, PackBuf::default);
     }
-    let fitted = if lanes.reads_fits() { tiles } else { 0 };
-    let words = tiles * lanes.words(words);
-    for buf in &mut bufs[..count] {
-        buf.tiles.resize(tiles * TILE_ELEMS, 0.0);
-        buf.facts
-            .resize(if facts { tiles } else { 0 }, Scan::default());
-        if buf.fits.len() < fitted {
-            buf.fits.resize(fitted, HalfFit::default());
-        }
-        if buf.half.len() < words {
-            buf.half.resize(words, 0);
-        }
-    }
     bufs[..count].iter_mut().map(move |buf| Packed {
-        tiles: &mut buf.tiles,
-        facts: &mut buf.facts,
-        half: &mut buf.half[..words],
-        fits: &mut buf.fits[..fitted],
+        tiles: grow(&mut buf.tiles, tiles * TILE_ELEMS),
+        facts: grow(&mut buf.facts, tiles),
+        half: grow(&mut buf.half, tiles * words),
+        words,
     })
 }
 
-/// A packed chain or strip and what the step reads off its tiles: their
-/// scans (none when the step skips nothing), their fits (none unless it
-/// folds on half or FMA lanes) and their fp16 images (none unless it
-/// folds on half lanes).
+/// Packed tiles as [`pack`] writes them: the tiles, their records and
+/// their fp16 images, `words` to a tile (none unless the step folds on
+/// half lanes).
 pub(super) struct Packed<'s> {
     tiles: &'s mut [f32],
-    facts: &'s mut [Scan],
+    facts: &'s mut [TileFacts],
     half: &'s mut [u32],
-    fits: &'s mut [HalfFit],
+    words: usize,
 }
 
 impl<'s> Packed<'s> {
@@ -137,24 +143,18 @@ impl<'s> Packed<'s> {
             tiles: self.tiles,
             facts: self.facts,
             half: self.half,
-            fits: self.fits,
+            words: self.words,
         }
     }
 
-    /// The first `count` tiles and what was read off them.
-    pub(super) fn prefix(self, count: usize) -> Packed<'s> {
-        let tiles = self.tiles.len() / TILE_ELEMS;
-        let first = |len: usize| count * (len / tiles.max(1));
-        let (facts, half, fits) = (
-            first(self.facts.len()),
-            first(self.half.len()),
-            first(self.fits.len()),
-        );
+    /// Tiles `tiles`, their records and images.
+    pub(super) fn part(self, tiles: Range<usize>) -> Packed<'s> {
+        let words = self.words;
         Packed {
-            tiles: &mut self.tiles[..count * TILE_ELEMS],
-            facts: &mut self.facts[..facts],
-            half: &mut self.half[..half],
-            fits: &mut self.fits[..fits],
+            tiles: &mut self.tiles[tiles.start * TILE_ELEMS..tiles.end * TILE_ELEMS],
+            facts: &mut self.facts[tiles.clone()],
+            half: &mut self.half[tiles.start * words..tiles.end * words],
+            words,
         }
     }
 
@@ -163,81 +163,113 @@ impl<'s> Packed<'s> {
             tiles: self.tiles,
             facts: self.facts,
             half: self.half,
-            fits: self.fits,
+            words: self.words,
         }
     }
 }
 
-/// A packed chain or strip as the chains that fold it read it.
+/// Packed tiles as the chains that fold them read them.
 #[derive(Clone, Copy)]
 pub(super) struct View<'s> {
     tiles: &'s [f32],
-    facts: &'s [Scan],
+    facts: &'s [TileFacts],
     half: &'s [u32],
-    fits: &'s [HalfFit],
+    words: usize,
 }
 
 impl View<'_> {
-    /// The `k_tiles` tiles of its chain `index` and what was read off
-    /// them, each tile's image `words` long.
-    pub(super) fn chain(self, index: usize, k_tiles: usize, words: usize) -> Self {
-        let tiles = index * k_tiles..(index + 1) * k_tiles;
-        // What was read off every tile, or off none.
-        let part = |len: usize, per: usize| {
-            if len == 0 {
-                0..0
-            } else {
-                tiles.start * per..tiles.end * per
-            }
-        };
+    /// The `k_tiles` tiles of its chain `index`, their records and
+    /// images.
+    pub(super) fn chain(self, index: usize, k_tiles: usize) -> Self {
+        let (start, end) = (index * k_tiles, (index + 1) * k_tiles);
+        let words = self.words;
         View {
-            tiles: &self.tiles[part(self.tiles.len(), TILE_ELEMS)],
-            facts: &self.facts[part(self.facts.len(), 1)],
-            half: &self.half[part(self.half.len(), words)],
-            fits: &self.fits[part(self.fits.len(), 1)],
+            tiles: &self.tiles[start * TILE_ELEMS..end * TILE_ELEMS],
+            facts: &self.facts[start..end],
+            half: &self.half[start * words..end * words],
+            words,
         }
     }
 }
 
-/// Packs the chain of tiles `coords` yields from `m` — padded with `fill`
-/// first, then quantised by the unit's pack hook, the order the per-tile
-/// path (`load_*_tile` → `execute`) applies them in — into `dst`, one
-/// flat row-major tile after another.
-pub(super) fn pack_chain<U: MmoUnit>(
-    unit: &U,
-    m: &Matrix,
-    fill: f32,
-    coords: impl Iterator<Item = (usize, usize)>,
-    dst: &mut [f32],
-) {
-    for ((tr, tc), tile) in coords.zip(dst.chunks_exact_mut(TILE_ELEMS)) {
-        tiling::pack_tile::<ISA_TILE>(m, tr, tc, fill, tile);
-    }
-    unit.quantize_packed(dst);
+/// Which operand of a tile pair [`pack`] packs chains of.
+#[derive(Clone, Copy)]
+pub(super) enum Side {
+    /// `A`, one chain per tile row, packed beside a `B` strip that holds
+    /// an empty tile (`b_sparse`) or not.
+    A { b_sparse: bool },
+    /// `B`, one chain per tile column.
+    B,
 }
 
-/// Packs the `B` strip of tile columns `strip` into `dst`, reads its
-/// fits when the step's lanes read them ([`Lanes::read`]) and, when it
-/// skips, scans it (every tile's values, if the rule may read them).
-pub(super) fn pack_b_strip<U: MmoUnit>(
+/// Packs chains `chains` of the `side` operand of `step` into `dst`, one
+/// chain of `k_tiles` tiles after another, in one pass per chain: each
+/// tile padded with the op's fill ([`tiling::pack_tile`]), then the
+/// whole chain through the unit's pack hook (the order the per-tile path
+/// applies them in), then, while the chain is still in L1, each tile's
+/// record ([`TileFacts`]) and, on half lanes, its fp16 image.
+///
+/// A step that skips pairs ([`ChainSkips`]) scans a tile when the rule
+/// reads the values beside an empty tile and the other operand may hold
+/// one — for `A`, the strip beside it does; for `B`, some tile of `A`
+/// may be empty ([`ChainSkips::of`]); otherwise only a tile whose first
+/// row is all annihilator, one that can be empty, the rest being
+/// [`UNREAD`], so a dense operand costs one vector compare per tile.
+pub(super) fn pack<U: MmoUnit>(
     unit: &U,
     step: &MmoArgs<'_>,
-    k_tiles: usize,
-    strip: Range<usize>,
     plan: ChainPlan,
+    side: Side,
+    chains: Range<usize>,
+    k_tiles: usize,
     mut dst: Packed<'_>,
 ) {
-    let coords = strip.flat_map(|tj| (0..k_tiles).map(move |tk| (tk, tj)));
-    pack_chain(
-        unit,
-        step.b,
-        tiling::pad_values(step.op).b,
-        coords,
-        dst.tiles,
-    );
-    plan.lanes.read(Side::B, dst.reborrow());
-    if let Some(skips) = plan.skips {
-        skips.scan(unit.kernel_isa(), skips.b_values, dst.reborrow());
+    let pad = tiling::pad_values(step.op);
+    let (m, fill) = match side {
+        Side::A { .. } => (step.a, pad.a),
+        Side::B => (step.b, pad.b),
+    };
+    let scans = plan.skips.map(|skips| {
+        let read_values = match side {
+            Side::A { b_sparse } => skips.values && b_sparse,
+            Side::B => skips.b_values,
+        };
+        (skips.zero, read_values)
+    });
+    for (index, chain) in chains.enumerate() {
+        let part = index * k_tiles..(index + 1) * k_tiles;
+        let Packed {
+            tiles,
+            facts,
+            half,
+            words,
+        } = dst.reborrow().part(part);
+        for (tk, tile) in tiles.chunks_exact_mut(TILE_ELEMS).enumerate() {
+            let (tr, tc) = match side {
+                Side::A { .. } => (chain, tk),
+                Side::B => (tk, chain),
+            };
+            tiling::pack_tile::<ISA_TILE>(m, tr, tc, fill, tile);
+        }
+        unit.quantize_packed(tiles);
+        for (tk, (tile, facts)) in tiles.chunks_exact(TILE_ELEMS).zip(facts).enumerate() {
+            let image = &mut half[tk * words..(tk + 1) * words];
+            let mut fit = HalfFit::Exact;
+            let one = std::slice::from_mut(&mut fit);
+            match (plan.lanes, side) {
+                (Lanes::Half(lanes), Side::A { .. }) => lanes.image_a(tile, image, one),
+                (Lanes::Half(lanes), Side::B) => lanes.image_b(tile, image, one),
+                (Lanes::Fma(lanes), _) => lanes.fits(tile, one),
+                (Lanes::F32, _) => {}
+            }
+            let scan = match scans {
+                Some((zero, read_values)) if read_values || all_zero(&tile[..ISA_TILE], zero) => {
+                    simd::scan(unit.kernel_isa(), zero, tile)
+                }
+                _ => UNREAD,
+            };
+            *facts = TileFacts { scan, fit };
+        }
     }
 }
 
@@ -267,11 +299,12 @@ pub(super) struct ChainSkips {
 
 impl ChainSkips {
     /// How a step of `op` on a coordinate-free unit skips — `None` when
-    /// it skips no pair, and packs without scanning: `op` has no pair the
-    /// rule lets go even on operands wholly inside its domain (the
-    /// default scan): plus-norm has no annihilator, and max-mul's skipped
-    /// terms need a trailing `⊕ +0.0` that is exact only over whole
-    /// operands, which a tile pair does not see.
+    /// it skips no pair, and packs without scanning, every record
+    /// [`UNREAD`]: `op` has no pair the rule lets go even on operands
+    /// wholly inside its domain (the default scan): plus-norm has no
+    /// annihilator, and max-mul's skipped terms need a trailing `⊕ +0.0`
+    /// that is exact only over whole operands, which a tile pair does not
+    /// see.
     ///
     /// `A`'s tiles are packed after `B`'s strip, so whether one of them
     /// may be empty is read off the matrix: a tile can pack to nothing
@@ -300,21 +333,6 @@ impl ChainSkips {
             b_values,
         })
     }
-
-    /// Fills `dst.facts` for `dst.tiles` with each tile's [`Scan`] on
-    /// `isa`'s leaf — of every tile when the rule will `read_values` of
-    /// these tiles; otherwise only of a tile whose first row is all
-    /// annihilator, one that can be empty, the rest being [`UNREAD`], so
-    /// a dense operand costs one vector compare per tile.
-    pub(super) fn scan(self, isa: KernelIsa, read_values: bool, dst: Packed<'_>) {
-        for (tile, fact) in dst.tiles.chunks_exact(TILE_ELEMS).zip(dst.facts) {
-            *fact = if read_values || all_zero(&tile[..ISA_TILE], self.zero) {
-                simd::scan(isa, self.zero, tile)
-            } else {
-                UNREAD
-            };
-        }
-    }
 }
 
 /// Whether every element of `row` is `zero`: folded without an early
@@ -333,10 +351,10 @@ pub(super) fn skips_pair(op: OpKind, a: Scan, b: Scan) -> bool {
     exact(a, b) || exact(b, a)
 }
 
-/// Whether some tile of the scanned chain or strip holds nothing but
-/// the annihilator.
-pub(super) fn holds_empty(facts: &[Scan]) -> bool {
-    facts.iter().any(|scan| scan.stored == 0)
+/// Whether some tile of the packed chain or strip holds nothing but the
+/// annihilator.
+pub(super) fn holds_empty(facts: &[TileFacts]) -> bool {
+    facts.iter().any(|facts| facts.scan.stored == 0)
 }
 
 /// Where the tile chain of a coordinate-free unit folds a tile pair it
@@ -415,13 +433,6 @@ pub(super) enum Lanes {
     Fma(FmaLanes),
 }
 
-/// Which operand of a tile pair a packed chain or strip is.
-#[derive(Clone, Copy)]
-pub(super) enum Side {
-    A,
-    B,
-}
-
 impl Lanes {
     /// Words of image per packed tile whose images take `words`: none
     /// unless the step folds on half lanes.
@@ -436,18 +447,6 @@ impl Lanes {
     /// lanes.
     pub(super) fn reads_fits(self) -> bool {
         !matches!(self, Self::F32)
-    }
-
-    /// Reads what the step's lanes need off the freshly packed tiles of
-    /// `dst`, the `side` operand of their pairs: the fp16 images and
-    /// fits for half lanes, the fits alone for FMA lanes.
-    pub(super) fn read(self, side: Side, dst: Packed<'_>) {
-        match (self, side) {
-            (Self::Half(lanes), Side::A) => lanes.image_a(dst.tiles, dst.half, dst.fits),
-            (Self::Half(lanes), Side::B) => lanes.image_b(dst.tiles, dst.half, dst.fits),
-            (Self::Fma(lanes), _) => lanes.fits(dst.tiles, dst.fits),
-            (Self::F32, _) => {}
-        }
     }
 }
 
@@ -562,17 +561,11 @@ pub(super) fn fold_runs<U: MmoUnit>(
         tally.routes[plan.routes[HalfFit::Exact as usize] as usize] += k_tiles as u64;
         return tally;
     }
-    let fit = |tk: usize| {
-        if lanes.reads_fits() {
-            a.fits[tk].max(b.fits[tk])
-        } else {
-            HalfFit::Exact
-        }
-    };
     // Where pair `tk` folds: `None` left out.
     let route = |tk: usize| {
-        let skip = sparse && skips_pair(op, a.facts[tk], b.facts[tk]);
-        (!skip).then(|| plan.routes[fit(tk) as usize])
+        let (a, b) = (a.facts[tk], b.facts[tk]);
+        let skip = sparse && skips_pair(op, a.scan, b.scan);
+        (!skip).then(|| plan.routes[a.fit.max(b.fit) as usize])
     };
     let mut fold = |tks: Range<usize>, fast: bool| {
         let run = tks.start * TILE_ELEMS..tks.end * TILE_ELEMS;
@@ -636,14 +629,14 @@ pub(super) struct ChainPanel<'s, U> {
 /// of its tile pairs.
 ///
 /// `B` is packed one column strip at a time (or was, once, by the
-/// caller) and `A` one tile row at a time, each exactly once per use;
-/// every output tile is then folded over contiguous packed tiles
-/// ([`fold_runs`]: one call per run of tile pairs the step does not skip
-/// and folds on the same lanes), into an accumulator tile read from `C`
-/// and stored straight into the slab. Tiles are visited strip by strip,
-/// row-major within a strip. Right after packing a chain or strip, a
-/// step that folds on fp16 or FMA lanes reads its fits ([`Lanes::read`])
-/// and a step that may skip pairs ([`ChainSkips`]) scans it.
+/// caller) and `A` one tile row at a time, each exactly once per use and
+/// each tile with its record in the same pass ([`pack`]); the strip goes
+/// first, since whether `A`'s values are read depends on whether it
+/// holds an empty tile. Every output tile is then folded over contiguous
+/// packed tiles ([`fold_runs`]: one call per run of tile pairs the step
+/// does not skip and folds on the same lanes), into an accumulator tile
+/// read from `C` and stored straight into the slab. Tiles are visited
+/// strip by strip, row-major within a strip.
 ///
 /// The panel's units are either a single unit that executes every strip
 /// (the sequential schedule) or one worker shard per strip (the
@@ -662,7 +655,7 @@ pub(super) fn run_panel<U: MmoUnit>(
     slab: &mut [f32],
 ) -> ChainTally {
     let row0 = grid.panel_rows(&panel).start;
-    let (op, pad) = (step.op, tiling::pad_values(step.op));
+    let op = step.op;
     let k_tiles = grid.k_tiles;
     let width = strip_width(k_tiles);
     let mut tally = ChainTally::default();
@@ -672,8 +665,16 @@ pub(super) fn run_panel<U: MmoUnit>(
         let b_strip = match &mut b {
             BStrip::Shared(view) => *view,
             BStrip::Own(packed) => {
-                let mut dst = packed.reborrow().prefix(strip.len() * k_tiles);
-                pack_b_strip(unit, step, k_tiles, strip.clone(), plan, dst.reborrow());
+                let mut dst = packed.reborrow().part(0..strip.len() * k_tiles);
+                pack(
+                    unit,
+                    step,
+                    plan,
+                    Side::B,
+                    strip.clone(),
+                    k_tiles,
+                    dst.reborrow(),
+                );
                 dst.into_view()
             }
         };
@@ -681,18 +682,13 @@ pub(super) fn run_panel<U: MmoUnit>(
         // no empty tile in the strip nor in the row, nothing is skipped.
         let b_sparse = holds_empty(b_strip.facts);
         for ti in panel.clone() {
-            let a_coords = (0..k_tiles).map(|tk| (ti, tk));
-            pack_chain(unit, step.a, pad.a, a_coords, a_row.tiles);
-            plan.lanes.read(Side::A, a_row.reborrow());
-            if let Some(skips) = plan.skips {
-                let read_values = skips.values && b_sparse;
-                skips.scan(unit.kernel_isa(), read_values, a_row.reborrow());
-            }
+            let a = Side::A { b_sparse };
+            pack(unit, step, plan, a, ti..ti + 1, k_tiles, a_row.reborrow());
             let sparse = b_sparse || holds_empty(a_row.facts);
             let a_chain = a_row.reborrow().into_view();
             for tj in strip.clone() {
                 let mut acc = tiling::load_c_tile::<ISA_TILE>(op, step.c, ti, tj);
-                let chains = (a_chain, b_strip.chain(tj - tj0, k_tiles, HALF_B_WORDS));
+                let chains = (a_chain, b_strip.chain(tj - tj0, k_tiles));
                 tally += fold_runs(unit, (ti, tj), op, chains, sparse, plan, &mut acc);
                 tiling::store_d_tile_in_panel(slab, row0, grid.n, &acc, ti, tj);
             }
@@ -704,7 +700,154 @@ pub(super) fn run_panel<U: MmoUnit>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simd2_matrix::Matrix;
+    use simd2_mxu::{PrecisionMode, Simd2Unit};
+    use simd2_semiring::simd::KernelIsa;
     use simd2_semiring::ALL_OPS;
+
+    /// A seeded `rows × cols` operand of op's annihilator `zero`, tile
+    /// by tile (on the `16 × 16` grid): empty, empty in its first row
+    /// only, or stored; stored entries are on the fp16 lattice, signed,
+    /// with `special` at about one entry in forty.
+    fn operand(rows: usize, cols: usize, zero: f32, special: Option<f32>, salt: u64) -> Matrix {
+        let hash = |x: u64| {
+            let x =
+                (x ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+            x ^ (x >> 29)
+        };
+        Matrix::from_fn(rows, cols, |r, c| {
+            let (tr, tc) = (r / ISA_TILE, c / ISA_TILE);
+            let h = hash((r * 4096 + c) as u64);
+            match hash((tr * 64 + tc) as u64 | 1 << 40) % 4 {
+                0 => zero,
+                1 if r % ISA_TILE == 0 => zero,
+                _ => match special {
+                    Some(x) if h % 40 == 0 => x,
+                    _ if h % 9 == 0 => zero,
+                    _ => ((h >> 8) % 17) as f32 * 0.5 - 4.0,
+                },
+            }
+        })
+    }
+
+    /// The one pass against the leaves run over the buffer it wrote:
+    /// tile bits against `tiling::pack_tile` then the pack hook over the
+    /// whole buffer; each record's scan against `simd::scan` on the
+    /// scalar leaf, or [`UNREAD`] where the rule reads no values and the
+    /// tile's first row is not all annihilator, or the step skips
+    /// nothing (when no record may read as empty); its fit and image
+    /// against [`FmaLanes::fits`] / [`HalfLanes::image_a`] /
+    /// [`HalfLanes::image_b`] (on a host with AVX512-FP16 for the
+    /// images). Every op, fp16 / fp32 / int8 units, `A` chains beside
+    /// strips with and without an empty tile and `B` strips, at widths,
+    /// heights and `k` of 1 / 15 / 16 / 17 / 33; max-mul's `1.0` / `−∞`
+    /// pads. One scratch serves every case, so a record left unwritten
+    /// shows a stale one.
+    #[test]
+    fn one_pass_writes_what_the_leaves_read() {
+        const DIMS: [usize; 5] = [1, 15, 16, 17, 33];
+        let specials = [None, Some(f32::NAN), Some(f32::NEG_INFINITY), Some(0.1)];
+        let (mut bufs, mut fits, mut scans) = (Vec::new(), Vec::new(), [0; 3]);
+        for precision in [
+            PrecisionMode::Fp16Input,
+            PrecisionMode::Fp32Input,
+            PrecisionMode::Int8Input,
+        ] {
+            let unit = Simd2Unit::with_precision(precision);
+            for op in ALL_OPS {
+                let zero = op.no_edge_f32().unwrap_or(0.0);
+                for (case, (special, (i, j))) in specials
+                    .into_iter()
+                    .flat_map(|s| (0..5).flat_map(move |i| (0..5).map(move |j| (s, (i, j)))))
+                    .enumerate()
+                {
+                    let (m, k, n) = (DIMS[i], DIMS[j], DIMS[(i + j) % 5]);
+                    let a = operand(m, k, zero, special, 2 * case as u64);
+                    let b = operand(k, n, zero, special, 2 * case as u64 + 1);
+                    let c = Matrix::zeros(m, n);
+                    let step = MmoArgs::new(op, &a, &b, &c);
+                    let grid = step.checked_grid().unwrap();
+                    let plan = ChainPlan::of(&unit, &step);
+                    let pad = tiling::pad_values(op);
+                    for side in [
+                        Side::A { b_sparse: false },
+                        Side::A { b_sparse: true },
+                        Side::B,
+                    ] {
+                        let ctx = format!("{precision:?} {op} {m}×{k}×{n} {special:?} {case}");
+                        let (chains, words, fill) = match side {
+                            Side::A { .. } => (grid.m_tiles, HALF_A_WORDS, pad.a),
+                            Side::B => (grid.n_tiles, HALF_B_WORDS, pad.b),
+                        };
+                        let (count, words) = (chains * grid.k_tiles, plan.lanes.words(words));
+                        let dst = fit(&mut bufs, 1, count, words).next().unwrap();
+                        pack(&unit, &step, plan, side, 0..chains, grid.k_tiles, dst);
+                        let buf = &bufs[0];
+                        let (tiles, facts) =
+                            (&buf.tiles[..count * TILE_ELEMS], &buf.facts[..count]);
+                        let mut want = vec![0.0; count * TILE_ELEMS];
+                        for (t, tile) in want.chunks_exact_mut(TILE_ELEMS).enumerate() {
+                            let (chain, tk) = (t / grid.k_tiles, t % grid.k_tiles);
+                            let (m, (tr, tc)) = match side {
+                                Side::A { .. } => (&a, (chain, tk)),
+                                Side::B => (&b, (tk, chain)),
+                            };
+                            tiling::pack_tile::<ISA_TILE>(m, tr, tc, fill, tile);
+                        }
+                        unit.quantize_packed(&mut want);
+                        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(tiles), bits(&want), "{ctx}: tiles");
+                        let mut want_fits = vec![HalfFit::Exact; count];
+                        let mut image = vec![0; count * words];
+                        match (plan.lanes, side) {
+                            (Lanes::Half(l), Side::A { .. }) => {
+                                l.image_a(&want, &mut image, &mut want_fits)
+                            }
+                            (Lanes::Half(l), Side::B) => {
+                                l.image_b(&want, &mut image, &mut want_fits)
+                            }
+                            (Lanes::Fma(l), _) => l.fits(&want, &mut want_fits),
+                            (Lanes::F32, _) => {}
+                        }
+                        assert_eq!(&buf.half[..count * words], image, "{ctx}: images");
+                        let read_values = plan.skips.map(|skips| match side {
+                            Side::A { b_sparse } => skips.values && b_sparse,
+                            Side::B => skips.b_values,
+                        });
+                        for (t, (tile, got)) in want.chunks_exact(TILE_ELEMS).zip(facts).enumerate()
+                        {
+                            let scan = |xs| simd::scan(KernelIsa::Scalar, zero, xs);
+                            let scan = match read_values {
+                                Some(values) if values || scan(&tile[..ISA_TILE]).stored == 0 => {
+                                    scan(tile)
+                                }
+                                _ => UNREAD,
+                            };
+                            let want = TileFacts {
+                                scan,
+                                fit: want_fits[t],
+                            };
+                            assert_eq!(*got, want, "{ctx}: record of tile {t}");
+                            scans[usize::from(scan != UNREAD) + usize::from(scan.stored == 0)] += 1;
+                        }
+                        if plan.skips.is_none() {
+                            assert!(!holds_empty(facts), "{ctx}: a step that skips nothing");
+                        }
+                        if plan.lanes.reads_fits() {
+                            fits.extend_from_slice(&want_fits);
+                        }
+                    }
+                }
+            }
+        }
+        // Unread, scanned and stored, scanned and empty.
+        assert!(scans.iter().all(|&n| n > 0), "{scans:?}");
+        if FmaLanes::new(simd::selected_isa(), OpKind::PlusMul).is_some() {
+            for fit in FITS {
+                assert!(fits.contains(&fit), "{fit:?} never packed");
+            }
+        }
+    }
 
     /// The lane table, case by case: what folds on fast lanes, what each
     /// kept pair is counted as, and that nothing else is. Pure, so it

@@ -130,7 +130,8 @@ const SWEEP_B_DENSITY: f64 = 0.07;
 const WALK_A_DENSITY: f64 = 0.4;
 
 /// What of a tile chain's time does not shrink with the pairs it leaves
-/// out — packing and scanning every tile, loading `C`, storing `D` — as
+/// out — packing every tile and reading its record in the same pass,
+/// loading `C`, storing `D` — as
 /// a share of the pair folds of a chain that leaves out none: a chain
 /// that folds `kept` of its pairs costs `(CHAIN_FIXED + kept) /
 /// (CHAIN_FIXED + 1)` of a full one. Placed by the same sweep's
@@ -1370,5 +1371,149 @@ mod tests {
             }
         }
         println!("worst median pick/best: {worst:.2}");
+    }
+
+    /// Where a chained step's time goes (ROADMAP item 3): the engine's
+    /// GMAC/s on one thread at fp16 operand precision, its chain leaf's
+    /// folding every output tile's chain over operands packed beforehand
+    /// (on the lanes the step folds on; an upper bound, since nothing is
+    /// packed, loaded from `C` or stored while it runs), and the share of
+    /// the engine's time outside the leaf. Six steps: the last Leyzorek
+    /// step of APSP's, GTC's and MST's closures at `n = 256`, seed 2022
+    /// (or-and's engine runs its bit walk), and random plus-mul and
+    /// min-plus operands at 256³ and 1024³. Each figure is the median of
+    /// [`ROUNDS`] interleaved rounds, each the best of several runs.
+    ///
+    /// `cargo test --release -p simd2 --lib -- --ignored --nocapture chain_split`
+    #[test]
+    #[ignore = "timing probe, not a check: run with --release --ignored --nocapture"]
+    fn chain_split() {
+        use super::super::chain::{ChainPlan, Lanes};
+        use simd2_apps::{apsp, gtc, harness, mst};
+        use simd2_matrix::{gen, tiling, Tile, ISA_TILE};
+        use simd2_semiring::simd::{HalfFit, CHAIN_ELEMS, HALF_A_WORDS, HALF_B_WORDS};
+        let (n, seed) = (256, 2022);
+        let closed = |op: OpKind, mut x: Matrix| loop {
+            let next = TiledBackend::new().mmo(op, &x, &x, &x).unwrap();
+            if next.bits_eq(&x) {
+                return x;
+            }
+            x = next;
+        };
+        let random = |op: OpKind, n: usize| {
+            let [a, b, c] = [1, 2, 3].map(|seed| gen::random_operands_for(op, n, n, seed));
+            (op, a, b, c)
+        };
+        let closure = |op: OpKind, x: Matrix| {
+            let x = closed(op, x);
+            (op, x.clone(), x.clone(), x)
+        };
+        let steps = [
+            (
+                "min-plus 256³, APSP's closure",
+                closure(
+                    OpKind::MinPlus,
+                    apsp::generate(n, seed).adjacency(OpKind::MinPlus),
+                ),
+            ),
+            (
+                "or-and 256³, GTC's closure",
+                closure(OpKind::OrAnd, gtc::generate(n, seed).reachability()),
+            ),
+            (
+                "min-max 256³, MST's closure",
+                closure(
+                    OpKind::MinMax,
+                    mst::generate(n, harness::MST_EXTRA_DENSITY, seed).adjacency(OpKind::MinMax),
+                ),
+            ),
+            ("plus-mul 256³, random", random(OpKind::PlusMul, 256)),
+            ("min-plus 1024³, random", random(OpKind::MinPlus, 1024)),
+            ("plus-mul 1024³, random", random(OpKind::PlusMul, 1024)),
+        ];
+        println!("step                           engine GMAC/s  leaf GMAC/s  outside the leaf");
+        for (label, (op, a, b, c)) in steps {
+            let unit = Simd2Unit::new();
+            let step = MmoArgs::new(op, &a, &b, &c);
+            let grid = step.checked_grid().unwrap();
+            let (pad, k_tiles) = (tiling::pad_values(op), grid.k_tiles);
+            // Every chain of `m` packed and through the pack hook, one
+            // after another: `A`'s tile rows or `B`'s tile columns.
+            let packed = |m: &Matrix, chains: usize, fill: f32, a_side: bool| {
+                let mut tiles = vec![0.0; chains * k_tiles * CHAIN_ELEMS];
+                for (t, tile) in tiles.chunks_exact_mut(CHAIN_ELEMS).enumerate() {
+                    let (chain, tk) = (t / k_tiles, t % k_tiles);
+                    let (tr, tc) = if a_side { (chain, tk) } else { (tk, chain) };
+                    tiling::pack_tile::<ISA_TILE>(m, tr, tc, fill, tile);
+                }
+                unit.quantize_packed(&mut tiles);
+                tiles
+            };
+            let a_tiles = packed(&a, grid.m_tiles, pad.a, true);
+            let b_tiles = packed(&b, grid.n_tiles, pad.b, false);
+            let lanes = ChainPlan::of(&unit, &step).lanes;
+            let images = |tiles: &[f32], words: usize, a_side: bool| {
+                let mut image = vec![0; tiles.len() / CHAIN_ELEMS * words];
+                let mut fits = vec![HalfFit::Exact; tiles.len() / CHAIN_ELEMS];
+                if let Lanes::Half(half) = lanes {
+                    if a_side {
+                        half.image_a(tiles, &mut image, &mut fits);
+                    } else {
+                        half.image_b(tiles, &mut image, &mut fits);
+                    }
+                }
+                image
+            };
+            let (a_half, b_half) = (
+                images(&a_tiles, HALF_A_WORDS, true),
+                images(&b_tiles, HALF_B_WORDS, false),
+            );
+            // Chain `index` of `xs`, `len` elements to a chain.
+            fn nth<T>(xs: &[T], index: usize, len: usize) -> &[T] {
+                &xs[index * len..(index + 1) * len]
+            }
+            let (tiles, a_words, b_words) = (
+                k_tiles * CHAIN_ELEMS,
+                k_tiles * HALF_A_WORDS,
+                k_tiles * HALF_B_WORDS,
+            );
+            let mut leaf = || {
+                let mut sum = 0.0;
+                for ti in 0..grid.m_tiles {
+                    for tj in 0..grid.n_tiles {
+                        let mut acc = Tile::<ISA_TILE>::splat(op.reduce_identity_f32());
+                        let (at, bt) = (nth(&a_tiles, ti, tiles), nth(&b_tiles, tj, tiles));
+                        match lanes {
+                            Lanes::Half(half) => half.mmo_chain(
+                                nth(&a_half, ti, a_words),
+                                nth(&b_half, tj, b_words),
+                                acc.as_flat_mut(),
+                            ),
+                            Lanes::Fma(fma) => fma.mmo_chain(at, bt, acc.as_flat_mut()),
+                            Lanes::F32 => unit.execute_chain(op, at, bt, &mut acc),
+                        }
+                        sum += acc.get(0, 0);
+                    }
+                }
+                Matrix::filled(1, 1, sum)
+            };
+            let mut be = TiledBackend::with_unit(unit);
+            let mut engine = || be.mmo(op, &a, &b, &c).unwrap();
+            let reps = (1 << 26) / (grid.m * grid.n * grid.k).max(1) + 3;
+            let mut rounds: [[f64; 2]; ROUNDS] =
+                std::array::from_fn(|_| best_ms(reps, [&mut engine, &mut leaf]));
+            let gmacs = |ms: f64| (grid.m * grid.n * grid.k) as f64 / ms / 1e6;
+            let mut median = |col: usize| {
+                rounds.sort_by(|x, y| x[col].total_cmp(&y[col]));
+                rounds[ROUNDS / 2][col]
+            };
+            let (engine_ms, leaf_ms) = (median(0), median(1));
+            println!(
+                "{label:<30} {:<14.1} {:<12.1} {:.0} %",
+                gmacs(engine_ms),
+                gmacs(leaf_ms),
+                100.0 * (1.0 - leaf_ms / engine_ms)
+            );
+        }
     }
 }

@@ -231,11 +231,13 @@ pub trait MmoUnit: std::fmt::Debug {
     /// [`execute_chain`](MmoUnit::execute_chain).
     const COORDINATE_FREE: bool = false;
 
-    /// The pack hook: passes the elements of a packed operand panel
+    /// The pack hook: passes the elements of a packed operand chain
     /// through the unit's input quantiser, in place. Tiled backends call
-    /// it once per packed `A` row panel and `B` column strip, so
-    /// quantisation stays the unit's decision but is paid per operand
-    /// element, not per tile use.
+    /// it once per packed chain — the `k` tiles of one `A` tile row, or
+    /// of one tile column of a `B` strip — so quantisation stays the
+    /// unit's decision but is paid per operand element, not per tile
+    /// use. It must be a pure per-element function: how the elements
+    /// are split between calls never changes their bits.
     fn quantize_packed(&self, xs: &mut [f32]);
 
     /// Folds one packed tile pair into `acc` at an explicit tile-grid

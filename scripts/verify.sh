@@ -75,6 +75,12 @@ SIMD2_FORCE_SCALAR=1 cargo test -q
 # the `--lib backend::` line below, on every op, fit and tier with or
 # without lanes. A log from a host without AVX512-FP16 covers fp16
 # routing through that table test only, not through the leaf.
+# Beside it in the same line runs the pack test,
+# `backend::chain::tests::one_pass_writes_what_the_leaves_read`: the one
+# pass that packs each tile, its scan, its fit and (on fp16 lanes) its
+# image against the separate leaves run over the packed buffer, for `A`
+# chains and `B` strips, every op, fp16 / fp32 / int8 — on the
+# forced-scalar leg with no lanes, so every fit reads `Exact`.
 # And or-and on bit rows: the three bit-row leaves against the rule
 # written out (`proptest_simd`), every or-and step's bit walk against the
 # reference and the forced tile chain at fp16 / fp32 / int8 and one and
