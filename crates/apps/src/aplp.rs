@@ -7,7 +7,7 @@
 //! in topological order — which makes the validation meaningful.
 
 use simd2::solve::{self, ClosureAlgorithm, ClosureResult};
-use simd2::{Backend, Plan, PlanBuilder};
+use simd2::Backend;
 use simd2_matrix::{gen, Graph, Matrix};
 use simd2_semiring::OpKind;
 
@@ -71,23 +71,6 @@ pub fn simd2<B: Backend>(
     let adj = g.adjacency(OpKind::MaxPlus);
     solve::closure(backend, OpKind::MaxPlus, &adj, algorithm, convergence)
         .expect("square adjacency")
-}
-
-/// Like [`simd2()`], but also records the solve's MMO sequence as a
-/// replayable [`Plan`].
-///
-/// # Panics
-///
-/// Panics on internal shape errors.
-pub fn record<B: Backend>(
-    backend: &mut B,
-    g: &Graph,
-    algorithm: ClosureAlgorithm,
-    convergence: bool,
-) -> (ClosureResult, Plan) {
-    let mut rec = PlanBuilder::over(backend);
-    let result = simd2(&mut rec, g, algorithm, convergence);
-    (result, rec.finish())
 }
 
 /// Length of the overall critical path (the largest finite entry).

@@ -5,7 +5,7 @@
 //!   paper Figure 7.
 
 use simd2::solve::{self, ClosureAlgorithm, ClosureResult};
-use simd2::{Backend, Plan, PlanBuilder};
+use simd2::Backend;
 use simd2_matrix::{gen, Graph, Matrix};
 use simd2_semiring::OpKind;
 
@@ -106,25 +106,6 @@ pub fn simd2<B: Backend>(
     let adj = g.adjacency(OpKind::MinPlus);
     solve::closure(backend, OpKind::MinPlus, &adj, algorithm, convergence)
         .expect("square adjacency")
-}
-
-/// Like [`simd2()`], but also records the solve's MMO sequence as a
-/// [`Plan`]: the algorithm runs eagerly through `backend` (same result,
-/// counters and telemetry), and the returned plan replays or prices
-/// that exact op sequence.
-///
-/// # Panics
-///
-/// Panics on internal shape errors.
-pub fn record<B: Backend>(
-    backend: &mut B,
-    g: &Graph,
-    algorithm: ClosureAlgorithm,
-    convergence: bool,
-) -> (ClosureResult, Plan) {
-    let mut rec = PlanBuilder::over(backend);
-    let result = simd2(&mut rec, g, algorithm, convergence);
-    (result, rec.finish())
 }
 
 #[cfg(test)]

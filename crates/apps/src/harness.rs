@@ -6,13 +6,13 @@
 //! statistics-collection pass — now routes through [`run_app`], so the
 //! per-app dispatch (which generator, which baseline oracle, which diff
 //! metric) exists in exactly one place. Each run executes the SIMD²-ized
-//! algorithm through a recording [`simd2::PlanBuilder`], so the
-//! validated run's exact MMO sequence comes back as a replayable
-//! [`Plan`] alongside the correctness verdict.
+//! algorithm through one recording [`PlanBuilder`] around that
+//! dispatch, so the validated run's exact MMO sequence comes back as a
+//! replayable [`Plan`] alongside the correctness verdict.
 
 use simd2::solve::ClosureAlgorithm;
 use simd2::validate::compare_outputs;
-use simd2::{Backend, Plan};
+use simd2::{Backend, Plan, PlanBuilder};
 use simd2_semiring::OpKind;
 
 use crate::registry::AppKind;
@@ -64,90 +64,84 @@ pub fn run_app<B: Backend>(
     algorithm: ClosureAlgorithm,
     convergence: bool,
 ) -> AppRun {
-    let (diff, iterations, plan) = match app {
+    let mut rec = PlanBuilder::over(backend);
+    let (diff, iterations) = match app {
         AppKind::Apsp => {
             let g = apsp::generate(n, seed);
             let want = apsp::baseline(&g);
-            let (r, plan) = apsp::record(backend, &g, algorithm, convergence);
+            let r = apsp::simd2(&mut rec, &g, algorithm, convergence);
             (
                 compare_outputs("apsp", &want, &r.closure, 0.0).max_abs_diff,
                 r.stats.iterations,
-                plan,
             )
         }
         AppKind::Aplp => {
             let g = aplp::generate(n, seed);
             let want = aplp::baseline(&g);
-            let (r, plan) = aplp::record(backend, &g, algorithm, convergence);
+            let r = aplp::simd2(&mut rec, &g, algorithm, convergence);
             (
                 compare_outputs("aplp", &want, &r.closure, 0.0).max_abs_diff,
                 r.stats.iterations,
-                plan,
             )
         }
         AppKind::Mcp => {
             let g = paths::generate_mcp(n, seed);
             let want = paths::baseline(OpKind::MaxMin, &g);
-            let (r, plan) = paths::record(backend, OpKind::MaxMin, &g, algorithm, convergence);
+            let r = paths::simd2(&mut rec, OpKind::MaxMin, &g, algorithm, convergence);
             (
                 compare_outputs("mcp", &want, &r.closure, 0.0).max_abs_diff,
                 r.stats.iterations,
-                plan,
             )
         }
         AppKind::MaxRp => {
             let g = paths::generate_maxrp(n, seed);
             let want = paths::baseline(OpKind::MaxMul, &g);
-            let (r, plan) = paths::record(backend, OpKind::MaxMul, &g, algorithm, convergence);
+            let r = paths::simd2(&mut rec, OpKind::MaxMul, &g, algorithm, convergence);
             (
                 compare_outputs("maxrp", &want, &r.closure, 0.0).max_abs_diff,
                 r.stats.iterations,
-                plan,
             )
         }
         AppKind::MinRp => {
             let g = paths::generate_minrp(n, seed);
             let want = paths::baseline(OpKind::MinMul, &g);
-            let (r, plan) = paths::record(backend, OpKind::MinMul, &g, algorithm, convergence);
+            let r = paths::simd2(&mut rec, OpKind::MinMul, &g, algorithm, convergence);
             (
                 compare_outputs("minrp", &want, &r.closure, 0.0).max_abs_diff,
                 r.stats.iterations,
-                plan,
             )
         }
         AppKind::Mst => {
             let g = mst::generate(n, MST_EXTRA_DENSITY, seed);
             let want = mst::baseline(&g);
-            let (got, r, plan) = mst::record(backend, &g, algorithm, convergence);
+            let (got, r) = mst::simd2(&mut rec, &g, algorithm, convergence);
             let diff = (want.total_weight - got.total_weight).abs() as f32
                 + if want.edges == got.edges { 0.0 } else { 1.0 };
-            (diff, r.stats.iterations, plan)
+            (diff, r.stats.iterations)
         }
         AppKind::Gtc => {
             let g = gtc::generate(n, seed);
             let want = gtc::baseline(&g);
-            let (r, plan) = gtc::record(backend, &g, algorithm, convergence);
+            let r = gtc::simd2(&mut rec, &g, algorithm, convergence);
             (
                 compare_outputs("gtc", &want, &r.closure, 0.0).max_abs_diff,
                 r.stats.iterations,
-                plan,
             )
         }
         AppKind::Knn => {
             let pts = knn::generate(n, seed);
             let want = knn::baseline(&pts, knn::K);
-            let (got, plan) = knn::record(backend, &pts, knn::K);
-            ((1.0 - knn::recall(&want, &got)) as f32, 1, plan)
+            let got = knn::simd2(&mut rec, &pts, knn::K);
+            ((1.0 - knn::recall(&want, &got)) as f32, 1)
         }
         AppKind::StreamingApsp | AppKind::StreamingBfs => {
             let op = app.spec().op;
             let w = streaming::generate(op, n, streaming::DEFAULT_BATCHES, seed);
             let want = streaming::baseline(&w);
-            let (got, stats, plan) = streaming::record(backend, &w);
+            let (got, stats) = streaming::simd2(&mut rec, &w);
             (
                 compare_outputs(app.spec().label, &want, &got, 0.0).max_abs_diff,
                 stats.steps,
-                plan,
             )
         }
     };
@@ -155,15 +149,17 @@ pub fn run_app<B: Backend>(
         app,
         diff,
         iterations,
-        plan,
+        plan: rec.finish(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simd2::backend::{IsaBackend, ReferenceBackend, TiledBackend};
-    use simd2::{Parallelism, PlanExecutor};
+    use simd2::backend::{IsaBackend, MmoArgs, OpCount, ReferenceBackend, Schedule, TiledBackend};
+    use simd2::{BackendError, Parallelism, PlanExecutor};
+    use simd2_matrix::Matrix;
+    use simd2_mxu::PrecisionMode;
 
     const N: usize = 48;
     const SEED: u64 = 42;
@@ -238,22 +234,121 @@ mod tests {
         }
     }
 
+    /// A backend that keeps the output of the last step it ran: the
+    /// final MMO output of a solve, recorded or not.
+    #[derive(Debug, Default)]
+    struct LastOutput {
+        inner: TiledBackend,
+        last: Option<Matrix>,
+    }
+
+    impl Backend for LastOutput {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn precision(&self) -> PrecisionMode {
+            self.inner.precision()
+        }
+
+        fn execute(
+            &mut self,
+            step: &MmoArgs<'_>,
+            schedule: Schedule,
+        ) -> Result<Matrix, BackendError> {
+            let d = self.inner.execute(step, schedule)?;
+            self.last = Some(d.clone());
+            Ok(d)
+        }
+
+        fn op_count(&self) -> OpCount {
+            self.inner.op_count()
+        }
+
+        fn reset_count(&mut self) {
+            self.inner.reset_count();
+        }
+    }
+
+    /// Solves `app` through `backend` with no recorder, on the workload
+    /// [`run_app`] generates; returns the iteration count it reports.
+    fn solve_eagerly<B: Backend>(backend: &mut B, app: AppKind, n: usize, seed: u64) -> usize {
+        let (alg, conv) = (ClosureAlgorithm::Leyzorek, true);
+        match app {
+            AppKind::Apsp => {
+                apsp::simd2(backend, &apsp::generate(n, seed), alg, conv)
+                    .stats
+                    .iterations
+            }
+            AppKind::Aplp => {
+                aplp::simd2(backend, &aplp::generate(n, seed), alg, conv)
+                    .stats
+                    .iterations
+            }
+            AppKind::Mcp => {
+                let g = paths::generate_mcp(n, seed);
+                paths::simd2(backend, OpKind::MaxMin, &g, alg, conv)
+                    .stats
+                    .iterations
+            }
+            AppKind::MaxRp => {
+                let g = paths::generate_maxrp(n, seed);
+                paths::simd2(backend, OpKind::MaxMul, &g, alg, conv)
+                    .stats
+                    .iterations
+            }
+            AppKind::MinRp => {
+                let g = paths::generate_minrp(n, seed);
+                paths::simd2(backend, OpKind::MinMul, &g, alg, conv)
+                    .stats
+                    .iterations
+            }
+            AppKind::Mst => {
+                let g = mst::generate(n, MST_EXTRA_DENSITY, seed);
+                mst::simd2(backend, &g, alg, conv).1.stats.iterations
+            }
+            AppKind::Gtc => {
+                gtc::simd2(backend, &gtc::generate(n, seed), alg, conv)
+                    .stats
+                    .iterations
+            }
+            AppKind::Knn => {
+                knn::simd2(backend, &knn::generate(n, seed), knn::K);
+                1
+            }
+            AppKind::StreamingApsp | AppKind::StreamingBfs => {
+                let w = streaming::generate(app.spec().op, n, streaming::DEFAULT_BATCHES, seed);
+                streaming::simd2(backend, &w).1.steps
+            }
+        }
+    }
+
     #[test]
     fn recording_is_observationally_identical_to_eager_execution() {
-        let g = apsp::generate(32, 7);
-        let mut eager_be = TiledBackend::new();
-        let eager = apsp::simd2(&mut eager_be, &g, ClosureAlgorithm::Leyzorek, true);
-        let mut rec_be = TiledBackend::new();
-        let (recorded, plan) = apsp::record(&mut rec_be, &g, ClosureAlgorithm::Leyzorek, true);
-        assert_eq!(eager.closure, recorded.closure);
-        assert_eq!(eager.stats, recorded.stats);
-        assert_eq!(eager_be.op_count(), rec_be.op_count());
-        // Replaying the plan lands on the same closure bit-for-bit (the
-        // solver returns its final relaxation output verbatim).
-        let replay = PlanExecutor::new()
-            .run(&plan, &mut TiledBackend::new())
-            .expect("recorded plans replay");
-        assert_eq!(replay.final_output(), Some(&recorded.closure));
+        for app in AppKind::all().into_iter().chain(AppKind::streaming()) {
+            let mut eager_be = LastOutput::default();
+            let iterations = solve_eagerly(&mut eager_be, app, 32, 7);
+            let mut rec_be = LastOutput::default();
+            let run = run_app(&mut rec_be, app, 32, 7, ClosureAlgorithm::Leyzorek, true);
+            let recorded = rec_be.last.as_ref().expect("every app runs a step");
+            assert!(
+                eager_be
+                    .last
+                    .as_ref()
+                    .expect("every app runs a step")
+                    .bits_eq(recorded),
+                "{app:?}: final output bits"
+            );
+            assert_eq!(iterations, run.iterations, "{app:?}");
+            assert_eq!(eager_be.op_count(), rec_be.op_count(), "{app:?}");
+            // Replaying the plan lands on the recorded final output
+            // bit-for-bit.
+            let replay = PlanExecutor::new()
+                .run(&run.plan, &mut TiledBackend::new())
+                .expect("recorded plans replay");
+            let replayed = replay.final_output().expect("non-empty plan");
+            assert!(replayed.bits_eq(recorded), "{app:?}: replay");
+        }
     }
 
     #[test]

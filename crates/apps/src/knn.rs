@@ -6,7 +6,7 @@
 //!   matrix operation (`D[q][r] = Σ_d (Q[q,d] − R[d,r])²`), then top-k
 //!   selection per row.
 
-use simd2::{Backend, Plan, PlanBuilder};
+use simd2::Backend;
 use simd2_matrix::{gen, Matrix};
 use simd2_semiring::OpKind;
 
@@ -155,19 +155,6 @@ pub fn simd2<B: Backend>(backend: &mut B, points: &Matrix, k: usize) -> KnnResul
         distances.push(dst);
     }
     KnnResult { indices, distances }
-}
-
-/// Like [`simd2()`], but also records the single `addnorm` matrix
-/// operation as a replayable [`Plan`] (the per-row top-k selection is
-/// the host-side epilogue the timing model prices separately).
-///
-/// # Panics
-///
-/// Panics on internal shape errors.
-pub fn record<B: Backend>(backend: &mut B, points: &Matrix, k: usize) -> (KnnResult, Plan) {
-    let mut rec = PlanBuilder::over(backend);
-    let result = simd2(&mut rec, points, k);
-    (result, rec.finish())
 }
 
 /// Recall of `candidate` against `truth`: the fraction of true k-nearest

@@ -8,7 +8,7 @@
 //!   the cycle property in matrix form.
 
 use simd2::solve::{ClosureAlgorithm, ClosureResult};
-use simd2::{Backend, Plan, PlanBuilder};
+use simd2::Backend;
 use simd2_matrix::{Graph, Matrix};
 use simd2_semiring::OpKind;
 
@@ -92,24 +92,6 @@ pub fn simd2<B: Backend>(
         .expect("square adjacency");
     let mst = extract_mst(g, &closure.closure);
     (mst, closure)
-}
-
-/// Like [`simd2()`], but also records the closure's MMO sequence as a
-/// replayable [`Plan`] (the host-side Kruskal extraction records
-/// nothing — it is the epilogue the timing model prices separately).
-///
-/// # Panics
-///
-/// Panics on internal shape errors.
-pub fn record<B: Backend>(
-    backend: &mut B,
-    g: &Graph,
-    algorithm: ClosureAlgorithm,
-    convergence: bool,
-) -> (MstResult, ClosureResult, Plan) {
-    let mut rec = PlanBuilder::over(backend);
-    let (mst, closure) = simd2(&mut rec, g, algorithm, convergence);
-    (mst, closure, rec.finish())
 }
 
 /// Extracts the MST from the bottleneck matrix: with distinct weights,

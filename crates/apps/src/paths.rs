@@ -6,7 +6,7 @@
 //! kernels just switch the instruction to max-min, max-mul or min-mul.
 
 use simd2::solve::{self, ClosureAlgorithm, ClosureResult};
-use simd2::{Backend, Plan, PlanBuilder};
+use simd2::Backend;
 use simd2_matrix::{gen, Graph, Matrix};
 use simd2_semiring::OpKind;
 
@@ -58,24 +58,6 @@ pub fn simd2<B: Backend>(
     convergence: bool,
 ) -> ClosureResult {
     solve::closure(backend, op, &g.adjacency(op), algorithm, convergence).expect("square adjacency")
-}
-
-/// Like [`simd2()`], but also records the solve's MMO sequence as a
-/// replayable [`Plan`].
-///
-/// # Panics
-///
-/// Panics on internal shape errors.
-pub fn record<B: Backend>(
-    backend: &mut B,
-    op: OpKind,
-    g: &Graph,
-    algorithm: ClosureAlgorithm,
-    convergence: bool,
-) -> (ClosureResult, Plan) {
-    let mut rec = PlanBuilder::over(backend);
-    let result = simd2(&mut rec, op, g, algorithm, convergence);
-    (result, rec.finish())
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 //! or-and reachability maintenance — the same two ends of the algebra
 //! spectrum the static APSP/GTC apps cover.
 
-use simd2::{Backend, Plan, PlanBuilder};
+use simd2::Backend;
 use simd2_matrix::{gen, Matrix};
 use simd2_semiring::OpKind;
 
@@ -233,21 +233,6 @@ pub fn simd2<B: Backend>(backend: &mut B, w: &StreamingWorkload) -> (Matrix, Str
     (x, stats)
 }
 
-/// Like [`simd2()`], but records the run's exact MMO sequence as a
-/// replayable [`Plan`].
-///
-/// # Panics
-///
-/// Panics on internal shape errors.
-pub fn record<B: Backend>(
-    backend: &mut B,
-    w: &StreamingWorkload,
-) -> (Matrix, StreamingStats, Plan) {
-    let mut rec = PlanBuilder::over(backend);
-    let (x, stats) = simd2(&mut rec, w);
-    (x, stats, rec.finish())
-}
-
 // The forced tile chain the tests hold the engine's walks to.
 #[cfg(test)]
 #[path = "../../core/tests/pools/chain.rs"]
@@ -258,7 +243,7 @@ mod tests {
     use super::chain::ChainOnly;
     use super::*;
     use simd2::backend::{ReferenceBackend, TiledBackend};
-    use simd2::{Parallelism, PassPipeline, PlanExecutor};
+    use simd2::{Parallelism, PassPipeline, Plan, PlanBuilder, PlanExecutor};
     use simd2_mxu::{PrecisionMode, Simd2Unit};
 
     fn assert_bits(tag: &str, got: &Matrix, want: &Matrix) {
@@ -313,7 +298,9 @@ mod tests {
     fn recorded_plan_carries_sparse_slots_and_replays_everywhere() {
         let w = generate(OpKind::MinPlus, 40, 3, 9);
         let mut rec_be = TiledBackend::new();
-        let (got, stats, plan) = record(&mut rec_be, &w);
+        let mut rec = PlanBuilder::over(&mut rec_be);
+        let (got, stats) = simd2(&mut rec, &w);
+        let plan = rec.finish();
         assert!(stats.converged);
         assert!(rec_be.row_count().sparse_mmos > 0, "delta steps walk");
         assert_eq!(plan.step_count(), stats.steps);

@@ -30,9 +30,7 @@ use simd2::solve::ClosureAlgorithm;
 use simd2::validate::compare_outputs;
 use simd2_apps::{aplp, apsp, gtc, knn, mst, paths, streaming, AppKind};
 use simd2_bench::Table;
-use simd2_fault::{
-    AbftConfig, FaultInjector, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector,
-};
+use simd2_fault::{AbftConfig, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_mxu::Simd2Unit;
 use simd2_semiring::OpKind;
 use simd2_trace::{span, Event, FanoutSink, JsonLinesSink, RingSink, Sink, Tracer};
@@ -215,9 +213,7 @@ fn isa_trial(app: AppKind, n: usize, trial_seed: u64) -> Outcome {
         .with_transient_nan_ppm(TRANSIENT_NAN_PPM)
         .with_mem_ppm(MEM_PPM);
     let mut inner = IsaBackend::new();
-    inner.set_injector(Box::new(
-        PlannedInjector::new(FaultPlan::new(cfg)).with_tracer(tracer.clone()),
-    ));
+    inner.set_injector(PlannedInjector::new(FaultPlan::new(cfg)).with_tracer(tracer.clone()));
     inner.enable_verification(AbftConfig::default());
     inner.set_tracer(tracer.clone());
     let mut be = ResilientBackend::with_config(
@@ -232,12 +228,12 @@ fn isa_trial(app: AppKind, n: usize, trial_seed: u64) -> Outcome {
     let injected = be
         .inner()
         .injector()
-        .map(FaultInjector::injected)
+        .map(PlannedInjector::injected)
         .unwrap_or_default();
     let dropped = be
         .inner()
         .injector()
-        .map(FaultInjector::dropped)
+        .map(PlannedInjector::dropped)
         .unwrap_or_default();
     assert_eq!(o.injected, injected, "telemetry vs injector counter");
     assert_eq!(o.dropped, dropped, "telemetry vs log-drop counter");

@@ -38,8 +38,8 @@ use simd2::backend::{Backend, OpCount, Parallelism, TiledBackend};
 use simd2::error::BackendError;
 use simd2::resilient::{RecoveryPolicy, ResilientBackend};
 use simd2_fault::{
-    AbftConfig, FaultInjector, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PanicProbeUnit,
-    PlannedInjector, PANIC_PROBE_PAYLOAD,
+    AbftConfig, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PanicProbeUnit, PlannedInjector,
+    PANIC_PROBE_PAYLOAD,
 };
 use simd2_matrix::tiling::TileGrid;
 use simd2_matrix::{gen, Matrix, ISA_TILE};

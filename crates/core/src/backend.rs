@@ -14,10 +14,10 @@ use simd2_matrix::reference;
 use simd2_matrix::tiling::TileGrid;
 use simd2_matrix::{Matrix, ISA_TILE};
 use simd2_mxu::{MmoUnit, PrecisionMode, Simd2Unit};
-use simd2_semiring::simd::{KernelIsa, HALF_A_WORDS, HALF_B_WORDS};
+use simd2_semiring::simd::{self, KernelIsa, HALF_A_WORDS, HALF_B_WORDS};
 use simd2_semiring::OpKind;
 
-use simd2_fault::{AbftConfig, FaultInjector};
+use simd2_fault::{AbftConfig, PlannedInjector};
 use simd2_isa::{ExecStats, Executor};
 use simd2_trace::{field, span, Counter, Tracer};
 
@@ -934,7 +934,7 @@ impl<U: MmoUnit + Send + Sync> Backend for TiledBackend<U> {
 pub struct IsaBackend {
     count: OpCount,
     exec_stats: ExecStats,
-    injector: Option<Box<dyn FaultInjector>>,
+    injector: Option<PlannedInjector>,
     abft: Option<AbftConfig>,
     tracer: Tracer,
 }
@@ -969,18 +969,18 @@ impl IsaBackend {
     /// Installs a fault injector on the executor datapath. The injector
     /// persists across `mmo` calls (site counters keep advancing), so a
     /// retried operation sees fresh fault draws.
-    pub fn set_injector(&mut self, injector: Box<dyn FaultInjector>) {
+    pub fn set_injector(&mut self, injector: PlannedInjector) {
         self.injector = Some(injector);
     }
 
     /// Removes and returns the installed injector, e.g. to read its log.
-    pub fn take_injector(&mut self) -> Option<Box<dyn FaultInjector>> {
+    pub fn take_injector(&mut self) -> Option<PlannedInjector> {
         self.injector.take()
     }
 
     /// The installed injector, for telemetry.
-    pub fn injector(&self) -> Option<&dyn FaultInjector> {
-        self.injector.as_deref()
+    pub fn injector(&self) -> Option<&PlannedInjector> {
+        self.injector.as_ref()
     }
 
     /// Enables per-instruction ABFT verification inside the executor;
@@ -1012,7 +1012,7 @@ impl Backend for IsaBackend {
         let MmoArgs { op, a, b, c, .. } = *step;
         // The executor drives a default `Simd2Unit`, so the datapath runs
         // on the process-wide selected kernel tier.
-        let isa = Simd2Unit::new().kernel_isa();
+        let isa = simd::selected_isa();
         begin_mmo(&self.tracer, op, &grid, 1, isa);
         let kernel = compile_mmo(op, grid.m, grid.n, grid.k, 1);
         let mut exec = Executor::new(stage_operands(&kernel, a, b, c)?);
@@ -1047,7 +1047,7 @@ impl Backend for IsaBackend {
 
     fn health(&self) -> Health {
         Health {
-            fault_log_dropped: self.injector.as_deref().map_or(0, FaultInjector::dropped),
+            fault_log_dropped: self.injector.as_ref().map_or(0, PlannedInjector::dropped),
             ..Health::default()
         }
     }

@@ -336,8 +336,12 @@ impl ChainSkips {
 }
 
 /// Whether every element of `row` is `zero`: folded without an early
-/// exit, since on or-and's random booleans the first element is the
-/// annihilator half the time and a branch per element mispredicts.
+/// exit. Only the float ops' chains reach it (or-and's steps on a unit
+/// that skips take the bit walk), each time on one tile row of at most
+/// 16 elements; on the sparse operands where the answer matters, the
+/// first stored element of a row sits anywhere in it, so an exit there
+/// would mispredict about once per row, while the fold costs the same
+/// compares whatever the row holds.
 pub(super) fn all_zero(row: &[f32], zero: f32) -> bool {
     row.iter().fold(true, |all, &x| all & (x == zero))
 }

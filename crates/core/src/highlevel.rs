@@ -27,7 +27,6 @@ use simd2_semiring::OpKind;
 
 use crate::backend::{Backend, OpCount, Parallelism, TiledBackend};
 use crate::error::BackendError;
-use crate::plan::passes::OptimizingRecorder;
 use crate::plan::PlanBuilder;
 
 /// A reusable high-level execution context: one tiled SIMD² engine, its
@@ -90,7 +89,11 @@ impl Simd2Context {
     /// captured. Execution still happens eagerly underneath — outputs,
     /// counters and telemetry are identical to calling
     /// [`mmo`](Self::mmo) directly — and `finish()` yields the plan for
-    /// replay, batching, ISA compilation, or timing-model export.
+    /// replay, batching, ISA compilation, or timing-model export. To
+    /// optimise it, hand the finished plan to
+    /// [`PassPipeline::standard`](crate::PassPipeline::standard) and
+    /// replay the result with
+    /// [`PlanExecutor::run_optimized`](crate::PlanExecutor::run_optimized).
     ///
     /// # Example
     ///
@@ -114,44 +117,6 @@ impl Simd2Context {
     /// ```
     pub fn record(&mut self) -> PlanBuilder<'_, TiledBackend> {
         PlanBuilder::over(&mut self.backend)
-    }
-
-    /// Like [`record`](Self::record), but `finish()` pipes the recorded
-    /// plan through the [standard pass
-    /// pipeline](crate::plan::passes::PassPipeline::standard) (CSE, dead-step
-    /// elimination from leaf roots) and yields an
-    /// [`OptimizedPlan`](crate::plan::passes::OptimizedPlan): the
-    /// optimized plan plus the original→optimized step/slot remap and a
-    /// [`PassReport`](crate::plan::passes::PassReport) of what changed.
-    /// Replay it with [`PlanExecutor::run_optimized`](crate::PlanExecutor)
-    /// and read outputs back through the remap — bit-identical to the
-    /// unoptimized replay for every step the map still reaches.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use simd2::{PlanExecutor, Simd2Context};
-    /// use simd2::backend::Backend;
-    /// use simd2_matrix::Matrix;
-    /// use simd2_semiring::OpKind;
-    ///
-    /// let mut ctx = Simd2Context::new();
-    /// let a = Matrix::filled(32, 32, 1.0);
-    /// let c = Matrix::filled(32, 32, f32::INFINITY);
-    /// let mut rec = ctx.record_optimized();
-    /// let d0 = rec.mmo(OpKind::MinPlus, &a, &a, &c)?;
-    /// let d1 = rec.mmo(OpKind::MinPlus, &a, &a, &c)?; // duplicate work
-    /// let optimized = rec.finish();
-    /// // CSE merged the duplicate: two recorded steps, one replayed.
-    /// assert_eq!(optimized.report().steps_merged, 1);
-    /// assert_eq!(optimized.plan().step_count(), 1);
-    /// let replay = PlanExecutor::new().run_optimized(&optimized, ctx.backend_mut())?;
-    /// assert_eq!(optimized.step_output(&replay, 0), Some(&d0));
-    /// assert_eq!(optimized.step_output(&replay, 1), Some(&d1));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn record_optimized(&mut self) -> OptimizingRecorder<'_, TiledBackend> {
-        OptimizingRecorder::over(&mut self.backend)
     }
 
     /// The underlying tiled backend, e.g. to replay a recorded plan on

@@ -28,8 +28,9 @@
 //! Every pass preserves *bit*-identity, not merely value-equality: for
 //! every original step the [`OptimizedPlan`]'s step map still reaches,
 //! replaying the optimized plan produces the exact bits the unoptimized
-//! replay produces, and the replaying backend's [`OpCount`] equals the
-//! optimized plan's [`Plan::predicted_op_count`]. The one caveat is
+//! replay produces, and the replaying backend's
+//! [`OpCount`](crate::OpCount) equals the optimized plan's
+//! [`Plan::predicted_op_count`]. The one caveat is
 //! inherited from the twin links: they record content equality on the
 //! *recording* backend's bit-identity class, so an optimized
 //! reduced-precision plan should be replayed on that same class (any
@@ -41,13 +42,11 @@
 use std::collections::HashMap;
 
 use simd2_matrix::Matrix;
-use simd2_mxu::PrecisionMode;
 use simd2_semiring::OpKind;
 use simd2_trace::Counter;
 
-use super::{Executor, Plan, PlanBuilder, PlanKey, Replay, ReplayError, SlotId, SlotOrigin};
-use crate::backend::{Backend, Degrade, Health, MmoArgs, OpCount, Schedule};
-use crate::error::BackendError;
+use super::{Executor, Plan, PlanKey, Replay, ReplayError, SlotId, SlotOrigin};
+use crate::backend::Backend;
 
 /// Process-global count of pipeline runs.
 static PASS_RUNS: Counter = Counter::new("core.pass.runs");
@@ -590,7 +589,36 @@ impl Executor {
     /// Replays an [`OptimizedPlan`]: runs the optimized plan exactly
     /// like [`run`](Executor::run). Read original-indexed outputs back
     /// through [`OptimizedPlan::step_output`] /
-    /// [`OptimizedPlan::final_output`].
+    /// [`OptimizedPlan::final_output`] — bit-identical to the
+    /// unoptimized replay for every step the map still reaches.
+    ///
+    /// # Example
+    ///
+    /// Record with [`PlanBuilder`](super::PlanBuilder), run the finished
+    /// plan through the [standard](PassPipeline::standard) pipeline,
+    /// replay the result:
+    ///
+    /// ```
+    /// use simd2::{PassPipeline, PlanExecutor, Simd2Context};
+    /// use simd2::backend::Backend;
+    /// use simd2_matrix::Matrix;
+    /// use simd2_semiring::OpKind;
+    ///
+    /// let mut ctx = Simd2Context::new();
+    /// let a = Matrix::filled(32, 32, 1.0);
+    /// let c = Matrix::filled(32, 32, f32::INFINITY);
+    /// let mut rec = ctx.record();
+    /// let d0 = rec.mmo(OpKind::MinPlus, &a, &a, &c)?;
+    /// let d1 = rec.mmo(OpKind::MinPlus, &a, &a, &c)?; // duplicate work
+    /// let optimized = PassPipeline::standard().run(rec.finish());
+    /// // CSE merged the duplicate: two recorded steps, one replayed.
+    /// assert_eq!(optimized.report().steps_merged, 1);
+    /// assert_eq!(optimized.plan().step_count(), 1);
+    /// let replay = PlanExecutor::new().run_optimized(&optimized, ctx.backend_mut())?;
+    /// assert_eq!(optimized.step_output(&replay, 0), Some(&d0));
+    /// assert_eq!(optimized.step_output(&replay, 1), Some(&d1));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -604,77 +632,11 @@ impl Executor {
     }
 }
 
-/// A recording frontend that optimizes on finish: wraps a
-/// [`PlanBuilder`] (so it is itself a [`Backend`] any algorithm records
-/// through, observationally identical to the eager run) and pipes the
-/// finished plan through a [`PassPipeline`]. Obtained from
-/// [`Simd2Context::record_optimized`](crate::Simd2Context::record_optimized).
-#[derive(Debug)]
-pub struct OptimizingRecorder<'b, B: Backend> {
-    builder: PlanBuilder<'b, B>,
-    pipeline: PassPipeline,
-}
-
-impl<'b, B: Backend> OptimizingRecorder<'b, B> {
-    /// Starts recording over `backend` with the
-    /// [standard](PassPipeline::standard) pipeline.
-    pub fn over(backend: &'b mut B) -> Self {
-        Self::with_pipeline(backend, PassPipeline::standard())
-    }
-
-    /// Starts recording over `backend` with a specific pipeline.
-    pub fn with_pipeline(backend: &'b mut B, pipeline: PassPipeline) -> Self {
-        Self {
-            builder: PlanBuilder::over(backend),
-            pipeline,
-        }
-    }
-
-    /// The number of steps recorded so far (pre-optimization).
-    pub fn recorded_steps(&self) -> usize {
-        self.builder.recorded_steps()
-    }
-
-    /// Finishes recording and runs the pipeline over the plan.
-    pub fn finish(self) -> OptimizedPlan {
-        self.pipeline.run(self.builder.finish())
-    }
-}
-
-impl<B: Backend> Backend for OptimizingRecorder<'_, B> {
-    fn name(&self) -> &'static str {
-        self.builder.name()
-    }
-
-    fn precision(&self) -> PrecisionMode {
-        self.builder.precision()
-    }
-
-    fn execute(&mut self, step: &MmoArgs<'_>, schedule: Schedule) -> Result<Matrix, BackendError> {
-        self.builder.execute(step, schedule)
-    }
-
-    fn health(&self) -> Health {
-        self.builder.health()
-    }
-
-    fn degrade(&mut self, rung: Degrade) -> bool {
-        self.builder.degrade(rung)
-    }
-
-    fn op_count(&self) -> OpCount {
-        self.builder.op_count()
-    }
-
-    fn reset_count(&mut self) {
-        self.builder.reset_count();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::TiledBackend;
+    use crate::plan::PlanBuilder;
     use simd2_matrix::gen;
 
     /// A recording that evaluates the same subexpression twice: the

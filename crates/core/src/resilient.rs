@@ -773,7 +773,6 @@ mod tests {
 
     #[test]
     fn wraps_the_isa_backend_with_executor_level_detection() {
-        use simd2_fault::FaultInjector;
         // The ISA backend verifies per instruction; its SilentCorruption
         // surfaces as BackendError::Corruption and the resilient wrapper
         // retries it with the injector's site counters preserved.
@@ -781,7 +780,7 @@ mod tests {
         let want = IsaBackend::new().mmo(OpKind::PlusMul, &a, &b, &c).unwrap();
         let mut inner = IsaBackend::new();
         let plan = FaultPlan::new(FaultPlanConfig::new(9).with_transient_nan_ppm(400_000));
-        inner.set_injector(Box::new(PlannedInjector::new(plan)));
+        inner.set_injector(PlannedInjector::new(plan));
         inner.enable_verification(AbftConfig::default());
         let mut be = ResilientBackend::new(inner, RecoveryPolicy::Retry { attempts: 64 });
         let d = be.mmo(OpKind::PlusMul, &a, &b, &c).unwrap();
@@ -789,7 +788,7 @@ mod tests {
         let injected = be
             .inner()
             .injector()
-            .map(FaultInjector::injected)
+            .map(PlannedInjector::injected)
             .unwrap_or_default();
         let s = be.recovery_stats();
         assert_eq!(

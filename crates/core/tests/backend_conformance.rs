@@ -3,25 +3,23 @@
 //! `Backend` has one MMO entry ([`Backend::execute`]) and two control
 //! methods ([`Backend::health`], [`Backend::degrade`]). A wrapper that
 //! forwards those three forwards everything, and this suite proves each
-//! one does: a spy backend sits under [`PlanBuilder`],
-//! [`OptimizingRecorder`] and [`ResilientBackend`] — each alone, and
-//! either recorder stacked over the resilient layer, the order
-//! `PlanService` replays through — and must observe every step's op and
-//! operands, the [`Schedule`], both [`Degrade`] rungs and the `health()`
-//! reads. Every `mmo` / `mmo_ref` / `execute` must reach the spy as
-//! exactly one `execute` call, which is what "no wrapper overrides the
-//! helpers" means in behaviour; what an `mmo_ref` declares reaches no
-//! one.
+//! one does: a spy backend sits under [`PlanBuilder`] and
+//! [`ResilientBackend`] — each alone, and the recorder stacked over the
+//! resilient layer, the order `PlanService` replays through — and must
+//! observe every step's op and operands, the [`Schedule`], both
+//! [`Degrade`] rungs and the `health()` reads. Every `mmo` / `mmo_ref` /
+//! `execute` must reach the spy as exactly one `execute` call, which is
+//! what "no wrapper overrides the helpers" means in behaviour; what an
+//! `mmo_ref` declares reaches no one.
 //!
-//! A regression rides along: the recorders keep what they are handed —
+//! A regression rides along: the recorder keeps what it is handed —
 //! every step in the plan, controls on the backend.
 
 use std::cell::Cell;
 
 use simd2::{
-    Backend, BackendError, Degrade, Health, MatrixRef, MmoArgs, OpCount, OperandRepr,
-    OptimizingRecorder, Parallelism, PlanBuilder, RecoveryPolicy, ReferenceBackend,
-    ResilientBackend, Schedule, TiledBackend,
+    Backend, BackendError, Degrade, Health, MatrixRef, MmoArgs, OpCount, OperandRepr, Parallelism,
+    PlanBuilder, RecoveryPolicy, ReferenceBackend, ResilientBackend, Schedule, TiledBackend,
 };
 use simd2_matrix::Matrix;
 use simd2_mxu::PrecisionMode;
@@ -182,12 +180,6 @@ fn every_wrapper_forwards_steps_declarations_schedule_and_controls() {
     // The recorder kept what it forwarded: every step.
     assert_eq!(plan.step_count(), expected.len());
 
-    let mut spy = Spy::default();
-    let mut rec = OptimizingRecorder::over(&mut spy);
-    let expected = drive(&mut rec);
-    assert_eq!(rec.recorded_steps(), expected.len());
-    check(&spy, &expected, "OptimizingRecorder");
-
     let mut wrapped = resilient();
     let expected = drive(&mut wrapped);
     check(wrapped.inner(), &expected, "ResilientBackend");
@@ -202,16 +194,6 @@ fn every_wrapper_forwards_steps_declarations_schedule_and_controls() {
         &expected,
         "PlanBuilder over ResilientBackend",
     );
-
-    let mut wrapped = resilient();
-    let mut rec = OptimizingRecorder::over(&mut wrapped);
-    let expected = drive(&mut rec);
-    drop(rec);
-    check(
-        wrapped.inner(),
-        &expected,
-        "OptimizingRecorder over ResilientBackend",
-    );
 }
 
 #[test]
@@ -222,7 +204,7 @@ fn recorders_report_and_degrade_the_backend_they_record_over() {
     assert_eq!(rec.health().kernel_isa, isa);
     assert!(rec.degrade(Degrade::PinKernelIsa(KernelIsa::Scalar)));
     assert_eq!(rec.health().kernel_isa, KernelIsa::Scalar);
-    let mut rec = OptimizingRecorder::over(&mut be);
+    let mut rec = PlanBuilder::over(&mut be);
     assert_eq!(rec.health().kernel_isa, KernelIsa::Scalar);
     assert!(rec.degrade(Degrade::ForceSequential));
     drop(rec);

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use simd2::{Backend, OpCount, Parallelism, TiledBackend};
-use simd2_fault::{FaultInjector, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
+use simd2_fault::{FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_matrix::tiling::{self, TileGrid};
 use simd2_matrix::{Matrix, ISA_TILE};
 use simd2_mxu::{PrecisionMode, Simd2Unit};

@@ -10,9 +10,7 @@
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use simd2::{Backend, OpCount, Parallelism, TiledBackend};
-use simd2_fault::{
-    FaultInjector, FaultLogEntry, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector,
-};
+use simd2_fault::{FaultLogEntry, FaultPlan, FaultPlanConfig, FaultySimd2Unit, PlannedInjector};
 use simd2_matrix::Matrix;
 use simd2_mxu::{PrecisionMode, Simd2Unit};
 use simd2_semiring::simd::KernelIsa;

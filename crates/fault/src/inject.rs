@@ -1,14 +1,14 @@
 //! The fault-injection seam.
 //!
-//! [`FaultInjector`] is the object-safe hook an execution engine calls
-//! at each fault *site*: once per mmo (tile-granularity `D = C ⊕ A⊗B`)
-//! and once per store. [`PlannedInjector`] drives it from a seeded
-//! [`FaultPlan`]. Sites are addressed two ways:
+//! [`PlannedInjector`] is the hook an execution engine calls at each
+//! fault *site*: once per mmo (tile-granularity `D = C ⊕ A⊗B`) and once
+//! per store, every draw from a seeded [`FaultPlan`]. Sites are
+//! addressed two ways:
 //!
-//! * **visit order** ([`FaultInjector::inject_mmo`]) — a monotonically
+//! * **visit order** ([`PlannedInjector::inject_mmo`]) — a monotonically
 //!   increasing counter, for strictly sequential engines (the warp-level
 //!   ISA executor);
-//! * **coordinates** ([`FaultInjector::inject_mmo_at`]) — the site key
+//! * **coordinates** (through [`FaultySimd2Unit`]) — the site key
 //!   derives from `(matrix-mmo sequence, ti, tj, tk)`, so the same plan
 //!   strikes the same tiles regardless of execution order or worker
 //!   count. This is what lets fault campaigns run on the panel-parallel
@@ -55,7 +55,7 @@ static LOG_DROPPED: Counter = Counter::new("fault.log_dropped");
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MmoCoord {
     /// Whole-matrix mmo sequence number (1-based; see
-    /// [`FaultInjector::begin_matrix_mmo`]).
+    /// [`MmoUnit::begin_matrix_mmo`]).
     pub mmo_seq: u64,
     /// Output tile row.
     pub ti: u32,
@@ -147,100 +147,21 @@ pub fn apply_to_memory(kind: FaultKind, words: &mut [f32]) {
     }
 }
 
-/// Object-safe fault-injection hook.
-///
-/// Engines call [`inject_mmo`](FaultInjector::inject_mmo) with the
-/// freshly computed output tile (row-major, `n × n`) and
-/// [`inject_store`](FaultInjector::inject_store) with the whole shared
-/// memory after each store. Both return the fault that struck, if any.
-pub trait FaultInjector: std::fmt::Debug + Send + Sync {
-    /// Possibly corrupts the output tile of one mmo (visit-order site
-    /// addressing — for strictly sequential engines).
-    fn inject_mmo(&mut self, op: OpKind, d: &mut [f32], n: usize) -> Option<FaultKind>;
-
-    /// Possibly corrupts the output tile of one mmo at an explicit
-    /// tile-grid coordinate. Order-independent: the draw depends only on
-    /// the current matrix-mmo sequence number and `coord`, never on how
-    /// many sites were visited before it. Defaults to the visit-order
-    /// path for injectors that do not support coordinate addressing.
-    fn inject_mmo_at(
-        &mut self,
-        coord: TileCoord,
-        op: OpKind,
-        d: &mut [f32],
-        n: usize,
-    ) -> Option<FaultKind> {
-        let _ = coord;
-        self.inject_mmo(op, d, n)
-    }
-
-    /// Marks the start of a new whole-matrix mmo, advancing the sequence
-    /// number coordinate-addressed draws derive from. A retried mmo
-    /// therefore sees fresh, independent faults — transients are
-    /// transient. No-op for visit-order-only injectors.
-    fn begin_matrix_mmo(&mut self) {}
-
-    /// Possibly corrupts shared memory after a store.
-    fn inject_store(&mut self, memory: &mut [f32]) -> Option<FaultKind>;
-
-    /// Total faults injected so far (including any whose log entries
-    /// were dropped by a bounded log).
-    fn injected(&self) -> u64;
-
-    /// A snapshot of the retained fault log, oldest first.
-    fn log(&self) -> Vec<FaultLogEntry>;
-
-    /// Log entries evicted by a bounded log (see
-    /// [`PlannedInjector::with_log_capacity`]).
-    fn dropped(&self) -> u64 {
-        0
-    }
-
-    /// Clones the injector behind its trait object.
-    fn box_clone(&self) -> Box<dyn FaultInjector>;
-}
-
-impl Clone for Box<dyn FaultInjector> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-/// A [`FaultInjector`] that can be split into per-worker shards whose
-/// state merges back deterministically after a parallel join.
-///
-/// Only injectors whose draws are order-independent (coordinate
-/// addressing) can shard: every shard must produce the same fault for
-/// the same tile no matter which worker visits it.
-pub trait ShardableInjector: FaultInjector + Sized {
-    /// A worker shard: same plan and current matrix-mmo sequence, empty
-    /// log and zeroed telemetry counters.
-    fn shard(&self) -> Self;
-
-    /// Merges a shard's log and counters back into `self`.
-    ///
-    /// Callers must absorb shards in the order a sequential schedule
-    /// would have visited their tiles (for row panels: ascending output
-    /// tile row); each shard logs its own tiles in visit order, so
-    /// ordered absorption reproduces exactly the sequential log.
-    fn absorb(&mut self, shard: Self);
-}
-
 /// Default cap on retained [`FaultLogEntry`]s (~3 MB at saturation), so
 /// unbounded campaigns — soak loops, long-lived serving backends — hold
-/// memory constant while [`FaultInjector::injected`]/
-/// [`FaultInjector::dropped`] keep exact totals.
+/// memory constant while [`PlannedInjector::injected`]/
+/// [`PlannedInjector::dropped`] keep exact totals.
 pub const DEFAULT_LOG_CAPACITY: usize = 65_536;
 
-/// A [`FaultInjector`] driven by a seeded [`FaultPlan`].
+/// The fault injector: every draw comes from a seeded [`FaultPlan`].
 ///
 /// Visit-order site counters advance monotonically for the injector's
 /// lifetime and never reset, so repeated execution of the same program
 /// draws fresh faults each time; coordinate-addressed draws key off the
 /// matrix-mmo sequence number advanced by
-/// [`begin_matrix_mmo`](FaultInjector::begin_matrix_mmo) instead. The
+/// [`begin_matrix_mmo`](MmoUnit::begin_matrix_mmo) instead. The
 /// fault log is a bounded ring: once `capacity` entries are retained the
-/// oldest are evicted (counted in [`dropped`](FaultInjector::dropped)),
+/// oldest are evicted (counted in [`dropped`](Self::dropped)),
 /// so the injector never grows without limit.
 ///
 /// With a [`Tracer`] attached (see
@@ -393,10 +314,11 @@ impl PlannedInjector {
             ),
         }
     }
-}
 
-impl FaultInjector for PlannedInjector {
-    fn inject_mmo(&mut self, op: OpKind, d: &mut [f32], n: usize) -> Option<FaultKind> {
+    /// Possibly corrupts the output tile of one mmo (row-major, `n × n`)
+    /// at the next visit-order site — for strictly sequential engines.
+    /// Returns the fault that struck, if any.
+    pub fn inject_mmo(&mut self, op: OpKind, d: &mut [f32], n: usize) -> Option<FaultKind> {
         let site = self.next_mmo_site;
         self.next_mmo_site += 1;
         self.mmo_sites += 1;
@@ -414,7 +336,11 @@ impl FaultInjector for PlannedInjector {
         Some(kind)
     }
 
-    fn inject_mmo_at(
+    /// Possibly corrupts the output tile of one mmo at an explicit
+    /// tile-grid coordinate. Order-independent: the draw depends only on
+    /// the current matrix-mmo sequence number and `coord`, never on how
+    /// many sites were visited before it.
+    pub(crate) fn inject_mmo_at(
         &mut self,
         coord: TileCoord,
         op: OpKind,
@@ -451,11 +377,17 @@ impl FaultInjector for PlannedInjector {
         Some(kind)
     }
 
-    fn begin_matrix_mmo(&mut self) {
+    /// Marks the start of a new whole-matrix mmo, advancing the sequence
+    /// number coordinate-addressed draws derive from. A retried mmo
+    /// therefore sees fresh, independent faults — transients are
+    /// transient.
+    pub(crate) fn begin_matrix_mmo(&mut self) {
         self.mmo_seq += 1;
     }
 
-    fn inject_store(&mut self, memory: &mut [f32]) -> Option<FaultKind> {
+    /// Possibly corrupts shared memory after a store; returns the fault
+    /// that struck, if any.
+    pub fn inject_store(&mut self, memory: &mut [f32]) -> Option<FaultKind> {
         let site = self.next_store_site;
         self.next_store_site += 1;
         let kind = self.plan.fault_for_mem_site(site, memory.len())?;
@@ -472,25 +404,28 @@ impl FaultInjector for PlannedInjector {
         Some(kind)
     }
 
-    fn injected(&self) -> u64 {
+    /// Total faults injected so far (including any whose log entries
+    /// were dropped by the bounded log).
+    pub fn injected(&self) -> u64 {
         self.injected
     }
 
-    fn log(&self) -> Vec<FaultLogEntry> {
+    /// A snapshot of the retained fault log, oldest first.
+    pub fn log(&self) -> Vec<FaultLogEntry> {
         self.log.iter().copied().collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// Log entries evicted by the bounded log (see
+    /// [`with_log_capacity`](Self::with_log_capacity)).
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    fn box_clone(&self) -> Box<dyn FaultInjector> {
-        Box::new(self.clone())
-    }
-}
-
-impl ShardableInjector for PlannedInjector {
-    fn shard(&self) -> Self {
+    /// A worker shard: same plan and current matrix-mmo sequence, empty
+    /// log and zeroed telemetry counters. Draws are addressed by
+    /// coordinate, so every shard strikes the same tile with the same
+    /// fault whichever worker visits it.
+    pub(crate) fn shard(&self) -> Self {
         Self {
             plan: self.plan,
             mmo_seq: self.mmo_seq,
@@ -505,7 +440,13 @@ impl ShardableInjector for PlannedInjector {
         }
     }
 
-    fn absorb(&mut self, shard: Self) {
+    /// Merges a shard's log and counters back into `self`.
+    ///
+    /// Callers must absorb shards in the order a sequential schedule
+    /// would have visited their tiles (for row panels: ascending output
+    /// tile row); each shard logs its own tiles in visit order, so
+    /// ordered absorption reproduces exactly the sequential log.
+    pub(crate) fn absorb(&mut self, shard: Self) {
         self.mmo_sites += shard.mmo_sites;
         self.injected += shard.injected;
         self.dropped += shard.dropped;
@@ -517,15 +458,15 @@ impl ShardableInjector for PlannedInjector {
 
 /// A [`Simd2Unit`] whose outputs pass through a fault injector.
 #[derive(Clone, Debug)]
-pub struct FaultySimd2Unit<I: FaultInjector = PlannedInjector> {
+pub struct FaultySimd2Unit {
     unit: Simd2Unit,
-    injector: I,
+    injector: PlannedInjector,
     vector_only: bool,
 }
 
-impl<I: FaultInjector> FaultySimd2Unit<I> {
+impl FaultySimd2Unit {
     /// Wraps `unit` with `injector`.
-    pub fn new(unit: Simd2Unit, injector: I) -> Self {
+    pub fn new(unit: Simd2Unit, injector: PlannedInjector) -> Self {
         Self {
             unit,
             injector,
@@ -571,17 +512,17 @@ impl<I: FaultInjector> FaultySimd2Unit<I> {
     }
 
     /// The injector, for telemetry.
-    pub fn injector(&self) -> &I {
+    pub fn injector(&self) -> &PlannedInjector {
         &self.injector
     }
 
     /// Unwraps into the injector, e.g. to read the final fault log.
-    pub fn into_injector(self) -> I {
+    pub fn into_injector(self) -> PlannedInjector {
         self.injector
     }
 }
 
-impl<I: ShardableInjector> MmoUnit for FaultySimd2Unit<I> {
+impl MmoUnit for FaultySimd2Unit {
     fn quantize_packed(&self, xs: &mut [f32]) {
         self.unit.quantize_operands(xs);
     }

@@ -11,7 +11,7 @@
 //!   injection in the `⊕`/`⊗` reducers, and shared-memory word
 //!   corruption. Fault decisions are a pure hash of `(seed, site)`, so a
 //!   campaign replays identically regardless of execution interleaving.
-//! * [`inject`] — the [`FaultInjector`] seam: anything that executes
+//! * [`inject`] — the [`PlannedInjector`] seam: anything that executes
 //!   `mmo`s (the functional [`simd2_mxu::Simd2Unit`] via
 //!   [`FaultySimd2Unit`], or the warp-level executor in `simd2-isa`) can
 //!   host an injector and run any program or app under a campaign.
@@ -34,7 +34,6 @@ pub mod plan;
 
 pub use abft::{AbftConfig, AbftViolation};
 pub use inject::{
-    FaultInjector, FaultLogEntry, FaultySimd2Unit, MmoCoord, PanicProbeUnit, PlannedInjector,
-    ShardableInjector, PANIC_PROBE_PAYLOAD,
+    FaultLogEntry, FaultySimd2Unit, MmoCoord, PanicProbeUnit, PlannedInjector, PANIC_PROBE_PAYLOAD,
 };
 pub use plan::{FaultClass, FaultKind, FaultPlan, FaultPlanConfig, StallPlan};

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use simd2_fault::abft::{self, AbftConfig, AbftViolation};
-use simd2_fault::FaultInjector;
+use simd2_fault::PlannedInjector;
 use simd2_matrix::{Matrix, Tile, ISA_TILE};
 use simd2_mxu::{PrecisionMode, Simd2Unit};
 use simd2_semiring::precision::quantize_f16;
@@ -199,7 +199,7 @@ pub struct ExecStats {
     pub fills: u64,
     /// `simd2.mmo` count per operation.
     pub mmos: BTreeMap<OpKind, u64>,
-    /// Faults injected by an attached [`FaultInjector`] during the run.
+    /// Faults injected by an attached [`PlannedInjector`] during the run.
     pub faults_injected: u64,
     /// `mmo` results that passed ABFT verification.
     pub mmos_verified: u64,
@@ -265,7 +265,7 @@ pub struct Executor {
     memory: SharedMemory,
     regs: Vec<Tile<ISA_TILE>>,
     unit: Simd2Unit,
-    injector: Option<Box<dyn FaultInjector>>,
+    injector: Option<PlannedInjector>,
     abft: Option<AbftConfig>,
 }
 
@@ -292,19 +292,19 @@ impl Executor {
     /// store passes through it. The injector keeps its site counters for
     /// the executor's lifetime, so re-running a program draws fresh
     /// faults.
-    pub fn set_injector(&mut self, injector: Box<dyn FaultInjector>) {
+    pub fn set_injector(&mut self, injector: PlannedInjector) {
         self.injector = Some(injector);
     }
 
     /// Detaches and returns the fault injector, with its accumulated
     /// site counters and fault log.
-    pub fn take_injector(&mut self) -> Option<Box<dyn FaultInjector>> {
+    pub fn take_injector(&mut self) -> Option<PlannedInjector> {
         self.injector.take()
     }
 
     /// The attached fault injector, if any (for telemetry).
-    pub fn injector(&self) -> Option<&dyn FaultInjector> {
-        self.injector.as_deref()
+    pub fn injector(&self) -> Option<&PlannedInjector> {
+        self.injector.as_ref()
     }
 
     /// Enables ABFT verification of every `mmo` result. A failed check
@@ -832,7 +832,7 @@ mod tests {
                     let baseline = pristine.memory().read_matrix(768, 16, 16, 16).unwrap();
 
                     let mut exec = Executor::new(staged_memory(op));
-                    exec.set_injector(Box::new(PlannedInjector::new(plan)));
+                    exec.set_injector(PlannedInjector::new(plan));
                     exec.enable_verification(AbftConfig::default());
                     match exec.run(&prog) {
                         Ok(stats) => {
@@ -899,7 +899,7 @@ mod tests {
                 let mut pristine = Executor::new(staged_memory(op));
                 pristine.run(&prog).unwrap();
                 let mut exec = Executor::new(staged_memory(op));
-                exec.set_injector(Box::new(PlannedInjector::new(plan)));
+                exec.set_injector(PlannedInjector::new(plan));
                 exec.run(&prog).unwrap();
                 let faulted_words: Vec<usize> = exec
                     .injector()
@@ -930,7 +930,7 @@ mod tests {
             let plan = FaultPlan::new(FaultPlanConfig::new(0).with_transient_nan_ppm(1_000_000));
             let op = OpKind::PlusMul;
             let mut exec = Executor::new(staged_memory(op));
-            exec.set_injector(Box::new(PlannedInjector::new(plan)));
+            exec.set_injector(PlannedInjector::new(plan));
             exec.enable_verification(AbftConfig::default());
             let err = exec.run(&single_mmo_program(op)).unwrap_err();
             match err {
@@ -951,7 +951,7 @@ mod tests {
             assert_eq!(exec.injector().unwrap().injected(), 1);
             // The same seed replays identically.
             let mut replay = Executor::new(staged_memory(op));
-            replay.set_injector(Box::new(PlannedInjector::new(plan)));
+            replay.set_injector(PlannedInjector::new(plan));
             replay.enable_verification(AbftConfig::default());
             assert_eq!(replay.run(&single_mmo_program(op)).unwrap_err(), err);
         }
@@ -965,7 +965,7 @@ mod tests {
             let op = OpKind::PlusMul;
             let prog = single_mmo_program(op);
             let mut exec = Executor::new(staged_memory(op));
-            exec.set_injector(Box::new(PlannedInjector::new(plan)));
+            exec.set_injector(PlannedInjector::new(plan));
             exec.enable_verification(AbftConfig::default());
             let mut succeeded = false;
             for _ in 0..32 {

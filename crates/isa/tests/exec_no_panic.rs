@@ -53,13 +53,13 @@ proptest! {
     ) {
         let prog = decode_stream(&words);
         let mut exec = Executor::new(SharedMemory::new(mem_elems));
-        exec.set_injector(Box::new(PlannedInjector::new(FaultPlan::new(
+        exec.set_injector(PlannedInjector::new(FaultPlan::new(
             FaultPlanConfig::new(seed)
                 .with_bit_flip_ppm(ppm)
                 .with_stuck_lane_ppm(ppm)
                 .with_transient_nan_ppm(ppm)
                 .with_mem_ppm(ppm),
-        ))));
+        )));
         exec.enable_verification(AbftConfig::default());
         let _ = exec.run(&prog);
     }

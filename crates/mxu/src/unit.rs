@@ -17,7 +17,7 @@
 use std::fmt;
 
 use simd2_semiring::precision::quantize_int8;
-use simd2_semiring::simd::{self, KernelIsa, SelectedKernel, TileKernel, CHAIN_ELEMS};
+use simd2_semiring::simd::{self, KernelIsa, CHAIN_ELEMS};
 use simd2_semiring::OpKind;
 
 use simd2_matrix::{Tile, ISA_TILE};
@@ -73,10 +73,19 @@ pub enum PrecisionMode {
 /// let d = unit.execute(OpKind::MinPlus, &a, &b, &c);
 /// assert_eq!(d.get(0, 0), 3.0); // min over k of (1 + 2)
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Simd2Unit {
     precision: PrecisionMode,
-    kernel: SelectedKernel,
+    isa: KernelIsa,
+}
+
+impl Default for Simd2Unit {
+    fn default() -> Self {
+        Self {
+            precision: PrecisionMode::default(),
+            isa: simd::selected_isa(),
+        }
+    }
 }
 
 impl Simd2Unit {
@@ -100,7 +109,11 @@ impl Simd2Unit {
     /// Used by the forced-scalar test legs and A/B identity checks.
     pub fn with_kernel_isa(self, isa: KernelIsa) -> Self {
         Self {
-            kernel: SelectedKernel::with_isa(isa),
+            isa: if isa.is_supported() {
+                isa
+            } else {
+                KernelIsa::Scalar
+            },
             ..self
         }
     }
@@ -112,7 +125,7 @@ impl Simd2Unit {
 
     /// The instruction set the unit's tile kernel executes with.
     pub fn kernel_isa(&self) -> KernelIsa {
-        self.kernel.isa()
+        self.isa
     }
 
     /// Passes operand elements through the unit's input quantiser, in
@@ -125,7 +138,7 @@ impl Simd2Unit {
     pub fn quantize_operands(&self, xs: &mut [f32]) {
         match self.precision {
             PrecisionMode::Fp32Input => {}
-            PrecisionMode::Fp16Input => simd::quantize_f16_slice(self.kernel.isa(), xs),
+            PrecisionMode::Fp16Input => simd::quantize_f16_slice(self.isa, xs),
             PrecisionMode::Int8Input => {
                 for x in xs {
                     *x = quantize_int8(*x, 1.0);
@@ -140,12 +153,13 @@ impl Simd2Unit {
     /// element then starts from `C ⊕ id` and folds its `N` terms in
     /// ascending `k` in fp32, and the result is returned as a fresh tile.
     ///
-    /// The tile runs on the [`TileKernel`] selected at construction
-    /// (AVX-512 / AVX2 / scalar), which resolves the operation to a
-    /// monomorphized kernel exactly once per call — the inner `N³` loop
-    /// contains no dynamic dispatch, no feature tests and no heap
-    /// allocation. Every vector tier is bit-identical to the scalar
-    /// kernel, which is also what any `N` other than the ISA tile's runs.
+    /// The tile runs through [`simd::mmo_tile`] on the kernel tier chosen
+    /// at construction (AVX-512 / AVX2 / scalar), which resolves the
+    /// operation to a monomorphized kernel exactly once per call — the
+    /// inner `N³` loop contains no dynamic dispatch, no feature tests and
+    /// no heap allocation. Every vector tier is bit-identical to the
+    /// scalar kernel, which is also what any `N` other than the ISA
+    /// tile's runs.
     pub fn execute<const N: usize>(
         &self,
         op: OpKind,
@@ -157,7 +171,8 @@ impl Simd2Unit {
         self.quantize_operands(qa.as_flat_mut());
         self.quantize_operands(qb.as_flat_mut());
         let mut d = Tile::splat(0.0);
-        self.kernel.mmo_tile(
+        simd::mmo_tile(
+            self.isa,
             op,
             qa.as_flat(),
             qb.as_flat(),
@@ -180,7 +195,7 @@ impl Simd2Unit {
     ///
     /// Panics if `a` and `b` are not the same whole number of tiles.
     pub fn execute_chain(&self, op: OpKind, a: &[f32], b: &[f32], acc: &mut Tile<ISA_TILE>) {
-        self.kernel.mmo_chain(op, a, b, acc.as_flat_mut());
+        simd::mmo_chain(self.isa, op, a, b, acc.as_flat_mut());
     }
 
     /// Executes with an implicit accumulator tile holding the `⊕` identity
@@ -692,6 +707,19 @@ mod tests {
         let forced = unit.with_kernel_isa(KernelIsa::Scalar);
         assert_eq!(forced.kernel_isa(), KernelIsa::Scalar);
         assert_eq!(forced.precision(), unit.precision());
+    }
+
+    #[test]
+    fn with_kernel_isa_downgrades_unsupported_tiers_to_scalar() {
+        for isa in KernelIsa::ALL {
+            let unit = Simd2Unit::new().with_kernel_isa(isa);
+            let want = if isa.is_supported() {
+                isa
+            } else {
+                KernelIsa::Scalar
+            };
+            assert_eq!(unit.kernel_isa(), want, "{isa}");
+        }
     }
 
     #[test]

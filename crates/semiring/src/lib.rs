@@ -26,8 +26,8 @@
 //! * [`precision`] — fp16-in / fp32-out numerics matching the SIMD² data
 //!   path,
 //! * [`simd`] — vectorized tile kernels (AVX-512 / AVX2) with runtime
-//!   CPU-feature dispatch and a portable scalar oracle, behind the safe
-//!   [`TileKernel`] seam, and
+//!   CPU-feature dispatch and a portable scalar oracle, behind safe
+//!   entries that take the [`KernelIsa`] to run on, and
 //! * [`properties`] — reusable algebraic property checks backing the
 //!   property-based test-suite.
 //!
@@ -62,7 +62,7 @@ mod typed;
 
 pub use kernel::{dispatch_kernel, KernelVisitor, SemiringKernel};
 pub use op::{OpKind, ParseOpKindError};
-pub use simd::{CpuFeatures, KernelIsa, SelectedKernel, TileKernel};
+pub use simd::{CpuFeatures, KernelIsa};
 pub use typed::{
     BoolOrAnd, IntMinPlus, MaxMin, MaxMul, MaxPlus, MinMax, MinMul, MinPlus, OrAnd, PlusMul,
     PlusNorm, Semiring,

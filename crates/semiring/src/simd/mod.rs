@@ -46,12 +46,14 @@
 //! [`CpuFeatures::detect`] probes the host once (cached); [`selected_isa`]
 //! picks the widest supported [`KernelIsa`], honouring the
 //! `SIMD2_FORCE_SCALAR` environment variable (read once per process).
-//! [`SelectedKernel`] freezes the choice at construction time — one
-//! selection per backend, zero dynamic feature tests on the tile path —
-//! and [`TileKernel::mmo_tile`] is the safe entry: it validates slice
-//! shapes and re-checks feature support before entering a vector leaf, so
-//! a deserialized or hand-built ISA value can never reach an instruction
-//! the host lacks (it falls back to the scalar kernel instead).
+//! Every entry takes the tier as its first argument: a caller holds one
+//! [`KernelIsa`] — the `simd2-mxu` unit freezes its tier at
+//! construction, one selection per backend, zero dynamic feature tests
+//! on the tile path — and hands it to each call. Each entry is safe: it
+//! validates slice shapes and re-checks feature support before entering
+//! a vector leaf, so a deserialized or hand-built ISA value can never
+//! reach an instruction the host lacks (it falls back to the scalar
+//! kernel instead).
 //!
 //! # Safety contract
 //!
@@ -245,111 +247,6 @@ pub fn selected_isa() -> KernelIsa {
     })
 }
 
-/// A tile-granularity MMO kernel: computes `D = C ⊕ (A ⊗ B)` over flat
-/// row-major `n × n` slices in the one reduction order of the module
-/// docs.
-///
-/// This is the seam the execution layers call instead of open-coding the
-/// scalar loop; [`SelectedKernel`] is the production implementation.
-pub trait TileKernel {
-    /// The instruction set this kernel executes with.
-    fn isa(&self) -> KernelIsa;
-
-    /// Computes `d = c ⊕ (a ⊗ b)` where all four slices are flat
-    /// row-major `n × n` tiles. Operands must already be quantised.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from `n * n`.
-    fn mmo_tile(&self, op: OpKind, a: &[f32], b: &[f32], c: &[f32], d: &mut [f32], n: usize);
-
-    /// Folds a whole `k` chain into one accumulator tile: seeds
-    /// `acc ← acc ⊕ id`, then `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of
-    /// flat row-major [`CHAIN_TILE`]-sided tiles of `a` and `b` in order
-    /// — bit-identical to one [`mmo_tile`](TileKernel::mmo_tile) per
-    /// pair, and to one fold over all of the chain's `k`. Operands must
-    /// already be quantised.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` are not the same whole number of tiles or
-    /// `acc` is not exactly one.
-    fn mmo_chain(&self, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f32]);
-}
-
-/// The runtime-selected tile kernel: freezes a [`KernelIsa`] choice at
-/// construction (one selection per backend, per the paper's
-/// configure-once datapath) and dispatches every tile to that tier's
-/// monomorphized leaves.
-///
-/// # Example
-///
-/// ```
-/// use simd2_semiring::simd::{KernelIsa, SelectedKernel, TileKernel};
-/// use simd2_semiring::OpKind;
-///
-/// let simd = SelectedKernel::select();
-/// let scalar = SelectedKernel::with_isa(KernelIsa::Scalar);
-/// let (a, b, c) = ([1.0f32, 2.0, 3.0, 4.0], [5.0f32, 6.0, 7.0, 8.0], [0.5f32; 4]);
-/// let (mut d_simd, mut d_scalar) = ([0.0f32; 4], [0.0f32; 4]);
-/// simd.mmo_tile(OpKind::MinPlus, &a, &b, &c, &mut d_simd, 2);
-/// scalar.mmo_tile(OpKind::MinPlus, &a, &b, &c, &mut d_scalar, 2);
-/// assert_eq!(d_simd, d_scalar); // bit-identical on every tier
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SelectedKernel {
-    isa: KernelIsa,
-}
-
-impl SelectedKernel {
-    /// The widest kernel the host supports (honours `SIMD2_FORCE_SCALAR`).
-    pub fn select() -> Self {
-        Self {
-            isa: selected_isa(),
-        }
-    }
-
-    /// A kernel pinned to `isa`, downgraded to [`KernelIsa::Scalar`] if
-    /// the host cannot execute that tier — the constructor-side half of
-    /// the detection guard.
-    pub fn with_isa(isa: KernelIsa) -> Self {
-        Self {
-            isa: if isa.is_supported() {
-                isa
-            } else {
-                KernelIsa::Scalar
-            },
-        }
-    }
-
-    /// The portable scalar oracle kernel.
-    pub fn scalar() -> Self {
-        Self {
-            isa: KernelIsa::Scalar,
-        }
-    }
-}
-
-impl Default for SelectedKernel {
-    fn default() -> Self {
-        Self::select()
-    }
-}
-
-impl TileKernel for SelectedKernel {
-    fn isa(&self) -> KernelIsa {
-        self.isa
-    }
-
-    fn mmo_tile(&self, op: OpKind, a: &[f32], b: &[f32], c: &[f32], d: &mut [f32], n: usize) {
-        mmo_tile(self.isa, op, a, b, c, d, n)
-    }
-
-    fn mmo_chain(&self, op: OpKind, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        mmo_chain(self.isa, op, a, b, acc)
-    }
-}
-
 /// Resolves a dynamic [`OpKind`] to its monomorphized kernel type once
 /// per call: `$body` is instantiated with `$K` bound to each of the nine
 /// semirings.
@@ -368,7 +265,9 @@ macro_rules! with_kernel {
     };
 }
 
-/// Free-function form of [`TileKernel::mmo_tile`] with an explicit ISA.
+/// Computes `d = c ⊕ (a ⊗ b)` on `isa`, where all four slices are flat
+/// row-major `n × n` tiles in the one reduction order of the module
+/// docs. Operands must already be quantised.
 ///
 /// Validates shapes, resolves `op` to a monomorphized kernel once, and
 /// enters the ISA's leaf — re-verifying hardware support first, so an
@@ -376,6 +275,19 @@ macro_rules! with_kernel {
 /// executing an illegal instruction. The ISA-visible shape
 /// (`n == CHAIN_TILE`) runs as a [`mmo_chain`] of one tile; every other
 /// `n` takes the scalar leaf on every tier.
+///
+/// # Example
+///
+/// ```
+/// use simd2_semiring::simd::{mmo_tile, selected_isa, KernelIsa};
+/// use simd2_semiring::OpKind;
+///
+/// let (a, b, c) = ([1.0f32, 2.0, 3.0, 4.0], [5.0f32, 6.0, 7.0, 8.0], [0.5f32; 4]);
+/// let (mut d_simd, mut d_scalar) = ([0.0f32; 4], [0.0f32; 4]);
+/// mmo_tile(selected_isa(), OpKind::MinPlus, &a, &b, &c, &mut d_simd, 2);
+/// mmo_tile(KernelIsa::Scalar, OpKind::MinPlus, &a, &b, &c, &mut d_scalar, 2);
+/// assert_eq!(d_simd, d_scalar); // bit-identical on every tier
+/// ```
 ///
 /// # Panics
 ///
@@ -402,11 +314,13 @@ pub fn mmo_tile(
     }
 }
 
-/// Free-function form of [`TileKernel::mmo_chain`] with an explicit
-/// ISA: one call owns the whole `k` loop of an output tile, reading
-/// `a` and `b` as contiguous chains of quantised [`CHAIN_TILE`]-sided
-/// tiles and folding them into the seeded `acc`. Same support guard as
-/// [`mmo_tile`]; an empty chain leaves `acc ⊕ id`.
+/// Folds a whole `k` chain into one accumulator tile on `isa`: seeds
+/// `acc ← acc ⊕ id`, then `acc ← acc ⊕ (Aₜ ⊗ Bₜ)` for each pair of flat
+/// row-major quantised [`CHAIN_TILE`]-sided tiles of `a` and `b` in
+/// order — bit-identical to one [`mmo_tile`] per pair, and to one fold
+/// over all of the chain's `k`. One call owns the whole `k` loop of an
+/// output tile. Same support guard as [`mmo_tile`]; an empty chain
+/// leaves `acc ⊕ id`.
 ///
 /// # Panics
 ///
@@ -1096,7 +1010,6 @@ mod tests {
     fn scalar_is_always_supported_and_selected_isa_is_supported() {
         assert!(KernelIsa::Scalar.is_supported());
         assert!(selected_isa().is_supported());
-        assert!(SelectedKernel::select().isa().is_supported());
     }
 
     #[test]
@@ -1105,18 +1018,20 @@ mod tests {
         assert_eq!(KernelIsa::Avx2.is_supported(), f.avx2 && f.fma && f.f16c);
         let xs: [f32; 11] =
             std::array::from_fn(|i| [0.1, -65520.0, 1.0e-7, f32::NAN][i % 4] * (i + 1) as f32);
-        let want = xs.map(|x| crate::precision::quantize_f16(x).to_bits());
+        let want_q = xs.map(|x| crate::precision::quantize_f16(x).to_bits());
+        let a: Vec<f32> = (0..CHAIN_ELEMS).map(|i| (i % 9) as f32 - 4.0).collect();
+        let b: Vec<f32> = (0..CHAIN_ELEMS).map(|i| (i % 5) as f32 * 0.5).collect();
+        let mut want = vec![1.0f32; CHAIN_ELEMS];
+        mmo_chain(KernelIsa::Scalar, OpKind::MinPlus, &a, &b, &mut want);
         for isa in KernelIsa::ALL {
-            let k = SelectedKernel::with_isa(isa);
-            if isa.is_supported() {
-                assert_eq!(k.isa(), isa);
-            } else {
-                assert_eq!(k.isa(), KernelIsa::Scalar);
-            }
-            // The quantiser takes the raw tier and guards its own leaf.
+            // The tile entries and the quantiser take the raw tier and
+            // guard their own leaves: an unsupported tier runs scalar.
+            let mut acc = vec![1.0f32; CHAIN_ELEMS];
+            mmo_chain(isa, OpKind::MinPlus, &a, &b, &mut acc);
+            assert_same_bits(&acc, &want, &format!("chain on {isa}"));
             let mut got = xs;
             quantize_f16_slice(isa, &mut got);
-            assert_eq!(got.map(f32::to_bits), want, "{isa}");
+            assert_eq!(got.map(f32::to_bits), want_q, "{isa}");
         }
     }
 

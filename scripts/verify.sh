@@ -121,6 +121,13 @@ for leg in 0 1; do
     cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 done
 
+# The examples are a user-facing surface Tier-1 only compiles: run each
+# once, optimised; a non-zero exit fails the gate.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  cargo run --release -q --example "$name" > "target/example.$name.txt"
+done
+
 # Seeded slices of the randomized soaks. `soak`: parallel/sequential bit
 # identity, exact op accounting, telemetry lock-step, and
 # detection-or-benign under fault injection and worker panics.
