@@ -57,9 +57,12 @@
 //! never NaN and a `+` accumulator never `-0.0`, so folding the `⊕`
 //! identity, a NaN into min/max, or `±0.0` into `+` returns the
 //! accumulator's own bits. Skipping `annihilator ⊗ x` therefore leaves
-//! the reduction bit-identical whatever `x` is for the five ops whose
-//! `⊗` selects or adds (`±∞ + x`, `min`/`max` with `±∞`, `0 ∧ x`: the
-//! identity, or the NaN an `∞ − ∞` makes). For the three whose `⊗`
+//! the reduction bit-identical whatever `x` is for the four ops whose
+//! `⊗` selects or adds (`±∞ + x`, `min`/`max` with `±∞`: the identity,
+//! or the NaN an `∞ − ∞` makes). Or-and is not in the table: on a
+//! coordinate-free unit every or-and step is a bit walk, which reads
+//! truthiness and skips nothing, and no other unit's chain skips a
+//! pair. For the three whose `⊗`
 //! multiplies it does so only on the op's value domain, so the choice
 //! checks the domain ([`simd::scan`], one pass on the unit's vector tier
 //! over each operand the rule reads — both, for those three ops — the
@@ -212,9 +215,7 @@ pub(super) enum Skip {
 /// them (see [`at_precision`]).
 pub(super) fn skip_rule(op: OpKind, skipped: Scan, other: Scan) -> Skip {
     match op {
-        OpKind::MinPlus | OpKind::MaxPlus | OpKind::MinMax | OpKind::MaxMin | OpKind::OrAnd => {
-            Skip::Exact
-        }
+        OpKind::MinPlus | OpKind::MaxPlus | OpKind::MinMax | OpKind::MaxMin => Skip::Exact,
         OpKind::PlusMul if other.finite() => Skip::Exact,
         OpKind::MinMul if other.sign_clear() => Skip::Exact,
         OpKind::MaxMul if other.sign_clear() && other.finite() && skipped.sign_clear() => {

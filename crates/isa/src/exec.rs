@@ -374,12 +374,11 @@ impl Executor {
                 );
                 let mut result = self.unit.execute(op, &ta, &tb, &tc);
                 if let Some(injector) = self.injector.as_mut() {
-                    let mut flat: Vec<f32> = (0..ISA_TILE * ISA_TILE)
-                        .map(|i| result.get(i / ISA_TILE, i % ISA_TILE))
-                        .collect();
-                    if injector.inject_mmo(op, &mut flat, ISA_TILE).is_some() {
+                    if injector
+                        .inject_mmo(op, result.as_flat_mut(), ISA_TILE)
+                        .is_some()
+                    {
                         stats.faults_injected += 1;
-                        result = Tile::from_fn(|r, c| flat[r * ISA_TILE + c]);
                     }
                 }
                 if let Some(config) = self.abft {

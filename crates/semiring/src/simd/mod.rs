@@ -57,20 +57,20 @@
 //!
 //! # Safety contract
 //!
-//! All `unsafe` in this crate lives in the `x86` submodule, as
-//! `#[target_feature]` leaf functions with two documented preconditions:
-//! the feature is present on the host (checked by the dispatcher), and
-//! the slices have the shapes the entry asserted — whole 16×16 tiles for
+//! All `unsafe` in this crate lives in the `x86` submodule. Each leaf
+//! is written once, generic over `x86::Width` (the `f32` vector of a
+//! tier), and `Width::enter` is each tier's one `#[target_feature]`
+//! entry: `on_tier!` runs the leaf inside it only behind
+//! [`KernelIsa::is_supported`], the one guard. The leaves' other
+//! precondition is the shapes the entry asserted — whole 16×16 tiles for
 //! [`mmo_chain`] and [`FmaLanes::mmo_chain`], a bit table that holds
-//! every row a pick can select for [`or_rows`]; the [`sweep_row`],
-//! [`scan`], [`compact`], [`truthy_bits`] and [`bits_to_f32`] leaves,
-//! the [`HalfLanes`] leaves and
-//! [`FmaLanes::fits`] have no shape precondition (every vector access
-//! goes through a bounds-checked fixed-size chunk). A [`HalfLanes`] or
-//! [`FmaLanes`] value is made only after the feature probe, so holding
-//! one is the guard its leaves are entered behind.
-//! Leaves are compiled under `#[deny(unsafe_op_in_unsafe_fn)]`;
-//! every interior `unsafe` block carries its own justification.
+//! every row a pick can select for [`or_rows`]; every other leaf has
+//! none (every vector access goes through a bounds-checked slice). The
+//! AVX-512-only [`HalfLanes`] leaves are `#[target_feature]` functions
+//! of their own: a [`HalfLanes`] value is made only after the feature
+//! probe, so holding one is their guard. Leaves are compiled under
+//! `#[deny(unsafe_op_in_unsafe_fn)]`; every interior `unsafe` block
+//! carries its own justification.
 //!
 //! # Bit identity
 //!
@@ -99,6 +99,9 @@
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
+
+#[cfg(target_arch = "x86_64")]
+use x86::Width;
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -265,6 +268,51 @@ macro_rules! with_kernel {
     };
 }
 
+/// Runs the leaf `$m::$leaf::<$g…>` (an `x86` leaf, or a per-tier one of
+/// `$W`) on the operands `$arg…`, `$W` bound to `$isa`'s [`x86::Width`],
+/// inside that tier's [`enter`](x86::Width::enter), or `$scalar` where
+/// `$isa` is the scalar tier or a tier this CPU does not run: every
+/// vector leaf's one guard and one entry. The operands are plain names,
+/// so the `unsafe` block holds the leaf call and nothing else.
+macro_rules! on_tier {
+    ($isa:expr, $W:ident => $m:ident::$leaf:ident::<$($g:tt),+>($($arg:ident),+), _ => $scalar:expr) => {
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx512 if KernelIsa::Avx512.is_supported() => {
+                type $W = core::arch::x86_64::__m512;
+                // SAFETY: `is_supported` proved that the CPU has the tier's
+                // features, which `enter` requires and enables for the
+                // leaf it runs; the entry asserted the leaf's shape
+                // contract before dispatching.
+                unsafe { on_tier!(@enter $W, [$m::$leaf::<$($g),+>] $($arg),+) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx2 if KernelIsa::Avx2.is_supported() => {
+                type $W = core::arch::x86_64::__m256;
+                // SAFETY: as for the AVX-512 arm.
+                unsafe { on_tier!(@enter $W, [$m::$leaf::<$($g),+>] $($arg),+) }
+            }
+            _ => $scalar,
+        }
+    };
+    // `enter` with the operands padded to its five by `()`.
+    (@enter $W:ident, [$($f:tt)+] $a:ident) => {
+        $W::enter($a, (), (), (), (), #[inline(always)] |a, (), (), (), ()| $($f)+(a))
+    };
+    (@enter $W:ident, [$($f:tt)+] $a:ident, $b:ident) => {
+        $W::enter($a, $b, (), (), (), #[inline(always)] |a, b, (), (), ()| $($f)+(a, b))
+    };
+    (@enter $W:ident, [$($f:tt)+] $a:ident, $b:ident, $c:ident) => {
+        $W::enter($a, $b, $c, (), (), #[inline(always)] |a, b, c, (), ()| $($f)+(a, b, c))
+    };
+    (@enter $W:ident, [$($f:tt)+] $a:ident, $b:ident, $c:ident, $d:ident) => {
+        $W::enter($a, $b, $c, $d, (), #[inline(always)] |a, b, c, d, ()| $($f)+(a, b, c, d))
+    };
+    (@enter $W:ident, [$($f:tt)+] $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+        $W::enter($a, $b, $c, $d, $e, #[inline(always)] |a, b, c, d, e| $($f)+(a, b, c, d, e))
+    };
+}
+
 /// Computes `d = c ⊕ (a ⊗ b)` on `isa`, where all four slices are flat
 /// row-major `n × n` tiles in the one reduction order of the module
 /// docs. Operands must already be quantised.
@@ -377,7 +425,9 @@ pub fn sweep_row(
     acc: &mut [f32],
 ) {
     assert_eq!(ks.len(), vals.len(), "walk indices and values differ");
-    with_kernel!(op, K => run_sweep::<K>(isa, ks, vals, b, ldb, acc));
+    with_kernel!(op, K => on_tier!(isa,
+        W => x86::sweep_row::<K, W>(ks, vals, b, ldb, acc),
+        _ => scalar::sweep_columns::<K>(scalar::walk(ks, vals), b, ldb, 0, acc)));
 }
 
 /// What one pass over operand elements reads off them: the facts an
@@ -432,22 +482,10 @@ const SCAN_BLOCK: usize = 1 << 24;
 /// same facts. Same support guard as [`mmo_tile`].
 pub fn scan(isa: KernelIsa, zero: f32, xs: &[f32]) -> Scan {
     xs.chunks(SCAN_BLOCK)
-        .map(|block| run_scan(isa, zero, block))
+        .map(
+            |block| on_tier!(isa, W => x86::scan::<W>(zero, block), _ => scalar::scan(zero, block)),
+        )
         .fold(Scan::default(), Scan::merge)
-}
-
-/// The detection-guarded entry to the scan leaves, which bounds-check
-/// every access themselves.
-fn run_scan(isa: KernelIsa, zero: f32, xs: &[f32]) -> Scan {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx512f is available on this CPU.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe { x86::scan_avx512(zero, xs) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 is available on this CPU.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::scan_avx2(zero, xs) },
-        _ => scalar::scan(zero, xs),
-    }
 }
 
 /// Compacts `xs` against the annihilator `zero` on `isa`'s vector leaf,
@@ -470,29 +508,15 @@ fn run_scan(isa: KernelIsa, zero: f32, xs: &[f32]) -> Scan {
 /// them are stored than `cols` or `vals` has room for.
 pub fn compact(isa: KernelIsa, zero: f32, xs: &[f32], cols: &mut [u32], vals: &mut [f32]) -> usize {
     assert!(u32::try_from(xs.len()).is_ok(), "indices past u32");
-    let sparse = cols.len().min(vals.len()) * SPARSE_SPAN <= xs.len();
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY (both arms): the guard proved avx512f is available on
-        // this CPU.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
-            if sparse {
-                x86::compact_avx512::<true>(zero, xs, cols, vals)
-            } else {
-                x86::compact_avx512::<false>(zero, xs, cols, vals)
-            }
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY (both arms): the guard proved avx2 is available on this
-        // CPU.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe {
-            if sparse {
-                x86::compact_avx2::<true>(zero, xs, cols, vals)
-            } else {
-                x86::compact_avx2::<false>(zero, xs, cols, vals)
-            }
-        },
-        _ => scalar::compact(zero, xs, 0, cols, vals),
+    // One entry per density branch, each a loop of its own.
+    if cols.len().min(vals.len()) * SPARSE_SPAN <= xs.len() {
+        on_tier!(isa,
+            W => W::compact::<true>(zero, xs, cols, vals),
+            _ => scalar::compact(zero, xs, 0, cols, vals))
+    } else {
+        on_tier!(isa,
+            W => W::compact::<false>(zero, xs, cols, vals),
+            _ => scalar::compact(zero, xs, 0, cols, vals))
     }
 }
 
@@ -522,15 +546,7 @@ pub fn bit_words(len: usize) -> usize {
 /// Panics if `bits` has fewer than [`bit_words`]`(xs.len())` words.
 pub fn truthy_bits(isa: KernelIsa, xs: &[f32], bits: &mut [u64]) -> bool {
     assert!(bits.len() >= bit_words(xs.len()), "bit row too short");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx512f is available on this CPU.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe { x86::truthy_bits_avx512(xs, bits) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 is available on this CPU.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::truthy_bits_avx2(xs, bits) },
-        _ => scalar::truthy_bits(xs, bits),
-    }
+    on_tier!(isa, W => x86::truthy_bits::<W>(xs, bits), _ => scalar::truthy_bits(xs, bits))
 }
 
 /// Rows of a bit table's group: one nibble of a pick selects among
@@ -568,19 +584,9 @@ pub fn or_rows(isa: KernelIsa, pick: &[u64], table: &[u64], acc: &mut [u64]) {
         table.len() >= table_words(pick.len(), acc.len()),
         "bit table too short for the pick"
     );
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx512f is available on this CPU, and
-        // the assertion above the table's length.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
-            x86::or_rows_avx512(pick, table, acc)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 is available on this CPU, and
-        // the assertion above the table's length.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::or_rows_avx2(pick, table, acc) },
-        _ => scalar::or_rows(pick, table, acc.len(), 0, acc),
-    }
+    on_tier!(isa,
+        W => x86::or_rows::<W>(pick, table, acc),
+        _ => scalar::or_rows(pick, table, acc.len(), 0, acc))
 }
 
 /// Writes the bit row `bits` out as or-and's canonical values — `1.0`
@@ -593,17 +599,7 @@ pub fn or_rows(isa: KernelIsa, pick: &[u64], table: &[u64], acc: &mut [u64]) {
 /// Panics if `bits` has fewer than [`bit_words`]`(out.len())` words.
 pub fn bits_to_f32(isa: KernelIsa, bits: &[u64], out: &mut [f32]) {
     assert!(bits.len() >= bit_words(out.len()), "bit row too short");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx512f is available on this CPU.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
-            x86::bits_to_f32_avx512(bits, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 is available on this CPU.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe { x86::bits_to_f32_avx2(bits, out) },
-        _ => scalar::bits_to_f32(bits, out),
-    }
+    on_tier!(isa, W => x86::bits_to_f32::<W>(bits, out), _ => scalar::bits_to_f32(bits, out))
 }
 
 /// `u32` words of one tile's [`HalfLanes`] image as a chain's `A`
@@ -762,9 +758,9 @@ impl HalfLanes {
         // avx512fp16 are available on this CPU.
         unsafe {
             if self.op == OpKind::MinMax {
-                x86::half_chain_avx512::<MinMax>(a, b, acc)
+                x86::half_chain::<MinMax>(a, b, acc)
             } else {
-                x86::half_chain_avx512::<MaxMin>(a, b, acc)
+                x86::half_chain::<MaxMin>(a, b, acc)
             }
         }
     }
@@ -838,16 +834,7 @@ impl FmaLanes {
     /// fit per tile.
     pub fn fits(self, tiles: &[f32], fits: &mut [HalfFit]) {
         assert_image(tiles, &[], fits, 0);
-        match self.isa {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `new` proved avx512f is available on this CPU.
-            KernelIsa::Avx512 => unsafe { x86::fits_avx512(tiles, fits) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `new` proved avx2 and f16c (the AVX2 tier's
-            // features) are available on this CPU.
-            KernelIsa::Avx2 => unsafe { x86::fits_avx2(tiles, fits) },
-            _ => fits.fill(HalfFit::Nan),
-        }
+        on_tier!(self.isa, W => x86::fits::<W>(tiles, fits), _ => fits.fill(HalfFit::Nan))
     }
 
     /// [`mmo_chain`] of plus-mul over tile pairs whose fits must all be
@@ -860,17 +847,9 @@ impl FmaLanes {
     /// As [`mmo_chain`].
     pub fn mmo_chain(self, a: &[f32], b: &[f32], acc: &mut [f32]) {
         assert_chain(a, b, acc);
-        match self.isa {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `new` proved avx512f is available on this CPU, and
-            // the shapes were asserted.
-            KernelIsa::Avx512 => unsafe { x86::mmo_chain_avx512::<PlusMul, true>(a, b, acc) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `new` proved avx2 and fma are available on this
-            // CPU, and the shapes were asserted.
-            KernelIsa::Avx2 => unsafe { x86::mmo_chain_avx2::<PlusMul, true>(a, b, acc) },
-            _ => scalar::mmo_chain::<PlusMul>(a, b, acc, CHAIN_TILE),
-        }
+        on_tier!(self.isa,
+            W => x86::chain::<PlusMul, W, true>(a, b, acc),
+            _ => scalar::mmo_chain::<PlusMul>(a, b, acc, CHAIN_TILE))
     }
 }
 
@@ -885,23 +864,7 @@ impl FmaLanes {
 /// takes the scalar loop, so the forced-scalar leg exercises the oracle
 /// end to end.
 pub fn quantize_f16_slice(isa: KernelIsa, xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if isa == KernelIsa::Avx512 && cpu_features().avx512f {
-        // SAFETY: the guard proved avx512f, the feature the leaf
-        // enables, is available on this CPU.
-        unsafe { x86::quantize_f16_avx512(xs) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if isa.lanes() > 1 && cpu_features().avx2 && cpu_features().f16c {
-        // SAFETY: the guard proved avx2 and f16c, the features the leaf
-        // enables, are available on this CPU.
-        unsafe { x86::quantize_f16_avx2(xs) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
-    crate::precision::quantize_f16_slice(xs);
+    on_tier!(isa, W => x86::quantize::<W>(xs), _ => crate::precision::quantize_f16_slice(xs))
 }
 
 /// The relation the bit-identity suites assert between a kernel's
@@ -927,65 +890,12 @@ pub fn same_bits(got: f32, want: f32) -> bool {
     got.to_bits() == want.to_bits() || (!cfg!(debug_assertions) && got.is_nan() && want.is_nan())
 }
 
-/// Kernels lowered on every ISA tier this build knows about. Blanket-
-/// implemented for all nine semirings; exists so [`run_chain`] can name
-/// one bound that is right for whichever architecture is being compiled.
-#[cfg(target_arch = "x86_64")]
-trait ArchKernel: SemiringKernel + x86::Kernel256 + x86::Kernel512 {}
-#[cfg(target_arch = "x86_64")]
-impl<K: SemiringKernel + x86::Kernel256 + x86::Kernel512> ArchKernel for K {}
-
-#[cfg(not(target_arch = "x86_64"))]
-trait ArchKernel: SemiringKernel {}
-#[cfg(not(target_arch = "x86_64"))]
-impl<K: SemiringKernel> ArchKernel for K {}
-
-/// The detection-guarded entry to the `#[target_feature]` chain leaves:
-/// an arm is taken only when the runtime probe confirms the host
-/// executes that tier, which is exactly the precondition the leaf's
-/// safety contract requires. Shape preconditions were asserted by
-/// [`mmo_chain`] / [`mmo_tile`].
-fn run_chain<K: ArchKernel>(isa: KernelIsa, a: &[f32], b: &[f32], acc: &mut [f32]) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx512f is available on this CPU, and
-        // the callers asserted the chain and accumulator shapes.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
-            x86::mmo_chain_avx512::<K, false>(a, b, acc)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 and fma are available on this
-        // CPU, and the callers asserted the chain and accumulator shapes.
-        KernelIsa::Avx2 if cpu_features().avx2 && cpu_features().fma => unsafe {
-            x86::mmo_chain_avx2::<K, false>(a, b, acc)
-        },
-        _ => scalar::mmo_chain::<K>(a, b, acc, CHAIN_TILE),
-    }
-}
-
-/// The detection-guarded entry to the row-sweep leaves, which bounds-
-/// check every access themselves.
-fn run_sweep<K: ArchKernel>(
-    isa: KernelIsa,
-    ks: &[u32],
-    vals: &[f32],
-    b: &[f32],
-    ldb: usize,
-    acc: &mut [f32],
-) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx512f is available on this CPU.
-        KernelIsa::Avx512 if cpu_features().avx512f => unsafe {
-            x86::sweep_row_avx512::<K>(ks, vals, b, ldb, acc)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proved avx2 is available on this CPU.
-        KernelIsa::Avx2 if cpu_features().avx2 => unsafe {
-            x86::sweep_row_avx2::<K>(ks, vals, b, ldb, acc)
-        },
-        _ => scalar::sweep_columns::<K>(scalar::walk(ks, vals), b, ldb, 0, acc),
-    }
+/// The chain of [`mmo_tile`] and [`mmo_chain`] on `isa`. Shape
+/// preconditions were asserted by the callers.
+fn run_chain<K: SemiringKernel>(isa: KernelIsa, a: &[f32], b: &[f32], acc: &mut [f32]) {
+    on_tier!(isa,
+        W => x86::chain::<K, W, false>(a, b, acc),
+        _ => scalar::mmo_chain::<K>(a, b, acc, CHAIN_TILE))
 }
 
 #[cfg(test)]

@@ -923,10 +923,14 @@ proptest! {
     }
 }
 
-/// Exhaustive over the shape axis the property above only samples: all
-/// nine ops × every row width 1..=130 × every supported tier, on a walk
-/// that repeats and skips rows, with the adversarial values in every
-/// operand.
+/// Exhaustive over the shape axis the properties above only sample, on
+/// every supported tier against the scalar one, with the adversarial
+/// values in every operand: the row sweep over all nine ops × every row
+/// width 1..=130, on a walk that repeats and skips rows; and every slice
+/// leaf — scan, compaction into room for the stored count of a dense
+/// and of a sparse row (both of its branches) and into room for every
+/// element, the three bit-row leaves, the quantiser — at every length
+/// 0..=300, so at every tail each vector width leaves.
 #[test]
 fn row_sweep_matches_the_scalar_leaf_at_every_width() {
     let bits: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
@@ -944,6 +948,52 @@ fn row_sweep_matches_the_scalar_leaf_at_every_width() {
                 let same = want.iter().zip(&got).all(|(x, y)| simd::same_bits(*y, *x));
                 assert!(same, "{op} n={n} isa={isa}");
             }
+        }
+    }
+    let to_bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // 128 rows of bit table, about half of them picked.
+    let pick: Vec<u64> = (0..2)
+        .map(|w| u64::from(bits[w]) << 32 | u64::from(bits[w + 2]))
+        .collect();
+    for len in 0usize..=300 {
+        let dense = values(len, &bits, len as u32);
+        let sparse: Vec<f32> = dense
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| if i % 97 == 5 { x } else { 0.0 })
+            .collect();
+        let words = simd::bit_words(len);
+        let table: Vec<u64> = (0..simd::table_words(pick.len(), words))
+            .map(|i| u64::from(bits[i % bits.len()]).rotate_left(i as u32))
+            .collect();
+        let run = |isa: KernelIsa| {
+            let compact = |xs: &[f32], room: usize| {
+                let (mut cols, mut vals) = (vec![0u32; room], vec![0.0f32; room]);
+                let kept = simd::compact(isa, 0.0, xs, &mut cols, &mut vals);
+                (cols[..kept].to_vec(), to_bits(&vals[..kept]))
+            };
+            let stored = |xs: &[f32]| xs.iter().filter(|&&x| x != 0.0).count();
+            let mut row = vec![u64::MAX; words + 1];
+            let any = simd::truthy_bits(isa, &dense, &mut row);
+            let mut acc = row[..words].to_vec();
+            simd::or_rows(isa, &pick, &table, &mut acc);
+            let mut out = vec![f32::NAN; len];
+            simd::bits_to_f32(isa, &acc, &mut out);
+            let mut quantized = dense.clone();
+            simd::quantize_f16_slice(isa, &mut quantized);
+            (
+                [simd::scan(isa, 0.0, &dense), simd::scan(isa, 0.0, &sparse)],
+                [
+                    compact(&dense, stored(&dense)),
+                    compact(&sparse, stored(&sparse)),
+                    compact(&dense, len),
+                ],
+                (any, row, acc, to_bits(&out), to_bits(&quantized)),
+            )
+        };
+        let want = run(KernelIsa::Scalar);
+        for isa in vector_tiers() {
+            assert_eq!(run(isa), want, "len={len} isa={isa}");
         }
     }
 }

@@ -107,6 +107,11 @@ for sweep in walk_or_chain scatter_or_sweep; do
   cargo test --release -q -p simd2 --lib -- --ignored --nocapture "$sweep" \
     > "target/$sweep.txt"
 done
+# Every vector leaf's rate on every tier the CPU runs — the benchmark
+# times kernels on the selected tier only, so this is what sees the
+# others: informational, not compared.
+cargo test --release -q -p simd2-semiring --test leaf_rates -- --ignored --nocapture \
+  > target/leaf_rates.txt
 
 # The vector fp16 quantiser against the scalar round trip on all 2^32
 # `f32` bit patterns (the default run samples them).
